@@ -175,17 +175,6 @@ pub struct OptimizationConfig {
     /// numerics — the GPU cost simulator always models the movement
     /// pipeline selected by `fused_gather_scatter`.
     pub fused_execution: bool,
-    /// Accumulate the scatter reduction through exact, order-independent
-    /// fixed-point superaccumulators (`torchsparse_tensor::accum`) instead
-    /// of order-pinned serial `f32` addition. Every output element becomes
-    /// the correctly rounded sum of its partial products — bitwise
-    /// reproducible across thread counts, chunk partitionings, and the
-    /// fused/unfused routes — which lets the scatter run as parallel pool
-    /// tasks instead of a serial walk. Defaults on in every preset; the
-    /// `TORCHSPARSE_EXACT_ACCUM` environment variable (`off`/`on`)
-    /// overrides it process-wide, with `off` restoring the historical
-    /// serial-order bits for A/B comparison.
-    pub exact_accumulation: bool,
     /// Coordinate index stored inside frozen plans (see
     /// [`CoordIndexChoice`]). `Auto` keeps dynamic runs on the adaptive
     /// [`MapSearchStrategy`] path and gives compiled sessions the succinct
@@ -266,41 +255,6 @@ fn parse_fused_override(raw: &str) -> Result<bool, String> {
         _ => Err(format!(
             "TORCHSPARSE_FUSED={raw:?} is not one of on/off/1/0/true/false; \
              falling back to the engine configuration's fused_execution flag"
-        )),
-    }
-}
-
-/// Resolves the effective exact-accumulation switch: `TORCHSPARSE_EXACT_ACCUM`
-/// (`off`/`0`/`false` restores the historical serial-order scatter,
-/// `on`/`1`/`true` forces exact accumulation) wins over
-/// `config.exact_accumulation`. The variable is read once per process; a
-/// set-but-unrecognized value emits a one-time warning and defers to the
-/// configuration instead of being silently ignored.
-pub fn exact_accum_enabled(config: &OptimizationConfig) -> bool {
-    static OVERRIDE: std::sync::OnceLock<Option<bool>> = std::sync::OnceLock::new();
-    let forced = OVERRIDE.get_or_init(|| {
-        let raw = std::env::var("TORCHSPARSE_EXACT_ACCUM").ok()?;
-        match parse_exact_accum_override(&raw) {
-            Ok(forced) => Some(forced),
-            Err(warning) => {
-                torchsparse_runtime::warn_env_once("TORCHSPARSE_EXACT_ACCUM", &warning);
-                None
-            }
-        }
-    });
-    forced.unwrap_or(config.exact_accumulation)
-}
-
-/// Strictly parses a `TORCHSPARSE_EXACT_ACCUM` value; factored out of
-/// [`exact_accum_enabled`] so the policy is testable without touching
-/// process state. Unrecognized values return the warning message to emit.
-fn parse_exact_accum_override(raw: &str) -> Result<bool, String> {
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "off" | "0" | "false" => Ok(false),
-        "on" | "1" | "true" => Ok(true),
-        _ => Err(format!(
-            "TORCHSPARSE_EXACT_ACCUM={raw:?} is not one of on/off/1/0/true/false; \
-             falling back to the engine configuration's exact_accumulation flag"
         )),
     }
 }
@@ -460,6 +414,52 @@ fn parse_tune_db_override(raw: &str) -> Result<std::path::PathBuf, String> {
     }
 }
 
+/// Every `TORCHSPARSE_*` environment variable the engine reads.
+const KNOWN_ENV_VARS: [&str; 7] = [
+    "TORCHSPARSE_THREADS",
+    "TORCHSPARSE_SIMD",
+    "TORCHSPARSE_FUSED",
+    "TORCHSPARSE_COORD_INDEX",
+    "TORCHSPARSE_AUTOTUNE",
+    "TORCHSPARSE_TUNE_DB",
+    "TORCHSPARSE_DELTA_REPLAN",
+];
+
+/// Warns once per process about every set `TORCHSPARSE_*` variable the
+/// engine does not read, so a typo (`TORCHSPARSE_THREDS`) or a knob a later
+/// release retired is reported instead of silently having no effect. Called
+/// when a [`Context`](crate::Context) is created.
+pub(crate) fn warn_unrecognised_env() {
+    static CHECKED: std::sync::Once = std::sync::Once::new();
+    CHECKED.call_once(|| {
+        let names: Vec<String> =
+            std::env::vars_os().filter_map(|(name, _)| name.into_string().ok()).collect();
+        if let Some(warning) = unrecognised_env_warning(names.iter().map(String::as_str)) {
+            torchsparse_runtime::warn_env_once("TORCHSPARSE_*", &warning);
+        }
+    });
+}
+
+/// The warning for the `TORCHSPARSE_*` names among `names` that are not in
+/// [`KNOWN_ENV_VARS`] (`None` when there are none); factored out of
+/// [`warn_unrecognised_env`] so the recogniser is testable without touching
+/// process state.
+fn unrecognised_env_warning<'a>(names: impl Iterator<Item = &'a str>) -> Option<String> {
+    let mut unknown: Vec<&str> = names
+        .filter(|name| name.starts_with("TORCHSPARSE_") && !KNOWN_ENV_VARS.contains(name))
+        .collect();
+    if unknown.is_empty() {
+        return None;
+    }
+    unknown.sort_unstable();
+    Some(format!(
+        "{}: set, but not a variable this engine reads (a typo or a retired knob); ignored. \
+         Recognised: {}",
+        unknown.join(", "),
+        KNOWN_ENV_VARS.join(", ")
+    ))
+}
+
 impl OptimizationConfig {
     /// Fully optimized TorchSparse configuration.
     pub fn torchsparse() -> OptimizationConfig {
@@ -481,7 +481,6 @@ impl OptimizationConfig {
             simd: SimdPolicy::Auto,
             fma_gemm: false,
             fused_execution: true,
-            exact_accumulation: true,
             coord_index: CoordIndexChoice::Auto,
             autotune_policies: true,
             tune_db: None,
@@ -514,10 +513,6 @@ impl OptimizationConfig {
             // one of the paper's ablated optimizations: it changes no bits,
             // so even the baseline uses it.
             fused_execution: true,
-            // Same reasoning: exact accumulation is a host-executor detail
-            // (a *stronger* determinism guarantee, not a looser one), so
-            // even the baseline uses it.
-            exact_accumulation: true,
             // The frozen-plan index changes no bits either; the baseline
             // keeps Auto so dynamic runs match the historical hashmap path.
             coord_index: CoordIndexChoice::Auto,
@@ -615,7 +610,6 @@ mod tests {
         assert!(matches!(c.grouping, GroupingStrategy::Adaptive { .. }));
         assert_eq!(c.map_search, MapSearchStrategy::Auto);
         assert!(c.fused_execution);
-        assert!(c.exact_accumulation);
     }
 
     #[test]
@@ -657,11 +651,6 @@ mod tests {
                 "{}: fused execution is bitwise-neutral and defaults on",
                 preset.name()
             );
-            assert!(
-                c.exact_accumulation,
-                "{}: exact accumulation strengthens determinism and defaults on",
-                preset.name()
-            );
         }
     }
 
@@ -678,15 +667,20 @@ mod tests {
     }
 
     #[test]
-    fn exact_accum_override_parses_strictly() {
-        for (raw, expect) in [("off", false), ("0", false), ("FALSE", false), (" on ", true)] {
-            assert_eq!(parse_exact_accum_override(raw), Ok(expect), "{raw:?}");
-        }
-        for bad in ["abc", "2", "", "yes"] {
-            let w = parse_exact_accum_override(bad).expect_err("malformed value must warn");
-            assert!(w.contains("TORCHSPARSE_EXACT_ACCUM"), "warning must name the variable: {w}");
-            assert!(w.contains("exact_accumulation"), "warning must name the fallback: {w}");
-        }
+    fn unrecognised_env_vars_are_reported() {
+        let env = [
+            "PATH",
+            "TORCHSPARSE_THREADS",
+            "TORCHSPARSE_EXACT_ACCUM", // retired
+            "TORCHSPARSE_FUSED",
+            "TORCHSPARSE_AUTOTUNED", // typo
+            "torchsparse_simd",      // not ours: the prefix is case-sensitive
+        ];
+        let w = unrecognised_env_warning(env.into_iter()).expect("two unknown names must warn");
+        let reported = w.split(": set").next().expect("split yields a first piece");
+        assert_eq!(reported, "TORCHSPARSE_AUTOTUNED, TORCHSPARSE_EXACT_ACCUM");
+        assert!(w.contains("Recognised: TORCHSPARSE_THREADS"), "must list the valid names: {w}");
+        assert_eq!(unrecognised_env_warning(KNOWN_ENV_VARS.into_iter().chain(["HOME"])), None);
     }
 
     #[test]

@@ -195,6 +195,7 @@ pub const HOST_OP_OVERHEAD_US: f64 = 50.0;
 impl Context {
     /// Creates a context for a configuration on a device.
     pub fn new(config: OptimizationConfig, device: DeviceProfile) -> Context {
+        crate::config::warn_unrecognised_env();
         Context {
             runtime: crate::runtime::Runtime::new(config.threads),
             mem: MemorySim::new(&device),

@@ -28,7 +28,6 @@ use torchsparse_coords::kernel_map::MapEntry;
 use torchsparse_coords::KernelMap;
 use torchsparse_gpusim::Precision as GemmPrecision;
 use torchsparse_gpusim::{AccessMode, ElemWidth, GemmShape, Stage};
-use torchsparse_tensor::accum::ExactAccumulator;
 use torchsparse_tensor::gemm::GemmOpts;
 use torchsparse_tensor::microkernel::{self, Kernel, PackedB};
 use torchsparse_tensor::{gemm, quant, Matrix};
@@ -457,80 +456,59 @@ fn gather_rows(
     pool.run(tasks);
 }
 
-std::thread_local! {
-    /// Per-worker superaccumulator grid for one output chunk of the exact
-    /// scatter (`rows_in_chunk x c_out` accumulators). Thread-local so the
-    /// persistent pool workers reach steady state with zero allocation.
-    static EXACT_GRID: std::cell::RefCell<Vec<ExactAccumulator>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-    /// Per-worker staging tile for the fused exact epilogue: the
-    /// microkernel writes one offset batch's products here before they are
-    /// folded into the accumulator grid.
-    static EXACT_TILE: std::cell::RefCell<Vec<f32>> =
-        const { std::cell::RefCell::new(Vec::new()) };
+/// Rewrites every NaN in a finished output block to the one canonical
+/// quiet NaN. IEEE 754 leaves the sign and payload of `NaN + NaN` to the
+/// operand order, which the compiler — not the accumulation order — picks
+/// per code path, so without this an input NaN meeting an `inf - inf` NaN
+/// could leave different bits on different routes.
+fn canonicalize_nans(block: &mut [f32]) {
+    // Unconditional store: compiles to a compare-and-blend sweep.
+    for v in block {
+        *v = if v.is_nan() { f32::NAN } else { *v };
+    }
 }
 
-/// Reduces one output chunk through exact accumulators: seeds the grid with
-/// the chunk's current values (the zero init or the §4.2.1 center-shortcut
-/// GEMM result), folds in every partial-sum row the plan-time order assigns
-/// to the chunk, and writes back each element's single correctly rounded
-/// total. Addition into a superaccumulator is order-independent, so this
-/// produces identical bits no matter how chunks are scheduled — and
-/// identical bits to the fused epilogue, which feeds the same per-entry
-/// product values through the same accumulators.
-fn exact_scatter_chunk(
-    order: &FusedOrder,
-    map: &KernelMap,
-    psums: &[Option<Matrix>],
-    c: usize,
-    c_out: usize,
-    block: &mut [f32],
+/// Runs `reduce(c, block)` over every `chunk_rows`-row block of `out`, then
+/// canonicalizes the block's NaNs while it is still hot: inline on a serial
+/// pool (no task boxing), as one task wave otherwise. Blocks are disjoint
+/// and the partition never depends on the pool width, so the result is the
+/// same at any thread count.
+fn reduce_chunks(
+    pool: &ThreadPool,
+    out: &mut Matrix,
+    chunk_rows: usize,
+    reduce: impl Fn(usize, &mut [f32]) + Sync,
 ) {
-    EXACT_GRID.with(|cell| {
-        let mut grid = cell.borrow_mut();
-        grid.clear();
-        grid.resize(block.len(), ExactAccumulator::new());
-        for (acc, &v) in grid.iter_mut().zip(block.iter()) {
-            acc.add(v);
+    let block_len = chunk_rows * out.cols();
+    let run_chunk = |c: usize, block: &mut [f32]| {
+        reduce(c, block);
+        canonicalize_nans(block);
+    };
+    if pool.threads() <= 1 && !pool.is_recording() {
+        for (c, block) in out.as_mut_slice().chunks_mut(block_len).enumerate() {
+            run_chunk(c, block);
         }
-        let base = (c * order.chunk_rows()) as u32;
-        for (n, p) in psums.iter().enumerate() {
-            let Some(p) = p else { continue };
-            let view = order.view(map, n);
-            let lo = order.starts(n)[c] as usize;
-            let hi = order.starts(n)[c + 1] as usize;
-            for (i, e) in view.entries[lo..hi].iter().enumerate() {
-                let src = view.producer(lo + i);
-                let rel = (e.output - base) as usize * c_out;
-                // `+ 0.0` canonicalizes a -0.0 partial sum to +0.0, exactly
-                // as the fused route's zero-initialized staging tile does —
-                // keeping the two routes' addend multisets bitwise equal.
-                for (acc, &v) in grid[rel..rel + c_out].iter_mut().zip(p.row(src as usize)) {
-                    acc.add(v + 0.0);
-                }
-            }
-        }
-        for (dst, acc) in block.iter_mut().zip(grid.iter()) {
-            *dst = acc.round();
-        }
-    });
+        return;
+    }
+    let run_chunk = &run_chunk;
+    let tasks: Vec<Task<'_>> = out
+        .as_mut_slice()
+        .chunks_mut(block_len)
+        .enumerate()
+        .map(|(c, block)| Box::new(move || run_chunk(c, block)) as Task<'_>)
+        .collect();
+    pool.run(tasks);
 }
 
 /// Scatter-accumulates every offset's partial sums into `out` (FP32
-/// accumulation registers).
+/// accumulation registers), one task per plan-time output chunk.
 ///
-/// With exact accumulation on, output rows are partitioned into fixed
-/// [`MOVE_CHUNK`] blocks that reduce through per-chunk superaccumulator
-/// grids ([`exact_scatter_chunk`]) as pool tasks — each element becomes the
-/// correctly rounded sum of its producers, bitwise identical at any thread
-/// count *by arithmetic*, with no ordering constraint on the schedule.
-///
-/// With exact accumulation off, the historical bits are preserved: serial
-/// (`threads == 1`) iterates offset-major exactly like the original engine,
-/// and the parallel path walks each chunk offset-major through the
-/// plan-time order — the same per-element `(offset, entry)`-ascending FP32
-/// addition order as the serial loop, so results still match serial bits at
-/// every pool width.
+/// Each chunk walks the offsets in ascending order and, within an offset,
+/// the chunk's entries of the plan-time output-sorted view. An output row
+/// appears at most once per offset (the per-offset maps are partial
+/// bijections), so every element sees one FP32 add per producer with
+/// offsets ascending — the order a plain offset-major loop over the whole
+/// map would give it, whatever the chunk width, schedule, or thread count.
 ///
 /// `order` is the plan-time scatter metadata; `None` (hand-built workloads
 /// only) falls back to an on-the-spot build, counted by
@@ -542,20 +520,9 @@ fn scatter_accumulate(
     psums: &[Option<Matrix>],
     out: &mut Matrix,
     order: Option<&FusedOrder>,
-    exact: bool,
 ) {
     let c_out = out.cols();
     if out.rows() == 0 || c_out == 0 {
-        return;
-    }
-    if !exact && pool.threads() <= 1 && !pool.is_recording() {
-        for (n, p) in psums.iter().enumerate() {
-            let Some(p) = p else { continue };
-            for (i, e) in map.entries(n).iter().enumerate() {
-                let dst = out.row_mut(e.output as usize);
-                microkernel::accumulate_row(kernel, dst, p.row(i));
-            }
-        }
         return;
     }
     let built;
@@ -568,11 +535,7 @@ fn scatter_accumulate(
         }
     };
     let chunk = order.chunk_rows();
-    let run_chunk = |c: usize, block: &mut [f32]| {
-        if exact {
-            exact_scatter_chunk(order, map, psums, c, c_out, block);
-            return;
-        }
+    reduce_chunks(pool, out, chunk, |c, block| {
         let base = (c * chunk) as u32;
         for (n, p) in psums.iter().enumerate() {
             let Some(p) = p else { continue };
@@ -589,21 +552,7 @@ fn scatter_accumulate(
                 );
             }
         }
-    };
-    if pool.threads() <= 1 && !pool.is_recording() {
-        for (c, block) in out.as_mut_slice().chunks_mut(chunk * c_out).enumerate() {
-            run_chunk(c, block);
-        }
-        return;
-    }
-    let run_chunk = &run_chunk;
-    let tasks: Vec<Task<'_>> = out
-        .as_mut_slice()
-        .chunks_mut(chunk * c_out)
-        .enumerate()
-        .map(|(c, block)| Box::new(move || run_chunk(c, block)) as Task<'_>)
-        .collect();
-    pool.run(tasks);
+    });
 }
 
 /// Layout of the simulated buffers of one convolution.
@@ -680,40 +629,23 @@ fn is_center_shortcut(w: &ConvWorkload<'_>, offsets: &[usize], ctx: &Context) ->
 /// `in_feats` through MR-row register tiles into `out`, with no gathered
 /// or partial-sum buffer in between.
 ///
-/// Per output element, with exact accumulation off, the accumulation order
-/// is exactly the unfused engine's — a zero-initialized k-ascending dot
-/// product per map entry (the GEMM into a zeroed psum row), optional f16
-/// rounding of that product (the 16-bit psum store), then one FP32 add per
-/// entry with offsets ascending (the scatter) — so results are bitwise
-/// identical to the buffered path at any thread count. With exact
-/// accumulation on, each offset batch's products stage through a zeroed
-/// per-worker tile and fold into the chunk's superaccumulator grid, making
-/// the result the correctly rounded sum of the same addend multiset the
-/// unfused exact scatter reduces — bitwise equal across routes *and*
-/// schedules. Parallel tasks own disjoint output-row blocks of the order's
-/// chunk width; the partition never depends on the pool width.
-#[allow(clippy::too_many_arguments)]
+/// Per output element the accumulation order is exactly the buffered
+/// route's — a zero-initialized k-ascending dot product per map entry (the
+/// GEMM into a zeroed psum row), optional f16 rounding of that product (the
+/// 16-bit psum store), then one FP32 add per entry with offsets ascending
+/// (the scatter) — so results are bitwise identical to
+/// [`scatter_accumulate`]'s at any thread count. Parallel tasks own
+/// disjoint output-row blocks of the order's chunk width; the partition
+/// never depends on the pool width.
 fn run_fused_numerics(
     w: &ConvWorkload<'_>,
     fused: &FusedOrder,
     shortcut: Option<usize>,
     round_f16: bool,
-    exact: bool,
     pool: &ThreadPool,
     kernel: Kernel,
     out: &mut Matrix,
 ) {
-    /// Identity row mapping for the exact path's staging tile: batch entry
-    /// `j`'s product lands in tile row `j`.
-    const IDENTITY: [u32; MOVE_CHUNK] = {
-        let mut a = [0u32; MOVE_CHUNK];
-        let mut i = 0;
-        while i < MOVE_CHUNK {
-            a[i] = i as u32;
-            i += 1;
-        }
-        a
-    };
     let (c_in, c_out) = (w.c_in(), w.c_out());
     if out.rows() == 0 || c_out == 0 {
         return;
@@ -725,64 +657,10 @@ fn run_fused_numerics(
     };
     let volume = w.map.num_offsets();
     let chunk = fused.chunk_rows();
-    let run_chunk = |c: usize, block: &mut [f32]| {
+    reduce_chunks(pool, out, chunk, |c, block| {
         let base = (c * chunk) as u32;
         let mut in_rows = [0u32; MOVE_CHUNK];
         let mut out_rel = [0u32; MOVE_CHUNK];
-        if exact {
-            EXACT_GRID.with(|gcell| {
-                EXACT_TILE.with(|tcell| {
-                    let mut grid = gcell.borrow_mut();
-                    let mut tile = tcell.borrow_mut();
-                    grid.clear();
-                    grid.resize(block.len(), ExactAccumulator::new());
-                    for (acc, &v) in grid.iter_mut().zip(block.iter()) {
-                        acc.add(v);
-                    }
-                    for n in 0..volume {
-                        if Some(n) == shortcut {
-                            continue;
-                        }
-                        let lo = fused.starts(n)[c] as usize;
-                        let hi = fused.starts(n)[c + 1] as usize;
-                        let entries = &fused.view(w.map, n).entries[lo..hi];
-                        let mut i = 0;
-                        while i < entries.len() {
-                            let cnt = (entries.len() - i).min(MOVE_CHUNK);
-                            for (j, e) in entries[i..i + cnt].iter().enumerate() {
-                                in_rows[j] = e.input;
-                                out_rel[j] = e.output - base;
-                            }
-                            tile.clear();
-                            tile.resize(cnt * c_out, 0.0);
-                            microkernel::gemm_gather_scatter(
-                                kernel,
-                                a,
-                                c_in,
-                                &in_rows[..cnt],
-                                operand(n),
-                                c_out,
-                                round_f16,
-                                &mut tile,
-                                &IDENTITY[..cnt],
-                            );
-                            for (j, &rel) in out_rel[..cnt].iter().enumerate() {
-                                let dst = rel as usize * c_out;
-                                let src = &tile[j * c_out..(j + 1) * c_out];
-                                for (acc, &v) in grid[dst..dst + c_out].iter_mut().zip(src) {
-                                    acc.add(v);
-                                }
-                            }
-                            i += cnt;
-                        }
-                    }
-                    for (dst, acc) in block.iter_mut().zip(grid.iter()) {
-                        *dst = acc.round();
-                    }
-                });
-            });
-            return;
-        }
         for n in 0..volume {
             if Some(n) == shortcut {
                 continue;
@@ -794,10 +672,8 @@ fn run_fused_numerics(
             // wider tuned chunks (and degenerate hand-built maps) stream
             // through this sub-chunk loop in MOVE_CHUNK-entry batches —
             // per-row accumulation order is unchanged either way.
-            let mut i = 0;
-            while i < entries.len() {
-                let cnt = (entries.len() - i).min(MOVE_CHUNK);
-                for (j, e) in entries[i..i + cnt].iter().enumerate() {
+            for batch in entries.chunks(MOVE_CHUNK) {
+                for (j, e) in batch.iter().enumerate() {
                     in_rows[j] = e.input;
                     out_rel[j] = e.output - base;
                 }
@@ -805,31 +681,16 @@ fn run_fused_numerics(
                     kernel,
                     a,
                     c_in,
-                    &in_rows[..cnt],
+                    &in_rows[..batch.len()],
                     operand(n),
                     c_out,
                     round_f16,
                     block,
-                    &out_rel[..cnt],
+                    &out_rel[..batch.len()],
                 );
-                i += cnt;
             }
         }
-    };
-    if pool.threads() <= 1 && !pool.is_recording() {
-        for (c, block) in out.as_mut_slice().chunks_mut(chunk * c_out).enumerate() {
-            run_chunk(c, block);
-        }
-        return;
-    }
-    let run_chunk = &run_chunk;
-    let tasks: Vec<Task<'_>> = out
-        .as_mut_slice()
-        .chunks_mut(chunk * c_out)
-        .enumerate()
-        .map(|(c, block)| Box::new(move || run_chunk(c, block)) as Task<'_>)
-        .collect();
-    pool.run(tasks);
+    });
 }
 
 /// Executes Algorithm 2 with the configured optimizations; returns the
@@ -851,14 +712,13 @@ pub fn run_gather_matmul_scatter(
     let opts = gemm_opts(&ctx.config, w.policy.as_ref());
     let mut out = Matrix::zeros(w.n_out, w.c_out());
 
-    // ---- Real computation (order-independent). -------------------------
+    // ---- Real computation (independent of the simulated order). --------
     // Fused route: no gather/psum buffers at all — map rows stream through
     // the microkernel straight into `out`, with the §4.2.1 center shortcut
     // still running as one dense GEMM first. Grouping is bitwise-neutral
     // for numerics (bmm pad rows are zero and never scattered), so the
     // fused path ignores it; the simulated cost below still models the
     // configured grouping/movement kernels either way.
-    let exact = crate::config::exact_accum_enabled(&ctx.config);
     let fused_order = if ctx.simulate_only || !fused_for(&ctx.config, w.policy.as_ref()) {
         None
     } else {
@@ -879,7 +739,7 @@ pub fn run_gather_matmul_scatter(
             }
         }
         let round_f16 = ctx.config.precision != Precision::Fp32;
-        run_fused_numerics(w, order, shortcut, round_f16, exact, &pool, kernel, &mut out);
+        run_fused_numerics(w, order, shortcut, round_f16, &pool, kernel, &mut out);
     }
     // Unfused route: gather per-offset feature matrices, run the (b)mm,
     // keep partial sums. Gather/psum buffers come from the context's
@@ -968,7 +828,7 @@ pub fn run_gather_matmul_scatter(
     }
     // Scatter-accumulate (FP32 accumulation registers).
     if run_numerics {
-        scatter_accumulate(&pool, kernel, w.map, &psums, &mut out, w.fused, exact);
+        scatter_accumulate(&pool, kernel, w.map, &psums, &mut out, w.fused);
     }
     for p in psums.drain(..).flatten() {
         ctx.runtime.workspaces.give(p);
@@ -1233,31 +1093,21 @@ pub fn run_fetch_on_demand(w: &ConvWorkload<'_>, ctx: &mut Context) -> Result<Ma
     // `out` — no scratch buffers taken at all. Fetch-on-demand keeps its
     // partial sums in FP32 (no 16-bit psum store), hence `round_f16:
     // false`, and never uses the center shortcut.
-    let exact = crate::config::exact_accum_enabled(&ctx.config);
     let fused_order = if ctx.simulate_only || !fused_for(&ctx.config, w.policy.as_ref()) {
         None
     } else {
         w.fused
     };
     if let Some(order) = fused_order {
-        run_fused_numerics(w, order, None, false, exact, &pool, kernel, &mut out);
+        run_fused_numerics(w, order, None, false, &pool, kernel, &mut out);
     }
-    let run_numerics = !ctx.simulate_only && fused_order.is_none();
-    // Unfused route, exact accumulation off: one scratch pair reused across
-    // all K^3 neighborhoods (previously a fresh gather matrix was allocated
-    // per offset): reshape keeps the backing storage whenever capacity
-    // suffices, and the buffers return to the workspace arena afterwards
-    // for the next layer or forward pass.
-    let mut buffers = (run_numerics && !exact).then(|| {
+    // Unfused route: one scratch pair reused across all K^3 neighborhoods:
+    // reshape keeps the backing storage whenever capacity suffices, and the
+    // buffers return to the workspace arena afterwards for the next layer
+    // or forward pass.
+    let mut buffers = (!ctx.simulate_only && fused_order.is_none()).then(|| {
         (ctx.runtime.workspaces.take(0, w.c_in()), ctx.runtime.workspaces.take(0, w.c_out()))
     });
-    // Unfused route, exact accumulation on: partial sums are kept per
-    // offset (fetch-on-demand stays FP32, no 16-bit psum store) and the
-    // whole reduction runs through the shared exact scatter at the end —
-    // the same addend multiset the fused route folds, so both routes round
-    // to identical bits.
-    let mut psums: Vec<Option<Matrix>> =
-        if run_numerics && exact { vec![None; w.map.num_offsets()] } else { Vec::new() };
 
     for n in 0..w.map.num_offsets() {
         let entries = w.map.entries(n);
@@ -1268,6 +1118,9 @@ pub fn run_fetch_on_demand(w: &ConvWorkload<'_>, ctx: &mut Context) -> Result<Ma
             // Real compute: out[k] += in[j] . W_n per entry. Executed as one
             // blocked GEMM over the offset's rows — numerically identical to
             // the per-entry row-by-matrix products of the device kernel.
+            // Offsets ascend and each output row appears at most once per
+            // offset, so this serial walk is the same per-row order the
+            // fused route's chunk tasks follow.
             scratch.reshape_zeroed(entries.len(), w.c_in());
             gather_rows(&pool, kernel, w.in_feats, entries, scratch);
             psum.reshape_zeroed(entries.len(), w.c_out());
@@ -1281,16 +1134,6 @@ pub fn run_fetch_on_demand(w: &ConvWorkload<'_>, ctx: &mut Context) -> Result<Ma
                 let dst = out.row_mut(e.output as usize);
                 microkernel::accumulate_row(kernel, dst, psum.row(i));
             }
-        } else if run_numerics && exact {
-            let mut f = ctx.runtime.workspaces.take(entries.len(), w.c_in());
-            gather_rows(&pool, kernel, w.in_feats, entries, &mut f);
-            let mut p = ctx.runtime.workspaces.take(entries.len(), w.c_out());
-            match w.packed {
-                Some(packed) => gemm::mm_into_packed_on(&pool, &f, &packed[n], &mut p, opts)?,
-                None => gemm::mm_into_with(&pool, &f, &w.weights[n], &mut p, opts)?,
-            }
-            ctx.runtime.workspaces.give(f);
-            psums[n] = Some(p);
         }
         for e in entries {
             // Memory: read the input row, read-modify-write the output row.
@@ -1308,12 +1151,8 @@ pub fn run_fetch_on_demand(w: &ConvWorkload<'_>, ctx: &mut Context) -> Result<Ma
     if let Some((scratch, psum)) = buffers {
         ctx.runtime.workspaces.give(scratch);
         ctx.runtime.workspaces.give(psum);
-    }
-    if run_numerics && exact {
-        scatter_accumulate(&pool, kernel, w.map, &psums, &mut out, w.fused, true);
-        for p in psums.drain(..).flatten() {
-            ctx.runtime.workspaces.give(p);
-        }
+        // The serial walk above bypassed `reduce_chunks`.
+        canonicalize_nans(out.as_mut_slice());
     }
     let report = ctx.mem.take_report();
     ctx.timeline.add(Stage::Gather, report.latency(&ctx.device));
@@ -1614,12 +1453,13 @@ mod tests {
     fn chunk_width_is_bitwise_neutral() {
         // Every gather/scatter chunk width the autotuner may pick streams
         // the same per-row addend order, so outputs are bit-identical to
-        // the default MOVE_CHUNK split — fused and unfused, exact on/off.
+        // the default MOVE_CHUNK split — fused and buffered (the policy
+        // picks the route, so the buffered scatter walks `order` too).
         let (coords, feats, weights, map) = workload_parts(8, 16);
         let n_out = coords.len();
-        let run = |order: &FusedOrder, exact: bool, use_fused: bool| {
-            let mut cfg = OptimizationConfig::torchsparse();
-            cfg.exact_accumulation = exact;
+        let run = |order: &FusedOrder, use_fused: bool| {
+            let cfg = OptimizationConfig::torchsparse();
+            let policy = ExecPolicy { fused: use_fused, ..ExecPolicy::from_config(&cfg) };
             let mut ctx = ctx_with(cfg.clone());
             let plan = plan_groups(&map.sizes(), true, cfg.grouping);
             let w = ConvWorkload {
@@ -1629,28 +1469,23 @@ mod tests {
                 map: &map,
                 n_out,
                 center_identity: Some(13),
-                fused: use_fused.then_some(order),
-                policy: None,
+                fused: Some(order),
+                policy: Some(policy),
             };
             run_gather_matmul_scatter(&w, &plan, &mut ctx).unwrap()
         };
-        if std::env::var_os("TORCHSPARSE_EXACT_ACCUM").is_some() {
-            return; // env forces one accumulation mode; skip the sweep
-        }
         let baseline = FusedOrder::build(&map, n_out);
         assert_eq!(baseline.chunk_rows(), MOVE_CHUNK);
-        for exact in [false, true] {
-            for use_fused in [true, false] {
-                let expect = bits_of(&run(&baseline, exact, use_fused));
-                for chunk in [1, 32, 128, 256, 1000] {
-                    let order = FusedOrder::build_chunked(&map, n_out, chunk);
-                    assert_eq!(order.chunk_rows(), chunk);
-                    assert_eq!(
-                        bits_of(&run(&order, exact, use_fused)),
-                        expect,
-                        "chunk={chunk} exact={exact} fused={use_fused}"
-                    );
-                }
+        for use_fused in [true, false] {
+            let expect = bits_of(&run(&baseline, use_fused));
+            for chunk in [1, 32, 128, 256, 1000] {
+                let order = FusedOrder::build_chunked(&map, n_out, chunk);
+                assert_eq!(order.chunk_rows(), chunk);
+                assert_eq!(
+                    bits_of(&run(&order, use_fused)),
+                    expect,
+                    "chunk={chunk} fused={use_fused}"
+                );
             }
         }
     }

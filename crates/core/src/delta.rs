@@ -17,7 +17,7 @@
 //! them: every `plan()` call hits the seeded cache, skips search, and makes
 //! identical policy / grouping / ordering decisions — so a patched plan is
 //! *bitwise identical* to a from-scratch plan at every thread count, fused
-//! and unfused, with exact accumulation on or off.
+//! and unfused.
 //!
 //! The walk is conservative: any situation where equality cannot be
 //! guaranteed — churn above `delta_replan_max_churn`, duplicate

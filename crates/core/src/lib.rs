@@ -63,8 +63,8 @@ pub mod tuning;
 pub mod validate;
 
 pub use config::{
-    coord_index_choice, exact_accum_enabled, fused_enabled, CoordIndexChoice, EnginePreset,
-    GroupingStrategy, MapSearchStrategy, OptimizationConfig, Precision, SimdPolicy,
+    coord_index_choice, fused_enabled, CoordIndexChoice, EnginePreset, GroupingStrategy,
+    MapSearchStrategy, OptimizationConfig, Precision, SimdPolicy,
 };
 pub use context::{Context, Deadline, LayerProfile, LayerWorkload, MapKey};
 pub use conv::SparseConv3d;

@@ -215,7 +215,7 @@ pub fn tune_engine<M: Module + ?Sized>(
 /// convolution and threads it through [`ConvPlan`] so `execute` consults the
 /// plan instead of the global [`OptimizationConfig`]. **Every selectable
 /// policy is bitwise-neutral**: grouping only re-batches per-offset GEMMs
-/// whose scatter accumulation is order-independent, the fused and unfused
+/// (the scatter still adds their rows offsets-ascending), the fused and unfused
 /// executors are bit-identical, all SIMD kernels keep the scalar
 /// accumulation order, and chunk/panel widths only re-partition work along
 /// row boundaries.
@@ -697,12 +697,13 @@ pub(crate) fn autotune_plan(
 /// takes no serialization dependency), written atomically via a temp file +
 /// rename in the same directory.
 ///
-/// Schema (`version` 2, which added the architecture-family device
-/// component of the key — version-1 databases are treated as stale and
-/// rebuilt):
+/// Schema (`version` 3: version 2 added the architecture-family device
+/// component of the key; version 3 changes no field but invalidates
+/// winners that were timed through the retired superaccumulator scatter —
+/// older databases are treated as stale and rebuilt):
 ///
 /// ```json
-/// {"version":2,"entries":[
+/// {"version":3,"entries":[
 ///   {"key":"v15:d2:c32x64:k27:sm1:fp16:fe1:turing",
 ///    "mode":"adaptive","epsilon":0.3,"s":150000,
 ///    "fused":true,"simd":"auto","chunk":64,"panel":128}
@@ -720,7 +721,7 @@ mod db {
     use std::path::Path;
 
     /// Database schema version; mismatches are treated as corrupt.
-    const VERSION: f64 = 2.0;
+    const VERSION: f64 = 3.0;
 
     /// A parsed JSON value.
     #[derive(Debug, Clone, PartialEq)]
@@ -1051,7 +1052,7 @@ mod db {
     /// Stores the database atomically: serialized to a temp file in the
     /// target directory, then renamed over the destination.
     pub(super) fn store(path: &Path, entries: &HashMap<String, ExecPolicy>) -> Result<(), String> {
-        let mut text = String::from("{\"version\":2,\"entries\":[");
+        let mut text = format!("{{\"version\":{VERSION},\"entries\":[");
         // Deterministic file contents: entries sorted by key.
         let mut keys: Vec<&String> = entries.keys().collect();
         keys.sort();
@@ -1243,11 +1244,11 @@ mod tests {
     fn corrupt_db_fails_to_load() {
         for (name, text) in [
             ("garbage", "not json at all"),
-            ("truncated", "{\"version\":2,\"entries\":[{\"key\":\"x\""),
+            ("truncated", "{\"version\":3,\"entries\":[{\"key\":\"x\""),
             ("no-version", "{\"entries\":[]}"),
-            ("no-entries", "{\"version\":2}"),
-            ("bad-entry", "{\"version\":2,\"entries\":[{\"key\":\"x\",\"mode\":\"warp\"}]}"),
-            ("trailing", "{\"version\":2,\"entries\":[]} extra"),
+            ("no-entries", "{\"version\":3}"),
+            ("bad-entry", "{\"version\":3,\"entries\":[{\"key\":\"x\",\"mode\":\"warp\"}]}"),
+            ("trailing", "{\"version\":3,\"entries\":[]} extra"),
         ] {
             let path = temp_db(name);
             std::fs::write(&path, text).unwrap();
@@ -1258,10 +1259,22 @@ mod tests {
 
     #[test]
     fn stale_db_version_fails_to_load() {
-        let path = temp_db("stale");
-        std::fs::write(&path, "{\"version\":1,\"entries\":[]}").unwrap();
-        let err = db::load(&path).unwrap_err();
-        assert!(err.contains("version"), "{err}");
+        // A version-2 file is well-formed under today's parser, but its
+        // winners were timed through the retired superaccumulator scatter.
+        let v2 = "{\"version\":2,\"entries\":[{\"key\":\"v15:d2:c32x64:k27:sm1:fp16:fe1:turing\",\
+                  \"mode\":\"adaptive\",\"epsilon\":0.3,\"s\":150000,\
+                  \"fused\":true,\"simd\":\"auto\",\"chunk\":64,\"panel\":128}]}";
+        for (name, text) in [("stale-v1", "{\"version\":1,\"entries\":[]}"), ("stale-v2", v2)] {
+            let path = temp_db(name);
+            std::fs::write(&path, text).unwrap();
+            let err = db::load(&path).unwrap_err();
+            assert!(err.contains("version"), "{name}: {err}");
+            std::fs::remove_file(&path).unwrap();
+        }
+        // The same entry under the current version loads.
+        let path = temp_db("current");
+        std::fs::write(&path, v2.replace("\"version\":2", "\"version\":3")).unwrap();
+        assert_eq!(db::load(&path).unwrap().len(), 1);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -17,9 +17,6 @@
 //! - [`microkernel`]: register-tiled SIMD compute kernels (AVX2/FMA with a
 //!   portable fallback, selected once per process) plus the [`PackedB`]
 //!   panel-major weight layout shared by the packed GEMM entry points.
-//! - [`accum`]: error-free accumulation — a fixed-point superaccumulator
-//!   whose sums are bitwise identical under any summation order, the
-//!   arithmetic foundation of the engine's parallel deterministic scatter.
 //! - [`dense`]: a dense volumetric 3D convolution used **only** as a
 //!   correctness oracle for the sparse engine's property tests.
 //!
@@ -47,13 +44,11 @@ mod error;
 mod half;
 mod matrix;
 
-pub mod accum;
 pub mod dense;
 pub mod gemm;
 pub mod microkernel;
 pub mod quant;
 
-pub use accum::ExactAccumulator;
 pub use error::TensorError;
 pub use half::Half;
 pub use matrix::Matrix;

@@ -178,9 +178,13 @@ fn corrupt_or_stale_db_degrades_gracefully_and_heals() {
     let m = two_conv_model();
     let x = dense_scene(4);
 
-    for (name, text) in
-        [("corrupt", "{this is not json"), ("stale", "{\"version\":99,\"entries\":[]}")]
-    {
+    // Version 2 was the schema before the superaccumulator left the
+    // scatter; its persisted winners were timed through it.
+    for (name, text) in [
+        ("corrupt", "{this is not json"),
+        ("stale", "{\"version\":99,\"entries\":[]}"),
+        ("stale-v2", "{\"version\":2,\"entries\":[]}"),
+    ] {
         let db = temp_db(name);
         std::fs::write(&db, text).expect("seed bad db");
 

@@ -2,8 +2,8 @@
 //! temporally churning stream patches its frozen plan in place, and every
 //! patched frame must be bitwise identical to compiling the model from
 //! scratch on that frame — across dataflow presets, fused/unfused execution,
-//! thread counts, and exact-accumulation modes. Above the churn threshold the
-//! session falls back to a full re-plan, still bitwise identical.
+//! and thread counts. Above the churn threshold the session falls back to a
+//! full re-plan, still bitwise identical.
 
 use std::sync::Arc;
 
@@ -228,17 +228,13 @@ fn unet_with_skips_and_transposed_convs_is_patched_bitwise() {
 }
 
 #[test]
-fn exact_accumulation_on_and_off_both_match_cold() {
+fn dynamic_actors_stream_matches_cold() {
     let base = scene(4);
     let frames = dynamic_actors_stream(&base, 3, 2, 1, 23).expect("stream");
-    for exact in [true, false] {
-        let mut cfg = fp32_config(torchsparse::core::EnginePreset::TorchSparse);
-        cfg.exact_accumulation = exact;
-        cfg.threads = Some(8);
-        let label = format!("exact={exact}");
-        let stats = assert_stream_matches_cold(&temporal_model(13), &frames, &cfg, &label);
-        assert_partition(&stats, &label);
-    }
+    let mut cfg = fp32_config(torchsparse::core::EnginePreset::TorchSparse);
+    cfg.threads = Some(8);
+    let stats = assert_stream_matches_cold(&temporal_model(13), &frames, &cfg, "actors");
+    assert_partition(&stats, "actors");
 }
 
 proptest! {

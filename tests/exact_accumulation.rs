@@ -1,40 +1,67 @@
-//! The order-independent accumulation contract, end to end and at the
-//! arithmetic layer.
+//! The canonical-order accumulation contract, end to end, and the oracle
+//! it is measured against.
 //!
-//! With `exact_accumulation` on (the default), every output element is the
-//! single correctly rounded sum of its partial products, so the engine's
-//! bits are reproducible across thread counts, chunk partitionings, and
-//! the fused/unfused executors *by arithmetic* — no ordering discipline
-//! required. With it off, the engine must reproduce the historical
-//! serial-order bits (the pre-superaccumulator contract) at every thread
-//! count. The property tests at the bottom pin the accumulator itself:
-//! permutation invariance, split/merge invariance, and correct rounding
-//! against an exact integer reference, including NaN/±0/overflow edges.
+//! Every output row is reduced in plain FP32 in one fixed order — offsets
+//! ascending, one add per producer — by whichever task owns the row's
+//! plan-time chunk. The engine's bits are therefore reproducible across
+//! thread counts, chunk widths, and the fused / buffered / fetch-on-demand
+//! executors, non-finite and signed-zero addends included. What the order
+//! does *not* give is a correctly rounded sum, so the second test bounds
+//! the distance to one: the superaccumulator in `tests/support/accum.rs`,
+//! which left the product and survives as this suite's oracle. The
+//! property tests at the bottom pin that oracle itself: permutation
+//! invariance, split/merge invariance, and correct rounding against an
+//! exact integer reference, including NaN/±0/overflow edges.
 
+#[path = "support/accum.rs"]
+mod accum;
+
+use accum::{exact_sum, ExactAccumulator};
 use proptest::prelude::*;
-use torchsparse::coords::Coord;
+use torchsparse::coords::kernel_map::search;
+use torchsparse::coords::{Coord, CoordHashMap};
+use torchsparse::core::dataflow::{run_gather_matmul_scatter, ConvWorkload, FusedOrder};
+use torchsparse::core::grouping::plan_groups;
 use torchsparse::core::{
-    BatchNorm, Engine, EnginePreset, Module, OptimizationConfig, Precision, ReLU, Sequential,
-    SparseConv3d, SparseTensor,
+    BatchNorm, Context, Engine, EnginePreset, ExecPolicy, Module, OptimizationConfig, Precision,
+    ReLU, Sequential, SparseConv3d, SparseTensor,
 };
 use torchsparse::gpusim::DeviceProfile;
-use torchsparse::tensor::accum::{exact_sum, ExactAccumulator};
-use torchsparse::tensor::Matrix;
+use torchsparse::tensor::{gemm, quant, Matrix};
 
 /// Worker counts every configuration is checked at.
 const THREADS: [usize; 3] = [1, 2, 8];
 
-fn tensor_from(sites: &[(i32, i32, i32)], c: usize, seed: u64) -> SparseTensor {
-    let mut dedup: Vec<(i32, i32, i32)> = sites.to_vec();
-    dedup.sort_unstable();
-    dedup.dedup();
-    let coords: Vec<Coord> = dedup.iter().map(|&(x, y, z)| Coord::new(0, x, y, z)).collect();
-    let feats = Matrix::from_fn(coords.len(), c, |r, ch| {
+/// Scatter/fused chunk widths every configuration is checked at: the
+/// default and the widest the autotuner may pick.
+const CHUNK_ROWS: [usize; 2] = [64, 256];
+
+/// An 8 x 8 x 6 block with a quarter of its voxels knocked out: dense
+/// enough that interior rows have a producer at most of the 27 offsets,
+/// so the order of the adds is actually at stake.
+fn sites(seed: i32) -> Vec<Coord> {
+    let mut sites = Vec::new();
+    for x in 0..8 {
+        for y in 0..8 {
+            for z in 0..6 {
+                if (x * 7 + y * 13 + z * 5 + seed) % 4 != 0 {
+                    sites.push(Coord::new(0, x, y, z));
+                }
+            }
+        }
+    }
+    sites
+}
+
+fn features(rows: usize, c: usize, seed: u64) -> Matrix {
+    Matrix::from_fn(rows, c, |r, ch| {
         let v = (r as u64).wrapping_mul(0x9E37_79B9).wrapping_add(ch as u64).wrapping_mul(seed | 1);
         ((v % 1000) as f32 - 500.0) / 250.0
-    });
-    SparseTensor::new(coords, feats).expect("valid tensor")
+    })
 }
+
+/// The conv layers of [`model`], by name (the key policies are pinned by).
+const LAYERS: [&str; 3] = ["conv1", "down", "conv2"];
 
 /// A small net covering submanifold, strided, and channel-changing convs.
 fn model(c: usize, seed: u64) -> Sequential {
@@ -44,6 +71,20 @@ fn model(c: usize, seed: u64) -> Sequential {
         .push(ReLU::new("act"))
         .push(SparseConv3d::with_random_weights("down", 8, 8, 2, 2, seed + 1))
         .push(SparseConv3d::with_random_weights("conv2", 8, c, 3, 1, seed + 2))
+}
+
+/// Features whose per-entry products cover every special addend: rows of
+/// NaN, `±inf`, magnitudes whose products overflow to `±inf` (and whose
+/// sums then meet as `inf - inf`), `-0.0`, and values small enough that the
+/// 16-bit partial-sum store rounds their products to `±0.0`.
+fn special_features(rows: usize, c: usize) -> Matrix {
+    const SPECIALS: [f32; 8] =
+        [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 3.0e38, -3.0e38, -0.0, 1.0e-7, -1.0e-7];
+    let base = features(rows, c, 73);
+    Matrix::from_fn(rows, c, |r, ch| match r % 5 {
+        0 => SPECIALS[(r / 5 + ch) % SPECIALS.len()],
+        _ => base[(r, ch)],
+    })
 }
 
 /// The three dataflow configurations of the engine: grouped
@@ -57,135 +98,160 @@ fn dataflow_configs() -> Vec<(&'static str, OptimizationConfig)> {
     vec![("grouped", grouped), ("separate", separate), ("fetch-on-demand", fod)]
 }
 
+/// One dynamic run with every conv layer pinned to `fused` / `chunk_rows`.
 fn output_bits<M: Module>(
     mut cfg: OptimizationConfig,
     threads: usize,
+    chunk_rows: usize,
     m: &M,
     x: &SparseTensor,
 ) -> (Vec<Coord>, Vec<u32>) {
     cfg.threads = Some(threads);
+    let policy = ExecPolicy { chunk_rows, ..ExecPolicy::from_config(&cfg) };
     let mut engine = Engine::with_config(cfg, DeviceProfile::rtx_2080ti());
+    for layer in LAYERS {
+        engine.context_mut().tuned_policies.insert(layer.to_owned(), policy);
+    }
     let y = engine.run(m, x).expect("run succeeds");
     let bits = y.feats().as_slice().iter().map(|v| v.to_bits()).collect();
     (y.coords().to_vec(), bits)
 }
 
-/// The `TORCHSPARSE_EXACT_ACCUM` override, when set, wins over the
-/// `exact_accumulation` field these tests pin — the mode a test targets is
-/// only actually running when the variable agrees or is unset.
-fn forced_exact_mode() -> Option<bool> {
-    let raw = std::env::var("TORCHSPARSE_EXACT_ACCUM").ok()?;
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "off" | "0" | "false" => Some(false),
-        "on" | "1" | "true" => Some(true),
-        _ => None,
-    }
-}
-
-/// Exact accumulation on: 1/2/8 threads x 3 dataflows x 3 precisions x
-/// fused/unfused all produce identical bits — the acceptance sweep of the
-/// order-independent determinism contract.
+/// 3 dataflows x 3 precisions x fused/buffered x 1/2/8 threads x two chunk
+/// widths all produce identical bits — on an ordinary net, and on a layer
+/// whose products contain `-0.0`, `±inf` and NaN addends.
 #[test]
-fn exact_on_bitwise_identical_across_threads_dataflows_precisions_routes() {
-    if forced_exact_mode() == Some(false) {
-        return; // this suite run is explicitly exercising the serial-order path
-    }
-    let sites: Vec<(i32, i32, i32)> =
-        (0..300).map(|i| ((i * 7) % 21 - 10, (i * 13) % 17 - 8, (i * 5) % 15 - 7)).collect();
-    let x = tensor_from(&sites, 4, 61);
-    let m = model(4, 61);
-    for (dataflow, cfg) in dataflow_configs() {
-        for precision in [Precision::Fp32, Precision::Fp16, Precision::Int8] {
-            let mut reference: Option<(Vec<Coord>, Vec<u32>)> = None;
-            for fused in [false, true] {
-                for threads in THREADS {
-                    let mut cfg = cfg.clone();
-                    cfg.precision = precision;
-                    cfg.fused_execution = fused;
-                    cfg.exact_accumulation = true;
-                    let out = output_bits(cfg, threads, &m, &x);
-                    match &reference {
-                        None => reference = Some(out),
-                        Some(r) => assert_eq!(
-                            r, &out,
-                            "{dataflow} @ {precision:?} diverges with fused={fused} at \
-                             {threads} threads under exact accumulation"
-                        ),
+fn canonical_order_bitwise_identical_across_threads_dataflows_precisions_routes_chunks() {
+    let coords = sites(0);
+    let regular =
+        SparseTensor::new(coords.clone(), features(coords.len(), 4, 61)).expect("valid tensor");
+    let special =
+        SparseTensor::new(coords.clone(), special_features(coords.len(), 4)).expect("valid tensor");
+    let net = model(4, 61);
+    let one_conv =
+        Sequential::new("net").push(SparseConv3d::with_random_weights("conv1", 4, 8, 3, 1, 67));
+    for (case, m, x) in [("regular", &net, &regular), ("special", &one_conv, &special)] {
+        for (dataflow, cfg) in dataflow_configs() {
+            for precision in [Precision::Fp32, Precision::Fp16, Precision::Int8] {
+                if case == "special" && precision == Precision::Int8 {
+                    continue; // INT8 calibration rejects non-finite tensors outright
+                }
+                let mut reference: Option<(Vec<Coord>, Vec<u32>)> = None;
+                for fused in [false, true] {
+                    for threads in THREADS {
+                        for chunk_rows in CHUNK_ROWS {
+                            let mut cfg = cfg.clone();
+                            cfg.precision = precision;
+                            cfg.fused_execution = fused;
+                            let out = output_bits(cfg, threads, chunk_rows, m, x);
+                            let r = reference.get_or_insert_with(|| out.clone());
+                            assert_eq!(
+                                r, &out,
+                                "{case}/{dataflow} @ {precision:?} diverges with fused={fused} \
+                                 at {threads} threads, {chunk_rows}-row chunks"
+                            );
+                        }
                     }
                 }
-            }
-        }
-    }
-}
-
-/// Exact accumulation off: every thread count and route reproduces the
-/// historical serial-order bits — the 1-thread unfused engine runs the
-/// byte-for-byte pre-superaccumulator scatter, and everything else must
-/// match it exactly as it did before this layer existed.
-#[test]
-fn exact_off_reproduces_historical_serial_order_bits() {
-    if forced_exact_mode() == Some(true) {
-        return; // this suite run is explicitly exercising the exact path
-    }
-    let sites: Vec<(i32, i32, i32)> =
-        (0..300).map(|i| ((i * 11) % 21 - 10, (i * 3) % 17 - 8, (i * 9) % 15 - 7)).collect();
-    let x = tensor_from(&sites, 4, 67);
-    let m = model(4, 67);
-    for (dataflow, cfg) in dataflow_configs() {
-        for precision in [Precision::Fp32, Precision::Fp16, Precision::Int8] {
-            // The 1-thread unfused run takes the historical serial
-            // offset-major scatter loop, untouched by this PR.
-            let mut serial_cfg = cfg.clone();
-            serial_cfg.precision = precision;
-            serial_cfg.fused_execution = false;
-            serial_cfg.exact_accumulation = false;
-            let reference = output_bits(serial_cfg.clone(), 1, &m, &x);
-            for fused in [false, true] {
-                for threads in THREADS {
-                    let mut cfg = cfg.clone();
-                    cfg.precision = precision;
-                    cfg.fused_execution = fused;
-                    cfg.exact_accumulation = false;
-                    let out = output_bits(cfg, threads, &m, &x);
-                    assert_eq!(
-                        reference, out,
-                        "{dataflow} @ {precision:?} with fused={fused} at {threads} threads \
-                         must reproduce the historical serial-order bits"
-                    );
+                if case == "special" && precision == Precision::Fp32 {
+                    let (_, bits) = reference.expect("at least one run");
+                    let vals: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
+                    assert!(vals.iter().any(|v| v.is_nan()), "{dataflow}: no NaN output");
+                    assert!(vals.iter().any(|v| v.is_infinite()), "{dataflow}: no inf output");
+                    assert!(vals.iter().any(|v| v.is_finite()), "{dataflow}: all poisoned");
                 }
             }
         }
     }
 }
 
-/// Exact and serial-order accumulation agree to tight tolerance (they
-/// differ only by re-association error of the serial FP32 sum), so the A/B
-/// switch never masks a numerical bug.
+/// The price of dropping the superaccumulator, bounded: every output
+/// element of the canonical-order FP32 reduction lies within
+/// `(k - 1) * eps * sum|addend|` of the oracle's correctly rounded sum of
+/// the same addends (`k` = the row's producer count) — the textbook bound
+/// for recursive summation, whose first add into the zeroed row is exact.
+/// Checked on one layer for FP32 and for FP16's f16-rounded partial sums
+/// (which is where `-0.0` addends come from), fused and buffered.
 #[test]
-fn exact_and_serial_accumulation_agree_closely() {
-    if forced_exact_mode().is_some() {
-        return; // the override pins both runs to one mode
+fn canonical_order_sum_is_within_recursive_summation_bound_of_oracle() {
+    let coords = sites(1);
+    let (c_in, c_out) = (6, 5);
+    // Every fifth row is tiny, so FP16 rounds its products to signed zeros.
+    let base = features(coords.len(), c_in, 71);
+    let feats = Matrix::from_fn(coords.len(), c_in, |r, ch| {
+        base[(r, ch)] * if r % 5 == 0 { 1.0e-7 } else { 1.0 }
+    });
+    let weights: Vec<Matrix> = (0..27).map(|n| features(c_in, c_out, 100 + n)).collect();
+    let (table, _) = CoordHashMap::build(&coords);
+    let map = search(&coords, &table, 3, 1).expect("map search");
+    let n_out = coords.len();
+    let order = FusedOrder::build(&map, n_out);
+
+    for precision in [Precision::Fp32, Precision::Fp16] {
+        let mut cfg = EnginePreset::TorchSparse.config();
+        cfg.precision = precision;
+        // No center shortcut: every offset's product takes the psum store.
+        cfg.skip_center_movement = false;
+
+        // The addends of every output element, in any order: per offset,
+        // the GEMM of the gathered rows (bit-identical to the engine's at
+        // any kernel), f16-rounded when partial sums are stored in 16 bits.
+        let mut addends: Vec<Vec<f32>> = vec![Vec::new(); n_out * c_out];
+        for (n, weight) in weights.iter().enumerate() {
+            let entries = map.entries(n);
+            let gathered = Matrix::from_fn(entries.len(), c_in, |i, ch| {
+                feats[(entries[i].input as usize, ch)]
+            });
+            let mut products = gemm::mm(&gathered, weight).expect("shapes agree");
+            if precision != Precision::Fp32 {
+                quant::round_trip_f16_in_place(&mut products);
+            }
+            for (i, e) in entries.iter().enumerate() {
+                for co in 0..c_out {
+                    addends[e.output as usize * c_out + co].push(products[(i, co)]);
+                }
+            }
+        }
+        let negative_zeros =
+            addends.iter().flatten().filter(|v| v.to_bits() == (-0.0f32).to_bits()).count();
+        assert_eq!(negative_zeros > 0, precision == Precision::Fp16, "{precision:?}");
+
+        for fused in [true, false] {
+            let policy = ExecPolicy { fused, ..ExecPolicy::from_config(&cfg) };
+            let mut ctx = Context::new(cfg.clone(), DeviceProfile::rtx_2080ti());
+            let plan = plan_groups(&map.sizes(), true, cfg.grouping);
+            let workload = ConvWorkload {
+                in_feats: &feats,
+                weights: &weights,
+                packed: None,
+                map: &map,
+                n_out,
+                center_identity: Some(13),
+                fused: Some(&order),
+                policy: Some(policy),
+            };
+            let out = run_gather_matmul_scatter(&workload, &plan, &mut ctx).expect("conv runs");
+            let mut widest = 0usize;
+            for (got, addends) in out.as_slice().iter().zip(&addends) {
+                let k = addends.len();
+                widest = widest.max(k);
+                let oracle = f64::from(exact_sum(addends));
+                let sum_abs: f64 = addends.iter().map(|&v| f64::from(v).abs()).sum();
+                let bound = k.saturating_sub(1) as f64 * f64::from(f32::EPSILON) * sum_abs;
+                let err = (f64::from(*got) - oracle).abs();
+                assert!(
+                    err <= bound,
+                    "{precision:?} fused={fused}: {got} vs oracle {oracle} over {k} addends \
+                     (err {err:e} > bound {bound:e})"
+                );
+            }
+            assert!(widest >= 10, "the scene must exercise long producer lists, got {widest}");
+        }
     }
-    let sites: Vec<(i32, i32, i32)> =
-        (0..300).map(|i| ((i * 5) % 21 - 10, (i * 7) % 17 - 8, (i * 13) % 15 - 7)).collect();
-    let x = tensor_from(&sites, 4, 71);
-    let m = model(4, 71);
-    let run = |exact: bool| {
-        let mut cfg = EnginePreset::BaselineFp32.config();
-        cfg.exact_accumulation = exact;
-        let mut engine = Engine::with_config(cfg, DeviceProfile::rtx_2080ti());
-        engine.run(&m, &x).expect("run succeeds")
-    };
-    let exact = run(true);
-    let serial = run(false);
-    assert_eq!(exact.coords(), serial.coords());
-    let diff = exact.feats().max_abs_diff(serial.feats()).expect("same shape");
-    let scale = serial.feats().frobenius_norm().max(1.0);
-    assert!(diff / scale < 1e-5, "exact vs serial accumulation diverged: {diff} (scale {scale})");
 }
 
 // ---------------------------------------------------------------------------
-// Accumulator-level properties.
+// Oracle-level properties.
 // ---------------------------------------------------------------------------
 
 /// Deterministic in-place shuffle (no rand dependency in the root crate's

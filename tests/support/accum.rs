@@ -1,48 +1,16 @@
-//! Order-independent, error-free floating-point accumulation.
+//! Test oracle: an order-independent, correctly rounded `f32` sum.
 //!
-//! The engine's scatter phase reduces many partial sums into each output
-//! element. Plain FP32 `+=` makes the result depend on the order the
-//! addends arrive, which historically pinned the scatter to one fixed
-//! serial order for bitwise determinism — the Amdahl ceiling on the
-//! parallel fraction. This module removes the ordering constraint at the
-//! arithmetic level:
-//!
-//! - [`two_sum`]: Knuth's error-free transformation — the classical
-//!   building block of compensated (Kahan–Babuška–Neumaier) and
-//!   expansion-based (Shewchuk) summation. Exposed as a primitive and used
-//!   by [`NeumaierSum`].
-//! - [`NeumaierSum`]: the Neumaier cascade. Far more accurate than naive
-//!   summation, but **not** order-independent — reordering the addends can
-//!   still change the final bits. Provided for comparison and as the
-//!   lightweight option when reproducibility across orders is not needed.
-//! - [`ExactAccumulator`]: a fixed-point *superaccumulator*. Every finite
-//!   `f32` is an integer multiple of 2⁻¹⁴⁹ with magnitude below 2²⁷⁷, so
-//!   the sum of any number of them is held **exactly** in a wide
-//!   two's-complement integer. Integer addition is associative and
-//!   commutative, so the state after adding a multiset of values is
-//!   identical for *every* summation order and *every* split/merge
-//!   partitioning — and the single final conversion back to `f32`
-//!   ([`ExactAccumulator::round`]) is correctly rounded
-//!   (round-to-nearest, ties-to-even). This is what makes the parallel
-//!   scatter deterministic at any thread count.
-//!
-//! # Precision paths
-//!
-//! The engine stores features in FP32, FP16, or INT8, but *accumulates* in
-//! FP32 in every mode (tensor-core semantics; §4.3.1 of the paper):
-//!
-//! - **FP32**: partial sums are arbitrary finite `f32`s; the
-//!   superaccumulator sums them exactly.
-//! - **FP16**: partial sums are f16-rounded before accumulation (the
-//!   16-bit psum store). Every binary16 value is exactly representable in
-//!   `f32`, so the same exact f32 sum applies unchanged — the 16-bit
-//!   rounding of the *addends* is preserved bit for bit and only the
-//!   *reduction* becomes order-free.
-//! - **INT8**: quantized values are dequantized to exact small `f32`
-//!   multiples of the scale; their products and sums are ordinary `f32`
-//!   values and take the same path. (A dedicated integer accumulator is
-//!   unnecessary: the superaccumulator *is* an integer accumulator, in
-//!   units of 2⁻¹⁴⁹.)
+//! The engine accumulates each output row in plain FP32, in one canonical
+//! order. This module is what `tests/exact_accumulation.rs` measures that
+//! against: [`ExactAccumulator`], a fixed-point *superaccumulator*. Every
+//! finite `f32` is an integer multiple of 2⁻¹⁴⁹ with magnitude below 2²⁷⁷,
+//! so the sum of any number of them is held **exactly** in a wide
+//! two's-complement integer. Integer addition is associative and
+//! commutative, so the state after adding a multiset of values is
+//! identical for *every* summation order and *every* split/merge
+//! partitioning — and the single final conversion back to `f32`
+//! ([`ExactAccumulator::round`]) is correctly rounded (round-to-nearest,
+//! ties-to-even).
 //!
 //! # Special values
 //!
@@ -62,56 +30,6 @@
 //! occur — unreachable in practice (the engine sums at most a few hundred
 //! values per element; even a u64-indexed stream cannot exhaust it).
 
-/// Knuth's two-sum: returns `(s, e)` with `s = fl(a + b)` and
-/// `a + b = s + e` **exactly** (for finite inputs whose sum does not
-/// overflow). The error term `e` is what compensated and expansion-based
-/// summation algorithms carry forward.
-#[inline]
-#[must_use]
-pub fn two_sum(a: f32, b: f32) -> (f32, f32) {
-    let s = a + b;
-    let a_virtual = s - b;
-    let b_virtual = s - a_virtual;
-    let a_roundoff = a - a_virtual;
-    let b_roundoff = b - b_virtual;
-    (s, a_roundoff + b_roundoff)
-}
-
-/// Kahan–Babuška–Neumaier compensated summation.
-///
-/// Tracks a running sum plus a separate compensation term fed by
-/// [`two_sum`]-style error recovery. Much tighter than naive summation
-/// (error independent of the addend count for well-scaled data), but the
-/// result still depends on the order of [`add`](NeumaierSum::add) calls —
-/// use [`ExactAccumulator`] where bitwise order-independence is required.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NeumaierSum {
-    sum: f32,
-    compensation: f32,
-}
-
-impl NeumaierSum {
-    /// A fresh, empty sum.
-    #[must_use]
-    pub const fn new() -> NeumaierSum {
-        NeumaierSum { sum: 0.0, compensation: 0.0 }
-    }
-
-    /// Adds one value.
-    #[inline]
-    pub fn add(&mut self, v: f32) {
-        let (s, e) = two_sum(self.sum, v);
-        self.sum = s;
-        self.compensation += e;
-    }
-
-    /// The compensated total.
-    #[must_use]
-    pub fn total(&self) -> f32 {
-        self.sum + self.compensation
-    }
-}
-
 /// Number of 64-bit limbs in the superaccumulator (384 bits).
 const LIMBS: usize = 6;
 
@@ -129,24 +47,6 @@ const UNIT_EXP: i32 = -149;
 /// (the smallest positive subnormal), plus flags for non-finite inputs and
 /// the signed-zero rule. [`round`](ExactAccumulator::round) converts back
 /// to the nearest `f32` (ties to even) in one correctly rounded step.
-///
-/// ```
-/// use torchsparse_tensor::accum::ExactAccumulator;
-///
-/// let vals = [1.0e30_f32, 1.0, -1.0e30, 2.5e-12];
-/// let mut fwd = ExactAccumulator::new();
-/// let mut rev = ExactAccumulator::new();
-/// for v in vals {
-///     fwd.add(v);
-/// }
-/// for v in vals.iter().rev() {
-///     rev.add(*v);
-/// }
-/// // Naive f32 summation loses the small addends entirely; the exact
-/// // accumulator recovers the correctly rounded sum in every order.
-/// assert_eq!(fwd.round().to_bits(), rev.round().to_bits());
-/// assert_eq!(fwd.round(), 1.0 + 2.5e-12_f32);
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExactAccumulator {
     /// Little-endian two's-complement integer value, in units of 2⁻¹⁴⁹.
@@ -164,12 +64,6 @@ pub struct ExactAccumulator {
     saw_non_neg_zero: bool,
 }
 
-impl Default for ExactAccumulator {
-    fn default() -> ExactAccumulator {
-        ExactAccumulator::new()
-    }
-}
-
 impl ExactAccumulator {
     /// A fresh, empty accumulator (rounds to +0.0).
     #[must_use]
@@ -182,12 +76,6 @@ impl ExactAccumulator {
             saw_any: false,
             saw_non_neg_zero: false,
         }
-    }
-
-    /// Resets to the empty state (cheaper than reallocating when a scratch
-    /// accumulator is reused across output elements).
-    pub fn reset(&mut self) {
-        *self = ExactAccumulator::new();
     }
 
     /// Adds one `f32` value exactly.
@@ -415,26 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn two_sum_recovers_roundoff() {
-        let (s, e) = two_sum(1.0e8, 1.0);
-        assert_eq!(s, 1.0e8 + 1.0);
-        // The exact sum is s + e.
-        assert_eq!(f64::from(s) + f64::from(e), 1.0e8f64 + 1.0);
-    }
-
-    #[test]
-    fn neumaier_beats_naive() {
-        let vals = [1.0e8_f32, 1.0, -1.0e8];
-        let naive: f32 = vals.iter().sum();
-        let mut n = NeumaierSum::new();
-        for v in vals {
-            n.add(v);
-        }
-        assert_eq!(n.total(), 1.0);
-        assert_ne!(naive, 1.0, "naive summation must actually lose the small addend");
-    }
-
-    #[test]
     fn exact_simple_sums() {
         assert_eq!(exact_sum(&[1.0, 2.0, 3.0]), 6.0);
         assert_eq!(exact_sum(&[]), 0.0);
@@ -533,16 +401,6 @@ mod tests {
             assert_eq!(a, whole, "split at {split}");
             assert_eq!(bits(a.round()), bits(whole.round()));
         }
-    }
-
-    #[test]
-    fn reset_restores_empty_state() {
-        let mut acc = ExactAccumulator::new();
-        acc.add(f32::NAN);
-        acc.add(123.0);
-        acc.reset();
-        assert_eq!(acc, ExactAccumulator::new());
-        assert_eq!(bits(acc.round()), bits(0.0));
     }
 
     #[test]
