@@ -121,13 +121,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     // Modeled scaling: trace every parallel region's task durations with a
-    // recording pool, then replay the trace on N lanes.
+    // recording pool, then replay the trace on N lanes. The traced frame is
+    // a compiled session's plan hit — the serving steady state: no mapping
+    // and no cost model on the path, only the executor — with the policy
+    // search off so it runs the same default policy as the rows above.
     let mut engine = engine_with_threads(1);
-    engine.run(model.as_ref(), &inputs[0])?; // warm caches and workspaces
+    engine.context_mut().config.autotune_policies = false;
+    let mut session = engine.compile(model.as_ref(), &inputs[0])?;
+    session.execute(&inputs[0])?; // warm caches and workspaces
     let pool = Arc::new(ThreadPool::new_recording());
-    engine.context_mut().runtime.set_pool(pool.clone());
+    session.engine_mut().context_mut().runtime.set_pool(pool.clone());
     let start = Instant::now();
-    engine.run(model.as_ref(), &inputs[0])?;
+    session.execute(&inputs[0])?;
     let traced_wall = start.elapsed().as_secs_f64();
     let trace = pool.take_trace();
     let traced_work: f64 = trace.iter().flatten().sum();

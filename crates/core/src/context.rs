@@ -138,9 +138,10 @@ pub struct Context {
     /// Skip the real numerical computation and only account simulated cost.
     ///
     /// Simulated latency is a function of coordinates and maps alone, never
-    /// of feature *values*, so dry runs report identical timelines while
-    /// running much faster — benchmark drivers use this to afford
-    /// full-scale scenes. Outputs are zero-filled in this mode.
+    /// of feature *values* ([`crate::cost_model`]), so dry runs report
+    /// identical timelines while running much faster — benchmark drivers
+    /// use this to afford full-scale scenes. Layers check the flag before
+    /// calling their executor; outputs are zero-filled in this mode.
     pub simulate_only: bool,
     /// Per-layer timeline records captured when [`Context::profile_layers`]
     /// is on (leaf layers append one entry per forward).
@@ -179,6 +180,23 @@ pub struct LayerProfile {
     pub input_points: usize,
     /// The stage latencies attributable to this layer invocation.
     pub timeline: Timeline,
+}
+
+impl LayerProfile {
+    /// The per-stage delta between two snapshots of one timeline, as
+    /// `name`'s profile entry.
+    pub(crate) fn between(
+        name: &str,
+        input_points: usize,
+        start: &Timeline,
+        end: &Timeline,
+    ) -> LayerProfile {
+        let mut delta = Timeline::new();
+        for stage in torchsparse_gpusim::Stage::ALL {
+            delta.add(stage, end.stage(stage) - start.stage(stage));
+        }
+        LayerProfile { name: name.to_owned(), input_points, timeline: delta }
+    }
 }
 
 /// Host-side framework overhead per layer operation, microseconds.
@@ -239,18 +257,26 @@ impl Context {
     /// Records the per-stage delta since `start` as `name`'s profile entry
     /// (no-op unless [`Context::profile_layers`] is on).
     pub fn finish_layer_profile(&mut self, name: &str, input_points: usize, start: Timeline) {
-        if !self.profile_layers {
-            return;
+        if self.profile_layers {
+            self.layer_profiles.push(LayerProfile::between(
+                name,
+                input_points,
+                &start,
+                &self.timeline,
+            ));
         }
-        let mut delta = Timeline::new();
-        for stage in torchsparse_gpusim::Stage::ALL {
-            delta.add(stage, self.timeline.stage(stage) - start.stage(stage));
+    }
+
+    /// The cost-model view of this context: its device models, L2
+    /// simulator and timeline, for in-line (dynamic) cost accounting.
+    pub(crate) fn sim(&mut self) -> crate::cost_model::Sim<'_> {
+        crate::cost_model::Sim {
+            config: &self.config,
+            device: &self.device,
+            gemm: &self.gemm,
+            mem: &mut self.mem,
+            timeline: &mut self.timeline,
         }
-        self.layer_profiles.push(LayerProfile {
-            name: name.to_owned(),
-            input_points,
-            timeline: delta,
-        });
     }
 
     /// Looks up a cached map.
@@ -288,8 +314,7 @@ impl Context {
     /// ([`HOST_OP_OVERHEAD_US`]) to the `Other` stage. Called by every leaf
     /// layer's `forward`.
     pub fn charge_host_op(&mut self) {
-        self.timeline
-            .add(torchsparse_gpusim::Stage::Other, torchsparse_gpusim::Micros(HOST_OP_OVERHEAD_US));
+        crate::cost_model::charge_host_op(&mut self.timeline);
     }
 
     /// Checks the request deadline at a named stage boundary (`"mapping"`

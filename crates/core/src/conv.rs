@@ -1,5 +1,6 @@
 use crate::config::{GroupingStrategy, Precision};
 use crate::context::{CachedMap, Context, LayerWorkload, MapKey};
+use crate::cost_model::{self, ConvGeometry};
 use crate::dataflow::{
     apply_storage_precision_owned_kernel, policy_kernel, run_fetch_on_demand,
     run_gather_matmul_scatter, ConvWorkload, FusedOrder,
@@ -378,15 +379,20 @@ impl SparseConv3d {
         })
     }
 
-    /// The execute half: runs only the feature path (gather/matmul/scatter
+    /// The execute half: the feature-path numerics (gather/matmul/scatter
     /// or fetch-on-demand, plus quantization and overflow fallback) against
-    /// a frozen [`ConvPlan`]. Never builds maps or plans groups.
-    pub(crate) fn execute_planned(
+    /// a frozen [`ConvPlan`]. Never builds maps, plans groups or touches the
+    /// cost model; under [`Context::simulate_only`] the output is zeros.
+    ///
+    /// The flag returned beside the output reports that the quantized
+    /// output overflowed and the layer ran a second time in FP32 — the one
+    /// feature-dependent input of the layer's simulated cost.
+    pub(crate) fn compute(
         &self,
         input: &SparseTensor,
         plan: &ConvPlan,
         ctx: &mut Context,
-    ) -> Result<SparseTensor, CoreError> {
+    ) -> Result<(SparseTensor, bool), CoreError> {
         if input.channels() != self.c_in {
             return Err(CoreError::ChannelMismatch {
                 expected: self.c_in,
@@ -396,7 +402,6 @@ impl SparseConv3d {
         if input.is_empty() {
             return Err(CoreError::EmptyInput);
         }
-        ctx.charge_host_op();
 
         let map_ref = plan.map();
         let out_coords = plan.out_coords();
@@ -423,9 +428,15 @@ impl SparseConv3d {
         };
 
         let run_dataflow = |ctx: &mut Context| -> Result<Matrix, CoreError> {
+            if ctx.simulate_only {
+                return Ok(Matrix::zeros(workload.n_out, self.c_out));
+            }
+            let Context { config, runtime, .. } = ctx;
             match &plan.dataflow {
-                ConvDataflow::FetchOnDemand => run_fetch_on_demand(&workload, ctx),
-                ConvDataflow::Grouped(groups) => run_gather_matmul_scatter(&workload, groups, ctx),
+                ConvDataflow::FetchOnDemand => run_fetch_on_demand(&workload, config, runtime),
+                ConvDataflow::Grouped(groups) => {
+                    run_gather_matmul_scatter(&workload, groups, config, runtime)
+                }
             }
         };
 
@@ -435,6 +446,7 @@ impl SparseConv3d {
             ctx.config.precision,
             policy_kernel(&ctx.config, plan.policy.as_ref()),
         );
+        let mut reran = false;
         if ctx.config.precision != Precision::Fp32 {
             if !out_feats.is_empty() && ctx.faults.should_fail(FaultSite::Fp16Overflow) {
                 // Simulate a quantized activation saturating to infinity;
@@ -454,9 +466,11 @@ impl SparseConv3d {
                 // The re-run output stays FP32: precision is a storage
                 // optimization, and this layer just proved it loses too much.
                 out_feats = redo?;
+                reran = true;
             }
         }
-        SparseTensor::with_stride(out_coords.to_vec(), out_feats, plan.out_stride)
+        let out = SparseTensor::with_stride(out_coords.to_vec(), out_feats, plan.out_stride)?;
+        Ok((out, reran))
     }
 }
 
@@ -475,13 +489,17 @@ impl std::fmt::Debug for SparseConv3d {
 
 impl Module for SparseConv3d {
     /// Plan-then-execute: derives the geometric plan (map, output
-    /// coordinates, grouping) and immediately runs the feature path against
-    /// it. [`CompiledSession`](crate::CompiledSession) calls the two halves
-    /// separately to amortize planning across frames.
+    /// coordinates, grouping), immediately runs the feature path against
+    /// it, and charges the layer's simulated cost in line.
+    /// [`CompiledSession`](crate::CompiledSession) calls the halves
+    /// separately to amortize planning — and the cost model — across
+    /// frames.
     fn forward(&self, input: &SparseTensor, ctx: &mut Context) -> Result<SparseTensor, CoreError> {
         let profile_start = ctx.start_layer_profile();
         let plan = self.plan(input.coords(), input.stride(), input.channels(), ctx)?;
-        let out = self.execute_planned(input, &plan, ctx)?;
+        let (out, reran) = self.compute(input, &plan, ctx)?;
+        let geo = ConvGeometry::of(self, &plan, input.len());
+        cost_model::charge_conv(&geo, &plan.dataflow, reran, &mut ctx.sim());
         ctx.finish_layer_profile(&self.name, input.len(), profile_start);
         Ok(out)
     }

@@ -1,0 +1,543 @@
+//! The simulated-GPU cost model: pure `geometry -> Timeline` functions.
+//!
+//! Simulated latency is a function of coordinates, kernel maps, grouping
+//! and channel widths alone — never of feature values — so it lives apart
+//! from the numerics in [`crate::dataflow`]. Each function replays the
+//! memory access trace of the corresponding CUDA kernel through the L2
+//! simulator in exactly the order that kernel would issue it (so cache
+//! behaviour, and therefore latency, differs between configurations the way
+//! the paper measures) and charges the result to a [`Timeline`] stage.
+//!
+//! Dynamic `forward`s call these in line, against the context's own
+//! simulator and timeline ([`Context::sim`](crate::Context)), once per layer
+//! per frame. Compiled sessions walk a finalised
+//! [`ExecutionPlan`](crate::ExecutionPlan) through them once, on a fresh
+//! simulator ([`begin_evaluation`]), and cache the result on the plan;
+//! plan-hit frames run no code from this module ([`evaluations`] counts the
+//! walks).
+
+use crate::config::{OptimizationConfig, Precision};
+use crate::context::HOST_OP_OVERHEAD_US;
+use crate::dataflow::is_center_shortcut;
+use crate::grouping::ExecGroup;
+use crate::plan::{ConvDataflow, ConvPlan};
+use crate::SparseConv3d;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use torchsparse_coords::kernel_map::MapEntry;
+use torchsparse_coords::KernelMap;
+use torchsparse_gpusim::Precision as GemmPrecision;
+use torchsparse_gpusim::{
+    AccessMode, DeviceProfile, ElemWidth, GemmModel, GemmShape, MemorySim, Micros, Stage, Timeline,
+};
+
+/// The simulator state one cost evaluation runs against: the device models
+/// (read-only) plus the L2 trace simulator and the ledger the latencies
+/// land in. Borrowed from a [`Context`](crate::Context) for in-line dynamic
+/// accounting, or assembled around a fresh simulator for a whole-plan
+/// evaluation.
+pub(crate) struct Sim<'a> {
+    pub(crate) config: &'a OptimizationConfig,
+    pub(crate) device: &'a DeviceProfile,
+    pub(crate) gemm: &'a GemmModel,
+    pub(crate) mem: &'a mut MemorySim,
+    pub(crate) timeline: &'a mut Timeline,
+}
+
+/// The geometry of one convolution — everything its simulated cost depends
+/// on besides the configuration and the grouping plan.
+pub(crate) struct ConvGeometry<'a> {
+    /// The kernel map the layer executes with.
+    pub(crate) map: &'a KernelMap,
+    /// Input / output point counts.
+    pub(crate) n_in: usize,
+    pub(crate) n_out: usize,
+    /// Input / output channels.
+    pub(crate) c_in: usize,
+    pub(crate) c_out: usize,
+    /// The center offset of a submanifold layer (§4.2.1 shortcut).
+    pub(crate) center_identity: Option<usize>,
+}
+
+impl<'a> ConvGeometry<'a> {
+    /// The geometry of `conv` executing `plan` on `n_in` input points.
+    pub(crate) fn of(conv: &SparseConv3d, plan: &'a ConvPlan, n_in: usize) -> ConvGeometry<'a> {
+        ConvGeometry {
+            map: plan.map(),
+            n_in,
+            n_out: plan.out_coords().len(),
+            c_in: conv.c_in(),
+            c_out: conv.c_out(),
+            center_identity: plan.center,
+        }
+    }
+}
+
+/// Process-wide count of whole-plan evaluations.
+static EVALUATIONS: AtomicUsize = AtomicUsize::new(0);
+
+/// Starts a whole-plan evaluation — the one thing [`evaluations`] counts —
+/// and hands out the fresh L2 simulator it runs on.
+pub(crate) fn begin_evaluation(device: &DeviceProfile) -> MemorySim {
+    EVALUATIONS.fetch_add(1, Ordering::Relaxed);
+    MemorySim::new(device)
+}
+
+/// Whole-plan cost-model evaluations since process start. A compiled
+/// session adds exactly one per plan build (compile, delta patch, fallback,
+/// full re-plan) and one per frame that took the FP16 -> FP32 overflow
+/// re-run; plan hits — on any stream sharing the plan — add none.
+pub fn evaluations() -> usize {
+    EVALUATIONS.load(Ordering::Relaxed)
+}
+
+/// Charges the fixed host-side framework overhead of one layer op
+/// ([`HOST_OP_OVERHEAD_US`]) to the `Other` stage.
+pub(crate) fn charge_host_op(timeline: &mut Timeline) {
+    timeline.add(Stage::Other, Micros(HOST_OP_OVERHEAD_US));
+}
+
+/// The access mode of `elem`-wide features: vectorized access moves 4 bytes
+/// per thread (e.g. `half2`).
+fn access_mode(elem: ElemWidth, vectorized: bool) -> AccessMode {
+    let vector_width = if vectorized { (4 / elem.bytes()).max(1) } else { 1 };
+    AccessMode { elem, vector_width }
+}
+
+/// Memory access modes implied by a precision/vectorization choice.
+struct Modes {
+    /// Mode for reading/writing feature and gather-buffer elements.
+    feat: AccessMode,
+    /// Mode for partial sums and outputs (INT8 falls back to 16-bit here —
+    /// the paper's reason INT8 yields diminishing returns, §4.3.1).
+    psum: AccessMode,
+    /// GEMM throughput class (INT8 runs its GEMMs at FP16-class
+    /// throughput in this model).
+    gemm: GemmPrecision,
+}
+
+fn modes(precision: Precision, vectorized: bool) -> Modes {
+    let (feat, psum) = match precision {
+        Precision::Fp32 => (ElemWidth::F32, ElemWidth::F32),
+        Precision::Fp16 => (ElemWidth::F16, ElemWidth::F16),
+        Precision::Int8 => (ElemWidth::I8, ElemWidth::F16),
+    };
+    let gemm = match precision {
+        Precision::Fp32 => GemmPrecision::Fp32,
+        Precision::Fp16 | Precision::Int8 => GemmPrecision::Fp16,
+    };
+    Modes { feat: access_mode(feat, vectorized), psum: access_mode(psum, vectorized), gemm }
+}
+
+/// Charges one streaming read+write sweep over an `n x c` feature buffer
+/// (batch norm, ReLU, global pooling), plus the host-side overhead of
+/// dispatching the op.
+pub(crate) fn charge_pointwise(n: usize, c: usize, sim: &mut Sim<'_>) {
+    charge_host_op(sim.timeline);
+    let mode = modes(sim.config.precision, sim.config.vectorized).feat;
+    let bytes = (n * c) as u64 * mode.elem.bytes();
+    let base = sim.mem.alloc(bytes);
+    sim.mem.read(base, 0, bytes, mode);
+    sim.mem.write(base, 0, bytes, mode);
+    let latency = sim.mem.take_report().latency(sim.device) + Micros(sim.device.launch_overhead_us);
+    sim.timeline.add(Stage::Other, latency);
+}
+
+/// Charges a sparse pooling layer: one read per map entry, one write per
+/// output row, plus the host-side dispatch overhead.
+pub(crate) fn charge_pool(map: &KernelMap, n_in: usize, n_out: usize, c: usize, sim: &mut Sim<'_>) {
+    charge_host_op(sim.timeline);
+    let elem = match sim.config.precision {
+        Precision::Fp32 => ElemWidth::F32,
+        _ => ElemWidth::F16,
+    };
+    let mode = access_mode(elem, sim.config.vectorized);
+    let row_bytes = c as u64 * elem.bytes();
+    let in_base = sim.mem.alloc(n_in as u64 * row_bytes);
+    let out_base = sim.mem.alloc(n_out as u64 * row_bytes);
+    for n in 0..map.num_offsets() {
+        for e in map.entries(n) {
+            sim.mem.read(in_base, e.input as u64 * row_bytes, row_bytes, mode);
+        }
+    }
+    for k in 0..n_out {
+        sim.mem.write(out_base, k as u64 * row_bytes, row_bytes, mode);
+    }
+    let latency = sim.mem.take_report().latency(sim.device);
+    sim.timeline.add(Stage::Other, latency);
+}
+
+/// Charges one convolution: the host-side dispatch overhead plus the
+/// kernels of its frozen dataflow at the configured storage precision.
+/// `reran` is the one input that is not geometry: the layer's quantized
+/// output overflowed, so the same kernels ran — and are charged — a second
+/// time in FP32.
+pub(crate) fn charge_conv(
+    geo: &ConvGeometry<'_>,
+    dataflow: &ConvDataflow,
+    reran: bool,
+    sim: &mut Sim<'_>,
+) {
+    charge_host_op(sim.timeline);
+    let configured = sim.config.precision;
+    let mut charge = |precision| match dataflow {
+        ConvDataflow::FetchOnDemand => fetch_on_demand(geo, precision, sim),
+        ConvDataflow::Grouped(plan) => gather_matmul_scatter(geo, &plan.groups, precision, sim),
+    };
+    charge(configured);
+    if reran {
+        charge(Precision::Fp32);
+    }
+}
+
+/// Layout of the simulated buffers of one convolution, with the access
+/// modes they are read and written in.
+struct Buffers {
+    m: Modes,
+    in_base: u64,
+    gather_base: u64,
+    psum_base: u64,
+    out_base: u64,
+    /// The map/neighbor-list metadata buffer: both gather and scatter
+    /// kernels stream the (input, output) index pairs that drive them.
+    map_base: u64,
+    /// Per-offset starting row in the gather/psum buffers (padding included
+    /// for bmm groups).
+    seg_start: Vec<u64>,
+    feat_row_bytes: u64,
+    psum_row_bytes: u64,
+}
+
+/// Bytes of map metadata read per map entry by a movement kernel (one
+/// 2x u32 index pair).
+const MAP_ENTRY_BYTES: u64 = 8;
+
+fn layout(geo: &ConvGeometry<'_>, groups: &[ExecGroup], m: Modes, mem: &mut MemorySim) -> Buffers {
+    let mut seg_start = vec![0u64; geo.map.num_offsets()];
+    let mut rows = 0u64;
+    for g in groups {
+        for &n in &g.offsets {
+            seg_start[n] = rows;
+            rows += if g.use_bmm { g.padded_rows } else { geo.map.entries(n).len() } as u64;
+        }
+    }
+    let feat_row_bytes = (geo.c_in as u64) * m.feat.elem.bytes();
+    let psum_row_bytes = (geo.c_out as u64) * m.psum.elem.bytes();
+    let map_bytes = geo.map.total_entries() as u64 * MAP_ENTRY_BYTES;
+    Buffers {
+        in_base: mem.alloc(geo.n_in as u64 * feat_row_bytes),
+        gather_base: mem.alloc(rows * feat_row_bytes),
+        psum_base: mem.alloc(rows * psum_row_bytes),
+        out_base: mem.alloc(geo.n_out as u64 * psum_row_bytes),
+        map_base: mem.alloc(map_bytes.max(1)),
+        seg_start,
+        feat_row_bytes,
+        psum_row_bytes,
+        m,
+    }
+}
+
+/// Simulated cost of Algorithm 2 under the configured §4.3 optimizations —
+/// FP16/INT8 storage, vectorized access, fused gather/scatter phases,
+/// locality-aware ordering, matmul grouping and the §4.2.1 center shortcut
+/// — charged to the `Gather`, `MatMul` and `Scatter` stages.
+fn gather_matmul_scatter(
+    geo: &ConvGeometry<'_>,
+    groups: &[ExecGroup],
+    precision: Precision,
+    sim: &mut Sim<'_>,
+) {
+    let bufs = layout(geo, groups, modes(precision, sim.config.vectorized), sim.mem);
+    if sim.config.fused_gather_scatter {
+        gather(geo, groups, &bufs, sim);
+        matmuls(geo, groups, &bufs, sim);
+        scatter(geo, groups, &bufs, sim);
+    } else {
+        // Algorithm 2: per-group gather -> matmul -> scatter, with the GEMM
+        // streaming through the L2 in between (the reuse-destroying pattern
+        // of Figure 9a).
+        for single in groups.chunks(1) {
+            gather(geo, single, &bufs, sim);
+            matmuls(geo, single, &bufs, sim);
+            scatter(geo, single, &bufs, sim);
+        }
+    }
+}
+
+/// Whether a group is the bare center-identity offset that the §4.2.1
+/// shortcut computes without data movement.
+fn is_shortcut(geo: &ConvGeometry<'_>, g: &ExecGroup, sim: &Sim<'_>) -> bool {
+    is_center_shortcut(sim.config, geo.center_identity, &g.offsets)
+}
+
+/// Offsets a movement kernel actually touches (the center shortcut skips
+/// its own).
+fn moved_offsets(geo: &ConvGeometry<'_>, groups: &[ExecGroup], sim: &Sim<'_>) -> Vec<usize> {
+    groups
+        .iter()
+        .filter(|g| !is_shortcut(geo, g, sim))
+        .flat_map(|g| g.offsets.iter().copied())
+        .collect()
+}
+
+/// Charges the streaming read of the map metadata slices that drive a
+/// movement kernel over the given offsets (identical for every ordering, so
+/// it moderates relative speedups exactly as the real index traffic does).
+fn charge_map_read(map: &KernelMap, offsets: &[usize], bufs: &Buffers, mem: &mut MemorySim) {
+    for &n in offsets {
+        mem.read(
+            bufs.map_base,
+            bufs.seg_start[n] * MAP_ENTRY_BYTES,
+            map.entries(n).len() as u64 * MAP_ENTRY_BYTES,
+            AccessMode::scalar_f32(),
+        );
+    }
+}
+
+/// Closes a movement phase: the traced memory latency plus half a launch
+/// overhead per kernel (one kernel per group in the fused case, per offset
+/// otherwise).
+fn finish_movement(stage: Stage, groups: &[ExecGroup], sim: &mut Sim<'_>) {
+    let launches: usize = groups.iter().map(ExecGroup::kernel_count).sum();
+    let mut latency = sim.mem.take_report().latency(sim.device);
+    latency += Micros(launches as f64 * sim.device.launch_overhead_us * 0.5);
+    sim.timeline.add(stage, latency);
+}
+
+/// Counting-sorts the map entries of `offsets` into per-row buckets keyed
+/// by `key(entry)`: returns `(starts, slots)` where row `r`'s producers are
+/// `slots[starts[r]..starts[r + 1]]` as `(offset, entry_index)` pairs, in
+/// (offset-ascending, entry-ascending) order.
+fn bucket_by(
+    rows: usize,
+    offsets: &[usize],
+    map: &KernelMap,
+    key: impl Fn(&MapEntry) -> u32,
+) -> (Vec<u32>, Vec<(u32, u32)>) {
+    let mut starts = vec![0u32; rows + 1];
+    for &n in offsets {
+        for e in map.entries(n) {
+            starts[key(e) as usize + 1] += 1;
+        }
+    }
+    for r in 0..rows {
+        starts[r + 1] += starts[r];
+    }
+    let mut fill: Vec<u32> = starts[..rows].to_vec();
+    let mut slots = vec![(0u32, 0u32); starts[rows] as usize];
+    for &n in offsets {
+        for (i, e) in map.entries(n).iter().enumerate() {
+            let f = &mut fill[key(e) as usize];
+            slots[*f as usize] = (n as u32, i as u32);
+            *f += 1;
+        }
+    }
+    (starts, slots)
+}
+
+fn gather(geo: &ConvGeometry<'_>, groups: &[ExecGroup], bufs: &Buffers, sim: &mut Sim<'_>) {
+    let m = &bufs.m;
+    let offsets = moved_offsets(geo, groups, sim);
+    charge_map_read(geo.map, &offsets, bufs, sim.mem);
+    let row = bufs.feat_row_bytes;
+    if sim.config.locality_aware {
+        // Input-stationary order (Figure 9b): one pass over the inputs in
+        // ascending index order, covering every offset at once; each feature
+        // row is read from DRAM once, held in registers, and written to
+        // every gather slot that needs it.
+        let (starts, slots) = bucket_by(geo.n_in, &offsets, geo.map, |e| e.input);
+        for j in 0..geo.n_in {
+            let range = starts[j] as usize..starts[j + 1] as usize;
+            if range.is_empty() {
+                continue;
+            }
+            sim.mem.read(bufs.in_base, j as u64 * row, row, m.feat);
+            for &(n, i) in &slots[range] {
+                let slot = bufs.seg_start[n as usize] + u64::from(i);
+                sim.mem.write(bufs.gather_base, slot * row, row, m.feat);
+            }
+        }
+    } else {
+        // Weight-stationary order (Figure 9a): per offset, every input
+        // index is unique, so there is no within-offset reuse.
+        for &n in &offsets {
+            for (i, e) in geo.map.entries(n).iter().enumerate() {
+                sim.mem.read(bufs.in_base, e.input as u64 * row, row, m.feat);
+                sim.mem.write(bufs.gather_base, (bufs.seg_start[n] + i as u64) * row, row, m.feat);
+            }
+        }
+    }
+    finish_movement(Stage::Gather, groups, sim);
+}
+
+fn matmuls(geo: &ConvGeometry<'_>, groups: &[ExecGroup], bufs: &Buffers, sim: &mut Sim<'_>) {
+    let precision = bufs.m.gemm;
+    let (c_in, c_out) = (geo.c_in, geo.c_out);
+    for g in groups {
+        let (shape_rows, latency) = if is_shortcut(geo, g, sim) {
+            let shape = GemmShape::mm(geo.n_in, c_in, c_out);
+            (geo.n_in as u64, sim.gemm.latency(shape, precision))
+        } else if g.use_bmm {
+            let shape = GemmShape::bmm(g.offsets.len(), g.padded_rows, c_in, c_out);
+            ((g.offsets.len() * g.padded_rows) as u64, sim.gemm.latency(shape, precision))
+        } else {
+            let mut total = Micros::ZERO;
+            let mut rows = 0u64;
+            for &n in &g.offsets {
+                let size = geo.map.entries(n).len();
+                if size == 0 {
+                    continue;
+                }
+                total += sim.gemm.latency(GemmShape::mm(size, c_in, c_out), precision);
+                rows += size as u64;
+            }
+            (rows, total)
+        };
+        sim.timeline.add(Stage::MatMul, latency);
+        // The GEMM streams its operands/results through the L2; this is not
+        // charged to any movement phase but evicts resident gather data —
+        // exactly the pollution that makes unfused scatter/gather slow
+        // (§4.3.2). The center shortcut reads input features directly.
+        sim.mem.pollute_cache(shape_rows * (bufs.feat_row_bytes + bufs.psum_row_bytes));
+    }
+}
+
+fn scatter(geo: &ConvGeometry<'_>, groups: &[ExecGroup], bufs: &Buffers, sim: &mut Sim<'_>) {
+    let m = &bufs.m;
+    let offsets = moved_offsets(geo, groups, sim);
+    charge_map_read(geo.map, &offsets, bufs, sim.mem);
+    let row = bufs.psum_row_bytes;
+    if sim.config.locality_aware {
+        // Output-stationary order: one pass over the outputs, reading every
+        // partial sum for a point, reducing in registers, and writing the
+        // output row once.
+        let (starts, slots) = bucket_by(geo.n_out, &offsets, geo.map, |e| e.output);
+        for k in 0..geo.n_out {
+            let range = starts[k] as usize..starts[k + 1] as usize;
+            if range.is_empty() {
+                continue;
+            }
+            for &(n, i) in &slots[range] {
+                let slot = bufs.seg_start[n as usize] + u64::from(i);
+                sim.mem.read(bufs.psum_base, slot * row, row, m.psum);
+            }
+            sim.mem.write(bufs.out_base, k as u64 * row, row, m.psum);
+        }
+    } else {
+        // Weight-stationary scatter: sequential partial sums, random
+        // read-modify-write of the output rows.
+        for &n in &offsets {
+            for (i, e) in geo.map.entries(n).iter().enumerate() {
+                sim.mem.read(bufs.psum_base, (bufs.seg_start[n] + i as u64) * row, row, m.psum);
+                sim.mem.read(bufs.out_base, e.output as u64 * row, row, m.psum);
+                sim.mem.write(bufs.out_base, e.output as u64 * row, row, m.psum);
+            }
+        }
+    }
+    finish_movement(Stage::Scatter, groups, sim);
+}
+
+/// Utilization ceiling for fetch-on-demand's matrix-vector style compute:
+/// each output row is produced by streaming the weight matrix with no
+/// register-tile reuse, so throughput saturates early regardless of
+/// workload size. This is why MinkowskiEngine only uses the dataflow for
+/// small workloads (§5.2): below the ceiling it matches gather-matmul-
+/// scatter while avoiding all buffer traffic; above it, GEMM pulls away.
+const FETCH_ON_DEMAND_UTIL_CAP: f64 = 0.18;
+
+/// Simulated cost of the fetch-on-demand dataflow: per offset, one kernel
+/// that reads each input row and read-modify-writes its output row, with
+/// compute capped at [`FETCH_ON_DEMAND_UTIL_CAP`].
+fn fetch_on_demand(geo: &ConvGeometry<'_>, precision: Precision, sim: &mut Sim<'_>) {
+    let m = modes(precision, sim.config.vectorized);
+    let feat_row_bytes = (geo.c_in as u64) * m.feat.elem.bytes();
+    let out_row_bytes = (geo.c_out as u64) * m.psum.elem.bytes();
+    let in_base = sim.mem.alloc(geo.n_in as u64 * feat_row_bytes);
+    let out_base = sim.mem.alloc(geo.n_out as u64 * out_row_bytes);
+    let mut compute = Micros::ZERO;
+    for n in 0..geo.map.num_offsets() {
+        let entries = geo.map.entries(n);
+        if entries.is_empty() {
+            continue;
+        }
+        for e in entries {
+            sim.mem.read(in_base, e.input as u64 * feat_row_bytes, feat_row_bytes, m.feat);
+            sim.mem.read(out_base, e.output as u64 * out_row_bytes, out_row_bytes, m.psum);
+            sim.mem.write(out_base, e.output as u64 * out_row_bytes, out_row_bytes, m.psum);
+        }
+        let shape = GemmShape::mm(entries.len(), geo.c_in, geo.c_out);
+        let util = sim.gemm.utilization(shape).min(FETCH_ON_DEMAND_UTIL_CAP);
+        let tflops = sim.gemm.peak_tflops(m.gemm) * util;
+        let compute_us = if tflops > 0.0 { shape.flops() / (tflops * 1e6) } else { 0.0 };
+        compute += Micros(compute_us + sim.device.launch_overhead_us);
+    }
+    let latency = sim.mem.take_report().latency(sim.device);
+    sim.timeline.add(Stage::Gather, latency);
+    sim.timeline.add(Stage::MatMul, compute);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::GroupingStrategy;
+    use crate::context::Context;
+    use crate::dataflow::tests::workload_parts;
+    use crate::grouping::plan_groups;
+
+    /// Simulated timeline of one 8 -> 8 channel layer under `cfg`, through
+    /// its configured grouping or through fetch-on-demand.
+    fn simulate(cfg: OptimizationConfig, fetch_on_demand: bool) -> Timeline {
+        let parts = workload_parts(8, 8);
+        let n = parts.n_out;
+        let dataflow = if fetch_on_demand {
+            ConvDataflow::FetchOnDemand
+        } else {
+            ConvDataflow::Grouped(plan_groups(&parts.map.sizes(), true, cfg.grouping))
+        };
+        let mut ctx = Context::new(cfg, DeviceProfile::rtx_2080ti());
+        let geo = ConvGeometry {
+            map: &parts.map,
+            n_in: n,
+            n_out: n,
+            c_in: 8,
+            c_out: 8,
+            center_identity: Some(13),
+        };
+        charge_conv(&geo, &dataflow, false, &mut ctx.sim());
+        ctx.timeline
+    }
+
+    #[test]
+    fn movement_latency_recorded_under_every_ordering() {
+        for fused in [false, true] {
+            for locality in [false, true] {
+                let mut cfg = OptimizationConfig::baseline_fp32();
+                cfg.grouping = GroupingStrategy::Fixed;
+                cfg.fused_gather_scatter = fused;
+                cfg.locality_aware = locality;
+                let t = simulate(cfg, false);
+                for stage in [Stage::Gather, Stage::MatMul, Stage::Scatter] {
+                    assert!(t.stage(stage).as_f64() > 0.0, "{stage} fused={fused} loc={locality}");
+                }
+                assert_eq!(t.stage(Stage::Mapping), Micros::ZERO);
+            }
+        }
+    }
+
+    #[test]
+    fn center_shortcut_reduces_movement() {
+        let run = |skip: bool| {
+            let mut cfg = OptimizationConfig::baseline_fp32();
+            cfg.skip_center_movement = skip;
+            simulate(cfg, false).data_movement().as_f64()
+        };
+        assert!(run(true) < run(false));
+    }
+
+    #[test]
+    fn fetch_on_demand_charges_gather_and_matmul_only() {
+        let t = simulate(OptimizationConfig::minkowski_engine(), true);
+        assert!(t.stage(Stage::Gather).as_f64() > 0.0);
+        assert!(t.stage(Stage::MatMul).as_f64() > 0.0);
+        assert_eq!(t.stage(Stage::Scatter), Micros::ZERO);
+    }
+}

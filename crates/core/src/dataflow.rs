@@ -1,33 +1,29 @@
-//! Sparse convolution dataflows (§2.2, §4.3 of the paper).
+//! Sparse convolution dataflows (§2.2, §4.3 of the paper): the numerics.
 //!
 //! Two dataflows are implemented, matching the systems the paper discusses:
 //!
-//! - [`run_gather_matmul_scatter`]: Algorithm 2 with every §4.3 optimization
-//!   independently toggleable — FP16/INT8 quantization, vectorized memory
-//!   access, fused gather/scatter phases, locality-aware (input-stationary
-//!   gather, output-stationary scatter) ordering, matmul grouping, and the
-//!   §4.2.1 center-offset shortcut.
+//! - [`run_gather_matmul_scatter`]: Algorithm 2 — gather per-offset feature
+//!   matrices, run the (grouped) GEMMs, scatter-accumulate the partial sums
+//!   — either through materialized buffers or through the fused
+//!   gather–GEMM–scatter microkernel, with the §4.2.1 center-offset
+//!   shortcut.
 //! - [`run_fetch_on_demand`]: MinkowskiEngine's alternative that computes
 //!   partial sums directly from the input features without materializing
-//!   gather/scatter buffers; it wins on small workloads and loses GEMM
-//!   utilization on large ones (§5.2).
+//!   gather/scatter buffers (§5.2).
 //!
-//! Both execute the *real* computation on the CPU (their FP32 outputs are
-//! bit-identical) while emitting their memory access traces through the GPU
-//! simulator in exactly the order the corresponding CUDA kernels would, so
-//! that cache behaviour — and therefore latency — differs the way the
-//! paper measures.
+//! Both execute the *real* computation on the CPU and nothing else: their
+//! outputs are bit-identical across routes, grouping plans, kernels and
+//! thread counts, and they see only a worker pool, the workspace arena and
+//! the configuration. What the same kernels would cost on the simulated
+//! GPU is a function of geometry alone and lives in [`crate::cost_model`].
 
 use crate::config::{OptimizationConfig, Precision, SimdPolicy};
-use crate::context::Context;
 use crate::grouping::GroupPlan;
-use crate::runtime::{Task, ThreadPool};
+use crate::runtime::{Runtime, Task, ThreadPool};
 use crate::tuning::ExecPolicy;
 use crate::CoreError;
 use torchsparse_coords::kernel_map::MapEntry;
 use torchsparse_coords::KernelMap;
-use torchsparse_gpusim::Precision as GemmPrecision;
-use torchsparse_gpusim::{AccessMode, ElemWidth, GemmShape, Stage};
 use torchsparse_tensor::gemm::GemmOpts;
 use torchsparse_tensor::microkernel::{self, Kernel, PackedB};
 use torchsparse_tensor::{gemm, quant, Matrix};
@@ -51,9 +47,8 @@ pub struct ConvWorkload<'a> {
     /// map is the identity (enables the §4.2.1 shortcut).
     pub center_identity: Option<usize>,
     /// Plan-time locality ordering for the fused gather–GEMM–scatter
-    /// executor. `None` (or simulate-only mode, or
-    /// `fused_execution = false`) keeps the materialized gather/psum
-    /// buffer path.
+    /// executor. `None` (or `fused_execution = false`) keeps the
+    /// materialized gather/psum buffer path.
     pub fused: Option<&'a FusedOrder>,
     /// The tuned per-layer execution policy, when the plan carries one.
     /// `None` resolves every knob from the global [`OptimizationConfig`].
@@ -105,37 +100,6 @@ impl ConvWorkload<'_> {
 
     fn c_out(&self) -> usize {
         self.weights.first().map_or(0, Matrix::cols)
-    }
-}
-
-/// Memory access modes implied by a precision/vectorization choice.
-struct Modes {
-    /// Mode for reading/writing feature and gather-buffer elements.
-    feat: AccessMode,
-    /// Mode for partial sums and outputs (INT8 falls back to 16-bit here —
-    /// the paper's reason INT8 yields diminishing returns, §4.3.1).
-    psum: AccessMode,
-}
-
-fn modes(precision: Precision, vectorized: bool) -> Modes {
-    let vec = |elem: ElemWidth| {
-        // Vectorized access moves 4 bytes per thread (e.g. `half2`).
-        let width = if vectorized { (4 / elem.bytes()).max(1) } else { 1 };
-        AccessMode { elem, vector_width: width }
-    };
-    match precision {
-        Precision::Fp32 => Modes { feat: vec(ElemWidth::F32), psum: vec(ElemWidth::F32) },
-        Precision::Fp16 => Modes { feat: vec(ElemWidth::F16), psum: vec(ElemWidth::F16) },
-        Precision::Int8 => Modes { feat: vec(ElemWidth::I8), psum: vec(ElemWidth::F16) },
-    }
-}
-
-/// GEMM precision used for a storage precision (INT8 runs its GEMMs at
-/// FP16-class throughput in this model).
-fn gemm_precision(p: Precision) -> GemmPrecision {
-    match p {
-        Precision::Fp32 => GemmPrecision::Fp32,
-        Precision::Fp16 | Precision::Int8 => GemmPrecision::Fp16,
     }
 }
 
@@ -555,73 +519,14 @@ fn scatter_accumulate(
     });
 }
 
-/// Layout of the simulated buffers of one convolution.
-struct Buffers {
-    in_base: u64,
-    gather_base: u64,
-    psum_base: u64,
-    out_base: u64,
-    /// The map/neighbor-list metadata buffer: both gather and scatter
-    /// kernels stream the (input, output) index pairs that drive them.
-    map_base: u64,
-    map_bytes: u64,
-    /// Per-offset starting row in the gather/psum buffers (padding included
-    /// for bmm groups).
-    seg_start: Vec<u64>,
-    feat_row_bytes: u64,
-    psum_row_bytes: u64,
-}
-
-/// Bytes of map metadata read per map entry by a movement kernel (one
-/// 2x u32 index pair).
-const MAP_ENTRY_BYTES: u64 = 8;
-
-fn layout(w: &ConvWorkload<'_>, plan: &GroupPlan, m: &Modes, ctx: &mut Context) -> Buffers {
-    let volume = w.map.num_offsets();
-    let mut seg_start = vec![0u64; volume];
-    let mut rows = 0u64;
-    for g in &plan.groups {
-        for &n in &g.offsets {
-            seg_start[n] = rows;
-            rows += if g.use_bmm { g.padded_rows as u64 } else { w.map.entries(n).len() as u64 };
-        }
-    }
-    let feat_row_bytes = (w.c_in() as u64) * m.feat.elem.bytes();
-    let psum_row_bytes = (w.c_out() as u64) * m.psum.elem.bytes();
-    let map_bytes = w.map.total_entries() as u64 * MAP_ENTRY_BYTES;
-    Buffers {
-        in_base: ctx.mem.alloc(w.in_feats.rows() as u64 * feat_row_bytes),
-        gather_base: ctx.mem.alloc(rows * feat_row_bytes),
-        psum_base: ctx.mem.alloc(rows * psum_row_bytes),
-        out_base: ctx.mem.alloc(w.n_out as u64 * psum_row_bytes),
-        map_base: ctx.mem.alloc(map_bytes.max(1)),
-        map_bytes,
-        seg_start,
-        feat_row_bytes,
-        psum_row_bytes,
-    }
-}
-
-/// Charges the streaming read of the map metadata slices that drive a
-/// movement kernel over the given offsets (identical for every ordering, so
-/// it moderates relative speedups exactly as the real index traffic does).
-fn charge_map_read(w: &ConvWorkload<'_>, offsets: &[usize], bufs: &Buffers, ctx: &mut Context) {
-    let _ = bufs.map_bytes;
-    for &n in offsets {
-        let entries = w.map.entries(n).len() as u64;
-        ctx.mem.read(
-            bufs.map_base,
-            bufs.seg_start[n] * MAP_ENTRY_BYTES,
-            entries * MAP_ENTRY_BYTES,
-            AccessMode::scalar_f32(),
-        );
-    }
-}
-
 /// Whether a group is the bare center-identity offset that the §4.2.1
-/// shortcut can compute without data movement.
-fn is_center_shortcut(w: &ConvWorkload<'_>, offsets: &[usize], ctx: &Context) -> bool {
-    ctx.config.skip_center_movement && offsets.len() == 1 && Some(offsets[0]) == w.center_identity
+/// shortcut computes as one dense GEMM, without data movement.
+pub(crate) fn is_center_shortcut(
+    config: &OptimizationConfig,
+    center_identity: Option<usize>,
+    offsets: &[usize],
+) -> bool {
+    config.skip_center_movement && offsets.len() == 1 && Some(offsets[0]) == center_identity
 }
 
 /// Executes the real numerics of one convolution through the fused
@@ -693,8 +598,33 @@ fn run_fused_numerics(
     });
 }
 
-/// Executes Algorithm 2 with the configured optimizations; returns the
-/// output feature matrix (`n_out x c_out`).
+/// `out += in . W_n` over all rows (the §4.2.1 center shortcut: rows are
+/// aligned by the identity map).
+fn center_gemm(
+    w: &ConvWorkload<'_>,
+    n: usize,
+    pool: &ThreadPool,
+    opts: GemmOpts,
+    out: &mut Matrix,
+) -> Result<(), CoreError> {
+    match w.packed {
+        Some(packed) => gemm::mm_into_packed_on(pool, w.in_feats, &packed[n], out, opts)?,
+        None => gemm::mm_into_with(pool, w.in_feats, &w.weights[n], out, opts)?,
+    }
+    Ok(())
+}
+
+/// Executes Algorithm 2; returns the output feature matrix
+/// (`n_out x c_out`).
+///
+/// Fused route: no gather/psum buffers at all — map rows stream through the
+/// microkernel straight into the output, with the center shortcut still
+/// running as one dense GEMM first. Grouping is bitwise-neutral for
+/// numerics (bmm pad rows are zero and never scattered), so the fused route
+/// ignores it. Unfused route: gather per-offset feature matrices, run the
+/// (b)mm, keep partial sums, scatter-accumulate; the buffers come from the
+/// runtime's workspace arena and are returned afterwards, so steady-state
+/// forward passes allocate no feature buffers.
 ///
 /// # Errors
 ///
@@ -703,67 +633,29 @@ fn run_fused_numerics(
 pub fn run_gather_matmul_scatter(
     w: &ConvWorkload<'_>,
     plan: &GroupPlan,
-    ctx: &mut Context,
+    config: &OptimizationConfig,
+    runtime: &mut Runtime,
 ) -> Result<Matrix, CoreError> {
-    let m = modes(ctx.config.precision, ctx.config.vectorized);
-    let bufs = layout(w, plan, &m, ctx);
-    let pool = ctx.runtime.pool();
-    let kernel = policy_kernel(&ctx.config, w.policy.as_ref());
-    let opts = gemm_opts(&ctx.config, w.policy.as_ref());
+    let pool = runtime.pool();
+    let kernel = policy_kernel(config, w.policy.as_ref());
+    let opts = gemm_opts(config, w.policy.as_ref());
+    let round_f16 = config.precision != Precision::Fp32;
     let mut out = Matrix::zeros(w.n_out, w.c_out());
+    let is_shortcut = |offsets: &[usize]| is_center_shortcut(config, w.center_identity, offsets);
 
-    // ---- Real computation (independent of the simulated order). --------
-    // Fused route: no gather/psum buffers at all — map rows stream through
-    // the microkernel straight into `out`, with the §4.2.1 center shortcut
-    // still running as one dense GEMM first. Grouping is bitwise-neutral
-    // for numerics (bmm pad rows are zero and never scattered), so the
-    // fused path ignores it; the simulated cost below still models the
-    // configured grouping/movement kernels either way.
-    let fused_order = if ctx.simulate_only || !fused_for(&ctx.config, w.policy.as_ref()) {
-        None
-    } else {
-        w.fused
-    };
-    if let Some(order) = fused_order {
-        let shortcut = plan
-            .groups
-            .iter()
-            .find(|g| is_center_shortcut(w, &g.offsets, ctx))
-            .map(|g| g.offsets[0]);
+    if let Some(order) = w.fused.filter(|_| fused_for(config, w.policy.as_ref())) {
+        let shortcut = plan.groups.iter().find(|g| is_shortcut(&g.offsets)).map(|g| g.offsets[0]);
         if let Some(n0) = shortcut {
-            match w.packed {
-                Some(packed) => {
-                    gemm::mm_into_packed_on(&pool, w.in_feats, &packed[n0], &mut out, opts)?;
-                }
-                None => gemm::mm_into_with(&pool, w.in_feats, &w.weights[n0], &mut out, opts)?,
-            }
+            center_gemm(w, n0, &pool, opts, &mut out)?;
         }
-        let round_f16 = ctx.config.precision != Precision::Fp32;
         run_fused_numerics(w, order, shortcut, round_f16, &pool, kernel, &mut out);
+        return Ok(out);
     }
-    // Unfused route: gather per-offset feature matrices, run the (b)mm,
-    // keep partial sums. Gather/psum buffers come from the context's
-    // workspace arena and are returned after the scatter, so steady-state
-    // forward passes allocate no feature buffers. Skipped entirely in
-    // simulate-only mode: latency depends on the map structure, never on
-    // feature values.
+
     let mut psums: Vec<Option<Matrix>> = vec![None; w.map.num_offsets()];
-    let run_numerics = !ctx.simulate_only && fused_order.is_none();
-    for g in plan.groups.iter().filter(|_| run_numerics) {
-        if is_center_shortcut(w, &g.offsets, ctx) {
-            // out += in . W_center, rows aligned by the identity map.
-            match w.packed {
-                Some(packed) => gemm::mm_into_packed_on(
-                    &pool,
-                    w.in_feats,
-                    &packed[g.offsets[0]],
-                    &mut out,
-                    opts,
-                )?,
-                None => {
-                    gemm::mm_into_with(&pool, w.in_feats, &w.weights[g.offsets[0]], &mut out, opts)?
-                }
-            }
+    for g in &plan.groups {
+        if is_shortcut(&g.offsets) {
+            center_gemm(w, g.offsets[0], &pool, opts, &mut out)?;
             continue;
         }
         let members: Vec<usize> =
@@ -775,14 +667,12 @@ pub fn run_gather_matmul_scatter(
             // concurrent, not sequential.
             let mut gathered: Vec<Matrix> = Vec::with_capacity(members.len());
             for &n in &members {
-                let mut f = ctx.runtime.workspaces.take(g.padded_rows, w.c_in());
+                let mut f = runtime.workspaces.take(g.padded_rows, w.c_in());
                 gather_rows(&pool, kernel, w.in_feats, w.map.entries(n), &mut f);
                 gathered.push(f);
             }
-            let mut products: Vec<Matrix> = members
-                .iter()
-                .map(|_| ctx.runtime.workspaces.take(g.padded_rows, w.c_out()))
-                .collect();
+            let mut products: Vec<Matrix> =
+                members.iter().map(|_| runtime.workspaces.take(g.padded_rows, w.c_out())).collect();
             let a_refs: Vec<&Matrix> = gathered.iter().collect();
             match w.packed {
                 Some(packed) => {
@@ -795,10 +685,10 @@ pub fn run_gather_matmul_scatter(
                 }
             }
             for f in gathered {
-                ctx.runtime.workspaces.give(f);
+                runtime.workspaces.give(f);
             }
             for (&n, mut p) in members.iter().zip(products) {
-                if ctx.config.precision != Precision::Fp32 {
+                if round_f16 {
                     // Partial sums are stored in 16-bit buffers.
                     quant::round_trip_f16_in_place_kernel(&pool, &mut p, kernel);
                 }
@@ -808,17 +698,17 @@ pub fn run_gather_matmul_scatter(
             for &n in &members {
                 let entries = w.map.entries(n);
                 let rows = if g.use_bmm { g.padded_rows } else { entries.len() };
-                let mut f = ctx.runtime.workspaces.take(rows, w.c_in());
+                let mut f = runtime.workspaces.take(rows, w.c_in());
                 gather_rows(&pool, kernel, w.in_feats, entries, &mut f);
-                let mut p = ctx.runtime.workspaces.take(rows, w.c_out());
+                let mut p = runtime.workspaces.take(rows, w.c_out());
                 match w.packed {
                     Some(packed) => {
                         gemm::mm_into_packed_on(&pool, &f, &packed[n], &mut p, opts)?;
                     }
                     None => gemm::mm_into_with(&pool, &f, &w.weights[n], &mut p, opts)?,
                 }
-                ctx.runtime.workspaces.give(f);
-                if ctx.config.precision != Precision::Fp32 {
+                runtime.workspaces.give(f);
+                if round_f16 {
                     // Partial sums are stored in 16-bit buffers.
                     quant::round_trip_f16_in_place_kernel(&pool, &mut p, kernel);
                 }
@@ -827,347 +717,79 @@ pub fn run_gather_matmul_scatter(
         }
     }
     // Scatter-accumulate (FP32 accumulation registers).
-    if run_numerics {
-        scatter_accumulate(&pool, kernel, w.map, &psums, &mut out, w.fused);
+    scatter_accumulate(&pool, kernel, w.map, &psums, &mut out, w.fused);
+    for p in psums.into_iter().flatten() {
+        runtime.workspaces.give(p);
     }
-    for p in psums.drain(..).flatten() {
-        ctx.runtime.workspaces.give(p);
-    }
-
-    // ---- Simulated cost (order faithful to the configured kernels). ----
-    if ctx.config.fused_gather_scatter {
-        simulate_gather(w, plan, &m, &bufs, ctx);
-        simulate_matmuls(w, plan, &bufs, ctx);
-        simulate_scatter(w, plan, &m, &bufs, ctx);
-    } else {
-        // Algorithm 2: per-group gather -> matmul -> scatter, with the GEMM
-        // streaming through the L2 in between (the reuse-destroying pattern
-        // of Figure 9a).
-        for g in &plan.groups {
-            let single = GroupPlan { groups: vec![g.clone()] };
-            simulate_gather(w, &single, &m, &bufs, ctx);
-            simulate_matmuls(w, &single, &bufs, ctx);
-            simulate_scatter(w, &single, &m, &bufs, ctx);
-        }
-    }
-
     Ok(out)
 }
-
-/// Counting-sorts the map entries of `offsets` into per-row buckets keyed
-/// by `key(entry)`: returns `(starts, slots)` where row `r`'s producers are
-/// `slots[starts[r]..starts[r + 1]]` as `(offset, entry_index)` pairs, in
-/// the same (offset-ascending, entry-ascending) order the previous
-/// `Vec<Vec<_>>` build pushed them — the simulated access sequence is
-/// unchanged, the per-row allocations are gone.
-fn bucket_by(
-    rows: usize,
-    offsets: &[usize],
-    map: &KernelMap,
-    key: impl Fn(&MapEntry) -> u32,
-) -> (Vec<u32>, Vec<(u32, u32)>) {
-    let mut starts = vec![0u32; rows + 1];
-    for &n in offsets {
-        for e in map.entries(n) {
-            starts[key(e) as usize + 1] += 1;
-        }
-    }
-    for r in 0..rows {
-        starts[r + 1] += starts[r];
-    }
-    let mut fill: Vec<u32> = starts[..rows].to_vec();
-    let mut slots = vec![(0u32, 0u32); starts[rows] as usize];
-    for &n in offsets {
-        for (i, e) in map.entries(n).iter().enumerate() {
-            let f = &mut fill[key(e) as usize];
-            slots[*f as usize] = (n as u32, i as u32);
-            *f += 1;
-        }
-    }
-    (starts, slots)
-}
-
-fn simulate_gather(
-    w: &ConvWorkload<'_>,
-    plan: &GroupPlan,
-    m: &Modes,
-    bufs: &Buffers,
-    ctx: &mut Context,
-) {
-    // Offsets actually gathered (the §4.2.1 center shortcut skips its own).
-    let offsets: Vec<usize> = plan
-        .groups
-        .iter()
-        .filter(|g| !is_center_shortcut(w, &g.offsets, ctx))
-        .flat_map(|g| g.offsets.iter().copied())
-        .collect();
-    charge_map_read(w, &offsets, bufs, ctx);
-    if ctx.config.locality_aware {
-        // Input-stationary order (Figure 9b): one pass over the inputs in
-        // ascending index order, covering every offset at once; each feature
-        // row is read from DRAM once, held in registers, and written to
-        // every gather slot that needs it. The per-input neighbor lists are
-        // counting-sorted into one flat buffer (three allocations instead of
-        // one `Vec` per input row) in the same (offset, entry) order.
-        let (starts, slots) = bucket_by(w.in_feats.rows(), &offsets, w.map, |e| e.input);
-        for j in 0..w.in_feats.rows() {
-            let range = starts[j] as usize..starts[j + 1] as usize;
-            if range.is_empty() {
-                continue;
-            }
-            ctx.mem.read(bufs.in_base, j as u64 * bufs.feat_row_bytes, bufs.feat_row_bytes, m.feat);
-            for &(n, i) in &slots[range] {
-                ctx.mem.write(
-                    bufs.gather_base,
-                    (bufs.seg_start[n as usize] + u64::from(i)) * bufs.feat_row_bytes,
-                    bufs.feat_row_bytes,
-                    m.feat,
-                );
-            }
-        }
-    } else {
-        // Weight-stationary order (Figure 9a): per offset, every input
-        // index is unique, so there is no within-offset reuse.
-        for &n in &offsets {
-            for (i, e) in w.map.entries(n).iter().enumerate() {
-                ctx.mem.read(
-                    bufs.in_base,
-                    e.input as u64 * bufs.feat_row_bytes,
-                    bufs.feat_row_bytes,
-                    m.feat,
-                );
-                ctx.mem.write(
-                    bufs.gather_base,
-                    (bufs.seg_start[n] + i as u64) * bufs.feat_row_bytes,
-                    bufs.feat_row_bytes,
-                    m.feat,
-                );
-            }
-        }
-    }
-    let report = ctx.mem.take_report();
-    let mut latency = report.latency(&ctx.device);
-    // One gather kernel per group in the fused case, per offset otherwise.
-    let launches = plan.kernel_count() as f64;
-    latency += torchsparse_gpusim::Micros(launches * ctx.device.launch_overhead_us * 0.5);
-    ctx.timeline.add(Stage::Gather, latency);
-}
-
-fn simulate_matmuls(w: &ConvWorkload<'_>, plan: &GroupPlan, bufs: &Buffers, ctx: &mut Context) {
-    let precision = gemm_precision(ctx.config.precision);
-    for g in &plan.groups {
-        let (shape_rows, latency) = if is_center_shortcut(w, &g.offsets, ctx) {
-            let shape = GemmShape::mm(w.in_feats.rows(), w.c_in(), w.c_out());
-            (w.in_feats.rows() as u64, ctx.gemm.latency(shape, precision))
-        } else if g.use_bmm {
-            let shape = GemmShape::bmm(g.offsets.len(), g.padded_rows, w.c_in(), w.c_out());
-            ((g.offsets.len() * g.padded_rows) as u64, ctx.gemm.latency(shape, precision))
-        } else {
-            let mut total = torchsparse_gpusim::Micros::ZERO;
-            let mut rows = 0u64;
-            for &n in &g.offsets {
-                let size = w.map.entries(n).len();
-                if size == 0 {
-                    continue;
-                }
-                total += ctx.gemm.latency(GemmShape::mm(size, w.c_in(), w.c_out()), precision);
-                rows += size as u64;
-            }
-            (rows, total)
-        };
-        ctx.timeline.add(Stage::MatMul, latency);
-        // The GEMM streams its operands/results through the L2; this is not
-        // charged to any movement phase but evicts resident gather data —
-        // exactly the pollution that makes unfused scatter/gather slow
-        // (§4.3.2). The center shortcut reads input features directly.
-        let gather_bytes = shape_rows * bufs.feat_row_bytes;
-        let psum_bytes = shape_rows * bufs.psum_row_bytes;
-        ctx.mem.pollute_cache(gather_bytes + psum_bytes);
-        let _ = bufs.gather_base; // buffers touched via pollution model
-    }
-}
-
-fn simulate_scatter(
-    w: &ConvWorkload<'_>,
-    plan: &GroupPlan,
-    m: &Modes,
-    bufs: &Buffers,
-    ctx: &mut Context,
-) {
-    let offsets: Vec<usize> = plan
-        .groups
-        .iter()
-        .filter(|g| !is_center_shortcut(w, &g.offsets, ctx))
-        .flat_map(|g| g.offsets.iter().copied())
-        .collect();
-    charge_map_read(w, &offsets, bufs, ctx);
-    if ctx.config.locality_aware {
-        // Output-stationary order: one pass over the outputs, reading every
-        // partial sum for a point, reducing in registers, and writing the
-        // output row once. Producer lists are counting-sorted into one flat
-        // buffer (same (offset, entry) order, no per-output allocations).
-        let (starts, slots) = bucket_by(w.n_out, &offsets, w.map, |e| e.output);
-        for k in 0..w.n_out {
-            let range = starts[k] as usize..starts[k + 1] as usize;
-            if range.is_empty() {
-                continue;
-            }
-            for &(n, i) in &slots[range] {
-                ctx.mem.read(
-                    bufs.psum_base,
-                    (bufs.seg_start[n as usize] + u64::from(i)) * bufs.psum_row_bytes,
-                    bufs.psum_row_bytes,
-                    m.psum,
-                );
-            }
-            ctx.mem.write(
-                bufs.out_base,
-                k as u64 * bufs.psum_row_bytes,
-                bufs.psum_row_bytes,
-                m.psum,
-            );
-        }
-    } else {
-        // Weight-stationary scatter: sequential partial sums, random
-        // read-modify-write of the output rows.
-        for &n in &offsets {
-            for (i, e) in w.map.entries(n).iter().enumerate() {
-                ctx.mem.read(
-                    bufs.psum_base,
-                    (bufs.seg_start[n] + i as u64) * bufs.psum_row_bytes,
-                    bufs.psum_row_bytes,
-                    m.psum,
-                );
-                ctx.mem.read(
-                    bufs.out_base,
-                    e.output as u64 * bufs.psum_row_bytes,
-                    bufs.psum_row_bytes,
-                    m.psum,
-                );
-                ctx.mem.write(
-                    bufs.out_base,
-                    e.output as u64 * bufs.psum_row_bytes,
-                    bufs.psum_row_bytes,
-                    m.psum,
-                );
-            }
-        }
-    }
-    let report = ctx.mem.take_report();
-    let mut latency = report.latency(&ctx.device);
-    let launches = plan.kernel_count() as f64;
-    latency += torchsparse_gpusim::Micros(launches * ctx.device.launch_overhead_us * 0.5);
-    ctx.timeline.add(Stage::Scatter, latency);
-}
-
-/// Utilization ceiling for fetch-on-demand's matrix-vector style compute:
-/// each output row is produced by streaming the weight matrix with no
-/// register-tile reuse, so throughput saturates early regardless of
-/// workload size. This is why MinkowskiEngine only uses the dataflow for
-/// small workloads (§5.2): below the ceiling it matches gather-matmul-
-/// scatter while avoiding all buffer traffic; above it, GEMM pulls away.
-const FETCH_ON_DEMAND_UTIL_CAP: f64 = 0.18;
 
 /// Executes the fetch-on-demand dataflow: partial sums are computed straight
 /// from the input features and accumulated into the outputs, with no
 /// gather/scatter buffers (Lin et al. 2021; used by MinkowskiEngine for
-/// small workloads, §5.2).
+/// small workloads, §5.2). Partial sums stay in FP32 (no 16-bit psum
+/// store) and the center shortcut is never used.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::Tensor`] on inconsistent weight shapes.
-pub fn run_fetch_on_demand(w: &ConvWorkload<'_>, ctx: &mut Context) -> Result<Matrix, CoreError> {
-    let m = modes(ctx.config.precision, ctx.config.vectorized);
-    let feat_row_bytes = (w.c_in() as u64) * m.feat.elem.bytes();
-    let out_row_bytes = (w.c_out() as u64) * m.psum.elem.bytes();
-    let in_base = ctx.mem.alloc(w.in_feats.rows() as u64 * feat_row_bytes);
-    let out_base = ctx.mem.alloc(w.n_out as u64 * out_row_bytes);
-
+pub fn run_fetch_on_demand(
+    w: &ConvWorkload<'_>,
+    config: &OptimizationConfig,
+    runtime: &mut Runtime,
+) -> Result<Matrix, CoreError> {
     let mut out = Matrix::zeros(w.n_out, w.c_out());
-    let precision = gemm_precision(ctx.config.precision);
-    let mut compute = torchsparse_gpusim::Micros::ZERO;
-    let pool = ctx.runtime.pool();
-    let kernel = policy_kernel(&ctx.config, w.policy.as_ref());
-    let opts = gemm_opts(&ctx.config, w.policy.as_ref());
+    let pool = runtime.pool();
+    let kernel = policy_kernel(config, w.policy.as_ref());
+    let opts = gemm_opts(config, w.policy.as_ref());
     // Fused route: stream map rows straight through the microkernel into
-    // `out` — no scratch buffers taken at all. Fetch-on-demand keeps its
-    // partial sums in FP32 (no 16-bit psum store), hence `round_f16:
-    // false`, and never uses the center shortcut.
-    let fused_order = if ctx.simulate_only || !fused_for(&ctx.config, w.policy.as_ref()) {
-        None
-    } else {
-        w.fused
-    };
-    if let Some(order) = fused_order {
+    // `out` — no scratch buffers taken at all.
+    if let Some(order) = w.fused.filter(|_| fused_for(config, w.policy.as_ref())) {
         run_fused_numerics(w, order, None, false, &pool, kernel, &mut out);
+        return Ok(out);
     }
     // Unfused route: one scratch pair reused across all K^3 neighborhoods:
     // reshape keeps the backing storage whenever capacity suffices, and the
     // buffers return to the workspace arena afterwards for the next layer
     // or forward pass.
-    let mut buffers = (!ctx.simulate_only && fused_order.is_none()).then(|| {
-        (ctx.runtime.workspaces.take(0, w.c_in()), ctx.runtime.workspaces.take(0, w.c_out()))
-    });
-
+    let mut scratch = runtime.workspaces.take(0, w.c_in());
+    let mut psum = runtime.workspaces.take(0, w.c_out());
     for n in 0..w.map.num_offsets() {
         let entries = w.map.entries(n);
         if entries.is_empty() {
             continue;
         }
-        if let Some((scratch, psum)) = &mut buffers {
-            // Real compute: out[k] += in[j] . W_n per entry. Executed as one
-            // blocked GEMM over the offset's rows — numerically identical to
-            // the per-entry row-by-matrix products of the device kernel.
-            // Offsets ascend and each output row appears at most once per
-            // offset, so this serial walk is the same per-row order the
-            // fused route's chunk tasks follow.
-            scratch.reshape_zeroed(entries.len(), w.c_in());
-            gather_rows(&pool, kernel, w.in_feats, entries, scratch);
-            psum.reshape_zeroed(entries.len(), w.c_out());
-            match w.packed {
-                Some(packed) => {
-                    gemm::mm_into_packed_on(&pool, &*scratch, &packed[n], psum, opts)?;
-                }
-                None => gemm::mm_into_with(&pool, &*scratch, &w.weights[n], psum, opts)?,
-            }
-            for (i, e) in entries.iter().enumerate() {
-                let dst = out.row_mut(e.output as usize);
-                microkernel::accumulate_row(kernel, dst, psum.row(i));
-            }
+        // out[k] += in[j] . W_n per entry, executed as one blocked GEMM
+        // over the offset's rows — numerically identical to the per-entry
+        // row-by-matrix products of the device kernel. Offsets ascend and
+        // each output row appears at most once per offset, so this serial
+        // walk is the same per-row order the fused route's chunk tasks
+        // follow.
+        scratch.reshape_zeroed(entries.len(), w.c_in());
+        gather_rows(&pool, kernel, w.in_feats, entries, &mut scratch);
+        psum.reshape_zeroed(entries.len(), w.c_out());
+        match w.packed {
+            Some(packed) => gemm::mm_into_packed_on(&pool, &scratch, &packed[n], &mut psum, opts)?,
+            None => gemm::mm_into_with(&pool, &scratch, &w.weights[n], &mut psum, opts)?,
         }
-        for e in entries {
-            // Memory: read the input row, read-modify-write the output row.
-            ctx.mem.read(in_base, e.input as u64 * feat_row_bytes, feat_row_bytes, m.feat);
-            ctx.mem.read(out_base, e.output as u64 * out_row_bytes, out_row_bytes, m.psum);
-            ctx.mem.write(out_base, e.output as u64 * out_row_bytes, out_row_bytes, m.psum);
+        for (i, e) in entries.iter().enumerate() {
+            microkernel::accumulate_row(kernel, out.row_mut(e.output as usize), psum.row(i));
         }
-        let shape = GemmShape::mm(entries.len(), w.c_in(), w.c_out());
-        let util = ctx.gemm.utilization(shape).min(FETCH_ON_DEMAND_UTIL_CAP);
-        let tflops = ctx.gemm.peak_tflops(precision) * util;
-        let compute_us = if tflops > 0.0 { shape.flops() / (tflops * 1e6) } else { 0.0 };
-        compute += torchsparse_gpusim::Micros(compute_us + ctx.device.launch_overhead_us);
     }
-
-    if let Some((scratch, psum)) = buffers {
-        ctx.runtime.workspaces.give(scratch);
-        ctx.runtime.workspaces.give(psum);
-        // The serial walk above bypassed `reduce_chunks`.
-        canonicalize_nans(out.as_mut_slice());
-    }
-    let report = ctx.mem.take_report();
-    ctx.timeline.add(Stage::Gather, report.latency(&ctx.device));
-    ctx.timeline.add(Stage::MatMul, compute);
+    runtime.workspaces.give(scratch);
+    runtime.workspaces.give(psum);
+    // The serial walk above bypassed `reduce_chunks`.
+    canonicalize_nans(out.as_mut_slice());
     Ok(out)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::config::{GroupingStrategy, OptimizationConfig};
+    use crate::config::GroupingStrategy;
     use crate::grouping::plan_groups;
     use torchsparse_coords::kernel_map::search;
     use torchsparse_coords::{Coord, CoordHashMap};
-    use torchsparse_gpusim::DeviceProfile;
 
     /// Deterministic pseudo-random matrix without a rand dependency.
     fn pseudo_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
@@ -1192,49 +814,79 @@ mod tests {
         v
     }
 
-    fn workload_parts(c_in: usize, c_out: usize) -> (Vec<Coord>, Matrix, Vec<Matrix>, KernelMap) {
+    /// One submanifold 3x3x3 layer on a small fixed scene: features,
+    /// weights and the kernel map.
+    pub(crate) struct Parts {
+        pub(crate) feats: Matrix,
+        pub(crate) weights: Vec<Matrix>,
+        pub(crate) map: KernelMap,
+        pub(crate) n_out: usize,
+    }
+
+    pub(crate) fn workload_parts(c_in: usize, c_out: usize) -> Parts {
         let coords = scene(9);
         let feats = pseudo_matrix(coords.len(), c_in, 7);
         let weights: Vec<Matrix> =
             (0..27).map(|n| pseudo_matrix(c_in, c_out, 100 + n as u64)).collect();
         let (table, _) = CoordHashMap::build(&coords);
         let map = search(&coords, &table, 3, 1).unwrap();
-        (coords, feats, weights, map)
+        Parts { feats, weights, map, n_out: coords.len() }
     }
 
-    fn ctx_with(config: OptimizationConfig) -> Context {
-        Context::new(config, DeviceProfile::rtx_2080ti())
-    }
-
-    /// Reference computation straight from the map definition (Equation 1).
-    fn reference_output(
-        feats: &Matrix,
-        weights: &[Matrix],
-        map: &KernelMap,
-        n_out: usize,
-    ) -> Matrix {
-        let c_out = weights[0].cols();
-        let mut out = Matrix::zeros(n_out, c_out);
-        for (n, weight) in weights.iter().enumerate().take(map.num_offsets()) {
-            for e in map.entries(n) {
-                for co in 0..c_out {
-                    let mut acc = 0.0f32;
-                    for ci in 0..feats.cols() {
-                        acc += feats[(e.input as usize, ci)] * weight[(ci, co)];
-                    }
-                    out[(e.output as usize, co)] += acc;
-                }
+    impl Parts {
+        fn workload<'a>(
+            &'a self,
+            fused: Option<&'a FusedOrder>,
+            policy: Option<ExecPolicy>,
+        ) -> ConvWorkload<'a> {
+            ConvWorkload {
+                in_feats: &self.feats,
+                weights: &self.weights,
+                packed: None,
+                map: &self.map,
+                n_out: self.n_out,
+                center_identity: Some(13),
+                fused,
+                policy,
             }
         }
-        out
+
+        /// Gather-matmul-scatter under `cfg`'s own grouping.
+        fn run_gms(
+            &self,
+            cfg: &OptimizationConfig,
+            fused: Option<&FusedOrder>,
+            policy: Option<ExecPolicy>,
+        ) -> Matrix {
+            let plan = plan_groups(&self.map.sizes(), true, cfg.grouping);
+            let w = self.workload(fused, policy);
+            run_gather_matmul_scatter(&w, &plan, cfg, &mut Runtime::default()).unwrap()
+        }
+
+        /// Reference computation straight from the map definition
+        /// (Equation 1).
+        fn reference_output(&self) -> Matrix {
+            let c_out = self.weights[0].cols();
+            let mut out = Matrix::zeros(self.n_out, c_out);
+            for (n, weight) in self.weights.iter().enumerate().take(self.map.num_offsets()) {
+                for e in self.map.entries(n) {
+                    for co in 0..c_out {
+                        let mut acc = 0.0f32;
+                        for ci in 0..self.feats.cols() {
+                            acc += self.feats[(e.input as usize, ci)] * weight[(ci, co)];
+                        }
+                        out[(e.output as usize, co)] += acc;
+                    }
+                }
+            }
+            out
+        }
     }
 
     #[test]
     fn all_fp32_configs_agree_with_reference() {
-        let (coords, feats, weights, map) = workload_parts(8, 16);
-        let n_out = coords.len();
-        let expect = reference_output(&feats, &weights, &map, n_out);
-
+        let parts = workload_parts(8, 16);
+        let expect = parts.reference_output();
         let strategies = [
             GroupingStrategy::Separate,
             GroupingStrategy::Symmetric,
@@ -1243,150 +895,46 @@ mod tests {
             GroupingStrategy::Adaptive { epsilon: 1.0, s_threshold: 0 },
         ];
         for strategy in strategies {
-            for fused in [false, true] {
-                for locality in [false, true] {
-                    for skip_center in [false, true] {
-                        let mut cfg = OptimizationConfig::baseline_fp32();
-                        cfg.grouping = strategy;
-                        cfg.fused_gather_scatter = fused;
-                        cfg.locality_aware = locality;
-                        cfg.skip_center_movement = skip_center;
-                        let mut ctx = ctx_with(cfg);
-                        let plan = plan_groups(&map.sizes(), true, strategy);
-                        let w = ConvWorkload {
-                            in_feats: &feats,
-                            weights: &weights,
-                            packed: None,
-                            map: &map,
-                            n_out,
-                            center_identity: Some(13),
-                            fused: None,
-                            policy: None,
-                        };
-                        let out = run_gather_matmul_scatter(&w, &plan, &mut ctx).unwrap();
-                        let diff = out.max_abs_diff(&expect).unwrap();
-                        assert!(
-                            diff < 1e-3,
-                            "strategy {strategy:?} fused={fused} locality={locality} skip={skip_center}: diff {diff}"
-                        );
-                    }
-                }
+            for skip_center in [false, true] {
+                let mut cfg = OptimizationConfig::baseline_fp32();
+                cfg.grouping = strategy;
+                cfg.skip_center_movement = skip_center;
+                let diff = parts.run_gms(&cfg, None, None).max_abs_diff(&expect).unwrap();
+                assert!(diff < 1e-3, "strategy {strategy:?} skip={skip_center}: diff {diff}");
             }
         }
     }
 
     #[test]
     fn fetch_on_demand_matches_reference() {
-        let (coords, feats, weights, map) = workload_parts(6, 10);
-        let n_out = coords.len();
-        let expect = reference_output(&feats, &weights, &map, n_out);
-        let mut ctx = ctx_with(OptimizationConfig::minkowski_engine());
-        let w = ConvWorkload {
-            in_feats: &feats,
-            weights: &weights,
-            packed: None,
-            map: &map,
-            n_out,
-            center_identity: Some(13),
-            fused: None,
-            policy: None,
-        };
-        let out = run_fetch_on_demand(&w, &mut ctx).unwrap();
-        assert!(out.max_abs_diff(&expect).unwrap() < 1e-3);
+        let parts = workload_parts(6, 10);
+        let cfg = OptimizationConfig::minkowski_engine();
+        let out = run_fetch_on_demand(&parts.workload(None, None), &cfg, &mut Runtime::default())
+            .unwrap();
+        assert!(out.max_abs_diff(&parts.reference_output()).unwrap() < 1e-3);
     }
 
     #[test]
     fn fp16_output_close_to_fp32() {
-        let (coords, feats, weights, map) = workload_parts(8, 8);
-        let n_out = coords.len();
-        let expect = reference_output(&feats, &weights, &map, n_out);
+        let parts = workload_parts(8, 8);
+        let expect = parts.reference_output();
         let mut cfg = OptimizationConfig::torchsparse();
         cfg.grouping = GroupingStrategy::Separate;
-        let mut ctx = ctx_with(cfg);
-        let plan = plan_groups(&map.sizes(), true, GroupingStrategy::Separate);
-        let w = ConvWorkload {
-            in_feats: &feats,
-            weights: &weights,
-            packed: None,
-            map: &map,
-            n_out,
-            center_identity: Some(13),
-            fused: None,
-            policy: None,
-        };
-        let out = run_gather_matmul_scatter(&w, &plan, &mut ctx).unwrap();
+        let out = parts.run_gms(&cfg, None, None);
         let rel = out.max_abs_diff(&expect).unwrap() / expect.frobenius_norm().max(1e-6);
         assert!(rel < 0.01, "fp16 relative error {rel} too large");
     }
 
     #[test]
-    fn movement_latency_recorded() {
-        let (coords, feats, weights, map) = workload_parts(8, 8);
-        let mut ctx = ctx_with(OptimizationConfig::baseline_fp32());
-        let plan = plan_groups(&map.sizes(), true, GroupingStrategy::Separate);
-        let w = ConvWorkload {
-            in_feats: &feats,
-            weights: &weights,
-            packed: None,
-            map: &map,
-            n_out: coords.len(),
-            center_identity: Some(13),
-            fused: None,
-            policy: None,
-        };
-        run_gather_matmul_scatter(&w, &plan, &mut ctx).unwrap();
-        assert!(ctx.timeline.stage(Stage::Gather).as_f64() > 0.0);
-        assert!(ctx.timeline.stage(Stage::MatMul).as_f64() > 0.0);
-        assert!(ctx.timeline.stage(Stage::Scatter).as_f64() > 0.0);
-    }
-
-    #[test]
-    fn center_shortcut_reduces_movement() {
-        let (coords, feats, weights, map) = workload_parts(8, 8);
-        let run = |skip: bool| {
-            let mut cfg = OptimizationConfig::baseline_fp32();
-            cfg.skip_center_movement = skip;
-            let mut ctx = ctx_with(cfg);
-            let plan = plan_groups(&map.sizes(), true, GroupingStrategy::Separate);
-            let w = ConvWorkload {
-                in_feats: &feats,
-                weights: &weights,
-                packed: None,
-                map: &map,
-                n_out: coords.len(),
-                center_identity: Some(13),
-                fused: None,
-                policy: None,
-            };
-            run_gather_matmul_scatter(&w, &plan, &mut ctx).unwrap();
-            ctx.timeline.data_movement().as_f64()
-        };
-        assert!(run(true) < run(false));
-    }
-
-    #[test]
     fn int8_runs_and_roughly_matches() {
-        let (coords, feats, weights, map) = workload_parts(4, 4);
-        let n_out = coords.len();
-        let expect = reference_output(&feats, &weights, &map, n_out);
+        let parts = workload_parts(4, 4);
         let mut cfg = OptimizationConfig::torchsparse();
         cfg.precision = Precision::Int8;
-        let mut ctx = ctx_with(cfg);
-        let plan = plan_groups(&map.sizes(), true, GroupingStrategy::Separate);
-        let w = ConvWorkload {
-            in_feats: &feats,
-            weights: &weights,
-            packed: None,
-            map: &map,
-            n_out,
-            center_identity: Some(13),
-            fused: None,
-            policy: None,
-        };
-        let out = run_gather_matmul_scatter(&w, &plan, &mut ctx).unwrap();
+        cfg.grouping = GroupingStrategy::Separate;
         // INT8 storage was not applied to in_feats here (the conv layer does
-        // that); this exercises the int8 *movement* path only.
-        assert!(out.max_abs_diff(&expect).unwrap() < 1.0);
+        // that); this exercises the 16-bit partial-sum path only.
+        let out = parts.run_gms(&cfg, None, None);
+        assert!(out.max_abs_diff(&parts.reference_output()).unwrap() < 1.0);
     }
 
     fn bits_of(m: &Matrix) -> Vec<u32> {
@@ -1395,32 +943,16 @@ mod tests {
 
     #[test]
     fn fused_executor_bitwise_matches_unfused() {
-        let (coords, feats, weights, map) = workload_parts(8, 16);
-        let n_out = coords.len();
-        let order = FusedOrder::build(&map, n_out);
+        let parts = workload_parts(8, 16);
+        let order = FusedOrder::build(&parts.map, parts.n_out);
         for precision in [Precision::Fp32, Precision::Fp16, Precision::Int8] {
             for skip_center in [false, true] {
                 let mut cfg = OptimizationConfig::torchsparse();
                 cfg.precision = precision;
                 cfg.skip_center_movement = skip_center;
-                let run = |fused: Option<&FusedOrder>| {
-                    let mut ctx = ctx_with(cfg.clone());
-                    let plan = plan_groups(&map.sizes(), true, cfg.grouping);
-                    let w = ConvWorkload {
-                        in_feats: &feats,
-                        weights: &weights,
-                        packed: None,
-                        map: &map,
-                        n_out,
-                        center_identity: Some(13),
-                        fused,
-                        policy: None,
-                    };
-                    run_gather_matmul_scatter(&w, &plan, &mut ctx).unwrap()
-                };
                 assert_eq!(
-                    bits_of(&run(Some(&order))),
-                    bits_of(&run(None)),
+                    bits_of(&parts.run_gms(&cfg, Some(&order), None)),
+                    bits_of(&parts.run_gms(&cfg, None, None)),
                     "{precision:?} skip_center={skip_center}"
                 );
             }
@@ -1429,22 +961,12 @@ mod tests {
 
     #[test]
     fn fused_fetch_on_demand_bitwise_matches_unfused() {
-        let (coords, feats, weights, map) = workload_parts(6, 10);
-        let n_out = coords.len();
-        let order = FusedOrder::build(&map, n_out);
+        let parts = workload_parts(6, 10);
+        let order = FusedOrder::build(&parts.map, parts.n_out);
+        let cfg = OptimizationConfig::minkowski_engine();
         let run = |fused: Option<&FusedOrder>| {
-            let mut ctx = ctx_with(OptimizationConfig::minkowski_engine());
-            let w = ConvWorkload {
-                in_feats: &feats,
-                weights: &weights,
-                packed: None,
-                map: &map,
-                n_out,
-                center_identity: Some(13),
-                fused,
-                policy: None,
-            };
-            run_fetch_on_demand(&w, &mut ctx).unwrap()
+            run_fetch_on_demand(&parts.workload(fused, None), &cfg, &mut Runtime::default())
+                .unwrap()
         };
         assert_eq!(bits_of(&run(Some(&order))), bits_of(&run(None)));
     }
@@ -1455,31 +977,18 @@ mod tests {
         // the same per-row addend order, so outputs are bit-identical to
         // the default MOVE_CHUNK split — fused and buffered (the policy
         // picks the route, so the buffered scatter walks `order` too).
-        let (coords, feats, weights, map) = workload_parts(8, 16);
-        let n_out = coords.len();
-        let run = |order: &FusedOrder, use_fused: bool| {
-            let cfg = OptimizationConfig::torchsparse();
-            let policy = ExecPolicy { fused: use_fused, ..ExecPolicy::from_config(&cfg) };
-            let mut ctx = ctx_with(cfg.clone());
-            let plan = plan_groups(&map.sizes(), true, cfg.grouping);
-            let w = ConvWorkload {
-                in_feats: &feats,
-                weights: &weights,
-                packed: None,
-                map: &map,
-                n_out,
-                center_identity: Some(13),
-                fused: Some(order),
-                policy: Some(policy),
-            };
-            run_gather_matmul_scatter(&w, &plan, &mut ctx).unwrap()
+        let parts = workload_parts(8, 16);
+        let cfg = OptimizationConfig::torchsparse();
+        let run = |order: &FusedOrder, fused: bool| {
+            let policy = ExecPolicy { fused, ..ExecPolicy::from_config(&cfg) };
+            parts.run_gms(&cfg, Some(order), Some(policy))
         };
-        let baseline = FusedOrder::build(&map, n_out);
+        let baseline = FusedOrder::build(&parts.map, parts.n_out);
         assert_eq!(baseline.chunk_rows(), MOVE_CHUNK);
         for use_fused in [true, false] {
             let expect = bits_of(&run(&baseline, use_fused));
             for chunk in [1, 32, 128, 256, 1000] {
-                let order = FusedOrder::build_chunked(&map, n_out, chunk);
+                let order = FusedOrder::build_chunked(&parts.map, parts.n_out, chunk);
                 assert_eq!(order.chunk_rows(), chunk);
                 assert_eq!(
                     bits_of(&run(&order, use_fused)),
@@ -1494,28 +1003,11 @@ mod tests {
     fn policy_overrides_config_knobs() {
         // A plan-carried policy steers the fused route and SIMD kernel
         // without touching the global config — and stays bit-identical.
-        let (coords, feats, weights, map) = workload_parts(8, 16);
-        let n_out = coords.len();
-        let order = FusedOrder::build(&map, n_out);
-        let run = |policy: Option<ExecPolicy>| {
-            let cfg = OptimizationConfig::torchsparse();
-            let mut ctx = ctx_with(cfg.clone());
-            let plan = plan_groups(&map.sizes(), true, cfg.grouping);
-            let w = ConvWorkload {
-                in_feats: &feats,
-                weights: &weights,
-                packed: None,
-                map: &map,
-                n_out,
-                center_identity: Some(13),
-                fused: Some(&order),
-                policy,
-            };
-            run_gather_matmul_scatter(&w, &plan, &mut ctx).unwrap()
-        };
+        let parts = workload_parts(8, 16);
+        let order = FusedOrder::build(&parts.map, parts.n_out);
         let cfg = OptimizationConfig::torchsparse();
         let base = ExecPolicy::from_config(&cfg);
-        let expect = bits_of(&run(None));
+        let expect = bits_of(&parts.run_gms(&cfg, Some(&order), None));
         for policy in [
             base,
             ExecPolicy { fused: false, ..base },
@@ -1523,7 +1015,11 @@ mod tests {
             ExecPolicy { simd: SimdPolicy::Scalar, ..base },
             ExecPolicy { panel_rows: 32, chunk_rows: 256, ..base },
         ] {
-            assert_eq!(bits_of(&run(Some(policy))), expect, "{policy:?}");
+            assert_eq!(
+                bits_of(&parts.run_gms(&cfg, Some(&order), Some(policy))),
+                expect,
+                "{policy:?}"
+            );
         }
     }
 }

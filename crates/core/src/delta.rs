@@ -436,7 +436,7 @@ fn walk<'c>(
                 }
             }
             (LayerOp::BatchNorm(_) | LayerOp::Relu(_), StepPlan::Pointwise) => {}
-            (LayerOp::GlobalPool(_), StepPlan::GlobalPool) => {
+            (LayerOp::GlobalPool(_), StepPlan::GlobalPool { .. }) => {
                 // Geometry collapses to per-batch representatives; no map
                 // op downstream can be patched against the old plan.
                 cur = LevelState::opaque();

@@ -34,6 +34,16 @@ impl ExecGroup {
         self.offsets.iter().map(|&n| map_sizes[n]).sum()
     }
 
+    /// GEMM kernel launches this group implies: one `bmm`, or one `mm` per
+    /// member offset.
+    pub fn kernel_count(&self) -> usize {
+        if self.use_bmm {
+            1
+        } else {
+            self.offsets.len()
+        }
+    }
+
     /// Total rows including padding when batched.
     pub fn total_rows(&self) -> usize {
         self.padded_rows * self.offsets.len()
@@ -58,7 +68,7 @@ pub struct GroupPlan {
 impl GroupPlan {
     /// Number of GEMM kernel launches the plan implies.
     pub fn kernel_count(&self) -> usize {
-        self.groups.iter().map(|g| if g.use_bmm { 1 } else { g.offsets.len() }).sum()
+        self.groups.iter().map(ExecGroup::kernel_count).sum()
     }
 
     /// Total padded rows across batched groups plus exact rows of mm groups.

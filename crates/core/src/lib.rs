@@ -12,9 +12,13 @@
 //!   fused downsampling kernels, symmetric map reuse (§4.4).
 //! - [`grouping`]: separate / symmetric / fixed / adaptive matmul grouping
 //!   (§4.2, Algorithms 4 & 5).
-//! - [`dataflow`]: gather–matmul–scatter with quantized, vectorized, fused,
-//!   locality-aware data movement (§4.3), plus the fetch-on-demand dataflow
-//!   MinkowskiEngine uses for small workloads.
+//! - [`dataflow`]: the numerics of gather–matmul–scatter (buffered or
+//!   fused) and of the fetch-on-demand dataflow MinkowskiEngine uses for
+//!   small workloads.
+//! - [`cost_model`]: what those kernels cost on the simulated GPU under
+//!   quantized, vectorized, fused, locality-aware data movement (§4.3) —
+//!   pure functions of geometry, evaluated in line by dynamic runs and
+//!   once per plan by compiled sessions.
 //! - [`Engine`] / [`EnginePreset`]: end-to-end execution with per-stage
 //!   simulated latency on a chosen [`DeviceProfile`].
 //!
@@ -54,6 +58,7 @@ mod pooling;
 mod session;
 mod sparse_tensor;
 
+pub mod cost_model;
 pub mod dataflow;
 pub mod faults;
 pub mod grouping;

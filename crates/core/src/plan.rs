@@ -17,12 +17,13 @@
 //!   by, used to detect when a plan must be rebuilt;
 //! - [`PlanCacheStats`]: hit/miss/invalidation counters for plan reuse.
 
-use crate::context::CachedMap;
+use crate::context::{CachedMap, LayerProfile};
 use crate::dataflow::FusedOrder;
 use crate::grouping::GroupPlan;
 use crate::{BatchNorm, GlobalPool, ReLU, SparseConv3d, SparseMaxPool3d};
 use std::sync::Arc;
 use torchsparse_coords::{Coord, KernelMap};
+use torchsparse_gpusim::Timeline;
 use torchsparse_tensor::PackedB;
 
 /// One typed operation in the flattened layer IR.
@@ -199,7 +200,10 @@ pub(crate) enum StepPlan {
     /// Pointwise op (batch norm / ReLU): nothing geometric to freeze.
     Pointwise,
     /// Global pooling: output geometry derives from batches at execute.
-    GlobalPool,
+    GlobalPool {
+        /// Distinct batches in the input (the output's point count).
+        batches: usize,
+    },
     /// Stack push.
     Push,
     /// Stack pop + feature concatenation.
@@ -218,10 +222,19 @@ pub(crate) enum StepPlan {
 ///
 /// Built once by [`CompiledSession::compile`](crate::CompiledSession) and
 /// replaced wholesale when the fingerprint changes — never mutated.
+///
+/// Simulated cost is a function of exactly this state, so the plan also
+/// carries it: the execute-path [`Timeline`] of one frame (every stage but
+/// `Mapping`, which only planning charges) and the per-layer profiles,
+/// evaluated once when the plan was finalised. Plan-hit frames — on every
+/// stream sharing the plan — report these cached values and run no
+/// cost-model code.
 #[derive(Debug)]
 pub struct ExecutionPlan {
     pub(crate) fingerprint: u64,
     pub(crate) steps: Vec<StepPlan>,
+    pub(crate) timeline: Timeline,
+    pub(crate) layer_profiles: Vec<LayerProfile>,
 }
 
 impl ExecutionPlan {

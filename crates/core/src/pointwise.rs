@@ -2,41 +2,18 @@
 //!
 //! These are memory-bound streaming kernels. They never touch coordinates
 //! or maps, so their simulated cost is a single read+write sweep over the
-//! feature buffer, charged to [`Stage::Other`] — which is how they appear
-//! in the paper's Figure 4 breakdown.
+//! feature buffer ([`cost_model::charge_pointwise`]), charged to the
+//! `Other` stage — which is how they appear in the paper's Figure 4
+//! breakdown. The `forward`s charge it in line; compiled sessions run the
+//! crate-internal `compute` halves and serve the cost from the plan.
 
 use crate::context::Context;
+use crate::cost_model;
 use crate::dataflow::apply_storage_precision;
 use crate::module::Module;
 use crate::plan::{LayerOp, Tracer};
 use crate::{CoreError, SparseTensor};
-use torchsparse_gpusim::{AccessMode, ElemWidth, Stage};
 use torchsparse_tensor::Matrix;
-
-fn feature_mode(ctx: &Context) -> AccessMode {
-    let elem = match ctx.config.precision {
-        crate::config::Precision::Fp32 => ElemWidth::F32,
-        crate::config::Precision::Fp16 => ElemWidth::F16,
-        crate::config::Precision::Int8 => ElemWidth::I8,
-    };
-    let vector_width = if ctx.config.vectorized { (4 / elem.bytes()).max(1) } else { 1 };
-    AccessMode { elem, vector_width }
-}
-
-/// Charges one streaming read+write sweep over an `n x c` feature buffer,
-/// plus the host-side overhead of dispatching the op.
-fn charge_pointwise(n: usize, c: usize, ctx: &mut Context) {
-    ctx.charge_host_op();
-    let mode = feature_mode(ctx);
-    let bytes = (n * c) as u64 * mode.elem.bytes();
-    let base = ctx.mem.alloc(bytes);
-    ctx.mem.read(base, 0, bytes, mode);
-    ctx.mem.write(base, 0, bytes, mode);
-    let report = ctx.mem.take_report();
-    let latency =
-        report.latency(&ctx.device) + torchsparse_gpusim::Micros(ctx.device.launch_overhead_us);
-    ctx.timeline.add(Stage::Other, latency);
-}
 
 /// Inference-mode batch normalization, folded to per-channel scale + shift.
 ///
@@ -76,9 +53,10 @@ impl BatchNorm {
         self.scale.len()
     }
 
-    /// The feature-path work, without the per-layer profile wrap (the
-    /// dynamic `forward` and the compiled session each add their own).
-    pub(crate) fn execute_planned(
+    /// The feature-path numerics, without simulated cost or the per-layer
+    /// profile wrap (the dynamic `forward` adds both in line; a compiled
+    /// session serves both from its plan).
+    pub(crate) fn compute(
         &self,
         input: &SparseTensor,
         ctx: &mut Context,
@@ -97,7 +75,6 @@ impl BatchNorm {
             }
         });
         let feats = apply_storage_precision(&pool, &feats, ctx.config.precision);
-        charge_pointwise(input.len(), input.channels(), ctx);
         input.with_feats(feats)
     }
 }
@@ -105,7 +82,8 @@ impl BatchNorm {
 impl Module for BatchNorm {
     fn forward(&self, input: &SparseTensor, ctx: &mut Context) -> Result<SparseTensor, CoreError> {
         let profile_start = ctx.start_layer_profile();
-        let out = self.execute_planned(input, ctx)?;
+        let out = self.compute(input, ctx)?;
+        cost_model::charge_pointwise(input.len(), input.channels(), &mut ctx.sim());
         ctx.finish_layer_profile(&self.name, input.len(), profile_start);
         Ok(out)
     }
@@ -136,15 +114,14 @@ impl ReLU {
         ReLU { name: name.into() }
     }
 
-    /// The feature-path work, without the per-layer profile wrap.
-    pub(crate) fn execute_planned(
+    /// The feature-path numerics (see [`BatchNorm::compute`]).
+    pub(crate) fn compute(
         &self,
         input: &SparseTensor,
         ctx: &mut Context,
     ) -> Result<SparseTensor, CoreError> {
         let mut feats = input.feats().clone();
         feats.par_map_inplace(&ctx.runtime.pool(), |v| v.max(0.0));
-        charge_pointwise(input.len(), input.channels(), ctx);
         input.with_feats(feats)
     }
 }
@@ -152,7 +129,8 @@ impl ReLU {
 impl Module for ReLU {
     fn forward(&self, input: &SparseTensor, ctx: &mut Context) -> Result<SparseTensor, CoreError> {
         let profile_start = ctx.start_layer_profile();
-        let out = self.execute_planned(input, ctx)?;
+        let out = self.compute(input, ctx)?;
+        cost_model::charge_pointwise(input.len(), input.channels(), &mut ctx.sim());
         ctx.finish_layer_profile(&self.name, input.len(), profile_start);
         Ok(out)
     }
@@ -180,13 +158,9 @@ impl GlobalPool {
         GlobalPool { name: name.into() }
     }
 
-    /// The feature-path work (per-batch means). Output geometry is one
+    /// The feature-path numerics (per-batch means). Output geometry is one
     /// point per batch at the origin, derived from the input's batches.
-    pub(crate) fn execute_planned(
-        &self,
-        input: &SparseTensor,
-        ctx: &mut Context,
-    ) -> Result<SparseTensor, CoreError> {
+    pub(crate) fn compute(&self, input: &SparseTensor) -> Result<SparseTensor, CoreError> {
         if input.is_empty() {
             return Err(CoreError::EmptyInput);
         }
@@ -209,14 +183,15 @@ impl GlobalPool {
         let coords: Vec<_> =
             batches.iter().map(|&b| torchsparse_coords::Coord::new(b, 0, 0, 0)).collect();
         let feats = Matrix::from_fn(batches.len(), c, |r, col| sums[r][col] / counts[r] as f32);
-        charge_pointwise(input.len(), c, ctx);
         SparseTensor::with_stride(coords, feats, input.stride())
     }
 }
 
 impl Module for GlobalPool {
     fn forward(&self, input: &SparseTensor, ctx: &mut Context) -> Result<SparseTensor, CoreError> {
-        self.execute_planned(input, ctx)
+        let out = self.compute(input)?;
+        cost_model::charge_pointwise(input.len(), input.channels(), &mut ctx.sim());
+        Ok(out)
     }
 
     fn trace<'m>(&'m self, tracer: &mut Tracer<'m>) -> Result<(), CoreError> {
@@ -234,7 +209,7 @@ mod tests {
     use super::*;
     use crate::config::OptimizationConfig;
     use torchsparse_coords::Coord;
-    use torchsparse_gpusim::DeviceProfile;
+    use torchsparse_gpusim::{DeviceProfile, Stage};
 
     fn ctx() -> Context {
         Context::new(OptimizationConfig::baseline_fp32(), DeviceProfile::rtx_2080ti())

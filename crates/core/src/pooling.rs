@@ -6,14 +6,14 @@
 //! convolution (output coordinate calculation + kernel map search + map
 //! caching) and performs a per-channel max-reduction instead of GEMM.
 
-use crate::config::Precision;
 use crate::context::{CachedMap, Context, MapKey};
+use crate::cost_model;
 use crate::mapping::build_layer_mapping;
 use crate::module::Module;
 use crate::plan::{LayerOp, PoolPlan, Tracer};
 use crate::{CoreError, SparseTensor};
 use torchsparse_coords::Coord;
-use torchsparse_gpusim::{AccessMode, ElemWidth, Stage};
+use torchsparse_gpusim::Stage;
 use torchsparse_tensor::Matrix;
 
 /// Reduction applied over a pooling window.
@@ -136,18 +136,19 @@ impl SparseMaxPool3d {
         Ok(PoolPlan { cached, use_fine, out_stride })
     }
 
-    /// The execute half: per-channel reduction over the frozen map, plus
-    /// the simulated memory cost. Never builds maps.
-    pub(crate) fn execute_planned(
+    /// The execute half: per-channel reduction over the frozen map (zeros
+    /// under [`Context::simulate_only`]). Never builds maps; the simulated
+    /// cost is [`cost_model::charge_pool`], charged in line by `forward`
+    /// and served from the plan by compiled sessions.
+    pub(crate) fn compute(
         &self,
         input: &SparseTensor,
         plan: &PoolPlan,
-        ctx: &mut Context,
+        ctx: &Context,
     ) -> Result<SparseTensor, CoreError> {
         if input.is_empty() {
             return Err(CoreError::EmptyInput);
         }
-        ctx.charge_host_op();
         let cached = &plan.cached;
         let out_coords = plan.out_coords();
         let out_stride = plan.out_stride;
@@ -197,27 +198,6 @@ impl SparseMaxPool3d {
             out = Matrix::zeros(out_coords.len(), c);
         }
 
-        // Cost: one read per map entry, one write per output row.
-        let elem = match ctx.config.precision {
-            Precision::Fp32 => ElemWidth::F32,
-            _ => ElemWidth::F16,
-        };
-        let width = if ctx.config.vectorized { (4 / elem.bytes()).max(1) } else { 1 };
-        let mode = AccessMode { elem, vector_width: width };
-        let row_bytes = c as u64 * elem.bytes();
-        let in_base = ctx.mem.alloc(input.len() as u64 * row_bytes);
-        let out_base = ctx.mem.alloc(out_coords.len() as u64 * row_bytes);
-        for n in 0..cached.map.num_offsets() {
-            for e in cached.map.entries(n) {
-                ctx.mem.read(in_base, e.input as u64 * row_bytes, row_bytes, mode);
-            }
-        }
-        for k in 0..out_coords.len() {
-            ctx.mem.write(out_base, k as u64 * row_bytes, row_bytes, mode);
-        }
-        let report = ctx.mem.take_report();
-        ctx.timeline.add(Stage::Other, report.latency(&ctx.device));
-
         SparseTensor::with_stride(out_coords.to_vec(), out, out_stride)
     }
 }
@@ -225,7 +205,10 @@ impl SparseMaxPool3d {
 impl Module for SparseMaxPool3d {
     fn forward(&self, input: &SparseTensor, ctx: &mut Context) -> Result<SparseTensor, CoreError> {
         let plan = self.plan(input.coords(), input.stride(), ctx)?;
-        self.execute_planned(input, &plan, ctx)
+        let out = self.compute(input, &plan, ctx)?;
+        let map = &plan.cached.map;
+        cost_model::charge_pool(map, input.len(), out.len(), input.channels(), &mut ctx.sim());
+        Ok(out)
     }
 
     fn trace<'m>(&'m self, tracer: &mut Tracer<'m>) -> Result<(), CoreError> {

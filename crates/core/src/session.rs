@@ -26,14 +26,15 @@
 //! composition of the two; [`CompiledSession::into_parts`] opens it up.
 
 use crate::config::{CoordIndexChoice, OptimizationConfig};
-use crate::context::Context;
+use crate::context::{Context, LayerProfile};
+use crate::cost_model::{self, ConvGeometry, Sim};
 use crate::engine::Engine;
 use crate::faults::DegradationReport;
 use crate::module::Module;
 use crate::plan::{
     geometry_fingerprint, ConvPlan, ExecutionPlan, LayerOp, PlanCacheStats, StepPlan, Tracer,
 };
-use crate::{CoreError, SparseTensor};
+use crate::{CoreError, SparseConv3d, SparseTensor};
 use std::sync::Arc;
 use torchsparse_coords::Coord;
 use torchsparse_gpusim::{DeviceProfile, Micros, Timeline};
@@ -208,7 +209,25 @@ impl<'m> CompiledModel<'m> {
             None => self.base_plan.clone(),
         };
         stream.stats.plan_bytes = plan.memory_bytes();
-        run_steps(&self.ops, &plan, tensor, stream.engine.context_mut())
+        let ctx = stream.engine.context_mut();
+        let (out, reruns) = run_steps(&self.ops, &plan, tensor, ctx)?;
+        // The frame's simulated cost: the plan's cached execute timeline on
+        // top of whatever `Mapping` this frame's re-plan charged. The two
+        // touch disjoint stages, so the merge adds zeros and is exact. Only
+        // a frame whose FP16 output overflowed (those layers ran twice)
+        // evaluates the model itself.
+        let evaluated;
+        let (timeline, profiles) = if reruns.is_empty() {
+            (&plan.timeline, &plan.layer_profiles)
+        } else {
+            evaluated = plan_cost(&self.ops, &plan.steps, tensor, &reruns, ctx);
+            (&evaluated.0, &evaluated.1)
+        };
+        ctx.timeline.merge(timeline);
+        if ctx.profile_layers {
+            ctx.layer_profiles.clone_from(profiles);
+        }
+        Ok(out)
     }
 
     /// The plan frozen at compile time, shared by every stream whose
@@ -349,6 +368,7 @@ impl<'m> CompiledSession<'m> {
         } else {
             None
         };
+        (plan.timeline, plan.layer_profiles) = plan_cost(&ops, &plan.steps, tensor, &[], ctx);
         let planning = ctx.timeline.clone();
         let planning_degradation = ctx.degradation.clone();
         let config = ctx.config.clone();
@@ -488,7 +508,9 @@ impl std::fmt::Debug for CompiledSession<'_> {
 /// classified into exactly one of the [`PlanCacheStats`] partitions —
 /// `delta_patches` on a successful patch, `delta_fallbacks` on a
 /// conservative bail, `full_replans` otherwise — keeping
-/// `misses == full_replans + delta_patches + delta_fallbacks`.
+/// `misses == full_replans + delta_patches + delta_fallbacks`. Whichever
+/// way it was built, the finished plan's simulated cost is evaluated once
+/// here and cached on it.
 fn replan_into_slot(
     ops: &[LayerOp<'_>],
     input: &SparseTensor,
@@ -510,12 +532,16 @@ fn replan_into_slot(
     } else {
         stats.full_replans += 1;
     }
-    build_plan(ops, input, fingerprint, ctx)
+    let mut plan = build_plan(ops, input, fingerprint, ctx)?;
+    (plan.timeline, plan.layer_profiles) = plan_cost(ops, &plan.steps, input, &[], ctx);
+    Ok(plan)
 }
 
 /// Plans every op against the geometry cursor, producing the index-aligned
 /// [`StepPlan`] list. Only geometric work happens here (map building,
-/// output coordinate computation, grouping); features are never read.
+/// output coordinate computation, grouping); features are never read. The
+/// plan's cached cost is left empty for the caller to fill ([`plan_cost`])
+/// once the plan is final.
 fn build_plan(
     ops: &[LayerOp<'_>],
     input: &SparseTensor,
@@ -568,7 +594,7 @@ fn build_plan(
                 batches.sort_unstable();
                 batches.dedup();
                 cur.coords = batches.iter().map(|&b| Coord::new(b, 0, 0, 0)).collect();
-                StepPlan::GlobalPool
+                StepPlan::GlobalPool { batches: batches.len() }
             }
             LayerOp::Push => {
                 stack.push(cur.clone());
@@ -596,26 +622,125 @@ fn build_plan(
         };
         steps.push(step);
     }
-    Ok(ExecutionPlan { fingerprint, steps })
+    Ok(ExecutionPlan { fingerprint, steps, timeline: Timeline::new(), layer_profiles: Vec::new() })
 }
 
-/// Runs the feature path of every op against its frozen step plan.
+/// Charges one planned convolution inside [`plan_cost`] and names its
+/// profile entry.
+fn charge_planned_conv<'m>(
+    conv: &'m SparseConv3d,
+    plan: &ConvPlan,
+    n_in: usize,
+    reran: bool,
+    sim: &mut Sim<'_>,
+) -> Option<(&'m str, usize)> {
+    let geo = ConvGeometry::of(conv, plan, n_in);
+    cost_model::charge_conv(&geo, &plan.dataflow, reran, sim);
+    Some((conv.layer_name(), n_in))
+}
+
+/// Evaluates the execute-path cost of a finished plan on a fresh L2
+/// simulator: the same sequence of charges, into an empty timeline, that a
+/// dynamic run of the same ops issues after mapping — so the result merges
+/// exactly into a frame's `Mapping`-only planning timeline. Also returns
+/// the per-layer profiles, wrapped as the dynamic `forward`s wrap them:
+/// convolution, batch norm and ReLU record one; pooling and global pooling
+/// do not.
 ///
-/// Profile wrapping matches dynamic execution exactly: convolution, batch
-/// norm, and ReLU wrap their work in a per-layer profile; pooling and
-/// global pooling do not (their dynamic `forward`s never did).
+/// `reruns` lists the step indices whose convolution overflowed its
+/// quantized storage and ran a second time in FP32 — empty for the value
+/// cached on the plan.
+fn plan_cost(
+    ops: &[LayerOp<'_>],
+    steps: &[StepPlan],
+    input: &SparseTensor,
+    reruns: &[usize],
+    ctx: &Context,
+) -> (Timeline, Vec<LayerProfile>) {
+    let mut mem = cost_model::begin_evaluation(&ctx.device);
+    let mut timeline = Timeline::new();
+    let mut sim = Sim {
+        config: &ctx.config,
+        device: &ctx.device,
+        gemm: &ctx.gemm,
+        mem: &mut mem,
+        timeline: &mut timeline,
+    };
+    let mut profiles = Vec::new();
+    // The (points, channels) of the tensor flowing through the network.
+    let mut cur = (input.len(), input.channels());
+    let mut stack: Vec<(usize, usize)> = Vec::new();
+    for (i, (op, step)) in ops.iter().zip(steps).enumerate() {
+        let start = sim.timeline.clone();
+        let reran = reruns.contains(&i);
+        let profiled = match (op, step) {
+            (LayerOp::Conv(conv), StepPlan::Conv(p)) => {
+                let profiled = charge_planned_conv(conv, p, cur.0, reran, &mut sim);
+                cur = (p.out_coords().len(), conv.c_out());
+                profiled
+            }
+            (LayerOp::Pool(_), StepPlan::Pool(p)) => {
+                let n_out = p.out_coords().len();
+                cost_model::charge_pool(&p.cached.map, cur.0, n_out, cur.1, &mut sim);
+                cur.0 = n_out;
+                None
+            }
+            (LayerOp::BatchNorm(bn), StepPlan::Pointwise) => {
+                cost_model::charge_pointwise(cur.0, cur.1, &mut sim);
+                Some((bn.name(), cur.0))
+            }
+            (LayerOp::Relu(relu), StepPlan::Pointwise) => {
+                cost_model::charge_pointwise(cur.0, cur.1, &mut sim);
+                Some((relu.name(), cur.0))
+            }
+            (LayerOp::GlobalPool(_), StepPlan::GlobalPool { batches }) => {
+                cost_model::charge_pointwise(cur.0, cur.1, &mut sim);
+                cur.0 = *batches;
+                None
+            }
+            (LayerOp::Push, _) => {
+                stack.push(cur);
+                None
+            }
+            (LayerOp::PopConcat, _) => {
+                cur.1 += stack.pop().map_or(0, |saved| saved.1);
+                None
+            }
+            (LayerOp::ResidualAdd { projection }, StepPlan::Residual { projection: proj }) => {
+                let saved = stack.pop().unwrap_or(cur);
+                match (projection, proj) {
+                    (Some(conv), Some(p)) => charge_planned_conv(conv, p, saved.0, reran, &mut sim),
+                    _ => None,
+                }
+            }
+            // An op/step mismatch fails the frame in `run_steps`.
+            _ => None,
+        };
+        if let Some((name, points)) = profiled {
+            profiles.push(LayerProfile::between(name, points, &start, sim.timeline));
+        }
+    }
+    (timeline, profiles)
+}
+
+/// Runs the feature-path numerics of every op against its frozen step
+/// plan — no cost-model code runs here. Returns the output and the indices
+/// of the steps whose convolution overflowed its quantized storage and ran
+/// a second time in FP32 (the only way a frame's simulated cost can differ
+/// from the plan's cached one).
 fn run_steps(
     ops: &[LayerOp<'_>],
     plan: &ExecutionPlan,
     input: &SparseTensor,
     ctx: &mut Context,
-) -> Result<SparseTensor, CoreError> {
+) -> Result<(SparseTensor, Vec<usize>), CoreError> {
     if ops.len() != plan.steps.len() {
         return Err(CoreError::PlanMismatch { reason: "op/step count differs" });
     }
     let mut cur: Option<SparseTensor> = None;
     let mut stack: Vec<SparseTensor> = Vec::new();
-    for (op, step) in ops.iter().zip(&plan.steps) {
+    let mut reruns = Vec::new();
+    for (i, (op, step)) in ops.iter().zip(&plan.steps).enumerate() {
         // Deadline boundary: the gather-GEMM-scatter stage covers
         // convolution steps (including residual projections); everything
         // else — pointwise sweeps, pooling, concat/residual joins — is
@@ -631,27 +756,19 @@ fn run_steps(
             Some(t) => t,
             None => input,
         };
+        let mut run_conv = |conv: &SparseConv3d, p: &ConvPlan, x: &SparseTensor| {
+            let (out, reran) = conv.compute(x, p, ctx)?;
+            if reran {
+                reruns.push(i);
+            }
+            Ok::<_, CoreError>(out)
+        };
         let next = match (op, step) {
-            (LayerOp::Conv(conv), StepPlan::Conv(p)) => {
-                let profile_start = ctx.start_layer_profile();
-                let out = conv.execute_planned(x, p, ctx)?;
-                ctx.finish_layer_profile(conv.layer_name(), x.len(), profile_start);
-                Some(out)
-            }
-            (LayerOp::Pool(pool), StepPlan::Pool(p)) => Some(pool.execute_planned(x, p, ctx)?),
-            (LayerOp::BatchNorm(bn), StepPlan::Pointwise) => {
-                let profile_start = ctx.start_layer_profile();
-                let out = bn.execute_planned(x, ctx)?;
-                ctx.finish_layer_profile(bn.name(), x.len(), profile_start);
-                Some(out)
-            }
-            (LayerOp::Relu(relu), StepPlan::Pointwise) => {
-                let profile_start = ctx.start_layer_profile();
-                let out = relu.execute_planned(x, ctx)?;
-                ctx.finish_layer_profile(relu.name(), x.len(), profile_start);
-                Some(out)
-            }
-            (LayerOp::GlobalPool(gp), StepPlan::GlobalPool) => Some(gp.execute_planned(x, ctx)?),
+            (LayerOp::Conv(conv), StepPlan::Conv(p)) => Some(run_conv(conv, p, x)?),
+            (LayerOp::Pool(pool), StepPlan::Pool(p)) => Some(pool.compute(x, p, ctx)?),
+            (LayerOp::BatchNorm(bn), StepPlan::Pointwise) => Some(bn.compute(x, ctx)?),
+            (LayerOp::Relu(relu), StepPlan::Pointwise) => Some(relu.compute(x, ctx)?),
+            (LayerOp::GlobalPool(gp), StepPlan::GlobalPool { .. }) => Some(gp.compute(x)?),
             (LayerOp::Push, StepPlan::Push) => {
                 stack.push(x.clone());
                 cur.clone()
@@ -667,12 +784,7 @@ fn run_steps(
                     .pop()
                     .ok_or(CoreError::PlanMismatch { reason: "residual pops an empty stack" })?;
                 let shortcut = match (projection, proj) {
-                    (Some(conv), Some(p)) => {
-                        let profile_start = ctx.start_layer_profile();
-                        let out = conv.execute_planned(&saved, p, ctx)?;
-                        ctx.finish_layer_profile(conv.layer_name(), saved.len(), profile_start);
-                        out
-                    }
+                    (Some(conv), Some(p)) => run_conv(conv, p, &saved)?,
                     (None, None) => saved,
                     _ => {
                         return Err(CoreError::PlanMismatch {
@@ -689,10 +801,7 @@ fn run_steps(
             cur = next;
         }
     }
-    match cur {
-        Some(t) => Ok(t),
-        None => Ok(input.clone()),
-    }
+    Ok((cur.unwrap_or_else(|| input.clone()), reruns))
 }
 
 #[cfg(test)]

@@ -35,7 +35,7 @@ use crate::{CoreError, SparseConv3d, SparseTensor};
 use std::collections::HashMap;
 use std::sync::Arc;
 use torchsparse_gpusim::Precision as GemmPrecision;
-use torchsparse_gpusim::{GemmModel, GemmShape, MemorySim, Micros};
+use torchsparse_gpusim::{GemmModel, GemmShape, Micros};
 use torchsparse_tensor::Matrix;
 
 /// The grid searched by [`tune_engine`] when none is supplied: 10 epsilon
@@ -414,9 +414,9 @@ fn sanitize_policy(mut p: ExecPolicy, config: &OptimizationConfig) -> Option<Exe
 
 /// Times one candidate policy on the layer's actual kernel map with
 /// deterministic synthetic features: `MEASURE_REPS` runs of the real
-/// gather–GEMM–scatter executor, minimum wall-clock taken. The context's
-/// simulated state (timeline, memory simulator) is snapshotted and restored
-/// so microbenches never leak into the session's accounting.
+/// gather–GEMM–scatter executor, minimum wall-clock taken. The executor is
+/// pure numerics, so the timing holds no cost-model work and nothing leaks
+/// into the session's simulated accounting.
 fn measure_candidate(
     conv: &SparseConv3d,
     p: &ConvPlan,
@@ -426,7 +426,6 @@ fn measure_candidate(
     cand: ExecPolicy,
     ctx: &mut Context,
 ) -> f64 {
-    let saved_timeline = ctx.timeline.clone();
     let mut best = f64::INFINITY;
     for _ in 0..MEASURE_REPS {
         let w = ConvWorkload {
@@ -440,12 +439,10 @@ fn measure_candidate(
             policy: Some(cand),
         };
         let start = std::time::Instant::now();
-        if run_gather_matmul_scatter(&w, group, ctx).is_ok() {
+        if run_gather_matmul_scatter(&w, group, &ctx.config, &mut ctx.runtime).is_ok() {
             best = best.min(start.elapsed().as_secs_f64());
         }
     }
-    ctx.timeline = saved_timeline;
-    ctx.mem = MemorySim::new(&ctx.device);
     best
 }
 
@@ -697,13 +694,15 @@ pub(crate) fn autotune_plan(
 /// takes no serialization dependency), written atomically via a temp file +
 /// rename in the same directory.
 ///
-/// Schema (`version` 3: version 2 added the architecture-family device
-/// component of the key; version 3 changes no field but invalidates
-/// winners that were timed through the retired superaccumulator scatter —
-/// older databases are treated as stale and rebuilt):
+/// Schema (`version` 4: version 2 added the architecture-family device
+/// component of the key; versions 3 and 4 change no field but invalidate
+/// winners that were timed through the retired superaccumulator scatter
+/// (3) and with the grouping-dependent in-line cost model inside the
+/// measured executor (4) — older databases are treated as stale and
+/// rebuilt):
 ///
 /// ```json
-/// {"version":3,"entries":[
+/// {"version":4,"entries":[
 ///   {"key":"v15:d2:c32x64:k27:sm1:fp16:fe1:turing",
 ///    "mode":"adaptive","epsilon":0.3,"s":150000,
 ///    "fused":true,"simd":"auto","chunk":64,"panel":128}
@@ -721,7 +720,7 @@ mod db {
     use std::path::Path;
 
     /// Database schema version; mismatches are treated as corrupt.
-    const VERSION: f64 = 3.0;
+    const VERSION: f64 = 4.0;
 
     /// A parsed JSON value.
     #[derive(Debug, Clone, PartialEq)]
@@ -1244,11 +1243,11 @@ mod tests {
     fn corrupt_db_fails_to_load() {
         for (name, text) in [
             ("garbage", "not json at all"),
-            ("truncated", "{\"version\":3,\"entries\":[{\"key\":\"x\""),
+            ("truncated", "{\"version\":4,\"entries\":[{\"key\":\"x\""),
             ("no-version", "{\"entries\":[]}"),
-            ("no-entries", "{\"version\":3}"),
-            ("bad-entry", "{\"version\":3,\"entries\":[{\"key\":\"x\",\"mode\":\"warp\"}]}"),
-            ("trailing", "{\"version\":3,\"entries\":[]} extra"),
+            ("no-entries", "{\"version\":4}"),
+            ("bad-entry", "{\"version\":4,\"entries\":[{\"key\":\"x\",\"mode\":\"warp\"}]}"),
+            ("trailing", "{\"version\":4,\"entries\":[]} extra"),
         ] {
             let path = temp_db(name);
             std::fs::write(&path, text).unwrap();
@@ -1259,12 +1258,17 @@ mod tests {
 
     #[test]
     fn stale_db_version_fails_to_load() {
-        // A version-2 file is well-formed under today's parser, but its
-        // winners were timed through the retired superaccumulator scatter.
+        // Version-2 and version-3 files are well-formed under today's
+        // parser, but their winners were timed through the retired
+        // superaccumulator scatter (2) and with the in-line cost model
+        // inside the measured executor (3).
         let v2 = "{\"version\":2,\"entries\":[{\"key\":\"v15:d2:c32x64:k27:sm1:fp16:fe1:turing\",\
                   \"mode\":\"adaptive\",\"epsilon\":0.3,\"s\":150000,\
                   \"fused\":true,\"simd\":\"auto\",\"chunk\":64,\"panel\":128}]}";
-        for (name, text) in [("stale-v1", "{\"version\":1,\"entries\":[]}"), ("stale-v2", v2)] {
+        let v3 = v2.replace("\"version\":2", "\"version\":3");
+        for (name, text) in
+            [("stale-v1", "{\"version\":1,\"entries\":[]}"), ("stale-v2", v2), ("stale-v3", &v3)]
+        {
             let path = temp_db(name);
             std::fs::write(&path, text).unwrap();
             let err = db::load(&path).unwrap_err();
@@ -1273,7 +1277,7 @@ mod tests {
         }
         // The same entry under the current version loads.
         let path = temp_db("current");
-        std::fs::write(&path, v2.replace("\"version\":2", "\"version\":3")).unwrap();
+        std::fs::write(&path, v2.replace("\"version\":2", "\"version\":4")).unwrap();
         assert_eq!(db::load(&path).unwrap().len(), 1);
         std::fs::remove_file(&path).unwrap();
     }

@@ -23,8 +23,8 @@ use torchsparse::coords::{Coord, CoordHashMap};
 use torchsparse::core::dataflow::{run_gather_matmul_scatter, ConvWorkload, FusedOrder};
 use torchsparse::core::grouping::plan_groups;
 use torchsparse::core::{
-    BatchNorm, Context, Engine, EnginePreset, ExecPolicy, Module, OptimizationConfig, Precision,
-    ReLU, Sequential, SparseConv3d, SparseTensor,
+    BatchNorm, Engine, EnginePreset, ExecPolicy, Module, OptimizationConfig, Precision, ReLU,
+    Runtime, Sequential, SparseConv3d, SparseTensor,
 };
 use torchsparse::gpusim::DeviceProfile;
 use torchsparse::tensor::{gemm, quant, Matrix};
@@ -218,7 +218,7 @@ fn canonical_order_sum_is_within_recursive_summation_bound_of_oracle() {
 
         for fused in [true, false] {
             let policy = ExecPolicy { fused, ..ExecPolicy::from_config(&cfg) };
-            let mut ctx = Context::new(cfg.clone(), DeviceProfile::rtx_2080ti());
+            let mut runtime = Runtime::new(cfg.threads);
             let plan = plan_groups(&map.sizes(), true, cfg.grouping);
             let workload = ConvWorkload {
                 in_feats: &feats,
@@ -230,7 +230,8 @@ fn canonical_order_sum_is_within_recursive_summation_bound_of_oracle() {
                 fused: Some(&order),
                 policy: Some(policy),
             };
-            let out = run_gather_matmul_scatter(&workload, &plan, &mut ctx).expect("conv runs");
+            let out =
+                run_gather_matmul_scatter(&workload, &plan, &cfg, &mut runtime).expect("conv runs");
             let mut widest = 0usize;
             for (got, addends) in out.as_slice().iter().zip(&addends) {
                 let k = addends.len();
