@@ -1,12 +1,18 @@
 //! GEMM microkernel benchmark: scalar vs SIMD vs SIMD+packed weights.
 //!
 //! Measures sustained GFLOP/s of every compute kernel on the
-//! paper-characteristic GEMM shapes (`|map| x Cin x Cout`, Algorithm 2),
-//! then runs a geometry-static compiled stream end-to-end with the SIMD
-//! policy forced to `Scalar` and left at `Auto` to show the whole-network
-//! effect. Non-FMA kernels are asserted bitwise identical per shape; the
-//! FMA row is reported but never compared bitwise (it changes rounding and
-//! is opt-in). Writes `BENCH_gemm.json`.
+//! paper-characteristic GEMM shapes (`|map| x Cin x Cout`, Algorithm 2) at
+//! three activation densities — every A value nonzero (what the frozen
+//! `tensor.gemm_ms` probe of `benchmark/` feeds), 0.56 (the measured
+//! post-ReLU nonzero share of a MinkUNet frame) and 0.1, zeros placed at
+//! random — then runs a geometry-static compiled stream end-to-end with
+//! the SIMD policy forced to `Scalar` and left at `Auto` to show the
+//! whole-network effect. GFLOP/s are *dense-equivalent* (`2·m·k·n` however
+//! many terms the zero-skip drops), so a kernel whose work follows the
+//! nonzeros reads higher at lower density. Non-FMA kernels are asserted
+//! bitwise identical per shape and density; the FMA row is reported but
+//! never compared bitwise (it changes rounding and is opt-in). Writes
+//! `BENCH_gemm.json`.
 //!
 //! Usage: `cargo run --release -p torchsparse-bench --bin gemm_kernels
 //! [--scale F] [--scenes N] [--seed N] [--out PATH]`
@@ -39,6 +45,9 @@ fn is_large(k: usize, n: usize) -> bool {
     k == n && k >= 64
 }
 
+/// Nonzero share of A per measured column.
+const DENSITIES: [f64; 3] = [1.0, 0.56, 0.1];
+
 const JITTER: f32 = 0.02;
 
 fn splitmix64(state: &mut u64) -> u64 {
@@ -55,6 +64,26 @@ fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
         let u = (splitmix64(&mut state) >> 11) as f32 / (1u64 << 53) as f32;
         2.0 * u - 1.0
     })
+}
+
+/// `random_matrix` with each element kept with probability `density` and
+/// zeroed otherwise (positions from the same seeded stream).
+fn activation_matrix(rows: usize, cols: usize, seed: u64, density: f64) -> Matrix {
+    let mut m = random_matrix(rows, cols, seed);
+    let mut state = seed ^ 0xD1CE;
+    for v in m.as_mut_slice() {
+        if (splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64 >= density {
+            *v = 0.0;
+        }
+    }
+    m
+}
+
+/// First line of a command's standard output, if it ran.
+fn command_line(program: &str, args: &[&str]) -> Option<String> {
+    let out = std::process::Command::new(program).args(args).output().ok()?;
+    let line = String::from_utf8(out.stdout).ok()?.lines().next()?.trim().to_owned();
+    (out.status.success() && !line.is_empty()).then_some(line)
 }
 
 /// One benchmark variant: a kernel plus whether B streams packed panels.
@@ -134,35 +163,36 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         active.with_fma().name()
     );
 
-    // gflops[v][s] for variant v on shape s.
-    let mut gflops = vec![vec![0.0f64; SHAPES.len()]; variants.len()];
+    // gflops[d][v][s] for density d, variant v on shape s.
+    let mut gflops = vec![vec![vec![0.0f64; SHAPES.len()]; variants.len()]; DENSITIES.len()];
     for (s, &(m, k, n)) in SHAPES.iter().enumerate() {
-        let a = random_matrix(m, k, 0xA000 + s as u64);
         let b = random_matrix(k, n, 0xB000 + s as u64);
         let packed = PackedB::pack(&b);
         let flops = 2.0 * m as f64 * k as f64 * n as f64;
-
-        let mut reference: Option<Vec<u32>> = None;
-        for (v, variant) in variants.iter().enumerate() {
-            let mut c = Matrix::zeros(m, n);
-            let secs = best_time(|| {
-                c.as_mut_slice().fill(0.0);
-                if variant.packed {
-                    mm_into_packed_on(pool, &a, &packed, &mut c, variant.opts).unwrap();
-                } else {
-                    mm_into_with(pool, &a, &b, &mut c, variant.opts).unwrap();
-                }
-            });
-            gflops[v][s] = flops / secs / 1e9;
-            if variant.deterministic {
-                let bits: Vec<u32> = c.as_slice().iter().map(|x| x.to_bits()).collect();
-                match &reference {
-                    None => reference = Some(bits),
-                    Some(r) => assert_eq!(
-                        r, &bits,
-                        "{}x{}x{m}: {} must match scalar bitwise",
-                        k, n, variant.label
-                    ),
+        for (d, &density) in DENSITIES.iter().enumerate() {
+            let a = activation_matrix(m, k, 0xA000 + s as u64, density);
+            let mut reference: Option<Vec<u32>> = None;
+            for (v, variant) in variants.iter().enumerate() {
+                let mut c = Matrix::zeros(m, n);
+                let secs = best_time(|| {
+                    c.as_mut_slice().fill(0.0);
+                    if variant.packed {
+                        mm_into_packed_on(pool, &a, &packed, &mut c, variant.opts).unwrap();
+                    } else {
+                        mm_into_with(pool, &a, &b, &mut c, variant.opts).unwrap();
+                    }
+                });
+                gflops[d][v][s] = flops / secs / 1e9;
+                if variant.deterministic {
+                    let bits: Vec<u32> = c.as_slice().iter().map(|x| x.to_bits()).collect();
+                    match &reference {
+                        None => reference = Some(bits),
+                        Some(r) => assert_eq!(
+                            r, &bits,
+                            "{m}x{k}x{n} @ density {density}: {} must match scalar bitwise",
+                            variant.label
+                        ),
+                    }
                 }
             }
         }
@@ -170,18 +200,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut rows = Vec::new();
     for (s, &(m, k, n)) in SHAPES.iter().enumerate() {
-        let mut row = vec![format!("{m}x{k}x{n}")];
-        for per_shape in &gflops {
-            row.push(format!("{:.2}", per_shape[s]));
+        for (d, density) in DENSITIES.iter().enumerate() {
+            let mut row = vec![format!("{m}x{k}x{n}"), format!("{density}")];
+            for per_shape in &gflops[d] {
+                row.push(format!("{:.2}", per_shape[s]));
+            }
+            row.push(fmt::speedup(gflops[d][3][s] / gflops[d][0][s]));
+            rows.push(row);
         }
-        row.push(fmt::speedup(gflops[3][s] / gflops[0][s]));
-        rows.push(row);
     }
     println!(
         "{}",
         fmt::table(
             &[
                 "shape |map|xCinxCout",
+                "nonzero A",
                 "scalar",
                 "portable",
                 "simd",
@@ -197,11 +230,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iter()
         .enumerate()
         .filter(|(_, &(_, k, n))| is_large(k, n))
-        .map(|(s, _)| gflops[3][s] / gflops[0][s])
+        .map(|(s, _)| gflops[0][3][s] / gflops[0][0][s])
         .collect();
     let large_geomean = geomean(&large_speedups);
     println!(
-        "geomean simd+packed speedup on Cin=Cout>=64 shapes: {large_geomean:.2}x (target >= 2x)\n"
+        "geomean simd+packed speedup on Cin=Cout>=64 shapes, dense A: {large_geomean:.2}x \
+         (target >= 2x)\n"
     );
 
     // End-to-end: the same geometry-static compiled stream with the SIMD
@@ -250,25 +284,42 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         e2e_speedup
     );
 
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str(&format!("  \"active_kernel\": \"{}\",\n", active.name()));
+    json.push_str("  \"clock\": \"wall: std::time::Instant, best of >= 3 calls over >= 30 ms\",\n");
+    json.push_str(&format!("  \"host_cores\": {host_cores},\n"));
+    for (key, program, args) in [
+        ("git_rev", "git", &["describe", "--always", "--dirty"][..]),
+        ("rustc", "rustc", &["--version"][..]),
+    ] {
+        let value = command_line(program, args).unwrap_or_else(|| "unknown".to_owned());
+        json.push_str(&format!("  \"{key}\": \"{value}\",\n"));
+    }
+    json.push_str(&format!("  \"gemm_kernel\": \"{}\",\n", active.name()));
     json.push_str(&format!("  \"fma_kernel\": \"{}\",\n", active.with_fma().name()));
+    json.push_str(
+        "  \"gflops_convention\": \"dense-equivalent: 2*map*c_in*c_out per call at every density\",\n",
+    );
     json.push_str("  \"kernels_bitwise_identical\": true,\n");
     json.push_str("  \"gflops\": [\n");
     for (s, &(m, k, n)) in SHAPES.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"map\": {m}, \"c_in\": {k}, \"c_out\": {n}, \"scalar\": {:.3}, \
-             \"portable\": {:.3}, \"simd\": {:.3}, \"simd_packed\": {:.3}, \"simd_packed_fma\": {:.3}, \
-             \"packed_speedup_vs_scalar\": {:.3}}}{}\n",
-            gflops[0][s],
-            gflops[1][s],
-            gflops[2][s],
-            gflops[3][s],
-            gflops[4][s],
-            gflops[3][s] / gflops[0][s],
-            if s + 1 < SHAPES.len() { "," } else { "" }
-        ));
+        for (d, density) in DENSITIES.iter().enumerate() {
+            let g = &gflops[d];
+            let last = s + 1 == SHAPES.len() && d + 1 == DENSITIES.len();
+            json.push_str(&format!(
+                "    {{\"map\": {m}, \"c_in\": {k}, \"c_out\": {n}, \"nonzero_share\": {density}, \
+                 \"scalar\": {:.3}, \"portable\": {:.3}, \"simd\": {:.3}, \"simd_packed\": {:.3}, \
+                 \"simd_packed_fma\": {:.3}, \"packed_speedup_vs_scalar\": {:.3}}}{}\n",
+                g[0][s],
+                g[1][s],
+                g[2][s],
+                g[3][s],
+                g[4][s],
+                g[3][s] / g[0][s],
+                if last { "" } else { "," }
+            ));
+        }
     }
     json.push_str("  ],\n");
     json.push_str(&format!("  \"geomean_packed_speedup_large_shapes\": {large_geomean:.3},\n"));

@@ -103,23 +103,15 @@ impl ConvWorkload<'_> {
     }
 }
 
-/// Rounds a matrix to its storage precision (identity for FP32).
+/// Rounds a matrix to its storage precision, consuming it: FP32 is a true
+/// identity (no copy at all) and the quantized precisions round in place.
 ///
 /// Applied at layer boundaries so that numerical results reflect genuine
-/// quantized storage while GEMMs accumulate in FP32 (tensor-core semantics).
-pub fn apply_storage_precision(pool: &ThreadPool, m: &Matrix, precision: Precision) -> Matrix {
-    match precision {
-        Precision::Fp32 => m.clone(),
-        _ => apply_storage_precision_owned(pool, m.clone(), precision),
-    }
-}
-
-/// [`apply_storage_precision`] consuming its input: FP32 is a true identity
-/// (no copy at all) and the quantized precisions round in place. The conv
-/// layer uses this on the freshly computed output matrix, so the FP32 path
-/// of a forward pass allocates nothing here. The rounding sweep runs on the
-/// worker pool; per-element rounding is independent, so results are bitwise
-/// identical at any thread count.
+/// quantized storage while GEMMs accumulate in FP32 (tensor-core
+/// semantics). Layers call this on the matrix they just computed, so the
+/// FP32 path of a forward pass allocates nothing here. The rounding sweep
+/// runs on the worker pool; per-element rounding is independent, so results
+/// are bitwise identical at any thread count.
 pub fn apply_storage_precision_owned(pool: &ThreadPool, m: Matrix, precision: Precision) -> Matrix {
     apply_storage_precision_owned_kernel(pool, m, precision, microkernel::active())
 }
@@ -531,8 +523,8 @@ pub(crate) fn is_center_shortcut(
 
 /// Executes the real numerics of one convolution through the fused
 /// gather–GEMM–scatter microkernel: kernel-map rows stream straight from
-/// `in_feats` through MR-row register tiles into `out`, with no gathered
-/// or partial-sum buffer in between.
+/// `in_feats` through the strip kernel's register accumulators into `out`,
+/// with no gathered or partial-sum buffer in between.
 ///
 /// Per output element the accumulation order is exactly the buffered
 /// route's — a zero-initialized k-ascending dot product per map entry (the

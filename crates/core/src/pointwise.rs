@@ -9,7 +9,7 @@
 
 use crate::context::Context;
 use crate::cost_model;
-use crate::dataflow::apply_storage_precision;
+use crate::dataflow::apply_storage_precision_owned;
 use crate::module::Module;
 use crate::plan::{LayerOp, Tracer};
 use crate::{CoreError, SparseTensor};
@@ -74,7 +74,7 @@ impl BatchNorm {
                 *v = *v * s + sh;
             }
         });
-        let feats = apply_storage_precision(&pool, &feats, ctx.config.precision);
+        let feats = apply_storage_precision_owned(&pool, feats, ctx.config.precision);
         input.with_feats(feats)
     }
 }

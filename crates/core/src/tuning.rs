@@ -694,15 +694,17 @@ pub(crate) fn autotune_plan(
 /// takes no serialization dependency), written atomically via a temp file +
 /// rename in the same directory.
 ///
-/// Schema (`version` 4: version 2 added the architecture-family device
-/// component of the key; versions 3 and 4 change no field but invalidate
+/// Schema (`version` 5: version 2 added the architecture-family device
+/// component of the key; versions 3 to 5 change no field but invalidate
 /// winners that were timed through the retired superaccumulator scatter
-/// (3) and with the grouping-dependent in-line cost model inside the
-/// measured executor (4) — older databases are treated as stale and
-/// rebuilt):
+/// (3), with the grouping-dependent in-line cost model inside the
+/// measured executor (4), and through the branch-per-scalar AVX2 tile,
+/// whose cost followed the branch-miss rate where the strip kernel's
+/// follows the nonzero count (5) — older databases are treated as stale
+/// and rebuilt):
 ///
 /// ```json
-/// {"version":4,"entries":[
+/// {"version":5,"entries":[
 ///   {"key":"v15:d2:c32x64:k27:sm1:fp16:fe1:turing",
 ///    "mode":"adaptive","epsilon":0.3,"s":150000,
 ///    "fused":true,"simd":"auto","chunk":64,"panel":128}
@@ -720,7 +722,7 @@ mod db {
     use std::path::Path;
 
     /// Database schema version; mismatches are treated as corrupt.
-    const VERSION: f64 = 4.0;
+    const VERSION: f64 = 5.0;
 
     /// A parsed JSON value.
     #[derive(Debug, Clone, PartialEq)]
@@ -1243,11 +1245,11 @@ mod tests {
     fn corrupt_db_fails_to_load() {
         for (name, text) in [
             ("garbage", "not json at all"),
-            ("truncated", "{\"version\":4,\"entries\":[{\"key\":\"x\""),
+            ("truncated", "{\"version\":5,\"entries\":[{\"key\":\"x\""),
             ("no-version", "{\"entries\":[]}"),
-            ("no-entries", "{\"version\":4}"),
-            ("bad-entry", "{\"version\":4,\"entries\":[{\"key\":\"x\",\"mode\":\"warp\"}]}"),
-            ("trailing", "{\"version\":4,\"entries\":[]} extra"),
+            ("no-entries", "{\"version\":5}"),
+            ("bad-entry", "{\"version\":5,\"entries\":[{\"key\":\"x\",\"mode\":\"warp\"}]}"),
+            ("trailing", "{\"version\":5,\"entries\":[]} extra"),
         ] {
             let path = temp_db(name);
             std::fs::write(&path, text).unwrap();
@@ -1258,17 +1260,22 @@ mod tests {
 
     #[test]
     fn stale_db_version_fails_to_load() {
-        // Version-2 and version-3 files are well-formed under today's
+        // Version-2 to version-4 files are well-formed under today's
         // parser, but their winners were timed through the retired
-        // superaccumulator scatter (2) and with the in-line cost model
-        // inside the measured executor (3).
+        // superaccumulator scatter (2), with the in-line cost model inside
+        // the measured executor (3), and through the branch-per-scalar
+        // AVX2 tile (4).
         let v2 = "{\"version\":2,\"entries\":[{\"key\":\"v15:d2:c32x64:k27:sm1:fp16:fe1:turing\",\
                   \"mode\":\"adaptive\",\"epsilon\":0.3,\"s\":150000,\
                   \"fused\":true,\"simd\":\"auto\",\"chunk\":64,\"panel\":128}]}";
         let v3 = v2.replace("\"version\":2", "\"version\":3");
-        for (name, text) in
-            [("stale-v1", "{\"version\":1,\"entries\":[]}"), ("stale-v2", v2), ("stale-v3", &v3)]
-        {
+        let v4 = v2.replace("\"version\":2", "\"version\":4");
+        for (name, text) in [
+            ("stale-v1", "{\"version\":1,\"entries\":[]}"),
+            ("stale-v2", v2),
+            ("stale-v3", &v3),
+            ("stale-v4", &v4),
+        ] {
             let path = temp_db(name);
             std::fs::write(&path, text).unwrap();
             let err = db::load(&path).unwrap_err();
@@ -1277,7 +1284,7 @@ mod tests {
         }
         // The same entry under the current version loads.
         let path = temp_db("current");
-        std::fs::write(&path, v2.replace("\"version\":2", "\"version\":4")).unwrap();
+        std::fs::write(&path, v2.replace("\"version\":2", "\"version\":5")).unwrap();
         assert_eq!(db::load(&path).unwrap().len(), 1);
         std::fs::remove_file(&path).unwrap();
     }

@@ -1,4 +1,4 @@
-//! Register-tiled SIMD compute kernels with runtime CPU-feature dispatch.
+//! SIMD compute kernels with runtime CPU-feature dispatch.
 //!
 //! The paper's thesis is that sparse convolution reduces to many GEMMs plus
 //! data movement (§4.2, §4.3); on the CPU side every FLOP the scheduling
@@ -11,21 +11,53 @@
 //! - [`Kernel::Portable`]: fixed-width-array loops ([`NR`] lanes) shaped so
 //!   the autovectorizer can chew on them — the fallback on machines without
 //!   AVX2 and the path forced by `TORCHSPARSE_SIMD=off`;
-//! - [`Kernel::Avx2`] / [`Kernel::Avx2Fma`]: `std::arch` intrinsics tiling
-//!   [`MR`] rows of A against two N-vectors of B in registers.
+//! - [`Kernel::Avx2`] / [`Kernel::Avx2Fma`]: `std::arch` intrinsics running
+//!   rows of A against a strip of up to four [`NR`]-wide panels of B (eight
+//!   `ymm` accumulators), each row visiting only its nonzero `k`.
+//!
+//! # Why one row against a wide strip
+//!
+//! Convolution inputs are post-ReLU: about 44% of the A values that reach
+//! the GEMM are exact zeros (nonzero share 0.56 on the MinkUNet benchmark
+//! frames, 0.57 on CenterPoint's), placed irregularly. The contract
+//! inherited from the scalar loop skips `a == 0.0` terms — it must, or
+//! `0 * inf` and `-0.0 + 0.0` would change bits — and a register tile whose
+//! rows share one `k` loop can only honour it with a branch (a coin flip
+//! the predictor loses) or a blend (all the arithmetic, none of the saving)
+//! per (row, `k`). A row on its own has one zero pattern: it becomes a
+//! bitmask, built 64 `k` at a time with one vector compare per eight
+//! values, and the set bits are walked lowest first, so the skip is work
+//! not done instead of a decision per scalar. Width replaces height as the
+//! source of independent accumulators: four panels give eight add chains
+//! and amortize the mask and each A broadcast over 64 output columns.
+//! Where the output is too narrow for that (one or two panels), four or two
+//! rows walk the same strip side by side, each along its own mask, in
+//! lockstep for as long as all of them have nonzeros left. A mask word with
+//! no zero at all — the network's input layer, a dense probe — takes a
+//! plain counted loop over the same terms. The plain GEMM additionally
+//! blocks the reduction by the mask word, so 64 rows of a B strip (16 KiB
+//! at most) stay in L1 while all the A rows stream past.
 //!
 //! # Bitwise determinism
 //!
 //! All kernels vectorize along the **N** (output-channel) dimension: one
 //! accumulator lane owns one output element, and the reduction over `k`
 //! walks in ascending order with a multiply followed by an add — exactly
-//! the scalar kernel's per-element accumulation order. Lane width therefore
-//! cannot change the arithmetic, and `Scalar`, `Portable`, and `Avx2`
-//! produce bitwise identical results (the property tests assert this
-//! against [`mm_reference`](crate::gemm::mm_reference)). `Avx2Fma` contracts
-//! the multiply-add into one rounding step, which *does* change results, so
-//! FMA is opt-in (`OptimizationConfig::fma_gemm` in the core crate) and
-//! never auto-selected.
+//! the scalar kernel's per-element accumulation order. The strip kernel's
+//! bit walk (`trailing_zeros`, then clear the lowest set bit) visits the
+//! nonzero `k` of each 64-wide word in ascending order and the words in
+//! ascending order, so it is the same sequence with the skipped terms
+//! already removed; its mask test (`NEQ_UQ` against zero: NaN counts as
+//! nonzero, `±0.0` as zero) is the scalar `a != 0.0`; rows never share an
+//! accumulator, so how the walks of several rows interleave is invisible.
+//! Lane width, strip width and row grouping therefore cannot change the
+//! arithmetic, and `Scalar`, `Portable`, and `Avx2` produce bitwise
+//! identical results (the property tests assert this against
+//! [`mm_reference`](crate::gemm::mm_reference), the strip sweep against the
+//! scalar oracle at every density). `Avx2Fma` contracts the multiply-add
+//! into one rounding step, which *does* change results, so FMA is opt-in
+//! (`OptimizationConfig::fma_gemm` in the core crate) and never
+//! auto-selected.
 //!
 //! # Weight packing
 //!
@@ -42,11 +74,8 @@ use std::sync::OnceLock;
 
 /// `f32` lanes per SIMD vector on the widest supported path (AVX2 `__m256`).
 pub const LANES: usize = 8;
-/// Panel width in output channels: two SIMD vectors per register tile.
+/// Panel width in output channels: two SIMD vectors per panel.
 pub const NR: usize = 2 * LANES;
-/// Rows of A tiled per register block (`MR x NR` accumulators = 8 `__m256`
-/// registers, leaving room for the two B vectors and the A broadcast).
-pub const MR: usize = 4;
 
 /// One compute-kernel implementation. See the module docs for the contract
 /// each variant satisfies.
@@ -244,7 +273,7 @@ pub fn gemm_panel(
         // Scalar has no wide packed form of its own: the portable loop *is*
         // scalar Rust with the same per-element order.
         (Kernel::Scalar | Kernel::Portable, BOperand::Packed(pb)) => {
-            panel_portable_packed(a, pb, k, n, row0, c_panel);
+            panel_portable_packed(a, pb, k, n, row0, c_panel, 0);
         }
         (Kernel::Portable, BOperand::Dense(bd)) => {
             panel_portable_dense(a, bd, k, n, row0, c_panel, 0);
@@ -257,7 +286,7 @@ pub fn gemm_panel(
             #[cfg(not(target_arch = "x86_64"))]
             match b {
                 BOperand::Dense(bd) => panel_portable_dense(a, bd, k, n, row0, c_panel, 0),
-                BOperand::Packed(pb) => panel_portable_packed(a, pb, k, n, row0, c_panel),
+                BOperand::Packed(pb) => panel_portable_packed(a, pb, k, n, row0, c_panel, 0),
             }
         }
     }
@@ -342,9 +371,10 @@ fn panel_portable_dense(
     }
 }
 
-/// Portable panel kernel over a [`PackedB`]. Padded lanes of the ragged
-/// panel multiply stored zeros and are discarded at the store, so the
-/// accumulation of every *real* element is unchanged.
+/// Portable panel kernel over a [`PackedB`], starting at panel `p_start`
+/// (non-zero when the AVX2 path delegates its ragged last panel here).
+/// Padded lanes of the ragged panel multiply stored zeros and are discarded
+/// at the store, so the accumulation of every *real* element is unchanged.
 fn panel_portable_packed(
     a: &[f32],
     pb: &PackedB,
@@ -352,11 +382,12 @@ fn panel_portable_packed(
     n: usize,
     row0: usize,
     c_panel: &mut [f32],
+    p_start: usize,
 ) {
     debug_assert_eq!(pb.k, k);
     debug_assert_eq!(pb.n, n);
     let rows_here = c_panel.len() / n;
-    for p in 0..n.div_ceil(NR) {
+    for p in p_start..n.div_ceil(NR) {
         let j0 = p * NR;
         let w = NR.min(n - j0);
         let panel = pb.panel(p);
@@ -649,15 +680,68 @@ fn int8_round_trip_scalar(scale: f32, v: f32) -> f32 {
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod x86 {
-    use super::{BOperand, PackedB, LANES, MR, NR};
+    use super::{BOperand, LANES, NR};
     use crate::Half;
     use std::arch::x86_64::{
-        _mm256_add_ps, _mm256_and_ps, _mm256_andnot_ps, _mm256_cmp_ps, _mm256_cvtph_ps,
-        _mm256_cvtps_ph, _mm256_div_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_max_ps,
-        _mm256_min_ps, _mm256_movemask_ps, _mm256_mul_ps, _mm256_or_ps, _mm256_round_ps,
-        _mm256_set1_ps, _mm256_storeu_ps, _mm256_sub_ps, _mm_storeu_si128, _CMP_GE_OQ,
-        _CMP_UNORD_Q, _MM_FROUND_NO_EXC, _MM_FROUND_TO_NEAREST_INT, _MM_FROUND_TO_ZERO,
+        __m256, _mm256_add_ps, _mm256_and_ps, _mm256_andnot_ps, _mm256_broadcast_ss, _mm256_cmp_ps,
+        _mm256_cmpgt_epi32, _mm256_cvtph_ps, _mm256_cvtps_ph, _mm256_div_ps, _mm256_fmadd_ps,
+        _mm256_loadu_ps, _mm256_maskload_ps, _mm256_max_ps, _mm256_min_ps, _mm256_movemask_ps,
+        _mm256_mul_ps, _mm256_or_ps, _mm256_round_ps, _mm256_set1_epi32, _mm256_set1_ps,
+        _mm256_setr_epi32, _mm256_setzero_ps, _mm256_storeu_ps, _mm256_sub_ps, _mm_storeu_si128,
+        _CMP_GE_OQ, _CMP_NEQ_UQ, _CMP_UNORD_Q, _MM_FROUND_NO_EXC, _MM_FROUND_TO_NEAREST_INT,
+        _MM_FROUND_TO_ZERO,
     };
+
+    /// Panels per strip: two accumulators per panel, so a full strip holds
+    /// eight `ymm` accumulators and leaves eight for the B loads and the A
+    /// broadcast.
+    const STRIP: usize = 4;
+
+    /// `k` per nonzero bitmask, and per pass of the plain GEMM over its rows.
+    const WORD: usize = 64;
+
+    /// The accumulators of one A row against a strip of `P` panels.
+    type Acc<const P: usize> = [[__m256; 2]; P];
+
+    /// Where B's [`NR`]-wide column panels live, for either operand layout:
+    /// row `kk` of panel `p` starts `p * panel_stride + kk * row_stride`
+    /// floats past `base`.
+    #[derive(Clone, Copy)]
+    struct Panels {
+        base: *const f32,
+        row_stride: usize,
+        panel_stride: usize,
+        /// Panels whose `k` rows all have [`NR`] readable lanes: `n / NR`
+        /// for row-major B, every (zero-padded) panel of a [`PackedB`].
+        count: usize,
+    }
+
+    impl Panels {
+        /// Checks that `b` holds a `k x n` operand — the bound every B load
+        /// of the strip kernel relies on — and describes its panels.
+        fn new(b: BOperand<'_>, k: usize, n: usize) -> Panels {
+            match b {
+                BOperand::Dense(bd) => {
+                    assert!(bd.len() >= k * n, "dense B holds k x n");
+                    Panels { base: bd.as_ptr(), row_stride: n, panel_stride: NR, count: n / NR }
+                }
+                BOperand::Packed(pb) => {
+                    assert!(pb.k == k && pb.n == n, "packed B is k x n");
+                    let count = n.div_ceil(NR);
+                    assert_eq!(pb.data.len(), count * k * NR, "packed B holds every panel");
+                    Panels { base: pb.data.as_ptr(), row_stride: NR, panel_stride: k * NR, count }
+                }
+            }
+        }
+
+        /// Row 0 of panel `p`. A wrapping offset, because an empty (`k = 0`)
+        /// operand has no row 0 to point at; the pointer is only ever
+        /// dereferenced at a row `kk < k`, which lies inside the operand.
+        fn at(self, p: usize) -> *const f32 {
+            debug_assert!(p < self.count, "panel index in range");
+            self.base.wrapping_add(p * self.panel_stride)
+        }
+    }
 
     /// Entry point for the AVX2 GEMM panel. `fma` selects the fused form.
     pub(super) fn panel(
@@ -673,228 +757,366 @@ mod x86 {
         // `cpu_features()` reported avx2 (and fma for the fused form); the
         // target-feature functions below are then safe to enter.
         unsafe {
-            match (fma, b) {
-                (false, BOperand::Dense(bd)) => panel_dense_avx2(a, bd, k, n, row0, c_panel),
-                (true, BOperand::Dense(bd)) => panel_dense_fma(a, bd, k, n, row0, c_panel),
-                (false, BOperand::Packed(pb)) => panel_packed_avx2(a, pb, k, n, row0, c_panel),
-                (true, BOperand::Packed(pb)) => panel_packed_fma(a, pb, k, n, row0, c_panel),
+            if fma {
+                panel_fma(a, b, k, n, row0, c_panel);
+            } else {
+                panel_avx2(a, b, k, n, row0, c_panel);
             }
         }
     }
 
     #[target_feature(enable = "avx2")]
-    unsafe fn panel_dense_avx2(
+    unsafe fn panel_avx2(
         a: &[f32],
-        b: &[f32],
+        b: BOperand<'_>,
         k: usize,
         n: usize,
         row0: usize,
         c: &mut [f32],
     ) {
-        unsafe { panel_dense_impl::<false>(a, b, k, n, row0, c) }
+        unsafe { panel_impl::<false>(a, b, k, n, row0, c) }
     }
 
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn panel_dense_fma(
+    unsafe fn panel_fma(
         a: &[f32],
-        b: &[f32],
+        b: BOperand<'_>,
         k: usize,
         n: usize,
         row0: usize,
         c: &mut [f32],
     ) {
-        unsafe { panel_dense_impl::<true>(a, b, k, n, row0, c) }
+        unsafe { panel_impl::<true>(a, b, k, n, row0, c) }
     }
 
-    #[target_feature(enable = "avx2")]
-    unsafe fn panel_packed_avx2(
-        a: &[f32],
-        pb: &PackedB,
-        k: usize,
-        n: usize,
-        row0: usize,
-        c: &mut [f32],
-    ) {
-        unsafe { panel_packed_impl::<false>(a, pb, k, n, row0, c) }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn panel_packed_fma(
-        a: &[f32],
-        pb: &PackedB,
-        k: usize,
-        n: usize,
-        row0: usize,
-        c: &mut [f32],
-    ) {
-        unsafe { panel_packed_impl::<true>(a, pb, k, n, row0, c) }
-    }
-
-    /// Register block: `R` rows of A against one NR-wide column panel of B.
-    ///
-    /// `a_rows` holds each A row's base pointer — contiguous matrix rows for
-    /// the plain GEMM, or kernel-map-gathered rows for the fused path (the
-    /// gather is folded into the loads; there is no materialized A panel).
-    /// `b_panel` points at the panel's first row, `b_stride` is the float
-    /// distance between consecutive `kk` rows (`n` for dense B, [`NR`] for
-    /// packed), `c_ptr` at `C[row][j0]` with row stride `c_stride`.
+    /// Bit `i` is set iff `a[i] != 0.0`, for the `len <= WORD` floats at
+    /// `a`: `NEQ_UQ` against zero, so NaN counts as nonzero and `±0.0` as
+    /// zero — the scalar kernels' `a == 0.0` skip test, eight values per
+    /// compare.
     ///
     /// # Safety
     ///
-    /// Requires AVX2 (and FMA when `FMA`); every `a_rows[i]` must stay
-    /// readable for `k` floats, `b_panel` for `k` strides of [`NR`] floats,
-    /// and `c_ptr` writable for `R` rows of [`NR`] floats.
+    /// Requires AVX; `a` must be readable for `len` floats.
     #[inline(always)]
-    unsafe fn block_rows<const FMA: bool, const R: usize>(
-        a_rows: [*const f32; R],
-        k: usize,
-        b_panel: *const f32,
-        b_stride: usize,
-        c_ptr: *mut f32,
-        c_stride: usize,
-    ) {
+    unsafe fn nonzero_mask(a: *const f32, len: usize) -> u64 {
+        debug_assert!(len <= WORD);
+        let zero = _mm256_setzero_ps();
+        let mut mask = 0u64;
+        let mut i = 0;
+        // SAFETY: every full load ends at or below `len`; the masked load
+        // touches only its first `len - i` lanes (masked-off lanes are not
+        // accessed and read as +0.0, which sets no bit).
         unsafe {
-            let mut acc0 = [_mm256_set1_ps(0.0); R];
-            let mut acc1 = [_mm256_set1_ps(0.0); R];
-            for i in 0..R {
-                acc0[i] = _mm256_loadu_ps(c_ptr.add(i * c_stride));
-                acc1[i] = _mm256_loadu_ps(c_ptr.add(i * c_stride + LANES));
+            while i + LANES <= len {
+                let lanes = _mm256_cmp_ps::<_CMP_NEQ_UQ>(_mm256_loadu_ps(a.add(i)), zero);
+                mask |= (_mm256_movemask_ps(lanes) as u64) << i;
+                i += LANES;
             }
-            for kk in 0..k {
-                let b_row = b_panel.add(kk * b_stride);
-                let b0 = _mm256_loadu_ps(b_row);
-                let b1 = _mm256_loadu_ps(b_row.add(LANES));
-                for i in 0..R {
-                    // The zero-skip mirrors the scalar kernel: sparse gather
-                    // rows (bmm padding) contribute nothing, and skipping
-                    // keeps bitwise parity with the original loop even for
-                    // signed zeros.
-                    let aval = *a_rows[i].add(kk);
-                    if aval != 0.0 {
-                        let av = _mm256_set1_ps(aval);
-                        if FMA {
-                            acc0[i] = _mm256_fmadd_ps(av, b0, acc0[i]);
-                            acc1[i] = _mm256_fmadd_ps(av, b1, acc1[i]);
-                        } else {
-                            acc0[i] = _mm256_add_ps(acc0[i], _mm256_mul_ps(av, b0));
-                            acc1[i] = _mm256_add_ps(acc1[i], _mm256_mul_ps(av, b1));
-                        }
+            if i < len {
+                let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+                let live = _mm256_cmpgt_epi32(_mm256_set1_epi32((len - i) as i32), lane);
+                let tail = _mm256_maskload_ps(a.add(i), live);
+                let lanes = _mm256_cmp_ps::<_CMP_NEQ_UQ>(tail, zero);
+                mask |= (_mm256_movemask_ps(lanes) as u64) << i;
+            }
+        }
+        mask
+    }
+
+    /// One term of the reduction: `acc += a[kk] * B[kk]` across the strip's
+    /// `P` panels, mul then add (one rounding when `FMA`).
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 (and FMA when `FMA`); `a[kk]` and the [`NR`] floats of
+    /// row `kk` of each of the `P` panels from `b` must be readable.
+    #[inline(always)]
+    unsafe fn axpy<const FMA: bool, const P: usize>(
+        acc: &mut Acc<P>,
+        a: *const f32,
+        kk: usize,
+        b: *const f32,
+        panels: Panels,
+    ) {
+        // SAFETY: the caller vouched for exactly these reads.
+        unsafe {
+            let av = _mm256_broadcast_ss(&*a.add(kk));
+            let b_row = b.add(kk * panels.row_stride);
+            for (p, lanes) in acc.iter_mut().enumerate() {
+                let b0 = _mm256_loadu_ps(b_row.add(p * panels.panel_stride));
+                let b1 = _mm256_loadu_ps(b_row.add(p * panels.panel_stride + LANES));
+                if FMA {
+                    lanes[0] = _mm256_fmadd_ps(av, b0, lanes[0]);
+                    lanes[1] = _mm256_fmadd_ps(av, b1, lanes[1]);
+                } else {
+                    lanes[0] = _mm256_add_ps(lanes[0], _mm256_mul_ps(av, b0));
+                    lanes[1] = _mm256_add_ps(lanes[1], _mm256_mul_ps(av, b1));
+                }
+            }
+        }
+    }
+
+    /// [`axpy`] at the lowest set bit of `mask`, which is cleared.
+    ///
+    /// # Safety
+    ///
+    /// `mask` must be nonzero with no bit at or above `len` set; then as
+    /// [`axpy`] for every `kk < len`.
+    #[inline(always)]
+    unsafe fn axpy_lowest<const FMA: bool, const P: usize>(
+        mask: &mut u64,
+        len: usize,
+        acc: &mut Acc<P>,
+        a: *const f32,
+        b: *const f32,
+        panels: Panels,
+    ) {
+        let kk = mask.trailing_zeros() as usize;
+        *mask &= *mask - 1;
+        debug_assert!(kk < len, "mask bits stay inside the word");
+        // SAFETY: kk < len, which the caller vouched for.
+        unsafe { axpy::<FMA, P>(acc, a, kk, b, panels) }
+    }
+
+    /// The row-sparse strip microkernel, one bitmask word at a time: `len <=
+    /// WORD` reduction terms of `R` rows of A, each row against the same
+    /// strip of `P` adjacent [`NR`]-wide panels of B, added onto `acc` (two
+    /// vectors per row and panel) and returned.
+    ///
+    /// The `a == 0.0` skip of the scalar contract is skipped *work* here,
+    /// not a branch per scalar: each row's nonzero bitmask is built once
+    /// ([`nonzero_mask`]) and only its set bits are visited, lowest first —
+    /// so every output lane still sees its terms in ascending `k`, mul then
+    /// add, and a skipped `k` never touches B. Post-ReLU activations are
+    /// about 44% exact zeros; the data-dependent branches left are loop
+    /// exits, a few per word.
+    ///
+    /// Rows never share an accumulator, so how their walks interleave is
+    /// invisible in the result. `R > 1` exists for narrow strips, where one
+    /// row's two or four accumulators cannot hide the add latency: the rows
+    /// step in lockstep for as many nonzeros as the sparsest of them has in
+    /// the word (`R` independent chains in flight), then each finishes its
+    /// own remainder. A word with no zero in any row takes a plain counted
+    /// loop over the same terms in the same order, which spares fully dense
+    /// inputs the bit scans and lets the rows share each B load.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 (and FMA when `FMA`). Every `a_rows[i]` must be
+    /// readable for `len` floats, and for every `kk < len` and `p < P` the
+    /// [`NR`] floats at `b + kk * panels.row_stride + p *
+    /// panels.panel_stride` must be readable.
+    #[inline(always)]
+    unsafe fn strip_word<const FMA: bool, const R: usize, const P: usize>(
+        a_rows: [*const f32; R],
+        len: usize,
+        b: *const f32,
+        panels: Panels,
+        mut acc: [Acc<P>; R],
+    ) -> [Acc<P>; R] {
+        debug_assert!((1..=WORD).contains(&len));
+        let mut masks = [0u64; R];
+        // SAFETY: `len` floats of every A row are readable, and a mask built
+        // from them has bit kk set only for kk < len — so every `axpy`
+        // below reads an A element and B rows the caller vouched for.
+        unsafe {
+            for (mask, a_row) in masks.iter_mut().zip(a_rows) {
+                *mask = nonzero_mask(a_row, len);
+            }
+            if masks.iter().all(|&m| m == u64::MAX >> (WORD - len)) {
+                for kk in 0..len {
+                    for (lanes, a_row) in acc.iter_mut().zip(a_rows) {
+                        axpy::<FMA, P>(lanes, a_row, kk, b, panels);
+                    }
+                }
+                return acc;
+            }
+            if R > 1 {
+                let common = masks.iter().fold(WORD as u32, |c, m| c.min(m.count_ones()));
+                for _ in 0..common {
+                    for ((mask, lanes), a_row) in masks.iter_mut().zip(&mut acc).zip(a_rows) {
+                        axpy_lowest::<FMA, P>(mask, len, lanes, a_row, b, panels);
                     }
                 }
             }
-            for i in 0..R {
-                _mm256_storeu_ps(c_ptr.add(i * c_stride), acc0[i]);
-                _mm256_storeu_ps(c_ptr.add(i * c_stride + LANES), acc1[i]);
-            }
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn panel_dense_impl<const FMA: bool>(
-        a: &[f32],
-        b: &[f32],
-        k: usize,
-        n: usize,
-        row0: usize,
-        c_panel: &mut [f32],
-    ) {
-        let rows_here = c_panel.len() / n;
-        let full = n / NR;
-        let c_base = c_panel.as_mut_ptr();
-        for p in 0..full {
-            let j0 = p * NR;
-            // SAFETY: j0 + NR <= n, so B rows and C rows have NR floats at
-            // offset j0; A rows row0..row0+rows_here exist by the caller's
-            // slice contract.
-            unsafe {
-                let b_panel = b.as_ptr().add(j0);
-                let a_ptr = a.as_ptr();
-                let mut r = 0;
-                while r + MR <= rows_here {
-                    let rows = std::array::from_fn(|i| a_ptr.add((row0 + r + i) * k));
-                    block_rows::<FMA, MR>(rows, k, b_panel, n, c_base.add(r * n + j0), n);
-                    r += MR;
-                }
-                while r < rows_here {
-                    let rows = [a_ptr.add((row0 + r) * k)];
-                    block_rows::<FMA, 1>(rows, k, b_panel, n, c_base.add(r * n + j0), n);
-                    r += 1;
+            for ((mask, lanes), a_row) in masks.iter_mut().zip(&mut acc).zip(a_rows) {
+                while *mask != 0 {
+                    axpy_lowest::<FMA, P>(mask, len, lanes, a_row, b, panels);
                 }
             }
         }
-        // Ragged tail columns: the portable loop, which accumulates each
-        // element in the identical order.
-        if full * NR < n {
-            super::panel_portable_dense(a, b, k, n, row0, c_panel, full * NR);
-        }
+        acc
     }
 
+    /// Stores the accumulators of `R` rows, `stride` floats apart from `dst`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX; `dst` must be writable for `P * NR` floats at each of
+    /// `R` rows `stride` floats apart.
     #[inline(always)]
-    unsafe fn panel_packed_impl<const FMA: bool>(
-        a: &[f32],
-        pb: &PackedB,
-        k: usize,
-        n: usize,
-        row0: usize,
-        c_panel: &mut [f32],
+    unsafe fn store_rows<const R: usize, const P: usize>(
+        acc: &[Acc<P>; R],
+        dst: *mut f32,
+        stride: usize,
     ) {
-        debug_assert_eq!(pb.k, k);
-        debug_assert_eq!(pb.n, n);
-        let rows_here = c_panel.len() / n;
-        let c_base = c_panel.as_mut_ptr();
-        for p in 0..n.div_ceil(NR) {
-            let j0 = p * NR;
-            let w = NR.min(n - j0);
-            let panel = pb.panel(p);
-            if w == NR {
-                // SAFETY: full-width panel — NR floats exist at every C row
-                // offset j0 and at every packed row.
+        for (i, lanes) in acc.iter().enumerate() {
+            for (p, pair) in lanes.iter().enumerate() {
+                // SAFETY: row i < R, lanes p * NR..(p + 1) * NR < P * NR.
                 unsafe {
-                    let a_ptr = a.as_ptr();
-                    let mut r = 0;
-                    while r + MR <= rows_here {
-                        let rows = std::array::from_fn(|i| a_ptr.add((row0 + r + i) * k));
-                        block_rows::<FMA, MR>(
-                            rows,
-                            k,
-                            panel.as_ptr(),
-                            NR,
-                            c_base.add(r * n + j0),
-                            n,
-                        );
-                        r += MR;
-                    }
-                    while r < rows_here {
-                        let rows = [a_ptr.add((row0 + r) * k)];
-                        block_rows::<FMA, 1>(
-                            rows,
-                            k,
-                            panel.as_ptr(),
-                            NR,
-                            c_base.add(r * n + j0),
-                            n,
-                        );
-                        r += 1;
-                    }
-                }
-            } else {
-                // Ragged panel: accumulate full NR lanes (padded B lanes are
-                // stored zeros) into a stack tile and copy back only the
-                // real columns.
-                for r in 0..rows_here {
-                    let c_row = &mut c_panel[r * n + j0..r * n + j0 + w];
-                    let mut tile = [0.0f32; NR];
-                    tile[..w].copy_from_slice(c_row);
-                    // SAFETY: the tile is NR floats on the stack and the
-                    // packed panel rows are NR floats each.
-                    unsafe {
-                        let rows = [a.as_ptr().add((row0 + r) * k)];
-                        block_rows::<FMA, 1>(rows, k, panel.as_ptr(), NR, tile.as_mut_ptr(), NR);
-                    }
-                    c_row.copy_from_slice(&tile[..w]);
+                    _mm256_storeu_ps(dst.add(i * stride + p * NR), pair[0]);
+                    _mm256_storeu_ps(dst.add(i * stride + p * NR + LANES), pair[1]);
                 }
             }
         }
+    }
+
+    /// One pass of `C += A * B` over `len <= WORD` reduction terms, groups
+    /// of `R` contiguous A rows (`rows`, counted from `a` / `c`) and one
+    /// strip of `P` full panels: each group's C strips are loaded into the
+    /// accumulators, run through [`strip_word`], and stored back. Returns
+    /// the first row not covered by a whole group.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 (and FMA when `FMA`). `a` must be readable for `len`
+    /// floats at each of `rows.end` rows `k` floats apart, `c` read- and
+    /// writable for `P * NR` floats at each of `rows.end` rows `n` floats
+    /// apart, and `b` must satisfy [`strip_word`]'s contract.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    unsafe fn panel_groups<const FMA: bool, const R: usize, const P: usize>(
+        a: *const f32,
+        rows: std::ops::Range<usize>,
+        k: usize,
+        len: usize,
+        b: *const f32,
+        panels: Panels,
+        c: *mut f32,
+        n: usize,
+    ) -> usize {
+        let mut r = rows.start;
+        while r + R <= rows.end {
+            // SAFETY: rows r..r + R are inside `rows`, so their A rows and
+            // C strips are inside what the caller vouched for.
+            unsafe {
+                let mut a_rows = [a; R];
+                let mut acc = [[[_mm256_setzero_ps(); 2]; P]; R];
+                for (i, (a_row, lanes)) in a_rows.iter_mut().zip(&mut acc).enumerate() {
+                    *a_row = a.add((r + i) * k);
+                    for (p, pair) in lanes.iter_mut().enumerate() {
+                        pair[0] = _mm256_loadu_ps(c.add((r + i) * n + p * NR));
+                        pair[1] = _mm256_loadu_ps(c.add((r + i) * n + p * NR + LANES));
+                    }
+                }
+                let acc = strip_word::<FMA, R, P>(a_rows, len, b, panels, acc);
+                store_rows(&acc, c.add(r * n), n);
+            }
+            r += R;
+        }
+        r
+    }
+
+    /// `C += A * B` over `rows` contiguous A rows and one strip of `P` full
+    /// panels starting at panel `p0`. The reduction is blocked by [`WORD`]
+    /// outermost: 64 rows of the B strip (at most 16 KiB) stay in L1 while
+    /// all the A rows stream past them, and C — reloaded once per pass —
+    /// still receives its terms in ascending `k`. Within a pass the rows
+    /// run in groups of `R`, leftover rows one at a time.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 (and FMA when `FMA`). `a` must be readable for `rows`
+    /// rows of `k` floats, `c` read- and writable for `P * NR` floats at
+    /// each of `rows` rows `n` floats apart, and panels `p0..p0 + P` must
+    /// be inside `panels.count` of a B with `k` rows.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    unsafe fn panel_strip<const FMA: bool, const R: usize, const P: usize>(
+        a: *const f32,
+        rows: usize,
+        k: usize,
+        panels: Panels,
+        p0: usize,
+        c: *mut f32,
+        n: usize,
+    ) {
+        debug_assert!(p0 + P <= panels.count, "strip inside the full panels");
+        let mut k0 = 0;
+        while k0 < k {
+            let len = (k - k0).min(WORD);
+            // SAFETY: k0 + len <= k, so the A columns and the B rows of
+            // this pass are inside what the caller vouched for.
+            unsafe {
+                let (a, b) = (a.add(k0), panels.at(p0).add(k0 * panels.row_stride));
+                let done = panel_groups::<FMA, R, P>(a, 0..rows, k, len, b, panels, c, n);
+                if R > 1 {
+                    panel_groups::<FMA, 1, P>(a, done..rows, k, len, b, panels, c, n);
+                }
+            }
+            k0 += WORD;
+        }
+    }
+
+    /// Plain GEMM panel (`c_panel += a[row0..] * b`): the strip kernel over
+    /// every full [`NR`]-wide panel, widest strips first — the narrower the
+    /// strip, the more rows walk it together (`R * P = 4`, so eight
+    /// accumulators are in flight unless the strip is three panels wide).
+    /// Ragged tail columns delegate to the portable loops, which accumulate
+    /// each element in the identical order.
+    #[inline(always)]
+    unsafe fn panel_impl<const FMA: bool>(
+        a: &[f32],
+        b: BOperand<'_>,
+        k: usize,
+        n: usize,
+        row0: usize,
+        c_panel: &mut [f32],
+    ) {
+        let rows = c_panel.len() / n;
+        assert!((row0 + rows) * k <= a.len(), "A holds the panel's rows");
+        let panels = Panels::new(b, k, n);
+        let full = n / NR;
+        let mut p = 0;
+        while p < full {
+            let width = (full - p).min(STRIP);
+            // SAFETY: the assert above bounds the `rows` A rows from row0;
+            // `Panels::new` checked that B holds k rows of panels
+            // p..p + width <= n / NR; and columns (p + width) * NR <= n of
+            // each of the `rows` C rows exist because c_panel holds
+            // rows * n floats.
+            unsafe {
+                let a = a.as_ptr().add(row0 * k);
+                let c = c_panel.as_mut_ptr().add(p * NR);
+                match width {
+                    4 => panel_strip::<FMA, 1, 4>(a, rows, k, panels, p, c, n),
+                    3 => panel_strip::<FMA, 1, 3>(a, rows, k, panels, p, c, n),
+                    2 => panel_strip::<FMA, 2, 2>(a, rows, k, panels, p, c, n),
+                    _ => panel_strip::<FMA, 4, 1>(a, rows, k, panels, p, c, n),
+                }
+            }
+            p += width;
+        }
+        if full * NR < n {
+            match b {
+                BOperand::Dense(bd) => {
+                    super::panel_portable_dense(a, bd, k, n, row0, c_panel, full * NR);
+                }
+                BOperand::Packed(pb) => {
+                    super::panel_portable_packed(a, pb, k, n, row0, c_panel, full);
+                }
+            }
+        }
+    }
+
+    /// The map entries of one fused batch, and where their products go.
+    struct Scatter<'a> {
+        kernel: super::Kernel,
+        in_rows: &'a [u32],
+        out_rel: &'a [u32],
+        round_f16: bool,
+        out: &'a mut [f32],
+        n: usize,
     }
 
     /// AVX2 entry point for the fused gather–GEMM–scatter kernel. Shapes
@@ -912,119 +1134,133 @@ mod x86 {
         out: &mut [f32],
         out_rel: &[u32],
     ) {
+        let mut s = Scatter { kernel, in_rows, out_rel, round_f16, out, n };
         // SAFETY: callers select the AVX2 kernels only after cpu_features()
         // reported avx2 (and fma for the fused-multiply-add form).
         unsafe {
             if kernel == super::Kernel::Avx2Fma {
-                fused_rows_fma(kernel, a, k, in_rows, b, n, round_f16, out, out_rel);
+                fused_rows_fma(a, k, b, &mut s);
             } else {
-                fused_rows_avx2(kernel, a, k, in_rows, b, n, round_f16, out, out_rel);
+                fused_rows_avx2(a, k, b, &mut s);
             }
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
-    unsafe fn fused_rows_avx2(
-        kernel: super::Kernel,
-        a: &[f32],
-        k: usize,
-        in_rows: &[u32],
-        b: BOperand<'_>,
-        n: usize,
-        round_f16: bool,
-        out: &mut [f32],
-        out_rel: &[u32],
-    ) {
-        unsafe { fused_rows_impl::<false>(kernel, a, k, in_rows, b, n, round_f16, out, out_rel) }
+    unsafe fn fused_rows_avx2(a: &[f32], k: usize, b: BOperand<'_>, s: &mut Scatter<'_>) {
+        unsafe { fused_rows_impl::<false>(a, k, b, s) }
     }
 
-    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn fused_rows_fma(
-        kernel: super::Kernel,
-        a: &[f32],
-        k: usize,
-        in_rows: &[u32],
-        b: BOperand<'_>,
-        n: usize,
-        round_f16: bool,
-        out: &mut [f32],
-        out_rel: &[u32],
-    ) {
-        unsafe { fused_rows_impl::<true>(kernel, a, k, in_rows, b, n, round_f16, out, out_rel) }
+    unsafe fn fused_rows_fma(a: &[f32], k: usize, b: BOperand<'_>, s: &mut Scatter<'_>) {
+        unsafe { fused_rows_impl::<true>(a, k, b, s) }
     }
 
-    /// Register-tiled fused kernel: [`MR`]-entry groups of map rows against
-    /// each full [`NR`]-wide column panel of B, computed into a zeroed
-    /// stack tile (A rows loaded straight through the gather indices),
-    /// optionally f16-rounded, then added into the scattered output rows.
-    /// Ragged tail columns delegate to the portable loop, which accumulates
-    /// each element in the identical order.
-    #[allow(clippy::too_many_arguments)]
+    /// Fused kernel over groups of `R` map entries and one strip of `P`
+    /// full panels starting at panel `p0`: the gathered A rows (read
+    /// straight through the indices) run through [`strip_word`], word after
+    /// word from zeroed accumulators, into a stack tile; each entry's
+    /// product row is then optionally f16-rounded and added into its
+    /// scattered output row. Returns the first entry not covered by a whole
+    /// group.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 (and FMA when `FMA`). Every `s.in_rows` entry must
+    /// index a row of `a` (`k` floats each) and panels `p0..p0 + P` must be
+    /// inside `panels.count` of a B with `k` rows; the output rows are
+    /// bounds-checked slices.
+    #[inline(always)]
+    unsafe fn fused_groups<const FMA: bool, const R: usize, const P: usize>(
+        a: &[f32],
+        k: usize,
+        panels: Panels,
+        p0: usize,
+        entries: std::ops::Range<usize>,
+        s: &mut Scatter<'_>,
+    ) -> usize {
+        debug_assert!(p0 + P <= panels.count, "strip inside the full panels");
+        debug_assert!(R * P <= STRIP, "the group's product rows fit the tile");
+        let mut tile = [0.0f32; STRIP * NR];
+        let mut r = entries.start;
+        while r + R <= entries.end {
+            // SAFETY: the safe wrapper asserted (src + 1) * k <= a.len() for
+            // every gather index, the `Panels` constructor checked B, every
+            // word ends at k0 + len <= k, and the tile holds
+            // R * P * NR <= STRIP * NR floats.
+            unsafe {
+                let mut a_rows = [a.as_ptr(); R];
+                for (a_row, &src) in a_rows.iter_mut().zip(&s.in_rows[r..r + R]) {
+                    debug_assert!((src as usize + 1) * k <= a.len(), "gather row in bounds");
+                    *a_row = a.as_ptr().add(src as usize * k);
+                }
+                let mut acc = [[[_mm256_setzero_ps(); 2]; P]; R];
+                let mut k0 = 0;
+                while k0 < k {
+                    let b = panels.at(p0).add(k0 * panels.row_stride);
+                    let len = (k - k0).min(WORD);
+                    acc = strip_word::<FMA, R, P>(a_rows, len, b, panels, acc);
+                    a_rows = a_rows.map(|a_row| a_row.add(len));
+                    k0 += WORD;
+                }
+                store_rows(&acc, tile.as_mut_ptr(), P * NR);
+            }
+            for (row, &dst) in tile.chunks_exact_mut(P * NR).zip(&s.out_rel[r..r + R]) {
+                debug_assert!((dst as usize + 1) * s.n <= s.out.len(), "scatter row in bounds");
+                if s.round_f16 {
+                    super::f16_round_trip_slice(s.kernel, row);
+                }
+                let o = dst as usize * s.n + p0 * NR;
+                accumulate_row(&mut s.out[o..o + P * NR], row);
+            }
+            r += R;
+        }
+        r
+    }
+
+    /// Fused gather–GEMM–scatter: the strip kernel over every full
+    /// [`NR`]-wide panel, widest strips first; within a strip the batch's
+    /// entries run in groups of `R` (`R * P = 4`, like the plain GEMM),
+    /// leftover entries one at a time. Ragged tail columns delegate to the
+    /// portable loop, which accumulates each element in the identical order.
     #[inline(always)]
     unsafe fn fused_rows_impl<const FMA: bool>(
-        kernel: super::Kernel,
         a: &[f32],
         k: usize,
-        in_rows: &[u32],
         b: BOperand<'_>,
-        n: usize,
-        round_f16: bool,
-        out: &mut [f32],
-        out_rel: &[u32],
+        s: &mut Scatter<'_>,
     ) {
+        let n = s.n;
+        let panels = Panels::new(b, k, n);
+        let all = 0..s.in_rows.len();
         let full = n / NR;
-        let a_ptr = a.as_ptr();
-        for p in 0..full {
-            let j0 = p * NR;
-            // SAFETY: j0 + NR <= n for full panels; the safe wrapper bounds-
-            // checked every gather index against `a` and every scatter index
-            // against `out`, and B covers k x n (packed panels are k x NR).
+        let mut p = 0;
+        while p < full {
+            let width = (full - p).min(STRIP);
+            // SAFETY: the safe wrapper bounds-checked every gather index
+            // against `a`, `Panels::new` checked B, and
+            // p + width <= n / NR <= panels.count.
             unsafe {
-                let (b_panel, b_stride) = match b {
-                    BOperand::Dense(bd) => (bd.as_ptr().add(j0), n),
-                    BOperand::Packed(pb) => (pb.panel(p).as_ptr(), NR),
+                match width {
+                    4 => fused_groups::<FMA, 1, 4>(a, k, panels, p, all.clone(), s),
+                    3 => fused_groups::<FMA, 1, 3>(a, k, panels, p, all.clone(), s),
+                    2 => {
+                        let done = fused_groups::<FMA, 2, 2>(a, k, panels, p, all.clone(), s);
+                        fused_groups::<FMA, 1, 2>(a, k, panels, p, done..all.end, s)
+                    }
+                    _ => {
+                        let done = fused_groups::<FMA, 4, 1>(a, k, panels, p, all.clone(), s);
+                        fused_groups::<FMA, 1, 1>(a, k, panels, p, done..all.end, s)
+                    }
                 };
-                let mut r = 0;
-                while r + MR <= in_rows.len() {
-                    let rows = std::array::from_fn(|i| a_ptr.add(in_rows[r + i] as usize * k));
-                    let mut tile = [0.0f32; MR * NR];
-                    block_rows::<FMA, MR>(rows, k, b_panel, b_stride, tile.as_mut_ptr(), NR);
-                    for (i, row) in tile.chunks_mut(NR).enumerate() {
-                        if round_f16 {
-                            super::f16_round_trip_slice(kernel, row);
-                        }
-                        let o = out_rel[r + i] as usize * n + j0;
-                        accumulate_row(&mut out[o..o + NR], row);
-                    }
-                    r += MR;
-                }
-                while r < in_rows.len() {
-                    let rows = [a_ptr.add(in_rows[r] as usize * k)];
-                    let mut tile = [0.0f32; NR];
-                    block_rows::<FMA, 1>(rows, k, b_panel, b_stride, tile.as_mut_ptr(), NR);
-                    if round_f16 {
-                        super::f16_round_trip_slice(kernel, &mut tile);
-                    }
-                    let o = out_rel[r] as usize * n + j0;
-                    accumulate_row(&mut out[o..o + NR], &tile);
-                    r += 1;
-                }
             }
+            p += width;
         }
         if full * NR < n {
+            let Scatter { kernel, in_rows, out_rel, round_f16, .. } = *s;
+            let tail = full * NR;
             super::fused_rows_portable(
-                kernel,
-                a,
-                k,
-                in_rows,
-                b,
-                n,
-                round_f16,
-                out,
-                out_rel,
-                full * NR,
+                kernel, a, k, in_rows, b, n, round_f16, s.out, out_rel, tail,
             );
         }
     }
@@ -1437,7 +1673,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(31);
         for &(m_in, k, n, n_out, n_entries) in &[
             (10usize, 8usize, 16usize, 10usize, 10usize),
-            (20, 4, 32, 12, 17),  // skinny k, MR-ragged entry count
+            (20, 4, 32, 12, 17),  // skinny k, odd entry count
             (15, 16, 31, 15, 15), // ragged tail columns
             (8, 3, 7, 9, 5),      // below one panel
             (30, 32, 64, 30, 64), // full tiles
@@ -1484,6 +1720,128 @@ mod tests {
             for operand in [BOperand::Dense(b.as_slice()), BOperand::Packed(&packed)] {
                 let out = run_fused(kernel, &a, operand, 19, &entries, 4, false);
                 assert_eq!(bits(&out), bits(&reference), "{}", kernel.name());
+            }
+        }
+    }
+
+    /// A `rows x cols` matrix whose entries are nonzero with probability
+    /// `density`; a quarter of the zeros are `-0.0`.
+    fn sparse_matrix(rng: &mut StdRng, rows: usize, cols: usize, density: f64) -> Matrix {
+        Matrix::from_fn(rows, cols, |_, _| {
+            if rng.random_range(0.0f64..1.0) < density {
+                rng.random_range(0.25f32..1.0)
+                    * if rng.random_range(0..2) == 0 { -1.0 } else { 1.0 }
+            } else if rng.random_range(0..4) == 0 {
+                -0.0
+            } else {
+                0.0
+            }
+        })
+    }
+
+    #[test]
+    fn strip_kernel_matches_scalar_oracle_across_density_k_n() {
+        // 7 rows / 13 map entries (with duplicate gather and scatter rows)
+        // never fill a whole multiple of any row tile; `k` straddles the
+        // 8-lane mask loads and the 64-bit mask words; `n` covers every
+        // strip width (1 to 4 panels, 4 + 2, 4 + 4) and ragged tails.
+        let mut rng = StdRng::seed_from_u64(41);
+        let (m, n_out, n_entries) = (7usize, 5usize, 13usize);
+        for density in [0.0, 0.1, 0.56, 1.0] {
+            for k in [0usize, 1, 7, 8, 63, 64, 65, 130, 300] {
+                for n in [16usize, 20, 32, 48, 64, 70, 96, 128] {
+                    let a = sparse_matrix(&mut rng, m, k, density);
+                    let b = random_matrix(&mut rng, k, n);
+                    let packed = PackedB::pack(&b);
+                    let seed = random_matrix(&mut rng, m, n);
+                    let entries: Vec<(u32, u32)> = (0..n_entries)
+                        .map(|_| (rng.random_range(0..m as u32), rng.random_range(0..n_out as u32)))
+                        .collect();
+                    let mut plain = seed.clone();
+                    run_panel(Kernel::Scalar, &a, BOperand::Dense(b.as_slice()), n, &mut plain);
+                    let fused: Vec<Matrix> = [false, true]
+                        .map(|r| fused_reference(Kernel::Scalar, &a, &b, &entries, n_out, r))
+                        .into();
+                    for kernel in every_kernel() {
+                        for (label, operand) in [
+                            ("dense", BOperand::Dense(b.as_slice())),
+                            ("packed", BOperand::Packed(&packed)),
+                        ] {
+                            let what = format!("{} {label} d={density} k={k} n={n}", kernel.name());
+                            let mut c = seed.clone();
+                            run_panel(kernel, &a, operand, n, &mut c);
+                            assert_eq!(bits(&c), bits(&plain), "plain {what}");
+                            for (round_f16, want) in [false, true].into_iter().zip(&fused) {
+                                let out =
+                                    run_fused(kernel, &a, operand, n, &entries, n_out, round_f16);
+                                assert_eq!(
+                                    bits(&out),
+                                    bits(want),
+                                    "fused round={round_f16} {what}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn strip_kernel_skips_exactly_what_the_scalar_test_skips() {
+        // Rows 0 and 3: only signed zeros. Rows 1, 2, 4, 5: zeros wherever
+        // B is poisoned; rows 2 and 5 also hold a NaN, which is *not* zero.
+        // B rows 0, 3 and 70 (a second mask word) hold inf / -inf / NaN: a
+        // masked multiply-add instead of a skip would leak `0 * inf = NaN`
+        // into the first two kinds of row, and only A's own NaN may turn
+        // the third into NaN. Six rows make one 4-row group plus leftovers
+        // at n = 16, three 2-row groups at n = 32, single rows at n = 64.
+        let k = 72usize;
+        let poisoned = [(0usize, f32::INFINITY), (3, f32::NEG_INFINITY), (70, f32::NAN)];
+        let mut rng = StdRng::seed_from_u64(43);
+        let mut a = random_matrix(&mut rng, 6, k);
+        for r in 0..6 {
+            for j in 0..k {
+                if r % 3 == 0 {
+                    a[(r, j)] = if j % 3 == 0 { -0.0 } else { 0.0 };
+                } else if poisoned.iter().any(|&(row, _)| row == j) {
+                    a[(r, j)] = if j == 3 { -0.0 } else { 0.0 };
+                }
+            }
+            if r % 3 == 2 {
+                a[(r, 5)] = f32::NAN;
+            }
+        }
+        let entries: Vec<(u32, u32)> = (0..6).chain([1, 4, 0]).map(|r| (r, r % 3)).collect();
+        let all = |m: &Matrix, r: usize, f: fn(&f32) -> bool| m.row(r).iter().all(f);
+        for n in [16usize, 32, 64] {
+            let mut b = random_matrix(&mut rng, k, n);
+            for &(row, v) in &poisoned {
+                b.row_mut(row).fill(v);
+            }
+            let packed = PackedB::pack(&b);
+            // C starts at -0.0: `-0.0 + (+0.0)` would flip it, a true skip
+            // leaves it alone.
+            let seed = Matrix::from_fn(6, n, |_, _| -0.0);
+            let mut reference = seed.clone();
+            run_panel(Kernel::Scalar, &a, BOperand::Dense(b.as_slice()), n, &mut reference);
+            let fused_want = fused_reference(Kernel::Scalar, &a, &b, &entries, 3, false);
+            for kernel in every_kernel() {
+                for operand in [BOperand::Dense(b.as_slice()), BOperand::Packed(&packed)] {
+                    let mut c = seed.clone();
+                    run_panel(kernel, &a, operand, n, &mut c);
+                    let out = run_fused(kernel, &a, operand, n, &entries, 3, false);
+                    for r in [0, 3] {
+                        assert!(all(&c, r, |v| v.to_bits() == (-0.0f32).to_bits()), "-0.0 stays");
+                        assert_eq!(bits(&c)[r * n..][..2 * n], bits(&reference)[r * n..][..2 * n]);
+                        assert!(all(&c, r + 1, |v| v.is_finite()), "a skipped k never reads B");
+                        assert!(all(&c, r + 2, |v| v.is_nan()), "NaN in A is not skipped");
+                    }
+                    assert!(all(&out, 0, |v| v.to_bits() == 0), "0.0 + 0.0 products");
+                    assert!(all(&out, 1, |v| v.is_finite()));
+                    assert!(all(&out, 2, |v| v.is_nan()));
+                    assert_eq!(bits(&out)[..2 * n], bits(&fused_want)[..2 * n], "n={n}");
+                }
             }
         }
     }
@@ -1610,8 +1968,8 @@ mod tests {
     }
 
     proptest! {
-        /// Arbitrary shapes — including ragged tails (`n % NR != 0`,
-        /// `rows % MR != 0`) and degenerate `k` — are bitwise identical
+        /// Arbitrary shapes — including ragged column tails
+        /// (`n % NR != 0`) and degenerate `k` — are bitwise identical
         /// across every non-FMA kernel and both B layouts.
         #[test]
         fn prop_kernels_bitwise_equal(

@@ -178,19 +178,21 @@ fn corrupt_or_stale_db_degrades_gracefully_and_heals() {
     let m = two_conv_model();
     let x = dense_scene(4);
 
-    // A populated version-3 file: exactly the entries a search on this
-    // model and scene persists (so every key would hit if the file were
-    // accepted), relabelled with the previous schema version — whose
-    // winners were timed with the in-line cost model inside the executor.
-    let seed_db = temp_db("stale-v3-seed");
+    // Populated version-3 and version-4 files: exactly the entries a search
+    // on this model and scene persists (so every key would hit if the file
+    // were accepted), relabelled with the two previous schema versions —
+    // whose winners were timed with the in-line cost model inside the
+    // executor (3) and through the branch-per-scalar AVX2 tile (4).
+    let seed_db = temp_db("stale-seed");
     let _ = std::fs::remove_file(&seed_db);
     Engine::with_config(config_with_db(&seed_db, true), DeviceProfile::rtx_2080ti())
         .compile(&m, &x)
         .expect("seed compile");
     let current = std::fs::read_to_string(&seed_db).expect("the search persisted its winners");
     std::fs::remove_file(&seed_db).expect("cleanup");
-    assert!(current.contains("\"version\":4,") && current.contains("\"key\":"), "{current}");
-    let populated_v3 = current.replace("\"version\":4,", "\"version\":3,");
+    assert!(current.contains("\"version\":5,") && current.contains("\"key\":"), "{current}");
+    let populated_v3 = current.replace("\"version\":5,", "\"version\":3,");
+    let populated_v4 = current.replace("\"version\":5,", "\"version\":4,");
 
     // Version 2 was the schema before the superaccumulator left the
     // scatter; its persisted winners were timed through it.
@@ -199,6 +201,7 @@ fn corrupt_or_stale_db_degrades_gracefully_and_heals() {
         ("stale", "{\"version\":99,\"entries\":[]}"),
         ("stale-v2", "{\"version\":2,\"entries\":[]}"),
         ("stale-v3", populated_v3.as_str()),
+        ("stale-v4", populated_v4.as_str()),
     ] {
         let db = temp_db(name);
         std::fs::write(&db, text).expect("seed bad db");

@@ -4,12 +4,14 @@
 //! materialized gather/psum buffer path — while taking no movement
 //! workspace buffers at all.
 
+use torchsparse::coords::offsets::kernel_offsets;
 use torchsparse::coords::Coord;
 use torchsparse::core::{
     BatchNorm, Engine, EnginePreset, Module, OptimizationConfig, Precision, ReLU, Sequential,
     SimdPolicy, SparseConv3d, SparseTensor,
 };
 use torchsparse::gpusim::DeviceProfile;
+use torchsparse::tensor::dense::{submanifold_conv3d_reference, ConvWeights, DenseVolume};
 use torchsparse::tensor::Matrix;
 
 /// Worker counts every configuration is checked at; `1` is the exact
@@ -100,6 +102,90 @@ fn fused_bitwise_identical_across_dataflows_precisions_kernels_threads() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// Post-ReLU activations — what every conv after the first actually reads:
+/// about half the values are exact zeros, a few of them `-0.0`; channel 0
+/// stays positive so every site is occupied for the dense oracle.
+fn post_relu_tensor(sites: &[(i32, i32, i32)], c: usize) -> SparseTensor {
+    let x = tensor_from(sites, c, 29);
+    let feats = Matrix::from_fn(x.len(), c, |r, ch| {
+        let v = x.feats()[(r, ch)];
+        if ch == 0 {
+            v.abs() + 0.25
+        } else if v > 0.0 {
+            v
+        } else if (r + ch) % 5 == 0 {
+            -0.0
+        } else {
+            0.0
+        }
+    });
+    x.with_feats(feats).expect("same shape")
+}
+
+/// The AVX2 strip kernel skips zero activations as work, not as a branch;
+/// on wide layers (every strip width: 4, 3, 1 panels and a ragged tail)
+/// fed half-zero features that must stay invisible — bitwise, within each
+/// dataflow, across fused / buffered route x SIMD policy x 1/2/8 threads —
+/// and a single layer must still equal the dense volumetric oracle.
+#[test]
+fn half_zero_activations_bitwise_identical_across_routes_kernels_threads() {
+    let sites: Vec<(i32, i32, i32)> =
+        (0..90).map(|i| ((i * 7) % 6 + 1, (i * 5) % 6 + 1, (i * 11) % 6 + 1)).collect();
+    let x = post_relu_tensor(&sites, 32);
+    let zeros = x.feats().as_slice().iter().filter(|v| **v == 0.0).count();
+    assert!((0.35..0.6).contains(&(zeros as f64 / x.feats().as_slice().len() as f64)));
+    assert!(x.feats().as_slice().iter().any(|v| v.to_bits() == (-0.0f32).to_bits()));
+
+    let m = Sequential::new("wide")
+        .push(SparseConv3d::with_random_weights("c1", 32, 64, 3, 1, 3))
+        .push(ReLU::new("r1"))
+        .push(SparseConv3d::with_random_weights("down", 64, 48, 2, 2, 4))
+        .push(ReLU::new("r2"))
+        .push(SparseConv3d::with_random_weights("c2", 48, 16, 3, 1, 5))
+        .push(ReLU::new("r3"))
+        .push(SparseConv3d::with_random_weights("c3", 16, 20, 3, 1, 6));
+    for (dataflow, cfg) in dataflow_configs() {
+        let mut reference: Option<(Vec<Coord>, Vec<u32>)> = None;
+        for fused in [false, true] {
+            for policy in [SimdPolicy::Scalar, SimdPolicy::Portable, SimdPolicy::Auto] {
+                for threads in THREADS {
+                    let mut cfg = cfg.clone();
+                    cfg.simd = policy;
+                    cfg.fused_execution = fused;
+                    let out = output_bits(cfg, threads, &m, &x);
+                    match &reference {
+                        None => reference = Some(out),
+                        Some(r) => assert_eq!(
+                            r, &out,
+                            "{dataflow} diverges at fused={fused} {policy:?} {threads} threads"
+                        ),
+                    }
+                }
+            }
+        }
+    }
+
+    // One 32 -> 32 submanifold layer against the dense reference, on the
+    // product route (fused, auto-detected kernel), at FP32.
+    let conv = SparseConv3d::with_random_weights("oracle", 32, 32, 3, 1, 7);
+    let mut dense = DenseVolume::zeros([8, 8, 8], 32);
+    for (i, c) in x.coords().iter().enumerate() {
+        dense.set([c.x as usize, c.y as usize, c.z as usize], x.feats().row(i));
+    }
+    let weights = ConvWeights::new(3, 32, 32, conv.weights().to_vec()).expect("weights");
+    let expect =
+        submanifold_conv3d_reference(&dense, &weights, &kernel_offsets(3).expect("offsets"));
+    let mut cfg = EnginePreset::TorchSparse.config();
+    cfg.precision = Precision::Fp32;
+    let y = Engine::with_config(cfg, DeviceProfile::rtx_2080ti()).run(&conv, &x).expect("run");
+    for (i, c) in y.coords().iter().enumerate() {
+        let d = expect.at([c.x as usize, c.y as usize, c.z as usize]);
+        for (ch, &v) in y.feats().row(i).iter().enumerate() {
+            assert!((v - d[ch]).abs() < 1e-3, "{c} channel {ch}: sparse {v} dense {}", d[ch]);
         }
     }
 }
