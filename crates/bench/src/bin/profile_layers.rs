@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     engine.context_mut().profile_layers = true;
     engine.run(model.as_ref(), &input)?;
 
-    let profiles = engine.context().layer_profiles.clone();
+    let profiles = engine.context().layer_profiles().to_vec();
     let total: f64 = profiles.iter().map(|p| p.timeline.total().as_f64()).sum();
     let mut rows = Vec::new();
     // Top 20 layers by latency.

@@ -1,9 +1,10 @@
 use crate::config::OptimizationConfig;
+use crate::cost_model::{Charge, Ledger};
 use crate::CoreError;
 use std::collections::HashMap;
 use std::sync::Arc;
 use torchsparse_coords::{Coord, KernelMap};
-use torchsparse_gpusim::{DeviceProfile, GemmModel, MemorySim, Timeline};
+use torchsparse_gpusim::{DeviceProfile, GemmModel, Timeline};
 
 /// Key identifying a cached kernel map within one inference run.
 ///
@@ -106,22 +107,25 @@ pub struct LayerWorkload {
     pub submanifold: bool,
 }
 
-/// Execution context: device models, per-stage timeline, map cache, and the
-/// tuned adaptive-grouping parameters.
+/// Execution context: device models, the run's cost ledger, map cache, and
+/// the tuned adaptive-grouping parameters.
 ///
 /// One context corresponds to one engine instance pinned to one simulated
 /// device. It is threaded mutably through every layer's `forward`.
+///
+/// Simulated cost is *deferred*: layers log what to charge
+/// ([`Context::defer`]) and the first read of [`Context::timeline`] or
+/// [`Context::layer_profiles`] replays the log through the cost model
+/// ([`crate::cost_model`]). A run nobody reads simulates nothing.
 pub struct Context {
     /// The optimization configuration in force.
     pub config: OptimizationConfig,
     /// The simulated device.
     pub device: DeviceProfile,
-    /// Memory transaction/cache simulator (reset per run).
-    pub mem: MemorySim,
     /// GEMM latency model.
     pub gemm: GemmModel,
-    /// Per-stage latency ledger for the current run.
-    pub timeline: Timeline,
+    /// The current run's deferred charges and, once read, their cost.
+    ledger: Ledger,
     map_cache: HashMap<MapKey, Arc<CachedMap>>,
     /// Per-layer tuned `(epsilon, S)` for adaptive grouping, filled by
     /// [`crate::tuning`].
@@ -143,10 +147,8 @@ pub struct Context {
     /// use this to afford full-scale scenes. Layers check the flag before
     /// calling their executor; outputs are zero-filled in this mode.
     pub simulate_only: bool,
-    /// Per-layer timeline records captured when [`Context::profile_layers`]
-    /// is on (leaf layers append one entry per forward).
-    pub layer_profiles: Vec<LayerProfile>,
-    /// Whether leaf layers should record per-layer profiles.
+    /// Whether leaf layers should record per-layer profiles
+    /// ([`Context::layer_profiles`]).
     pub profile_layers: bool,
     /// Deterministic fault scheduler. Disarmed by default; survives
     /// [`Context::begin_run`] so tests arm faults before calling
@@ -216,16 +218,14 @@ impl Context {
         crate::config::warn_unrecognised_env();
         Context {
             runtime: crate::runtime::Runtime::new(config.threads),
-            mem: MemorySim::new(&device),
             gemm: GemmModel::new(device.clone()),
-            timeline: Timeline::new(),
+            ledger: Ledger::default(),
             map_cache: HashMap::new(),
             tuned_groups: HashMap::new(),
             tuned_policies: HashMap::new(),
             workloads: Vec::new(),
             record_workloads: false,
             simulate_only: false,
-            layer_profiles: Vec::new(),
             profile_layers: false,
             faults: crate::faults::FaultInjector::disarmed(),
             degradation: crate::faults::DegradationReport::new(),
@@ -236,46 +236,52 @@ impl Context {
         }
     }
 
-    /// Resets per-run state (timeline, memory simulator, map cache) while
-    /// keeping tuned parameters. Called by [`crate::Engine::run`] so that
-    /// each inference is independent, exactly as maps are rebuilt per scene
-    /// on a real engine.
+    /// Resets per-run state (cost ledger, map cache, degradation report)
+    /// while keeping tuned parameters. Called by [`crate::Engine::run`] so
+    /// that each inference is independent, exactly as maps are rebuilt per
+    /// scene on a real engine. Dropping the ledger also releases every map
+    /// the previous run's charges kept alive.
     pub fn begin_run(&mut self) {
-        self.timeline = Timeline::new();
-        self.mem = MemorySim::new(&self.device);
+        self.ledger.clear();
         self.map_cache.clear();
-        self.layer_profiles.clear();
         self.degradation.clear();
     }
 
-    /// Snapshots the current timeline; pair with
-    /// [`Context::finish_layer_profile`] around a leaf layer's work.
-    pub fn start_layer_profile(&self) -> Timeline {
-        self.timeline.clone()
+    /// Logs one charge against the current run — the single entry point for
+    /// simulated cost. Nothing is simulated here: the charge replays, in
+    /// logging order, when the run's timeline is first read.
+    pub fn defer(&mut self, charge: Charge) {
+        self.ledger.defer(charge, &self.config);
     }
 
-    /// Records the per-stage delta since `start` as `name`'s profile entry
-    /// (no-op unless [`Context::profile_layers`] is on).
-    pub fn finish_layer_profile(&mut self, name: &str, input_points: usize, start: Timeline) {
+    /// Per-stage simulated latency of the current run. The first call after
+    /// a run replays the run's deferred charges through the cost model;
+    /// later calls return the cached result.
+    pub fn timeline(&self) -> &Timeline {
+        &self.ledger.cost(&self.device, &self.gemm).timeline
+    }
+
+    /// Per-layer timeline records of the current run, one entry per leaf
+    /// layer forward (empty unless [`Context::profile_layers`] was on while
+    /// it ran). Resolved with [`Context::timeline`].
+    pub fn layer_profiles(&self) -> &[LayerProfile] {
+        &self.ledger.cost(&self.device, &self.gemm).profiles
+    }
+
+    /// Opens a leaf layer's profile entry; pair with
+    /// [`Context::finish_layer_profile`] around the layer's charges (no-op
+    /// unless [`Context::profile_layers`] is on).
+    pub fn start_layer_profile(&mut self) {
         if self.profile_layers {
-            self.layer_profiles.push(LayerProfile::between(
-                name,
-                input_points,
-                &start,
-                &self.timeline,
-            ));
+            self.defer(Charge::mark());
         }
     }
 
-    /// The cost-model view of this context: its device models, L2
-    /// simulator and timeline, for in-line (dynamic) cost accounting.
-    pub(crate) fn sim(&mut self) -> crate::cost_model::Sim<'_> {
-        crate::cost_model::Sim {
-            config: &self.config,
-            device: &self.device,
-            gemm: &self.gemm,
-            mem: &mut self.mem,
-            timeline: &mut self.timeline,
+    /// Records the per-stage cost logged since the matching
+    /// [`Context::start_layer_profile`] as `name`'s profile entry.
+    pub fn finish_layer_profile(&mut self, name: &str, input_points: usize) {
+        if self.profile_layers {
+            self.defer(Charge::profile(name, input_points));
         }
     }
 
@@ -308,13 +314,6 @@ impl Context {
     /// search has selected one.
     pub fn policy_for(&self, layer: &str) -> Option<crate::tuning::ExecPolicy> {
         self.tuned_policies.get(layer).copied()
-    }
-
-    /// Charges the fixed host-side framework overhead of one layer op
-    /// ([`HOST_OP_OVERHEAD_US`]) to the `Other` stage. Called by every leaf
-    /// layer's `forward`.
-    pub fn charge_host_op(&mut self) {
-        crate::cost_model::charge_host_op(&mut self.timeline);
     }
 
     /// Checks the request deadline at a named stage boundary (`"mapping"`
@@ -391,7 +390,6 @@ impl std::fmt::Debug for Context {
         f.debug_struct("Context")
             .field("device", &self.device.name)
             .field("config", &self.config)
-            .field("timeline", &self.timeline)
             .field("cached_maps", &self.map_cache.len())
             .finish()
     }
@@ -435,10 +433,11 @@ mod tests {
         let mut c = ctx();
         let key = MapKey { fine_stride: 1, kernel_size: 3, conv_stride: 1, dilation: 1 };
         c.store_map(key, dummy_cached());
-        c.timeline.add(Stage::MatMul, Micros(5.0));
+        c.defer(Charge::latency(Stage::MatMul, Micros(5.0)));
+        assert_eq!(c.timeline().total(), Micros(5.0));
         c.begin_run();
         assert!(c.cached_map(key).is_none());
-        assert_eq!(c.timeline.total(), Micros::ZERO);
+        assert_eq!(c.timeline().total(), Micros::ZERO);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 use crate::config::{GroupingStrategy, Precision};
 use crate::context::{CachedMap, Context, LayerWorkload, MapKey};
-use crate::cost_model::{self, ConvGeometry};
+use crate::cost_model::Charge;
 use crate::dataflow::{
     apply_storage_precision_owned_kernel, policy_kernel, run_fetch_on_demand,
     run_gather_matmul_scatter, ConvWorkload, FusedOrder,
@@ -269,7 +269,7 @@ impl SparseConv3d {
                 degradation,
             )?
         };
-        ctx.timeline.add(Stage::Mapping, mapping.latency);
+        ctx.defer(Charge::latency(Stage::Mapping, mapping.latency));
         let cached = CachedMap {
             map: mapping.map,
             fine_coords: coords.to_vec(),
@@ -372,6 +372,8 @@ impl SparseConv3d {
             out_stride,
             center,
             submanifold,
+            c_in: self.c_in,
+            c_out: self.c_out,
             dataflow,
             packed: self.packed_weights(),
             fused,
@@ -490,17 +492,15 @@ impl std::fmt::Debug for SparseConv3d {
 impl Module for SparseConv3d {
     /// Plan-then-execute: derives the geometric plan (map, output
     /// coordinates, grouping), immediately runs the feature path against
-    /// it, and charges the layer's simulated cost in line.
-    /// [`CompiledSession`](crate::CompiledSession) calls the halves
-    /// separately to amortize planning — and the cost model — across
-    /// frames.
+    /// it, and logs the layer's simulated cost — the plan's geometry — on
+    /// the run's ledger. [`CompiledSession`](crate::CompiledSession) calls
+    /// the halves separately to amortize planning across frames.
     fn forward(&self, input: &SparseTensor, ctx: &mut Context) -> Result<SparseTensor, CoreError> {
-        let profile_start = ctx.start_layer_profile();
+        ctx.start_layer_profile();
         let plan = self.plan(input.coords(), input.stride(), input.channels(), ctx)?;
         let (out, reran) = self.compute(input, &plan, ctx)?;
-        let geo = ConvGeometry::of(self, &plan, input.len());
-        cost_model::charge_conv(&geo, &plan.dataflow, reran, &mut ctx.sim());
-        ctx.finish_layer_profile(&self.name, input.len(), profile_start);
+        ctx.defer(Charge::conv(plan, input.len(), reran));
+        ctx.finish_layer_profile(&self.name, input.len());
         Ok(out)
     }
 
@@ -612,9 +612,9 @@ mod tests {
         let mut c = ctx();
         let x = input(4);
         let y = conv1.forward(&x, &mut c).unwrap();
-        let after_first = c.timeline.stage(Stage::Mapping);
+        let after_first = c.timeline().stage(Stage::Mapping);
         conv2.forward(&y, &mut c).unwrap();
-        let after_second = c.timeline.stage(Stage::Mapping);
+        let after_second = c.timeline().stage(Stage::Mapping);
         assert_eq!(after_first, after_second, "second conv must reuse the cached map");
     }
 
@@ -674,10 +674,10 @@ mod tests {
         let mut c = ctx();
         let x = input(4);
         plain.forward(&x, &mut c).unwrap();
-        let after_plain = c.timeline.stage(Stage::Mapping);
+        let after_plain = c.timeline().stage(Stage::Mapping);
         dilated.forward(&x, &mut c).unwrap();
         assert!(
-            c.timeline.stage(Stage::Mapping) > after_plain,
+            c.timeline().stage(Stage::Mapping) > after_plain,
             "dilated conv must build its own map, not reuse the undilated one"
         );
     }

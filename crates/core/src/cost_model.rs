@@ -1,4 +1,5 @@
-//! The simulated-GPU cost model: pure `geometry -> Timeline` functions.
+//! The simulated-GPU cost model: pure `geometry -> Timeline` functions,
+//! and the ledger that decides *when* they run.
 //!
 //! Simulated latency is a function of coordinates, kernel maps, grouping
 //! and channel widths alone — never of feature values — so it lives apart
@@ -8,21 +9,28 @@
 //! behaviour, and therefore latency, differs between configurations the way
 //! the paper measures) and charges the result to a [`Timeline`] stage.
 //!
-//! Dynamic `forward`s call these in line, against the context's own
-//! simulator and timeline ([`Context::sim`](crate::Context)), once per layer
-//! per frame. Compiled sessions walk a finalised
-//! [`ExecutionPlan`](crate::ExecutionPlan) through them once, on a fresh
-//! simulator ([`begin_evaluation`]), and cache the result on the plan;
-//! plan-hit frames run no code from this module ([`evaluations`] counts the
-//! walks).
+//! Nothing calls them while a frame executes. A frame only *logs* what to
+//! charge — one [`Charge`] per layer op, through
+//! [`Context::defer`](crate::Context::defer) — and the first read of the
+//! frame's timeline or layer profiles
+//! ([`Context::timeline`](crate::Context::timeline),
+//! [`Engine::last_timeline`](crate::Engine::last_timeline), ...) replays the
+//! log once, in recording order, against one fresh L2 simulator. That is
+//! the sequence of `Timeline::add`s in-line simulation would have issued,
+//! so every simulated value is bit-identical to it; a frame nobody reads
+//! runs no code from this module. A compiled session logs its whole
+//! [`ExecutionPlan`] as one charge whose value is cached on the shared plan
+//! (at most one walk per plan, by whichever stream first asks), so a hit
+//! frame's ledger is its `Mapping` log plus that cell. [`evaluations`]
+//! counts the trace replays.
 
 use crate::config::{OptimizationConfig, Precision};
-use crate::context::HOST_OP_OVERHEAD_US;
+use crate::context::{CachedMap, LayerProfile, HOST_OP_OVERHEAD_US};
 use crate::dataflow::is_center_shortcut;
 use crate::grouping::ExecGroup;
-use crate::plan::{ConvDataflow, ConvPlan};
-use crate::SparseConv3d;
+use crate::plan::{ConvDataflow, ConvPlan, ExecutionPlan, StepPlan};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use torchsparse_coords::kernel_map::MapEntry;
 use torchsparse_coords::KernelMap;
 use torchsparse_gpusim::Precision as GemmPrecision;
@@ -30,70 +38,373 @@ use torchsparse_gpusim::{
     AccessMode, DeviceProfile, ElemWidth, GemmModel, GemmShape, MemorySim, Micros, Stage, Timeline,
 };
 
-/// The simulator state one cost evaluation runs against: the device models
-/// (read-only) plus the L2 trace simulator and the ledger the latencies
-/// land in. Borrowed from a [`Context`](crate::Context) for in-line dynamic
-/// accounting, or assembled around a fresh simulator for a whole-plan
-/// evaluation.
-pub(crate) struct Sim<'a> {
-    pub(crate) config: &'a OptimizationConfig,
-    pub(crate) device: &'a DeviceProfile,
-    pub(crate) gemm: &'a GemmModel,
-    pub(crate) mem: &'a mut MemorySim,
-    pub(crate) timeline: &'a mut Timeline,
+/// The simulator state a charge runs against: the device models (read-only)
+/// plus the L2 trace simulator and the timeline the latencies land in. Only
+/// a ledger replay assembles one, so holding a `Sim` *is* being inside the
+/// resolver; custom charges ([`Charge::custom`]) receive it to drive the
+/// simulator by hand.
+pub struct Sim<'a> {
+    /// The configuration the frame ran under.
+    pub config: &'a OptimizationConfig,
+    /// The simulated device.
+    pub device: &'a DeviceProfile,
+    /// GEMM latency model.
+    pub gemm: &'a GemmModel,
+    /// L2 transaction/cache simulator, fresh per replay and shared by every
+    /// charge of the frame (cache state carries from layer to layer).
+    pub mem: &'a mut MemorySim,
+    /// The timeline being resolved.
+    pub timeline: &'a mut Timeline,
+}
+
+impl Sim<'_> {
+    /// Charges the fixed host-side framework overhead of one layer op
+    /// ([`HOST_OP_OVERHEAD_US`]) to the `Other` stage.
+    pub fn charge_host_op(&mut self) {
+        self.timeline.add(Stage::Other, Micros(HOST_OP_OVERHEAD_US));
+    }
 }
 
 /// The geometry of one convolution — everything its simulated cost depends
 /// on besides the configuration and the grouping plan.
-pub(crate) struct ConvGeometry<'a> {
+struct ConvGeometry<'a> {
     /// The kernel map the layer executes with.
-    pub(crate) map: &'a KernelMap,
+    map: &'a KernelMap,
     /// Input / output point counts.
-    pub(crate) n_in: usize,
-    pub(crate) n_out: usize,
+    n_in: usize,
+    n_out: usize,
     /// Input / output channels.
-    pub(crate) c_in: usize,
-    pub(crate) c_out: usize,
+    c_in: usize,
+    c_out: usize,
     /// The center offset of a submanifold layer (§4.2.1 shortcut).
-    pub(crate) center_identity: Option<usize>,
+    center_identity: Option<usize>,
 }
 
 impl<'a> ConvGeometry<'a> {
-    /// The geometry of `conv` executing `plan` on `n_in` input points.
-    pub(crate) fn of(conv: &SparseConv3d, plan: &'a ConvPlan, n_in: usize) -> ConvGeometry<'a> {
+    /// The geometry of the layer that froze `plan`, on `n_in` input points.
+    fn of(plan: &'a ConvPlan, n_in: usize) -> ConvGeometry<'a> {
         ConvGeometry {
             map: plan.map(),
             n_in,
             n_out: plan.out_coords().len(),
-            c_in: conv.c_in(),
-            c_out: conv.c_out(),
+            c_in: plan.c_in,
+            c_out: plan.c_out,
             center_identity: plan.center,
         }
     }
 }
 
-/// Process-wide count of whole-plan evaluations.
+/// Process-wide count of trace replays.
 static EVALUATIONS: AtomicUsize = AtomicUsize::new(0);
 
-/// Starts a whole-plan evaluation — the one thing [`evaluations`] counts —
-/// and hands out the fresh L2 simulator it runs on.
-pub(crate) fn begin_evaluation(device: &DeviceProfile) -> MemorySim {
+/// Starts a trace replay — the one thing [`evaluations`] counts — and hands
+/// out the fresh L2 simulator it runs on.
+fn begin_evaluation(device: &DeviceProfile) -> MemorySim {
     EVALUATIONS.fetch_add(1, Ordering::Relaxed);
     MemorySim::new(device)
 }
 
-/// Whole-plan cost-model evaluations since process start. A compiled
-/// session adds exactly one per plan build (compile, delta patch, fallback,
-/// full re-plan) and one per frame that took the FP16 -> FP32 overflow
-/// re-run; plan hits — on any stream sharing the plan — add none.
+/// Trace replays since process start: fresh L2 simulators handed to a
+/// ledger replay or a plan walk. Executing frames adds none — not plan hits,
+/// not re-plans, not dynamic runs, not compiles. The first read of a dynamic
+/// frame's timeline adds one; the first read on *any* stream of a compiled
+/// plan adds one for that plan; a frame that took the FP16 -> FP32 overflow
+/// re-run adds one when it is read; repeated reads add none.
 pub fn evaluations() -> usize {
     EVALUATIONS.load(Ordering::Relaxed)
 }
 
-/// Charges the fixed host-side framework overhead of one layer op
-/// ([`HOST_OP_OVERHEAD_US`]) to the `Other` stage.
-pub(crate) fn charge_host_op(timeline: &mut Timeline) {
-    timeline.add(Stage::Other, Micros(HOST_OP_OVERHEAD_US));
+/// One deferred entry of a frame's cost ledger: *what to charge*, holding
+/// only what the charge reads. Built by the constructors below and logged
+/// with [`Context::defer`](crate::Context::defer); nothing is simulated
+/// until the frame's timeline is read.
+pub struct Charge(Kind);
+
+/// What a [`Charge`] constructor recorded; see the constructors.
+enum Kind {
+    Latency(Stage, Micros),
+    Pointwise {
+        n: usize,
+        c: usize,
+    },
+    Pool {
+        cached: Arc<CachedMap>,
+        n_in: usize,
+        n_out: usize,
+        c: usize,
+    },
+    Conv {
+        cached: Arc<CachedMap>,
+        flipped: Option<KernelMap>,
+        dataflow: ConvDataflow,
+        center: Option<usize>,
+        n_in: usize,
+        n_out: usize,
+        c_in: usize,
+        c_out: usize,
+        reran: bool,
+    },
+    Plan {
+        plan: Arc<ExecutionPlan>,
+        reruns: Vec<usize>,
+        profile: bool,
+    },
+    Mark,
+    Profile {
+        name: String,
+        points: usize,
+    },
+    Surcharge {
+        stage: Stage,
+        fraction: f64,
+    },
+    Custom(Box<dyn Fn(&mut Sim<'_>) + Send + Sync>),
+}
+
+impl Charge {
+    /// A latency that is already known (e.g. the map-search cost a mapping
+    /// kernel reported), added to `stage` when the ledger resolves.
+    pub fn latency(stage: Stage, latency: Micros) -> Charge {
+        Charge(Kind::Latency(stage, latency))
+    }
+
+    /// Snapshots the timeline at this point of the log, for the next
+    /// [`Charge::profile`] or [`Charge::surcharge`] to measure from. Marks
+    /// nest like a stack.
+    pub fn mark() -> Charge {
+        Charge(Kind::Mark)
+    }
+
+    /// Pops the most recent [`Charge::mark`] and records the per-stage
+    /// latency accrued since as `name`'s layer profile.
+    pub fn profile(name: &str, points: usize) -> Charge {
+        Charge(Kind::Profile { name: name.to_owned(), points })
+    }
+
+    /// Pops the most recent [`Charge::mark`] and adds `fraction` of the
+    /// total latency accrued since to `stage` (CenterPoint's dense head).
+    pub fn surcharge(stage: Stage, fraction: f64) -> Charge {
+        Charge(Kind::Surcharge { stage, fraction })
+    }
+
+    /// A charge that drives the simulator by hand when the ledger resolves.
+    /// `f` must hold everything it reads and must be a pure function of it:
+    /// it may run on another thread, later, or never.
+    pub fn custom(f: impl Fn(&mut Sim<'_>) + Send + Sync + 'static) -> Charge {
+        Charge(Kind::Custom(Box::new(f)))
+    }
+
+    /// One streaming read+write sweep over an `n x c` feature buffer (batch
+    /// norm, ReLU, global pooling), plus the host-side dispatch overhead.
+    pub(crate) fn pointwise(n: usize, c: usize) -> Charge {
+        Charge(Kind::Pointwise { n, c })
+    }
+
+    /// A sparse pooling layer over `cached.map`.
+    pub(crate) fn pool(cached: Arc<CachedMap>, n_in: usize, n_out: usize, c: usize) -> Charge {
+        Charge(Kind::Pool { cached, n_in, n_out, c })
+    }
+
+    /// A dynamic convolution that executed `plan` on `n_in` points. Keeps
+    /// the geometry the cost reads (map, flipped map, grouping) and drops
+    /// the rest of the plan (locality order, packed weights).
+    pub(crate) fn conv(plan: ConvPlan, n_in: usize, reran: bool) -> Charge {
+        let n_out = plan.out_coords().len();
+        let ConvPlan { cached, flipped, dataflow, center, c_in, c_out, .. } = plan;
+        Charge(Kind::Conv { cached, flipped, dataflow, center, n_in, n_out, c_in, c_out, reran })
+    }
+
+    /// A compiled frame's execute path. `reruns` lists the steps whose
+    /// convolution overflowed and ran a second time in FP32; `profile`
+    /// asks for the plan's layer profiles too.
+    pub(crate) fn plan(plan: Arc<ExecutionPlan>, reruns: Vec<usize>, profile: bool) -> Charge {
+        Charge(Kind::Plan { plan, reruns, profile })
+    }
+}
+
+/// The simulated cost of one frame: per-stage timeline plus layer profiles.
+#[derive(Debug, Default)]
+pub(crate) struct Cost {
+    pub(crate) timeline: Timeline,
+    pub(crate) profiles: Vec<LayerProfile>,
+}
+
+/// A frame's cost ledger: the ordered log of deferred charges and, once
+/// somebody reads it, their resolved cost.
+#[derive(Default)]
+pub(crate) struct Ledger {
+    log: Vec<Charge>,
+    /// The configuration in force when the first charge was logged: what
+    /// the frame ran under, whatever the caller sets before reading.
+    config: Option<OptimizationConfig>,
+    resolved: OnceLock<Cost>,
+}
+
+impl Ledger {
+    /// Appends a charge (and forgets any cost resolved before it).
+    pub(crate) fn defer(&mut self, charge: Charge, config: &OptimizationConfig) {
+        if self.log.is_empty() {
+            self.config = Some(config.clone());
+        }
+        self.resolved = OnceLock::new();
+        self.log.push(charge);
+    }
+
+    /// Drops the log — and with it every map the charges kept alive.
+    pub(crate) fn clear(&mut self) {
+        *self = Ledger::default();
+    }
+
+    /// The frame's cost: replayed on first call, cached until the next
+    /// [`Ledger::defer`] or [`Ledger::clear`].
+    pub(crate) fn cost(&self, device: &DeviceProfile, gemm: &GemmModel) -> &Cost {
+        self.resolved.get_or_init(|| match &self.config {
+            Some(config) => replay(&self.log, config, device, gemm),
+            None => Cost::default(),
+        })
+    }
+}
+
+/// Replays a frame's log in recording order: the exact sequence of
+/// `Timeline::add`s in-line simulation issues, against one L2 simulator
+/// that is created on the first charge that traces memory.
+fn replay(
+    log: &[Charge],
+    config: &OptimizationConfig,
+    device: &DeviceProfile,
+    gemm: &GemmModel,
+) -> Cost {
+    let mut cost = Cost::default();
+    let mut mem: Option<MemorySim> = None;
+    let mut marks: Vec<Timeline> = Vec::new();
+    for charge in log {
+        let timeline = &mut cost.timeline;
+        match &charge.0 {
+            Kind::Latency(stage, latency) => timeline.add(*stage, *latency),
+            Kind::Mark => marks.push(timeline.clone()),
+            Kind::Profile { name, points } => {
+                if let Some(start) = marks.pop() {
+                    cost.profiles.push(LayerProfile::between(name, *points, &start, timeline));
+                }
+            }
+            Kind::Surcharge { stage, fraction } => {
+                if let Some(start) = marks.pop() {
+                    let accrued = timeline.total() - start.total();
+                    timeline.add(*stage, Micros(accrued.as_f64() * fraction));
+                }
+            }
+            Kind::Plan { plan, reruns, profile } => {
+                // The plan's cost touches every stage but `Mapping`, the log
+                // before it only `Mapping`: the merge adds zeros and is
+                // exact. Only a frame whose layers ran twice walks the plan
+                // itself.
+                let walked;
+                let planned = if reruns.is_empty() {
+                    plan.cost.get_or_init(|| plan_cost(plan, &[], config, device, gemm))
+                } else {
+                    walked = plan_cost(plan, reruns, config, device, gemm);
+                    &walked
+                };
+                timeline.merge(&planned.timeline);
+                if *profile {
+                    cost.profiles.clone_from(&planned.profiles);
+                }
+            }
+            traced => {
+                let mem = mem.get_or_insert_with(|| begin_evaluation(device));
+                let mut sim = Sim { config, device, gemm, mem, timeline };
+                match traced {
+                    Kind::Pointwise { n, c } => charge_pointwise(*n, *c, &mut sim),
+                    Kind::Pool { cached, n_in, n_out, c } => {
+                        charge_pool(&cached.map, *n_in, *n_out, *c, &mut sim);
+                    }
+                    Kind::Conv {
+                        cached,
+                        flipped,
+                        dataflow,
+                        center,
+                        n_in,
+                        n_out,
+                        c_in,
+                        c_out,
+                        reran,
+                    } => {
+                        let geo = ConvGeometry {
+                            map: flipped.as_ref().unwrap_or(&cached.map),
+                            n_in: *n_in,
+                            n_out: *n_out,
+                            c_in: *c_in,
+                            c_out: *c_out,
+                            center_identity: *center,
+                        };
+                        charge_conv(&geo, dataflow, *reran, &mut sim);
+                    }
+                    Kind::Custom(f) => f(&mut sim),
+                    _ => {}
+                }
+            }
+        }
+    }
+    cost
+}
+
+/// Walks a finished plan's execute path on a fresh L2 simulator: the same
+/// sequence of charges, into an empty timeline, that a dynamic run of the
+/// same ops logs after mapping — so the result merges exactly into a
+/// frame's `Mapping`-only log. Also returns the per-layer profiles, wrapped
+/// as the dynamic `forward`s wrap them: convolution, batch norm and ReLU
+/// record one (the steps the plan holds a name for); pooling and global
+/// pooling do not.
+///
+/// `reruns` lists the step indices whose convolution overflowed its
+/// quantized storage and ran a second time in FP32 — empty for the value
+/// cached on the plan.
+fn plan_cost(
+    plan: &ExecutionPlan,
+    reruns: &[usize],
+    config: &OptimizationConfig,
+    device: &DeviceProfile,
+    gemm: &GemmModel,
+) -> Cost {
+    let mut mem = begin_evaluation(device);
+    let mut cost = Cost::default();
+    let mut sim = Sim { config, device, gemm, mem: &mut mem, timeline: &mut cost.timeline };
+    // The (points, channels) of the tensor flowing through the network.
+    let mut cur = plan.input_shape;
+    let mut stack: Vec<(usize, usize)> = Vec::new();
+    for (i, (step, name)) in plan.steps.iter().zip(&plan.names).enumerate() {
+        let start = sim.timeline.clone();
+        let reran = reruns.contains(&i);
+        let mut points = cur.0;
+        match step {
+            StepPlan::Conv(p) => {
+                charge_conv(&ConvGeometry::of(p, cur.0), &p.dataflow, reran, &mut sim);
+                cur = (p.out_coords().len(), p.c_out);
+            }
+            StepPlan::Pool(p) => {
+                let n_out = p.out_coords().len();
+                charge_pool(&p.cached.map, cur.0, n_out, cur.1, &mut sim);
+                cur.0 = n_out;
+            }
+            StepPlan::Pointwise => charge_pointwise(cur.0, cur.1, &mut sim),
+            StepPlan::GlobalPool { batches } => {
+                charge_pointwise(cur.0, cur.1, &mut sim);
+                cur.0 = *batches;
+            }
+            StepPlan::Push => stack.push(cur),
+            StepPlan::PopConcat => cur.1 += stack.pop().map_or(0, |saved| saved.1),
+            StepPlan::Residual { projection } => {
+                points = stack.pop().unwrap_or(cur).0;
+                if let Some(p) = projection {
+                    charge_conv(&ConvGeometry::of(p, points), &p.dataflow, reran, &mut sim);
+                }
+            }
+        }
+        if let Some(name) = name {
+            cost.profiles.push(LayerProfile::between(name, points, &start, sim.timeline));
+        }
+    }
+    cost
 }
 
 /// The access mode of `elem`-wide features: vectorized access moves 4 bytes
@@ -131,8 +442,8 @@ fn modes(precision: Precision, vectorized: bool) -> Modes {
 /// Charges one streaming read+write sweep over an `n x c` feature buffer
 /// (batch norm, ReLU, global pooling), plus the host-side overhead of
 /// dispatching the op.
-pub(crate) fn charge_pointwise(n: usize, c: usize, sim: &mut Sim<'_>) {
-    charge_host_op(sim.timeline);
+fn charge_pointwise(n: usize, c: usize, sim: &mut Sim<'_>) {
+    sim.charge_host_op();
     let mode = modes(sim.config.precision, sim.config.vectorized).feat;
     let bytes = (n * c) as u64 * mode.elem.bytes();
     let base = sim.mem.alloc(bytes);
@@ -144,8 +455,8 @@ pub(crate) fn charge_pointwise(n: usize, c: usize, sim: &mut Sim<'_>) {
 
 /// Charges a sparse pooling layer: one read per map entry, one write per
 /// output row, plus the host-side dispatch overhead.
-pub(crate) fn charge_pool(map: &KernelMap, n_in: usize, n_out: usize, c: usize, sim: &mut Sim<'_>) {
-    charge_host_op(sim.timeline);
+fn charge_pool(map: &KernelMap, n_in: usize, n_out: usize, c: usize, sim: &mut Sim<'_>) {
+    sim.charge_host_op();
     let elem = match sim.config.precision {
         Precision::Fp32 => ElemWidth::F32,
         _ => ElemWidth::F16,
@@ -171,13 +482,8 @@ pub(crate) fn charge_pool(map: &KernelMap, n_in: usize, n_out: usize, c: usize, 
 /// `reran` is the one input that is not geometry: the layer's quantized
 /// output overflowed, so the same kernels ran — and are charged — a second
 /// time in FP32.
-pub(crate) fn charge_conv(
-    geo: &ConvGeometry<'_>,
-    dataflow: &ConvDataflow,
-    reran: bool,
-    sim: &mut Sim<'_>,
-) {
-    charge_host_op(sim.timeline);
+fn charge_conv(geo: &ConvGeometry<'_>, dataflow: &ConvDataflow, reran: bool, sim: &mut Sim<'_>) {
+    sim.charge_host_op();
     let configured = sim.config.precision;
     let mut charge = |precision| match dataflow {
         ConvDataflow::FetchOnDemand => fetch_on_demand(geo, precision, sim),
@@ -493,7 +799,6 @@ mod tests {
         } else {
             ConvDataflow::Grouped(plan_groups(&parts.map.sizes(), true, cfg.grouping))
         };
-        let mut ctx = Context::new(cfg, DeviceProfile::rtx_2080ti());
         let geo = ConvGeometry {
             map: &parts.map,
             n_in: n,
@@ -502,8 +807,94 @@ mod tests {
             c_out: 8,
             center_identity: Some(13),
         };
-        charge_conv(&geo, &dataflow, false, &mut ctx.sim());
-        ctx.timeline
+        let device = DeviceProfile::rtx_2080ti();
+        let gemm = GemmModel::new(device.clone());
+        let mut mem = MemorySim::new(&device);
+        let mut timeline = Timeline::new();
+        let mut sim = Sim {
+            config: &cfg,
+            device: &device,
+            gemm: &gemm,
+            mem: &mut mem,
+            timeline: &mut timeline,
+        };
+        charge_conv(&geo, &dataflow, false, &mut sim);
+        timeline
+    }
+
+    fn ctx() -> Context {
+        Context::new(OptimizationConfig::torchsparse(), DeviceProfile::rtx_2080ti())
+    }
+
+    #[test]
+    fn nothing_is_simulated_until_the_cost_is_read() {
+        let cfg = OptimizationConfig::torchsparse();
+        let device = DeviceProfile::rtx_2080ti();
+        let gemm = GemmModel::new(device.clone());
+        let mut ledger = Ledger::default();
+        ledger.defer(Charge::latency(Stage::Mapping, Micros(3.0)), &cfg);
+        ledger.defer(Charge::pointwise(64, 8), &cfg);
+        assert!(ledger.resolved.get().is_none(), "logging resolves nothing");
+        let before = evaluations();
+        let other = ledger.cost(&device, &gemm).timeline.stage(Stage::Other);
+        assert!(other > Micros(HOST_OP_OVERHEAD_US), "host op + one sweep");
+        assert_eq!(ledger.cost(&device, &gemm).timeline.stage(Stage::Mapping), Micros(3.0));
+        assert!(evaluations() > before, "the read replayed the trace");
+        // A later charge forgets the resolved cost; the next read replays
+        // the whole log on a fresh simulator.
+        ledger.defer(Charge::pointwise(64, 8), &cfg);
+        assert!(ledger.resolved.get().is_none());
+        assert!(ledger.cost(&device, &gemm).timeline.stage(Stage::Other) > other);
+        ledger.clear();
+        assert_eq!(ledger.cost(&device, &gemm).timeline, Timeline::new());
+    }
+
+    #[test]
+    fn marks_nest_and_feed_profiles_and_surcharges() {
+        let mut c = ctx();
+        c.defer(Charge::latency(Stage::Mapping, Micros(10.0)));
+        c.defer(Charge::mark()); // surcharge base
+        c.defer(Charge::mark()); // profile base
+        c.defer(Charge::latency(Stage::MatMul, Micros(4.0)));
+        c.defer(Charge::profile("layer", 7));
+        c.defer(Charge::latency(Stage::Gather, Micros(6.0)));
+        c.defer(Charge::surcharge(Stage::Other, 0.5));
+        // An unmatched pop is ignored, as a run that failed mid-layer logs.
+        c.defer(Charge::profile("dangling", 0));
+        let t = c.timeline();
+        assert_eq!(t.stage(Stage::Other), Micros(5.0), "half of the 10 us since the mark");
+        assert_eq!(t.total(), Micros(25.0));
+        let profiles = c.layer_profiles();
+        assert_eq!(profiles.len(), 1);
+        assert_eq!((profiles[0].name.as_str(), profiles[0].input_points), ("layer", 7));
+        assert_eq!(profiles[0].timeline.total(), Micros(4.0));
+    }
+
+    #[test]
+    fn a_run_resolves_under_the_configuration_it_ran_with() {
+        let sweep = |flip: bool| {
+            let mut c = ctx();
+            c.defer(Charge::pointwise(512, 16));
+            if flip {
+                c.config.precision = Precision::Fp32;
+            }
+            c.timeline().clone()
+        };
+        assert_eq!(sweep(false), sweep(true), "config is captured when the run logs");
+    }
+
+    #[test]
+    fn custom_charges_share_the_runs_simulator() {
+        let mut c = ctx();
+        c.defer(Charge::custom(|sim| {
+            sim.charge_host_op();
+            let base = sim.mem.alloc(4096);
+            sim.mem.read(base, 0, 4096, AccessMode::scalar_f32());
+            let latency = sim.mem.take_report().latency(sim.device);
+            sim.timeline.add(Stage::Gather, latency);
+        }));
+        assert_eq!(c.timeline().stage(Stage::Other), Micros(HOST_OP_OVERHEAD_US));
+        assert!(c.timeline().stage(Stage::Gather) > Micros::ZERO);
     }
 
     #[test]

@@ -28,6 +28,7 @@
 
 use crate::config::{coord_index_choice, CoordIndexChoice, OptimizationConfig};
 use crate::context::{CachedMap, Context, MapKey};
+use crate::cost_model::Charge;
 use crate::mapping::{stats_latency, HASH_SERIALIZATION};
 use crate::plan::{ExecutionPlan, LayerOp, StepPlan};
 use crate::{CoreError, SparseTensor};
@@ -349,8 +350,9 @@ pub(crate) fn try_seed_delta_maps(
                 HASH_SERIALIZATION,
                 ctx.config.simplified_mapping_kernels,
             );
-            ctx.timeline.add(Stage::Mapping, stream + random);
-            for (key, cached) in w.seeds {
+            let seeds = w.seeds;
+            ctx.defer(Charge::latency(Stage::Mapping, stream + random));
+            for (key, cached) in seeds {
                 ctx.seed_map(key, cached);
             }
             Ok(true)

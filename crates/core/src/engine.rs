@@ -101,9 +101,8 @@ impl Engine {
 
     /// Runs a model end-to-end on one input scene.
     ///
-    /// Per-run state (timeline, L2 simulator, map cache, degradation
-    /// report) is reset first, so consecutive calls are independent
-    /// measurements. The input is screened against the configuration's
+    /// Per-run state (cost ledger, map cache, degradation report) is reset
+    /// first, so consecutive calls are independent measurements. The input is screened against the configuration's
     /// [`ValidationConfig`](crate::ValidationConfig) before any layer
     /// executes; under `Sanitize` the model runs on the repaired tensor and
     /// the repairs appear in [`Engine::degradation_report`].
@@ -136,14 +135,18 @@ impl Engine {
         &self.ctx.degradation
     }
 
-    /// Per-stage latency of the last [`Engine::run`].
+    /// Per-stage simulated latency of the last [`Engine::run`]. The run
+    /// itself only logged what to charge; the first read replays that log
+    /// through the cost model ([`crate::cost_model`]) and later reads are
+    /// free. A run whose timeline nobody reads simulates nothing.
     pub fn last_timeline(&self) -> &Timeline {
-        &self.ctx.timeline
+        self.ctx.timeline()
     }
 
-    /// Total simulated latency of the last [`Engine::run`].
+    /// Total simulated latency of the last [`Engine::run`] (resolved like
+    /// [`Engine::last_timeline`]).
     pub fn last_latency(&self) -> Micros {
-        self.ctx.timeline.total()
+        self.ctx.timeline().total()
     }
 
     /// Simulated frames per second of the last [`Engine::run`].
@@ -241,7 +244,7 @@ mod tests {
         let mut e = Engine::new(EnginePreset::TorchSparse, DeviceProfile::rtx_2080ti());
         e.context_mut().profile_layers = true;
         e.run(&model, &x).unwrap();
-        let profiles = &e.context().layer_profiles;
+        let profiles = &e.context().layer_profiles();
         assert_eq!(profiles.len(), 3, "conv1 + relu + conv2");
         let sum: f64 = profiles.iter().map(|p| p.timeline.total().as_f64()).sum();
         let total = e.last_latency().as_f64();
@@ -254,7 +257,7 @@ mod tests {
     fn profiling_off_records_nothing() {
         let mut e = Engine::new(EnginePreset::TorchSparse, DeviceProfile::rtx_2080ti());
         e.run(&tiny_model(), &scene()).unwrap();
-        assert!(e.context().layer_profiles.is_empty());
+        assert!(e.context().layer_profiles().is_empty());
     }
 
     #[test]

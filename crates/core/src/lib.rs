@@ -17,8 +17,9 @@
 //!   small workloads.
 //! - [`cost_model`]: what those kernels cost on the simulated GPU under
 //!   quantized, vectorized, fused, locality-aware data movement (§4.3) —
-//!   pure functions of geometry, evaluated in line by dynamic runs and
-//!   once per plan by compiled sessions.
+//!   pure functions of geometry that no frame runs: frames log what to
+//!   charge, and the first read of a timeline resolves the log (once per
+//!   plan for compiled sessions).
 //! - [`Engine`] / [`EnginePreset`]: end-to-end execution with per-stage
 //!   simulated latency on a chosen [`DeviceProfile`].
 //!

@@ -17,13 +17,13 @@
 //!   by, used to detect when a plan must be rebuilt;
 //! - [`PlanCacheStats`]: hit/miss/invalidation counters for plan reuse.
 
-use crate::context::{CachedMap, LayerProfile};
+use crate::context::CachedMap;
+use crate::cost_model::Cost;
 use crate::dataflow::FusedOrder;
 use crate::grouping::GroupPlan;
 use crate::{BatchNorm, GlobalPool, ReLU, SparseConv3d, SparseMaxPool3d};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use torchsparse_coords::{Coord, KernelMap};
-use torchsparse_gpusim::Timeline;
 use torchsparse_tensor::PackedB;
 
 /// One typed operation in the flattened layer IR.
@@ -120,6 +120,9 @@ pub(crate) struct ConvPlan {
     pub(crate) center: Option<usize>,
     /// Whether the layer is submanifold (enables symmetric grouping).
     pub(crate) submanifold: bool,
+    /// The layer's input / output channels (the cost model reads them).
+    pub(crate) c_in: usize,
+    pub(crate) c_out: usize,
     /// The frozen dataflow decision.
     pub(crate) dataflow: ConvDataflow,
     /// Panel-major packed per-offset weights, shared with the layer's
@@ -223,24 +226,38 @@ pub(crate) enum StepPlan {
 /// Built once by [`CompiledSession::compile`](crate::CompiledSession) and
 /// replaced wholesale when the fingerprint changes — never mutated.
 ///
-/// Simulated cost is a function of exactly this state, so the plan also
-/// carries it: the execute-path [`Timeline`] of one frame (every stage but
-/// `Mapping`, which only planning charges) and the per-layer profiles,
-/// evaluated once when the plan was finalised. Plan-hit frames — on every
-/// stream sharing the plan — report these cached values and run no
-/// cost-model code.
+/// Simulated cost is a function of exactly this state, so the plan is
+/// also where it is cached: the execute-path timeline of one frame (every
+/// stage but `Mapping`, which only planning charges) and the per-layer
+/// profiles, walked the first time any stream sharing the plan reads a
+/// frame's timeline ([`crate::cost_model`]) and never while frames execute.
 #[derive(Debug)]
 pub struct ExecutionPlan {
     pub(crate) fingerprint: u64,
+    /// `(voxels, channels)` of the input the plan was built for. The voxel
+    /// count is the second witness beside the fingerprint on every hit.
+    pub(crate) input_shape: (usize, usize),
     pub(crate) steps: Vec<StepPlan>,
-    pub(crate) timeline: Timeline,
-    pub(crate) layer_profiles: Vec<LayerProfile>,
+    /// Index-aligned with `steps`: the layer name of every step that
+    /// records a layer profile (convolutions, projections, batch norm,
+    /// ReLU).
+    pub(crate) names: Vec<Option<String>>,
+    /// The plan's execute-path cost, filled on first read.
+    pub(crate) cost: OnceLock<Cost>,
 }
 
 impl ExecutionPlan {
     /// The geometry fingerprint this plan was built for.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
+    }
+
+    /// Whether a frame with this fingerprint and voxel count may execute
+    /// against the plan. The 64-bit fingerprint alone would let a hash
+    /// collision run a frame through the wrong kernel maps; a collision
+    /// that also preserves the voxel count is the residual risk.
+    pub(crate) fn matches(&self, fingerprint: u64, voxels: usize) -> bool {
+        self.fingerprint == fingerprint && self.input_shape.0 == voxels
     }
 
     /// Number of planned steps (equals the traced op count).
@@ -379,6 +396,23 @@ mod tests {
         assert!(matches!(ops[0], LayerOp::Relu(_)));
         assert!(matches!(ops[1], LayerOp::BatchNorm(_)));
         assert!(matches!(ops[2], LayerOp::Push));
+    }
+
+    #[test]
+    fn plan_match_needs_fingerprint_and_voxel_count() {
+        let plan = |voxels| ExecutionPlan {
+            fingerprint: 0xfeed,
+            input_shape: (voxels, 4),
+            steps: Vec::new(),
+            names: Vec::new(),
+            cost: OnceLock::new(),
+        };
+        assert!(plan(10).matches(0xfeed, 10));
+        assert!(!plan(10).matches(0xbeef, 10), "fingerprint differs");
+        // An FNV-1a collision between two different geometries: equal
+        // fingerprints, different voxel counts — a miss, not a hit.
+        assert!(!plan(10).matches(0xfeed, 11));
+        assert!(!plan(11).matches(0xfeed, 10));
     }
 
     #[test]

@@ -2,13 +2,14 @@
 //!
 //! These are memory-bound streaming kernels. They never touch coordinates
 //! or maps, so their simulated cost is a single read+write sweep over the
-//! feature buffer ([`cost_model::charge_pointwise`]), charged to the
-//! `Other` stage — which is how they appear in the paper's Figure 4
-//! breakdown. The `forward`s charge it in line; compiled sessions run the
-//! crate-internal `compute` halves and serve the cost from the plan.
+//! feature buffer (a pointwise [`Charge`]), charged to the `Other` stage —
+//! which is how they appear in the paper's Figure 4 breakdown. The
+//! `forward`s log it on the run's ledger; compiled sessions run the
+//! crate-internal numerics halves — `apply`, in place on the feature matrix
+//! the executor owns — and the sweep is part of the plan's cost.
 
 use crate::context::Context;
-use crate::cost_model;
+use crate::cost_model::Charge;
 use crate::dataflow::apply_storage_precision_owned;
 use crate::module::Module;
 use crate::plan::{LayerOp, Tracer};
@@ -53,38 +54,33 @@ impl BatchNorm {
         self.scale.len()
     }
 
-    /// The feature-path numerics, without simulated cost or the per-layer
-    /// profile wrap (the dynamic `forward` adds both in line; a compiled
-    /// session serves both from its plan).
-    pub(crate) fn compute(
-        &self,
-        input: &SparseTensor,
-        ctx: &mut Context,
-    ) -> Result<SparseTensor, CoreError> {
-        if input.channels() != self.channels() {
+    /// The feature-path numerics on a feature matrix the caller owns, in
+    /// place: no allocation, no simulated cost, no per-layer profile wrap
+    /// (the dynamic `forward` logs both; a compiled session gets both from
+    /// its plan).
+    pub(crate) fn apply(&self, mut feats: Matrix, ctx: &mut Context) -> Result<Matrix, CoreError> {
+        if feats.cols() != self.channels() {
             return Err(CoreError::ChannelMismatch {
                 expected: self.channels(),
-                actual: input.channels(),
+                actual: feats.cols(),
             });
         }
         let pool = ctx.runtime.pool();
-        let mut feats = input.feats().clone();
         feats.par_map_rows_inplace(&pool, |row| {
             for (v, (s, sh)) in row.iter_mut().zip(self.scale.iter().zip(&self.shift)) {
                 *v = *v * s + sh;
             }
         });
-        let feats = apply_storage_precision_owned(&pool, feats, ctx.config.precision);
-        input.with_feats(feats)
+        Ok(apply_storage_precision_owned(&pool, feats, ctx.config.precision))
     }
 }
 
 impl Module for BatchNorm {
     fn forward(&self, input: &SparseTensor, ctx: &mut Context) -> Result<SparseTensor, CoreError> {
-        let profile_start = ctx.start_layer_profile();
-        let out = self.compute(input, ctx)?;
-        cost_model::charge_pointwise(input.len(), input.channels(), &mut ctx.sim());
-        ctx.finish_layer_profile(&self.name, input.len(), profile_start);
+        ctx.start_layer_profile();
+        let out = input.with_feats(self.apply(input.feats().clone(), ctx)?)?;
+        ctx.defer(Charge::pointwise(input.len(), input.channels()));
+        ctx.finish_layer_profile(&self.name, input.len());
         Ok(out)
     }
 
@@ -114,24 +110,19 @@ impl ReLU {
         ReLU { name: name.into() }
     }
 
-    /// The feature-path numerics (see [`BatchNorm::compute`]).
-    pub(crate) fn compute(
-        &self,
-        input: &SparseTensor,
-        ctx: &mut Context,
-    ) -> Result<SparseTensor, CoreError> {
-        let mut feats = input.feats().clone();
+    /// The feature-path numerics, in place (see [`BatchNorm::apply`]).
+    pub(crate) fn apply(&self, mut feats: Matrix, ctx: &mut Context) -> Matrix {
         feats.par_map_inplace(&ctx.runtime.pool(), |v| v.max(0.0));
-        input.with_feats(feats)
+        feats
     }
 }
 
 impl Module for ReLU {
     fn forward(&self, input: &SparseTensor, ctx: &mut Context) -> Result<SparseTensor, CoreError> {
-        let profile_start = ctx.start_layer_profile();
-        let out = self.compute(input, ctx)?;
-        cost_model::charge_pointwise(input.len(), input.channels(), &mut ctx.sim());
-        ctx.finish_layer_profile(&self.name, input.len(), profile_start);
+        ctx.start_layer_profile();
+        let out = input.with_feats(self.apply(input.feats().clone(), ctx))?;
+        ctx.defer(Charge::pointwise(input.len(), input.channels()));
+        ctx.finish_layer_profile(&self.name, input.len());
         Ok(out)
     }
 
@@ -190,7 +181,7 @@ impl GlobalPool {
 impl Module for GlobalPool {
     fn forward(&self, input: &SparseTensor, ctx: &mut Context) -> Result<SparseTensor, CoreError> {
         let out = self.compute(input)?;
-        cost_model::charge_pointwise(input.len(), input.channels(), &mut ctx.sim());
+        ctx.defer(Charge::pointwise(input.len(), input.channels()));
         Ok(out)
     }
 
@@ -228,7 +219,7 @@ mod tests {
         let mut c = ctx();
         let y = ReLU::new("r").forward(&tensor(), &mut c).unwrap();
         assert_eq!(y.feats().as_slice(), &[1.0, 0.0, 3.0, 0.0, 5.0, 6.0]);
-        assert!(c.timeline.stage(Stage::Other).as_f64() > 0.0);
+        assert!(c.timeline().stage(Stage::Other).as_f64() > 0.0);
     }
 
     #[test]

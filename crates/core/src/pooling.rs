@@ -7,7 +7,7 @@
 //! caching) and performs a per-channel max-reduction instead of GEMM.
 
 use crate::context::{CachedMap, Context, MapKey};
-use crate::cost_model;
+use crate::cost_model::Charge;
 use crate::mapping::build_layer_mapping;
 use crate::module::Module;
 use crate::plan::{LayerOp, PoolPlan, Tracer};
@@ -115,7 +115,7 @@ impl SparseMaxPool3d {
                     &ctx.config,
                     &ctx.device,
                 )?;
-                ctx.timeline.add(Stage::Mapping, mapping.latency);
+                ctx.defer(Charge::latency(Stage::Mapping, mapping.latency));
                 ctx.store_map(
                     key,
                     CachedMap {
@@ -138,8 +138,8 @@ impl SparseMaxPool3d {
 
     /// The execute half: per-channel reduction over the frozen map (zeros
     /// under [`Context::simulate_only`]). Never builds maps; the simulated
-    /// cost is [`cost_model::charge_pool`], charged in line by `forward`
-    /// and served from the plan by compiled sessions.
+    /// cost is a pooling [`Charge`], logged by `forward` and part of the
+    /// plan's cost in compiled sessions.
     pub(crate) fn compute(
         &self,
         input: &SparseTensor,
@@ -206,8 +206,7 @@ impl Module for SparseMaxPool3d {
     fn forward(&self, input: &SparseTensor, ctx: &mut Context) -> Result<SparseTensor, CoreError> {
         let plan = self.plan(input.coords(), input.stride(), ctx)?;
         let out = self.compute(input, &plan, ctx)?;
-        let map = &plan.cached.map;
-        cost_model::charge_pool(map, input.len(), out.len(), input.channels(), &mut ctx.sim());
+        ctx.defer(Charge::pool(plan.cached, input.len(), out.len(), input.channels()));
         Ok(out)
     }
 
@@ -269,10 +268,10 @@ mod tests {
         let mut c = ctx();
         let x = line_tensor();
         conv.forward(&x, &mut c).unwrap();
-        let mapping_after_conv = c.timeline.stage(Stage::Mapping);
+        let mapping_after_conv = c.timeline().stage(Stage::Mapping);
         pool.forward(&x, &mut c).unwrap();
         assert_eq!(
-            c.timeline.stage(Stage::Mapping),
+            c.timeline().stage(Stage::Mapping),
             mapping_after_conv,
             "pool must reuse the conv's cached map"
         );
@@ -323,6 +322,6 @@ mod tests {
         let a = pool.forward(&x, &mut full).unwrap();
         let b = pool.forward(&x, &mut dry).unwrap();
         assert_eq!(a.coords(), b.coords());
-        assert_eq!(full.timeline.total(), dry.timeline.total());
+        assert_eq!(full.timeline().total(), dry.timeline().total());
     }
 }

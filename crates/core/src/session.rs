@@ -12,6 +12,14 @@
 //! with a different fingerprint transparently re-plans (counted in
 //! [`PlanCacheStats`]).
 //!
+//! Neither half runs the simulated-GPU cost model: a frame logs its
+//! re-plan's `Mapping` latencies plus one charge naming the plan it
+//! executed, and the first *read* of [`CompiledSession::last_timeline`]
+//! (or the layer profiles) resolves them — the plan's execute-path cost is
+//! walked at most once per plan, by whichever stream first asks, and cached
+//! on the shared [`ExecutionPlan`] ([`crate::cost_model`]). A session
+//! nobody reads — `serve()`, a benchmark's timed window — simulates nothing.
+//!
 //! Planning also freezes each convolution's weights in the SIMD
 //! microkernel's panel-major packed layout (shared with the layer's lazy
 //! pack cache), so steady-state frames stream pre-packed GEMM panels and
@@ -26,8 +34,8 @@
 //! composition of the two; [`CompiledSession::into_parts`] opens it up.
 
 use crate::config::{CoordIndexChoice, OptimizationConfig};
-use crate::context::{Context, LayerProfile};
-use crate::cost_model::{self, ConvGeometry, Sim};
+use crate::context::Context;
+use crate::cost_model::Charge;
 use crate::engine::Engine;
 use crate::faults::DegradationReport;
 use crate::module::Module;
@@ -35,7 +43,7 @@ use crate::plan::{
     geometry_fingerprint, ConvPlan, ExecutionPlan, LayerOp, PlanCacheStats, StepPlan, Tracer,
 };
 use crate::{CoreError, SparseConv3d, SparseTensor};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use torchsparse_coords::Coord;
 use torchsparse_gpusim::{DeviceProfile, Micros, Timeline};
 
@@ -171,14 +179,14 @@ impl<'m> CompiledModel<'m> {
         };
         let tensor = sanitized.as_ref().unwrap_or(input);
         let fingerprint = geometry_fingerprint(tensor.coords(), tensor.stride());
-        let slot_matches = stream.plan.as_ref().is_some_and(|p| p.fingerprint == fingerprint);
-        if slot_matches {
+        let matches = |p: &Arc<ExecutionPlan>| p.matches(fingerprint, tensor.len());
+        if stream.plan.as_ref().is_some_and(matches) {
             stream.stats.hits += 1;
         } else {
             if stream.plan.is_some() {
                 stream.stats.invalidations += 1;
             }
-            if self.base_plan.fingerprint == fingerprint {
+            if matches(&self.base_plan) {
                 // The geometry returned to the compile-time plan: re-attach
                 // to the shared Arc instead of rebuilding. Counted as a hit
                 // (misses counts plan *builds*).
@@ -187,9 +195,9 @@ impl<'m> CompiledModel<'m> {
             } else {
                 // Geometry changed: rebuild the plan into this stream's
                 // slot — incrementally patched from the old plan when the
-                // delta path applies, from scratch otherwise. The re-plan
-                // cost lands in this frame's timeline, exactly like a
-                // dynamic run.
+                // delta path applies, from scratch otherwise. The re-plan's
+                // `Mapping` latencies land on this frame's ledger, exactly
+                // like a dynamic run's.
                 let old = stream.plan.clone();
                 let plan = replan_into_slot(
                     &self.ops,
@@ -199,7 +207,7 @@ impl<'m> CompiledModel<'m> {
                     &mut stream.stats,
                     ctx,
                 )?;
-                stream.planning = ctx.timeline.clone();
+                stream.planning = ctx.timeline().clone();
                 stream.planning_degradation = ctx.degradation.clone();
                 stream.plan = Some(Arc::new(plan));
             }
@@ -211,22 +219,10 @@ impl<'m> CompiledModel<'m> {
         stream.stats.plan_bytes = plan.memory_bytes();
         let ctx = stream.engine.context_mut();
         let (out, reruns) = run_steps(&self.ops, &plan, tensor, ctx)?;
-        // The frame's simulated cost: the plan's cached execute timeline on
-        // top of whatever `Mapping` this frame's re-plan charged. The two
-        // touch disjoint stages, so the merge adds zeros and is exact. Only
-        // a frame whose FP16 output overflowed (those layers ran twice)
-        // evaluates the model itself.
-        let evaluated;
-        let (timeline, profiles) = if reruns.is_empty() {
-            (&plan.timeline, &plan.layer_profiles)
-        } else {
-            evaluated = plan_cost(&self.ops, &plan.steps, tensor, &reruns, ctx);
-            (&evaluated.0, &evaluated.1)
-        };
-        ctx.timeline.merge(timeline);
-        if ctx.profile_layers {
-            ctx.layer_profiles.clone_from(profiles);
-        }
+        // The frame's simulated cost, for whoever reads it: the plan's
+        // execute path on top of whatever `Mapping` this frame's re-plan
+        // logged.
+        ctx.defer(Charge::plan(plan, reruns, ctx.profile_layers));
         Ok(out)
     }
 
@@ -301,7 +297,8 @@ impl StreamState {
         &self.planning_degradation
     }
 
-    /// Per-stage latency of the stream's last executed frame.
+    /// Per-stage simulated latency of the stream's last executed frame,
+    /// resolved on first read ([`Engine::last_timeline`]).
     pub fn last_timeline(&self) -> &Timeline {
         self.engine.last_timeline()
     }
@@ -368,8 +365,7 @@ impl<'m> CompiledSession<'m> {
         } else {
             None
         };
-        (plan.timeline, plan.layer_profiles) = plan_cost(&ops, &plan.steps, tensor, &[], ctx);
-        let planning = ctx.timeline.clone();
+        let planning = ctx.timeline().clone();
         let planning_degradation = ctx.degradation.clone();
         let config = ctx.config.clone();
         let device = ctx.device.clone();
@@ -460,7 +456,10 @@ impl<'m> CompiledSession<'m> {
         self.stream.planning_degradation()
     }
 
-    /// Per-stage latency of the last [`CompiledSession::execute`].
+    /// Per-stage simulated latency of the last
+    /// [`CompiledSession::execute`]. Executing simulates nothing; the first
+    /// read walks the plan through the cost model (once per plan, shared by
+    /// every stream on it) and adds the frame's own `Mapping` log.
     pub fn last_timeline(&self) -> &Timeline {
         self.stream.last_timeline()
     }
@@ -532,16 +531,13 @@ fn replan_into_slot(
     } else {
         stats.full_replans += 1;
     }
-    let mut plan = build_plan(ops, input, fingerprint, ctx)?;
-    (plan.timeline, plan.layer_profiles) = plan_cost(ops, &plan.steps, input, &[], ctx);
-    Ok(plan)
+    build_plan(ops, input, fingerprint, ctx)
 }
 
 /// Plans every op against the geometry cursor, producing the index-aligned
 /// [`StepPlan`] list. Only geometric work happens here (map building,
-/// output coordinate computation, grouping); features are never read. The
-/// plan's cached cost is left empty for the caller to fill ([`plan_cost`])
-/// once the plan is final.
+/// output coordinate computation, grouping); features are never read, and
+/// the plan's cost cell stays empty until a frame's timeline is read.
 fn build_plan(
     ops: &[LayerOp<'_>],
     input: &SparseTensor,
@@ -555,8 +551,18 @@ fn build_plan(
     };
     let mut stack: Vec<Geometry> = Vec::new();
     let mut steps = Vec::with_capacity(ops.len());
+    // The layer name of every step that records a layer profile.
+    let mut names = Vec::with_capacity(ops.len());
     for op in ops {
         ctx.check_deadline("mapping")?;
+        names.push(match op {
+            LayerOp::Conv(conv) | LayerOp::ResidualAdd { projection: Some(conv) } => {
+                Some(conv.layer_name().to_owned())
+            }
+            LayerOp::BatchNorm(bn) => Some(bn.name().to_owned()),
+            LayerOp::Relu(relu) => Some(relu.name().to_owned()),
+            _ => None,
+        });
         let step = match op {
             LayerOp::Conv(conv) => {
                 let p = conv.plan(&cur.coords, cur.stride, cur.channels, ctx)?;
@@ -622,112 +628,15 @@ fn build_plan(
         };
         steps.push(step);
     }
-    Ok(ExecutionPlan { fingerprint, steps, timeline: Timeline::new(), layer_profiles: Vec::new() })
-}
-
-/// Charges one planned convolution inside [`plan_cost`] and names its
-/// profile entry.
-fn charge_planned_conv<'m>(
-    conv: &'m SparseConv3d,
-    plan: &ConvPlan,
-    n_in: usize,
-    reran: bool,
-    sim: &mut Sim<'_>,
-) -> Option<(&'m str, usize)> {
-    let geo = ConvGeometry::of(conv, plan, n_in);
-    cost_model::charge_conv(&geo, &plan.dataflow, reran, sim);
-    Some((conv.layer_name(), n_in))
-}
-
-/// Evaluates the execute-path cost of a finished plan on a fresh L2
-/// simulator: the same sequence of charges, into an empty timeline, that a
-/// dynamic run of the same ops issues after mapping — so the result merges
-/// exactly into a frame's `Mapping`-only planning timeline. Also returns
-/// the per-layer profiles, wrapped as the dynamic `forward`s wrap them:
-/// convolution, batch norm and ReLU record one; pooling and global pooling
-/// do not.
-///
-/// `reruns` lists the step indices whose convolution overflowed its
-/// quantized storage and ran a second time in FP32 — empty for the value
-/// cached on the plan.
-fn plan_cost(
-    ops: &[LayerOp<'_>],
-    steps: &[StepPlan],
-    input: &SparseTensor,
-    reruns: &[usize],
-    ctx: &Context,
-) -> (Timeline, Vec<LayerProfile>) {
-    let mut mem = cost_model::begin_evaluation(&ctx.device);
-    let mut timeline = Timeline::new();
-    let mut sim = Sim {
-        config: &ctx.config,
-        device: &ctx.device,
-        gemm: &ctx.gemm,
-        mem: &mut mem,
-        timeline: &mut timeline,
-    };
-    let mut profiles = Vec::new();
-    // The (points, channels) of the tensor flowing through the network.
-    let mut cur = (input.len(), input.channels());
-    let mut stack: Vec<(usize, usize)> = Vec::new();
-    for (i, (op, step)) in ops.iter().zip(steps).enumerate() {
-        let start = sim.timeline.clone();
-        let reran = reruns.contains(&i);
-        let profiled = match (op, step) {
-            (LayerOp::Conv(conv), StepPlan::Conv(p)) => {
-                let profiled = charge_planned_conv(conv, p, cur.0, reran, &mut sim);
-                cur = (p.out_coords().len(), conv.c_out());
-                profiled
-            }
-            (LayerOp::Pool(_), StepPlan::Pool(p)) => {
-                let n_out = p.out_coords().len();
-                cost_model::charge_pool(&p.cached.map, cur.0, n_out, cur.1, &mut sim);
-                cur.0 = n_out;
-                None
-            }
-            (LayerOp::BatchNorm(bn), StepPlan::Pointwise) => {
-                cost_model::charge_pointwise(cur.0, cur.1, &mut sim);
-                Some((bn.name(), cur.0))
-            }
-            (LayerOp::Relu(relu), StepPlan::Pointwise) => {
-                cost_model::charge_pointwise(cur.0, cur.1, &mut sim);
-                Some((relu.name(), cur.0))
-            }
-            (LayerOp::GlobalPool(_), StepPlan::GlobalPool { batches }) => {
-                cost_model::charge_pointwise(cur.0, cur.1, &mut sim);
-                cur.0 = *batches;
-                None
-            }
-            (LayerOp::Push, _) => {
-                stack.push(cur);
-                None
-            }
-            (LayerOp::PopConcat, _) => {
-                cur.1 += stack.pop().map_or(0, |saved| saved.1);
-                None
-            }
-            (LayerOp::ResidualAdd { projection }, StepPlan::Residual { projection: proj }) => {
-                let saved = stack.pop().unwrap_or(cur);
-                match (projection, proj) {
-                    (Some(conv), Some(p)) => charge_planned_conv(conv, p, saved.0, reran, &mut sim),
-                    _ => None,
-                }
-            }
-            // An op/step mismatch fails the frame in `run_steps`.
-            _ => None,
-        };
-        if let Some((name, points)) = profiled {
-            profiles.push(LayerProfile::between(name, points, &start, sim.timeline));
-        }
-    }
-    (timeline, profiles)
+    let input_shape = (input.len(), input.channels());
+    Ok(ExecutionPlan { fingerprint, input_shape, steps, names, cost: OnceLock::new() })
 }
 
 /// Runs the feature-path numerics of every op against its frozen step
 /// plan — no cost-model code runs here. Returns the output and the indices
 /// of the steps whose convolution overflowed its quantized storage and ran
 /// a second time in FP32 (the only way a frame's simulated cost can differ
-/// from the plan's cached one).
+/// from the plan's).
 fn run_steps(
     ops: &[LayerOp<'_>],
     plan: &ExecutionPlan,
@@ -752,6 +661,19 @@ fn run_steps(
             _ => "epilogue",
         };
         ctx.check_deadline(stage)?;
+        // Pointwise sweeps own the tensor flowing through the network and
+        // rewrite its features in place: no clone, no allocation.
+        if let (LayerOp::BatchNorm(_) | LayerOp::Relu(_), StepPlan::Pointwise) = (op, step) {
+            let mut t = cur.take().unwrap_or_else(|| input.clone());
+            let feats = std::mem::take(t.feats_mut());
+            *t.feats_mut() = match op {
+                LayerOp::BatchNorm(bn) => bn.apply(feats, ctx)?,
+                LayerOp::Relu(relu) => relu.apply(feats, ctx),
+                _ => feats,
+            };
+            cur = Some(t);
+            continue;
+        }
         let x = match &cur {
             Some(t) => t,
             None => input,
@@ -766,12 +688,10 @@ fn run_steps(
         let next = match (op, step) {
             (LayerOp::Conv(conv), StepPlan::Conv(p)) => Some(run_conv(conv, p, x)?),
             (LayerOp::Pool(pool), StepPlan::Pool(p)) => Some(pool.compute(x, p, ctx)?),
-            (LayerOp::BatchNorm(bn), StepPlan::Pointwise) => Some(bn.compute(x, ctx)?),
-            (LayerOp::Relu(relu), StepPlan::Pointwise) => Some(relu.compute(x, ctx)?),
             (LayerOp::GlobalPool(gp), StepPlan::GlobalPool { .. }) => Some(gp.compute(x)?),
             (LayerOp::Push, StepPlan::Push) => {
                 stack.push(x.clone());
-                cur.clone()
+                None
             }
             (LayerOp::PopConcat, StepPlan::PopConcat) => {
                 let saved = stack
@@ -1008,13 +928,13 @@ mod tests {
         dynamic.context_mut().profile_layers = true;
         dynamic.run(&m, &x).unwrap();
         let dyn_names: Vec<String> =
-            dynamic.context().layer_profiles.iter().map(|p| p.name.clone()).collect();
+            dynamic.context().layer_profiles().iter().map(|p| p.name.clone()).collect();
 
         let mut session = engine().compile(&m, &x).unwrap();
         session.engine_mut().context_mut().profile_layers = true;
         session.execute(&x).unwrap();
         let ses_names: Vec<String> =
-            session.engine().context().layer_profiles.iter().map(|p| p.name.clone()).collect();
+            session.engine().context().layer_profiles().iter().map(|p| p.name.clone()).collect();
         assert_eq!(dyn_names, ses_names, "same layers must profile in both paths");
     }
 }

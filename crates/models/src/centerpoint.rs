@@ -1,6 +1,7 @@
 use crate::blocks::{ConvBnReLU, ResidualBlock};
+use torchsparse_core::cost_model::Charge;
 use torchsparse_core::{Context, CoreError, Module, SparseTensor};
-use torchsparse_gpusim::{Micros, Stage};
+use torchsparse_gpusim::Stage;
 
 /// CenterPoint's sparse 3D encoder (Yin et al. 2021): a SECOND-style
 /// backbone of submanifold blocks and stride-2 downsamples, followed by a
@@ -69,7 +70,7 @@ impl CenterPoint {
 
 impl Module for CenterPoint {
     fn forward(&self, input: &SparseTensor, ctx: &mut Context) -> Result<SparseTensor, CoreError> {
-        let before = ctx.timeline.total();
+        ctx.defer(Charge::mark());
         let mut cur = self.input_conv.forward(input, ctx)?;
         for (down, b1, b2) in &self.stages {
             if let Some(d) = down {
@@ -79,9 +80,9 @@ impl Module for CenterPoint {
             cur = b2.forward(&cur, ctx)?;
         }
         // Dense head (BEV convolutions + NMS): fixed fraction of the sparse
-        // backbone latency, independent of the engine (§5.2).
-        let backbone = ctx.timeline.total() - before;
-        ctx.timeline.add(Stage::Other, Micros(backbone.as_f64() * self.head_fraction));
+        // backbone latency accrued since the mark, independent of the
+        // engine (§5.2).
+        ctx.defer(Charge::surcharge(Stage::Other, self.head_fraction));
         Ok(cur)
     }
 

@@ -18,9 +18,10 @@
 use crate::minkunet::MinkUNet;
 use std::collections::HashMap;
 use torchsparse_coords::Coord;
+use torchsparse_core::cost_model::Charge;
 use torchsparse_core::{Context, CoreError, Module, SparseTensor};
 use torchsparse_gpusim::Precision as GemmPrecision;
-use torchsparse_gpusim::{AccessMode, GemmShape, Stage};
+use torchsparse_gpusim::{AccessMode, GemmShape, Micros, Stage};
 use torchsparse_tensor::{gemm, Matrix};
 
 /// A point cloud with continuous positions and per-point features — the
@@ -188,24 +189,26 @@ pub fn devoxelize_trilinear(
     Ok(out)
 }
 
-/// Charges the memory traffic of a point<->voxel transfer: `reads` random
-/// row reads and `writes` row writes of `channels`-wide features.
+/// Logs the memory traffic of a point<->voxel transfer: `reads` random
+/// row reads and `writes` row writes of `channels`-wide features, traced
+/// through the L2 simulator when the run's timeline is read.
 fn charge_pv_transfer(reads: usize, writes: usize, channels: usize, ctx: &mut Context) {
-    ctx.charge_host_op();
-    let mode = AccessMode::scalar_f32();
-    let row = (channels * 4) as u64;
-    let src = ctx.mem.alloc(reads as u64 * row);
-    let dst = ctx.mem.alloc(writes as u64 * row);
-    for i in 0..reads {
-        ctx.mem.read(src, i as u64 * row, row, mode);
-    }
-    for i in 0..writes {
-        ctx.mem.write(dst, i as u64 * row, row, mode);
-    }
-    let report = ctx.mem.take_report();
-    let latency =
-        report.latency(&ctx.device) + torchsparse_gpusim::Micros(ctx.device.launch_overhead_us);
-    ctx.timeline.add(Stage::Other, latency);
+    ctx.defer(Charge::custom(move |sim| {
+        sim.charge_host_op();
+        let mode = AccessMode::scalar_f32();
+        let row = (channels * 4) as u64;
+        let src = sim.mem.alloc(reads as u64 * row);
+        let dst = sim.mem.alloc(writes as u64 * row);
+        for i in 0..reads {
+            sim.mem.read(src, i as u64 * row, row, mode);
+        }
+        for i in 0..writes {
+            sim.mem.write(dst, i as u64 * row, row, mode);
+        }
+        let report = sim.mem.take_report();
+        let latency = report.latency(sim.device) + Micros(sim.device.launch_overhead_us);
+        sim.timeline.add(Stage::Other, latency);
+    }));
 }
 
 /// A per-point MLP layer (linear + ReLU), the point branch's building block.
@@ -235,11 +238,13 @@ impl PointMlp {
     ///
     /// Returns [`CoreError::Tensor`] on a channel mismatch.
     pub fn forward(&self, x: &Matrix, ctx: &mut Context) -> Result<Matrix, CoreError> {
-        ctx.charge_host_op();
         let mut y = gemm::mm(x, &self.weight)?;
         y.map_inplace(|v| v.max(0.0));
         let shape = GemmShape::mm(x.rows(), self.weight.rows(), self.weight.cols());
-        ctx.timeline.add(Stage::MatMul, ctx.gemm.latency(shape, GemmPrecision::Fp16));
+        ctx.defer(Charge::custom(move |sim| {
+            sim.charge_host_op();
+            sim.timeline.add(Stage::MatMul, sim.gemm.latency(shape, GemmPrecision::Fp16));
+        }));
         let _ = &self.name;
         Ok(y)
     }
@@ -422,7 +427,7 @@ mod tests {
         let mut c1 = fp32_ctx();
         let out1 = net.forward(&s, &mut c1).unwrap();
         assert_eq!(out1.shape(), (120, 7));
-        assert!(c1.timeline.total().as_f64() > 0.0);
+        assert!(c1.timeline().total().as_f64() > 0.0);
         let mut c2 = fp32_ctx();
         let out2 = net.forward(&s, &mut c2).unwrap();
         assert_eq!(out1, out2);

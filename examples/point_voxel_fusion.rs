@@ -41,16 +41,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "output: {} points x {} classes in {}",
         scores.rows(),
         scores.cols(),
-        ctx.timeline.total()
+        ctx.timeline().total()
     );
     for stage in Stage::ALL {
-        let t = ctx.timeline.stage(stage);
+        let t = ctx.timeline().stage(stage);
         if t.as_f64() > 0.0 {
             println!(
                 "  {:<8} {:>10}  ({:.1}%)",
                 stage.name(),
                 t.to_string(),
-                100.0 * ctx.timeline.fraction(stage)
+                100.0 * ctx.timeline().fraction(stage)
             );
         }
     }

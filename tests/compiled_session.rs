@@ -199,8 +199,12 @@ fn compiled_session_profiles_match_dynamic_layer_for_layer() {
     let mut dynamic = engine(EnginePreset::TorchSparse, Precision::Fp16);
     dynamic.context_mut().profile_layers = true;
     dynamic.run(&net, &x).expect("dynamic run");
-    let dyn_profiles: Vec<(String, usize)> =
-        dynamic.context().layer_profiles.iter().map(|p| (p.name.clone(), p.input_points)).collect();
+    let dyn_profiles: Vec<(String, usize)> = dynamic
+        .context()
+        .layer_profiles()
+        .iter()
+        .map(|p| (p.name.clone(), p.input_points))
+        .collect();
 
     let mut session: CompiledSession<'_> =
         engine(EnginePreset::TorchSparse, Precision::Fp16).compile(&net, &x).expect("compile");
@@ -209,7 +213,7 @@ fn compiled_session_profiles_match_dynamic_layer_for_layer() {
     let ses_profiles: Vec<(String, usize)> = session
         .engine()
         .context()
-        .layer_profiles
+        .layer_profiles()
         .iter()
         .map(|p| (p.name.clone(), p.input_points))
         .collect();

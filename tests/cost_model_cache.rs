@@ -1,21 +1,29 @@
-//! Simulated cost is a function of plan geometry alone, so a compiled
-//! session evaluates the cost model once per finalised plan and serves the
-//! cached timeline on every hit. This suite pins both halves of that
-//! contract: the cached values are bit-for-bit what in-line simulation
-//! reports (against the dynamic engine, across re-plan paths, under the
-//! overflow re-run), and hit frames really run no cost-model code
-//! (`cost_model::evaluations()` stands still).
+//! Simulated cost is a function of plan geometry alone and nobody but the
+//! reader of a timeline needs it, so frames only log what to charge and the
+//! first read resolves the log (`core::cost_model`); a compiled plan's
+//! execute-path cost is walked at most once, by whichever stream first
+//! asks. This suite pins both halves of that contract: resolved values are
+//! bit-for-bit what the dynamic engine reports (across routes, re-plan
+//! paths and the overflow re-run; `timeline_golden_bits.rs` pins both to
+//! the eager parent), and frames nobody reads run no cost-model code —
+//! compiles, hits, re-plans, dynamic runs and `serve()` leave
+//! `cost_model::evaluations()` where it was, each first read adds exactly
+//! one, repeated reads none.
 
+#[path = "support/cost_fixtures.rs"]
+mod fixtures;
+
+use fixtures::{engine, model, scene, stage_bits, untuned};
 use std::sync::{Arc, Mutex, MutexGuard};
 use torchsparse::coords::Coord;
 use torchsparse::core::cost_model::evaluations;
 use torchsparse::core::{
-    BatchNorm, CompiledSession, Engine, EnginePreset, FaultSite, LayerProfile, Module,
-    OptimizationConfig, Precision, ReLU, Sequential, SparseConv3d, SparseMaxPool3d, SparseTensor,
+    CompiledSession, EnginePreset, FaultSite, LayerProfile, Module, OptimizationConfig, Precision,
+    SparseTensor,
 };
 use torchsparse::data::{geometry_static_stream, temporal_churn_stream};
-use torchsparse::gpusim::{DeviceProfile, Micros, Stage, Timeline};
-use torchsparse::models::{MinkUNet, ResidualBlock};
+use torchsparse::gpusim::{Micros, Stage, Timeline};
+use torchsparse::models::MinkUNet;
 use torchsparse::serve::{serve, ServiceConfig};
 use torchsparse::tensor::Matrix;
 
@@ -28,53 +36,8 @@ fn serial() -> MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// A dense-ish blob that survives repeated stride-2 downsamples.
-fn scene(channels: usize) -> SparseTensor {
-    let mut coords = std::collections::BTreeSet::new();
-    for i in 0..420i32 {
-        coords.insert(Coord::new(0, (i * 7) % 22, ((i * 13) / 3) % 18, (i * 3) % 14));
-    }
-    let coords: Vec<Coord> = coords.into_iter().collect();
-    let n = coords.len();
-    SparseTensor::new(
-        coords,
-        Matrix::from_fn(n, channels, |r, c| ((r + 3 * c) % 9) as f32 * 0.25 - 1.0),
-    )
-    .expect("valid scene")
-}
-
-/// Every op kind the plan walk handles: submanifold, dilated, strided and
-/// transposed convs, batch norm, ReLU, max pooling, and a residual block
-/// with a projection branch.
-fn model(seed: u64) -> Sequential {
-    Sequential::new("net")
-        .push(SparseConv3d::with_random_weights("stem", 4, 8, 3, 1, seed))
-        .push(BatchNorm::identity("bn", 8))
-        .push(ReLU::new("act"))
-        .push(SparseConv3d::with_random_weights("dil", 8, 8, 3, 1, seed ^ 1).with_dilation(2))
-        .push(SparseMaxPool3d::new("pool", 2, 2))
-        .push(ResidualBlock::new("res", 8, 16, seed ^ 2))
-        .push(SparseConv3d::with_random_weights("down", 16, 16, 2, 2, seed ^ 3))
-        .push(SparseConv3d::with_random_weights("up", 16, 8, 2, 2, seed ^ 4).into_transposed())
-        .push(SparseConv3d::with_random_weights("head", 8, 4, 3, 1, seed ^ 5))
-}
-
-/// Product defaults with the policy search off: a tuned grouping
-/// legitimately changes the simulated cost, which would make a compiled
-/// session incomparable with the (never tuned) dynamic engine.
-fn untuned(precision: Precision) -> OptimizationConfig {
-    let mut cfg = EnginePreset::TorchSparse.config();
-    cfg.precision = precision;
-    cfg.autotune_policies = false;
-    cfg
-}
-
 fn env_set(name: &str) -> bool {
     std::env::var_os(name).is_some()
-}
-
-fn engine(cfg: &OptimizationConfig) -> Engine {
-    Engine::with_config(cfg.clone(), DeviceProfile::rtx_2080ti())
 }
 
 fn compile<'m>(
@@ -109,8 +72,8 @@ fn without_mapping(profiles: &[LayerProfile]) -> Vec<LayerProfile> {
         .collect()
 }
 
-/// (a) A hit frame's cached timeline is bitwise the in-line simulation of
-/// the dynamic engine, for every dataflow route and storage precision.
+/// (a) A hit frame's timeline is bitwise what the dynamic engine reports,
+/// for every dataflow route and storage precision.
 #[test]
 fn hit_frame_timeline_matches_dynamic_bitwise_across_routes_and_precisions() {
     let _serial = serial();
@@ -136,7 +99,7 @@ fn hit_frame_timeline_matches_dynamic_bitwise_across_routes_and_precisions() {
                 assert_eq!(
                     exec_bits(t),
                     exec_bits(dynamic.last_timeline()),
-                    "{label} frame {frame}: cached cost must equal in-line simulation"
+                    "{label} frame {frame}: the plan's cost must equal the dynamic run's"
                 );
             }
         }
@@ -221,35 +184,128 @@ fn replanned_frames_match_a_cold_compile_bitwise() {
     }
 }
 
-/// (b) Hit frames evaluate nothing; every plan build evaluates exactly
-/// once; streams sharing the compile-time plan get its timeline for free.
+/// (b) Executing evaluates nothing — not the compile, not hits, not delta
+/// patches, fallbacks or full re-plans, not a frame that took the overflow
+/// re-run. Each first read evaluates exactly once; a second read is free.
 #[test]
-fn evaluations_happen_once_per_plan_build_and_never_on_hits() {
+fn unread_frames_evaluate_nothing_and_each_first_read_evaluates_once() {
     let _serial = serial();
     let m = model(27);
     let base = scene(4);
-    let cfg = untuned(Precision::Fp16);
-    let frames = temporal_churn_stream(&base, 3, 0.08, 17).expect("stream");
+    for (churn, delta_replan) in [(0.08, true), (0.5, true), (0.08, false)] {
+        let mut cfg = untuned(Precision::Fp16);
+        cfg.delta_replan = delta_replan;
+        let frames = temporal_churn_stream(&base, 4, churn, 17).expect("stream");
 
+        let before = evaluations();
+        let mut session = compile(&cfg, &m, &frames[0]);
+        for _ in 0..24 {
+            session.execute(&frames[0]).expect("hit");
+        }
+        for frame in &frames[1..] {
+            session.execute(frame).expect("miss");
+            session.execute(frame).expect("hit");
+        }
+        assert_eq!(session.stats().misses, 4, "one build per new geometry");
+        session.engine_mut().context_mut().faults.arm(FaultSite::Fp16Overflow);
+        session.execute(&frames[3]).expect("hit with overflow");
+        assert_eq!(session.degradation_report().count(FaultSite::Fp16Overflow), 1);
+        assert_eq!(evaluations(), before, "nobody read a timeline: nothing evaluated");
+
+        // The overflow frame's layers ran twice: its cost is its own walk.
+        let faulted = exec_bits(session.last_timeline());
+        assert_eq!(evaluations() - before, 1, "the first read evaluates once");
+        assert_eq!(exec_bits(session.last_timeline()), faulted);
+        assert_eq!(evaluations() - before, 1, "the second read is free");
+
+        // The next hit reads the plan's own cell: one walk, then cached for
+        // every later frame on the plan.
+        session.execute(&frames[3]).expect("clean hit");
+        let clean = exec_bits(session.last_timeline());
+        assert_ne!(clean, faulted);
+        assert_eq!(evaluations() - before, 2, "first read of this plan");
+        session.execute(&frames[3]).expect("hit");
+        assert_eq!(exec_bits(session.last_timeline()), clean);
+        assert_eq!(evaluations() - before, 2, "later frames on the plan read the cell");
+    }
+
+    // Dynamic runs: the same rule, per frame.
+    let mut dynamic = engine(&untuned(Precision::Fp16));
     let before = evaluations();
-    let mut session = compile(&cfg, &m, &frames[0]);
-    assert_eq!(evaluations() - before, 1, "compile builds one plan");
-    for _ in 0..24 {
-        session.execute(&frames[0]).expect("hit");
+    for _ in 0..3 {
+        dynamic.run(&m, &base).expect("dynamic run");
     }
-    assert_eq!(evaluations() - before, 1, "24 hit frames evaluate nothing");
-    for (built, frame) in frames[1..].iter().enumerate() {
-        session.execute(frame).expect("miss");
-        session.execute(frame).expect("hit");
-        assert_eq!(evaluations() - before, 2 + built, "one evaluation per re-plan");
-    }
-    assert_eq!(session.stats().misses, 3);
+    assert_eq!(evaluations(), before, "unread dynamic runs evaluate nothing");
+    let first = exec_bits(dynamic.last_timeline());
+    assert_eq!(evaluations() - before, 1);
+    assert_eq!(exec_bits(dynamic.last_timeline()), first);
+    assert!(dynamic.last_latency() > Micros::ZERO);
+    assert_eq!(evaluations() - before, 1, "repeated reads are free");
+}
 
-    // Two serving streams over the shared compile-time plan: all hits.
+/// (b) Reading after every frame and reading only the last one give the
+/// same bits: resolution is a pure function of the frame's log.
+#[test]
+fn reading_every_frame_matches_reading_only_the_last() {
+    let _serial = serial();
+    let m = model(31);
+    let base = scene(4);
+    let cfg = untuned(Precision::Fp16);
+    let frames = temporal_churn_stream(&base, 4, 0.08, 19).expect("stream");
+    let mut eager = compile(&cfg, &m, &frames[0]);
+    let mut lazy = compile(&cfg, &m, &frames[0]);
+    let mut dynamic_eager = engine(&cfg);
+    let mut dynamic_lazy = engine(&cfg);
+    let mut last = None;
+    for frame in frames.iter().chain(frames.iter().rev()) {
+        eager.execute(frame).expect("execute");
+        lazy.execute(frame).expect("execute");
+        dynamic_eager.run(&m, frame).expect("run");
+        dynamic_lazy.run(&m, frame).expect("run");
+        last = Some((stage_bits(eager.last_timeline()), stage_bits(dynamic_eager.last_timeline())));
+    }
+    let (session_bits, dynamic_bits) = last.expect("frames ran");
+    assert_eq!(stage_bits(lazy.last_timeline()), session_bits);
+    assert_eq!(stage_bits(dynamic_lazy.last_timeline()), dynamic_bits);
+}
+
+/// (b) Two streams on the shared compile-time plan, read from two threads:
+/// the plan is walked once, by whichever asks first, and both agree.
+#[test]
+fn streams_reading_a_shared_plan_from_two_threads_evaluate_once_and_agree() {
+    let _serial = serial();
     let net = MinkUNet::with_width(0.25, 4, 3, 17);
+    let base = scene(4);
+    let cfg = untuned(Precision::Fp16);
+    let before = evaluations();
+    let (shared, mut first) = compile(&cfg, &net, &base).into_parts();
+    let mut second = shared.new_stream().expect("stream");
+    shared.execute_on(&mut first, &base).expect("hit");
+    shared.execute_on(&mut second, &base).expect("hit");
+    assert_eq!(evaluations(), before);
+    let (a, b) = std::thread::scope(|scope| {
+        let a = scope.spawn(move || first.last_timeline().clone());
+        let b = scope.spawn(move || second.last_timeline().clone());
+        (a.join().expect("reader"), b.join().expect("reader"))
+    });
+    assert_eq!(evaluations() - before, 1, "one walk for the shared plan");
+    assert_eq!(a, b);
+    assert!(a.total() > Micros::ZERO);
+}
+
+/// (b) `serve()` never reads a timeline: streams that hit, churn and
+/// re-plan privately end with the counter where it started.
+#[test]
+fn serve_with_churned_streams_evaluates_nothing() {
+    let _serial = serial();
+    let net = MinkUNet::with_width(0.25, 4, 3, 17);
+    let base = scene(4);
+    let cfg = untuned(Precision::Fp16);
     let (shared, _) = compile(&cfg, &net, &base).into_parts();
-    let streams: Vec<Vec<SparseTensor>> =
-        (0..2).map(|s| geometry_static_stream(&base, 4, 0.02, 90 + s).expect("stream")).collect();
+    let streams: Vec<Vec<SparseTensor>> = vec![
+        geometry_static_stream(&base, 4, 0.02, 90).expect("stream"),
+        temporal_churn_stream(&base, 4, 0.08, 91).expect("stream"),
+    ];
     let before = evaluations();
     let ((), outcome) = serve(&shared, 2, &ServiceConfig::default(), |svc| {
         for (stream, stream_frames) in streams.iter().enumerate() {
@@ -260,12 +316,12 @@ fn evaluations_happen_once_per_plan_build_and_never_on_hits() {
     })
     .expect("serve");
     assert_eq!(outcome.completions.iter().filter(|c| c.result.is_ok()).count(), 8);
-    assert_eq!(evaluations(), before, "streams sharing the base plan evaluate nothing");
+    assert_eq!(evaluations(), before, "a serve run reads no timeline and evaluates nothing");
 }
 
 /// (b) The FP16 -> FP32 overflow re-run simulates its layer twice; that
-/// frame — and only that frame — evaluates the model, and reports what the
-/// dynamic engine reports under the same fault.
+/// frame — and only that frame — walks the plan itself when it is read, and
+/// reports what the dynamic engine reports under the same fault.
 #[test]
 fn overflow_rerun_frame_evaluates_once_and_matches_dynamic() {
     let _serial = serial();
@@ -290,12 +346,13 @@ fn overflow_rerun_frame_evaluates_once_and_matches_dynamic() {
     session.engine_mut().context_mut().faults.arm(FaultSite::Fp16Overflow);
     session.execute(&x).expect("hit with overflow");
     assert_eq!(session.degradation_report().count(FaultSite::Fp16Overflow), 1);
-    assert_eq!(evaluations() - before, 1, "the re-run frame evaluates the model once");
+    assert_eq!(evaluations(), before, "executing the re-run frame evaluates nothing");
     assert_eq!(exec_bits(session.last_timeline()), faulted);
+    assert_eq!(evaluations() - before, 1, "reading it walks the plan once");
 
     session.execute(&x).expect("clean hit again");
-    assert_eq!(evaluations() - before, 1, "the next hit is served from the plan again");
     assert_eq!(exec_bits(session.last_timeline()), clean);
+    assert_eq!(evaluations() - before, 1, "the next hit reads the plan's cell again");
 }
 
 /// (c) `profile_layers` on a hit frame: the dynamic run's per-layer
@@ -310,15 +367,16 @@ fn hit_frame_layer_profiles_match_dynamic() {
     let mut dynamic = engine(&cfg);
     dynamic.context_mut().profile_layers = true;
     dynamic.run(&net, &x).expect("dynamic run");
-    let golden = without_mapping(&dynamic.context().layer_profiles);
+    let golden = without_mapping(dynamic.context().layer_profiles());
     assert!(golden.len() > 20, "MinkUNet profiles every conv, batch norm and ReLU");
 
     let mut session = compile(&cfg, &net, &x);
-    session.execute(&x).expect("unprofiled hit");
-    assert!(session.engine().context().layer_profiles.is_empty());
-    session.engine_mut().context_mut().profile_layers = true;
     let before = evaluations();
+    session.execute(&x).expect("unprofiled hit");
+    assert!(session.engine().context().layer_profiles().is_empty());
+    assert_eq!(evaluations() - before, 1, "the first read walked the plan");
+    session.engine_mut().context_mut().profile_layers = true;
     session.execute(&x).expect("profiled hit");
-    assert_eq!(session.engine().context().layer_profiles, golden);
-    assert_eq!(evaluations(), before, "profiles are served from the plan too");
+    assert_eq!(session.engine().context().layer_profiles(), golden);
+    assert_eq!(evaluations() - before, 1, "profiles come from the same cell");
 }
