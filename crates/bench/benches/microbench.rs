@@ -88,11 +88,6 @@ fn bench_gemm() {
     let a = Matrix::from_fn(2048, 64, |r, cc| ((r * 31 + cc * 17) % 97) as f32 / 97.0);
     let w = Matrix::from_fn(64, 64, |r, cc| ((r * 13 + cc * 7) % 89) as f32 / 89.0);
     bench("gemm", "mm_2048x64x64", 3, 30, || gemm::mm(black_box(&a), black_box(&w)).expect("mm"));
-    let batch_a: Vec<Matrix> = (0..8).map(|_| a.clone()).collect();
-    let batch_w: Vec<Matrix> = (0..8).map(|_| w.clone()).collect();
-    bench("gemm", "bmm_8x2048x64x64", 3, 30, || {
-        gemm::bmm(black_box(&batch_a), black_box(&batch_w)).expect("bmm")
-    });
 }
 
 fn bench_end_to_end() {

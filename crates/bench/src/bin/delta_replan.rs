@@ -15,13 +15,15 @@
 //! (`--scenes` is the number of streamed frames per churn level.)
 
 use torchsparse_bench::{build_model, dataset_for, fmt, BenchArgs};
-use torchsparse_core::{DeviceProfile, Engine, EnginePreset, PlanCacheStats};
+use torchsparse_core::{
+    DeviceProfile, Engine, EnginePreset, PlanCacheStats, DELTA_REPLAN_MAX_CHURN,
+};
 use torchsparse_data::temporal_churn_stream;
 use torchsparse_gpusim::Stage;
 use torchsparse_models::BenchmarkModel;
 
 /// Churn sweep, as fractions of the voxel set replaced per frame. The
-/// default `delta_replan_max_churn` threshold (0.15) splits this range.
+/// `DELTA_REPLAN_MAX_CHURN` threshold (0.15) splits this range.
 const CHURNS: [f64; 6] = [0.01, 0.02, 0.05, 0.10, 0.20, 0.50];
 
 fn engine(delta: bool) -> Engine {
@@ -67,13 +69,6 @@ fn run_arm(
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    if std::env::var_os("TORCHSPARSE_DELTA_REPLAN").is_some() {
-        eprintln!(
-            "TORCHSPARSE_DELTA_REPLAN is pinned in the environment; this bench \
-             controls the flag per arm — unset it and re-run"
-        );
-        return Ok(());
-    }
     // Default scale is larger than the other benches': at toy point counts
     // the fixed per-op launch overhead dominates both arms and compresses
     // the patch-vs-full ratio below what any realistic scene shows.
@@ -89,7 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ds = dataset_for(bm, args.scale);
     let base = ds.scene(args.seed)?;
     let model = build_model(bm, args.seed);
-    let threshold = EnginePreset::TorchSparse.config().delta_replan_max_churn;
+    let threshold = DELTA_REPLAN_MAX_CHURN;
 
     println!(
         "== Delta re-planning churn sweep: {} (scale {}, {} frames/level, {} points, \

@@ -253,11 +253,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut cfg = OptimizationConfig::torchsparse();
         cfg.simd = policy;
         // The A/B isolates the kernel choice; keep the autotuner from
-        // varying other policy axes (fused route, chunking) between arms.
+        // varying other policy axes (chunking, panel width) between arms.
         cfg.autotune_policies = false;
         let mut session = Engine::with_config(cfg, DeviceProfile::rtx_2080ti())
             .compile(model.as_ref(), &frames[0])?;
-        session.execute(&frames[0])?; // warm workspaces
+        session.execute(&frames[0])?; // warm caches and packed weights
         let start = Instant::now();
         let mut last = None;
         for frame in &frames {

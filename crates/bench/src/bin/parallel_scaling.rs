@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use torchsparse_bench::{build_model, dataset_for, fmt, scenes, BenchArgs};
 use torchsparse_core::runtime::{modeled_makespan, ThreadPool};
-use torchsparse_core::{fused_enabled, DeviceProfile, Engine, OptimizationConfig};
+use torchsparse_core::{DeviceProfile, Engine, OptimizationConfig};
 use torchsparse_models::BenchmarkModel;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Measured wall-clock at each worker count, real numerics. The first
-    // pass warms the workspace arena so steady-state reuse is what gets
+    // pass warms caches and packed weights so the steady state is what gets
     // timed; outputs are compared bitwise against the 1-thread run.
     //
     // On a single-core host multi-thread wall clock is pure OS
@@ -91,35 +91,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         measured.push((threads, wall));
     }
 
-    // Workspace counters come from a dedicated *buffered* (unfused) pass:
-    // the fused default streams map rows through register tiles and takes
-    // no movement buffers at all, so reading the arena of a fused engine
-    // would always report 0/0 regardless of whether recycling works. If
-    // the TORCHSPARSE_FUSED override forces fusion on, the buffered path
-    // cannot run and the counters are skipped (marked in the JSON).
-    let mut unfused_cfg = OptimizationConfig::torchsparse();
-    unfused_cfg.fused_execution = false;
-    unfused_cfg.threads = Some(1);
-    let buffered_pass_ran = !fused_enabled(&unfused_cfg);
-    let (workspace_fresh, workspace_reuses) = if buffered_pass_ran {
-        let mut engine = Engine::with_config(unfused_cfg, DeviceProfile::rtx_2080ti());
-        engine.run(model.as_ref(), &inputs[0])?; // warm the arena
-        for x in &inputs {
-            engine.run(model.as_ref(), x)?;
-        }
-        let ws = &engine.context().runtime.workspaces;
-        assert!(
-            ws.reuses > 0,
-            "buffered steady-state passes must recycle workspace buffers \
-             (fresh {}, reuses {})",
-            ws.fresh_allocations,
-            ws.reuses
-        );
-        (ws.fresh_allocations, ws.reuses)
-    } else {
-        (0, 0)
-    };
-
     // Modeled scaling: trace every parallel region's task durations with a
     // recording pool, then replay the trace on N lanes. The traced frame is
     // a compiled session's plan hit — the serving steady state: no mapping
@@ -128,7 +99,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut engine = engine_with_threads(1);
     engine.context_mut().config.autotune_policies = false;
     let mut session = engine.compile(model.as_ref(), &inputs[0])?;
-    session.execute(&inputs[0])?; // warm caches and workspaces
+    session.execute(&inputs[0])?; // warm caches and packed weights
     let pool = Arc::new(ThreadPool::new_recording());
     session.engine_mut().context_mut().runtime.set_pool(pool.clone());
     let start = Instant::now();
@@ -195,19 +166,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trace.iter().map(Vec::len).sum::<usize>(),
         parallel_fraction * 100.0
     );
-    if buffered_pass_ran {
-        println!(
-            "workspace arena (buffered 1-thread engine, {} scenes after warmup): \
-             {} fresh allocations, {} reuses",
-            args.scenes, workspace_fresh, workspace_reuses
-        );
-    } else {
-        println!(
-            "workspace arena: skipped (TORCHSPARSE_FUSED forces fusion on; the fused \
-             path takes no movement buffers, so arena counters carry no signal)"
-        );
-    }
-
     let speedup_8 = modeled.iter().find(|(l, _, _)| *l == 8).map(|(_, _, s)| *s).unwrap_or(0.0);
     let mut json = String::new();
     json.push_str("{\n");
@@ -250,10 +208,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trace.len(),
         trace.iter().map(Vec::len).sum::<usize>(),
         parallel_fraction
-    ));
-    json.push_str(&format!(
-        "  \"workspace\": {{\"buffered_pass_ran\": {buffered_pass_ran}, \
-         \"fresh_allocations\": {workspace_fresh}, \"reuses\": {workspace_reuses}}},\n"
     ));
     json.push_str(&format!("  \"modeled_speedup_at_8_lanes\": {speedup_8:.3}\n"));
     json.push_str("}\n");

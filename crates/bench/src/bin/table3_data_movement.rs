@@ -13,18 +13,15 @@
 //! | + fused                     | 1.91 | 2.12 | 2.02 |
 //! | + locality-aware            | 2.86 | 2.61 | 2.72 |
 //!
-//! The simulated waterfall above ablates the *modeled* GPU movement
-//! kernels; the run ends with the CPU counterpart — real wall-clock for
-//! the materialized gather/psum executor vs the fused
-//! gather–GEMM–scatter microkernel (`OptimizationConfig::fused_execution`)
-//! on the same workload, asserted bitwise identical.
+//! The waterfall ablates the *modeled* GPU movement kernels
+//! (`fused_gather_scatter` and friends, read by `core::cost_model`); the
+//! host executor is the fused row-streaming route under every step.
 //!
 //! Usage: `cargo run --release -p torchsparse-bench --bin
 //! table3_data_movement [--scale F] [--scenes N]`
 
 #![allow(clippy::type_complexity)]
 
-use std::time::Instant;
 use torchsparse_bench::{build_model, dataset_for, fmt, measure, scenes, BenchArgs};
 use torchsparse_core::{DeviceProfile, Engine, OptimizationConfig, Precision};
 use torchsparse_gpusim::Stage;
@@ -71,43 +68,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("Paper reference: 1.32x FP16-scalar, 1.93x vectorized, 2.02x fused,");
     println!("2.72x with locality-aware ordering (Table 3).");
-
-    // ---- CPU executor split: the real (not modeled) fused/unfused cost. --
-    // The waterfall above ablates the simulator's movement kernels; the
-    // fused gather-GEMM-scatter path is the CPU analogue of "+ fused
-    // + locality-aware" (map rows stream through register tiles in
-    // plan-time output-sorted order). Measured with real numerics on the
-    // final stacked config; outputs must agree bit for bit.
-    println!("\n== CPU executor: fused vs materialized gather/psum (real wall clock) ==");
-    let mut wall_s = [0.0f64; 2];
-    let mut bits: Option<Vec<u32>> = None;
-    for (i, fused) in [false, true].into_iter().enumerate() {
-        let mut run_cfg = cfg.clone();
-        run_cfg.fused_execution = fused;
-        let mut engine = Engine::with_config(run_cfg, DeviceProfile::rtx_2080ti());
-        engine.run(model.as_ref(), &inputs[0])?; // warm maps, packs, workspaces
-        let start = Instant::now();
-        let mut last = None;
-        for x in &inputs {
-            last = Some(engine.run(model.as_ref(), x)?);
-        }
-        wall_s[i] = start.elapsed().as_secs_f64() / inputs.len() as f64;
-        if let Some(y) = last {
-            let b: Vec<u32> = y.feats().as_slice().iter().map(|v| v.to_bits()).collect();
-            match &bits {
-                None => bits = Some(b),
-                Some(r) => {
-                    assert_eq!(r, &b, "fused and unfused CPU outputs must be bitwise identical")
-                }
-            }
-        }
-    }
-    println!(
-        "unfused {:.1} ms/scene, fused {:.1} ms/scene: {:.2}x (outputs bitwise identical; \
-         see BENCH_fused.json / `fused_movement` for the compiled-stream measurement)",
-        wall_s[0] * 1e3,
-        wall_s[1] * 1e3,
-        wall_s[0] / wall_s[1]
-    );
     Ok(())
 }

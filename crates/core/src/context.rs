@@ -161,16 +161,19 @@ pub struct Context {
     /// adaptive grouping run with fixed grouping instead. Survives
     /// [`Context::begin_run`] like [`Context::tuned_groups`].
     pub grouping_fallback: bool,
-    /// The execution runtime: shared worker pool (sized by
-    /// `config.threads`) and the workspace arena of recycled feature
-    /// buffers. Survives [`Context::begin_run`] so buffers are reused
-    /// across forward passes, not just across layers.
+    /// The execution runtime: the shared worker pool (sized by
+    /// `config.threads`).
     pub runtime: crate::runtime::Runtime,
     /// The active per-request deadline, if any. Caller-managed like
     /// [`Context::faults`]: survives [`Context::begin_run`] so the serving
     /// layer can install it before executing a frame; cleared by setting it
     /// back to `None`.
     pub deadline: Option<Deadline>,
+    /// Set on the contexts of a compiled session's streams: their coordinate
+    /// sets are frozen at plan time, so map searches build the succinct MPHF
+    /// index the plan keeps ([`crate::mapping::TableKind::Mphf`]) where a
+    /// dynamic run follows `config.map_search`.
+    pub(crate) frozen_index: bool,
 }
 
 /// One leaf layer's contribution to a run, captured by the layer profiler.
@@ -231,6 +234,7 @@ impl Context {
             degradation: crate::faults::DegradationReport::new(),
             grouping_fallback: false,
             deadline: None,
+            frozen_index: false,
             config,
             device,
         }
@@ -375,11 +379,6 @@ impl Context {
             if !epsilon.is_finite() || !(0.0..=1.0).contains(&epsilon) {
                 return Err(invalid("adaptive grouping epsilon must be within [0, 1]"));
             }
-        }
-        if !cfg.delta_replan_max_churn.is_finite()
-            || !(0.0..=1.0).contains(&cfg.delta_replan_max_churn)
-        {
-            return Err(invalid("delta_replan_max_churn must be within [0, 1]"));
         }
         Ok(())
     }

@@ -7,7 +7,7 @@ use crate::dataflow::{
 };
 use crate::faults::FaultSite;
 use crate::grouping::plan_groups;
-use crate::mapping::{build_layer_mapping_observed_on, compact_cached_index};
+use crate::mapping::build_layer_mapping_on;
 use crate::module::Module;
 use crate::plan::{ConvDataflow, ConvPlan, LayerOp, Tracer};
 use crate::{CoreError, SparseTensor};
@@ -256,8 +256,8 @@ impl SparseConv3d {
                 .record(FaultSite::KernelMapCache, "injected cache invalidation; map rebuilt");
         }
         let mapping = {
-            let Context { config, device, faults, degradation, runtime, .. } = ctx;
-            build_layer_mapping_observed_on(
+            let Context { config, device, faults, degradation, runtime, frozen_index, .. } = ctx;
+            build_layer_mapping_on(
                 &runtime.pool(),
                 coords,
                 self.kernel_size,
@@ -267,16 +267,11 @@ impl SparseConv3d {
                 device,
                 faults,
                 degradation,
+                *frozen_index,
             )?
         };
         ctx.defer(Charge::latency(Stage::Mapping, mapping.latency));
-        let cached = CachedMap {
-            map: mapping.map,
-            fine_coords: coords.to_vec(),
-            coarse_coords: mapping.out_coords,
-            index: compact_cached_index(mapping.index, coords, &ctx.config),
-        };
-        Ok((ctx.store_map(key, cached), false))
+        Ok((ctx.store_map(key, mapping.into_cached(coords)), false))
     }
 
     /// The plan half: derives everything this layer needs from input
@@ -344,13 +339,11 @@ impl SparseConv3d {
             ConvDataflow::Grouped(plan_groups(&map_ref.sizes(), submanifold, strategy))
         };
 
-        // Plan-time locality reordering and scatter metadata: sort each
-        // offset's entries by output row once per geometry, so every frame
-        // executed against this plan streams cache-friendly panels (fused
-        // route) or chunk-partitioned producer lists (unfused scatter)
-        // without rebuilding any index. The per-offset work runs on the
-        // worker pool — plan builds are on the serial critical path of
-        // compiled sessions.
+        // Plan-time locality reordering: sort each offset's entries by
+        // output row once per geometry, so every frame executed against
+        // this plan streams cache-friendly panels without rebuilding any
+        // index. The per-offset work runs on the worker pool — plan builds
+        // are on the serial critical path of compiled sessions.
         let fused = {
             let n_out =
                 if use_fine { cached.fine_coords.len() } else { cached.coarse_coords.len() };
@@ -425,7 +418,7 @@ impl SparseConv3d {
             map: map_ref,
             n_out: out_coords.len(),
             center_identity: plan.center,
-            fused: Some(&plan.fused),
+            fused: &plan.fused,
             policy: plan.policy,
         };
 
@@ -433,11 +426,13 @@ impl SparseConv3d {
             if ctx.simulate_only {
                 return Ok(Matrix::zeros(workload.n_out, self.c_out));
             }
-            let Context { config, runtime, .. } = ctx;
+            let pool = ctx.runtime.pool();
             match &plan.dataflow {
-                ConvDataflow::FetchOnDemand => run_fetch_on_demand(&workload, config, runtime),
-                ConvDataflow::Grouped(groups) => {
-                    run_gather_matmul_scatter(&workload, groups, config, runtime)
+                ConvDataflow::FetchOnDemand => {
+                    Ok(run_fetch_on_demand(&workload, &ctx.config, &pool))
+                }
+                ConvDataflow::Grouped(_) => {
+                    run_gather_matmul_scatter(&workload, &ctx.config, &pool)
                 }
             }
         };

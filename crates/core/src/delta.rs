@@ -16,17 +16,16 @@
 //! ([`Context::seed_map`]) and the ordinary plan build then runs against
 //! them: every `plan()` call hits the seeded cache, skips search, and makes
 //! identical policy / grouping / ordering decisions — so a patched plan is
-//! *bitwise identical* to a from-scratch plan at every thread count, fused
-//! and unfused.
+//! *bitwise identical* to a from-scratch plan at every thread count.
 //!
 //! The walk is conservative: any situation where equality cannot be
-//! guaranteed — churn above `delta_replan_max_churn`, duplicate
+//! guaranteed — churn above [`DELTA_REPLAN_MAX_CHURN`], duplicate
 //! coordinates, geometry that passed through an untracked op — bails out
 //! *before* seeding anything, and the caller falls back to a clean full
 //! rebuild (counted as a delta fallback in
 //! [`PlanCacheStats`](crate::PlanCacheStats)).
 
-use crate::config::{coord_index_choice, CoordIndexChoice, OptimizationConfig};
+use crate::config::OptimizationConfig;
 use crate::context::{CachedMap, Context, MapKey};
 use crate::cost_model::Charge;
 use crate::mapping::{stats_latency, HASH_SERIALIZATION};
@@ -36,10 +35,15 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use torchsparse_coords::{
     diff_coords, patch_strided_map, patch_submanifold_map, Coord, CoordDelta, CoordHashMap,
-    CoordIndex, DeltaIndex, GridTable, MphfIndex, PatchStats,
+    CoordIndex, DeltaIndex, MphfIndex, PatchStats,
 };
 use torchsparse_gpusim::Stage;
 
+/// Churn-ratio ceiling for delta re-planning: when
+/// `(inserted + removed) / max(|old|, |new|)` at the input level exceeds
+/// this fraction, the patch path falls back to a full re-plan (past ~15%
+/// churn, patching loses to rebuilding).
+pub const DELTA_REPLAN_MAX_CHURN: f64 = 0.15;
 /// Deepest [`DeltaIndex`] layering tolerated before a level's index is
 /// compacted into a fresh flat index. Each layer adds one dependent lookup
 /// to every query; past this depth the compaction cost amortizes.
@@ -134,7 +138,7 @@ impl<'c> Walk<'c> {
         }
         if !self.churn_checked {
             self.churn_checked = true;
-            if delta.churn(cur.coords.len()) > self.config.delta_replan_max_churn {
+            if delta.churn(cur.coords.len()) > DELTA_REPLAN_MAX_CHURN {
                 return Err(Bail("churn above threshold"));
             }
         }
@@ -161,7 +165,7 @@ impl<'c> Walk<'c> {
             if old_cached.index.delta_depth() + 1 > MAX_DELTA_DEPTH
                 || side_fraction >= MAX_SIDE_FRACTION
             {
-                self.compact_index(&cur.coords)?
+                self.compact_index(&cur.coords)
             } else {
                 let (di, probes) = DeltaIndex::build(old_cached.index.clone(), delta, &cur.coords)
                     .map_err(|_| Bail("delta/index length mismatch"))?;
@@ -174,33 +178,21 @@ impl<'c> Walk<'c> {
         Ok(ix)
     }
 
-    /// A fresh flat index over `coords`, honoring the configured
-    /// [`CoordIndexChoice`] like the full mapping pipeline's cached-index
-    /// compaction does.
-    fn compact_index(&mut self, coords: &[Coord]) -> Result<Arc<dyn CoordIndex>, Bail> {
-        let hashmap = |stats: &mut PatchStats| -> Arc<dyn CoordIndex> {
-            let (t, probes) = CoordHashMap::build(coords);
-            stats.random.writes += probes;
-            Arc::new(t)
-        };
+    /// A fresh flat index over `coords`: the MPHF every frozen plan stores,
+    /// or the hashmap when duplicate coordinates leave no perfect hash.
+    fn compact_index(&mut self, coords: &[Coord]) -> Arc<dyn CoordIndex> {
         self.stats.random.kernel_launches += 1;
-        Ok(match coord_index_choice(self.config) {
-            CoordIndexChoice::Auto | CoordIndexChoice::Mphf => match MphfIndex::build(coords) {
-                Ok((t, accesses)) => {
-                    self.stats.random.writes += accesses;
-                    Arc::new(t)
-                }
-                Err(_) => hashmap(&mut self.stats),
-            },
-            CoordIndexChoice::Grid => match GridTable::build(coords, self.config.grid_cell_limit) {
-                Ok((t, accesses)) => {
-                    self.stats.random.writes += accesses;
-                    Arc::new(t)
-                }
-                Err(_) => hashmap(&mut self.stats),
-            },
-            CoordIndexChoice::Hashmap => hashmap(&mut self.stats),
-        })
+        match MphfIndex::build(coords) {
+            Ok((t, accesses)) => {
+                self.stats.random.writes += accesses;
+                Arc::new(t)
+            }
+            Err(_) => {
+                let (t, probes) = CoordHashMap::build(coords);
+                self.stats.random.writes += probes;
+                Arc::new(t)
+            }
+        }
     }
 
     /// Patches one map-building op (convolution or pooling) at the current

@@ -171,7 +171,7 @@ mod tests {
     #[test]
     fn display_variants_nonempty() {
         let variants: Vec<CoreError> = vec![
-            CoreError::Tensor(TensorError::BatchMismatch { lhs: 1, rhs: 2 }),
+            CoreError::Tensor(TensorError::DataLengthMismatch { expected: 1, actual: 2 }),
             CoreError::Coords(CoordsError::ZeroStride),
             CoreError::LengthMismatch { coords: 1, feats: 2 },
             CoreError::ChannelMismatch { expected: 4, actual: 8 },
@@ -194,7 +194,7 @@ mod tests {
     #[test]
     fn source_chains() {
         use std::error::Error;
-        let e = CoreError::from(TensorError::BatchMismatch { lhs: 1, rhs: 2 });
+        let e = CoreError::from(TensorError::DataLengthMismatch { expected: 1, actual: 2 });
         assert!(e.source().is_some());
         assert!(CoreError::EmptyInput.source().is_none());
     }

@@ -12,9 +12,9 @@
 //!   fused downsampling kernels, symmetric map reuse (§4.4).
 //! - [`grouping`]: separate / symmetric / fixed / adaptive matmul grouping
 //!   (§4.2, Algorithms 4 & 5).
-//! - [`dataflow`]: the numerics of gather–matmul–scatter (buffered or
-//!   fused) and of the fetch-on-demand dataflow MinkowskiEngine uses for
-//!   small workloads.
+//! - [`dataflow`]: the numerics of gather–matmul–scatter and of the
+//!   fetch-on-demand dataflow MinkowskiEngine uses for small workloads,
+//!   both on one fused row-streaming executor.
 //! - [`cost_model`]: what those kernels cost on the simulated GPU under
 //!   quantized, vectorized, fused, locality-aware data movement (§4.3) —
 //!   pure functions of geometry that no frame runs: frames log what to
@@ -69,11 +69,11 @@ pub mod tuning;
 pub mod validate;
 
 pub use config::{
-    coord_index_choice, fused_enabled, CoordIndexChoice, EnginePreset, GroupingStrategy,
-    MapSearchStrategy, OptimizationConfig, Precision, SimdPolicy,
+    EnginePreset, GroupingStrategy, MapSearchStrategy, OptimizationConfig, Precision, SimdPolicy,
 };
 pub use context::{Context, Deadline, LayerProfile, LayerWorkload, MapKey};
 pub use conv::SparseConv3d;
+pub use delta::DELTA_REPLAN_MAX_CHURN;
 pub use engine::Engine;
 pub use error::CoreError;
 pub use faults::{DegradationEvent, DegradationReport, FaultInjector, FaultSite};
@@ -81,7 +81,7 @@ pub use module::{Module, Sequential};
 pub use plan::{geometry_fingerprint, ExecutionPlan, LayerOp, PlanCacheStats, Tracer};
 pub use pointwise::{BatchNorm, GlobalPool, ReLU};
 pub use pooling::{PoolReduction, SparseMaxPool3d};
-pub use runtime::{Runtime, ThreadPool, WorkspacePool};
+pub use runtime::{Runtime, ThreadPool};
 pub use session::{CompiledModel, CompiledSession, StreamState};
 pub use sparse_tensor::SparseTensor;
 pub use tuning::{ExecPolicy, TuningReport};

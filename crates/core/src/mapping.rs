@@ -14,10 +14,12 @@
 //! differ in their [`MappingStats`], which [`mapping_latency`] converts to
 //! microseconds with a small set of calibrated constants.
 
-use crate::config::{coord_index_choice, CoordIndexChoice, MapSearchStrategy, OptimizationConfig};
+use crate::config::{MapSearchStrategy, OptimizationConfig};
+use crate::context::CachedMap;
 use crate::faults::{DegradationReport, FaultInjector, FaultSite};
 use crate::runtime::ThreadPool;
 use crate::CoreError;
+use std::sync::Arc;
 use torchsparse_coords::downsample::{fused_output_coords, staged_output_coords, Boundary};
 use torchsparse_coords::kernel_map::{search_dilated_on, search_submanifold_symmetric_dilated_on};
 use torchsparse_coords::{
@@ -59,11 +61,37 @@ pub struct LayerMapping {
     pub latency: Micros,
     /// Table used for the search.
     pub table: TableKind,
-    /// The coordinate index the search probed. Frozen plans retain it so
-    /// [`crate::ExecutionPlan::memory_bytes`] reflects the configured
-    /// [`CoordIndexChoice`] and future incremental re-plans can re-query
-    /// without a rebuild.
+    /// The coordinate index the search probed.
     pub index: Box<dyn CoordIndex>,
+}
+
+impl LayerMapping {
+    /// Wraps the mapping for the repeated-geometry cache
+    /// ([`crate::Context::store_map`]), compacting the search index into the
+    /// succinct MPHF representation on the way.
+    ///
+    /// Dynamic map search probes the grid/hashmap machinery for build speed,
+    /// but the *cached* copy is retained read-only for the rest of the run
+    /// (and for the lifetime of any frozen plan built from it), where the
+    /// minimal perfect hash answers the same queries in a fraction of the
+    /// memory. A compiled session's search already ran on the MPHF;
+    /// coordinate sets without a perfect hash (duplicates) keep the hashmap.
+    /// Lookup results are identical either way.
+    pub(crate) fn into_cached(self, fine_coords: &[Coord]) -> CachedMap {
+        let index: Arc<dyn CoordIndex> = match self.table {
+            TableKind::Mphf => Arc::from(self.index),
+            _ => match MphfIndex::build(fine_coords) {
+                Ok((mphf, _accesses)) => Arc::new(mphf),
+                Err(_) => Arc::from(self.index),
+            },
+        };
+        CachedMap {
+            map: self.map,
+            fine_coords: fine_coords.to_vec(),
+            coarse_coords: self.out_coords,
+            index,
+        }
+    }
 }
 
 /// Bytes charged per *random* table access (hash probe / grid cell): one
@@ -176,7 +204,7 @@ pub fn build_layer_mapping_observed(
     faults: &mut FaultInjector,
     degradation: &mut DegradationReport,
 ) -> Result<LayerMapping, CoreError> {
-    build_layer_mapping_observed_on(
+    build_layer_mapping_on(
         ThreadPool::global(),
         in_coords,
         kernel_size,
@@ -186,6 +214,7 @@ pub fn build_layer_mapping_observed(
         device,
         faults,
         degradation,
+        false,
     )
 }
 
@@ -195,11 +224,16 @@ pub fn build_layer_mapping_observed(
 /// too). Table construction stays serial — insertion order defines the
 /// stored indices.
 ///
+/// `frozen` is [`Context::frozen_index`](crate::Context): a compiled
+/// session's coordinate sets never change after plan time, so its searches
+/// build — and are charged for — the minimal-perfect-hash index the plan
+/// keeps, where a dynamic run follows `config.map_search`.
+///
 /// # Errors
 ///
 /// As [`build_layer_mapping_observed`].
 #[allow(clippy::too_many_arguments)] // mirrors the engine's disjoint Context borrows
-pub fn build_layer_mapping_observed_on(
+pub(crate) fn build_layer_mapping_on(
     pool: &ThreadPool,
     in_coords: &[Coord],
     kernel_size: usize,
@@ -209,6 +243,7 @@ pub fn build_layer_mapping_observed_on(
     device: &DeviceProfile,
     faults: &mut FaultInjector,
     degradation: &mut DegradationReport,
+    frozen: bool,
 ) -> Result<LayerMapping, CoreError> {
     if in_coords.is_empty() {
         return Err(CoreError::EmptyInput);
@@ -234,7 +269,7 @@ pub fn build_layer_mapping_observed_on(
 
     // 2. Index construction over the input coordinates.
     let (index, build_stats, kind): (Box<dyn CoordIndex>, MappingStats, TableKind) =
-        build_table(in_coords, config, faults, degradation)?;
+        build_table(in_coords, config, faults, degradation, frozen)?;
     latency += stats_latency(
         &build_stats,
         device,
@@ -268,69 +303,37 @@ pub fn build_layer_mapping_observed_on(
     Ok(LayerMapping { map, out_coords, latency, table: kind, index })
 }
 
-/// Compacts a freshly built search index into the succinct MPHF
-/// representation before it enters the repeated-geometry cache
-/// ([`crate::context::CachedMap`]).
-///
-/// Dynamic map search probes the grid/hashmap machinery for build speed, but
-/// the *cached* copy is retained read-only for the rest of the run (and for
-/// the lifetime of any frozen plan built from it), where the minimal perfect
-/// hash answers the same queries in a fraction of the memory. Only the
-/// default [`CoordIndexChoice::Auto`] compacts — an explicitly pinned
-/// hashmap/grid choice is preserved so the legacy representations stay
-/// exercisable — and coordinate sets without a perfect hash (duplicates)
-/// keep the original index. Lookup results are identical either way.
-pub(crate) fn compact_cached_index(
-    index: Box<dyn CoordIndex>,
-    coords: &[Coord],
-    config: &OptimizationConfig,
-) -> std::sync::Arc<dyn CoordIndex> {
-    if coord_index_choice(config) != CoordIndexChoice::Auto {
-        return std::sync::Arc::from(index);
-    }
-    match MphfIndex::build(coords) {
-        Ok((mphf, _accesses)) => std::sync::Arc::new(mphf),
-        Err(_) => std::sync::Arc::from(index),
-    }
-}
-
 fn build_table(
     coords: &[Coord],
     config: &OptimizationConfig,
     faults: &mut FaultInjector,
     degradation: &mut DegradationReport,
+    frozen: bool,
 ) -> Result<(Box<dyn CoordIndex>, MappingStats, TableKind), CoreError> {
     let hash = |coords: &[Coord]| {
         let (t, probes) = CoordHashMap::build(coords);
         let stats = MappingStats { reads: 0, writes: probes, kernel_launches: 1, candidate_ops: 0 };
         (Box::new(t) as Box<dyn CoordIndex>, stats, TableKind::Hashmap)
     };
-    match coord_index_choice(config) {
-        CoordIndexChoice::Hashmap => return Ok(hash(coords)),
-        CoordIndexChoice::Mphf => {
-            return match MphfIndex::build(coords) {
-                Ok((t, accesses)) => {
-                    let stats = MappingStats {
-                        reads: 0,
-                        writes: accesses,
-                        kernel_launches: 1,
-                        candidate_ops: 0,
-                    };
-                    Ok((Box::new(t) as Box<dyn CoordIndex>, stats, TableKind::Mphf))
-                }
-                // Duplicate coordinates have no perfect hash; keep the
-                // hashmap's keep-first semantics so lookups are unchanged.
-                Err(CoordsError::DuplicateCoordinate(_)) => Ok(hash(coords)),
-                Err(e) => Err(e.into()),
-            };
-        }
-        // Auto with a hashmap search strategy: the legacy dynamic path.
-        CoordIndexChoice::Auto if config.map_search == MapSearchStrategy::Hashmap => {
-            return Ok(hash(coords));
-        }
-        // Grid (forced) or Auto with grid/auto search: try the dense grid
-        // below.
-        CoordIndexChoice::Grid | CoordIndexChoice::Auto => {}
+    if frozen {
+        return match MphfIndex::build(coords) {
+            Ok((t, accesses)) => {
+                let stats = MappingStats {
+                    reads: 0,
+                    writes: accesses,
+                    kernel_launches: 1,
+                    candidate_ops: 0,
+                };
+                Ok((Box::new(t) as Box<dyn CoordIndex>, stats, TableKind::Mphf))
+            }
+            // Duplicate coordinates have no perfect hash; keep the
+            // hashmap's keep-first semantics so lookups are unchanged.
+            Err(CoordsError::DuplicateCoordinate(_)) => Ok(hash(coords)),
+            Err(e) => Err(e.into()),
+        };
+    }
+    if config.map_search == MapSearchStrategy::Hashmap {
+        return Ok(hash(coords));
     }
     // Try the dense grid, degrade to the hashmap when construction fails
     // (SpConv-style engines do the same silently; here the fallback is
@@ -379,13 +382,6 @@ mod tests {
 
     fn device() -> DeviceProfile {
         DeviceProfile::rtx_2080ti()
-    }
-
-    /// The process-wide `TORCHSPARSE_COORD_INDEX` override wins over the
-    /// `map_search`/`coord_index` fields some tests below pin; any forced
-    /// value invalidates their table-kind premises, so they skip.
-    fn coord_index_forced() -> bool {
-        std::env::var("TORCHSPARSE_COORD_INDEX").is_ok()
     }
 
     #[test]
@@ -445,9 +441,6 @@ mod tests {
 
     #[test]
     fn grid_faster_than_hashmap() {
-        if coord_index_forced() {
-            return;
-        }
         // §6.3: grid-based search beats the conventional hashmap (2.7x on
         // large scenes; launch overhead shrinks the gap at this test size).
         let coords = coords_blob(96);
@@ -500,9 +493,6 @@ mod tests {
 
     #[test]
     fn auto_falls_back_to_hashmap_for_huge_boxes() {
-        if coord_index_forced() {
-            return;
-        }
         let mut coords = coords_blob(4);
         coords.push(Coord::new(0, 100_000, 100_000, 100_000));
         let mut cfg = OptimizationConfig::torchsparse();
@@ -513,9 +503,6 @@ mod tests {
 
     #[test]
     fn organic_grid_fallback_is_recorded() {
-        if coord_index_forced() {
-            return;
-        }
         let mut coords = coords_blob(4);
         coords.push(Coord::new(0, 100_000, 100_000, 100_000));
         let mut cfg = OptimizationConfig::torchsparse();
@@ -540,9 +527,6 @@ mod tests {
 
     #[test]
     fn injected_grid_fault_degrades_and_produces_same_map() {
-        if coord_index_forced() {
-            return;
-        }
         let coords = coords_blob(8);
         let cfg = OptimizationConfig::torchsparse();
         let healthy = build_layer_mapping(&coords, 3, 1, &cfg, &device()).unwrap();
@@ -576,10 +560,50 @@ mod tests {
     }
 
     #[test]
-    fn hashmap_strategy_never_probes_grid_fault() {
-        if coord_index_forced() {
-            return;
+    fn frozen_mapping_searches_the_mphf_and_keeps_it() {
+        // A compiled session's search builds — and is charged for — the
+        // MPHF, whatever `map_search` says; the map is the dynamic one and
+        // the cached copy keeps that very index. Duplicate coordinates have
+        // no perfect hash: the hashmap stands in, frozen or not.
+        let build = |coords: &[Coord], cfg: &OptimizationConfig, frozen: bool| {
+            build_layer_mapping_on(
+                ThreadPool::global(),
+                coords,
+                3,
+                1,
+                1,
+                cfg,
+                &device(),
+                &mut FaultInjector::disarmed(),
+                &mut DegradationReport::new(),
+                frozen,
+            )
+            .unwrap()
+        };
+        let coords = coords_blob(8);
+        for cfg in [OptimizationConfig::torchsparse(), OptimizationConfig::baseline_fp32()] {
+            let dynamic = build(&coords, &cfg, false);
+            assert_ne!(dynamic.table, TableKind::Mphf);
+            let frozen = build(&coords, &cfg, true);
+            assert_eq!(frozen.table, TableKind::Mphf);
+            for n in 0..27 {
+                assert_eq!(frozen.map.entries(n), dynamic.map.entries(n), "offset {n}");
+            }
+            let bytes = frozen.index.memory_bytes();
+            assert_eq!(frozen.into_cached(&coords).index.memory_bytes(), bytes);
+            // The dynamic search's table is compacted to the same MPHF.
+            assert_eq!(dynamic.into_cached(&coords).index.memory_bytes(), bytes);
         }
+        let mut duplicated = coords.clone();
+        duplicated.push(coords[5]);
+        let frozen = build(&duplicated, &OptimizationConfig::torchsparse(), true);
+        assert_eq!(frozen.table, TableKind::Hashmap);
+        let bytes = frozen.index.memory_bytes();
+        assert_eq!(frozen.into_cached(&duplicated).index.memory_bytes(), bytes);
+    }
+
+    #[test]
+    fn hashmap_strategy_never_probes_grid_fault() {
         let coords = coords_blob(6);
         let mut cfg = OptimizationConfig::baseline_fp32();
         cfg.map_search = MapSearchStrategy::Hashmap;

@@ -6,11 +6,13 @@
 //! convolution (output coordinate calculation + kernel map search + map
 //! caching) and performs a per-channel max-reduction instead of GEMM.
 
-use crate::context::{CachedMap, Context, MapKey};
+use crate::context::{Context, MapKey};
 use crate::cost_model::Charge;
-use crate::mapping::build_layer_mapping;
+use crate::faults::{DegradationReport, FaultInjector};
+use crate::mapping::build_layer_mapping_on;
 use crate::module::Module;
 use crate::plan::{LayerOp, PoolPlan, Tracer};
+use crate::runtime::ThreadPool;
 use crate::{CoreError, SparseTensor};
 use torchsparse_coords::Coord;
 use torchsparse_gpusim::Stage;
@@ -108,27 +110,20 @@ impl SparseMaxPool3d {
         let cached = match ctx.cached_map(key) {
             Some(hit) => hit,
             None => {
-                let mapping = build_layer_mapping(
+                let mapping = build_layer_mapping_on(
+                    ThreadPool::global(),
                     coords,
                     self.kernel_size,
                     self.stride,
+                    1,
                     &ctx.config,
                     &ctx.device,
+                    &mut FaultInjector::disarmed(),
+                    &mut DegradationReport::new(),
+                    ctx.frozen_index,
                 )?;
                 ctx.defer(Charge::latency(Stage::Mapping, mapping.latency));
-                ctx.store_map(
-                    key,
-                    CachedMap {
-                        map: mapping.map,
-                        fine_coords: coords.to_vec(),
-                        coarse_coords: mapping.out_coords,
-                        index: crate::mapping::compact_cached_index(
-                            mapping.index,
-                            coords,
-                            &ctx.config,
-                        ),
-                    },
-                )
+                ctx.store_map(key, mapping.into_cached(coords))
             }
         };
         let use_fine = self.stride == 1;

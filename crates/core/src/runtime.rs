@@ -1,129 +1,22 @@
-//! The engine's execution runtime: the shared worker pool plus a workspace
-//! arena of recycled feature buffers.
+//! The engine's execution runtime: the shared worker pool.
 //!
-//! Both halves attack host-side overheads that the paper's GPU engine never
-//! pays but a CPU reproduction does:
-//!
-//! - [`ThreadPool`] (re-exported from `torchsparse-runtime`): map search,
-//!   gather/scatter, and GEMM panels all dispatch onto one persistent pool
-//!   threaded through [`crate::Context`] instead of spawning threads per
-//!   call. `OptimizationConfig::threads == Some(1)` reproduces the serial
-//!   engine exactly.
-//! - [`WorkspacePool`]: gather buffers, partial sums, and fetch-on-demand
-//!   scratch matrices are taken from and returned to an arena that survives
-//!   layers *and* forward passes ([`crate::Context::begin_run`] keeps it),
-//!   so steady-state inference performs no feature-buffer heap allocation —
-//!   the CPU analogue of the paper's reuse of device workspace memory.
+//! [`ThreadPool`] (re-exported from `torchsparse-runtime`) attacks a
+//! host-side overhead the paper's GPU engine never pays but a CPU
+//! reproduction does: map search, the convolution executor's chunks, and
+//! GEMM panels all dispatch onto one persistent pool threaded through
+//! [`crate::Context`] instead of spawning threads per call.
+//! `OptimizationConfig::threads == Some(1)` reproduces the serial engine
+//! exactly.
 
 use std::sync::Arc;
-use torchsparse_tensor::Matrix;
 
 pub use torchsparse_runtime::{default_threads, modeled_makespan, Task, TaskTrace, ThreadPool};
 
-/// An arena of reusable [`Matrix`] buffers.
-///
-/// [`WorkspacePool::take`] returns a zeroed `rows x cols` matrix, recycling
-/// the backing storage of a previously [`WorkspacePool::give`]n buffer when
-/// one with enough capacity exists. The counters make reuse observable:
-/// after warm-up, a forward pass should drive `reuses` without moving
-/// `fresh_allocations`.
-#[derive(Debug, Default)]
-pub struct WorkspacePool {
-    free: Vec<Matrix>,
-    /// Buffers served by growing the heap (no free buffer had capacity).
-    pub fresh_allocations: u64,
-    /// Buffers served entirely from recycled storage.
-    pub reuses: u64,
-}
-
-/// Free-list bound: beyond this many parked buffers, give-backs drop the
-/// smallest instead of growing the arena without limit.
-const MAX_FREE_BUFFERS: usize = 64;
-
-impl WorkspacePool {
-    /// Creates an empty pool.
-    pub fn new() -> WorkspacePool {
-        WorkspacePool::default()
-    }
-
-    /// Returns a zeroed `rows x cols` matrix, reusing pooled storage when a
-    /// parked buffer's capacity suffices.
-    ///
-    /// Best-fit policy: the smallest parked buffer that fits is chosen, so
-    /// large buffers stay available for large requests.
-    pub fn take(&mut self, rows: usize, cols: usize) -> Matrix {
-        let needed = rows * cols;
-        let mut best: Option<usize> = None;
-        for (i, m) in self.free.iter().enumerate() {
-            if m.capacity() >= needed && best.is_none_or(|b| m.capacity() < self.free[b].capacity())
-            {
-                best = Some(i);
-            }
-        }
-        match best {
-            Some(i) => {
-                let mut m = self.free.swap_remove(i);
-                m.reshape_zeroed(rows, cols);
-                self.reuses += 1;
-                m
-            }
-            None => {
-                // Recycle the largest parked buffer anyway (its Vec grows
-                // once) rather than abandoning it, unless the pool is empty.
-                self.fresh_allocations += 1;
-                if let Some(mut m) = self.free.pop() {
-                    m.reshape_zeroed(rows, cols);
-                    m
-                } else {
-                    Matrix::zeros(rows, cols)
-                }
-            }
-        }
-    }
-
-    /// Parks a buffer for later reuse. Zero-capacity buffers are dropped.
-    pub fn give(&mut self, m: Matrix) {
-        if m.capacity() == 0 {
-            return;
-        }
-        if self.free.len() >= MAX_FREE_BUFFERS {
-            // Keep the largest buffers: evict the smallest parked one.
-            if let Some((smallest, _)) =
-                self.free.iter().enumerate().min_by_key(|(_, b)| b.capacity())
-            {
-                self.free.swap_remove(smallest);
-            }
-        }
-        self.free.push(m);
-    }
-
-    /// Number of parked buffers.
-    pub fn parked(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Total `take` calls served (fresh or recycled). The fused
-    /// gather–GEMM–scatter executor never takes movement buffers at all,
-    /// so under `fused_execution` a steady-state forward pass leaves this
-    /// counter unchanged — a stronger property than "no fresh
-    /// allocations", which recycling alone already provides.
-    pub fn total_takes(&self) -> u64 {
-        self.fresh_allocations + self.reuses
-    }
-
-    /// Drops every parked buffer (counters are kept).
-    pub fn clear(&mut self) {
-        self.free.clear();
-    }
-}
-
 /// The execution runtime carried by [`crate::Context`]: a handle to the
-/// worker pool plus the workspace arena.
+/// worker pool.
 #[derive(Debug)]
 pub struct Runtime {
     pool: Arc<ThreadPool>,
-    /// The matrix workspace arena (see [`WorkspacePool`]).
-    pub workspaces: WorkspacePool,
 }
 
 impl Runtime {
@@ -136,12 +29,11 @@ impl Runtime {
             None => ThreadPool::global().clone(),
             Some(n) => Arc::new(ThreadPool::new(n)),
         };
-        Runtime { pool, workspaces: WorkspacePool::new() }
+        Runtime { pool }
     }
 
     /// A clonable handle to the pool (an `Arc`, so holding it does not
-    /// borrow the runtime — callers can use the pool and the workspace
-    /// arena simultaneously).
+    /// borrow the runtime).
     pub fn pool(&self) -> Arc<ThreadPool> {
         self.pool.clone()
     }
@@ -167,58 +59,6 @@ impl Default for Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn take_fresh_then_reuse() {
-        let mut pool = WorkspacePool::new();
-        let a = pool.take(10, 4);
-        assert_eq!(a.shape(), (10, 4));
-        assert_eq!(pool.fresh_allocations, 1);
-        assert_eq!(pool.reuses, 0);
-        pool.give(a);
-        let b = pool.take(5, 8);
-        assert_eq!(b.shape(), (5, 8));
-        assert!(b.as_slice().iter().all(|&v| v == 0.0), "reused buffer must be zeroed");
-        assert_eq!(pool.fresh_allocations, 1);
-        assert_eq!(pool.reuses, 1);
-    }
-
-    #[test]
-    fn best_fit_prefers_smallest_sufficient() {
-        let mut pool = WorkspacePool::new();
-        let big = pool.take(100, 10);
-        let small = pool.take(4, 4);
-        pool.give(big);
-        pool.give(small);
-        let m = pool.take(2, 2);
-        // The 16-element buffer fits 4 elements; the 1000-element one must
-        // stay parked for bigger requests.
-        assert!(m.capacity() >= 4 && m.capacity() < 1000);
-        assert!(pool.free.iter().any(|b| b.capacity() >= 1000));
-    }
-
-    #[test]
-    fn undersized_buffers_still_recycled() {
-        let mut pool = WorkspacePool::new();
-        let small = pool.take(2, 2);
-        pool.give(small);
-        let big = pool.take(50, 50);
-        assert_eq!(big.shape(), (50, 50));
-        // Counted as fresh (the Vec had to grow), and the pool is drained.
-        assert_eq!(pool.fresh_allocations, 2);
-        assert_eq!(pool.parked(), 0);
-    }
-
-    #[test]
-    fn free_list_is_bounded() {
-        let mut pool = WorkspacePool::new();
-        for i in 1..=(MAX_FREE_BUFFERS + 20) {
-            pool.give(Matrix::zeros(i, 1));
-        }
-        assert!(pool.parked() <= MAX_FREE_BUFFERS);
-        // Eviction keeps the largest buffers.
-        assert!(pool.free.iter().any(|b| b.capacity() >= MAX_FREE_BUFFERS));
-    }
 
     #[test]
     fn runtime_thread_options() {

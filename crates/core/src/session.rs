@@ -29,11 +29,11 @@
 //! [`CompiledModel`] is the frozen, `Sync` half (traced ops + compile-time
 //! plan behind `Arc`) that N streams execute against concurrently, while
 //! [`StreamState`] is one stream's private half (engine context with its
-//! workspace arena and degradation report, plus that stream's plan slot
-//! and cache stats). [`CompiledSession`] remains the single-stream
-//! composition of the two; [`CompiledSession::into_parts`] opens it up.
+//! degradation report, plus that stream's plan slot and cache stats).
+//! [`CompiledSession`] remains the single-stream composition of the two;
+//! [`CompiledSession::into_parts`] opens it up.
 
-use crate::config::{CoordIndexChoice, OptimizationConfig};
+use crate::config::OptimizationConfig;
 use crate::context::Context;
 use crate::cost_model::Charge;
 use crate::engine::Engine;
@@ -112,8 +112,8 @@ pub struct CompiledModel<'m> {
 }
 
 /// One stream's private execution state: its engine (context with the
-/// workspace arena, fault injector, and degradation report), its plan
-/// slot, and its plan-cache counters.
+/// fault injector and degradation report), its plan slot, and its
+/// plan-cache counters.
 ///
 /// Created by [`CompiledModel::new_stream`] — and rebuilt the same way
 /// when a serving supervisor quarantines a poisoned stream: the state is
@@ -139,6 +139,7 @@ impl<'m> CompiledModel<'m> {
     /// through [`Engine::compile`], which validated at construction).
     pub fn new_stream(&self) -> Result<StreamState, CoreError> {
         let mut engine = Engine::try_with_config(self.config.clone(), self.device.clone())?;
+        engine.context_mut().frozen_index = true;
         if let Some(report) = &self.tuning {
             engine.context_mut().tuned_policies = report.policies.clone();
         }
@@ -341,13 +342,10 @@ impl<'m> CompiledSession<'m> {
         let ops = tracer.into_ops();
 
         let ctx = engine.context_mut();
-        // Compiled sessions freeze their coordinate sets at plan time, so
-        // `Auto` resolves to the succinct MPHF index here — on the session's
-        // own config copy, which new streams and private re-plans inherit.
-        // Dynamic runs (and explicit Hashmap/Grid choices) are unaffected.
-        if ctx.config.coord_index == CoordIndexChoice::Auto {
-            ctx.config.coord_index = CoordIndexChoice::Mphf;
-        }
+        // Coordinate sets are frozen at plan time from here on: this
+        // stream's map searches (the compile below, private re-plans) build
+        // the succinct MPHF index, as every `new_stream` will.
+        ctx.frozen_index = true;
         ctx.begin_run();
         let sanitized = {
             let Context { config, faults, degradation, .. } = ctx;
@@ -360,7 +358,7 @@ impl<'m> CompiledSession<'m> {
         // on-disk tuning database when a matching geometry class exists,
         // otherwise prune with the cost-model prior and microbench the
         // short list, rewriting the plan's per-layer policies in place.
-        let tuning = if crate::config::autotune_enabled(&ctx.config) {
+        let tuning = if ctx.config.autotune_policies {
             Some(crate::tuning::autotune_plan(&ops, &mut plan, ctx))
         } else {
             None
@@ -519,7 +517,7 @@ fn replan_into_slot(
     ctx: &mut Context,
 ) -> Result<ExecutionPlan, CoreError> {
     stats.misses += 1;
-    let attempted = old_plan.is_some() && crate::config::delta_replan_enabled(&ctx.config);
+    let attempted = old_plan.is_some() && ctx.config.delta_replan;
     let patched = match old_plan {
         Some(old) if attempted => crate::delta::try_seed_delta_maps(ops, old, input, ctx)?,
         _ => false,

@@ -14,15 +14,17 @@
 //! yields different partitions for different scenes (§4.2.3).
 //!
 //! Beyond Algorithm 5's single grouping axis, this module also implements
-//! the compile-time **per-layer policy search** ([`autotune_plan`]): a
-//! product space of execution knobs ([`ExecPolicy`] — grouping, fused vs.
-//! unfused movement, SIMD kernel, gather/scatter chunk width, GEMM panel
-//! width) is pruned per traced layer with the `gpu-sim` cost models, the
-//! short-listed candidates are timed on microbenches of the layer's actual
-//! kernel map, and the winners are persisted in an on-disk database keyed
-//! by a geometry-class fingerprint so later sessions warm-start with zero
-//! measurements. Every selectable policy is bitwise-neutral: the search
-//! changes speed, never output bits.
+//! the compile-time **per-layer policy search** ([`autotune_plan`]) over the
+//! execution knobs of an [`ExecPolicy`]. Grouping is chosen by the `gpu-sim`
+//! cost model alone — the host executor never computes pad rows, so only
+//! the simulated timeline reads the grouping plan — while the two
+//! task-granularity axes (executor chunk width, GEMM panel width) are
+//! short-listed by the cost model and then timed on microbenches of the
+//! layer's actual kernel map, at most four candidates per layer. Measured
+//! winners are persisted in an on-disk database keyed by a geometry-class
+//! fingerprint so later sessions warm-start with zero measurements. Every
+//! selectable policy is bitwise-neutral: the search changes speed, never
+//! output bits.
 
 use crate::config::{GroupingStrategy, OptimizationConfig, Precision, SimdPolicy};
 use crate::context::{Context, LayerWorkload};
@@ -214,20 +216,18 @@ pub fn tune_engine<M: Module + ?Sized>(
 /// The compile-time policy search ([`autotune_plan`]) selects one per traced
 /// convolution and threads it through [`ConvPlan`] so `execute` consults the
 /// plan instead of the global [`OptimizationConfig`]. **Every selectable
-/// policy is bitwise-neutral**: grouping only re-batches per-offset GEMMs
-/// (the scatter still adds their rows offsets-ascending), the fused and unfused
-/// executors are bit-identical, all SIMD kernels keep the scalar
+/// policy is bitwise-neutral**: grouping only changes which GEMM launches
+/// the cost model charges (the executor adds every offset's rows
+/// offsets-ascending regardless), all SIMD kernels keep the scalar
 /// accumulation order, and chunk/panel widths only re-partition work along
 /// row boundaries.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecPolicy {
     /// Matmul grouping strategy (including tuned adaptive `(epsilon, S)`).
     pub grouping: GroupingStrategy,
-    /// Fused gather–GEMM–scatter route vs. materialized buffers.
-    pub fused: bool,
     /// Compute-kernel selection for GEMM and precision sweeps.
     pub simd: SimdPolicy,
-    /// Output rows per gather/scatter chunk (locality-order granularity).
+    /// Output rows per executor chunk (locality-order granularity).
     pub chunk_rows: usize,
     /// Row-panel width of the GEMM microkernel dispatch.
     pub panel_rows: usize,
@@ -239,7 +239,6 @@ impl ExecPolicy {
     pub fn from_config(config: &OptimizationConfig) -> ExecPolicy {
         ExecPolicy {
             grouping: config.grouping,
-            fused: config.fused_execution,
             simd: config.simd,
             chunk_rows: DEFAULT_WIDTH,
             panel_rows: DEFAULT_WIDTH,
@@ -247,7 +246,7 @@ impl ExecPolicy {
     }
 }
 
-/// The untuned gather/scatter chunk and GEMM panel width (matches the
+/// The untuned executor chunk and GEMM panel width (matches the
 /// executor's `MOVE_CHUNK` and the GEMM dispatcher's `PANEL`).
 const DEFAULT_WIDTH: usize = 64;
 /// Chunk/panel widths the search may select.
@@ -260,26 +259,25 @@ const MEASURE_FLOOR: usize = 20_000;
 /// Wall-clock repetitions per short-listed candidate (minimum taken).
 const MEASURE_REPS: usize = 2;
 
-/// Returns the grouping strategies worth short-listing for one layer: the
-/// config-resolved default plus (for adaptive configs) the simulated-cost
-/// winner of the Algorithm 5 grid — but only when it strictly beats the
-/// default's simulated cost. Constraining candidates to `sim cost <= default`
-/// keeps a compiled session's simulated latency no worse than the dynamic
-/// engine's, which serving latency accounting relies on.
-fn grouping_candidates(
+/// The grouping strategy the simulated prior selects for one layer: for
+/// adaptive configs the simulated-cost winner of the Algorithm 5 grid when
+/// it strictly beats the config-resolved default's simulated cost, else
+/// that default. Never exceeding the default's cost keeps a compiled
+/// session's simulated latency no worse than the dynamic engine's, which
+/// serving latency accounting relies on.
+fn prior_grouping(
     map_sizes: &[usize],
     submanifold: bool,
     c_in: usize,
     c_out: usize,
     ctx: &Context,
-) -> Vec<GroupingStrategy> {
+) -> GroupingStrategy {
     let adaptive_config = matches!(ctx.config.grouping, GroupingStrategy::Adaptive { .. });
     let default = if ctx.grouping_fallback && adaptive_config {
         GroupingStrategy::Fixed
     } else {
         ctx.config.grouping
     };
-    let mut out = vec![default];
     if let GroupingStrategy::Adaptive { .. } = default {
         let w = LayerWorkload {
             name: String::new(),
@@ -303,10 +301,10 @@ fn grouping_candidates(
             }
         }
         if let Some((s, _)) = best {
-            out.push(s);
+            return s;
         }
     }
-    out
+    default
 }
 
 /// Short-lists chunk/panel widths by the partitioned-streaming prior: the
@@ -344,10 +342,10 @@ fn elem_bytes(precision: Precision) -> f64 {
 /// Coarse on purpose: voxel count is binned to powers of two and map
 /// density to deciles, so near-identical geometries (successive LiDAR
 /// frames, re-voxelized scenes) share one entry, while channel shape,
-/// kernel volume, submanifold-ness, precision, the fused-execution config,
-/// and the device *family* stay exact — a winner does not transfer across
-/// those. Keying by architecture family rather than board name lets a
-/// replica on an RTX 3080 warm-start from policies tuned on an RTX 3090.
+/// kernel volume, submanifold-ness, precision and the device *family* stay
+/// exact — a winner does not transfer across those. Keying by architecture
+/// family rather than board name lets a replica on an RTX 3080 warm-start
+/// from policies tuned on an RTX 3090.
 #[allow(clippy::too_many_arguments)] // the key's components, nothing more
 fn policy_key(
     n_out: usize,
@@ -370,24 +368,19 @@ fn policy_key(
     let device: String =
         device_family.chars().map(|c| if c.is_whitespace() { '-' } else { c }).collect();
     format!(
-        "v{voxel_bin}:d{decile}:c{c_in}x{c_out}:k{}:sm{}:{precision}:fe{}:{device}",
+        "v{voxel_bin}:d{decile}:c{c_in}x{c_out}:k{}:sm{}:{precision}:{device}",
         volume.max(1),
         u8::from(submanifold),
-        u8::from(config.fused_execution),
     )
 }
 
 /// Clamps a warm-start database entry to what the current configuration
 /// allows: the SIMD choice is pinned to the config's (the search never
-/// un-pins an explicit kernel), fused execution cannot be enabled against a
-/// config that disabled it, widths must come from the selectable set, and
-/// adaptive grouping parameters must be valid. Returns `None` when the
+/// un-pins an explicit kernel), widths must come from the selectable set,
+/// and adaptive grouping parameters must be valid. Returns `None` when the
 /// entry cannot be made consistent — the layer then searches fresh.
 fn sanitize_policy(mut p: ExecPolicy, config: &OptimizationConfig) -> Option<ExecPolicy> {
     p.simd = config.simd;
-    if !config.fused_execution {
-        p.fused = false;
-    }
     if !WIDTHS.contains(&p.chunk_rows) || !WIDTHS.contains(&p.panel_rows) {
         return None;
     }
@@ -414,47 +407,47 @@ fn sanitize_policy(mut p: ExecPolicy, config: &OptimizationConfig) -> Option<Exe
 
 /// Times one candidate policy on the layer's actual kernel map with
 /// deterministic synthetic features: `MEASURE_REPS` runs of the real
-/// gather–GEMM–scatter executor, minimum wall-clock taken. The executor is
-/// pure numerics, so the timing holds no cost-model work and nothing leaks
-/// into the session's simulated accounting.
+/// executor, minimum wall-clock taken. The executor is pure numerics, so
+/// the timing holds no cost-model work and nothing leaks into the session's
+/// simulated accounting.
 fn measure_candidate(
     conv: &SparseConv3d,
     p: &ConvPlan,
     feats: &Matrix,
-    group: &crate::grouping::GroupPlan,
     fused: &FusedOrder,
     cand: ExecPolicy,
-    ctx: &mut Context,
+    ctx: &Context,
 ) -> f64 {
+    let pool = ctx.runtime.pool();
+    let w = ConvWorkload {
+        in_feats: feats,
+        weights: conv.weights(),
+        packed: Some(&p.packed),
+        map: p.map(),
+        n_out: p.out_coords().len(),
+        center_identity: p.center,
+        fused,
+        policy: Some(cand),
+    };
     let mut best = f64::INFINITY;
     for _ in 0..MEASURE_REPS {
-        let w = ConvWorkload {
-            in_feats: feats,
-            weights: conv.weights(),
-            packed: Some(&p.packed),
-            map: p.map(),
-            n_out: p.out_coords().len(),
-            center_identity: p.center,
-            fused: Some(fused),
-            policy: Some(cand),
-        };
         let start = std::time::Instant::now();
-        if run_gather_matmul_scatter(&w, group, &ctx.config, &mut ctx.runtime).is_ok() {
+        if run_gather_matmul_scatter(&w, &ctx.config, &pool).is_ok() {
             best = best.min(start.elapsed().as_secs_f64());
         }
     }
     best
 }
 
-/// Searches the policy product space for one planned convolution.
+/// Selects the policy of one planned convolution.
 ///
-/// Pipeline: (1) the `gpu-sim` priors short-list each axis — grouping by
-/// simulated grouped-GEMM latency, chunk/panel widths by the partitioned
-/// streaming model — with the fused route kept binary; (2) layers above
-/// [`MEASURE_FLOOR`] map entries time the (deduplicated) cartesian
-/// short-list on real microbenches and keep the fastest, persisting the
-/// winner to the database; (3) smaller layers take the prior-best
-/// deterministically with zero measurements. A database hit skips all of it.
+/// Pipeline: (1) the simulated prior picks the grouping ([`prior_grouping`])
+/// and short-lists the chunk/panel widths by the partitioned streaming
+/// model; (2) layers above [`MEASURE_FLOOR`] map entries time the (at most
+/// four) chunk x panel combinations on real microbenches and keep the
+/// fastest, persisting the winner to the database; (3) smaller layers keep
+/// the default widths with zero measurements. A database hit skips all of
+/// it.
 #[allow(clippy::too_many_arguments)] // compile-time driver threading disjoint counters
 fn tune_layer(
     conv: &SparseConv3d,
@@ -468,7 +461,6 @@ fn tune_layer(
     let map_sizes = p.map().sizes();
     let total_entries: usize = map_sizes.iter().sum();
     let n_out = p.out_coords().len();
-    let default = ExecPolicy::from_config(&ctx.config);
     let measurable = total_entries >= MEASURE_FLOOR && !ctx.simulate_only;
     let key = policy_key(
         n_out,
@@ -487,9 +479,10 @@ fn tune_layer(
         }
     }
 
-    let groupings = grouping_candidates(&map_sizes, p.submanifold, conv.c_in(), conv.c_out(), ctx);
-    let prior_best =
-        ExecPolicy { grouping: *groupings.last().unwrap_or(&default.grouping), ..default };
+    let prior_best = ExecPolicy {
+        grouping: prior_grouping(&map_sizes, p.submanifold, conv.c_in(), conv.c_out(), ctx),
+        ..ExecPolicy::from_config(&ctx.config)
+    };
     if !measurable {
         return prior_best;
     }
@@ -499,29 +492,6 @@ fn tune_layer(
         * elem_bytes(ctx.config.precision);
     let chunks = width_candidates(move_bytes, n_out, &ctx.gemm);
     let panels = width_candidates(move_bytes, total_entries, &ctx.gemm);
-    let fused_routes: &[bool] = if ctx.config.fused_execution { &[true, false] } else { &[false] };
-
-    // Deduplicated cartesian short-list, exact default first so wall-clock
-    // ties keep the untuned behavior.
-    let mut shortlist = vec![default];
-    for &g in &groupings {
-        for &fused in fused_routes {
-            for &chunk_rows in &chunks {
-                for &panel_rows in &panels {
-                    let cand = ExecPolicy {
-                        grouping: g,
-                        fused,
-                        simd: ctx.config.simd,
-                        chunk_rows,
-                        panel_rows,
-                    };
-                    if !shortlist.contains(&cand) {
-                        shortlist.push(cand);
-                    }
-                }
-            }
-        }
-    }
 
     // Deterministic synthetic features sized to the layer's real input.
     let n_in =
@@ -529,28 +499,24 @@ fn tune_layer(
     let feats =
         Matrix::from_fn(n_in, conv.c_in(), |r, c| ((r * 31 + c * 7) % 13) as f32 * 0.1 - 0.6);
 
+    // Default widths first, so wall-clock ties keep the untuned behavior.
     let mut winner = prior_best;
     let mut winner_time = f64::INFINITY;
-    for cand in shortlist {
-        let group = match &p.dataflow {
-            ConvDataflow::Grouped(g) if cand.grouping == default.grouping => g.clone(),
-            _ => plan_groups(&map_sizes, p.submanifold, cand.grouping),
-        };
-        let fused_order = if cand.chunk_rows == p.fused.chunk_rows() {
+    for &chunk_rows in &chunks {
+        let fused_order = if chunk_rows == p.fused.chunk_rows() {
             Arc::clone(&p.fused)
         } else {
-            Arc::new(FusedOrder::build_on_chunked(
-                &ctx.runtime.pool(),
-                p.map(),
-                n_out,
-                cand.chunk_rows,
-            ))
+            let pool = ctx.runtime.pool();
+            Arc::new(FusedOrder::build_on_chunked(&pool, p.map(), n_out, chunk_rows))
         };
-        let t = measure_candidate(conv, p, &feats, &group, &fused_order, cand, ctx);
-        *candidates_measured += 1;
-        if t < winner_time {
-            winner_time = t;
-            winner = cand;
+        for &panel_rows in &panels {
+            let cand = ExecPolicy { chunk_rows, panel_rows, ..prior_best };
+            let t = measure_candidate(conv, p, &feats, &fused_order, cand, ctx);
+            *candidates_measured += 1;
+            if t < winner_time {
+                winner_time = t;
+                winner = cand;
+            }
         }
     }
     if winner_time.is_finite() {
@@ -694,20 +660,20 @@ pub(crate) fn autotune_plan(
 /// takes no serialization dependency), written atomically via a temp file +
 /// rename in the same directory.
 ///
-/// Schema (`version` 5: version 2 added the architecture-family device
-/// component of the key; versions 3 to 5 change no field but invalidate
+/// Schema (`version` 6: version 2 added the architecture-family device
+/// component of the key; versions 3 to 5 changed no field but invalidated
 /// winners that were timed through the retired superaccumulator scatter
 /// (3), with the grouping-dependent in-line cost model inside the
-/// measured executor (4), and through the branch-per-scalar AVX2 tile,
-/// whose cost followed the branch-miss rate where the strip kernel's
-/// follows the nonzero count (5) — older databases are treated as stale
-/// and rebuilt):
+/// measured executor (4), and through the branch-per-scalar AVX2 tile (5);
+/// version 6 drops the `fused` field and the `fe` key component, which
+/// selected the deleted buffered executor — older databases are treated as
+/// stale and rebuilt):
 ///
 /// ```json
-/// {"version":5,"entries":[
-///   {"key":"v15:d2:c32x64:k27:sm1:fp16:fe1:turing",
+/// {"version":6,"entries":[
+///   {"key":"v15:d2:c32x64:k27:sm1:fp16:turing",
 ///    "mode":"adaptive","epsilon":0.3,"s":150000,
-///    "fused":true,"simd":"auto","chunk":64,"panel":128}
+///    "simd":"auto","chunk":64,"panel":128}
 /// ]}
 /// ```
 ///
@@ -722,7 +688,7 @@ mod db {
     use std::path::Path;
 
     /// Database schema version; mismatches are treated as corrupt.
-    const VERSION: f64 = 5.0;
+    const VERSION: f64 = 6.0;
 
     /// A parsed JSON value.
     #[derive(Debug, Clone, PartialEq)]
@@ -759,13 +725,6 @@ mod db {
         fn as_str(&self) -> Option<&str> {
             match self {
                 Json::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        fn as_bool(&self) -> Option<bool> {
-            match self {
-                Json::Bool(b) => Some(*b),
                 _ => None,
             }
         }
@@ -986,7 +945,6 @@ mod db {
         };
         Some(ExecPolicy {
             grouping,
-            fused: entry.get("fused")?.as_bool()?,
             simd,
             chunk_rows: entry.get("chunk")?.as_width()?,
             panel_rows: entry.get("panel")?.as_width()?,
@@ -1016,8 +974,8 @@ mod db {
             SimdPolicy::Scalar => "scalar",
         };
         out.push_str(&format!(
-            "\"fused\":{},\"simd\":\"{simd}\",\"chunk\":{},\"panel\":{}}}",
-            p.fused, p.chunk_rows, p.panel_rows
+            "\"simd\":\"{simd}\",\"chunk\":{},\"panel\":{}}}",
+            p.chunk_rows, p.panel_rows
         ));
     }
 
@@ -1195,10 +1153,9 @@ mod tests {
         let path = temp_db("roundtrip");
         let mut entries = HashMap::new();
         entries.insert(
-            "v12:d3:c32x64:k27:sm1:fp16:fe1:RTX-2080-Ti".to_owned(),
+            "v12:d3:c32x64:k27:sm1:fp16:RTX-2080-Ti".to_owned(),
             ExecPolicy {
                 grouping: GroupingStrategy::Adaptive { epsilon: 0.3, s_threshold: 150_000 },
-                fused: true,
                 simd: SimdPolicy::Auto,
                 chunk_rows: 64,
                 panel_rows: 128,
@@ -1206,20 +1163,18 @@ mod tests {
         );
         // The usize::MAX threshold sentinel round-trips as the string "max".
         entries.insert(
-            "v9:d1:c4x8:k27:sm0:fp32:fe0:cpu".to_owned(),
+            "v9:d1:c4x8:k27:sm0:fp32:cpu".to_owned(),
             ExecPolicy {
                 grouping: GroupingStrategy::Adaptive { epsilon: 1.0, s_threshold: usize::MAX },
-                fused: false,
                 simd: SimdPolicy::Scalar,
                 chunk_rows: 32,
                 panel_rows: 256,
             },
         );
         entries.insert(
-            "v15:d0:c8x8:k1:sm1:int8:fe1:gpu \"quoted\\name\"".to_owned(),
+            "v15:d0:c8x8:k1:sm1:int8:gpu \"quoted\\name\"".to_owned(),
             ExecPolicy {
                 grouping: GroupingStrategy::Fixed,
-                fused: true,
                 simd: SimdPolicy::Portable,
                 chunk_rows: 128,
                 panel_rows: 64,
@@ -1245,11 +1200,11 @@ mod tests {
     fn corrupt_db_fails_to_load() {
         for (name, text) in [
             ("garbage", "not json at all"),
-            ("truncated", "{\"version\":5,\"entries\":[{\"key\":\"x\""),
+            ("truncated", "{\"version\":6,\"entries\":[{\"key\":\"x\""),
             ("no-version", "{\"entries\":[]}"),
-            ("no-entries", "{\"version\":5}"),
-            ("bad-entry", "{\"version\":5,\"entries\":[{\"key\":\"x\",\"mode\":\"warp\"}]}"),
-            ("trailing", "{\"version\":5,\"entries\":[]} extra"),
+            ("no-entries", "{\"version\":6}"),
+            ("bad-entry", "{\"version\":6,\"entries\":[{\"key\":\"x\",\"mode\":\"warp\"}]}"),
+            ("trailing", "{\"version\":6,\"entries\":[]} extra"),
         ] {
             let path = temp_db(name);
             std::fs::write(&path, text).unwrap();
@@ -1260,31 +1215,30 @@ mod tests {
 
     #[test]
     fn stale_db_version_fails_to_load() {
-        // Version-2 to version-4 files are well-formed under today's
+        // Version-2 to version-5 files are well-formed under today's
         // parser, but their winners were timed through the retired
         // superaccumulator scatter (2), with the in-line cost model inside
-        // the measured executor (3), and through the branch-per-scalar
-        // AVX2 tile (4).
-        let v2 = "{\"version\":2,\"entries\":[{\"key\":\"v15:d2:c32x64:k27:sm1:fp16:fe1:turing\",\
+        // the measured executor (3), through the branch-per-scalar AVX2
+        // tile (4), and — `"fused":false`, `fe` in the key — possibly on
+        // the deleted buffered executor (5).
+        let v5 = "{\"version\":5,\"entries\":[{\"key\":\"v15:d2:c32x64:k27:sm1:fp16:fe1:turing\",\
                   \"mode\":\"adaptive\",\"epsilon\":0.3,\"s\":150000,\
-                  \"fused\":true,\"simd\":\"auto\",\"chunk\":64,\"panel\":128}]}";
-        let v3 = v2.replace("\"version\":2", "\"version\":3");
-        let v4 = v2.replace("\"version\":2", "\"version\":4");
-        for (name, text) in [
-            ("stale-v1", "{\"version\":1,\"entries\":[]}"),
-            ("stale-v2", v2),
-            ("stale-v3", &v3),
-            ("stale-v4", &v4),
-        ] {
-            let path = temp_db(name);
+                  \"fused\":false,\"simd\":\"auto\",\"chunk\":64,\"panel\":128}]}";
+        for version in 1..=5 {
+            let path = temp_db(&format!("stale-v{version}"));
+            let text = v5.replace("\"version\":5", &format!("\"version\":{version}"));
             std::fs::write(&path, text).unwrap();
             let err = db::load(&path).unwrap_err();
-            assert!(err.contains("version"), "{name}: {err}");
+            assert!(err.contains("version"), "v{version}: {err}");
             std::fs::remove_file(&path).unwrap();
         }
-        // The same entry under the current version loads.
+        // The entry in the current schema loads.
         let path = temp_db("current");
-        std::fs::write(&path, v2.replace("\"version\":2", "\"version\":5")).unwrap();
+        let v6 = v5
+            .replace("\"version\":5", "\"version\":6")
+            .replace(":fe1:", ":")
+            .replace("\"fused\":false,", "");
+        std::fs::write(&path, v6).unwrap();
         assert_eq!(db::load(&path).unwrap().len(), 1);
         std::fs::remove_file(&path).unwrap();
     }
@@ -1294,7 +1248,6 @@ mod tests {
         let config = EnginePreset::TorchSparse.config();
         let stored = ExecPolicy {
             grouping: GroupingStrategy::Adaptive { epsilon: 0.5, s_threshold: 1000 },
-            fused: true,
             simd: SimdPolicy::Scalar,
             chunk_rows: 128,
             panel_rows: 64,
@@ -1302,10 +1255,6 @@ mod tests {
         let got = sanitize_policy(stored, &config).unwrap();
         assert_eq!(got.simd, config.simd, "SIMD is pinned to the config");
         assert_eq!(got.chunk_rows, 128);
-
-        // Fused cannot be enabled against a config that disabled it.
-        let unfused = OptimizationConfig { fused_execution: false, ..config.clone() };
-        assert!(!sanitize_policy(stored, &unfused).unwrap().fused);
 
         // A non-adaptive config pins grouping entirely.
         let separate =
@@ -1359,15 +1308,14 @@ mod tests {
     }
 
     #[test]
-    fn grouping_candidates_never_beat_the_default_prior() {
-        // Whatever the search short-lists, the sim-cost of every candidate
-        // is <= the config default's: compiled sessions must never look
-        // slower than dynamic execution to the simulator.
+    fn prior_grouping_never_costs_more_than_the_default() {
+        // Whatever grouping the prior selects, its sim-cost is <= the
+        // config default's: compiled sessions must never look slower than
+        // dynamic execution to the simulator.
         let e = Engine::new(EnginePreset::TorchSparse, DeviceProfile::rtx_2080ti());
         let ctx = e.context();
         let map_sizes: Vec<usize> = (0..27).map(|i| 2000 + i * 300).collect();
-        let cands = grouping_candidates(&map_sizes, true, 32, 64, ctx);
-        assert_eq!(cands[0], ctx.config.grouping);
+        let picked = prior_grouping(&map_sizes, true, 32, 64, ctx);
         let w = LayerWorkload {
             name: String::new(),
             map_sizes: map_sizes.clone(),
@@ -1375,11 +1323,15 @@ mod tests {
             c_out: 64,
             submanifold: true,
         };
-        let baseline =
-            grouped_matmul_latency(&w, cands[0], &ctx.gemm, ctx.config.precision).as_f64();
-        for &c in &cands[1..] {
-            let cost = grouped_matmul_latency(&w, c, &ctx.gemm, ctx.config.precision).as_f64();
-            assert!(cost <= baseline, "{c:?} costs {cost} > default {baseline}");
-        }
+        let cost = |g| grouped_matmul_latency(&w, g, &ctx.gemm, ctx.config.precision).as_f64();
+        assert!(cost(picked) <= cost(ctx.config.grouping), "{picked:?}");
+        // A pinned (non-adaptive) grouping is never searched.
+        let mut separate = EnginePreset::TorchSparse.config();
+        separate.grouping = GroupingStrategy::Separate;
+        let e = Engine::with_config(separate, DeviceProfile::rtx_2080ti());
+        assert_eq!(
+            prior_grouping(&map_sizes, true, 32, 64, e.context()),
+            GroupingStrategy::Separate
+        );
     }
 }

@@ -665,9 +665,7 @@ mod tests {
             1,
             "exactly one geometry change on stream 0: {s0:?}"
         );
-        if std::env::var_os("TORCHSPARSE_DELTA_REPLAN").is_none() {
-            assert_eq!(s0.delta_patches, 1, "1-voxel churn must be patched: {s0:?}");
-        }
+        assert_eq!(s0.delta_patches, 1, "1-voxel churn must be patched: {s0:?}");
         assert_eq!(
             h.delta_patches,
             h.streams.iter().map(|s| s.delta_patches).sum::<u64>(),

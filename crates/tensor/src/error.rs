@@ -17,13 +17,6 @@ pub enum TensorError {
         /// Shape of the right-hand operand.
         rhs: (usize, usize),
     },
-    /// A batched operation received batches of differing lengths.
-    BatchMismatch {
-        /// Number of matrices in the left batch.
-        lhs: usize,
-        /// Number of matrices in the right batch.
-        rhs: usize,
-    },
     /// An index was out of bounds for the matrix shape.
     IndexOutOfBounds {
         /// The requested `(row, col)` index.
@@ -49,9 +42,6 @@ impl fmt::Display for TensorError {
                 "shape mismatch in {op}: lhs is {}x{}, rhs is {}x{}",
                 lhs.0, lhs.1, rhs.0, rhs.1
             ),
-            TensorError::BatchMismatch { lhs, rhs } => {
-                write!(f, "batched operation with {lhs} lhs matrices but {rhs} rhs matrices")
-            }
             TensorError::IndexOutOfBounds { index, shape } => write!(
                 f,
                 "index ({}, {}) out of bounds for {}x{} matrix",
@@ -74,13 +64,6 @@ mod tests {
     fn display_shape_mismatch() {
         let e = TensorError::ShapeMismatch { op: "mm", lhs: (2, 3), rhs: (4, 5) };
         assert_eq!(e.to_string(), "shape mismatch in mm: lhs is 2x3, rhs is 4x5");
-    }
-
-    #[test]
-    fn display_batch_mismatch() {
-        let e = TensorError::BatchMismatch { lhs: 2, rhs: 3 };
-        assert!(e.to_string().contains("2 lhs"));
-        assert!(e.to_string().contains("3 rhs"));
     }
 
     #[test]

@@ -9,11 +9,9 @@
 //!   per GEMM call).
 //! - [`mm_accumulate`] / [`mm_accumulate_on`]: `C += A * B`, the
 //!   scatter-accumulate-friendly variant.
-//! - [`bmm`] / [`bmm_on`] / [`bmm_into_on`]: batched GEMM over equal-shaped
-//!   matrices, mirroring cuBLAS `gemmStridedBatched` as used by the paper's
-//!   grouped matmul (§4.2). The batched form flattens *every member's row
-//!   panels into one task wave*, so group members of Algorithm 5 run
-//!   concurrently instead of sequentially.
+//!
+//! The paper's batched `bmm` (§4.2) exists only in the simulated-GPU cost
+//! model: the host executor streams map rows and never pads a group.
 //!
 //! All variants produce bitwise-identical results to the naive triple loop
 //! (same accumulation order within each output element) for every thread
@@ -24,9 +22,9 @@
 //! Arithmetic within a panel is delegated to the
 //! [`microkernel`](crate::microkernel) module, which picks a register-tiled
 //! SIMD kernel at process start (see [`GemmOpts`] for per-call overrides).
-//! The packed entry points ([`mm_into_packed_on`], [`bmm_into_packed_on`])
-//! accept weights pre-packed into the microkernel's panel-major layout so
-//! steady-state inference never re-streams row-major B.
+//! The packed entry point ([`mm_into_packed_on`]) accepts weights pre-packed
+//! into the microkernel's panel-major layout so steady-state inference never
+//! re-streams row-major B.
 
 use crate::microkernel::{self, BOperand, Kernel, PackedB};
 use crate::{Matrix, TensorError};
@@ -291,186 +289,6 @@ pub fn mm_into_packed_on(
     Ok(())
 }
 
-/// Batched matrix multiplication: `C[i] = A[i] * B[i]` on the global pool.
-///
-/// All `A[i]` must share one shape and all `B[i]` another (the cuBLAS
-/// strided-batched contract). The paper's grouped matmul pads per-weight
-/// feature buffers to a common row count and then calls `bmm` (Figure 6c/d,
-/// Algorithm 4).
-///
-/// # Errors
-///
-/// Returns [`TensorError::BatchMismatch`] if the batch lengths differ and
-/// [`TensorError::ShapeMismatch`] if any matrix deviates from its batch shape
-/// or the inner dimensions disagree.
-pub fn bmm(a: &[Matrix], b: &[Matrix]) -> Result<Vec<Matrix>, TensorError> {
-    bmm_on(ThreadPool::global(), a, b)
-}
-
-/// [`bmm`] on an explicit pool.
-///
-/// # Errors
-///
-/// As [`bmm`].
-pub fn bmm_on(pool: &ThreadPool, a: &[Matrix], b: &[Matrix]) -> Result<Vec<Matrix>, TensorError> {
-    if a.len() != b.len() {
-        return Err(TensorError::BatchMismatch { lhs: a.len(), rhs: b.len() });
-    }
-    if a.is_empty() {
-        return Ok(Vec::new());
-    }
-    let mut out: Vec<Matrix> = a.iter().map(|ai| Matrix::zeros(ai.rows(), b[0].cols())).collect();
-    let a_refs: Vec<&Matrix> = a.iter().collect();
-    let b_refs: Vec<&Matrix> = b.iter().collect();
-    bmm_into_on(pool, &a_refs, &b_refs, &mut out)?;
-    Ok(out)
-}
-
-/// Batched GEMM into caller-provided outputs, with the row panels of *all*
-/// batch members flattened into a single task wave.
-///
-/// This is the runtime's grouped-matmul primitive: a bmm group from
-/// Algorithm 5 hands its per-offset gather buffers (typically recycled
-/// workspace matrices) and receives every member's partial sums computed
-/// concurrently — one wave, no barrier between members.
-///
-/// # Errors
-///
-/// Returns [`TensorError::BatchMismatch`] if the slice lengths differ and
-/// [`TensorError::ShapeMismatch`] if any matrix deviates from its batch
-/// shape, an output has the wrong shape, or inner dimensions disagree.
-pub fn bmm_into_on(
-    pool: &ThreadPool,
-    a: &[&Matrix],
-    b: &[&Matrix],
-    out: &mut [Matrix],
-) -> Result<(), TensorError> {
-    bmm_into_with(pool, a, b, out, GemmOpts::default())
-}
-
-/// [`bmm_into_on`] with explicit kernel options.
-///
-/// # Errors
-///
-/// As [`bmm_into_on`].
-pub fn bmm_into_with(
-    pool: &ThreadPool,
-    a: &[&Matrix],
-    b: &[&Matrix],
-    out: &mut [Matrix],
-    opts: GemmOpts,
-) -> Result<(), TensorError> {
-    if a.len() != b.len() || a.len() != out.len() {
-        return Err(TensorError::BatchMismatch { lhs: a.len(), rhs: b.len().min(out.len()) });
-    }
-    if a.is_empty() {
-        return Ok(());
-    }
-    let b_shape = b[0].shape();
-    for m in b {
-        if m.shape() != b_shape {
-            return Err(TensorError::ShapeMismatch { op: "bmm_rhs", lhs: b_shape, rhs: m.shape() });
-        }
-    }
-    let operands: Vec<BOperand<'_>> = b.iter().map(|bi| BOperand::Dense(bi.as_slice())).collect();
-    bmm_dispatch(pool, opts.resolve(), opts.resolve_panel(), a, &operands, b_shape, out)
-}
-
-/// Batched GEMM over pre-packed weights: `C[i] += A[i] * packed[i]`.
-///
-/// The grouped-matmul counterpart of [`mm_into_packed_on`]: every member of
-/// an Algorithm 5 bmm group multiplies against a weight matrix that was
-/// packed once at plan time, and all members' row panels still flatten into
-/// a single task wave.
-///
-/// # Errors
-///
-/// As [`bmm_into_on`].
-pub fn bmm_into_packed_on(
-    pool: &ThreadPool,
-    a: &[&Matrix],
-    b: &[&PackedB],
-    out: &mut [Matrix],
-    opts: GemmOpts,
-) -> Result<(), TensorError> {
-    if a.len() != b.len() || a.len() != out.len() {
-        return Err(TensorError::BatchMismatch { lhs: a.len(), rhs: b.len().min(out.len()) });
-    }
-    if a.is_empty() {
-        return Ok(());
-    }
-    let b_shape = (b[0].k(), b[0].n());
-    for pb in b {
-        if (pb.k(), pb.n()) != b_shape {
-            return Err(TensorError::ShapeMismatch {
-                op: "bmm_rhs",
-                lhs: b_shape,
-                rhs: (pb.k(), pb.n()),
-            });
-        }
-    }
-    let operands: Vec<BOperand<'_>> = b.iter().map(|pb| BOperand::Packed(pb)).collect();
-    bmm_dispatch(pool, opts.resolve(), opts.resolve_panel(), a, &operands, b_shape, out)
-}
-
-/// Shared driver for the batched variants: validates member shapes, then
-/// flattens every member's `panel_rows`-row panels into one task wave.
-fn bmm_dispatch(
-    pool: &ThreadPool,
-    kernel: Kernel,
-    panel_rows: usize,
-    a: &[&Matrix],
-    b: &[BOperand<'_>],
-    b_shape: (usize, usize),
-    out: &mut [Matrix],
-) -> Result<(), TensorError> {
-    let a_shape = a[0].shape();
-    for m in a {
-        if m.shape() != a_shape {
-            return Err(TensorError::ShapeMismatch { op: "bmm_lhs", lhs: a_shape, rhs: m.shape() });
-        }
-    }
-    if a_shape.1 != b_shape.0 {
-        return Err(TensorError::ShapeMismatch { op: "mm", lhs: a_shape, rhs: b_shape });
-    }
-    for (ai, ci) in a.iter().zip(out.iter()) {
-        if ci.shape() != (ai.rows(), b_shape.1) {
-            return Err(TensorError::ShapeMismatch {
-                op: "mm_out",
-                lhs: ci.shape(),
-                rhs: (ai.rows(), b_shape.1),
-            });
-        }
-    }
-    let (m, k) = a_shape;
-    let n = b_shape.1;
-    if m == 0 || n == 0 || k == 0 {
-        return Ok(());
-    }
-
-    let batch_flops = 2.0 * (a.len() * m) as f64 * n as f64 * k as f64;
-    if pool.threads() <= 1 && !pool.is_recording() || batch_flops < MIN_PARALLEL_FLOPS {
-        for ((ai, bi), ci) in a.iter().zip(b).zip(out.iter_mut()) {
-            for (p, panel) in ci.as_mut_slice().chunks_mut(panel_rows * n).enumerate() {
-                microkernel::gemm_panel(kernel, ai.as_slice(), *bi, k, n, p * panel_rows, panel);
-            }
-        }
-        return Ok(());
-    }
-    let mut tasks: Vec<Task<'_>> = Vec::new();
-    for ((ai, bi), ci) in a.iter().zip(b).zip(out.iter_mut()) {
-        let a_data = ai.as_slice();
-        let operand = *bi;
-        for (p, panel) in ci.as_mut_slice().chunks_mut(panel_rows * n).enumerate() {
-            tasks.push(Box::new(move || {
-                microkernel::gemm_panel(kernel, a_data, operand, k, n, p * panel_rows, panel)
-            }));
-        }
-    }
-    pool.run(tasks);
-    Ok(())
-}
-
 /// Naive reference GEMM (triple loop) used by tests as the ground truth.
 pub fn mm_reference(a: &Matrix, b: &Matrix) -> Result<Matrix, TensorError> {
     if a.cols() != b.rows() {
@@ -587,27 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn bmm_panel_width_is_bitwise_neutral() {
-        let mut rng = StdRng::seed_from_u64(32);
-        let a: Vec<Matrix> = (0..4).map(|_| random_matrix(&mut rng, 170, 48)).collect();
-        let b: Vec<Matrix> = (0..4).map(|_| random_matrix(&mut rng, 48, 32)).collect();
-        let a_refs: Vec<&Matrix> = a.iter().collect();
-        let b_refs: Vec<&Matrix> = b.iter().collect();
-        let mut baseline: Vec<Matrix> = a.iter().map(|_| Matrix::zeros(170, 32)).collect();
-        bmm_into_with(&ThreadPool::new(1), &a_refs, &b_refs, &mut baseline, GemmOpts::default())
-            .unwrap();
-        for panel_rows in [32, 128] {
-            let pool = ThreadPool::new(4);
-            let opts = GemmOpts { panel_rows: Some(panel_rows), ..GemmOpts::default() };
-            let mut out: Vec<Matrix> = a.iter().map(|_| Matrix::zeros(170, 32)).collect();
-            bmm_into_with(&pool, &a_refs, &b_refs, &mut out, opts).unwrap();
-            for (got, want) in out.iter().zip(&baseline) {
-                assert_eq!(bits(got), bits(want), "panel={panel_rows}");
-            }
-        }
-    }
-
-    #[test]
     fn accumulate_adds_to_existing() {
         let a = Matrix::filled(2, 2, 1.0);
         let b = Matrix::eye(2);
@@ -622,54 +419,6 @@ mod tests {
         let b = Matrix::zeros(2, 2);
         let mut c = Matrix::zeros(3, 2);
         assert!(mm_accumulate(&a, &b, &mut c).is_err());
-    }
-
-    #[test]
-    fn bmm_matches_sequential_mm() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let a: Vec<Matrix> = (0..5).map(|_| random_matrix(&mut rng, 12, 8)).collect();
-        let b: Vec<Matrix> = (0..5).map(|_| random_matrix(&mut rng, 8, 6)).collect();
-        let batched = bmm(&a, &b).unwrap();
-        for i in 0..5 {
-            assert_eq!(batched[i], mm(&a[i], &b[i]).unwrap());
-        }
-    }
-
-    #[test]
-    fn bmm_parallel_matches_serial_bitwise() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let a: Vec<Matrix> = (0..6).map(|_| random_matrix(&mut rng, 150, 70)).collect();
-        let b: Vec<Matrix> = (0..6).map(|_| random_matrix(&mut rng, 70, 40)).collect();
-        let serial = bmm_on(&ThreadPool::new(1), &a, &b).unwrap();
-        let parallel = bmm_on(&ThreadPool::new(4), &a, &b).unwrap();
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn bmm_rejects_batch_mismatch() {
-        let a = vec![Matrix::zeros(2, 2)];
-        let b = vec![Matrix::zeros(2, 2), Matrix::zeros(2, 2)];
-        assert!(matches!(bmm(&a, &b), Err(TensorError::BatchMismatch { .. })));
-    }
-
-    #[test]
-    fn bmm_rejects_ragged_shapes() {
-        let a = vec![Matrix::zeros(2, 2), Matrix::zeros(3, 2)];
-        let b = vec![Matrix::zeros(2, 2), Matrix::zeros(2, 2)];
-        assert!(matches!(bmm(&a, &b), Err(TensorError::ShapeMismatch { .. })));
-    }
-
-    #[test]
-    fn bmm_empty_batch() {
-        assert!(bmm(&[], &[]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn bmm_into_rejects_bad_out() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(3, 4);
-        let mut out = vec![Matrix::zeros(2, 5)];
-        assert!(bmm_into_on(ThreadPool::global(), &[&a], &[&b], &mut out).is_err());
     }
 
     fn bits(m: &Matrix) -> Vec<u32> {
@@ -712,28 +461,6 @@ mod tests {
             let mut c = Matrix::zeros(300, 50);
             mm_into_packed_on(&pool, &a, &packed, &mut c, GemmOpts::default()).unwrap();
             assert_eq!(bits(&c), bits(&dense), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn bmm_packed_matches_dense_bitwise() {
-        let mut rng = StdRng::seed_from_u64(22);
-        let a: Vec<Matrix> = (0..5).map(|_| random_matrix(&mut rng, 130, 40)).collect();
-        let b: Vec<Matrix> = (0..5).map(|_| random_matrix(&mut rng, 40, 24)).collect();
-        let packed: Vec<PackedB> = b.iter().map(PackedB::pack).collect();
-        let a_refs: Vec<&Matrix> = a.iter().collect();
-        let b_refs: Vec<&Matrix> = b.iter().collect();
-        let pb_refs: Vec<&PackedB> = packed.iter().collect();
-        for threads in [1, 4] {
-            let pool = ThreadPool::new(threads);
-            let mut dense: Vec<Matrix> = a.iter().map(|_| Matrix::zeros(130, 24)).collect();
-            bmm_into_on(&pool, &a_refs, &b_refs, &mut dense).unwrap();
-            let mut packed_out: Vec<Matrix> = a.iter().map(|_| Matrix::zeros(130, 24)).collect();
-            bmm_into_packed_on(&pool, &a_refs, &pb_refs, &mut packed_out, GemmOpts::default())
-                .unwrap();
-            for (d, p) in dense.iter().zip(&packed_out) {
-                assert_eq!(bits(p), bits(d), "threads={threads}");
-            }
         }
     }
 

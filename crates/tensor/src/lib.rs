@@ -4,13 +4,12 @@
 //! primitives: matrix multiplication (`mm`), batched matrix multiplication
 //! (`bmm`), and half-precision feature storage. On the authors' testbed these
 //! are provided by cuBLAS/cuDNN; here we provide portable, well-tested CPU
-//! implementations with identical semantics:
+//! implementations of the ones the host executor runs (batching is a
+//! property of the simulated GPU's cost model only):
 //!
 //! - [`Matrix`]: a row-major `f32` matrix with the shape/indexing conventions
 //!   of a feature buffer (`rows` = points, `cols` = channels).
-//! - [`gemm`]: blocked, multi-threaded single-precision GEMM, plus a batched
-//!   variant that mirrors cuBLAS `gemmStridedBatched` (used by the paper's
-//!   grouped matmul, §4.2).
+//! - [`gemm`]: blocked, multi-threaded single-precision GEMM.
 //! - [`Half`]: software IEEE-754 binary16 with round-to-nearest-even, used to
 //!   reproduce the FP16 quantization study (§4.3.1, Table 3).
 //! - [`quant`]: FP16/INT8 feature quantization helpers.

@@ -570,35 +570,6 @@ fn fused_rows_portable(
     }
 }
 
-/// Copies one feature row. On AVX2 this is an explicit wide-vector loop
-/// (no `memcpy` call overhead for the short rows typical of feature
-/// buffers); elsewhere it is `copy_from_slice`. Identical bytes either way.
-pub fn copy_row(kernel: Kernel, dst: &mut [f32], src: &[f32]) {
-    debug_assert_eq!(dst.len(), src.len());
-    #[cfg(target_arch = "x86_64")]
-    if kernel.is_simd() {
-        x86::copy_row(dst, src);
-        return;
-    }
-    let _ = kernel;
-    dst.copy_from_slice(src);
-}
-
-/// Accumulates `dst[i] += src[i]` over one feature row. Each element is one
-/// independent FP32 add, so every kernel produces identical bits.
-pub fn accumulate_row(kernel: Kernel, dst: &mut [f32], src: &[f32]) {
-    debug_assert_eq!(dst.len(), src.len());
-    #[cfg(target_arch = "x86_64")]
-    if kernel.is_simd() {
-        x86::accumulate_row(dst, src);
-        return;
-    }
-    let _ = kernel;
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d += s;
-    }
-}
-
 /// Rounds every element to the nearest binary16 and back (FP16 storage
 /// simulation) in one slice sweep.
 ///
@@ -1265,31 +1236,8 @@ mod x86 {
         }
     }
 
-    pub(super) fn copy_row(dst: &mut [f32], src: &[f32]) {
-        // SAFETY: is_simd() selections imply avx2 was detected.
-        unsafe { copy_row_avx2(dst, src) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn copy_row_avx2(dst: &mut [f32], src: &[f32]) {
-        let len = dst.len().min(src.len());
-        let mut i = 0;
-        // SAFETY: i + 2*LANES <= len bounds every load/store below.
-        unsafe {
-            let s = src.as_ptr();
-            let d = dst.as_mut_ptr();
-            while i + NR <= len {
-                let v0 = _mm256_loadu_ps(s.add(i));
-                let v1 = _mm256_loadu_ps(s.add(i + LANES));
-                _mm256_storeu_ps(d.add(i), v0);
-                _mm256_storeu_ps(d.add(i + LANES), v1);
-                i += NR;
-            }
-        }
-        dst[i..len].copy_from_slice(&src[i..len]);
-    }
-
-    pub(super) fn accumulate_row(dst: &mut [f32], src: &[f32]) {
+    /// `dst[i] += src[i]`: the strip kernel's scatter epilogue.
+    fn accumulate_row(dst: &mut [f32], src: &[f32]) {
         // SAFETY: is_simd() selections imply avx2 was detected.
         unsafe { accumulate_row_avx2(dst, src) }
     }
@@ -1593,8 +1541,8 @@ mod tests {
 
     #[test]
     fn zero_rows_in_a_are_skipped_consistently() {
-        // Padded bmm rows are all-zero; every kernel must leave C untouched
-        // for them, exactly like the scalar zero-skip.
+        // All-zero rows of A: every kernel must leave C untouched for them,
+        // exactly like the scalar zero-skip.
         let mut rng = StdRng::seed_from_u64(17);
         let mut a = random_matrix(&mut rng, 8, 6);
         for j in 0..6 {
@@ -1628,7 +1576,7 @@ mod tests {
         let (k, n) = b.shape();
         let mut gathered = Matrix::zeros(entries.len(), k);
         for (i, &(src, _)) in entries.iter().enumerate() {
-            copy_row(kernel, gathered.row_mut(i), a.row(src as usize));
+            gathered.row_mut(i).copy_from_slice(a.row(src as usize));
         }
         let mut psum = Matrix::zeros(entries.len(), n);
         run_panel(kernel, &gathered, BOperand::Dense(b.as_slice()), n, &mut psum);
@@ -1637,7 +1585,9 @@ mod tests {
         }
         let mut out = Matrix::zeros(n_out, n);
         for (i, &(_, dst)) in entries.iter().enumerate() {
-            accumulate_row(kernel, out.row_mut(dst as usize), psum.row(i));
+            for (o, p) in out.row_mut(dst as usize).iter_mut().zip(psum.row(i)) {
+                *o += p;
+            }
         }
         out
     }
@@ -1842,30 +1792,6 @@ mod tests {
                     assert!(all(&out, 2, |v| v.is_nan()));
                     assert_eq!(bits(&out)[..2 * n], bits(&fused_want)[..2 * n], "n={n}");
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn copy_and_accumulate_rows_match_plain_loops() {
-        let mut rng = StdRng::seed_from_u64(19);
-        for len in [0, 1, 7, 8, 16, 31, 64, 100] {
-            let src: Vec<f32> = (0..len).map(|_| rng.random_range(-4.0f32..4.0)).collect();
-            let base: Vec<f32> = (0..len).map(|_| rng.random_range(-4.0f32..4.0)).collect();
-            for kernel in every_kernel() {
-                let mut dst = vec![0.0f32; len];
-                copy_row(kernel, &mut dst, &src);
-                assert_eq!(dst, src, "copy {} len {len}", kernel.name());
-
-                let mut acc = base.clone();
-                accumulate_row(kernel, &mut acc, &src);
-                let expect: Vec<f32> = base.iter().zip(&src).map(|(b, s)| b + s).collect();
-                assert_eq!(
-                    acc.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    expect.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "accumulate {} len {len}",
-                    kernel.name()
-                );
             }
         }
     }

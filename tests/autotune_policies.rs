@@ -14,13 +14,11 @@ use torchsparse::models::MinkUNet;
 use torchsparse::tensor::Matrix;
 use torchsparse_core::Sequential;
 
-/// The suite may run with `TORCHSPARSE_AUTOTUNE` / `TORCHSPARSE_TUNE_DB`
-/// pinned (the verify recipe does); those overrides beat the per-test
-/// configuration, so tests asserting search counters or database paths
-/// skip themselves.
-fn env_pins_autotune() -> bool {
-    std::env::var_os("TORCHSPARSE_AUTOTUNE").is_some()
-        || std::env::var_os("TORCHSPARSE_TUNE_DB").is_some()
+/// `TORCHSPARSE_TUNE_DB` names one database for the whole process and beats
+/// every per-test `tune_db` path, so tests that assert on their own
+/// database file skip themselves under it.
+fn env_pins_tune_db() -> bool {
+    std::env::var_os("TORCHSPARSE_TUNE_DB").is_some()
 }
 
 fn temp_db(name: &str) -> std::path::PathBuf {
@@ -79,7 +77,7 @@ fn config_with_db(path: &std::path::Path, autotune: bool) -> OptimizationConfig 
 
 #[test]
 fn warm_start_transfers_within_a_device_family_but_not_across() {
-    if env_pins_autotune() {
+    if env_pins_tune_db() {
         return;
     }
     let db = temp_db("family-transfer");
@@ -115,7 +113,7 @@ fn warm_start_transfers_within_a_device_family_but_not_across() {
 
 #[test]
 fn warm_start_measures_nothing_and_matches_cold_and_off_bitwise() {
-    if env_pins_autotune() {
+    if env_pins_tune_db() {
         return;
     }
     let db = temp_db("warm-start");
@@ -172,17 +170,19 @@ fn warm_start_measures_nothing_and_matches_cold_and_off_bitwise() {
 
 #[test]
 fn corrupt_or_stale_db_degrades_gracefully_and_heals() {
-    if env_pins_autotune() {
+    if env_pins_tune_db() {
         return;
     }
     let m = two_conv_model();
     let x = dense_scene(4);
 
-    // Populated version-3 and version-4 files: exactly the entries a search
+    // Populated version-3 to version-5 files: exactly the entries a search
     // on this model and scene persists (so every key would hit if the file
-    // were accepted), relabelled with the two previous schema versions —
-    // whose winners were timed with the in-line cost model inside the
-    // executor (3) and through the branch-per-scalar AVX2 tile (4).
+    // were accepted), relabelled with the previous schema versions — whose
+    // winners were timed with the in-line cost model inside the executor
+    // (3), through the branch-per-scalar AVX2 tile (4), and, in the schema
+    // that still carried the `fe` key component and the `fused` field,
+    // possibly on the deleted buffered executor (5).
     let seed_db = temp_db("stale-seed");
     let _ = std::fs::remove_file(&seed_db);
     Engine::with_config(config_with_db(&seed_db, true), DeviceProfile::rtx_2080ti())
@@ -190,9 +190,15 @@ fn corrupt_or_stale_db_degrades_gracefully_and_heals() {
         .expect("seed compile");
     let current = std::fs::read_to_string(&seed_db).expect("the search persisted its winners");
     std::fs::remove_file(&seed_db).expect("cleanup");
-    assert!(current.contains("\"version\":5,") && current.contains("\"key\":"), "{current}");
-    let populated_v3 = current.replace("\"version\":5,", "\"version\":3,");
-    let populated_v4 = current.replace("\"version\":5,", "\"version\":4,");
+    assert!(current.contains("\"version\":6,") && current.contains("\"key\":"), "{current}");
+    assert!(!current.contains("fused") && !current.contains(":fe"), "{current}");
+    let populated_v3 = current.replace("\"version\":6,", "\"version\":3,");
+    let populated_v4 = current.replace("\"version\":6,", "\"version\":4,");
+    let populated_v5 = current
+        .replace("\"version\":6,", "\"version\":5,")
+        .replace(":fp16:", ":fp16:fe1:")
+        .replace("\"simd\":", "\"fused\":false,\"simd\":");
+    assert!(populated_v5.contains(":fe1:") && populated_v5.contains("\"fused\":false"));
 
     // Version 2 was the schema before the superaccumulator left the
     // scatter; its persisted winners were timed through it.
@@ -202,6 +208,7 @@ fn corrupt_or_stale_db_degrades_gracefully_and_heals() {
         ("stale-v2", "{\"version\":2,\"entries\":[]}"),
         ("stale-v3", populated_v3.as_str()),
         ("stale-v4", populated_v4.as_str()),
+        ("stale-v5", populated_v5.as_str()),
     ] {
         let db = temp_db(name);
         std::fs::write(&db, text).expect("seed bad db");
@@ -225,7 +232,14 @@ fn corrupt_or_stale_db_degrades_gracefully_and_heals() {
         let healed_report = healed.tuning_report().expect("autotune ran").clone();
         assert!(!healed_report.degraded, "{name}: the rewritten database must load");
         assert_eq!(healed_report.candidates_measured, 0, "{name}");
+        assert!(healed_report.warm_started > 0, "{name}: {healed_report:?}");
         assert_eq!(bits(&healed.execute(&x).expect("execute")), degraded_bits, "{name}");
+        let rewritten = std::fs::read_to_string(&db).expect("rewritten database");
+        assert!(
+            rewritten.contains("\"version\":6,") && !rewritten.contains("fused"),
+            "{name}: the fresh search must overwrite the bad file in the current schema: \
+             {rewritten}"
+        );
 
         std::fs::remove_file(&db).expect("cleanup");
     }
@@ -233,9 +247,9 @@ fn corrupt_or_stale_db_degrades_gracefully_and_heals() {
 
 #[test]
 fn every_selectable_policy_is_bitwise_neutral() {
-    // The autotuner's entire product space — grouping, fused route,
-    // chunk and panel widths — must not change a single output bit; the
-    // search is free to pick anything. SIMD stays pinned to the config
+    // The autotuner's entire product space — grouping, chunk and panel
+    // widths — must not change a single output bit; the search is free to
+    // pick anything. SIMD stays pinned to the config
     // (the kernels are bit-exact among themselves, which
     // `dataflow::tests` covers at the unit level).
     let m = two_conv_model();
@@ -258,29 +272,26 @@ fn every_selectable_policy_is_bitwise_neutral() {
     let widths = [32usize, 64, 128, 256];
     let mut swept = 0;
     for grouping in groupings {
-        for fused in [true, false] {
-            for &chunk_rows in &widths {
-                for &panel_rows in &widths {
-                    let policy =
-                        ExecPolicy { grouping, fused, simd: cfg.simd, chunk_rows, panel_rows };
-                    let mut engine = Engine::with_config(cfg.clone(), device());
-                    let ctx = engine.context_mut();
-                    ctx.tuned_policies.insert("c1".to_owned(), policy);
-                    ctx.tuned_policies.insert("c2".to_owned(), policy);
-                    let mut session = engine.compile(&m, &x).expect("compile with pinned policy");
-                    let got = bits(&session.execute(&x).expect("execute"));
-                    assert_eq!(got, expected, "policy {policy:?} must be bitwise-neutral");
-                    swept += 1;
-                }
+        for &chunk_rows in &widths {
+            for &panel_rows in &widths {
+                let policy = ExecPolicy { grouping, simd: cfg.simd, chunk_rows, panel_rows };
+                let mut engine = Engine::with_config(cfg.clone(), device());
+                let ctx = engine.context_mut();
+                ctx.tuned_policies.insert("c1".to_owned(), policy);
+                ctx.tuned_policies.insert("c2".to_owned(), policy);
+                let mut session = engine.compile(&m, &x).expect("compile with pinned policy");
+                let got = bits(&session.execute(&x).expect("execute"));
+                assert_eq!(got, expected, "policy {policy:?} must be bitwise-neutral");
+                swept += 1;
             }
         }
     }
-    assert_eq!(swept, groupings.len() * 2 * widths.len() * widths.len());
+    assert_eq!(swept, groupings.len() * widths.len() * widths.len());
 }
 
 #[test]
 fn autotuned_minkunet_matches_untuned_bitwise() {
-    if env_pins_autotune() {
+    if env_pins_tune_db() {
         return;
     }
     // End-to-end on a real network: tuned and untuned compiles agree

@@ -5,8 +5,8 @@
 
 use torchsparse::coords::Coord;
 use torchsparse::core::{
-    CompiledSession, CoordIndexChoice, CoreError, Engine, EnginePreset, FaultSite, Module,
-    Precision, SparseTensor, Tracer,
+    CompiledSession, CoreError, Engine, EnginePreset, FaultSite, Module, Precision, SparseTensor,
+    Tracer,
 };
 use torchsparse::gpusim::{DeviceProfile, Stage};
 use torchsparse::models::{CenterPoint, MinkUNet, Spvcnn};
@@ -115,14 +115,7 @@ fn geometry_change_invalidates_plan_and_replans_correctly() {
 #[test]
 fn planning_faults_degrade_identically_to_dynamic() {
     // Mapping-path faults fire at plan time in a session and mid-forward in
-    // a dynamic run; the fallback (hashmap rebuild) is exact either way.
-    // The `TORCHSPARSE_COORD_INDEX` override wins over the `coord_index`
-    // field pinned below; forcing any non-grid index means no grid build
-    // ever runs, so the armed grid faults this test is about never fire.
-    match std::env::var("TORCHSPARSE_COORD_INDEX").ok().as_deref() {
-        None | Some("grid") => {}
-        Some(_) => return,
-    }
+    // a dynamic run; the fallback (a plain rebuild) is exact either way.
     let net = MinkUNet::with_width(0.25, 4, 3, 31);
     let x = scene(4, 0);
 
@@ -131,20 +124,29 @@ fn planning_faults_degrade_identically_to_dynamic() {
     dynamic.context_mut().faults.arm(FaultSite::KernelMapCache);
     let expected = dynamic.run(&net, &x).expect("degraded dynamic run");
     assert!(dynamic.degradation_report().count(FaultSite::GridTableBuild) >= 1);
+    assert_eq!(dynamic.degradation_report().count(FaultSite::KernelMapCache), 1);
 
     let mut clean_engine = Engine::new(EnginePreset::SpConv, DeviceProfile::rtx_2080ti());
-    // Pin the legacy grid index: compiled sessions otherwise resolve
-    // `Auto` to the MPHF index, which never attempts a grid build, so the
-    // armed grid faults would have nothing to fire on at plan time.
-    clean_engine.context_mut().config.coord_index = CoordIndexChoice::Grid;
     clean_engine.context_mut().faults.arm_count(FaultSite::GridTableBuild, 4);
     clean_engine.context_mut().faults.arm(FaultSite::KernelMapCache);
     let mut session = clean_engine.compile(&net, &x).expect("degraded compile");
+    // A frozen plan searches the MPHF and never attempts a grid build, so
+    // of the two armed sites only the map-cache fault can fire at plan
+    // time — with the dynamic run's decision.
+    let cache_events = |r: &torchsparse::core::DegradationReport| {
+        r.events()
+            .iter()
+            .filter(|e| e.site == FaultSite::KernelMapCache)
+            .cloned()
+            .collect::<Vec<_>>()
+    };
     assert_eq!(
-        dynamic.degradation_report().events(),
-        session.planning_degradation().events(),
-        "planning must take the same degradation decisions as dynamic"
+        cache_events(dynamic.degradation_report()),
+        cache_events(session.planning_degradation()),
+        "planning must take the same map-cache decision as dynamic"
     );
+    assert_eq!(session.planning_degradation().count(FaultSite::GridTableBuild), 0);
+    assert_eq!(session.planning_degradation().events().len(), 1);
 
     let got = session.execute(&x).expect("execute after degraded planning");
     assert_eq!(bits(&expected), bits(&got), "degraded planning must stay exact");
@@ -218,4 +220,26 @@ fn compiled_session_profiles_match_dynamic_layer_for_layer() {
         .map(|p| (p.name.clone(), p.input_points))
         .collect();
     assert_eq!(dyn_profiles, ses_profiles, "same layers, same order, same input sizes");
+}
+
+/// Compiling must not rewrite the configuration it was given: the shared
+/// model hands new streams exactly what the caller passed to
+/// `Engine::with_config` (that a session's searches build the MPHF is the
+/// session's private state, not a config edit).
+#[test]
+fn compiled_model_keeps_the_callers_config() {
+    let net = MinkUNet::with_width(0.25, 4, 3, 41);
+    let x = scene(4, 0);
+    for preset in [EnginePreset::TorchSparse, EnginePreset::SpConv, EnginePreset::MinkowskiEngine] {
+        let mut cfg = preset.config();
+        cfg.threads = Some(2);
+        let session = Engine::with_config(cfg.clone(), DeviceProfile::rtx_2080ti())
+            .compile(&net, &x)
+            .expect("compile");
+        assert_eq!(session.model().config(), &cfg, "{}", preset.name());
+        assert_eq!(&session.engine().context().config, &cfg, "{}", preset.name());
+        let (model, _) = session.into_parts();
+        let stream = model.new_stream().expect("stream");
+        assert_eq!(&stream.engine().context().config, &cfg, "{}", preset.name());
+    }
 }

@@ -1,31 +1,24 @@
-//! The coordinate-index determinism contract: the index structure a plan
-//! uses to resolve coordinates (legacy hashmap, dense grid, or the succinct
-//! MPHF cascade) is a pure representation choice. Every choice must produce
-//! bitwise-identical outputs across dataflows, fused/unfused routes, and
-//! thread counts — only `MappingStats` and simulated latency may differ.
+//! The coordinate-index contract: the structure a map search probes (the
+//! open-addressing hashmap, the dense grid, or the succinct MPHF cascade a
+//! frozen plan keeps) is a pure representation choice. All three answer
+//! every query of a kernel-map search identically — keep-first on duplicate
+//! coordinates, where no perfect hash exists and plans keep the hashmap — so
+//! a compiled session, which searches its MPHF, produces the bits of a
+//! dynamic run under either `map_search` table. Only `MappingStats` and
+//! simulated latency may differ.
 
-use torchsparse::coords::Coord;
-use torchsparse::core::{
-    CoordIndexChoice, Engine, EnginePreset, Module, OptimizationConfig, Precision, SparseTensor,
+use torchsparse::coords::downsample::{fused_output_coords, Boundary};
+use torchsparse::coords::kernel_map::{search, search_submanifold_symmetric};
+use torchsparse::coords::offsets::kernel_offsets;
+use torchsparse::coords::{
+    Coord, CoordHashMap, CoordIndex, CoordsError, GridTable, KernelMap, MphfIndex,
 };
+use torchsparse::core::{Engine, EnginePreset, MapSearchStrategy, SparseTensor};
 use torchsparse::gpusim::DeviceProfile;
 use torchsparse::models::MinkUNet;
 use torchsparse::tensor::Matrix;
 
-/// Worker counts the sweep is checked at: the serial path and a heavily
-/// chunked parallel one.
-const THREADS: [usize; 2] = [1, 8];
-
-/// Every selectable index. `Auto` rides along to pin that the dynamic
-/// default resolves to one of the other three, never to fresh bits.
-const CHOICES: [CoordIndexChoice; 4] = [
-    CoordIndexChoice::Hashmap,
-    CoordIndexChoice::Grid,
-    CoordIndexChoice::Mphf,
-    CoordIndexChoice::Auto,
-];
-
-fn scene(channels: usize, seed: i32) -> SparseTensor {
+fn scene_coords(seed: i32) -> Vec<Coord> {
     let mut coords = std::collections::BTreeSet::new();
     for i in 0..400 {
         coords.insert(Coord::new(
@@ -35,7 +28,11 @@ fn scene(channels: usize, seed: i32) -> SparseTensor {
             (i * 3) % 17 - 8,
         ));
     }
-    let coords: Vec<Coord> = coords.into_iter().collect();
+    coords.into_iter().collect()
+}
+
+fn scene(channels: usize, seed: i32) -> SparseTensor {
+    let coords = scene_coords(seed);
     let n = coords.len();
     SparseTensor::new(
         coords,
@@ -44,110 +41,95 @@ fn scene(channels: usize, seed: i32) -> SparseTensor {
     .expect("valid scene")
 }
 
-/// The three dataflow configurations of the engine: grouped
-/// gather-matmul-scatter (TorchSparse), ungrouped per-offset baseline, and
-/// fetch-on-demand (forced by an infinite threshold).
-fn dataflow_configs() -> Vec<(&'static str, OptimizationConfig)> {
-    let grouped = EnginePreset::TorchSparse.config();
-    let separate = EnginePreset::BaselineFp32.config();
-    let mut fod = EnginePreset::BaselineFp32.config();
-    fod.fetch_on_demand_below = Some(usize::MAX);
-    vec![("grouped", grouped), ("separate", separate), ("fetch-on-demand", fod)]
+/// Every per-offset entry list of the three searches a network issues
+/// against one index: submanifold, its symmetric half-search, and a strided
+/// downsample.
+fn searches(coords: &[Coord], index: &dyn CoordIndex) -> Vec<KernelMap> {
+    let coarse = fused_output_coords(coords, 2, 2, Boundary::unbounded()).expect("coords").coords;
+    vec![
+        search(coords, index, 3, 1).expect("submanifold search"),
+        search_submanifold_symmetric(coords, index, 3).expect("symmetric search"),
+        search(&coarse, index, 2, 2).expect("strided search"),
+    ]
 }
 
-fn output_bits<M: Module>(
-    cfg: OptimizationConfig,
-    m: &M,
-    x: &SparseTensor,
-) -> (Vec<Coord>, Vec<u32>) {
-    let mut engine = Engine::with_config(cfg, DeviceProfile::rtx_2080ti());
-    let y = engine.run(m, x).expect("run succeeds");
-    let bits = y.feats().as_slice().iter().map(|v| v.to_bits()).collect();
-    (y.coords().to_vec(), bits)
-}
-
-/// The acceptance sweep: 4 index choices x 3 dataflows x fused/unfused x
-/// 1/8 threads, all bitwise identical within each dataflow. A model with
-/// strided downsamples and a decoder exercises forward, downsample, and
-/// transposed kernel maps — the CSR slice-view, the resort path, and the
-/// MPHF query path all run.
-#[test]
-fn coord_index_choice_is_bitwise_invisible_across_dataflows_routes_threads() {
-    let x = scene(4, 0);
-    let m = MinkUNet::with_width(0.25, 4, 3, 43);
-    for (dataflow, cfg) in dataflow_configs() {
-        let mut reference: Option<(Vec<Coord>, Vec<u32>)> = None;
-        for choice in CHOICES {
-            for fused in [false, true] {
-                for threads in THREADS {
-                    let mut cfg = cfg.clone();
-                    cfg.coord_index = choice;
-                    cfg.fused_execution = fused;
-                    cfg.threads = Some(threads);
-                    let out = output_bits(cfg, &m, &x);
-                    match &reference {
-                        None => reference = Some(out),
-                        Some(r) => assert_eq!(
-                            r, &out,
-                            "{dataflow} diverges with coord_index={choice:?} fused={fused} \
-                             at {threads} threads"
-                        ),
-                    }
-                }
-            }
+fn assert_same_maps(a: &[KernelMap], b: &[KernelMap], what: &str) {
+    for (i, (ma, mb)) in a.iter().zip(b).enumerate() {
+        assert_eq!(ma.num_offsets(), mb.num_offsets(), "{what}: search {i}");
+        for n in 0..ma.num_offsets() {
+            assert_eq!(ma.entries(n), mb.entries(n), "{what}: search {i} offset {n}");
         }
     }
 }
 
-/// Precision paths route accumulation differently (FP16 re-quantizes
-/// per-layer, INT8 runs the integer microkernel); the index must stay
-/// invisible on each of them too.
+/// Hashmap, grid and MPHF resolve every probe of a 3x3x3 neighbourhood
+/// sweep — hits and misses — to the same row, and therefore build identical
+/// kernel maps; with a duplicated coordinate the hashmap and the grid agree
+/// on keep-first and the MPHF declines to exist.
 #[test]
-fn coord_index_choice_is_bitwise_invisible_across_precisions() {
-    let x = scene(4, 3);
-    let m = MinkUNet::with_width(0.25, 4, 3, 47);
-    for precision in [Precision::Fp32, Precision::Fp16, Precision::Int8] {
-        let mut reference: Option<(Vec<Coord>, Vec<u32>)> = None;
-        for choice in CHOICES {
-            let mut cfg = EnginePreset::TorchSparse.config();
-            cfg.precision = precision;
-            cfg.coord_index = choice;
-            let out = output_bits(cfg, &m, &x);
-            match &reference {
-                None => reference = Some(out),
-                Some(r) => {
-                    assert_eq!(r, &out, "{precision:?} diverges with coord_index={choice:?}")
-                }
-            }
+fn hashmap_grid_and_mphf_answer_every_kernel_map_query_identically() {
+    let coords = scene_coords(0);
+    let (hash, _) = CoordHashMap::build(&coords);
+    let (grid, _) = GridTable::build(&coords, 1 << 28).expect("grid fits");
+    let (mphf, _) = MphfIndex::build(&coords).expect("unique coordinates");
+    let mut hits = 0usize;
+    for &c in &coords {
+        for d in kernel_offsets(3).expect("offsets") {
+            let probe = Coord::new(c.batch, c.x + d[0], c.y + d[1], c.z + d[2]);
+            let want = hash.query(probe).0;
+            assert_eq!(grid.query(probe).0, want, "grid at {probe}");
+            assert_eq!(mphf.query(probe).0, want, "mphf at {probe}");
+            hits += usize::from(want.is_some());
         }
     }
+    assert!(hits > coords.len() && hits < 27 * coords.len(), "the sweep must hit and miss");
+    let reference = searches(&coords, &hash);
+    assert_same_maps(&reference, &searches(&coords, &grid), "grid");
+    assert_same_maps(&reference, &searches(&coords, &mphf), "mphf");
+
+    let mut duplicated = coords.clone();
+    duplicated.push(coords[3]);
+    duplicated.insert(40, coords[17]);
+    let (hash, _) = CoordHashMap::build(&duplicated);
+    let (grid, _) = GridTable::build(&duplicated, 1 << 28).expect("grid fits");
+    assert_same_maps(&searches(&duplicated, &hash), &searches(&duplicated, &grid), "duplicates");
+    assert!(matches!(MphfIndex::build(&duplicated), Err(CoordsError::DuplicateCoordinate(_))));
 }
 
-/// Compiled sessions resolve `Auto` to the MPHF index; a session compiled
-/// under each *explicit* choice must still match the dynamic hashmap
-/// reference bit for bit — freezing the plan changes when the index is
-/// built, never what the features become.
+/// A compiled session searches (and keeps) the MPHF; it must match a dynamic
+/// run bit for bit whichever table that run's `map_search` selects —
+/// freezing the plan changes when and how the index is built, never what the
+/// features become. The last scene carries duplicate coordinates, where the
+/// frozen plan falls back to the hashmap.
 #[test]
 fn compiled_sessions_match_dynamic_bits_under_every_index() {
-    let x = scene(4, 5);
     let m = MinkUNet::with_width(0.25, 4, 3, 53);
+    let clean = scene(4, 5);
+    let mut coords = clean.coords().to_vec();
+    coords.push(coords[9]);
+    let rows = coords.len();
+    let duplicated =
+        SparseTensor::new(coords, Matrix::from_fn(rows, 4, |r, c| ((r + c) % 7) as f32 - 3.0))
+            .expect("Trust validation admits duplicates");
 
-    let mut reference_cfg = EnginePreset::TorchSparse.config();
-    reference_cfg.coord_index = CoordIndexChoice::Hashmap;
-    let expected = output_bits(reference_cfg, &m, &x);
-
-    for choice in CHOICES {
-        let mut cfg = EnginePreset::TorchSparse.config();
-        cfg.coord_index = choice;
-        let mut session =
-            Engine::with_config(cfg, DeviceProfile::rtx_2080ti()).compile(&m, &x).expect("compile");
-        let y = session.execute(&x).expect("compiled execute");
-        let got: (Vec<Coord>, Vec<u32>) =
-            (y.coords().to_vec(), y.feats().as_slice().iter().map(|v| v.to_bits()).collect());
-        assert_eq!(
-            expected, got,
-            "compiled session with coord_index={choice:?} must match dynamic hashmap bits"
-        );
+    for (case, x) in [("clean", &clean), ("duplicated", &duplicated)] {
+        let mut session = Engine::new(EnginePreset::TorchSparse, DeviceProfile::rtx_2080ti())
+            .compile(&m, x)
+            .expect("compile");
+        let y = session.execute(x).expect("compiled execute");
         assert!(session.stats().plan_bytes > 0, "frozen plans report a resident footprint");
+        for table in [MapSearchStrategy::Hashmap, MapSearchStrategy::Grid, MapSearchStrategy::Auto]
+        {
+            let mut cfg = EnginePreset::TorchSparse.config();
+            cfg.map_search = table;
+            let expected =
+                Engine::with_config(cfg, DeviceProfile::rtx_2080ti()).run(&m, x).expect("run");
+            assert_eq!(expected.coords(), y.coords(), "{case} vs dynamic {table:?}");
+            assert_eq!(
+                expected.feats().as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                y.feats().as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "{case}: compiled session must match dynamic {table:?} bits"
+            );
+        }
     }
 }

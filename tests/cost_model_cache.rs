@@ -36,10 +36,6 @@ fn serial() -> MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-fn env_set(name: &str) -> bool {
-    std::env::var_os(name).is_some()
-}
-
 fn compile<'m>(
     cfg: &OptimizationConfig,
     m: &'m impl Module,
@@ -79,10 +75,9 @@ fn hit_frame_timeline_matches_dynamic_bitwise_across_routes_and_precisions() {
     let _serial = serial();
     let m = model(21);
     let x = scene(4);
-    for route in ["fused", "buffered", "fetch-on-demand"] {
+    for route in ["gather-matmul-scatter", "fetch-on-demand"] {
         for precision in [Precision::Fp32, Precision::Fp16, Precision::Int8] {
             let mut cfg = untuned(precision);
-            cfg.fused_execution = route != "buffered";
             if route == "fetch-on-demand" {
                 cfg.fetch_on_demand_below = Some(usize::MAX);
             }
@@ -112,8 +107,8 @@ fn hit_frame_timeline_matches_dynamic_bitwise_across_routes_and_precisions() {
 #[test]
 fn tuned_sessions_agree_bitwise() {
     let _serial = serial();
-    if env_set("TORCHSPARSE_AUTOTUNE") || env_set("TORCHSPARSE_TUNE_DB") {
-        return; // the overrides beat the per-test database path
+    if std::env::var_os("TORCHSPARSE_TUNE_DB").is_some() {
+        return; // the process-wide database beats the per-test path
     }
     // A dense block: the first conv's map is above the measurement floor,
     // so the first compile really searches and persists winners.
@@ -147,7 +142,6 @@ fn replanned_frames_match_a_cold_compile_bitwise() {
     let _serial = serial();
     let m = model(25);
     let base = scene(4);
-    let delta_forced = env_set("TORCHSPARSE_DELTA_REPLAN");
     for (path, churn, delta_replan) in
         [("delta-patch", 0.08, true), ("delta-fallback", 0.5, true), ("full-replan", 0.08, false)]
     {
@@ -172,15 +166,13 @@ fn replanned_frames_match_a_cold_compile_bitwise() {
         assert_eq!(session.last_timeline().stage(Stage::Mapping), Micros::ZERO, "{path}");
 
         let s = session.stats();
-        if !delta_forced {
-            let taken = (s.delta_patches, s.delta_fallbacks, s.full_replans);
-            let expected = match path {
-                "delta-patch" => (1, 0, 1),
-                "delta-fallback" => (0, 1, 1),
-                _ => (0, 0, 2),
-            };
-            assert_eq!(taken, expected, "{path}: {s:?}");
-        }
+        let taken = (s.delta_patches, s.delta_fallbacks, s.full_replans);
+        let expected = match path {
+            "delta-patch" => (1, 0, 1),
+            "delta-fallback" => (0, 1, 1),
+            _ => (0, 0, 2),
+        };
+        assert_eq!(taken, expected, "{path}: {s:?}");
     }
 }
 

@@ -1,8 +1,8 @@
 //! Incremental delta re-planning must be invisible: a compiled session fed a
 //! temporally churning stream patches its frozen plan in place, and every
 //! patched frame must be bitwise identical to compiling the model from
-//! scratch on that frame — across dataflow presets, fused/unfused execution,
-//! and thread counts. Above the churn threshold the session falls back to a
+//! scratch on that frame — across dataflow presets and thread counts. Above
+//! the churn threshold the session falls back to a
 //! full re-plan, still bitwise identical.
 
 use std::sync::Arc;
@@ -13,7 +13,7 @@ use torchsparse::coords::{
 };
 use torchsparse::core::{
     BatchNorm, Engine, Module, OptimizationConfig, PlanCacheStats, Precision, ReLU, Sequential,
-    SparseConv3d, SparseMaxPool3d, SparseTensor,
+    SparseConv3d, SparseMaxPool3d, SparseTensor, DELTA_REPLAN_MAX_CHURN,
 };
 use torchsparse::data::{
     dynamic_actors_stream, ego_drift_stream, multi_sweep_stream, temporal_churn_stream,
@@ -39,12 +39,6 @@ fn scene(channels: usize) -> SparseTensor {
 
 fn bits(t: &SparseTensor) -> Vec<u32> {
     t.feats().as_slice().iter().map(|v| v.to_bits()).collect()
-}
-
-/// Counter assertions are only meaningful when the `TORCHSPARSE_DELTA_REPLAN`
-/// env override is not forcing the path on or off underneath the config.
-fn delta_env_forced() -> bool {
-    std::env::var_os("TORCHSPARSE_DELTA_REPLAN").is_some()
 }
 
 /// A model exercising every structure the delta walk patches: submanifold
@@ -116,27 +110,19 @@ fn mixed_churn_matches_cold_replan_across_presets_threads_fusion() {
     for preset in
         [EnginePreset::BaselineFp32, EnginePreset::TorchSparse, EnginePreset::MinkowskiEngine]
     {
-        for fused in [false, true] {
-            for threads in [1usize, 8] {
-                let mut cfg = fp32_config(preset);
-                cfg.fused_execution = fused;
-                cfg.threads = Some(threads);
-                let label = format!("{preset:?}/fused={fused}/threads={threads}");
-                let stats = assert_stream_matches_cold(&model, &frames, &cfg, &label);
-                assert_partition(&stats, &label);
-                // 1 miss for the initial compile + 3 geometry changes.
-                assert_eq!(stats.misses, 4, "{label}: compile plus 3 geometry changes");
-                if !delta_env_forced() {
-                    assert_eq!(
-                        stats.delta_patches, 3,
-                        "{label}: every low-churn frame should take the delta patch path ({stats:?})"
-                    );
-                    assert_eq!(
-                        stats.delta_fallbacks, 0,
-                        "{label}: churn 8% is under the 15% threshold"
-                    );
-                }
-            }
+        for threads in [1usize, 8] {
+            let mut cfg = fp32_config(preset);
+            cfg.threads = Some(threads);
+            let label = format!("{preset:?}/threads={threads}");
+            let stats = assert_stream_matches_cold(&model, &frames, &cfg, &label);
+            assert_partition(&stats, &label);
+            // 1 miss for the initial compile + 3 geometry changes.
+            assert_eq!(stats.misses, 4, "{label}: compile plus 3 geometry changes");
+            assert_eq!(
+                stats.delta_patches, 3,
+                "{label}: every low-churn frame should take the delta patch path ({stats:?})"
+            );
+            assert_eq!(stats.delta_fallbacks, 0, "{label}: churn 8% is under the 15% threshold");
         }
     }
 }
@@ -152,9 +138,7 @@ fn insert_only_stream_is_patched_bitwise() {
     let cfg = fp32_config(torchsparse::core::EnginePreset::TorchSparse);
     let stats = assert_stream_matches_cold(&temporal_model(7), &frames, &cfg, "insert-only");
     assert_partition(&stats, "insert-only");
-    if !delta_env_forced() {
-        assert_eq!(stats.delta_patches, 3, "insert-only churn stays under threshold");
-    }
+    assert_eq!(stats.delta_patches, 3, "insert-only churn stays under threshold");
 }
 
 #[test]
@@ -173,9 +157,7 @@ fn remove_only_stream_is_patched_bitwise() {
     let cfg = fp32_config(torchsparse::core::EnginePreset::TorchSparse);
     let stats = assert_stream_matches_cold(&temporal_model(9), &frames, &cfg, "remove-only");
     assert_partition(&stats, "remove-only");
-    if !delta_env_forced() {
-        assert_eq!(stats.delta_patches, 3, "remove-only churn stays under threshold");
-    }
+    assert_eq!(stats.delta_patches, 3, "remove-only churn stays under threshold");
 }
 
 #[test]
@@ -183,16 +165,14 @@ fn above_threshold_churn_falls_back_to_full_replan() {
     let base = scene(4);
     let frames = temporal_churn_stream(&base, 3, 0.5, 13).expect("stream");
     let cfg = fp32_config(torchsparse::core::EnginePreset::TorchSparse);
-    assert!(cfg.delta_replan_max_churn < 0.4, "test assumes churn 50% exceeds the threshold");
+    const { assert!(DELTA_REPLAN_MAX_CHURN < 0.4, "churn 50% must exceed the threshold") };
     let stats = assert_stream_matches_cold(&temporal_model(3), &frames, &cfg, "high-churn");
     assert_partition(&stats, "high-churn");
-    if !delta_env_forced() {
-        assert!(
-            stats.delta_fallbacks >= 1,
-            "churn 50% must trip the delta_replan_max_churn fallback ({stats:?})"
-        );
-        assert_eq!(stats.delta_patches, 0, "no frame under 50% churn should be patched");
-    }
+    assert!(
+        stats.delta_fallbacks >= 1,
+        "churn 50% must trip the DELTA_REPLAN_MAX_CHURN fallback ({stats:?})"
+    );
+    assert_eq!(stats.delta_patches, 0, "no frame under 50% churn should be patched");
 }
 
 #[test]
@@ -203,11 +183,9 @@ fn delta_disabled_by_config_takes_full_replans_only() {
     cfg.delta_replan = false;
     let stats = assert_stream_matches_cold(&temporal_model(5), &frames, &cfg, "delta-off");
     assert_partition(&stats, "delta-off");
-    if !delta_env_forced() {
-        assert_eq!(stats.delta_patches, 0);
-        assert_eq!(stats.delta_fallbacks, 0);
-        assert_eq!(stats.full_replans, stats.misses);
-    }
+    assert_eq!(stats.delta_patches, 0);
+    assert_eq!(stats.delta_fallbacks, 0);
+    assert_eq!(stats.full_replans, stats.misses);
 }
 
 #[test]
@@ -221,9 +199,7 @@ fn unet_with_skips_and_transposed_convs_is_patched_bitwise() {
         let label = format!("unet/threads={threads}");
         let stats = assert_stream_matches_cold(&model, &frames, &cfg, &label);
         assert_partition(&stats, &label);
-        if !delta_env_forced() {
-            assert!(stats.delta_patches >= 1, "{label}: ego drift should be patchable ({stats:?})");
-        }
+        assert!(stats.delta_patches >= 1, "{label}: ego drift should be patchable ({stats:?})");
     }
 }
 

@@ -3,9 +3,9 @@
 //!
 //! Every output row is reduced in plain FP32 in one fixed order — offsets
 //! ascending, one add per producer — by whichever task owns the row's
-//! plan-time chunk. The engine's bits are therefore reproducible across
-//! thread counts, chunk widths, and the fused / buffered / fetch-on-demand
-//! executors, non-finite and signed-zero addends included. What the order
+//! plan-time chunk. The engine's bits are therefore those of the scalar
+//! reference in `tests/support/` at every thread count, chunk width and
+//! dataflow, non-finite and signed-zero addends included. What the order
 //! does *not* give is a correctly rounded sum, so the second test bounds
 //! the distance to one: the superaccumulator in `tests/support/accum.rs`,
 //! which left the product and survives as this suite's oracle. The
@@ -15,16 +15,18 @@
 
 #[path = "support/accum.rs"]
 mod accum;
+#[path = "support/layer_reference.rs"]
+mod layer_reference;
 
 use accum::{exact_sum, ExactAccumulator};
+use layer_reference::layer_reference;
 use proptest::prelude::*;
 use torchsparse::coords::kernel_map::search;
 use torchsparse::coords::{Coord, CoordHashMap};
 use torchsparse::core::dataflow::{run_gather_matmul_scatter, ConvWorkload, FusedOrder};
-use torchsparse::core::grouping::plan_groups;
 use torchsparse::core::{
-    BatchNorm, Engine, EnginePreset, ExecPolicy, Module, OptimizationConfig, Precision, ReLU,
-    Runtime, Sequential, SparseConv3d, SparseTensor,
+    Engine, EnginePreset, ExecPolicy, OptimizationConfig, Precision, SparseConv3d, SparseTensor,
+    ThreadPool,
 };
 use torchsparse::gpusim::DeviceProfile;
 use torchsparse::tensor::{gemm, quant, Matrix};
@@ -32,8 +34,8 @@ use torchsparse::tensor::{gemm, quant, Matrix};
 /// Worker counts every configuration is checked at.
 const THREADS: [usize; 3] = [1, 2, 8];
 
-/// Scatter/fused chunk widths every configuration is checked at: the
-/// default and the widest the autotuner may pick.
+/// Executor chunk widths every configuration is checked at: the default
+/// and the widest the autotuner may pick.
 const CHUNK_ROWS: [usize; 2] = [64, 256];
 
 /// An 8 x 8 x 6 block with a quarter of its voxels knocked out: dense
@@ -58,19 +60,6 @@ fn features(rows: usize, c: usize, seed: u64) -> Matrix {
         let v = (r as u64).wrapping_mul(0x9E37_79B9).wrapping_add(ch as u64).wrapping_mul(seed | 1);
         ((v % 1000) as f32 - 500.0) / 250.0
     })
-}
-
-/// The conv layers of [`model`], by name (the key policies are pinned by).
-const LAYERS: [&str; 3] = ["conv1", "down", "conv2"];
-
-/// A small net covering submanifold, strided, and channel-changing convs.
-fn model(c: usize, seed: u64) -> Sequential {
-    Sequential::new("net")
-        .push(SparseConv3d::with_random_weights("conv1", c, 8, 3, 1, seed))
-        .push(BatchNorm::identity("bn", 8))
-        .push(ReLU::new("act"))
-        .push(SparseConv3d::with_random_weights("down", 8, 8, 2, 2, seed + 1))
-        .push(SparseConv3d::with_random_weights("conv2", 8, c, 3, 1, seed + 2))
 }
 
 /// Features whose per-entry products cover every special addend: rows of
@@ -98,64 +87,70 @@ fn dataflow_configs() -> Vec<(&'static str, OptimizationConfig)> {
     vec![("grouped", grouped), ("separate", separate), ("fetch-on-demand", fod)]
 }
 
-/// One dynamic run with every conv layer pinned to `fused` / `chunk_rows`.
-fn output_bits<M: Module>(
+/// One dynamic run of `conv` with its executor pinned to `chunk_rows`.
+fn output_bits(
     mut cfg: OptimizationConfig,
     threads: usize,
     chunk_rows: usize,
-    m: &M,
+    conv: &SparseConv3d,
     x: &SparseTensor,
-) -> (Vec<Coord>, Vec<u32>) {
+) -> Vec<u32> {
     cfg.threads = Some(threads);
     let policy = ExecPolicy { chunk_rows, ..ExecPolicy::from_config(&cfg) };
     let mut engine = Engine::with_config(cfg, DeviceProfile::rtx_2080ti());
-    for layer in LAYERS {
-        engine.context_mut().tuned_policies.insert(layer.to_owned(), policy);
-    }
-    let y = engine.run(m, x).expect("run succeeds");
-    let bits = y.feats().as_slice().iter().map(|v| v.to_bits()).collect();
-    (y.coords().to_vec(), bits)
+    engine.context_mut().tuned_policies.insert(conv.layer_name().to_owned(), policy);
+    let y = engine.run(conv, x).expect("run succeeds");
+    y.feats().as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
-/// 3 dataflows x 3 precisions x fused/buffered x 1/2/8 threads x two chunk
-/// widths all produce identical bits — on an ordinary net, and on a layer
-/// whose products contain `-0.0`, `±inf` and NaN addends.
+/// 3 dataflows x 3 precisions x 1/2/8 threads x two chunk widths all
+/// produce the scalar reference's bits — on ordinary submanifold and strided
+/// layers, and on a layer whose products contain `-0.0`, `±inf` and NaN
+/// addends.
 #[test]
 fn canonical_order_bitwise_identical_across_threads_dataflows_precisions_routes_chunks() {
     let coords = sites(0);
-    let regular =
-        SparseTensor::new(coords.clone(), features(coords.len(), 4, 61)).expect("valid tensor");
-    let special =
-        SparseTensor::new(coords.clone(), special_features(coords.len(), 4)).expect("valid tensor");
-    let net = model(4, 61);
-    let one_conv =
-        Sequential::new("net").push(SparseConv3d::with_random_weights("conv1", 4, 8, 3, 1, 67));
-    for (case, m, x) in [("regular", &net, &regular), ("special", &one_conv, &special)] {
+    let tensor = |feats: Matrix| SparseTensor::new(coords.clone(), feats).expect("valid tensor");
+    let cases = [
+        (
+            "regular",
+            SparseConv3d::with_random_weights("conv1", 4, 8, 3, 1, 61),
+            tensor(features(coords.len(), 4, 61)),
+        ),
+        (
+            "regular",
+            SparseConv3d::with_random_weights("down", 8, 8, 2, 2, 62),
+            tensor(features(coords.len(), 8, 62)),
+        ),
+        (
+            "special",
+            SparseConv3d::with_random_weights("conv1", 4, 8, 3, 1, 67),
+            tensor(special_features(coords.len(), 4)),
+        ),
+    ];
+    for (case, conv, x) in &cases {
         for (dataflow, cfg) in dataflow_configs() {
             for precision in [Precision::Fp32, Precision::Fp16, Precision::Int8] {
-                if case == "special" && precision == Precision::Int8 {
+                if *case == "special" && precision == Precision::Int8 {
                     continue; // INT8 calibration rejects non-finite tensors outright
                 }
-                let mut reference: Option<(Vec<Coord>, Vec<u32>)> = None;
-                for fused in [false, true] {
-                    for threads in THREADS {
-                        for chunk_rows in CHUNK_ROWS {
-                            let mut cfg = cfg.clone();
-                            cfg.precision = precision;
-                            cfg.fused_execution = fused;
-                            let out = output_bits(cfg, threads, chunk_rows, m, x);
-                            let r = reference.get_or_insert_with(|| out.clone());
-                            assert_eq!(
-                                r, &out,
-                                "{case}/{dataflow} @ {precision:?} diverges with fused={fused} \
-                                 at {threads} threads, {chunk_rows}-row chunks"
-                            );
-                        }
+                let mut cfg = cfg.clone();
+                cfg.precision = precision;
+                let reference = layer_reference(conv, x, &cfg);
+                let expect: Vec<u32> = reference.as_slice().iter().map(|v| v.to_bits()).collect();
+                for threads in THREADS {
+                    for chunk_rows in CHUNK_ROWS {
+                        assert_eq!(
+                            output_bits(cfg.clone(), threads, chunk_rows, conv, x),
+                            expect,
+                            "{case}/{dataflow} @ {precision:?}, layer {}: engine diverges from \
+                             the scalar reference at {threads} threads, {chunk_rows}-row chunks",
+                            conv.layer_name()
+                        );
                     }
                 }
-                if case == "special" && precision == Precision::Fp32 {
-                    let (_, bits) = reference.expect("at least one run");
-                    let vals: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
+                if *case == "special" && precision == Precision::Fp32 {
+                    let vals = reference.as_slice();
                     assert!(vals.iter().any(|v| v.is_nan()), "{dataflow}: no NaN output");
                     assert!(vals.iter().any(|v| v.is_infinite()), "{dataflow}: no inf output");
                     assert!(vals.iter().any(|v| v.is_finite()), "{dataflow}: all poisoned");
@@ -171,7 +166,7 @@ fn canonical_order_bitwise_identical_across_threads_dataflows_precisions_routes_
 /// the same addends (`k` = the row's producer count) — the textbook bound
 /// for recursive summation, whose first add into the zeroed row is exact.
 /// Checked on one layer for FP32 and for FP16's f16-rounded partial sums
-/// (which is where `-0.0` addends come from), fused and buffered.
+/// (which is where `-0.0` addends come from).
 #[test]
 fn canonical_order_sum_is_within_recursive_summation_bound_of_oracle() {
     let coords = sites(1);
@@ -216,38 +211,33 @@ fn canonical_order_sum_is_within_recursive_summation_bound_of_oracle() {
             addends.iter().flatten().filter(|v| v.to_bits() == (-0.0f32).to_bits()).count();
         assert_eq!(negative_zeros > 0, precision == Precision::Fp16, "{precision:?}");
 
-        for fused in [true, false] {
-            let policy = ExecPolicy { fused, ..ExecPolicy::from_config(&cfg) };
-            let mut runtime = Runtime::new(cfg.threads);
-            let plan = plan_groups(&map.sizes(), true, cfg.grouping);
-            let workload = ConvWorkload {
-                in_feats: &feats,
-                weights: &weights,
-                packed: None,
-                map: &map,
-                n_out,
-                center_identity: Some(13),
-                fused: Some(&order),
-                policy: Some(policy),
-            };
-            let out =
-                run_gather_matmul_scatter(&workload, &plan, &cfg, &mut runtime).expect("conv runs");
-            let mut widest = 0usize;
-            for (got, addends) in out.as_slice().iter().zip(&addends) {
-                let k = addends.len();
-                widest = widest.max(k);
-                let oracle = f64::from(exact_sum(addends));
-                let sum_abs: f64 = addends.iter().map(|&v| f64::from(v).abs()).sum();
-                let bound = k.saturating_sub(1) as f64 * f64::from(f32::EPSILON) * sum_abs;
-                let err = (f64::from(*got) - oracle).abs();
-                assert!(
-                    err <= bound,
-                    "{precision:?} fused={fused}: {got} vs oracle {oracle} over {k} addends \
-                     (err {err:e} > bound {bound:e})"
-                );
-            }
-            assert!(widest >= 10, "the scene must exercise long producer lists, got {widest}");
+        let workload = ConvWorkload {
+            in_feats: &feats,
+            weights: &weights,
+            packed: None,
+            map: &map,
+            n_out,
+            center_identity: Some(13),
+            fused: &order,
+            policy: None,
+        };
+        let out =
+            run_gather_matmul_scatter(&workload, &cfg, ThreadPool::global()).expect("conv runs");
+        let mut widest = 0usize;
+        for (got, addends) in out.as_slice().iter().zip(&addends) {
+            let k = addends.len();
+            widest = widest.max(k);
+            let oracle = f64::from(exact_sum(addends));
+            let sum_abs: f64 = addends.iter().map(|&v| f64::from(v).abs()).sum();
+            let bound = k.saturating_sub(1) as f64 * f64::from(f32::EPSILON) * sum_abs;
+            let err = (f64::from(*got) - oracle).abs();
+            assert!(
+                err <= bound,
+                "{precision:?}: {got} vs oracle {oracle} over {k} addends \
+                 (err {err:e} > bound {bound:e})"
+            );
         }
+        assert!(widest >= 10, "the scene must exercise long producer lists, got {widest}");
     }
 }
 

@@ -30,18 +30,8 @@ fn model() -> Sequential {
         .push(SparseConv3d::with_random_weights("conv2", 8, 4, 3, 1, 22))
 }
 
-/// The `TORCHSPARSE_COORD_INDEX` override wins over every preset's map
-/// search; forcing any non-grid index means no grid build ever runs, so
-/// the grid-fault tests below would have nothing to fire on.
-fn grid_builds_suppressed() -> bool {
-    matches!(std::env::var("TORCHSPARSE_COORD_INDEX").ok().as_deref(), Some(v) if v != "grid")
-}
-
 #[test]
 fn grid_table_fault_falls_back_to_hashmap_with_identical_output() {
-    if grid_builds_suppressed() {
-        return;
-    }
     let input = scene(0);
     let m = model();
 
@@ -132,9 +122,6 @@ fn group_tuning_fault_degrades_engine_but_inference_continues() {
 
 #[test]
 fn armed_faults_fire_exactly_once_and_report_survives_inspection() {
-    if grid_builds_suppressed() {
-        return;
-    }
     let input = scene(6);
     let m = model();
     let mut e = Engine::new(EnginePreset::SpConv, DeviceProfile::rtx_2080ti());

@@ -250,12 +250,6 @@ fn sanitized_duplicates_match_deduplicated_input() {
 
 #[test]
 fn huge_extent_degrades_grid_to_hashmap_under_sanitize() {
-    // The `TORCHSPARSE_COORD_INDEX` override wins over the preset's map
-    // search; forcing a non-grid index removes the organic grid fallback
-    // this test observes.
-    if matches!(std::env::var("TORCHSPARSE_COORD_INDEX").ok().as_deref(), Some(v) if v != "grid") {
-        return;
-    }
     let wide = adversarial_cloud(CloudKind::HugeExtent, 5);
     let m = model();
     let mut cfg = EnginePreset::TorchSparse.config();

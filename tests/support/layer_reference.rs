@@ -1,0 +1,57 @@
+//! What `Engine::run` must return for a single-convolution model, derived
+//! from the scalar oracle in `conv_reference.rs` plus the layer rules the
+//! engine documents: which dataflow a configuration selects, when the
+//! center shortcut applies, how outputs are rounded to storage precision,
+//! and the FP32 re-run when a quantized output overflows. The kernel map
+//! comes from the public search over a plain hashmap, so nothing here
+//! touches the engine's mapping pipeline, plans or executor.
+
+#[path = "conv_reference.rs"]
+mod conv_reference;
+
+use conv_reference::conv_reference;
+use torchsparse::coords::downsample::{fused_output_coords, Boundary};
+use torchsparse::coords::kernel_map::search;
+use torchsparse::coords::offsets::center_index;
+use torchsparse::coords::CoordHashMap;
+use torchsparse::core::{OptimizationConfig, Precision, SparseConv3d, SparseTensor};
+use torchsparse::tensor::quant::{round_trip_f16_in_place, Int8Quantizer};
+use torchsparse::tensor::Matrix;
+
+/// The output features of `conv` (stride-1 or strided, not transposed) on
+/// `x` under `cfg`, bit for bit.
+pub fn layer_reference(conv: &SparseConv3d, x: &SparseTensor, cfg: &OptimizationConfig) -> Matrix {
+    let (k, s) = (conv.kernel_size(), conv.stride());
+    let out_coords = if s == 1 {
+        x.coords().to_vec()
+    } else {
+        fused_output_coords(x.coords(), k, s, Boundary::unbounded()).expect("coords").coords
+    };
+    let (table, _) = CoordHashMap::build(x.coords());
+    let map = search(&out_coords, &table, k, s).expect("map search");
+
+    let avg_map = map.total_entries() / map.num_offsets().max(1);
+    let fetch_on_demand = cfg.fetch_on_demand_below.is_some_and(|t| avg_map < t);
+    let shortcut = if !fetch_on_demand && cfg.skip_center_movement && conv.is_submanifold() {
+        center_index(k)
+    } else {
+        None
+    };
+    let quantized = cfg.precision != Precision::Fp32;
+    let run = |round_f16: bool| {
+        conv_reference(x.feats(), conv.weights(), &map, out_coords.len(), shortcut, round_f16)
+    };
+
+    let mut out = run(quantized && !fetch_on_demand);
+    match cfg.precision {
+        Precision::Fp32 => {}
+        Precision::Fp16 => round_trip_f16_in_place(&mut out),
+        Precision::Int8 => out = Int8Quantizer::calibrate(out.as_slice()).round_trip(&out),
+    }
+    if quantized && out.as_slice().iter().any(|v| !v.is_finite()) {
+        // Non-finite quantized output: the layer runs again in FP32 and its
+        // output stays FP32.
+        out = run(false);
+    }
+    out
+}

@@ -302,19 +302,5 @@ fn golden() -> Snapshot {
 
 #[test]
 fn lazily_resolved_timelines_repeat_the_parent_commit_bit_for_bit() {
-    if std::env::var_os("TORCHSPARSE_COORD_INDEX").is_some() {
-        // The index choice is an input of the simulated mapping cost, which
-        // CenterPoint's surcharge and every layer profile fold in; the pinned
-        // values are the default route's.
-        return;
-    }
-    let mut want = golden();
-    // A pinned re-plan route turns one kind of miss into the other; the two
-    // differ only in the `Mapping` they charge.
-    match std::env::var("TORCHSPARSE_DELTA_REPLAN").as_deref() {
-        Ok("off" | "0" | "false") => want.delta_patch = want.full_replan,
-        Ok("on" | "1" | "true") => want.full_replan = want.delta_patch,
-        _ => {}
-    }
-    assert_eq!(snapshot(), want);
+    assert_eq!(snapshot(), golden());
 }
