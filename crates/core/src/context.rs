@@ -55,8 +55,9 @@ impl CachedMap {
     }
 }
 
-/// A per-request wall-clock deadline, checked at stage boundaries by the
-/// compiled execution path ([`Context::check_deadline`]).
+/// A per-request wall-clock deadline, checked at stage boundaries by plan
+/// builds and the plan executor — dynamic runs and compiled frames alike
+/// ([`Context::check_deadline`]).
 ///
 /// The serving runtime installs one on [`Context::deadline`] before each
 /// frame; planning and the feature path then surface expiry as a typed
@@ -111,9 +112,9 @@ pub struct LayerWorkload {
 /// the tuned adaptive-grouping parameters.
 ///
 /// One context corresponds to one engine instance pinned to one simulated
-/// device. It is threaded mutably through every layer's `forward`.
+/// device. It is threaded mutably through every `forward` and plan build.
 ///
-/// Simulated cost is *deferred*: layers log what to charge
+/// Simulated cost is *deferred*: runs log what to charge
 /// ([`Context::defer`]) and the first read of [`Context::timeline`] or
 /// [`Context::layer_profiles`] replays the log through the cost model
 /// ([`crate::cost_model`]). A run nobody reads simulates nothing.
@@ -137,17 +138,21 @@ pub struct Context {
     pub tuned_policies: HashMap<String, crate::tuning::ExecPolicy>,
     /// Workloads recorded when `record_workloads` is on.
     pub workloads: Vec<LayerWorkload>,
-    /// Whether layers should append to [`Context::workloads`].
+    /// Whether convolutions should append to [`Context::workloads`]. A
+    /// convolution records when it is *planned*: once per layer in a
+    /// dynamic run, once per plan build in a compiled session (plan hits
+    /// record nothing).
     pub record_workloads: bool,
     /// Skip the real numerical computation and only account simulated cost.
     ///
     /// Simulated latency is a function of coordinates and maps alone, never
     /// of feature *values* ([`crate::cost_model`]), so dry runs report
     /// identical timelines while running much faster — benchmark drivers
-    /// use this to afford full-scale scenes. Layers check the flag before
-    /// calling their executor; outputs are zero-filled in this mode.
+    /// use this to afford full-scale scenes. A traced module's `forward`
+    /// plans and logs as usual, then returns zeros on the planned output
+    /// geometry instead of executing the plan.
     pub simulate_only: bool,
-    /// Whether leaf layers should record per-layer profiles
+    /// Whether runs should record per-layer profiles
     /// ([`Context::layer_profiles`]).
     pub profile_layers: bool,
     /// Deterministic fault scheduler. Disarmed by default; survives
@@ -265,28 +270,12 @@ impl Context {
         &self.ledger.cost(&self.device, &self.gemm).timeline
     }
 
-    /// Per-layer timeline records of the current run, one entry per leaf
-    /// layer forward (empty unless [`Context::profile_layers`] was on while
-    /// it ran). Resolved with [`Context::timeline`].
+    /// Per-layer timeline records of the current run, one entry per
+    /// executed convolution, batch norm and ReLU in execution order (empty
+    /// unless [`Context::profile_layers`] was on while it ran). Resolved
+    /// with [`Context::timeline`].
     pub fn layer_profiles(&self) -> &[LayerProfile] {
         &self.ledger.cost(&self.device, &self.gemm).profiles
-    }
-
-    /// Opens a leaf layer's profile entry; pair with
-    /// [`Context::finish_layer_profile`] around the layer's charges (no-op
-    /// unless [`Context::profile_layers`] is on).
-    pub fn start_layer_profile(&mut self) {
-        if self.profile_layers {
-            self.defer(Charge::mark());
-        }
-    }
-
-    /// Records the per-stage cost logged since the matching
-    /// [`Context::start_layer_profile`] as `name`'s profile entry.
-    pub fn finish_layer_profile(&mut self, name: &str, input_points: usize) {
-        if self.profile_layers {
-            self.defer(Charge::profile(name, input_points));
-        }
     }
 
     /// Looks up a cached map.
@@ -322,10 +311,10 @@ impl Context {
 
     /// Checks the request deadline at a named stage boundary (`"mapping"`
     /// in the planning walk, `"gather-gemm-scatter"` / `"epilogue"` in the
-    /// compiled feature path). The [`FaultSite::DeadlineOverrun`]
-    /// (crate::FaultSite::DeadlineOverrun) site is probed first: an
-    /// injected stall reports the full budget as elapsed, which keeps
-    /// deadline tests deterministic with no wall-clock dependence.
+    /// plan executor, dynamic or compiled). The
+    /// [`FaultSite::DeadlineOverrun`](crate::FaultSite::DeadlineOverrun)
+    /// site is probed first: an injected stall reports the full budget as
+    /// elapsed, keeping deadline tests free of wall-clock dependence.
     ///
     /// # Errors
     ///

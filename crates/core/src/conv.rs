@@ -1,6 +1,5 @@
 use crate::config::{GroupingStrategy, Precision};
 use crate::context::{CachedMap, Context, LayerWorkload, MapKey};
-use crate::cost_model::Charge;
 use crate::dataflow::{
     apply_storage_precision_owned_kernel, policy_kernel, run_fetch_on_demand,
     run_gather_matmul_scatter, ConvWorkload, FusedOrder,
@@ -13,7 +12,7 @@ use crate::plan::{ConvDataflow, ConvPlan, LayerOp, Tracer};
 use crate::{CoreError, SparseTensor};
 use std::sync::{Arc, OnceLock};
 use torchsparse_coords::{offsets, Coord};
-use torchsparse_gpusim::Stage;
+use torchsparse_gpusim::Micros;
 use torchsparse_tensor::{Matrix, PackedB};
 
 /// A sparse 3D convolution layer (`torchsparse.nn.Conv3d`).
@@ -218,13 +217,13 @@ impl SparseConv3d {
     }
 
     /// Acquires the kernel map and output coordinates, via the cache when
-    /// possible.
+    /// possible, with the `Mapping` latency of the search when one ran.
     fn acquire_map(
         &self,
         coords: &[Coord],
         in_stride: i32,
         ctx: &mut Context,
-    ) -> Result<(Arc<CachedMap>, bool), CoreError> {
+    ) -> Result<(Arc<CachedMap>, Option<Micros>), CoreError> {
         if self.transposed {
             let fine_stride = in_stride / self.stride;
             let key = MapKey {
@@ -233,7 +232,7 @@ impl SparseConv3d {
                 conv_stride: self.stride,
                 dilation: self.dilation,
             };
-            return ctx.cached_map(key).map(|m| (m, true)).ok_or(CoreError::MissingCachedMap {
+            return ctx.cached_map(key).map(|m| (m, None)).ok_or(CoreError::MissingCachedMap {
                 stride: in_stride,
                 kernel_size: self.kernel_size,
             });
@@ -250,7 +249,7 @@ impl SparseConv3d {
             // invalidates the entry; the map is an optimization, not a
             // correctness dependency, so the fallback is a plain rebuild.
             if !ctx.faults.should_fail(FaultSite::KernelMapCache) {
-                return Ok((hit, true));
+                return Ok((hit, None));
             }
             ctx.degradation
                 .record(FaultSite::KernelMapCache, "injected cache invalidation; map rebuilt");
@@ -270,14 +269,16 @@ impl SparseConv3d {
                 *frozen_index,
             )?
         };
-        ctx.defer(Charge::latency(Stage::Mapping, mapping.latency));
-        Ok((ctx.store_map(key, mapping.into_cached(coords)), false))
+        let latency = mapping.latency;
+        Ok((ctx.store_map(key, mapping.into_cached(coords)), Some(latency)))
     }
 
     /// The plan half: derives everything this layer needs from input
     /// *geometry* alone — kernel map (built or cached), output coordinates
-    /// and stride, and the frozen dataflow/grouping decision. Charges only
-    /// the `Mapping` stage.
+    /// and stride, and the frozen dataflow/grouping decision. Charges
+    /// nothing: the plan records the `Mapping` latency of its map search for
+    /// the caller to log, and under [`Context::record_workloads`] the layer's
+    /// workload is recorded here.
     pub(crate) fn plan(
         &self,
         coords: &[Coord],
@@ -291,7 +292,7 @@ impl SparseConv3d {
         if coords.is_empty() {
             return Err(CoreError::EmptyInput);
         }
-        let (cached, _was_hit) = self.acquire_map(coords, in_stride, ctx)?;
+        let (cached, mapping) = self.acquire_map(coords, in_stride, ctx)?;
         // For a transposed conv the map is flipped: entries run coarse -> fine.
         let (flipped, use_fine, out_stride) = if self.transposed {
             (Some(cached.map.transposed()), true, in_stride / self.stride)
@@ -308,6 +309,15 @@ impl SparseConv3d {
             Some(m) => m,
             None => &cached.map,
         };
+        if ctx.record_workloads {
+            ctx.workloads.push(LayerWorkload {
+                name: self.name.clone(),
+                map_sizes: map_ref.sizes(),
+                c_in: self.c_in,
+                c_out: self.c_out,
+                submanifold,
+            });
+        }
         // The compile-time policy search may have selected a full execution
         // policy for this layer; its grouping choice outranks the grouping
         // and `(epsilon, S)` resolution below.
@@ -371,13 +381,14 @@ impl SparseConv3d {
             packed: self.packed_weights(),
             fused,
             policy,
+            mapping,
         })
     }
 
     /// The execute half: the feature-path numerics (gather/matmul/scatter
     /// or fetch-on-demand, plus quantization and overflow fallback) against
     /// a frozen [`ConvPlan`]. Never builds maps, plans groups or touches the
-    /// cost model; under [`Context::simulate_only`] the output is zeros.
+    /// cost model.
     ///
     /// The flag returned beside the output reports that the quantized
     /// output overflowed and the layer ran a second time in FP32 — the one
@@ -398,24 +409,12 @@ impl SparseConv3d {
             return Err(CoreError::EmptyInput);
         }
 
-        let map_ref = plan.map();
         let out_coords = plan.out_coords();
-
-        if ctx.record_workloads {
-            ctx.workloads.push(LayerWorkload {
-                name: self.name.clone(),
-                map_sizes: map_ref.sizes(),
-                c_in: self.c_in,
-                c_out: self.c_out,
-                submanifold: plan.submanifold,
-            });
-        }
-
         let workload = ConvWorkload {
             in_feats: input.feats(),
             weights: &self.weights,
             packed: Some(&plan.packed),
-            map: map_ref,
+            map: plan.map(),
             n_out: out_coords.len(),
             center_identity: plan.center,
             fused: &plan.fused,
@@ -423,9 +422,6 @@ impl SparseConv3d {
         };
 
         let run_dataflow = |ctx: &mut Context| -> Result<Matrix, CoreError> {
-            if ctx.simulate_only {
-                return Ok(Matrix::zeros(workload.n_out, self.c_out));
-            }
             let pool = ctx.runtime.pool();
             match &plan.dataflow {
                 ConvDataflow::FetchOnDemand => {
@@ -485,20 +481,6 @@ impl std::fmt::Debug for SparseConv3d {
 }
 
 impl Module for SparseConv3d {
-    /// Plan-then-execute: derives the geometric plan (map, output
-    /// coordinates, grouping), immediately runs the feature path against
-    /// it, and logs the layer's simulated cost — the plan's geometry — on
-    /// the run's ledger. [`CompiledSession`](crate::CompiledSession) calls
-    /// the halves separately to amortize planning across frames.
-    fn forward(&self, input: &SparseTensor, ctx: &mut Context) -> Result<SparseTensor, CoreError> {
-        ctx.start_layer_profile();
-        let plan = self.plan(input.coords(), input.stride(), input.channels(), ctx)?;
-        let (out, reran) = self.compute(input, &plan, ctx)?;
-        ctx.defer(Charge::conv(plan, input.len(), reran));
-        ctx.finish_layer_profile(&self.name, input.len());
-        Ok(out)
-    }
-
     fn trace<'m>(&'m self, tracer: &mut Tracer<'m>) -> Result<(), CoreError> {
         tracer.push(LayerOp::Conv(self));
         Ok(())
@@ -518,7 +500,7 @@ mod tests {
     use super::*;
     use crate::config::OptimizationConfig;
     use torchsparse_coords::Coord;
-    use torchsparse_gpusim::DeviceProfile;
+    use torchsparse_gpusim::{DeviceProfile, Stage};
 
     fn ctx() -> Context {
         Context::new(OptimizationConfig::torchsparse(), DeviceProfile::rtx_2080ti())

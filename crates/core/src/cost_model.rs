@@ -10,22 +10,25 @@
 //! the paper measures) and charges the result to a [`Timeline`] stage.
 //!
 //! Nothing calls them while a frame executes. A frame only *logs* what to
-//! charge — one [`Charge`] per layer op, through
+//! charge — one [`Charge`] per executed plan, through
 //! [`Context::defer`](crate::Context::defer) — and the first read of the
 //! frame's timeline or layer profiles
 //! ([`Context::timeline`](crate::Context::timeline),
 //! [`Engine::last_timeline`](crate::Engine::last_timeline), ...) replays the
-//! log once, in recording order, against one fresh L2 simulator. That is
-//! the sequence of `Timeline::add`s in-line simulation would have issued,
-//! so every simulated value is bit-identical to it; a frame nobody reads
-//! runs no code from this module. A compiled session logs its whole
-//! [`ExecutionPlan`] as one charge whose value is cached on the shared plan
-//! (at most one walk per plan, by whichever stream first asks), so a hit
-//! frame's ledger is its `Mapping` log plus that cell. [`evaluations`]
-//! counts the trace replays.
+//! log once, in recording order. Every plan is walked by one function
+//! (`plan_cost`), in step order, and is charged the sequence of
+//! `Timeline::add`s in-line simulation would have issued, so every
+//! simulated value is bit-identical to it; a frame nobody reads runs no
+//! code from this module. A dynamic run's ephemeral plans are walked inside
+//! the replay, each step's map search included, on the run's one L2
+//! simulator. A compiled session logs its `Mapping` when it builds a plan
+//! and then the [`ExecutionPlan`] as one charge whose execute-path value is
+//! walked on a fresh simulator and cached on the shared plan (at most one
+//! walk per plan, by whichever stream first asks), so a hit frame's ledger
+//! is that cell alone. [`evaluations`] counts the fresh simulators.
 
 use crate::config::{OptimizationConfig, Precision};
-use crate::context::{CachedMap, LayerProfile, HOST_OP_OVERHEAD_US};
+use crate::context::{LayerProfile, HOST_OP_OVERHEAD_US};
 use crate::dataflow::is_center_shortcut;
 use crate::grouping::ExecGroup;
 use crate::plan::{ConvDataflow, ConvPlan, ExecutionPlan, StepPlan};
@@ -123,37 +126,19 @@ pub struct Charge(Kind);
 /// What a [`Charge`] constructor recorded; see the constructors.
 enum Kind {
     Latency(Stage, Micros),
-    Pointwise {
-        n: usize,
-        c: usize,
-    },
-    Pool {
-        cached: Arc<CachedMap>,
-        n_in: usize,
-        n_out: usize,
-        c: usize,
-    },
-    Conv {
-        cached: Arc<CachedMap>,
-        flipped: Option<KernelMap>,
-        dataflow: ConvDataflow,
-        center: Option<usize>,
-        n_in: usize,
-        n_out: usize,
-        c_in: usize,
-        c_out: usize,
-        reran: bool,
-    },
+    /// A compiled plan: its execute path, cached on the shared plan.
     Plan {
         plan: Arc<ExecutionPlan>,
         reruns: Vec<usize>,
         profile: bool,
     },
-    Mark,
-    Profile {
-        name: String,
-        points: usize,
+    /// A dynamic run's plan: walked in line, map searches included.
+    Ephemeral {
+        plan: Box<ExecutionPlan>,
+        reruns: Vec<usize>,
+        profile: bool,
     },
+    Mark,
     Surcharge {
         stage: Stage,
         fraction: f64,
@@ -169,16 +154,9 @@ impl Charge {
     }
 
     /// Snapshots the timeline at this point of the log, for the next
-    /// [`Charge::profile`] or [`Charge::surcharge`] to measure from. Marks
-    /// nest like a stack.
+    /// [`Charge::surcharge`] to measure from. Marks nest like a stack.
     pub fn mark() -> Charge {
         Charge(Kind::Mark)
-    }
-
-    /// Pops the most recent [`Charge::mark`] and records the per-stage
-    /// latency accrued since as `name`'s layer profile.
-    pub fn profile(name: &str, points: usize) -> Charge {
-        Charge(Kind::Profile { name: name.to_owned(), points })
     }
 
     /// Pops the most recent [`Charge::mark`] and adds `fraction` of the
@@ -194,31 +172,18 @@ impl Charge {
         Charge(Kind::Custom(Box::new(f)))
     }
 
-    /// One streaming read+write sweep over an `n x c` feature buffer (batch
-    /// norm, ReLU, global pooling), plus the host-side dispatch overhead.
-    pub(crate) fn pointwise(n: usize, c: usize) -> Charge {
-        Charge(Kind::Pointwise { n, c })
-    }
-
-    /// A sparse pooling layer over `cached.map`.
-    pub(crate) fn pool(cached: Arc<CachedMap>, n_in: usize, n_out: usize, c: usize) -> Charge {
-        Charge(Kind::Pool { cached, n_in, n_out, c })
-    }
-
-    /// A dynamic convolution that executed `plan` on `n_in` points. Keeps
-    /// the geometry the cost reads (map, flipped map, grouping) and drops
-    /// the rest of the plan (locality order, packed weights).
-    pub(crate) fn conv(plan: ConvPlan, n_in: usize, reran: bool) -> Charge {
-        let n_out = plan.out_coords().len();
-        let ConvPlan { cached, flipped, dataflow, center, c_in, c_out, .. } = plan;
-        Charge(Kind::Conv { cached, flipped, dataflow, center, n_in, n_out, c_in, c_out, reran })
-    }
-
     /// A compiled frame's execute path. `reruns` lists the steps whose
     /// convolution overflowed and ran a second time in FP32; `profile`
     /// asks for the plan's layer profiles too.
     pub(crate) fn plan(plan: Arc<ExecutionPlan>, reruns: Vec<usize>, profile: bool) -> Charge {
         Charge(Kind::Plan { plan, reruns, profile })
+    }
+
+    /// A dynamic run's ephemeral plan, executed once: its map searches and
+    /// execute path, charged at this point of the log (`reruns` and
+    /// `profile` as in [`Charge::plan`]).
+    pub(crate) fn ephemeral_plan(plan: ExecutionPlan, reruns: Vec<usize>, profile: bool) -> Charge {
+        Charge(Kind::Ephemeral { plan: Box::new(plan), reruns, profile })
     }
 }
 
@@ -278,15 +243,10 @@ fn replay(
     let mut mem: Option<MemorySim> = None;
     let mut marks: Vec<Timeline> = Vec::new();
     for charge in log {
-        let timeline = &mut cost.timeline;
+        let Cost { timeline, profiles } = &mut cost;
         match &charge.0 {
             Kind::Latency(stage, latency) => timeline.add(*stage, *latency),
             Kind::Mark => marks.push(timeline.clone()),
-            Kind::Profile { name, points } => {
-                if let Some(start) = marks.pop() {
-                    cost.profiles.push(LayerProfile::between(name, *points, &start, timeline));
-                }
-            }
             Kind::Surcharge { stage, fraction } => {
                 if let Some(start) = marks.pop() {
                     let accrued = timeline.total() - start.total();
@@ -298,63 +258,52 @@ fn replay(
                 // before it only `Mapping`: the merge adds zeros and is
                 // exact. Only a frame whose layers ran twice walks the plan
                 // itself.
+                let walk = |reruns: &[usize]| {
+                    let mut mem = begin_evaluation(device);
+                    let mut cost = Cost::default();
+                    let Cost { timeline, profiles } = &mut cost;
+                    let mut sim = Sim { config, device, gemm, mem: &mut mem, timeline };
+                    plan_cost(plan, reruns, false, &mut sim, Some(profiles));
+                    cost
+                };
                 let walked;
                 let planned = if reruns.is_empty() {
-                    plan.cost.get_or_init(|| plan_cost(plan, &[], config, device, gemm))
+                    plan.cost.get_or_init(|| walk(&[]))
                 } else {
-                    walked = plan_cost(plan, reruns, config, device, gemm);
+                    walked = walk(reruns);
                     &walked
                 };
                 timeline.merge(&planned.timeline);
                 if *profile {
-                    cost.profiles.clone_from(&planned.profiles);
+                    profiles.extend_from_slice(&planned.profiles);
                 }
             }
-            traced => {
+            Kind::Ephemeral { plan, reruns, profile } => {
                 let mem = mem.get_or_insert_with(|| begin_evaluation(device));
                 let mut sim = Sim { config, device, gemm, mem, timeline };
-                match traced {
-                    Kind::Pointwise { n, c } => charge_pointwise(*n, *c, &mut sim),
-                    Kind::Pool { cached, n_in, n_out, c } => {
-                        charge_pool(&cached.map, *n_in, *n_out, *c, &mut sim);
-                    }
-                    Kind::Conv {
-                        cached,
-                        flipped,
-                        dataflow,
-                        center,
-                        n_in,
-                        n_out,
-                        c_in,
-                        c_out,
-                        reran,
-                    } => {
-                        let geo = ConvGeometry {
-                            map: flipped.as_ref().unwrap_or(&cached.map),
-                            n_in: *n_in,
-                            n_out: *n_out,
-                            c_in: *c_in,
-                            c_out: *c_out,
-                            center_identity: *center,
-                        };
-                        charge_conv(&geo, dataflow, *reran, &mut sim);
-                    }
-                    Kind::Custom(f) => f(&mut sim),
-                    _ => {}
-                }
+                plan_cost(plan, reruns, true, &mut sim, profile.then_some(profiles));
+            }
+            Kind::Custom(f) => {
+                let mem = mem.get_or_insert_with(|| begin_evaluation(device));
+                f(&mut Sim { config, device, gemm, mem, timeline });
             }
         }
     }
     cost
 }
 
-/// Walks a finished plan's execute path on a fresh L2 simulator: the same
-/// sequence of charges, into an empty timeline, that a dynamic run of the
-/// same ops logs after mapping — so the result merges exactly into a
-/// frame's `Mapping`-only log. Also returns the per-layer profiles, wrapped
-/// as the dynamic `forward`s wrap them: convolution, batch norm and ReLU
-/// record one (the steps the plan holds a name for); pooling and global
-/// pooling do not.
+/// The one plan walk: charges a plan's steps to `sim` in step order — for
+/// each step the same kernels, in the same order, that its layer's
+/// in-line simulation issued — and appends a profile per named step
+/// (convolution, projection, batch norm, ReLU; pooling and global pooling
+/// record none) to `profiles` when given.
+///
+/// Two callers. A compiled plan is walked without `mapping` on a fresh
+/// simulator, and the result is cached on the plan: its map searches were
+/// logged by the frame that built it, and a hit pays none. An ephemeral
+/// plan is walked with `mapping` on the run's shared simulator, straight
+/// into the run's timeline: each step's map search lands at that step,
+/// inside its layer's profile.
 ///
 /// `reruns` lists the step indices whose convolution overflowed its
 /// quantized storage and ran a second time in FP32 — empty for the value
@@ -362,33 +311,33 @@ fn replay(
 fn plan_cost(
     plan: &ExecutionPlan,
     reruns: &[usize],
-    config: &OptimizationConfig,
-    device: &DeviceProfile,
-    gemm: &GemmModel,
-) -> Cost {
-    let mut mem = begin_evaluation(device);
-    let mut cost = Cost::default();
-    let mut sim = Sim { config, device, gemm, mem: &mut mem, timeline: &mut cost.timeline };
+    mapping: bool,
+    sim: &mut Sim<'_>,
+    mut profiles: Option<&mut Vec<LayerProfile>>,
+) {
     // The (points, channels) of the tensor flowing through the network.
     let mut cur = plan.input_shape;
     let mut stack: Vec<(usize, usize)> = Vec::new();
     for (i, (step, name)) in plan.steps.iter().zip(&plan.names).enumerate() {
-        let start = sim.timeline.clone();
+        let start = (profiles.is_some() && name.is_some()).then(|| sim.timeline.clone());
+        if let Some(latency) = step.mapping().filter(|_| mapping) {
+            sim.timeline.add(Stage::Mapping, latency);
+        }
         let reran = reruns.contains(&i);
         let mut points = cur.0;
         match step {
             StepPlan::Conv(p) => {
-                charge_conv(&ConvGeometry::of(p, cur.0), &p.dataflow, reran, &mut sim);
+                charge_conv(&ConvGeometry::of(p, cur.0), &p.dataflow, reran, sim);
                 cur = (p.out_coords().len(), p.c_out);
             }
             StepPlan::Pool(p) => {
                 let n_out = p.out_coords().len();
-                charge_pool(&p.cached.map, cur.0, n_out, cur.1, &mut sim);
+                charge_pool(&p.cached.map, cur.0, n_out, cur.1, sim);
                 cur.0 = n_out;
             }
-            StepPlan::Pointwise => charge_pointwise(cur.0, cur.1, &mut sim),
+            StepPlan::Pointwise => charge_pointwise(cur.0, cur.1, sim),
             StepPlan::GlobalPool { batches } => {
-                charge_pointwise(cur.0, cur.1, &mut sim);
+                charge_pointwise(cur.0, cur.1, sim);
                 cur.0 = *batches;
             }
             StepPlan::Push => stack.push(cur),
@@ -396,15 +345,14 @@ fn plan_cost(
             StepPlan::Residual { projection } => {
                 points = stack.pop().unwrap_or(cur).0;
                 if let Some(p) = projection {
-                    charge_conv(&ConvGeometry::of(p, points), &p.dataflow, reran, &mut sim);
+                    charge_conv(&ConvGeometry::of(p, points), &p.dataflow, reran, sim);
                 }
             }
         }
-        if let Some(name) = name {
-            cost.profiles.push(LayerProfile::between(name, points, &start, sim.timeline));
+        if let (Some(profiles), Some(name), Some(start)) = (&mut profiles, name, start) {
+            profiles.push(LayerProfile::between(name, points, &start, sim.timeline));
         }
     }
-    cost
 }
 
 /// The access mode of `elem`-wide features: vectorized access moves 4 bytes
@@ -826,6 +774,11 @@ mod tests {
         Context::new(OptimizationConfig::torchsparse(), DeviceProfile::rtx_2080ti())
     }
 
+    /// One pointwise sweep over an `n x c` buffer, as a logged charge.
+    fn sweep(n: usize, c: usize) -> Charge {
+        Charge::custom(move |sim| charge_pointwise(n, c, sim))
+    }
+
     #[test]
     fn nothing_is_simulated_until_the_cost_is_read() {
         let cfg = OptimizationConfig::torchsparse();
@@ -833,7 +786,7 @@ mod tests {
         let gemm = GemmModel::new(device.clone());
         let mut ledger = Ledger::default();
         ledger.defer(Charge::latency(Stage::Mapping, Micros(3.0)), &cfg);
-        ledger.defer(Charge::pointwise(64, 8), &cfg);
+        ledger.defer(sweep(64, 8), &cfg);
         assert!(ledger.resolved.get().is_none(), "logging resolves nothing");
         let before = evaluations();
         let other = ledger.cost(&device, &gemm).timeline.stage(Stage::Other);
@@ -842,7 +795,7 @@ mod tests {
         assert!(evaluations() > before, "the read replayed the trace");
         // A later charge forgets the resolved cost; the next read replays
         // the whole log on a fresh simulator.
-        ledger.defer(Charge::pointwise(64, 8), &cfg);
+        ledger.defer(sweep(64, 8), &cfg);
         assert!(ledger.resolved.get().is_none());
         assert!(ledger.cost(&device, &gemm).timeline.stage(Stage::Other) > other);
         ledger.clear();
@@ -850,37 +803,36 @@ mod tests {
     }
 
     #[test]
-    fn marks_nest_and_feed_profiles_and_surcharges() {
+    fn marks_nest_and_feed_surcharges() {
         let mut c = ctx();
         c.defer(Charge::latency(Stage::Mapping, Micros(10.0)));
-        c.defer(Charge::mark()); // surcharge base
-        c.defer(Charge::mark()); // profile base
+        c.defer(Charge::mark()); // outer base
+        c.defer(Charge::mark()); // inner base
         c.defer(Charge::latency(Stage::MatMul, Micros(4.0)));
-        c.defer(Charge::profile("layer", 7));
+        // Half of the 4 us since the inner mark, then half of the 4 + 2 + 6
+        // since the outer one.
+        c.defer(Charge::surcharge(Stage::Other, 0.5));
         c.defer(Charge::latency(Stage::Gather, Micros(6.0)));
         c.defer(Charge::surcharge(Stage::Other, 0.5));
-        // An unmatched pop is ignored, as a run that failed mid-layer logs.
-        c.defer(Charge::profile("dangling", 0));
+        // An unmatched pop is ignored, as a run that failed mid-model logs.
+        c.defer(Charge::surcharge(Stage::Other, 0.5));
         let t = c.timeline();
-        assert_eq!(t.stage(Stage::Other), Micros(5.0), "half of the 10 us since the mark");
-        assert_eq!(t.total(), Micros(25.0));
-        let profiles = c.layer_profiles();
-        assert_eq!(profiles.len(), 1);
-        assert_eq!((profiles[0].name.as_str(), profiles[0].input_points), ("layer", 7));
-        assert_eq!(profiles[0].timeline.total(), Micros(4.0));
+        assert_eq!(t.stage(Stage::Other), Micros(8.0));
+        assert_eq!(t.total(), Micros(28.0));
+        assert!(c.layer_profiles().is_empty());
     }
 
     #[test]
     fn a_run_resolves_under_the_configuration_it_ran_with() {
-        let sweep = |flip: bool| {
+        let resolve = |flip: bool| {
             let mut c = ctx();
-            c.defer(Charge::pointwise(512, 16));
+            c.defer(sweep(512, 16));
             if flip {
                 c.config.precision = Precision::Fp32;
             }
             c.timeline().clone()
         };
-        assert_eq!(sweep(false), sweep(true), "config is captured when the run logs");
+        assert_eq!(resolve(false), resolve(true), "config is captured when the run logs");
     }
 
     #[test]

@@ -102,17 +102,24 @@ impl Engine {
     /// Runs a model end-to-end on one input scene.
     ///
     /// Per-run state (cost ledger, map cache, degradation report) is reset
-    /// first, so consecutive calls are independent measurements. The input is screened against the configuration's
+    /// first, so consecutive calls are independent measurements. The input
+    /// is screened against the configuration's
     /// [`ValidationConfig`](crate::ValidationConfig) before any layer
     /// executes; under `Sanitize` the model runs on the repaired tensor and
     /// the repairs appear in [`Engine::degradation_report`].
+    ///
+    /// A traceable model runs as one ephemeral plan through the executor a
+    /// compiled frame runs ([`Module::forward`]), so the run checks the
+    /// context's [`deadline`](Context::deadline) at the same `mapping` /
+    /// `gather-gemm-scatter` / `epilogue` boundaries as a compiled frame.
     ///
     /// # Errors
     ///
     /// Validation failures under the `Reject` policy
     /// ([`CoreError::NonFiniteFeatures`], [`CoreError::ExtentOverflow`],
-    /// [`CoreError::BudgetExceeded`], duplicate coordinates), plus any
-    /// [`CoreError`] raised by the model's layers.
+    /// [`CoreError::BudgetExceeded`], duplicate coordinates),
+    /// [`CoreError::DeadlineExceeded`], plus any [`CoreError`] raised by
+    /// the model's layers.
     pub fn run<M: Module + ?Sized>(
         &mut self,
         model: &M,

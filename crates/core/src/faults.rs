@@ -78,9 +78,11 @@ impl FaultSite {
         ]
     }
 
-    /// The serving-path sites probed by `torchsparse-serve` around each
-    /// request, in declaration order. Separate from [`FaultSite::all`]
-    /// because the single-forward engine never probes them.
+    /// The serving-path sites, in declaration order: `torchsparse-serve`
+    /// injects [`FaultSite::WorkerPanic`] around each request, and
+    /// [`FaultSite::DeadlineOverrun`] is probed at every deadline boundary.
+    /// Separate from [`FaultSite::all`] because they fail the frame instead
+    /// of degrading it.
     pub fn serving() -> [FaultSite; 2] {
         [FaultSite::WorkerPanic, FaultSite::DeadlineOverrun]
     }

@@ -5,28 +5,41 @@ use crate::{CoreError, SparseTensor};
 /// A sparse neural network layer or block, in the PyTorch-like style of the
 /// TorchSparse Python API (§4.1).
 ///
-/// Implementations execute their computation on the CPU and record
-/// simulated GPU cost into the [`Context`].
+/// Implement [`Module::trace`]: a module that appends its
+/// [`LayerOp`](crate::LayerOp)s runs through the one plan executor, both
+/// dynamically ([`Module::forward`]'s provided body) and compiled into a
+/// [`CompiledSession`](crate::CompiledSession). Override `forward` only
+/// when the module cannot trace — a container of untraceable children
+/// ([`Sequential`]) or a model with work outside the IR.
 pub trait Module {
     /// Runs the module on an input tensor.
     ///
+    /// The provided implementation traces the module, plans the traced ops
+    /// against the input's geometry (an ephemeral
+    /// [`ExecutionPlan`](crate::ExecutionPlan)), executes the plan and logs
+    /// it as one charge on the run's cost ledger. Under
+    /// [`Context::simulate_only`] it stops after logging the plan and
+    /// returns zero features on the planned output geometry.
+    ///
     /// # Errors
     ///
-    /// Implementations return [`CoreError`] on shape/channel mismatches or
-    /// mapping failures.
-    fn forward(&self, input: &SparseTensor, ctx: &mut Context) -> Result<SparseTensor, CoreError>;
+    /// [`CoreError::Untraceable`] from a module that neither traces nor
+    /// overrides `forward`, plus shape/channel mismatches, mapping
+    /// failures and [`CoreError::DeadlineExceeded`] at a stage boundary.
+    fn forward(&self, input: &SparseTensor, ctx: &mut Context) -> Result<SparseTensor, CoreError> {
+        crate::session::run_ephemeral(self, input, ctx)
+    }
 
     /// Appends this module's flattened [`LayerOp`](crate::LayerOp) sequence
-    /// to `tracer`, so the module can be compiled into a
-    /// [`CompiledSession`](crate::CompiledSession). Containers recurse into
-    /// children; leaf layers push one op.
+    /// to `tracer`. Containers recurse into children; leaf layers push one
+    /// op.
     ///
     /// # Errors
     ///
     /// The default implementation returns [`CoreError::Untraceable`]:
     /// modules whose control flow cannot be expressed in the layer-op IR
-    /// (data-dependent branching, non-`Module` side inputs) stay
-    /// dynamic-only.
+    /// (data-dependent branching, non-`Module` side inputs) must override
+    /// [`Module::forward`] and cannot be compiled.
     fn trace<'m>(&'m self, tracer: &mut Tracer<'m>) -> Result<(), CoreError> {
         let _ = tracer;
         Err(CoreError::Untraceable { module: self.name().to_owned() })
@@ -94,6 +107,9 @@ impl Sequential {
 }
 
 impl Module for Sequential {
+    /// Chains the children's `forward`s: the one container that may hold a
+    /// module with no `trace`. Each traceable child runs as its own
+    /// ephemeral plan, on the run's shared map cache and cost ledger.
     fn forward(&self, input: &SparseTensor, ctx: &mut Context) -> Result<SparseTensor, CoreError> {
         // Only an empty container needs to clone (identity); otherwise the
         // first layer reads the input directly.

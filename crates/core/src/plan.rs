@@ -1,8 +1,9 @@
 //! The layer-op IR and the frozen per-layer execution plans.
 //!
 //! Dynamic execution re-derives everything per frame: each
-//! [`Engine::run`](crate::Engine::run) re-walks the module tree, rebuilds
-//! every kernel map, and re-plans matmul grouping. For streaming inference
+//! [`Engine::run`](crate::Engine::run) re-traces the module tree into an
+//! ephemeral plan, rebuilding every kernel map and re-planning matmul
+//! grouping. For streaming inference
 //! over frames with identical geometry that work is pure overhead — mapping
 //! and tuning are amortizable preprocessing (§4.4 tunes once per workload
 //! group and reuses the decision). This module provides the pieces a
@@ -24,6 +25,7 @@ use crate::grouping::GroupPlan;
 use crate::{BatchNorm, GlobalPool, ReLU, SparseConv3d, SparseMaxPool3d};
 use std::sync::{Arc, OnceLock};
 use torchsparse_coords::{Coord, KernelMap};
+use torchsparse_gpusim::Micros;
 use torchsparse_tensor::PackedB;
 
 /// One typed operation in the flattened layer IR.
@@ -138,6 +140,9 @@ pub(crate) struct ConvPlan {
     /// The tuned per-layer execution policy selected by the compile-time
     /// policy search, or `None` when untuned (global config behavior).
     pub(crate) policy: Option<crate::tuning::ExecPolicy>,
+    /// The `Mapping` latency of the map search this planning ran (`None`
+    /// when the map came from the cache).
+    pub(crate) mapping: Option<Micros>,
 }
 
 impl ConvPlan {
@@ -179,6 +184,9 @@ pub(crate) struct PoolPlan {
     pub(crate) use_fine: bool,
     /// Output tensor stride.
     pub(crate) out_stride: i32,
+    /// The `Mapping` latency of the map search this planning ran (`None`
+    /// when the map came from the cache).
+    pub(crate) mapping: Option<Micros>,
 }
 
 impl PoolPlan {
@@ -219,12 +227,26 @@ pub(crate) enum StepPlan {
     },
 }
 
+impl StepPlan {
+    /// The `Mapping` latency of the map search planning this step ran.
+    pub(crate) fn mapping(&self) -> Option<Micros> {
+        match self {
+            StepPlan::Conv(p) | StepPlan::Residual { projection: Some(p) } => p.mapping,
+            StepPlan::Pool(p) => p.mapping,
+            _ => None,
+        }
+    }
+}
+
 /// An immutable execution plan: every kernel map, output coordinate list,
 /// grouping plan, and dataflow decision for one model on one input
 /// geometry, keyed by that geometry's fingerprint.
 ///
 /// Built once by [`CompiledSession::compile`](crate::CompiledSession) and
-/// replaced wholesale when the fingerprint changes — never mutated.
+/// replaced wholesale when the fingerprint changes — never mutated. A
+/// dynamic [`Engine::run`](crate::Engine::run) builds an *ephemeral* plan
+/// (fingerprint 0) per traceable module, runs it once and hands it to the
+/// run's cost ledger.
 ///
 /// Simulated cost is a function of exactly this state, so the plan is
 /// also where it is cached: the execute-path timeline of one frame (every

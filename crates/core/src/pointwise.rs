@@ -2,14 +2,13 @@
 //!
 //! These are memory-bound streaming kernels. They never touch coordinates
 //! or maps, so their simulated cost is a single read+write sweep over the
-//! feature buffer (a pointwise [`Charge`]), charged to the `Other` stage —
-//! which is how they appear in the paper's Figure 4 breakdown. The
-//! `forward`s log it on the run's ledger; compiled sessions run the
-//! crate-internal numerics halves — `apply`, in place on the feature matrix
-//! the executor owns — and the sweep is part of the plan's cost.
+//! feature buffer, charged to the `Other` stage — which is how they appear
+//! in the paper's Figure 4 breakdown. Each layer only traces itself; the
+//! plan executor runs the crate-internal numerics halves — `apply`, in
+//! place on the feature matrix it owns — and the sweep is part of the
+//! plan's cost.
 
 use crate::context::Context;
-use crate::cost_model::Charge;
 use crate::dataflow::apply_storage_precision_owned;
 use crate::module::Module;
 use crate::plan::{LayerOp, Tracer};
@@ -55,9 +54,8 @@ impl BatchNorm {
     }
 
     /// The feature-path numerics on a feature matrix the caller owns, in
-    /// place: no allocation, no simulated cost, no per-layer profile wrap
-    /// (the dynamic `forward` logs both; a compiled session gets both from
-    /// its plan).
+    /// place: no allocation, no simulated cost, no per-layer profile (both
+    /// come from the plan).
     pub(crate) fn apply(&self, mut feats: Matrix, ctx: &mut Context) -> Result<Matrix, CoreError> {
         if feats.cols() != self.channels() {
             return Err(CoreError::ChannelMismatch {
@@ -76,14 +74,6 @@ impl BatchNorm {
 }
 
 impl Module for BatchNorm {
-    fn forward(&self, input: &SparseTensor, ctx: &mut Context) -> Result<SparseTensor, CoreError> {
-        ctx.start_layer_profile();
-        let out = input.with_feats(self.apply(input.feats().clone(), ctx)?)?;
-        ctx.defer(Charge::pointwise(input.len(), input.channels()));
-        ctx.finish_layer_profile(&self.name, input.len());
-        Ok(out)
-    }
-
     fn trace<'m>(&'m self, tracer: &mut Tracer<'m>) -> Result<(), CoreError> {
         tracer.push(LayerOp::BatchNorm(self));
         Ok(())
@@ -118,14 +108,6 @@ impl ReLU {
 }
 
 impl Module for ReLU {
-    fn forward(&self, input: &SparseTensor, ctx: &mut Context) -> Result<SparseTensor, CoreError> {
-        ctx.start_layer_profile();
-        let out = input.with_feats(self.apply(input.feats().clone(), ctx))?;
-        ctx.defer(Charge::pointwise(input.len(), input.channels()));
-        ctx.finish_layer_profile(&self.name, input.len());
-        Ok(out)
-    }
-
     fn trace<'m>(&'m self, tracer: &mut Tracer<'m>) -> Result<(), CoreError> {
         tracer.push(LayerOp::Relu(self));
         Ok(())
@@ -179,12 +161,6 @@ impl GlobalPool {
 }
 
 impl Module for GlobalPool {
-    fn forward(&self, input: &SparseTensor, ctx: &mut Context) -> Result<SparseTensor, CoreError> {
-        let out = self.compute(input)?;
-        ctx.defer(Charge::pointwise(input.len(), input.channels()));
-        Ok(out)
-    }
-
     fn trace<'m>(&'m self, tracer: &mut Tracer<'m>) -> Result<(), CoreError> {
         tracer.push(LayerOp::GlobalPool(self));
         Ok(())

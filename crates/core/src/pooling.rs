@@ -7,7 +7,6 @@
 //! caching) and performs a per-channel max-reduction instead of GEMM.
 
 use crate::context::{Context, MapKey};
-use crate::cost_model::Charge;
 use crate::faults::{DegradationReport, FaultInjector};
 use crate::mapping::build_layer_mapping_on;
 use crate::module::Module;
@@ -15,7 +14,6 @@ use crate::plan::{LayerOp, PoolPlan, Tracer};
 use crate::runtime::ThreadPool;
 use crate::{CoreError, SparseTensor};
 use torchsparse_coords::Coord;
-use torchsparse_gpusim::Stage;
 use torchsparse_tensor::Matrix;
 
 /// Reduction applied over a pooling window.
@@ -91,7 +89,8 @@ impl SparseMaxPool3d {
 
     /// The plan half: acquires the kernel map (shared with convolution —
     /// pooling and convolution with the same (stride, kernel) share one
-    /// map, as in real engines) and freezes the output geometry.
+    /// map, as in real engines) and freezes the output geometry, recording
+    /// the `Mapping` latency of the search when one ran.
     pub(crate) fn plan(
         &self,
         coords: &[Coord],
@@ -107,8 +106,8 @@ impl SparseMaxPool3d {
             conv_stride: self.stride,
             dilation: 1,
         };
-        let cached = match ctx.cached_map(key) {
-            Some(hit) => hit,
+        let (cached, mapping) = match ctx.cached_map(key) {
+            Some(hit) => (hit, None),
             None => {
                 let mapping = build_layer_mapping_on(
                     ThreadPool::global(),
@@ -122,24 +121,21 @@ impl SparseMaxPool3d {
                     &mut DegradationReport::new(),
                     ctx.frozen_index,
                 )?;
-                ctx.defer(Charge::latency(Stage::Mapping, mapping.latency));
-                ctx.store_map(key, mapping.into_cached(coords))
+                let latency = mapping.latency;
+                (ctx.store_map(key, mapping.into_cached(coords)), Some(latency))
             }
         };
         let use_fine = self.stride == 1;
         let out_stride = if use_fine { in_stride } else { in_stride * self.stride };
-        Ok(PoolPlan { cached, use_fine, out_stride })
+        Ok(PoolPlan { cached, use_fine, out_stride, mapping })
     }
 
-    /// The execute half: per-channel reduction over the frozen map (zeros
-    /// under [`Context::simulate_only`]). Never builds maps; the simulated
-    /// cost is a pooling [`Charge`], logged by `forward` and part of the
-    /// plan's cost in compiled sessions.
+    /// The execute half: per-channel reduction over the frozen map. Never
+    /// builds maps or touches the cost model.
     pub(crate) fn compute(
         &self,
         input: &SparseTensor,
         plan: &PoolPlan,
-        ctx: &Context,
     ) -> Result<SparseTensor, CoreError> {
         if input.is_empty() {
             return Err(CoreError::EmptyInput);
@@ -155,42 +151,38 @@ impl SparseMaxPool3d {
         };
         let mut out = Matrix::filled(out_coords.len(), c, init);
         let mut counts = vec![0u32; out_coords.len()];
-        if !ctx.simulate_only {
-            for n in 0..cached.map.num_offsets() {
-                for e in cached.map.entries(n) {
-                    counts[e.output as usize] += 1;
-                    let src = input.feats().row(e.input as usize);
-                    let dst = out.row_mut(e.output as usize);
-                    match self.reduction {
-                        PoolReduction::Max => {
-                            for (d, &s) in dst.iter_mut().zip(src) {
-                                if s > *d {
-                                    *d = s;
-                                }
+        for n in 0..cached.map.num_offsets() {
+            for e in cached.map.entries(n) {
+                counts[e.output as usize] += 1;
+                let src = input.feats().row(e.input as usize);
+                let dst = out.row_mut(e.output as usize);
+                match self.reduction {
+                    PoolReduction::Max => {
+                        for (d, &s) in dst.iter_mut().zip(src) {
+                            if s > *d {
+                                *d = s;
                             }
                         }
-                        PoolReduction::Mean => {
-                            for (d, &s) in dst.iter_mut().zip(src) {
-                                *d += s;
-                            }
+                    }
+                    PoolReduction::Mean => {
+                        for (d, &s) in dst.iter_mut().zip(src) {
+                            *d += s;
                         }
                     }
                 }
             }
-            for (i, &n) in counts.iter().enumerate() {
-                if n == 0 {
-                    // Outputs with no contributing input (Algorithm 3
-                    // precludes this) stay zero.
-                    out.row_mut(i).fill(0.0);
-                } else if self.reduction == PoolReduction::Mean {
-                    let inv = 1.0 / n as f32;
-                    for v in out.row_mut(i) {
-                        *v *= inv;
-                    }
+        }
+        for (i, &n) in counts.iter().enumerate() {
+            if n == 0 {
+                // Outputs with no contributing input (Algorithm 3 precludes
+                // this) stay zero.
+                out.row_mut(i).fill(0.0);
+            } else if self.reduction == PoolReduction::Mean {
+                let inv = 1.0 / n as f32;
+                for v in out.row_mut(i) {
+                    *v *= inv;
                 }
             }
-        } else {
-            out = Matrix::zeros(out_coords.len(), c);
         }
 
         SparseTensor::with_stride(out_coords.to_vec(), out, out_stride)
@@ -198,13 +190,6 @@ impl SparseMaxPool3d {
 }
 
 impl Module for SparseMaxPool3d {
-    fn forward(&self, input: &SparseTensor, ctx: &mut Context) -> Result<SparseTensor, CoreError> {
-        let plan = self.plan(input.coords(), input.stride(), ctx)?;
-        let out = self.compute(input, &plan, ctx)?;
-        ctx.defer(Charge::pool(plan.cached, input.len(), out.len(), input.channels()));
-        Ok(out)
-    }
-
     fn trace<'m>(&'m self, tracer: &mut Tracer<'m>) -> Result<(), CoreError> {
         tracer.push(LayerOp::Pool(self));
         Ok(())
@@ -220,7 +205,7 @@ mod tests {
     use super::*;
     use crate::config::OptimizationConfig;
     use torchsparse_coords::Coord;
-    use torchsparse_gpusim::DeviceProfile;
+    use torchsparse_gpusim::{DeviceProfile, Stage};
 
     fn ctx() -> Context {
         Context::new(OptimizationConfig::torchsparse(), DeviceProfile::rtx_2080ti())

@@ -34,7 +34,7 @@
 //! [`CompiledSession::into_parts`] opens it up.
 
 use crate::config::OptimizationConfig;
-use crate::context::Context;
+use crate::context::{CachedMap, Context};
 use crate::cost_model::Charge;
 use crate::engine::Engine;
 use crate::faults::DegradationReport;
@@ -45,15 +45,42 @@ use crate::plan::{
 use crate::{CoreError, SparseConv3d, SparseTensor};
 use std::sync::{Arc, OnceLock};
 use torchsparse_coords::Coord;
-use torchsparse_gpusim::{DeviceProfile, Micros, Timeline};
+use torchsparse_gpusim::{DeviceProfile, Micros, Stage, Timeline};
+use torchsparse_tensor::Matrix;
 
 /// The geometry cursor threaded through planning: what the tensor flowing
 /// through the network looks like after each op, without any features.
+/// Coordinates are borrowed — from the input, or from the cached map of
+/// the step that produced them — never copied.
 #[derive(Debug, Clone)]
-struct Geometry {
-    coords: Vec<Coord>,
+struct Geometry<'a> {
+    coords: Coords<'a>,
     stride: i32,
     channels: usize,
+}
+
+/// Where a [`Geometry`]'s coordinates live.
+#[derive(Debug, Clone)]
+enum Coords<'a> {
+    Input(&'a [Coord]),
+    /// One side of a planned step's map (`fine` or coarse).
+    Map {
+        cached: Arc<CachedMap>,
+        fine: bool,
+    },
+    /// Global pooling's output: one origin per batch.
+    Batches(Vec<Coord>),
+}
+
+impl Coords<'_> {
+    fn get(&self) -> &[Coord] {
+        match self {
+            Coords::Input(coords) => coords,
+            Coords::Map { cached, fine: true } => &cached.fine_coords,
+            Coords::Map { cached, fine: false } => &cached.coarse_coords,
+            Coords::Batches(coords) => coords,
+        }
+    }
 }
 
 /// A model compiled against one input geometry.
@@ -337,10 +364,7 @@ impl<'m> CompiledSession<'m> {
         model: &'m M,
         input: &SparseTensor,
     ) -> Result<CompiledSession<'m>, CoreError> {
-        let mut tracer = Tracer::new();
-        model.trace(&mut tracer)?;
-        let ops = tracer.into_ops();
-
+        let ops = trace(model)?;
         let ctx = engine.context_mut();
         // Coordinate sets are frozen at plan time from here on: this
         // stream's map searches (the compile below, private re-plans) build
@@ -353,7 +377,8 @@ impl<'m> CompiledSession<'m> {
         };
         let tensor = sanitized.as_ref().unwrap_or(input);
         let fingerprint = geometry_fingerprint(tensor.coords(), tensor.stride());
-        let mut plan = build_plan(&ops, tensor, fingerprint, ctx)?;
+        let mut plan = build_plan(&ops, tensor, fingerprint, ctx)?.0;
+        defer_mapping(&plan, ctx);
         // Policy search runs against the frozen plan: warm-start from the
         // on-disk tuning database when a matching geometry class exists,
         // otherwise prune with the cost-model prior and microbench the
@@ -506,8 +531,8 @@ impl std::fmt::Debug for CompiledSession<'_> {
 /// `delta_patches` on a successful patch, `delta_fallbacks` on a
 /// conservative bail, `full_replans` otherwise — keeping
 /// `misses == full_replans + delta_patches + delta_fallbacks`. Whichever
-/// way it was built, the finished plan's simulated cost is evaluated once
-/// here and cached on it.
+/// way it was built, the plan's map searches are logged on this frame and
+/// its execute-path cost is left for the first reader to walk.
 fn replan_into_slot(
     ops: &[LayerOp<'_>],
     input: &SparseTensor,
@@ -529,25 +554,67 @@ fn replan_into_slot(
     } else {
         stats.full_replans += 1;
     }
-    build_plan(ops, input, fingerprint, ctx)
+    let plan = build_plan(ops, input, fingerprint, ctx)?.0;
+    defer_mapping(&plan, ctx);
+    Ok(plan)
+}
+
+/// The flattened op list of `model`.
+fn trace<'m, M: Module + ?Sized>(model: &'m M) -> Result<Vec<LayerOp<'m>>, CoreError> {
+    let mut tracer = Tracer::new();
+    model.trace(&mut tracer)?;
+    Ok(tracer.into_ops())
+}
+
+/// [`Module::forward`]'s provided body: traces `model`, plans the ops
+/// against `input`'s geometry (an ephemeral plan), executes it with
+/// [`run_steps`] — the executor of every compiled frame — and logs the plan
+/// as one charge whose cost, map searches included, is walked when the
+/// run's timeline is read. Under [`Context::simulate_only`] nothing
+/// executes: the output is zeros on the planned geometry.
+pub(crate) fn run_ephemeral<M: Module + ?Sized>(
+    model: &M,
+    input: &SparseTensor,
+    ctx: &mut Context,
+) -> Result<SparseTensor, CoreError> {
+    let ops = trace(model)?;
+    let (plan, planned) = build_plan(&ops, input, 0, ctx)?;
+    let (out, reruns) = if ctx.simulate_only {
+        let coords = planned.coords.get().to_vec();
+        let feats = Matrix::zeros(coords.len(), planned.channels);
+        (SparseTensor::with_stride(coords, feats, planned.stride)?, Vec::new())
+    } else {
+        run_steps(&ops, &plan, input, ctx)?
+    };
+    ctx.defer(Charge::ephemeral_plan(plan, reruns, ctx.profile_layers));
+    Ok(out)
+}
+
+/// Logs a compiled plan's map searches on the frame that built it, in step
+/// order. Its cached cost holds only the execute path every hit replays.
+fn defer_mapping(plan: &ExecutionPlan, ctx: &mut Context) {
+    for latency in plan.steps.iter().filter_map(StepPlan::mapping) {
+        ctx.defer(Charge::latency(Stage::Mapping, latency));
+    }
 }
 
 /// Plans every op against the geometry cursor, producing the index-aligned
-/// [`StepPlan`] list. Only geometric work happens here (map building,
-/// output coordinate computation, grouping); features are never read, and
-/// the plan's cost cell stays empty until a frame's timeline is read.
-fn build_plan(
+/// [`StepPlan`] list and the output geometry. Only geometric work happens
+/// here (map building, output coordinate computation, grouping); features
+/// are never read and nothing is charged — each step records the `Mapping`
+/// latency of its own map search.
+fn build_plan<'a>(
     ops: &[LayerOp<'_>],
-    input: &SparseTensor,
+    input: &'a SparseTensor,
     fingerprint: u64,
     ctx: &mut Context,
-) -> Result<ExecutionPlan, CoreError> {
+) -> Result<(ExecutionPlan, Geometry<'a>), CoreError> {
     let mut cur = Geometry {
-        coords: input.coords().to_vec(),
+        coords: Coords::Input(input.coords()),
         stride: input.stride(),
         channels: input.channels(),
     };
-    let mut stack: Vec<Geometry> = Vec::new();
+    let mut stack: Vec<Geometry<'a>> = Vec::new();
     let mut steps = Vec::with_capacity(ops.len());
     // The layer name of every step that records a layer profile.
     let mut names = Vec::with_capacity(ops.len());
@@ -563,18 +630,18 @@ fn build_plan(
         });
         let step = match op {
             LayerOp::Conv(conv) => {
-                let p = conv.plan(&cur.coords, cur.stride, cur.channels, ctx)?;
+                let p = conv.plan(cur.coords.get(), cur.stride, cur.channels, ctx)?;
                 cur = Geometry {
-                    coords: p.out_coords().to_vec(),
+                    coords: Coords::Map { cached: Arc::clone(&p.cached), fine: p.use_fine },
                     stride: p.out_stride,
                     channels: conv.c_out(),
                 };
                 StepPlan::Conv(p)
             }
             LayerOp::Pool(pool) => {
-                let p = pool.plan(&cur.coords, cur.stride, ctx)?;
+                let p = pool.plan(cur.coords.get(), cur.stride, ctx)?;
                 cur = Geometry {
-                    coords: p.out_coords().to_vec(),
+                    coords: Coords::Map { cached: Arc::clone(&p.cached), fine: p.use_fine },
                     stride: p.out_stride,
                     channels: cur.channels,
                 };
@@ -591,13 +658,14 @@ fn build_plan(
             }
             LayerOp::Relu(_) => StepPlan::Pointwise,
             LayerOp::GlobalPool(_) => {
-                if cur.coords.is_empty() {
+                if cur.coords.get().is_empty() {
                     return Err(CoreError::EmptyInput);
                 }
-                let mut batches: Vec<i32> = cur.coords.iter().map(|c| c.batch).collect();
+                let mut batches: Vec<i32> = cur.coords.get().iter().map(|c| c.batch).collect();
                 batches.sort_unstable();
                 batches.dedup();
-                cur.coords = batches.iter().map(|&b| Coord::new(b, 0, 0, 0)).collect();
+                cur.coords =
+                    Coords::Batches(batches.iter().map(|&b| Coord::new(b, 0, 0, 0)).collect());
                 StepPlan::GlobalPool { batches: batches.len() }
             }
             LayerOp::Push => {
@@ -617,7 +685,7 @@ fn build_plan(
                     .ok_or(CoreError::PlanMismatch { reason: "residual pops an empty stack" })?;
                 let proj: Option<ConvPlan> = match projection {
                     Some(conv) => {
-                        Some(conv.plan(&saved.coords, saved.stride, saved.channels, ctx)?)
+                        Some(conv.plan(saved.coords.get(), saved.stride, saved.channels, ctx)?)
                     }
                     None => None,
                 };
@@ -627,7 +695,8 @@ fn build_plan(
         steps.push(step);
     }
     let input_shape = (input.len(), input.channels());
-    Ok(ExecutionPlan { fingerprint, input_shape, steps, names, cost: OnceLock::new() })
+    let plan = ExecutionPlan { fingerprint, input_shape, steps, names, cost: OnceLock::new() };
+    Ok((plan, cur))
 }
 
 /// Runs the feature-path numerics of every op against its frozen step
@@ -685,7 +754,7 @@ fn run_steps(
         };
         let next = match (op, step) {
             (LayerOp::Conv(conv), StepPlan::Conv(p)) => Some(run_conv(conv, p, x)?),
-            (LayerOp::Pool(pool), StepPlan::Pool(p)) => Some(pool.compute(x, p, ctx)?),
+            (LayerOp::Pool(pool), StepPlan::Pool(p)) => Some(pool.compute(x, p)?),
             (LayerOp::GlobalPool(gp), StepPlan::GlobalPool { .. }) => Some(gp.compute(x)?),
             (LayerOp::Push, StepPlan::Push) => {
                 stack.push(x.clone());

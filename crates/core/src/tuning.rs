@@ -9,7 +9,7 @@
 //!
 //! The search runs once per (model, dataset, device) triple; the selected
 //! per-layer `(epsilon, S)` are stored in the engine context and picked up
-//! by [`crate::SparseConv3d::forward`] on subsequent runs. Because the
+//! when each convolution is planned on subsequent runs. Because the
 //! grouping algorithm itself is input-adaptive, the same `(epsilon, S)`
 //! yields different partitions for different scenes (§4.2.3).
 //!

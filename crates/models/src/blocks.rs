@@ -1,6 +1,4 @@
-use torchsparse_core::{
-    BatchNorm, Context, CoreError, LayerOp, Module, ReLU, SparseConv3d, SparseTensor, Tracer,
-};
+use torchsparse_core::{BatchNorm, CoreError, LayerOp, Module, ReLU, SparseConv3d, Tracer};
 
 /// The ubiquitous conv → batch norm → ReLU unit.
 pub struct ConvBnReLU {
@@ -50,12 +48,6 @@ impl ConvBnReLU {
 }
 
 impl Module for ConvBnReLU {
-    fn forward(&self, input: &SparseTensor, ctx: &mut Context) -> Result<SparseTensor, CoreError> {
-        let x = self.conv.forward(input, ctx)?;
-        let x = self.bn.forward(&x, ctx)?;
-        self.relu.forward(&x, ctx)
-    }
-
     fn trace<'m>(&'m self, tracer: &mut Tracer<'m>) -> Result<(), CoreError> {
         self.conv.trace(tracer)?;
         self.bn.trace(tracer)?;
@@ -127,26 +119,10 @@ impl ResidualBlock {
 }
 
 impl Module for ResidualBlock {
-    fn forward(&self, input: &SparseTensor, ctx: &mut Context) -> Result<SparseTensor, CoreError> {
-        let x = self.conv1.forward(input, ctx)?;
-        let x = self.bn1.forward(&x, ctx)?;
-        let x = self.relu.forward(&x, ctx)?;
-        let x = self.conv2.forward(&x, ctx)?;
-        let x = self.bn2.forward(&x, ctx)?;
-
-        let shortcut = match &self.projection {
-            Some(p) => p.forward(input, ctx)?,
-            None => input.clone(),
-        };
-        // Residual addition; coordinates are identical (submanifold path).
-        let sum = x.feats() + shortcut.feats();
-        let out = x.with_feats(sum)?;
-        self.relu.forward(&out, ctx)
-    }
-
     fn trace<'m>(&'m self, tracer: &mut Tracer<'m>) -> Result<(), CoreError> {
-        // Mirror `forward` exactly: save the input, run the main path, then
-        // add the (optionally projected) shortcut and apply the final ReLU.
+        // Save the input, run the main path, then add the (optionally
+        // projected) shortcut — same coordinates, submanifold path — and
+        // apply the final ReLU.
         tracer.push(LayerOp::Push);
         self.conv1.trace(tracer)?;
         self.bn1.trace(tracer)?;
@@ -174,7 +150,7 @@ impl Module for ResidualBlock {
 mod tests {
     use super::*;
     use torchsparse_coords::Coord;
-    use torchsparse_core::{DeviceProfile, EnginePreset};
+    use torchsparse_core::{Context, DeviceProfile, EnginePreset, SparseTensor};
     use torchsparse_tensor::Matrix;
 
     fn ctx() -> Context {

@@ -1,6 +1,6 @@
 use crate::blocks::{ConvBnReLU, ResidualBlock};
 use torchsparse_core::cost_model::Charge;
-use torchsparse_core::{Context, CoreError, Module, SparseTensor};
+use torchsparse_core::{Context, CoreError, Module, SparseTensor, Tracer};
 use torchsparse_gpusim::Stage;
 
 /// CenterPoint's sparse 3D encoder (Yin et al. 2021): a SECOND-style
@@ -16,11 +16,16 @@ use torchsparse_gpusim::Stage;
 /// CenterPoint".
 pub struct CenterPoint {
     name: String,
+    backbone: Backbone,
+    /// Dense-head surcharge as a fraction of backbone latency.
+    head_fraction: f64,
+}
+
+/// The sparse encoder: traceable, so it runs as one plan.
+struct Backbone {
     input_conv: ConvBnReLU,
     /// (optional downsample, block1, block2) per stage.
     stages: Vec<(Option<ConvBnReLU>, ResidualBlock, ResidualBlock)>,
-    /// Dense-head surcharge as a fraction of backbone latency.
-    head_fraction: f64,
 }
 
 impl CenterPoint {
@@ -56,38 +61,53 @@ impl CenterPoint {
         }
         CenterPoint {
             name: "CenterPoint".to_owned(),
-            input_conv,
-            stages,
+            backbone: Backbone { input_conv, stages },
             head_fraction: 0.1 / 0.9, // head = 10% of the end-to-end total
         }
     }
 
     /// Number of backbone stages.
     pub fn stages(&self) -> usize {
-        self.stages.len()
+        self.backbone.stages.len()
     }
 }
 
 impl Module for CenterPoint {
+    /// The backbone's plan, then the dense head (BEV convolutions + NMS):
+    /// a fixed fraction of the sparse backbone latency accrued since the
+    /// mark, independent of the engine (§5.2). The head is cost-only, so
+    /// the model cannot trace.
     fn forward(&self, input: &SparseTensor, ctx: &mut Context) -> Result<SparseTensor, CoreError> {
         ctx.defer(Charge::mark());
-        let mut cur = self.input_conv.forward(input, ctx)?;
-        for (down, b1, b2) in &self.stages {
-            if let Some(d) = down {
-                cur = d.forward(&cur, ctx)?;
-            }
-            cur = b1.forward(&cur, ctx)?;
-            cur = b2.forward(&cur, ctx)?;
-        }
-        // Dense head (BEV convolutions + NMS): fixed fraction of the sparse
-        // backbone latency accrued since the mark, independent of the
-        // engine (§5.2).
+        let out = self.backbone.forward(input, ctx)?;
         ctx.defer(Charge::surcharge(Stage::Other, self.head_fraction));
-        Ok(cur)
+        Ok(out)
     }
 
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn param_count(&self) -> usize {
+        self.backbone.param_count()
+    }
+}
+
+impl Module for Backbone {
+    fn trace<'m>(&'m self, tracer: &mut Tracer<'m>) -> Result<(), CoreError> {
+        self.input_conv.trace(tracer)?;
+        for (down, b1, b2) in &self.stages {
+            if let Some(d) = down {
+                d.trace(tracer)?;
+            }
+            b1.trace(tracer)?;
+            b2.trace(tracer)?;
+        }
+        Ok(())
+    }
+
+    fn name(&self) -> &str {
+        "CenterPoint.backbone"
     }
 
     fn param_count(&self) -> usize {

@@ -1,5 +1,5 @@
 use crate::blocks::{ConvBnReLU, ResidualBlock};
-use torchsparse_core::{Context, CoreError, LayerOp, Module, SparseConv3d, SparseTensor, Tracer};
+use torchsparse_core::{CoreError, LayerOp, Module, SparseConv3d, Tracer};
 
 /// MinkUNet (Choy et al. 2019): the standard 4-stage sparse UNet for
 /// semantic segmentation, at a configurable width multiplier.
@@ -135,41 +135,13 @@ impl MinkUNet {
 }
 
 impl Module for MinkUNet {
-    fn forward(&self, input: &SparseTensor, ctx: &mut Context) -> Result<SparseTensor, CoreError> {
-        let x = self.stem1.forward(input, ctx)?;
-        let x = self.stem2.forward(&x, ctx)?;
-
-        // Encoder, remembering skip tensors (finest first).
-        let mut skips: Vec<SparseTensor> = vec![x.clone()];
-        let mut cur = x;
-        for (down, blocks) in &self.encoders {
-            cur = down.forward(&cur, ctx)?;
-            for b in blocks {
-                cur = b.forward(&cur, ctx)?;
-            }
-            skips.push(cur.clone());
-        }
-        skips.pop(); // the bottleneck output is `cur`, not a skip
-
-        // Decoder: upsample, concatenate the matching skip, refine.
-        for (up, blocks) in &self.decoders {
-            cur = up.forward(&cur, ctx)?;
-            let skip = skips.pop().expect("one skip per decoder stage");
-            cur = cur.cat_features(&skip)?;
-            for b in blocks {
-                cur = b.forward(&cur, ctx)?;
-            }
-        }
-
-        self.classifier.forward(&cur, ctx)
-    }
-
     fn trace<'m>(&'m self, tracer: &mut Tracer<'m>) -> Result<(), CoreError> {
         self.stem1.trace(tracer)?;
         self.stem2.trace(tracer)?;
-        // Mirror `forward`'s skip bookkeeping on the tracer's value stack:
-        // the stem output and every encoder stage except the bottleneck are
-        // saved, then popped in reverse by the decoder concatenations.
+        // UNet skips on the tracer's value stack: the stem output and every
+        // encoder stage except the bottleneck are saved, then popped in
+        // reverse by the decoder concatenations (upsample, concatenate the
+        // matching skip, refine).
         tracer.push(LayerOp::Push);
         let last = self.encoders.len().saturating_sub(1);
         for (i, (down, blocks)) in self.encoders.iter().enumerate() {
@@ -222,7 +194,7 @@ impl Module for MinkUNet {
 mod tests {
     use super::*;
     use torchsparse_coords::Coord;
-    use torchsparse_core::{DeviceProfile, Engine, EnginePreset};
+    use torchsparse_core::{DeviceProfile, Engine, EnginePreset, SparseTensor};
     use torchsparse_tensor::Matrix;
 
     fn scene() -> SparseTensor {
