@@ -5,6 +5,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use torchsparse_coords::{Coord, KernelMap};
 use torchsparse_gpusim::{DeviceProfile, GemmModel, Timeline};
+use torchsparse_tensor::Matrix;
 
 /// Key identifying a cached kernel map within one inference run.
 ///
@@ -179,6 +180,11 @@ pub struct Context {
     /// index the plan keeps ([`crate::mapping::TableKind::Mphf`]) where a
     /// dynamic run follows `config.map_search`.
     pub(crate) frozen_index: bool,
+    /// The plan executor's feature buffers, indexed by the buffer slots a
+    /// plan assigns its activations. Kept across runs, so after the first
+    /// frame on a geometry a frame allocates no feature buffer but its
+    /// output.
+    pub(crate) activations: Vec<Matrix>,
 }
 
 /// One leaf layer's contribution to a run, captured by the layer profiler.
@@ -240,6 +246,7 @@ impl Context {
             grouping_fallback: false,
             deadline: None,
             frozen_index: false,
+            activations: Vec::new(),
             config,
             device,
         }

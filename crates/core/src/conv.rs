@@ -1,15 +1,16 @@
 use crate::config::{GroupingStrategy, Precision};
 use crate::context::{CachedMap, Context, LayerWorkload, MapKey};
 use crate::dataflow::{
-    apply_storage_precision_owned_kernel, policy_kernel, run_fetch_on_demand,
-    run_gather_matmul_scatter, ConvWorkload, FusedOrder,
+    apply_storage_precision_owned_kernel, fetch_on_demand_into, gather_matmul_scatter_into,
+    policy_kernel, ConvWorkload, Epilogue, FusedOrder,
 };
 use crate::faults::FaultSite;
 use crate::grouping::plan_groups;
 use crate::mapping::build_layer_mapping_on;
 use crate::module::Module;
-use crate::plan::{ConvDataflow, ConvPlan, LayerOp, Tracer};
-use crate::{CoreError, SparseTensor};
+use crate::plan::{ConvDataflow, ConvPlan, EpilogueSteps, LayerOp, Tracer};
+use crate::CoreError;
+use std::mem::take;
 use std::sync::{Arc, OnceLock};
 use torchsparse_coords::{offsets, Coord};
 use torchsparse_gpusim::Micros;
@@ -380,91 +381,111 @@ impl SparseConv3d {
             dataflow,
             packed: self.packed_weights(),
             fused,
+            epilogue: EpilogueSteps::default(),
             policy,
             mapping,
         })
     }
 
     /// The execute half: the feature-path numerics (gather/matmul/scatter
-    /// or fetch-on-demand, plus quantization and overflow fallback) against
-    /// a frozen [`ConvPlan`]. Never builds maps, plans groups or touches the
-    /// cost model.
+    /// or fetch-on-demand, plus quantization and overflow fallback) of
+    /// `input` against a frozen [`ConvPlan`], written into `out` (reshaped
+    /// here; its buffer is reused). Never builds maps, plans groups or
+    /// touches the cost model.
     ///
-    /// The flag returned beside the output reports that the quantized
-    /// output overflowed and the layer ran a second time in FP32 — the one
-    /// feature-dependent input of the layer's simulated cost.
+    /// `epilogue` names the pointwise work of the steps the plan folded
+    /// into this layer. It runs inside the executor's output blocks, with
+    /// the storage round and finiteness check, unless the output needs a
+    /// whole-matrix pass first: INT8 calibrates its scale over the whole
+    /// output, and an injected or organic FP16 overflow re-runs the layer
+    /// in FP32. Those keep the separate sweeps, and so do the folded steps.
     pub(crate) fn compute(
         &self,
-        input: &SparseTensor,
+        input: &Matrix,
         plan: &ConvPlan,
+        epilogue: Epilogue<'_>,
+        out: &mut Matrix,
         ctx: &mut Context,
-    ) -> Result<(SparseTensor, bool), CoreError> {
-        if input.channels() != self.c_in {
-            return Err(CoreError::ChannelMismatch {
-                expected: self.c_in,
-                actual: input.channels(),
-            });
+    ) -> Result<ConvRun, CoreError> {
+        if input.cols() != self.c_in {
+            return Err(CoreError::ChannelMismatch { expected: self.c_in, actual: input.cols() });
         }
-        if input.is_empty() {
+        if input.rows() == 0 {
             return Err(CoreError::EmptyInput);
         }
-
-        let out_coords = plan.out_coords();
         let workload = ConvWorkload {
-            in_feats: input.feats(),
+            in_feats: input,
             weights: &self.weights,
             packed: Some(&plan.packed),
             map: plan.map(),
-            n_out: out_coords.len(),
+            n_out: plan.out_coords().len(),
             center_identity: plan.center,
             fused: &plan.fused,
             policy: plan.policy,
         };
-
-        let run_dataflow = |ctx: &mut Context| -> Result<Matrix, CoreError> {
+        let run_dataflow = |ctx: &Context, epilogue: &Epilogue<'_>, out: &mut Matrix| {
             let pool = ctx.runtime.pool();
             match &plan.dataflow {
                 ConvDataflow::FetchOnDemand => {
-                    Ok(run_fetch_on_demand(&workload, &ctx.config, &pool))
+                    Ok(fetch_on_demand_into(&workload, &ctx.config, &pool, epilogue, out))
                 }
                 ConvDataflow::Grouped(_) => {
-                    run_gather_matmul_scatter(&workload, &ctx.config, &pool)
+                    gather_matmul_scatter_into(&workload, &ctx.config, &pool, epilogue, out)
                 }
             }
         };
 
-        let mut out_feats = apply_storage_precision_owned_kernel(
-            &ctx.runtime.pool(),
-            run_dataflow(ctx)?,
-            ctx.config.precision,
-            policy_kernel(&ctx.config, plan.policy.as_ref()),
-        );
-        let mut reran = false;
-        if ctx.config.precision != Precision::Fp32 {
-            if !out_feats.is_empty() && ctx.faults.should_fail(FaultSite::Fp16Overflow) {
+        let precision = ctx.config.precision;
+        let quantized = precision != Precision::Fp32;
+        // The overflow probe precedes the executor, so an armed fault is
+        // known before the epilogue could run; no other site is probed in
+        // between, so the injector's draws keep their order.
+        let inject = quantized
+            && workload.n_out * self.c_out > 0
+            && ctx.faults.should_fail(FaultSite::Fp16Overflow);
+        let fused = precision != Precision::Int8 && !inject;
+        let finite = if fused {
+            let epilogue = Epilogue { round_f16: precision == Precision::Fp16, ..epilogue };
+            run_dataflow(ctx, &epilogue, out)?
+        } else {
+            run_dataflow(ctx, &Epilogue::default(), out)?;
+            let pool = ctx.runtime.pool();
+            let kernel = policy_kernel(&ctx.config, plan.policy.as_ref());
+            *out = apply_storage_precision_owned_kernel(&pool, take(out), precision, kernel);
+            if inject {
                 // Simulate a quantized activation saturating to infinity;
                 // detection below then takes the same path as an organic
                 // overflow.
-                out_feats.as_mut_slice()[0] = f32::INFINITY;
+                out.as_mut_slice()[0] = f32::INFINITY;
             }
-            if !out_feats.par_is_finite(&ctx.runtime.pool()) {
-                ctx.degradation.record(
-                    FaultSite::Fp16Overflow,
-                    "non-finite quantized output; layer re-run in FP32",
-                );
-                let saved = ctx.config.precision;
-                ctx.config.precision = Precision::Fp32;
-                let redo = run_dataflow(ctx);
-                ctx.config.precision = saved;
-                // The re-run output stays FP32: precision is a storage
-                // optimization, and this layer just proved it loses too much.
-                out_feats = redo?;
-                reran = true;
-            }
+            !quantized || out.par_is_finite(&pool)
+        };
+        let reran = !finite;
+        if reran {
+            ctx.degradation.record(
+                FaultSite::Fp16Overflow,
+                "non-finite quantized output; layer re-run in FP32",
+            );
+            ctx.config.precision = Precision::Fp32;
+            let redo = run_dataflow(ctx, &Epilogue::default(), out);
+            ctx.config.precision = precision;
+            // The re-run output stays FP32: precision is a storage
+            // optimization, and this layer just proved it loses too much.
+            redo?;
         }
-        let out = SparseTensor::with_stride(out_coords.to_vec(), out_feats, plan.out_stride)?;
-        Ok((out, reran))
+        Ok(ConvRun { reran, fused: fused && !reran })
     }
+}
+
+/// What [`SparseConv3d::compute`] reports beside its output.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ConvRun {
+    /// The quantized output overflowed and the layer ran a second time in
+    /// FP32 — the one feature-dependent input of its simulated cost.
+    pub(crate) reran: bool,
+    /// The epilogue ran inside the executor: the steps it covers have
+    /// nothing left to do.
+    pub(crate) fused: bool,
 }
 
 impl std::fmt::Debug for SparseConv3d {
@@ -499,6 +520,7 @@ impl Module for SparseConv3d {
 mod tests {
     use super::*;
     use crate::config::OptimizationConfig;
+    use crate::SparseTensor;
     use torchsparse_coords::Coord;
     use torchsparse_gpusim::{DeviceProfile, Stage};
 

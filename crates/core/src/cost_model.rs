@@ -336,9 +336,9 @@ fn plan_cost(
                 cur.0 = n_out;
             }
             StepPlan::Pointwise => charge_pointwise(cur.0, cur.1, sim),
-            StepPlan::GlobalPool { batches } => {
+            StepPlan::GlobalPool { origins } => {
                 charge_pointwise(cur.0, cur.1, sim);
-                cur.0 = *batches;
+                cur.0 = origins.len();
             }
             StepPlan::Push => stack.push(cur),
             StepPlan::PopConcat => cur.1 += stack.pop().map_or(0, |saved| saved.1),

@@ -14,6 +14,10 @@
 //! rows stream from the input features through the strip microkernel's
 //! register accumulators straight into the output, in the plan-time
 //! [`FusedOrder`], so no gathered or partial-sum buffer exists on the host.
+//! Each finished output block then runs the layer's epilogue while it is
+//! still in cache — the storage round and finiteness check, and the batch
+//! norm, identity-shortcut add and ReLU the plan folded into the layer
+//! (`Epilogue`), with the separate sweeps' f32 operations in their order.
 //! They execute the *real* computation on the CPU and nothing else: outputs
 //! are bit-identical across grouping plans, kernels, chunk widths and thread
 //! counts, and they see only a worker pool and the configuration. What the
@@ -25,6 +29,7 @@ use crate::config::{OptimizationConfig, Precision, SimdPolicy};
 use crate::runtime::{Task, ThreadPool};
 use crate::tuning::ExecPolicy;
 use crate::CoreError;
+use std::sync::atomic::{AtomicBool, Ordering};
 use torchsparse_coords::kernel_map::MapEntry;
 use torchsparse_coords::KernelMap;
 use torchsparse_tensor::gemm::GemmOpts;
@@ -139,7 +144,7 @@ const MOVE_CHUNK: usize = 64;
 /// For every kernel offset the map entries are viewed in *output-row*
 /// order and split at [`MOVE_CHUNK`]-row output boundaries. A fused
 /// execution task that owns output rows `[c*MOVE_CHUNK, (c+1)*MOVE_CHUNK)`
-/// then streams exactly `view(map, n).entries[starts[n][c]..starts[n][c+1]]`
+/// then streams exactly `view(map, n)[starts[n][c]..starts[n][c+1]]`
 /// for each offset `n` — contiguous and without scanning the rest of the
 /// map. Because the per-offset in/out maps are partial bijections, each
 /// output row appears at most once per offset, and the per-element
@@ -148,9 +153,8 @@ const MOVE_CHUNK: usize = 64;
 ///
 /// Forward searches emit CSR ranges already sorted by output row, so for
 /// them the order stores *only* the chunk split points and the view is the
-/// map's own CSR slice — no entry copy, no producer permutation. Only
-/// transposed decoder maps (whose mirrored ranges are input-sorted) pay a
-/// materialized stable re-sort plus the original-index permutation.
+/// map's own CSR slice — no entry copy. Only transposed decoder maps (whose
+/// mirrored ranges are input-sorted) pay a materialized stable re-sort.
 ///
 /// Built once per [`ConvPlan`](crate::plan::ConvPlan), so compiled
 /// sessions pay the (mostly metadata-only) build once per geometry and
@@ -161,12 +165,10 @@ pub struct FusedOrder {
     /// `starts[n][c]..starts[n][c + 1]` indexes the output-sorted view of
     /// offset `n` restricted to output-row chunk `c`.
     starts: Vec<Vec<u32>>,
-    /// Per-offset materialized re-sort, present only when the map's CSR
-    /// range is not already output-ascending: `.0` is the entries stably
-    /// sorted by output row, `.1` the original entry index of each sorted
-    /// position. `None` = the CSR slice itself is the view and the producer
-    /// index is the identity.
-    resort: Vec<Option<Resort>>,
+    /// Per-offset materialized re-sort (the entries stably sorted by output
+    /// row), present only when the map's CSR range is not already
+    /// output-ascending. `None` = the CSR slice itself is the view.
+    resort: Vec<Option<Vec<MapEntry>>>,
     /// Output rows per chunk this order was split at ([`MOVE_CHUNK`] unless
     /// a tuned policy chose otherwise). The executor partitions its
     /// output blocks at exactly this width; any width produces identical
@@ -175,53 +177,23 @@ pub struct FusedOrder {
     chunk_rows: usize,
 }
 
-/// One offset's materialized re-sort: the entries stably sorted by output
-/// row, and the original entry index of each sorted position.
-type Resort = (Vec<MapEntry>, Vec<u32>);
-
-/// A borrowed output-sorted view of one offset's entries: the map's own
-/// CSR slice for forward (already-sorted) offsets, or the plan-time
-/// re-sorted copy for transposed ones.
-#[derive(Debug, Clone, Copy)]
-pub struct OffsetView<'a> {
-    /// The offset's entries, sorted by output row.
-    pub entries: &'a [MapEntry],
-    orig: Option<&'a [u32]>,
-}
-
-impl OffsetView<'_> {
-    /// The original map-entry index of sorted position `i`.
-    #[inline]
-    pub fn producer(&self, i: usize) -> u32 {
-        match self.orig {
-            Some(orig) => orig[i],
-            None => i as u32,
-        }
-    }
-}
-
 /// One offset's share of a [`FusedOrder`]: the chunk split points, plus the
 /// materialized re-sort when the CSR range is not already output-sorted.
-fn order_one_offset(
-    src: &[MapEntry],
-    chunks: usize,
-    chunk_rows: usize,
-) -> (Vec<u32>, Option<Resort>) {
+type OffsetOrder = (Vec<u32>, Option<Vec<MapEntry>>);
+
+/// Builds one offset's [`OffsetOrder`].
+fn order_one_offset(src: &[MapEntry], chunks: usize, chunk_rows: usize) -> OffsetOrder {
     // Forward maps are already output-ascending; only transposed maps
     // actually pay the sort (stable, so entry order among equal outputs is
     // preserved) and the materialized copy.
     let resort = if src.windows(2).all(|w| w[0].output <= w[1].output) {
         None
     } else {
-        let mut orig: Vec<u32> = (0..src.len() as u32).collect();
-        orig.sort_by_key(|&i| src[i as usize].output);
-        let entries: Vec<MapEntry> = orig.iter().map(|&i| src[i as usize]).collect();
-        Some((entries, orig))
+        let mut sorted = src.to_vec();
+        sorted.sort_by_key(|e| e.output);
+        Some(sorted)
     };
-    let entries = match &resort {
-        Some((sorted, _)) => sorted.as_slice(),
-        None => src,
-    };
+    let entries = resort.as_deref().unwrap_or(src);
     let mut s = Vec::with_capacity(chunks + 1);
     let mut i = 0usize;
     for c in 0..chunks {
@@ -285,7 +257,7 @@ impl FusedOrder {
         let chunk_rows = chunk_rows.max(1);
         let chunks = n_out.div_ceil(chunk_rows);
         let volume = map.num_offsets();
-        let mut slots: Vec<Option<(Vec<u32>, Option<Resort>)>> = vec![None; volume];
+        let mut slots: Vec<Option<OffsetOrder>> = vec![None; volume];
         let tasks: Vec<Task<'_>> = slots
             .iter_mut()
             .enumerate()
@@ -320,11 +292,8 @@ impl FusedOrder {
     /// The output-sorted entry view of offset `n`. `map` must be the map
     /// this order was built from.
     #[inline]
-    pub fn view<'a>(&'a self, map: &'a KernelMap, n: usize) -> OffsetView<'a> {
-        match &self.resort[n] {
-            Some((entries, orig)) => OffsetView { entries, orig: Some(orig) },
-            None => OffsetView { entries: map.entries(n), orig: None },
-        }
+    pub fn view<'a>(&'a self, map: &'a KernelMap, n: usize) -> &'a [MapEntry] {
+        self.resort[n].as_deref().unwrap_or_else(|| map.entries(n))
     }
 
     /// How many offsets carry a materialized re-sort (zero for forward
@@ -338,12 +307,8 @@ impl FusedOrder {
     /// frozen-plan memory accounting).
     pub fn memory_bytes(&self) -> u64 {
         let starts: usize = self.starts.iter().map(|s| s.len() * 4).sum();
-        let resort: usize = self
-            .resort
-            .iter()
-            .flatten()
-            .map(|(e, o)| e.len() * std::mem::size_of::<MapEntry>() + o.len() * 4)
-            .sum();
+        let resort: usize =
+            self.resort.iter().flatten().map(|e| e.len() * std::mem::size_of::<MapEntry>()).sum();
         (starts + resort) as u64
     }
 }
@@ -360,34 +325,90 @@ fn canonicalize_nans(block: &mut [f32]) {
     }
 }
 
-/// Runs `reduce(c, block)` over every `chunk_rows`-row block of `out`, then
-/// canonicalizes the block's NaNs while it is still hot: inline on a serial
-/// pool (no task boxing), as one task wave otherwise. Blocks are disjoint
-/// and the partition never depends on the pool width, so the result is the
-/// same at any thread count.
+/// The pointwise steps that follow a convolution, run on each finished
+/// output block while it is still in cache instead of as whole-matrix
+/// sweeps of their own. The plan marks which steps a convolution absorbs
+/// ([`crate::plan::EpilogueSteps`]); the layer fills in the storage round.
+///
+/// Per element, in this order: round to binary16 storage; then, in a block
+/// whose rounded values are all finite, batch norm `v * scale + shift` and
+/// its binary16 round, the identity-shortcut add `v + shortcut`, and ReLU
+/// `v.max(0.0)`. These are the f32 operations of the separate sweeps in
+/// their order, so the output bits are the same.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Epilogue<'a> {
+    /// Binary16 storage: round the convolution's output (and the batch
+    /// norm's), and report a non-finite rounded output.
+    pub(crate) round_f16: bool,
+    /// Batch norm's per-channel `(scale, shift)`.
+    pub(crate) batch_norm: Option<(&'a [f32], &'a [f32])>,
+    /// The identity shortcut added after batch norm (same shape as the
+    /// output).
+    pub(crate) shortcut: Option<&'a Matrix>,
+    /// Apply ReLU last.
+    pub(crate) relu: bool,
+}
+
+impl Epilogue<'_> {
+    /// Finishes output rows `first_row ..` held in `block` (`cols` wide).
+    /// Returns `false`, leaving the later operations undone, when the
+    /// rounded convolution output holds a non-finite value: the layer then
+    /// re-runs in FP32 and its pointwise steps run on their own.
+    fn finish(&self, kernel: Kernel, first_row: usize, cols: usize, block: &mut [f32]) -> bool {
+        if self.round_f16 {
+            microkernel::f16_round_trip_slice(kernel, block);
+            if !block.iter().all(|v| v.is_finite()) {
+                return false;
+            }
+        }
+        if let Some((scale, shift)) = self.batch_norm {
+            for row in block.chunks_mut(cols) {
+                for (v, (s, sh)) in row.iter_mut().zip(scale.iter().zip(shift)) {
+                    *v = *v * s + sh;
+                }
+            }
+            if self.round_f16 {
+                microkernel::f16_round_trip_slice(kernel, block);
+            }
+        }
+        if let Some(shortcut) = self.shortcut {
+            let rows = first_row * cols..first_row * cols + block.len();
+            for (v, s) in block.iter_mut().zip(&shortcut.as_slice()[rows]) {
+                *v += s;
+            }
+        }
+        if self.relu {
+            for v in block.iter_mut() {
+                *v = v.max(0.0);
+            }
+        }
+        true
+    }
+}
+
+/// Runs `f(c, block)` over every `chunk_rows`-row block of `out`: inline
+/// on a serial pool (no task boxing), as one task wave otherwise. Blocks
+/// are disjoint and the partition never depends on the pool width, so the
+/// result is the same at any thread count.
 fn reduce_chunks(
     pool: &ThreadPool,
     out: &mut Matrix,
     chunk_rows: usize,
-    reduce: impl Fn(usize, &mut [f32]) + Sync,
+    f: impl Fn(usize, &mut [f32]) + Sync,
 ) {
     let block_len = chunk_rows * out.cols();
-    let run_chunk = |c: usize, block: &mut [f32]| {
-        reduce(c, block);
-        canonicalize_nans(block);
-    };
     if pool.threads() <= 1 && !pool.is_recording() {
         for (c, block) in out.as_mut_slice().chunks_mut(block_len).enumerate() {
-            run_chunk(c, block);
+            f(c, block);
         }
         return;
     }
-    let run_chunk = &run_chunk;
+    let f = &f;
     let tasks: Vec<Task<'_>> = out
         .as_mut_slice()
         .chunks_mut(block_len)
         .enumerate()
-        .map(|(c, block)| Box::new(move || run_chunk(c, block)) as Task<'_>)
+        .map(|(c, block)| Box::new(move || f(c, block)) as Task<'_>)
         .collect();
     pool.run(tasks);
 }
@@ -413,17 +434,23 @@ pub(crate) fn is_center_shortcut(
 /// (`tests/support/conv_reference.rs` is the scalar transcription the
 /// suites hold it to). Parallel tasks own disjoint output-row blocks of the
 /// order's chunk width; the partition never depends on the pool width.
+///
+/// Each finished block has its NaNs canonicalized and then runs `epilogue`
+/// while it is still hot. Returns `false` when the epilogue found a
+/// non-finite rounded output in some block.
+#[allow(clippy::too_many_arguments)] // the executor's numerics inputs
 fn run_fused_numerics(
     w: &ConvWorkload<'_>,
     shortcut: Option<usize>,
     round_f16: bool,
     pool: &ThreadPool,
     kernel: Kernel,
+    epilogue: &Epilogue<'_>,
     out: &mut Matrix,
-) {
+) -> bool {
     let (c_in, c_out) = (w.c_in(), w.c_out());
     if out.rows() == 0 || c_out == 0 {
-        return;
+        return true;
     }
     let a = w.in_feats.as_slice();
     let operand = |n: usize| match w.packed {
@@ -432,6 +459,7 @@ fn run_fused_numerics(
     };
     let volume = w.map.num_offsets();
     let chunk = w.fused.chunk_rows();
+    let finite = AtomicBool::new(true);
     reduce_chunks(pool, out, chunk, |c, block| {
         let base = (c * chunk) as u32;
         let mut in_rows = [0u32; MOVE_CHUNK];
@@ -442,7 +470,7 @@ fn run_fused_numerics(
             }
             let lo = w.fused.starts(n)[c] as usize;
             let hi = w.fused.starts(n)[c + 1] as usize;
-            let entries = &w.fused.view(w.map, n).entries[lo..hi];
+            let entries = &w.fused.view(w.map, n)[lo..hi];
             // The register staging tiles are fixed at MOVE_CHUNK rows, so
             // wider tuned chunks (and degenerate hand-built maps) stream
             // through this sub-chunk loop in MOVE_CHUNK-entry batches —
@@ -465,7 +493,12 @@ fn run_fused_numerics(
                 );
             }
         }
+        canonicalize_nans(block);
+        if !epilogue.finish(kernel, c * chunk, c_out, block) {
+            finite.store(false, Ordering::Relaxed);
+        }
     });
+    finite.into_inner()
 }
 
 /// Executes Algorithm 2; returns the output feature matrix
@@ -487,18 +520,33 @@ pub fn run_gather_matmul_scatter(
     config: &OptimizationConfig,
     pool: &ThreadPool,
 ) -> Result<Matrix, CoreError> {
+    let mut out = Matrix::default();
+    gather_matmul_scatter_into(w, config, pool, &Epilogue::default(), &mut out)?;
+    Ok(out)
+}
+
+/// [`run_gather_matmul_scatter`] into `out` (reshaped and zeroed here, its
+/// buffer reused), with `epilogue` run on every finished output block.
+/// Returns `false` when the epilogue found a non-finite rounded output.
+pub(crate) fn gather_matmul_scatter_into(
+    w: &ConvWorkload<'_>,
+    config: &OptimizationConfig,
+    pool: &ThreadPool,
+    epilogue: &Epilogue<'_>,
+    out: &mut Matrix,
+) -> Result<bool, CoreError> {
     let kernel = policy_kernel(config, w.policy.as_ref());
-    let mut out = Matrix::zeros(w.n_out, w.c_out());
+    out.reshape_zeroed(w.n_out, w.c_out());
     let shortcut = w.center_identity.filter(|_| config.skip_center_movement);
     if let Some(n) = shortcut {
         let opts = gemm_opts(config, w.policy.as_ref());
         match w.packed {
-            Some(packed) => gemm::mm_into_packed_on(pool, w.in_feats, &packed[n], &mut out, opts)?,
-            None => gemm::mm_into_with(pool, w.in_feats, &w.weights[n], &mut out, opts)?,
+            Some(packed) => gemm::mm_into_packed_on(pool, w.in_feats, &packed[n], out, opts)?,
+            None => gemm::mm_into_with(pool, w.in_feats, &w.weights[n], out, opts)?,
         }
     }
-    run_fused_numerics(w, shortcut, config.precision != Precision::Fp32, pool, kernel, &mut out);
-    Ok(out)
+    let round_f16 = config.precision != Precision::Fp32;
+    Ok(run_fused_numerics(w, shortcut, round_f16, pool, kernel, epilogue, out))
 }
 
 /// Executes the fetch-on-demand dataflow (Lin et al. 2021; used by
@@ -510,9 +558,23 @@ pub fn run_fetch_on_demand(
     config: &OptimizationConfig,
     pool: &ThreadPool,
 ) -> Matrix {
-    let mut out = Matrix::zeros(w.n_out, w.c_out());
-    run_fused_numerics(w, None, false, pool, policy_kernel(config, w.policy.as_ref()), &mut out);
+    let mut out = Matrix::default();
+    fetch_on_demand_into(w, config, pool, &Epilogue::default(), &mut out);
     out
+}
+
+/// [`run_fetch_on_demand`] into `out`, with `epilogue`, like
+/// [`gather_matmul_scatter_into`].
+pub(crate) fn fetch_on_demand_into(
+    w: &ConvWorkload<'_>,
+    config: &OptimizationConfig,
+    pool: &ThreadPool,
+    epilogue: &Epilogue<'_>,
+    out: &mut Matrix,
+) -> bool {
+    let kernel = policy_kernel(config, w.policy.as_ref());
+    out.reshape_zeroed(w.n_out, w.c_out());
+    run_fused_numerics(w, None, false, pool, kernel, epilogue, out)
 }
 
 /// The scalar oracle the unit tests below (and the root suites) hold the

@@ -131,18 +131,50 @@ pub(crate) struct ConvPlan {
     /// lazy pack cache: packing happens once per layer, and every frame
     /// executed against this plan streams the packed panels.
     pub(crate) packed: Arc<Vec<PackedB>>,
-    /// Plan-time locality ordering and scatter metadata (map entries
-    /// re-sorted by output row, split at output-chunk boundaries, with
-    /// original-index producer links). The fused executor streams it and
-    /// the unfused scatter partitions by it, so it is built unconditionally
-    /// — once per geometry, on the worker pool.
+    /// Plan-time locality ordering (map entries split at output-chunk
+    /// boundaries, re-sorted by output row where the map is not already)
+    /// that the executor streams — built once per geometry, on the worker
+    /// pool.
     pub(crate) fused: Arc<FusedOrder>,
+    /// The pointwise steps right after this convolution that its executor
+    /// runs inside each output block ([`EpilogueSteps`]).
+    pub(crate) epilogue: EpilogueSteps,
     /// The tuned per-layer execution policy selected by the compile-time
     /// policy search, or `None` when untuned (global config behavior).
     pub(crate) policy: Option<crate::tuning::ExecPolicy>,
     /// The `Mapping` latency of the map search this planning ran (`None`
     /// when the map came from the cache).
     pub(crate) mapping: Option<Micros>,
+}
+
+/// Which of the steps right after a convolution fold into its executor:
+/// the longest match of `[BatchNorm] [ResidualAdd { projection: None }]
+/// [ReLU]`, in that order, is marked at plan time. No step is removed —
+/// the plan walk, profiles and delta re-planning see every step — and the
+/// executor skips a marked step's own sweep only when the convolution
+/// reports that its epilogue ran (see [`crate::dataflow`]'s `Epilogue`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct EpilogueSteps {
+    pub(crate) batch_norm: bool,
+    pub(crate) residual: bool,
+    pub(crate) relu: bool,
+}
+
+impl EpilogueSteps {
+    /// Marks what `next` — the ops after a convolution — starts with.
+    pub(crate) fn matching(next: &[LayerOp<'_>]) -> EpilogueSteps {
+        let mut ops = next.iter().peekable();
+        let batch_norm = ops.next_if(|op| matches!(op, LayerOp::BatchNorm(_))).is_some();
+        let residual =
+            ops.next_if(|op| matches!(op, LayerOp::ResidualAdd { projection: None })).is_some();
+        let relu = ops.next_if(|op| matches!(op, LayerOp::Relu(_))).is_some();
+        EpilogueSteps { batch_norm, residual, relu }
+    }
+
+    /// How many steps the epilogue covers.
+    pub(crate) fn len(self) -> usize {
+        usize::from(self.batch_norm) + usize::from(self.residual) + usize::from(self.relu)
+    }
 }
 
 impl ConvPlan {
@@ -210,10 +242,11 @@ pub(crate) enum StepPlan {
     Pool(PoolPlan),
     /// Pointwise op (batch norm / ReLU): nothing geometric to freeze.
     Pointwise,
-    /// Global pooling: output geometry derives from batches at execute.
+    /// Global pooling.
     GlobalPool {
-        /// Distinct batches in the input (the output's point count).
-        batches: usize,
+        /// The output's coordinates: one origin per distinct input batch,
+        /// ascending.
+        origins: Vec<Coord>,
     },
     /// Stack push.
     Push,
@@ -225,6 +258,68 @@ pub(crate) enum StepPlan {
         /// Plan for the 1x1x1 projection convolution, if any.
         projection: Option<ConvPlan>,
     },
+}
+
+/// The activation buffers one step writes, as slots of the executing
+/// stream's buffer list. Only feature matrices flow through the executor;
+/// a step that makes a new one writes it into `out`, and a step that
+/// rewrites the flowing one in place first copies it into `copy` when it is
+/// the input's features or the value stack still holds it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct StepBuffers {
+    /// A convolution, pooling, global pooling or concatenation output, or
+    /// a residual's projected shortcut.
+    pub(crate) out: Option<usize>,
+    pub(crate) copy: Option<usize>,
+}
+
+/// Activation lifetimes collected by the plan walk: every value a step
+/// creates, its length and the steps from its creation to its last read.
+#[derive(Debug, Default)]
+pub(crate) struct Lifetimes {
+    /// `(elements, first step, last step)` per value.
+    values: Vec<(usize, usize, usize)>,
+}
+
+impl Lifetimes {
+    /// A new value of `len` elements written at `step`; returns its id.
+    pub(crate) fn create(&mut self, len: usize, step: usize) -> usize {
+        self.values.push((len, step, step));
+        self.values.len() - 1
+    }
+
+    /// Records a read of `value` (`None`: the input's features) at `step`.
+    pub(crate) fn touch(&mut self, value: Option<usize>, step: usize) {
+        if let Some(v) = value {
+            self.values[v].2 = self.values[v].2.max(step);
+        }
+    }
+
+    /// The buffer slot of every value, and the length of every slot: first
+    /// fit in decreasing size order, two values sharing a slot only when
+    /// their step ranges are disjoint. A slot is as long as its first (and
+    /// largest) value, so the slots together hold little more than the peak
+    /// of live activations.
+    pub(crate) fn slots(&self) -> (Vec<usize>, Vec<usize>) {
+        let mut order: Vec<usize> = (0..self.values.len()).collect();
+        order.sort_by_key(|&v| std::cmp::Reverse(self.values[v].0));
+        let mut slot_of = vec![0; self.values.len()];
+        let mut lens = Vec::new();
+        let mut spans: Vec<Vec<(usize, usize)>> = Vec::new();
+        for v in order {
+            let (len, first, last) = self.values[v];
+            let free =
+                |taken: &Vec<(usize, usize)>| taken.iter().all(|&(f, l)| last < f || l < first);
+            let slot = spans.iter().position(free).unwrap_or_else(|| {
+                spans.push(Vec::new());
+                lens.push(len);
+                spans.len() - 1
+            });
+            spans[slot].push((first, last));
+            slot_of[v] = slot;
+        }
+        (slot_of, lens)
+    }
 }
 
 impl StepPlan {
@@ -264,6 +359,10 @@ pub struct ExecutionPlan {
     /// records a layer profile (convolutions, projections, batch norm,
     /// ReLU).
     pub(crate) names: Vec<Option<String>>,
+    /// Index-aligned with `steps`: the buffer slots each step writes.
+    pub(crate) buffers: Vec<StepBuffers>,
+    /// The element count of every buffer slot (its largest value).
+    pub(crate) slot_lens: Vec<usize>,
     /// The plan's execute-path cost, filled on first read.
     pub(crate) cost: OnceLock<Cost>,
 }
@@ -427,6 +526,8 @@ mod tests {
             input_shape: (voxels, 4),
             steps: Vec::new(),
             names: Vec::new(),
+            buffers: Vec::new(),
+            slot_lens: Vec::new(),
             cost: OnceLock::new(),
         };
         assert!(plan(10).matches(0xfeed, 10));
@@ -441,5 +542,49 @@ mod tests {
     fn stats_default_to_zero() {
         let s = PlanCacheStats::default();
         assert_eq!((s.hits, s.misses, s.invalidations), (0, 0, 0));
+    }
+
+    #[test]
+    fn epilogue_marks_the_longest_foldable_run() {
+        let (bn, relu) = (BatchNorm::identity("b", 4), ReLU::new("r"));
+        let conv = SparseConv3d::with_random_weights("c", 4, 4, 1, 1, 0);
+        let (bn, relu) = (LayerOp::BatchNorm(&bn), LayerOp::Relu(&relu));
+        let residual = LayerOp::ResidualAdd { projection: None };
+        let projected = LayerOp::ResidualAdd { projection: Some(&conv) };
+        let marks = |ops: &[LayerOp<'_>]| {
+            let e = EpilogueSteps::matching(ops);
+            ((e.batch_norm, e.residual, e.relu), e.len())
+        };
+        assert_eq!(marks(&[bn, residual, relu, relu]), ((true, true, true), 3));
+        assert_eq!(marks(&[bn, relu, residual]), ((true, false, true), 2));
+        assert_eq!(marks(&[relu, bn]), ((false, false, true), 1));
+        assert_eq!(marks(&[bn, projected, relu]), ((true, false, false), 1));
+        assert_eq!(marks(&[LayerOp::Push, bn]), ((false, false, false), 0));
+        assert_eq!(marks(&[]), ((false, false, false), 0));
+    }
+
+    #[test]
+    fn buffer_slots_share_only_disjoint_lifetimes() {
+        // (elements, first step, last step) of five values.
+        let values = [(10, 0, 2), (40, 1, 3), (30, 3, 5), (10, 4, 4), (40, 6, 7)];
+        let mut life = Lifetimes::default();
+        for &(len, first, last) in &values {
+            let v = life.create(len, first);
+            life.touch(Some(v), last);
+        }
+        life.touch(None, 9);
+        let (slot, lens) = life.slots();
+        for (a, &(_, fa, la)) in values.iter().enumerate() {
+            for (b, &(_, fb, lb)) in values.iter().enumerate().skip(a + 1) {
+                if fa <= lb && fb <= la {
+                    assert_ne!(slot[a], slot[b], "values {a} and {b} overlap");
+                }
+            }
+            assert!(lens[slot[a]] >= values[a].0, "slot {} holds value {a}", slot[a]);
+        }
+        // Largest first: the 40s share slot 0, the 30 opens slot 1, and each
+        // 10 fits beside whichever it does not overlap.
+        assert_eq!(slot, [1, 0, 1, 0, 0]);
+        assert_eq!(lens, [40, 30]);
     }
 }

@@ -3,16 +3,19 @@
 //! These are memory-bound streaming kernels. They never touch coordinates
 //! or maps, so their simulated cost is a single read+write sweep over the
 //! feature buffer, charged to the `Other` stage — which is how they appear
-//! in the paper's Figure 4 breakdown. Each layer only traces itself; the
-//! plan executor runs the crate-internal numerics halves — `apply`, in
-//! place on the feature matrix it owns — and the sweep is part of the
-//! plan's cost.
+//! in the paper's Figure 4 breakdown. Each layer only traces itself, and
+//! the sweep is part of the plan's cost. On the host, a batch norm or ReLU
+//! right after a convolution runs inside that convolution's output blocks
+//! (the plan's fused epilogue); anywhere else — and after an INT8 or
+//! overflowing convolution — the plan executor runs the crate-internal
+//! numerics half, `apply`, in place on the feature matrix it owns.
 
 use crate::context::Context;
 use crate::dataflow::apply_storage_precision_owned;
 use crate::module::Module;
 use crate::plan::{LayerOp, Tracer};
-use crate::{CoreError, SparseTensor};
+use crate::CoreError;
+use torchsparse_coords::Coord;
 use torchsparse_tensor::Matrix;
 
 /// Inference-mode batch normalization, folded to per-channel scale + shift.
@@ -53,10 +56,15 @@ impl BatchNorm {
         self.scale.len()
     }
 
-    /// The feature-path numerics on a feature matrix the caller owns, in
-    /// place: no allocation, no simulated cost, no per-layer profile (both
-    /// come from the plan).
-    pub(crate) fn apply(&self, mut feats: Matrix, ctx: &mut Context) -> Result<Matrix, CoreError> {
+    /// The per-channel `(scale, shift)` a convolution's fused epilogue
+    /// applies in place of [`BatchNorm::apply`].
+    pub(crate) fn scale_shift(&self) -> (&[f32], &[f32]) {
+        (&self.scale, &self.shift)
+    }
+
+    /// The feature-path numerics, in place: no allocation, no simulated
+    /// cost, no per-layer profile (both come from the plan).
+    pub(crate) fn apply(&self, feats: &mut Matrix, ctx: &Context) -> Result<(), CoreError> {
         if feats.cols() != self.channels() {
             return Err(CoreError::ChannelMismatch {
                 expected: self.channels(),
@@ -69,7 +77,8 @@ impl BatchNorm {
                 *v = *v * s + sh;
             }
         });
-        Ok(apply_storage_precision_owned(&pool, feats, ctx.config.precision))
+        *feats = apply_storage_precision_owned(&pool, std::mem::take(feats), ctx.config.precision);
+        Ok(())
     }
 }
 
@@ -101,9 +110,8 @@ impl ReLU {
     }
 
     /// The feature-path numerics, in place (see [`BatchNorm::apply`]).
-    pub(crate) fn apply(&self, mut feats: Matrix, ctx: &mut Context) -> Matrix {
+    pub(crate) fn apply(&self, feats: &mut Matrix, ctx: &Context) {
         feats.par_map_inplace(&ctx.runtime.pool(), |v| v.max(0.0));
-        feats
     }
 }
 
@@ -131,32 +139,45 @@ impl GlobalPool {
         GlobalPool { name: name.into() }
     }
 
-    /// The feature-path numerics (per-batch means). Output geometry is one
-    /// point per batch at the origin, derived from the input's batches.
-    pub(crate) fn compute(&self, input: &SparseTensor) -> Result<SparseTensor, CoreError> {
-        if input.is_empty() {
-            return Err(CoreError::EmptyInput);
-        }
-        let mut batches: Vec<i32> = input.coords().iter().map(|c| c.batch).collect();
+    /// The output coordinates the plan freezes: one origin per distinct
+    /// batch of `coords`, ascending.
+    pub(crate) fn origins(coords: &[Coord]) -> Vec<Coord> {
+        let mut batches: Vec<i32> = coords.iter().map(|c| c.batch).collect();
         batches.sort_unstable();
         batches.dedup();
-        let c = input.channels();
-        let mut sums = vec![vec![0.0f32; c]; batches.len()];
-        let mut counts = vec![0usize; batches.len()];
-        for (i, coord) in input.coords().iter().enumerate() {
-            // `batches` was collected from these very coordinates, so every
-            // batch id is present in the sorted, deduped list.
-            #[allow(clippy::expect_used)]
-            let b = batches.binary_search(&coord.batch).expect("batch present");
+        batches.into_iter().map(|b| Coord::new(b, 0, 0, 0)).collect()
+    }
+
+    /// The feature-path numerics: the mean of the rows of `feats` (at
+    /// `coords`) in each batch of `origins`, written into `out`.
+    pub(crate) fn compute(
+        &self,
+        coords: &[Coord],
+        feats: &Matrix,
+        origins: &[Coord],
+        out: &mut Matrix,
+    ) -> Result<(), CoreError> {
+        if coords.is_empty() {
+            return Err(CoreError::EmptyInput);
+        }
+        let c = feats.cols();
+        out.reshape_zeroed(origins.len(), c);
+        let mut counts = vec![0usize; origins.len()];
+        for (i, coord) in coords.iter().enumerate() {
+            let b = origins
+                .binary_search_by_key(&coord.batch, |o| o.batch)
+                .map_err(|_| CoreError::PlanMismatch { reason: "batch missing from the plan" })?;
             counts[b] += 1;
-            for (s, v) in sums[b].iter_mut().zip(input.feats().row(i)) {
+            for (s, v) in out.row_mut(b).iter_mut().zip(feats.row(i)) {
                 *s += v;
             }
         }
-        let coords: Vec<_> =
-            batches.iter().map(|&b| torchsparse_coords::Coord::new(b, 0, 0, 0)).collect();
-        let feats = Matrix::from_fn(batches.len(), c, |r, col| sums[r][col] / counts[r] as f32);
-        SparseTensor::with_stride(coords, feats, input.stride())
+        for (b, &n) in counts.iter().enumerate() {
+            for s in out.row_mut(b) {
+                *s /= n as f32;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -175,7 +196,7 @@ impl Module for GlobalPool {
 mod tests {
     use super::*;
     use crate::config::OptimizationConfig;
-    use torchsparse_coords::Coord;
+    use crate::SparseTensor;
     use torchsparse_gpusim::{DeviceProfile, Stage};
 
     fn ctx() -> Context {

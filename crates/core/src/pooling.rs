@@ -12,7 +12,7 @@ use crate::mapping::build_layer_mapping_on;
 use crate::module::Module;
 use crate::plan::{LayerOp, PoolPlan, Tracer};
 use crate::runtime::ThreadPool;
-use crate::{CoreError, SparseTensor};
+use crate::CoreError;
 use torchsparse_coords::Coord;
 use torchsparse_tensor::Matrix;
 
@@ -130,31 +130,29 @@ impl SparseMaxPool3d {
         Ok(PoolPlan { cached, use_fine, out_stride, mapping })
     }
 
-    /// The execute half: per-channel reduction over the frozen map. Never
+    /// The execute half: per-channel reduction of `input` over the frozen
+    /// map, written into `out` (reshaped here; its buffer is reused). Never
     /// builds maps or touches the cost model.
     pub(crate) fn compute(
         &self,
-        input: &SparseTensor,
+        input: &Matrix,
         plan: &PoolPlan,
-    ) -> Result<SparseTensor, CoreError> {
-        if input.is_empty() {
+        out: &mut Matrix,
+    ) -> Result<(), CoreError> {
+        if input.rows() == 0 {
             return Err(CoreError::EmptyInput);
         }
         let cached = &plan.cached;
-        let out_coords = plan.out_coords();
-        let out_stride = plan.out_stride;
-
-        let c = input.channels();
-        let init = match self.reduction {
-            PoolReduction::Max => f32::NEG_INFINITY,
-            PoolReduction::Mean => 0.0,
-        };
-        let mut out = Matrix::filled(out_coords.len(), c, init);
-        let mut counts = vec![0u32; out_coords.len()];
+        let n_out = plan.out_coords().len();
+        out.reshape_zeroed(n_out, input.cols());
+        if self.reduction == PoolReduction::Max {
+            out.as_mut_slice().fill(f32::NEG_INFINITY);
+        }
+        let mut counts = vec![0u32; n_out];
         for n in 0..cached.map.num_offsets() {
             for e in cached.map.entries(n) {
                 counts[e.output as usize] += 1;
-                let src = input.feats().row(e.input as usize);
+                let src = input.row(e.input as usize);
                 let dst = out.row_mut(e.output as usize);
                 match self.reduction {
                     PoolReduction::Max => {
@@ -184,8 +182,7 @@ impl SparseMaxPool3d {
                 }
             }
         }
-
-        SparseTensor::with_stride(out_coords.to_vec(), out, out_stride)
+        Ok(())
     }
 }
 
@@ -204,7 +201,7 @@ impl Module for SparseMaxPool3d {
 mod tests {
     use super::*;
     use crate::config::OptimizationConfig;
-    use torchsparse_coords::Coord;
+    use crate::SparseTensor;
     use torchsparse_gpusim::{DeviceProfile, Stage};
 
     fn ctx() -> Context {

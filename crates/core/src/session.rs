@@ -36,13 +36,17 @@
 use crate::config::OptimizationConfig;
 use crate::context::{CachedMap, Context};
 use crate::cost_model::Charge;
+use crate::dataflow::Epilogue;
 use crate::engine::Engine;
 use crate::faults::DegradationReport;
 use crate::module::Module;
 use crate::plan::{
-    geometry_fingerprint, ConvPlan, ExecutionPlan, LayerOp, PlanCacheStats, StepPlan, Tracer,
+    geometry_fingerprint, EpilogueSteps, ExecutionPlan, LayerOp, Lifetimes, PlanCacheStats,
+    StepBuffers, StepPlan, Tracer,
 };
-use crate::{CoreError, SparseConv3d, SparseTensor};
+use crate::sparse_tensor::concat_channels;
+use crate::{CoreError, GlobalPool, SparseTensor};
+use std::mem::take;
 use std::sync::{Arc, OnceLock};
 use torchsparse_coords::Coord;
 use torchsparse_gpusim::{DeviceProfile, Micros, Stage, Timeline};
@@ -57,6 +61,8 @@ struct Geometry<'a> {
     coords: Coords<'a>,
     stride: i32,
     channels: usize,
+    /// The planned activation holding the features (`None`: the input's).
+    value: Option<usize>,
 }
 
 /// Where a [`Geometry`]'s coordinates live.
@@ -208,7 +214,9 @@ impl<'m> CompiledModel<'m> {
         let tensor = sanitized.as_ref().unwrap_or(input);
         let fingerprint = geometry_fingerprint(tensor.coords(), tensor.stride());
         let matches = |p: &Arc<ExecutionPlan>| p.matches(fingerprint, tensor.len());
-        if stream.plan.as_ref().is_some_and(matches) {
+        // A hit keeps the slot's plan, so its footprint is already counted.
+        let hit = stream.plan.as_ref().is_some_and(matches);
+        if hit {
             stream.stats.hits += 1;
         } else {
             if stream.plan.is_some() {
@@ -244,7 +252,9 @@ impl<'m> CompiledModel<'m> {
             Some(p) => p.clone(),
             None => self.base_plan.clone(),
         };
-        stream.stats.plan_bytes = plan.memory_bytes();
+        if !hit {
+            stream.stats.plan_bytes = plan.memory_bytes();
+        }
         let ctx = stream.engine.context_mut();
         let (out, reruns) = run_steps(&self.ops, &plan, tensor, ctx)?;
         // The frame's simulated cost, for whoever reads it: the plan's
@@ -600,9 +610,9 @@ fn defer_mapping(plan: &ExecutionPlan, ctx: &mut Context) {
 
 /// Plans every op against the geometry cursor, producing the index-aligned
 /// [`StepPlan`] list and the output geometry. Only geometric work happens
-/// here (map building, output coordinate computation, grouping); features
-/// are never read and nothing is charged — each step records the `Mapping`
-/// latency of its own map search.
+/// here (map building, output coordinate computation, grouping, buffer
+/// slots); features are never read and nothing is charged — each step
+/// records the `Mapping` latency of its own map search.
 fn build_plan<'a>(
     ops: &[LayerOp<'_>],
     input: &'a SparseTensor,
@@ -613,12 +623,16 @@ fn build_plan<'a>(
         coords: Coords::Input(input.coords()),
         stride: input.stride(),
         channels: input.channels(),
+        value: None,
     };
     let mut stack: Vec<Geometry<'a>> = Vec::new();
     let mut steps = Vec::with_capacity(ops.len());
     // The layer name of every step that records a layer profile.
     let mut names = Vec::with_capacity(ops.len());
-    for op in ops {
+    // Per step, the values it writes (slots once the walk has ended).
+    let mut buffers = Vec::with_capacity(ops.len());
+    let mut life = Lifetimes::default();
+    for (i, op) in ops.iter().enumerate() {
         ctx.check_deadline("mapping")?;
         names.push(match op {
             LayerOp::Conv(conv) | LayerOp::ResidualAdd { projection: Some(conv) } => {
@@ -628,23 +642,18 @@ fn build_plan<'a>(
             LayerOp::Relu(relu) => Some(relu.name().to_owned()),
             _ => None,
         });
+        let mut written = StepBuffers::default();
         let step = match op {
             LayerOp::Conv(conv) => {
                 let p = conv.plan(cur.coords.get(), cur.stride, cur.channels, ctx)?;
-                cur = Geometry {
-                    coords: Coords::Map { cached: Arc::clone(&p.cached), fine: p.use_fine },
-                    stride: p.out_stride,
-                    channels: conv.c_out(),
-                };
+                let coords = Coords::Map { cached: Arc::clone(&p.cached), fine: p.use_fine };
+                written.out = Some(cur.advance(coords, p.out_stride, conv.c_out(), &mut life, i));
                 StepPlan::Conv(p)
             }
             LayerOp::Pool(pool) => {
                 let p = pool.plan(cur.coords.get(), cur.stride, ctx)?;
-                cur = Geometry {
-                    coords: Coords::Map { cached: Arc::clone(&p.cached), fine: p.use_fine },
-                    stride: p.out_stride,
-                    channels: cur.channels,
-                };
+                let coords = Coords::Map { cached: Arc::clone(&p.cached), fine: p.use_fine };
+                written.out = Some(cur.advance(coords, p.out_stride, cur.channels, &mut life, i));
                 StepPlan::Pool(p)
             }
             LayerOp::BatchNorm(bn) => {
@@ -654,19 +663,21 @@ fn build_plan<'a>(
                         actual: cur.channels,
                     });
                 }
+                written.copy = cur.rewritten(&stack, None, &mut life, i);
                 StepPlan::Pointwise
             }
-            LayerOp::Relu(_) => StepPlan::Pointwise,
+            LayerOp::Relu(_) => {
+                written.copy = cur.rewritten(&stack, None, &mut life, i);
+                StepPlan::Pointwise
+            }
             LayerOp::GlobalPool(_) => {
                 if cur.coords.get().is_empty() {
                     return Err(CoreError::EmptyInput);
                 }
-                let mut batches: Vec<i32> = cur.coords.get().iter().map(|c| c.batch).collect();
-                batches.sort_unstable();
-                batches.dedup();
-                cur.coords =
-                    Coords::Batches(batches.iter().map(|&b| Coord::new(b, 0, 0, 0)).collect());
-                StepPlan::GlobalPool { batches: batches.len() }
+                let origins = GlobalPool::origins(cur.coords.get());
+                let coords = Coords::Batches(origins.clone());
+                written.out = Some(cur.advance(coords, cur.stride, cur.channels, &mut life, i));
+                StepPlan::GlobalPool { origins }
             }
             LayerOp::Push => {
                 stack.push(cur.clone());
@@ -676,27 +687,118 @@ fn build_plan<'a>(
                 let saved = stack
                     .pop()
                     .ok_or(CoreError::PlanMismatch { reason: "concat pops an empty stack" })?;
-                cur.channels += saved.channels;
+                same_coords(cur.coords.get(), saved.coords.get())?;
+                life.touch(saved.value, i);
+                let (coords, channels) = (cur.coords.clone(), cur.channels + saved.channels);
+                written.out = Some(cur.advance(coords, cur.stride, channels, &mut life, i));
                 StepPlan::PopConcat
             }
             LayerOp::ResidualAdd { projection } => {
                 let saved = stack
                     .pop()
                     .ok_or(CoreError::PlanMismatch { reason: "residual pops an empty stack" })?;
-                let proj: Option<ConvPlan> = match projection {
+                life.touch(saved.value, i);
+                let (proj, channels, shortcut) = match projection {
                     Some(conv) => {
-                        Some(conv.plan(saved.coords.get(), saved.stride, saved.channels, ctx)?)
+                        let p = conv.plan(saved.coords.get(), saved.stride, saved.channels, ctx)?;
+                        same_coords(cur.coords.get(), p.out_coords())?;
+                        written.out = Some(life.create(p.out_coords().len() * conv.c_out(), i));
+                        (Some(p), conv.c_out(), written.out)
                     }
-                    None => None,
+                    None => {
+                        same_coords(cur.coords.get(), saved.coords.get())?;
+                        (None, saved.channels, saved.value)
+                    }
                 };
+                if channels != cur.channels {
+                    return Err(CoreError::ChannelMismatch {
+                        expected: cur.channels,
+                        actual: channels,
+                    });
+                }
+                written.copy = cur.rewritten(&stack, shortcut, &mut life, i);
                 StepPlan::Residual { projection: proj }
             }
         };
         steps.push(step);
+        buffers.push(written);
     }
-    let input_shape = (input.len(), input.channels());
-    let plan = ExecutionPlan { fingerprint, input_shape, steps, names, cost: OnceLock::new() };
+    // Mark the pointwise steps each convolution's executor runs in place.
+    for (i, step) in steps.iter_mut().enumerate() {
+        if let StepPlan::Conv(p) = step {
+            p.epilogue = EpilogueSteps::matching(&ops[i + 1..]);
+        }
+    }
+    // The output, and anything left on the stack, lives to the end.
+    for g in stack.iter().chain([&cur]) {
+        life.touch(g.value, ops.len());
+    }
+    let (slot, slot_lens) = life.slots();
+    for b in &mut buffers {
+        b.out = b.out.map(|v| slot[v]);
+        b.copy = b.copy.map(|v| slot[v]);
+    }
+    let plan = ExecutionPlan {
+        fingerprint,
+        input_shape: (input.len(), input.channels()),
+        steps,
+        names,
+        buffers,
+        slot_lens,
+        cost: OnceLock::new(),
+    };
     Ok((plan, cur))
+}
+
+impl<'a> Geometry<'a> {
+    /// Moves the cursor to the new matrix step `i` writes from the current
+    /// one; returns the new value.
+    fn advance(
+        &mut self,
+        coords: Coords<'a>,
+        stride: i32,
+        channels: usize,
+        life: &mut Lifetimes,
+        i: usize,
+    ) -> usize {
+        life.touch(self.value, i);
+        let value = life.create(coords.get().len() * channels, i);
+        *self = Geometry { coords, stride, channels, value: Some(value) };
+        value
+    }
+
+    /// Plans an in-place rewrite of the flowing matrix at step `i`, which
+    /// also reads `shortcut`: returns the value it must first be copied to
+    /// when it is the input's features, the value stack still holds it, or
+    /// it is the shortcut itself.
+    fn rewritten(
+        &mut self,
+        stack: &[Geometry<'_>],
+        shortcut: Option<usize>,
+        life: &mut Lifetimes,
+        i: usize,
+    ) -> Option<usize> {
+        life.touch(self.value, i);
+        let shared = self.value.is_none()
+            || self.value == shortcut
+            || stack.iter().any(|saved| saved.value == self.value);
+        if !shared {
+            return None;
+        }
+        self.value = Some(life.create(self.coords.get().len() * self.channels, i));
+        self.value
+    }
+}
+
+/// Checks that a join's two sides are one point set: feature rows pair up
+/// by position, so concatenation and residual addition need the same
+/// coordinate list.
+fn same_coords(cur: &[Coord], saved: &[Coord]) -> Result<(), CoreError> {
+    if cur == saved {
+        Ok(())
+    } else {
+        Err(CoreError::LengthMismatch { coords: cur.len(), feats: saved.len() })
+    }
 }
 
 /// Runs the feature-path numerics of every op against its frozen step
@@ -704,23 +806,57 @@ fn build_plan<'a>(
 /// of the steps whose convolution overflowed its quantized storage and ran
 /// a second time in FP32 (the only way a frame's simulated cost can differ
 /// from the plan's).
+///
+/// Only feature matrices flow: coordinates are the input's or the plan's,
+/// borrowed step by step and copied once, into the output. Every matrix a
+/// step writes lives in the buffer slot the plan assigned it, among the
+/// context's activation buffers, so a frame on a geometry seen before
+/// allocates no feature buffer but its output's. `Push` shares the current
+/// matrix with the value stack.
 fn run_steps(
     ops: &[LayerOp<'_>],
     plan: &ExecutionPlan,
     input: &SparseTensor,
     ctx: &mut Context,
 ) -> Result<(SparseTensor, Vec<usize>), CoreError> {
-    if ops.len() != plan.steps.len() {
+    if ops.len() != plan.steps.len() || ops.len() != plan.buffers.len() {
         return Err(CoreError::PlanMismatch { reason: "op/step count differs" });
     }
-    let mut cur: Option<SparseTensor> = None;
-    let mut stack: Vec<SparseTensor> = Vec::new();
+    let mut slots = take(&mut ctx.activations);
+    // Each buffer is allocated once, at its slot's full length: growing it
+    // value by value would leave the shorter allocations behind as holes.
+    slots.resize_with(slots.len().max(plan.slot_lens.len()), Matrix::default);
+    for (m, &len) in slots.iter_mut().zip(&plan.slot_lens) {
+        if m.capacity() < len {
+            *m = Matrix::zeros(len, 1);
+        }
+    }
+    let mut acts = Activations { input: input.feats(), slots };
+    let out = run_steps_on(ops, plan, input, &mut acts, ctx);
+    ctx.activations = acts.slots;
+    out
+}
+
+/// [`run_steps`] with the activation buffers taken out of the context.
+fn run_steps_on(
+    ops: &[LayerOp<'_>],
+    plan: &ExecutionPlan,
+    input: &SparseTensor,
+    acts: &mut Activations<'_>,
+    ctx: &mut Context,
+) -> Result<(SparseTensor, Vec<usize>), CoreError> {
+    let (mut coords, mut stride) = (input.coords(), input.stride());
+    // The slot of the flowing matrix; `None` while it is the input's.
+    let mut cur: Option<usize> = None;
+    let mut stack: Vec<Option<usize>> = Vec::new();
     let mut reruns = Vec::new();
-    for (i, (op, step)) in ops.iter().zip(&plan.steps).enumerate() {
+    // Steps ahead whose work a convolution's fused epilogue already did.
+    let mut fused_ahead = 0;
+    for (i, ((op, step), written)) in ops.iter().zip(&plan.steps).zip(&plan.buffers).enumerate() {
         // Deadline boundary: the gather-GEMM-scatter stage covers
         // convolution steps (including residual projections); everything
         // else — pointwise sweeps, pooling, concat/residual joins — is
-        // epilogue work.
+        // epilogue work. A fused step still checks its boundary, in order.
         let stage = match op {
             LayerOp::Conv(_) | LayerOp::ResidualAdd { projection: Some(_) } => {
                 "gather-gemm-scatter"
@@ -728,50 +864,80 @@ fn run_steps(
             _ => "epilogue",
         };
         ctx.check_deadline(stage)?;
-        // Pointwise sweeps own the tensor flowing through the network and
-        // rewrite its features in place: no clone, no allocation.
-        if let (LayerOp::BatchNorm(_) | LayerOp::Relu(_), StepPlan::Pointwise) = (op, step) {
-            let mut t = cur.take().unwrap_or_else(|| input.clone());
-            let feats = std::mem::take(t.feats_mut());
-            *t.feats_mut() = match op {
-                LayerOp::BatchNorm(bn) => bn.apply(feats, ctx)?,
-                LayerOp::Relu(relu) => relu.apply(feats, ctx),
-                _ => feats,
-            };
-            cur = Some(t);
+        if fused_ahead > 0 {
+            fused_ahead -= 1;
+            if let LayerOp::ResidualAdd { .. } = op {
+                pop(&mut stack)?;
+            }
             continue;
         }
-        let x = match &cur {
-            Some(t) => t,
-            None => input,
-        };
-        let mut run_conv = |conv: &SparseConv3d, p: &ConvPlan, x: &SparseTensor| {
-            let (out, reran) = conv.compute(x, p, ctx)?;
-            if reran {
-                reruns.push(i);
+        let out = written.out.ok_or(CoreError::PlanMismatch { reason: "step writes no buffer" });
+        match (op, step) {
+            (LayerOp::Conv(conv), StepPlan::Conv(p)) => {
+                let slot = out?;
+                let batch_norm = match ops.get(i + 1) {
+                    Some(LayerOp::BatchNorm(bn)) if p.epilogue.batch_norm => Some(bn.scale_shift()),
+                    _ => None,
+                };
+                let shortcut = stack.last().filter(|_| p.epilogue.residual);
+                let run = acts.write(slot, |m, acts| {
+                    let epilogue = Epilogue {
+                        batch_norm,
+                        shortcut: shortcut.map(|&v| acts.get(v)),
+                        relu: p.epilogue.relu,
+                        ..Epilogue::default()
+                    };
+                    conv.compute(acts.get(cur), p, epilogue, m, ctx)
+                })?;
+                if run.reran {
+                    reruns.push(i);
+                }
+                if run.fused {
+                    fused_ahead = p.epilogue.len();
+                }
+                (cur, coords, stride) = (Some(slot), p.out_coords(), p.out_stride);
             }
-            Ok::<_, CoreError>(out)
-        };
-        let next = match (op, step) {
-            (LayerOp::Conv(conv), StepPlan::Conv(p)) => Some(run_conv(conv, p, x)?),
-            (LayerOp::Pool(pool), StepPlan::Pool(p)) => Some(pool.compute(x, p)?),
-            (LayerOp::GlobalPool(gp), StepPlan::GlobalPool { .. }) => Some(gp.compute(x)?),
-            (LayerOp::Push, StepPlan::Push) => {
-                stack.push(x.clone());
-                None
+            (LayerOp::Pool(pool), StepPlan::Pool(p)) => {
+                let slot = out?;
+                acts.write(slot, |m, acts| pool.compute(acts.get(cur), p, m))?;
+                (cur, coords, stride) = (Some(slot), p.out_coords(), p.out_stride);
             }
+            (LayerOp::GlobalPool(gp), StepPlan::GlobalPool { origins }) => {
+                let slot = out?;
+                acts.write(slot, |m, acts| gp.compute(coords, acts.get(cur), origins, m))?;
+                (cur, coords) = (Some(slot), origins.as_slice());
+            }
+            (LayerOp::BatchNorm(bn), StepPlan::Pointwise) => {
+                acts.rewrite(&mut cur, written.copy, |m, _| bn.apply(m, ctx))?;
+            }
+            (LayerOp::Relu(relu), StepPlan::Pointwise) => {
+                acts.rewrite(&mut cur, written.copy, |m, _| {
+                    relu.apply(m, ctx);
+                    Ok(())
+                })?;
+            }
+            (LayerOp::Push, StepPlan::Push) => stack.push(cur),
             (LayerOp::PopConcat, StepPlan::PopConcat) => {
-                let saved = stack
-                    .pop()
-                    .ok_or(CoreError::PlanMismatch { reason: "concat pops an empty stack" })?;
-                Some(x.cat_features(&saved)?)
+                let (saved, slot) = (pop(&mut stack)?, out?);
+                acts.write(slot, |m, acts| {
+                    *m = concat_channels(acts.get(cur), acts.get(saved), take(m).into_vec())?;
+                    Ok::<_, CoreError>(())
+                })?;
+                cur = Some(slot);
             }
             (LayerOp::ResidualAdd { projection }, StepPlan::Residual { projection: proj }) => {
-                let saved = stack
-                    .pop()
-                    .ok_or(CoreError::PlanMismatch { reason: "residual pops an empty stack" })?;
+                let saved = pop(&mut stack)?;
                 let shortcut = match (projection, proj) {
-                    (Some(conv), Some(p)) => run_conv(conv, p, &saved)?,
+                    (Some(conv), Some(p)) => {
+                        let slot = out?;
+                        let run = acts.write(slot, |m, acts| {
+                            conv.compute(acts.get(saved), p, Epilogue::default(), m, ctx)
+                        })?;
+                        if run.reran {
+                            reruns.push(i);
+                        }
+                        Some(slot)
+                    }
                     (None, None) => saved,
                     _ => {
                         return Err(CoreError::PlanMismatch {
@@ -779,16 +945,68 @@ fn run_steps(
                         })
                     }
                 };
-                let sum = x.feats() + shortcut.feats();
-                Some(x.with_feats(sum)?)
+                acts.rewrite(&mut cur, written.copy, |m, acts| {
+                    *m += acts.get(shortcut);
+                    Ok(())
+                })?;
             }
             _ => return Err(CoreError::PlanMismatch { reason: "op/step kind differs" }),
-        };
-        if next.is_some() {
-            cur = next;
         }
     }
-    Ok((cur.unwrap_or_else(|| input.clone()), reruns))
+    // The output is copied out, so its slot keeps its buffer for the next
+    // frame.
+    let feats = acts.get(cur).clone();
+    Ok((SparseTensor::with_stride(coords.to_vec(), feats, stride)?, reruns))
+}
+
+/// Pops the executor's value stack.
+fn pop(stack: &mut Vec<Option<usize>>) -> Result<Option<usize>, CoreError> {
+    stack.pop().ok_or(CoreError::PlanMismatch { reason: "join pops an empty stack" })
+}
+
+/// The executor's feature matrices: the input's, borrowed, and the buffer
+/// slots the plan assigns to everything the steps write.
+struct Activations<'i> {
+    input: &'i Matrix,
+    slots: Vec<Matrix>,
+}
+
+impl Activations<'_> {
+    /// The matrix of `value` (`None`: the input's features).
+    fn get(&self, value: Option<usize>) -> &Matrix {
+        value.map_or(self.input, |slot| &self.slots[slot])
+    }
+
+    /// Writes `slot`'s matrix with `f` (it finds the buffer in any shape;
+    /// writers reshape it), which also reads the other matrices.
+    fn write<R>(&mut self, slot: usize, f: impl FnOnce(&mut Matrix, &Self) -> R) -> R {
+        let mut m = take(&mut self.slots[slot]);
+        let result = f(&mut m, self);
+        self.slots[slot] = m;
+        result
+    }
+
+    /// Rewrites the flowing matrix in place with `f` — after copying it
+    /// into the plan's `copy` slot when it is the input's features or the
+    /// value stack still holds it.
+    fn rewrite(
+        &mut self,
+        cur: &mut Option<usize>,
+        copy: Option<usize>,
+        f: impl FnOnce(&mut Matrix, &Self) -> Result<(), CoreError>,
+    ) -> Result<(), CoreError> {
+        if let Some(slot) = copy {
+            let from = *cur;
+            self.write(slot, |m, acts| {
+                let src = acts.get(from);
+                m.reshape_zeroed(src.rows(), src.cols());
+                m.as_mut_slice().copy_from_slice(src.as_slice());
+            });
+            *cur = Some(slot);
+        }
+        let slot = cur.ok_or(CoreError::PlanMismatch { reason: "in-place step on the input" })?;
+        self.write(slot, f)
+    }
 }
 
 #[cfg(test)]

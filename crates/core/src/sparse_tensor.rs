@@ -91,11 +91,6 @@ impl SparseTensor {
         &self.feats
     }
 
-    /// Mutable feature access (used by in-place pointwise layers).
-    pub fn feats_mut(&mut self) -> &mut Matrix {
-        &mut self.feats
-    }
-
     /// The tensor stride.
     pub fn stride(&self) -> i32 {
         self.stride
@@ -147,17 +142,32 @@ impl SparseTensor {
                 feats: other.coords.len(),
             });
         }
-        let c1 = self.channels();
-        let c2 = other.channels();
-        let feats = Matrix::from_fn(self.len(), c1 + c2, |r, c| {
-            if c < c1 {
-                self.feats[(r, c)]
-            } else {
-                other.feats[(r, c - c1)]
-            }
-        });
+        let feats = concat_channels(&self.feats, &other.feats, Vec::new())?;
         Ok(SparseTensor { coords: self.coords.clone(), feats, stride: self.stride })
     }
+}
+
+/// `[a | b]`: each row of `a` followed by the same row of `b`, built in
+/// `buf`'s allocation with two slice copies per row.
+///
+/// # Errors
+///
+/// [`CoreError::LengthMismatch`] if the row counts differ.
+pub(crate) fn concat_channels(
+    a: &Matrix,
+    b: &Matrix,
+    mut buf: Vec<f32>,
+) -> Result<Matrix, CoreError> {
+    if a.rows() != b.rows() {
+        return Err(CoreError::LengthMismatch { coords: a.rows(), feats: b.rows() });
+    }
+    buf.clear();
+    buf.reserve_exact(a.len() + b.len());
+    for r in 0..a.rows() {
+        buf.extend_from_slice(a.row(r));
+        buf.extend_from_slice(b.row(r));
+    }
+    Ok(Matrix::from_vec(a.rows(), a.cols() + b.cols(), buf)?)
 }
 
 #[cfg(test)]

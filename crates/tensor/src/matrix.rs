@@ -104,20 +104,22 @@ impl Matrix {
         self.data.is_empty()
     }
 
-    /// Heap capacity of the underlying buffer, in elements. Workspace
-    /// recycling uses this to pick a buffer that needs no reallocation.
+    /// Heap capacity of the underlying buffer, in elements. Buffer recycling
+    /// uses this to tell whether a buffer needs no reallocation.
     pub fn capacity(&self) -> usize {
         self.data.capacity()
     }
 
     /// Reshapes the matrix to `rows x cols` with all elements zeroed,
-    /// reusing the existing heap buffer when its capacity suffices.
+    /// reusing the existing heap buffer when its capacity suffices and
+    /// growing it to exactly `rows * cols` elements otherwise.
     ///
-    /// This is the workspace-recycling primitive: a gather/psum buffer taken
-    /// from a pool is resized to the current layer's shape without touching
-    /// the allocator (after warm-up).
+    /// This is the buffer-recycling primitive: a dead activation's buffer
+    /// is resized to the next layer's output shape without touching the
+    /// allocator (after warm-up).
     pub fn reshape_zeroed(&mut self, rows: usize, cols: usize) {
         self.data.clear();
+        self.data.reserve_exact(rows * cols);
         self.data.resize(rows * cols, 0.0);
         self.rows = rows;
         self.cols = cols;

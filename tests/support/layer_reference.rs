@@ -55,3 +55,39 @@ pub fn layer_reference(conv: &SparseConv3d, x: &SparseTensor, cfg: &Optimization
     }
     out
 }
+
+/// The pointwise steps after a convolution, applied one whole-matrix rule
+/// at a time to `out` (the layer's output, as [`layer_reference`] returns
+/// it): batch norm `v * scale + shift` then the storage round, the
+/// shortcut add `v + s`, then ReLU `v.max(0.0)`.
+#[allow(dead_code)] // not every suite that includes this file checks epilogues
+pub fn epilogue_reference(
+    mut out: Matrix,
+    batch_norm: Option<(&[f32], &[f32])>,
+    shortcut: Option<&Matrix>,
+    relu: bool,
+    precision: Precision,
+) -> Matrix {
+    if let Some((scale, shift)) = batch_norm {
+        let channels = out.cols();
+        for (i, v) in out.as_mut_slice().iter_mut().enumerate() {
+            *v = *v * scale[i % channels] + shift[i % channels];
+        }
+        match precision {
+            Precision::Fp32 => {}
+            Precision::Fp16 => round_trip_f16_in_place(&mut out),
+            Precision::Int8 => out = Int8Quantizer::calibrate(out.as_slice()).round_trip(&out),
+        }
+    }
+    if let Some(s) = shortcut {
+        for (v, s) in out.as_mut_slice().iter_mut().zip(s.as_slice()) {
+            *v += s;
+        }
+    }
+    if relu {
+        for v in out.as_mut_slice() {
+            *v = v.max(0.0);
+        }
+    }
+    out
+}
