@@ -29,17 +29,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // Gather-matmul-scatter (baseline FP32, separate grouping).
         let mut gms = Engine::new(EnginePreset::BaselineFp32, DeviceProfile::rtx_2080ti());
-        gms.context_mut().simulate_only = true;
-        gms.run(&conv, &input)?;
-        let gms_us = gms.last_latency().as_f64();
+        let gms_us = gms.price(&conv, &input)?.total().as_f64();
 
         // Fetch-on-demand (force it by setting the threshold above any size).
         let mut cfg = EnginePreset::BaselineFp32.config();
         cfg.fetch_on_demand_below = Some(usize::MAX);
         let mut fod = Engine::with_config(cfg, DeviceProfile::rtx_2080ti());
-        fod.context_mut().simulate_only = true;
-        fod.run(&conv, &input)?;
-        let fod_us = fod.last_latency().as_f64();
+        let fod_us = fod.price(&conv, &input)?.total().as_f64();
 
         rows.push(vec![
             input.len().to_string(),

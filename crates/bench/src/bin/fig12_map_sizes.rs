@@ -28,10 +28,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let input = ds.scene(args.seed)?;
         let model = build_model(bm, args.seed);
         let mut engine = Engine::new(EnginePreset::TorchSparse, DeviceProfile::rtx_2080ti());
-        engine.context_mut().simulate_only = true;
         tune_engine(&mut engine, model.as_ref(), std::slice::from_ref(&input), None)?;
         engine.context_mut().record_workloads = true;
-        engine.run(model.as_ref(), &input)?;
+        engine.price(model.as_ref(), &input)?;
         let workloads = engine.context().workloads.clone();
 
         let submanifold = workloads.iter().find(|w| w.submanifold).expect("submanifold layer");

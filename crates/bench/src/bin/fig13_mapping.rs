@@ -10,10 +10,10 @@
 //! Usage: `cargo run --release -p torchsparse-bench --bin fig13_mapping
 //! [--scale F] [--scenes N]`
 
-#![allow(clippy::type_complexity)]
-
-use torchsparse_bench::{build_model, dataset_for, fmt, measure, scenes, BenchArgs};
-use torchsparse_core::{DeviceProfile, Engine, MapSearchStrategy, OptimizationConfig};
+use torchsparse_bench::{
+    build_model, dataset_for, fmt, mapping_ladder, measure, scenes, BenchArgs,
+};
+use torchsparse_core::{DeviceProfile, Engine};
 use torchsparse_gpusim::Stage;
 use torchsparse_models::BenchmarkModel;
 
@@ -27,30 +27,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let inputs = scenes(&ds, args.scenes, args.seed)?;
     let model = build_model(bm, args.seed);
 
-    // Start from the baseline mapping pipeline and stack optimizations in
-    // the paper's order.
-    let steps: Vec<(&str, Box<dyn Fn(&mut OptimizationConfig)>)> = vec![
-        ("baseline (hashmap, staged, branchy)", Box::new(|_c: &mut OptimizationConfig| {})),
-        ("+ grid-based map search", Box::new(|c| c.map_search = MapSearchStrategy::Grid)),
-        ("+ fused downsample kernels", Box::new(|c| c.fused_downsample = true)),
-        ("+ simplified control logic", Box::new(|c| c.simplified_mapping_kernels = true)),
-        ("+ symmetric map reuse", Box::new(|c| c.symmetric_map_search = true)),
-    ];
-
-    let mut cfg = OptimizationConfig::baseline_fp32();
     let mut rows = Vec::new();
     let mut base_mapping: Option<f64> = None;
     let mut prev: Option<f64> = None;
-    for (label, apply) in &steps {
-        apply(&mut cfg);
-        let mut engine = Engine::with_config(cfg.clone(), DeviceProfile::rtx_2080ti());
+    for (label, cfg) in mapping_ladder() {
+        let mut engine = Engine::with_config(cfg, DeviceProfile::rtx_2080ti());
         let t = measure(&mut engine, model.as_ref(), &inputs)?;
         let mapping = t.stage(Stage::Mapping).as_f64();
         let base = *base_mapping.get_or_insert(mapping);
         let step_speedup = prev.map_or(1.0, |p| p / mapping);
         prev = Some(mapping);
         rows.push(vec![
-            (*label).to_owned(),
+            label.to_owned(),
             format!("{:.1} us", mapping),
             fmt::speedup(step_speedup),
             fmt::speedup(base / mapping),

@@ -11,9 +11,12 @@
 //! Usage: `cargo run --release -p torchsparse-bench --bin fig7_batching
 //! [--scale F]`
 
-use torchsparse_bench::{build_model, dataset_for, fmt, BenchArgs};
-use torchsparse_core::{DeviceProfile, Engine, EnginePreset};
-use torchsparse_gpusim::{GemmModel, GemmShape, Micros, Precision};
+use torchsparse_bench::{
+    batched_matmul_latency, batching_layer, build_model, dataset_for, fmt, BenchArgs,
+    BATCH_GROUP_SIZES,
+};
+use torchsparse_core::DeviceProfile;
+use torchsparse_gpusim::GemmModel;
 use torchsparse_models::BenchmarkModel;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -22,34 +25,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== Figure 7: batched matmul speedup vs group size ==");
     println!("workload: heaviest early conv layer of {} (scale {})\n", bm.name(), args.scale);
 
-    // Record the model's workloads and pick the compute-heaviest
-    // submanifold layer — the kind of layer the paper's Figure 7 profiles
-    // (the 4-channel input stem is launch-bound, not GEMM-bound).
-    let ds = dataset_for(bm, args.scale);
-    let input = ds.scene(args.seed)?;
+    let input = dataset_for(bm, args.scale).scene(args.seed)?;
     let model = build_model(bm, args.seed);
-    let mut engine = Engine::new(EnginePreset::TorchSparse, DeviceProfile::rtx_2080ti());
-    engine.context_mut().simulate_only = true;
-    engine.context_mut().record_workloads = true;
-    engine.run(model.as_ref(), &input)?;
-    let layer1 = engine
-        .context()
-        .workloads
-        .iter()
-        .find(|w| w.submanifold && w.c_in >= 16)
-        .expect("model has a submanifold conv layer")
-        .clone();
+    let (layer1, sizes) =
+        batching_layer(model.as_ref(), &input)?.expect("model has a submanifold conv layer");
     println!("layer: {}", layer1.name);
-
-    // Non-center offsets of the submanifold layer, in index order.
-    let center = (layer1.map_sizes.len() - 1) / 2;
-    let sizes: Vec<usize> = layer1
-        .map_sizes
-        .iter()
-        .enumerate()
-        .filter(|&(n, &s)| n != center && s > 0)
-        .map(|(_, &s)| s)
-        .collect();
     let (c_in, c_out) = (layer1.c_in, layer1.c_out);
     println!(
         "{} offsets, map sizes {}..{} rows, C_in={} C_out={}\n",
@@ -61,24 +41,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let gemm = GemmModel::new(DeviceProfile::rtx_2080ti());
-    let latency_for_group_size = |g: usize| -> Micros {
-        let mut total = Micros::ZERO;
-        for chunk in sizes.chunks(g) {
-            if chunk.len() == 1 {
-                total += gemm.latency(GemmShape::mm(chunk[0], c_in, c_out), Precision::Fp16);
-            } else {
-                let padded = *chunk.iter().max().expect("non-empty chunk");
-                total +=
-                    gemm.latency(GemmShape::bmm(chunk.len(), padded, c_in, c_out), Precision::Fp16);
-            }
-        }
-        total
-    };
+    let latency_for_group_size = |g| batched_matmul_latency(&sizes, c_in, c_out, g, &gemm);
 
     let baseline = latency_for_group_size(1);
     let mut rows = Vec::new();
     let mut best = (1, 1.0f64);
-    for g in [1usize, 2, 4, 6, 8, 13, 26] {
+    for g in BATCH_GROUP_SIZES {
         let lat = latency_for_group_size(g);
         let speedup = baseline.as_f64() / lat.as_f64();
         if speedup > best.1 {

@@ -19,9 +19,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let input = ds.scene(args.seed)?;
     let model = build_model(bm, args.seed);
     let mut engine = Engine::new(EnginePreset::TorchSparse, DeviceProfile::rtx_2080ti());
-    engine.context_mut().simulate_only = true;
     engine.context_mut().profile_layers = true;
-    engine.run(model.as_ref(), &input)?;
+    engine.price(model.as_ref(), &input)?;
 
     let profiles = engine.context().layer_profiles().to_vec();
     let total: f64 = profiles.iter().map(|p| p.timeline.total().as_f64()).sum();

@@ -16,72 +16,17 @@
 //! Usage: `cargo run --release -p torchsparse-bench --bin
 //! table1_specialization [--scale F] [--scenes N]`
 
-use std::collections::HashMap;
-use torchsparse_bench::{build_model, dataset_for, fmt, scenes, BenchArgs};
-use torchsparse_core::grouping::plan_groups;
-use torchsparse_core::tuning::{grouped_matmul_latency, tune_engine};
-use torchsparse_core::LayerWorkload;
-use torchsparse_core::{DeviceProfile, Engine, EnginePreset, GroupingStrategy, Precision};
-use torchsparse_gpusim::GemmModel;
+use torchsparse_bench::{fmt, BenchArgs, Specialization};
+use torchsparse_core::DeviceProfile;
 use torchsparse_models::BenchmarkModel;
 
-/// One tunable/executable configuration: its recorded workloads, the tuned
-/// per-layer parameters, and the device it tunes for.
-struct Config {
-    label: String,
-    workloads: Vec<LayerWorkload>,
-    tuned: HashMap<String, (f64, usize)>,
-    device: DeviceProfile,
-}
-
-fn prepare(
-    bm: BenchmarkModel,
-    device: DeviceProfile,
-    args: &BenchArgs,
-    label: &str,
-) -> Result<Config, Box<dyn std::error::Error>> {
-    let ds = dataset_for(bm, args.scale);
-    let inputs = scenes(&ds, args.scenes, args.seed)?;
-    let model = build_model(bm, args.seed);
-    let mut engine = Engine::new(EnginePreset::TorchSparse, device.clone());
-    engine.context_mut().simulate_only = true;
-    tune_engine(&mut engine, model.as_ref(), &inputs, None)?;
-    engine.context_mut().record_workloads = true;
-    engine.run(model.as_ref(), &inputs[0])?;
-    Ok(Config {
-        label: label.to_owned(),
-        workloads: engine.context().workloads.clone(),
-        tuned: engine.context().tuned_groups.clone(),
-        device,
-    })
-}
-
-/// Executes `exec`'s workloads with the strategy tuned by `opt`; returns
-/// (TFLOP/s, latency_us). Layers whose names do not appear in the tuned map
-/// (possible when transferring across models) fall back to the default
-/// adaptive configuration, as a practitioner would.
-fn evaluate(exec: &Config, opt: &Config) -> (f64, f64) {
-    let gemm = GemmModel::new(exec.device.clone());
-    let mut total_us = 0.0;
-    let mut total_flops = 0.0;
-    for w in &exec.workloads {
-        let (epsilon, s_threshold) = opt.tuned.get(&w.name).copied().unwrap_or((0.3, 150_000));
-        let strategy = GroupingStrategy::Adaptive { epsilon, s_threshold };
-        total_us += grouped_matmul_latency(w, strategy, &gemm, Precision::Fp16).as_f64();
-        let plan = plan_groups(&w.map_sizes, w.submanifold, strategy);
-        total_flops +=
-            plan.executed_rows(&w.map_sizes) as f64 * 2.0 * w.c_in as f64 * w.c_out as f64;
-    }
-    (total_flops / (total_us * 1e6), total_us)
-}
-
-fn print_matrix(title: &str, a: &Config, b: &Config) {
+fn print_matrix(title: &str, a: &Specialization, b: &Specialization) {
     println!("---- {title} ----");
     let mut rows = Vec::new();
     for exec in [a, b] {
         let mut row = vec![format!("execute on {}", exec.label)];
-        let (tf_a, us_a) = evaluate(exec, a);
-        let (tf_b, us_b) = evaluate(exec, b);
+        let (tf_a, us_a) = exec.evaluate(a);
+        let (tf_b, us_b) = exec.evaluate(b);
         row.push(format!("{tf_a:.1} TF/s ({:.2} ms)", us_a / 1e3));
         row.push(format!("{tf_b:.1} TF/s ({:.2} ms)", us_b / 1e3));
         let diag_wins = if std::ptr::eq(exec, a) { us_a <= us_b } else { us_b <= us_a };
@@ -99,24 +44,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("scale={} scenes={}\n", args.scale, args.scenes);
 
     // (a) Datasets: MinkUNet (1f) on SK vs NS, RTX 2080Ti.
-    let sk = prepare(
+    let sk = Specialization::prepare(
         BenchmarkModel::MinkUNetFullSemanticKitti,
         DeviceProfile::rtx_2080ti(),
         &args,
         "SemanticKITTI",
     )?;
-    let ns =
-        prepare(BenchmarkModel::MinkUNetNuScenes1, DeviceProfile::rtx_2080ti(), &args, "nuScenes")?;
+    let ns = Specialization::prepare(
+        BenchmarkModel::MinkUNetNuScenes1,
+        DeviceProfile::rtx_2080ti(),
+        &args,
+        "nuScenes",
+    )?;
     print_matrix("(a) dataset specialization (MinkUNet, RTX 2080Ti)", &sk, &ns);
 
     // (b) Models: MinkUNet 1.0x vs 0.5x on SK, RTX 2080Ti.
-    let full = prepare(
+    let full = Specialization::prepare(
         BenchmarkModel::MinkUNetFullSemanticKitti,
         DeviceProfile::rtx_2080ti(),
         &args,
         "MinkUNet (1.0x)",
     )?;
-    let half = prepare(
+    let half = Specialization::prepare(
         BenchmarkModel::MinkUNetHalfSemanticKitti,
         DeviceProfile::rtx_2080ti(),
         &args,
@@ -125,13 +74,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     print_matrix("(b) model specialization (SemanticKITTI, RTX 2080Ti)", &full, &half);
 
     // (c) Hardware: RTX 2080Ti vs GTX 1080Ti, MinkUNet on nuScenes.
-    let turing = prepare(
+    let turing = Specialization::prepare(
         BenchmarkModel::MinkUNetNuScenes1,
         DeviceProfile::rtx_2080ti(),
         &args,
         "RTX 2080Ti",
     )?;
-    let pascal = prepare(
+    let pascal = Specialization::prepare(
         BenchmarkModel::MinkUNetNuScenes1,
         DeviceProfile::gtx_1080ti(),
         &args,

@@ -13,7 +13,7 @@
 
 #![allow(clippy::type_complexity)]
 
-use torchsparse_bench::{build_model, dataset_for, fmt, geomean, scenes, BenchArgs};
+use torchsparse_bench::{build_model, dataset_for, fmt, scenes, BenchArgs};
 use torchsparse_core::grouping::plan_groups;
 use torchsparse_core::tuning::{grouped_matmul_latency, tune_engine};
 use torchsparse_core::{DeviceProfile, Engine, EnginePreset, GroupingStrategy, Precision};
@@ -38,10 +38,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Tune adaptive (epsilon, S) per layer on the calibration scenes
         // (Algorithm 5), then collect the workloads of one scene.
         let mut engine = Engine::new(EnginePreset::TorchSparse, DeviceProfile::rtx_2080ti());
-        engine.context_mut().simulate_only = true;
         tune_engine(&mut engine, model.as_ref(), &inputs, None)?;
         engine.context_mut().record_workloads = true;
-        engine.run(model.as_ref(), &inputs[0])?;
+        engine.price(model.as_ref(), &inputs[0])?;
         let workloads = engine.context().workloads.clone();
         let tuned: std::collections::HashMap<String, (f64, usize)> =
             engine.context().tuned_groups.clone();
@@ -83,7 +82,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("{}", fmt::table(&["grouping method", "throughput", "matmul speedup"], &rows));
     }
 
-    let _ = geomean(&[1.0]);
     println!("Paper reference (Table 2): SK separate 8.1 TF/s -> adaptive 11.9 TF/s (1.39x),");
     println!("fixed is 13% SLOWER than separate on SK; NS separate 10.4 -> adaptive 16.9 (1.54x).");
     Ok(())

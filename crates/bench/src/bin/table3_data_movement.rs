@@ -20,10 +20,10 @@
 //! Usage: `cargo run --release -p torchsparse-bench --bin
 //! table3_data_movement [--scale F] [--scenes N]`
 
-#![allow(clippy::type_complexity)]
-
-use torchsparse_bench::{build_model, dataset_for, fmt, measure, scenes, BenchArgs};
-use torchsparse_core::{DeviceProfile, Engine, OptimizationConfig, Precision};
+use torchsparse_bench::{
+    build_model, data_movement_ladder, dataset_for, fmt, measure, scenes, BenchArgs,
+};
+use torchsparse_core::{DeviceProfile, Engine};
 use torchsparse_gpusim::Stage;
 use torchsparse_models::BenchmarkModel;
 
@@ -37,26 +37,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let inputs = scenes(&ds, args.scenes, args.seed)?;
     let model = build_model(bm, args.seed);
 
-    let steps: Vec<(&str, Box<dyn Fn(&mut OptimizationConfig)>)> = vec![
-        ("FP32 baseline", Box::new(|_c: &mut OptimizationConfig| {})),
-        ("+ FP16 (scalar)", Box::new(|c| c.precision = Precision::Fp16)),
-        ("+ vectorized", Box::new(|c| c.vectorized = true)),
-        ("+ fused", Box::new(|c| c.fused_gather_scatter = true)),
-        ("+ locality-aware", Box::new(|c| c.locality_aware = true)),
-    ];
-
-    let mut cfg = OptimizationConfig::baseline_fp32();
     let mut rows = Vec::new();
     let mut base: Option<(f64, f64)> = None;
-    for (label, apply) in &steps {
-        apply(&mut cfg);
-        let mut engine = Engine::with_config(cfg.clone(), DeviceProfile::rtx_2080ti());
+    for (label, cfg) in data_movement_ladder() {
+        let mut engine = Engine::with_config(cfg, DeviceProfile::rtx_2080ti());
         let t = measure(&mut engine, model.as_ref(), &inputs)?;
         let g = t.stage(Stage::Gather).as_f64();
         let s = t.stage(Stage::Scatter).as_f64();
         let (g0, s0) = *base.get_or_insert((g, s));
         rows.push(vec![
-            (*label).to_owned(),
+            label.to_owned(),
             fmt::speedup(g0 / g),
             fmt::speedup(s0 / s),
             fmt::speedup((g0 + s0) / (g + s)),

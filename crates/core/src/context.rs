@@ -144,15 +144,6 @@ pub struct Context {
     /// dynamic run, once per plan build in a compiled session (plan hits
     /// record nothing).
     pub record_workloads: bool,
-    /// Skip the real numerical computation and only account simulated cost.
-    ///
-    /// Simulated latency is a function of coordinates and maps alone, never
-    /// of feature *values* ([`crate::cost_model`]), so dry runs report
-    /// identical timelines while running much faster — benchmark drivers
-    /// use this to afford full-scale scenes. A traced module's `forward`
-    /// plans and logs as usual, then returns zeros on the planned output
-    /// geometry instead of executing the plan.
-    pub simulate_only: bool,
     /// Whether runs should record per-layer profiles
     /// ([`Context::layer_profiles`]).
     pub profile_layers: bool,
@@ -239,7 +230,6 @@ impl Context {
             tuned_policies: HashMap::new(),
             workloads: Vec::new(),
             record_workloads: false,
-            simulate_only: false,
             profile_layers: false,
             faults: crate::faults::FaultInjector::disarmed(),
             degradation: crate::faults::DegradationReport::new(),

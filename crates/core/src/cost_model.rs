@@ -138,11 +138,6 @@ enum Kind {
         reruns: Vec<usize>,
         profile: bool,
     },
-    Mark,
-    Surcharge {
-        stage: Stage,
-        fraction: f64,
-    },
     Custom(Box<dyn Fn(&mut Sim<'_>) + Send + Sync>),
 }
 
@@ -151,18 +146,6 @@ impl Charge {
     /// kernel reported), added to `stage` when the ledger resolves.
     pub fn latency(stage: Stage, latency: Micros) -> Charge {
         Charge(Kind::Latency(stage, latency))
-    }
-
-    /// Snapshots the timeline at this point of the log, for the next
-    /// [`Charge::surcharge`] to measure from. Marks nest like a stack.
-    pub fn mark() -> Charge {
-        Charge(Kind::Mark)
-    }
-
-    /// Pops the most recent [`Charge::mark`] and adds `fraction` of the
-    /// total latency accrued since to `stage` (CenterPoint's dense head).
-    pub fn surcharge(stage: Stage, fraction: f64) -> Charge {
-        Charge(Kind::Surcharge { stage, fraction })
     }
 
     /// A charge that drives the simulator by hand when the ledger resolves.
@@ -241,18 +224,10 @@ fn replay(
 ) -> Cost {
     let mut cost = Cost::default();
     let mut mem: Option<MemorySim> = None;
-    let mut marks: Vec<Timeline> = Vec::new();
     for charge in log {
         let Cost { timeline, profiles } = &mut cost;
         match &charge.0 {
             Kind::Latency(stage, latency) => timeline.add(*stage, *latency),
-            Kind::Mark => marks.push(timeline.clone()),
-            Kind::Surcharge { stage, fraction } => {
-                if let Some(start) = marks.pop() {
-                    let accrued = timeline.total() - start.total();
-                    timeline.add(*stage, Micros(accrued.as_f64() * fraction));
-                }
-            }
             Kind::Plan { plan, reruns, profile } => {
                 // The plan's cost touches every stage but `Mapping`, the log
                 // before it only `Mapping`: the merge adds zeros and is
@@ -308,6 +283,11 @@ fn replay(
 /// `reruns` lists the step indices whose convolution overflowed its
 /// quantized storage and ran a second time in FP32 — empty for the value
 /// cached on the plan.
+///
+/// A [`StepPlan::CostSurcharge`] charges its fraction of everything this
+/// walk has accrued before it: for an ephemeral plan that includes the map
+/// searches, for a compiled plan only the execute path (a re-plan's
+/// `Mapping`, logged on its own, is not surcharged).
 fn plan_cost(
     plan: &ExecutionPlan,
     reruns: &[usize],
@@ -315,6 +295,7 @@ fn plan_cost(
     sim: &mut Sim<'_>,
     mut profiles: Option<&mut Vec<LayerProfile>>,
 ) {
+    let walk_start = sim.timeline.total();
     // The (points, channels) of the tensor flowing through the network.
     let mut cur = plan.input_shape;
     let mut stack: Vec<(usize, usize)> = Vec::new();
@@ -347,6 +328,10 @@ fn plan_cost(
                 if let Some(p) = projection {
                     charge_conv(&ConvGeometry::of(p, points), &p.dataflow, reran, sim);
                 }
+            }
+            StepPlan::CostSurcharge { stage, fraction } => {
+                let accrued = sim.timeline.total() - walk_start;
+                sim.timeline.add(*stage, Micros(accrued.as_f64() * fraction));
             }
         }
         if let (Some(profiles), Some(name), Some(start)) = (&mut profiles, name, start) {
@@ -803,23 +788,33 @@ mod tests {
     }
 
     #[test]
-    fn marks_nest_and_feed_surcharges() {
-        let mut c = ctx();
-        c.defer(Charge::latency(Stage::Mapping, Micros(10.0)));
-        c.defer(Charge::mark()); // outer base
-        c.defer(Charge::mark()); // inner base
-        c.defer(Charge::latency(Stage::MatMul, Micros(4.0)));
-        // Half of the 4 us since the inner mark, then half of the 4 + 2 + 6
-        // since the outer one.
-        c.defer(Charge::surcharge(Stage::Other, 0.5));
-        c.defer(Charge::latency(Stage::Gather, Micros(6.0)));
-        c.defer(Charge::surcharge(Stage::Other, 0.5));
-        // An unmatched pop is ignored, as a run that failed mid-model logs.
-        c.defer(Charge::surcharge(Stage::Other, 0.5));
-        let t = c.timeline();
-        assert_eq!(t.stage(Stage::Other), Micros(8.0));
-        assert_eq!(t.total(), Micros(28.0));
-        assert!(c.layer_profiles().is_empty());
+    fn a_surcharge_step_charges_its_share_of_the_walk() {
+        // One pointwise sweep, then a surcharge of half of it: the latency
+        // logged before the plan is not part of the walk.
+        let plan = |steps: Vec<StepPlan>| ExecutionPlan {
+            fingerprint: 0,
+            input_shape: (64, 8),
+            names: vec![None; steps.len()],
+            buffers: vec![Default::default(); steps.len()],
+            steps,
+            slot_lens: Vec::new(),
+            cost: OnceLock::new(),
+        };
+        let walk = |steps| {
+            let mut c = ctx();
+            c.defer(Charge::latency(Stage::Mapping, Micros(10.0)));
+            c.defer(Charge::ephemeral_plan(plan(steps), Vec::new(), true));
+            assert!(c.layer_profiles().is_empty());
+            c.timeline().clone()
+        };
+        let sweep = walk(vec![StepPlan::Pointwise]);
+        let surcharged = walk(vec![
+            StepPlan::Pointwise,
+            StepPlan::CostSurcharge { stage: Stage::Other, fraction: 0.5 },
+        ]);
+        let other = sweep.stage(Stage::Other).as_f64();
+        assert!((surcharged.stage(Stage::Other).as_f64() - other * 1.5).abs() < 1e-9 * other);
+        assert_eq!(surcharged.stage(Stage::Mapping), Micros(10.0));
     }
 
     #[test]

@@ -429,7 +429,8 @@ fn walk<'c>(
                         entries[i].coarse.clone().ok_or(Bail("strided op missing coarse state"))?;
                 }
             }
-            (LayerOp::BatchNorm(_) | LayerOp::Relu(_), StepPlan::Pointwise) => {}
+            (LayerOp::BatchNorm(_) | LayerOp::Relu(_), StepPlan::Pointwise)
+            | (LayerOp::CostSurcharge { .. }, StepPlan::CostSurcharge { .. }) => {}
             (LayerOp::GlobalPool(_), StepPlan::GlobalPool { .. }) => {
                 // Geometry collapses to per-batch representatives; no map
                 // op downstream can be patched against the old plan.

@@ -125,15 +125,46 @@ impl Engine {
         model: &M,
         input: &SparseTensor,
     ) -> Result<SparseTensor, CoreError> {
+        let sanitized = self.begin_run(input)?;
+        model.forward(sanitized.as_ref().unwrap_or(input), &mut self.ctx)
+    }
+
+    /// Prices a model on one input scene without running it: the same
+    /// validation and plan build as [`Engine::run`] (recording
+    /// [`LayerWorkload`](crate::LayerWorkload)s when
+    /// [`Context::record_workloads`] is on), then the plan's simulated
+    /// timeline. No step executes, so a full-scale scene costs only its
+    /// planning. [`Engine::last_timeline`] and
+    /// [`Context::layer_profiles`] read the result as after a run.
+    ///
+    /// Simulated latency depends on geometry alone, so the price equals the
+    /// timeline of a run whose layers never overflowed FP16 storage (an
+    /// overflowing layer's FP32 re-run is the one cost only execution
+    /// discovers).
+    ///
+    /// # Errors
+    ///
+    /// Validation failures as for [`Engine::run`],
+    /// [`CoreError::Untraceable`] for a model that does not trace, and any
+    /// planning error (mapping, shape or channel mismatches,
+    /// [`CoreError::DeadlineExceeded`]).
+    pub fn price<M: Module + ?Sized>(
+        &mut self,
+        model: &M,
+        input: &SparseTensor,
+    ) -> Result<&Timeline, CoreError> {
+        let sanitized = self.begin_run(input)?;
+        let input = sanitized.as_ref().unwrap_or(input);
+        crate::session::price_ephemeral(model, input, &mut self.ctx)?;
+        Ok(self.ctx.timeline())
+    }
+
+    /// Resets per-run state and screens `input`: `Some` holds the repaired
+    /// tensor when sanitizing changed it.
+    fn begin_run(&mut self, input: &SparseTensor) -> Result<Option<SparseTensor>, CoreError> {
         self.ctx.begin_run();
-        let sanitized = {
-            let Context { config, faults, degradation, .. } = &mut self.ctx;
-            crate::validate::validate_input(input, &config.validation, faults, degradation)?
-        };
-        match sanitized {
-            Some(cleaned) => model.forward(&cleaned, &mut self.ctx),
-            None => model.forward(input, &mut self.ctx),
-        }
+        let Context { config, faults, degradation, .. } = &mut self.ctx;
+        crate::validate::validate_input(input, &config.validation, faults, degradation)
     }
 
     /// Every graceful-degradation decision of the last [`Engine::run`]
@@ -142,10 +173,11 @@ impl Engine {
         &self.ctx.degradation
     }
 
-    /// Per-stage simulated latency of the last [`Engine::run`]. The run
-    /// itself only logged what to charge; the first read replays that log
-    /// through the cost model ([`crate::cost_model`]) and later reads are
-    /// free. A run whose timeline nobody reads simulates nothing.
+    /// Per-stage simulated latency of the last [`Engine::run`] or
+    /// [`Engine::price`]. The run itself only logged what to charge; the
+    /// first read replays that log through the cost model
+    /// ([`crate::cost_model`]) and later reads are free. A run whose
+    /// timeline nobody reads simulates nothing.
     pub fn last_timeline(&self) -> &Timeline {
         self.ctx.timeline()
     }
@@ -233,15 +265,18 @@ mod tests {
     }
 
     #[test]
-    fn simulate_only_reports_identical_latency() {
+    fn price_reports_the_runs_latency_and_profiles() {
         let model = tiny_model();
         let x = scene();
-        let mut full = Engine::new(EnginePreset::TorchSparse, DeviceProfile::rtx_2080ti());
-        full.run(&model, &x).unwrap();
-        let mut dry = Engine::new(EnginePreset::TorchSparse, DeviceProfile::rtx_2080ti());
-        dry.context_mut().simulate_only = true;
-        dry.run(&model, &x).unwrap();
-        assert_eq!(full.last_timeline(), dry.last_timeline());
+        let mut run = Engine::new(EnginePreset::TorchSparse, DeviceProfile::rtx_2080ti());
+        run.context_mut().profile_layers = true;
+        run.run(&model, &x).unwrap();
+        let mut priced = Engine::new(EnginePreset::TorchSparse, DeviceProfile::rtx_2080ti());
+        priced.context_mut().profile_layers = true;
+        let timeline = priced.price(&model, &x).unwrap().clone();
+        assert_eq!(&timeline, run.last_timeline());
+        assert_eq!(priced.last_timeline(), run.last_timeline());
+        assert_eq!(priced.context().layer_profiles(), run.context().layer_profiles());
     }
 
     #[test]

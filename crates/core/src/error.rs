@@ -181,7 +181,7 @@ mod tests {
             CoreError::NonFiniteFeatures { count: 3 },
             CoreError::ExtentOverflow { cells: u64::MAX, limit: 1 << 28 },
             CoreError::BudgetExceeded { points: 1_000_000, limit: 500_000 },
-            CoreError::Untraceable { module: "centerpoint".to_owned() },
+            CoreError::Untraceable { module: "opaque".to_owned() },
             CoreError::InvalidConfig { reason: "zero threads".to_owned() },
             CoreError::PlanMismatch { reason: "op/step count differs" },
             CoreError::DeadlineExceeded { stage: "mapping", budget_us: 1_000, elapsed_us: 1_500 },

@@ -8,18 +8,20 @@ use crate::{CoreError, SparseTensor};
 /// Implement [`Module::trace`]: a module that appends its
 /// [`LayerOp`](crate::LayerOp)s runs through the one plan executor, both
 /// dynamically ([`Module::forward`]'s provided body) and compiled into a
-/// [`CompiledSession`](crate::CompiledSession). Override `forward` only
-/// when the module cannot trace — a container of untraceable children
-/// ([`Sequential`]) or a model with work outside the IR.
+/// [`CompiledSession`](crate::CompiledSession), and can be priced without
+/// running ([`Engine::price`](crate::Engine::price)). Work outside the
+/// sparse network that only costs time traces as a
+/// [`LayerOp::CostSurcharge`](crate::LayerOp::CostSurcharge). Override
+/// `forward` only for a container of untraceable children
+/// ([`Sequential`]).
 pub trait Module {
     /// Runs the module on an input tensor.
     ///
     /// The provided implementation traces the module, plans the traced ops
     /// against the input's geometry (an ephemeral
-    /// [`ExecutionPlan`](crate::ExecutionPlan)), executes the plan and logs
-    /// it as one charge on the run's cost ledger. Under
-    /// [`Context::simulate_only`] it stops after logging the plan and
-    /// returns zero features on the planned output geometry.
+    /// [`ExecutionPlan`](crate::ExecutionPlan)), executes the plan with the
+    /// executor of every compiled frame and logs the plan as one charge on
+    /// the run's cost ledger.
     ///
     /// # Errors
     ///

@@ -25,7 +25,7 @@ use crate::grouping::GroupPlan;
 use crate::{BatchNorm, GlobalPool, ReLU, SparseConv3d, SparseMaxPool3d};
 use std::sync::{Arc, OnceLock};
 use torchsparse_coords::{Coord, KernelMap};
-use torchsparse_gpusim::Micros;
+use torchsparse_gpusim::{Micros, Stage};
 use torchsparse_tensor::PackedB;
 
 /// One typed operation in the flattened layer IR.
@@ -58,6 +58,16 @@ pub enum LayerOp<'m> {
     ResidualAdd {
         /// Projection applied to the shortcut when channel counts differ.
         projection: Option<&'m SparseConv3d>,
+    },
+    /// Work outside the sparse network that only costs time, such as a
+    /// detector's dense head: the tensor passes through unchanged, and the
+    /// plan walk charges `fraction` of the latency the walk has accrued so
+    /// far to `stage`.
+    CostSurcharge {
+        /// The stage the surcharge lands in.
+        stage: Stage,
+        /// The surcharge as a fraction of the latency accrued before it.
+        fraction: f64,
     },
 }
 
@@ -258,6 +268,13 @@ pub(crate) enum StepPlan {
         /// Plan for the 1x1x1 projection convolution, if any.
         projection: Option<ConvPlan>,
     },
+    /// A cost-only surcharge ([`LayerOp::CostSurcharge`]).
+    CostSurcharge {
+        /// The stage the surcharge lands in.
+        stage: Stage,
+        /// The surcharge as a fraction of the latency accrued before it.
+        fraction: f64,
+    },
 }
 
 /// The activation buffers one step writes, as slots of the executing
@@ -341,7 +358,8 @@ impl StepPlan {
 /// replaced wholesale when the fingerprint changes — never mutated. A
 /// dynamic [`Engine::run`](crate::Engine::run) builds an *ephemeral* plan
 /// (fingerprint 0) per traceable module, runs it once and hands it to the
-/// run's cost ledger.
+/// run's cost ledger; [`Engine::price`](crate::Engine::price) hands it over
+/// without running it.
 ///
 /// Simulated cost is a function of exactly this state, so the plan is
 /// also where it is cached: the execute-path timeline of one frame (every

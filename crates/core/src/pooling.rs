@@ -290,15 +290,12 @@ mod tests {
     }
 
     #[test]
-    fn simulate_only_keeps_shape_and_cost() {
+    fn pricing_costs_what_running_costs() {
         let pool = SparseMaxPool3d::new("p", 2, 2);
-        let mut full = ctx();
-        let mut dry = ctx();
-        dry.simulate_only = true;
+        let engine = || crate::Engine::with_config(ctx().config, DeviceProfile::rtx_2080ti());
+        let (mut run, mut priced) = (engine(), engine());
         let x = line_tensor();
-        let a = pool.forward(&x, &mut full).unwrap();
-        let b = pool.forward(&x, &mut dry).unwrap();
-        assert_eq!(a.coords(), b.coords());
-        assert_eq!(full.timeline().total(), dry.timeline().total());
+        run.run(&pool, &x).unwrap();
+        assert_eq!(priced.price(&pool, &x).unwrap(), run.last_timeline());
     }
 }

@@ -387,7 +387,7 @@ impl<'m> CompiledSession<'m> {
         };
         let tensor = sanitized.as_ref().unwrap_or(input);
         let fingerprint = geometry_fingerprint(tensor.coords(), tensor.stride());
-        let mut plan = build_plan(&ops, tensor, fingerprint, ctx)?.0;
+        let mut plan = build_plan(&ops, tensor, fingerprint, ctx)?;
         defer_mapping(&plan, ctx);
         // Policy search runs against the frozen plan: warm-start from the
         // on-disk tuning database when a matching geometry class exists,
@@ -564,7 +564,7 @@ fn replan_into_slot(
     } else {
         stats.full_replans += 1;
     }
-    let plan = build_plan(ops, input, fingerprint, ctx)?.0;
+    let plan = build_plan(ops, input, fingerprint, ctx)?;
     defer_mapping(&plan, ctx);
     Ok(plan)
 }
@@ -580,24 +580,30 @@ fn trace<'m, M: Module + ?Sized>(model: &'m M) -> Result<Vec<LayerOp<'m>>, CoreE
 /// against `input`'s geometry (an ephemeral plan), executes it with
 /// [`run_steps`] — the executor of every compiled frame — and logs the plan
 /// as one charge whose cost, map searches included, is walked when the
-/// run's timeline is read. Under [`Context::simulate_only`] nothing
-/// executes: the output is zeros on the planned geometry.
+/// run's timeline is read.
 pub(crate) fn run_ephemeral<M: Module + ?Sized>(
     model: &M,
     input: &SparseTensor,
     ctx: &mut Context,
 ) -> Result<SparseTensor, CoreError> {
     let ops = trace(model)?;
-    let (plan, planned) = build_plan(&ops, input, 0, ctx)?;
-    let (out, reruns) = if ctx.simulate_only {
-        let coords = planned.coords.get().to_vec();
-        let feats = Matrix::zeros(coords.len(), planned.channels);
-        (SparseTensor::with_stride(coords, feats, planned.stride)?, Vec::new())
-    } else {
-        run_steps(&ops, &plan, input, ctx)?
-    };
+    let plan = build_plan(&ops, input, 0, ctx)?;
+    let (out, reruns) = run_steps(&ops, &plan, input, ctx)?;
     ctx.defer(Charge::ephemeral_plan(plan, reruns, ctx.profile_layers));
     Ok(out)
+}
+
+/// [`Engine::price`]'s body: [`run_ephemeral`] without the execution. The
+/// plan is logged as if it ran with no FP16 overflow re-runs, which is what
+/// its simulated cost depends on — geometry, never feature values.
+pub(crate) fn price_ephemeral<M: Module + ?Sized>(
+    model: &M,
+    input: &SparseTensor,
+    ctx: &mut Context,
+) -> Result<(), CoreError> {
+    let plan = build_plan(&trace(model)?, input, 0, ctx)?;
+    ctx.defer(Charge::ephemeral_plan(plan, Vec::new(), ctx.profile_layers));
+    Ok(())
 }
 
 /// Logs a compiled plan's map searches on the frame that built it, in step
@@ -609,23 +615,23 @@ fn defer_mapping(plan: &ExecutionPlan, ctx: &mut Context) {
 }
 
 /// Plans every op against the geometry cursor, producing the index-aligned
-/// [`StepPlan`] list and the output geometry. Only geometric work happens
-/// here (map building, output coordinate computation, grouping, buffer
-/// slots); features are never read and nothing is charged — each step
-/// records the `Mapping` latency of its own map search.
-fn build_plan<'a>(
+/// [`StepPlan`] list. Only geometric work happens here (map building,
+/// output coordinate computation, grouping, buffer slots); features are
+/// never read and nothing is charged — each step records the `Mapping`
+/// latency of its own map search.
+fn build_plan(
     ops: &[LayerOp<'_>],
-    input: &'a SparseTensor,
+    input: &SparseTensor,
     fingerprint: u64,
     ctx: &mut Context,
-) -> Result<(ExecutionPlan, Geometry<'a>), CoreError> {
+) -> Result<ExecutionPlan, CoreError> {
     let mut cur = Geometry {
         coords: Coords::Input(input.coords()),
         stride: input.stride(),
         channels: input.channels(),
         value: None,
     };
-    let mut stack: Vec<Geometry<'a>> = Vec::new();
+    let mut stack: Vec<Geometry<'_>> = Vec::new();
     let mut steps = Vec::with_capacity(ops.len());
     // The layer name of every step that records a layer profile.
     let mut names = Vec::with_capacity(ops.len());
@@ -633,7 +639,10 @@ fn build_plan<'a>(
     let mut buffers = Vec::with_capacity(ops.len());
     let mut life = Lifetimes::default();
     for (i, op) in ops.iter().enumerate() {
-        ctx.check_deadline("mapping")?;
+        // A cost-only step has no work, so no stage boundary either.
+        if !matches!(op, LayerOp::CostSurcharge { .. }) {
+            ctx.check_deadline("mapping")?;
+        }
         names.push(match op {
             LayerOp::Conv(conv) | LayerOp::ResidualAdd { projection: Some(conv) } => {
                 Some(conv.layer_name().to_owned())
@@ -719,6 +728,9 @@ fn build_plan<'a>(
                 written.copy = cur.rewritten(&stack, shortcut, &mut life, i);
                 StepPlan::Residual { projection: proj }
             }
+            &LayerOp::CostSurcharge { stage, fraction } => {
+                StepPlan::CostSurcharge { stage, fraction }
+            }
         };
         steps.push(step);
         buffers.push(written);
@@ -738,7 +750,7 @@ fn build_plan<'a>(
         b.out = b.out.map(|v| slot[v]);
         b.copy = b.copy.map(|v| slot[v]);
     }
-    let plan = ExecutionPlan {
+    Ok(ExecutionPlan {
         fingerprint,
         input_shape: (input.len(), input.channels()),
         steps,
@@ -746,8 +758,7 @@ fn build_plan<'a>(
         buffers,
         slot_lens,
         cost: OnceLock::new(),
-    };
-    Ok((plan, cur))
+    })
 }
 
 impl<'a> Geometry<'a> {
@@ -856,11 +867,13 @@ fn run_steps_on(
         // Deadline boundary: the gather-GEMM-scatter stage covers
         // convolution steps (including residual projections); everything
         // else — pointwise sweeps, pooling, concat/residual joins — is
-        // epilogue work. A fused step still checks its boundary, in order.
+        // epilogue work. A fused step still checks its boundary, in order;
+        // a cost-only step is identity, with no boundary.
         let stage = match op {
             LayerOp::Conv(_) | LayerOp::ResidualAdd { projection: Some(_) } => {
                 "gather-gemm-scatter"
             }
+            LayerOp::CostSurcharge { .. } => continue,
             _ => "epilogue",
         };
         ctx.check_deadline(stage)?;

@@ -133,12 +133,14 @@ pub fn tune_engine<M: Module + ?Sized>(
     let configs_searched = epsilons.len() * thresholds.len();
 
     // Profile: collect per-layer workloads across the calibration scenes.
+    // Workloads are geometry, recorded when a plan is built: pricing each
+    // scene records them without running it.
     let mut per_layer: HashMap<String, Vec<LayerWorkload>> = HashMap::new();
     let mut failure: Option<String> = None;
     for sample in samples {
         engine.context_mut().record_workloads = true;
         engine.context_mut().workloads.clear();
-        let run = engine.run(model, sample);
+        let run = engine.price(model, sample).map(|_| ());
         engine.context_mut().record_workloads = false;
         if let Err(e) = run {
             failure = Some(e.to_string());
@@ -461,7 +463,7 @@ fn tune_layer(
     let map_sizes = p.map().sizes();
     let total_entries: usize = map_sizes.iter().sum();
     let n_out = p.out_coords().len();
-    let measurable = total_entries >= MEASURE_FLOOR && !ctx.simulate_only;
+    let measurable = total_entries >= MEASURE_FLOOR;
     let key = policy_key(
         n_out,
         total_entries,

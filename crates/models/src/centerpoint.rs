@@ -1,6 +1,5 @@
 use crate::blocks::{ConvBnReLU, ResidualBlock};
-use torchsparse_core::cost_model::Charge;
-use torchsparse_core::{Context, CoreError, Module, SparseTensor, Tracer};
+use torchsparse_core::{CoreError, LayerOp, Module, Tracer};
 use torchsparse_gpusim::Stage;
 
 /// CenterPoint's sparse 3D encoder (Yin et al. 2021): a SECOND-style
@@ -14,18 +13,18 @@ use torchsparse_gpusim::Stage;
 /// charged to [`Stage::Other`] — exactly the accounting the paper applies
 /// when it says "our speedup ratio on sparse convolution is 10% more for
 /// CenterPoint".
+///
+/// The head traces as a cost-only [`LayerOp::CostSurcharge`], so the whole
+/// model runs as one plan and compiles. Its fraction applies to what the
+/// plan walk accrued before it: a dynamic frame's whole plan, map searches
+/// included; a compiled frame's execute path.
 pub struct CenterPoint {
     name: String,
-    backbone: Backbone,
-    /// Dense-head surcharge as a fraction of backbone latency.
-    head_fraction: f64,
-}
-
-/// The sparse encoder: traceable, so it runs as one plan.
-struct Backbone {
     input_conv: ConvBnReLU,
     /// (optional downsample, block1, block2) per stage.
     stages: Vec<(Option<ConvBnReLU>, ResidualBlock, ResidualBlock)>,
+    /// Dense-head surcharge as a fraction of backbone latency.
+    head_fraction: f64,
 }
 
 impl CenterPoint {
@@ -61,39 +60,22 @@ impl CenterPoint {
         }
         CenterPoint {
             name: "CenterPoint".to_owned(),
-            backbone: Backbone { input_conv, stages },
+            input_conv,
+            stages,
             head_fraction: 0.1 / 0.9, // head = 10% of the end-to-end total
         }
     }
 
     /// Number of backbone stages.
     pub fn stages(&self) -> usize {
-        self.backbone.stages.len()
+        self.stages.len()
     }
 }
 
 impl Module for CenterPoint {
-    /// The backbone's plan, then the dense head (BEV convolutions + NMS):
-    /// a fixed fraction of the sparse backbone latency accrued since the
-    /// mark, independent of the engine (§5.2). The head is cost-only, so
-    /// the model cannot trace.
-    fn forward(&self, input: &SparseTensor, ctx: &mut Context) -> Result<SparseTensor, CoreError> {
-        ctx.defer(Charge::mark());
-        let out = self.backbone.forward(input, ctx)?;
-        ctx.defer(Charge::surcharge(Stage::Other, self.head_fraction));
-        Ok(out)
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn param_count(&self) -> usize {
-        self.backbone.param_count()
-    }
-}
-
-impl Module for Backbone {
+    /// The backbone's layers, then the dense head (BEV convolutions + NMS):
+    /// a fixed fraction of the sparse backbone latency, independent of the
+    /// engine (§5.2).
     fn trace<'m>(&'m self, tracer: &mut Tracer<'m>) -> Result<(), CoreError> {
         self.input_conv.trace(tracer)?;
         for (down, b1, b2) in &self.stages {
@@ -103,11 +85,12 @@ impl Module for Backbone {
             b1.trace(tracer)?;
             b2.trace(tracer)?;
         }
+        tracer.push(LayerOp::CostSurcharge { stage: Stage::Other, fraction: self.head_fraction });
         Ok(())
     }
 
     fn name(&self) -> &str {
-        "CenterPoint.backbone"
+        &self.name
     }
 
     fn param_count(&self) -> usize {
@@ -126,7 +109,7 @@ impl Module for Backbone {
 mod tests {
     use super::*;
     use torchsparse_coords::Coord;
-    use torchsparse_core::{DeviceProfile, Engine, EnginePreset};
+    use torchsparse_core::{DeviceProfile, Engine, EnginePreset, SparseTensor};
     use torchsparse_tensor::Matrix;
 
     fn scene() -> SparseTensor {

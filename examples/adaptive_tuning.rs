@@ -17,11 +17,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = MinkUNet::with_width(0.5, 4, 19, 5);
 
     let mut engine = Engine::new(EnginePreset::TorchSparse, DeviceProfile::rtx_2080ti());
-    engine.context_mut().simulate_only = true;
 
-    // Untuned run (the preset's default epsilon/S).
-    engine.run(&model, &test_scene)?;
-    let before = engine.last_timeline().stage(Stage::MatMul);
+    // Untuned price (the preset's default epsilon/S): planned and walked
+    // through the cost model, never executed.
+    let before = engine.price(&model, &test_scene)?.stage(Stage::MatMul);
 
     // Algorithm 5: tune per-layer (epsilon, S) on the calibration scenes.
     let report = tune_engine(&mut engine, &model, &calibration, None)?;
@@ -41,9 +40,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  ... and {} more layers", layers.len() - 8);
     }
 
-    // Tuned run on an unseen scene.
-    engine.run(&model, &test_scene)?;
-    let after = engine.last_timeline().stage(Stage::MatMul);
+    // Tuned price on an unseen scene.
+    let after = engine.price(&model, &test_scene)?.stage(Stage::MatMul);
     println!(
         "\nmatmul latency on an unseen scene: {} -> {} ({:.2}x)",
         before,

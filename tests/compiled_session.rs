@@ -5,8 +5,8 @@
 
 use torchsparse::coords::Coord;
 use torchsparse::core::{
-    CompiledSession, CoreError, Engine, EnginePreset, FaultSite, Module, Precision, SparseTensor,
-    Tracer,
+    CompiledSession, CoreError, Engine, EnginePreset, FaultSite, LayerOp, Module, Precision,
+    SparseTensor, Tracer,
 };
 use torchsparse::gpusim::{DeviceProfile, Stage};
 use torchsparse::models::{CenterPoint, MinkUNet, Spvcnn};
@@ -55,6 +55,11 @@ fn assert_compiled_matches_dynamic<M: Module>(model: &M, x: &SparseTensor, label
             assert!(
                 session.last_latency() < dynamic.last_latency(),
                 "{label} {preset:?}/{precision:?}: plan reuse must beat dynamic"
+            );
+            assert_eq!(
+                session.last_timeline().stage(Stage::Mapping).as_f64(),
+                0.0,
+                "{label} {preset:?}/{precision:?}: a plan hit must not search maps"
             );
         }
     }
@@ -179,18 +184,49 @@ fn fp16_overflow_fault_degrades_identically_at_execute() {
     );
 }
 
-#[test]
-fn centerpoint_is_untraceable_by_design() {
-    // CenterPoint's detection head slices dense feature maps with
-    // data-dependent shapes; it cannot be expressed in the layer-op IR.
-    let net = CenterPoint::new(5, 3);
-    let mut tracer = Tracer::new();
-    let err = net.trace(&mut tracer).expect_err("must refuse to trace");
-    assert!(matches!(err, CoreError::Untraceable { .. }));
+/// Replays a traced op list: the backbone of a model without its head.
+struct Ops<'a>(Vec<LayerOp<'a>>);
 
+impl Module for Ops<'_> {
+    fn trace<'m>(&'m self, tracer: &mut Tracer<'m>) -> Result<(), CoreError> {
+        self.0.iter().for_each(|op| tracer.push(*op));
+        Ok(())
+    }
+
+    fn name(&self) -> &str {
+        "ops"
+    }
+}
+
+/// CenterPoint's dense head traces as a cost-only step, so the detector
+/// compiles whole: a hit equals the dynamic run bit for bit and charges no
+/// `Mapping`. On a hit the head costs a ninth of the execute path before
+/// it — a tenth of the frame — where a dynamic frame's head also covers the
+/// map searches.
+#[test]
+fn centerpoint_compiles_and_hits_match_dynamic_bits() {
+    let net = CenterPoint::with_widths(5, &[8, 16, 32], 3);
     let x = scene(5, 0);
-    let engine = Engine::new(EnginePreset::TorchSparse, DeviceProfile::rtx_2080ti());
-    assert!(matches!(engine.compile(&net, &x), Err(CoreError::Untraceable { .. })));
+    assert_compiled_matches_dynamic(&net, &x, "CenterPoint");
+
+    let mut tracer = Tracer::new();
+    net.trace(&mut tracer).expect("CenterPoint traces");
+    let (head, backbone) = tracer.ops().split_last().expect("ops");
+    assert!(matches!(head, LayerOp::CostSurcharge { stage: Stage::Other, .. }));
+    let backbone = Ops(backbone.to_vec());
+    let hit = |m: &dyn Module| {
+        let mut session =
+            engine(EnginePreset::TorchSparse, Precision::Fp16).compile(m, &x).expect("compile");
+        session.execute(&x).expect("hit");
+        session.last_timeline().clone()
+    };
+    let (with_head, without) = (hit(&net), hit(&backbone));
+    let head_us = with_head.stage(Stage::Other).as_f64() - without.stage(Stage::Other).as_f64();
+    let expected = without.total().as_f64() / 9.0;
+    assert!((head_us - expected).abs() < 1e-9 * expected, "head {head_us} vs {expected}");
+    for stage in [Stage::Mapping, Stage::Gather, Stage::MatMul, Stage::Scatter] {
+        assert_eq!(with_head.stage(stage), without.stage(stage), "{stage}");
+    }
 }
 
 #[test]

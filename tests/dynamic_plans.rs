@@ -4,8 +4,9 @@
 //! charge. This suite pins what that buys beyond the bit-for-bit timelines
 //! of `timeline_golden_bits.rs`: a run split into several plans (a
 //! `Sequential` around an untraceable module) equals one plan of the same
-//! layers, and dynamic runs honour deadlines at the compiled frame's
-//! stage boundaries.
+//! layers, dynamic runs honour deadlines at the compiled frame's stage
+//! boundaries, and `Engine::price` — the plan without its execution — reports
+//! what the run reports.
 
 #[path = "support/cost_fixtures.rs"]
 mod fixtures;
@@ -13,9 +14,11 @@ mod fixtures;
 use fixtures::{engine, model, scene, stage_bits, untuned};
 use std::time::Duration;
 use torchsparse::core::{
-    Context, CoreError, Deadline, FaultSite, Module, Precision, Sequential, SparseTensor, Tracer,
+    Context, CoreError, Deadline, Engine, EnginePreset, FaultSite, Module, Precision, Sequential,
+    SparseTensor, Tracer,
 };
-use torchsparse::models::{CenterPoint, ConvBnReLU, ResidualBlock};
+use torchsparse::gpusim::DeviceProfile;
+use torchsparse::models::{CenterPoint, ConvBnReLU, MinkUNet, ResidualBlock};
 
 /// An untraceable module: it overrides `forward` and cannot be planned.
 struct Identity;
@@ -110,5 +113,35 @@ fn dynamic_runs_fail_at_the_deadline_and_recover() {
         let again = e.run(m, &x).expect("the next run has no deadline");
         assert_eq!(feature_bits(&again), feature_bits(&clean));
         assert_eq!(stage_bits(e.last_timeline()), clean_timeline);
+    }
+}
+
+/// Pricing a model is running it without the execution: the same timeline
+/// bits, layer profiles and recorded workloads, for MinkUNet and for
+/// CenterPoint (whose dense head is a cost-only step of the plan), under
+/// three presets.
+#[test]
+fn price_matches_run_bit_for_bit() {
+    let unet = MinkUNet::with_width(0.25, 4, 3, 11);
+    let detector = CenterPoint::with_widths(5, &[8, 16], 3);
+    for (m, x) in [(&unet as &dyn Module, scene(4)), (&detector, scene(5))] {
+        for preset in
+            [EnginePreset::BaselineFp32, EnginePreset::TorchSparse, EnginePreset::MinkowskiEngine]
+        {
+            let mut run = Engine::new(preset, DeviceProfile::rtx_2080ti());
+            let mut priced = Engine::new(preset, DeviceProfile::rtx_2080ti());
+            for e in [&mut run, &mut priced] {
+                e.context_mut().profile_layers = true;
+                e.context_mut().record_workloads = true;
+            }
+            run.run(m, &x).expect("run");
+            let timeline = stage_bits(priced.price(m, &x).expect("price"));
+            let label = format!("{} / {preset:?}", m.name());
+            assert_eq!(timeline, stage_bits(run.last_timeline()), "{label}: timeline bits");
+            let (a, b) = (run.context(), priced.context());
+            assert_eq!(a.layer_profiles(), b.layer_profiles(), "{label}: layer profiles");
+            assert_eq!(a.workloads, b.workloads, "{label}: recorded workloads");
+            assert!(!b.workloads.is_empty(), "{label}");
+        }
     }
 }

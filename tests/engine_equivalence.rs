@@ -72,9 +72,7 @@ fn torchsparse_is_fastest_preset_everywhere() {
         for (input, model) in [(&seg_input, &seg as &dyn Module), (&det_input, &det as &dyn Module)]
         {
             let mut ts = Engine::new(EnginePreset::TorchSparse, device.clone());
-            ts.context_mut().simulate_only = true;
-            ts.run(model, input).expect("torchsparse run");
-            let ts_latency = ts.last_latency();
+            let ts_latency = ts.price(model, input).expect("torchsparse price").total();
             for preset in [
                 EnginePreset::BaselineFp32,
                 EnginePreset::MinkowskiEngine,
@@ -82,14 +80,13 @@ fn torchsparse_is_fastest_preset_everywhere() {
                 EnginePreset::SpConvFp16,
             ] {
                 let mut other = Engine::new(preset, device.clone());
-                other.context_mut().simulate_only = true;
-                other.run(model, input).expect("competitor run");
+                let latency = other.price(model, input).expect("competitor price").total();
                 assert!(
-                    other.last_latency() > ts_latency,
+                    latency > ts_latency,
                     "{} should lose to TorchSparse on {} ({} vs {})",
                     preset.name(),
                     device.name,
-                    other.last_latency(),
+                    latency,
                     ts_latency
                 );
             }

@@ -366,6 +366,7 @@ fn one_op_per_plan(model: &dyn Module, x: &SparseTensor, cfg: &OptimizationConfi
                 };
                 cur.with_feats(cur.feats() + shortcut.feats())
             }
+            LayerOp::CostSurcharge { .. } => Ok(cur),
         }
         .expect("op runs");
     }

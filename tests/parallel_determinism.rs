@@ -2,15 +2,20 @@
 //! every dataflow and storage precision, the engine's output is bitwise
 //! identical at any worker count, workspace buffers are recycled across
 //! forward passes, and fault-injection fallbacks behave exactly as they do
-//! on the serial engine.
+//! on the serial engine. A compiled hit frame's task graph is pinned too:
+//! its wave and task counts may only fall.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use torchsparse::coords::Coord;
+use torchsparse::core::runtime::ThreadPool;
 use torchsparse::core::{
-    BatchNorm, Engine, EnginePreset, FaultSite, Module, OptimizationConfig, Precision, ReLU,
-    Sequential, SimdPolicy, SparseConv3d, SparseTensor,
+    BatchNorm, Engine, EnginePreset, FaultSite, LayerOp, Module, OptimizationConfig, Precision,
+    ReLU, Sequential, SimdPolicy, SparseConv3d, SparseTensor, Tracer,
 };
-use torchsparse::gpusim::DeviceProfile;
+use torchsparse::data::SyntheticDataset;
+use torchsparse::gpusim::{DeviceProfile, Stage};
+use torchsparse::models::MinkUNet;
 use torchsparse::tensor::Matrix;
 
 /// Thread counts every configuration is checked at; `1` is the exact
@@ -196,4 +201,45 @@ fn fp16_overflow_rerun_identical_under_parallel_runtime() {
     assert!(serial.0 >= 1, "fault must trigger the FP32 re-run");
     let parallel = run_with(4);
     assert_eq!(serial, parallel, "overflow re-run diverges under parallel runtime");
+}
+
+/// Scene scale of the traced frame (SemanticKITTI-like).
+const SCALE: f64 = 0.01;
+/// Pool waves (one per `ThreadPool::run`, each a barrier) a compiled hit
+/// frame of the MinkUNet (0.5x) below may run.
+const MAX_HIT_WAVES: usize = 84;
+/// Pool tasks that frame may run.
+const MAX_HIT_TASKS: usize = 1081;
+
+/// A compiled MinkUNet (0.5x) hit frame on a SemanticKITTI-like scene is a
+/// fixed task graph: traced on a recording pool, it runs at most
+/// [`MAX_HIT_WAVES`] waves of at most [`MAX_HIT_TASKS`] tasks — the counts
+/// the executor had when its pointwise sweeps moved into the convolutions'
+/// output tasks — and searches no maps. Unlike a timed parallel fraction,
+/// the counts are exact on any host; a frame whose waves grow has grown a
+/// serial op boundary.
+#[test]
+fn compiled_hit_frame_runs_a_bounded_task_graph_and_no_mapping() {
+    let x = SyntheticDataset::semantic_kitti(SCALE, 4).scene(42).expect("scene");
+    let net = MinkUNet::with_width(0.5, 4, 19, 42);
+    let mut cfg = OptimizationConfig::torchsparse();
+    cfg.threads = Some(1);
+    cfg.autotune_policies = false;
+    let mut session =
+        Engine::with_config(cfg, DeviceProfile::rtx_2080ti()).compile(&net, &x).expect("compile");
+    session.execute(&x).expect("warm-up hit");
+    let pool = Arc::new(ThreadPool::new_recording());
+    session.engine_mut().context_mut().runtime.set_pool(pool.clone());
+    session.execute(&x).expect("traced hit");
+    let trace = pool.take_trace();
+    let (waves, tasks) = (trace.len(), trace.iter().map(Vec::len).sum::<usize>());
+    assert!(waves <= MAX_HIT_WAVES, "{waves} waves per hit frame (at most {MAX_HIT_WAVES})");
+    assert!(tasks <= MAX_HIT_TASKS, "{tasks} tasks per hit frame (at most {MAX_HIT_TASKS})");
+    // Every convolution runs on the pool.
+    let mut tracer = Tracer::new();
+    net.trace(&mut tracer).expect("MinkUNet traces");
+    let convs = tracer.ops().iter().filter(|op| matches!(op, LayerOp::Conv(_))).count();
+    assert!(waves >= convs, "{waves} waves for {convs} convolutions");
+    assert_eq!(session.stats().hits, 2);
+    assert_eq!(session.last_timeline().stage(Stage::Mapping).as_f64(), 0.0, "a hit maps nothing");
 }

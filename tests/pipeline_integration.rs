@@ -44,14 +44,10 @@ fn tuning_transfers_to_unseen_scenes() {
     let model = MinkUNet::with_width(0.25, 4, 8, 4);
 
     let mut engine = Engine::new(EnginePreset::TorchSparse, DeviceProfile::rtx_2080ti());
-    engine.context_mut().simulate_only = true;
-
-    engine.run(&model, &unseen).expect("untuned run");
-    let untuned = engine.last_timeline().stage(Stage::MatMul);
+    let untuned = engine.price(&model, &unseen).expect("untuned price").stage(Stage::MatMul);
 
     tune_engine(&mut engine, &model, &calibration, None).expect("tuning");
-    engine.run(&model, &unseen).expect("tuned run");
-    let tuned = engine.last_timeline().stage(Stage::MatMul);
+    let tuned = engine.price(&model, &unseen).expect("tuned price").stage(Stage::MatMul);
 
     assert!(
         tuned.as_f64() <= untuned.as_f64() * 1.02,
@@ -81,11 +77,10 @@ fn every_benchmark_model_runs_on_every_device() {
         };
         for device in DeviceProfile::evaluation_devices() {
             let mut engine = Engine::new(EnginePreset::TorchSparse, device);
-            engine.context_mut().simulate_only = true;
-            engine.run(model.as_ref(), &input).unwrap_or_else(|e| {
+            let timeline = engine.price(model.as_ref(), &input).unwrap_or_else(|e| {
                 panic!("{} failed: {e}", bm.name());
             });
-            assert!(engine.last_latency().as_f64() > 0.0);
+            assert!(timeline.total().as_f64() > 0.0);
         }
     }
 }
@@ -97,9 +92,8 @@ fn faster_devices_are_faster() {
     let mut latencies = Vec::new();
     for device in DeviceProfile::evaluation_devices() {
         let mut engine = Engine::new(EnginePreset::TorchSparse, device.clone());
-        engine.context_mut().simulate_only = true;
-        engine.run(&model, &input).expect("run");
-        latencies.push((device.name.clone(), engine.last_latency().as_f64()));
+        let latency = engine.price(&model, &input).expect("price").total();
+        latencies.push((device.name.clone(), latency.as_f64()));
     }
     // Devices are returned oldest first; latency must decrease.
     assert!(
