@@ -140,21 +140,13 @@ pub struct OptimizationConfig {
     /// (no longer bitwise identical to the scalar kernel — typically a few
     /// ULPs tighter), so it is opt-in and off in every preset.
     pub fma_gemm: bool,
-    /// Run the per-layer execution-policy search at
-    /// [`Engine::compile`](crate::Engine::compile) time: each traced conv
-    /// layer gets an [`ExecPolicy`](crate::tuning::ExecPolicy) (grouping
-    /// ε/S, SIMD kernel, executor chunk rows, GEMM panel rows) chosen by a
-    /// cost-model prune followed by wall-clock microbench refinement on the
-    /// layer's actual kernel map. Every candidate policy is bitwise-neutral,
-    /// so this only changes speed. Defaults on in every preset.
+    /// Pick each traced convolution's grouping at
+    /// [`Engine::compile`](crate::Engine::compile) time with Algorithm 5's
+    /// cost function on the simulated device (ε/S grid against the
+    /// configured grouping, on the layer's actual kernel map). Grouping
+    /// only changes the simulated GEMM launches, so this never changes
+    /// output bits and times nothing. Defaults on in every preset.
     pub autotune_policies: bool,
-    /// Location of the persistent tuning database (versioned JSON, written
-    /// atomically) that lets later sessions and serving replicas warm-start
-    /// the policy search with zero measurements. `None` resolves to
-    /// `$TORCHSPARSE_TUNE_DB`, else `$XDG_CACHE_HOME/torchsparse/` (or
-    /// `$HOME/.cache/torchsparse/`); when no location resolves, tuning
-    /// still runs but winners are not persisted.
-    pub tune_db: Option<std::path::PathBuf>,
     /// Patch a compiled session's frozen plan incrementally when a frame's
     /// geometry differs only slightly from the planned one, instead of
     /// discarding the plan and paying a full mapping rebuild. The patched
@@ -166,59 +158,8 @@ pub struct OptimizationConfig {
     pub delta_replan: bool,
 }
 
-/// Resolves the tuning-database location: `TORCHSPARSE_TUNE_DB` (a
-/// non-empty path) wins over `config.tune_db`, which wins over the default
-/// cache directory (`$XDG_CACHE_HOME/torchsparse/tune-v1.json`, else
-/// `$HOME/.cache/torchsparse/tune-v1.json`). Returns `None` when no
-/// location resolves — tuning then runs without persistence. The variable
-/// is read once per process; a set-but-empty value emits a one-time
-/// warning and defers to the configuration instead of being silently
-/// ignored.
-pub fn tune_db_path(config: &OptimizationConfig) -> Option<std::path::PathBuf> {
-    static OVERRIDE: std::sync::OnceLock<Option<std::path::PathBuf>> = std::sync::OnceLock::new();
-    let forced = OVERRIDE.get_or_init(|| {
-        let raw = std::env::var("TORCHSPARSE_TUNE_DB").ok()?;
-        match parse_tune_db_override(&raw) {
-            Ok(path) => Some(path),
-            Err(warning) => {
-                torchsparse_runtime::warn_env_once("TORCHSPARSE_TUNE_DB", &warning);
-                None
-            }
-        }
-    });
-    if let Some(path) = forced {
-        return Some(path.clone());
-    }
-    if let Some(path) = &config.tune_db {
-        return Some(path.clone());
-    }
-    let cache_root = match std::env::var_os("XDG_CACHE_HOME") {
-        Some(dir) if !dir.is_empty() => std::path::PathBuf::from(dir),
-        _ => {
-            let home = std::env::var_os("HOME").filter(|h| !h.is_empty())?;
-            std::path::PathBuf::from(home).join(".cache")
-        }
-    };
-    Some(cache_root.join("torchsparse").join("tune-v1.json"))
-}
-
-/// Strictly parses a `TORCHSPARSE_TUNE_DB` value; factored out of
-/// [`tune_db_path`] so the policy is testable without touching process
-/// state. Empty values return the warning message to emit.
-fn parse_tune_db_override(raw: &str) -> Result<std::path::PathBuf, String> {
-    if raw.trim().is_empty() {
-        Err(format!(
-            "TORCHSPARSE_TUNE_DB={raw:?} is empty; falling back to the engine \
-             configuration's tune_db path (or the default cache directory)"
-        ))
-    } else {
-        Ok(std::path::PathBuf::from(raw))
-    }
-}
-
 /// Every `TORCHSPARSE_*` environment variable the engine reads.
-const KNOWN_ENV_VARS: [&str; 3] =
-    ["TORCHSPARSE_THREADS", "TORCHSPARSE_SIMD", "TORCHSPARSE_TUNE_DB"];
+const KNOWN_ENV_VARS: [&str; 2] = ["TORCHSPARSE_THREADS", "TORCHSPARSE_SIMD"];
 
 /// Warns once per process about every set `TORCHSPARSE_*` variable the
 /// engine does not read, so a typo (`TORCHSPARSE_THREDS`) or a knob a later
@@ -276,7 +217,6 @@ impl OptimizationConfig {
             simd: SimdPolicy::Auto,
             fma_gemm: false,
             autotune_policies: true,
-            tune_db: None,
             delta_replan: true,
         }
     }
@@ -301,11 +241,10 @@ impl OptimizationConfig {
             threads: None,
             simd: SimdPolicy::Auto,
             fma_gemm: false,
-            // Policy autotuning is bitwise-neutral (it only re-partitions
-            // the host executor's work), so like `simd` it stays on even in
-            // the baseline.
+            // Compile-time grouping is bitwise-neutral (only the simulated
+            // GEMM launches see it), so like `simd` it stays on even in the
+            // baseline.
             autotune_policies: true,
-            tune_db: None,
             // Delta re-planning is bitwise-neutral too (it bails to a full
             // re-plan whenever equality cannot be guaranteed), so the
             // baseline keeps it on.
@@ -436,8 +375,9 @@ mod tests {
     fn unrecognised_env_vars_are_reported() {
         // Retired knobs, spelled by suffix so the verify recipe's grep gate
         // for their names stays empty.
-        let retired = ["AUTOTUNE", "COORD_INDEX", "DELTA_REPLAN", "EXACT_ACCUM", "FUSED"]
-            .map(|suffix| format!("TORCHSPARSE_{suffix}"));
+        let retired =
+            ["AUTOTUNE", "COORD_INDEX", "DELTA_REPLAN", "EXACT_ACCUM", "FUSED", "TUNE_DB"]
+                .map(|suffix| format!("TORCHSPARSE_{suffix}"));
         let env = [
             "PATH",
             "TORCHSPARSE_THREADS",
@@ -445,14 +385,14 @@ mod tests {
             "torchsparse_simd",   // not ours: the prefix is case-sensitive
         ];
         let names = env.into_iter().chain(retired.iter().map(String::as_str));
-        let w = unrecognised_env_warning(names).expect("six unknown names must warn");
+        let w = unrecognised_env_warning(names).expect("seven unknown names must warn");
         let reported = w.split(": set").next().expect("split yields a first piece");
-        assert_eq!(reported, format!("{}, TORCHSPARSE_THREDS", retired.join(", ")));
+        let mut expected: Vec<&str> = retired.iter().map(String::as_str).collect();
+        expected.push("TORCHSPARSE_THREDS");
+        expected.sort_unstable();
+        assert_eq!(reported, expected.join(", "));
         assert!(w.contains("Recognised: TORCHSPARSE_THREADS"), "must list the valid names: {w}");
-        assert_eq!(
-            KNOWN_ENV_VARS,
-            ["TORCHSPARSE_THREADS", "TORCHSPARSE_SIMD", "TORCHSPARSE_TUNE_DB"]
-        );
+        assert_eq!(KNOWN_ENV_VARS, ["TORCHSPARSE_THREADS", "TORCHSPARSE_SIMD"]);
         assert_eq!(unrecognised_env_warning(KNOWN_ENV_VARS.into_iter().chain(["HOME"])), None);
     }
 
@@ -471,36 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn tune_db_override_parses_strictly() {
-        assert_eq!(
-            parse_tune_db_override("/tmp/db.json"),
-            Ok(std::path::PathBuf::from("/tmp/db.json"))
-        );
-        assert_eq!(
-            parse_tune_db_override("relative/dir/tune.json"),
-            Ok(std::path::PathBuf::from("relative/dir/tune.json"))
-        );
-        for bad in ["", "   "] {
-            let w = parse_tune_db_override(bad).expect_err("empty value must warn");
-            assert!(w.contains("TORCHSPARSE_TUNE_DB"), "warning must name the variable: {w}");
-            assert!(w.contains("tune_db"), "warning must name the fallback: {w}");
-        }
-    }
-
-    #[test]
-    fn explicit_tune_db_wins_over_default_cache_dir() {
-        if std::env::var_os("TORCHSPARSE_TUNE_DB").is_some() {
-            return; // the env override legitimately wins; nothing to check
-        }
-        let mut c = OptimizationConfig::torchsparse();
-        c.tune_db = Some(std::path::PathBuf::from("/tmp/torchsparse-test/db.json"));
-        assert_eq!(
-            tune_db_path(&c),
-            Some(std::path::PathBuf::from("/tmp/torchsparse-test/db.json"))
-        );
-    }
-
-    #[test]
     fn presets_default_to_autotune_on() {
         for preset in [
             EnginePreset::TorchSparse,
@@ -511,7 +421,6 @@ mod tests {
         ] {
             let c = preset.config();
             assert!(c.autotune_policies, "{}: autotuning is bitwise-neutral", preset.name());
-            assert_eq!(c.tune_db, None, "{}", preset.name());
         }
     }
 

@@ -1,4 +1,4 @@
-use crate::config::OptimizationConfig;
+use crate::config::{GroupingStrategy, OptimizationConfig};
 use crate::cost_model::{Charge, Ledger};
 use crate::CoreError;
 use std::collections::HashMap;
@@ -132,11 +132,14 @@ pub struct Context {
     /// Per-layer tuned `(epsilon, S)` for adaptive grouping, filled by
     /// [`crate::tuning`].
     pub tuned_groups: HashMap<String, (f64, usize)>,
-    /// Per-layer tuned execution policies, filled by the compile-time
-    /// policy search ([`crate::tuning::autotune_plan`]). Survives
-    /// [`Context::begin_run`] like [`Context::tuned_groups`] so re-plans
-    /// after a geometry change keep the tuned selections.
-    pub tuned_policies: HashMap<String, crate::tuning::ExecPolicy>,
+    /// Per-layer groupings chosen at compile time
+    /// ([`crate::tuning::autotune_plan`]). Outranks
+    /// [`Context::tuned_groups`] when a layer is planned, and survives
+    /// [`Context::begin_run`] like it so re-plans after a geometry change
+    /// keep the tuned selections. Kept apart from `tuned_groups` because it
+    /// also holds non-adaptive choices: a compile after a grouping fallback
+    /// stores `Fixed` here, and new streams must inherit that.
+    pub tuned_policies: HashMap<String, GroupingStrategy>,
     /// Workloads recorded when `record_workloads` is on.
     pub workloads: Vec<LayerWorkload>,
     /// Whether convolutions should append to [`Context::workloads`]. A
@@ -300,9 +303,8 @@ impl Context {
         self.tuned_groups.get(layer).copied()
     }
 
-    /// The tuned execution policy for a layer, if the compile-time policy
-    /// search has selected one.
-    pub fn policy_for(&self, layer: &str) -> Option<crate::tuning::ExecPolicy> {
+    /// The grouping chosen for a layer at compile time, if any.
+    pub fn tuned_grouping(&self, layer: &str) -> Option<GroupingStrategy> {
         self.tuned_policies.get(layer).copied()
     }
 

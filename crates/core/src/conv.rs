@@ -2,7 +2,7 @@ use crate::config::{GroupingStrategy, Precision};
 use crate::context::{CachedMap, Context, LayerWorkload, MapKey};
 use crate::dataflow::{
     apply_storage_precision_owned_kernel, fetch_on_demand_into, gather_matmul_scatter_into,
-    policy_kernel, ConvWorkload, Epilogue, FusedOrder,
+    kernel_for, ConvWorkload, Epilogue, FusedOrder,
 };
 use crate::faults::FaultSite;
 use crate::grouping::plan_groups;
@@ -319,20 +319,19 @@ impl SparseConv3d {
                 submanifold,
             });
         }
-        // The compile-time policy search may have selected a full execution
-        // policy for this layer; its grouping choice outranks the grouping
-        // and `(epsilon, S)` resolution below.
-        let policy = ctx.policy_for(&self.name);
+        // A grouping chosen at compile time outranks the `(epsilon, S)`
+        // resolution below.
+        let tuned = ctx.tuned_grouping(&self.name);
         // Fetch-on-demand when configured and the workload is small.
         let avg_map = map_ref.total_entries() / map_ref.num_offsets().max(1);
         let use_fod = ctx.config.fetch_on_demand_below.is_some_and(|t| avg_map < t);
         let dataflow = if use_fod {
             ConvDataflow::FetchOnDemand
         } else {
-            // Grouping strategy: a tuned policy wins, then per-layer tuned
-            // `(epsilon, S)` parameters if present; after a tuning failure
-            // adaptive layers degrade to fixed groups.
-            let strategy = match (policy.map(|p| p.grouping), ctx.tuned_for(&self.name)) {
+            // Grouping strategy: a compile-time choice wins, then per-layer
+            // tuned `(epsilon, S)` parameters if present; after a tuning
+            // failure adaptive layers degrade to fixed groups.
+            let strategy = match (tuned, ctx.tuned_for(&self.name)) {
                 (Some(GroupingStrategy::Adaptive { .. }), _) | (None, _)
                     if ctx.grouping_fallback
                         && matches!(ctx.config.grouping, GroupingStrategy::Adaptive { .. }) =>
@@ -355,19 +354,8 @@ impl SparseConv3d {
         // this plan streams cache-friendly panels without rebuilding any
         // index. The per-offset work runs on the worker pool — plan builds
         // are on the serial critical path of compiled sessions.
-        let fused = {
-            let n_out =
-                if use_fine { cached.fine_coords.len() } else { cached.coarse_coords.len() };
-            match policy {
-                Some(p) => Arc::new(FusedOrder::build_on_chunked(
-                    &ctx.runtime.pool(),
-                    map_ref,
-                    n_out,
-                    p.chunk_rows,
-                )),
-                None => Arc::new(FusedOrder::build_on(&ctx.runtime.pool(), map_ref, n_out)),
-            }
-        };
+        let n_out = if use_fine { cached.fine_coords.len() } else { cached.coarse_coords.len() };
+        let fused = Arc::new(FusedOrder::build_on(&ctx.runtime.pool(), map_ref, n_out));
 
         Ok(ConvPlan {
             cached,
@@ -382,7 +370,6 @@ impl SparseConv3d {
             packed: self.packed_weights(),
             fused,
             epilogue: EpilogueSteps::default(),
-            policy,
             mapping,
         })
     }
@@ -421,7 +408,6 @@ impl SparseConv3d {
             n_out: plan.out_coords().len(),
             center_identity: plan.center,
             fused: &plan.fused,
-            policy: plan.policy,
         };
         let run_dataflow = |ctx: &Context, epilogue: &Epilogue<'_>, out: &mut Matrix| {
             let pool = ctx.runtime.pool();
@@ -450,7 +436,7 @@ impl SparseConv3d {
         } else {
             run_dataflow(ctx, &Epilogue::default(), out)?;
             let pool = ctx.runtime.pool();
-            let kernel = policy_kernel(&ctx.config, plan.policy.as_ref());
+            let kernel = kernel_for(ctx.config.simd);
             *out = apply_storage_precision_owned_kernel(&pool, take(out), precision, kernel);
             if inject {
                 // Simulate a quantized activation saturating to infinity;

@@ -19,15 +19,14 @@
 //! norm, identity-shortcut add and ReLU the plan folded into the layer
 //! (`Epilogue`), with the separate sweeps' f32 operations in their order.
 //! They execute the *real* computation on the CPU and nothing else: outputs
-//! are bit-identical across grouping plans, kernels, chunk widths and thread
-//! counts, and they see only a worker pool and the configuration. What the
+//! are bit-identical across grouping plans, kernels and thread counts, and
+//! they see only a worker pool and the configuration. What the
 //! same kernels would cost on the simulated GPU — including the movement
 //! pipeline `fused_gather_scatter` selects — is a function of geometry alone
 //! and lives in [`crate::cost_model`].
 
 use crate::config::{OptimizationConfig, Precision, SimdPolicy};
 use crate::runtime::{Task, ThreadPool};
-use crate::tuning::ExecPolicy;
 use crate::CoreError;
 use std::sync::atomic::{AtomicBool, Ordering};
 use torchsparse_coords::kernel_map::MapEntry;
@@ -56,36 +55,16 @@ pub struct ConvWorkload<'a> {
     pub center_identity: Option<usize>,
     /// Plan-time locality ordering the executor streams the map in.
     pub fused: &'a FusedOrder,
-    /// The tuned per-layer execution policy, when the plan carries one.
-    /// `None` resolves every knob from the global [`OptimizationConfig`].
-    /// Every selectable policy is bitwise-neutral — it changes execution
-    /// speed and schedule, never the output bits.
-    pub policy: Option<ExecPolicy>,
 }
 
-/// Resolves a [`SimdPolicy`] to a concrete compute kernel.
-fn kernel_for(simd: SimdPolicy) -> Kernel {
+/// Resolves a [`SimdPolicy`] to a concrete compute kernel. All kernels are
+/// bit-exact against each other, so this only changes instruction
+/// throughput.
+pub(crate) fn kernel_for(simd: SimdPolicy) -> Kernel {
     match simd {
         SimdPolicy::Auto => microkernel::active(),
         SimdPolicy::Portable => Kernel::Portable,
         SimdPolicy::Scalar => Kernel::Scalar,
-    }
-}
-
-/// The compute kernel for one workload: a tuned policy's SIMD choice wins
-/// over the global config. All kernels are bit-exact against each other,
-/// so this only changes instruction throughput.
-pub(crate) fn policy_kernel(config: &OptimizationConfig, policy: Option<&ExecPolicy>) -> Kernel {
-    kernel_for(policy.map_or(config.simd, |p| p.simd))
-}
-
-/// GEMM options for one workload: the resolved kernel, FMA only if the
-/// config opted in, and the tuned policy's row-panel width when present.
-fn gemm_opts(config: &OptimizationConfig, policy: Option<&ExecPolicy>) -> GemmOpts {
-    GemmOpts {
-        kernel: Some(policy_kernel(config, policy)),
-        fma: config.fma_gemm,
-        panel_rows: policy.map(|p| p.panel_rows),
     }
 }
 
@@ -133,8 +112,8 @@ pub fn apply_storage_precision_owned_kernel(
     m
 }
 
-/// Default output rows per executor task. Fixed (never derived from the
-/// thread count) so the partition — and therefore every task's output — is
+/// Output rows per executor task. Fixed (never derived from the thread
+/// count) so the partition — and therefore every task's output — is
 /// identical at any pool width.
 const MOVE_CHUNK: usize = 64;
 
@@ -169,12 +148,6 @@ pub struct FusedOrder {
     /// row), present only when the map's CSR range is not already
     /// output-ascending. `None` = the CSR slice itself is the view.
     resort: Vec<Option<Vec<MapEntry>>>,
-    /// Output rows per chunk this order was split at ([`MOVE_CHUNK`] unless
-    /// a tuned policy chose otherwise). The executor partitions its
-    /// output blocks at exactly this width; any width produces identical
-    /// bits because each output row lives in exactly one chunk and its
-    /// per-entry accumulation order is unchanged.
-    chunk_rows: usize,
 }
 
 /// One offset's share of a [`FusedOrder`]: the chunk split points, plus the
@@ -182,7 +155,7 @@ pub struct FusedOrder {
 type OffsetOrder = (Vec<u32>, Option<Vec<MapEntry>>);
 
 /// Builds one offset's [`OffsetOrder`].
-fn order_one_offset(src: &[MapEntry], chunks: usize, chunk_rows: usize) -> OffsetOrder {
+fn order_one_offset(src: &[MapEntry], chunks: usize) -> OffsetOrder {
     // Forward maps are already output-ascending; only transposed maps
     // actually pay the sort (stable, so entry order among equal outputs is
     // preserved) and the materialized copy.
@@ -198,7 +171,7 @@ fn order_one_offset(src: &[MapEntry], chunks: usize, chunk_rows: usize) -> Offse
     let mut i = 0usize;
     for c in 0..chunks {
         s.push(i as u32);
-        let hi = ((c + 1) * chunk_rows) as u32;
+        let hi = ((c + 1) * MOVE_CHUNK) as u32;
         while i < entries.len() && entries[i].output < hi {
             i += 1;
         }
@@ -210,28 +183,20 @@ fn order_one_offset(src: &[MapEntry], chunks: usize, chunk_rows: usize) -> Offse
 
 impl FusedOrder {
     /// Splits `map`'s entries (and re-sorts any non-output-sorted offsets)
-    /// for a convolution producing `n_out` output rows, at the default
-    /// [`MOVE_CHUNK`] width.
+    /// for a convolution producing `n_out` output rows, at [`MOVE_CHUNK`]
+    /// output-row boundaries.
     #[must_use]
     pub fn build(map: &KernelMap, n_out: usize) -> FusedOrder {
-        FusedOrder::build_chunked(map, n_out, MOVE_CHUNK)
-    }
-
-    /// [`build`](FusedOrder::build) with an explicit chunk width (the
-    /// autotuner's task-granularity axis).
-    #[must_use]
-    pub fn build_chunked(map: &KernelMap, n_out: usize, chunk_rows: usize) -> FusedOrder {
-        let chunk_rows = chunk_rows.max(1);
-        let chunks = n_out.div_ceil(chunk_rows);
+        let chunks = n_out.div_ceil(MOVE_CHUNK);
         let volume = map.num_offsets();
         let mut starts = Vec::with_capacity(volume);
         let mut resort = Vec::with_capacity(volume);
         for n in 0..volume {
-            let (s, r) = order_one_offset(map.entries(n), chunks, chunk_rows);
+            let (s, r) = order_one_offset(map.entries(n), chunks);
             starts.push(s);
             resort.push(r);
         }
-        FusedOrder { starts, resort, chunk_rows }
+        FusedOrder { starts, resort }
     }
 
     /// [`build`](FusedOrder::build) with the per-offset sort/split work
@@ -243,27 +208,14 @@ impl FusedOrder {
     /// so the constructed order is bitwise the same at any pool width.
     #[must_use]
     pub fn build_on(pool: &ThreadPool, map: &KernelMap, n_out: usize) -> FusedOrder {
-        FusedOrder::build_on_chunked(pool, map, n_out, MOVE_CHUNK)
-    }
-
-    /// [`build_on`](FusedOrder::build_on) with an explicit chunk width.
-    #[must_use]
-    pub fn build_on_chunked(
-        pool: &ThreadPool,
-        map: &KernelMap,
-        n_out: usize,
-        chunk_rows: usize,
-    ) -> FusedOrder {
-        let chunk_rows = chunk_rows.max(1);
-        let chunks = n_out.div_ceil(chunk_rows);
+        let chunks = n_out.div_ceil(MOVE_CHUNK);
         let volume = map.num_offsets();
         let mut slots: Vec<Option<OffsetOrder>> = vec![None; volume];
         let tasks: Vec<Task<'_>> = slots
             .iter_mut()
             .enumerate()
             .map(|(n, slot)| {
-                Box::new(move || *slot = Some(order_one_offset(map.entries(n), chunks, chunk_rows)))
-                    as Task<'_>
+                Box::new(move || *slot = Some(order_one_offset(map.entries(n), chunks))) as Task<'_>
             })
             .collect();
         pool.run(tasks);
@@ -274,13 +226,7 @@ impl FusedOrder {
             resort.push(slot.1);
         }
         debug_assert_eq!(starts.len(), volume, "every offset task must have run");
-        FusedOrder { starts, resort, chunk_rows }
-    }
-
-    /// Output rows per chunk this order was split at.
-    #[inline]
-    pub fn chunk_rows(&self) -> usize {
-        self.chunk_rows
+        FusedOrder { starts, resort }
     }
 
     /// The chunk split points of offset `n`.
@@ -386,17 +332,12 @@ impl Epilogue<'_> {
     }
 }
 
-/// Runs `f(c, block)` over every `chunk_rows`-row block of `out`: inline
+/// Runs `f(c, block)` over every [`MOVE_CHUNK`]-row block of `out`: inline
 /// on a serial pool (no task boxing), as one task wave otherwise. Blocks
 /// are disjoint and the partition never depends on the pool width, so the
 /// result is the same at any thread count.
-fn reduce_chunks(
-    pool: &ThreadPool,
-    out: &mut Matrix,
-    chunk_rows: usize,
-    f: impl Fn(usize, &mut [f32]) + Sync,
-) {
-    let block_len = chunk_rows * out.cols();
+fn reduce_chunks(pool: &ThreadPool, out: &mut Matrix, f: impl Fn(usize, &mut [f32]) + Sync) {
+    let block_len = MOVE_CHUNK * out.cols();
     if pool.threads() <= 1 && !pool.is_recording() {
         for (c, block) in out.as_mut_slice().chunks_mut(block_len).enumerate() {
             f(c, block);
@@ -430,10 +371,10 @@ pub(crate) fn is_center_shortcut(
 /// Per output element this is Algorithm 2's arithmetic — a zero-initialized
 /// k-ascending dot product per map entry, optional f16 rounding of that
 /// product (the 16-bit partial-sum store), then one FP32 add per entry with
-/// offsets ascending — whatever the chunk width, kernel or thread count
+/// offsets ascending — whatever the kernel or thread count
 /// (`tests/support/conv_reference.rs` is the scalar transcription the
-/// suites hold it to). Parallel tasks own disjoint output-row blocks of the
-/// order's chunk width; the partition never depends on the pool width.
+/// suites hold it to). Parallel tasks own disjoint [`MOVE_CHUNK`]-row
+/// output blocks; the partition never depends on the pool width.
 ///
 /// Each finished block has its NaNs canonicalized and then runs `epilogue`
 /// while it is still hot. Returns `false` when the epilogue found a
@@ -458,10 +399,9 @@ fn run_fused_numerics(
         None => microkernel::BOperand::Dense(w.weights[n].as_slice()),
     };
     let volume = w.map.num_offsets();
-    let chunk = w.fused.chunk_rows();
     let finite = AtomicBool::new(true);
-    reduce_chunks(pool, out, chunk, |c, block| {
-        let base = (c * chunk) as u32;
+    reduce_chunks(pool, out, |c, block| {
+        let base = (c * MOVE_CHUNK) as u32;
         let mut in_rows = [0u32; MOVE_CHUNK];
         let mut out_rel = [0u32; MOVE_CHUNK];
         for n in 0..volume {
@@ -471,10 +411,11 @@ fn run_fused_numerics(
             let lo = w.fused.starts(n)[c] as usize;
             let hi = w.fused.starts(n)[c + 1] as usize;
             let entries = &w.fused.view(w.map, n)[lo..hi];
-            // The register staging tiles are fixed at MOVE_CHUNK rows, so
-            // wider tuned chunks (and degenerate hand-built maps) stream
-            // through this sub-chunk loop in MOVE_CHUNK-entry batches —
-            // per-row accumulation order is unchanged either way.
+            // A partial-bijection map holds at most MOVE_CHUNK entries of
+            // one offset per chunk, so this is one batch; a hand-built map
+            // that repeats an output row within an offset can hold more,
+            // and streams through the MOVE_CHUNK-row staging tiles in
+            // batches with the per-row accumulation order unchanged.
             for batch in entries.chunks(MOVE_CHUNK) {
                 for (j, e) in batch.iter().enumerate() {
                     in_rows[j] = e.input;
@@ -494,7 +435,7 @@ fn run_fused_numerics(
             }
         }
         canonicalize_nans(block);
-        if !epilogue.finish(kernel, c * chunk, c_out, block) {
+        if !epilogue.finish(kernel, c * MOVE_CHUNK, c_out, block) {
             finite.store(false, Ordering::Relaxed);
         }
     });
@@ -535,11 +476,11 @@ pub(crate) fn gather_matmul_scatter_into(
     epilogue: &Epilogue<'_>,
     out: &mut Matrix,
 ) -> Result<bool, CoreError> {
-    let kernel = policy_kernel(config, w.policy.as_ref());
+    let kernel = kernel_for(config.simd);
     out.reshape_zeroed(w.n_out, w.c_out());
     let shortcut = w.center_identity.filter(|_| config.skip_center_movement);
     if let Some(n) = shortcut {
-        let opts = gemm_opts(config, w.policy.as_ref());
+        let opts = GemmOpts { kernel: Some(kernel), fma: config.fma_gemm };
         match w.packed {
             Some(packed) => gemm::mm_into_packed_on(pool, w.in_feats, &packed[n], out, opts)?,
             None => gemm::mm_into_with(pool, w.in_feats, &w.weights[n], out, opts)?,
@@ -572,9 +513,8 @@ pub(crate) fn fetch_on_demand_into(
     epilogue: &Epilogue<'_>,
     out: &mut Matrix,
 ) -> bool {
-    let kernel = policy_kernel(config, w.policy.as_ref());
     out.reshape_zeroed(w.n_out, w.c_out());
-    run_fused_numerics(w, None, false, pool, kernel, epilogue, out)
+    run_fused_numerics(w, None, false, pool, kernel_for(config.simd), epilogue, out)
 }
 
 /// The scalar oracle the unit tests below (and the root suites) hold the
@@ -670,7 +610,6 @@ pub(crate) mod tests {
             &'a self,
             fused: &'a FusedOrder,
             packed: Option<&'a [PackedB]>,
-            policy: Option<ExecPolicy>,
         ) -> ConvWorkload<'a> {
             ConvWorkload {
                 in_feats: &self.feats,
@@ -680,14 +619,13 @@ pub(crate) mod tests {
                 n_out: self.n_out,
                 center_identity: self.center,
                 fused,
-                policy,
             }
         }
 
         /// Gather-matmul-scatter on the default-width order.
-        fn run_gms(&self, cfg: &OptimizationConfig, policy: Option<ExecPolicy>) -> Matrix {
+        fn run_gms(&self, cfg: &OptimizationConfig) -> Matrix {
             let order = FusedOrder::build(&self.map, self.n_out);
-            let w = self.workload(&order, None, policy);
+            let w = self.workload(&order, None);
             run_gather_matmul_scatter(&w, cfg, &ThreadPool::new(1)).unwrap()
         }
 
@@ -722,7 +660,7 @@ pub(crate) mod tests {
                     let expect = bits_of(&parts.reference(&cfg));
                     for packed in [None, Some(packed.as_slice())] {
                         for threads in [1, 3] {
-                            let w = parts.workload(&order, packed, None);
+                            let w = parts.workload(&order, packed);
                             let pool = ThreadPool::new(threads);
                             let got = run_gather_matmul_scatter(&w, &cfg, &pool).unwrap();
                             assert_eq!(
@@ -749,7 +687,7 @@ pub(crate) mod tests {
         for precision in [Precision::Fp32, Precision::Fp16] {
             let mut cfg = OptimizationConfig::minkowski_engine();
             cfg.precision = precision;
-            let w = parts.workload(&order, None, None);
+            let w = parts.workload(&order, None);
             let got = run_fetch_on_demand(&w, &cfg, &ThreadPool::new(2));
             assert_eq!(bits_of(&got), bits_of(&expect), "{precision:?}");
         }
@@ -759,7 +697,7 @@ pub(crate) mod tests {
     fn fp16_output_close_to_fp32() {
         let parts = workload_parts(8, 8);
         let expect = parts.reference(&OptimizationConfig::baseline_fp32());
-        let out = parts.run_gms(&OptimizationConfig::torchsparse(), None);
+        let out = parts.run_gms(&OptimizationConfig::torchsparse());
         let rel = out.max_abs_diff(&expect).unwrap() / expect.frobenius_norm().max(1e-6);
         assert!(rel < 0.01, "fp16 relative error {rel} too large");
     }
@@ -771,44 +709,8 @@ pub(crate) mod tests {
         cfg.precision = Precision::Int8;
         // INT8 storage was not applied to in_feats here (the conv layer does
         // that); this exercises the 16-bit partial-sum path only.
-        let out = parts.run_gms(&cfg, None);
+        let out = parts.run_gms(&cfg);
         let expect = parts.reference(&OptimizationConfig::baseline_fp32());
         assert!(out.max_abs_diff(&expect).unwrap() < 1.0);
-    }
-
-    #[test]
-    fn chunk_width_is_bitwise_neutral() {
-        // Every chunk width the autotuner may pick streams the same per-row
-        // addend order, so outputs are bit-identical to the default
-        // MOVE_CHUNK split.
-        let parts = workload_parts(8, 16);
-        let cfg = OptimizationConfig::torchsparse();
-        let expect = bits_of(&parts.reference(&cfg));
-        assert_eq!(FusedOrder::build(&parts.map, parts.n_out).chunk_rows(), MOVE_CHUNK);
-        for chunk in [1, 32, 64, 128, 256, 1000] {
-            let order = FusedOrder::build_chunked(&parts.map, parts.n_out, chunk);
-            assert_eq!(order.chunk_rows(), chunk);
-            let w = parts.workload(&order, None, None);
-            let got = run_gather_matmul_scatter(&w, &cfg, &ThreadPool::new(2)).unwrap();
-            assert_eq!(bits_of(&got), expect, "chunk={chunk}");
-        }
-    }
-
-    #[test]
-    fn policy_overrides_config_knobs() {
-        // A plan-carried policy steers the SIMD kernel and the panel width
-        // without touching the global config — and stays bit-identical.
-        let parts = workload_parts(8, 16);
-        let cfg = OptimizationConfig::torchsparse();
-        let base = ExecPolicy::from_config(&cfg);
-        let expect = bits_of(&parts.reference(&cfg));
-        for policy in [
-            base,
-            ExecPolicy { simd: SimdPolicy::Portable, ..base },
-            ExecPolicy { simd: SimdPolicy::Scalar, ..base },
-            ExecPolicy { panel_rows: 32, ..base },
-        ] {
-            assert_eq!(bits_of(&parts.run_gms(&cfg, Some(policy))), expect, "{policy:?}");
-        }
     }
 }

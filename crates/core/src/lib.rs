@@ -84,7 +84,7 @@ pub use pooling::{PoolReduction, SparseMaxPool3d};
 pub use runtime::{Runtime, ThreadPool};
 pub use session::{CompiledModel, CompiledSession, StreamState};
 pub use sparse_tensor::SparseTensor;
-pub use tuning::{ExecPolicy, TuningReport};
+pub use tuning::TuningReport;
 pub use validate::{ValidationConfig, ValidationPolicy};
 
 pub use torchsparse_gpusim::DeviceProfile;

@@ -149,9 +149,6 @@ pub(crate) struct ConvPlan {
     /// The pointwise steps right after this convolution that its executor
     /// runs inside each output block ([`EpilogueSteps`]).
     pub(crate) epilogue: EpilogueSteps,
-    /// The tuned per-layer execution policy selected by the compile-time
-    /// policy search, or `None` when untuned (global config behavior).
-    pub(crate) policy: Option<crate::tuning::ExecPolicy>,
     /// The `Mapping` latency of the map search this planning ran (`None`
     /// when the map came from the cache).
     pub(crate) mapping: Option<Micros>,

@@ -138,8 +138,8 @@ pub struct CompiledModel<'m> {
     base_plan: Arc<ExecutionPlan>,
     config: OptimizationConfig,
     device: DeviceProfile,
-    /// Outcome of the compile-time policy search, when autotuning ran.
-    /// Fresh streams inherit its per-layer policies so their private
+    /// Outcome of the compile-time grouping choice, when autotuning ran.
+    /// Fresh streams inherit its per-layer groupings so their private
     /// re-plans keep the tuned selections.
     tuning: Option<crate::tuning::TuningReport>,
 }
@@ -285,9 +285,8 @@ impl<'m> CompiledModel<'m> {
         &self.device
     }
 
-    /// The compile-time policy search's report: per-layer selections plus
-    /// measurement and warm-start counters. `None` when autotuning was
-    /// disabled at compile time.
+    /// The compile-time tuning report: the per-layer groupings. `None` when
+    /// autotuning was disabled at compile time.
     pub fn tuning_report(&self) -> Option<&crate::tuning::TuningReport> {
         self.tuning.as_ref()
     }
@@ -389,10 +388,8 @@ impl<'m> CompiledSession<'m> {
         let fingerprint = geometry_fingerprint(tensor.coords(), tensor.stride());
         let mut plan = build_plan(&ops, tensor, fingerprint, ctx)?;
         defer_mapping(&plan, ctx);
-        // Policy search runs against the frozen plan: warm-start from the
-        // on-disk tuning database when a matching geometry class exists,
-        // otherwise prune with the cost-model prior and microbench the
-        // short list, rewriting the plan's per-layer policies in place.
+        // Grouping is chosen against the frozen plan by the simulated
+        // prior, re-grouping its convolutions in place.
         let tuning = if ctx.config.autotune_policies {
             Some(crate::tuning::autotune_plan(&ops, &mut plan, ctx))
         } else {
@@ -507,7 +504,7 @@ impl<'m> CompiledSession<'m> {
         self.stream.degradation_report()
     }
 
-    /// The compile-time policy search's report, when autotuning ran.
+    /// The compile-time tuning report, when autotuning ran.
     pub fn tuning_report(&self) -> Option<&crate::tuning::TuningReport> {
         self.shared.tuning_report()
     }

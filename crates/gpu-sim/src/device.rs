@@ -96,28 +96,6 @@ impl DeviceProfile {
         vec![Self::gtx_1080ti(), Self::rtx_2080ti(), Self::rtx_3090()]
     }
 
-    /// The device's architecture family — the granularity at which tuned
-    /// execution policies transfer. Two boards of one family share cache
-    /// geometry and tensor-core behavior closely enough that a policy
-    /// tuned on one is the right warm start on the other, while its exact
-    /// clocks still get re-measured. Derived from the marketing name
-    /// (`GTX 10xx` → `pascal`, `RTX 20xx` → `turing`, `RTX 30xx` →
-    /// `ampere`); unrecognized devices fall back to their sanitized
-    /// lowercase name, which keeps them split per board.
-    pub fn family(&self) -> String {
-        let lower = self.name.to_ascii_lowercase();
-        if lower.starts_with("gtx 10") {
-            return "pascal".to_owned();
-        }
-        if lower.starts_with("rtx 20") {
-            return "turing".to_owned();
-        }
-        if lower.starts_with("rtx 30") {
-            return "ampere".to_owned();
-        }
-        lower.chars().map(|c| if c.is_whitespace() { '-' } else { c }).collect()
-    }
-
     /// Whether FP16 GEMM is faster than FP32 on this device.
     pub fn has_fp16_gemm(&self) -> bool {
         self.fp16_tflops > self.fp32_tflops
@@ -158,15 +136,5 @@ mod tests {
     #[test]
     fn evaluation_devices_are_three() {
         assert_eq!(DeviceProfile::evaluation_devices().len(), 3);
-    }
-
-    #[test]
-    fn families_follow_architecture_generations() {
-        assert_eq!(DeviceProfile::gtx_1080ti().family(), "pascal");
-        assert_eq!(DeviceProfile::rtx_2080ti().family(), "turing");
-        assert_eq!(DeviceProfile::rtx_3090().family(), "ampere");
-        // Unknown boards fall back to a sanitized per-board name.
-        let custom = DeviceProfile { name: "My Board X".to_owned(), ..DeviceProfile::rtx_3090() };
-        assert_eq!(custom.family(), "my-board-x");
     }
 }

@@ -121,31 +121,6 @@ impl GemmModel {
     pub fn sequential_latency(&self, shapes: &[GemmShape], precision: Precision) -> Micros {
         shapes.iter().map(|&s| self.latency(s, precision)).sum()
     }
-
-    /// Prior cost of a partitioned streaming phase (gather/scatter movement
-    /// or a row-panelled GEMM dispatch): `bytes` of traffic split across
-    /// `tasks` independent chunks.
-    ///
-    /// Two opposing terms shape the curve. With fewer chunks than one wave
-    /// of concurrent workers the device cannot reach full bandwidth, so the
-    /// streaming term inflates by `wave / tasks`; every chunk also pays a
-    /// small dispatch cost (a fraction of a kernel launch — chunks are
-    /// intra-kernel blocks, not launches), so very fine partitions become
-    /// dispatch-bound. The autotuner uses this as the granularity prior for
-    /// the gather/scatter chunk size and the GEMM panel width; the minimum
-    /// sits where the two terms cross.
-    pub fn partitioned_latency(&self, bytes: f64, tasks: usize) -> Micros {
-        /// Concurrent chunk workers one wave of the device sustains.
-        const WAVE: f64 = 64.0;
-        /// A chunk dispatch costs this fraction of a kernel launch.
-        const DISPATCH_FRACTION: f64 = 1.0 / 16.0;
-        let tasks = tasks.max(1) as f64;
-        // GB/s = bytes per microsecond * 1e3.
-        let stream_us = bytes / (self.device.dram_gbs * 1e3);
-        let underfill = (WAVE / tasks).max(1.0);
-        let dispatch_us = tasks * self.device.launch_overhead_us * DISPATCH_FRACTION;
-        Micros(stream_us * underfill + dispatch_us)
-    }
 }
 
 #[cfg(test)]
@@ -241,28 +216,6 @@ mod tests {
         let fused = m.latency(GemmShape::bmm(27, 100, 16, 16), Precision::Fp32);
         let separate = m.sequential_latency(&tiny, Precision::Fp32);
         assert!(separate.as_f64() > 3.0 * fused.as_f64());
-    }
-
-    #[test]
-    fn partitioned_latency_has_interior_minimum() {
-        // A few MB of movement: one giant chunk underfills the device, tens
-        // of thousands of tiny chunks are dispatch-bound, and a moderate
-        // partition beats both.
-        let m = model();
-        let bytes = 8.0 * 1024.0 * 1024.0;
-        let coarse = m.partitioned_latency(bytes, 1);
-        let moderate = m.partitioned_latency(bytes, 128);
-        let fine = m.partitioned_latency(bytes, 100_000);
-        assert!(moderate < coarse, "moderate {moderate} vs coarse {coarse}");
-        assert!(moderate < fine, "moderate {moderate} vs fine {fine}");
-    }
-
-    #[test]
-    fn partitioned_latency_monotone_in_bytes() {
-        let m = model();
-        let small = m.partitioned_latency(1e6, 64);
-        let large = m.partitioned_latency(1e8, 64);
-        assert!(small < large);
     }
 
     #[test]

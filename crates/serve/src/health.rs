@@ -98,20 +98,9 @@ pub struct HealthReport {
     /// Abandoned delta attempts that fell back to full re-plans across
     /// every stream (sum of [`StreamHealth::delta_fallbacks`]).
     pub delta_fallbacks: u64,
-    /// Layers whose execution policy was selected by the compile-time
-    /// autotuner (zero when autotuning was disabled at compile time).
+    /// Layers whose grouping was chosen by the compile-time autotuner
+    /// (zero when autotuning was disabled at compile time).
     pub tuned_layers: usize,
-    /// Wall-clock candidate measurements the compile-time policy search
-    /// performed. A replica warm-started from the tuning database reports
-    /// zero.
-    pub candidates_measured: usize,
-    /// Layers whose policy came straight from the on-disk tuning database
-    /// with no search.
-    pub warm_started: usize,
-    /// Whether the policy search ran degraded (unreadable or stale tuning
-    /// database, or an injected tuning fault) — the service still runs,
-    /// on freshly searched or default policies.
-    pub autotune_degraded: bool,
     /// Per-stream health, indexed by stream.
     pub streams: Vec<StreamHealth>,
 }
@@ -143,14 +132,7 @@ impl fmt::Display for HealthReport {
             )?;
         }
         if self.tuned_layers > 0 {
-            write!(
-                f,
-                " | tuned-layers {} (measured {}, warm-started {})",
-                self.tuned_layers, self.candidates_measured, self.warm_started,
-            )?;
-        }
-        if self.autotune_degraded {
-            write!(f, " | autotune-degraded")?;
+            write!(f, " | tuned-layers {}", self.tuned_layers)?;
         }
         if !self.degradation.is_empty() {
             write!(f, " | degradation: {}", self.degradation)?;

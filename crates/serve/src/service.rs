@@ -443,9 +443,6 @@ pub fn serve<R>(
         delta_patches: 0,
         delta_fallbacks: 0,
         tuned_layers: model.tuning_report().map_or(0, |t| t.policies.len()),
-        candidates_measured: model.tuning_report().map_or(0, |t| t.candidates_measured),
-        warm_started: model.tuning_report().map_or(0, |t| t.warm_started),
-        autotune_degraded: model.tuning_report().is_some_and(|t| t.degraded),
         streams: Vec::new(),
     };
     for s in &streams_health {

@@ -57,11 +57,6 @@ pub struct GemmOpts {
     pub kernel: Option<Kernel>,
     /// Allow fused multiply-add (changes rounding; never on by default).
     pub fma: bool,
-    /// Row-panel width for parallel partitioning; `None` uses [`PANEL`].
-    /// Every output row is computed by exactly one panel with the same
-    /// k-major accumulation order, so the width changes scheduling
-    /// granularity only — results are bitwise identical for every value.
-    pub panel_rows: Option<usize>,
 }
 
 impl GemmOpts {
@@ -78,11 +73,6 @@ impl GemmOpts {
         } else {
             k
         }
-    }
-
-    /// Resolves the row-panel width these options denote (never zero).
-    pub fn resolve_panel(self) -> usize {
-        self.panel_rows.unwrap_or(PANEL).max(1)
     }
 }
 
@@ -159,14 +149,11 @@ fn check_shapes(a: &Matrix, b: &Matrix, c: &Matrix) -> Result<(), TensorError> {
 }
 
 /// Shared panel driver for all `mm_into` variants: partitions C into
-/// `panel`-row panels ([`PANEL`] rows unless the options override it) and
-/// runs the microkernel over each, inline or on the pool. The partition
-/// never depends on the pool width.
-#[allow(clippy::too_many_arguments)] // kernel + panel width + raw GEMM shape
+/// [`PANEL`]-row panels and runs the microkernel over each, inline or on
+/// the pool. The partition never depends on the pool width.
 fn mm_into_dispatch(
     pool: &ThreadPool,
     kernel: Kernel,
-    panel_rows: usize,
     a: &Matrix,
     b: BOperand<'_>,
     k: usize,
@@ -181,20 +168,18 @@ fn mm_into_dispatch(
     let c_data = c.as_mut_slice();
 
     let flops = 2.0 * m as f64 * n as f64 * k as f64;
-    if pool.threads() <= 1 && !pool.is_recording() || flops < MIN_PARALLEL_FLOPS || m <= panel_rows
-    {
-        for (i, panel) in c_data.chunks_mut(panel_rows * n).enumerate() {
-            microkernel::gemm_panel(kernel, a_data, b, k, n, i * panel_rows, panel);
+    if pool.threads() <= 1 && !pool.is_recording() || flops < MIN_PARALLEL_FLOPS || m <= PANEL {
+        for (i, panel) in c_data.chunks_mut(PANEL * n).enumerate() {
+            microkernel::gemm_panel(kernel, a_data, b, k, n, i * PANEL, panel);
         }
         return;
     }
     let tasks: Vec<Task<'_>> = c_data
-        .chunks_mut(panel_rows * n)
+        .chunks_mut(PANEL * n)
         .enumerate()
         .map(|(i, panel)| {
-            Box::new(move || {
-                microkernel::gemm_panel(kernel, a_data, b, k, n, i * panel_rows, panel)
-            }) as Task<'_>
+            Box::new(move || microkernel::gemm_panel(kernel, a_data, b, k, n, i * PANEL, panel))
+                as Task<'_>
         })
         .collect();
     pool.run(tasks);
@@ -231,16 +216,7 @@ pub fn mm_into_with(
     if k == 0 {
         return Ok(());
     }
-    mm_into_dispatch(
-        pool,
-        opts.resolve(),
-        opts.resolve_panel(),
-        a,
-        BOperand::Dense(b.as_slice()),
-        k,
-        b.cols(),
-        c,
-    );
+    mm_into_dispatch(pool, opts.resolve(), a, BOperand::Dense(b.as_slice()), k, b.cols(), c);
     Ok(())
 }
 
@@ -276,16 +252,7 @@ pub fn mm_into_packed_on(
     if k == 0 {
         return Ok(());
     }
-    mm_into_dispatch(
-        pool,
-        opts.resolve(),
-        opts.resolve_panel(),
-        a,
-        BOperand::Packed(b),
-        k,
-        b.n(),
-        c,
-    );
+    mm_into_dispatch(pool, opts.resolve(), a, BOperand::Packed(b), k, b.n(), c);
     Ok(())
 }
 
@@ -385,26 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn panel_width_is_bitwise_neutral() {
-        // The autotuner varies the panel width per layer; every width must
-        // compute exactly the default-width bits at every pool width.
-        let mut rng = StdRng::seed_from_u64(31);
-        let a = random_matrix(&mut rng, 311, 96);
-        let b = random_matrix(&mut rng, 96, 40);
-        let mut baseline = Matrix::zeros(311, 40);
-        mm_into_with(&ThreadPool::new(1), &a, &b, &mut baseline, GemmOpts::default()).unwrap();
-        for panel_rows in [1, 16, 32, 64, 128, 256, 1024] {
-            for threads in [1, 4] {
-                let pool = ThreadPool::new(threads);
-                let opts = GemmOpts { panel_rows: Some(panel_rows), ..GemmOpts::default() };
-                let mut c = Matrix::zeros(311, 40);
-                mm_into_with(&pool, &a, &b, &mut c, opts).unwrap();
-                assert_eq!(bits(&c), bits(&baseline), "panel={panel_rows} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
     fn accumulate_adds_to_existing() {
         let a = Matrix::filled(2, 2, 1.0);
         let b = Matrix::eye(2);
@@ -490,7 +437,7 @@ mod tests {
             let a = Matrix::from_fn(m, k, |_, _| rng.random_range(0.1f32..1.0));
             let b = Matrix::from_fn(k, n, |_, _| rng.random_range(0.1f32..1.0));
             let reference = mm_reference(&a, &b).unwrap();
-            let opts = GemmOpts { kernel: Some(Kernel::Avx2), fma: true, panel_rows: None };
+            let opts = GemmOpts { kernel: Some(Kernel::Avx2), fma: true };
             assert_eq!(opts.resolve(), Kernel::Avx2Fma);
             let pool = ThreadPool::new(1);
             for operand_packed in [false, true] {

@@ -38,6 +38,7 @@
 // other modules remain unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod error;
 mod half;

@@ -4,8 +4,8 @@
 //! Every output row is reduced in plain FP32 in one fixed order — offsets
 //! ascending, one add per producer — by whichever task owns the row's
 //! plan-time chunk. The engine's bits are therefore those of the scalar
-//! reference in `tests/support/` at every thread count, chunk width and
-//! dataflow, non-finite and signed-zero addends included. What the order
+//! reference in `tests/support/` at every thread count and dataflow,
+//! non-finite and signed-zero addends included. What the order
 //! does *not* give is a correctly rounded sum, so the second test bounds
 //! the distance to one: the superaccumulator in `tests/support/accum.rs`,
 //! which left the product and survives as this suite's oracle. The
@@ -25,18 +25,13 @@ use torchsparse::coords::kernel_map::search;
 use torchsparse::coords::{Coord, CoordHashMap};
 use torchsparse::core::dataflow::{run_gather_matmul_scatter, ConvWorkload, FusedOrder};
 use torchsparse::core::{
-    Engine, EnginePreset, ExecPolicy, OptimizationConfig, Precision, SparseConv3d, SparseTensor,
-    ThreadPool,
+    Engine, EnginePreset, OptimizationConfig, Precision, SparseConv3d, SparseTensor, ThreadPool,
 };
 use torchsparse::gpusim::DeviceProfile;
 use torchsparse::tensor::{gemm, quant, Matrix};
 
 /// Worker counts every configuration is checked at.
 const THREADS: [usize; 3] = [1, 2, 8];
-
-/// Executor chunk widths every configuration is checked at: the default
-/// and the widest the autotuner may pick.
-const CHUNK_ROWS: [usize; 2] = [64, 256];
 
 /// An 8 x 8 x 6 block with a quarter of its voxels knocked out: dense
 /// enough that interior rows have a producer at most of the 27 offsets,
@@ -87,24 +82,21 @@ fn dataflow_configs() -> Vec<(&'static str, OptimizationConfig)> {
     vec![("grouped", grouped), ("separate", separate), ("fetch-on-demand", fod)]
 }
 
-/// One dynamic run of `conv` with its executor pinned to `chunk_rows`.
+/// One dynamic run of `conv` on a `threads`-wide pool.
 fn output_bits(
     mut cfg: OptimizationConfig,
     threads: usize,
-    chunk_rows: usize,
     conv: &SparseConv3d,
     x: &SparseTensor,
 ) -> Vec<u32> {
     cfg.threads = Some(threads);
-    let policy = ExecPolicy { chunk_rows, ..ExecPolicy::from_config(&cfg) };
     let mut engine = Engine::with_config(cfg, DeviceProfile::rtx_2080ti());
-    engine.context_mut().tuned_policies.insert(conv.layer_name().to_owned(), policy);
     let y = engine.run(conv, x).expect("run succeeds");
     y.feats().as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
-/// 3 dataflows x 3 precisions x 1/2/8 threads x two chunk widths all
-/// produce the scalar reference's bits — on ordinary submanifold and strided
+/// 3 dataflows x 3 precisions x 1/2/8 threads all produce the scalar
+/// reference's bits — on ordinary submanifold and strided
 /// layers, and on a layer whose products contain `-0.0`, `±inf` and NaN
 /// addends.
 #[test]
@@ -139,15 +131,13 @@ fn canonical_order_bitwise_identical_across_threads_dataflows_precisions_routes_
                 let reference = layer_reference(conv, x, &cfg);
                 let expect: Vec<u32> = reference.as_slice().iter().map(|v| v.to_bits()).collect();
                 for threads in THREADS {
-                    for chunk_rows in CHUNK_ROWS {
-                        assert_eq!(
-                            output_bits(cfg.clone(), threads, chunk_rows, conv, x),
-                            expect,
-                            "{case}/{dataflow} @ {precision:?}, layer {}: engine diverges from \
-                             the scalar reference at {threads} threads, {chunk_rows}-row chunks",
-                            conv.layer_name()
-                        );
-                    }
+                    assert_eq!(
+                        output_bits(cfg.clone(), threads, conv, x),
+                        expect,
+                        "{case}/{dataflow} @ {precision:?}, layer {}: engine diverges from the \
+                         scalar reference at {threads} threads",
+                        conv.layer_name()
+                    );
                 }
                 if *case == "special" && precision == Precision::Fp32 {
                     let vals = reference.as_slice();
@@ -219,7 +209,6 @@ fn canonical_order_sum_is_within_recursive_summation_bound_of_oracle() {
             n_out,
             center_identity: Some(13),
             fused: &order,
-            policy: None,
         };
         let out =
             run_gather_matmul_scatter(&workload, &cfg, ThreadPool::global()).expect("conv runs");

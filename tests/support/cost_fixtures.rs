@@ -43,9 +43,9 @@ pub fn model(seed: u64) -> Sequential {
         .push(SparseConv3d::with_random_weights("head", 8, 4, 3, 1, seed ^ 5))
 }
 
-/// Product defaults with the policy search off: a tuned grouping
-/// legitimately changes the simulated cost (and is host-timed), which would
-/// make a compiled session incomparable with the never-tuned dynamic engine.
+/// Product defaults with autotuning off: a tuned grouping legitimately
+/// changes the simulated cost, which would make a compiled session
+/// incomparable with the never-tuned dynamic engine.
 pub fn untuned(precision: Precision) -> OptimizationConfig {
     let mut cfg = EnginePreset::TorchSparse.config();
     cfg.precision = precision;
