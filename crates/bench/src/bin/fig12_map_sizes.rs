@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let input = ds.scene(args.seed)?;
         let model = build_model(bm, args.seed);
         let mut engine = Engine::new(EnginePreset::TorchSparse, DeviceProfile::rtx_2080ti());
-        tune_engine(&mut engine, model.as_ref(), std::slice::from_ref(&input), None)?;
+        let tuned = tune_engine(&mut engine, model.as_ref(), std::slice::from_ref(&input), None)?;
         engine.context_mut().record_workloads = true;
         engine.price(model.as_ref(), &input)?;
         let workloads = engine.context().workloads.clone();
@@ -50,8 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!("{}", fmt::table(&["offset", "map size", ""], &rows));
         }
 
-        let (epsilon, s_threshold) =
-            engine.context().tuned_for(&submanifold.name).expect("layer tuned above");
+        let (epsilon, s_threshold) = tuned.selected[&submanifold.name];
         let strategy = GroupingStrategy::Adaptive { epsilon, s_threshold };
         let plan = plan_groups(&submanifold.map_sizes, true, strategy);
         println!(

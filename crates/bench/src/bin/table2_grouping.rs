@@ -38,12 +38,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Tune adaptive (epsilon, S) per layer on the calibration scenes
         // (Algorithm 5), then collect the workloads of one scene.
         let mut engine = Engine::new(EnginePreset::TorchSparse, DeviceProfile::rtx_2080ti());
-        tune_engine(&mut engine, model.as_ref(), &inputs, None)?;
+        let tuned = tune_engine(&mut engine, model.as_ref(), &inputs, None)?.selected;
         engine.context_mut().record_workloads = true;
         engine.price(model.as_ref(), &inputs[0])?;
         let workloads = engine.context().workloads.clone();
-        let tuned: std::collections::HashMap<String, (f64, usize)> =
-            engine.context().tuned_groups.clone();
 
         let strategies: Vec<(&str, Box<dyn Fn(&str) -> GroupingStrategy>)> = vec![
             ("Separate", Box::new(|_| GroupingStrategy::Separate)),

@@ -214,13 +214,13 @@ impl Specialization {
         let inputs = scenes(&dataset_for(bm, args.scale), args.scenes, args.seed)?;
         let model = build_model(bm, args.seed);
         let mut engine = Engine::new(EnginePreset::TorchSparse, device.clone());
-        tune_engine(&mut engine, model.as_ref(), &inputs, None)?;
+        let tuned = tune_engine(&mut engine, model.as_ref(), &inputs, None)?.selected;
         engine.context_mut().record_workloads = true;
         engine.price(model.as_ref(), &inputs[0])?;
         Ok(Specialization {
             label: label.to_owned(),
             workloads: engine.context().workloads.clone(),
-            tuned: engine.context().tuned_groups.clone(),
+            tuned,
             device,
         })
     }

@@ -150,8 +150,9 @@ pub struct OptimizationConfig {
     /// Patch a compiled session's frozen plan incrementally when a frame's
     /// geometry differs only slightly from the planned one, instead of
     /// discarding the plan and paying a full mapping rebuild. The patched
-    /// plan is bitwise identical to a from-scratch plan (the delta walk
-    /// bails to a full re-plan whenever it cannot guarantee that, and above
+    /// plan is bitwise identical to a from-scratch plan (a re-plan falls
+    /// back to a full one, decided before it plans a step, whenever it
+    /// cannot guarantee that, and above
     /// [`DELTA_REPLAN_MAX_CHURN`](crate::DELTA_REPLAN_MAX_CHURN) input
     /// churn), so this only changes planning cost.
     /// Defaults on in every preset.

@@ -1,6 +1,7 @@
 use crate::config::{GroupingStrategy, OptimizationConfig};
 use crate::cost_model::{Charge, Ledger};
-use crate::CoreError;
+use crate::{CoreError, SparseTensor};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 use torchsparse_coords::{Coord, KernelMap};
@@ -129,17 +130,12 @@ pub struct Context {
     /// The current run's deferred charges and, once read, their cost.
     ledger: Ledger,
     map_cache: HashMap<MapKey, Arc<CachedMap>>,
-    /// Per-layer tuned `(epsilon, S)` for adaptive grouping, filled by
-    /// [`crate::tuning`].
-    pub tuned_groups: HashMap<String, (f64, usize)>,
-    /// Per-layer groupings chosen at compile time
-    /// ([`crate::tuning::autotune_plan`]). Outranks
-    /// [`Context::tuned_groups`] when a layer is planned, and survives
-    /// [`Context::begin_run`] like it so re-plans after a geometry change
-    /// keep the tuned selections. Kept apart from `tuned_groups` because it
-    /// also holds non-adaptive choices: a compile after a grouping fallback
-    /// stores `Fixed` here, and new streams must inherit that.
-    pub tuned_policies: HashMap<String, GroupingStrategy>,
+    /// Per-layer groupings: Algorithm 5's calibrated `(epsilon, S)`
+    /// ([`crate::tuning::tune_engine`]) or a compiled session's compile-time
+    /// choice ([`crate::tuning::autotune_plan`]), which new streams inherit.
+    /// Read through [`Context::grouping_for`]; survives
+    /// [`Context::begin_run`], so re-plans keep the choices.
+    pub(crate) groupings: HashMap<String, GroupingStrategy>,
     /// Workloads recorded when `record_workloads` is on.
     pub workloads: Vec<LayerWorkload>,
     /// Whether convolutions should append to [`Context::workloads`]. A
@@ -159,7 +155,7 @@ pub struct Context {
     pub degradation: crate::faults::DegradationReport,
     /// Set when adaptive-grouping tuning failed: layers configured for
     /// adaptive grouping run with fixed grouping instead. Survives
-    /// [`Context::begin_run`] like [`Context::tuned_groups`].
+    /// [`Context::begin_run`] like the tuned groupings.
     pub grouping_fallback: bool,
     /// The execution runtime: the shared worker pool (sized by
     /// `config.threads`).
@@ -229,8 +225,7 @@ impl Context {
             gemm: GemmModel::new(device.clone()),
             ledger: Ledger::default(),
             map_cache: HashMap::new(),
-            tuned_groups: HashMap::new(),
-            tuned_policies: HashMap::new(),
+            groupings: HashMap::new(),
             workloads: Vec::new(),
             record_workloads: false,
             profile_layers: false,
@@ -254,6 +249,21 @@ impl Context {
         self.ledger.clear();
         self.map_cache.clear();
         self.degradation.clear();
+    }
+
+    /// The prologue of every run, price, compile and compiled frame:
+    /// [`Context::begin_run`], then `input` screened against the
+    /// configuration's [`ValidationConfig`](crate::ValidationConfig) —
+    /// repaired (owned) under `Sanitize` when it needed repairs.
+    pub(crate) fn begin_frame<'a>(
+        &mut self,
+        input: &'a SparseTensor,
+    ) -> Result<Cow<'a, SparseTensor>, CoreError> {
+        self.begin_run();
+        let Context { config, faults, degradation, .. } = self;
+        let sanitized =
+            crate::validate::validate_input(input, &config.validation, faults, degradation)?;
+        Ok(sanitized.map_or(Cow::Borrowed(input), Cow::Owned))
     }
 
     /// Logs one charge against the current run — the single entry point for
@@ -283,29 +293,26 @@ impl Context {
         self.map_cache.get(&key).cloned()
     }
 
-    /// Stores a map in the cache.
-    pub fn store_map(&mut self, key: MapKey, cached: CachedMap) -> Arc<CachedMap> {
-        let arc = Arc::new(cached);
+    /// Stores a map in the cache (a fresh one, or one already shared).
+    pub fn store_map(&mut self, key: MapKey, cached: impl Into<Arc<CachedMap>>) -> Arc<CachedMap> {
+        let arc = cached.into();
         self.map_cache.insert(key, arc.clone());
         arc
     }
 
-    /// Seeds the cache with an already-shared cached map. The delta
-    /// re-planner uses this to install patched (or verified-identical)
-    /// mappings before the plan walk, so the per-layer `plan()` calls hit
-    /// the cache instead of re-searching.
-    pub fn seed_map(&mut self, key: MapKey, cached: Arc<CachedMap>) {
-        self.map_cache.insert(key, cached);
-    }
-
-    /// The tuned `(epsilon, S)` for a layer, if the tuner has produced one.
-    pub fn tuned_for(&self, layer: &str) -> Option<(f64, usize)> {
-        self.tuned_groups.get(layer).copied()
-    }
-
-    /// The grouping chosen for a layer at compile time, if any.
-    pub fn tuned_grouping(&self, layer: &str) -> Option<GroupingStrategy> {
-        self.tuned_policies.get(layer).copied()
+    /// The grouping a layer plans with: a non-adaptive per-layer choice
+    /// stands; after a tuning failure adaptive layers degrade to fixed
+    /// groups; a tuned `(epsilon, S)` refines an adaptive configuration;
+    /// anything else runs the configured grouping.
+    pub(crate) fn grouping_for(&self, layer: &str) -> GroupingStrategy {
+        let adaptive = |g: GroupingStrategy| matches!(g, GroupingStrategy::Adaptive { .. });
+        let configured = self.config.grouping;
+        match self.groupings.get(layer).copied() {
+            Some(g) if !adaptive(g) => g,
+            _ if self.grouping_fallback && adaptive(configured) => GroupingStrategy::Fixed,
+            Some(g) if adaptive(configured) => g,
+            _ => configured,
+        }
     }
 
     /// Checks the request deadline at a named stage boundary (`"mapping"`
@@ -430,10 +437,32 @@ mod tests {
     #[test]
     fn begin_run_keeps_tuning() {
         let mut c = ctx();
-        c.tuned_groups.insert("conv1".to_owned(), (0.25, 100_000));
+        let tuned = GroupingStrategy::Adaptive { epsilon: 0.25, s_threshold: 100_000 };
+        c.groupings.insert("conv1".to_owned(), tuned);
         c.begin_run();
-        assert_eq!(c.tuned_for("conv1"), Some((0.25, 100_000)));
-        assert_eq!(c.tuned_for("conv2"), None);
+        assert_eq!(c.grouping_for("conv1"), tuned);
+        assert_eq!(c.grouping_for("conv2"), c.config.grouping);
+    }
+
+    #[test]
+    fn grouping_resolution() {
+        let mut c = ctx();
+        let tuned = GroupingStrategy::Adaptive { epsilon: 0.25, s_threshold: 100_000 };
+        c.groupings.insert("tuned".to_owned(), tuned);
+        c.groupings.insert("fixed".to_owned(), GroupingStrategy::Fixed);
+        c.groupings.insert("separate".to_owned(), GroupingStrategy::Separate);
+        // A tuned (epsilon, S) refines an adaptive configuration only.
+        c.config.grouping = GroupingStrategy::Symmetric;
+        assert_eq!(c.grouping_for("tuned"), GroupingStrategy::Symmetric);
+        assert_eq!(c.grouping_for("separate"), GroupingStrategy::Separate);
+        // After a tuning failure adaptive layers run fixed groups, and a
+        // non-adaptive choice stands.
+        c.config.grouping = GroupingStrategy::default_adaptive();
+        c.grouping_fallback = true;
+        for layer in ["tuned", "fixed", "untuned"] {
+            assert_eq!(c.grouping_for(layer), GroupingStrategy::Fixed, "{layer}");
+        }
+        assert_eq!(c.grouping_for("separate"), GroupingStrategy::Separate);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-use crate::config::{GroupingStrategy, Precision};
+use crate::config::Precision;
 use crate::context::{CachedMap, Context, LayerWorkload, MapKey};
 use crate::dataflow::{
     apply_storage_precision_owned_kernel, fetch_on_demand_into, gather_matmul_scatter_into,
@@ -217,61 +217,17 @@ impl SparseConv3d {
         )
     }
 
-    /// Acquires the kernel map and output coordinates, via the cache when
-    /// possible, with the `Mapping` latency of the search when one ran.
-    fn acquire_map(
-        &self,
-        coords: &[Coord],
-        in_stride: i32,
-        ctx: &mut Context,
-    ) -> Result<(Arc<CachedMap>, Option<Micros>), CoreError> {
-        if self.transposed {
-            let fine_stride = in_stride / self.stride;
-            let key = MapKey {
-                fine_stride,
-                kernel_size: self.kernel_size,
-                conv_stride: self.stride,
-                dilation: self.dilation,
-            };
-            return ctx.cached_map(key).map(|m| (m, None)).ok_or(CoreError::MissingCachedMap {
-                stride: in_stride,
-                kernel_size: self.kernel_size,
-            });
-        }
-        let key = MapKey {
-            fine_stride: in_stride,
+    /// The map cache key of this layer on an input at `in_stride`: keyed by
+    /// the finer side, so a transposed layer finds the map of the
+    /// downsampling layer it inverts.
+    pub(crate) fn map_key(&self, in_stride: i32) -> MapKey {
+        let fine_stride = if self.transposed { in_stride / self.stride } else { in_stride };
+        MapKey {
+            fine_stride,
             kernel_size: self.kernel_size,
             conv_stride: self.stride,
             dilation: self.dilation,
-        };
-        if let Some(hit) = ctx.cached_map(key) {
-            // Map reuse across layers sharing (stride, kernel): free, as in
-            // real engines' coordinate managers. An injected cache fault
-            // invalidates the entry; the map is an optimization, not a
-            // correctness dependency, so the fallback is a plain rebuild.
-            if !ctx.faults.should_fail(FaultSite::KernelMapCache) {
-                return Ok((hit, None));
-            }
-            ctx.degradation
-                .record(FaultSite::KernelMapCache, "injected cache invalidation; map rebuilt");
         }
-        let mapping = {
-            let Context { config, device, faults, degradation, runtime, frozen_index, .. } = ctx;
-            build_layer_mapping_on(
-                &runtime.pool(),
-                coords,
-                self.kernel_size,
-                self.stride,
-                self.dilation,
-                config,
-                device,
-                faults,
-                degradation,
-                *frozen_index,
-            )?
-        };
-        let latency = mapping.latency;
-        Ok((ctx.store_map(key, mapping.into_cached(coords)), Some(latency)))
     }
 
     /// The plan half: derives everything this layer needs from input
@@ -293,7 +249,16 @@ impl SparseConv3d {
         if coords.is_empty() {
             return Err(CoreError::EmptyInput);
         }
-        let (cached, mapping) = self.acquire_map(coords, in_stride, ctx)?;
+        let key = self.map_key(in_stride);
+        let (cached, mapping) = if self.transposed {
+            let cached = ctx.cached_map(key).ok_or(CoreError::MissingCachedMap {
+                stride: in_stride,
+                kernel_size: self.kernel_size,
+            })?;
+            (cached, None)
+        } else {
+            acquire_map(key, coords, ctx)?
+        };
         // For a transposed conv the map is flipped: entries run coarse -> fine.
         let (flipped, use_fine, out_stride) = if self.transposed {
             (Some(cached.map.transposed()), true, in_stride / self.stride)
@@ -319,33 +284,13 @@ impl SparseConv3d {
                 submanifold,
             });
         }
-        // A grouping chosen at compile time outranks the `(epsilon, S)`
-        // resolution below.
-        let tuned = ctx.tuned_grouping(&self.name);
         // Fetch-on-demand when configured and the workload is small.
         let avg_map = map_ref.total_entries() / map_ref.num_offsets().max(1);
         let use_fod = ctx.config.fetch_on_demand_below.is_some_and(|t| avg_map < t);
         let dataflow = if use_fod {
             ConvDataflow::FetchOnDemand
         } else {
-            // Grouping strategy: a compile-time choice wins, then per-layer
-            // tuned `(epsilon, S)` parameters if present; after a tuning
-            // failure adaptive layers degrade to fixed groups.
-            let strategy = match (tuned, ctx.tuned_for(&self.name)) {
-                (Some(GroupingStrategy::Adaptive { .. }), _) | (None, _)
-                    if ctx.grouping_fallback
-                        && matches!(ctx.config.grouping, GroupingStrategy::Adaptive { .. }) =>
-                {
-                    GroupingStrategy::Fixed
-                }
-                (Some(s), _) => s,
-                (None, Some((epsilon, s_threshold)))
-                    if matches!(ctx.config.grouping, GroupingStrategy::Adaptive { .. }) =>
-                {
-                    GroupingStrategy::Adaptive { epsilon, s_threshold }
-                }
-                (None, _) => ctx.config.grouping,
-            };
+            let strategy = ctx.grouping_for(&self.name);
             ConvDataflow::Grouped(plan_groups(&map_ref.sizes(), submanifold, strategy))
         };
 
@@ -472,6 +417,45 @@ pub(crate) struct ConvRun {
     /// The epilogue ran inside the executor: the steps it covers have
     /// nothing left to do.
     pub(crate) fused: bool,
+}
+
+/// Acquires the kernel map `key` over `coords` for a convolution or pooling
+/// layer: from the map cache when present, else searched on the context's
+/// pool through its fault injector and stored. Returns the `Mapping`
+/// latency of the search when one ran.
+pub(crate) fn acquire_map(
+    key: MapKey,
+    coords: &[Coord],
+    ctx: &mut Context,
+) -> Result<(Arc<CachedMap>, Option<Micros>), CoreError> {
+    if let Some(hit) = ctx.cached_map(key) {
+        // Map reuse across layers sharing (stride, kernel): free, as in
+        // real engines' coordinate managers. An injected cache fault
+        // invalidates the entry; the map is an optimization, not a
+        // correctness dependency, so the fallback is a plain rebuild.
+        if !ctx.faults.should_fail(FaultSite::KernelMapCache) {
+            return Ok((hit, None));
+        }
+        ctx.degradation
+            .record(FaultSite::KernelMapCache, "injected cache invalidation; map rebuilt");
+    }
+    let mapping = {
+        let Context { config, device, faults, degradation, runtime, frozen_index, .. } = ctx;
+        build_layer_mapping_on(
+            &runtime.pool(),
+            coords,
+            key.kernel_size,
+            key.conv_stride,
+            key.dilation,
+            config,
+            device,
+            faults,
+            degradation,
+            *frozen_index,
+        )?
+    };
+    let latency = mapping.latency;
+    Ok((ctx.store_map(key, mapping.into_cached(coords)), Some(latency)))
 }
 
 impl std::fmt::Debug for SparseConv3d {

@@ -125,8 +125,8 @@ impl Engine {
         model: &M,
         input: &SparseTensor,
     ) -> Result<SparseTensor, CoreError> {
-        let sanitized = self.begin_run(input)?;
-        model.forward(sanitized.as_ref().unwrap_or(input), &mut self.ctx)
+        let input = self.ctx.begin_frame(input)?;
+        model.forward(&input, &mut self.ctx)
     }
 
     /// Prices a model on one input scene without running it: the same
@@ -153,18 +153,9 @@ impl Engine {
         model: &M,
         input: &SparseTensor,
     ) -> Result<&Timeline, CoreError> {
-        let sanitized = self.begin_run(input)?;
-        let input = sanitized.as_ref().unwrap_or(input);
-        crate::session::price_ephemeral(model, input, &mut self.ctx)?;
+        let input = self.ctx.begin_frame(input)?;
+        crate::session::price_ephemeral(model, &input, &mut self.ctx)?;
         Ok(self.ctx.timeline())
-    }
-
-    /// Resets per-run state and screens `input`: `Some` holds the repaired
-    /// tensor when sanitizing changed it.
-    fn begin_run(&mut self, input: &SparseTensor) -> Result<Option<SparseTensor>, CoreError> {
-        self.ctx.begin_run();
-        let Context { config, faults, degradation, .. } = &mut self.ctx;
-        crate::validate::validate_input(input, &config.validation, faults, degradation)
     }
 
     /// Every graceful-degradation decision of the last [`Engine::run`]

@@ -345,6 +345,15 @@ impl StepPlan {
             _ => None,
         }
     }
+
+    /// The kernel map the step planned with, if it has one.
+    pub(crate) fn cached(&self) -> Option<&Arc<CachedMap>> {
+        match self {
+            StepPlan::Conv(p) | StepPlan::Residual { projection: Some(p) } => Some(&p.cached),
+            StepPlan::Pool(p) => Some(&p.cached),
+            _ => None,
+        }
+    }
 }
 
 /// An immutable execution plan: every kernel map, output coordinate list,
@@ -420,15 +429,13 @@ impl ExecutionPlan {
         let mut counted: Vec<*const CachedMap> = Vec::new();
         let mut total = 0u64;
         for step in &self.steps {
-            match step {
-                StepPlan::Conv(p) | StepPlan::Residual { projection: Some(p) } => {
-                    // Per-plan extras (flipped map, locality order) always
-                    // count; the shared cached mapping only on first sight.
-                    total += p.memory_bytes() - p.cached.memory_bytes();
-                    total += charge_shared(&mut counted, &p.cached);
-                }
-                StepPlan::Pool(p) => total += charge_shared(&mut counted, &p.cached),
-                _ => {}
+            // Per-plan extras (flipped map, locality order) always count;
+            // the shared cached mapping only on first sight.
+            if let StepPlan::Conv(p) | StepPlan::Residual { projection: Some(p) } = step {
+                total += p.memory_bytes() - p.cached.memory_bytes();
+            }
+            if let Some(cached) = step.cached() {
+                total += charge_shared(&mut counted, cached);
             }
         }
         total

@@ -7,11 +7,9 @@
 //! caching) and performs a per-channel max-reduction instead of GEMM.
 
 use crate::context::{Context, MapKey};
-use crate::faults::{DegradationReport, FaultInjector};
-use crate::mapping::build_layer_mapping_on;
+use crate::conv::acquire_map;
 use crate::module::Module;
 use crate::plan::{LayerOp, PoolPlan, Tracer};
-use crate::runtime::ThreadPool;
 use crate::CoreError;
 use torchsparse_coords::Coord;
 use torchsparse_tensor::Matrix;
@@ -87,8 +85,18 @@ impl SparseMaxPool3d {
         self.reduction
     }
 
-    /// The plan half: acquires the kernel map (shared with convolution —
-    /// pooling and convolution with the same (stride, kernel) share one
+    /// The map cache key of this layer on an input at `in_stride`.
+    pub(crate) fn map_key(&self, in_stride: i32) -> MapKey {
+        MapKey {
+            fine_stride: in_stride,
+            kernel_size: self.kernel_size,
+            conv_stride: self.stride,
+            dilation: 1,
+        }
+    }
+
+    /// The plan half: acquires the kernel map exactly as a convolution does
+    /// (pooling and convolution with the same (stride, kernel) share one
     /// map, as in real engines) and freezes the output geometry, recording
     /// the `Mapping` latency of the search when one ran.
     pub(crate) fn plan(
@@ -100,31 +108,7 @@ impl SparseMaxPool3d {
         if coords.is_empty() {
             return Err(CoreError::EmptyInput);
         }
-        let key = MapKey {
-            fine_stride: in_stride,
-            kernel_size: self.kernel_size,
-            conv_stride: self.stride,
-            dilation: 1,
-        };
-        let (cached, mapping) = match ctx.cached_map(key) {
-            Some(hit) => (hit, None),
-            None => {
-                let mapping = build_layer_mapping_on(
-                    ThreadPool::global(),
-                    coords,
-                    self.kernel_size,
-                    self.stride,
-                    1,
-                    &ctx.config,
-                    &ctx.device,
-                    &mut FaultInjector::disarmed(),
-                    &mut DegradationReport::new(),
-                    ctx.frozen_index,
-                )?;
-                let latency = mapping.latency;
-                (ctx.store_map(key, mapping.into_cached(coords)), Some(latency))
-            }
-        };
+        let (cached, mapping) = acquire_map(self.map_key(in_stride), coords, ctx)?;
         let use_fine = self.stride == 1;
         let out_stride = if use_fine { in_stride } else { in_stride * self.stride };
         Ok(PoolPlan { cached, use_fine, out_stride, mapping })
@@ -287,6 +271,23 @@ mod tests {
         let a = SparseMaxPool3d::new("m", 3, 1).forward(&x, &mut c1).unwrap();
         let b = SparseMaxPool3d::mean("a", 3, 1).forward(&x, &mut c2).unwrap();
         assert_eq!(a.feats(), b.feats());
+    }
+
+    #[test]
+    fn pool_map_search_runs_on_the_context_pool_and_injector() {
+        use crate::faults::FaultSite;
+        use crate::runtime::ThreadPool;
+        use std::sync::Arc;
+        let mut e = crate::Engine::with_config(ctx().config, DeviceProfile::rtx_2080ti());
+        let pool = Arc::new(ThreadPool::new_recording());
+        e.context_mut().runtime.set_pool(pool.clone());
+        e.context_mut().faults.arm(FaultSite::GridTableBuild);
+        let y = e.run(&SparseMaxPool3d::new("p", 2, 2), &line_tensor()).unwrap();
+        assert_eq!(y.len(), 3);
+        let tasks: usize = pool.take_trace().iter().map(Vec::len).sum();
+        assert_eq!(tasks, 8, "one map-search task per offset of the 2x2x2 window");
+        assert_eq!(e.context().faults.injected(), [FaultSite::GridTableBuild]);
+        assert_eq!(e.degradation_report().count(FaultSite::GridTableBuild), 1);
     }
 
     #[test]

@@ -34,9 +34,10 @@
 //! [`CompiledSession::into_parts`] opens it up.
 
 use crate::config::OptimizationConfig;
-use crate::context::{CachedMap, Context};
+use crate::context::{CachedMap, Context, MapKey};
 use crate::cost_model::Charge;
 use crate::dataflow::Epilogue;
+use crate::delta::{Level, Patch};
 use crate::engine::Engine;
 use crate::faults::DegradationReport;
 use crate::module::Module;
@@ -56,13 +57,16 @@ use torchsparse_tensor::Matrix;
 /// through the network looks like after each op, without any features.
 /// Coordinates are borrowed — from the input, or from the cached map of
 /// the step that produced them — never copied.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 struct Geometry<'a> {
     coords: Coords<'a>,
     stride: i32,
     channels: usize,
     /// The planned activation holding the features (`None`: the input's).
     value: Option<usize>,
+    /// The coordinates' delta against the old plan when a re-plan patches
+    /// maps (`None`: not tracked).
+    level: Option<Level>,
 }
 
 /// Where a [`Geometry`]'s coordinates live.
@@ -174,7 +178,7 @@ impl<'m> CompiledModel<'m> {
         let mut engine = Engine::try_with_config(self.config.clone(), self.device.clone())?;
         engine.context_mut().frozen_index = true;
         if let Some(report) = &self.tuning {
-            engine.context_mut().tuned_policies = report.policies.clone();
+            engine.context_mut().groupings = report.policies.clone();
         }
         Ok(StreamState {
             engine,
@@ -206,12 +210,7 @@ impl<'m> CompiledModel<'m> {
         input: &SparseTensor,
     ) -> Result<SparseTensor, CoreError> {
         let ctx = stream.engine.context_mut();
-        ctx.begin_run();
-        let sanitized = {
-            let Context { config, faults, degradation, .. } = ctx;
-            crate::validate::validate_input(input, &config.validation, faults, degradation)?
-        };
-        let tensor = sanitized.as_ref().unwrap_or(input);
+        let tensor = &*ctx.begin_frame(input)?;
         let fingerprint = geometry_fingerprint(tensor.coords(), tensor.stride());
         let matches = |p: &Arc<ExecutionPlan>| p.matches(fingerprint, tensor.len());
         // A hit keeps the slot's plan, so its footprint is already counted.
@@ -379,14 +378,9 @@ impl<'m> CompiledSession<'m> {
         // stream's map searches (the compile below, private re-plans) build
         // the succinct MPHF index, as every `new_stream` will.
         ctx.frozen_index = true;
-        ctx.begin_run();
-        let sanitized = {
-            let Context { config, faults, degradation, .. } = ctx;
-            crate::validate::validate_input(input, &config.validation, faults, degradation)?
-        };
-        let tensor = sanitized.as_ref().unwrap_or(input);
+        let tensor = &*ctx.begin_frame(input)?;
         let fingerprint = geometry_fingerprint(tensor.coords(), tensor.stride());
-        let mut plan = build_plan(&ops, tensor, fingerprint, ctx)?;
+        let mut plan = build_plan(&ops, tensor, fingerprint, None, ctx)?;
         defer_mapping(&plan, ctx);
         // Grouping is chosen against the frozen plan by the simulated
         // prior, re-grouping its convolutions in place.
@@ -531,15 +525,15 @@ impl std::fmt::Debug for CompiledSession<'_> {
 /// already computed for the slot comparison.
 ///
 /// When delta re-planning is enabled and the stream holds a previous plan,
-/// the incremental path diffs the new geometry against that plan and
-/// patches only the affected mapping structures, seeding the context's map
-/// cache so [`build_plan`] below reuses them verbatim. Every build is
-/// classified into exactly one of the [`PlanCacheStats`] partitions —
-/// `delta_patches` on a successful patch, `delta_fallbacks` on a
-/// conservative bail, `full_replans` otherwise — keeping
-/// `misses == full_replans + delta_patches + delta_fallbacks`. Whichever
-/// way it was built, the plan's map searches are logged on this frame and
-/// its execute-path cost is left for the first reader to walk.
+/// [`Patch::new`] decides up front whether that plan can be patched for the
+/// new geometry, and [`build_plan`] below then patches each of its maps
+/// just before the step that plans with it. Every build is classified into
+/// exactly one of the [`PlanCacheStats`] partitions — `delta_patches` when
+/// patched, `delta_fallbacks` on a conservative bail, `full_replans`
+/// otherwise — keeping `misses == full_replans + delta_patches +
+/// delta_fallbacks`. Whichever way it was built, the plan's map work is
+/// logged on this frame and its execute-path cost is left for the first
+/// reader to walk.
 fn replan_into_slot(
     ops: &[LayerOp<'_>],
     input: &SparseTensor,
@@ -549,19 +543,23 @@ fn replan_into_slot(
     ctx: &mut Context,
 ) -> Result<ExecutionPlan, CoreError> {
     stats.misses += 1;
-    let attempted = old_plan.is_some() && ctx.config.delta_replan;
-    let patched = match old_plan {
-        Some(old) if attempted => crate::delta::try_seed_delta_maps(ops, old, input, ctx)?,
-        _ => false,
-    };
-    if patched {
-        stats.delta_patches += 1;
-    } else if attempted {
-        stats.delta_fallbacks += 1;
-    } else {
-        stats.full_replans += 1;
+    let mut patch = None;
+    match old_plan {
+        Some(old) if ctx.config.delta_replan => {
+            ctx.check_deadline("mapping")?;
+            let symmetric = ctx.config.symmetric_map_search;
+            patch = Patch::new(ops, old, input.coords(), symmetric);
+            match patch {
+                Some(_) => stats.delta_patches += 1,
+                None => stats.delta_fallbacks += 1,
+            }
+        }
+        _ => stats.full_replans += 1,
     }
-    let plan = build_plan(ops, input, fingerprint, ctx)?;
+    let plan = build_plan(ops, input, fingerprint, patch.as_mut(), ctx)?;
+    if let Some(patch) = &patch {
+        patch.defer_cost(ctx);
+    }
     defer_mapping(&plan, ctx);
     Ok(plan)
 }
@@ -584,7 +582,7 @@ pub(crate) fn run_ephemeral<M: Module + ?Sized>(
     ctx: &mut Context,
 ) -> Result<SparseTensor, CoreError> {
     let ops = trace(model)?;
-    let plan = build_plan(&ops, input, 0, ctx)?;
+    let plan = build_plan(&ops, input, 0, None, ctx)?;
     let (out, reruns) = run_steps(&ops, &plan, input, ctx)?;
     ctx.defer(Charge::ephemeral_plan(plan, reruns, ctx.profile_layers));
     Ok(out)
@@ -598,7 +596,7 @@ pub(crate) fn price_ephemeral<M: Module + ?Sized>(
     input: &SparseTensor,
     ctx: &mut Context,
 ) -> Result<(), CoreError> {
-    let plan = build_plan(&trace(model)?, input, 0, ctx)?;
+    let plan = build_plan(&trace(model)?, input, 0, None, ctx)?;
     ctx.defer(Charge::ephemeral_plan(plan, Vec::new(), ctx.profile_layers));
     Ok(())
 }
@@ -615,11 +613,13 @@ fn defer_mapping(plan: &ExecutionPlan, ctx: &mut Context) {
 /// [`StepPlan`] list. Only geometric work happens here (map building,
 /// output coordinate computation, grouping, buffer slots); features are
 /// never read and nothing is charged — each step records the `Mapping`
-/// latency of its own map search.
+/// latency of its own map search. With a `patch` source, each map a step
+/// plans with is the old plan's, patched ([`patch_map`]).
 fn build_plan(
     ops: &[LayerOp<'_>],
     input: &SparseTensor,
     fingerprint: u64,
+    mut patch: Option<&mut Patch<'_>>,
     ctx: &mut Context,
 ) -> Result<ExecutionPlan, CoreError> {
     let mut cur = Geometry {
@@ -627,6 +627,7 @@ fn build_plan(
         stride: input.stride(),
         channels: input.channels(),
         value: None,
+        level: patch.as_ref().map(|p| p.root.clone()),
     };
     let mut stack: Vec<Geometry<'_>> = Vec::new();
     let mut steps = Vec::with_capacity(ops.len());
@@ -651,15 +652,21 @@ fn build_plan(
         let mut written = StepBuffers::default();
         let step = match op {
             LayerOp::Conv(conv) => {
+                let key = conv.map_key(cur.stride);
+                let level = patch_map(&mut patch, i, key, conv.transposed(), &mut cur, ctx);
                 let p = conv.plan(cur.coords.get(), cur.stride, cur.channels, ctx)?;
                 let coords = Coords::Map { cached: Arc::clone(&p.cached), fine: p.use_fine };
                 written.out = Some(cur.advance(coords, p.out_stride, conv.c_out(), &mut life, i));
+                cur.level = level;
                 StepPlan::Conv(p)
             }
             LayerOp::Pool(pool) => {
+                let key = pool.map_key(cur.stride);
+                let level = patch_map(&mut patch, i, key, false, &mut cur, ctx);
                 let p = pool.plan(cur.coords.get(), cur.stride, ctx)?;
                 let coords = Coords::Map { cached: Arc::clone(&p.cached), fine: p.use_fine };
                 written.out = Some(cur.advance(coords, p.out_stride, cur.channels, &mut life, i));
+                cur.level = level;
                 StepPlan::Pool(p)
             }
             LayerOp::BatchNorm(bn) => {
@@ -683,6 +690,7 @@ fn build_plan(
                 let origins = GlobalPool::origins(cur.coords.get());
                 let coords = Coords::Batches(origins.clone());
                 written.out = Some(cur.advance(coords, cur.stride, cur.channels, &mut life, i));
+                cur.level = None;
                 StepPlan::GlobalPool { origins }
             }
             LayerOp::Push => {
@@ -700,12 +708,16 @@ fn build_plan(
                 StepPlan::PopConcat
             }
             LayerOp::ResidualAdd { projection } => {
-                let saved = stack
+                let mut saved = stack
                     .pop()
                     .ok_or(CoreError::PlanMismatch { reason: "residual pops an empty stack" })?;
                 life.touch(saved.value, i);
                 let (proj, channels, shortcut) = match projection {
                     Some(conv) => {
+                        // The shortcut's geometry is the saved one; the
+                        // residual output keeps the current one.
+                        let key = conv.map_key(saved.stride);
+                        patch_map(&mut patch, i, key, conv.transposed(), &mut saved, ctx);
                         let p = conv.plan(saved.coords.get(), saved.stride, saved.channels, ctx)?;
                         same_coords(cur.coords.get(), p.out_coords())?;
                         written.out = Some(life.create(p.out_coords().len() * conv.c_out(), i));
@@ -771,7 +783,8 @@ impl<'a> Geometry<'a> {
     ) -> usize {
         life.touch(self.value, i);
         let value = life.create(coords.get().len() * channels, i);
-        *self = Geometry { coords, stride, channels, value: Some(value) };
+        (self.coords, self.stride, self.channels, self.value) =
+            (coords, stride, channels, Some(value));
         value
     }
 
@@ -795,6 +808,26 @@ impl<'a> Geometry<'a> {
         }
         self.value = Some(life.create(self.coords.get().len() * self.channels, i));
         self.value
+    }
+}
+
+/// Before step `i` plans its map `key` from the geometry `from`: with a
+/// patch source, patches the old plan's map into the context's map cache —
+/// a transposed convolution only re-enters the fine level of the map it
+/// inverts. Returns the level of the step's output.
+fn patch_map(
+    patch: &mut Option<&mut Patch<'_>>,
+    i: usize,
+    key: MapKey,
+    transposed: bool,
+    from: &mut Geometry<'_>,
+    ctx: &mut Context,
+) -> Option<Level> {
+    let (patch, level) = (patch.as_deref_mut()?, from.level.as_mut()?);
+    if transposed {
+        patch.fine_level(key)
+    } else {
+        patch.map(i, key, from.coords.get(), level, ctx)
     }
 }
 

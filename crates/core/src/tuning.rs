@@ -144,7 +144,6 @@ pub fn tune_engine<M: Module + ?Sized>(
     if let Some(cause) = failure {
         let ctx = engine.context_mut();
         ctx.grouping_fallback = true;
-        ctx.tuned_groups.clear();
         ctx.degradation.record(
             crate::faults::FaultSite::GroupTuning,
             &format!("tuning failed ({cause}); fixed grouping installed"),
@@ -182,7 +181,10 @@ pub fn tune_engine<M: Module + ?Sized>(
         }
     }
 
-    engine.context_mut().tuned_groups = selected.clone();
+    let tuned = selected.iter().map(|(layer, &(epsilon, s_threshold))| {
+        (layer.clone(), GroupingStrategy::Adaptive { epsilon, s_threshold })
+    });
+    engine.context_mut().groupings.extend(tuned);
     Ok(TuningReport {
         selected,
         samples: samples.len(),
@@ -193,25 +195,22 @@ pub fn tune_engine<M: Module + ?Sized>(
     })
 }
 
-/// The grouping strategy the simulated prior selects for one layer: for
-/// adaptive configs the simulated-cost winner of the Algorithm 5 grid when
-/// it strictly beats the config-resolved default's simulated cost, else
-/// that default. Never exceeding the default's cost keeps a compiled
-/// session's simulated latency no worse than the dynamic engine's, which
-/// serving latency accounting relies on.
+/// The grouping strategy the simulated prior selects for one layer: when
+/// the layer's current grouping ([`Context::grouping_for`]: a calibrated
+/// `(epsilon, S)`, else the configured grouping) is adaptive, the
+/// simulated-cost winner of the Algorithm 5 grid if it strictly beats that
+/// grouping's simulated cost, else that grouping. Never exceeding its cost
+/// keeps a compiled session's simulated latency no worse than the dynamic
+/// engine's, which serving latency accounting relies on.
 fn prior_grouping(
+    layer: &str,
     map_sizes: &[usize],
     submanifold: bool,
     c_in: usize,
     c_out: usize,
     ctx: &Context,
 ) -> GroupingStrategy {
-    let adaptive_config = matches!(ctx.config.grouping, GroupingStrategy::Adaptive { .. });
-    let default = if ctx.grouping_fallback && adaptive_config {
-        GroupingStrategy::Fixed
-    } else {
-        ctx.config.grouping
-    };
+    let default = ctx.grouping_for(layer);
     if let GroupingStrategy::Adaptive { .. } = default {
         let w = LayerWorkload {
             name: String::new(),
@@ -243,9 +242,9 @@ fn prior_grouping(
 
 /// Picks every convolution's grouping in a freshly built
 /// [`ExecutionPlan`] with [`prior_grouping`], re-grouping the frozen plan in
-/// place where the choice differs from the configured grouping, and
-/// installs the choices in the context so re-plans and new streams reuse
-/// them.
+/// place where the choice differs from the grouping it was planned with,
+/// and installs the choices in the context so re-plans and new streams
+/// reuse them.
 pub(crate) fn autotune_plan(
     ops: &[LayerOp<'_>],
     plan: &mut ExecutionPlan,
@@ -266,18 +265,19 @@ pub(crate) fn autotune_plan(
             // Fetch-on-demand layers have no grouping to tune.
             continue;
         }
-        let map_sizes = p.map().sizes();
-        let grouping = prior_grouping(&map_sizes, p.submanifold, conv.c_in(), conv.c_out(), ctx);
-        if grouping != ctx.config.grouping {
+        let (name, map_sizes) = (conv.layer_name(), p.map().sizes());
+        let grouping =
+            prior_grouping(name, &map_sizes, p.submanifold, conv.c_in(), conv.c_out(), ctx);
+        if grouping != ctx.grouping_for(name) {
             p.dataflow = ConvDataflow::Grouped(plan_groups(&map_sizes, p.submanifold, grouping));
         }
         if let GroupingStrategy::Adaptive { epsilon, s_threshold } = grouping {
-            selected.insert(conv.layer_name().to_owned(), (epsilon, s_threshold));
+            selected.insert(name.to_owned(), (epsilon, s_threshold));
         }
-        policies.insert(conv.layer_name().to_owned(), grouping);
+        policies.insert(name.to_owned(), grouping);
     }
 
-    ctx.tuned_policies = policies.clone();
+    ctx.groupings.extend(policies.clone());
     TuningReport {
         selected,
         samples: 1,
@@ -324,7 +324,13 @@ mod tests {
         assert_eq!(report.samples, 2);
         assert_eq!(report.configs_searched, 80);
         // Installed into the context.
-        assert!(e.context().tuned_for("c1").is_some());
+        assert_eq!(
+            e.context().grouping_for("c1"),
+            GroupingStrategy::Adaptive {
+                epsilon: report.selected["c1"].0,
+                s_threshold: report.selected["c1"].1
+            }
+        );
     }
 
     #[test]
@@ -333,7 +339,7 @@ mod tests {
         // corners of the space (separate / symmetric / dense).
         let mut e = Engine::new(EnginePreset::TorchSparse, DeviceProfile::rtx_2080ti());
         let samples = vec![scene(3)];
-        tune_engine(&mut e, &model(), &samples, None).unwrap();
+        let report = tune_engine(&mut e, &model(), &samples, None).unwrap();
 
         // Re-profile to get the workloads.
         e.context_mut().record_workloads = true;
@@ -341,7 +347,7 @@ mod tests {
         let workloads = std::mem::take(&mut e.context_mut().workloads);
         let gemm = e.context().gemm.clone();
         for w in &workloads {
-            let (eps, s) = e.context().tuned_for(&w.name).unwrap();
+            let (eps, s) = report.selected[&w.name];
             let tuned = grouped_matmul_latency(
                 w,
                 GroupingStrategy::Adaptive { epsilon: eps, s_threshold: s },
@@ -399,6 +405,44 @@ mod tests {
     }
 
     #[test]
+    fn compile_after_tune_engine_runs_the_groupings_it_reports() {
+        // On this scene no grid point strictly beats the configured
+        // grouping for `c1`, and the calibrated one groups differently.
+        let coords: Vec<Coord> = (0..60)
+            .map(|i| Coord::new(0, (i * 7) % 13, (i * 3) % 11, (i * 5) % 9))
+            .collect::<std::collections::BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let n = coords.len();
+        let x =
+            SparseTensor::new(coords, Matrix::from_fn(n, 4, |r, c| ((r + c) % 3) as f32)).unwrap();
+        let mut e = Engine::new(EnginePreset::TorchSparse, DeviceProfile::rtx_2080ti());
+        let calibrated = Some((vec![1.0], vec![0]));
+        tune_engine(&mut e, &model(), std::slice::from_ref(&x), calibrated).unwrap();
+        let m = model();
+        let mut session = e.compile(&m, &x).unwrap();
+        let report = session.tuning_report().unwrap().clone();
+        let runs_reported = |plan: &ExecutionPlan| {
+            for (step, name) in plan.steps.iter().zip(&plan.names) {
+                if let (StepPlan::Conv(p), Some(name)) = (step, name) {
+                    let reported =
+                        plan_groups(&p.map().sizes(), p.submanifold, report.policies[name]);
+                    assert!(
+                        matches!(&p.dataflow, ConvDataflow::Grouped(g) if *g == reported),
+                        "{name} runs a grouping other than {:?}",
+                        report.policies[name]
+                    );
+                }
+            }
+        };
+        runs_reported(session.plan());
+        // A re-plan for new geometry keeps the reported groupings.
+        session.execute(&scene(2)).unwrap();
+        assert_eq!(session.stats().misses, 2);
+        runs_reported(session.plan());
+    }
+
+    #[test]
     fn prior_grouping_never_costs_more_than_the_default() {
         // Whatever grouping the prior selects, its sim-cost is <= the
         // config default's: compiled sessions must never look slower than
@@ -406,7 +450,7 @@ mod tests {
         let e = Engine::new(EnginePreset::TorchSparse, DeviceProfile::rtx_2080ti());
         let ctx = e.context();
         let map_sizes: Vec<usize> = (0..27).map(|i| 2000 + i * 300).collect();
-        let picked = prior_grouping(&map_sizes, true, 32, 64, ctx);
+        let picked = prior_grouping("c", &map_sizes, true, 32, 64, ctx);
         let w = LayerWorkload {
             name: String::new(),
             map_sizes: map_sizes.clone(),
@@ -421,7 +465,7 @@ mod tests {
         separate.grouping = GroupingStrategy::Separate;
         let e = Engine::with_config(separate, DeviceProfile::rtx_2080ti());
         assert_eq!(
-            prior_grouping(&map_sizes, true, 32, 64, e.context()),
+            prior_grouping("c", &map_sizes, true, 32, 64, e.context()),
             GroupingStrategy::Separate
         );
     }

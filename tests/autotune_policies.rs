@@ -105,10 +105,9 @@ fn every_selectable_policy_is_bitwise_neutral() {
         GroupingStrategy::Adaptive { epsilon: 0.3, s_threshold: 150_000 },
     ];
     for grouping in groupings {
-        let mut engine = Engine::with_config(cfg.clone(), device());
-        let ctx = engine.context_mut();
-        ctx.tuned_policies.insert("c1".to_owned(), grouping);
-        ctx.tuned_policies.insert("c2".to_owned(), grouping);
+        let mut pinned = cfg.clone();
+        pinned.grouping = grouping;
+        let engine = Engine::with_config(pinned, device());
         let mut session = engine.compile(&m, &x).expect("compile with pinned grouping");
         let got = bits(&session.execute(&x).expect("execute"));
         assert_eq!(got, expected, "grouping {grouping:?} must be bitwise-neutral");

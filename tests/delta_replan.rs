@@ -14,8 +14,9 @@ use torchsparse::coords::{
     diff_coords, Coord, CoordHashMap, CoordIndex, DeltaIndex, MphfIndex, REMOVED_ROW,
 };
 use torchsparse::core::{
-    BatchNorm, Engine, EnginePreset, Module, OptimizationConfig, PlanCacheStats, Precision, ReLU,
-    Sequential, SparseConv3d, SparseMaxPool3d, SparseTensor, DELTA_REPLAN_MAX_CHURN,
+    BatchNorm, CoreError, Engine, EnginePreset, FaultSite, GlobalPool, Module, OptimizationConfig,
+    PlanCacheStats, Precision, ReLU, Sequential, SparseConv3d, SparseMaxPool3d, SparseTensor,
+    DELTA_REPLAN_MAX_CHURN,
 };
 use torchsparse::data::{
     dynamic_actors_stream, ego_drift_stream, multi_sweep_stream, temporal_churn_stream,
@@ -250,6 +251,108 @@ fn patched_replans_cost_a_third_of_full_replans_at_five_percent_churn() {
 /// ratio). Below it the fixed per-kernel launch cost that both arms pay
 /// compresses the ratio: 2.69x at half this scale.
 const SCALE: f64 = 0.1;
+
+/// Global pooling collapses every batch to one point, so a map op after it
+/// searches geometry the old plan's rows do not describe: each re-plan of
+/// such a model falls back, and still equals a cold compile. The same
+/// network without the map op after the pool patches every miss.
+#[test]
+fn map_op_after_global_pool_falls_back_on_every_miss() {
+    let frames = temporal_churn_stream(&scene(4), 4, 0.08, 29).expect("stream");
+    let cfg = fp32_config(EnginePreset::TorchSparse);
+    let trunk = || {
+        Sequential::new("pooled")
+            .push(SparseConv3d::with_random_weights("stem", 4, 8, 3, 1, 3))
+            .push(ReLU::new("act"))
+            .push(GlobalPool::new("gp"))
+    };
+    let head = trunk().push(SparseConv3d::with_random_weights("head", 8, 4, 1, 1, 4));
+    let stats = assert_stream_matches_cold(&head, &frames, &cfg, "map op after pool");
+    assert_partition(&stats, "map op after pool");
+    let paths = (stats.full_replans, stats.delta_patches, stats.delta_fallbacks);
+    assert_eq!(paths, (1, 0, 3), "every miss falls back ({stats:?})");
+
+    let stats = assert_stream_matches_cold(&trunk(), &frames, &cfg, "pool last");
+    assert_partition(&stats, "pool last");
+    let paths = (stats.full_replans, stats.delta_patches, stats.delta_fallbacks);
+    assert_eq!(paths, (1, 3, 0), "every miss patches ({stats:?})");
+}
+
+/// FNV-1a over a stream's observable outcome.
+struct Digest(u64);
+
+impl Digest {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn outcome(&mut self, out: &Result<SparseTensor, CoreError>, engine: &Engine) {
+        match out {
+            Ok(t) => bits(t).iter().for_each(|b| self.bytes(&b.to_le_bytes())),
+            Err(e) => self.bytes(format!("{e:?}").as_bytes()),
+        }
+        self.bytes(format!("{:?}", engine.context().faults.injected()).as_bytes());
+        self.bytes(engine.degradation_report().to_string().as_bytes());
+    }
+}
+
+/// A seeded schedule drawing `DeadlineOverrun`, `KernelMapCache` and
+/// `GridTableBuild` from one stream, over a churning stream whose misses
+/// patch, fall back and re-plan in full, with a dynamic run of every frame
+/// beside it: each frame's plan path, failure, injection log, degradation
+/// report and output bits repeat those of the engine whose delta re-plan
+/// ran a second, lockstep walk before the plan build. A re-plan probes the
+/// deadline once before it starts and then exactly where a cold build does.
+#[test]
+fn seeded_fault_schedule_over_replans_repeats_its_digest() {
+    let low = temporal_churn_stream(&scene(4), 5, 0.06, 31).expect("low churn");
+    let high = temporal_churn_stream(&low[4], 4, 0.5, 37).expect("high churn");
+    let frames: Vec<SparseTensor> = low.into_iter().chain(high.into_iter().skip(1)).collect();
+    let model = MinkUNet::with_width(0.25, 4, 3, 41);
+    for threads in [1, 2] {
+        let mut cfg = fp32_config(EnginePreset::TorchSparse);
+        cfg.threads = Some(threads);
+        let engine = || Engine::with_config(cfg.clone(), DeviceProfile::rtx_2080ti());
+        let mut session = engine().compile(&model, &frames[0]).expect("compile");
+        let mut dynamic = engine();
+        for e in [session.engine_mut(), &mut dynamic] {
+            let faults = &mut e.context_mut().faults;
+            faults.seed(3);
+            faults.with_probability(FaultSite::DeadlineOverrun, 0.002);
+            faults.with_probability(FaultSite::KernelMapCache, 0.1);
+            faults.with_probability(FaultSite::GridTableBuild, 0.1);
+        }
+        let mut digest = Digest(0xcbf2_9ce4_8422_2325);
+        let (mut failed, mut paths) = (0, [0u64; 3]);
+        for (f, frame) in frames.iter().enumerate() {
+            // Every third frame re-plans from scratch.
+            session.engine_mut().context_mut().config.delta_replan = f % 3 != 2;
+            let before = session.stats();
+            let out = session.execute(frame);
+            let s = session.stats();
+            let moved = [
+                s.delta_patches - before.delta_patches,
+                s.delta_fallbacks - before.delta_fallbacks,
+                s.full_replans - before.full_replans,
+            ];
+            paths.iter_mut().zip(moved).for_each(|(p, m)| *p += m);
+            failed += usize::from(out.is_err());
+            digest.bytes(format!("{:?}", (s.hits, s.misses, moved)).as_bytes());
+            digest.outcome(&out, session.engine());
+            digest.outcome(&dynamic.run(&model, frame), &dynamic);
+        }
+        assert!(paths.iter().all(|&n| n > 0), "patch, fallback and full paths: {paths:?}");
+        assert!((1..frames.len()).contains(&failed), "{failed} frames failed");
+        assert_eq!(digest.0, REPLAN_FAULT_DIGEST, "{threads} threads");
+    }
+}
+
+/// [`seeded_fault_schedule_over_replans_repeats_its_digest`]'s digest,
+/// captured on the engine that seeded patched maps into the map cache from
+/// a separate walk before the plan build.
+const REPLAN_FAULT_DIGEST: u64 = 6_477_002_147_839_631_770;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
