@@ -1,12 +1,12 @@
 use crate::config::{GroupingStrategy, OptimizationConfig};
 use crate::cost_model::{Charge, Ledger};
+use crate::runtime::Runtime;
 use crate::{CoreError, SparseTensor};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 use torchsparse_coords::{Coord, KernelMap};
 use torchsparse_gpusim::{DeviceProfile, GemmModel, Timeline};
-use torchsparse_tensor::Matrix;
 
 /// Key identifying a cached kernel map within one inference run.
 ///
@@ -57,42 +57,6 @@ impl CachedMap {
     }
 }
 
-/// A per-request wall-clock deadline, checked at stage boundaries by plan
-/// builds and the plan executor — dynamic runs and compiled frames alike
-/// ([`Context::check_deadline`]).
-///
-/// The serving runtime installs one on [`Context::deadline`] before each
-/// frame; planning and the feature path then surface expiry as a typed
-/// [`CoreError::DeadlineExceeded`] at the next boundary instead of running
-/// the stream to completion past its budget.
-#[derive(Debug, Clone, Copy)]
-pub struct Deadline {
-    started: std::time::Instant,
-    budget: std::time::Duration,
-}
-
-impl Deadline {
-    /// A deadline of `budget` starting at the moment of the call.
-    pub fn starting_now(budget: std::time::Duration) -> Deadline {
-        Deadline { started: std::time::Instant::now(), budget }
-    }
-
-    /// The configured budget.
-    pub fn budget(&self) -> std::time::Duration {
-        self.budget
-    }
-
-    /// Wall-clock time consumed so far.
-    pub fn elapsed(&self) -> std::time::Duration {
-        self.started.elapsed()
-    }
-
-    /// Whether the budget has been consumed.
-    pub fn expired(&self) -> bool {
-        self.elapsed() > self.budget
-    }
-}
-
 /// Per-layer workload record captured during a profiling run, consumed by
 /// the adaptive-grouping tuner (Algorithm 5).
 #[derive(Debug, Clone, PartialEq)]
@@ -110,11 +74,14 @@ pub struct LayerWorkload {
     pub submanifold: bool,
 }
 
-/// Execution context: device models, the run's cost ledger, map cache, and
-/// the tuned adaptive-grouping parameters.
+/// Execution context: the configuration and device, the run's cost ledger,
+/// and the two halves of mutable engine state split by lifetime — the
+/// [`Planner`]'s plan-time state and the [`Runtime`]'s frame state.
 ///
-/// One context corresponds to one engine instance pinned to one simulated
-/// device. It is threaded mutably through every `forward` and plan build.
+/// One context corresponds to one engine instance (or one compiled
+/// session's stream) pinned to one simulated device. It is threaded
+/// mutably through every `forward` and plan build; the plan executor sees
+/// only its configuration and runtime.
 ///
 /// Simulated cost is *deferred*: runs log what to charge
 /// ([`Context::defer`]) and the first read of [`Context::timeline`] or
@@ -125,17 +92,16 @@ pub struct Context {
     pub config: OptimizationConfig,
     /// The simulated device.
     pub device: DeviceProfile,
-    /// GEMM latency model.
-    pub gemm: GemmModel,
+    /// GEMM latency model of `device`.
+    pub(crate) gemm: GemmModel,
     /// The current run's deferred charges and, once read, their cost.
     ledger: Ledger,
-    map_cache: HashMap<MapKey, Arc<CachedMap>>,
-    /// Per-layer groupings: Algorithm 5's calibrated `(epsilon, S)`
-    /// ([`crate::tuning::tune_engine`]) or a compiled session's compile-time
-    /// choice ([`crate::tuning::autotune_plan`]), which new streams inherit.
-    /// Read through [`Context::grouping_for`]; survives
-    /// [`Context::begin_run`], so re-plans keep the choices.
-    pub(crate) groupings: HashMap<String, GroupingStrategy>,
+    /// Plan-time state: the map cache and the per-layer groupings.
+    pub(crate) planner: Planner,
+    /// Frame state: the worker pool (sized by `config.threads`), the
+    /// deadline, the fault injector, the degradation report and the
+    /// executor's activation buffers.
+    pub runtime: Runtime,
     /// Workloads recorded when `record_workloads` is on.
     pub workloads: Vec<LayerWorkload>,
     /// Whether convolutions should append to [`Context::workloads`]. A
@@ -146,35 +112,49 @@ pub struct Context {
     /// Whether runs should record per-layer profiles
     /// ([`Context::layer_profiles`]).
     pub profile_layers: bool,
-    /// Deterministic fault scheduler. Disarmed by default; survives
-    /// [`Context::begin_run`] so tests arm faults before calling
-    /// [`Engine::run`](crate::Engine::run).
-    pub faults: crate::faults::FaultInjector,
-    /// Every graceful-degradation decision of the current run (cleared by
+}
+
+/// Plan-time state: what a plan build reads and writes besides the geometry.
+///
+/// A compiled model keeps the planner its compile ended with, and every
+/// stream it creates starts from a copy, so a stream's re-plans make the
+/// grouping choices its compile made.
+#[derive(Clone, Default)]
+pub(crate) struct Planner {
+    /// Maps built or patched by the current plan build (cleared by
     /// [`Context::begin_run`]).
-    pub degradation: crate::faults::DegradationReport,
+    map_cache: HashMap<MapKey, Arc<CachedMap>>,
+    /// Per-layer groupings: Algorithm 5's calibrated `(epsilon, S)`
+    /// ([`crate::tuning::tune_engine`]) or a compiled session's compile-time
+    /// choice ([`crate::tuning::autotune_plan`]). Read through
+    /// [`Context::grouping_for`].
+    pub(crate) groupings: HashMap<String, GroupingStrategy>,
     /// Set when adaptive-grouping tuning failed: layers configured for
-    /// adaptive grouping run with fixed grouping instead. Survives
-    /// [`Context::begin_run`] like the tuned groupings.
-    pub grouping_fallback: bool,
-    /// The execution runtime: the shared worker pool (sized by
-    /// `config.threads`).
-    pub runtime: crate::runtime::Runtime,
-    /// The active per-request deadline, if any. Caller-managed like
-    /// [`Context::faults`]: survives [`Context::begin_run`] so the serving
-    /// layer can install it before executing a frame; cleared by setting it
-    /// back to `None`.
-    pub deadline: Option<Deadline>,
-    /// Set on the contexts of a compiled session's streams: their coordinate
-    /// sets are frozen at plan time, so map searches build the succinct MPHF
-    /// index the plan keeps ([`crate::mapping::TableKind::Mphf`]) where a
-    /// dynamic run follows `config.map_search`.
+    /// adaptive grouping run with fixed grouping instead.
+    pub(crate) grouping_fallback: bool,
+    /// Set for a compiled session's streams: their coordinate sets are
+    /// frozen at plan time, so map searches build the succinct MPHF index
+    /// the plan keeps ([`crate::mapping::TableKind::Mphf`]) where a dynamic
+    /// run follows `config.map_search`.
     pub(crate) frozen_index: bool,
-    /// The plan executor's feature buffers, indexed by the buffer slots a
-    /// plan assigns its activations. Kept across runs, so after the first
-    /// frame on a geometry a frame allocates no feature buffer but its
-    /// output.
-    pub(crate) activations: Vec<Matrix>,
+}
+
+impl Planner {
+    /// Looks up a cached map.
+    pub(crate) fn cached_map(&self, key: MapKey) -> Option<Arc<CachedMap>> {
+        self.map_cache.get(&key).cloned()
+    }
+
+    /// Stores a map in the cache (a fresh one, or one already shared).
+    pub(crate) fn store_map(
+        &mut self,
+        key: MapKey,
+        cached: impl Into<Arc<CachedMap>>,
+    ) -> Arc<CachedMap> {
+        let arc = cached.into();
+        self.map_cache.insert(key, arc.clone());
+        arc
+    }
 }
 
 /// One leaf layer's contribution to a run, captured by the layer profiler.
@@ -221,34 +201,27 @@ impl Context {
     pub fn new(config: OptimizationConfig, device: DeviceProfile) -> Context {
         crate::config::warn_unrecognised_env();
         Context {
-            runtime: crate::runtime::Runtime::new(config.threads),
+            runtime: Runtime::new(config.threads),
             gemm: GemmModel::new(device.clone()),
             ledger: Ledger::default(),
-            map_cache: HashMap::new(),
-            groupings: HashMap::new(),
+            planner: Planner::default(),
             workloads: Vec::new(),
             record_workloads: false,
             profile_layers: false,
-            faults: crate::faults::FaultInjector::disarmed(),
-            degradation: crate::faults::DegradationReport::new(),
-            grouping_fallback: false,
-            deadline: None,
-            frozen_index: false,
-            activations: Vec::new(),
             config,
             device,
         }
     }
 
     /// Resets per-run state (cost ledger, map cache, degradation report)
-    /// while keeping tuned parameters. Called by [`crate::Engine::run`] so
-    /// that each inference is independent, exactly as maps are rebuilt per
-    /// scene on a real engine. Dropping the ledger also releases every map
-    /// the previous run's charges kept alive.
+    /// while keeping tuned parameters, armed faults and the deadline. Called
+    /// by [`crate::Engine::run`] so that each inference is independent,
+    /// exactly as maps are rebuilt per scene on a real engine. Dropping the
+    /// ledger also releases every map the previous run's charges kept alive.
     pub fn begin_run(&mut self) {
         self.ledger.clear();
-        self.map_cache.clear();
-        self.degradation.clear();
+        self.planner.map_cache.clear();
+        self.runtime.degradation.clear();
     }
 
     /// The prologue of every run, price, compile and compiled frame:
@@ -260,9 +233,9 @@ impl Context {
         input: &'a SparseTensor,
     ) -> Result<Cow<'a, SparseTensor>, CoreError> {
         self.begin_run();
-        let Context { config, faults, degradation, .. } = self;
+        let Runtime { faults, degradation, .. } = &mut self.runtime;
         let sanitized =
-            crate::validate::validate_input(input, &config.validation, faults, degradation)?;
+            crate::validate::validate_input(input, &self.config.validation, faults, degradation)?;
         Ok(sanitized.map_or(Cow::Borrowed(input), Cow::Owned))
     }
 
@@ -288,18 +261,6 @@ impl Context {
         &self.ledger.cost(&self.device, &self.gemm).profiles
     }
 
-    /// Looks up a cached map.
-    pub fn cached_map(&self, key: MapKey) -> Option<Arc<CachedMap>> {
-        self.map_cache.get(&key).cloned()
-    }
-
-    /// Stores a map in the cache (a fresh one, or one already shared).
-    pub fn store_map(&mut self, key: MapKey, cached: impl Into<Arc<CachedMap>>) -> Arc<CachedMap> {
-        let arc = cached.into();
-        self.map_cache.insert(key, arc.clone());
-        arc
-    }
-
     /// The grouping a layer plans with: a non-adaptive per-layer choice
     /// stands; after a tuning failure adaptive layers degrade to fixed
     /// groups; a tuned `(epsilon, S)` refines an adaptive configuration;
@@ -307,41 +268,12 @@ impl Context {
     pub(crate) fn grouping_for(&self, layer: &str) -> GroupingStrategy {
         let adaptive = |g: GroupingStrategy| matches!(g, GroupingStrategy::Adaptive { .. });
         let configured = self.config.grouping;
-        match self.groupings.get(layer).copied() {
+        match self.planner.groupings.get(layer).copied() {
             Some(g) if !adaptive(g) => g,
-            _ if self.grouping_fallback && adaptive(configured) => GroupingStrategy::Fixed,
+            _ if self.planner.grouping_fallback && adaptive(configured) => GroupingStrategy::Fixed,
             Some(g) if adaptive(configured) => g,
             _ => configured,
         }
-    }
-
-    /// Checks the request deadline at a named stage boundary (`"mapping"`
-    /// in the planning walk, `"gather-gemm-scatter"` / `"epilogue"` in the
-    /// plan executor, dynamic or compiled). The
-    /// [`FaultSite::DeadlineOverrun`](crate::FaultSite::DeadlineOverrun)
-    /// site is probed first: an injected stall reports the full budget as
-    /// elapsed, keeping deadline tests free of wall-clock dependence.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::DeadlineExceeded`] naming the stage, budget, and
-    /// elapsed time.
-    pub fn check_deadline(&mut self, stage: &'static str) -> Result<(), CoreError> {
-        if self.faults.should_fail(crate::faults::FaultSite::DeadlineOverrun) {
-            let budget_us = self.deadline.map_or(0, |d| d.budget().as_micros() as u64);
-            self.degradation.record(crate::faults::FaultSite::DeadlineOverrun, "injected");
-            return Err(CoreError::DeadlineExceeded { stage, budget_us, elapsed_us: budget_us });
-        }
-        if let Some(d) = self.deadline {
-            if d.expired() {
-                return Err(CoreError::DeadlineExceeded {
-                    stage,
-                    budget_us: d.budget().as_micros() as u64,
-                    elapsed_us: d.elapsed().as_micros() as u64,
-                });
-            }
-        }
-        Ok(())
     }
 
     /// Fails if the context's configuration cannot run: zero-sized thread
@@ -384,7 +316,7 @@ impl std::fmt::Debug for Context {
         f.debug_struct("Context")
             .field("device", &self.device.name)
             .field("config", &self.config)
-            .field("cached_maps", &self.map_cache.len())
+            .field("cached_maps", &self.planner.map_cache.len())
             .finish()
     }
 }
@@ -417,20 +349,20 @@ mod tests {
     fn map_cache_roundtrip() {
         let mut c = ctx();
         let key = MapKey { fine_stride: 1, kernel_size: 3, conv_stride: 1, dilation: 1 };
-        assert!(c.cached_map(key).is_none());
-        c.store_map(key, dummy_cached());
-        assert!(c.cached_map(key).is_some());
+        assert!(c.planner.cached_map(key).is_none());
+        c.planner.store_map(key, dummy_cached());
+        assert!(c.planner.cached_map(key).is_some());
     }
 
     #[test]
     fn begin_run_clears_cache_and_timeline() {
         let mut c = ctx();
         let key = MapKey { fine_stride: 1, kernel_size: 3, conv_stride: 1, dilation: 1 };
-        c.store_map(key, dummy_cached());
+        c.planner.store_map(key, dummy_cached());
         c.defer(Charge::latency(Stage::MatMul, Micros(5.0)));
         assert_eq!(c.timeline().total(), Micros(5.0));
         c.begin_run();
-        assert!(c.cached_map(key).is_none());
+        assert!(c.planner.cached_map(key).is_none());
         assert_eq!(c.timeline().total(), Micros::ZERO);
     }
 
@@ -438,7 +370,7 @@ mod tests {
     fn begin_run_keeps_tuning() {
         let mut c = ctx();
         let tuned = GroupingStrategy::Adaptive { epsilon: 0.25, s_threshold: 100_000 };
-        c.groupings.insert("conv1".to_owned(), tuned);
+        c.planner.groupings.insert("conv1".to_owned(), tuned);
         c.begin_run();
         assert_eq!(c.grouping_for("conv1"), tuned);
         assert_eq!(c.grouping_for("conv2"), c.config.grouping);
@@ -448,9 +380,9 @@ mod tests {
     fn grouping_resolution() {
         let mut c = ctx();
         let tuned = GroupingStrategy::Adaptive { epsilon: 0.25, s_threshold: 100_000 };
-        c.groupings.insert("tuned".to_owned(), tuned);
-        c.groupings.insert("fixed".to_owned(), GroupingStrategy::Fixed);
-        c.groupings.insert("separate".to_owned(), GroupingStrategy::Separate);
+        c.planner.groupings.insert("tuned".to_owned(), tuned);
+        c.planner.groupings.insert("fixed".to_owned(), GroupingStrategy::Fixed);
+        c.planner.groupings.insert("separate".to_owned(), GroupingStrategy::Separate);
         // A tuned (epsilon, S) refines an adaptive configuration only.
         c.config.grouping = GroupingStrategy::Symmetric;
         assert_eq!(c.grouping_for("tuned"), GroupingStrategy::Symmetric);
@@ -458,7 +390,7 @@ mod tests {
         // After a tuning failure adaptive layers run fixed groups, and a
         // non-adaptive choice stands.
         c.config.grouping = GroupingStrategy::default_adaptive();
-        c.grouping_fallback = true;
+        c.planner.grouping_fallback = true;
         for layer in ["tuned", "fixed", "untuned"] {
             assert_eq!(c.grouping_for(layer), GroupingStrategy::Fixed, "{layer}");
         }
@@ -471,52 +403,16 @@ mod tests {
     }
 
     #[test]
-    fn deadline_checks_at_stage_boundaries() {
+    fn begin_run_clears_degradation_but_keeps_armed_faults_and_deadline() {
+        use crate::faults::FaultSite;
         let mut c = ctx();
-        // No deadline installed: every check passes.
-        assert!(c.check_deadline("mapping").is_ok());
-        // An already-expired budget fails at the next boundary with the
-        // stage name attached.
-        c.deadline = Some(Deadline::starting_now(std::time::Duration::ZERO));
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        let err = c.check_deadline("gather-gemm-scatter").unwrap_err();
-        match err {
-            CoreError::DeadlineExceeded { stage, budget_us, elapsed_us } => {
-                assert_eq!(stage, "gather-gemm-scatter");
-                assert_eq!(budget_us, 0);
-                assert!(elapsed_us >= budget_us);
-            }
-            other => panic!("expected DeadlineExceeded, got {other:?}"),
-        }
-        // A generous budget passes.
-        c.deadline = Some(Deadline::starting_now(std::time::Duration::from_secs(3600)));
-        assert!(c.check_deadline("epilogue").is_ok());
+        c.runtime.faults.arm(FaultSite::GridTableBuild);
+        c.runtime.degradation.record(FaultSite::Fp16Overflow, "stale");
+        c.runtime.deadline = Some(crate::Deadline::starting_now(std::time::Duration::ZERO));
+        c.begin_run();
+        assert!(c.runtime.degradation.is_empty());
+        assert!(c.runtime.faults.is_armed());
         // Deadlines survive begin_run (caller-managed, like faults).
-        c.begin_run();
-        assert!(c.deadline.is_some());
-    }
-
-    #[test]
-    fn injected_overrun_fails_deterministically() {
-        use crate::faults::FaultSite;
-        let mut c = ctx();
-        c.faults.arm(FaultSite::DeadlineOverrun);
-        // Fires even with no wall-clock deadline installed.
-        let err = c.check_deadline("mapping").unwrap_err();
-        assert!(matches!(err, CoreError::DeadlineExceeded { stage: "mapping", .. }));
-        assert_eq!(c.degradation.count(FaultSite::DeadlineOverrun), 1);
-        // Armed count consumed: the next check passes.
-        assert!(c.check_deadline("mapping").is_ok());
-    }
-
-    #[test]
-    fn begin_run_clears_degradation_but_keeps_armed_faults() {
-        use crate::faults::FaultSite;
-        let mut c = ctx();
-        c.faults.arm(FaultSite::GridTableBuild);
-        c.degradation.record(FaultSite::Fp16Overflow, "stale");
-        c.begin_run();
-        assert!(c.degradation.is_empty());
-        assert!(c.faults.is_armed());
+        assert!(c.runtime.deadline.is_some());
     }
 }

@@ -1,4 +1,4 @@
-use crate::config::Precision;
+use crate::config::{OptimizationConfig, Precision};
 use crate::context::{CachedMap, Context, LayerWorkload, MapKey};
 use crate::dataflow::{
     apply_storage_precision_owned_kernel, fetch_on_demand_into, gather_matmul_scatter_into,
@@ -9,6 +9,7 @@ use crate::grouping::plan_groups;
 use crate::mapping::build_layer_mapping_on;
 use crate::module::Module;
 use crate::plan::{ConvDataflow, ConvPlan, EpilogueSteps, LayerOp, Tracer};
+use crate::runtime::Runtime;
 use crate::CoreError;
 use std::mem::take;
 use std::sync::{Arc, OnceLock};
@@ -251,7 +252,7 @@ impl SparseConv3d {
         }
         let key = self.map_key(in_stride);
         let (cached, mapping) = if self.transposed {
-            let cached = ctx.cached_map(key).ok_or(CoreError::MissingCachedMap {
+            let cached = ctx.planner.cached_map(key).ok_or(CoreError::MissingCachedMap {
                 stride: in_stride,
                 kernel_size: self.kernel_size,
             })?;
@@ -337,7 +338,8 @@ impl SparseConv3d {
         plan: &ConvPlan,
         epilogue: Epilogue<'_>,
         out: &mut Matrix,
-        ctx: &mut Context,
+        config: &OptimizationConfig,
+        rt: &mut Runtime,
     ) -> Result<ConvRun, CoreError> {
         if input.cols() != self.c_in {
             return Err(CoreError::ChannelMismatch { expected: self.c_in, actual: input.cols() });
@@ -354,34 +356,33 @@ impl SparseConv3d {
             center_identity: plan.center,
             fused: &plan.fused,
         };
-        let run_dataflow = |ctx: &Context, epilogue: &Epilogue<'_>, out: &mut Matrix| {
-            let pool = ctx.runtime.pool();
-            match &plan.dataflow {
-                ConvDataflow::FetchOnDemand => {
-                    Ok(fetch_on_demand_into(&workload, &ctx.config, &pool, epilogue, out))
-                }
-                ConvDataflow::Grouped(_) => {
-                    gather_matmul_scatter_into(&workload, &ctx.config, &pool, epilogue, out)
-                }
+        let pool = rt.pool();
+        let run_dataflow = |config: &OptimizationConfig,
+                            epilogue: &Epilogue<'_>,
+                            out: &mut Matrix| match &plan.dataflow {
+            ConvDataflow::FetchOnDemand => {
+                Ok(fetch_on_demand_into(&workload, config, &pool, epilogue, out))
+            }
+            ConvDataflow::Grouped(_) => {
+                gather_matmul_scatter_into(&workload, config, &pool, epilogue, out)
             }
         };
 
-        let precision = ctx.config.precision;
+        let precision = config.precision;
         let quantized = precision != Precision::Fp32;
         // The overflow probe precedes the executor, so an armed fault is
         // known before the epilogue could run; no other site is probed in
         // between, so the injector's draws keep their order.
         let inject = quantized
             && workload.n_out * self.c_out > 0
-            && ctx.faults.should_fail(FaultSite::Fp16Overflow);
+            && rt.faults.should_fail(FaultSite::Fp16Overflow);
         let fused = precision != Precision::Int8 && !inject;
         let finite = if fused {
             let epilogue = Epilogue { round_f16: precision == Precision::Fp16, ..epilogue };
-            run_dataflow(ctx, &epilogue, out)?
+            run_dataflow(config, &epilogue, out)?
         } else {
-            run_dataflow(ctx, &Epilogue::default(), out)?;
-            let pool = ctx.runtime.pool();
-            let kernel = kernel_for(ctx.config.simd);
+            run_dataflow(config, &Epilogue::default(), out)?;
+            let kernel = kernel_for(config.simd);
             *out = apply_storage_precision_owned_kernel(&pool, take(out), precision, kernel);
             if inject {
                 // Simulate a quantized activation saturating to infinity;
@@ -393,16 +394,14 @@ impl SparseConv3d {
         };
         let reran = !finite;
         if reran {
-            ctx.degradation.record(
+            rt.degradation.record(
                 FaultSite::Fp16Overflow,
                 "non-finite quantized output; layer re-run in FP32",
             );
-            ctx.config.precision = Precision::Fp32;
-            let redo = run_dataflow(ctx, &Epilogue::default(), out);
-            ctx.config.precision = precision;
             // The re-run output stays FP32: precision is a storage
             // optimization, and this layer just proved it loses too much.
-            redo?;
+            let fp32 = OptimizationConfig { precision: Precision::Fp32, ..config.clone() };
+            run_dataflow(&fp32, &Epilogue::default(), out)?;
         }
         Ok(ConvRun { reran, fused: fused && !reran })
     }
@@ -420,42 +419,41 @@ pub(crate) struct ConvRun {
 }
 
 /// Acquires the kernel map `key` over `coords` for a convolution or pooling
-/// layer: from the map cache when present, else searched on the context's
-/// pool through its fault injector and stored. Returns the `Mapping`
+/// layer: from the planner's map cache when present, else searched on the
+/// runtime's pool through its fault injector and stored. Returns the `Mapping`
 /// latency of the search when one ran.
 pub(crate) fn acquire_map(
     key: MapKey,
     coords: &[Coord],
     ctx: &mut Context,
 ) -> Result<(Arc<CachedMap>, Option<Micros>), CoreError> {
-    if let Some(hit) = ctx.cached_map(key) {
+    if let Some(hit) = ctx.planner.cached_map(key) {
         // Map reuse across layers sharing (stride, kernel): free, as in
         // real engines' coordinate managers. An injected cache fault
         // invalidates the entry; the map is an optimization, not a
         // correctness dependency, so the fallback is a plain rebuild.
-        if !ctx.faults.should_fail(FaultSite::KernelMapCache) {
+        if !ctx.runtime.faults.should_fail(FaultSite::KernelMapCache) {
             return Ok((hit, None));
         }
-        ctx.degradation
+        ctx.runtime
+            .degradation
             .record(FaultSite::KernelMapCache, "injected cache invalidation; map rebuilt");
     }
-    let mapping = {
-        let Context { config, device, faults, degradation, runtime, frozen_index, .. } = ctx;
-        build_layer_mapping_on(
-            &runtime.pool(),
-            coords,
-            key.kernel_size,
-            key.conv_stride,
-            key.dilation,
-            config,
-            device,
-            faults,
-            degradation,
-            *frozen_index,
-        )?
-    };
+    let Context { config, device, planner, runtime, .. } = ctx;
+    let mapping = build_layer_mapping_on(
+        &runtime.pool(),
+        coords,
+        key.kernel_size,
+        key.conv_stride,
+        key.dilation,
+        config,
+        device,
+        &mut runtime.faults,
+        &mut runtime.degradation,
+        planner.frozen_index,
+    )?;
     let latency = mapping.latency;
-    Ok((ctx.store_map(key, mapping.into_cached(coords)), Some(latency)))
+    Ok((planner.store_map(key, mapping.into_cached(coords)), Some(latency)))
 }
 
 impl std::fmt::Debug for SparseConv3d {

@@ -16,7 +16,7 @@
 //!
 //! A [`Patch`] is the patch source of the one plan walk, `build_plan`:
 //! just before a map-building step plans, the walk patches the old plan's
-//! map of that step and stores it in the context's map cache, where the
+//! map of that step and stores it in the planner's map cache, where the
 //! layer finds it as it finds any cached map — skipping the search and
 //! making identical grouping / fusion / buffer-slot decisions — so a
 //! patched plan is *bitwise identical* to a from-scratch plan at every
@@ -30,7 +30,7 @@
 //! [`PlanCacheStats`](crate::PlanCacheStats)), and past that point patching
 //! cannot bail, so no step is planned twice.
 
-use crate::context::{CachedMap, Context, MapKey};
+use crate::context::{CachedMap, Context, MapKey, Planner};
 use crate::cost_model::Charge;
 use crate::mapping::{stats_latency, HASH_SERIALIZATION};
 use crate::plan::{ExecutionPlan, LayerOp, StepPlan};
@@ -139,7 +139,7 @@ impl<'p> Patch<'p> {
 
     /// Step `step` is about to plan its map `key` from `level`, whose new
     /// coordinates are `coords`: patches the old plan's map of that step and
-    /// stores it in the context's map cache for the layer to find. A key
+    /// stores it in the planner's map cache for the layer to find. A key
     /// patched before is already there. Returns the level of the step's
     /// output — `level` for a stride-1 map, the coarse side of a strided one
     /// — or `None` where the old plan holds no consistent map to patch, in
@@ -150,7 +150,7 @@ impl<'p> Patch<'p> {
         key: MapKey,
         coords: &[Coord],
         level: &mut Level,
-        ctx: &mut Context,
+        planner: &mut Planner,
     ) -> Option<Level> {
         let strided = key.conv_stride > 1;
         if let Some(sides) = self.maps.get(&key) {
@@ -209,7 +209,7 @@ impl<'p> Patch<'p> {
             };
             (Arc::new(cached), Some(coarse))
         };
-        ctx.store_map(key, cached);
+        planner.store_map(key, cached);
         self.maps.insert(key, Sides { fine: level.clone(), coarse: coarse.clone() });
         if strided {
             coarse

@@ -85,7 +85,7 @@ impl Engine {
         model: &'m M,
         input: &SparseTensor,
     ) -> Result<crate::session::CompiledSession<'m>, CoreError> {
-        crate::session::CompiledSession::compile(self, model, input)
+        crate::session::CompiledSession::compile(self.ctx, model, input)
     }
 
     /// The execution context (device, config, timeline, tuned parameters).
@@ -110,7 +110,7 @@ impl Engine {
     ///
     /// A traceable model runs as one ephemeral plan through the executor a
     /// compiled frame runs ([`Module::forward`]), so the run checks the
-    /// context's [`deadline`](Context::deadline) at the same `mapping` /
+    /// runtime's [`deadline`](crate::Runtime::deadline) at the same `mapping` /
     /// `gather-gemm-scatter` / `epilogue` boundaries as a compiled frame.
     ///
     /// # Errors
@@ -161,7 +161,7 @@ impl Engine {
     /// Every graceful-degradation decision of the last [`Engine::run`]
     /// (empty when the run needed no fallbacks).
     pub fn degradation_report(&self) -> &crate::faults::DegradationReport {
-        &self.ctx.degradation
+        &self.ctx.runtime.degradation
     }
 
     /// Per-stage simulated latency of the last [`Engine::run`] or

@@ -52,6 +52,7 @@ mod conv;
 mod delta;
 mod engine;
 mod error;
+mod exec;
 mod module;
 mod plan;
 mod pointwise;
@@ -71,7 +72,7 @@ pub mod validate;
 pub use config::{
     EnginePreset, GroupingStrategy, MapSearchStrategy, OptimizationConfig, Precision, SimdPolicy,
 };
-pub use context::{Context, Deadline, LayerProfile, LayerWorkload, MapKey};
+pub use context::{Context, LayerProfile, LayerWorkload, MapKey};
 pub use conv::SparseConv3d;
 pub use delta::DELTA_REPLAN_MAX_CHURN;
 pub use engine::Engine;
@@ -81,7 +82,7 @@ pub use module::{Module, Sequential};
 pub use plan::{geometry_fingerprint, ExecutionPlan, LayerOp, PlanCacheStats, Tracer};
 pub use pointwise::{BatchNorm, GlobalPool, ReLU};
 pub use pooling::{PoolReduction, SparseMaxPool3d};
-pub use runtime::{Runtime, ThreadPool};
+pub use runtime::{Deadline, Runtime, ThreadPool};
 pub use session::{CompiledModel, CompiledSession, StreamState};
 pub use sparse_tensor::SparseTensor;
 pub use tuning::TuningReport;

@@ -224,7 +224,7 @@ pub fn build_layer_mapping_observed(
 /// too). Table construction stays serial — insertion order defines the
 /// stored indices.
 ///
-/// `frozen` is [`Context::frozen_index`](crate::Context): a compiled
+/// `frozen` is the planner's frozen-index flag: a compiled
 /// session's coordinate sets never change after plan time, so its searches
 /// build — and are charged for — the minimal-perfect-hash index the plan
 /// keeps, where a dynamic run follows `config.map_search`.

@@ -10,10 +10,11 @@
 //! overflowing convolution — the plan executor runs the crate-internal
 //! numerics half, `apply`, in place on the feature matrix it owns.
 
-use crate::context::Context;
+use crate::config::Precision;
 use crate::dataflow::apply_storage_precision_owned;
 use crate::module::Module;
 use crate::plan::{LayerOp, Tracer};
+use crate::runtime::ThreadPool;
 use crate::CoreError;
 use torchsparse_coords::Coord;
 use torchsparse_tensor::Matrix;
@@ -64,20 +65,24 @@ impl BatchNorm {
 
     /// The feature-path numerics, in place: no allocation, no simulated
     /// cost, no per-layer profile (both come from the plan).
-    pub(crate) fn apply(&self, feats: &mut Matrix, ctx: &Context) -> Result<(), CoreError> {
+    pub(crate) fn apply(
+        &self,
+        feats: &mut Matrix,
+        precision: Precision,
+        pool: &ThreadPool,
+    ) -> Result<(), CoreError> {
         if feats.cols() != self.channels() {
             return Err(CoreError::ChannelMismatch {
                 expected: self.channels(),
                 actual: feats.cols(),
             });
         }
-        let pool = ctx.runtime.pool();
-        feats.par_map_rows_inplace(&pool, |row| {
+        feats.par_map_rows_inplace(pool, |row| {
             for (v, (s, sh)) in row.iter_mut().zip(self.scale.iter().zip(&self.shift)) {
                 *v = *v * s + sh;
             }
         });
-        *feats = apply_storage_precision_owned(&pool, std::mem::take(feats), ctx.config.precision);
+        *feats = apply_storage_precision_owned(pool, std::mem::take(feats), precision);
         Ok(())
     }
 }
@@ -110,8 +115,8 @@ impl ReLU {
     }
 
     /// The feature-path numerics, in place (see [`BatchNorm::apply`]).
-    pub(crate) fn apply(&self, feats: &mut Matrix, ctx: &Context) {
-        feats.par_map_inplace(&ctx.runtime.pool(), |v| v.max(0.0));
+    pub(crate) fn apply(&self, feats: &mut Matrix, pool: &ThreadPool) {
+        feats.par_map_inplace(pool, |v| v.max(0.0));
     }
 }
 
@@ -196,7 +201,7 @@ impl Module for GlobalPool {
 mod tests {
     use super::*;
     use crate::config::OptimizationConfig;
-    use crate::SparseTensor;
+    use crate::{Context, SparseTensor};
     use torchsparse_gpusim::{DeviceProfile, Stage};
 
     fn ctx() -> Context {

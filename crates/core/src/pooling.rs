@@ -281,12 +281,12 @@ mod tests {
         let mut e = crate::Engine::with_config(ctx().config, DeviceProfile::rtx_2080ti());
         let pool = Arc::new(ThreadPool::new_recording());
         e.context_mut().runtime.set_pool(pool.clone());
-        e.context_mut().faults.arm(FaultSite::GridTableBuild);
+        e.context_mut().runtime.faults.arm(FaultSite::GridTableBuild);
         let y = e.run(&SparseMaxPool3d::new("p", 2, 2), &line_tensor()).unwrap();
         assert_eq!(y.len(), 3);
         let tasks: usize = pool.take_trace().iter().map(Vec::len).sum();
         assert_eq!(tasks, 8, "one map-search task per offset of the 2x2x2 window");
-        assert_eq!(e.context().faults.injected(), [FaultSite::GridTableBuild]);
+        assert_eq!(e.context().runtime.faults.injected(), [FaultSite::GridTableBuild]);
         assert_eq!(e.degradation_report().count(FaultSite::GridTableBuild), 1);
     }
 

@@ -4,21 +4,21 @@
 //! *geometry* is often identical — multi-frame fused inputs reuse the same
 //! voxel grid, and benchmark replay repeats one scene exactly. Dynamic
 //! execution still rebuilds every kernel map and re-plans matmul grouping
-//! per frame. A [`CompiledSession`] splits that work: [`Engine::compile`]
-//! traces the model into a flat [`LayerOp`] sequence and runs every
-//! geometric derivation once, freezing the results into an immutable
-//! [`ExecutionPlan`] keyed by the input's [`geometry_fingerprint`];
-//! [`CompiledSession::execute`] then runs only the feature path. A frame
-//! with a different fingerprint transparently re-plans (counted in
-//! [`PlanCacheStats`]).
+//! per frame. A [`CompiledSession`] splits that work:
+//! [`Engine::compile`](crate::Engine::compile) traces the model into a flat
+//! [`LayerOp`] sequence and runs every geometric derivation once, freezing
+//! the results into an immutable [`ExecutionPlan`] keyed by the input's
+//! [`geometry_fingerprint`]; [`CompiledSession::execute`] then runs only the
+//! feature path. A frame with a different fingerprint transparently
+//! re-plans (counted in [`PlanCacheStats`]).
 //!
 //! Neither half runs the simulated-GPU cost model: a frame logs its
 //! re-plan's `Mapping` latencies plus one charge naming the plan it
-//! executed, and the first *read* of [`CompiledSession::last_timeline`]
-//! (or the layer profiles) resolves them — the plan's execute-path cost is
-//! walked at most once per plan, by whichever stream first asks, and cached
-//! on the shared [`ExecutionPlan`] ([`crate::cost_model`]). A session
-//! nobody reads — `serve()`, a benchmark's timed window — simulates nothing.
+//! executed, and the first *read* of [`StreamState::last_timeline`] (or the
+//! layer profiles) resolves them — the plan's execute-path cost is walked
+//! at most once per plan, by whichever stream first asks, and cached on the
+//! shared [`ExecutionPlan`] ([`crate::cost_model`]). A session nobody reads
+//! — `serve()`, a benchmark's timed window — simulates nothing.
 //!
 //! Planning also freezes each convolution's weights in the SIMD
 //! microkernel's panel-major packed layout (shared with the layer's lazy
@@ -26,32 +26,30 @@
 //! never touch row-major weights.
 //!
 //! For multi-stream serving the session splits along the share/own line:
-//! [`CompiledModel`] is the frozen, `Sync` half (traced ops + compile-time
-//! plan behind `Arc`) that N streams execute against concurrently, while
-//! [`StreamState`] is one stream's private half (engine context with its
-//! degradation report, plus that stream's plan slot and cache stats).
-//! [`CompiledSession`] remains the single-stream composition of the two;
-//! [`CompiledSession::into_parts`] opens it up.
+//! [`CompiledModel`] is the frozen, `Sync` half (traced ops, the
+//! compile-time plan behind `Arc`, and the planner state every stream
+//! starts from) that N streams execute against concurrently, while
+//! [`StreamState`] is one stream's private half (its [`Context`] — runtime,
+//! planner and cost ledger — plus that stream's plan slot and cache stats).
+//! [`CompiledSession`] is the single-stream composition of the two: it
+//! dereferences to its stream, and [`CompiledSession::into_parts`] opens it
+//! up.
 
-use crate::config::OptimizationConfig;
-use crate::context::{CachedMap, Context, MapKey};
+use crate::context::{CachedMap, Context, MapKey, Planner};
 use crate::cost_model::Charge;
-use crate::dataflow::Epilogue;
 use crate::delta::{Level, Patch};
-use crate::engine::Engine;
+use crate::exec::run_steps;
 use crate::faults::DegradationReport;
 use crate::module::Module;
 use crate::plan::{
     geometry_fingerprint, EpilogueSteps, ExecutionPlan, LayerOp, Lifetimes, PlanCacheStats,
     StepBuffers, StepPlan, Tracer,
 };
-use crate::sparse_tensor::concat_channels;
-use crate::{CoreError, GlobalPool, SparseTensor};
-use std::mem::take;
+use crate::{CoreError, GlobalPool, OptimizationConfig, SparseTensor};
+use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, OnceLock};
 use torchsparse_coords::Coord;
-use torchsparse_gpusim::{DeviceProfile, Micros, Stage, Timeline};
-use torchsparse_tensor::Matrix;
+use torchsparse_gpusim::{DeviceProfile, Stage, Timeline};
 
 /// The geometry cursor threaded through planning: what the tensor flowing
 /// through the network looks like after each op, without any features.
@@ -93,10 +91,13 @@ impl Coords<'_> {
     }
 }
 
-/// A model compiled against one input geometry.
+/// A model compiled against one input geometry: the shared
+/// [`CompiledModel`] plus the compiling stream's [`StreamState`], which the
+/// session dereferences to for its counters, plan slot, context and
+/// timelines.
 ///
-/// Created by [`Engine::compile`]; owns the engine for its lifetime and
-/// borrows the model's layers (`'m`).
+/// Created by [`Engine::compile`](crate::Engine::compile), which hands it
+/// the engine's context; borrows the model's layers (`'m`).
 ///
 /// # Example
 ///
@@ -142,47 +143,49 @@ pub struct CompiledModel<'m> {
     base_plan: Arc<ExecutionPlan>,
     config: OptimizationConfig,
     device: DeviceProfile,
+    /// The plan-time state the compile ended with — calibrated and
+    /// compile-time groupings, a tuning failure's fixed-grouping fallback,
+    /// the frozen index. Every stream starts from a copy (whose map cache
+    /// its first frame clears), so its re-plans group like the compile.
+    planner: Planner,
     /// Outcome of the compile-time grouping choice, when autotuning ran.
-    /// Fresh streams inherit its per-layer groupings so their private
-    /// re-plans keep the tuned selections.
     tuning: Option<crate::tuning::TuningReport>,
 }
 
-/// One stream's private execution state: its engine (context with the
-/// fault injector and degradation report), its plan slot, and its
-/// plan-cache counters.
+/// One stream's private state: its [`Context`] (the runtime with the fault
+/// injector and degradation report, the planner, the cost ledger), its plan
+/// slot, and its plan-cache counters.
 ///
 /// Created by [`CompiledModel::new_stream`] — and rebuilt the same way
 /// when a serving supervisor quarantines a poisoned stream: the state is
 /// discarded wholesale and reconstructed from the shared plan, so nothing
 /// a panicking request touched survives into the next frame.
 pub struct StreamState {
-    engine: Engine,
-    plan: Option<Arc<ExecutionPlan>>,
+    ctx: Context,
+    plan: Arc<ExecutionPlan>,
     stats: PlanCacheStats,
     planning: Timeline,
     planning_degradation: DegradationReport,
 }
 
 impl<'m> CompiledModel<'m> {
-    /// Creates a fresh stream against this model: a new engine with the
-    /// model's configuration and device, its plan slot pre-attached to the
-    /// shared compile-time plan.
+    /// Creates a fresh stream against this model: a context with the
+    /// model's configuration, device and planner state, its plan slot
+    /// attached to the shared compile-time plan.
     ///
     /// # Errors
     ///
     /// [`CoreError::InvalidConfig`] if the stored configuration fails
     /// [`Context::validate`] (cannot happen for configurations that came
-    /// through [`Engine::compile`], which validated at construction).
+    /// through [`Engine::compile`](crate::Engine::compile), which validated
+    /// at construction).
     pub fn new_stream(&self) -> Result<StreamState, CoreError> {
-        let mut engine = Engine::try_with_config(self.config.clone(), self.device.clone())?;
-        engine.context_mut().frozen_index = true;
-        if let Some(report) = &self.tuning {
-            engine.context_mut().groupings = report.policies.clone();
-        }
+        let mut ctx = Context::new(self.config.clone(), self.device.clone());
+        ctx.validate()?;
+        ctx.planner = self.planner.clone();
         Ok(StreamState {
-            engine,
-            plan: Some(self.base_plan.clone()),
+            ctx,
+            plan: Arc::clone(&self.base_plan),
             stats: PlanCacheStats {
                 plan_bytes: self.base_plan.memory_bytes(),
                 ..PlanCacheStats::default()
@@ -202,60 +205,50 @@ impl<'m> CompiledModel<'m> {
     /// # Errors
     ///
     /// Validation failures, [`CoreError::DeadlineExceeded`] when the
-    /// context's deadline expires at a stage boundary, plus any
+    /// runtime's deadline expires at a stage boundary, plus any
     /// [`CoreError`] from the layers.
     pub fn execute_on(
         &self,
         stream: &mut StreamState,
         input: &SparseTensor,
     ) -> Result<SparseTensor, CoreError> {
-        let ctx = stream.engine.context_mut();
+        let ctx = &mut stream.ctx;
         let tensor = &*ctx.begin_frame(input)?;
         let fingerprint = geometry_fingerprint(tensor.coords(), tensor.stride());
-        let matches = |p: &Arc<ExecutionPlan>| p.matches(fingerprint, tensor.len());
+        let matches = |p: &ExecutionPlan| p.matches(fingerprint, tensor.len());
         // A hit keeps the slot's plan, so its footprint is already counted.
-        let hit = stream.plan.as_ref().is_some_and(matches);
-        if hit {
+        if matches(&stream.plan) {
             stream.stats.hits += 1;
         } else {
-            if stream.plan.is_some() {
-                stream.stats.invalidations += 1;
-            }
+            stream.stats.invalidations += 1;
             if matches(&self.base_plan) {
                 // The geometry returned to the compile-time plan: re-attach
                 // to the shared Arc instead of rebuilding. Counted as a hit
                 // (misses counts plan *builds*).
                 stream.stats.hits += 1;
-                stream.plan = Some(self.base_plan.clone());
+                stream.plan = Arc::clone(&self.base_plan);
             } else {
                 // Geometry changed: rebuild the plan into this stream's
                 // slot — incrementally patched from the old plan when the
                 // delta path applies, from scratch otherwise. The re-plan's
                 // `Mapping` latencies land on this frame's ledger, exactly
                 // like a dynamic run's.
-                let old = stream.plan.clone();
                 let plan = replan_into_slot(
                     &self.ops,
                     tensor,
                     fingerprint,
-                    old.as_deref(),
+                    &stream.plan,
                     &mut stream.stats,
                     ctx,
                 )?;
                 stream.planning = ctx.timeline().clone();
-                stream.planning_degradation = ctx.degradation.clone();
-                stream.plan = Some(Arc::new(plan));
+                stream.planning_degradation = ctx.runtime.degradation.clone();
+                stream.plan = Arc::new(plan);
             }
+            stream.stats.plan_bytes = stream.plan.memory_bytes();
         }
-        let plan = match &stream.plan {
-            Some(p) => p.clone(),
-            None => self.base_plan.clone(),
-        };
-        if !hit {
-            stream.stats.plan_bytes = plan.memory_bytes();
-        }
-        let ctx = stream.engine.context_mut();
-        let (out, reruns) = run_steps(&self.ops, &plan, tensor, ctx)?;
+        let plan = Arc::clone(&stream.plan);
+        let (out, reruns) = run_steps(&self.ops, &plan, tensor, &ctx.config, &mut ctx.runtime)?;
         // The frame's simulated cost, for whoever reads it: the plan's
         // execute path on top of whatever `Mapping` this frame's re-plan
         // logged.
@@ -279,11 +272,6 @@ impl<'m> CompiledModel<'m> {
         &self.config
     }
 
-    /// The device profile new streams are built with.
-    pub fn device(&self) -> &DeviceProfile {
-        &self.device
-    }
-
     /// The compile-time tuning report: the per-layer groupings. `None` when
     /// autotuning was disabled at compile time.
     pub fn tuning_report(&self) -> Option<&crate::tuning::TuningReport> {
@@ -301,15 +289,16 @@ impl std::fmt::Debug for CompiledModel<'_> {
 }
 
 impl StreamState {
-    /// The stream's engine.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
+    /// The stream's context.
+    pub fn context(&self) -> &Context {
+        &self.ctx
     }
 
-    /// Mutable engine access (e.g. to arm faults or install a deadline
-    /// between frames).
-    pub fn engine_mut(&mut self) -> &mut Engine {
-        &mut self.engine
+    /// Mutable context access (e.g. to arm faults, install a deadline or a
+    /// recording pool on its runtime, or switch on layer profiles between
+    /// frames).
+    pub fn context_mut(&mut self) -> &mut Context {
+        &mut self.ctx
     }
 
     /// Plan-reuse counters for this stream.
@@ -317,43 +306,44 @@ impl StreamState {
         self.stats
     }
 
-    /// The plan currently in this stream's slot, if any.
-    pub fn plan(&self) -> Option<&ExecutionPlan> {
-        self.plan.as_deref()
+    /// The plan in this stream's slot: the shared compile-time plan until
+    /// the stream's geometry leaves it.
+    pub fn plan(&self) -> &ExecutionPlan {
+        &self.plan
     }
 
-    /// Per-stage cost of this stream's most recent private re-plan (zero
-    /// while the stream still rides the shared compile-time plan).
+    /// Per-stage cost of this stream's most recent planning pass (the
+    /// compile, or the last private re-plan; zero for a fresh stream still
+    /// riding the shared compile-time plan). This is the work a plan hit no
+    /// longer pays.
     pub fn planning_timeline(&self) -> &Timeline {
         &self.planning
     }
 
-    /// Degradation decisions of this stream's most recent private re-plan.
+    /// Degradation decisions of this stream's most recent planning pass
+    /// (e.g. an injected grid-table fault degrading the mapping strategy).
     pub fn planning_degradation(&self) -> &DegradationReport {
         &self.planning_degradation
     }
 
-    /// Per-stage simulated latency of the stream's last executed frame,
-    /// resolved on first read ([`Engine::last_timeline`]).
+    /// Per-stage simulated latency of the stream's last executed frame.
+    /// Executing simulates nothing; the first read walks the plan through
+    /// the cost model (once per plan, shared by every stream on it) and
+    /// adds the frame's own `Mapping` log.
     pub fn last_timeline(&self) -> &Timeline {
-        self.engine.last_timeline()
-    }
-
-    /// Total simulated latency of the stream's last executed frame.
-    pub fn last_latency(&self) -> Micros {
-        self.engine.last_latency()
+        self.ctx.timeline()
     }
 
     /// Degradation decisions of the stream's last executed frame.
     pub fn degradation_report(&self) -> &DegradationReport {
-        self.engine.degradation_report()
+        &self.ctx.runtime.degradation
     }
 }
 
 impl std::fmt::Debug for StreamState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StreamState")
-            .field("fingerprint", &self.plan.as_ref().map(|p| p.fingerprint))
+            .field("fingerprint", &self.plan.fingerprint)
             .field("stats", &self.stats)
             .finish()
     }
@@ -361,55 +351,56 @@ impl std::fmt::Debug for StreamState {
 
 impl<'m> CompiledSession<'m> {
     /// Traces `model`, plans every layer against `input`'s geometry, and
-    /// freezes the result. Called via [`Engine::compile`].
+    /// freezes the result; `ctx` becomes the compiling stream's context.
+    /// Called via [`Engine::compile`](crate::Engine::compile).
     ///
     /// # Errors
     ///
     /// [`CoreError::Untraceable`] for models without a `trace`
     /// implementation, plus validation and mapping errors from planning.
     pub(crate) fn compile<M: Module + ?Sized>(
-        mut engine: Engine,
+        mut ctx: Context,
         model: &'m M,
         input: &SparseTensor,
     ) -> Result<CompiledSession<'m>, CoreError> {
         let ops = trace(model)?;
-        let ctx = engine.context_mut();
         // Coordinate sets are frozen at plan time from here on: this
         // stream's map searches (the compile below, private re-plans) build
         // the succinct MPHF index, as every `new_stream` will.
-        ctx.frozen_index = true;
+        ctx.planner.frozen_index = true;
         let tensor = &*ctx.begin_frame(input)?;
         let fingerprint = geometry_fingerprint(tensor.coords(), tensor.stride());
-        let mut plan = build_plan(&ops, tensor, fingerprint, None, ctx)?;
-        defer_mapping(&plan, ctx);
+        let mut plan = build_plan(&ops, tensor, fingerprint, None, &mut ctx)?;
+        defer_mapping(&plan, &mut ctx);
         // Grouping is chosen against the frozen plan by the simulated
         // prior, re-grouping its convolutions in place.
         let tuning = if ctx.config.autotune_policies {
-            Some(crate::tuning::autotune_plan(&ops, &mut plan, ctx))
+            Some(crate::tuning::autotune_plan(&ops, &mut plan, &mut ctx))
         } else {
             None
         };
-        let planning = ctx.timeline().clone();
-        let planning_degradation = ctx.degradation.clone();
-        let config = ctx.config.clone();
-        let device = ctx.device.clone();
-
         let base_plan = Arc::new(plan);
-        Ok(CompiledSession {
-            shared: CompiledModel { ops, base_plan: base_plan.clone(), config, device, tuning },
-            stream: StreamState {
-                engine,
-                stats: PlanCacheStats {
-                    misses: 1,
-                    full_replans: 1,
-                    plan_bytes: base_plan.memory_bytes(),
-                    ..PlanCacheStats::default()
-                },
-                plan: Some(base_plan),
-                planning,
-                planning_degradation,
+        let shared = CompiledModel {
+            ops,
+            base_plan: Arc::clone(&base_plan),
+            config: ctx.config.clone(),
+            device: ctx.device.clone(),
+            planner: ctx.planner.clone(),
+            tuning,
+        };
+        let stream = StreamState {
+            stats: PlanCacheStats {
+                misses: 1,
+                full_replans: 1,
+                plan_bytes: base_plan.memory_bytes(),
+                ..PlanCacheStats::default()
             },
-        })
+            plan: base_plan,
+            planning: ctx.timeline().clone(),
+            planning_degradation: ctx.runtime.degradation.clone(),
+            ctx,
+        };
+        Ok(CompiledSession { shared, stream })
     }
 
     /// Runs one frame through the frozen plan: only feature-path work
@@ -418,7 +409,7 @@ impl<'m> CompiledSession<'m> {
     /// If the frame's geometry fingerprint mismatches the plan, the session
     /// transparently re-plans against the new geometry first — that frame
     /// pays the mapping cost again and the miss is counted in
-    /// [`CompiledSession::stats`].
+    /// [`StreamState::stats`].
     ///
     /// # Errors
     ///
@@ -439,68 +430,23 @@ impl<'m> CompiledSession<'m> {
         &self.shared
     }
 
-    /// The underlying engine.
-    pub fn engine(&self) -> &Engine {
-        self.stream.engine()
-    }
-
-    /// Mutable engine access (e.g. to arm faults between frames).
-    pub fn engine_mut(&mut self) -> &mut Engine {
-        self.stream.engine_mut()
-    }
-
-    /// Plan-reuse counters.
-    pub fn stats(&self) -> PlanCacheStats {
-        self.stream.stats()
-    }
-
-    /// The frozen execution plan currently in force.
-    pub fn plan(&self) -> &ExecutionPlan {
-        match self.stream.plan() {
-            Some(p) => p,
-            None => &self.shared.base_plan,
-        }
-    }
-
-    /// Number of traced layer ops.
-    pub fn num_ops(&self) -> usize {
-        self.shared.num_ops()
-    }
-
-    /// Per-stage cost of the most recent planning pass (the compile, or the
-    /// last re-plan). This is the work [`CompiledSession::execute`] no
-    /// longer pays on plan hits.
-    pub fn planning_timeline(&self) -> &Timeline {
-        self.stream.planning_timeline()
-    }
-
-    /// Degradation decisions taken during the most recent planning pass
-    /// (e.g. an injected grid-table fault degrading the mapping strategy).
-    pub fn planning_degradation(&self) -> &DegradationReport {
-        self.stream.planning_degradation()
-    }
-
-    /// Per-stage simulated latency of the last
-    /// [`CompiledSession::execute`]. Executing simulates nothing; the first
-    /// read walks the plan through the cost model (once per plan, shared by
-    /// every stream on it) and adds the frame's own `Mapping` log.
-    pub fn last_timeline(&self) -> &Timeline {
-        self.stream.last_timeline()
-    }
-
-    /// Total simulated latency of the last [`CompiledSession::execute`].
-    pub fn last_latency(&self) -> Micros {
-        self.stream.last_latency()
-    }
-
-    /// Degradation decisions of the last [`CompiledSession::execute`].
-    pub fn degradation_report(&self) -> &DegradationReport {
-        self.stream.degradation_report()
-    }
-
     /// The compile-time tuning report, when autotuning ran.
     pub fn tuning_report(&self) -> Option<&crate::tuning::TuningReport> {
         self.shared.tuning_report()
+    }
+}
+
+impl Deref for CompiledSession<'_> {
+    type Target = StreamState;
+
+    fn deref(&self) -> &StreamState {
+        &self.stream
+    }
+}
+
+impl DerefMut for CompiledSession<'_> {
+    fn deref_mut(&mut self) -> &mut StreamState {
+        &mut self.stream
     }
 }
 
@@ -508,7 +454,7 @@ impl std::fmt::Debug for CompiledSession<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompiledSession")
             .field("ops", &self.shared.ops.len())
-            .field("fingerprint", &self.plan().fingerprint)
+            .field("fingerprint", &self.stream.plan.fingerprint)
             .field("stats", &self.stream.stats)
             .finish()
     }
@@ -524,37 +470,35 @@ impl std::fmt::Debug for CompiledSession<'_> {
 /// cost of every invalidated frame, so callers must pass the value they
 /// already computed for the slot comparison.
 ///
-/// When delta re-planning is enabled and the stream holds a previous plan,
-/// [`Patch::new`] decides up front whether that plan can be patched for the
-/// new geometry, and [`build_plan`] below then patches each of its maps
-/// just before the step that plans with it. Every build is classified into
-/// exactly one of the [`PlanCacheStats`] partitions — `delta_patches` when
-/// patched, `delta_fallbacks` on a conservative bail, `full_replans`
-/// otherwise — keeping `misses == full_replans + delta_patches +
-/// delta_fallbacks`. Whichever way it was built, the plan's map work is
-/// logged on this frame and its execute-path cost is left for the first
-/// reader to walk.
+/// When delta re-planning is enabled, [`Patch::new`] decides up front
+/// whether the stream's previous plan can be patched for the new geometry,
+/// and [`build_plan`] below then patches each of its maps just before the
+/// step that plans with it. Every build is classified into exactly one of
+/// the [`PlanCacheStats`] partitions — `delta_patches` when patched,
+/// `delta_fallbacks` on a conservative bail, `full_replans` otherwise —
+/// keeping `misses == full_replans + delta_patches + delta_fallbacks`.
+/// Whichever way it was built, the plan's map work is logged on this frame
+/// and its execute-path cost is left for the first reader to walk.
 fn replan_into_slot(
     ops: &[LayerOp<'_>],
     input: &SparseTensor,
     fingerprint: u64,
-    old_plan: Option<&ExecutionPlan>,
+    old: &ExecutionPlan,
     stats: &mut PlanCacheStats,
     ctx: &mut Context,
 ) -> Result<ExecutionPlan, CoreError> {
     stats.misses += 1;
     let mut patch = None;
-    match old_plan {
-        Some(old) if ctx.config.delta_replan => {
-            ctx.check_deadline("mapping")?;
-            let symmetric = ctx.config.symmetric_map_search;
-            patch = Patch::new(ops, old, input.coords(), symmetric);
-            match patch {
-                Some(_) => stats.delta_patches += 1,
-                None => stats.delta_fallbacks += 1,
-            }
+    if ctx.config.delta_replan {
+        ctx.runtime.check_deadline("mapping")?;
+        let symmetric = ctx.config.symmetric_map_search;
+        patch = Patch::new(ops, old, input.coords(), symmetric);
+        match patch {
+            Some(_) => stats.delta_patches += 1,
+            None => stats.delta_fallbacks += 1,
         }
-        _ => stats.full_replans += 1,
+    } else {
+        stats.full_replans += 1;
     }
     let plan = build_plan(ops, input, fingerprint, patch.as_mut(), ctx)?;
     if let Some(patch) = &patch {
@@ -583,7 +527,7 @@ pub(crate) fn run_ephemeral<M: Module + ?Sized>(
 ) -> Result<SparseTensor, CoreError> {
     let ops = trace(model)?;
     let plan = build_plan(&ops, input, 0, None, ctx)?;
-    let (out, reruns) = run_steps(&ops, &plan, input, ctx)?;
+    let (out, reruns) = run_steps(&ops, &plan, input, &ctx.config, &mut ctx.runtime)?;
     ctx.defer(Charge::ephemeral_plan(plan, reruns, ctx.profile_layers));
     Ok(out)
 }
@@ -639,7 +583,7 @@ fn build_plan(
     for (i, op) in ops.iter().enumerate() {
         // A cost-only step has no work, so no stage boundary either.
         if !matches!(op, LayerOp::CostSurcharge { .. }) {
-            ctx.check_deadline("mapping")?;
+            ctx.runtime.check_deadline("mapping")?;
         }
         names.push(match op {
             LayerOp::Conv(conv) | LayerOp::ResidualAdd { projection: Some(conv) } => {
@@ -653,7 +597,8 @@ fn build_plan(
         let step = match op {
             LayerOp::Conv(conv) => {
                 let key = conv.map_key(cur.stride);
-                let level = patch_map(&mut patch, i, key, conv.transposed(), &mut cur, ctx);
+                let level =
+                    patch_map(&mut patch, i, key, conv.transposed(), &mut cur, &mut ctx.planner);
                 let p = conv.plan(cur.coords.get(), cur.stride, cur.channels, ctx)?;
                 let coords = Coords::Map { cached: Arc::clone(&p.cached), fine: p.use_fine };
                 written.out = Some(cur.advance(coords, p.out_stride, conv.c_out(), &mut life, i));
@@ -662,7 +607,7 @@ fn build_plan(
             }
             LayerOp::Pool(pool) => {
                 let key = pool.map_key(cur.stride);
-                let level = patch_map(&mut patch, i, key, false, &mut cur, ctx);
+                let level = patch_map(&mut patch, i, key, false, &mut cur, &mut ctx.planner);
                 let p = pool.plan(cur.coords.get(), cur.stride, ctx)?;
                 let coords = Coords::Map { cached: Arc::clone(&p.cached), fine: p.use_fine };
                 written.out = Some(cur.advance(coords, p.out_stride, cur.channels, &mut life, i));
@@ -717,7 +662,14 @@ fn build_plan(
                         // The shortcut's geometry is the saved one; the
                         // residual output keeps the current one.
                         let key = conv.map_key(saved.stride);
-                        patch_map(&mut patch, i, key, conv.transposed(), &mut saved, ctx);
+                        patch_map(
+                            &mut patch,
+                            i,
+                            key,
+                            conv.transposed(),
+                            &mut saved,
+                            &mut ctx.planner,
+                        );
                         let p = conv.plan(saved.coords.get(), saved.stride, saved.channels, ctx)?;
                         same_coords(cur.coords.get(), p.out_coords())?;
                         written.out = Some(life.create(p.out_coords().len() * conv.c_out(), i));
@@ -812,7 +764,7 @@ impl<'a> Geometry<'a> {
 }
 
 /// Before step `i` plans its map `key` from the geometry `from`: with a
-/// patch source, patches the old plan's map into the context's map cache —
+/// patch source, patches the old plan's map into the planner's map cache —
 /// a transposed convolution only re-enters the fine level of the map it
 /// inverts. Returns the level of the step's output.
 fn patch_map(
@@ -821,13 +773,13 @@ fn patch_map(
     key: MapKey,
     transposed: bool,
     from: &mut Geometry<'_>,
-    ctx: &mut Context,
+    planner: &mut Planner,
 ) -> Option<Level> {
     let (patch, level) = (patch.as_deref_mut()?, from.level.as_mut()?);
     if transposed {
         patch.fine_level(key)
     } else {
-        patch.map(i, key, from.coords.get(), level, ctx)
+        patch.map(i, key, from.coords.get(), level, planner)
     }
 }
 
@@ -842,221 +794,11 @@ fn same_coords(cur: &[Coord], saved: &[Coord]) -> Result<(), CoreError> {
     }
 }
 
-/// Runs the feature-path numerics of every op against its frozen step
-/// plan — no cost-model code runs here. Returns the output and the indices
-/// of the steps whose convolution overflowed its quantized storage and ran
-/// a second time in FP32 (the only way a frame's simulated cost can differ
-/// from the plan's).
-///
-/// Only feature matrices flow: coordinates are the input's or the plan's,
-/// borrowed step by step and copied once, into the output. Every matrix a
-/// step writes lives in the buffer slot the plan assigned it, among the
-/// context's activation buffers, so a frame on a geometry seen before
-/// allocates no feature buffer but its output's. `Push` shares the current
-/// matrix with the value stack.
-fn run_steps(
-    ops: &[LayerOp<'_>],
-    plan: &ExecutionPlan,
-    input: &SparseTensor,
-    ctx: &mut Context,
-) -> Result<(SparseTensor, Vec<usize>), CoreError> {
-    if ops.len() != plan.steps.len() || ops.len() != plan.buffers.len() {
-        return Err(CoreError::PlanMismatch { reason: "op/step count differs" });
-    }
-    let mut slots = take(&mut ctx.activations);
-    // Each buffer is allocated once, at its slot's full length: growing it
-    // value by value would leave the shorter allocations behind as holes.
-    slots.resize_with(slots.len().max(plan.slot_lens.len()), Matrix::default);
-    for (m, &len) in slots.iter_mut().zip(&plan.slot_lens) {
-        if m.capacity() < len {
-            *m = Matrix::zeros(len, 1);
-        }
-    }
-    let mut acts = Activations { input: input.feats(), slots };
-    let out = run_steps_on(ops, plan, input, &mut acts, ctx);
-    ctx.activations = acts.slots;
-    out
-}
-
-/// [`run_steps`] with the activation buffers taken out of the context.
-fn run_steps_on(
-    ops: &[LayerOp<'_>],
-    plan: &ExecutionPlan,
-    input: &SparseTensor,
-    acts: &mut Activations<'_>,
-    ctx: &mut Context,
-) -> Result<(SparseTensor, Vec<usize>), CoreError> {
-    let (mut coords, mut stride) = (input.coords(), input.stride());
-    // The slot of the flowing matrix; `None` while it is the input's.
-    let mut cur: Option<usize> = None;
-    let mut stack: Vec<Option<usize>> = Vec::new();
-    let mut reruns = Vec::new();
-    // Steps ahead whose work a convolution's fused epilogue already did.
-    let mut fused_ahead = 0;
-    for (i, ((op, step), written)) in ops.iter().zip(&plan.steps).zip(&plan.buffers).enumerate() {
-        // Deadline boundary: the gather-GEMM-scatter stage covers
-        // convolution steps (including residual projections); everything
-        // else — pointwise sweeps, pooling, concat/residual joins — is
-        // epilogue work. A fused step still checks its boundary, in order;
-        // a cost-only step is identity, with no boundary.
-        let stage = match op {
-            LayerOp::Conv(_) | LayerOp::ResidualAdd { projection: Some(_) } => {
-                "gather-gemm-scatter"
-            }
-            LayerOp::CostSurcharge { .. } => continue,
-            _ => "epilogue",
-        };
-        ctx.check_deadline(stage)?;
-        if fused_ahead > 0 {
-            fused_ahead -= 1;
-            if let LayerOp::ResidualAdd { .. } = op {
-                pop(&mut stack)?;
-            }
-            continue;
-        }
-        let out = written.out.ok_or(CoreError::PlanMismatch { reason: "step writes no buffer" });
-        match (op, step) {
-            (LayerOp::Conv(conv), StepPlan::Conv(p)) => {
-                let slot = out?;
-                let batch_norm = match ops.get(i + 1) {
-                    Some(LayerOp::BatchNorm(bn)) if p.epilogue.batch_norm => Some(bn.scale_shift()),
-                    _ => None,
-                };
-                let shortcut = stack.last().filter(|_| p.epilogue.residual);
-                let run = acts.write(slot, |m, acts| {
-                    let epilogue = Epilogue {
-                        batch_norm,
-                        shortcut: shortcut.map(|&v| acts.get(v)),
-                        relu: p.epilogue.relu,
-                        ..Epilogue::default()
-                    };
-                    conv.compute(acts.get(cur), p, epilogue, m, ctx)
-                })?;
-                if run.reran {
-                    reruns.push(i);
-                }
-                if run.fused {
-                    fused_ahead = p.epilogue.len();
-                }
-                (cur, coords, stride) = (Some(slot), p.out_coords(), p.out_stride);
-            }
-            (LayerOp::Pool(pool), StepPlan::Pool(p)) => {
-                let slot = out?;
-                acts.write(slot, |m, acts| pool.compute(acts.get(cur), p, m))?;
-                (cur, coords, stride) = (Some(slot), p.out_coords(), p.out_stride);
-            }
-            (LayerOp::GlobalPool(gp), StepPlan::GlobalPool { origins }) => {
-                let slot = out?;
-                acts.write(slot, |m, acts| gp.compute(coords, acts.get(cur), origins, m))?;
-                (cur, coords) = (Some(slot), origins.as_slice());
-            }
-            (LayerOp::BatchNorm(bn), StepPlan::Pointwise) => {
-                acts.rewrite(&mut cur, written.copy, |m, _| bn.apply(m, ctx))?;
-            }
-            (LayerOp::Relu(relu), StepPlan::Pointwise) => {
-                acts.rewrite(&mut cur, written.copy, |m, _| {
-                    relu.apply(m, ctx);
-                    Ok(())
-                })?;
-            }
-            (LayerOp::Push, StepPlan::Push) => stack.push(cur),
-            (LayerOp::PopConcat, StepPlan::PopConcat) => {
-                let (saved, slot) = (pop(&mut stack)?, out?);
-                acts.write(slot, |m, acts| {
-                    *m = concat_channels(acts.get(cur), acts.get(saved), take(m).into_vec())?;
-                    Ok::<_, CoreError>(())
-                })?;
-                cur = Some(slot);
-            }
-            (LayerOp::ResidualAdd { projection }, StepPlan::Residual { projection: proj }) => {
-                let saved = pop(&mut stack)?;
-                let shortcut = match (projection, proj) {
-                    (Some(conv), Some(p)) => {
-                        let slot = out?;
-                        let run = acts.write(slot, |m, acts| {
-                            conv.compute(acts.get(saved), p, Epilogue::default(), m, ctx)
-                        })?;
-                        if run.reran {
-                            reruns.push(i);
-                        }
-                        Some(slot)
-                    }
-                    (None, None) => saved,
-                    _ => {
-                        return Err(CoreError::PlanMismatch {
-                            reason: "residual projection presence differs",
-                        })
-                    }
-                };
-                acts.rewrite(&mut cur, written.copy, |m, acts| {
-                    *m += acts.get(shortcut);
-                    Ok(())
-                })?;
-            }
-            _ => return Err(CoreError::PlanMismatch { reason: "op/step kind differs" }),
-        }
-    }
-    // The output is copied out, so its slot keeps its buffer for the next
-    // frame.
-    let feats = acts.get(cur).clone();
-    Ok((SparseTensor::with_stride(coords.to_vec(), feats, stride)?, reruns))
-}
-
-/// Pops the executor's value stack.
-fn pop(stack: &mut Vec<Option<usize>>) -> Result<Option<usize>, CoreError> {
-    stack.pop().ok_or(CoreError::PlanMismatch { reason: "join pops an empty stack" })
-}
-
-/// The executor's feature matrices: the input's, borrowed, and the buffer
-/// slots the plan assigns to everything the steps write.
-struct Activations<'i> {
-    input: &'i Matrix,
-    slots: Vec<Matrix>,
-}
-
-impl Activations<'_> {
-    /// The matrix of `value` (`None`: the input's features).
-    fn get(&self, value: Option<usize>) -> &Matrix {
-        value.map_or(self.input, |slot| &self.slots[slot])
-    }
-
-    /// Writes `slot`'s matrix with `f` (it finds the buffer in any shape;
-    /// writers reshape it), which also reads the other matrices.
-    fn write<R>(&mut self, slot: usize, f: impl FnOnce(&mut Matrix, &Self) -> R) -> R {
-        let mut m = take(&mut self.slots[slot]);
-        let result = f(&mut m, self);
-        self.slots[slot] = m;
-        result
-    }
-
-    /// Rewrites the flowing matrix in place with `f` — after copying it
-    /// into the plan's `copy` slot when it is the input's features or the
-    /// value stack still holds it.
-    fn rewrite(
-        &mut self,
-        cur: &mut Option<usize>,
-        copy: Option<usize>,
-        f: impl FnOnce(&mut Matrix, &Self) -> Result<(), CoreError>,
-    ) -> Result<(), CoreError> {
-        if let Some(slot) = copy {
-            let from = *cur;
-            self.write(slot, |m, acts| {
-                let src = acts.get(from);
-                m.reshape_zeroed(src.rows(), src.cols());
-                m.as_mut_slice().copy_from_slice(src.as_slice());
-            });
-            *cur = Some(slot);
-        }
-        let slot = cur.ok_or(CoreError::PlanMismatch { reason: "in-place step on the input" })?;
-        self.write(slot, f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::EnginePreset;
-    use crate::{ReLU, Sequential, SparseConv3d, SparseMaxPool3d};
+    use crate::{Engine, ReLU, Sequential, SparseConv3d, SparseMaxPool3d};
     use torchsparse_gpusim::{DeviceProfile, Stage};
     use torchsparse_tensor::Matrix;
 
@@ -1114,7 +856,7 @@ mod tests {
             0.0,
             "plan hits must not rebuild maps"
         );
-        assert!(session.last_latency() < dynamic.last_latency());
+        assert!(session.last_timeline().total() < dynamic.last_latency());
     }
 
     #[test]
@@ -1160,7 +902,7 @@ mod tests {
         let m = Sequential::new("empty");
         let x = scene(0);
         let mut session = engine().compile(&m, &x).unwrap();
-        assert_eq!(session.num_ops(), 0);
+        assert_eq!(session.model().num_ops(), 0);
         let y = session.execute(&x).unwrap();
         assert_eq!(y, x);
     }
@@ -1205,11 +947,10 @@ mod tests {
         // Stream 2 re-plans for its own geometry...
         let base_fp = shared.base_plan().fingerprint;
         shared.execute_on(&mut s2, &b).unwrap();
-        let s2_fp = s2.plan().map(|p| p.fingerprint);
-        assert_ne!(s2_fp, Some(base_fp), "stream 2 must have re-planned");
+        assert_ne!(s2.plan().fingerprint, base_fp, "stream 2 must have re-planned");
 
         // ...without touching stream 1's slot or the shared base plan.
-        assert_eq!(s1.plan().map(|p| p.fingerprint), Some(base_fp));
+        assert_eq!(s1.plan().fingerprint, base_fp);
         assert_eq!(shared.base_plan().fingerprint, base_fp);
         shared.execute_on(&mut s1, &a).unwrap();
         // misses:1 is the compile-time build this stream inherited.
@@ -1227,7 +968,7 @@ mod tests {
         shared.execute_on(&mut s2, &a).unwrap();
         let s = s2.stats();
         assert_eq!((s.hits, s.misses, s.invalidations), (2, 1, 2));
-        assert_eq!(s2.plan().map(|p| p.fingerprint), Some(base_fp));
+        assert_eq!(s2.plan().fingerprint, base_fp);
     }
 
     #[test]
@@ -1237,7 +978,7 @@ mod tests {
         let x = scene(0);
         let mut session = engine().compile(&m, &x).unwrap();
         session.execute(&x).unwrap();
-        session.engine_mut().context_mut().faults.arm(FaultSite::DeadlineOverrun);
+        session.context_mut().runtime.faults.arm(FaultSite::DeadlineOverrun);
         let err = session.execute(&x).unwrap_err();
         assert!(
             matches!(err, CoreError::DeadlineExceeded { .. }),
@@ -1259,10 +1000,46 @@ mod tests {
             dynamic.context().layer_profiles().iter().map(|p| p.name.clone()).collect();
 
         let mut session = engine().compile(&m, &x).unwrap();
-        session.engine_mut().context_mut().profile_layers = true;
+        session.context_mut().profile_layers = true;
         session.execute(&x).unwrap();
         let ses_names: Vec<String> =
-            session.engine().context().layer_profiles().iter().map(|p| p.name.clone()).collect();
+            session.context().layer_profiles().iter().map(|p| p.name.clone()).collect();
         assert_eq!(dyn_names, ses_names, "same layers must profile in both paths");
+    }
+
+    #[test]
+    fn new_streams_plan_with_the_compile_time_planner() {
+        use crate::faults::FaultSite;
+        use crate::plan::ConvDataflow;
+        let m = model();
+        let (a, b) = (scene(0), scene(3));
+        // Compile-time grouping off: the calibrated table, or the fallback
+        // a failed tuning installs, is all a re-plan has to go by.
+        let mut cfg = EnginePreset::TorchSparse.config();
+        cfg.autotune_policies = false;
+        for fault in [false, true] {
+            let mut e = Engine::with_config(cfg.clone(), DeviceProfile::rtx_2080ti());
+            if fault {
+                e.context_mut().runtime.faults.arm(FaultSite::GroupTuning);
+            }
+            let calibrated = Some((vec![1.0], vec![0]));
+            crate::tuning::tune_engine(&mut e, &m, std::slice::from_ref(&a), calibrated).unwrap();
+            let (shared, mut first) = e.compile(&m, &a).unwrap().into_parts();
+            let mut fresh = shared.new_stream().unwrap();
+            let replanned_groups = |stream: &mut StreamState| {
+                shared.execute_on(stream, &b).unwrap();
+                let groups = stream.plan().steps.iter().filter_map(|step| match step {
+                    StepPlan::Conv(p) => match &p.dataflow {
+                        ConvDataflow::Grouped(g) => Some(g.clone()),
+                        ConvDataflow::FetchOnDemand => None,
+                    },
+                    _ => None,
+                });
+                groups.collect::<Vec<_>>()
+            };
+            let compiled = replanned_groups(&mut first);
+            assert_eq!(compiled.len(), 2);
+            assert_eq!(replanned_groups(&mut fresh), compiled, "tuning fault: {fault}");
+        }
     }
 }

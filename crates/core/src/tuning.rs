@@ -138,13 +138,13 @@ pub fn tune_engine<M: Module + ?Sized>(
             per_layer.entry(w.name.clone()).or_default().push(w);
         }
     }
-    if engine.context_mut().faults.should_fail(crate::faults::FaultSite::GroupTuning) {
+    if engine.context_mut().runtime.faults.should_fail(crate::faults::FaultSite::GroupTuning) {
         failure = Some("injected tuning fault".to_owned());
     }
     if let Some(cause) = failure {
         let ctx = engine.context_mut();
-        ctx.grouping_fallback = true;
-        ctx.degradation.record(
+        ctx.planner.grouping_fallback = true;
+        ctx.runtime.degradation.record(
             crate::faults::FaultSite::GroupTuning,
             &format!("tuning failed ({cause}); fixed grouping installed"),
         );
@@ -184,7 +184,7 @@ pub fn tune_engine<M: Module + ?Sized>(
     let tuned = selected.iter().map(|(layer, &(epsilon, s_threshold))| {
         (layer.clone(), GroupingStrategy::Adaptive { epsilon, s_threshold })
     });
-    engine.context_mut().groupings.extend(tuned);
+    engine.context_mut().planner.groupings.extend(tuned);
     Ok(TuningReport {
         selected,
         samples: samples.len(),
@@ -277,7 +277,7 @@ pub(crate) fn autotune_plan(
         policies.insert(name.to_owned(), grouping);
     }
 
-    ctx.groupings.extend(policies.clone());
+    ctx.planner.groupings.extend(policies.clone());
     TuningReport {
         selected,
         samples: 1,
@@ -376,11 +376,11 @@ mod tests {
     fn injected_tuning_fault_degrades_to_fixed_grouping() {
         use crate::faults::FaultSite;
         let mut e = Engine::new(EnginePreset::TorchSparse, DeviceProfile::rtx_2080ti());
-        e.context_mut().faults.arm(FaultSite::GroupTuning);
+        e.context_mut().runtime.faults.arm(FaultSite::GroupTuning);
         let report = tune_engine(&mut e, &model(), &[scene(0)], None).unwrap();
         assert!(report.degraded);
         assert!(report.selected.is_empty());
-        assert!(e.context().grouping_fallback);
+        assert!(e.context().planner.grouping_fallback);
         assert!(e.degradation_report().count(FaultSite::GroupTuning) >= 1);
         // The engine still runs end-to-end with the fixed-grouping fallback.
         let out = e.run(&model(), &scene(1)).unwrap();
@@ -392,7 +392,7 @@ mod tests {
         let mut e = Engine::new(EnginePreset::TorchSparse, DeviceProfile::rtx_2080ti());
         let report = tune_engine(&mut e, &model(), &[scene(0)], None).unwrap();
         assert!(!report.degraded);
-        assert!(!e.context().grouping_fallback);
+        assert!(!e.context().planner.grouping_fallback);
     }
 
     #[test]

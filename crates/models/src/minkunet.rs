@@ -277,7 +277,7 @@ mod tests {
         let b: Vec<u32> = got.feats().as_slice().iter().map(|v| v.to_bits()).collect();
         assert_eq!(a, b, "compiled MinkUNet must be bitwise identical to dynamic");
         assert!(
-            session.last_latency() < dynamic.last_latency(),
+            session.last_timeline().total() < dynamic.last_latency(),
             "plan reuse must beat per-frame mapping"
         );
     }

@@ -5,8 +5,8 @@
 //! LiDAR stream against a shared [`CompiledModel`]
 //! (torchsparse_core::CompiledModel) — the frozen, `Sync` half of a
 //! compiled session — while each worker owns a private
-//! [`StreamState`](torchsparse_core::StreamState) (workspace arena,
-//! degradation report, plan slot). Four robustness layers stack on top:
+//! [`StreamState`](torchsparse_core::StreamState) (its context's runtime,
+//! planner and cost ledger, plus its plan slot). Four robustness layers stack on top:
 //!
 //! - **Admission control and load shedding** ([`ServiceConfig::admission`],
 //!   [`ServiceConfig::queue_capacity`],

@@ -211,10 +211,10 @@ fn apply_faults(state: &mut StreamState, cfg: &ServiceConfig, stream: usize, gen
             return;
         }
     }
-    let ctx = state.engine_mut().context_mut();
-    ctx.faults.seed(mix_seed(cfg.fault_seed, stream as u64, generation));
+    let faults = &mut state.context_mut().runtime.faults;
+    faults.seed(mix_seed(cfg.fault_seed, stream as u64, generation));
     for &(site, p) in &cfg.faults {
-        ctx.faults.with_probability(site, p);
+        faults.with_probability(site, p);
     }
 }
 
@@ -249,9 +249,9 @@ fn run_request(
             return (Err(ServeError::StreamClosed), attempts.max(1));
         };
         attempts += 1;
-        state.engine_mut().context_mut().deadline = cfg.deadline.map(Deadline::starting_now);
+        state.context_mut().runtime.deadline = cfg.deadline.map(Deadline::starting_now);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if state.engine_mut().context_mut().faults.should_fail(FaultSite::WorkerPanic) {
+            if state.context_mut().runtime.faults.should_fail(FaultSite::WorkerPanic) {
                 panic!("injected worker-panic fault");
             }
             model.execute_on(state, &req.tensor)
@@ -281,9 +281,9 @@ fn run_request(
                 return (Err(ServeError::Poisoned { message }), attempts);
             }
             Ok(run) => {
-                let ctx = state.engine_mut().context_mut();
-                ctx.deadline = None;
-                window.merge(&ctx.degradation);
+                let rt = &mut state.context_mut().runtime;
+                rt.deadline = None;
+                window.merge(&rt.degradation);
                 match run {
                     Ok(out) => {
                         let kept = if cfg.keep_outputs { Some(out) } else { None };

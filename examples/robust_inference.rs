@@ -72,15 +72,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Fault injection: force a grid-table failure and an FP16 overflow in
     // one run; the engine completes through its documented fallbacks.
     let mut faulty = Engine::new(EnginePreset::TorchSparse, DeviceProfile::rtx_3090());
-    faulty.context_mut().faults.arm(FaultSite::GridTableBuild);
-    faulty.context_mut().faults.arm(FaultSite::Fp16Overflow);
+    faulty.context_mut().runtime.faults.arm(FaultSite::GridTableBuild);
+    faulty.context_mut().runtime.faults.arm(FaultSite::Fp16Overflow);
     let out = faulty.run(&net, &out)?;
     println!("faults:   output finite = {}", out.feats().is_finite());
     println!("          report: {}", faulty.degradation_report());
 
     // Even the tuner degrades instead of failing.
     let mut tuned = Engine::new(EnginePreset::TorchSparse, DeviceProfile::rtx_3090());
-    tuned.context_mut().faults.arm(FaultSite::GroupTuning);
+    tuned.context_mut().runtime.faults.arm(FaultSite::GroupTuning);
     let report = tune_engine(&mut tuned, &net, std::slice::from_ref(&out), None)?;
     println!("tuning:   degraded = {}, inference still works = {}", report.degraded, {
         tuned.run(&net, &out).is_ok()

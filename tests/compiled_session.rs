@@ -53,7 +53,7 @@ fn assert_compiled_matches_dynamic<M: Module>(model: &M, x: &SparseTensor, label
                 "{label} {preset:?}/{precision:?}: compiled output must be bitwise identical"
             );
             assert!(
-                session.last_latency() < dynamic.last_latency(),
+                session.last_timeline().total() < dynamic.last_latency(),
                 "{label} {preset:?}/{precision:?}: plan reuse must beat dynamic"
             );
             assert_eq!(
@@ -125,15 +125,15 @@ fn planning_faults_degrade_identically_to_dynamic() {
     let x = scene(4, 0);
 
     let mut dynamic = Engine::new(EnginePreset::SpConv, DeviceProfile::rtx_2080ti());
-    dynamic.context_mut().faults.arm_count(FaultSite::GridTableBuild, 4);
-    dynamic.context_mut().faults.arm(FaultSite::KernelMapCache);
+    dynamic.context_mut().runtime.faults.arm_count(FaultSite::GridTableBuild, 4);
+    dynamic.context_mut().runtime.faults.arm(FaultSite::KernelMapCache);
     let expected = dynamic.run(&net, &x).expect("degraded dynamic run");
     assert!(dynamic.degradation_report().count(FaultSite::GridTableBuild) >= 1);
     assert_eq!(dynamic.degradation_report().count(FaultSite::KernelMapCache), 1);
 
     let mut clean_engine = Engine::new(EnginePreset::SpConv, DeviceProfile::rtx_2080ti());
-    clean_engine.context_mut().faults.arm_count(FaultSite::GridTableBuild, 4);
-    clean_engine.context_mut().faults.arm(FaultSite::KernelMapCache);
+    clean_engine.context_mut().runtime.faults.arm_count(FaultSite::GridTableBuild, 4);
+    clean_engine.context_mut().runtime.faults.arm(FaultSite::KernelMapCache);
     let mut session = clean_engine.compile(&net, &x).expect("degraded compile");
     // A frozen plan searches the MPHF and never attempts a grid build, so
     // of the two armed sites only the map-cache fault can fire at plan
@@ -164,7 +164,7 @@ fn fp16_overflow_fault_degrades_identically_at_execute() {
     let x = scene(4, 0);
 
     let mut dynamic = engine(EnginePreset::TorchSparse, Precision::Fp16);
-    dynamic.context_mut().faults.arm(FaultSite::Fp16Overflow);
+    dynamic.context_mut().runtime.faults.arm(FaultSite::Fp16Overflow);
     let expected = dynamic.run(&net, &x).expect("dynamic with overflow");
     assert_eq!(dynamic.degradation_report().count(FaultSite::Fp16Overflow), 1);
 
@@ -174,7 +174,7 @@ fn fp16_overflow_fault_degrades_identically_at_execute() {
         session.planning_degradation().is_empty(),
         "overflow is a feature-path fault; planning must not trip it"
     );
-    session.engine_mut().context_mut().faults.arm(FaultSite::Fp16Overflow);
+    session.context_mut().runtime.faults.arm(FaultSite::Fp16Overflow);
     let got = session.execute(&x).expect("execute with overflow");
     assert_eq!(session.degradation_report().count(FaultSite::Fp16Overflow), 1);
     assert_eq!(
@@ -246,10 +246,9 @@ fn compiled_session_profiles_match_dynamic_layer_for_layer() {
 
     let mut session: CompiledSession<'_> =
         engine(EnginePreset::TorchSparse, Precision::Fp16).compile(&net, &x).expect("compile");
-    session.engine_mut().context_mut().profile_layers = true;
+    session.context_mut().profile_layers = true;
     session.execute(&x).expect("execute");
     let ses_profiles: Vec<(String, usize)> = session
-        .engine()
         .context()
         .layer_profiles()
         .iter()
@@ -273,9 +272,9 @@ fn compiled_model_keeps_the_callers_config() {
             .compile(&net, &x)
             .expect("compile");
         assert_eq!(session.model().config(), &cfg, "{}", preset.name());
-        assert_eq!(&session.engine().context().config, &cfg, "{}", preset.name());
+        assert_eq!(&session.context().config, &cfg, "{}", preset.name());
         let (model, _) = session.into_parts();
         let stream = model.new_stream().expect("stream");
-        assert_eq!(&stream.engine().context().config, &cfg, "{}", preset.name());
+        assert_eq!(&stream.context().config, &cfg, "{}", preset.name());
     }
 }

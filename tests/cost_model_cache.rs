@@ -191,7 +191,7 @@ fn unread_frames_evaluate_nothing_and_each_first_read_evaluates_once() {
             session.execute(frame).expect("hit");
         }
         assert_eq!(session.stats().misses, 4, "one build per new geometry");
-        session.engine_mut().context_mut().faults.arm(FaultSite::Fp16Overflow);
+        session.context_mut().runtime.faults.arm(FaultSite::Fp16Overflow);
         session.execute(&frames[3]).expect("hit with overflow");
         assert_eq!(session.degradation_report().count(FaultSite::Fp16Overflow), 1);
         assert_eq!(evaluations(), before, "nobody read a timeline: nothing evaluated");
@@ -316,7 +316,7 @@ fn overflow_rerun_frame_evaluates_once_and_matches_dynamic() {
     let mut dynamic = engine(&cfg);
     dynamic.run(&m, &x).expect("clean dynamic run");
     let clean = exec_bits(dynamic.last_timeline());
-    dynamic.context_mut().faults.arm(FaultSite::Fp16Overflow);
+    dynamic.context_mut().runtime.faults.arm(FaultSite::Fp16Overflow);
     dynamic.run(&m, &x).expect("dynamic run with overflow");
     assert_eq!(dynamic.degradation_report().count(FaultSite::Fp16Overflow), 1);
     let faulted = exec_bits(dynamic.last_timeline());
@@ -327,7 +327,7 @@ fn overflow_rerun_frame_evaluates_once_and_matches_dynamic() {
     assert_eq!(exec_bits(session.last_timeline()), clean);
 
     let before = evaluations();
-    session.engine_mut().context_mut().faults.arm(FaultSite::Fp16Overflow);
+    session.context_mut().runtime.faults.arm(FaultSite::Fp16Overflow);
     session.execute(&x).expect("hit with overflow");
     assert_eq!(session.degradation_report().count(FaultSite::Fp16Overflow), 1);
     assert_eq!(evaluations(), before, "executing the re-run frame evaluates nothing");
@@ -357,10 +357,10 @@ fn hit_frame_layer_profiles_match_dynamic() {
     let mut session = compile(&cfg, &net, &x);
     let before = evaluations();
     session.execute(&x).expect("unprofiled hit");
-    assert!(session.engine().context().layer_profiles().is_empty());
+    assert!(session.context().layer_profiles().is_empty());
     assert_eq!(evaluations() - before, 1, "the first read walked the plan");
-    session.engine_mut().context_mut().profile_layers = true;
+    session.context_mut().profile_layers = true;
     session.execute(&x).expect("profiled hit");
-    assert_eq!(session.engine().context().layer_profiles(), golden);
+    assert_eq!(session.context().layer_profiles(), golden);
     assert_eq!(evaluations() - before, 1, "profiles come from the same cell");
 }

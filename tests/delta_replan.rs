@@ -14,9 +14,9 @@ use torchsparse::coords::{
     diff_coords, Coord, CoordHashMap, CoordIndex, DeltaIndex, MphfIndex, REMOVED_ROW,
 };
 use torchsparse::core::{
-    BatchNorm, CoreError, Engine, EnginePreset, FaultSite, GlobalPool, Module, OptimizationConfig,
-    PlanCacheStats, Precision, ReLU, Sequential, SparseConv3d, SparseMaxPool3d, SparseTensor,
-    DELTA_REPLAN_MAX_CHURN,
+    BatchNorm, Context, CoreError, Engine, EnginePreset, FaultSite, GlobalPool, Module,
+    OptimizationConfig, PlanCacheStats, Precision, ReLU, Sequential, SparseConv3d, SparseMaxPool3d,
+    SparseTensor, DELTA_REPLAN_MAX_CHURN,
 };
 use torchsparse::data::{
     dynamic_actors_stream, ego_drift_stream, multi_sweep_stream, temporal_churn_stream,
@@ -288,13 +288,13 @@ impl Digest {
         }
     }
 
-    fn outcome(&mut self, out: &Result<SparseTensor, CoreError>, engine: &Engine) {
+    fn outcome(&mut self, out: &Result<SparseTensor, CoreError>, ctx: &Context) {
         match out {
             Ok(t) => bits(t).iter().for_each(|b| self.bytes(&b.to_le_bytes())),
             Err(e) => self.bytes(format!("{e:?}").as_bytes()),
         }
-        self.bytes(format!("{:?}", engine.context().faults.injected()).as_bytes());
-        self.bytes(engine.degradation_report().to_string().as_bytes());
+        self.bytes(format!("{:?}", ctx.runtime.faults.injected()).as_bytes());
+        self.bytes(ctx.runtime.degradation.to_string().as_bytes());
     }
 }
 
@@ -317,8 +317,8 @@ fn seeded_fault_schedule_over_replans_repeats_its_digest() {
         let engine = || Engine::with_config(cfg.clone(), DeviceProfile::rtx_2080ti());
         let mut session = engine().compile(&model, &frames[0]).expect("compile");
         let mut dynamic = engine();
-        for e in [session.engine_mut(), &mut dynamic] {
-            let faults = &mut e.context_mut().faults;
+        for ctx in [session.context_mut(), dynamic.context_mut()] {
+            let faults = &mut ctx.runtime.faults;
             faults.seed(3);
             faults.with_probability(FaultSite::DeadlineOverrun, 0.002);
             faults.with_probability(FaultSite::KernelMapCache, 0.1);
@@ -328,7 +328,7 @@ fn seeded_fault_schedule_over_replans_repeats_its_digest() {
         let (mut failed, mut paths) = (0, [0u64; 3]);
         for (f, frame) in frames.iter().enumerate() {
             // Every third frame re-plans from scratch.
-            session.engine_mut().context_mut().config.delta_replan = f % 3 != 2;
+            session.context_mut().config.delta_replan = f % 3 != 2;
             let before = session.stats();
             let out = session.execute(frame);
             let s = session.stats();
@@ -340,8 +340,8 @@ fn seeded_fault_schedule_over_replans_repeats_its_digest() {
             paths.iter_mut().zip(moved).for_each(|(p, m)| *p += m);
             failed += usize::from(out.is_err());
             digest.bytes(format!("{:?}", (s.hits, s.misses, moved)).as_bytes());
-            digest.outcome(&out, session.engine());
-            digest.outcome(&dynamic.run(&model, frame), &dynamic);
+            digest.outcome(&out, session.context());
+            digest.outcome(&dynamic.run(&model, frame), dynamic.context());
         }
         assert!(paths.iter().all(|&n| n > 0), "patch, fallback and full paths: {paths:?}");
         assert!((1..frames.len()).contains(&failed), "{failed} frames failed");

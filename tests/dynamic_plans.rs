@@ -100,13 +100,13 @@ fn dynamic_runs_fail_at_the_deadline_and_recover() {
         let clean = e.run(m, &x).expect("clean run");
         let clean_timeline = stage_bits(e.last_timeline());
 
-        e.context_mut().deadline = Some(Deadline::starting_now(Duration::ZERO));
+        e.context_mut().runtime.deadline = Some(Deadline::starting_now(Duration::ZERO));
         std::thread::sleep(Duration::from_millis(1));
         let err = e.run(m, &x).expect_err("an expired deadline must fail the run");
         assert!(matches!(err, CoreError::DeadlineExceeded { stage: "mapping", .. }), "{err:?}");
 
-        e.context_mut().deadline = None;
-        e.context_mut().faults.arm(FaultSite::DeadlineOverrun);
+        e.context_mut().runtime.deadline = None;
+        e.context_mut().runtime.faults.arm(FaultSite::DeadlineOverrun);
         let err = e.run(m, &x).expect_err("an injected overrun must fail the run");
         assert!(matches!(err, CoreError::DeadlineExceeded { stage: "mapping", .. }), "{err:?}");
 

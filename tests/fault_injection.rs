@@ -6,8 +6,8 @@
 use torchsparse::coords::Coord;
 use torchsparse::core::tuning::tune_engine;
 use torchsparse::core::{
-    Engine, EnginePreset, FaultSite, Precision, ReLU, Sequential, SparseConv3d, SparseTensor,
-    ValidationConfig,
+    Engine, EnginePreset, FaultSite, GroupingStrategy, Precision, ReLU, Sequential, SparseConv3d,
+    SparseTensor, ValidationConfig,
 };
 use torchsparse::gpusim::DeviceProfile;
 use torchsparse::tensor::Matrix;
@@ -40,7 +40,7 @@ fn grid_table_fault_falls_back_to_hashmap_with_identical_output() {
     assert!(clean.degradation_report().is_empty());
 
     let mut faulty = Engine::new(EnginePreset::SpConv, DeviceProfile::rtx_2080ti());
-    faulty.context_mut().faults.arm_count(FaultSite::GridTableBuild, 8);
+    faulty.context_mut().runtime.faults.arm_count(FaultSite::GridTableBuild, 8);
     let out = faulty.run(&m, &input).expect("fallback run completes");
 
     assert!(faulty.degradation_report().count(FaultSite::GridTableBuild) >= 1);
@@ -57,7 +57,7 @@ fn fp16_overflow_fault_reruns_layer_in_fp32() {
 
     let mut e = Engine::new(EnginePreset::TorchSparse, DeviceProfile::rtx_2080ti());
     assert_eq!(e.context().config.precision, Precision::Fp16);
-    e.context_mut().faults.arm(FaultSite::Fp16Overflow);
+    e.context_mut().runtime.faults.arm(FaultSite::Fp16Overflow);
     let out = e.run(&m, &input).expect("degraded run completes");
 
     assert!(e.degradation_report().count(FaultSite::Fp16Overflow) >= 1);
@@ -77,7 +77,7 @@ fn kernel_map_cache_fault_forces_rebuild_with_identical_output() {
     // conv2 reuses conv1's submanifold map; the armed fault invalidates
     // that cache hit and forces a rebuild.
     let mut faulty = Engine::new(EnginePreset::TorchSparse, DeviceProfile::rtx_2080ti());
-    faulty.context_mut().faults.arm(FaultSite::KernelMapCache);
+    faulty.context_mut().runtime.faults.arm(FaultSite::KernelMapCache);
     let out = faulty.run(&m, &input).expect("rebuild run completes");
 
     assert!(faulty.degradation_report().count(FaultSite::KernelMapCache) >= 1);
@@ -95,7 +95,7 @@ fn resource_budget_fault_sheds_points_under_sanitize() {
     cfg.precision = Precision::Fp32;
     cfg.validation = ValidationConfig::sanitize();
     let mut e = Engine::with_config(cfg, DeviceProfile::rtx_2080ti());
-    e.context_mut().faults.arm(FaultSite::ResourceBudget);
+    e.context_mut().runtime.faults.arm(FaultSite::ResourceBudget);
     let out = e.run(&m, &input).expect("shed run completes");
 
     assert!(e.degradation_report().count(FaultSite::ResourceBudget) >= 1);
@@ -107,17 +107,23 @@ fn resource_budget_fault_sheds_points_under_sanitize() {
 #[test]
 fn group_tuning_fault_degrades_engine_but_inference_continues() {
     let mut e = Engine::new(EnginePreset::TorchSparse, DeviceProfile::rtx_2080ti());
-    e.context_mut().faults.arm(FaultSite::GroupTuning);
+    e.context_mut().runtime.faults.arm(FaultSite::GroupTuning);
     let report =
         tune_engine(&mut e, &model(), &[scene(4)], None).expect("tuning degrades, not errors");
 
     assert!(report.degraded);
     assert!(report.selected.is_empty());
     assert!(e.degradation_report().count(FaultSite::GroupTuning) >= 1);
-    assert!(e.context().grouping_fallback);
 
     let out = e.run(&model(), &scene(5)).expect("fixed-grouping inference");
     assert!(!out.is_empty());
+    // The fallback outlives the engine: a session compiled from it plans
+    // fixed groups for every convolution.
+    let m = model();
+    let session = e.compile(&m, &scene(5)).expect("compile");
+    let policies = &session.tuning_report().expect("compile-time grouping").policies;
+    assert!(!policies.is_empty());
+    assert!(policies.values().all(|g| *g == GroupingStrategy::Fixed), "{policies:?}");
 }
 
 #[test]
@@ -125,7 +131,7 @@ fn armed_faults_fire_exactly_once_and_report_survives_inspection() {
     let input = scene(6);
     let m = model();
     let mut e = Engine::new(EnginePreset::SpConv, DeviceProfile::rtx_2080ti());
-    e.context_mut().faults.arm(FaultSite::GridTableBuild);
+    e.context_mut().runtime.faults.arm(FaultSite::GridTableBuild);
 
     e.run(&m, &input).expect("first run");
     let first = e.degradation_report().count(FaultSite::GridTableBuild);
@@ -135,7 +141,7 @@ fn armed_faults_fire_exactly_once_and_report_survives_inspection() {
     // fresh report is empty again.
     e.run(&m, &input).expect("second run");
     assert_eq!(e.degradation_report().count(FaultSite::GridTableBuild), 0);
-    assert!(!e.context().faults.is_armed());
+    assert!(!e.context().runtime.faults.is_armed());
 }
 
 #[test]
@@ -144,11 +150,11 @@ fn probabilistic_injection_is_deterministic_across_engines() {
     let m = model();
     let run = |seed: u64| {
         let mut e = Engine::new(EnginePreset::SpConv, DeviceProfile::rtx_2080ti());
-        e.context_mut().faults.seed(seed);
-        e.context_mut().faults.with_probability(FaultSite::GridTableBuild, 0.5);
+        e.context_mut().runtime.faults.seed(seed);
+        e.context_mut().runtime.faults.with_probability(FaultSite::GridTableBuild, 0.5);
         e.run(&m, &input).expect("run completes regardless of injection");
         (
-            e.context().faults.injected().to_vec(),
+            e.context().runtime.faults.injected().to_vec(),
             e.degradation_report().count(FaultSite::GridTableBuild),
         )
     };

@@ -22,8 +22,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use torchsparse::coords::Coord;
 use torchsparse::core::{
-    BatchNorm, CoreError, Engine, EnginePreset, FaultSite, LayerOp, Module, OptimizationConfig,
-    Precision, ReLU, SparseConv3d, SparseTensor, Tracer,
+    BatchNorm, Context, CoreError, Engine, EnginePreset, FaultSite, LayerOp, Module,
+    OptimizationConfig, Precision, ReLU, SparseConv3d, SparseTensor, Tracer,
 };
 use torchsparse::gpusim::DeviceProfile;
 use torchsparse::models::{CenterPoint, ConvBnReLU, MinkUNet, ResidualBlock};
@@ -459,9 +459,9 @@ impl Digest {
         }
     }
 
-    fn faults(&mut self, e: &Engine) {
-        self.bytes(format!("{:?}", e.context().faults.injected()).as_bytes());
-        self.bytes(e.degradation_report().to_string().as_bytes());
+    fn faults(&mut self, ctx: &Context) {
+        self.bytes(format!("{:?}", ctx.runtime.faults.injected()).as_bytes());
+        self.bytes(ctx.runtime.degradation.to_string().as_bytes());
     }
 }
 
@@ -478,15 +478,15 @@ fn armed_overflow_repeats_the_unfused_engine() {
         let mut digest = Digest::new();
         let mut session = engine(&cfg).compile(&net, &x).expect("compile");
         digest.outcome(&session.execute(&x));
-        session.engine_mut().context_mut().faults.arm(FaultSite::Fp16Overflow);
+        session.context_mut().runtime.faults.arm(FaultSite::Fp16Overflow);
         digest.outcome(&session.execute(&x));
-        digest.faults(session.engine());
+        digest.faults(session.context());
         assert_eq!(session.degradation_report().count(FaultSite::Fp16Overflow), 1);
 
         let mut dynamic = engine(&cfg);
-        dynamic.context_mut().faults.arm(FaultSite::Fp16Overflow);
+        dynamic.context_mut().runtime.faults.arm(FaultSite::Fp16Overflow);
         digest.outcome(&dynamic.run(&net, &x));
-        digest.faults(&dynamic);
+        digest.faults(dynamic.context());
         assert_eq!(digest.0, ARMED_OVERFLOW_DIGEST, "{threads} threads");
     }
 }
@@ -505,8 +505,8 @@ fn seeded_fault_schedule_repeats_the_unfused_engine() {
         let mut digest = Digest::new();
         let mut session = engine(&cfg).compile(&net, &x).expect("compile");
         let mut dynamic = engine(&cfg);
-        for e in [session.engine_mut(), &mut dynamic] {
-            let faults = &mut e.context_mut().faults;
+        for ctx in [session.context_mut(), dynamic.context_mut()] {
+            let faults = &mut ctx.runtime.faults;
             faults.seed(11);
             faults.with_probability(FaultSite::DeadlineOverrun, 0.004);
             faults.with_probability(FaultSite::Fp16Overflow, 0.03);
@@ -516,9 +516,9 @@ fn seeded_fault_schedule_repeats_the_unfused_engine() {
             let out = session.execute(&x);
             failed += usize::from(out.is_err());
             digest.outcome(&out);
-            digest.faults(session.engine());
+            digest.faults(session.context());
             digest.outcome(&dynamic.run(&net, &x));
-            digest.faults(&dynamic);
+            digest.faults(dynamic.context());
         }
         assert!((1..8).contains(&failed), "the schedule must fail some frames, not all");
         assert_eq!(digest.0, FAULT_SCHEDULE_DIGEST, "{threads} threads");
@@ -550,7 +550,7 @@ fn hit_frames_allocate_a_few_times_whatever_the_depth() {
         let y = session.execute(&x).expect("hit");
         let after = ALLOCATIONS.with(Cell::get);
         drop(y);
-        (after - before, session.num_ops())
+        (after - before, session.model().num_ops())
     };
     let (shallow, shallow_ops) = per_frame(1);
     let (deep, deep_ops) = per_frame(3);

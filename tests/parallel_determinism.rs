@@ -164,7 +164,7 @@ fn grid_table_fault_fallback_identical_under_parallel_runtime() {
         let mut cfg = EnginePreset::SpConv.config();
         cfg.threads = Some(threads);
         let mut engine = Engine::with_config(cfg, DeviceProfile::rtx_2080ti());
-        engine.context_mut().faults.arm_count(FaultSite::GridTableBuild, 8);
+        engine.context_mut().runtime.faults.arm_count(FaultSite::GridTableBuild, 8);
         let y = engine.run(&m, &x).expect("fallback run completes");
         let degradations = engine.degradation_report().count(FaultSite::GridTableBuild);
         let bits: Vec<u32> = y.feats().as_slice().iter().map(|v| v.to_bits()).collect();
@@ -190,7 +190,7 @@ fn fp16_overflow_rerun_identical_under_parallel_runtime() {
         let mut cfg = EnginePreset::TorchSparse.config();
         cfg.threads = Some(threads);
         let mut engine = Engine::with_config(cfg, DeviceProfile::rtx_2080ti());
-        engine.context_mut().faults.arm_count(FaultSite::Fp16Overflow, 1);
+        engine.context_mut().runtime.faults.arm_count(FaultSite::Fp16Overflow, 1);
         let y = engine.run(&m, &x).expect("FP32 re-run completes");
         let degradations = engine.degradation_report().count(FaultSite::Fp16Overflow);
         let bits: Vec<u32> = y.feats().as_slice().iter().map(|v| v.to_bits()).collect();
@@ -229,7 +229,7 @@ fn compiled_hit_frame_runs_a_bounded_task_graph_and_no_mapping() {
         Engine::with_config(cfg, DeviceProfile::rtx_2080ti()).compile(&net, &x).expect("compile");
     session.execute(&x).expect("warm-up hit");
     let pool = Arc::new(ThreadPool::new_recording());
-    session.engine_mut().context_mut().runtime.set_pool(pool.clone());
+    session.context_mut().runtime.set_pool(pool.clone());
     session.execute(&x).expect("traced hit");
     let trace = pool.take_trace();
     let (waves, tasks) = (trace.len(), trace.iter().map(Vec::len).sum::<usize>());

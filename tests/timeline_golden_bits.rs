@@ -114,9 +114,9 @@ fn snapshot() -> Snapshot {
         }),
         hit_profiles: PRECISIONS.map(|p| {
             let mut session = engine(&untuned(p)).compile(&unet, &base).expect("compile");
-            session.engine_mut().context_mut().profile_layers = true;
+            session.context_mut().profile_layers = true;
             session.execute(&base).expect("profiled hit");
-            profile_digest(session.engine().context().layer_profiles())
+            profile_digest(session.context().layer_profiles())
         }),
         hit: PRECISIONS.map(|p| {
             let mut session = engine(&untuned(p)).compile(&ops, &base).expect("compile");
@@ -129,7 +129,7 @@ fn snapshot() -> Snapshot {
         overflow_rerun: [Precision::Fp16, Precision::Int8].map(|p| {
             let mut session = engine(&untuned(p)).compile(&ops, &base).expect("compile");
             session.execute(&base).expect("clean hit");
-            session.engine_mut().context_mut().faults.arm(FaultSite::Fp16Overflow);
+            session.context_mut().runtime.faults.arm(FaultSite::Fp16Overflow);
             session.execute(&base).expect("hit with overflow");
             assert_eq!(session.degradation_report().count(FaultSite::Fp16Overflow), 1);
             bits(session.last_timeline())
