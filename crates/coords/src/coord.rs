@@ -45,19 +45,19 @@ impl Coord {
     }
 
     /// Subtracts a spatial offset, leaving the batch index unchanged.
-    pub fn offset_neg(&self, d: [i32; 3]) -> Coord {
+    pub(crate) fn offset_neg(&self, d: [i32; 3]) -> Coord {
         Coord { batch: self.batch, x: self.x - d[0], y: self.y - d[1], z: self.z - d[2] }
     }
 
     /// Scales the spatial components by `s` (used when moving between tensor
     /// strides: `s * q + δ` in Algorithm 1).
-    pub fn scaled(&self, s: i32) -> Coord {
+    pub(crate) fn scaled(&self, s: i32) -> Coord {
         Coord { batch: self.batch, x: self.x * s, y: self.y * s, z: self.z * s }
     }
 
     /// Whether all spatial components are divisible by `s` (the "modular
     /// check" of Algorithm 3).
-    pub fn divisible_by(&self, s: i32) -> bool {
+    pub(crate) fn divisible_by(&self, s: i32) -> bool {
         self.x.rem_euclid(s) == 0 && self.y.rem_euclid(s) == 0 && self.z.rem_euclid(s) == 0
     }
 
@@ -67,7 +67,7 @@ impl Coord {
     ///
     /// Panics in debug builds if any component is not divisible by `s`; use
     /// [`Coord::divisible_by`] first.
-    pub fn divided(&self, s: i32) -> Coord {
+    pub(crate) fn divided(&self, s: i32) -> Coord {
         debug_assert!(self.divisible_by(s), "coordinate {self:?} not divisible by {s}");
         Coord {
             batch: self.batch,

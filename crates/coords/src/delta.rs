@@ -168,7 +168,8 @@ impl DeltaIndex {
     }
 
     /// Fraction of this layer's rows answered by the side-table.
-    pub fn side_fraction(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn side_fraction(&self) -> f64 {
         self.side_rows.len() as f64 / self.len.max(1) as f64
     }
 }
@@ -218,7 +219,7 @@ pub struct PatchStats {
 
 impl PatchStats {
     /// Both components merged (for the patched map's embedded stats).
-    pub fn merged(&self) -> MappingStats {
+    pub(crate) fn merged(&self) -> MappingStats {
         let mut m = self.stream;
         m.merge(self.random);
         m
@@ -565,7 +566,8 @@ pub fn patch_strided_map(
 mod tests {
     use super::*;
     use crate::downsample::{fused_output_coords, Boundary};
-    use crate::kernel_map::{search_dilated, search_submanifold_symmetric_dilated};
+    use crate::kernel_map::{search_dilated_on, search_submanifold_symmetric_dilated_on};
+    use torchsparse_runtime::ThreadPool;
 
     fn coords(n: usize, seed: i32) -> Vec<Coord> {
         let mut v: Vec<Coord> = (0..n as i32)
@@ -714,9 +716,15 @@ mod tests {
         let new = churned(&old);
         let old_table = hash_index(&old);
         let old_map = if symmetric {
-            search_submanifold_symmetric_dilated(&old, &old_table, kernel_size, dilation)
+            search_submanifold_symmetric_dilated_on(
+                ThreadPool::global(),
+                &old,
+                &old_table,
+                kernel_size,
+                dilation,
+            )
         } else {
-            search_dilated(&old, &old_table, kernel_size, 1, dilation)
+            search_dilated_on(ThreadPool::global(), &old, &old_table, kernel_size, 1, dilation)
         }
         .unwrap();
         let base: Arc<dyn CoordIndex> = Arc::new(old_table);
@@ -727,9 +735,15 @@ mod tests {
                 .unwrap();
         let fresh_table = hash_index(&new);
         let fresh = if symmetric {
-            search_submanifold_symmetric_dilated(&new, &fresh_table, kernel_size, dilation)
+            search_submanifold_symmetric_dilated_on(
+                ThreadPool::global(),
+                &new,
+                &fresh_table,
+                kernel_size,
+                dilation,
+            )
         } else {
-            search_dilated(&new, &fresh_table, kernel_size, 1, dilation)
+            search_dilated_on(ThreadPool::global(), &new, &fresh_table, kernel_size, 1, dilation)
         }
         .unwrap();
         (patched, fresh)
@@ -754,7 +768,8 @@ mod tests {
     #[test]
     fn symmetric_patch_rejects_even_kernels() {
         let old = coords(10, 1);
-        let map = search_dilated(&old, &hash_index(&old), 2, 1, 1).unwrap();
+        let map =
+            search_dilated_on(ThreadPool::global(), &old, &hash_index(&old), 2, 1, 1).unwrap();
         let d = CoordDelta::identity(old.len());
         let idx = hash_index(&old);
         assert!(patch_submanifold_map(&map, &d, &old, &idx, 2, 1, true).is_err());
@@ -769,8 +784,15 @@ mod tests {
             let old_out =
                 fused_output_coords(&old, kernel_size, stride, Boundary::unbounded()).unwrap();
             let old_table = hash_index(&old);
-            let old_map =
-                search_dilated(&old_out.coords, &old_table, kernel_size, stride, 1).unwrap();
+            let old_map = search_dilated_on(
+                ThreadPool::global(),
+                &old_out.coords,
+                &old_table,
+                kernel_size,
+                stride,
+                1,
+            )
+            .unwrap();
             let base: Arc<dyn CoordIndex> = Arc::new(old_table);
             let d = diff_coords(base.as_ref(), old.len(), &new).unwrap();
             let (new_idx, _) = DeltaIndex::build(base, &d, &new).unwrap();
@@ -789,8 +811,15 @@ mod tests {
                 fused_output_coords(&new, kernel_size, stride, Boundary::unbounded()).unwrap();
             assert_eq!(patch.out_coords, fresh_out.coords, "k={kernel_size} s={stride}");
             let fresh_table = hash_index(&new);
-            let fresh_map =
-                search_dilated(&fresh_out.coords, &fresh_table, kernel_size, stride, 1).unwrap();
+            let fresh_map = search_dilated_on(
+                ThreadPool::global(),
+                &fresh_out.coords,
+                &fresh_table,
+                kernel_size,
+                stride,
+                1,
+            )
+            .unwrap();
             assert_same_map(&patch.map, &fresh_map);
             // The out-delta classifies old rows consistently.
             for (old_row, &new_row) in patch.out_delta.remap.iter().enumerate() {
@@ -822,14 +851,28 @@ mod tests {
         }
         for new in [shrunk, grown] {
             let old_table = hash_index(&old);
-            let old_map = search_submanifold_symmetric_dilated(&old, &old_table, 3, 1).unwrap();
+            let old_map = search_submanifold_symmetric_dilated_on(
+                ThreadPool::global(),
+                &old,
+                &old_table,
+                3,
+                1,
+            )
+            .unwrap();
             let base: Arc<dyn CoordIndex> = Arc::new(old_table);
             let d = diff_coords(base.as_ref(), old.len(), &new).unwrap();
             let (new_idx, _) = DeltaIndex::build(base, &d, &new).unwrap();
             let (patched, stats) =
                 patch_submanifold_map(&old_map, &d, &new, &new_idx, 3, 1, true).unwrap();
             let fresh_table = hash_index(&new);
-            let fresh = search_submanifold_symmetric_dilated(&new, &fresh_table, 3, 1).unwrap();
+            let fresh = search_submanifold_symmetric_dilated_on(
+                ThreadPool::global(),
+                &new,
+                &fresh_table,
+                3,
+                1,
+            )
+            .unwrap();
             assert_same_map(&patched, &fresh);
             assert!(stats.merged().total_accesses() > 0);
         }
@@ -848,7 +891,9 @@ mod tests {
         new.remove(7);
         new.push(Coord::new(0, 50, 50, 1));
         let old_table = hash_index(&old);
-        let old_map = search_submanifold_symmetric_dilated(&old, &old_table, 3, 1).unwrap();
+        let old_map =
+            search_submanifold_symmetric_dilated_on(ThreadPool::global(), &old, &old_table, 3, 1)
+                .unwrap();
         let fresh_cost = old_map.stats.total_accesses();
         let base: Arc<dyn CoordIndex> = Arc::new(old_table);
         let d = diff_coords(base.as_ref(), old.len(), &new).unwrap();

@@ -37,7 +37,7 @@ impl Boundary {
     }
 
     /// Whether an output coordinate passes the boundary check.
-    pub fn contains(&self, c: Coord) -> bool {
+    pub(crate) fn contains(&self, c: Coord) -> bool {
         if let Some(min) = self.min {
             if c.x < min[0] || c.y < min[1] || c.z < min[2] {
                 return false;

@@ -7,10 +7,10 @@
 //! drift apart.
 
 /// The FNV-1a 64-bit offset basis.
-pub const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// The FNV-1a 64-bit prime.
-pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// An incremental FNV-1a 64-bit hasher.
 ///
@@ -36,12 +36,12 @@ impl Fnv1a {
     }
 
     /// Folds one byte into the state.
-    pub fn write_u8(&mut self, byte: u8) {
+    pub(crate) fn write_u8(&mut self, byte: u8) {
         self.0 = (self.0 ^ byte as u64).wrapping_mul(FNV_PRIME);
     }
 
     /// Folds a byte slice into the state.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
+    pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.write_u8(b);
         }

@@ -5,20 +5,19 @@ use crate::Coord;
 /// linear probing over FNV-hashed coordinates.
 ///
 /// Construction and queries may take multiple probes when hash slots
-/// collide; the probe counts returned by [`CoordTable::insert`] /
-/// [`CoordTable::query`] capture exactly the extra DRAM accesses the paper's
-/// grid-based alternative avoids (§4.4: "grid ... construction/query requires
-/// exactly one DRAM access per entry").
+/// collide; the probe counts [`CoordHashMap::build`] and
+/// [`CoordIndex::query`] return capture exactly the extra DRAM accesses the
+/// paper's grid-based alternative avoids (§4.4: "grid ... construction/query
+/// requires exactly one DRAM access per entry").
 ///
 /// # Example
 ///
 /// ```
-/// use torchsparse_coords::{Coord, CoordHashMap, CoordIndex, CoordTable};
+/// use torchsparse_coords::{Coord, CoordHashMap, CoordIndex};
 ///
-/// let mut table = CoordHashMap::with_capacity(16);
-/// table.insert(Coord::new(0, 1, 2, 3), 7);
+/// let (table, _build_probes) = CoordHashMap::build(&[Coord::new(0, 0, 0, 0), Coord::new(0, 1, 2, 3)]);
 /// let (found, _probes) = table.query(Coord::new(0, 1, 2, 3));
-/// assert_eq!(found, Some(7));
+/// assert_eq!(found, Some(1));
 /// ```
 #[derive(Debug, Clone)]
 pub struct CoordHashMap {
@@ -37,7 +36,7 @@ impl CoordHashMap {
     /// The slot count is the next power of two of `2 * expected` (minimum 8),
     /// giving a worst-case load factor of 0.5 — the configuration real
     /// engines use to bound probe chains.
-    pub fn with_capacity(expected: usize) -> Self {
+    pub(crate) fn with_capacity(expected: usize) -> Self {
         let slots = (expected * Self::LOAD_FACTOR_INV).next_power_of_two().max(8);
         CoordHashMap { slots: vec![None; slots], mask: slots - 1, len: 0, growths: 0 }
     }
@@ -59,14 +58,15 @@ impl CoordHashMap {
     }
 
     /// Number of hash slots (for load-factor diagnostics).
-    pub fn slot_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn slot_count(&self) -> usize {
         self.slots.len()
     }
 
     /// How many times the table grew (rehashed) since construction. A
     /// correctly pre-sized table reports 0; incremental callers that outgrow
     /// the 0.5 load factor pay a doubling rehash each growth.
-    pub fn growth_count(&self) -> u64 {
+    pub(crate) fn growth_count(&self) -> u64 {
         self.growths
     }
 

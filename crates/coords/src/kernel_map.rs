@@ -79,13 +79,9 @@ impl KernelMap {
         Ok(KernelMap { kernel_size, stride, entries, bounds, stats })
     }
 
-    /// Kernel size `K`.
-    pub fn kernel_size(&self) -> usize {
-        self.kernel_size
-    }
-
     /// Convolution stride.
-    pub fn stride(&self) -> i32 {
+    #[cfg(test)]
+    pub(crate) fn stride(&self) -> i32 {
         self.stride
     }
 
@@ -100,7 +96,8 @@ impl KernelMap {
     }
 
     /// The flat CSR entry array (offset-major).
-    pub fn flat_entries(&self) -> &[MapEntry] {
+    #[cfg(test)]
+    pub(crate) fn flat_entries(&self) -> &[MapEntry] {
         &self.entries
     }
 
@@ -109,7 +106,8 @@ impl KernelMap {
     /// # Panics
     ///
     /// Panics if `n >= K^3`.
-    pub fn entry_range(&self, n: usize) -> std::ops::Range<usize> {
+    #[cfg(test)]
+    pub(crate) fn entry_range(&self, n: usize) -> std::ops::Range<usize> {
         self.bounds[n] as usize..self.bounds[n + 1] as usize
     }
 
@@ -175,41 +173,9 @@ impl KernelMap {
 
 /// Searches the kernel map by querying every output neighborhood
 /// (Algorithm 1): for each output `q_k` and offset `δ_n`, probe the input
-/// table for `s * q_k + δ_n`.
-///
-/// `table` must have been built over `in_coords` (indices = positions).
-///
-/// # Errors
-///
-/// Returns [`CoordsError::ZeroKernelSize`] or [`CoordsError::ZeroStride`] on
-/// degenerate parameters.
-pub fn search(
-    out_coords: &[Coord],
-    table: &dyn CoordIndex,
-    kernel_size: usize,
-    stride: i32,
-) -> Result<KernelMap, CoordsError> {
-    search_dilated(out_coords, table, kernel_size, stride, 1)
-}
-
-/// [`search`] with a dilation factor: probes `s * q_k + d * δ_n`, the
-/// dilated (à-trous) sparse convolution supported by SpConv-style engines.
-///
-/// # Errors
-///
-/// Returns [`CoordsError::ZeroStride`] if `stride == 0` or `dilation == 0`,
-/// and [`CoordsError::ZeroKernelSize`] if `kernel_size == 0`.
-pub fn search_dilated(
-    out_coords: &[Coord],
-    table: &dyn CoordIndex,
-    kernel_size: usize,
-    stride: i32,
-    dilation: i32,
-) -> Result<KernelMap, CoordsError> {
-    search_dilated_on(ThreadPool::global(), out_coords, table, kernel_size, stride, dilation)
-}
-
-/// [`search_dilated`] on an explicit runtime pool.
+/// table for `s * q_k + d * δ_n` (`d` = dilation, the à-trous convolution
+/// SpConv-style engines support). `table` must have been built over the
+/// input coordinates (indices = positions).
 ///
 /// Parallelism is per kernel offset: each of the `K^3` offsets scans every
 /// output coordinate and probes the (shared, read-only) table, writing its
@@ -220,7 +186,8 @@ pub fn search_dilated(
 ///
 /// # Errors
 ///
-/// As [`search_dilated`].
+/// Returns [`CoordsError::ZeroStride`] if `stride == 0` or `dilation == 0`,
+/// and [`CoordsError::ZeroKernelSize`] if `kernel_size == 0`.
 pub fn search_dilated_on(
     pool: &ThreadPool,
     out_coords: &[Coord],
@@ -275,44 +242,6 @@ pub fn search_dilated_on(
 ///
 /// `coords` serves as both input and output coordinates (submanifold).
 ///
-/// # Errors
-///
-/// Returns [`CoordsError::ZeroKernelSize`] if `kernel_size == 0` and
-/// [`CoordsError::ZeroStride`] if the kernel size is even (no mirror
-/// property to exploit — callers should fall back to [`search`]).
-pub fn search_submanifold_symmetric(
-    coords: &[Coord],
-    table: &dyn CoordIndex,
-    kernel_size: usize,
-) -> Result<KernelMap, CoordsError> {
-    search_submanifold_symmetric_dilated(coords, table, kernel_size, 1)
-}
-
-/// [`search_submanifold_symmetric`] with a dilation factor — the mirror
-/// property is preserved under offset scaling, so the half-search trick
-/// applies to dilated submanifold layers too.
-///
-/// # Errors
-///
-/// Same conditions as [`search_submanifold_symmetric`], plus
-/// [`CoordsError::ZeroStride`] when `dilation == 0`.
-pub fn search_submanifold_symmetric_dilated(
-    coords: &[Coord],
-    table: &dyn CoordIndex,
-    kernel_size: usize,
-    dilation: i32,
-) -> Result<KernelMap, CoordsError> {
-    search_submanifold_symmetric_dilated_on(
-        ThreadPool::global(),
-        coords,
-        table,
-        kernel_size,
-        dilation,
-    )
-}
-
-/// [`search_submanifold_symmetric_dilated`] on an explicit runtime pool.
-///
 /// Each task owns one offset `n < center` *and* its mirror `K^3 - 1 - n`:
 /// the pair shares a single coordinate scan (the symmetry trick), and the
 /// two entry lists a task writes are disjoint from every other task's, so
@@ -320,7 +249,11 @@ pub fn search_submanifold_symmetric_dilated(
 ///
 /// # Errors
 ///
-/// As [`search_submanifold_symmetric_dilated`].
+/// Returns [`CoordsError::ZeroKernelSize`] if `kernel_size == 0` and
+/// [`CoordsError::ZeroStride`] if the kernel size is even (no mirror
+/// property to exploit — callers should fall back to [`search_dilated_on`])
+/// or `dilation == 0`. The mirror property survives offset scaling, so the
+/// half-search trick applies to dilated submanifold layers too.
 pub fn search_submanifold_symmetric_dilated_on(
     pool: &ThreadPool,
     coords: &[Coord],
@@ -404,7 +337,7 @@ mod tests {
     fn submanifold_search_finds_neighbors() {
         let coords = scene();
         let (table, _) = CoordHashMap::build(&coords);
-        let map = search(&coords, &table, 3, 1).unwrap();
+        let map = search_dilated_on(ThreadPool::global(), &coords, &table, 3, 1, 1).unwrap();
         // Center offset must be the identity map.
         let center = offsets::center_index(3).unwrap();
         assert_eq!(map.entries(center).len(), coords.len());
@@ -423,8 +356,10 @@ mod tests {
     fn symmetric_search_matches_full_search() {
         let coords = scene();
         let (table, _) = CoordHashMap::build(&coords);
-        let full = search(&coords, &table, 3, 1).unwrap();
-        let sym = search_submanifold_symmetric(&coords, &table, 3).unwrap();
+        let full = search_dilated_on(ThreadPool::global(), &coords, &table, 3, 1, 1).unwrap();
+        let sym =
+            search_submanifold_symmetric_dilated_on(ThreadPool::global(), &coords, &table, 3, 1)
+                .unwrap();
         for n in 0..27 {
             let mut a: Vec<_> = full.entries(n).to_vec();
             let mut b: Vec<_> = sym.entries(n).to_vec();
@@ -438,8 +373,10 @@ mod tests {
     fn symmetric_search_halves_queries() {
         let coords = scene();
         let (table, _) = CoordHashMap::build(&coords);
-        let full = search(&coords, &table, 3, 1).unwrap();
-        let sym = search_submanifold_symmetric(&coords, &table, 3).unwrap();
+        let full = search_dilated_on(ThreadPool::global(), &coords, &table, 3, 1, 1).unwrap();
+        let sym =
+            search_submanifold_symmetric_dilated_on(ThreadPool::global(), &coords, &table, 3, 1)
+                .unwrap();
         assert!(
             sym.stats.reads * 2 <= full.stats.reads,
             "symmetric reads {} should be at most half of {}",
@@ -452,7 +389,14 @@ mod tests {
     fn symmetric_rejects_even_kernels() {
         let coords = scene();
         let (table, _) = CoordHashMap::build(&coords);
-        assert!(search_submanifold_symmetric(&coords, &table, 2).is_err());
+        assert!(search_submanifold_symmetric_dilated_on(
+            ThreadPool::global(),
+            &coords,
+            &table,
+            2,
+            1
+        )
+        .is_err());
     }
 
     #[test]
@@ -460,7 +404,7 @@ mod tests {
         // §4.2.1: maps for ±δ always have the same size.
         let coords = scene();
         let (table, _) = CoordHashMap::build(&coords);
-        let map = search(&coords, &table, 3, 1).unwrap();
+        let map = search_dilated_on(ThreadPool::global(), &coords, &table, 3, 1, 1).unwrap();
         let sizes = map.sizes();
         for n in 0..27 {
             assert_eq!(sizes[n], sizes[26 - n], "offset {n} vs mirror");
@@ -472,8 +416,8 @@ mod tests {
         let coords = scene();
         let (hash, _) = CoordHashMap::build(&coords);
         let (grid, _) = GridTable::build(&coords, u64::MAX).unwrap();
-        let a = search(&coords, &hash, 3, 1).unwrap();
-        let b = search(&coords, &grid, 3, 1).unwrap();
+        let a = search_dilated_on(ThreadPool::global(), &coords, &hash, 3, 1, 1).unwrap();
+        let b = search_dilated_on(ThreadPool::global(), &coords, &grid, 3, 1, 1).unwrap();
         for n in 0..27 {
             assert_eq!(a.entries(n), b.entries(n));
         }
@@ -486,7 +430,7 @@ mod tests {
         let inputs = vec![Coord::new(0, 0, 0, 0), Coord::new(0, 1, 0, 0), Coord::new(0, 3, 0, 0)];
         let (table, _) = CoordHashMap::build(&inputs);
         let outputs = vec![Coord::new(0, 0, 0, 0), Coord::new(0, 1, 0, 0)];
-        let map = search(&outputs, &table, 3, 2).unwrap();
+        let map = search_dilated_on(ThreadPool::global(), &outputs, &table, 3, 2, 1).unwrap();
         // Output 0 (site 0): offsets -1..1 around x=0 catch inputs x=0 (δ=0), x=1 (δ=1).
         // Output 1 (site 2): catches x=1 (δ=-1), x=3 (δ=1).
         assert_eq!(map.total_entries(), 4);
@@ -496,7 +440,7 @@ mod tests {
     fn transposed_swaps_roles() {
         let coords = scene();
         let (table, _) = CoordHashMap::build(&coords);
-        let map = search(&coords, &table, 3, 1).unwrap();
+        let map = search_dilated_on(ThreadPool::global(), &coords, &table, 3, 1, 1).unwrap();
         let t = map.transposed();
         assert_eq!(t.total_entries(), map.total_entries());
         // An entry (j -> k) at offset n becomes (k -> j) at the mirror offset,
@@ -523,8 +467,8 @@ mod tests {
         // Points two apart: dilation 2 links them through the unit offsets.
         let coords = vec![Coord::new(0, 0, 0, 0), Coord::new(0, 2, 0, 0)];
         let (table, _) = CoordHashMap::build(&coords);
-        let plain = search(&coords, &table, 3, 1).unwrap();
-        let dilated = search_dilated(&coords, &table, 3, 1, 2).unwrap();
+        let plain = search_dilated_on(ThreadPool::global(), &coords, &table, 3, 1, 1).unwrap();
+        let dilated = search_dilated_on(ThreadPool::global(), &coords, &table, 3, 1, 2).unwrap();
         // Without dilation only the identity offset matches.
         assert_eq!(plain.total_entries(), 2);
         // With dilation 2, offsets (+-1,0,0) land on the neighbor too.
@@ -535,8 +479,10 @@ mod tests {
     fn dilated_symmetric_matches_dilated_full() {
         let coords = scene();
         let (table, _) = CoordHashMap::build(&coords);
-        let full = search_dilated(&coords, &table, 3, 1, 2).unwrap();
-        let sym = search_submanifold_symmetric_dilated(&coords, &table, 3, 2).unwrap();
+        let full = search_dilated_on(ThreadPool::global(), &coords, &table, 3, 1, 2).unwrap();
+        let sym =
+            search_submanifold_symmetric_dilated_on(ThreadPool::global(), &coords, &table, 3, 2)
+                .unwrap();
         for n in 0..27 {
             let mut a: Vec<_> = full.entries(n).to_vec();
             let mut b: Vec<_> = sym.entries(n).to_vec();
@@ -550,8 +496,15 @@ mod tests {
     fn zero_dilation_rejected() {
         let coords = scene();
         let (table, _) = CoordHashMap::build(&coords);
-        assert!(search_dilated(&coords, &table, 3, 1, 0).is_err());
-        assert!(search_submanifold_symmetric_dilated(&coords, &table, 3, 0).is_err());
+        assert!(search_dilated_on(ThreadPool::global(), &coords, &table, 3, 1, 0).is_err());
+        assert!(search_submanifold_symmetric_dilated_on(
+            ThreadPool::global(),
+            &coords,
+            &table,
+            3,
+            0
+        )
+        .is_err());
     }
 
     #[test]
@@ -629,7 +582,7 @@ mod tests {
             Coord::new(1, 1, 0, 0),
         ];
         let (table, _) = CoordHashMap::build(&coords);
-        let map = search(&coords, &table, 3, 1).unwrap();
+        let map = search_dilated_on(ThreadPool::global(), &coords, &table, 3, 1, 1).unwrap();
         for n in 0..27 {
             for e in map.entries(n) {
                 assert_eq!(

@@ -32,7 +32,7 @@
 //! the GPU cost simulator folds into mapping latency.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod coord;
@@ -54,9 +54,9 @@ pub use delta::{
 };
 pub use grid::GridTable;
 pub use hashmap::CoordHashMap;
-pub use kernel_map::{KernelMap, MapEntry};
+pub use kernel_map::KernelMap;
 pub use mphf::MphfIndex;
-pub use table::{CoordIndex, CoordTable, MappingStats};
+pub use table::{CoordIndex, MappingStats};
 
 use std::fmt;
 

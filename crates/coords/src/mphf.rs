@@ -174,7 +174,8 @@ impl MphfIndex {
     }
 
     /// Number of cascade levels (diagnostics; small — typically < 10).
-    pub fn level_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn level_count(&self) -> usize {
         self.levels.len()
     }
 }

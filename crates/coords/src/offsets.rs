@@ -48,7 +48,7 @@ pub fn kernel_offsets(k: usize) -> Result<Vec<[i32; 3]>, CoordsError> {
 /// The inclusive per-axis offset range for kernel size `k`.
 ///
 /// Odd `k` gives a symmetric range; even `k` is floor-centered.
-pub fn axis_range(k: usize) -> (i32, i32) {
+pub(crate) fn axis_range(k: usize) -> (i32, i32) {
     let k = k as i32;
     (-(k - 1) / 2, k / 2)
 }
@@ -71,14 +71,14 @@ pub fn center_index(k: usize) -> Option<usize> {
 
 /// Whether the enumeration has the mirror property
 /// `offset[i] == -offset[volume - 1 - i]` (true exactly for odd `k`).
-pub fn has_mirror_property(k: usize) -> bool {
+pub(crate) fn has_mirror_property(k: usize) -> bool {
     k % 2 == 1
 }
 
 /// The index paired with `i` under the mirror property.
 ///
 /// Only meaningful for odd kernel sizes; the center index maps to itself.
-pub fn mirror_index(k: usize, i: usize) -> usize {
+pub(crate) fn mirror_index(k: usize, i: usize) -> usize {
     kernel_volume(k) - 1 - i
 }
 

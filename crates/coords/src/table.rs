@@ -23,12 +23,13 @@ pub struct MappingStats {
 
 impl MappingStats {
     /// Sum of reads and writes.
-    pub fn total_accesses(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn total_accesses(&self) -> u64 {
         self.reads + self.writes
     }
 
     /// Accumulates another stats record into this one.
-    pub fn merge(&mut self, other: MappingStats) {
+    pub(crate) fn merge(&mut self, other: MappingStats) {
         self.reads += other.reads;
         self.writes += other.writes;
         self.kernel_launches += other.kernel_launches;
@@ -91,7 +92,7 @@ pub trait CoordIndex: std::fmt::Debug + Send + Sync {
 /// The hashmap and grid implement this; the MPHF is built from a frozen
 /// coordinate set in one shot and is query-only, which is exactly why the
 /// read path lives on the [`CoordIndex`] supertrait.
-pub trait CoordTable: CoordIndex {
+pub(crate) trait CoordTable: CoordIndex {
     /// Inserts a coordinate with its index; returns the number of memory
     /// probes. Inserting a duplicate coordinate is a no-op that keeps the
     /// first index (matching engine semantics where coordinates are unique).

@@ -41,7 +41,7 @@ pub enum GroupingStrategy {
 
 impl GroupingStrategy {
     /// The paper's default adaptive configuration before per-layer tuning.
-    pub fn default_adaptive() -> GroupingStrategy {
+    pub(crate) fn default_adaptive() -> GroupingStrategy {
         GroupingStrategy::Adaptive { epsilon: 0.3, s_threshold: 150_000 }
     }
 }
@@ -255,19 +255,19 @@ impl OptimizationConfig {
 
     /// MinkowskiEngine v0.5.4-style configuration: conventional hashmap,
     /// separate FP32 matmuls, fetch-on-demand for small workloads.
-    pub fn minkowski_engine() -> OptimizationConfig {
+    pub(crate) fn minkowski_engine() -> OptimizationConfig {
         OptimizationConfig { fetch_on_demand_below: Some(5_000), ..Self::baseline_fp32() }
     }
 
     /// SpConv v1.2.1-style configuration (FP32): grid map search, separate
     /// matmuls, staged downsampling.
-    pub fn spconv_fp32() -> OptimizationConfig {
+    pub(crate) fn spconv_fp32() -> OptimizationConfig {
         OptimizationConfig { map_search: MapSearchStrategy::Grid, ..Self::baseline_fp32() }
     }
 
     /// SpConv's FP16 mode: quantized but *scalar* (non-vectorized) data
     /// movement and no grouping — the comparison of §5.2.
-    pub fn spconv_fp16() -> OptimizationConfig {
+    pub(crate) fn spconv_fp16() -> OptimizationConfig {
         OptimizationConfig { precision: Precision::Fp16, ..Self::spconv_fp32() }
     }
 }

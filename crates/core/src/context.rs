@@ -17,7 +17,7 @@ use torchsparse_gpusim::{DeviceProfile, GemmModel, Timeline};
 /// layer, so a transposed convolution finds the map of the downsampling
 /// layer it inverts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct MapKey {
+pub(crate) struct MapKey {
     /// Tensor stride of the finer (higher-resolution) side.
     pub fine_stride: i32,
     /// Kernel size.
@@ -30,7 +30,7 @@ pub struct MapKey {
 
 /// A cached map together with the coordinate lists it connects.
 #[derive(Debug)]
-pub struct CachedMap {
+pub(crate) struct CachedMap {
     /// The kernel map from fine to coarse coordinates.
     pub map: KernelMap,
     /// Coordinates on the fine side (inputs of the downsample).
@@ -50,7 +50,7 @@ pub struct CachedMap {
 impl CachedMap {
     /// Resident bytes of this cached mapping: the CSR kernel map, the
     /// retained coordinate index, and both coordinate lists.
-    pub fn memory_bytes(&self) -> u64 {
+    pub(crate) fn memory_bytes(&self) -> u64 {
         let coords =
             (self.fine_coords.len() + self.coarse_coords.len()) * std::mem::size_of::<Coord>();
         self.map.memory_bytes() + self.index.memory_bytes() + coords as u64
@@ -194,7 +194,7 @@ impl LayerProfile {
 /// below the product of the per-stage gains (~2.9x matmul x 2.7x movement
 /// x 4.6x mapping) — and why the small 1-frame nuScenes model runs at only
 /// 45 FPS even on an RTX 3090 (Figure 14).
-pub const HOST_OP_OVERHEAD_US: f64 = 50.0;
+pub(crate) const HOST_OP_OVERHEAD_US: f64 = 50.0;
 
 impl Context {
     /// Creates a context for a configuration on a device.
@@ -282,7 +282,7 @@ impl Context {
     /// parameters. Called by [`Engine::new`](crate::Engine::new) and
     /// [`Engine::with_config`](crate::Engine::with_config) so a broken
     /// configuration fails at construction, not mid-inference.
-    pub fn validate(&self) -> Result<(), CoreError> {
+    pub(crate) fn validate(&self) -> Result<(), CoreError> {
         let invalid = |reason: &str| CoreError::InvalidConfig { reason: reason.to_owned() };
         let cfg = &self.config;
         if cfg.threads == Some(0) {

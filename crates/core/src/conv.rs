@@ -36,8 +36,7 @@ use torchsparse_tensor::{Matrix, PackedB};
 ///
 /// let conv = SparseConv3d::with_random_weights("conv1", 4, 16, 3, 1, 42);
 /// assert_eq!(conv.c_in(), 4);
-/// assert_eq!(conv.c_out(), 16);
-/// assert!(!conv.transposed());
+/// assert_eq!(conv.weights().len(), 27);
 /// ```
 pub struct SparseConv3d {
     name: String,
@@ -165,7 +164,8 @@ impl SparseConv3d {
     }
 
     /// The dilation factor.
-    pub fn dilation(&self) -> i32 {
+    #[cfg(test)]
+    pub(crate) fn dilation(&self) -> i32 {
         self.dilation
     }
 
@@ -175,7 +175,7 @@ impl SparseConv3d {
     }
 
     /// Output channels.
-    pub fn c_out(&self) -> usize {
+    pub(crate) fn c_out(&self) -> usize {
         self.c_out
     }
 
@@ -190,7 +190,7 @@ impl SparseConv3d {
     }
 
     /// Whether this is a transposed (inverse) convolution.
-    pub fn transposed(&self) -> bool {
+    pub(crate) fn transposed(&self) -> bool {
         self.transposed
     }
 

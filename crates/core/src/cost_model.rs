@@ -144,7 +144,7 @@ enum Kind {
 impl Charge {
     /// A latency that is already known (e.g. the map-search cost a mapping
     /// kernel reported), added to `stage` when the ledger resolves.
-    pub fn latency(stage: Stage, latency: Micros) -> Charge {
+    pub(crate) fn latency(stage: Stage, latency: Micros) -> Charge {
         Charge(Kind::Latency(stage, latency))
     }
 

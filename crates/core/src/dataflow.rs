@@ -2,11 +2,11 @@
 //!
 //! Two dataflows are implemented, matching the systems the paper discusses:
 //!
-//! - [`run_gather_matmul_scatter`]: Algorithm 2 — per kernel offset, gather
+//! - [`gather_matmul_scatter_into`]: Algorithm 2 — per kernel offset, gather
 //!   the mapped input rows, multiply by the offset's weights, round the
 //!   products to the 16-bit partial-sum store when features are quantized,
 //!   and scatter-accumulate them — with the §4.2.1 center-offset shortcut.
-//! - [`run_fetch_on_demand`]: MinkowskiEngine's alternative that computes
+//! - [`fetch_on_demand_into`]: MinkowskiEngine's alternative that computes
 //!   partial sums directly from the input features (§5.2): FP32 products,
 //!   no center shortcut.
 //!
@@ -37,7 +37,7 @@ use torchsparse_tensor::{gemm, quant, Matrix};
 
 /// Everything a dataflow needs to execute one convolution.
 #[derive(Debug)]
-pub struct ConvWorkload<'a> {
+pub(crate) struct ConvWorkload<'a> {
     /// Input features (`n_in x c_in`), already in storage precision.
     pub in_feats: &'a Matrix,
     /// Per-offset weight matrices (`c_in x c_out` each).
@@ -87,7 +87,11 @@ impl ConvWorkload<'_> {
 /// FP32 path of a forward pass allocates nothing here. The rounding sweep
 /// runs on the worker pool; per-element rounding is independent, so results
 /// are bitwise identical at any thread count.
-pub fn apply_storage_precision_owned(pool: &ThreadPool, m: Matrix, precision: Precision) -> Matrix {
+pub(crate) fn apply_storage_precision_owned(
+    pool: &ThreadPool,
+    m: Matrix,
+    precision: Precision,
+) -> Matrix {
     apply_storage_precision_owned_kernel(pool, m, precision, microkernel::active())
 }
 
@@ -95,7 +99,7 @@ pub fn apply_storage_precision_owned(pool: &ThreadPool, m: Matrix, precision: Pr
 /// engine resolves its [`SimdPolicy`] once per layer). The SIMD sweeps are
 /// bit-exact against the scalar per-element conversions for every input,
 /// so the kernel choice never changes results.
-pub fn apply_storage_precision_owned_kernel(
+pub(crate) fn apply_storage_precision_owned_kernel(
     pool: &ThreadPool,
     mut m: Matrix,
     precision: Precision,
@@ -139,7 +143,7 @@ const MOVE_CHUNK: usize = 64;
 /// sessions pay the (mostly metadata-only) build once per geometry and
 /// reuse it every frame.
 #[derive(Debug, Clone)]
-pub struct FusedOrder {
+pub(crate) struct FusedOrder {
     /// Per-offset chunk split points (`chunks + 1` values each):
     /// `starts[n][c]..starts[n][c + 1]` indexes the output-sorted view of
     /// offset `n` restricted to output-row chunk `c`.
@@ -184,30 +188,14 @@ fn order_one_offset(src: &[MapEntry], chunks: usize) -> OffsetOrder {
 impl FusedOrder {
     /// Splits `map`'s entries (and re-sorts any non-output-sorted offsets)
     /// for a convolution producing `n_out` output rows, at [`MOVE_CHUNK`]
-    /// output-row boundaries.
+    /// output-row boundaries, with the per-offset sort/split work running
+    /// as tasks on the worker pool. Plan builds sit on the serial critical
+    /// path of compiled sessions (and of every re-plan), so spreading the K³
+    /// independent offsets across lanes directly raises the engine's
+    /// parallel fraction. Offsets are fully independent, so the constructed
+    /// order is bitwise the same at any pool width.
     #[must_use]
-    pub fn build(map: &KernelMap, n_out: usize) -> FusedOrder {
-        let chunks = n_out.div_ceil(MOVE_CHUNK);
-        let volume = map.num_offsets();
-        let mut starts = Vec::with_capacity(volume);
-        let mut resort = Vec::with_capacity(volume);
-        for n in 0..volume {
-            let (s, r) = order_one_offset(map.entries(n), chunks);
-            starts.push(s);
-            resort.push(r);
-        }
-        FusedOrder { starts, resort }
-    }
-
-    /// [`build`](FusedOrder::build) with the per-offset sort/split work
-    /// running as tasks on the worker pool. Plan builds sit on the serial
-    /// critical path of compiled sessions (and of every re-plan), so
-    /// spreading the K³ independent offsets across lanes directly raises
-    /// the engine's parallel fraction. The per-offset results are
-    /// identical to the serial builder's — offsets are fully independent —
-    /// so the constructed order is bitwise the same at any pool width.
-    #[must_use]
-    pub fn build_on(pool: &ThreadPool, map: &KernelMap, n_out: usize) -> FusedOrder {
+    pub(crate) fn build_on(pool: &ThreadPool, map: &KernelMap, n_out: usize) -> FusedOrder {
         let chunks = n_out.div_ceil(MOVE_CHUNK);
         let volume = map.num_offsets();
         let mut slots: Vec<Option<OffsetOrder>> = vec![None; volume];
@@ -231,27 +219,28 @@ impl FusedOrder {
 
     /// The chunk split points of offset `n`.
     #[inline]
-    pub fn starts(&self, n: usize) -> &[u32] {
+    pub(crate) fn starts(&self, n: usize) -> &[u32] {
         &self.starts[n]
     }
 
     /// The output-sorted entry view of offset `n`. `map` must be the map
     /// this order was built from.
     #[inline]
-    pub fn view<'a>(&'a self, map: &'a KernelMap, n: usize) -> &'a [MapEntry] {
+    pub(crate) fn view<'a>(&'a self, map: &'a KernelMap, n: usize) -> &'a [MapEntry] {
         self.resort[n].as_deref().unwrap_or_else(|| map.entries(n))
     }
 
     /// How many offsets carry a materialized re-sort (zero for forward
     /// maps — the slice-view property the plan-memory accounting relies
     /// on).
-    pub fn resorted_offsets(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn resorted_offsets(&self) -> usize {
         self.resort.iter().filter(|r| r.is_some()).count()
     }
 
     /// Bytes this order occupies beyond the kernel map it views (for the
     /// frozen-plan memory accounting).
-    pub fn memory_bytes(&self) -> u64 {
+    pub(crate) fn memory_bytes(&self) -> u64 {
         let starts: usize = self.starts.iter().map(|s| s.len() * 4).sum();
         let resort: usize =
             self.resort.iter().flatten().map(|e| e.len() * std::mem::size_of::<MapEntry>()).sum();
@@ -442,8 +431,10 @@ fn run_fused_numerics(
     finite.into_inner()
 }
 
-/// Executes Algorithm 2; returns the output feature matrix
-/// (`n_out x c_out`).
+/// Executes Algorithm 2 into `out` (reshaped to `n_out x c_out` and zeroed
+/// here, its buffer reused), with `epilogue` run on every finished output
+/// block. Returns `false` when the epilogue found a non-finite rounded
+/// output.
 ///
 /// With `skip_center_movement`, a submanifold layer's center offset runs
 /// first as one dense GEMM over the identity-aligned rows (§4.2.1) — its
@@ -456,19 +447,6 @@ fn run_fused_numerics(
 ///
 /// Returns [`CoreError::Tensor`] if weight shapes are inconsistent with the
 /// input features.
-pub fn run_gather_matmul_scatter(
-    w: &ConvWorkload<'_>,
-    config: &OptimizationConfig,
-    pool: &ThreadPool,
-) -> Result<Matrix, CoreError> {
-    let mut out = Matrix::default();
-    gather_matmul_scatter_into(w, config, pool, &Epilogue::default(), &mut out)?;
-    Ok(out)
-}
-
-/// [`run_gather_matmul_scatter`] into `out` (reshaped and zeroed here, its
-/// buffer reused), with `epilogue` run on every finished output block.
-/// Returns `false` when the epilogue found a non-finite rounded output.
 pub(crate) fn gather_matmul_scatter_into(
     w: &ConvWorkload<'_>,
     config: &OptimizationConfig,
@@ -491,21 +469,10 @@ pub(crate) fn gather_matmul_scatter_into(
 }
 
 /// Executes the fetch-on-demand dataflow (Lin et al. 2021; used by
-/// MinkowskiEngine for small workloads, §5.2): the same streaming executor
-/// with partial sums kept in FP32 (no 16-bit psum store) and the center
-/// shortcut never used.
-pub fn run_fetch_on_demand(
-    w: &ConvWorkload<'_>,
-    config: &OptimizationConfig,
-    pool: &ThreadPool,
-) -> Matrix {
-    let mut out = Matrix::default();
-    fetch_on_demand_into(w, config, pool, &Epilogue::default(), &mut out);
-    out
-}
-
-/// [`run_fetch_on_demand`] into `out`, with `epilogue`, like
-/// [`gather_matmul_scatter_into`].
+/// MinkowskiEngine for small workloads, §5.2) into `out`, with `epilogue`,
+/// like [`gather_matmul_scatter_into`]: the same streaming executor with
+/// partial sums kept in FP32 (no 16-bit psum store) and the center shortcut
+/// never used.
 pub(crate) fn fetch_on_demand_into(
     w: &ConvWorkload<'_>,
     config: &OptimizationConfig,
@@ -521,14 +488,22 @@ pub(crate) fn fetch_on_demand_into(
 /// executor to.
 #[cfg(test)]
 #[path = "../../../tests/support/conv_reference.rs"]
+#[allow(unreachable_pub)] // `pub` for the root suites that include it too
 mod conv_reference;
+
+/// The root suites' correctly rounded sum, the bound's reference below.
+#[cfg(test)]
+#[path = "../../../tests/support/accum.rs"]
+#[allow(dead_code, unreachable_pub)] // shared with the root suites
+mod accum;
 
 #[cfg(test)]
 pub(crate) mod tests {
+    use super::accum::exact_sum;
     use super::conv_reference::conv_reference;
     use super::*;
     use torchsparse_coords::downsample::{fused_output_coords, Boundary};
-    use torchsparse_coords::kernel_map::search;
+    use torchsparse_coords::kernel_map::search_dilated_on;
     use torchsparse_coords::{Coord, CoordHashMap};
 
     /// Deterministic pseudo-random matrix without a rand dependency.
@@ -568,7 +543,7 @@ pub(crate) mod tests {
     pub(crate) fn workload_parts(c_in: usize, c_out: usize) -> Parts {
         let coords = scene(9);
         let (table, _) = CoordHashMap::build(&coords);
-        let map = search(&coords, &table, 3, 1).unwrap();
+        let map = search_dilated_on(ThreadPool::global(), &coords, &table, 3, 1, 1).unwrap();
         parts(map, coords.len(), coords.len(), c_in, c_out, Some(13))
     }
 
@@ -583,7 +558,7 @@ pub(crate) mod tests {
         }
         let coarse = fused_output_coords(&fine, 2, 2, Boundary::unbounded()).unwrap().coords;
         let (table, _) = CoordHashMap::build(&fine);
-        let map = search(&coarse, &table, 2, 2).unwrap();
+        let map = search_dilated_on(ThreadPool::global(), &coarse, &table, 2, 2, 1).unwrap();
         if transposed {
             parts(map.transposed(), coarse.len(), fine.len(), c_in, c_out, None)
         } else {
@@ -624,9 +599,9 @@ pub(crate) mod tests {
 
         /// Gather-matmul-scatter on the default-width order.
         fn run_gms(&self, cfg: &OptimizationConfig) -> Matrix {
-            let order = FusedOrder::build(&self.map, self.n_out);
+            let order = FusedOrder::build_on(&ThreadPool::new(1), &self.map, self.n_out);
             let w = self.workload(&order, None);
-            run_gather_matmul_scatter(&w, cfg, &ThreadPool::new(1)).unwrap()
+            gather_matmul_scatter(&w, cfg, &ThreadPool::new(1))
         }
 
         /// The scalar oracle for gather-matmul-scatter under `cfg`.
@@ -635,6 +610,17 @@ pub(crate) mod tests {
             let round_f16 = cfg.precision != Precision::Fp32;
             conv_reference(&self.feats, &self.weights, &self.map, self.n_out, shortcut, round_f16)
         }
+    }
+
+    /// Gather-matmul-scatter into a fresh output, no epilogue.
+    fn gather_matmul_scatter(
+        w: &ConvWorkload<'_>,
+        cfg: &OptimizationConfig,
+        pool: &ThreadPool,
+    ) -> Matrix {
+        let mut out = Matrix::default();
+        gather_matmul_scatter_into(w, cfg, pool, &Epilogue::default(), &mut out).unwrap();
+        out
     }
 
     fn bits_of(m: &Matrix) -> Vec<u32> {
@@ -649,7 +635,7 @@ pub(crate) mod tests {
             ("transposed", strided_parts(6, 8, true)),
         ];
         for (name, parts) in &layers {
-            let order = FusedOrder::build(&parts.map, parts.n_out);
+            let order = FusedOrder::build_on(&ThreadPool::new(1), &parts.map, parts.n_out);
             assert_eq!(order.resorted_offsets() > 0, *name == "transposed", "{name}");
             let packed: Vec<PackedB> = parts.weights.iter().map(PackedB::pack).collect();
             for precision in [Precision::Fp32, Precision::Fp16, Precision::Int8] {
@@ -662,7 +648,7 @@ pub(crate) mod tests {
                         for threads in [1, 3] {
                             let w = parts.workload(&order, packed);
                             let pool = ThreadPool::new(threads);
-                            let got = run_gather_matmul_scatter(&w, &cfg, &pool).unwrap();
+                            let got = gather_matmul_scatter(&w, &cfg, &pool);
                             assert_eq!(
                                 bits_of(&got),
                                 expect,
@@ -681,14 +667,15 @@ pub(crate) mod tests {
     fn fetch_on_demand_matches_scalar_reference_bitwise() {
         // FP32 products and no center shortcut, whatever the precision.
         let parts = workload_parts(6, 10);
-        let order = FusedOrder::build(&parts.map, parts.n_out);
+        let order = FusedOrder::build_on(&ThreadPool::new(1), &parts.map, parts.n_out);
         let expect =
             conv_reference(&parts.feats, &parts.weights, &parts.map, parts.n_out, None, false);
         for precision in [Precision::Fp32, Precision::Fp16] {
             let mut cfg = OptimizationConfig::minkowski_engine();
             cfg.precision = precision;
             let w = parts.workload(&order, None);
-            let got = run_fetch_on_demand(&w, &cfg, &ThreadPool::new(2));
+            let mut got = Matrix::default();
+            fetch_on_demand_into(&w, &cfg, &ThreadPool::new(2), &Epilogue::default(), &mut got);
             assert_eq!(bits_of(&got), bits_of(&expect), "{precision:?}");
         }
     }
@@ -712,5 +699,115 @@ pub(crate) mod tests {
         let out = parts.run_gms(&cfg);
         let expect = parts.reference(&OptimizationConfig::baseline_fp32());
         assert!(out.max_abs_diff(&expect).unwrap() < 1.0);
+    }
+
+    /// An 8 x 8 x 6 block with a quarter of its voxels knocked out: dense
+    /// enough that interior rows have a producer at most of the 27 offsets,
+    /// so the order of the adds is actually at stake.
+    fn sites(seed: i32) -> Vec<Coord> {
+        let mut sites = Vec::new();
+        for x in 0..8 {
+            for y in 0..8 {
+                for z in 0..6 {
+                    if (x * 7 + y * 13 + z * 5 + seed) % 4 != 0 {
+                        sites.push(Coord::new(0, x, y, z));
+                    }
+                }
+            }
+        }
+        sites
+    }
+
+    fn features(rows: usize, c: usize, seed: u64) -> Matrix {
+        Matrix::from_fn(rows, c, |r, ch| {
+            let v =
+                (r as u64).wrapping_mul(0x9E37_79B9).wrapping_add(ch as u64).wrapping_mul(seed | 1);
+            ((v % 1000) as f32 - 500.0) / 250.0
+        })
+    }
+
+    /// The price of dropping the superaccumulator, bounded: every output
+    /// element of the canonical-order FP32 reduction lies within
+    /// `(k - 1) * eps * sum|addend|` of the oracle's correctly rounded sum of
+    /// the same addends (`k` = the row's producer count) — the textbook bound
+    /// for recursive summation, whose first add into the zeroed row is exact.
+    /// Checked on one layer for FP32 and for FP16's f16-rounded partial sums
+    /// (which is where `-0.0` addends come from).
+    #[test]
+    fn canonical_order_sum_is_within_recursive_summation_bound_of_oracle() {
+        let coords = sites(1);
+        let (c_in, c_out) = (6, 5);
+        // Every fifth row is tiny, so FP16 rounds its products to signed zeros.
+        let base = features(coords.len(), c_in, 71);
+        let feats = Matrix::from_fn(coords.len(), c_in, |r, ch| {
+            base[(r, ch)] * if r % 5 == 0 { 1.0e-7 } else { 1.0 }
+        });
+        let weights: Vec<Matrix> = (0..27).map(|n| features(c_in, c_out, 100 + n)).collect();
+        let (table, _) = CoordHashMap::build(&coords);
+        let map =
+            search_dilated_on(ThreadPool::global(), &coords, &table, 3, 1, 1).expect("map search");
+        let n_out = coords.len();
+        let order = FusedOrder::build_on(ThreadPool::global(), &map, n_out);
+
+        for precision in [Precision::Fp32, Precision::Fp16] {
+            let mut cfg = crate::EnginePreset::TorchSparse.config();
+            cfg.precision = precision;
+            // No center shortcut: every offset's product takes the psum store.
+            cfg.skip_center_movement = false;
+
+            // The addends of every output element, in any order: per offset,
+            // the GEMM of the gathered rows (bit-identical to the engine's at
+            // any kernel), f16-rounded when partial sums are stored in 16 bits.
+            let mut addends: Vec<Vec<f32>> = vec![Vec::new(); n_out * c_out];
+            for (n, weight) in weights.iter().enumerate() {
+                let entries = map.entries(n);
+                let gathered = Matrix::from_fn(entries.len(), c_in, |i, ch| {
+                    feats[(entries[i].input as usize, ch)]
+                });
+                let mut products = gemm::mm(&gathered, weight).expect("shapes agree");
+                if precision != Precision::Fp32 {
+                    let kernel = microkernel::active();
+                    quant::round_trip_f16_in_place_kernel(
+                        ThreadPool::global(),
+                        &mut products,
+                        kernel,
+                    );
+                }
+                for (i, e) in entries.iter().enumerate() {
+                    for co in 0..c_out {
+                        addends[e.output as usize * c_out + co].push(products[(i, co)]);
+                    }
+                }
+            }
+            let negative_zeros =
+                addends.iter().flatten().filter(|v| v.to_bits() == (-0.0f32).to_bits()).count();
+            assert_eq!(negative_zeros > 0, precision == Precision::Fp16, "{precision:?}");
+
+            let workload = ConvWorkload {
+                in_feats: &feats,
+                weights: &weights,
+                packed: None,
+                map: &map,
+                n_out,
+                center_identity: Some(13),
+                fused: &order,
+            };
+            let out = gather_matmul_scatter(&workload, &cfg, ThreadPool::global());
+            let mut widest = 0usize;
+            for (got, addends) in out.as_slice().iter().zip(&addends) {
+                let k = addends.len();
+                widest = widest.max(k);
+                let oracle = f64::from(exact_sum(addends));
+                let sum_abs: f64 = addends.iter().map(|&v| f64::from(v).abs()).sum();
+                let bound = k.saturating_sub(1) as f64 * f64::from(f32::EPSILON) * sum_abs;
+                let err = (f64::from(*got) - oracle).abs();
+                assert!(
+                    err <= bound,
+                    "{precision:?}: {got} vs oracle {oracle} over {k} addends \
+                     (err {err:e} > bound {bound:e})"
+                );
+            }
+            assert!(widest >= 10, "the scene must exercise long producer lists, got {widest}");
+        }
     }
 }

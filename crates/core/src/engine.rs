@@ -61,7 +61,7 @@ impl Engine {
     ///
     /// [`CoreError::InvalidConfig`] when [`Context::validate`] rejects the
     /// configuration.
-    pub fn try_with_config(
+    pub(crate) fn try_with_config(
         config: OptimizationConfig,
         device: DeviceProfile,
     ) -> Result<Engine, CoreError> {

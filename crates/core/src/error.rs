@@ -40,6 +40,12 @@ pub enum CoreError {
     },
     /// An empty input tensor where computation requires points.
     EmptyInput,
+    /// A point position is not finite, or too far out for its voxel index
+    /// at the requested voxel size to fit the `i32` coordinate grid.
+    PositionOutOfRange {
+        /// Index of the first offending point.
+        point: usize,
+    },
     /// Input features contain NaN or infinite values (validation policy
     /// [`Reject`](crate::ValidationPolicy::Reject)).
     NonFiniteFeatures {
@@ -117,6 +123,9 @@ impl fmt::Display for CoreError {
                 write!(f, "expected {expected} weight matrices, got {actual}")
             }
             CoreError::EmptyInput => write!(f, "input tensor has no points"),
+            CoreError::PositionOutOfRange { point } => {
+                write!(f, "point {point} is not finite or outside the voxel coordinate range")
+            }
             CoreError::NonFiniteFeatures { count } => {
                 write!(f, "input features contain {count} non-finite values")
             }
@@ -178,6 +187,7 @@ mod tests {
             CoreError::MissingCachedMap { stride: 2, kernel_size: 2 },
             CoreError::BadWeightCount { expected: 27, actual: 26 },
             CoreError::EmptyInput,
+            CoreError::PositionOutOfRange { point: 7 },
             CoreError::NonFiniteFeatures { count: 3 },
             CoreError::ExtentOverflow { cells: u64::MAX, limit: 1 << 28 },
             CoreError::BudgetExceeded { points: 1_000_000, limit: 500_000 },

@@ -68,7 +68,8 @@ pub enum FaultSite {
 impl FaultSite {
     /// The sites the engine actually probes for injected faults, in
     /// declaration order ([`FaultSite::InputValidation`] is report-only).
-    pub fn all() -> [FaultSite; 5] {
+    #[cfg(test)]
+    pub(crate) fn all() -> [FaultSite; 5] {
         [
             FaultSite::GridTableBuild,
             FaultSite::Fp16Overflow,
@@ -83,7 +84,8 @@ impl FaultSite {
     /// [`FaultSite::DeadlineOverrun`] is probed at every deadline boundary.
     /// Separate from [`FaultSite::all`] because they fail the frame instead
     /// of degrading it.
-    pub fn serving() -> [FaultSite; 2] {
+    #[cfg(test)]
+    pub(crate) fn serving() -> [FaultSite; 2] {
         [FaultSite::WorkerPanic, FaultSite::DeadlineOverrun]
     }
 
@@ -94,7 +96,8 @@ impl FaultSite {
     /// fails again (validation rejects, oversized extents, tuning
     /// failures) or the failure already poisoned the stream (worker
     /// panic — handled by quarantine, not retry).
-    pub fn is_transient(self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_transient(self) -> bool {
         matches!(
             self,
             FaultSite::KernelMapCache | FaultSite::Fp16Overflow | FaultSite::DeadlineOverrun
@@ -210,7 +213,8 @@ impl FaultInjector {
     }
 
     /// Clears armed counts, probabilities, and the injection log.
-    pub fn reset(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn reset(&mut self) {
         self.armed.clear();
         self.probability.clear();
         self.injected.clear();
@@ -281,7 +285,8 @@ impl DegradationReport {
     }
 
     /// Total occurrences across all sites.
-    pub fn total(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn total(&self) -> usize {
         self.events.iter().map(|e| e.count).sum()
     }
 
@@ -291,7 +296,7 @@ impl DegradationReport {
     }
 
     /// Drops all events.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.events.clear();
     }
 
@@ -320,7 +325,8 @@ impl DegradationReport {
 
     /// Starts a fresh window, discarding accumulated events (equivalent to
     /// dropping the result of [`DegradationReport::snapshot`]).
-    pub fn reset(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn reset(&mut self) {
         self.events.clear();
     }
 }

@@ -30,13 +30,13 @@ pub struct ExecGroup {
 
 impl ExecGroup {
     /// Actual (useful) map entries in the group.
-    pub fn useful_rows(&self, map_sizes: &[usize]) -> usize {
+    pub(crate) fn useful_rows(&self, map_sizes: &[usize]) -> usize {
         self.offsets.iter().map(|&n| map_sizes[n]).sum()
     }
 
     /// GEMM kernel launches this group implies: one `bmm`, or one `mm` per
     /// member offset.
-    pub fn kernel_count(&self) -> usize {
+    pub(crate) fn kernel_count(&self) -> usize {
         if self.use_bmm {
             1
         } else {
@@ -45,12 +45,13 @@ impl ExecGroup {
     }
 
     /// Total rows including padding when batched.
-    pub fn total_rows(&self) -> usize {
+    pub(crate) fn total_rows(&self) -> usize {
         self.padded_rows * self.offsets.len()
     }
 
     /// Redundant-computation ratio `1 - useful / total` (0 for `mm` groups).
-    pub fn redundancy(&self, map_sizes: &[usize]) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn redundancy(&self, map_sizes: &[usize]) -> f64 {
         if !self.use_bmm || self.total_rows() == 0 {
             return 0.0;
         }
@@ -67,7 +68,8 @@ pub struct GroupPlan {
 
 impl GroupPlan {
     /// Number of GEMM kernel launches the plan implies.
-    pub fn kernel_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn kernel_count(&self) -> usize {
         self.groups.iter().map(ExecGroup::kernel_count).sum()
     }
 
@@ -80,7 +82,8 @@ impl GroupPlan {
     }
 
     /// Checks the plan covers each nonempty offset exactly once.
-    pub fn covers_exactly(&self, map_sizes: &[usize]) -> bool {
+    #[cfg(test)]
+    pub(crate) fn covers_exactly(&self, map_sizes: &[usize]) -> bool {
         let mut seen = vec![false; map_sizes.len()];
         for g in &self.groups {
             for &n in &g.offsets {

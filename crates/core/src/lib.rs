@@ -12,7 +12,7 @@
 //!   fused downsampling kernels, symmetric map reuse (§4.4).
 //! - [`grouping`]: separate / symmetric / fixed / adaptive matmul grouping
 //!   (§4.2, Algorithms 4 & 5).
-//! - [`dataflow`]: the numerics of gather–matmul–scatter and of the
+//! - `dataflow` (crate-private): the numerics of gather–matmul–scatter and of the
 //!   fetch-on-demand dataflow MinkowskiEngine uses for small workloads,
 //!   both on one fused row-streaming executor.
 //! - [`cost_model`]: what those kernels cost on the simulated GPU under
@@ -23,13 +23,17 @@
 //! - [`Engine`] / [`EnginePreset`]: end-to-end execution with per-stage
 //!   simulated latency on a chosen [`DeviceProfile`].
 //!
+//! The public surface is what the examples, the paper's evaluation bins,
+//! the serving crate and the repository benchmark call; everything else is
+//! crate-private.
+//!
 //! Every layer *executes* numerically on the CPU (outputs are bit-exact
 //! across dataflows in FP32 and verified against a dense oracle) while the
 //! engine *accounts* simulated GPU cost through `torchsparse-gpusim`.
 //!
 //! The engine is also fault-tolerant: [`validate`] screens every input to
-//! [`Engine::run`] under a configurable [`ValidationPolicy`], [`faults`]
-//! provides deterministic fault injection at named sites, and each
+//! [`Engine::run`] under a configurable [`ValidationPolicy`], a
+//! [`FaultInjector`] provides deterministic fault injection at named sites, and each
 //! degradation (grid→hashmap fallback, FP16 overflow→FP32 re-run, tuning
 //! failure→fixed grouping) is recorded in an observable
 //! [`DegradationReport`].
@@ -37,51 +41,51 @@
 //! For streaming inference the engine separates *planning* from
 //! *execution*: [`Engine::compile`] traces a model into a flat [`LayerOp`]
 //! IR and freezes every geometric derivation (kernel maps, output
-//! coordinates, grouping plans) into an [`ExecutionPlan`] keyed by a
-//! [`geometry_fingerprint`]; the resulting [`CompiledSession`] then runs
+//! coordinates, grouping plans) into an execution plan keyed by a
+//! geometry fingerprint; the resulting [`CompiledSession`] then runs
 //! only feature-path work per frame, re-planning automatically when the
 //! input geometry changes.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod config;
 mod context;
 mod conv;
+mod dataflow;
 mod delta;
 mod engine;
 mod error;
 mod exec;
+mod faults;
 mod module;
 mod plan;
 mod pointwise;
 mod pooling;
+mod runtime;
 mod session;
 mod sparse_tensor;
 
 pub mod cost_model;
-pub mod dataflow;
-pub mod faults;
 pub mod grouping;
 pub mod mapping;
-pub mod runtime;
 pub mod tuning;
 pub mod validate;
 
 pub use config::{
     EnginePreset, GroupingStrategy, MapSearchStrategy, OptimizationConfig, Precision, SimdPolicy,
 };
-pub use context::{Context, LayerProfile, LayerWorkload, MapKey};
+pub use context::{Context, LayerProfile, LayerWorkload};
 pub use conv::SparseConv3d;
 pub use delta::DELTA_REPLAN_MAX_CHURN;
 pub use engine::Engine;
 pub use error::CoreError;
 pub use faults::{DegradationEvent, DegradationReport, FaultInjector, FaultSite};
 pub use module::{Module, Sequential};
-pub use plan::{geometry_fingerprint, ExecutionPlan, LayerOp, PlanCacheStats, Tracer};
+pub use plan::{LayerOp, PlanCacheStats, Tracer};
 pub use pointwise::{BatchNorm, GlobalPool, ReLU};
-pub use pooling::{PoolReduction, SparseMaxPool3d};
+pub use pooling::SparseMaxPool3d;
 pub use runtime::{Deadline, Runtime, ThreadPool};
 pub use session::{CompiledModel, CompiledSession, StreamState};
 pub use sparse_tensor::SparseTensor;

@@ -120,7 +120,7 @@ const CANDIDATE_OP_BYTES: f64 = 72.0;
 /// `random` selects the 32-byte-sector random-access cost (table
 /// construction and probing) versus the coalesced streaming cost
 /// (coordinate pipelines).
-pub fn stats_latency(
+pub(crate) fn stats_latency(
     stats: &MappingStats,
     device: &DeviceProfile,
     random: bool,
@@ -138,7 +138,8 @@ pub fn stats_latency(
 }
 
 /// Builds the complete mapping for one convolution layer: output
-/// coordinates (for strided layers), table construction, and map search.
+/// coordinates (for strided layers), table construction, and map search,
+/// on the global pool with no fault injection.
 ///
 /// # Errors
 ///
@@ -151,78 +152,29 @@ pub fn build_layer_mapping(
     config: &OptimizationConfig,
     device: &DeviceProfile,
 ) -> Result<LayerMapping, CoreError> {
-    build_layer_mapping_dilated(in_coords, kernel_size, conv_stride, 1, config, device)
-}
-
-/// [`build_layer_mapping`] with a dilation factor (stride-1 layers only;
-/// strided dilated convolution is rejected as in real engines' common
-/// configurations).
-///
-/// # Errors
-///
-/// As [`build_layer_mapping`]; additionally rejects `dilation > 1` combined
-/// with `conv_stride > 1`.
-pub fn build_layer_mapping_dilated(
-    in_coords: &[Coord],
-    kernel_size: usize,
-    conv_stride: i32,
-    dilation: i32,
-    config: &OptimizationConfig,
-    device: &DeviceProfile,
-) -> Result<LayerMapping, CoreError> {
-    let mut faults = FaultInjector::disarmed();
-    let mut degradation = DegradationReport::new();
-    build_layer_mapping_observed(
-        in_coords,
-        kernel_size,
-        conv_stride,
-        dilation,
-        config,
-        device,
-        &mut faults,
-        &mut degradation,
-    )
-}
-
-/// [`build_layer_mapping_dilated`] threaded through the engine's fault
-/// injector and degradation report: a grid-table failure — organic
-/// `GridTooLarge` or injected at [`FaultSite::GridTableBuild`] — degrades
-/// to the hashmap table and is recorded instead of being swallowed
-/// silently.
-///
-/// # Errors
-///
-/// As [`build_layer_mapping_dilated`].
-#[allow(clippy::too_many_arguments)] // mirrors the engine's disjoint Context borrows
-pub fn build_layer_mapping_observed(
-    in_coords: &[Coord],
-    kernel_size: usize,
-    conv_stride: i32,
-    dilation: i32,
-    config: &OptimizationConfig,
-    device: &DeviceProfile,
-    faults: &mut FaultInjector,
-    degradation: &mut DegradationReport,
-) -> Result<LayerMapping, CoreError> {
     build_layer_mapping_on(
         ThreadPool::global(),
         in_coords,
         kernel_size,
         conv_stride,
-        dilation,
+        1,
         config,
         device,
-        faults,
-        degradation,
+        &mut FaultInjector::disarmed(),
+        &mut DegradationReport::new(),
         false,
     )
 }
 
-/// [`build_layer_mapping_observed`] on an explicit runtime pool: the map
-/// search fans out across kernel offsets on the engine's shared workers
-/// (the engine passes its context pool so `config.threads` governs mapping
-/// too). Table construction stays serial — insertion order defines the
-/// stored indices.
+/// [`build_layer_mapping`] with a dilation factor (stride-1 layers only;
+/// strided dilated convolution is rejected as in real engines' common
+/// configurations), threaded through the engine's fault injector and
+/// degradation report: a grid-table failure — organic `GridTooLarge` or
+/// injected at [`FaultSite::GridTableBuild`] — degrades to the hashmap
+/// table and is recorded instead of being swallowed silently. The map
+/// search fans out across kernel offsets on `pool` (the engine passes its
+/// context pool so `config.threads` governs mapping too). Table
+/// construction stays serial — insertion order defines the stored indices.
 ///
 /// `frozen` is the planner's frozen-index flag: a compiled
 /// session's coordinate sets never change after plan time, so its searches
@@ -231,7 +183,8 @@ pub fn build_layer_mapping_observed(
 ///
 /// # Errors
 ///
-/// As [`build_layer_mapping_observed`].
+/// As [`build_layer_mapping`]; additionally rejects `dilation > 1` combined
+/// with `conv_stride > 1`.
 #[allow(clippy::too_many_arguments)] // mirrors the engine's disjoint Context borrows
 pub(crate) fn build_layer_mapping_on(
     pool: &ThreadPool,
@@ -509,7 +462,8 @@ mod tests {
         cfg.grid_cell_limit = 1 << 20;
         let mut faults = FaultInjector::disarmed();
         let mut report = DegradationReport::new();
-        let m = build_layer_mapping_observed(
+        let m = build_layer_mapping_on(
+            ThreadPool::global(),
             &coords,
             3,
             1,
@@ -518,6 +472,7 @@ mod tests {
             &device(),
             &mut faults,
             &mut report,
+            false,
         )
         .unwrap();
         assert_eq!(m.table, TableKind::Hashmap);
@@ -535,7 +490,8 @@ mod tests {
         let mut faults = FaultInjector::disarmed();
         faults.arm(FaultSite::GridTableBuild);
         let mut report = DegradationReport::new();
-        let degraded = build_layer_mapping_observed(
+        let degraded = build_layer_mapping_on(
+            ThreadPool::global(),
             &coords,
             3,
             1,
@@ -544,6 +500,7 @@ mod tests {
             &device(),
             &mut faults,
             &mut report,
+            false,
         )
         .unwrap();
         assert_eq!(degraded.table, TableKind::Hashmap);
@@ -610,8 +567,19 @@ mod tests {
         let mut faults = FaultInjector::disarmed();
         faults.arm(FaultSite::GridTableBuild);
         let mut report = DegradationReport::new();
-        build_layer_mapping_observed(&coords, 3, 1, 1, &cfg, &device(), &mut faults, &mut report)
-            .unwrap();
+        build_layer_mapping_on(
+            ThreadPool::global(),
+            &coords,
+            3,
+            1,
+            1,
+            &cfg,
+            &device(),
+            &mut faults,
+            &mut report,
+            false,
+        )
+        .unwrap();
         assert!(faults.is_armed(), "no grid build happens under Hashmap strategy");
         assert!(report.is_empty());
     }

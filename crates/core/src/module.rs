@@ -66,7 +66,6 @@ pub trait Module {
 /// let block = Sequential::new("head")
 ///     .push(ReLU::new("act1"))
 ///     .push(ReLU::new("act2"));
-/// assert_eq!(block.len(), 2);
 /// assert_eq!(block.name(), "head");
 /// ```
 pub struct Sequential {
@@ -92,19 +91,10 @@ impl Sequential {
         self.modules.push(module);
     }
 
-    /// Number of contained modules.
-    pub fn len(&self) -> usize {
-        self.modules.len()
-    }
-
     /// Whether the container is empty.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.modules.is_empty()
-    }
-
-    /// The contained modules.
-    pub fn modules(&self) -> &[Box<dyn Module>] {
-        &self.modules
     }
 }
 

@@ -98,7 +98,7 @@ impl<'m> Tracer<'m> {
     }
 
     /// Consumes the tracer, returning the collected ops.
-    pub fn into_ops(self) -> Vec<LayerOp<'m>> {
+    pub(crate) fn into_ops(self) -> Vec<LayerOp<'m>> {
         self.ops
     }
 }
@@ -373,7 +373,7 @@ impl StepPlan {
 /// profiles, walked the first time any stream sharing the plan reads a
 /// frame's timeline ([`crate::cost_model`]) and never while frames execute.
 #[derive(Debug)]
-pub struct ExecutionPlan {
+pub(crate) struct ExecutionPlan {
     pub(crate) fingerprint: u64,
     /// `(voxels, channels)` of the input the plan was built for. The voxel
     /// count is the second witness beside the fingerprint on every hit.
@@ -392,11 +392,6 @@ pub struct ExecutionPlan {
 }
 
 impl ExecutionPlan {
-    /// The geometry fingerprint this plan was built for.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
     /// Whether a frame with this fingerprint and voxel count may execute
     /// against the plan. The 64-bit fingerprint alone would let a hash
     /// collision run a frame through the wrong kernel maps; a collision
@@ -405,18 +400,13 @@ impl ExecutionPlan {
         self.fingerprint == fingerprint && self.input_shape.0 == voxels
     }
 
-    /// Number of planned steps (equals the traced op count).
-    pub fn num_steps(&self) -> usize {
-        self.steps.len()
-    }
-
     /// Resident bytes of the plan's frozen geometry state: every step's
     /// kernel maps (CSR entries + bounds), retained coordinate indexes,
     /// coordinate lists, and locality-order metadata.
     ///
     /// Steps sharing one [`CachedMap`] (convolution and pooling layers with
     /// the same map key, or a UNet encoder/decoder pair) count it once.
-    pub fn memory_bytes(&self) -> u64 {
+    pub(crate) fn memory_bytes(&self) -> u64 {
         fn charge_shared(counted: &mut Vec<*const CachedMap>, cached: &Arc<CachedMap>) -> u64 {
             let shared = Arc::as_ptr(cached);
             if counted.contains(&shared) {
@@ -484,7 +474,7 @@ pub struct PlanCacheStats {
 /// lists, and grouping plans, so a [`CompiledSession`](crate::CompiledSession)
 /// reuses its frozen plan; a mismatch triggers re-planning. Feature values
 /// never enter the hash — plans depend on geometry alone.
-pub fn geometry_fingerprint(coords: &[Coord], stride: i32) -> u64 {
+pub(crate) fn geometry_fingerprint(coords: &[Coord], stride: i32) -> u64 {
     let mut h = torchsparse_coords::fnv::Fnv1a::new();
     h.write_i32(stride);
     h.write_i32(coords.len() as i32);

@@ -24,10 +24,10 @@ use torchsparse_tensor::Matrix;
 /// # Example
 ///
 /// ```
-/// use torchsparse_core::BatchNorm;
+/// use torchsparse_core::{BatchNorm, Module};
 ///
 /// let bn = BatchNorm::identity("bn1", 16);
-/// assert_eq!(bn.channels(), 16);
+/// assert_eq!(bn.name(), "bn1");
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchNorm {
@@ -53,7 +53,7 @@ impl BatchNorm {
     }
 
     /// Number of channels.
-    pub fn channels(&self) -> usize {
+    pub(crate) fn channels(&self) -> usize {
         self.scale.len()
     }
 

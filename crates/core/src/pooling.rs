@@ -16,7 +16,7 @@ use torchsparse_tensor::Matrix;
 
 /// Reduction applied over a pooling window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PoolReduction {
+pub(crate) enum PoolReduction {
     /// Per-channel maximum.
     Max,
     /// Per-channel mean over the contributing inputs.
@@ -33,11 +33,10 @@ pub enum PoolReduction {
 /// # Example
 ///
 /// ```
-/// use torchsparse_core::SparseMaxPool3d;
+/// use torchsparse_core::{Module, SparseMaxPool3d};
 ///
 /// let pool = SparseMaxPool3d::new("pool1", 2, 2);
-/// assert_eq!(pool.kernel_size(), 2);
-/// assert_eq!(pool.stride(), 2);
+/// assert_eq!(pool.name(), "pool1");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SparseMaxPool3d {
@@ -70,18 +69,9 @@ impl SparseMaxPool3d {
         p
     }
 
-    /// Kernel size.
-    pub fn kernel_size(&self) -> usize {
-        self.kernel_size
-    }
-
-    /// Stride.
-    pub fn stride(&self) -> i32 {
-        self.stride
-    }
-
     /// The reduction this layer applies.
-    pub fn reduction(&self) -> PoolReduction {
+    #[cfg(test)]
+    pub(crate) fn reduction(&self) -> PoolReduction {
         self.reduction
     }
 

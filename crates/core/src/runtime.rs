@@ -19,7 +19,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use torchsparse_tensor::Matrix;
 
-pub use torchsparse_runtime::{default_threads, modeled_makespan, Task, TaskTrace, ThreadPool};
+pub(crate) use torchsparse_runtime::Task;
+pub use torchsparse_runtime::ThreadPool;
 
 /// A per-request wall-clock deadline, checked at stage boundaries by plan
 /// builds and the plan executor — dynamic runs and compiled frames alike
@@ -42,17 +43,17 @@ impl Deadline {
     }
 
     /// The configured budget.
-    pub fn budget(&self) -> Duration {
+    pub(crate) fn budget(&self) -> Duration {
         self.budget
     }
 
     /// Wall-clock time consumed so far.
-    pub fn elapsed(&self) -> Duration {
+    pub(crate) fn elapsed(&self) -> Duration {
         self.started.elapsed()
     }
 
     /// Whether the budget has been consumed.
-    pub fn expired(&self) -> bool {
+    pub(crate) fn expired(&self) -> bool {
         self.elapsed() > self.budget
     }
 }
@@ -87,7 +88,7 @@ impl Runtime {
     /// (sized by `TORCHSPARSE_THREADS` / available parallelism);
     /// `Some(n)` owns a private pool of `n` lanes — `Some(1)` reproduces
     /// the serial engine exactly.
-    pub fn new(threads: Option<usize>) -> Runtime {
+    pub(crate) fn new(threads: Option<usize>) -> Runtime {
         let pool = match threads {
             None => ThreadPool::global().clone(),
             Some(n) => Arc::new(ThreadPool::new(n)),
@@ -103,7 +104,7 @@ impl Runtime {
 
     /// A clonable handle to the pool (an `Arc`, so holding it does not
     /// borrow the runtime).
-    pub fn pool(&self) -> Arc<ThreadPool> {
+    pub(crate) fn pool(&self) -> Arc<ThreadPool> {
         self.pool.clone()
     }
 
@@ -124,7 +125,7 @@ impl Runtime {
     ///
     /// [`CoreError::DeadlineExceeded`] naming the stage, budget, and
     /// elapsed time.
-    pub fn check_deadline(&mut self, stage: &'static str) -> Result<(), CoreError> {
+    pub(crate) fn check_deadline(&mut self, stage: &'static str) -> Result<(), CoreError> {
         if self.faults.should_fail(FaultSite::DeadlineOverrun) {
             let budget_us = self.deadline.map_or(0, |d| d.budget().as_micros() as u64);
             self.degradation.record(FaultSite::DeadlineOverrun, "injected");

@@ -258,7 +258,8 @@ impl<'m> CompiledModel<'m> {
 
     /// The plan frozen at compile time, shared by every stream whose
     /// geometry matches it.
-    pub fn base_plan(&self) -> &Arc<ExecutionPlan> {
+    #[cfg(test)]
+    pub(crate) fn base_plan(&self) -> &Arc<ExecutionPlan> {
         &self.base_plan
     }
 
@@ -308,7 +309,8 @@ impl StreamState {
 
     /// The plan in this stream's slot: the shared compile-time plan until
     /// the stream's geometry leaves it.
-    pub fn plan(&self) -> &ExecutionPlan {
+    #[cfg(test)]
+    pub(crate) fn plan(&self) -> &ExecutionPlan {
         &self.plan
     }
 

@@ -35,7 +35,7 @@ use torchsparse_gpusim::{GemmModel, GemmShape, Micros};
 /// The grid searched by [`tune_engine`] when none is supplied: 10 epsilon
 /// values x 8 thresholds = 80 configurations per layer (the paper's space
 /// is "usually < 1000").
-pub fn default_search_space() -> (Vec<f64>, Vec<usize>) {
+pub(crate) fn default_search_space() -> (Vec<f64>, Vec<usize>) {
     let epsilons = vec![0.0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.9, 1.0];
     let thresholds = vec![0, 10_000, 30_000, 60_000, 120_000, 250_000, 500_000, usize::MAX];
     (epsilons, thresholds)

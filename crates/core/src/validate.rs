@@ -63,11 +63,6 @@ impl Default for ValidationConfig {
 }
 
 impl ValidationConfig {
-    /// Trust mode: no checks (the default).
-    pub fn trust() -> ValidationConfig {
-        ValidationConfig::default()
-    }
-
     /// Reject mode with unlimited budgets: malformed inputs become typed
     /// errors, well-formed inputs of any size pass.
     pub fn reject() -> ValidationConfig {
@@ -99,7 +94,7 @@ impl ValidationConfig {
 ///
 /// Mirrors the extent arithmetic of `GridTable::build` (batch included),
 /// so a tensor passing the extent check cannot blow up table construction.
-pub fn bounding_box_cells(coords: &[Coord]) -> u64 {
+pub(crate) fn bounding_box_cells(coords: &[Coord]) -> u64 {
     let Some(first) = coords.first() else { return 0 };
     let mut lo = [first.batch, first.x, first.y, first.z];
     let mut hi = lo;
@@ -291,7 +286,7 @@ mod tests {
     #[test]
     fn trust_mode_skips_everything() {
         let bad = tensor(vec![Coord::new(0, 0, 0, 0), Coord::new(0, 0, 0, 0)], vec![f32::NAN, 1.0]);
-        let (out, report) = check(&bad, &ValidationConfig::trust());
+        let (out, report) = check(&bad, &ValidationConfig::default());
         assert!(out.unwrap().is_none());
         assert!(report.is_empty());
     }

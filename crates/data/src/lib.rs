@@ -16,7 +16,7 @@
 //!   [`LidarConfig::waymo`] dense 64-beam ~160k pts).
 //! - Ray casting against a procedurally generated scene (ground plane +
 //!   box obstacles) with range limits, dropout, and noise.
-//! - [`voxelize_scan`] / [`Voxelizer`]: quantization into a
+//! - [`voxelize_scan`]: quantization into a
 //!   [`SparseTensor`], deduplicating points per voxel.
 //! - [`aggregate_frames`]: multi-frame fusion with ego motion (the 1/3/10
 //!   frame settings of the paper's nuScenes and Waymo benchmarks).
@@ -31,7 +31,7 @@
 //!   frame — the workload incremental delta re-planning amortizes.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 mod batch;
 mod lidar;
@@ -47,7 +47,7 @@ pub use stream::{geometry_static_stream, poisson_arrivals};
 pub use temporal::{
     dynamic_actors_stream, ego_drift_stream, multi_sweep_stream, temporal_churn_stream,
 };
-pub use voxelize::{voxelize_scan, Voxelizer};
+pub use voxelize::voxelize_scan;
 
 /// A ready-made (generator, voxelizer) pair representing one benchmark
 /// dataset at a chosen scale.

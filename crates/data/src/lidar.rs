@@ -75,7 +75,7 @@ impl BoxObstacle {
 /// ```
 /// use torchsparse_data::LidarConfig;
 ///
-/// let scan = LidarConfig::nuscenes().scaled(0.05).generate(7);
+/// let scan = LidarConfig::semantic_kitti().scaled(0.05).generate(7);
 /// assert!(scan.len() > 50);
 /// assert_eq!(scan.points.len(), scan.intensity.len());
 /// ```
@@ -125,7 +125,7 @@ impl LidarConfig {
     }
 
     /// nuScenes' 32-beam sensor: far sparser scans (~30k returns).
-    pub fn nuscenes() -> LidarConfig {
+    pub(crate) fn nuscenes() -> LidarConfig {
         LidarConfig {
             beams: 32,
             azimuth_steps: 1090,
@@ -169,11 +169,6 @@ impl LidarConfig {
         self.beams = ((self.beams as f64 * f).round() as usize).max(4);
         self.azimuth_steps = ((self.azimuth_steps as f64 * f).round() as usize).max(16);
         self
-    }
-
-    /// Total rays per revolution.
-    pub fn rays(&self) -> usize {
-        self.beams * self.azimuth_steps
     }
 
     /// Generates one deterministic scan.
@@ -247,7 +242,7 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let cfg = LidarConfig::nuscenes().scaled(0.02);
+        let cfg = LidarConfig::semantic_kitti().scaled(0.02);
         assert_eq!(cfg.generate(5), cfg.generate(5));
         assert_ne!(cfg.generate(5), cfg.generate(6));
     }
@@ -302,7 +297,7 @@ mod tests {
 
     #[test]
     fn dropout_reduces_returns() {
-        let mut low = LidarConfig::nuscenes().scaled(0.05);
+        let mut low = LidarConfig::semantic_kitti().scaled(0.05);
         low.dropout = 0.0;
         let mut high = low.clone();
         high.dropout = 0.5;
@@ -311,7 +306,7 @@ mod tests {
 
     #[test]
     fn intensity_in_unit_range() {
-        let scan = LidarConfig::nuscenes().scaled(0.05).generate(5);
+        let scan = LidarConfig::semantic_kitti().scaled(0.05).generate(5);
         assert!(scan.intensity.iter().all(|&i| (0.0..=1.0).contains(&i)));
     }
 

@@ -15,7 +15,7 @@ use crate::PointCloud;
 /// ```
 /// use torchsparse_data::{aggregate_frames, LidarConfig};
 ///
-/// let cfg = LidarConfig::nuscenes().scaled(0.02);
+/// let cfg = LidarConfig::semantic_kitti().scaled(0.02);
 /// let frames = vec![cfg.generate(0), cfg.generate(1), cfg.generate(2)];
 /// let merged = aggregate_frames(&frames, 0.5);
 /// assert_eq!(merged.len(), frames.iter().map(|f| f.len()).sum::<usize>());
@@ -44,7 +44,7 @@ mod tests {
 
     #[test]
     fn single_frame_with_zero_shift_is_identity() {
-        let cfg = LidarConfig::nuscenes().scaled(0.02);
+        let cfg = LidarConfig::semantic_kitti().scaled(0.02);
         let f = cfg.generate(0);
         let merged = aggregate_frames(std::slice::from_ref(&f), 0.5);
         assert_eq!(merged, f);

@@ -12,7 +12,7 @@ use torchsparse_tensor::Matrix;
 /// mean offset of the points from the voxel center — zero-padded or
 /// truncated to the requested channel count.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Voxelizer {
+pub(crate) struct Voxelizer {
     /// Voxel edge length in meters.
     pub voxel_size: f32,
     /// Output feature channels.
@@ -27,7 +27,7 @@ impl Voxelizer {
     /// # Panics
     ///
     /// Panics if `voxel_size` is not positive or `channels == 0`.
-    pub fn new(voxel_size: f32, channels: usize) -> Voxelizer {
+    pub(crate) fn new(voxel_size: f32, channels: usize) -> Voxelizer {
         assert!(voxel_size > 0.0, "voxel size must be positive");
         assert!(channels > 0, "channels must be positive");
         Voxelizer { voxel_size, channels, batch: 0 }
@@ -44,7 +44,7 @@ impl Voxelizer {
     ///
     /// Returns [`CoreError`] from tensor construction (cannot occur for a
     /// well-formed voxel map).
-    pub fn voxelize(&self, scan: &PointCloud) -> Result<SparseTensor, CoreError> {
+    pub(crate) fn voxelize(&self, scan: &PointCloud) -> Result<SparseTensor, CoreError> {
         self.voxelize_counted(scan).map(|(t, _)| t)
     }
 
@@ -54,7 +54,10 @@ impl Voxelizer {
     /// # Errors
     ///
     /// Same as [`Voxelizer::voxelize`].
-    pub fn voxelize_counted(&self, scan: &PointCloud) -> Result<(SparseTensor, usize), CoreError> {
+    pub(crate) fn voxelize_counted(
+        &self,
+        scan: &PointCloud,
+    ) -> Result<(SparseTensor, usize), CoreError> {
         // voxel -> (count, sum_intensity, sum_offset)
         let mut cells: HashMap<Coord, (usize, f32, [f32; 3])> = HashMap::new();
         let mut dropped = 0usize;
@@ -113,7 +116,7 @@ impl Voxelizer {
 /// use torchsparse_data::{voxelize_scan, LidarConfig};
 ///
 /// # fn main() -> Result<(), torchsparse_core::CoreError> {
-/// let scan = LidarConfig::nuscenes().scaled(0.02).generate(1);
+/// let scan = LidarConfig::semantic_kitti().scaled(0.02).generate(1);
 /// let tensor = voxelize_scan(&scan, 0.1, 4)?;
 /// assert!(tensor.len() <= scan.len());
 /// # Ok(())
@@ -182,7 +185,7 @@ mod tests {
 
     #[test]
     fn voxelization_unique_and_sorted() {
-        let scan = LidarConfig::nuscenes().scaled(0.03).generate(9);
+        let scan = LidarConfig::semantic_kitti().scaled(0.03).generate(9);
         let t = voxelize_scan(&scan, 0.1, 4).unwrap();
         t.validate_unique().unwrap();
         let mut sorted = t.coords().to_vec();
@@ -192,7 +195,7 @@ mod tests {
 
     #[test]
     fn smaller_voxels_give_more_voxels() {
-        let scan = LidarConfig::nuscenes().scaled(0.03).generate(10);
+        let scan = LidarConfig::semantic_kitti().scaled(0.03).generate(10);
         let coarse = voxelize_scan(&scan, 0.4, 4).unwrap();
         let fine = voxelize_scan(&scan, 0.05, 4).unwrap();
         assert!(fine.len() > coarse.len());

@@ -8,18 +8,8 @@
 /// weight → no reuse, §4.3.2, Figure 9a) from the *locality-aware* order,
 /// and what lets a fused gather sequence keep "data from the same type of
 /// buffer" resident.
-///
-/// # Example
-///
-/// ```
-/// use torchsparse_gpusim::L2Cache;
-///
-/// let mut cache = L2Cache::new(1024 * 128, 4); // 1024 lines, 4-way
-/// assert!(!cache.access(0));   // cold miss
-/// assert!(cache.access(64));   // same 128-byte line: hit
-/// ```
 #[derive(Debug, Clone)]
-pub struct L2Cache {
+pub(crate) struct L2Cache {
     /// Flattened set-associative store: set `s` occupies
     /// `entries[s * ways .. s * ways + len[s]]` in LRU order (front = LRU).
     /// Each entry packs the line tag in the low 63 bits and the dirty flag
@@ -40,13 +30,13 @@ pub struct L2Cache {
 const DIRTY: u64 = 1 << 63;
 
 /// Cache line size in bytes (the CUDA memory transaction granularity).
-pub const LINE_BYTES: u64 = 128;
+pub(crate) const LINE_BYTES: u64 = 128;
 /// DRAM sector size in bytes (the memory-controller transfer granularity).
-pub const SECTOR_BYTES: u64 = 32;
+pub(crate) const SECTOR_BYTES: u64 = 32;
 
 /// DRAM traffic resulting from one cache access.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DramTraffic {
+pub(crate) struct DramTraffic {
     /// Bytes fetched from DRAM (read misses; write misses do not fetch —
     /// GPUs write-allocate without read-for-ownership at sector granularity).
     pub fetched: u64,
@@ -57,7 +47,8 @@ pub struct DramTraffic {
 
 impl DramTraffic {
     /// Total DRAM bytes moved.
-    pub fn total(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn total(&self) -> u64 {
         self.fetched + self.written_back
     }
 
@@ -75,7 +66,7 @@ impl L2Cache {
     /// # Panics
     ///
     /// Panics if `ways == 0` or the capacity holds fewer than `ways` lines.
-    pub fn new(capacity_bytes: u64, ways: usize) -> L2Cache {
+    pub(crate) fn new(capacity_bytes: u64, ways: usize) -> L2Cache {
         assert!(ways > 0, "cache must have at least one way");
         assert!(ways <= usize::from(u8::MAX), "per-set length is tracked in a byte");
         let lines = (capacity_bytes / LINE_BYTES) as usize;
@@ -95,7 +86,8 @@ impl L2Cache {
     }
 
     /// Read-accesses the line containing `addr`; returns `true` on hit.
-    pub fn access(&mut self, addr: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn access(&mut self, addr: u64) -> bool {
         self.access_line(addr / LINE_BYTES, false, LINE_BYTES).0
     }
 
@@ -151,7 +143,12 @@ impl L2Cache {
 
     /// Touches every line in `[addr, addr + bytes)` as a read or write;
     /// returns `(missed_lines, dram_traffic)`.
-    pub fn access_range_rw(&mut self, addr: u64, bytes: u64, is_write: bool) -> (u64, DramTraffic) {
+    pub(crate) fn access_range_rw(
+        &mut self,
+        addr: u64,
+        bytes: u64,
+        is_write: bool,
+    ) -> (u64, DramTraffic) {
         let mut traffic = DramTraffic::default();
         if bytes == 0 {
             return (0, traffic);
@@ -178,14 +175,15 @@ impl L2Cache {
 
     /// Touches every line in `[addr, addr + bytes)` as reads; returns the
     /// number of missing lines.
-    pub fn access_range(&mut self, addr: u64, bytes: u64) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn access_range(&mut self, addr: u64, bytes: u64) -> u64 {
         self.access_range_rw(addr, bytes, false).0
     }
 
     /// Streams `bytes` of unrelated data through the cache, evicting LRU
     /// contents — models the pollution a large GEMM causes between the
     /// baseline's interleaved gather/scatter phases (§4.3.2).
-    pub fn pollute(&mut self, bytes: u64) {
+    pub(crate) fn pollute(&mut self, bytes: u64) {
         // Use a private high address range that callers never read back.
         const POLLUTION_BASE: u64 = 1 << 62;
         let lines = bytes / LINE_BYTES;
@@ -195,17 +193,20 @@ impl L2Cache {
     }
 
     /// Hits recorded so far.
-    pub fn hits(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn hits(&self) -> u64 {
         self.hits
     }
 
     /// Misses recorded so far.
-    pub fn misses(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn misses(&self) -> u64 {
         self.misses
     }
 
     /// Hit rate in `[0, 1]`; zero when no accesses were made.
-    pub fn hit_rate(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
             0.0
@@ -214,15 +215,9 @@ impl L2Cache {
         }
     }
 
-    /// Clears contents and counters.
-    pub fn reset(&mut self) {
-        self.len.fill(0);
-        self.hits = 0;
-        self.misses = 0;
-    }
-
     /// Total capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn capacity_bytes(&self) -> u64 {
         self.entries.len() as u64 * LINE_BYTES
     }
 

@@ -97,12 +97,14 @@ impl DeviceProfile {
     }
 
     /// Whether FP16 GEMM is faster than FP32 on this device.
-    pub fn has_fp16_gemm(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn has_fp16_gemm(&self) -> bool {
         self.fp16_tflops > self.fp32_tflops
     }
 
     /// Number of 128-byte L2 cache lines.
-    pub fn l2_lines(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn l2_lines(&self) -> usize {
         (self.l2_bytes / 128) as usize
     }
 }

@@ -66,7 +66,8 @@ impl GemmModel {
     }
 
     /// The device this model simulates.
-    pub fn device(&self) -> &DeviceProfile {
+    #[cfg(test)]
+    pub(crate) fn device(&self) -> &DeviceProfile {
         &self.device
     }
 
@@ -100,7 +101,7 @@ impl GemmModel {
     }
 
     /// Achieved throughput for a shape, TFLOP/s.
-    pub fn achieved_tflops(&self, shape: GemmShape, precision: Precision) -> f64 {
+    pub(crate) fn achieved_tflops(&self, shape: GemmShape, precision: Precision) -> f64 {
         self.peak_tflops(precision) * self.utilization(shape)
     }
 
@@ -118,7 +119,8 @@ impl GemmModel {
 
     /// Latency of running each shape as its own kernel (the separate
     /// baseline of Figure 6b: one launch per weight offset).
-    pub fn sequential_latency(&self, shapes: &[GemmShape], precision: Precision) -> Micros {
+    #[cfg(test)]
+    pub(crate) fn sequential_latency(&self, shapes: &[GemmShape], precision: Precision) -> Micros {
         shapes.iter().map(|&s| self.latency(s, precision)).sum()
     }
 }

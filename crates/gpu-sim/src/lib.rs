@@ -23,7 +23,7 @@
 //!   and end-to-end totals.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 mod cache;
 mod device;
@@ -31,7 +31,6 @@ mod gemm_model;
 mod memory;
 mod timeline;
 
-pub use cache::L2Cache;
 pub use device::DeviceProfile;
 pub use gemm_model::{GemmModel, GemmShape, Precision};
 pub use memory::{AccessMode, ElemWidth, MemorySim, PhaseReport};
@@ -51,11 +50,6 @@ impl Micros {
     /// The wrapped value in microseconds.
     pub fn as_f64(self) -> f64 {
         self.0
-    }
-
-    /// Converts to milliseconds.
-    pub fn as_millis(self) -> f64 {
-        self.0 / 1e3
     }
 
     /// Frames per second if one frame takes this long.

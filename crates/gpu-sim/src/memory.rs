@@ -58,23 +58,26 @@ impl AccessMode {
     }
 
     /// Scalar FP16 access: half the bytes but 50%-utilized transactions.
-    pub fn scalar_f16() -> AccessMode {
+    #[cfg(test)]
+    pub(crate) fn scalar_f16() -> AccessMode {
         AccessMode { elem: ElemWidth::F16, vector_width: 1 }
     }
 
     /// Vectorized FP16 access (`half2`): full transactions, half the count.
-    pub fn vectorized_f16() -> AccessMode {
+    #[cfg(test)]
+    pub(crate) fn vectorized_f16() -> AccessMode {
         AccessMode { elem: ElemWidth::F16, vector_width: 2 }
     }
 
     /// Useful bytes one 128-byte transaction carries under this mode:
     /// `min(128, 32 threads x elem x vector_width)`.
-    pub fn useful_bytes_per_transaction(self) -> u64 {
+    pub(crate) fn useful_bytes_per_transaction(self) -> u64 {
         (32 * self.elem.bytes() * self.vector_width).min(LINE_BYTES)
     }
 
     /// Transaction utilization in `(0, 1]`.
-    pub fn utilization(self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn utilization(self) -> f64 {
         self.useful_bytes_per_transaction() as f64 / LINE_BYTES as f64
     }
 }
@@ -99,7 +102,7 @@ pub struct PhaseReport {
 
 impl PhaseReport {
     /// Total DRAM bytes transferred (fetches + write-backs).
-    pub fn dram_bytes(&self) -> u64 {
+    pub(crate) fn dram_bytes(&self) -> u64 {
         self.dram_fetched + self.dram_written_back
     }
 
@@ -112,7 +115,8 @@ impl PhaseReport {
     }
 
     /// Merges another report into this one.
-    pub fn merge(&mut self, other: PhaseReport) {
+    #[cfg(test)]
+    pub(crate) fn merge(&mut self, other: PhaseReport) {
         self.useful_bytes += other.useful_bytes;
         self.transactions += other.transactions;
         self.dram_fetched += other.dram_fetched;
@@ -212,11 +216,6 @@ impl MemorySim {
     /// The L2 contents persist across phases (that is the point).
     pub fn take_report(&mut self) -> PhaseReport {
         std::mem::take(&mut self.report)
-    }
-
-    /// Current L2 hit rate since construction.
-    pub fn l2_hit_rate(&self) -> f64 {
-        self.cache.hit_rate()
     }
 }
 

@@ -40,11 +40,6 @@ impl ConvBnReLU {
         self.conv = self.conv.into_transposed();
         self
     }
-
-    /// The wrapped convolution.
-    pub fn conv(&self) -> &SparseConv3d {
-        &self.conv
-    }
 }
 
 impl Module for ConvBnReLU {

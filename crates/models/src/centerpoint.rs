@@ -67,7 +67,8 @@ impl CenterPoint {
     }
 
     /// Number of backbone stages.
-    pub fn stages(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn stages(&self) -> usize {
         self.stages.len()
     }
 }

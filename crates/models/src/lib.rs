@@ -13,7 +13,7 @@
 //! `indice_key` / coordinate-manager annotations.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 mod blocks;
 mod centerpoint;
@@ -23,7 +23,7 @@ mod spvcnn;
 pub use blocks::{ConvBnReLU, ResidualBlock};
 pub use centerpoint::CenterPoint;
 pub use minkunet::MinkUNet;
-pub use spvcnn::{devoxelize_trilinear, voxelize_features, PointMlp, PointScene, Spvcnn};
+pub use spvcnn::{devoxelize_trilinear, voxelize_features, PointScene, Spvcnn};
 
 /// The seven (model, dataset) benchmark configurations of Figure 11, with
 /// display names matching the paper.

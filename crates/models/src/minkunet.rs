@@ -33,7 +33,6 @@ pub struct MinkUNet {
     /// (upsample, residual blocks) per decoder stage.
     decoders: Vec<(ConvBnReLU, Vec<ResidualBlock>)>,
     classifier: SparseConv3d,
-    width: f64,
 }
 
 fn scaled(base: usize, width: f64) -> usize {
@@ -119,17 +118,12 @@ impl MinkUNet {
             encoders,
             decoders,
             classifier,
-            width,
         }
     }
 
-    /// The width multiplier this network was built with.
-    pub fn width(&self) -> f64 {
-        self.width
-    }
-
     /// Number of encoder/decoder stages (4 each).
-    pub fn stages(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn stages(&self) -> usize {
         self.encoders.len()
     }
 }

@@ -35,15 +35,19 @@ pub struct PointScene {
 }
 
 impl PointScene {
-    /// Creates a scene, validating lengths.
+    /// Creates a scene, validating lengths and positions.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::LengthMismatch`] when positions and feature rows
-    /// disagree.
+    /// disagree, and [`CoreError::PositionOutOfRange`] for a non-finite
+    /// position.
     pub fn new(positions: Vec<[f32; 3]>, feats: Matrix) -> Result<PointScene, CoreError> {
         if positions.len() != feats.rows() {
             return Err(CoreError::LengthMismatch { coords: positions.len(), feats: feats.rows() });
+        }
+        if let Some(point) = positions.iter().position(|p| !p.iter().all(|v| v.is_finite())) {
+            return Err(CoreError::PositionOutOfRange { point });
         }
         Ok(PointScene { positions, feats })
     }
@@ -58,8 +62,22 @@ impl PointScene {
         self.positions.is_empty()
     }
 
+    /// Checks that every position, in voxel units at `voxel_size`, is finite
+    /// and far enough inside the `i32` grid that the voxel it falls into and
+    /// its trilinear neighbours are representable.
+    fn check_voxel_range(&self, voxel_size: f32) -> Result<(), CoreError> {
+        /// Largest voxel-unit magnitude accepted: `floor(u) + 1` stays far
+        /// from `i32::MAX`.
+        const MAX_VOXEL_UNITS: f32 = (1u32 << 30) as f32;
+        let in_range = |p: &[f32; 3]| p.iter().all(|v| (v / voxel_size).abs() < MAX_VOXEL_UNITS);
+        match self.positions.iter().position(|p| !in_range(p)) {
+            Some(point) => Err(CoreError::PositionOutOfRange { point }),
+            None => Ok(()),
+        }
+    }
+
     /// The voxel coordinate each point falls into at `voxel_size`.
-    pub fn voxel_coords(&self, voxel_size: f32) -> Vec<Coord> {
+    pub(crate) fn voxel_coords(&self, voxel_size: f32) -> Vec<Coord> {
         self.positions
             .iter()
             .map(|p| {
@@ -81,7 +99,8 @@ impl PointScene {
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::EmptyInput`] for an empty scene.
+/// Returns [`CoreError::EmptyInput`] for an empty scene and
+/// [`CoreError::PositionOutOfRange`] for a position outside the voxel grid.
 pub fn voxelize_features(
     scene: &PointScene,
     voxel_size: f32,
@@ -90,6 +109,7 @@ pub fn voxelize_features(
     if scene.is_empty() {
         return Err(CoreError::EmptyInput);
     }
+    scene.check_voxel_range(voxel_size)?;
     let per_point = scene.voxel_coords(voxel_size);
     let mut order: Vec<Coord> = per_point.clone();
     order.sort_unstable();
@@ -130,7 +150,8 @@ pub fn voxelize_features(
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::EmptyInput`] for an empty scene.
+/// Returns [`CoreError::EmptyInput`] for an empty scene and
+/// [`CoreError::PositionOutOfRange`] for a position outside the voxel grid.
 pub fn devoxelize_trilinear(
     scene: &PointScene,
     voxels: &SparseTensor,
@@ -140,6 +161,7 @@ pub fn devoxelize_trilinear(
     if scene.is_empty() {
         return Err(CoreError::EmptyInput);
     }
+    scene.check_voxel_range(voxel_size)?;
     let index: HashMap<Coord, usize> =
         voxels.coords().iter().enumerate().map(|(i, &c)| (c, i)).collect();
     let c = voxels.channels();
@@ -213,14 +235,14 @@ fn charge_pv_transfer(reads: usize, writes: usize, channels: usize, ctx: &mut Co
 
 /// A per-point MLP layer (linear + ReLU), the point branch's building block.
 #[derive(Debug)]
-pub struct PointMlp {
+pub(crate) struct PointMlp {
     name: String,
     weight: Matrix,
 }
 
 impl PointMlp {
     /// Creates an MLP layer with deterministic pseudo-random weights.
-    pub fn new(name: impl Into<String>, c_in: usize, c_out: usize, seed: u64) -> PointMlp {
+    pub(crate) fn new(name: impl Into<String>, c_in: usize, c_out: usize, seed: u64) -> PointMlp {
         let scale = (2.0 / c_in as f32).sqrt();
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
         let weight = Matrix::from_fn(c_in, c_out, |_, _| {
@@ -237,7 +259,7 @@ impl PointMlp {
     /// # Errors
     ///
     /// Returns [`CoreError::Tensor`] on a channel mismatch.
-    pub fn forward(&self, x: &Matrix, ctx: &mut Context) -> Result<Matrix, CoreError> {
+    pub(crate) fn forward(&self, x: &Matrix, ctx: &mut Context) -> Result<Matrix, CoreError> {
         let mut y = gemm::mm(x, &self.weight)?;
         y.map_inplace(|v| v.max(0.0));
         let shape = GemmShape::mm(x.rows(), self.weight.rows(), self.weight.cols());
@@ -258,8 +280,7 @@ impl PointMlp {
 /// ```
 /// use torchsparse_models::Spvcnn;
 ///
-/// let net = Spvcnn::new(0.25, 4, 8, 0.1, 42);
-/// assert_eq!(net.num_classes(), 8);
+/// let _net = Spvcnn::new(0.25, 4, 8, 0.1, 42);
 /// ```
 pub struct Spvcnn {
     point_stem: PointMlp,
@@ -267,7 +288,6 @@ pub struct Spvcnn {
     voxel_branch: MinkUNet,
     classifier: PointMlp,
     hidden: usize,
-    num_classes: usize,
     voxel_size: f32,
 }
 
@@ -289,14 +309,8 @@ impl Spvcnn {
             voxel_branch: MinkUNet::with_width(width, hidden, hidden, seed ^ 2),
             classifier: PointMlp::new("classifier", hidden, num_classes, seed ^ 3),
             hidden,
-            num_classes,
             voxel_size,
         }
-    }
-
-    /// Number of output classes.
-    pub fn num_classes(&self) -> usize {
-        self.num_classes
     }
 
     /// Hidden feature width.
@@ -452,5 +466,22 @@ mod tests {
         let net = Spvcnn::new(0.25, 4, 5, 0.2, 7);
         let empty = PointScene::new(vec![], Matrix::zeros(0, 4)).unwrap();
         assert!(matches!(net.forward(&empty, &mut ctx()), Err(CoreError::EmptyInput)));
+    }
+
+    #[test]
+    fn spvcnn_rejects_positions_off_the_voxel_grid() {
+        let feats = Matrix::zeros(2, 4);
+        assert!(matches!(
+            PointScene::new(vec![[0.0; 3], [0.0, f32::NAN, 0.0]], feats.clone()),
+            Err(CoreError::PositionOutOfRange { point: 1 })
+        ));
+        // 1e12 m is 5e12 voxels at 0.2 m: past `i32`, so the voxel index
+        // would saturate and its trilinear neighbour overflow.
+        let far = PointScene::new(vec![[0.0; 3], [1.0e12, 0.0, 0.0]], feats).unwrap();
+        let net = Spvcnn::new(0.25, 4, 5, 0.2, 8);
+        assert!(matches!(
+            net.forward(&far, &mut ctx()),
+            Err(CoreError::PositionOutOfRange { point: 1 })
+        ));
     }
 }

@@ -28,7 +28,7 @@
 //! identical for every thread count (the property tests in the root crate
 //! assert this across thread counts {1, 2, 8}).
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 #![deny(unsafe_op_in_unsafe_fn)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -104,7 +104,7 @@ impl Batch {
 
 /// Per-task wall durations in seconds, grouped into waves (one wave per
 /// [`ThreadPool::run`] call). Produced by recording pools.
-pub type TaskTrace = Vec<Vec<f64>>;
+pub(crate) type TaskTrace = Vec<Vec<f64>>;
 
 /// A persistent worker pool executing batches of scoped tasks.
 ///
@@ -129,9 +129,8 @@ impl ThreadPool {
     }
 
     /// Creates an instrumented *serial* pool that records per-task wall
-    /// durations. Used by the scaling benchmark to capture a task trace on
-    /// hosts with any core count; the trace is replayed through
-    /// [`modeled_makespan`] to model N-lane schedules.
+    /// durations, so a task trace can be captured on hosts with any core
+    /// count (see [`ThreadPool::take_trace`]).
     pub fn new_recording() -> ThreadPool {
         Self::build(1, true)
     }
@@ -282,7 +281,8 @@ impl ThreadPool {
     }
 
     /// Convenience: runs `f(index)` for `count` indices as one batch.
-    pub fn run_indexed<'env, F>(&self, count: usize, f: F)
+    #[cfg(test)]
+    pub(crate) fn run_indexed<'env, F>(&self, count: usize, f: F)
     where
         F: Fn(usize) + Send + Sync + 'env,
     {
@@ -420,7 +420,10 @@ pub fn warn_env_once(var: &'static str, warning: &str) {
 /// message naming the variable and the fallback — factored out of
 /// [`default_threads`] so the policy is testable without touching process
 /// environment state.
-pub fn resolve_threads(raw: Option<&str>, host_parallelism: usize) -> (usize, Option<String>) {
+pub(crate) fn resolve_threads(
+    raw: Option<&str>,
+    host_parallelism: usize,
+) -> (usize, Option<String>) {
     let host = host_parallelism.max(1);
     match raw {
         None => (host, None),
@@ -441,7 +444,7 @@ pub fn resolve_threads(raw: Option<&str>, host_parallelism: usize) -> (usize, Op
 /// integer, otherwise the host's available parallelism. A set-but-malformed
 /// value (e.g. `"abc"` or `"0"`) is rejected with a one-time warning
 /// instead of being silently ignored.
-pub fn default_threads() -> usize {
+fn default_threads() -> usize {
     let host = std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
     let (threads, warning) =
         resolve_threads(std::env::var("TORCHSPARSE_THREADS").ok().as_deref(), host);
@@ -449,36 +452,6 @@ pub fn default_threads() -> usize {
         warn_env_once("TORCHSPARSE_THREADS", &w);
     }
     threads
-}
-
-/// Replays one recorded task trace through a greedy list schedule on
-/// `lanes` lanes and returns the modeled makespan in seconds.
-///
-/// Waves are barriers (a wave's tasks all complete before the next wave
-/// starts), matching [`ThreadPool::run`] semantics. Within a wave, tasks
-/// are assigned in submission order to the least-loaded lane — the same
-/// greedy discipline a shared work queue approximates. `serial_residual`
-/// is time spent outside any task (map producer-index builds, simulation
-/// accounting, layer bookkeeping) and is charged fully to every lane count.
-pub fn modeled_makespan(trace: &TaskTrace, lanes: usize, serial_residual: f64) -> f64 {
-    let lanes = lanes.max(1);
-    let mut total = serial_residual.max(0.0);
-    let mut lane_load = vec![0.0f64; lanes];
-    for wave in trace {
-        lane_load.fill(0.0);
-        for &t in wave {
-            // Least-loaded lane; ties broken by lowest index (deterministic).
-            let mut best = 0;
-            for (i, &load) in lane_load.iter().enumerate() {
-                if load < lane_load[best] {
-                    best = i;
-                }
-            }
-            lane_load[best] += t;
-        }
-        total += lane_load.iter().cloned().fold(0.0, f64::max);
-    }
-    total
 }
 
 #[cfg(test)]
@@ -601,23 +574,6 @@ mod tests {
         assert_eq!(trace[1].len(), 2);
         assert!(trace.iter().flatten().all(|&t| t >= 0.0));
         assert!(pool.take_trace().is_empty(), "trace is drained");
-    }
-
-    #[test]
-    fn makespan_model_scales_uniform_waves() {
-        // 8 uniform tasks of 1s: 8s on 1 lane, 2s on 4 lanes, +1s residual.
-        let trace: TaskTrace = vec![vec![1.0; 8]];
-        let one = modeled_makespan(&trace, 1, 1.0);
-        let four = modeled_makespan(&trace, 4, 1.0);
-        assert!((one - 9.0).abs() < 1e-12);
-        assert!((four - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn makespan_model_respects_wave_barriers() {
-        // Two waves of one 1s task each cannot overlap: 2s at any lane count.
-        let trace: TaskTrace = vec![vec![1.0], vec![1.0]];
-        assert!((modeled_makespan(&trace, 8, 0.0) - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -98,7 +98,7 @@ pub(crate) fn mix_seed(base: u64, stream: u64, generation: u64) -> u64 {
 /// from `base_us`, capped at 10 doublings) plus seeded jitter below one
 /// base unit. A pure function of its arguments — no wall clock, no global
 /// state — so a replay with the same seed sleeps the exact same schedule.
-pub fn backoff_us(seed: u64, stream: u64, frame: u64, attempt: u32, base_us: u64) -> u64 {
+pub(crate) fn backoff_us(seed: u64, stream: u64, frame: u64, attempt: u32, base_us: u64) -> u64 {
     let base = base_us.max(1);
     let exp = base.saturating_mul(1u64 << attempt.min(10) as u64);
     let jitter = splitmix64(

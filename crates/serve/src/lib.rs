@@ -70,7 +70,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod config;
@@ -78,7 +78,7 @@ mod error;
 mod health;
 mod service;
 
-pub use config::{backoff_us, ServiceConfig};
+pub use config::ServiceConfig;
 pub use error::ServeError;
 pub use health::{Completion, HealthReport, ServiceOutcome, StreamHealth};
 pub use service::{serve, ServiceHandle};

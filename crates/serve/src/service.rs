@@ -182,16 +182,6 @@ impl ServiceHandle<'_> {
         Ok(())
     }
 
-    /// Current depth of `stream`'s queue (`None` for unknown streams).
-    pub fn queue_depth(&self, stream: usize) -> Option<usize> {
-        self.shared.queues.get(stream).map(|q| lock(&q.inner).queue.len())
-    }
-
-    /// Frames that have reached a terminal state so far.
-    pub fn completions_so_far(&self) -> usize {
-        lock(&self.shared.completions).len()
-    }
-
     fn release_points(&self, points: usize) {
         if self.shared.config.service_point_budget.is_some() {
             self.shared.counters.inflight_points.fetch_sub(points, Ordering::SeqCst);

@@ -36,13 +36,8 @@ impl DenseVolume {
     }
 
     /// Spatial dimensions.
-    pub fn dims(&self) -> [usize; 3] {
+    pub(crate) fn dims(&self) -> [usize; 3] {
         self.dims
-    }
-
-    /// Channel count.
-    pub fn channels(&self) -> usize {
-        self.channels
     }
 
     fn offset(&self, p: [usize; 3]) -> usize {
@@ -72,7 +67,7 @@ impl DenseVolume {
     }
 
     /// Whether the voxel has any nonzero channel.
-    pub fn is_nonzero(&self, p: [usize; 3]) -> bool {
+    pub(crate) fn is_nonzero(&self, p: [usize; 3]) -> bool {
         self.at(p).iter().any(|&v| v != 0.0)
     }
 }
@@ -123,18 +118,13 @@ impl ConvWeights {
         Ok(ConvWeights { kernel_size, c_in, c_out, per_offset })
     }
 
-    /// Kernel size `K` (the kernel volume is `K^3`).
-    pub fn kernel_size(&self) -> usize {
-        self.kernel_size
-    }
-
     /// Input channel count.
-    pub fn c_in(&self) -> usize {
+    pub(crate) fn c_in(&self) -> usize {
         self.c_in
     }
 
     /// Output channel count.
-    pub fn c_out(&self) -> usize {
+    pub(crate) fn c_out(&self) -> usize {
         self.c_out
     }
 }

@@ -3,12 +3,10 @@
 //! Sparse convolution lowers to many GEMMs of shape `|map| x Cin x Cout`
 //! (Algorithm 2 of the paper). This module provides:
 //!
-//! - [`mm`] / [`mm_on`]: `C = A * B` with cache-blocked loops, partitioned
-//!   into row panels executed on a persistent [`ThreadPool`] — no per-call
-//!   thread spawning (the pre-runtime engine paid a `thread::scope` spawn
-//!   per GEMM call).
-//! - [`mm_accumulate`] / [`mm_accumulate_on`]: `C += A * B`, the
-//!   scatter-accumulate-friendly variant.
+//! - [`mm`]: `C = A * B` on the global pool.
+//! - [`mm_into_with`] / [`mm_into_packed_on`]: `C += A * B` on an explicit
+//!   pool with explicit kernel options, B dense or pre-packed. Row panels
+//!   run on a persistent [`ThreadPool`] — no per-call thread spawning.
 //!
 //! The paper's batched `bmm` (§4.2) exists only in the simulated-GPU cost
 //! model: the host executor streams map rows and never pads a group.
@@ -60,13 +58,8 @@ pub struct GemmOpts {
 }
 
 impl GemmOpts {
-    /// Options pinned to a specific kernel.
-    pub fn with_kernel(kernel: Kernel) -> GemmOpts {
-        GemmOpts { kernel: Some(kernel), ..GemmOpts::default() }
-    }
-
     /// Resolves the kernel these options denote.
-    pub fn resolve(self) -> Kernel {
+    pub(crate) fn resolve(self) -> Kernel {
         let k = self.kernel.unwrap_or_else(microkernel::active);
         if self.fma {
             k.with_fma()
@@ -96,42 +89,9 @@ impl GemmOpts {
 /// # }
 /// ```
 pub fn mm(a: &Matrix, b: &Matrix) -> Result<Matrix, TensorError> {
-    mm_on(ThreadPool::global(), a, b)
-}
-
-/// Computes `A * B` on an explicit pool.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when `A.cols() != B.rows()`.
-pub fn mm_on(pool: &ThreadPool, a: &Matrix, b: &Matrix) -> Result<Matrix, TensorError> {
     let mut c = Matrix::zeros(a.rows(), b.cols());
-    mm_into_on(pool, a, b, &mut c)?;
+    mm_into_with(ThreadPool::global(), a, b, &mut c, GemmOpts::default())?;
     Ok(c)
-}
-
-/// Computes `C += A * B` into an existing accumulator on the global pool.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when the inner dimensions disagree
-/// or `C` has the wrong shape.
-pub fn mm_accumulate(a: &Matrix, b: &Matrix, c: &mut Matrix) -> Result<(), TensorError> {
-    mm_into_on(ThreadPool::global(), a, b, c)
-}
-
-/// [`mm_accumulate`] on an explicit pool.
-///
-/// # Errors
-///
-/// As [`mm_accumulate`].
-pub fn mm_accumulate_on(
-    pool: &ThreadPool,
-    a: &Matrix,
-    b: &Matrix,
-    c: &mut Matrix,
-) -> Result<(), TensorError> {
-    mm_into_on(pool, a, b, c)
 }
 
 fn check_shapes(a: &Matrix, b: &Matrix, c: &Matrix) -> Result<(), TensorError> {
@@ -185,21 +145,8 @@ fn mm_into_dispatch(
     pool.run(tasks);
 }
 
-/// `C += A * B` with panels dispatched onto `pool`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] on inconsistent shapes.
-pub fn mm_into_on(
-    pool: &ThreadPool,
-    a: &Matrix,
-    b: &Matrix,
-    c: &mut Matrix,
-) -> Result<(), TensorError> {
-    mm_into_with(pool, a, b, c, GemmOpts::default())
-}
-
-/// [`mm_into_on`] with explicit kernel options.
+/// `C += A * B` with panels dispatched onto `pool`, with explicit kernel
+/// options.
 ///
 /// # Errors
 ///
@@ -256,29 +203,29 @@ pub fn mm_into_packed_on(
     Ok(())
 }
 
-/// Naive reference GEMM (triple loop) used by tests as the ground truth.
-pub fn mm_reference(a: &Matrix, b: &Matrix) -> Result<Matrix, TensorError> {
-    if a.cols() != b.rows() {
-        return Err(TensorError::ShapeMismatch { op: "mm", lhs: a.shape(), rhs: b.shape() });
-    }
-    let mut c = Matrix::zeros(a.rows(), b.cols());
-    for i in 0..a.rows() {
-        for kk in 0..a.cols() {
-            let av = a[(i, kk)];
-            for j in 0..b.cols() {
-                c[(i, j)] += av * b[(kk, j)];
-            }
-        }
-    }
-    Ok(c)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
+
+    /// Naive reference GEMM (triple loop) used by tests as the ground truth.
+    fn mm_reference(a: &Matrix, b: &Matrix) -> Result<Matrix, TensorError> {
+        if a.cols() != b.rows() {
+            return Err(TensorError::ShapeMismatch { op: "mm", lhs: a.shape(), rhs: b.shape() });
+        }
+        let mut c = Matrix::zeros(a.rows(), b.cols());
+        for i in 0..a.rows() {
+            for kk in 0..a.cols() {
+                let av = a[(i, kk)];
+                for j in 0..b.cols() {
+                    c[(i, j)] += av * b[(kk, j)];
+                }
+            }
+        }
+        Ok(c)
+    }
 
     fn random_matrix(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix {
         Matrix::from_fn(rows, cols, |_, _| rng.random_range(-1.0f32..1.0))
@@ -339,10 +286,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let a = random_matrix(&mut rng, 300, 200);
         let b = random_matrix(&mut rng, 200, 64);
-        let serial = mm_on(&ThreadPool::new(1), &a, &b).unwrap();
+        let mm_on = |pool: &ThreadPool| {
+            let mut c = Matrix::zeros(a.rows(), b.cols());
+            mm_into_with(pool, &a, &b, &mut c, GemmOpts::default()).unwrap();
+            c
+        };
+        let serial = mm_on(&ThreadPool::new(1));
         for threads in [2, 4, 8] {
-            let pool = ThreadPool::new(threads);
-            let parallel = mm_on(&pool, &a, &b).unwrap();
+            let parallel = mm_on(&ThreadPool::new(threads));
             assert_eq!(
                 serial.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 parallel.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -356,7 +307,7 @@ mod tests {
         let a = Matrix::filled(2, 2, 1.0);
         let b = Matrix::eye(2);
         let mut c = Matrix::filled(2, 2, 10.0);
-        mm_accumulate(&a, &b, &mut c).unwrap();
+        mm_into_with(ThreadPool::global(), &a, &b, &mut c, GemmOpts::default()).unwrap();
         assert_eq!(c.as_slice(), &[11.0, 11.0, 11.0, 11.0]);
     }
 
@@ -365,7 +316,7 @@ mod tests {
         let a = Matrix::zeros(2, 2);
         let b = Matrix::zeros(2, 2);
         let mut c = Matrix::zeros(3, 2);
-        assert!(mm_accumulate(&a, &b, &mut c).is_err());
+        assert!(mm_into_with(ThreadPool::global(), &a, &b, &mut c, GemmOpts::default()).is_err());
     }
 
     fn bits(m: &Matrix) -> Vec<u32> {
@@ -402,7 +353,7 @@ mod tests {
         let b = random_matrix(&mut rng, 96, 50);
         let packed = PackedB::pack(&b);
         let mut dense = Matrix::zeros(300, 50);
-        mm_into_on(&ThreadPool::new(1), &a, &b, &mut dense).unwrap();
+        mm_into_with(&ThreadPool::new(1), &a, &b, &mut dense, GemmOpts::default()).unwrap();
         for threads in [1, 2, 8] {
             let pool = ThreadPool::new(threads);
             let mut c = Matrix::zeros(300, 50);
@@ -473,7 +424,7 @@ mod tests {
             let packed = PackedB::pack(&b);
             let pool = ThreadPool::new(1);
             for kernel in deterministic_kernels() {
-                let opts = GemmOpts::with_kernel(kernel);
+                let opts = GemmOpts { kernel: Some(kernel), fma: false };
                 let mut dense = Matrix::zeros(m, n);
                 mm_into_with(&pool, &a, &b, &mut dense, opts).unwrap();
                 prop_assert!(bits(&dense) == bits(&reference), "dense {:?}", kernel);

@@ -25,17 +25,20 @@ pub struct Half(u16);
 
 impl Half {
     /// Positive zero.
-    pub const ZERO: Half = Half(0);
+    #[cfg(test)]
+    pub(crate) const ZERO: Half = Half(0);
     /// One.
-    pub const ONE: Half = Half(0x3C00);
+    #[cfg(test)]
+    pub(crate) const ONE: Half = Half(0x3C00);
     /// Positive infinity.
-    pub const INFINITY: Half = Half(0x7C00);
+    #[cfg(test)]
+    pub(crate) const INFINITY: Half = Half(0x7C00);
     /// Negative infinity.
-    pub const NEG_INFINITY: Half = Half(0xFC00);
+    #[cfg(test)]
+    pub(crate) const NEG_INFINITY: Half = Half(0xFC00);
     /// Largest finite value (65504).
-    pub const MAX: Half = Half(0x7BFF);
-    /// Smallest positive normal value (2^-14).
-    pub const MIN_POSITIVE: Half = Half(0x0400);
+    #[cfg(test)]
+    pub(crate) const MAX: Half = Half(0x7BFF);
 
     /// Converts an `f32` to binary16 with round-to-nearest-even.
     ///
@@ -130,56 +133,26 @@ impl Half {
     }
 
     /// Raw bit pattern.
-    pub fn to_bits(self) -> u16 {
+    #[cfg(test)]
+    pub(crate) fn to_bits(self) -> u16 {
         self.0
     }
 
     /// Constructs from a raw bit pattern.
-    pub fn from_bits(bits: u16) -> Half {
+    pub(crate) fn from_bits(bits: u16) -> Half {
         Half(bits)
     }
 
     /// Whether the value is NaN.
-    pub fn is_nan(self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_nan(self) -> bool {
         (self.0 & 0x7C00) == 0x7C00 && (self.0 & 0x03FF) != 0
     }
 
     /// Whether the value is positive or negative infinity.
-    pub fn is_infinite(self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_infinite(self) -> bool {
         (self.0 & 0x7FFF) == 0x7C00
-    }
-
-    /// Whether the value is finite (neither infinite nor NaN).
-    pub fn is_finite(self) -> bool {
-        (self.0 & 0x7C00) != 0x7C00
-    }
-
-    /// Bulk conversion of an `f32` slice into binary16 storage, replacing
-    /// the contents of `dst` (its allocation is reused). Delegates to the
-    /// process-selected SIMD kernel (F16C hardware conversion on AVX2
-    /// hosts) and is bitwise identical to per-element [`Half::from_f32`]
-    /// for every input, NaN payloads included.
-    pub fn convert_slice_from_f32(src: &[f32], dst: &mut Vec<Half>) {
-        crate::microkernel::f16_quantize_slice(crate::microkernel::active(), src, dst);
-    }
-
-    /// Bulk expansion of binary16 storage into `f32`, replacing the
-    /// contents of `dst`. Vectorized sibling of per-element
-    /// [`Half::to_f32`]; bitwise identical for every input.
-    pub fn convert_slice_to_f32(src: &[Half], dst: &mut Vec<f32>) {
-        crate::microkernel::f16_dequantize_slice(crate::microkernel::active(), src, dst);
-    }
-
-    /// Whether every value in `values` is finite. Cheap bit test per
-    /// element — the FP16 storage path uses this to detect overflow to
-    /// infinity without converting back to f32.
-    pub fn all_finite(values: &[Half]) -> bool {
-        values.iter().all(|h| h.is_finite())
-    }
-
-    /// Number of NaN or infinite values in `values`.
-    pub fn count_nonfinite(values: &[Half]) -> usize {
-        values.iter().filter(|h| !h.is_finite()).count()
     }
 }
 
@@ -252,36 +225,6 @@ impl fmt::Display for Half {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn slice_finite_scans() {
-        let clean = [Half::ZERO, Half::ONE, Half::MAX];
-        assert!(Half::all_finite(&clean));
-        assert_eq!(Half::count_nonfinite(&clean), 0);
-        let dirty = [Half::ONE, Half::INFINITY, Half::NEG_INFINITY, Half::from_f32(f32::NAN)];
-        assert!(!Half::all_finite(&dirty));
-        assert_eq!(Half::count_nonfinite(&dirty), 3);
-        assert!(Half::all_finite(&[]), "empty slice is finite");
-        // Overflow to infinity through quantization is detected.
-        assert_eq!(Half::count_nonfinite(&[Half::from_f32(1e30)]), 1);
-    }
-
-    #[test]
-    fn slice_conversions_match_per_element() {
-        let vals: Vec<f32> =
-            vec![0.0, -0.0, 1.0, -2.5, 65519.0, 65520.0, 1e-10, f32::NAN, f32::INFINITY, 0.1];
-        let mut packed = Vec::new();
-        Half::convert_slice_from_f32(&vals, &mut packed);
-        let expect: Vec<Half> = vals.iter().map(|&v| Half::from_f32(v)).collect();
-        assert_eq!(
-            packed.iter().map(|h| h.to_bits()).collect::<Vec<_>>(),
-            expect.iter().map(|h| h.to_bits()).collect::<Vec<_>>()
-        );
-        let mut back = Vec::new();
-        Half::convert_slice_to_f32(&packed, &mut back);
-        let expect_f32: Vec<u32> = packed.iter().map(|h| h.to_f32().to_bits()).collect();
-        assert_eq!(back.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), expect_f32);
-    }
 
     #[test]
     fn exact_small_integers_roundtrip() {

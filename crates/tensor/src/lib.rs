@@ -37,7 +37,7 @@
 // (locally, with per-call safety comments) for `std::arch` intrinsics. All
 // other modules remain unsafe-free.
 #![deny(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod error;
@@ -52,4 +52,4 @@ pub mod quant;
 pub use error::TensorError;
 pub use half::Half;
 pub use matrix::Matrix;
-pub use microkernel::{Kernel, PackedB};
+pub use microkernel::PackedB;

@@ -161,7 +161,8 @@ impl Matrix {
     }
 
     /// Checked element access.
-    pub fn get(&self, r: usize, c: usize) -> Option<f32> {
+    #[cfg(test)]
+    pub(crate) fn get(&self, r: usize, c: usize) -> Option<f32> {
         if r < self.rows && c < self.cols {
             Some(self.data[r * self.cols + c])
         } else {
@@ -170,7 +171,8 @@ impl Matrix {
     }
 
     /// Returns the transpose.
-    pub fn transposed(&self) -> Matrix {
+    #[cfg(test)]
+    pub(crate) fn transposed(&self) -> Matrix {
         Matrix::from_fn(self.cols, self.rows, |r, c| self[(c, r)])
     }
 
@@ -205,7 +207,8 @@ impl Matrix {
     ///
     /// Used by fixed/adaptive grouping to pad per-weight feature buffers to a
     /// common batch row count before `bmm` (paper Figure 6c/d).
-    pub fn resized_rows(&self, new_rows: usize) -> Matrix {
+    #[cfg(test)]
+    pub(crate) fn resized_rows(&self, new_rows: usize) -> Matrix {
         let mut m = Matrix::zeros(new_rows, self.cols);
         let n = self.rows.min(new_rows);
         m.data[..n * self.cols].copy_from_slice(&self.data[..n * self.cols]);
@@ -274,7 +277,11 @@ impl Matrix {
     /// `f` must transform each element independently of its neighbours —
     /// then the fixed chunk partition keeps results bitwise identical to a
     /// single full-buffer call at every thread count.
-    pub fn par_map_slices_inplace(&mut self, pool: &ThreadPool, f: impl Fn(&mut [f32]) + Sync) {
+    pub(crate) fn par_map_slices_inplace(
+        &mut self,
+        pool: &ThreadPool,
+        f: impl Fn(&mut [f32]) + Sync,
+    ) {
         if self.data.is_empty() {
             return;
         }
@@ -351,7 +358,8 @@ impl Matrix {
     }
 
     /// Number of NaN or infinite elements.
-    pub fn count_nonfinite(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn count_nonfinite(&self) -> usize {
         self.data.iter().filter(|v| !v.is_finite()).count()
     }
 }

@@ -52,8 +52,8 @@
 //! accumulator, so how the walks of several rows interleave is invisible.
 //! Lane width, strip width and row grouping therefore cannot change the
 //! arithmetic, and `Scalar`, `Portable`, and `Avx2` produce bitwise
-//! identical results (the property tests assert this against
-//! [`mm_reference`](crate::gemm::mm_reference), the strip sweep against the
+//! identical results (the `gemm` property tests assert this against a naive
+//! triple loop, the strip sweep against the
 //! scalar oracle at every density). `Avx2Fma` contracts the multiply-add
 //! into one rounding step, which *does* change results, so FMA is opt-in
 //! (`OptimizationConfig::fma_gemm` in the core crate) and never
@@ -73,9 +73,9 @@ use crate::Half;
 use std::sync::OnceLock;
 
 /// `f32` lanes per SIMD vector on the widest supported path (AVX2 `__m256`).
-pub const LANES: usize = 8;
+pub(crate) const LANES: usize = 8;
 /// Panel width in output channels: two SIMD vectors per panel.
-pub const NR: usize = 2 * LANES;
+pub(crate) const NR: usize = 2 * LANES;
 
 /// One compute-kernel implementation. See the module docs for the contract
 /// each variant satisfies.
@@ -95,7 +95,7 @@ pub enum Kernel {
 
 impl Kernel {
     /// Whether this kernel uses `std::arch` SIMD intrinsics.
-    pub fn is_simd(self) -> bool {
+    pub(crate) fn is_simd(self) -> bool {
         matches!(self, Kernel::Avx2 | Kernel::Avx2Fma)
     }
 
@@ -103,7 +103,7 @@ impl Kernel {
     /// other selection is returned unchanged (the portable kernels have no
     /// FMA form — `f32::mul_add` without hardware FMA is a libm call).
     #[must_use]
-    pub fn with_fma(self) -> Kernel {
+    pub(crate) fn with_fma(self) -> Kernel {
         if self == Kernel::Avx2 && torchsparse_runtime::cpu_features().fma {
             Kernel::Avx2Fma
         } else {
@@ -206,17 +206,18 @@ impl PackedB {
     }
 
     /// Rows of the original matrix (the GEMM reduction dimension).
-    pub fn k(&self) -> usize {
+    pub(crate) fn k(&self) -> usize {
         self.k
     }
 
     /// Columns of the original matrix (output channels).
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.n
     }
 
     /// Reconstructs the row-major matrix (used by the round-trip tests).
-    pub fn unpack(&self) -> crate::Matrix {
+    #[cfg(test)]
+    pub(crate) fn unpack(&self) -> crate::Matrix {
         crate::Matrix::from_fn(self.k, self.n, |kk, j| {
             let p = j / NR;
             self.data[p * self.k * NR + kk * NR + (j % NR)]
@@ -245,7 +246,7 @@ pub enum BOperand<'a> {
 /// ascending order with mul-then-add (FMA excepted) and skips `a == 0.0`
 /// terms exactly like the scalar loop, so all non-FMA kernels are bitwise
 /// interchangeable.
-pub fn gemm_panel(
+pub(crate) fn gemm_panel(
     kernel: Kernel,
     a: &[f32],
     b: BOperand<'_>,
@@ -590,32 +591,6 @@ pub fn f16_round_trip_slice(kernel: Kernel, data: &mut [f32]) {
     }
 }
 
-/// Converts a slice to binary16 storage (bulk [`Half::from_f32`]).
-pub fn f16_quantize_slice(kernel: Kernel, src: &[f32], dst: &mut Vec<Half>) {
-    dst.clear();
-    dst.reserve(src.len());
-    #[cfg(target_arch = "x86_64")]
-    if kernel.is_simd() && torchsparse_runtime::cpu_features().f16c {
-        x86::f16_quantize(src, dst);
-        return;
-    }
-    let _ = kernel;
-    dst.extend(src.iter().map(|&v| Half::from_f32(v)));
-}
-
-/// Expands binary16 storage to `f32` (bulk [`Half::to_f32`]).
-pub fn f16_dequantize_slice(kernel: Kernel, src: &[Half], dst: &mut Vec<f32>) {
-    dst.clear();
-    dst.reserve(src.len());
-    #[cfg(target_arch = "x86_64")]
-    if kernel.is_simd() && torchsparse_runtime::cpu_features().f16c {
-        x86::f16_dequantize(src, dst);
-        return;
-    }
-    let _ = kernel;
-    dst.extend(src.iter().map(|h| h.to_f32()));
-}
-
 /// Symmetric INT8 quantize-dequantize round trip over a slice:
 /// `clamp(round(v / scale), -127, 127) * scale` per element, exactly as the
 /// scalar [`Int8Quantizer`](crate::quant::Int8Quantizer) computes it
@@ -623,7 +598,7 @@ pub fn f16_dequantize_slice(kernel: Kernel, src: &[Half], dst: &mut Vec<f32>) {
 /// NaN -> 0). The AVX2 path reconstructs `f32::round` from truncate +
 /// half-bump, which is exact for every representable input, so results are
 /// bitwise identical to the scalar loop.
-pub fn int8_round_trip_slice(kernel: Kernel, scale: f32, data: &mut [f32]) {
+pub(crate) fn int8_round_trip_slice(kernel: Kernel, scale: f32, data: &mut [f32]) {
     debug_assert!(scale.is_finite() && scale > 0.0);
     #[cfg(target_arch = "x86_64")]
     if kernel.is_simd() {
@@ -658,8 +633,8 @@ mod x86 {
         _mm256_cmpgt_epi32, _mm256_cvtph_ps, _mm256_cvtps_ph, _mm256_div_ps, _mm256_fmadd_ps,
         _mm256_loadu_ps, _mm256_maskload_ps, _mm256_max_ps, _mm256_min_ps, _mm256_movemask_ps,
         _mm256_mul_ps, _mm256_or_ps, _mm256_round_ps, _mm256_set1_epi32, _mm256_set1_ps,
-        _mm256_setr_epi32, _mm256_setzero_ps, _mm256_storeu_ps, _mm256_sub_ps, _mm_storeu_si128,
-        _CMP_GE_OQ, _CMP_NEQ_UQ, _CMP_UNORD_Q, _MM_FROUND_NO_EXC, _MM_FROUND_TO_NEAREST_INT,
+        _mm256_setr_epi32, _mm256_setzero_ps, _mm256_storeu_ps, _mm256_sub_ps, _CMP_GE_OQ,
+        _CMP_NEQ_UQ, _CMP_UNORD_Q, _MM_FROUND_NO_EXC, _MM_FROUND_TO_NEAREST_INT,
         _MM_FROUND_TO_ZERO,
     };
 
@@ -1298,64 +1273,6 @@ mod x86 {
         }
     }
 
-    pub(super) fn f16_quantize(src: &[f32], dst: &mut Vec<Half>) {
-        // SAFETY: callers checked avx2 + f16c.
-        unsafe { f16_quantize_f16c(src, dst) }
-    }
-
-    #[target_feature(enable = "avx,f16c")]
-    unsafe fn f16_quantize_f16c(src: &[f32], dst: &mut Vec<Half>) {
-        let mut i = 0;
-        let mut block = [0u16; LANES];
-        while i + LANES <= src.len() {
-            // SAFETY: i + LANES <= src.len(); `block` is 8 u16 = 128 bits.
-            unsafe {
-                let v = _mm256_loadu_ps(src.as_ptr().add(i));
-                if _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_UNORD_Q>(v, v)) == 0 {
-                    let h = _mm256_cvtps_ph::<F16_ROUND>(v);
-                    _mm_storeu_si128(block.as_mut_ptr().cast(), h);
-                    dst.extend(block.iter().map(|&b| Half::from_bits(b)));
-                } else {
-                    dst.extend(src[i..i + LANES].iter().map(|&v| Half::from_f32(v)));
-                }
-            }
-            i += LANES;
-        }
-        dst.extend(src[i..].iter().map(|&v| Half::from_f32(v)));
-    }
-
-    pub(super) fn f16_dequantize(src: &[Half], dst: &mut Vec<f32>) {
-        // SAFETY: callers checked avx2 + f16c.
-        unsafe { f16_dequantize_f16c(src, dst) }
-    }
-
-    #[target_feature(enable = "avx,f16c")]
-    unsafe fn f16_dequantize_f16c(src: &[Half], dst: &mut Vec<f32>) {
-        let mut i = 0;
-        let mut out = [0.0f32; LANES];
-        while i + LANES <= src.len() {
-            let block = &src[i..i + LANES];
-            // Hardware ph->ps preserves NaN payloads where the software
-            // converter canonicalizes; route NaN blocks to software.
-            if block.iter().any(|h| h.to_bits() & 0x7FFF > 0x7C00) {
-                dst.extend(block.iter().map(|h| h.to_f32()));
-            } else {
-                let mut bits = [0u16; LANES];
-                for (b, h) in bits.iter_mut().zip(block) {
-                    *b = h.to_bits();
-                }
-                // SAFETY: `bits` is 8 u16 = 128 bits; `out` is 8 f32.
-                unsafe {
-                    let h = std::arch::x86_64::_mm_loadu_si128(bits.as_ptr().cast());
-                    _mm256_storeu_ps(out.as_mut_ptr(), _mm256_cvtph_ps(h));
-                }
-                dst.extend_from_slice(&out);
-            }
-            i += LANES;
-        }
-        dst.extend(src[i..].iter().map(|h| h.to_f32()));
-    }
-
     pub(super) fn int8_round_trip(scale: f32, data: &mut [f32]) {
         // SAFETY: is_simd() selections imply avx2 was detected.
         unsafe { int8_round_trip_avx2(scale, data) }
@@ -1839,19 +1756,18 @@ mod tests {
         ];
         let mut rng = StdRng::seed_from_u64(23);
         cases.extend((0..4096).map(|_| f32::from_bits(rng.random_range(0u32..=u32::MAX))));
-        let reference: Vec<Half> = cases.iter().map(|&v| Half::from_f32(v)).collect();
+        let reference: Vec<f32> = cases.iter().map(|&v| Half::from_f32(v).to_f32()).collect();
         for kernel in every_kernel() {
-            let mut quantized = Vec::new();
-            f16_quantize_slice(kernel, &cases, &mut quantized);
-            assert_eq!(quantized.len(), reference.len());
-            for (i, (q, r)) in quantized.iter().zip(&reference).enumerate() {
-                assert_eq!(q.to_bits(), r.to_bits(), "{} case {i} = {:?}", kernel.name(), cases[i]);
-            }
-            let mut expanded = Vec::new();
-            f16_dequantize_slice(kernel, &reference, &mut expanded);
-            let expect: Vec<f32> = reference.iter().map(|h| h.to_f32()).collect();
-            for (i, (e, r)) in expanded.iter().zip(&expect).enumerate() {
-                assert_eq!(e.to_bits(), r.to_bits(), "{} dequant case {i}", kernel.name());
+            let mut rounded = cases.clone();
+            f16_round_trip_slice(kernel, &mut rounded);
+            for (i, (got, want)) in rounded.iter().zip(&reference).enumerate() {
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{} case {i} = {:?}",
+                    kernel.name(),
+                    cases[i]
+                );
             }
         }
     }

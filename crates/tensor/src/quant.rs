@@ -5,68 +5,21 @@
 //! intermediates. This module implements both so the ablation can be
 //! reproduced faithfully:
 //!
-//! - [`quantize_f16`] / [`dequantize_f16`]: lossless-storage-format round
-//!   trips through [`Half`].
-//! - [`round_trip_f16`]: convenience "simulate FP16 storage" pass over a
-//!   whole [`Matrix`] — exactly what gathering an FP16 buffer into an FP32
-//!   GEMM does.
+//! - [`round_trip_f16_in_place_kernel`]: the "simulate FP16 storage" pass
+//!   over a whole [`Matrix`].
 //! - [`Int8Quantizer`]: symmetric per-tensor INT8 with an f32 scale.
 
 use crate::microkernel::{self, Kernel};
-use crate::{Half, Matrix};
+use crate::Matrix;
 use torchsparse_runtime::ThreadPool;
 
-/// Quantizes an `f32` slice to binary16 storage.
-///
-/// Runs the process-selected SIMD kernel (F16C hardware conversion on AVX2
-/// hosts); results are bitwise identical to per-element
-/// [`Half::from_f32`] for every input.
-pub fn quantize_f16(values: &[f32]) -> Vec<Half> {
-    let mut out = Vec::new();
-    microkernel::f16_quantize_slice(microkernel::active(), values, &mut out);
-    out
-}
-
-/// Expands binary16 storage back to `f32`.
-///
-/// Vectorized like [`quantize_f16`]; bitwise identical to per-element
-/// [`Half::to_f32`].
-pub fn dequantize_f16(values: &[Half]) -> Vec<f32> {
-    let mut out = Vec::new();
-    microkernel::f16_dequantize_slice(microkernel::active(), values, &mut out);
-    out
-}
-
-/// Simulates FP16 feature storage on a matrix: every element is rounded to
-/// the nearest binary16 and expanded back to `f32`.
-///
-/// The sparse engine applies this at layer boundaries when the FP16
-/// optimization is enabled, so that numerical results reflect genuine
-/// half-precision storage (the GEMM itself accumulates in FP32, as tensor
-/// cores do).
-pub fn round_trip_f16(m: &Matrix) -> Matrix {
-    let mut out = m.clone();
-    round_trip_f16_in_place(&mut out);
-    out
-}
-
-/// [`round_trip_f16`] without the copy: rounds every element of `m` to the
-/// nearest binary16 in place. Used by the dataflow on workspace-pooled
-/// partial-sum buffers so FP16 storage simulation allocates nothing.
-pub fn round_trip_f16_in_place(m: &mut Matrix) {
-    microkernel::f16_round_trip_slice(microkernel::active(), m.as_mut_slice());
-}
-
-/// [`round_trip_f16_in_place`] with the slice sweep dispatched onto a
-/// worker pool. The rounding of each element is independent, so the result
-/// is bitwise identical to the serial sweep at every thread count.
-pub fn round_trip_f16_in_place_on(pool: &ThreadPool, m: &mut Matrix) {
-    round_trip_f16_in_place_kernel(pool, m, microkernel::active());
-}
-
-/// [`round_trip_f16_in_place_on`] with an explicit kernel — the engine's
-/// configuration layer resolves its `SimdPolicy` to a kernel once and
-/// threads it through here.
+/// Simulates FP16 feature storage on a matrix in place: every element is
+/// rounded to the nearest binary16 and expanded back to `f32` — exactly what
+/// gathering an FP16 buffer into an FP32 GEMM does. The sweep runs
+/// chunk-parallel on `pool` with `kernel` (the engine's configuration layer
+/// resolves its `SimdPolicy` to a kernel once); each element rounds
+/// independently, so the result is bitwise identical to the serial sweep
+/// at every thread count and kernel.
 pub fn round_trip_f16_in_place_kernel(pool: &ThreadPool, m: &mut Matrix, kernel: Kernel) {
     m.par_map_slices_inplace(pool, |chunk| microkernel::f16_round_trip_slice(kernel, chunk));
 }
@@ -74,16 +27,18 @@ pub fn round_trip_f16_in_place_kernel(pool: &ThreadPool, m: &mut Matrix, kernel:
 /// Symmetric per-tensor INT8 quantizer.
 ///
 /// `q = clamp(round(x / scale), -127, 127)`, `x ≈ q * scale`. The scale is
-/// chosen from the maximum absolute value of the calibration data.
+/// chosen from the maximum finite absolute value of the calibration data.
 ///
 /// # Example
 ///
 /// ```
-/// use torchsparse_tensor::quant::Int8Quantizer;
+/// use torchsparse_runtime::ThreadPool;
+/// use torchsparse_tensor::{microkernel, quant::Int8Quantizer, Matrix};
 ///
-/// let q = Int8Quantizer::calibrate(&[0.5, -2.0, 1.0]);
-/// let code = q.quantize(1.0);
-/// assert!((q.dequantize(code) - 1.0).abs() < 0.02);
+/// let mut m = Matrix::from_vec(1, 3, vec![0.5, -2.0, 1.0]).unwrap();
+/// let q = Int8Quantizer::calibrate(m.as_slice());
+/// q.round_trip_in_place_kernel(&ThreadPool::new(1), &mut m, microkernel::active());
+/// assert!((m.as_slice()[2] - 1.0).abs() < 0.02);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Int8Quantizer {
@@ -91,12 +46,15 @@ pub struct Int8Quantizer {
 }
 
 impl Int8Quantizer {
-    /// Builds a quantizer whose range covers the calibration data.
+    /// Builds a quantizer whose range covers the finite calibration data.
     ///
-    /// An all-zero (or empty) calibration set yields a unit scale so that
+    /// NaN and infinities are left out of the range: an infinite scale would
+    /// round every element to `0 * inf = NaN`. They still quantize — an
+    /// infinity saturates to ±127 codes, NaN to zero. An all-zero, empty or
+    /// all-non-finite calibration set yields a unit scale so that
     /// quantization remains well-defined.
     pub fn calibrate(values: &[f32]) -> Self {
-        let max_abs = values.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+        let max_abs = values.iter().filter(|v| v.is_finite()).fold(0.0f32, |m, &v| m.max(v.abs()));
         let scale = if max_abs > 0.0 { max_abs / 127.0 } else { 1.0 };
         Int8Quantizer { scale }
     }
@@ -106,60 +64,66 @@ impl Int8Quantizer {
     /// # Panics
     ///
     /// Panics if `scale` is not finite and positive.
-    pub fn with_scale(scale: f32) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_scale(scale: f32) -> Self {
         assert!(scale.is_finite() && scale > 0.0, "scale must be finite and positive");
         Int8Quantizer { scale }
     }
 
     /// The dequantization scale.
-    pub fn scale(&self) -> f32 {
+    #[cfg(test)]
+    pub(crate) fn scale(&self) -> f32 {
         self.scale
     }
 
     /// Quantizes one value.
-    pub fn quantize(&self, value: f32) -> i8 {
+    #[cfg(test)]
+    pub(crate) fn quantize(&self, value: f32) -> i8 {
         (value / self.scale).round().clamp(-127.0, 127.0) as i8
     }
 
     /// Dequantizes one code.
-    pub fn dequantize(&self, code: i8) -> f32 {
+    #[cfg(test)]
+    pub(crate) fn dequantize(&self, code: i8) -> f32 {
         code as f32 * self.scale
     }
 
-    /// Quantize-dequantize round trip over a matrix, simulating INT8 storage.
-    pub fn round_trip(&self, m: &Matrix) -> Matrix {
-        let mut out = m.clone();
-        self.round_trip_slice(microkernel::active(), out.as_mut_slice());
-        out
-    }
-
-    /// Round trip over a raw slice with an explicit kernel. The SIMD path
-    /// is bit-exact against the scalar `dequantize(quantize(v))` for every
-    /// `f32` input, NaN and infinities included (see
+    /// Quantize-dequantize round trip over a matrix in place, simulating
+    /// INT8 storage: chunk-parallel on `pool` with an explicit kernel,
+    /// bitwise identical to the serial sweep at every thread count. The SIMD
+    /// path is bit-exact against the scalar `dequantize(quantize(v))` for
+    /// every `f32` input, NaN and infinities included (see
     /// [`microkernel::int8_round_trip_slice`]).
-    pub fn round_trip_slice(&self, kernel: Kernel, data: &mut [f32]) {
-        microkernel::int8_round_trip_slice(kernel, self.scale, data);
-    }
-
-    /// In-place round trip over a matrix, chunk-parallel on `pool` with an
-    /// explicit kernel; bitwise identical to the serial sweep at every
-    /// thread count.
     pub fn round_trip_in_place_kernel(&self, pool: &ThreadPool, m: &mut Matrix, kernel: Kernel) {
-        let q = *self;
-        m.par_map_slices_inplace(pool, |chunk| q.round_trip_slice(kernel, chunk));
+        let scale = self.scale;
+        m.par_map_slices_inplace(pool, |chunk| {
+            microkernel::int8_round_trip_slice(kernel, scale, chunk);
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Half;
     use proptest::prelude::*;
+
+    fn round_trip_f16(m: &Matrix) -> Matrix {
+        let mut out = m.clone();
+        round_trip_f16_in_place_kernel(&ThreadPool::new(1), &mut out, microkernel::active());
+        out
+    }
+
+    fn round_trip_int8(q: Int8Quantizer, m: &Matrix) -> Matrix {
+        let mut out = m.clone();
+        q.round_trip_in_place_kernel(&ThreadPool::new(1), &mut out, microkernel::active());
+        out
+    }
 
     #[test]
     fn f16_roundtrip_preserves_exact_values() {
-        let vals = [0.0, 1.0, -2.5, 1024.0, 0.125];
-        let back = dequantize_f16(&quantize_f16(&vals));
-        assert_eq!(back, vals);
+        let vals = Matrix::from_vec(1, 5, vec![0.0, 1.0, -2.5, 1024.0, 0.125]).unwrap();
+        assert_eq!(round_trip_f16(&vals), vals);
     }
 
     #[test]
@@ -191,6 +155,20 @@ mod tests {
     }
 
     #[test]
+    fn int8_calibration_ignores_non_finite_values() {
+        // An infinite magnitude must not become the scale: 0 * inf would turn
+        // every element NaN.
+        let q = Int8Quantizer::calibrate(&[1.0, 2.0, f32::INFINITY, f32::NAN, f32::NEG_INFINITY]);
+        assert_eq!(q.scale(), 2.0 / 127.0);
+        let m = Matrix::from_vec(1, 4, vec![1.0, 2.0, f32::INFINITY, f32::NAN]).unwrap();
+        let rt = round_trip_int8(q, &m);
+        let expect = [64.0 * q.scale(), 127.0 * q.scale(), 127.0 * q.scale(), 0.0];
+        assert_eq!(rt.as_slice(), &expect);
+        let q = Int8Quantizer::calibrate(&[f32::NAN, f32::INFINITY]);
+        assert_eq!(q.scale(), 1.0, "nothing finite to calibrate on");
+    }
+
+    #[test]
     fn int8_clamps_outliers() {
         let q = Int8Quantizer::with_scale(0.1);
         assert_eq!(q.quantize(1e9), 127);
@@ -207,8 +185,8 @@ mod tests {
     fn int8_roundtrip_idempotent() {
         let q = Int8Quantizer::with_scale(0.05);
         let m = Matrix::from_fn(3, 3, |r, c| (r as f32 - c as f32) * 0.3);
-        let once = q.round_trip(&m);
-        assert_eq!(q.round_trip(&once), once);
+        let once = round_trip_int8(q, &m);
+        assert_eq!(round_trip_int8(q, &once), once);
     }
 
     proptest! {

@@ -8,12 +8,12 @@
 //! simulated latency may differ.
 
 use torchsparse::coords::downsample::{fused_output_coords, Boundary};
-use torchsparse::coords::kernel_map::{search, search_submanifold_symmetric};
+use torchsparse::coords::kernel_map::{search_dilated_on, search_submanifold_symmetric_dilated_on};
 use torchsparse::coords::offsets::kernel_offsets;
 use torchsparse::coords::{
     Coord, CoordHashMap, CoordIndex, CoordsError, GridTable, KernelMap, MphfIndex,
 };
-use torchsparse::core::{Engine, EnginePreset, MapSearchStrategy, SparseTensor};
+use torchsparse::core::{Engine, EnginePreset, MapSearchStrategy, SparseTensor, ThreadPool};
 use torchsparse::gpusim::DeviceProfile;
 use torchsparse::models::MinkUNet;
 use torchsparse::tensor::Matrix;
@@ -47,9 +47,11 @@ fn scene(channels: usize, seed: i32) -> SparseTensor {
 fn searches(coords: &[Coord], index: &dyn CoordIndex) -> Vec<KernelMap> {
     let coarse = fused_output_coords(coords, 2, 2, Boundary::unbounded()).expect("coords").coords;
     vec![
-        search(coords, index, 3, 1).expect("submanifold search"),
-        search_submanifold_symmetric(coords, index, 3).expect("symmetric search"),
-        search(&coarse, index, 2, 2).expect("strided search"),
+        search_dilated_on(ThreadPool::global(), coords, index, 3, 1, 1)
+            .expect("submanifold search"),
+        search_submanifold_symmetric_dilated_on(ThreadPool::global(), coords, index, 3, 1)
+            .expect("symmetric search"),
+        search_dilated_on(ThreadPool::global(), &coarse, index, 2, 2, 1).expect("strided search"),
     ]
 }
 

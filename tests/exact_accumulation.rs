@@ -6,29 +6,37 @@
 //! plan-time chunk. The engine's bits are therefore those of the scalar
 //! reference in `tests/support/` at every thread count and dataflow,
 //! non-finite and signed-zero addends included. What the order
-//! does *not* give is a correctly rounded sum, so the second test bounds
-//! the distance to one: the superaccumulator in `tests/support/accum.rs`,
-//! which left the product and survives as this suite's oracle. The
-//! property tests at the bottom pin that oracle itself: permutation
-//! invariance, split/merge invariance, and correct rounding against an
-//! exact integer reference, including NaN/±0/overflow edges.
+//! does *not* give is a correctly rounded sum: `core::dataflow`'s unit
+//! tests bound the distance to one against the superaccumulator in
+//! `tests/support/accum.rs`, which left the product and survives as this
+//! suite's oracle. The property tests at the bottom pin that oracle
+//! itself: permutation invariance, split/merge invariance, and correct
+//! rounding against an exact integer reference, including NaN/±0/overflow
+//! edges.
 
-#[path = "support/accum.rs"]
-mod accum;
+/// The superaccumulator oracle (shared with `core::dataflow`'s unit tests)
+/// and its own unit tests.
+#[path = "support"]
+mod accum {
+    #[path = "accum.rs"]
+    mod oracle;
+    pub use oracle::{exact_sum, ExactAccumulator};
+    #[path = "accum_tests.rs"]
+    mod tests;
+}
+
 #[path = "support/layer_reference.rs"]
 mod layer_reference;
 
 use accum::{exact_sum, ExactAccumulator};
 use layer_reference::layer_reference;
 use proptest::prelude::*;
-use torchsparse::coords::kernel_map::search;
-use torchsparse::coords::{Coord, CoordHashMap};
-use torchsparse::core::dataflow::{run_gather_matmul_scatter, ConvWorkload, FusedOrder};
+use torchsparse::coords::Coord;
 use torchsparse::core::{
-    Engine, EnginePreset, OptimizationConfig, Precision, SparseConv3d, SparseTensor, ThreadPool,
+    Engine, EnginePreset, OptimizationConfig, Precision, SparseConv3d, SparseTensor,
 };
 use torchsparse::gpusim::DeviceProfile;
-use torchsparse::tensor::{gemm, quant, Matrix};
+use torchsparse::tensor::Matrix;
 
 /// Worker counts every configuration is checked at.
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -147,86 +155,6 @@ fn canonical_order_bitwise_identical_across_threads_dataflows_precisions_routes_
                 }
             }
         }
-    }
-}
-
-/// The price of dropping the superaccumulator, bounded: every output
-/// element of the canonical-order FP32 reduction lies within
-/// `(k - 1) * eps * sum|addend|` of the oracle's correctly rounded sum of
-/// the same addends (`k` = the row's producer count) — the textbook bound
-/// for recursive summation, whose first add into the zeroed row is exact.
-/// Checked on one layer for FP32 and for FP16's f16-rounded partial sums
-/// (which is where `-0.0` addends come from).
-#[test]
-fn canonical_order_sum_is_within_recursive_summation_bound_of_oracle() {
-    let coords = sites(1);
-    let (c_in, c_out) = (6, 5);
-    // Every fifth row is tiny, so FP16 rounds its products to signed zeros.
-    let base = features(coords.len(), c_in, 71);
-    let feats = Matrix::from_fn(coords.len(), c_in, |r, ch| {
-        base[(r, ch)] * if r % 5 == 0 { 1.0e-7 } else { 1.0 }
-    });
-    let weights: Vec<Matrix> = (0..27).map(|n| features(c_in, c_out, 100 + n)).collect();
-    let (table, _) = CoordHashMap::build(&coords);
-    let map = search(&coords, &table, 3, 1).expect("map search");
-    let n_out = coords.len();
-    let order = FusedOrder::build(&map, n_out);
-
-    for precision in [Precision::Fp32, Precision::Fp16] {
-        let mut cfg = EnginePreset::TorchSparse.config();
-        cfg.precision = precision;
-        // No center shortcut: every offset's product takes the psum store.
-        cfg.skip_center_movement = false;
-
-        // The addends of every output element, in any order: per offset,
-        // the GEMM of the gathered rows (bit-identical to the engine's at
-        // any kernel), f16-rounded when partial sums are stored in 16 bits.
-        let mut addends: Vec<Vec<f32>> = vec![Vec::new(); n_out * c_out];
-        for (n, weight) in weights.iter().enumerate() {
-            let entries = map.entries(n);
-            let gathered = Matrix::from_fn(entries.len(), c_in, |i, ch| {
-                feats[(entries[i].input as usize, ch)]
-            });
-            let mut products = gemm::mm(&gathered, weight).expect("shapes agree");
-            if precision != Precision::Fp32 {
-                quant::round_trip_f16_in_place(&mut products);
-            }
-            for (i, e) in entries.iter().enumerate() {
-                for co in 0..c_out {
-                    addends[e.output as usize * c_out + co].push(products[(i, co)]);
-                }
-            }
-        }
-        let negative_zeros =
-            addends.iter().flatten().filter(|v| v.to_bits() == (-0.0f32).to_bits()).count();
-        assert_eq!(negative_zeros > 0, precision == Precision::Fp16, "{precision:?}");
-
-        let workload = ConvWorkload {
-            in_feats: &feats,
-            weights: &weights,
-            packed: None,
-            map: &map,
-            n_out,
-            center_identity: Some(13),
-            fused: &order,
-        };
-        let out =
-            run_gather_matmul_scatter(&workload, &cfg, ThreadPool::global()).expect("conv runs");
-        let mut widest = 0usize;
-        for (got, addends) in out.as_slice().iter().zip(&addends) {
-            let k = addends.len();
-            widest = widest.max(k);
-            let oracle = f64::from(exact_sum(addends));
-            let sum_abs: f64 = addends.iter().map(|&v| f64::from(v).abs()).sum();
-            let bound = k.saturating_sub(1) as f64 * f64::from(f32::EPSILON) * sum_abs;
-            let err = (f64::from(*got) - oracle).abs();
-            assert!(
-                err <= bound,
-                "{precision:?}: {got} vs oracle {oracle} over {k} addends \
-                 (err {err:e} > bound {bound:e})"
-            );
-        }
-        assert!(widest >= 10, "the scene must exercise long producer lists, got {widest}");
     }
 }
 

@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use torchsparse::coords::Coord;
-use torchsparse::core::runtime::ThreadPool;
+use torchsparse::core::ThreadPool;
 use torchsparse::core::{
     BatchNorm, Engine, EnginePreset, FaultSite, LayerOp, Module, OptimizationConfig, Precision,
     ReLU, Sequential, SimdPolicy, SparseConv3d, SparseTensor, Tracer,

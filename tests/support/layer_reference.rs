@@ -11,12 +11,12 @@ mod conv_reference;
 
 use conv_reference::conv_reference;
 use torchsparse::coords::downsample::{fused_output_coords, Boundary};
-use torchsparse::coords::kernel_map::search;
+use torchsparse::coords::kernel_map::search_dilated_on;
 use torchsparse::coords::offsets::center_index;
 use torchsparse::coords::CoordHashMap;
-use torchsparse::core::{OptimizationConfig, Precision, SparseConv3d, SparseTensor};
-use torchsparse::tensor::quant::{round_trip_f16_in_place, Int8Quantizer};
-use torchsparse::tensor::Matrix;
+use torchsparse::core::{OptimizationConfig, Precision, SparseConv3d, SparseTensor, ThreadPool};
+use torchsparse::tensor::quant::{round_trip_f16_in_place_kernel, Int8Quantizer};
+use torchsparse::tensor::{microkernel, Matrix};
 
 /// The output features of `conv` (stride-1 or strided, not transposed) on
 /// `x` under `cfg`, bit for bit.
@@ -28,7 +28,8 @@ pub fn layer_reference(conv: &SparseConv3d, x: &SparseTensor, cfg: &Optimization
         fused_output_coords(x.coords(), k, s, Boundary::unbounded()).expect("coords").coords
     };
     let (table, _) = CoordHashMap::build(x.coords());
-    let map = search(&out_coords, &table, k, s).expect("map search");
+    let map =
+        search_dilated_on(ThreadPool::global(), &out_coords, &table, k, s, 1).expect("map search");
 
     let avg_map = map.total_entries() / map.num_offsets().max(1);
     let fetch_on_demand = cfg.fetch_on_demand_below.is_some_and(|t| avg_map < t);
@@ -43,11 +44,7 @@ pub fn layer_reference(conv: &SparseConv3d, x: &SparseTensor, cfg: &Optimization
     };
 
     let mut out = run(quantized && !fetch_on_demand);
-    match cfg.precision {
-        Precision::Fp32 => {}
-        Precision::Fp16 => round_trip_f16_in_place(&mut out),
-        Precision::Int8 => out = Int8Quantizer::calibrate(out.as_slice()).round_trip(&out),
-    }
+    round_to_storage(&mut out, cfg.precision);
     if quantized && out.as_slice().iter().any(|v| !v.is_finite()) {
         // Non-finite quantized output: the layer runs again in FP32 and its
         // output stays FP32.
@@ -73,11 +70,7 @@ pub fn epilogue_reference(
         for (i, v) in out.as_mut_slice().iter_mut().enumerate() {
             *v = *v * scale[i % channels] + shift[i % channels];
         }
-        match precision {
-            Precision::Fp32 => {}
-            Precision::Fp16 => round_trip_f16_in_place(&mut out),
-            Precision::Int8 => out = Int8Quantizer::calibrate(out.as_slice()).round_trip(&out),
-        }
+        round_to_storage(&mut out, precision);
     }
     if let Some(s) = shortcut {
         for (v, s) in out.as_mut_slice().iter_mut().zip(s.as_slice()) {
@@ -90,4 +83,17 @@ pub fn epilogue_reference(
         }
     }
     out
+}
+
+/// Rounds `out` to its storage precision in place, as the engine does at a
+/// layer boundary.
+fn round_to_storage(out: &mut Matrix, precision: Precision) {
+    let (pool, kernel) = (ThreadPool::global(), microkernel::active());
+    match precision {
+        Precision::Fp32 => {}
+        Precision::Fp16 => round_trip_f16_in_place_kernel(pool, out, kernel),
+        Precision::Int8 => {
+            Int8Quantizer::calibrate(out.as_slice()).round_trip_in_place_kernel(pool, out, kernel);
+        }
+    }
 }
