@@ -31,7 +31,7 @@ use crate::coord::Coord;
 use crate::hashmap::CoordHashMap;
 use crate::kernel_map::{KernelMap, MapEntry};
 use crate::offsets::{center_index, has_mirror_property, kernel_offsets, kernel_volume};
-use crate::table::{CoordIndex, CoordTable, MappingStats};
+use crate::table::{CoordIndex, MappingStats};
 use crate::CoordsError;
 use std::sync::Arc;
 
@@ -298,10 +298,10 @@ fn patch_forward_offset(
 ///
 /// # Errors
 ///
-/// [`CoordsError::ZeroKernelSize`] on a zero kernel size, and
-/// [`CoordsError::ZeroStride`] when `dilation == 0` or `symmetric` is
-/// requested for an even kernel — the same conditions under which the
-/// corresponding fresh searches fail.
+/// [`CoordsError::ZeroKernelSize`] on a zero kernel size,
+/// [`CoordsError::ZeroStride`] when `symmetric` is requested for an even
+/// kernel, and [`CoordsError::InvalidDilation`] when `dilation == 0` — the
+/// same errors the corresponding fresh searches return.
 pub fn patch_submanifold_map(
     old: &KernelMap,
     delta: &CoordDelta,
@@ -311,8 +311,11 @@ pub fn patch_submanifold_map(
     dilation: i32,
     symmetric: bool,
 ) -> Result<(KernelMap, PatchStats), CoordsError> {
-    if dilation == 0 || (symmetric && !has_mirror_property(kernel_size)) {
+    if symmetric && !has_mirror_property(kernel_size) {
         return Err(CoordsError::ZeroStride);
+    }
+    if dilation == 0 {
+        return Err(CoordsError::InvalidDilation { dilation, stride: 1 });
     }
     let offs = kernel_offsets(kernel_size)?;
     let volume = kernel_volume(kernel_size);

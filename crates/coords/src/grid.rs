@@ -1,14 +1,21 @@
-use crate::table::{CoordIndex, CoordTable};
-use crate::{Coord, CoordsError};
+use crate::table::CoordIndex;
+use crate::{Coord, CoordHashMap, CoordsError};
 
-/// The collision-free grid table (§4.4): a dense array over the coordinate
-/// bounding box, one cell per possible voxel.
+/// The collision-free grid table (§4.4), as a charge: the paper's dense
+/// array over the coordinate bounding box, one cell per possible voxel.
 ///
 /// "grid corresponds to a naive collision-free grid-based hashmap: it takes
 /// larger memory space, but hashmap construction/query requires exactly one
 /// DRAM access per entry" — this is the data structure SpConv uses for map
 /// search, and the one TorchSparse's adaptive strategy picks when the scene
 /// bounding box is affordable.
+///
+/// The table answers and charges like that device grid — one access per
+/// insert and per in-box query, none outside the box,
+/// [`CoordsError::GridTooLarge`] past the cell budget — but the host keeps
+/// its points in a [`CoordHashMap`], so its memory scales with the points,
+/// not with the box. The probe counts it reports are the grid's, never the
+/// hashmap's.
 ///
 /// # Example
 ///
@@ -17,27 +24,16 @@ use crate::{Coord, CoordsError};
 ///
 /// let coords = [Coord::new(0, 5, -3, 2), Coord::new(0, 6, -3, 2)];
 /// let (grid, _probes) = GridTable::build(&coords, u64::MAX)?;
-/// assert_eq!(grid.query(Coord::new(0, 6, -3, 2)).0, Some(1));
-/// assert_eq!(grid.query(Coord::new(0, 9, 9, 9)).0, None);
+/// assert_eq!(grid.query(Coord::new(0, 6, -3, 2)), (Some(1), 1));
+/// assert_eq!(grid.query(Coord::new(0, 9, 9, 9)), (None, 0));
 /// # Ok::<(), torchsparse_coords::CoordsError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct GridTable {
-    /// Inclusive minimum corner of the bounding box (batch, x, y, z).
-    min: [i64; 4],
-    /// Extent along each of (batch, x, y, z).
-    extent: [i64; 4],
-    /// Dense cells storing `index + 1`; `0` marks empty. The +1 encoding
-    /// lets the table allocate with `vec![0; n]`, which the allocator
-    /// serves from fresh zero pages — the dense array can reach hundreds
-    /// of megabytes, and a sentinel memset over it would cost more than
-    /// the map search it supports.
-    cells: Vec<u32>,
-    len: usize,
+    bounds: BoundingBox,
+    /// The points, keyed by coordinate; duplicates keep the first index.
+    points: CoordHashMap,
 }
-
-/// Sentinel for an empty cell (occupied cells store `index + 1`).
-const EMPTY: u32 = 0;
 
 impl GridTable {
     /// Builds a grid table over the bounding box of `coords`, assigning each
@@ -51,93 +47,91 @@ impl GridTable {
     ///   `cell_limit` cells (callers fall back to the hashmap in that case,
     ///   mirroring the paper's per-layer `[grid, hashmap]` choice).
     pub fn build(coords: &[Coord], cell_limit: u64) -> Result<(Self, u64), CoordsError> {
-        if coords.is_empty() {
-            return Err(CoordsError::EmptyCoordinates);
+        let bounds = BoundingBox::of(coords).ok_or(CoordsError::EmptyCoordinates)?;
+        let cells = bounds.cells();
+        if cells > cell_limit {
+            return Err(CoordsError::GridTooLarge { cells, limit: cell_limit });
         }
-        let mut min = [i64::MAX; 4];
-        let mut max = [i64::MIN; 4];
-        for c in coords {
-            let v = [c.batch as i64, c.x as i64, c.y as i64, c.z as i64];
-            for d in 0..4 {
-                min[d] = min[d].min(v[d]);
-                max[d] = max[d].max(v[d]);
-            }
-        }
-        let extent =
-            [max[0] - min[0] + 1, max[1] - min[1] + 1, max[2] - min[2] + 1, max[3] - min[3] + 1];
-        let cells_needed = extent.iter().try_fold(1u64, |acc, &e| acc.checked_mul(e as u64));
-        let cells_needed = match cells_needed {
-            Some(n) if n <= cell_limit => n,
-            Some(n) => return Err(CoordsError::GridTooLarge { cells: n, limit: cell_limit }),
-            None => return Err(CoordsError::GridTooLarge { cells: u64::MAX, limit: cell_limit }),
-        };
-
-        let mut table =
-            GridTable { min, extent, cells: vec![EMPTY; cells_needed as usize], len: 0 };
-        let mut accesses = 0;
-        for (i, &c) in coords.iter().enumerate() {
-            accesses += table.insert(c, i as u32);
-        }
-        Ok((table, accesses))
-    }
-
-    /// Flat cell index for an in-bounds coordinate; `None` if outside the box.
-    fn cell_of(&self, c: Coord) -> Option<usize> {
-        let v = [c.batch as i64, c.x as i64, c.y as i64, c.z as i64];
-        let mut idx = 0i64;
-        for ((&value, &min), &extent) in v.iter().zip(&self.min).zip(&self.extent) {
-            let off = value - min;
-            if off < 0 || off >= extent {
-                return None;
-            }
-            idx = idx * extent + off;
-        }
-        Some(idx as usize)
-    }
-}
-
-impl CoordTable for GridTable {
-    fn insert(&mut self, coord: Coord, index: u32) -> u64 {
-        let Some(cell) = self.cell_of(coord) else {
-            // Outside the bounding box the table was built for; treat as a
-            // single failed access (callers construct over the full set, so
-            // this only happens through misuse).
-            return 1;
-        };
-        if self.cells[cell] == EMPTY {
-            self.cells[cell] = index + 1;
-            self.len += 1;
-        }
-        1 // exactly one DRAM access: the collision-free property
+        let (points, _hash_probes) = CoordHashMap::build(coords);
+        Ok((GridTable { bounds, points }, coords.len() as u64))
     }
 }
 
 impl CoordIndex for GridTable {
     fn query(&self, coord: Coord) -> (Option<u32>, u64) {
-        match self.cell_of(coord) {
-            Some(cell) => {
-                let v = self.cells[cell];
-                (if v == EMPTY { None } else { Some(v - 1) }, 1)
-            }
+        if self.bounds.contains(coord) {
+            (self.points.query(coord).0, 1)
+        } else {
             // Out-of-box coordinates are rejected by the bounds check alone,
             // before touching memory.
-            None => (None, 0),
+            (None, 0)
         }
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.points.len()
     }
 
+    /// Host bytes: the hashmap holding the points. The device grid the
+    /// cost model charges for would take 4 bytes per
+    /// [`bounding_box_cells`] cell.
     fn memory_bytes(&self) -> u64 {
-        (self.cells.len() * std::mem::size_of::<u32>()) as u64
+        self.points.memory_bytes()
     }
+}
+
+/// Cells the bounding box of `coords` spans over (batch, x, y, z) — what the
+/// paper's dense grid would allocate — saturating at `u64::MAX` on 64-bit
+/// overflow. Empty input needs zero cells.
+///
+/// [`GridTable::build`] checks its cell budget against this count, and
+/// input validation its extent limit, so the two limits count the same
+/// cells.
+pub fn bounding_box_cells(coords: &[Coord]) -> u64 {
+    BoundingBox::of(coords).map_or(0, |b| b.cells())
+}
+
+/// The inclusive bounding box of a coordinate set over (batch, x, y, z).
+#[derive(Debug, Clone)]
+struct BoundingBox {
+    min: [i64; 4],
+    max: [i64; 4],
+}
+
+impl BoundingBox {
+    fn of(coords: &[Coord]) -> Option<Self> {
+        let first = coords.first()?;
+        let mut b = BoundingBox { min: axes(*first), max: axes(*first) };
+        for &c in coords {
+            for (d, v) in axes(c).into_iter().enumerate() {
+                b.min[d] = b.min[d].min(v);
+                b.max[d] = b.max[d].max(v);
+            }
+        }
+        Some(b)
+    }
+
+    fn cells(&self) -> u64 {
+        self.min
+            .iter()
+            .zip(&self.max)
+            .try_fold(1u64, |cells, (lo, hi)| cells.checked_mul((hi - lo + 1) as u64))
+            .unwrap_or(u64::MAX)
+    }
+
+    fn contains(&self, c: Coord) -> bool {
+        let v = axes(c);
+        (0..4).all(|d| (self.min[d]..=self.max[d]).contains(&v[d]))
+    }
+}
+
+fn axes(c: Coord) -> [i64; 4] {
+    [c.batch as i64, c.x as i64, c.y as i64, c.z as i64]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CoordHashMap;
 
     fn sample_coords() -> Vec<Coord> {
         let mut v = Vec::new();
@@ -205,12 +199,26 @@ mod tests {
     }
 
     #[test]
-    fn grid_memory_exceeds_hashmap_on_sparse_scenes() {
-        // The paper's tradeoff: grid takes more memory for scattered scenes.
+    fn memory_scales_with_points_not_the_box() {
+        // The paper's dense grid would take 4 bytes per box cell; the host
+        // pays the hashmap over the points.
         let coords: Vec<Coord> = (0..10).map(|i| Coord::new(0, i * 37, i * 11, i * 5)).collect();
         let (grid, _) = GridTable::build(&coords, u64::MAX).unwrap();
         let (hash, _) = CoordHashMap::build(&coords);
-        assert!(grid.memory_bytes() > hash.memory_bytes());
+        assert_eq!(grid.memory_bytes(), hash.memory_bytes());
+        assert!(grid.memory_bytes() < 4 * bounding_box_cells(&coords));
+    }
+
+    #[test]
+    fn bounding_box_cells_counts_batch_axis() {
+        let coords = vec![Coord::new(0, 0, 0, 0), Coord::new(1, 1, 2, 3)];
+        // batch 2 * x 2 * y 3 * z 4
+        assert_eq!(bounding_box_cells(&coords), 48);
+        assert_eq!(bounding_box_cells(&[]), 0);
+        let wide = [Coord::new(0, i32::MIN, i32::MIN, i32::MIN), Coord::new(0, i32::MAX, 0, 0)];
+        assert_eq!(bounding_box_cells(&wide), u64::MAX, "2^32 * 2^31 * 2^31 saturates");
+        let err = GridTable::build(&wide, u64::MAX - 1).unwrap_err();
+        assert_eq!(err, CoordsError::GridTooLarge { cells: u64::MAX, limit: u64::MAX - 1 });
     }
 
     #[test]

@@ -1,4 +1,4 @@
-use crate::table::{CoordIndex, CoordTable};
+use crate::table::CoordIndex;
 use crate::Coord;
 
 /// The "conventional hashmap" of the paper (§2.1.2): open addressing with
@@ -70,6 +70,19 @@ impl CoordHashMap {
         self.growths
     }
 
+    /// Inserts a coordinate with its index; returns the number of memory
+    /// probes. Inserting a duplicate coordinate is a no-op that keeps the
+    /// first index (matching engine semantics where coordinates are unique).
+    pub(crate) fn insert(&mut self, coord: Coord, index: u32) -> u64 {
+        // Keep the load factor at or below 0.5: grow before the insert that
+        // would exceed it, so probe chains stay short and insertion can
+        // never cycle on a full table.
+        if (self.len + 1) * Self::LOAD_FACTOR_INV > self.slots.len() {
+            self.grow();
+        }
+        self.insert_inner(coord, index)
+    }
+
     /// Doubles the slot array and reinserts every entry.
     fn grow(&mut self) {
         let new_slots = (self.slots.len() * 2).max(8);
@@ -103,18 +116,6 @@ impl CoordHashMap {
                 }
             }
         }
-    }
-}
-
-impl CoordTable for CoordHashMap {
-    fn insert(&mut self, coord: Coord, index: u32) -> u64 {
-        // Keep the load factor at or below 0.5: grow before the insert that
-        // would exceed it, so probe chains stay short and insertion can
-        // never cycle on a full table.
-        if (self.len + 1) * Self::LOAD_FACTOR_INV > self.slots.len() {
-            self.grow();
-        }
-        self.insert_inner(coord, index)
     }
 }
 

@@ -186,8 +186,9 @@ impl KernelMap {
 ///
 /// # Errors
 ///
-/// Returns [`CoordsError::ZeroStride`] if `stride == 0` or `dilation == 0`,
-/// and [`CoordsError::ZeroKernelSize`] if `kernel_size == 0`.
+/// Returns [`CoordsError::ZeroStride`] if `stride == 0`,
+/// [`CoordsError::InvalidDilation`] if `dilation == 0`, and
+/// [`CoordsError::ZeroKernelSize`] if `kernel_size == 0`.
 pub fn search_dilated_on(
     pool: &ThreadPool,
     out_coords: &[Coord],
@@ -196,8 +197,11 @@ pub fn search_dilated_on(
     stride: i32,
     dilation: i32,
 ) -> Result<KernelMap, CoordsError> {
-    if stride == 0 || dilation == 0 {
+    if stride == 0 {
         return Err(CoordsError::ZeroStride);
+    }
+    if dilation == 0 {
+        return Err(CoordsError::InvalidDilation { dilation, stride });
     }
     let offs = kernel_offsets(kernel_size)?;
     let mut per_offset = vec![Vec::new(); offs.len()];
@@ -251,9 +255,10 @@ pub fn search_dilated_on(
 ///
 /// Returns [`CoordsError::ZeroKernelSize`] if `kernel_size == 0` and
 /// [`CoordsError::ZeroStride`] if the kernel size is even (no mirror
-/// property to exploit — callers should fall back to [`search_dilated_on`])
-/// or `dilation == 0`. The mirror property survives offset scaling, so the
-/// half-search trick applies to dilated submanifold layers too.
+/// property to exploit — callers should fall back to [`search_dilated_on`]),
+/// and [`CoordsError::InvalidDilation`] if `dilation == 0`. The mirror
+/// property survives offset scaling, so the half-search trick applies to
+/// dilated submanifold layers too.
 pub fn search_submanifold_symmetric_dilated_on(
     pool: &ThreadPool,
     coords: &[Coord],
@@ -264,8 +269,11 @@ pub fn search_submanifold_symmetric_dilated_on(
     if kernel_size == 0 {
         return Err(CoordsError::ZeroKernelSize);
     }
-    if !offsets::has_mirror_property(kernel_size) || dilation == 0 {
+    if !offsets::has_mirror_property(kernel_size) {
         return Err(CoordsError::ZeroStride);
+    }
+    if dilation == 0 {
+        return Err(CoordsError::InvalidDilation { dilation, stride: 1 });
     }
     let offs = kernel_offsets(kernel_size)?;
     let volume = offs.len();
@@ -496,15 +504,12 @@ mod tests {
     fn zero_dilation_rejected() {
         let coords = scene();
         let (table, _) = CoordHashMap::build(&coords);
-        assert!(search_dilated_on(ThreadPool::global(), &coords, &table, 3, 1, 0).is_err());
-        assert!(search_submanifold_symmetric_dilated_on(
-            ThreadPool::global(),
-            &coords,
-            &table,
-            3,
-            0
-        )
-        .is_err());
+        let rejected = CoordsError::InvalidDilation { dilation: 0, stride: 1 };
+        let err = search_dilated_on(ThreadPool::global(), &coords, &table, 3, 1, 0).unwrap_err();
+        assert_eq!(err, rejected);
+        let pool = ThreadPool::global();
+        let err = search_submanifold_symmetric_dilated_on(pool, &coords, &table, 3, 0).unwrap_err();
+        assert_eq!(err, rejected);
     }
 
     #[test]

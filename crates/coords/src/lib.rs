@@ -11,7 +11,10 @@
 //! - [`CoordHashMap`]: the "conventional hashmap" — open addressing with
 //!   linear probing, counting memory probes for the cost model (§4.4).
 //! - [`GridTable`]: the collision-free grid table — exactly one memory
-//!   access per construction/query entry, at the price of dense storage.
+//!   access per construction/query entry, refused past a budget on its
+//!   bounding box ([`bounding_box_cells`]). The dense storage is the
+//!   paper's GPU cost, charged but not allocated: the host keeps the
+//!   points in a hashmap, so every index here scales with the points.
 //! - [`MphfIndex`]: a minimal-perfect-hash index over a frozen coordinate
 //!   set (BBHash-style fingerprint cascade with rank/select bitmaps) —
 //!   the succinct index compiled sessions build at plan time.
@@ -52,7 +55,7 @@ pub use delta::{
     diff_coords, patch_strided_map, patch_submanifold_map, CoordDelta, DeltaIndex, PatchStats,
     StridedPatch, REMOVED_ROW,
 };
-pub use grid::GridTable;
+pub use grid::{bounding_box_cells, GridTable};
 pub use hashmap::CoordHashMap;
 pub use kernel_map::KernelMap;
 pub use mphf::MphfIndex;
@@ -67,6 +70,14 @@ pub enum CoordsError {
     ZeroKernelSize,
     /// A stride of zero was requested.
     ZeroStride,
+    /// A dilation below 1 was requested, or a dilated convolution with a
+    /// stride above 1 (dilation applies to stride-1 layers only).
+    InvalidDilation {
+        /// The requested dilation.
+        dilation: i32,
+        /// The convolution stride it was requested with.
+        stride: i32,
+    },
     /// The coordinate set is empty where a non-empty set is required.
     EmptyCoordinates,
     /// A grid table would exceed the configured capacity limit.
@@ -85,6 +96,11 @@ impl fmt::Display for CoordsError {
         match self {
             CoordsError::ZeroKernelSize => write!(f, "kernel size must be at least 1"),
             CoordsError::ZeroStride => write!(f, "stride must be at least 1"),
+            CoordsError::InvalidDilation { dilation, stride } => write!(
+                f,
+                "dilation {dilation} with stride {stride}: dilation must be at least 1, \
+                 and dilated convolutions must have stride 1"
+            ),
             CoordsError::EmptyCoordinates => write!(f, "coordinate set is empty"),
             CoordsError::GridTooLarge { cells, limit } => {
                 write!(f, "grid table needs {cells} cells, exceeding the limit of {limit}")

@@ -75,9 +75,8 @@ fn level_hash(c: Coord, seed: u64) -> u64 {
 
 /// A minimal-perfect-hash coordinate index over a frozen coordinate set.
 ///
-/// Built once from the full coordinate list (no incremental insertion —
-/// this intentionally does *not* implement [`crate::CoordTable`], only the
-/// read-only [`CoordIndex`] seam). Queries are exact: member coordinates
+/// Built once from the full coordinate list (no incremental insertion, only
+/// the read-only [`CoordIndex`] seam). Queries are exact: member coordinates
 /// recover their position in the build list, non-members return `None`.
 ///
 /// # Example

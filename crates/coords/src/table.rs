@@ -45,11 +45,14 @@ impl MappingStats {
 ///
 /// - [`crate::CoordHashMap`]: open addressing, compact but with collision
 ///   probes;
-/// - [`crate::GridTable`]: collision-free dense grid, exactly one access per
-///   operation but with bounding-box storage;
+/// - [`crate::GridTable`]: the collision-free grid's charge — exactly one
+///   access per in-box operation, refused past a bounding-box cell budget
+///   — over a hashmap of its points (the paper's dense device array is
+///   charged, never allocated);
 /// - [`crate::MphfIndex`]: a minimal perfect hash built from a frozen
 ///   coordinate set (rank/select bitmaps over the BBHash-style fingerprint
-///   cascade), smaller than both and collision-free by construction.
+///   cascade), smaller than the hashmap and collision-free by
+///   construction.
 ///
 /// Queries return the index assigned at construction (the position of the
 /// coordinate in the input coordinate list) together with the number of
@@ -73,8 +76,9 @@ pub trait CoordIndex: std::fmt::Debug + Send + Sync {
         self.len() == 0
     }
 
-    /// Bytes of device memory the index occupies (for the cost model and
-    /// the frozen-plan memory accounting).
+    /// Bytes the index occupies on the host (the frozen-plan memory
+    /// accounting): the stored structure, which for the grid is its
+    /// hashmap, not the device grid it charges for.
     fn memory_bytes(&self) -> u64;
 
     /// How many delta layers sit between this index and a from-scratch
@@ -84,19 +88,6 @@ pub trait CoordIndex: std::fmt::Debug + Send + Sync {
     fn delta_depth(&self) -> usize {
         0
     }
-}
-
-/// A mutable coordinate-to-index table: a [`CoordIndex`] that also supports
-/// incremental insertion.
-///
-/// The hashmap and grid implement this; the MPHF is built from a frozen
-/// coordinate set in one shot and is query-only, which is exactly why the
-/// read path lives on the [`CoordIndex`] supertrait.
-pub(crate) trait CoordTable: CoordIndex {
-    /// Inserts a coordinate with its index; returns the number of memory
-    /// probes. Inserting a duplicate coordinate is a no-op that keeps the
-    /// first index (matching engine semantics where coordinates are unique).
-    fn insert(&mut self, coord: Coord, index: u32) -> u64;
 }
 
 #[cfg(test)]

@@ -182,6 +182,7 @@ mod tests {
         let variants: Vec<CoreError> = vec![
             CoreError::Tensor(TensorError::DataLengthMismatch { expected: 1, actual: 2 }),
             CoreError::Coords(CoordsError::ZeroStride),
+            CoreError::Coords(CoordsError::InvalidDilation { dilation: 2, stride: 2 }),
             CoreError::LengthMismatch { coords: 1, feats: 2 },
             CoreError::ChannelMismatch { expected: 4, actual: 8 },
             CoreError::MissingCachedMap { stride: 2, kernel_size: 2 },

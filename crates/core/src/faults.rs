@@ -1,7 +1,7 @@
 //! Deterministic fault injection and degradation accounting.
 //!
 //! Production sparse-conv engines fail in a handful of well-understood
-//! places: the dense grid table can exceed its memory budget, reduced
+//! places: the grid table can exceed its cell budget, reduced
 //! precision can overflow to infinity, the kernel-map cache can be
 //! invalidated between layers, and resource budgets can be exhausted by
 //! adversarial inputs. This module makes those failures *schedulable*: a

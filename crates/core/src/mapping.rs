@@ -66,30 +66,20 @@ pub struct LayerMapping {
 }
 
 impl LayerMapping {
-    /// Wraps the mapping for the repeated-geometry cache
-    /// ([`crate::Context::store_map`]), compacting the search index into the
-    /// succinct MPHF representation on the way.
+    /// Wraps the mapping for the planner's map cache, keeping the index
+    /// the search probed.
     ///
-    /// Dynamic map search probes the grid/hashmap machinery for build speed,
-    /// but the *cached* copy is retained read-only for the rest of the run
-    /// (and for the lifetime of any frozen plan built from it), where the
-    /// minimal perfect hash answers the same queries in a fraction of the
-    /// memory. A compiled session's search already ran on the MPHF;
-    /// coordinate sets without a perfect hash (duplicates) keep the hashmap.
-    /// Lookup results are identical either way.
+    /// The cache lives for one plan build: a dynamic run's entries are
+    /// dropped by the next [`crate::Context::begin_run`], so its grid or
+    /// hashmap is never re-read and is kept as it is. The indices plans
+    /// keep and re-query are compiled ones, and a compiled session's search
+    /// already ran on the MPHF ([`TableKind::Mphf`]).
     pub(crate) fn into_cached(self, fine_coords: &[Coord]) -> CachedMap {
-        let index: Arc<dyn CoordIndex> = match self.table {
-            TableKind::Mphf => Arc::from(self.index),
-            _ => match MphfIndex::build(fine_coords) {
-                Ok((mphf, _accesses)) => Arc::new(mphf),
-                Err(_) => Arc::from(self.index),
-            },
-        };
         CachedMap {
             map: self.map,
             fine_coords: fine_coords.to_vec(),
             coarse_coords: self.out_coords,
-            index,
+            index: Arc::from(self.index),
         }
     }
 }
@@ -183,8 +173,9 @@ pub fn build_layer_mapping(
 ///
 /// # Errors
 ///
-/// As [`build_layer_mapping`]; additionally rejects `dilation > 1` combined
-/// with `conv_stride > 1`.
+/// As [`build_layer_mapping`]; additionally
+/// [`CoordsError::InvalidDilation`] for `dilation < 1`, or `dilation > 1`
+/// combined with `conv_stride > 1`.
 #[allow(clippy::too_many_arguments)] // mirrors the engine's disjoint Context borrows
 pub(crate) fn build_layer_mapping_on(
     pool: &ThreadPool,
@@ -202,7 +193,10 @@ pub(crate) fn build_layer_mapping_on(
         return Err(CoreError::EmptyInput);
     }
     if dilation < 1 || (dilation > 1 && conv_stride > 1) {
-        return Err(CoreError::Coords(CoordsError::ZeroStride));
+        return Err(CoreError::Coords(CoordsError::InvalidDilation {
+            dilation,
+            stride: conv_stride,
+        }));
     }
     let mut latency = Micros::ZERO;
 
@@ -288,7 +282,7 @@ fn build_table(
     if config.map_search == MapSearchStrategy::Hashmap {
         return Ok(hash(coords));
     }
-    // Try the dense grid, degrade to the hashmap when construction fails
+    // Try the grid, degrade to the hashmap when construction fails
     // (SpConv-style engines do the same silently; here the fallback is
     // recorded so operators can see it happened).
     let forced = faults.should_fail(FaultSite::GridTableBuild);
@@ -520,7 +514,8 @@ mod tests {
     fn frozen_mapping_searches_the_mphf_and_keeps_it() {
         // A compiled session's search builds — and is charged for — the
         // MPHF, whatever `map_search` says; the map is the dynamic one and
-        // the cached copy keeps that very index. Duplicate coordinates have
+        // the cached copy keeps that very index, as a dynamic search's
+        // cached copy keeps its grid or hashmap. Duplicate coordinates have
         // no perfect hash: the hashmap stands in, frozen or not.
         let build = |coords: &[Coord], cfg: &OptimizationConfig, frozen: bool| {
             build_layer_mapping_on(
@@ -548,8 +543,12 @@ mod tests {
             }
             let bytes = frozen.index.memory_bytes();
             assert_eq!(frozen.into_cached(&coords).index.memory_bytes(), bytes);
-            // The dynamic search's table is compacted to the same MPHF.
-            assert_eq!(dynamic.into_cached(&coords).index.memory_bytes(), bytes);
+            // The dynamic search's own grid or hashmap is kept.
+            let dynamic_bytes = dynamic.index.memory_bytes();
+            assert!(dynamic_bytes > bytes, "{dynamic_bytes} vs the MPHF's {bytes}");
+            let cached = dynamic.into_cached(&coords);
+            assert_eq!(cached.index.memory_bytes(), dynamic_bytes);
+            assert_eq!(cached.index.query(coords[3]), (Some(3), 1));
         }
         let mut duplicated = coords.clone();
         duplicated.push(coords[5]);
@@ -557,6 +556,33 @@ mod tests {
         assert_eq!(frozen.table, TableKind::Hashmap);
         let bytes = frozen.index.memory_bytes();
         assert_eq!(frozen.into_cached(&duplicated).index.memory_bytes(), bytes);
+    }
+
+    #[test]
+    fn invalid_dilation_is_a_dilation_error() {
+        let coords = coords_blob(4);
+        let cfg = OptimizationConfig::torchsparse();
+        let build = |stride: i32, dilation: i32| {
+            build_layer_mapping_on(
+                ThreadPool::global(),
+                &coords,
+                3,
+                stride,
+                dilation,
+                &cfg,
+                &device(),
+                &mut FaultInjector::disarmed(),
+                &mut DegradationReport::new(),
+                false,
+            )
+            .unwrap_err()
+        };
+        for (stride, dilation) in [(1, 0), (2, 2)] {
+            assert_eq!(
+                build(stride, dilation),
+                CoreError::Coords(CoordsError::InvalidDilation { dilation, stride })
+            );
+        }
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Point clouds arriving from sensors, decompression, or network transport
 //! can carry NaN intensities, duplicated voxels, or coordinates so spread
-//! out that a dense grid table over their bounding box would exhaust
-//! memory. [`Engine::run`](crate::Engine::run) screens every input against
-//! the [`ValidationConfig`] in its [`OptimizationConfig`]
+//! out that the paper's dense grid over their bounding box would exhaust
+//! device memory. [`Engine::run`](crate::Engine::run) screens every input
+//! against the [`ValidationConfig`] in its [`OptimizationConfig`]
 //! (crate::OptimizationConfig) before any layer executes, under one of
 //! three [`ValidationPolicy`] modes:
 //!
@@ -22,7 +22,7 @@ use crate::error::CoreError;
 use crate::faults::{DegradationReport, FaultInjector, FaultSite};
 use crate::sparse_tensor::SparseTensor;
 use std::collections::HashSet;
-use torchsparse_coords::{Coord, CoordsError};
+use torchsparse_coords::{bounding_box_cells, Coord, CoordsError};
 
 /// What the engine does with inputs that fail validation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -45,8 +45,9 @@ pub struct ValidationConfig {
     pub policy: ValidationPolicy,
     /// Maximum accepted input points; `None` = unlimited.
     pub max_points: Option<usize>,
-    /// Maximum grid cells the coordinate bounding box may require. Inputs
-    /// over this bound would force enormous dense tables; `Reject` refuses
+    /// Maximum grid cells the coordinate bounding box may require
+    /// ([`bounding_box_cells`]). Inputs over this bound would charge
+    /// enormous dense device grids; `Reject` refuses
     /// them, `Sanitize` lets them through but pre-records the grid→hashmap
     /// degradation they will cause.
     pub max_grid_cells: u64,
@@ -87,32 +88,6 @@ impl ValidationConfig {
         self.max_grid_cells = max_grid_cells;
         self
     }
-}
-
-/// Grid cells the bounding box of `coords` requires, saturating at
-/// `u64::MAX` on 64-bit overflow. Empty input needs zero cells.
-///
-/// Mirrors the extent arithmetic of `GridTable::build` (batch included),
-/// so a tensor passing the extent check cannot blow up table construction.
-pub(crate) fn bounding_box_cells(coords: &[Coord]) -> u64 {
-    let Some(first) = coords.first() else { return 0 };
-    let mut lo = [first.batch, first.x, first.y, first.z];
-    let mut hi = lo;
-    for c in coords {
-        for (i, v) in [c.batch, c.x, c.y, c.z].into_iter().enumerate() {
-            lo[i] = lo[i].min(v);
-            hi[i] = hi[i].max(v);
-        }
-    }
-    let mut cells: u64 = 1;
-    for i in 0..4 {
-        let span = (hi[i] as i64 - lo[i] as i64 + 1) as u64;
-        cells = match cells.checked_mul(span) {
-            Some(c) => c,
-            None => return u64::MAX,
-        };
-    }
-    cells
 }
 
 /// Screens `input` according to `cfg`.
@@ -172,8 +147,8 @@ pub fn validate_input(
         }
     }
 
-    // 2. Coordinate extent: a bounding box needing more cells than the
-    //    budget would make the dense grid table unbuildable.
+    // 2. Coordinate extent, counted exactly as the grid table's cell budget
+    //    counts it.
     let cells = {
         let cv = cur.as_ref().map_or(input.coords(), |(c, _)| c);
         bounding_box_cells(cv)
@@ -398,14 +373,6 @@ mod tests {
         let (out, report) = check(&wide, &cfg);
         assert!(out.unwrap().is_none(), "extent is recorded, not rewritten");
         assert_eq!(report.count(FaultSite::InputValidation), 1);
-    }
-
-    #[test]
-    fn bounding_box_cells_counts_batch_axis() {
-        let coords = vec![Coord::new(0, 0, 0, 0), Coord::new(1, 1, 2, 3)];
-        // batch 2 * x 2 * y 3 * z 4
-        assert_eq!(bounding_box_cells(&coords), 48);
-        assert_eq!(bounding_box_cells(&[]), 0);
     }
 
     #[test]
