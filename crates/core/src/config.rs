@@ -46,28 +46,6 @@ impl GroupingStrategy {
     }
 }
 
-/// Compute-kernel (SIMD) selection policy for GEMM, gather/scatter, and
-/// precision-conversion sweeps.
-///
-/// All three choices produce **bitwise identical** results: the SIMD
-/// kernels vectorize along the output-channel dimension, so every output
-/// element keeps the scalar kernel's k-major mul-then-add accumulation
-/// order. The policy exists for benchmarking (pin the scalar baseline) and
-/// for exercising the portable fallback on hosts where AVX2 would always
-/// be detected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SimdPolicy {
-    /// Use the process-wide selection: AVX2 when detected (overridable via
-    /// the `TORCHSPARSE_SIMD` environment variable), else the portable
-    /// fixed-width-array kernel.
-    #[default]
-    Auto,
-    /// Force the portable fallback kernel.
-    Portable,
-    /// Force the pre-vectorization scalar loop (benchmark baseline).
-    Scalar,
-}
-
 /// Map search data structure choice (§4.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MapSearchStrategy {
@@ -132,14 +110,6 @@ pub struct OptimizationConfig {
     /// reproduces the exact serial engine (results are bitwise identical
     /// at every thread count regardless).
     pub threads: Option<usize>,
-    /// SIMD compute-kernel policy. Every choice is bitwise identical; see
-    /// [`SimdPolicy`].
-    pub simd: SimdPolicy,
-    /// Allow fused multiply-add in the GEMM microkernel. FMA contracts the
-    /// multiply and add into one rounding step, which **changes results**
-    /// (no longer bitwise identical to the scalar kernel — typically a few
-    /// ULPs tighter), so it is opt-in and off in every preset.
-    pub fma_gemm: bool,
     /// Pick each traced convolution's grouping at
     /// [`Engine::compile`](crate::Engine::compile) time with Algorithm 5's
     /// cost function on the simulated device (ε/S grid against the
@@ -215,8 +185,6 @@ impl OptimizationConfig {
             skip_center_movement: true,
             validation: ValidationConfig::default(),
             threads: None,
-            simd: SimdPolicy::Auto,
-            fma_gemm: false,
             autotune_policies: true,
             delta_replan: true,
         }
@@ -240,11 +208,8 @@ impl OptimizationConfig {
             skip_center_movement: false,
             validation: ValidationConfig::default(),
             threads: None,
-            simd: SimdPolicy::Auto,
-            fma_gemm: false,
             // Compile-time grouping is bitwise-neutral (only the simulated
-            // GEMM launches see it), so like `simd` it stays on even in the
-            // baseline.
+            // GEMM launches see it), so it stays on even in the baseline.
             autotune_policies: true,
             // Delta re-planning is bitwise-neutral too (it bails to a full
             // re-plan whenever equality cannot be guaranteed), so the
@@ -355,21 +320,6 @@ mod tests {
         assert_eq!(EnginePreset::SpConv.config().map_search, MapSearchStrategy::Grid);
         assert_eq!(EnginePreset::SpConvFp16.config().precision, Precision::Fp16);
         assert!(!EnginePreset::SpConvFp16.config().vectorized, "SpConv FP16 is scalar");
-    }
-
-    #[test]
-    fn no_preset_opts_into_fma() {
-        for preset in [
-            EnginePreset::TorchSparse,
-            EnginePreset::BaselineFp32,
-            EnginePreset::MinkowskiEngine,
-            EnginePreset::SpConv,
-            EnginePreset::SpConvFp16,
-        ] {
-            let c = preset.config();
-            assert!(!c.fma_gemm, "{}: FMA changes rounding and must be opt-in", preset.name());
-            assert_eq!(c.simd, SimdPolicy::Auto);
-        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ use torchsparse_gpusim::{DeviceProfile, GemmModel, Timeline};
 pub(crate) struct MapKey {
     /// Tensor stride of the finer (higher-resolution) side.
     pub fine_stride: i32,
-    /// Kernel size.
+    /// The kernel size.
     pub kernel_size: usize,
     /// Convolution stride.
     pub conv_stride: i32,

@@ -1,8 +1,8 @@
 use crate::config::{OptimizationConfig, Precision};
 use crate::context::{CachedMap, Context, LayerWorkload, MapKey};
 use crate::dataflow::{
-    apply_storage_precision_owned_kernel, fetch_on_demand_into, gather_matmul_scatter_into,
-    kernel_for, ConvWorkload, Epilogue, FusedOrder,
+    apply_storage_precision_owned, fetch_on_demand_into, gather_matmul_scatter_into, ConvWorkload,
+    Epilogue, FusedOrder,
 };
 use crate::faults::FaultSite;
 use crate::grouping::plan_groups;
@@ -179,7 +179,7 @@ impl SparseConv3d {
         self.c_out
     }
 
-    /// Kernel size.
+    /// The kernel size.
     pub fn kernel_size(&self) -> usize {
         self.kernel_size
     }
@@ -361,7 +361,7 @@ impl SparseConv3d {
                             epilogue: &Epilogue<'_>,
                             out: &mut Matrix| match &plan.dataflow {
             ConvDataflow::FetchOnDemand => {
-                Ok(fetch_on_demand_into(&workload, config, &pool, epilogue, out))
+                Ok(fetch_on_demand_into(&workload, &pool, epilogue, out))
             }
             ConvDataflow::Grouped(_) => {
                 gather_matmul_scatter_into(&workload, config, &pool, epilogue, out)
@@ -382,8 +382,7 @@ impl SparseConv3d {
             run_dataflow(config, &epilogue, out)?
         } else {
             run_dataflow(config, &Epilogue::default(), out)?;
-            let kernel = kernel_for(config.simd);
-            *out = apply_storage_precision_owned_kernel(&pool, take(out), precision, kernel);
+            *out = apply_storage_precision_owned(&pool, take(out), precision);
             if inject {
                 // Simulate a quantized activation saturating to infinity;
                 // detection below then takes the same path as an organic

@@ -25,14 +25,14 @@
 //! pipeline `fused_gather_scatter` selects — is a function of geometry alone
 //! and lives in [`crate::cost_model`].
 
-use crate::config::{OptimizationConfig, Precision, SimdPolicy};
+use crate::config::{OptimizationConfig, Precision};
 use crate::runtime::{Task, ThreadPool};
 use crate::CoreError;
 use std::sync::atomic::{AtomicBool, Ordering};
 use torchsparse_coords::kernel_map::MapEntry;
 use torchsparse_coords::KernelMap;
 use torchsparse_tensor::gemm::GemmOpts;
-use torchsparse_tensor::microkernel::{self, Kernel, PackedB};
+use torchsparse_tensor::microkernel::{self, PackedB};
 use torchsparse_tensor::{gemm, quant, Matrix};
 
 /// Everything a dataflow needs to execute one convolution.
@@ -57,17 +57,6 @@ pub(crate) struct ConvWorkload<'a> {
     pub fused: &'a FusedOrder,
 }
 
-/// Resolves a [`SimdPolicy`] to a concrete compute kernel. All kernels are
-/// bit-exact against each other, so this only changes instruction
-/// throughput.
-pub(crate) fn kernel_for(simd: SimdPolicy) -> Kernel {
-    match simd {
-        SimdPolicy::Auto => microkernel::active(),
-        SimdPolicy::Portable => Kernel::Portable,
-        SimdPolicy::Scalar => Kernel::Scalar,
-    }
-}
-
 impl ConvWorkload<'_> {
     fn c_in(&self) -> usize {
         self.in_feats.cols()
@@ -86,31 +75,19 @@ impl ConvWorkload<'_> {
 /// semantics). Layers call this on the matrix they just computed, so the
 /// FP32 path of a forward pass allocates nothing here. The rounding sweep
 /// runs on the worker pool; per-element rounding is independent, so results
-/// are bitwise identical at any thread count.
+/// are bitwise identical at any thread count (and the SIMD sweeps are
+/// bit-exact against the scalar per-element conversions for every input).
 pub(crate) fn apply_storage_precision_owned(
-    pool: &ThreadPool,
-    m: Matrix,
-    precision: Precision,
-) -> Matrix {
-    apply_storage_precision_owned_kernel(pool, m, precision, microkernel::active())
-}
-
-/// [`apply_storage_precision_owned`] with an explicit compute kernel (the
-/// engine resolves its [`SimdPolicy`] once per layer). The SIMD sweeps are
-/// bit-exact against the scalar per-element conversions for every input,
-/// so the kernel choice never changes results.
-pub(crate) fn apply_storage_precision_owned_kernel(
     pool: &ThreadPool,
     mut m: Matrix,
     precision: Precision,
-    kernel: Kernel,
 ) -> Matrix {
     match precision {
         Precision::Fp32 => {}
-        Precision::Fp16 => quant::round_trip_f16_in_place_kernel(pool, &mut m, kernel),
+        Precision::Fp16 => quant::round_trip_f16_in_place(pool, &mut m),
         Precision::Int8 => {
             let q = quant::Int8Quantizer::calibrate(m.as_slice());
-            q.round_trip_in_place_kernel(pool, &mut m, kernel);
+            q.round_trip_in_place(pool, &mut m);
         }
     }
     m
@@ -289,9 +266,9 @@ impl Epilogue<'_> {
     /// Returns `false`, leaving the later operations undone, when the
     /// rounded convolution output holds a non-finite value: the layer then
     /// re-runs in FP32 and its pointwise steps run on their own.
-    fn finish(&self, kernel: Kernel, first_row: usize, cols: usize, block: &mut [f32]) -> bool {
+    fn finish(&self, first_row: usize, cols: usize, block: &mut [f32]) -> bool {
         if self.round_f16 {
-            microkernel::f16_round_trip_slice(kernel, block);
+            microkernel::f16_round_trip_slice(block);
             if !block.iter().all(|v| v.is_finite()) {
                 return false;
             }
@@ -303,7 +280,7 @@ impl Epilogue<'_> {
                 }
             }
             if self.round_f16 {
-                microkernel::f16_round_trip_slice(kernel, block);
+                microkernel::f16_round_trip_slice(block);
             }
         }
         if let Some(shortcut) = self.shortcut {
@@ -368,13 +345,11 @@ pub(crate) fn is_center_shortcut(
 /// Each finished block has its NaNs canonicalized and then runs `epilogue`
 /// while it is still hot. Returns `false` when the epilogue found a
 /// non-finite rounded output in some block.
-#[allow(clippy::too_many_arguments)] // the executor's numerics inputs
 fn run_fused_numerics(
     w: &ConvWorkload<'_>,
     shortcut: Option<usize>,
     round_f16: bool,
     pool: &ThreadPool,
-    kernel: Kernel,
     epilogue: &Epilogue<'_>,
     out: &mut Matrix,
 ) -> bool {
@@ -411,7 +386,6 @@ fn run_fused_numerics(
                     out_rel[j] = e.output - base;
                 }
                 microkernel::gemm_gather_scatter(
-                    kernel,
                     a,
                     c_in,
                     &in_rows[..batch.len()],
@@ -424,7 +398,7 @@ fn run_fused_numerics(
             }
         }
         canonicalize_nans(block);
-        if !epilogue.finish(kernel, c * MOVE_CHUNK, c_out, block) {
+        if !epilogue.finish(c * MOVE_CHUNK, c_out, block) {
             finite.store(false, Ordering::Relaxed);
         }
     });
@@ -454,18 +428,17 @@ pub(crate) fn gather_matmul_scatter_into(
     epilogue: &Epilogue<'_>,
     out: &mut Matrix,
 ) -> Result<bool, CoreError> {
-    let kernel = kernel_for(config.simd);
     out.reshape_zeroed(w.n_out, w.c_out());
     let shortcut = w.center_identity.filter(|_| config.skip_center_movement);
     if let Some(n) = shortcut {
-        let opts = GemmOpts { kernel: Some(kernel), fma: config.fma_gemm };
+        let opts = GemmOpts::default();
         match w.packed {
             Some(packed) => gemm::mm_into_packed_on(pool, w.in_feats, &packed[n], out, opts)?,
             None => gemm::mm_into_with(pool, w.in_feats, &w.weights[n], out, opts)?,
         }
     }
     let round_f16 = config.precision != Precision::Fp32;
-    Ok(run_fused_numerics(w, shortcut, round_f16, pool, kernel, epilogue, out))
+    Ok(run_fused_numerics(w, shortcut, round_f16, pool, epilogue, out))
 }
 
 /// Executes the fetch-on-demand dataflow (Lin et al. 2021; used by
@@ -475,13 +448,12 @@ pub(crate) fn gather_matmul_scatter_into(
 /// never used.
 pub(crate) fn fetch_on_demand_into(
     w: &ConvWorkload<'_>,
-    config: &OptimizationConfig,
     pool: &ThreadPool,
     epilogue: &Epilogue<'_>,
     out: &mut Matrix,
 ) -> bool {
     out.reshape_zeroed(w.n_out, w.c_out());
-    run_fused_numerics(w, None, false, pool, kernel_for(config.simd), epilogue, out)
+    run_fused_numerics(w, None, false, pool, epilogue, out)
 }
 
 /// The scalar oracle the unit tests below (and the root suites) hold the
@@ -670,14 +642,10 @@ pub(crate) mod tests {
         let order = FusedOrder::build_on(&ThreadPool::new(1), &parts.map, parts.n_out);
         let expect =
             conv_reference(&parts.feats, &parts.weights, &parts.map, parts.n_out, None, false);
-        for precision in [Precision::Fp32, Precision::Fp16] {
-            let mut cfg = OptimizationConfig::minkowski_engine();
-            cfg.precision = precision;
-            let w = parts.workload(&order, None);
-            let mut got = Matrix::default();
-            fetch_on_demand_into(&w, &cfg, &ThreadPool::new(2), &Epilogue::default(), &mut got);
-            assert_eq!(bits_of(&got), bits_of(&expect), "{precision:?}");
-        }
+        let w = parts.workload(&order, None);
+        let mut got = Matrix::default();
+        fetch_on_demand_into(&w, &ThreadPool::new(2), &Epilogue::default(), &mut got);
+        assert_eq!(bits_of(&got), bits_of(&expect));
     }
 
     #[test]
@@ -766,12 +734,7 @@ pub(crate) mod tests {
                 });
                 let mut products = gemm::mm(&gathered, weight).expect("shapes agree");
                 if precision != Precision::Fp32 {
-                    let kernel = microkernel::active();
-                    quant::round_trip_f16_in_place_kernel(
-                        ThreadPool::global(),
-                        &mut products,
-                        kernel,
-                    );
+                    quant::round_trip_f16_in_place(ThreadPool::global(), &mut products);
                 }
                 for (i, e) in entries.iter().enumerate() {
                     for co in 0..c_out {

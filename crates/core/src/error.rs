@@ -28,7 +28,7 @@ pub enum CoreError {
     MissingCachedMap {
         /// The tensor stride the transposed layer ran at.
         stride: i32,
-        /// Kernel size of the layer.
+        /// The layer's kernel size.
         kernel_size: usize,
     },
     /// The layer's weight list does not match `kernel_size^3`.

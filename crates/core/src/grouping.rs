@@ -20,7 +20,7 @@ use crate::config::GroupingStrategy;
 /// One group of kernel offsets executed together.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecGroup {
-    /// Kernel-offset indices in this group.
+    /// The kernel-offset indices in this group.
     pub offsets: Vec<usize>,
     /// Row count each member is padded to (`n_max` of the group).
     pub padded_rows: usize,

@@ -74,7 +74,7 @@ pub mod tuning;
 pub mod validate;
 
 pub use config::{
-    EnginePreset, GroupingStrategy, MapSearchStrategy, OptimizationConfig, Precision, SimdPolicy,
+    EnginePreset, GroupingStrategy, MapSearchStrategy, OptimizationConfig, Precision,
 };
 pub use context::{Context, LayerProfile, LayerWorkload};
 pub use conv::SparseConv3d;

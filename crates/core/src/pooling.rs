@@ -23,7 +23,7 @@ pub(crate) enum PoolReduction {
     Mean,
 }
 
-/// Kernel-based sparse pooling (max or mean).
+/// Sparse pooling (max or mean).
 ///
 /// For every output site, reduces over the input sites its kernel window
 /// covers. With `stride == 1` the output keeps the input's coordinates

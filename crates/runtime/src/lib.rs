@@ -365,16 +365,15 @@ pub struct CpuFeatures {
     /// 256-bit integer/float vectors (`__m256`); gates the SIMD GEMM
     /// microkernel and the wide gather/scatter row primitives.
     pub avx2: bool,
-    /// Fused multiply-add. Never auto-selected — FMA contracts the
-    /// mul-then-add rounding step and therefore changes results bitwise;
-    /// callers opt in explicitly.
-    pub fma: bool,
     /// Hardware f32<->f16 conversion (`vcvtps2ph`/`vcvtph2ps`); gates the
     /// vectorized precision-conversion sweeps.
     pub f16c: bool,
 }
 
-/// Returns the host's [`CpuFeatures`], probing on first call only.
+/// Returns the host's [`CpuFeatures`], probing on first call only. Inlined:
+/// the compute kernels check it per call, and after the probe it is one
+/// load.
+#[inline]
 pub fn cpu_features() -> CpuFeatures {
     static FEATURES: OnceLock<CpuFeatures> = OnceLock::new();
     *FEATURES.get_or_init(detect_cpu_features)
@@ -384,14 +383,13 @@ pub fn cpu_features() -> CpuFeatures {
 fn detect_cpu_features() -> CpuFeatures {
     CpuFeatures {
         avx2: std::arch::is_x86_feature_detected!("avx2"),
-        fma: std::arch::is_x86_feature_detected!("fma"),
         f16c: std::arch::is_x86_feature_detected!("f16c"),
     }
 }
 
 #[cfg(not(target_arch = "x86_64"))]
 fn detect_cpu_features() -> CpuFeatures {
-    CpuFeatures { avx2: false, fma: false, f16c: false }
+    CpuFeatures { avx2: false, f16c: false }
 }
 
 /// Emits a warning about a malformed environment override on stderr, at
@@ -618,12 +616,12 @@ mod tests {
         let a = cpu_features();
         let b = cpu_features();
         assert_eq!(a, b, "probe result must be cached");
-        // FMA and F16C imply at least AVX-era hardware; on every machine we
-        // target they ship together with AVX2. The kernels only rely on the
-        // weaker property that each flag is individually truthful, so this
-        // is a sanity check, not a hard requirement.
+        // F16C implies at least AVX-era hardware; on every machine we target
+        // it ships together with AVX2. The kernels only rely on the weaker
+        // property that each flag is individually truthful, so this is a
+        // sanity check, not a hard requirement.
         #[cfg(not(target_arch = "x86_64"))]
-        assert_eq!(a, CpuFeatures { avx2: false, fma: false, f16c: false });
+        assert_eq!(a, CpuFeatures { avx2: false, f16c: false });
     }
 
     #[test]

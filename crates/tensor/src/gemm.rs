@@ -5,8 +5,8 @@
 //!
 //! - [`mm`]: `C = A * B` on the global pool.
 //! - [`mm_into_with`] / [`mm_into_packed_on`]: `C += A * B` on an explicit
-//!   pool with explicit kernel options, B dense or pre-packed. Row panels
-//!   run on a persistent [`ThreadPool`] — no per-call thread spawning.
+//!   pool, B dense or pre-packed. Row panels run on a persistent
+//!   [`ThreadPool`] — no per-call thread spawning.
 //!
 //! The paper's batched `bmm` (§4.2) exists only in the simulated-GPU cost
 //! model: the host executor streams map rows and never pads a group.
@@ -18,8 +18,8 @@
 //! root crate's parallel-determinism property tests verify this.
 //!
 //! Arithmetic within a panel is delegated to the
-//! [`microkernel`](crate::microkernel) module, which picks a register-tiled
-//! SIMD kernel at process start (see [`GemmOpts`] for per-call overrides).
+//! [`microkernel`](crate::microkernel) module, which picks its kernel once
+//! per process from the CPU ([`microkernel::active`]); no caller chooses.
 //! The packed entry point ([`mm_into_packed_on`]) accepts weights pre-packed
 //! into the microkernel's panel-major layout so steady-state inference never
 //! re-streams row-major B.
@@ -42,32 +42,12 @@ const PANEL: usize = 64;
 /// barely ~6 us of work per task.
 const MIN_PARALLEL_FLOPS: f64 = 1.0e6;
 
-/// Per-call kernel selection for the `_with` GEMM entry points.
-///
-/// The default (`GemmOpts::default()`) uses the process-wide selection from
-/// [`microkernel::active`] with FMA off — the bitwise-deterministic
-/// configuration. `fma` upgrades an AVX2 selection to fused multiply-add,
-/// which changes rounding and is therefore opt-in
-/// (`OptimizationConfig::fma_gemm` in the core crate).
+/// Options of the `mm_into` entry points. It has no fields: the kernel is
+/// the process's ([`microkernel::active`]), never a caller's choice. The
+/// type stays so existing callers that pass `GemmOpts::default()` keep
+/// compiling.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct GemmOpts {
-    /// Explicit kernel override; `None` uses [`microkernel::active`].
-    pub kernel: Option<Kernel>,
-    /// Allow fused multiply-add (changes rounding; never on by default).
-    pub fma: bool,
-}
-
-impl GemmOpts {
-    /// Resolves the kernel these options denote.
-    pub(crate) fn resolve(self) -> Kernel {
-        let k = self.kernel.unwrap_or_else(microkernel::active);
-        if self.fma {
-            k.with_fma()
-        } else {
-            k
-        }
-    }
-}
+pub struct GemmOpts {}
 
 /// Computes `A * B` on the global runtime pool.
 ///
@@ -145,8 +125,7 @@ fn mm_into_dispatch(
     pool.run(tasks);
 }
 
-/// `C += A * B` with panels dispatched onto `pool`, with explicit kernel
-/// options.
+/// `C += A * B` with panels dispatched onto `pool`.
 ///
 /// # Errors
 ///
@@ -156,14 +135,15 @@ pub fn mm_into_with(
     a: &Matrix,
     b: &Matrix,
     c: &mut Matrix,
-    opts: GemmOpts,
+    _opts: GemmOpts,
 ) -> Result<(), TensorError> {
     check_shapes(a, b, c)?;
     let k = a.cols();
     if k == 0 {
         return Ok(());
     }
-    mm_into_dispatch(pool, opts.resolve(), a, BOperand::Dense(b.as_slice()), k, b.cols(), c);
+    let kernel = microkernel::active();
+    mm_into_dispatch(pool, kernel, a, BOperand::Dense(b.as_slice()), k, b.cols(), c);
     Ok(())
 }
 
@@ -173,7 +153,7 @@ pub fn mm_into_with(
 /// across frames, so the core crate packs each kernel-offset matrix once
 /// (at plan time or on first use) and every subsequent GEMM streams the
 /// packed panels sequentially. Results are bitwise identical to the dense
-/// form for the same kernel options.
+/// form.
 ///
 /// # Errors
 ///
@@ -183,7 +163,7 @@ pub fn mm_into_packed_on(
     a: &Matrix,
     b: &PackedB,
     c: &mut Matrix,
-    opts: GemmOpts,
+    _opts: GemmOpts,
 ) -> Result<(), TensorError> {
     if a.cols() != b.k() {
         return Err(TensorError::ShapeMismatch { op: "mm", lhs: a.shape(), rhs: (b.k(), b.n()) });
@@ -199,7 +179,7 @@ pub fn mm_into_packed_on(
     if k == 0 {
         return Ok(());
     }
-    mm_into_dispatch(pool, opts.resolve(), a, BOperand::Packed(b), k, b.n(), c);
+    mm_into_dispatch(pool, microkernel::active(), a, BOperand::Packed(b), k, b.n(), c);
     Ok(())
 }
 
@@ -323,9 +303,9 @@ mod tests {
         m.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
-    /// Kernels that must be bitwise interchangeable on this host.
-    fn deterministic_kernels() -> Vec<Kernel> {
-        let mut ks = vec![Kernel::Scalar, Kernel::Portable];
+    /// Both kernels where the CPU runs both, for the in-process sweeps.
+    fn every_kernel() -> Vec<Kernel> {
+        let mut ks = vec![Kernel::Portable];
         if torchsparse_runtime::cpu_features().avx2 {
             ks.push(Kernel::Avx2);
         }
@@ -362,57 +342,10 @@ mod tests {
         }
     }
 
-    /// Distance in representation order between two same-sign floats; used
-    /// for the FMA tolerance check.
-    fn ulp_distance(a: f32, b: f32) -> u64 {
-        fn key(v: f32) -> i64 {
-            let b = v.to_bits() as i32;
-            (if b < 0 { i32::MIN.wrapping_sub(b) } else { b }) as i64
-        }
-        (key(a) - key(b)).unsigned_abs()
-    }
-
-    #[test]
-    fn fma_mode_stays_within_4_ulp_of_reference() {
-        if !torchsparse_runtime::cpu_features().fma {
-            return; // nothing to exercise on this host
-        }
-        // Positive operands keep the partial sums monotone: the fused
-        // multiply-add then differs from mul-then-add by at most half an
-        // ulp of each product, which stays within a few ulps of the final
-        // value. (Under catastrophic cancellation no fixed ULP bound can
-        // hold for *any* reordering/contraction — that is exactly why FMA
-        // is opt-in and excluded from the bitwise-determinism contract.)
-        let mut rng = StdRng::seed_from_u64(23);
-        for &(m, k, n) in &[(17, 33, 9), (64, 128, 64), (5, 7, 31)] {
-            let a = Matrix::from_fn(m, k, |_, _| rng.random_range(0.1f32..1.0));
-            let b = Matrix::from_fn(k, n, |_, _| rng.random_range(0.1f32..1.0));
-            let reference = mm_reference(&a, &b).unwrap();
-            let opts = GemmOpts { kernel: Some(Kernel::Avx2), fma: true };
-            assert_eq!(opts.resolve(), Kernel::Avx2Fma);
-            let pool = ThreadPool::new(1);
-            for operand_packed in [false, true] {
-                let mut c = Matrix::zeros(m, n);
-                if operand_packed {
-                    let pb = PackedB::pack(&b);
-                    mm_into_packed_on(&pool, &a, &pb, &mut c, opts).unwrap();
-                } else {
-                    mm_into_with(&pool, &a, &b, &mut c, opts).unwrap();
-                }
-                for (got, want) in c.as_slice().iter().zip(reference.as_slice()) {
-                    assert!(
-                        ulp_distance(*got, *want) <= 4,
-                        "fma ({m},{k},{n}) packed={operand_packed}: {got} vs {want}"
-                    );
-                }
-            }
-        }
-    }
-
     proptest! {
-        /// Every deterministic kernel, dense or packed, is **bitwise** equal
-        /// to the naive reference loop on arbitrary shapes — including
-        /// ragged tails (`n % 16 != 0`, `m % 4 != 0`) and degenerate k.
+        /// Both kernels, dense or packed, are **bitwise** equal to the naive
+        /// reference loop on arbitrary shapes — including ragged tails
+        /// (`n % 16 != 0`, `m % 4 != 0`) and degenerate k.
         #[test]
         fn prop_all_kernels_bitwise_match_reference(
             m in 1usize..80, k in 1usize..48, n in 1usize..40, seed in 0u64..1000
@@ -423,13 +356,12 @@ mod tests {
             let reference = mm_reference(&a, &b).unwrap();
             let packed = PackedB::pack(&b);
             let pool = ThreadPool::new(1);
-            for kernel in deterministic_kernels() {
-                let opts = GemmOpts { kernel: Some(kernel), fma: false };
+            for kernel in every_kernel() {
                 let mut dense = Matrix::zeros(m, n);
-                mm_into_with(&pool, &a, &b, &mut dense, opts).unwrap();
+                mm_into_dispatch(&pool, kernel, &a, BOperand::Dense(b.as_slice()), k, n, &mut dense);
                 prop_assert!(bits(&dense) == bits(&reference), "dense {:?}", kernel);
                 let mut pc = Matrix::zeros(m, n);
-                mm_into_packed_on(&pool, &a, &packed, &mut pc, opts).unwrap();
+                mm_into_dispatch(&pool, kernel, &a, BOperand::Packed(&packed), k, n, &mut pc);
                 prop_assert!(bits(&pc) == bits(&reference), "packed {:?}", kernel);
             }
         }

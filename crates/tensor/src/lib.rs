@@ -13,9 +13,10 @@
 //! - [`Half`]: software IEEE-754 binary16 with round-to-nearest-even, used to
 //!   reproduce the FP16 quantization study (§4.3.1, Table 3).
 //! - [`quant`]: FP16/INT8 feature quantization helpers.
-//! - [`microkernel`]: register-tiled SIMD compute kernels (AVX2/FMA with a
-//!   portable fallback, selected once per process) plus the [`PackedB`]
-//!   panel-major weight layout shared by the packed GEMM entry points.
+//! - [`microkernel`]: register-tiled SIMD compute kernels (AVX2 with a
+//!   portable fallback, picked once per process from the CPU) plus the
+//!   [`PackedB`] panel-major weight layout shared by the packed GEMM entry
+//!   points.
 //! - [`dense`]: a dense volumetric 3D convolution used **only** as a
 //!   correctness oracle for the sparse engine's property tests.
 //!

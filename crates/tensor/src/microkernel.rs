@@ -3,17 +3,20 @@
 //! The paper's thesis is that sparse convolution reduces to many GEMMs plus
 //! data movement (§4.2, §4.3); on the CPU side every FLOP the scheduling
 //! layers arrange ultimately flows through the inner loops in this module.
-//! Three implementations of each primitive are provided, selected once per
-//! process (never per call):
+//! Two implementations of each primitive are provided, and the process
+//! picks one once, from the CPU ([`active`]) — no caller chooses:
 //!
-//! - [`Kernel::Scalar`]: the original blocked triple loop, kept callable as
-//!   the benchmark baseline and the semantic reference;
+//! - [`Kernel::Avx2`]: `std::arch` intrinsics running rows of A against a
+//!   strip of up to four [`NR`]-wide panels of B (eight `ymm`
+//!   accumulators), each row visiting only its nonzero `k` — wherever AVX2
+//!   is detected;
 //! - [`Kernel::Portable`]: fixed-width-array loops ([`NR`] lanes) shaped so
-//!   the autovectorizer can chew on them — the fallback on machines without
-//!   AVX2 and the path forced by `TORCHSPARSE_SIMD=off`;
-//! - [`Kernel::Avx2`] / [`Kernel::Avx2Fma`]: `std::arch` intrinsics running
-//!   rows of A against a strip of up to four [`NR`]-wide panels of B (eight
-//!   `ymm` accumulators), each row visiting only its nonzero `k`.
+//!   the autovectorizer can chew on them — the kernel on every other CPU,
+//!   and the one `TORCHSPARSE_SIMD=off` forces.
+//!
+//! The original blocked scalar loop stays as the semantic reference the
+//! unit sweeps hold both kernels to, and as the portable kernel's path for
+//! skinny reductions (`PORTABLE_MIN_K`).
 //!
 //! # Why one row against a wide strip
 //!
@@ -51,13 +54,11 @@
 //! nonzero, `±0.0` as zero) is the scalar `a != 0.0`; rows never share an
 //! accumulator, so how the walks of several rows interleave is invisible.
 //! Lane width, strip width and row grouping therefore cannot change the
-//! arithmetic, and `Scalar`, `Portable`, and `Avx2` produce bitwise
-//! identical results (the `gemm` property tests assert this against a naive
-//! triple loop, the strip sweep against the
-//! scalar oracle at every density). `Avx2Fma` contracts the multiply-add
-//! into one rounding step, which *does* change results, so FMA is opt-in
-//! (`OptimizationConfig::fma_gemm` in the core crate) and never
-//! auto-selected.
+//! arithmetic, and `Portable` and `Avx2` produce bitwise identical results
+//! (the `gemm` property tests assert this against a naive triple loop, the
+//! strip sweep against the scalar oracle at every density). Neither
+//! contracts the multiply-add into a fused multiply-add, which would round
+//! once instead of twice and change results.
 //!
 //! # Weight packing
 //!
@@ -77,56 +78,36 @@ pub(crate) const LANES: usize = 8;
 /// Panel width in output channels: two SIMD vectors per panel.
 pub(crate) const NR: usize = 2 * LANES;
 
-/// One compute-kernel implementation. See the module docs for the contract
-/// each variant satisfies.
+/// One compute-kernel implementation, picked once per process by
+/// [`active`]. See the module docs for the contract both satisfy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Kernel {
-    /// The pre-vectorization blocked scalar loop (benchmark baseline).
-    Scalar,
-    /// Fixed-width-array loops the autovectorizer can lower; the portable
-    /// fallback. Bitwise identical to `Scalar`.
+    /// Fixed-width-array loops the autovectorizer can lower: the kernel on
+    /// CPUs without AVX2, and under `TORCHSPARSE_SIMD=off`.
     Portable,
-    /// AVX2 register-tiled microkernel (mul-then-add; bitwise identical to
-    /// `Scalar`).
+    /// AVX2 strip microkernel (mul-then-add; bitwise identical to
+    /// `Portable`).
     Avx2,
-    /// AVX2 with fused multiply-add. Changes rounding — opt-in only.
-    Avx2Fma,
 }
 
 impl Kernel {
-    /// Whether this kernel uses `std::arch` SIMD intrinsics.
-    pub(crate) fn is_simd(self) -> bool {
-        matches!(self, Kernel::Avx2 | Kernel::Avx2Fma)
-    }
-
-    /// Upgrades an AVX2 selection to FMA when the CPU supports it; every
-    /// other selection is returned unchanged (the portable kernels have no
-    /// FMA form — `f32::mul_add` without hardware FMA is a libm call).
-    #[must_use]
-    pub(crate) fn with_fma(self) -> Kernel {
-        if self == Kernel::Avx2 && torchsparse_runtime::cpu_features().fma {
-            Kernel::Avx2Fma
-        } else {
-            self
-        }
-    }
-
     /// Short display name used by the benchmark artifacts.
     pub fn name(self) -> &'static str {
         match self {
-            Kernel::Scalar => "scalar",
             Kernel::Portable => "portable",
             Kernel::Avx2 => "avx2",
-            Kernel::Avx2Fma => "avx2+fma",
         }
     }
 }
 
-/// The process-wide kernel selection, resolved once from the CPU features
-/// probed at pool init and the `TORCHSPARSE_SIMD` environment variable
-/// (`off`/`portable` forces [`Kernel::Portable`], `scalar` forces
-/// [`Kernel::Scalar`], anything else — or unset — auto-detects). FMA is
-/// never auto-selected; see [`Kernel::with_fma`].
+/// The process-wide kernel, resolved once from the CPU features probed at
+/// pool init: [`Kernel::Avx2`] where AVX2 is detected, else
+/// [`Kernel::Portable`]. `TORCHSPARSE_SIMD=off` (or `portable`) forces the
+/// portable kernel; `auto`, `on` or unset auto-detect, and anything else
+/// warns and auto-detects.
+///
+/// No public function takes a [`Kernel`]: this is the only place one is
+/// chosen, so AVX2 code never runs on a CPU that lacks it.
 pub fn active() -> Kernel {
     static ACTIVE: OnceLock<Kernel> = OnceLock::new();
     *ACTIVE.get_or_init(|| {
@@ -141,35 +122,26 @@ pub fn active() -> Kernel {
 /// Resolves a kernel from an optional `TORCHSPARSE_SIMD` value; factored out
 /// of [`active`] so the policy is testable without touching process state.
 ///
-/// Strict parse: `off`/`portable`, `scalar`, and `auto`/`on` are the
-/// recognized values (case-insensitive). Anything else auto-detects and
-/// returns a warning message naming the variable and the kernel fallback.
+/// Strict parse: `off`/`portable` and `auto`/`on` are the recognized values
+/// (case-insensitive). Anything else auto-detects and returns a warning
+/// message naming the variable and the kernel fallback.
 fn select(env: Option<&str>) -> (Kernel, Option<String>) {
-    let auto = || {
-        if torchsparse_runtime::cpu_features().avx2 {
-            Kernel::Avx2
-        } else {
-            Kernel::Portable
-        }
-    };
+    let auto =
+        if torchsparse_runtime::cpu_features().avx2 { Kernel::Avx2 } else { Kernel::Portable };
     match env.map(str::trim) {
-        None => (auto(), None),
+        None => (auto, None),
         Some(s) if s.eq_ignore_ascii_case("off") || s.eq_ignore_ascii_case("portable") => {
             (Kernel::Portable, None)
         }
-        Some(s) if s.eq_ignore_ascii_case("scalar") => (Kernel::Scalar, None),
-        Some(s) if s.eq_ignore_ascii_case("auto") || s.eq_ignore_ascii_case("on") => (auto(), None),
-        Some(s) => {
-            let kernel = auto();
-            (
-                kernel,
-                Some(format!(
-                    "TORCHSPARSE_SIMD={s:?} is not one of off/portable/scalar/auto; \
-                     falling back to auto-detection ({})",
-                    kernel.name()
-                )),
-            )
-        }
+        Some(s) if s.eq_ignore_ascii_case("auto") || s.eq_ignore_ascii_case("on") => (auto, None),
+        Some(s) => (
+            auto,
+            Some(format!(
+                "TORCHSPARSE_SIMD={s:?} is not one of off/portable/auto; \
+                 falling back to auto-detection ({})",
+                auto.name()
+            )),
+        ),
     }
 }
 
@@ -239,13 +211,12 @@ pub enum BOperand<'a> {
     Packed(&'a PackedB),
 }
 
-/// Computes one row panel of `C += A * B` with the chosen kernel.
+/// Computes one row panel of `C += A * B` with `kernel`.
 ///
 /// `c_panel` is the slice of C covering rows `row0 ..` (`rows * n`
-/// elements). Every kernel accumulates each output element over `kk` in
-/// ascending order with mul-then-add (FMA excepted) and skips `a == 0.0`
-/// terms exactly like the scalar loop, so all non-FMA kernels are bitwise
-/// interchangeable.
+/// elements). Both kernels accumulate each output element over `kk` in
+/// ascending order with mul-then-add and skip `a == 0.0` terms exactly like
+/// the scalar loop, so they are bitwise interchangeable.
 pub(crate) fn gemm_panel(
     kernel: Kernel,
     a: &[f32],
@@ -259,45 +230,31 @@ pub(crate) fn gemm_panel(
         return;
     }
     match (kernel, b) {
-        (Kernel::Scalar, BOperand::Dense(bd)) => panel_scalar_dense(a, bd, k, n, row0, c_panel),
+        #[cfg(target_arch = "x86_64")]
+        (Kernel::Avx2, b) => x86::panel(a, b, k, n, row0, c_panel),
         // Below the skinny-shape threshold the portable kernel's per-panel
-        // accumulator copy-in/copy-out outweighs its vectorized inner loop
-        // (BENCH_gemm.json: c_in=4 runs at 8.1 GFLOP/s portable vs 11.1
-        // scalar), so the scalar loop takes over. Bitwise identical either
-        // way — the swap is purely a throughput heuristic.
-        (Kernel::Portable, BOperand::Dense(bd)) if k < PORTABLE_MIN_K => {
+        // accumulator copy-in/copy-out outweighs its vectorized inner loop,
+        // so the scalar loops take over. Bitwise identical either way — the
+        // swap is purely a throughput heuristic.
+        (_, BOperand::Dense(bd)) if k < PORTABLE_MIN_K => {
             panel_scalar_dense(a, bd, k, n, row0, c_panel);
         }
-        (Kernel::Scalar | Kernel::Portable, BOperand::Packed(pb)) if k < PORTABLE_MIN_K => {
+        (_, BOperand::Packed(pb)) if k < PORTABLE_MIN_K => {
             panel_scalar_packed(a, pb, k, n, row0, c_panel);
         }
-        // Scalar has no wide packed form of its own: the portable loop *is*
-        // scalar Rust with the same per-element order.
-        (Kernel::Scalar | Kernel::Portable, BOperand::Packed(pb)) => {
-            panel_portable_packed(a, pb, k, n, row0, c_panel, 0);
-        }
-        (Kernel::Portable, BOperand::Dense(bd)) => {
-            panel_portable_dense(a, bd, k, n, row0, c_panel, 0);
-        }
-        (Kernel::Avx2 | Kernel::Avx2Fma, b) => {
-            #[cfg(target_arch = "x86_64")]
-            {
-                x86::panel(kernel == Kernel::Avx2Fma, a, b, k, n, row0, c_panel);
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            match b {
-                BOperand::Dense(bd) => panel_portable_dense(a, bd, k, n, row0, c_panel, 0),
-                BOperand::Packed(pb) => panel_portable_packed(a, pb, k, n, row0, c_panel, 0),
-            }
-        }
+        (_, BOperand::Dense(bd)) => panel_portable_dense(a, bd, k, n, row0, c_panel, 0),
+        (_, BOperand::Packed(pb)) => panel_portable_packed(a, pb, k, n, row0, c_panel, 0),
     }
 }
 
 /// Reduction-depth threshold below which the portable kernel falls back to
 /// the scalar loops: with so few `k` terms per output element, the portable
 /// kernel's [`NR`]-lane accumulator traffic costs more than its vector math
-/// earns (measured crossover between `c_in = 4` and `c_in = 32` in
-/// BENCH_gemm.json). Only a dispatch choice — never a numerics change.
+/// earns (measured crossover between `c_in = 4` and `c_in = 32`: 8.1
+/// GFLOP/s portable against 11.1 scalar at `c_in = 4`, in the retired GEMM
+/// bench whose results git history keeps; EXPERIMENTS.md's row-sparse strip
+/// microkernel section reports the same shapes).
+/// Only a dispatch choice — never a numerics change.
 const PORTABLE_MIN_K: usize = 8;
 
 /// Cache block size along the reduction dimension of the scalar kernel
@@ -305,8 +262,9 @@ const PORTABLE_MIN_K: usize = 8;
 /// ascending regardless of blocking).
 const KBLOCK: usize = 256;
 
-/// The original blocked scalar loop, verbatim — the benchmark baseline and
-/// the semantic reference for the zero-skip behaviour.
+/// The original blocked scalar loop, verbatim — the semantic reference for
+/// the zero-skip behaviour, and the portable kernel below
+/// [`PORTABLE_MIN_K`].
 fn panel_scalar_dense(a: &[f32], b: &[f32], k: usize, n: usize, row0: usize, c_panel: &mut [f32]) {
     let rows_here = c_panel.len() / n;
     for kb in (0..k).step_by(KBLOCK) {
@@ -463,7 +421,7 @@ fn panel_scalar_packed(
 /// zero-initialized dot product over `kk` ascending with mul-then-add and
 /// the `a == 0.0` skip (the GEMM into a zeroed psum buffer), an optional
 /// per-element f16 round trip (psum storage), then a single `+=` into the
-/// output row (the scatter). All non-FMA kernels therefore produce bits
+/// output row (the scatter). Either kernel therefore produces bits
 /// identical to gather → GEMM → scatter at any tiling.
 ///
 /// # Panics
@@ -473,6 +431,21 @@ fn panel_scalar_packed(
 /// `out_rel` entry past `out`'s rows, or a B operand smaller than `k x n`.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_gather_scatter(
+    a: &[f32],
+    k: usize,
+    in_rows: &[u32],
+    b: BOperand<'_>,
+    n: usize,
+    round_f16: bool,
+    out: &mut [f32],
+    out_rel: &[u32],
+) {
+    gather_scatter_with(active(), a, k, in_rows, b, n, round_f16, out, out_rel);
+}
+
+/// [`gemm_gather_scatter`] on `kernel`.
+#[allow(clippy::too_many_arguments)]
+fn gather_scatter_with(
     kernel: Kernel,
     a: &[f32],
     k: usize,
@@ -502,17 +475,14 @@ pub fn gemm_gather_scatter(
     }
     match kernel {
         #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2 | Kernel::Avx2Fma => {
-            x86::fused_rows(kernel, a, k, in_rows, b, n, round_f16, out, out_rel);
-        }
+        Kernel::Avx2 => x86::fused_rows(a, k, in_rows, b, n, round_f16, out, out_rel),
         _ => fused_rows_portable(kernel, a, k, in_rows, b, n, round_f16, out, out_rel, 0),
     }
 }
 
-/// Safe fused kernel shared by `Scalar` and `Portable` (their per-element
-/// order is identical, so one loop serves both), and the ragged-tail
-/// delegate of the AVX2 path (`j_start` marks where the full-width panels
-/// stopped).
+/// The portable fused kernel, and the ragged-tail delegate of the AVX2 path
+/// (`j_start` marks where the full-width panels stopped; `kernel` rounds
+/// the f16 partial sums).
 #[allow(clippy::too_many_arguments)]
 fn fused_rows_portable(
     kernel: Kernel,
@@ -560,7 +530,7 @@ fn fused_rows_portable(
                 }
             }
             if round_f16 {
-                f16_round_trip_slice(kernel, &mut acc[..w]);
+                f16_round_trip_with(kernel, &mut acc[..w]);
             }
             let o = dst as usize * n + j0;
             for (ov, av) in out[o..o + w].iter_mut().zip(&acc[..w]) {
@@ -574,16 +544,25 @@ fn fused_rows_portable(
 /// Rounds every element to the nearest binary16 and back (FP16 storage
 /// simulation) in one slice sweep.
 ///
-/// The AVX2+F16C path uses the hardware converters, which implement exactly
-/// the same round-to-nearest-even semantics as [`Half::from_f32`] for every
-/// non-NaN input; blocks containing NaNs fall back to the software
-/// converter so NaN payload canonicalization is also identical. The result
-/// is therefore bitwise equal to the scalar sweep for *all* inputs.
-pub fn f16_round_trip_slice(kernel: Kernel, data: &mut [f32]) {
+/// On the AVX2 kernel with F16C the hardware converters run, which
+/// implement exactly the same round-to-nearest-even semantics as
+/// [`Half::from_f32`] for every non-NaN input; blocks containing NaNs fall
+/// back to the software converter so NaN payload canonicalization is also
+/// identical. The result is therefore bitwise equal to the scalar sweep for
+/// *all* inputs.
+pub fn f16_round_trip_slice(data: &mut [f32]) {
+    f16_round_trip_with(active(), data);
+}
+
+/// [`f16_round_trip_slice`] on `kernel`.
+fn f16_round_trip_with(kernel: Kernel, data: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
-    if kernel.is_simd() && torchsparse_runtime::cpu_features().f16c {
-        x86::f16_round_trip(data);
-        return;
+    {
+        let cpu = torchsparse_runtime::cpu_features();
+        if kernel == Kernel::Avx2 && cpu.avx2 && cpu.f16c {
+            x86::f16_round_trip(data);
+            return;
+        }
     }
     let _ = kernel;
     for v in data {
@@ -591,17 +570,17 @@ pub fn f16_round_trip_slice(kernel: Kernel, data: &mut [f32]) {
     }
 }
 
-/// Symmetric INT8 quantize-dequantize round trip over a slice:
+/// Symmetric INT8 quantize-dequantize round trip over a slice on `kernel`:
 /// `clamp(round(v / scale), -127, 127) * scale` per element, exactly as the
 /// scalar [`Int8Quantizer`](crate::quant::Int8Quantizer) computes it
 /// (including round-half-away-from-zero, saturation of infinities, and
 /// NaN -> 0). The AVX2 path reconstructs `f32::round` from truncate +
 /// half-bump, which is exact for every representable input, so results are
 /// bitwise identical to the scalar loop.
-pub(crate) fn int8_round_trip_slice(kernel: Kernel, scale: f32, data: &mut [f32]) {
+pub(crate) fn int8_round_trip_with(kernel: Kernel, scale: f32, data: &mut [f32]) {
     debug_assert!(scale.is_finite() && scale > 0.0);
     #[cfg(target_arch = "x86_64")]
-    if kernel.is_simd() {
+    if kernel == Kernel::Avx2 {
         x86::int8_round_trip(scale, data);
         return;
     }
@@ -620,22 +599,21 @@ fn int8_round_trip_scalar(scale: f32, v: f32) -> f32 {
 
 /// The `std::arch` implementations. This is the only module in the crate
 /// allowed to use `unsafe`: every function is either `#[target_feature]`
-/// (called through a safe wrapper that checked [`cpu_features`]
-/// (torchsparse_runtime::cpu_features) first) or plain pointer arithmetic
-/// over lengths the safe wrappers validated.
+/// (entered only through a safe wrapper after a check of the CPU feature;
+/// [`active`] picks [`Kernel::Avx2`] only after the same check) or plain
+/// pointer arithmetic over lengths the safe wrappers validated.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod x86 {
-    use super::{BOperand, LANES, NR};
+    use super::{BOperand, Kernel, LANES, NR};
     use crate::Half;
     use std::arch::x86_64::{
         __m256, _mm256_add_ps, _mm256_and_ps, _mm256_andnot_ps, _mm256_broadcast_ss, _mm256_cmp_ps,
-        _mm256_cmpgt_epi32, _mm256_cvtph_ps, _mm256_cvtps_ph, _mm256_div_ps, _mm256_fmadd_ps,
-        _mm256_loadu_ps, _mm256_maskload_ps, _mm256_max_ps, _mm256_min_ps, _mm256_movemask_ps,
-        _mm256_mul_ps, _mm256_or_ps, _mm256_round_ps, _mm256_set1_epi32, _mm256_set1_ps,
-        _mm256_setr_epi32, _mm256_setzero_ps, _mm256_storeu_ps, _mm256_sub_ps, _CMP_GE_OQ,
-        _CMP_NEQ_UQ, _CMP_UNORD_Q, _MM_FROUND_NO_EXC, _MM_FROUND_TO_NEAREST_INT,
-        _MM_FROUND_TO_ZERO,
+        _mm256_cmpgt_epi32, _mm256_cvtph_ps, _mm256_cvtps_ph, _mm256_div_ps, _mm256_loadu_ps,
+        _mm256_maskload_ps, _mm256_max_ps, _mm256_min_ps, _mm256_movemask_ps, _mm256_mul_ps,
+        _mm256_or_ps, _mm256_round_ps, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32,
+        _mm256_setzero_ps, _mm256_storeu_ps, _mm256_sub_ps, _CMP_GE_OQ, _CMP_NEQ_UQ, _CMP_UNORD_Q,
+        _MM_FROUND_NO_EXC, _MM_FROUND_TO_NEAREST_INT, _MM_FROUND_TO_ZERO,
     };
 
     /// Panels per strip: two accumulators per panel, so a full strip holds
@@ -689,9 +667,17 @@ mod x86 {
         }
     }
 
-    /// Entry point for the AVX2 GEMM panel. `fma` selects the fused form.
+    /// Panics unless the CPU runs AVX2, the condition every AVX2
+    /// `target_feature` entry below relies on. [`active`](super::active)
+    /// picks [`Kernel::Avx2`] only after the same check, so this never
+    /// fires; it keeps each safe entry point sound on its own, at one cached
+    /// load per call.
+    fn assert_avx2() {
+        assert!(torchsparse_runtime::cpu_features().avx2, "AVX2 kernel on a CPU without AVX2");
+    }
+
+    /// Entry point for the AVX2 GEMM panel.
     pub(super) fn panel(
-        fma: bool,
         a: &[f32],
         b: BOperand<'_>,
         k: usize,
@@ -699,18 +685,17 @@ mod x86 {
         row0: usize,
         c_panel: &mut [f32],
     ) {
-        // SAFETY: callers select the AVX2 kernels only after
-        // `cpu_features()` reported avx2 (and fma for the fused form); the
-        // target-feature functions below are then safe to enter.
-        unsafe {
-            if fma {
-                panel_fma(a, b, k, n, row0, c_panel);
-            } else {
-                panel_avx2(a, b, k, n, row0, c_panel);
-            }
-        }
+        assert_avx2();
+        // SAFETY: the CPU runs AVX2, checked just above.
+        unsafe { panel_avx2(a, b, k, n, row0, c_panel) }
     }
 
+    /// Plain GEMM panel (`c_panel += a[row0..] * b`): the strip kernel over
+    /// every full [`NR`]-wide panel, widest strips first — the narrower the
+    /// strip, the more rows walk it together (`R * P = 4`, so eight
+    /// accumulators are in flight unless the strip is three panels wide).
+    /// Ragged tail columns delegate to the portable loops, which accumulate
+    /// each element in the identical order.
     #[target_feature(enable = "avx2")]
     unsafe fn panel_avx2(
         a: &[f32],
@@ -718,21 +703,42 @@ mod x86 {
         k: usize,
         n: usize,
         row0: usize,
-        c: &mut [f32],
+        c_panel: &mut [f32],
     ) {
-        unsafe { panel_impl::<false>(a, b, k, n, row0, c) }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn panel_fma(
-        a: &[f32],
-        b: BOperand<'_>,
-        k: usize,
-        n: usize,
-        row0: usize,
-        c: &mut [f32],
-    ) {
-        unsafe { panel_impl::<true>(a, b, k, n, row0, c) }
+        let rows = c_panel.len() / n;
+        assert!((row0 + rows) * k <= a.len(), "A holds the panel's rows");
+        let panels = Panels::new(b, k, n);
+        let full = n / NR;
+        let mut p = 0;
+        while p < full {
+            let width = (full - p).min(STRIP);
+            // SAFETY: the assert above bounds the `rows` A rows from row0;
+            // `Panels::new` checked that B holds k rows of panels
+            // p..p + width <= n / NR; and columns (p + width) * NR <= n of
+            // each of the `rows` C rows exist because c_panel holds
+            // rows * n floats.
+            unsafe {
+                let a = a.as_ptr().add(row0 * k);
+                let c = c_panel.as_mut_ptr().add(p * NR);
+                match width {
+                    4 => panel_strip::<1, 4>(a, rows, k, panels, p, c, n),
+                    3 => panel_strip::<1, 3>(a, rows, k, panels, p, c, n),
+                    2 => panel_strip::<2, 2>(a, rows, k, panels, p, c, n),
+                    _ => panel_strip::<4, 1>(a, rows, k, panels, p, c, n),
+                }
+            }
+            p += width;
+        }
+        if full * NR < n {
+            match b {
+                BOperand::Dense(bd) => {
+                    super::panel_portable_dense(a, bd, k, n, row0, c_panel, full * NR);
+                }
+                BOperand::Packed(pb) => {
+                    super::panel_portable_packed(a, pb, k, n, row0, c_panel, full);
+                }
+            }
+        }
     }
 
     /// Bit `i` is set iff `a[i] != 0.0`, for the `len <= WORD` floats at
@@ -770,14 +776,14 @@ mod x86 {
     }
 
     /// One term of the reduction: `acc += a[kk] * B[kk]` across the strip's
-    /// `P` panels, mul then add (one rounding when `FMA`).
+    /// `P` panels, mul then add.
     ///
     /// # Safety
     ///
-    /// Requires AVX2 (and FMA when `FMA`); `a[kk]` and the [`NR`] floats of
-    /// row `kk` of each of the `P` panels from `b` must be readable.
+    /// Requires AVX2; `a[kk]` and the [`NR`] floats of row `kk` of each of
+    /// the `P` panels from `b` must be readable.
     #[inline(always)]
-    unsafe fn axpy<const FMA: bool, const P: usize>(
+    unsafe fn axpy<const P: usize>(
         acc: &mut Acc<P>,
         a: *const f32,
         kk: usize,
@@ -791,13 +797,8 @@ mod x86 {
             for (p, lanes) in acc.iter_mut().enumerate() {
                 let b0 = _mm256_loadu_ps(b_row.add(p * panels.panel_stride));
                 let b1 = _mm256_loadu_ps(b_row.add(p * panels.panel_stride + LANES));
-                if FMA {
-                    lanes[0] = _mm256_fmadd_ps(av, b0, lanes[0]);
-                    lanes[1] = _mm256_fmadd_ps(av, b1, lanes[1]);
-                } else {
-                    lanes[0] = _mm256_add_ps(lanes[0], _mm256_mul_ps(av, b0));
-                    lanes[1] = _mm256_add_ps(lanes[1], _mm256_mul_ps(av, b1));
-                }
+                lanes[0] = _mm256_add_ps(lanes[0], _mm256_mul_ps(av, b0));
+                lanes[1] = _mm256_add_ps(lanes[1], _mm256_mul_ps(av, b1));
             }
         }
     }
@@ -809,7 +810,7 @@ mod x86 {
     /// `mask` must be nonzero with no bit at or above `len` set; then as
     /// [`axpy`] for every `kk < len`.
     #[inline(always)]
-    unsafe fn axpy_lowest<const FMA: bool, const P: usize>(
+    unsafe fn axpy_lowest<const P: usize>(
         mask: &mut u64,
         len: usize,
         acc: &mut Acc<P>,
@@ -821,7 +822,7 @@ mod x86 {
         *mask &= *mask - 1;
         debug_assert!(kk < len, "mask bits stay inside the word");
         // SAFETY: kk < len, which the caller vouched for.
-        unsafe { axpy::<FMA, P>(acc, a, kk, b, panels) }
+        unsafe { axpy::<P>(acc, a, kk, b, panels) }
     }
 
     /// The row-sparse strip microkernel, one bitmask word at a time: `len <=
@@ -848,12 +849,11 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// Requires AVX2 (and FMA when `FMA`). Every `a_rows[i]` must be
-    /// readable for `len` floats, and for every `kk < len` and `p < P` the
-    /// [`NR`] floats at `b + kk * panels.row_stride + p *
-    /// panels.panel_stride` must be readable.
+    /// Requires AVX2. Every `a_rows[i]` must be readable for `len` floats,
+    /// and for every `kk < len` and `p < P` the [`NR`] floats at `b + kk *
+    /// panels.row_stride + p * panels.panel_stride` must be readable.
     #[inline(always)]
-    unsafe fn strip_word<const FMA: bool, const R: usize, const P: usize>(
+    unsafe fn strip_word<const R: usize, const P: usize>(
         a_rows: [*const f32; R],
         len: usize,
         b: *const f32,
@@ -872,7 +872,7 @@ mod x86 {
             if masks.iter().all(|&m| m == u64::MAX >> (WORD - len)) {
                 for kk in 0..len {
                     for (lanes, a_row) in acc.iter_mut().zip(a_rows) {
-                        axpy::<FMA, P>(lanes, a_row, kk, b, panels);
+                        axpy::<P>(lanes, a_row, kk, b, panels);
                     }
                 }
                 return acc;
@@ -881,13 +881,13 @@ mod x86 {
                 let common = masks.iter().fold(WORD as u32, |c, m| c.min(m.count_ones()));
                 for _ in 0..common {
                     for ((mask, lanes), a_row) in masks.iter_mut().zip(&mut acc).zip(a_rows) {
-                        axpy_lowest::<FMA, P>(mask, len, lanes, a_row, b, panels);
+                        axpy_lowest::<P>(mask, len, lanes, a_row, b, panels);
                     }
                 }
             }
             for ((mask, lanes), a_row) in masks.iter_mut().zip(&mut acc).zip(a_rows) {
                 while *mask != 0 {
-                    axpy_lowest::<FMA, P>(mask, len, lanes, a_row, b, panels);
+                    axpy_lowest::<P>(mask, len, lanes, a_row, b, panels);
                 }
             }
         }
@@ -925,13 +925,13 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// Requires AVX2 (and FMA when `FMA`). `a` must be readable for `len`
-    /// floats at each of `rows.end` rows `k` floats apart, `c` read- and
-    /// writable for `P * NR` floats at each of `rows.end` rows `n` floats
-    /// apart, and `b` must satisfy [`strip_word`]'s contract.
+    /// Requires AVX2. `a` must be readable for `len` floats at each of
+    /// `rows.end` rows `k` floats apart, `c` read- and writable for `P * NR`
+    /// floats at each of `rows.end` rows `n` floats apart, and `b` must
+    /// satisfy [`strip_word`]'s contract.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    unsafe fn panel_groups<const FMA: bool, const R: usize, const P: usize>(
+    unsafe fn panel_groups<const R: usize, const P: usize>(
         a: *const f32,
         rows: std::ops::Range<usize>,
         k: usize,
@@ -955,7 +955,7 @@ mod x86 {
                         pair[1] = _mm256_loadu_ps(c.add((r + i) * n + p * NR + LANES));
                     }
                 }
-                let acc = strip_word::<FMA, R, P>(a_rows, len, b, panels, acc);
+                let acc = strip_word::<R, P>(a_rows, len, b, panels, acc);
                 store_rows(&acc, c.add(r * n), n);
             }
             r += R;
@@ -972,13 +972,13 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// Requires AVX2 (and FMA when `FMA`). `a` must be readable for `rows`
-    /// rows of `k` floats, `c` read- and writable for `P * NR` floats at
-    /// each of `rows` rows `n` floats apart, and panels `p0..p0 + P` must
-    /// be inside `panels.count` of a B with `k` rows.
+    /// Requires AVX2. `a` must be readable for `rows` rows of `k` floats,
+    /// `c` read- and writable for `P * NR` floats at each of `rows` rows `n`
+    /// floats apart, and panels `p0..p0 + P` must be inside `panels.count`
+    /// of a B with `k` rows.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    unsafe fn panel_strip<const FMA: bool, const R: usize, const P: usize>(
+    unsafe fn panel_strip<const R: usize, const P: usize>(
         a: *const f32,
         rows: usize,
         k: usize,
@@ -995,69 +995,17 @@ mod x86 {
             // this pass are inside what the caller vouched for.
             unsafe {
                 let (a, b) = (a.add(k0), panels.at(p0).add(k0 * panels.row_stride));
-                let done = panel_groups::<FMA, R, P>(a, 0..rows, k, len, b, panels, c, n);
+                let done = panel_groups::<R, P>(a, 0..rows, k, len, b, panels, c, n);
                 if R > 1 {
-                    panel_groups::<FMA, 1, P>(a, done..rows, k, len, b, panels, c, n);
+                    panel_groups::<1, P>(a, done..rows, k, len, b, panels, c, n);
                 }
             }
             k0 += WORD;
         }
     }
 
-    /// Plain GEMM panel (`c_panel += a[row0..] * b`): the strip kernel over
-    /// every full [`NR`]-wide panel, widest strips first — the narrower the
-    /// strip, the more rows walk it together (`R * P = 4`, so eight
-    /// accumulators are in flight unless the strip is three panels wide).
-    /// Ragged tail columns delegate to the portable loops, which accumulate
-    /// each element in the identical order.
-    #[inline(always)]
-    unsafe fn panel_impl<const FMA: bool>(
-        a: &[f32],
-        b: BOperand<'_>,
-        k: usize,
-        n: usize,
-        row0: usize,
-        c_panel: &mut [f32],
-    ) {
-        let rows = c_panel.len() / n;
-        assert!((row0 + rows) * k <= a.len(), "A holds the panel's rows");
-        let panels = Panels::new(b, k, n);
-        let full = n / NR;
-        let mut p = 0;
-        while p < full {
-            let width = (full - p).min(STRIP);
-            // SAFETY: the assert above bounds the `rows` A rows from row0;
-            // `Panels::new` checked that B holds k rows of panels
-            // p..p + width <= n / NR; and columns (p + width) * NR <= n of
-            // each of the `rows` C rows exist because c_panel holds
-            // rows * n floats.
-            unsafe {
-                let a = a.as_ptr().add(row0 * k);
-                let c = c_panel.as_mut_ptr().add(p * NR);
-                match width {
-                    4 => panel_strip::<FMA, 1, 4>(a, rows, k, panels, p, c, n),
-                    3 => panel_strip::<FMA, 1, 3>(a, rows, k, panels, p, c, n),
-                    2 => panel_strip::<FMA, 2, 2>(a, rows, k, panels, p, c, n),
-                    _ => panel_strip::<FMA, 4, 1>(a, rows, k, panels, p, c, n),
-                }
-            }
-            p += width;
-        }
-        if full * NR < n {
-            match b {
-                BOperand::Dense(bd) => {
-                    super::panel_portable_dense(a, bd, k, n, row0, c_panel, full * NR);
-                }
-                BOperand::Packed(pb) => {
-                    super::panel_portable_packed(a, pb, k, n, row0, c_panel, full);
-                }
-            }
-        }
-    }
-
     /// The map entries of one fused batch, and where their products go.
     struct Scatter<'a> {
-        kernel: super::Kernel,
         in_rows: &'a [u32],
         out_rel: &'a [u32],
         round_f16: bool,
@@ -1070,7 +1018,6 @@ mod x86 {
     /// ([`gemm_gather_scatter`](super::gemm_gather_scatter)).
     #[allow(clippy::too_many_arguments)]
     pub(super) fn fused_rows(
-        kernel: super::Kernel,
         a: &[f32],
         k: usize,
         in_rows: &[u32],
@@ -1080,26 +1027,10 @@ mod x86 {
         out: &mut [f32],
         out_rel: &[u32],
     ) {
-        let mut s = Scatter { kernel, in_rows, out_rel, round_f16, out, n };
-        // SAFETY: callers select the AVX2 kernels only after cpu_features()
-        // reported avx2 (and fma for the fused-multiply-add form).
-        unsafe {
-            if kernel == super::Kernel::Avx2Fma {
-                fused_rows_fma(a, k, b, &mut s);
-            } else {
-                fused_rows_avx2(a, k, b, &mut s);
-            }
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn fused_rows_avx2(a: &[f32], k: usize, b: BOperand<'_>, s: &mut Scatter<'_>) {
-        unsafe { fused_rows_impl::<false>(a, k, b, s) }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn fused_rows_fma(a: &[f32], k: usize, b: BOperand<'_>, s: &mut Scatter<'_>) {
-        unsafe { fused_rows_impl::<true>(a, k, b, s) }
+        let mut s = Scatter { in_rows, out_rel, round_f16, out, n };
+        assert_avx2();
+        // SAFETY: the CPU runs AVX2, checked just above.
+        unsafe { fused_rows_avx2(a, k, b, &mut s) }
     }
 
     /// Fused kernel over groups of `R` map entries and one strip of `P`
@@ -1112,12 +1043,11 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// Requires AVX2 (and FMA when `FMA`). Every `s.in_rows` entry must
-    /// index a row of `a` (`k` floats each) and panels `p0..p0 + P` must be
-    /// inside `panels.count` of a B with `k` rows; the output rows are
-    /// bounds-checked slices.
+    /// Requires AVX2. Every `s.in_rows` entry must index a row of `a` (`k`
+    /// floats each) and panels `p0..p0 + P` must be inside `panels.count` of
+    /// a B with `k` rows; the output rows are bounds-checked slices.
     #[inline(always)]
-    unsafe fn fused_groups<const FMA: bool, const R: usize, const P: usize>(
+    unsafe fn fused_groups<const R: usize, const P: usize>(
         a: &[f32],
         k: usize,
         panels: Panels,
@@ -1145,7 +1075,7 @@ mod x86 {
                 while k0 < k {
                     let b = panels.at(p0).add(k0 * panels.row_stride);
                     let len = (k - k0).min(WORD);
-                    acc = strip_word::<FMA, R, P>(a_rows, len, b, panels, acc);
+                    acc = strip_word::<R, P>(a_rows, len, b, panels, acc);
                     a_rows = a_rows.map(|a_row| a_row.add(len));
                     k0 += WORD;
                 }
@@ -1154,7 +1084,7 @@ mod x86 {
             for (row, &dst) in tile.chunks_exact_mut(P * NR).zip(&s.out_rel[r..r + R]) {
                 debug_assert!((dst as usize + 1) * s.n <= s.out.len(), "scatter row in bounds");
                 if s.round_f16 {
-                    super::f16_round_trip_slice(s.kernel, row);
+                    super::f16_round_trip_with(Kernel::Avx2, row);
                 }
                 let o = dst as usize * s.n + p0 * NR;
                 accumulate_row(&mut s.out[o..o + P * NR], row);
@@ -1169,13 +1099,8 @@ mod x86 {
     /// entries run in groups of `R` (`R * P = 4`, like the plain GEMM),
     /// leftover entries one at a time. Ragged tail columns delegate to the
     /// portable loop, which accumulates each element in the identical order.
-    #[inline(always)]
-    unsafe fn fused_rows_impl<const FMA: bool>(
-        a: &[f32],
-        k: usize,
-        b: BOperand<'_>,
-        s: &mut Scatter<'_>,
-    ) {
+    #[target_feature(enable = "avx2")]
+    unsafe fn fused_rows_avx2(a: &[f32], k: usize, b: BOperand<'_>, s: &mut Scatter<'_>) {
         let n = s.n;
         let panels = Panels::new(b, k, n);
         let all = 0..s.in_rows.len();
@@ -1188,32 +1113,42 @@ mod x86 {
             // p + width <= n / NR <= panels.count.
             unsafe {
                 match width {
-                    4 => fused_groups::<FMA, 1, 4>(a, k, panels, p, all.clone(), s),
-                    3 => fused_groups::<FMA, 1, 3>(a, k, panels, p, all.clone(), s),
+                    4 => fused_groups::<1, 4>(a, k, panels, p, all.clone(), s),
+                    3 => fused_groups::<1, 3>(a, k, panels, p, all.clone(), s),
                     2 => {
-                        let done = fused_groups::<FMA, 2, 2>(a, k, panels, p, all.clone(), s);
-                        fused_groups::<FMA, 1, 2>(a, k, panels, p, done..all.end, s)
+                        let done = fused_groups::<2, 2>(a, k, panels, p, all.clone(), s);
+                        fused_groups::<1, 2>(a, k, panels, p, done..all.end, s)
                     }
                     _ => {
-                        let done = fused_groups::<FMA, 4, 1>(a, k, panels, p, all.clone(), s);
-                        fused_groups::<FMA, 1, 1>(a, k, panels, p, done..all.end, s)
+                        let done = fused_groups::<4, 1>(a, k, panels, p, all.clone(), s);
+                        fused_groups::<1, 1>(a, k, panels, p, done..all.end, s)
                     }
                 };
             }
             p += width;
         }
         if full * NR < n {
-            let Scatter { kernel, in_rows, out_rel, round_f16, .. } = *s;
+            let Scatter { in_rows, out_rel, round_f16, .. } = *s;
             let tail = full * NR;
             super::fused_rows_portable(
-                kernel, a, k, in_rows, b, n, round_f16, s.out, out_rel, tail,
+                Kernel::Avx2,
+                a,
+                k,
+                in_rows,
+                b,
+                n,
+                round_f16,
+                s.out,
+                out_rel,
+                tail,
             );
         }
     }
 
     /// `dst[i] += src[i]`: the strip kernel's scatter epilogue.
     fn accumulate_row(dst: &mut [f32], src: &[f32]) {
-        // SAFETY: is_simd() selections imply avx2 was detected.
+        // SAFETY: only the AVX2 fused kernel calls this, so avx2 was
+        // detected.
         unsafe { accumulate_row_avx2(dst, src) }
     }
 
@@ -1240,8 +1175,11 @@ mod x86 {
     // round-to-nearest-even selector only (no room for the NO_EXC flag).
     const F16_ROUND: i32 = _MM_FROUND_TO_NEAREST_INT;
 
+    /// F16C round trip; its one caller
+    /// ([`f16_round_trip_with`](super::f16_round_trip_with)) checked the
+    /// CPU for AVX2 and F16C.
     pub(super) fn f16_round_trip(data: &mut [f32]) {
-        // SAFETY: callers checked avx2 + f16c.
+        // SAFETY: the caller checked avx2 (so avx) and f16c.
         unsafe { f16_round_trip_f16c(data) }
     }
 
@@ -1274,7 +1212,8 @@ mod x86 {
     }
 
     pub(super) fn int8_round_trip(scale: f32, data: &mut [f32]) {
-        // SAFETY: is_simd() selections imply avx2 was detected.
+        assert_avx2();
+        // SAFETY: the CPU runs AVX2, checked just above.
         unsafe { int8_round_trip_avx2(scale, data) }
     }
 
@@ -1335,8 +1274,9 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
+    /// Both kernels where the CPU runs both, for the in-process sweeps.
     fn every_kernel() -> Vec<Kernel> {
-        let mut ks = vec![Kernel::Scalar, Kernel::Portable];
+        let mut ks = vec![Kernel::Portable];
         if torchsparse_runtime::cpu_features().avx2 {
             ks.push(Kernel::Avx2);
         }
@@ -1352,6 +1292,12 @@ mod tests {
         gemm_panel(kernel, a.as_slice(), b, a.cols(), n, 0, c.as_mut_slice());
     }
 
+    /// The scalar oracle: one full-matrix GEMM (`C += A*B`) through the
+    /// blocked scalar loop.
+    fn scalar_panel(a: &Matrix, b: &Matrix, c: &mut Matrix) {
+        panel_scalar_dense(a.as_slice(), b.as_slice(), a.cols(), b.cols(), 0, c.as_mut_slice());
+    }
+
     fn random_matrix(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix {
         Matrix::from_fn(rows, cols, |_, _| rng.random_range(-1.0f32..1.0))
     }
@@ -1360,36 +1306,23 @@ mod tests {
     fn env_selection_policy() {
         assert_eq!(select(Some("off")), (Kernel::Portable, None));
         assert_eq!(select(Some(" Portable ")), (Kernel::Portable, None));
-        assert_eq!(select(Some("scalar")), (Kernel::Scalar, None));
         let (auto, none) = select(None);
         assert!(none.is_none());
-        assert!(auto == Kernel::Avx2 || auto == Kernel::Portable);
+        let avx2 = torchsparse_runtime::cpu_features().avx2;
+        assert_eq!(auto, if avx2 { Kernel::Avx2 } else { Kernel::Portable });
         assert_eq!(select(Some("on")), (auto, None));
         assert_eq!(select(Some("AUTO")), (auto, None));
-        assert_ne!(auto, Kernel::Avx2Fma, "FMA is never auto-selected");
     }
 
     #[test]
     fn env_selection_warns_on_unknown_values() {
-        for bad in ["avx512", "1", "yes", ""] {
+        for bad in ["avx512", "1", "yes", "", "scalar"] {
             let (kernel, warning) = select(Some(bad));
             let (auto, _) = select(None);
             assert_eq!(kernel, auto, "{bad:?} must fall back to auto-detection");
             let w = warning.unwrap_or_else(|| panic!("{bad:?} must produce a warning"));
             assert!(w.contains("TORCHSPARSE_SIMD"), "warning must name the variable: {w}");
             assert!(w.contains(kernel.name()), "warning must name the fallback kernel: {w}");
-        }
-    }
-
-    #[test]
-    fn with_fma_only_upgrades_avx2() {
-        assert_eq!(Kernel::Scalar.with_fma(), Kernel::Scalar);
-        assert_eq!(Kernel::Portable.with_fma(), Kernel::Portable);
-        let up = Kernel::Avx2.with_fma();
-        if torchsparse_runtime::cpu_features().fma {
-            assert_eq!(up, Kernel::Avx2Fma);
-        } else {
-            assert_eq!(up, Kernel::Avx2);
         }
     }
 
@@ -1421,7 +1354,7 @@ mod tests {
             let b = random_matrix(&mut rng, k, n);
             let packed = PackedB::pack(&b);
             let mut reference = Matrix::zeros(m, n);
-            run_panel(Kernel::Scalar, &a, BOperand::Dense(b.as_slice()), n, &mut reference);
+            scalar_panel(&a, &b, &mut reference);
             for kernel in every_kernel() {
                 for (label, operand) in [
                     ("dense", BOperand::Dense(b.as_slice())),
@@ -1448,7 +1381,7 @@ mod tests {
         let packed = PackedB::pack(&b);
         let seed = random_matrix(&mut rng, 6, 20);
         let mut reference = seed.clone();
-        run_panel(Kernel::Scalar, &a, BOperand::Dense(b.as_slice()), 20, &mut reference);
+        scalar_panel(&a, &b, &mut reference);
         for kernel in every_kernel() {
             let mut c = seed.clone();
             run_panel(kernel, &a, BOperand::Packed(&packed), 20, &mut c);
@@ -1469,7 +1402,7 @@ mod tests {
         let b = random_matrix(&mut rng, 6, 19);
         let packed = PackedB::pack(&b);
         let mut reference = Matrix::zeros(8, 19);
-        run_panel(Kernel::Scalar, &a, BOperand::Dense(b.as_slice()), 19, &mut reference);
+        scalar_panel(&a, &b, &mut reference);
         for kernel in every_kernel() {
             for operand in [BOperand::Dense(b.as_slice()), BOperand::Packed(&packed)] {
                 let mut c = Matrix::zeros(8, 19);
@@ -1479,11 +1412,11 @@ mod tests {
         }
     }
 
-    /// Unfused reference for the fused kernel: materialized gather, GEMM
-    /// into a zeroed psum buffer, optional f16 psum rounding, then scatter
-    /// accumulation — the exact sequence `gemm_gather_scatter` folds away.
+    /// Unfused scalar reference for the fused kernel: materialized gather,
+    /// GEMM into a zeroed psum buffer, optional f16 psum rounding, then
+    /// scatter accumulation — the exact sequence `gemm_gather_scatter`
+    /// folds away.
     fn fused_reference(
-        kernel: Kernel,
         a: &Matrix,
         b: &Matrix,
         entries: &[(u32, u32)],
@@ -1496,9 +1429,11 @@ mod tests {
             gathered.row_mut(i).copy_from_slice(a.row(src as usize));
         }
         let mut psum = Matrix::zeros(entries.len(), n);
-        run_panel(kernel, &gathered, BOperand::Dense(b.as_slice()), n, &mut psum);
+        scalar_panel(&gathered, b, &mut psum);
         if round_f16 {
-            f16_round_trip_slice(kernel, psum.as_mut_slice());
+            for v in psum.as_mut_slice() {
+                *v = Half::from_f32(*v).to_f32();
+            }
         }
         let mut out = Matrix::zeros(n_out, n);
         for (i, &(_, dst)) in entries.iter().enumerate() {
@@ -1521,7 +1456,7 @@ mod tests {
         let in_rows: Vec<u32> = entries.iter().map(|&(s, _)| s).collect();
         let out_rel: Vec<u32> = entries.iter().map(|&(_, d)| d).collect();
         let mut out = Matrix::zeros(n_out, n);
-        gemm_gather_scatter(
+        gather_scatter_with(
             kernel,
             a.as_slice(),
             a.cols(),
@@ -1553,7 +1488,7 @@ mod tests {
                 .map(|_| (rng.random_range(0..m_in as u32), rng.random_range(0..n_out as u32)))
                 .collect();
             for round_f16 in [false, true] {
-                let reference = fused_reference(Kernel::Scalar, &a, &b, &entries, n_out, round_f16);
+                let reference = fused_reference(&a, &b, &entries, n_out, round_f16);
                 for kernel in every_kernel() {
                     for (label, operand) in [
                         ("dense", BOperand::Dense(b.as_slice())),
@@ -1582,7 +1517,7 @@ mod tests {
         let b = random_matrix(&mut rng, 6, 19);
         let packed = PackedB::pack(&b);
         let entries: Vec<(u32, u32)> = vec![(2, 0), (5, 0), (2, 3), (8, 2)];
-        let reference = fused_reference(Kernel::Scalar, &a, &b, &entries, 4, false);
+        let reference = fused_reference(&a, &b, &entries, 4, false);
         for kernel in every_kernel() {
             for operand in [BOperand::Dense(b.as_slice()), BOperand::Packed(&packed)] {
                 let out = run_fused(kernel, &a, operand, 19, &entries, 4, false);
@@ -1625,10 +1560,9 @@ mod tests {
                         .map(|_| (rng.random_range(0..m as u32), rng.random_range(0..n_out as u32)))
                         .collect();
                     let mut plain = seed.clone();
-                    run_panel(Kernel::Scalar, &a, BOperand::Dense(b.as_slice()), n, &mut plain);
-                    let fused: Vec<Matrix> = [false, true]
-                        .map(|r| fused_reference(Kernel::Scalar, &a, &b, &entries, n_out, r))
-                        .into();
+                    scalar_panel(&a, &b, &mut plain);
+                    let fused: Vec<Matrix> =
+                        [false, true].map(|r| fused_reference(&a, &b, &entries, n_out, r)).into();
                     for kernel in every_kernel() {
                         for (label, operand) in [
                             ("dense", BOperand::Dense(b.as_slice())),
@@ -1691,8 +1625,8 @@ mod tests {
             // leaves it alone.
             let seed = Matrix::from_fn(6, n, |_, _| -0.0);
             let mut reference = seed.clone();
-            run_panel(Kernel::Scalar, &a, BOperand::Dense(b.as_slice()), n, &mut reference);
-            let fused_want = fused_reference(Kernel::Scalar, &a, &b, &entries, 3, false);
+            scalar_panel(&a, &b, &mut reference);
+            let fused_want = fused_reference(&a, &b, &entries, 3, false);
             for kernel in every_kernel() {
                 for operand in [BOperand::Dense(b.as_slice()), BOperand::Packed(&packed)] {
                     let mut c = seed.clone();
@@ -1719,7 +1653,7 @@ mod tests {
         let inputs: Vec<f32> = (0..=u16::MAX).map(|b| Half::from_bits(b).to_f32()).collect();
         for kernel in every_kernel() {
             let mut data = inputs.clone();
-            f16_round_trip_slice(kernel, &mut data);
+            f16_round_trip_with(kernel, &mut data);
             for (v, orig) in data.iter().zip(&inputs) {
                 assert!(
                     v.to_bits() == orig.to_bits() || (v.is_nan() && orig.is_nan()),
@@ -1759,7 +1693,7 @@ mod tests {
         let reference: Vec<f32> = cases.iter().map(|&v| Half::from_f32(v).to_f32()).collect();
         for kernel in every_kernel() {
             let mut rounded = cases.clone();
-            f16_round_trip_slice(kernel, &mut rounded);
+            f16_round_trip_with(kernel, &mut rounded);
             for (i, (got, want)) in rounded.iter().zip(&reference).enumerate() {
                 assert_eq!(
                     got.to_bits(),
@@ -1796,7 +1730,7 @@ mod tests {
         let expect: Vec<f32> = cases.iter().map(|&v| q.dequantize(q.quantize(v))).collect();
         for kernel in every_kernel() {
             let mut data = cases.clone();
-            int8_round_trip_slice(kernel, scale, &mut data);
+            int8_round_trip_with(kernel, scale, &mut data);
             for (i, (d, e)) in data.iter().zip(&expect).enumerate() {
                 assert_eq!(
                     d.to_bits(),
@@ -1812,7 +1746,7 @@ mod tests {
     proptest! {
         /// Arbitrary shapes — including ragged column tails
         /// (`n % NR != 0`) and degenerate `k` — are bitwise identical
-        /// across every non-FMA kernel and both B layouts.
+        /// across both kernels and both B layouts, against the scalar loop.
         #[test]
         fn prop_kernels_bitwise_equal(
             m in 1usize..40, k in 0usize..24, n in 1usize..40, seed in 0u64..500
@@ -1822,7 +1756,7 @@ mod tests {
             let b = random_matrix(&mut rng, k, n);
             let packed = PackedB::pack(&b);
             let mut reference = Matrix::zeros(m, n);
-            run_panel(Kernel::Scalar, &a, BOperand::Dense(b.as_slice()), n, &mut reference);
+            scalar_panel(&a, &b, &mut reference);
             for kernel in every_kernel() {
                 for operand in [BOperand::Dense(b.as_slice()), BOperand::Packed(&packed)] {
                     let mut c = Matrix::zeros(m, n);
@@ -1849,7 +1783,7 @@ mod tests {
                 vals.iter().map(|&v| q.dequantize(q.quantize(v)).to_bits()).collect();
             for kernel in every_kernel() {
                 let mut data = vals.clone();
-                int8_round_trip_slice(kernel, scale, &mut data);
+                int8_round_trip_with(kernel, scale, &mut data);
                 let got: Vec<u32> = data.iter().map(|v| v.to_bits()).collect();
                 prop_assert!(got == expect, "{}", kernel.name());
             }
@@ -1866,7 +1800,7 @@ mod tests {
                 vals.iter().map(|&v| Half::from_f32(v).to_f32().to_bits()).collect();
             for kernel in every_kernel() {
                 let mut data = vals.clone();
-                f16_round_trip_slice(kernel, &mut data);
+                f16_round_trip_with(kernel, &mut data);
                 let got: Vec<u32> = data.iter().map(|v| v.to_bits()).collect();
                 prop_assert!(got == expect, "{}", kernel.name());
             }

@@ -5,23 +5,22 @@
 //! intermediates. This module implements both so the ablation can be
 //! reproduced faithfully:
 //!
-//! - [`round_trip_f16_in_place_kernel`]: the "simulate FP16 storage" pass
-//!   over a whole [`Matrix`].
+//! - [`round_trip_f16_in_place`]: the "simulate FP16 storage" pass over a
+//!   whole [`Matrix`].
 //! - [`Int8Quantizer`]: symmetric per-tensor INT8 with an f32 scale.
 
-use crate::microkernel::{self, Kernel};
+use crate::microkernel;
 use crate::Matrix;
 use torchsparse_runtime::ThreadPool;
 
 /// Simulates FP16 feature storage on a matrix in place: every element is
 /// rounded to the nearest binary16 and expanded back to `f32` — exactly what
 /// gathering an FP16 buffer into an FP32 GEMM does. The sweep runs
-/// chunk-parallel on `pool` with `kernel` (the engine's configuration layer
-/// resolves its `SimdPolicy` to a kernel once); each element rounds
-/// independently, so the result is bitwise identical to the serial sweep
-/// at every thread count and kernel.
-pub fn round_trip_f16_in_place_kernel(pool: &ThreadPool, m: &mut Matrix, kernel: Kernel) {
-    m.par_map_slices_inplace(pool, |chunk| microkernel::f16_round_trip_slice(kernel, chunk));
+/// chunk-parallel on `pool`; each element rounds independently, so the
+/// result is bitwise identical to the serial sweep at every thread count
+/// and on either kernel.
+pub fn round_trip_f16_in_place(pool: &ThreadPool, m: &mut Matrix) {
+    m.par_map_slices_inplace(pool, microkernel::f16_round_trip_slice);
 }
 
 /// Symmetric per-tensor INT8 quantizer.
@@ -33,11 +32,11 @@ pub fn round_trip_f16_in_place_kernel(pool: &ThreadPool, m: &mut Matrix, kernel:
 ///
 /// ```
 /// use torchsparse_runtime::ThreadPool;
-/// use torchsparse_tensor::{microkernel, quant::Int8Quantizer, Matrix};
+/// use torchsparse_tensor::{quant::Int8Quantizer, Matrix};
 ///
 /// let mut m = Matrix::from_vec(1, 3, vec![0.5, -2.0, 1.0]).unwrap();
 /// let q = Int8Quantizer::calibrate(m.as_slice());
-/// q.round_trip_in_place_kernel(&ThreadPool::new(1), &mut m, microkernel::active());
+/// q.round_trip_in_place(&ThreadPool::new(1), &mut m);
 /// assert!((m.as_slice()[2] - 1.0).abs() < 0.02);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,12 +49,15 @@ impl Int8Quantizer {
     ///
     /// NaN and infinities are left out of the range: an infinite scale would
     /// round every element to `0 * inf = NaN`. They still quantize — an
-    /// infinity saturates to ±127 codes, NaN to zero. An all-zero, empty or
-    /// all-non-finite calibration set yields a unit scale so that
-    /// quantization remains well-defined.
+    /// infinity saturates to ±127 codes, NaN to zero. The scale is finite
+    /// and positive for every input: an all-zero, empty or all-non-finite
+    /// calibration set yields a unit scale, and data so small that
+    /// `max_abs / 127` underflows to zero (subnormals below `127 * 2^-149`)
+    /// yields the smallest positive `f32`, at which every such value still
+    /// has an exact code.
     pub fn calibrate(values: &[f32]) -> Self {
         let max_abs = values.iter().filter(|v| v.is_finite()).fold(0.0f32, |m, &v| m.max(v.abs()));
-        let scale = if max_abs > 0.0 { max_abs / 127.0 } else { 1.0 };
+        let scale = if max_abs > 0.0 { (max_abs / 127.0).max(f32::from_bits(1)) } else { 1.0 };
         Int8Quantizer { scale }
     }
 
@@ -89,15 +91,15 @@ impl Int8Quantizer {
     }
 
     /// Quantize-dequantize round trip over a matrix in place, simulating
-    /// INT8 storage: chunk-parallel on `pool` with an explicit kernel,
-    /// bitwise identical to the serial sweep at every thread count. The SIMD
-    /// path is bit-exact against the scalar `dequantize(quantize(v))` for
-    /// every `f32` input, NaN and infinities included (see
-    /// [`microkernel::int8_round_trip_slice`]).
-    pub fn round_trip_in_place_kernel(&self, pool: &ThreadPool, m: &mut Matrix, kernel: Kernel) {
-        let scale = self.scale;
+    /// INT8 storage: chunk-parallel on `pool`, bitwise identical to the
+    /// serial sweep at every thread count. The SIMD path is bit-exact
+    /// against the scalar `dequantize(quantize(v))` for every `f32` input,
+    /// NaN and infinities included (see
+    /// [`microkernel::int8_round_trip_with`]).
+    pub fn round_trip_in_place(&self, pool: &ThreadPool, m: &mut Matrix) {
+        let (scale, kernel) = (self.scale, microkernel::active());
         m.par_map_slices_inplace(pool, |chunk| {
-            microkernel::int8_round_trip_slice(kernel, scale, chunk);
+            microkernel::int8_round_trip_with(kernel, scale, chunk);
         });
     }
 }
@@ -110,13 +112,13 @@ mod tests {
 
     fn round_trip_f16(m: &Matrix) -> Matrix {
         let mut out = m.clone();
-        round_trip_f16_in_place_kernel(&ThreadPool::new(1), &mut out, microkernel::active());
+        round_trip_f16_in_place(&ThreadPool::new(1), &mut out);
         out
     }
 
     fn round_trip_int8(q: Int8Quantizer, m: &Matrix) -> Matrix {
         let mut out = m.clone();
-        q.round_trip_in_place_kernel(&ThreadPool::new(1), &mut out, microkernel::active());
+        q.round_trip_in_place(&ThreadPool::new(1), &mut out);
         out
     }
 
@@ -166,6 +168,21 @@ mod tests {
         assert_eq!(rt.as_slice(), &expect);
         let q = Int8Quantizer::calibrate(&[f32::NAN, f32::INFINITY]);
         assert_eq!(q.scale(), 1.0, "nothing finite to calibrate on");
+    }
+
+    #[test]
+    fn int8_calibration_on_subnormal_data_round_trips() {
+        // `1e-44 / 127` underflows to zero: the scale must still be finite
+        // and positive, and the sweep must equal the scalar round trip.
+        let vals = [1e-44f32, -5e-45];
+        let q = Int8Quantizer::calibrate(&vals);
+        assert!(q.scale().is_finite() && q.scale() > 0.0, "scale {:e}", q.scale());
+        let m = Matrix::from_vec(1, 2, vals.to_vec()).unwrap();
+        let rt = round_trip_int8(q, &m);
+        let expect: Vec<u32> =
+            vals.iter().map(|&v| q.dequantize(q.quantize(v)).to_bits()).collect();
+        assert_eq!(rt.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(), expect);
+        assert_eq!(rt.as_slice(), &vals, "subnormal codes are exact at the minimum scale");
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! The engine's one host executor against the scalar oracle: for every
-//! dataflow, storage precision, SIMD policy, and worker count, a
-//! convolution layer run through `Engine::run` is bitwise identical to the
-//! four-loop transcription of Algorithm 2 in `tests/support/` — which knows
-//! nothing of `FusedOrder`, chunks, strip kernels or the pool.
+//! dataflow, storage precision and worker count, a convolution layer run
+//! through `Engine::run` is bitwise identical to the four-loop
+//! transcription of Algorithm 2 in `tests/support/` — which knows nothing
+//! of `FusedOrder`, chunks, strip kernels or the pool. The engine runs the
+//! kernel the CPU picks (AVX2 where detected); the suite's
+//! `TORCHSPARSE_SIMD=off` pass holds the portable kernel to the same
+//! reference.
 
 #[path = "support/layer_reference.rs"]
 mod layer_reference;
@@ -11,7 +14,7 @@ use layer_reference::layer_reference;
 use torchsparse::coords::offsets::kernel_offsets;
 use torchsparse::coords::Coord;
 use torchsparse::core::{
-    Engine, EnginePreset, OptimizationConfig, Precision, SimdPolicy, SparseConv3d, SparseTensor,
+    Engine, EnginePreset, OptimizationConfig, Precision, SparseConv3d, SparseTensor,
 };
 use torchsparse::gpusim::DeviceProfile;
 use torchsparse::tensor::dense::{submanifold_conv3d_reference, ConvWeights, DenseVolume};
@@ -48,8 +51,8 @@ fn bits(m: &Matrix) -> Vec<u32> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
-/// `conv` on `x` under `cfg` must equal the scalar reference at every SIMD
-/// policy and at 1, 2 and 8 worker threads.
+/// `conv` on `x` under `cfg` must equal the scalar reference at 1, 2 and 8
+/// worker threads.
 fn assert_layer_matches_reference(
     what: &str,
     conv: &SparseConv3d,
@@ -57,25 +60,21 @@ fn assert_layer_matches_reference(
     cfg: &OptimizationConfig,
 ) {
     let expect = bits(&layer_reference(conv, x, cfg));
-    for policy in [SimdPolicy::Scalar, SimdPolicy::Portable, SimdPolicy::Auto] {
-        for threads in THREADS {
-            let mut cfg = cfg.clone();
-            cfg.simd = policy;
-            cfg.threads = Some(threads);
-            let y = Engine::with_config(cfg, DeviceProfile::rtx_2080ti())
-                .run(conv, x)
-                .expect("run succeeds");
-            assert_eq!(
-                bits(y.feats()),
-                expect,
-                "{what}: engine diverges from the scalar reference under {policy:?} at \
-                 {threads} threads"
-            );
-        }
+    for threads in THREADS {
+        let mut cfg = cfg.clone();
+        cfg.threads = Some(threads);
+        let y = Engine::with_config(cfg, DeviceProfile::rtx_2080ti())
+            .run(conv, x)
+            .expect("run succeeds");
+        assert_eq!(
+            bits(y.feats()),
+            expect,
+            "{what}: engine diverges from the scalar reference at {threads} threads"
+        );
     }
 }
 
-/// 3 dataflows x 3 precisions x 3 SIMD policies x 1/2/8 threads, on a
+/// 3 dataflows x 3 precisions x 1/2/8 threads, on a
 /// submanifold, a strided, and a channel-narrowing layer: the engine equals
 /// the scalar reference bit for bit.
 #[test]
@@ -122,9 +121,9 @@ fn post_relu_tensor(sites: &[(i32, i32, i32)], c: usize) -> SparseTensor {
 /// The AVX2 strip kernel skips zero activations as work, not as a branch;
 /// on wide layers (every strip width: 4, 3, 1 panels and a ragged tail)
 /// fed half-zero features that must stay invisible — bitwise equal to the
-/// scalar reference, which skips nothing, in each dataflow x SIMD policy x
-/// 1/2/8 threads — and a single layer must still equal the dense
-/// volumetric oracle.
+/// scalar reference, which skips nothing, in each dataflow x 1/2/8
+/// threads — and a single layer must still equal the dense volumetric
+/// oracle.
 #[test]
 fn half_zero_activations_bitwise_identical_across_routes_kernels_threads() {
     let sites: Vec<(i32, i32, i32)> =
@@ -148,8 +147,7 @@ fn half_zero_activations_bitwise_identical_across_routes_kernels_threads() {
         }
     }
 
-    // One 32 -> 32 submanifold layer against the dense reference, with the
-    // auto-detected kernel, at FP32.
+    // One 32 -> 32 submanifold layer against the dense reference, at FP32.
     let conv = SparseConv3d::with_random_weights("oracle", 32, 32, 3, 1, 7);
     let mut dense = DenseVolume::zeros([8, 8, 8], 32);
     for (i, c) in x.coords().iter().enumerate() {

@@ -11,7 +11,7 @@ use torchsparse::coords::Coord;
 use torchsparse::core::ThreadPool;
 use torchsparse::core::{
     BatchNorm, Engine, EnginePreset, FaultSite, LayerOp, Module, OptimizationConfig, Precision,
-    ReLU, Sequential, SimdPolicy, SparseConv3d, SparseTensor, Tracer,
+    ReLU, Sequential, SparseConv3d, SparseTensor, Tracer,
 };
 use torchsparse::data::SyntheticDataset;
 use torchsparse::gpusim::{DeviceProfile, Stage};
@@ -115,39 +115,57 @@ fn fixed_scene_bitwise_identical_across_thread_counts() {
     }
 }
 
-/// The SIMD microkernels must be as invisible as the thread count: for
-/// every dataflow and storage precision, forcing the SIMD policy to
-/// `Scalar` (the pre-SIMD loops), `Portable` (fixed-width arrays), or
-/// leaving it on `Auto` (AVX2 where detected) yields bitwise identical
-/// outputs at every worker count. The non-FMA kernels preserve the scalar
-/// k-major mul-then-add accumulation order exactly, so this holds with no
+/// FNV-1a over an output's coordinates and feature bits.
+fn digest((coords, bits): &(Vec<Coord>, Vec<u32>)) -> u64 {
+    let words = coords.iter().flat_map(|c| [c.batch, c.x, c.y, c.z].map(|v| v as u32));
+    words
+        .chain(bits.iter().copied())
+        .flat_map(u32::to_le_bytes)
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// The compute kernel must be as invisible as the thread count: for every
+/// dataflow and storage precision, the outputs are bitwise identical at
+/// every worker count and repeat digests pinned when the scalar, portable
+/// and AVX2 kernels were all checked against each other in one process.
+/// The kernel is the CPU's pick (AVX2 where detected), and the suite's
+/// `TORCHSPARSE_SIMD=off` pass runs the portable kernel against the same
+/// digests, so the two kernels stay bit for bit interchangeable with no
 /// tolerance.
 #[test]
-fn simd_policy_bitwise_identical_across_dataflows_and_precisions() {
+fn kernel_bitwise_invisible_across_dataflows_precisions_and_threads() {
     let sites: Vec<(i32, i32, i32)> =
         (0..300).map(|i| ((i * 7) % 21 - 10, (i * 13) % 17 - 8, (i * 5) % 15 - 7)).collect();
     let x = tensor_from(&sites, 4, 123);
     let m = model(4, 123);
+    let mut digests = Vec::new();
     for (dataflow, cfg) in dataflow_configs() {
         for precision in [Precision::Fp32, Precision::Fp16, Precision::Int8] {
-            let mut reference: Option<(Vec<Coord>, Vec<u32>)> = None;
-            for policy in [SimdPolicy::Scalar, SimdPolicy::Portable, SimdPolicy::Auto] {
-                for threads in THREADS {
-                    let mut cfg = cfg.clone();
-                    cfg.precision = precision;
-                    cfg.simd = policy;
-                    let out = output_bits(cfg, threads, &m, &x);
-                    match &reference {
-                        None => reference = Some(out),
-                        Some(r) => assert_eq!(
-                            r, &out,
-                            "{dataflow} @ {precision:?} diverges with {policy:?} at {threads} threads"
-                        ),
-                    }
-                }
+            let mut cfg = cfg.clone();
+            cfg.precision = precision;
+            let reference = output_bits(cfg.clone(), 1, &m, &x);
+            for threads in &THREADS[1..] {
+                let parallel = output_bits(cfg.clone(), *threads, &m, &x);
+                assert_eq!(
+                    reference, parallel,
+                    "{dataflow} @ {precision:?} diverges at {threads} threads"
+                );
             }
+            digests.push(format!("{dataflow} @ {precision:?}: {:016x}", digest(&reference)));
         }
     }
+    let pinned = [
+        "fused @ Fp32: 762a2ff48f1b86a5",
+        "fused @ Fp16: fb65e4298fdd6915",
+        "fused @ Int8: 4fc24ddc4f2f4016",
+        "unfused @ Fp32: 762a2ff48f1b86a5",
+        "unfused @ Fp16: 1bf41f80ad40c328",
+        "unfused @ Int8: 3deb6b2facdd94f0",
+        "fetch-on-demand @ Fp32: 762a2ff48f1b86a5",
+        "fetch-on-demand @ Fp16: cac6a3210580c9b7",
+        "fetch-on-demand @ Int8: dcd7e9bf284349de",
+    ];
+    assert_eq!(digests, pinned, "a kernel changed the output bits");
 }
 
 /// Graceful degradation decisions are identical under the parallel
