@@ -12,8 +12,8 @@ use crate::plan::{ConvDataflow, ConvPlan, EpilogueSteps, LayerOp, Tracer};
 use crate::runtime::Runtime;
 use crate::CoreError;
 use std::mem::take;
-use std::sync::{Arc, OnceLock};
-use torchsparse_coords::{offsets, Coord};
+use std::sync::Arc;
+use torchsparse_coords::{offsets, Coord, CoordsError};
 use torchsparse_gpusim::Micros;
 use torchsparse_tensor::{Matrix, PackedB};
 
@@ -36,7 +36,11 @@ use torchsparse_tensor::{Matrix, PackedB};
 ///
 /// let conv = SparseConv3d::with_random_weights("conv1", 4, 16, 3, 1, 42);
 /// assert_eq!(conv.c_in(), 4);
-/// assert_eq!(conv.weights().len(), 27);
+/// // One 4 x 16 matrix per offset of the 3x3x3 kernel, rebuilt from the
+/// // packed copy the layer holds.
+/// let weights = conv.weights();
+/// assert_eq!(weights.len(), 27);
+/// assert_eq!(weights[0].shape(), (4, 16));
 /// ```
 pub struct SparseConv3d {
     name: String,
@@ -46,11 +50,10 @@ pub struct SparseConv3d {
     stride: i32,
     dilation: i32,
     transposed: bool,
-    weights: Vec<Matrix>,
-    /// Panel-major packed copies of `weights`, built lazily on first plan
-    /// and shared with every [`ConvPlan`] via `Arc`. Weights are immutable
-    /// after construction, so the pack is computed at most once.
-    packed: OnceLock<Arc<Vec<PackedB>>>,
+    /// The per-offset weights, packed once at construction into the
+    /// microkernel's panel-major layout: the only copy the layer holds,
+    /// shared with every [`ConvPlan`] (of every stream) via `Arc`.
+    packed: Arc<Vec<PackedB>>,
 }
 
 /// A tiny deterministic generator for weight initialization (keeps the core
@@ -64,12 +67,14 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 impl SparseConv3d {
-    /// Creates a convolution with explicit per-offset weights.
+    /// Creates a convolution with explicit per-offset weights, packing them
+    /// into the microkernel's layout; the row-major matrices are dropped.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::BadWeightCount`] when `weights.len()` is not
-    /// `kernel_size^3` and [`CoreError::Tensor`] on a shape mismatch.
+    /// Returns [`CoreError::Coords`] ([`CoordsError::ZeroStride`]) when
+    /// `stride < 1`, [`CoreError::BadWeightCount`] when `weights.len()` is
+    /// not `kernel_size^3` and [`CoreError::Tensor`] on a shape mismatch.
     pub fn new(
         name: impl Into<String>,
         c_in: usize,
@@ -79,6 +84,9 @@ impl SparseConv3d {
         transposed: bool,
         weights: Vec<Matrix>,
     ) -> Result<SparseConv3d, CoreError> {
+        if stride < 1 {
+            return Err(CoreError::Coords(CoordsError::ZeroStride));
+        }
         let volume = offsets::kernel_volume(kernel_size);
         if weights.len() != volume {
             return Err(CoreError::BadWeightCount { expected: volume, actual: weights.len() });
@@ -100,8 +108,7 @@ impl SparseConv3d {
             stride,
             dilation: 1,
             transposed,
-            weights,
-            packed: OnceLock::new(),
+            packed: Arc::new(weights.iter().map(PackedB::pack).collect()),
         })
     }
 
@@ -109,7 +116,8 @@ impl SparseConv3d {
     ///
     /// # Panics
     ///
-    /// Panics if `kernel_size == 0` (a configuration bug, not input data).
+    /// Panics if `kernel_size == 0` or `stride < 1` (configuration bugs, not
+    /// input data).
     pub fn with_random_weights(
         name: impl Into<String>,
         c_in: usize,
@@ -132,11 +140,11 @@ impl SparseConv3d {
                 })
             })
             .collect();
-        // `new` only rejects weight shape mismatches; the weights above are
-        // constructed with exactly `volume` matrices of `c_in x c_out`.
+        // The weights above are exactly `volume` matrices of `c_in x c_out`,
+        // so `new` fails only on a stride below 1.
         #[allow(clippy::expect_used)]
         SparseConv3d::new(name, c_in, c_out, kernel_size, stride, false, weights)
-            .expect("constructed weights are consistent")
+            .expect("stride must be at least 1")
     }
 
     /// Marks the convolution as transposed (inverse), builder style.
@@ -205,17 +213,11 @@ impl SparseConv3d {
         &self.name
     }
 
-    /// The per-offset weights.
-    pub fn weights(&self) -> &[Matrix] {
-        &self.weights
-    }
-
-    /// The per-offset weights in the microkernel's panel-major packed
-    /// layout, built on first use and cached for the layer's lifetime.
-    pub(crate) fn packed_weights(&self) -> Arc<Vec<PackedB>> {
-        Arc::clone(
-            self.packed.get_or_init(|| Arc::new(self.weights.iter().map(PackedB::pack).collect())),
-        )
+    /// The per-offset weights as row-major `c_in x c_out` matrices, rebuilt
+    /// bit for bit from the packed copy (a fresh allocation each call; the
+    /// layer keeps no row-major copy).
+    pub fn weights(&self) -> Vec<Matrix> {
+        self.packed.iter().map(PackedB::unpack).collect()
     }
 
     /// The map cache key of this layer on an input at `in_stride`: keyed by
@@ -313,7 +315,7 @@ impl SparseConv3d {
             c_in: self.c_in,
             c_out: self.c_out,
             dataflow,
-            packed: self.packed_weights(),
+            packed: Arc::clone(&self.packed),
             fused,
             epilogue: EpilogueSteps::default(),
             mapping,
@@ -349,8 +351,7 @@ impl SparseConv3d {
         }
         let workload = ConvWorkload {
             in_feats: input,
-            weights: &self.weights,
-            packed: Some(&plan.packed),
+            packed: &plan.packed,
             map: plan.map(),
             n_out: plan.out_coords().len(),
             center_identity: plan.center,
@@ -479,7 +480,7 @@ impl Module for SparseConv3d {
     }
 
     fn param_count(&self) -> usize {
-        self.weights.len() * self.c_in * self.c_out
+        self.packed.len() * self.c_in * self.c_out
     }
 }
 
@@ -604,6 +605,55 @@ mod tests {
                     assert!(diff < 1e-4, "preset output differs by {diff}");
                 }
             }
+        }
+    }
+
+    /// The layer holds its weights once, packed: `weights()` rebuilds the
+    /// constructor's matrices bit for bit — a ragged last panel (19 output
+    /// channels), signed zero, subnormals and NaN payloads included — and
+    /// the private plans of two streams of one compiled model share that
+    /// one copy with the layer.
+    #[test]
+    fn packed_weights_are_exact_and_shared_across_streams() {
+        use crate::plan::StepPlan;
+        use crate::{Engine, EnginePreset};
+
+        let (c_in, c_out) = (4, 19);
+        let special =
+            [-0.0, f32::from_bits(1), f32::from_bits(0x7fc0_1234), f32::from_bits(0xffc0_0042)];
+        let weights: Vec<Matrix> = (0..27)
+            .map(|n| {
+                Matrix::from_fn(c_in, c_out, |r, c| {
+                    let i = (n * c_in + r) * c_out + c;
+                    special.get(i % 13).copied().unwrap_or(i as f32 * 0.01 - 1.0)
+                })
+            })
+            .collect();
+        let bits = |ws: &[Matrix]| -> Vec<u32> {
+            ws.iter().flat_map(|m| m.as_slice().iter().map(|v| v.to_bits())).collect()
+        };
+        let conv = SparseConv3d::new("head", c_in, c_out, 3, 1, false, weights.clone()).unwrap();
+        assert_eq!(bits(&conv.weights()), bits(&weights));
+
+        let shifted = |dx: i32| {
+            let x = input(c_in);
+            let coords = x.coords().iter().map(|c| Coord::new(0, c.x + dx, c.y, c.z)).collect();
+            SparseTensor::new(coords, x.feats().clone()).unwrap()
+        };
+        let engine = Engine::new(EnginePreset::TorchSparse, DeviceProfile::rtx_2080ti());
+        let (shared, _) = engine.compile(&conv, &shifted(0)).unwrap().into_parts();
+        let mut streams = [shared.new_stream().unwrap(), shared.new_stream().unwrap()];
+        for (stream, dx) in streams.iter_mut().zip([1, 2]) {
+            shared.execute_on(stream, &shifted(dx)).unwrap();
+        }
+        let [a, b] = &streams;
+        assert_ne!(a.plan().fingerprint, b.plan().fingerprint, "two private re-plans");
+        for stream in &streams {
+            assert_ne!(stream.plan().fingerprint, shared.base_plan().fingerprint);
+            let [StepPlan::Conv(plan)] = stream.plan().steps.as_slice() else {
+                panic!("a lone convolution plans one conv step");
+            };
+            assert!(Arc::ptr_eq(&plan.packed, &conv.packed), "plans share the layer's copy");
         }
     }
 

@@ -40,12 +40,9 @@ use torchsparse_tensor::{gemm, quant, Matrix};
 pub(crate) struct ConvWorkload<'a> {
     /// Input features (`n_in x c_in`), already in storage precision.
     pub in_feats: &'a Matrix,
-    /// Per-offset weight matrices (`c_in x c_out` each).
-    pub weights: &'a [Matrix],
-    /// The same weights pre-packed into the microkernel's panel-major
-    /// layout (one [`PackedB`] per offset, built once at plan time and
-    /// reused across frames). `None` streams the row-major `weights`.
-    pub packed: Option<&'a [PackedB]>,
+    /// Per-offset weights (`c_in x c_out` each) in the microkernel's
+    /// panel-major layout: the layer's one copy, packed at construction.
+    pub packed: &'a [PackedB],
     /// The kernel map.
     pub map: &'a KernelMap,
     /// Number of output points.
@@ -63,7 +60,7 @@ impl ConvWorkload<'_> {
     }
 
     fn c_out(&self) -> usize {
-        self.weights.first().map_or(0, Matrix::cols)
+        self.packed.first().map_or(0, PackedB::n)
     }
 }
 
@@ -358,10 +355,6 @@ fn run_fused_numerics(
         return true;
     }
     let a = w.in_feats.as_slice();
-    let operand = |n: usize| match w.packed {
-        Some(packed) => microkernel::BOperand::Packed(&packed[n]),
-        None => microkernel::BOperand::Dense(w.weights[n].as_slice()),
-    };
     let volume = w.map.num_offsets();
     let finite = AtomicBool::new(true);
     reduce_chunks(pool, out, |c, block| {
@@ -389,7 +382,7 @@ fn run_fused_numerics(
                     a,
                     c_in,
                     &in_rows[..batch.len()],
-                    operand(n),
+                    microkernel::BOperand::Packed(&w.packed[n]),
                     c_out,
                     round_f16,
                     block,
@@ -431,11 +424,7 @@ pub(crate) fn gather_matmul_scatter_into(
     out.reshape_zeroed(w.n_out, w.c_out());
     let shortcut = w.center_identity.filter(|_| config.skip_center_movement);
     if let Some(n) = shortcut {
-        let opts = GemmOpts::default();
-        match w.packed {
-            Some(packed) => gemm::mm_into_packed_on(pool, w.in_feats, &packed[n], out, opts)?,
-            None => gemm::mm_into_with(pool, w.in_feats, &w.weights[n], out, opts)?,
-        }
+        gemm::mm_into_packed_on(pool, w.in_feats, &w.packed[n], out, GemmOpts::default())?;
     }
     let round_f16 = config.precision != Precision::Fp32;
     Ok(run_fused_numerics(w, shortcut, round_f16, pool, epilogue, out))
@@ -506,6 +495,8 @@ pub(crate) mod tests {
     pub(crate) struct Parts {
         pub(crate) feats: Matrix,
         pub(crate) weights: Vec<Matrix>,
+        /// `weights` packed, as the layer holds them.
+        packed: Vec<PackedB>,
         pub(crate) map: KernelMap,
         pub(crate) n_out: usize,
         center: Option<usize>,
@@ -547,21 +538,17 @@ pub(crate) mod tests {
         center: Option<usize>,
     ) -> Parts {
         let feats = pseudo_matrix(n_in, c_in, 7);
-        let weights =
+        let weights: Vec<Matrix> =
             (0..map.num_offsets()).map(|n| pseudo_matrix(c_in, c_out, 100 + n as u64)).collect();
-        Parts { feats, weights, map, n_out, center }
+        let packed = weights.iter().map(PackedB::pack).collect();
+        Parts { feats, weights, packed, map, n_out, center }
     }
 
     impl Parts {
-        fn workload<'a>(
-            &'a self,
-            fused: &'a FusedOrder,
-            packed: Option<&'a [PackedB]>,
-        ) -> ConvWorkload<'a> {
+        fn workload<'a>(&'a self, fused: &'a FusedOrder) -> ConvWorkload<'a> {
             ConvWorkload {
                 in_feats: &self.feats,
-                weights: &self.weights,
-                packed,
+                packed: &self.packed,
                 map: &self.map,
                 n_out: self.n_out,
                 center_identity: self.center,
@@ -572,7 +559,7 @@ pub(crate) mod tests {
         /// Gather-matmul-scatter on the default-width order.
         fn run_gms(&self, cfg: &OptimizationConfig) -> Matrix {
             let order = FusedOrder::build_on(&ThreadPool::new(1), &self.map, self.n_out);
-            let w = self.workload(&order, None);
+            let w = self.workload(&order);
             gather_matmul_scatter(&w, cfg, &ThreadPool::new(1))
         }
 
@@ -609,26 +596,21 @@ pub(crate) mod tests {
         for (name, parts) in &layers {
             let order = FusedOrder::build_on(&ThreadPool::new(1), &parts.map, parts.n_out);
             assert_eq!(order.resorted_offsets() > 0, *name == "transposed", "{name}");
-            let packed: Vec<PackedB> = parts.weights.iter().map(PackedB::pack).collect();
             for precision in [Precision::Fp32, Precision::Fp16, Precision::Int8] {
                 for skip_center in [false, true] {
                     let mut cfg = OptimizationConfig::torchsparse();
                     cfg.precision = precision;
                     cfg.skip_center_movement = skip_center;
                     let expect = bits_of(&parts.reference(&cfg));
-                    for packed in [None, Some(packed.as_slice())] {
-                        for threads in [1, 3] {
-                            let w = parts.workload(&order, packed);
-                            let pool = ThreadPool::new(threads);
-                            let got = gather_matmul_scatter(&w, &cfg, &pool);
-                            assert_eq!(
-                                bits_of(&got),
-                                expect,
-                                "{name} {precision:?} skip_center={skip_center} \
-                                 packed={} threads={threads}",
-                                packed.is_some()
-                            );
-                        }
+                    for threads in [1, 3] {
+                        let w = parts.workload(&order);
+                        let pool = ThreadPool::new(threads);
+                        let got = gather_matmul_scatter(&w, &cfg, &pool);
+                        assert_eq!(
+                            bits_of(&got),
+                            expect,
+                            "{name} {precision:?} skip_center={skip_center} threads={threads}"
+                        );
                     }
                 }
             }
@@ -642,7 +624,7 @@ pub(crate) mod tests {
         let order = FusedOrder::build_on(&ThreadPool::new(1), &parts.map, parts.n_out);
         let expect =
             conv_reference(&parts.feats, &parts.weights, &parts.map, parts.n_out, None, false);
-        let w = parts.workload(&order, None);
+        let w = parts.workload(&order);
         let mut got = Matrix::default();
         fetch_on_demand_into(&w, &ThreadPool::new(2), &Epilogue::default(), &mut got);
         assert_eq!(bits_of(&got), bits_of(&expect));
@@ -711,6 +693,7 @@ pub(crate) mod tests {
             base[(r, ch)] * if r % 5 == 0 { 1.0e-7 } else { 1.0 }
         });
         let weights: Vec<Matrix> = (0..27).map(|n| features(c_in, c_out, 100 + n)).collect();
+        let packed: Vec<PackedB> = weights.iter().map(PackedB::pack).collect();
         let (table, _) = CoordHashMap::build(&coords);
         let map =
             search_dilated_on(ThreadPool::global(), &coords, &table, 3, 1, 1).expect("map search");
@@ -748,8 +731,7 @@ pub(crate) mod tests {
 
             let workload = ConvWorkload {
                 in_feats: &feats,
-                weights: &weights,
-                packed: None,
+                packed: &packed,
                 map: &map,
                 n_out,
                 center_identity: Some(13),

@@ -137,9 +137,8 @@ pub(crate) struct ConvPlan {
     pub(crate) c_out: usize,
     /// The frozen dataflow decision.
     pub(crate) dataflow: ConvDataflow,
-    /// Panel-major packed per-offset weights, shared with the layer's
-    /// lazy pack cache: packing happens once per layer, and every frame
-    /// executed against this plan streams the packed panels.
+    /// Panel-major packed per-offset weights: the layer's one copy, packed
+    /// at construction and shared by every plan of every stream.
     pub(crate) packed: Arc<Vec<PackedB>>,
     /// Plan-time locality ordering (map entries split at output-chunk
     /// boundaries, re-sorted by output row where the map is not already)

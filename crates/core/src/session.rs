@@ -20,10 +20,9 @@
 //! shared [`ExecutionPlan`] ([`crate::cost_model`]). A session nobody reads
 //! — `serve()`, a benchmark's timed window — simulates nothing.
 //!
-//! Planning also freezes each convolution's weights in the SIMD
-//! microkernel's panel-major packed layout (shared with the layer's lazy
-//! pack cache), so steady-state frames stream pre-packed GEMM panels and
-//! never touch row-major weights.
+//! Each convolution plan shares its layer's weights, packed once at
+//! construction in the SIMD microkernel's panel-major layout, so frames
+//! stream pre-packed GEMM panels and no row-major weights exist.
 //!
 //! For multi-stream serving the session splits along the share/own line:
 //! [`CompiledModel`] is the frozen, `Sync` half (traced ops, the
@@ -132,7 +131,7 @@ pub struct CompiledSession<'m> {
 /// plus the plan frozen at compile time, behind [`Arc`].
 ///
 /// `CompiledModel` is `Sync` — it holds no interior mutability beyond the
-/// layers' `OnceLock` pack caches — so N serving streams execute against
+/// shared plan's once-resolved cost cell — so N serving streams execute against
 /// one instance concurrently, each bringing its own [`StreamState`]. A
 /// stream whose frame geometry matches the compile-time fingerprint
 /// re-attaches to the shared plan without rebuilding; a stream with

@@ -67,8 +67,8 @@
 //! contiguously (zero-padded at the ragged edge). A GEMM streaming a packed
 //! B reads it strictly sequentially instead of striding by `n` every `k`
 //! step. Weights are constant across frames, so the core crate packs each
-//! kernel-offset matrix once (at plan time, or lazily per layer on the
-//! dynamic path) and reuses the buffer for every subsequent GEMM.
+//! kernel-offset matrix once, when the layer is constructed, keeps only
+//! the packed buffer and reuses it for every GEMM.
 
 use crate::Half;
 use std::sync::OnceLock;
@@ -183,13 +183,13 @@ impl PackedB {
     }
 
     /// Columns of the original matrix (output channels).
-    pub(crate) fn n(&self) -> usize {
+    pub fn n(&self) -> usize {
         self.n
     }
 
-    /// Reconstructs the row-major matrix (used by the round-trip tests).
-    #[cfg(test)]
-    pub(crate) fn unpack(&self) -> crate::Matrix {
+    /// Reconstructs the row-major matrix, bit for bit: packing only moves
+    /// values, so `pack` then `unpack` is the identity on every `f32`.
+    pub fn unpack(&self) -> crate::Matrix {
         crate::Matrix::from_fn(self.k, self.n, |kk, j| {
             let p = j / NR;
             self.data[p * self.k * NR + kk * NR + (j % NR)]

@@ -33,7 +33,7 @@ fn build_pair(
 }
 
 fn weights_for(conv: &SparseConv3d, c: usize) -> ConvWeights {
-    ConvWeights::new(3, c, c, conv.weights().to_vec()).expect("consistent weights")
+    ConvWeights::new(3, c, c, conv.weights()).expect("consistent weights")
 }
 
 #[test]

@@ -153,7 +153,7 @@ fn half_zero_activations_bitwise_identical_across_routes_kernels_threads() {
     for (i, c) in x.coords().iter().enumerate() {
         dense.set([c.x as usize, c.y as usize, c.z as usize], x.feats().row(i));
     }
-    let weights = ConvWeights::new(3, 32, 32, conv.weights().to_vec()).expect("weights");
+    let weights = ConvWeights::new(3, 32, 32, conv.weights()).expect("weights");
     let expect =
         submanifold_conv3d_reference(&dense, &weights, &kernel_offsets(3).expect("offsets"));
     let mut cfg = EnginePreset::TorchSparse.config();

@@ -263,3 +263,20 @@ fn huge_extent_degrades_grid_to_hashmap_under_sanitize() {
     assert!(e.degradation_report().count(FaultSite::InputValidation) >= 1);
     assert!(e.degradation_report().count(FaultSite::GridTableBuild) >= 1);
 }
+
+#[test]
+fn stride_below_one_is_a_typed_construction_error() {
+    use torchsparse::coords::CoordsError;
+    use torchsparse::core::CoreError;
+    // Rejected in the constructor: a transposed layer divides its input
+    // stride by this one when it plans.
+    for (stride, transposed) in [(0, false), (0, true), (-2, false), (-2, true)] {
+        let err = SparseConv3d::new("t", 4, 4, 2, stride, transposed, vec![Matrix::zeros(4, 4); 8])
+            .expect_err("stride below 1");
+        assert!(
+            matches!(err, CoreError::Coords(CoordsError::ZeroStride)),
+            "stride {stride} transposed={transposed}: {err:?}"
+        );
+        assert!(err.to_string().contains("stride must be at least 1"), "{err}");
+    }
+}

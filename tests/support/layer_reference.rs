@@ -39,8 +39,9 @@ pub fn layer_reference(conv: &SparseConv3d, x: &SparseTensor, cfg: &Optimization
         None
     };
     let quantized = cfg.precision != Precision::Fp32;
+    let weights = conv.weights();
     let run = |round_f16: bool| {
-        conv_reference(x.feats(), conv.weights(), &map, out_coords.len(), shortcut, round_f16)
+        conv_reference(x.feats(), &weights, &map, out_coords.len(), shortcut, round_f16)
     };
 
     let mut out = run(quantized && !fetch_on_demand);
