@@ -382,7 +382,7 @@ fn run_fused_numerics(
                     a,
                     c_in,
                     &in_rows[..batch.len()],
-                    microkernel::BOperand::Packed(&w.packed[n]),
+                    &w.packed[n],
                     c_out,
                     round_f16,
                     block,
@@ -710,12 +710,20 @@ pub(crate) mod tests {
             // the GEMM of the gathered rows (bit-identical to the engine's at
             // any kernel), f16-rounded when partial sums are stored in 16 bits.
             let mut addends: Vec<Vec<f32>> = vec![Vec::new(); n_out * c_out];
-            for (n, weight) in weights.iter().enumerate() {
+            for (n, weight) in packed.iter().enumerate() {
                 let entries = map.entries(n);
                 let gathered = Matrix::from_fn(entries.len(), c_in, |i, ch| {
                     feats[(entries[i].input as usize, ch)]
                 });
-                let mut products = gemm::mm(&gathered, weight).expect("shapes agree");
+                let mut products = Matrix::zeros(entries.len(), c_out);
+                gemm::mm_into_packed_on(
+                    ThreadPool::global(),
+                    &gathered,
+                    weight,
+                    &mut products,
+                    GemmOpts::default(),
+                )
+                .expect("shapes agree");
                 if precision != Precision::Fp32 {
                     quant::round_trip_f16_in_place(ThreadPool::global(), &mut products);
                 }

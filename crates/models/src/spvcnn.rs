@@ -19,10 +19,11 @@ use crate::minkunet::MinkUNet;
 use std::collections::HashMap;
 use torchsparse_coords::Coord;
 use torchsparse_core::cost_model::Charge;
-use torchsparse_core::{Context, CoreError, Module, SparseTensor};
+use torchsparse_core::{Context, CoreError, Module, SparseTensor, ThreadPool};
 use torchsparse_gpusim::Precision as GemmPrecision;
 use torchsparse_gpusim::{AccessMode, GemmShape, Micros, Stage};
-use torchsparse_tensor::{gemm, Matrix};
+use torchsparse_tensor::gemm::{mm_into_packed_on, GemmOpts};
+use torchsparse_tensor::{Matrix, PackedB};
 
 /// A point cloud with continuous positions and per-point features — the
 /// high-resolution side of the point-voxel representation.
@@ -234,15 +235,15 @@ fn charge_pv_transfer(reads: usize, writes: usize, channels: usize, ctx: &mut Co
 }
 
 /// A per-point MLP layer (linear + ReLU), the point branch's building block.
+/// Its weight is packed once, here, like a convolution's.
 #[derive(Debug)]
 pub(crate) struct PointMlp {
-    name: String,
-    weight: Matrix,
+    weight: PackedB,
 }
 
 impl PointMlp {
     /// Creates an MLP layer with deterministic pseudo-random weights.
-    pub(crate) fn new(name: impl Into<String>, c_in: usize, c_out: usize, seed: u64) -> PointMlp {
+    pub(crate) fn new(c_in: usize, c_out: usize, seed: u64) -> PointMlp {
         let scale = (2.0 / c_in as f32).sqrt();
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
         let weight = Matrix::from_fn(c_in, c_out, |_, _| {
@@ -251,7 +252,7 @@ impl PointMlp {
             state ^= state << 17;
             (((state >> 11) as f32 / (1u64 << 53) as f32) * 2.0 - 1.0) * scale
         });
-        PointMlp { name: name.into(), weight }
+        PointMlp { weight: PackedB::pack(&weight) }
     }
 
     /// Applies `relu(x . W)` with simulated GEMM cost.
@@ -260,14 +261,14 @@ impl PointMlp {
     ///
     /// Returns [`CoreError::Tensor`] on a channel mismatch.
     pub(crate) fn forward(&self, x: &Matrix, ctx: &mut Context) -> Result<Matrix, CoreError> {
-        let mut y = gemm::mm(x, &self.weight)?;
+        let mut y = Matrix::zeros(x.rows(), self.weight.n());
+        mm_into_packed_on(ThreadPool::global(), x, &self.weight, &mut y, GemmOpts::default())?;
         y.map_inplace(|v| v.max(0.0));
-        let shape = GemmShape::mm(x.rows(), self.weight.rows(), self.weight.cols());
+        let shape = GemmShape::mm(x.rows(), x.cols(), self.weight.n());
         ctx.defer(Charge::custom(move |sim| {
             sim.charge_host_op();
             sim.timeline.add(Stage::MatMul, sim.gemm.latency(shape, GemmPrecision::Fp16));
         }));
-        let _ = &self.name;
         Ok(y)
     }
 }
@@ -303,11 +304,11 @@ impl Spvcnn {
     ) -> Spvcnn {
         let hidden = ((32.0 * width).round() as usize).max(4);
         Spvcnn {
-            point_stem: PointMlp::new("point_stem", in_channels, hidden, seed),
-            point_branch: PointMlp::new("point_branch", hidden, hidden, seed ^ 1),
+            point_stem: PointMlp::new(in_channels, hidden, seed),
+            point_branch: PointMlp::new(hidden, hidden, seed ^ 1),
             // The voxel branch predicts `hidden` features, not classes.
             voxel_branch: MinkUNet::with_width(width, hidden, hidden, seed ^ 2),
-            classifier: PointMlp::new("classifier", hidden, num_classes, seed ^ 3),
+            classifier: PointMlp::new(hidden, num_classes, seed ^ 3),
             hidden,
             voxel_size,
         }
@@ -445,6 +446,38 @@ mod tests {
         let mut c2 = fp32_ctx();
         let out2 = net.forward(&s, &mut c2).unwrap();
         assert_eq!(out1, out2);
+    }
+
+    /// FNV-1a over an output's feature bits.
+    fn digest(m: &Matrix) -> u64 {
+        m.as_slice()
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    /// SPVCNN's outputs at every storage precision, pinned before the point
+    /// MLPs packed their weights: the packed GEMM must not move a bit, on
+    /// either kernel (the suite's `TORCHSPARSE_SIMD=off` pass holds the
+    /// portable one to the same constants).
+    #[test]
+    fn spvcnn_output_bits_are_pinned() {
+        use torchsparse_core::Precision;
+        let net = Spvcnn::new(0.25, 4, 7, 0.2, 5);
+        let s = scene(120);
+        for (precision, want) in [
+            (Precision::Fp32, 0x1eaa_04da_e476_5696u64),
+            (Precision::Fp16, 0x5de5_6ca3_5747_1dd0),
+            (Precision::Int8, 0x3979_4233_dced_1ef4),
+        ] {
+            let mut cfg: OptimizationConfig = EnginePreset::TorchSparse.config();
+            cfg.precision = precision;
+            let mut c = Context::new(cfg, DeviceProfile::rtx_2080ti());
+            let out = net.forward(&s, &mut c).unwrap();
+            assert_eq!(digest(&out), want, "{precision:?}");
+        }
     }
 
     #[test]

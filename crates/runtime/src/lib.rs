@@ -14,8 +14,9 @@
 //!   execute inline on the caller — byte-for-byte the old serial engine.
 //! - [`ThreadPool::global`]: the process-wide default pool, sized by the
 //!   `TORCHSPARSE_THREADS` environment variable (falling back to
-//!   `std::thread::available_parallelism`). `gemm::mm` and friends dispatch
-//!   onto it so no per-call thread spawning remains anywhere.
+//!   `std::thread::available_parallelism`). Callers without a pool of
+//!   their own (SPVCNN's point MLPs, the tests) dispatch onto it, so no
+//!   per-call thread spawning remains anywhere.
 //! - task-time *recording* ([`ThreadPool::new_recording`]): an instrumented
 //!   serial pool that timestamps every task it executes, grouped into waves
 //!   (one wave per `run` call). The scaling benchmark replays these traces

@@ -32,6 +32,14 @@ pub enum TensorError {
         /// Actual buffer length.
         actual: usize,
     },
+    /// A requested shape has more elements (`rows * cols`) than `usize`
+    /// can count.
+    ShapeOverflow {
+        /// Requested rows.
+        rows: usize,
+        /// Requested columns.
+        cols: usize,
+    },
 }
 
 impl fmt::Display for TensorError {
@@ -49,6 +57,9 @@ impl fmt::Display for TensorError {
             ),
             TensorError::DataLengthMismatch { expected, actual } => {
                 write!(f, "data buffer has {actual} elements, shape requires {expected}")
+            }
+            TensorError::ShapeOverflow { rows, cols } => {
+                write!(f, "a {rows}x{cols} matrix has more elements than usize can count")
             }
         }
     }

@@ -1,18 +1,16 @@
 //! Blocked matrix multiplication dispatched onto the shared runtime pool.
 //!
 //! Sparse convolution lowers to many GEMMs of shape `|map| x Cin x Cout`
-//! (Algorithm 2 of the paper). This module provides:
-//!
-//! - [`mm`]: `C = A * B` on the global pool.
-//! - [`mm_into_with`] / [`mm_into_packed_on`]: `C += A * B` on an explicit
-//!   pool, B dense or pre-packed. Row panels run on a persistent
-//!   [`ThreadPool`] — no per-call thread spawning.
+//! (Algorithm 2 of the paper). This module provides one entry point,
+//! [`mm_into_packed_on`]: `C += A * B` on an explicit pool, with B a
+//! [`PackedB`]. Row panels run on a persistent [`ThreadPool`] — no
+//! per-call thread spawning.
 //!
 //! The paper's batched `bmm` (§4.2) exists only in the simulated-GPU cost
 //! model: the host executor streams map rows and never pads a group.
 //!
-//! All variants produce bitwise-identical results to the naive triple loop
-//! (same accumulation order within each output element) for every thread
+//! Results are bitwise identical to the naive triple loop (same
+//! accumulation order within each output element) for every thread
 //! count — the panel partition is fixed by [`PANEL`], never by the lane
 //! count, so scheduling cannot change the arithmetic. The tests and the
 //! root crate's parallel-determinism property tests verify this.
@@ -20,11 +18,10 @@
 //! Arithmetic within a panel is delegated to the
 //! [`microkernel`](crate::microkernel) module, which picks its kernel once
 //! per process from the CPU ([`microkernel::active`]); no caller chooses.
-//! The packed entry point ([`mm_into_packed_on`]) accepts weights pre-packed
-//! into the microkernel's panel-major layout so steady-state inference never
-//! re-streams row-major B.
+//! B is always pre-packed into the microkernel's panel-major layout, so
+//! inference never streams row-major B.
 
-use crate::microkernel::{self, BOperand, Kernel, PackedB};
+use crate::microkernel::{self, Kernel, PackedB};
 use crate::{Matrix, TensorError};
 use torchsparse_runtime::{Task, ThreadPool};
 
@@ -33,75 +30,26 @@ const PANEL: usize = 64;
 /// Below this flop count a GEMM is executed inline: queueing tasks costs
 /// more than the arithmetic. Dispatching a task costs on the order of a few
 /// microseconds; this bound keeps inline only the GEMMs whose whole runtime
-/// is comparable to that. Recalibrated for the SIMD microkernel with the
-/// `gemm_kernels` bench on the reference host (AVX2, single core, release
-/// profile): the vectorized kernel sustains 26-43 GFLOP/s on paper-shaped
-/// GEMMs vs 9-18 GFLOP/s for the scalar loop (~2.3-4.8x), so 1e6 flops is
-/// ~25-40 us of microkernel work — comfortably above per-task dispatch cost,
-/// where the old 2.5e5 bound (tuned for the scalar loop) would now inline
-/// barely ~6 us of work per task.
+/// is comparable to that. On the reference host (AVX2, single core, release
+/// profile) the vectorized kernel sustains 26-43 GFLOP/s on paper-shaped
+/// GEMMs, so 1e6 flops is ~25-40 us of microkernel work — comfortably above
+/// per-task dispatch cost (DESIGN.md §5e "Calibration" records the
+/// measurement).
 const MIN_PARALLEL_FLOPS: f64 = 1.0e6;
 
-/// Options of the `mm_into` entry points. It has no fields: the kernel is
+/// Options of [`mm_into_packed_on`]. It has no fields: the kernel is
 /// the process's ([`microkernel::active`]), never a caller's choice. The
 /// type stays so existing callers that pass `GemmOpts::default()` keep
 /// compiling.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GemmOpts {}
 
-/// Computes `A * B` on the global runtime pool.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when `A.cols() != B.rows()`.
-///
-/// # Example
-///
-/// ```
-/// use torchsparse_tensor::{Matrix, gemm};
-///
-/// # fn main() -> Result<(), torchsparse_tensor::TensorError> {
-/// let a = Matrix::filled(2, 3, 1.0);
-/// let b = Matrix::filled(3, 4, 2.0);
-/// let c = gemm::mm(&a, &b)?;
-/// assert_eq!(c[(1, 2)], 6.0);
-/// # Ok(())
-/// # }
-/// ```
-pub fn mm(a: &Matrix, b: &Matrix) -> Result<Matrix, TensorError> {
-    let mut c = Matrix::zeros(a.rows(), b.cols());
-    mm_into_with(ThreadPool::global(), a, b, &mut c, GemmOpts::default())?;
-    Ok(c)
-}
-
-fn check_shapes(a: &Matrix, b: &Matrix, c: &Matrix) -> Result<(), TensorError> {
-    if a.cols() != b.rows() {
-        return Err(TensorError::ShapeMismatch { op: "mm", lhs: a.shape(), rhs: b.shape() });
-    }
-    if c.shape() != (a.rows(), b.cols()) {
-        return Err(TensorError::ShapeMismatch {
-            op: "mm_out",
-            lhs: c.shape(),
-            rhs: (a.rows(), b.cols()),
-        });
-    }
-    Ok(())
-}
-
-/// Shared panel driver for all `mm_into` variants: partitions C into
-/// [`PANEL`]-row panels and runs the microkernel over each, inline or on
-/// the pool. The partition never depends on the pool width.
-fn mm_into_dispatch(
-    pool: &ThreadPool,
-    kernel: Kernel,
-    a: &Matrix,
-    b: BOperand<'_>,
-    k: usize,
-    n: usize,
-    c: &mut Matrix,
-) {
-    let m = a.rows();
-    if m == 0 || n == 0 {
+/// The panel driver of [`mm_into_packed_on`] on `kernel`: partitions C
+/// into [`PANEL`]-row panels and runs the microkernel over each, inline or
+/// on the pool. The partition never depends on the pool width.
+fn mm_into_dispatch(pool: &ThreadPool, kernel: Kernel, a: &Matrix, b: &PackedB, c: &mut Matrix) {
+    let (m, k, n) = (a.rows(), b.k(), b.n());
+    if m == 0 || n == 0 || k == 0 {
         return;
     }
     let a_data = a.as_slice();
@@ -125,35 +73,13 @@ fn mm_into_dispatch(
     pool.run(tasks);
 }
 
-/// `C += A * B` with panels dispatched onto `pool`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] on inconsistent shapes.
-pub fn mm_into_with(
-    pool: &ThreadPool,
-    a: &Matrix,
-    b: &Matrix,
-    c: &mut Matrix,
-    _opts: GemmOpts,
-) -> Result<(), TensorError> {
-    check_shapes(a, b, c)?;
-    let k = a.cols();
-    if k == 0 {
-        return Ok(());
-    }
-    let kernel = microkernel::active();
-    mm_into_dispatch(pool, kernel, a, BOperand::Dense(b.as_slice()), k, b.cols(), c);
-    Ok(())
-}
-
 /// `C += A * B` where B was pre-packed with [`PackedB::pack`].
 ///
-/// This is the steady-state inference entry point: weights are constant
-/// across frames, so the core crate packs each kernel-offset matrix once
-/// (at plan time or on first use) and every subsequent GEMM streams the
-/// packed panels sequentially. Results are bitwise identical to the dense
-/// form.
+/// The one GEMM entry point: weights are constant across frames, so every
+/// layer packs its weights once, when it is constructed (a convolution's
+/// kernel-offset matrices, SPVCNN's point MLPs), and every GEMM streams the
+/// packed panels sequentially. Results are bitwise identical to the naive
+/// triple loop over row-major B.
 ///
 /// # Errors
 ///
@@ -175,11 +101,7 @@ pub fn mm_into_packed_on(
             rhs: (a.rows(), b.n()),
         });
     }
-    let k = a.cols();
-    if k == 0 {
-        return Ok(());
-    }
-    mm_into_dispatch(pool, microkernel::active(), a, BOperand::Packed(b), k, b.n(), c);
+    mm_into_dispatch(pool, microkernel::active(), a, b, c);
     Ok(())
 }
 
@@ -209,6 +131,18 @@ mod tests {
 
     fn random_matrix(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix {
         Matrix::from_fn(rows, cols, |_, _| rng.random_range(-1.0f32..1.0))
+    }
+
+    /// `A * B` through the entry point, on `pool`.
+    fn mm_on(pool: &ThreadPool, a: &Matrix, b: &Matrix) -> Result<Matrix, TensorError> {
+        let mut c = Matrix::zeros(a.rows(), b.cols());
+        mm_into_packed_on(pool, a, &PackedB::pack(b), &mut c, GemmOpts::default())?;
+        Ok(c)
+    }
+
+    /// `A * B` through the entry point, on the global pool.
+    fn mm(a: &Matrix, b: &Matrix) -> Result<Matrix, TensorError> {
+        mm_on(ThreadPool::global(), a, b)
     }
 
     #[test]
@@ -266,14 +200,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let a = random_matrix(&mut rng, 300, 200);
         let b = random_matrix(&mut rng, 200, 64);
-        let mm_on = |pool: &ThreadPool| {
-            let mut c = Matrix::zeros(a.rows(), b.cols());
-            mm_into_with(pool, &a, &b, &mut c, GemmOpts::default()).unwrap();
-            c
-        };
-        let serial = mm_on(&ThreadPool::new(1));
+        let serial = mm_on(&ThreadPool::new(1), &a, &b).unwrap();
         for threads in [2, 4, 8] {
-            let parallel = mm_on(&ThreadPool::new(threads));
+            let parallel = mm_on(&ThreadPool::new(threads), &a, &b).unwrap();
             assert_eq!(
                 serial.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 parallel.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -285,18 +214,20 @@ mod tests {
     #[test]
     fn accumulate_adds_to_existing() {
         let a = Matrix::filled(2, 2, 1.0);
-        let b = Matrix::eye(2);
+        let b = PackedB::pack(&Matrix::eye(2));
         let mut c = Matrix::filled(2, 2, 10.0);
-        mm_into_with(ThreadPool::global(), &a, &b, &mut c, GemmOpts::default()).unwrap();
+        mm_into_packed_on(ThreadPool::global(), &a, &b, &mut c, GemmOpts::default()).unwrap();
         assert_eq!(c.as_slice(), &[11.0, 11.0, 11.0, 11.0]);
     }
 
     #[test]
     fn accumulate_rejects_bad_out_shape() {
         let a = Matrix::zeros(2, 2);
-        let b = Matrix::zeros(2, 2);
+        let b = PackedB::pack(&Matrix::zeros(2, 2));
         let mut c = Matrix::zeros(3, 2);
-        assert!(mm_into_with(ThreadPool::global(), &a, &b, &mut c, GemmOpts::default()).is_err());
+        assert!(
+            mm_into_packed_on(ThreadPool::global(), &a, &b, &mut c, GemmOpts::default()).is_err()
+        );
     }
 
     fn bits(m: &Matrix) -> Vec<u32> {
@@ -327,24 +258,22 @@ mod tests {
     }
 
     #[test]
-    fn packed_mm_matches_dense_bitwise_across_pool_widths() {
+    fn packed_mm_matches_reference_bitwise_across_pool_widths() {
         let mut rng = StdRng::seed_from_u64(21);
         let a = random_matrix(&mut rng, 300, 96);
         let b = random_matrix(&mut rng, 96, 50);
         let packed = PackedB::pack(&b);
-        let mut dense = Matrix::zeros(300, 50);
-        mm_into_with(&ThreadPool::new(1), &a, &b, &mut dense, GemmOpts::default()).unwrap();
+        let reference = mm_reference(&a, &b).unwrap();
         for threads in [1, 2, 8] {
             let pool = ThreadPool::new(threads);
             let mut c = Matrix::zeros(300, 50);
             mm_into_packed_on(&pool, &a, &packed, &mut c, GemmOpts::default()).unwrap();
-            assert_eq!(bits(&c), bits(&dense), "threads={threads}");
+            assert_eq!(bits(&c), bits(&reference), "threads={threads}");
         }
     }
 
     proptest! {
-        /// Both kernels, dense or packed, are **bitwise** equal to the naive
-        /// reference loop on arbitrary shapes — including ragged tails
+        /// Both kernels are **bitwise** equal to the naive reference loop on arbitrary shapes — including ragged tails
         /// (`n % 16 != 0`, `m % 4 != 0`) and degenerate k.
         #[test]
         fn prop_all_kernels_bitwise_match_reference(
@@ -357,12 +286,9 @@ mod tests {
             let packed = PackedB::pack(&b);
             let pool = ThreadPool::new(1);
             for kernel in every_kernel() {
-                let mut dense = Matrix::zeros(m, n);
-                mm_into_dispatch(&pool, kernel, &a, BOperand::Dense(b.as_slice()), k, n, &mut dense);
-                prop_assert!(bits(&dense) == bits(&reference), "dense {:?}", kernel);
-                let mut pc = Matrix::zeros(m, n);
-                mm_into_dispatch(&pool, kernel, &a, BOperand::Packed(&packed), k, n, &mut pc);
-                prop_assert!(bits(&pc) == bits(&reference), "packed {:?}", kernel);
+                let mut c = Matrix::zeros(m, n);
+                mm_into_dispatch(&pool, kernel, &a, &packed, &mut c);
+                prop_assert!(bits(&c) == bits(&reference), "{:?}", kernel);
             }
         }
 

@@ -9,26 +9,31 @@
 //!
 //! - [`Matrix`]: a row-major `f32` matrix with the shape/indexing conventions
 //!   of a feature buffer (`rows` = points, `cols` = channels).
-//! - [`gemm`]: blocked, multi-threaded single-precision GEMM.
+//! - [`gemm`]: blocked, multi-threaded single-precision GEMM against a
+//!   pre-packed B.
 //! - [`Half`]: software IEEE-754 binary16 with round-to-nearest-even, used to
 //!   reproduce the FP16 quantization study (§4.3.1, Table 3).
 //! - [`quant`]: FP16/INT8 feature quantization helpers.
 //! - [`microkernel`]: register-tiled SIMD compute kernels (AVX2 with a
 //!   portable fallback, picked once per process from the CPU) plus the
-//!   [`PackedB`] panel-major weight layout shared by the packed GEMM entry
-//!   points.
+//!   [`PackedB`] panel-major weight layout, the one B operand every GEMM
+//!   reads.
 //! - [`dense`]: a dense volumetric 3D convolution used **only** as a
 //!   correctness oracle for the sparse engine's property tests.
 //!
 //! # Example
 //!
 //! ```
-//! use torchsparse_tensor::{Matrix, gemm};
+//! use torchsparse_runtime::ThreadPool;
+//! use torchsparse_tensor::gemm::{mm_into_packed_on, GemmOpts};
+//! use torchsparse_tensor::{Matrix, PackedB};
 //!
 //! # fn main() -> Result<(), torchsparse_tensor::TensorError> {
 //! let a = Matrix::from_fn(2, 3, |r, c| (r * 3 + c) as f32);
-//! let b = Matrix::eye(3);
-//! let c = gemm::mm(&a, &b)?;
+//! // Weights are packed once, then reused by every GEMM.
+//! let b = PackedB::pack(&Matrix::eye(3));
+//! let mut c = Matrix::zeros(2, 3);
+//! mm_into_packed_on(ThreadPool::global(), &a, &b, &mut c, GemmOpts::default())?;
 //! assert_eq!(c, a);
 //! # Ok(())
 //! # }

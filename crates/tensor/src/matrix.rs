@@ -10,6 +10,17 @@ use torchsparse_runtime::{Task, ThreadPool};
 /// fixed chunk also keeps task traces comparable across runs.
 const ELEMWISE_CHUNK: usize = 16 * 1024;
 
+/// The element count of a `rows x cols` matrix, for the infallible
+/// constructors.
+///
+/// # Panics
+///
+/// Panics, naming the shape, when `rows * cols` overflows `usize`.
+fn element_count(rows: usize, cols: usize) -> usize {
+    rows.checked_mul(cols)
+        .unwrap_or_else(|| panic!("matrix shape {rows}x{cols} overflows usize elements"))
+}
+
 /// A row-major `f32` matrix.
 ///
 /// Used throughout the engine as the feature buffer representation: `rows`
@@ -35,13 +46,21 @@ pub struct Matrix {
 
 impl Matrix {
     /// Creates a `rows x cols` matrix filled with zeros.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows * cols` overflows `usize`.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Matrix { rows, cols, data: vec![0.0; rows * cols] }
+        Matrix { rows, cols, data: vec![0.0; element_count(rows, cols)] }
     }
 
     /// Creates a `rows x cols` matrix filled with `value`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows * cols` overflows `usize`.
     pub fn filled(rows: usize, cols: usize, value: f32) -> Self {
-        Matrix { rows, cols, data: vec![value; rows * cols] }
+        Matrix { rows, cols, data: vec![value; element_count(rows, cols)] }
     }
 
     /// Creates an `n x n` identity matrix.
@@ -54,8 +73,12 @@ impl Matrix {
     }
 
     /// Creates a matrix by evaluating `f(row, col)` at every position.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows * cols` overflows `usize`.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f32) -> Self {
-        let mut data = Vec::with_capacity(rows * cols);
+        let mut data = Vec::with_capacity(element_count(rows, cols));
         for r in 0..rows {
             for c in 0..cols {
                 data.push(f(r, c));
@@ -68,13 +91,13 @@ impl Matrix {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::DataLengthMismatch`] if `data.len() != rows * cols`.
+    /// Returns [`TensorError::ShapeOverflow`] if `rows * cols` overflows
+    /// `usize`, and [`TensorError::DataLengthMismatch`] if `data.len() !=
+    /// rows * cols`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Result<Self, TensorError> {
-        if data.len() != rows * cols {
-            return Err(TensorError::DataLengthMismatch {
-                expected: rows * cols,
-                actual: data.len(),
-            });
+        let expected = rows.checked_mul(cols).ok_or(TensorError::ShapeOverflow { rows, cols })?;
+        if data.len() != expected {
+            return Err(TensorError::DataLengthMismatch { expected, actual: data.len() });
         }
         Ok(Matrix { rows, cols, data })
     }
@@ -117,10 +140,15 @@ impl Matrix {
     /// This is the buffer-recycling primitive: a dead activation's buffer
     /// is resized to the next layer's output shape without touching the
     /// allocator (after warm-up).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows * cols` overflows `usize`.
     pub fn reshape_zeroed(&mut self, rows: usize, cols: usize) {
+        let len = element_count(rows, cols);
         self.data.clear();
-        self.data.reserve_exact(rows * cols);
-        self.data.resize(rows * cols, 0.0);
+        self.data.reserve_exact(len);
+        self.data.resize(len, 0.0);
         self.rows = rows;
         self.cols = cols;
     }
@@ -483,6 +511,31 @@ mod tests {
     fn from_vec_rejects_wrong_length() {
         let e = Matrix::from_vec(2, 2, vec![1.0; 3]).unwrap_err();
         assert_eq!(e, TensorError::DataLengthMismatch { expected: 4, actual: 3 });
+    }
+
+    #[test]
+    fn from_vec_rejects_a_shape_whose_element_count_overflows() {
+        let e = Matrix::from_vec(1 << 63, 2, vec![]).unwrap_err();
+        assert_eq!(e, TensorError::ShapeOverflow { rows: 1 << 63, cols: 2 });
+        assert!(Matrix::from_vec(usize::MAX, usize::MAX, vec![]).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "matrix shape 4611686018427387904x8 overflows usize elements")]
+    fn zeros_panics_on_a_shape_whose_element_count_overflows() {
+        let _ = Matrix::zeros(1 << 62, 8);
+    }
+
+    #[test]
+    fn every_infallible_constructor_rejects_an_overflowing_shape() {
+        let overflows = |f: fn()| {
+            let err = std::panic::catch_unwind(f).unwrap_err();
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains("overflows usize elements"), "{msg}");
+        };
+        overflows(|| drop(Matrix::filled(1 << 62, 8, 1.0)));
+        overflows(|| drop(Matrix::from_fn(1 << 62, 8, |_, _| 0.0)));
+        overflows(|| Matrix::zeros(0, 0).reshape_zeroed(1 << 62, 8));
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //!   the autovectorizer can chew on them — the kernel on every other CPU,
 //!   and the one `TORCHSPARSE_SIMD=off` forces.
 //!
-//! The original blocked scalar loop stays as the semantic reference the
-//! unit sweeps hold both kernels to, and as the portable kernel's path for
-//! skinny reductions (`PORTABLE_MIN_K`).
+//! Every kernel reads B in one layout, [`PackedB`]. The original blocked
+//! scalar loop over row-major B is the unit tests' oracle, the semantic
+//! reference both kernels are held to; the portable kernel's path for
+//! skinny reductions (`PORTABLE_MIN_K`) is the same loop over packed B.
 //!
 //! # Why one row against a wide strip
 //!
@@ -66,9 +67,10 @@
 //! into [`NR`]-wide panels and each panel's `k` rows are laid out
 //! contiguously (zero-padded at the ragged edge). A GEMM streaming a packed
 //! B reads it strictly sequentially instead of striding by `n` every `k`
-//! step. Weights are constant across frames, so the core crate packs each
-//! kernel-offset matrix once, when the layer is constructed, keeps only
-//! the packed buffer and reuses it for every GEMM.
+//! step. Weights are constant across frames, so every layer packs its
+//! weights once, when it is constructed (a convolution's kernel-offset
+//! matrices, SPVCNN's point MLPs), keeps only the packed buffer and reuses
+//! it for every GEMM.
 
 use crate::Half;
 use std::sync::OnceLock;
@@ -202,15 +204,6 @@ impl PackedB {
     }
 }
 
-/// The B operand of a GEMM panel: row-major, or pre-packed panel-major.
-#[derive(Debug, Clone, Copy)]
-pub enum BOperand<'a> {
-    /// Row-major `k x n` data (a [`Matrix`](crate::Matrix) slice).
-    Dense(&'a [f32]),
-    /// A [`PackedB`] built by [`PackedB::pack`].
-    Packed(&'a PackedB),
-}
-
 /// Computes one row panel of `C += A * B` with `kernel`.
 ///
 /// `c_panel` is the slice of C covering rows `row0 ..` (`rows * n`
@@ -220,7 +213,7 @@ pub enum BOperand<'a> {
 pub(crate) fn gemm_panel(
     kernel: Kernel,
     a: &[f32],
-    b: BOperand<'_>,
+    b: &PackedB,
     k: usize,
     n: usize,
     row0: usize,
@@ -229,26 +222,20 @@ pub(crate) fn gemm_panel(
     if n == 0 || c_panel.is_empty() {
         return;
     }
-    match (kernel, b) {
+    match kernel {
         #[cfg(target_arch = "x86_64")]
-        (Kernel::Avx2, b) => x86::panel(a, b, k, n, row0, c_panel),
+        Kernel::Avx2 => x86::panel(a, b, k, n, row0, c_panel),
         // Below the skinny-shape threshold the portable kernel's per-panel
         // accumulator copy-in/copy-out outweighs its vectorized inner loop,
-        // so the scalar loops take over. Bitwise identical either way — the
+        // so the scalar loop takes over. Bitwise identical either way — the
         // swap is purely a throughput heuristic.
-        (_, BOperand::Dense(bd)) if k < PORTABLE_MIN_K => {
-            panel_scalar_dense(a, bd, k, n, row0, c_panel);
-        }
-        (_, BOperand::Packed(pb)) if k < PORTABLE_MIN_K => {
-            panel_scalar_packed(a, pb, k, n, row0, c_panel);
-        }
-        (_, BOperand::Dense(bd)) => panel_portable_dense(a, bd, k, n, row0, c_panel, 0),
-        (_, BOperand::Packed(pb)) => panel_portable_packed(a, pb, k, n, row0, c_panel, 0),
+        _ if k < PORTABLE_MIN_K => panel_scalar_packed(a, b, k, n, row0, c_panel),
+        _ => panel_portable_packed(a, b, k, n, row0, c_panel, 0),
     }
 }
 
 /// Reduction-depth threshold below which the portable kernel falls back to
-/// the scalar loops: with so few `k` terms per output element, the portable
+/// the scalar loop: with so few `k` terms per output element, the portable
 /// kernel's [`NR`]-lane accumulator traffic costs more than its vector math
 /// earns (measured crossover between `c_in = 4` and `c_in = 32`: 8.1
 /// GFLOP/s portable against 11.1 scalar at `c_in = 4`, in the retired GEMM
@@ -256,79 +243,6 @@ pub(crate) fn gemm_panel(
 /// microkernel section reports the same shapes).
 /// Only a dispatch choice — never a numerics change.
 const PORTABLE_MIN_K: usize = 8;
-
-/// Cache block size along the reduction dimension of the scalar kernel
-/// (unchanged from the pre-vectorization GEMM; per-element order is `kk`
-/// ascending regardless of blocking).
-const KBLOCK: usize = 256;
-
-/// The original blocked scalar loop, verbatim — the semantic reference for
-/// the zero-skip behaviour, and the portable kernel below
-/// [`PORTABLE_MIN_K`].
-fn panel_scalar_dense(a: &[f32], b: &[f32], k: usize, n: usize, row0: usize, c_panel: &mut [f32]) {
-    let rows_here = c_panel.len() / n;
-    for kb in (0..k).step_by(KBLOCK) {
-        let k_end = (kb + KBLOCK).min(k);
-        for r in 0..rows_here {
-            let a_row = &a[(row0 + r) * k..(row0 + r) * k + k];
-            let c_row = &mut c_panel[r * n..(r + 1) * n];
-            for kk in kb..k_end {
-                let aval = a_row[kk];
-                if aval == 0.0 {
-                    continue;
-                }
-                let b_row = &b[kk * n..(kk + 1) * n];
-                for (cv, bv) in c_row.iter_mut().zip(b_row) {
-                    *cv += aval * bv;
-                }
-            }
-        }
-    }
-}
-
-/// Portable panel kernel over row-major B, starting at column `j_start`
-/// (non-zero when the AVX2 path delegates its ragged tail columns here).
-/// Full-width panels run a fixed [`NR`]-lane accumulator array the
-/// autovectorizer lowers to vector code.
-fn panel_portable_dense(
-    a: &[f32],
-    b: &[f32],
-    k: usize,
-    n: usize,
-    row0: usize,
-    c_panel: &mut [f32],
-    j_start: usize,
-) {
-    let rows_here = c_panel.len() / n;
-    let mut j0 = j_start;
-    while j0 < n {
-        let w = NR.min(n - j0);
-        for r in 0..rows_here {
-            let a_row = &a[(row0 + r) * k..(row0 + r) * k + k];
-            let c_row = &mut c_panel[r * n + j0..r * n + j0 + w];
-            let mut acc = [0.0f32; NR];
-            acc[..w].copy_from_slice(c_row);
-            for (kk, &aval) in a_row.iter().enumerate() {
-                if aval == 0.0 {
-                    continue;
-                }
-                if w == NR {
-                    let b_row = &b[kk * n + j0..kk * n + j0 + NR];
-                    for (av, bv) in acc.iter_mut().zip(b_row) {
-                        *av += aval * bv;
-                    }
-                } else {
-                    let b_row = &b[kk * n + j0..kk * n + j0 + w];
-                    for (av, bv) in acc.iter_mut().zip(b_row) {
-                        *av += aval * bv;
-                    }
-                }
-            }
-            c_row.copy_from_slice(&acc[..w]);
-        }
-        j0 += NR;
-    }
-}
 
 /// Portable panel kernel over a [`PackedB`], starting at panel `p_start`
 /// (non-zero when the AVX2 path delegates its ragged last panel here).
@@ -428,13 +342,13 @@ fn panel_scalar_packed(
 ///
 /// Panics when index/shape invariants are violated: mismatched
 /// `in_rows`/`out_rel` lengths, an `in_rows` entry past `a`'s rows, an
-/// `out_rel` entry past `out`'s rows, or a B operand smaller than `k x n`.
+/// `out_rel` entry past `out`'s rows, or a B operand that is not `k x n`.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_gather_scatter(
     a: &[f32],
     k: usize,
     in_rows: &[u32],
-    b: BOperand<'_>,
+    b: &PackedB,
     n: usize,
     round_f16: bool,
     out: &mut [f32],
@@ -450,7 +364,7 @@ fn gather_scatter_with(
     a: &[f32],
     k: usize,
     in_rows: &[u32],
-    b: BOperand<'_>,
+    b: &PackedB,
     n: usize,
     round_f16: bool,
     out: &mut [f32],
@@ -466,13 +380,7 @@ fn gather_scatter_with(
     for &dst in out_rel {
         assert!((dst as usize + 1) * n <= out.len(), "scatter row in bounds");
     }
-    match b {
-        BOperand::Dense(bd) => assert!(bd.len() >= k * n, "dense B holds k x n"),
-        BOperand::Packed(pb) => {
-            assert_eq!(pb.k, k);
-            assert_eq!(pb.n, n);
-        }
-    }
+    assert!(b.k == k && b.n == n, "packed B is k x n");
     match kernel {
         #[cfg(target_arch = "x86_64")]
         Kernel::Avx2 => x86::fused_rows(a, k, in_rows, b, n, round_f16, out, out_rel),
@@ -481,7 +389,7 @@ fn gather_scatter_with(
 }
 
 /// The portable fused kernel, and the ragged-tail delegate of the AVX2 path
-/// (`j_start` marks where the full-width panels stopped; `kernel` rounds
+/// (`p_start` marks where the full-width panels stopped; `kernel` rounds
 /// the f16 partial sums).
 #[allow(clippy::too_many_arguments)]
 fn fused_rows_portable(
@@ -489,44 +397,29 @@ fn fused_rows_portable(
     a: &[f32],
     k: usize,
     in_rows: &[u32],
-    b: BOperand<'_>,
+    b: &PackedB,
     n: usize,
     round_f16: bool,
     out: &mut [f32],
     out_rel: &[u32],
-    j_start: usize,
+    p_start: usize,
 ) {
-    let mut j0 = j_start;
-    while j0 < n {
+    for p in p_start..n.div_ceil(NR) {
+        let j0 = p * NR;
         let w = NR.min(n - j0);
+        let panel = b.panel(p);
         for (&src, &dst) in in_rows.iter().zip(out_rel) {
             let a_row = &a[src as usize * k..src as usize * k + k];
+            // Padded lanes multiply stored zeros into acc[w..], which is
+            // never read back.
             let mut acc = [0.0f32; NR];
-            match b {
-                BOperand::Dense(bd) => {
-                    for (kk, &aval) in a_row.iter().enumerate() {
-                        if aval == 0.0 {
-                            continue;
-                        }
-                        let b_row = &bd[kk * n + j0..kk * n + j0 + w];
-                        for (av, bv) in acc.iter_mut().zip(b_row) {
-                            *av += aval * bv;
-                        }
-                    }
+            for (kk, &aval) in a_row.iter().enumerate() {
+                if aval == 0.0 {
+                    continue;
                 }
-                BOperand::Packed(pb) => {
-                    // Padded lanes multiply stored zeros into acc[w..],
-                    // which is never read back.
-                    let panel = pb.panel(j0 / NR);
-                    for (kk, &aval) in a_row.iter().enumerate() {
-                        if aval == 0.0 {
-                            continue;
-                        }
-                        let b_row = &panel[kk * NR..kk * NR + NR];
-                        for (av, bv) in acc.iter_mut().zip(b_row) {
-                            *av += aval * bv;
-                        }
-                    }
+                let b_row = &panel[kk * NR..kk * NR + NR];
+                for (av, bv) in acc.iter_mut().zip(b_row) {
+                    *av += aval * bv;
                 }
             }
             if round_f16 {
@@ -537,7 +430,6 @@ fn fused_rows_portable(
                 *ov += av;
             }
         }
-        j0 += NR;
     }
 }
 
@@ -605,7 +497,7 @@ fn int8_round_trip_scalar(scale: f32, v: f32) -> f32 {
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod x86 {
-    use super::{BOperand, Kernel, LANES, NR};
+    use super::{Kernel, PackedB, LANES, NR};
     use crate::Half;
     use std::arch::x86_64::{
         __m256, _mm256_add_ps, _mm256_and_ps, _mm256_andnot_ps, _mm256_broadcast_ss, _mm256_cmp_ps,
@@ -627,35 +519,25 @@ mod x86 {
     /// The accumulators of one A row against a strip of `P` panels.
     type Acc<const P: usize> = [[__m256; 2]; P];
 
-    /// Where B's [`NR`]-wide column panels live, for either operand layout:
-    /// row `kk` of panel `p` starts `p * panel_stride + kk * row_stride`
-    /// floats past `base`.
+    /// Where the [`NR`]-wide column panels of a [`PackedB`] live: row `kk`
+    /// of panel `p` starts `p * panel_stride + kk * NR` floats past `base`.
     #[derive(Clone, Copy)]
     struct Panels {
         base: *const f32,
-        row_stride: usize,
         panel_stride: usize,
-        /// Panels whose `k` rows all have [`NR`] readable lanes: `n / NR`
-        /// for row-major B, every (zero-padded) panel of a [`PackedB`].
+        /// Panels whose `k` rows all have [`NR`] readable lanes: every
+        /// (zero-padded) panel.
         count: usize,
     }
 
     impl Panels {
         /// Checks that `b` holds a `k x n` operand — the bound every B load
         /// of the strip kernel relies on — and describes its panels.
-        fn new(b: BOperand<'_>, k: usize, n: usize) -> Panels {
-            match b {
-                BOperand::Dense(bd) => {
-                    assert!(bd.len() >= k * n, "dense B holds k x n");
-                    Panels { base: bd.as_ptr(), row_stride: n, panel_stride: NR, count: n / NR }
-                }
-                BOperand::Packed(pb) => {
-                    assert!(pb.k == k && pb.n == n, "packed B is k x n");
-                    let count = n.div_ceil(NR);
-                    assert_eq!(pb.data.len(), count * k * NR, "packed B holds every panel");
-                    Panels { base: pb.data.as_ptr(), row_stride: NR, panel_stride: k * NR, count }
-                }
-            }
+        fn new(b: &PackedB, k: usize, n: usize) -> Panels {
+            assert!(b.k == k && b.n == n, "packed B is k x n");
+            let count = n.div_ceil(NR);
+            assert_eq!(b.data.len(), count * k * NR, "packed B holds every panel");
+            Panels { base: b.data.as_ptr(), panel_stride: k * NR, count }
         }
 
         /// Row 0 of panel `p`. A wrapping offset, because an empty (`k = 0`)
@@ -679,7 +561,7 @@ mod x86 {
     /// Entry point for the AVX2 GEMM panel.
     pub(super) fn panel(
         a: &[f32],
-        b: BOperand<'_>,
+        b: &PackedB,
         k: usize,
         n: usize,
         row0: usize,
@@ -694,12 +576,12 @@ mod x86 {
     /// every full [`NR`]-wide panel, widest strips first — the narrower the
     /// strip, the more rows walk it together (`R * P = 4`, so eight
     /// accumulators are in flight unless the strip is three panels wide).
-    /// Ragged tail columns delegate to the portable loops, which accumulate
-    /// each element in the identical order.
+    /// The ragged last panel delegates to the portable loop, which
+    /// accumulates each element in the identical order.
     #[target_feature(enable = "avx2")]
     unsafe fn panel_avx2(
         a: &[f32],
-        b: BOperand<'_>,
+        b: &PackedB,
         k: usize,
         n: usize,
         row0: usize,
@@ -730,14 +612,7 @@ mod x86 {
             p += width;
         }
         if full * NR < n {
-            match b {
-                BOperand::Dense(bd) => {
-                    super::panel_portable_dense(a, bd, k, n, row0, c_panel, full * NR);
-                }
-                BOperand::Packed(pb) => {
-                    super::panel_portable_packed(a, pb, k, n, row0, c_panel, full);
-                }
-            }
+            super::panel_portable_packed(a, b, k, n, row0, c_panel, full);
         }
     }
 
@@ -793,7 +668,7 @@ mod x86 {
         // SAFETY: the caller vouched for exactly these reads.
         unsafe {
             let av = _mm256_broadcast_ss(&*a.add(kk));
-            let b_row = b.add(kk * panels.row_stride);
+            let b_row = b.add(kk * NR);
             for (p, lanes) in acc.iter_mut().enumerate() {
                 let b0 = _mm256_loadu_ps(b_row.add(p * panels.panel_stride));
                 let b1 = _mm256_loadu_ps(b_row.add(p * panels.panel_stride + LANES));
@@ -851,7 +726,7 @@ mod x86 {
     ///
     /// Requires AVX2. Every `a_rows[i]` must be readable for `len` floats,
     /// and for every `kk < len` and `p < P` the [`NR`] floats at `b + kk *
-    /// panels.row_stride + p * panels.panel_stride` must be readable.
+    /// NR + p * panels.panel_stride` must be readable.
     #[inline(always)]
     unsafe fn strip_word<const R: usize, const P: usize>(
         a_rows: [*const f32; R],
@@ -994,7 +869,7 @@ mod x86 {
             // SAFETY: k0 + len <= k, so the A columns and the B rows of
             // this pass are inside what the caller vouched for.
             unsafe {
-                let (a, b) = (a.add(k0), panels.at(p0).add(k0 * panels.row_stride));
+                let (a, b) = (a.add(k0), panels.at(p0).add(k0 * NR));
                 let done = panel_groups::<R, P>(a, 0..rows, k, len, b, panels, c, n);
                 if R > 1 {
                     panel_groups::<1, P>(a, done..rows, k, len, b, panels, c, n);
@@ -1021,7 +896,7 @@ mod x86 {
         a: &[f32],
         k: usize,
         in_rows: &[u32],
-        b: BOperand<'_>,
+        b: &PackedB,
         n: usize,
         round_f16: bool,
         out: &mut [f32],
@@ -1073,7 +948,7 @@ mod x86 {
                 let mut acc = [[[_mm256_setzero_ps(); 2]; P]; R];
                 let mut k0 = 0;
                 while k0 < k {
-                    let b = panels.at(p0).add(k0 * panels.row_stride);
+                    let b = panels.at(p0).add(k0 * NR);
                     let len = (k - k0).min(WORD);
                     acc = strip_word::<R, P>(a_rows, len, b, panels, acc);
                     a_rows = a_rows.map(|a_row| a_row.add(len));
@@ -1097,10 +972,11 @@ mod x86 {
     /// Fused gather–GEMM–scatter: the strip kernel over every full
     /// [`NR`]-wide panel, widest strips first; within a strip the batch's
     /// entries run in groups of `R` (`R * P = 4`, like the plain GEMM),
-    /// leftover entries one at a time. Ragged tail columns delegate to the
-    /// portable loop, which accumulates each element in the identical order.
+    /// leftover entries one at a time. The ragged last panel delegates to
+    /// the portable loop, which accumulates each element in the identical
+    /// order.
     #[target_feature(enable = "avx2")]
-    unsafe fn fused_rows_avx2(a: &[f32], k: usize, b: BOperand<'_>, s: &mut Scatter<'_>) {
+    unsafe fn fused_rows_avx2(a: &[f32], k: usize, b: &PackedB, s: &mut Scatter<'_>) {
         let n = s.n;
         let panels = Panels::new(b, k, n);
         let all = 0..s.in_rows.len();
@@ -1129,7 +1005,6 @@ mod x86 {
         }
         if full * NR < n {
             let Scatter { in_rows, out_rel, round_f16, .. } = *s;
-            let tail = full * NR;
             super::fused_rows_portable(
                 Kernel::Avx2,
                 a,
@@ -1140,7 +1015,7 @@ mod x86 {
                 round_f16,
                 s.out,
                 out_rel,
-                tail,
+                full,
             );
         }
     }
@@ -1288,8 +1163,44 @@ mod tests {
     }
 
     /// Runs one full-matrix GEMM (`C += A*B`) through `gemm_panel`.
-    fn run_panel(kernel: Kernel, a: &Matrix, b: BOperand<'_>, n: usize, c: &mut Matrix) {
-        gemm_panel(kernel, a.as_slice(), b, a.cols(), n, 0, c.as_mut_slice());
+    fn run_panel(kernel: Kernel, a: &Matrix, b: &PackedB, c: &mut Matrix) {
+        gemm_panel(kernel, a.as_slice(), b, a.cols(), b.n(), 0, c.as_mut_slice());
+    }
+
+    /// Cache block size along the reduction dimension of the scalar oracle
+    /// (unchanged from the pre-vectorization GEMM; per-element order is `kk`
+    /// ascending regardless of blocking).
+    const KBLOCK: usize = 256;
+
+    /// The original blocked scalar loop over row-major B, verbatim — the
+    /// semantic reference for the zero-skip behaviour every kernel sweep is
+    /// held to.
+    fn panel_scalar_dense(
+        a: &[f32],
+        b: &[f32],
+        k: usize,
+        n: usize,
+        row0: usize,
+        c_panel: &mut [f32],
+    ) {
+        let rows_here = c_panel.len() / n;
+        for kb in (0..k).step_by(KBLOCK) {
+            let k_end = (kb + KBLOCK).min(k);
+            for r in 0..rows_here {
+                let a_row = &a[(row0 + r) * k..(row0 + r) * k + k];
+                let c_row = &mut c_panel[r * n..(r + 1) * n];
+                for kk in kb..k_end {
+                    let aval = a_row[kk];
+                    if aval == 0.0 {
+                        continue;
+                    }
+                    let b_row = &b[kk * n..(kk + 1) * n];
+                    for (cv, bv) in c_row.iter_mut().zip(b_row) {
+                        *cv += aval * bv;
+                    }
+                }
+            }
+        }
     }
 
     /// The scalar oracle: one full-matrix GEMM (`C += A*B`) through the
@@ -1339,7 +1250,7 @@ mod tests {
     }
 
     #[test]
-    fn all_kernels_bitwise_equal_dense_and_packed() {
+    fn all_kernels_bitwise_equal_scalar_oracle() {
         let mut rng = StdRng::seed_from_u64(11);
         for &(m, k, n) in &[
             (1, 1, 1),
@@ -1356,19 +1267,9 @@ mod tests {
             let mut reference = Matrix::zeros(m, n);
             scalar_panel(&a, &b, &mut reference);
             for kernel in every_kernel() {
-                for (label, operand) in [
-                    ("dense", BOperand::Dense(b.as_slice())),
-                    ("packed", BOperand::Packed(&packed)),
-                ] {
-                    let mut c = Matrix::zeros(m, n);
-                    run_panel(kernel, &a, operand, n, &mut c);
-                    assert_eq!(
-                        bits(&c),
-                        bits(&reference),
-                        "{} {label} ({m},{k},{n})",
-                        kernel.name()
-                    );
-                }
+                let mut c = Matrix::zeros(m, n);
+                run_panel(kernel, &a, &packed, &mut c);
+                assert_eq!(bits(&c), bits(&reference), "{} ({m},{k},{n})", kernel.name());
             }
         }
     }
@@ -1384,7 +1285,7 @@ mod tests {
         scalar_panel(&a, &b, &mut reference);
         for kernel in every_kernel() {
             let mut c = seed.clone();
-            run_panel(kernel, &a, BOperand::Packed(&packed), 20, &mut c);
+            run_panel(kernel, &a, &packed, &mut c);
             assert_eq!(bits(&c), bits(&reference), "{}", kernel.name());
         }
     }
@@ -1404,11 +1305,9 @@ mod tests {
         let mut reference = Matrix::zeros(8, 19);
         scalar_panel(&a, &b, &mut reference);
         for kernel in every_kernel() {
-            for operand in [BOperand::Dense(b.as_slice()), BOperand::Packed(&packed)] {
-                let mut c = Matrix::zeros(8, 19);
-                run_panel(kernel, &a, operand, 19, &mut c);
-                assert_eq!(bits(&c), bits(&reference), "{}", kernel.name());
-            }
+            let mut c = Matrix::zeros(8, 19);
+            run_panel(kernel, &a, &packed, &mut c);
+            assert_eq!(bits(&c), bits(&reference), "{}", kernel.name());
         }
     }
 
@@ -1447,22 +1346,21 @@ mod tests {
     fn run_fused(
         kernel: Kernel,
         a: &Matrix,
-        b: BOperand<'_>,
-        n: usize,
+        b: &PackedB,
         entries: &[(u32, u32)],
         n_out: usize,
         round_f16: bool,
     ) -> Matrix {
         let in_rows: Vec<u32> = entries.iter().map(|&(s, _)| s).collect();
         let out_rel: Vec<u32> = entries.iter().map(|&(_, d)| d).collect();
-        let mut out = Matrix::zeros(n_out, n);
+        let mut out = Matrix::zeros(n_out, b.n());
         gather_scatter_with(
             kernel,
             a.as_slice(),
             a.cols(),
             &in_rows,
             b,
-            n,
+            b.n(),
             round_f16,
             out.as_mut_slice(),
             &out_rel,
@@ -1490,18 +1388,13 @@ mod tests {
             for round_f16 in [false, true] {
                 let reference = fused_reference(&a, &b, &entries, n_out, round_f16);
                 for kernel in every_kernel() {
-                    for (label, operand) in [
-                        ("dense", BOperand::Dense(b.as_slice())),
-                        ("packed", BOperand::Packed(&packed)),
-                    ] {
-                        let out = run_fused(kernel, &a, operand, n, &entries, n_out, round_f16);
-                        assert_eq!(
-                            bits(&out),
-                            bits(&reference),
-                            "{} {label} ({m_in},{k},{n}) round={round_f16}",
-                            kernel.name()
-                        );
-                    }
+                    let out = run_fused(kernel, &a, &packed, &entries, n_out, round_f16);
+                    assert_eq!(
+                        bits(&out),
+                        bits(&reference),
+                        "{} ({m_in},{k},{n}) round={round_f16}",
+                        kernel.name()
+                    );
                 }
             }
         }
@@ -1519,10 +1412,8 @@ mod tests {
         let entries: Vec<(u32, u32)> = vec![(2, 0), (5, 0), (2, 3), (8, 2)];
         let reference = fused_reference(&a, &b, &entries, 4, false);
         for kernel in every_kernel() {
-            for operand in [BOperand::Dense(b.as_slice()), BOperand::Packed(&packed)] {
-                let out = run_fused(kernel, &a, operand, 19, &entries, 4, false);
-                assert_eq!(bits(&out), bits(&reference), "{}", kernel.name());
-            }
+            let out = run_fused(kernel, &a, &packed, &entries, 4, false);
+            assert_eq!(bits(&out), bits(&reference), "{}", kernel.name());
         }
     }
 
@@ -1564,23 +1455,13 @@ mod tests {
                     let fused: Vec<Matrix> =
                         [false, true].map(|r| fused_reference(&a, &b, &entries, n_out, r)).into();
                     for kernel in every_kernel() {
-                        for (label, operand) in [
-                            ("dense", BOperand::Dense(b.as_slice())),
-                            ("packed", BOperand::Packed(&packed)),
-                        ] {
-                            let what = format!("{} {label} d={density} k={k} n={n}", kernel.name());
-                            let mut c = seed.clone();
-                            run_panel(kernel, &a, operand, n, &mut c);
-                            assert_eq!(bits(&c), bits(&plain), "plain {what}");
-                            for (round_f16, want) in [false, true].into_iter().zip(&fused) {
-                                let out =
-                                    run_fused(kernel, &a, operand, n, &entries, n_out, round_f16);
-                                assert_eq!(
-                                    bits(&out),
-                                    bits(want),
-                                    "fused round={round_f16} {what}"
-                                );
-                            }
+                        let what = format!("{} d={density} k={k} n={n}", kernel.name());
+                        let mut c = seed.clone();
+                        run_panel(kernel, &a, &packed, &mut c);
+                        assert_eq!(bits(&c), bits(&plain), "plain {what}");
+                        for (round_f16, want) in [false, true].into_iter().zip(&fused) {
+                            let out = run_fused(kernel, &a, &packed, &entries, n_out, round_f16);
+                            assert_eq!(bits(&out), bits(want), "fused round={round_f16} {what}");
                         }
                     }
                 }
@@ -1628,21 +1509,19 @@ mod tests {
             scalar_panel(&a, &b, &mut reference);
             let fused_want = fused_reference(&a, &b, &entries, 3, false);
             for kernel in every_kernel() {
-                for operand in [BOperand::Dense(b.as_slice()), BOperand::Packed(&packed)] {
-                    let mut c = seed.clone();
-                    run_panel(kernel, &a, operand, n, &mut c);
-                    let out = run_fused(kernel, &a, operand, n, &entries, 3, false);
-                    for r in [0, 3] {
-                        assert!(all(&c, r, |v| v.to_bits() == (-0.0f32).to_bits()), "-0.0 stays");
-                        assert_eq!(bits(&c)[r * n..][..2 * n], bits(&reference)[r * n..][..2 * n]);
-                        assert!(all(&c, r + 1, |v| v.is_finite()), "a skipped k never reads B");
-                        assert!(all(&c, r + 2, |v| v.is_nan()), "NaN in A is not skipped");
-                    }
-                    assert!(all(&out, 0, |v| v.to_bits() == 0), "0.0 + 0.0 products");
-                    assert!(all(&out, 1, |v| v.is_finite()));
-                    assert!(all(&out, 2, |v| v.is_nan()));
-                    assert_eq!(bits(&out)[..2 * n], bits(&fused_want)[..2 * n], "n={n}");
+                let mut c = seed.clone();
+                run_panel(kernel, &a, &packed, &mut c);
+                let out = run_fused(kernel, &a, &packed, &entries, 3, false);
+                for r in [0, 3] {
+                    assert!(all(&c, r, |v| v.to_bits() == (-0.0f32).to_bits()), "-0.0 stays");
+                    assert_eq!(bits(&c)[r * n..][..2 * n], bits(&reference)[r * n..][..2 * n]);
+                    assert!(all(&c, r + 1, |v| v.is_finite()), "a skipped k never reads B");
+                    assert!(all(&c, r + 2, |v| v.is_nan()), "NaN in A is not skipped");
                 }
+                assert!(all(&out, 0, |v| v.to_bits() == 0), "0.0 + 0.0 products");
+                assert!(all(&out, 1, |v| v.is_finite()));
+                assert!(all(&out, 2, |v| v.is_nan()));
+                assert_eq!(bits(&out)[..2 * n], bits(&fused_want)[..2 * n], "n={n}");
             }
         }
     }
@@ -1746,7 +1625,7 @@ mod tests {
     proptest! {
         /// Arbitrary shapes — including ragged column tails
         /// (`n % NR != 0`) and degenerate `k` — are bitwise identical
-        /// across both kernels and both B layouts, against the scalar loop.
+        /// across both kernels, against the scalar loop.
         #[test]
         fn prop_kernels_bitwise_equal(
             m in 1usize..40, k in 0usize..24, n in 1usize..40, seed in 0u64..500
@@ -1758,14 +1637,12 @@ mod tests {
             let mut reference = Matrix::zeros(m, n);
             scalar_panel(&a, &b, &mut reference);
             for kernel in every_kernel() {
-                for operand in [BOperand::Dense(b.as_slice()), BOperand::Packed(&packed)] {
-                    let mut c = Matrix::zeros(m, n);
-                    run_panel(kernel, &a, operand, n, &mut c);
-                    prop_assert!(
-                        bits(&c) == bits(&reference),
-                        "{} ({},{},{})", kernel.name(), m, k, n
-                    );
-                }
+                let mut c = Matrix::zeros(m, n);
+                run_panel(kernel, &a, &packed, &mut c);
+                prop_assert!(
+                    bits(&c) == bits(&reference),
+                    "{} ({},{},{})", kernel.name(), m, k, n
+                );
             }
         }
 

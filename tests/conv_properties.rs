@@ -4,9 +4,10 @@
 
 use proptest::prelude::*;
 use torchsparse::coords::Coord;
-use torchsparse::core::{Engine, EnginePreset, Precision, SparseConv3d, SparseTensor};
+use torchsparse::core::{Engine, EnginePreset, Precision, SparseConv3d, SparseTensor, ThreadPool};
 use torchsparse::gpusim::DeviceProfile;
-use torchsparse::tensor::{gemm, Matrix};
+use torchsparse::tensor::gemm::{mm_into_packed_on, GemmOpts};
+use torchsparse::tensor::{Matrix, PackedB};
 
 fn tensor_from(sites: &[(i32, i32, i32)], c: usize, seed: u64) -> SparseTensor {
     let mut dedup: Vec<(i32, i32, i32)> = sites.to_vec();
@@ -81,7 +82,10 @@ proptest! {
         let conv = SparseConv3d::with_random_weights("c", c_in, c_out, 1, 1, seed);
         let mut engine = fp32_engine();
         let y = engine.run(&conv, &x).expect("conv");
-        let expect = gemm::mm(x.feats(), &conv.weights()[0]).expect("mm");
+        let mut expect = Matrix::zeros(x.len(), c_out);
+        let weight = PackedB::pack(&conv.weights()[0]);
+        mm_into_packed_on(ThreadPool::global(), x.feats(), &weight, &mut expect, GemmOpts::default())
+            .expect("mm");
         let diff = y.feats().max_abs_diff(&expect).expect("shape");
         prop_assert!(diff < 1e-3, "k1 conv differs from linear by {diff}");
     }
