@@ -14,8 +14,10 @@
 //! rows stream from the input features through the strip microkernel's
 //! register accumulators straight into the output, in the plan-time
 //! [`FusedOrder`], so no gathered or partial-sum buffer exists on the host.
-//! Each finished output block then runs the layer's epilogue while it is
-//! still in cache — the storage round and finiteness check, and the batch
+//! A parallel pool runs one task per 64-row output block; a serial pool runs
+//! the whole output as one block, offsets outermost, so each offset's
+//! weights are read once per layer. Each finished block then runs the
+//! layer's epilogue — the storage round and finiteness check, and the batch
 //! norm, identity-shortcut add and ReLU the plan folded into the layer
 //! (`Epilogue`), with the separate sweeps' f32 operations in their order.
 //! They execute the *real* computation on the CPU and nothing else: outputs
@@ -28,6 +30,7 @@
 use crate::config::{OptimizationConfig, Precision};
 use crate::runtime::{Task, ThreadPool};
 use crate::CoreError;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use torchsparse_coords::kernel_map::MapEntry;
 use torchsparse_coords::KernelMap;
@@ -90,23 +93,25 @@ pub(crate) fn apply_storage_precision_owned(
     m
 }
 
-/// Output rows per executor task. Fixed (never derived from the thread
-/// count) so the partition — and therefore every task's output — is
-/// identical at any pool width.
+/// Output rows per executor task on a parallel pool, and map entries per
+/// staging batch. Fixed (never derived from the thread count) so the
+/// partition is identical at any pool width; a serial pool runs all of a
+/// layer's chunks as one block (see [`reduce_chunks`]).
 const MOVE_CHUNK: usize = 64;
 
 /// Plan-time locality reordering for the fused dataflow: the paper's
 /// §4.3.2 locality-aware access orders, applied to the real CPU executor.
 ///
 /// For every kernel offset the map entries are viewed in *output-row*
-/// order and split at [`MOVE_CHUNK`]-row output boundaries. A fused
-/// execution task that owns output rows `[c*MOVE_CHUNK, (c+1)*MOVE_CHUNK)`
-/// then streams exactly `view(map, n)[starts[n][c]..starts[n][c+1]]`
-/// for each offset `n` — contiguous and without scanning the rest of the
-/// map. Because the per-offset in/out maps are partial bijections, each
-/// output row appears at most once per offset, and the per-element
-/// accumulation order (offsets ascending, one FP32 add per entry) is
-/// exactly that of a plain offset-major loop over the whole map.
+/// order and split at [`MOVE_CHUNK`]-row output boundaries. An executor
+/// block that owns the output rows of chunks `c0..c1` — one chunk per task
+/// on a parallel pool, every chunk on a serial one — then streams exactly
+/// `view(map, n)[starts[n][c0]..starts[n][c1]]` for each offset `n`,
+/// contiguous and without scanning the rest of the map. Because the
+/// per-offset in/out maps are partial bijections, each output row appears
+/// at most once per offset, and the per-element accumulation order
+/// (offsets ascending, one FP32 add per entry) is exactly that of a plain
+/// offset-major loop over the whole map.
 ///
 /// Forward searches emit CSR ranges already sorted by output row, so for
 /// them the order stores *only* the chunk split points and the view is the
@@ -295,24 +300,27 @@ impl Epilogue<'_> {
     }
 }
 
-/// Runs `f(c, block)` over every [`MOVE_CHUNK`]-row block of `out`: inline
-/// on a serial pool (no task boxing), as one task wave otherwise. Blocks
-/// are disjoint and the partition never depends on the pool width, so the
+/// Runs `f(c0..c1, block)` over `out`'s [`MOVE_CHUNK`]-row chunks, where
+/// `block` holds output rows `c0 * MOVE_CHUNK ..` up to chunk `c1` (or the
+/// last row). A serial, non-recording pool makes one inline call over
+/// every chunk — the whole buffer, so a convolution reads each offset's
+/// weights once per layer instead of once per chunk; any other pool gets
+/// one `c..c + 1` task per chunk in one wave (a recording pool keeps those
+/// tasks so its trace shows the parallel task graph). Blocks are disjoint
+/// and no row's arithmetic depends on which rows share its block, so the
 /// result is the same at any thread count.
-fn reduce_chunks(pool: &ThreadPool, out: &mut Matrix, f: impl Fn(usize, &mut [f32]) + Sync) {
-    let block_len = MOVE_CHUNK * out.cols();
+fn reduce_chunks(pool: &ThreadPool, out: &mut Matrix, f: impl Fn(Range<usize>, &mut [f32]) + Sync) {
     if pool.threads() <= 1 && !pool.is_recording() {
-        for (c, block) in out.as_mut_slice().chunks_mut(block_len).enumerate() {
-            f(c, block);
-        }
+        f(0..out.rows().div_ceil(MOVE_CHUNK), out.as_mut_slice());
         return;
     }
+    let block_len = MOVE_CHUNK * out.cols();
     let f = &f;
     let tasks: Vec<Task<'_>> = out
         .as_mut_slice()
         .chunks_mut(block_len)
         .enumerate()
-        .map(|(c, block)| Box::new(move || f(c, block)) as Task<'_>)
+        .map(|(c, block)| Box::new(move || f(c..c + 1, block)) as Task<'_>)
         .collect();
     pool.run(tasks);
 }
@@ -336,11 +344,15 @@ pub(crate) fn is_center_shortcut(
 /// product (the 16-bit partial-sum store), then one FP32 add per entry with
 /// offsets ascending — whatever the kernel or thread count
 /// (`tests/support/conv_reference.rs` is the scalar transcription the
-/// suites hold it to). Parallel tasks own disjoint [`MOVE_CHUNK`]-row
-/// output blocks; the partition never depends on the pool width.
+/// suites hold it to). Each [`reduce_chunks`] block walks the offsets
+/// ascending, streaming its slice of each offset's output-sorted view: a
+/// parallel task owns one [`MOVE_CHUNK`]-row block, and a serial pool runs
+/// the whole output as one block, so each offset's weights stay hot
+/// across the layer instead of being re-read for every chunk. Which rows
+/// share a block never enters a row's own sum.
 ///
-/// Each finished block has its NaNs canonicalized and then runs `epilogue`
-/// while it is still hot. Returns `false` when the epilogue found a
+/// Each finished block has its NaNs canonicalized and then runs
+/// `epilogue`. Returns `false` when the epilogue found a
 /// non-finite rounded output in some block.
 fn run_fused_numerics(
     w: &ConvWorkload<'_>,
@@ -357,26 +369,25 @@ fn run_fused_numerics(
     let a = w.in_feats.as_slice();
     let volume = w.map.num_offsets();
     let finite = AtomicBool::new(true);
-    reduce_chunks(pool, out, |c, block| {
-        let base = (c * MOVE_CHUNK) as u32;
+    reduce_chunks(pool, out, |chunks, block| {
+        let first_row = chunks.start * MOVE_CHUNK;
         let mut in_rows = [0u32; MOVE_CHUNK];
         let mut out_rel = [0u32; MOVE_CHUNK];
         for n in 0..volume {
             if Some(n) == shortcut {
                 continue;
             }
-            let lo = w.fused.starts(n)[c] as usize;
-            let hi = w.fused.starts(n)[c + 1] as usize;
-            let entries = &w.fused.view(w.map, n)[lo..hi];
-            // A partial-bijection map holds at most MOVE_CHUNK entries of
-            // one offset per chunk, so this is one batch; a hand-built map
-            // that repeats an output row within an offset can hold more,
-            // and streams through the MOVE_CHUNK-row staging tiles in
-            // batches with the per-row accumulation order unchanged.
+            let starts = w.fused.starts(n);
+            let entries =
+                &w.fused.view(w.map, n)[starts[chunks.start] as usize..starts[chunks.end] as usize];
+            // The block's entries of offset `n`, output-ascending, stream
+            // through the MOVE_CHUNK-row staging tiles with this offset's
+            // weights hot; each output row still takes its adds offset by
+            // offset, in ascending order.
             for batch in entries.chunks(MOVE_CHUNK) {
                 for (j, e) in batch.iter().enumerate() {
                     in_rows[j] = e.input;
-                    out_rel[j] = e.output - base;
+                    out_rel[j] = e.output - first_row as u32;
                 }
                 microkernel::gemm_gather_scatter(
                     a,
@@ -391,7 +402,7 @@ fn run_fused_numerics(
             }
         }
         canonicalize_nans(block);
-        if !epilogue.finish(c * MOVE_CHUNK, c_out, block) {
+        if !epilogue.finish(first_row, c_out, block) {
             finite.store(false, Ordering::Relaxed);
         }
     });
@@ -502,18 +513,22 @@ pub(crate) mod tests {
         center: Option<usize>,
     }
 
-    /// A submanifold 3x3x3 layer.
-    pub(crate) fn workload_parts(c_in: usize, c_out: usize) -> Parts {
-        let coords = scene(9);
-        let (table, _) = CoordHashMap::build(&coords);
-        let map = search_dilated_on(ThreadPool::global(), &coords, &table, 3, 1, 1).unwrap();
+    /// A submanifold 3x3x3 layer on `coords`.
+    fn submanifold_parts(coords: &[Coord], c_in: usize, c_out: usize) -> Parts {
+        let (table, _) = CoordHashMap::build(coords);
+        let map = search_dilated_on(ThreadPool::global(), coords, &table, 3, 1, 1).unwrap();
         parts(map, coords.len(), coords.len(), c_in, c_out, Some(13))
     }
 
-    /// A 2x2x2 stride-2 downsampling layer, or the transposed layer that
-    /// inverts it (whose mirrored map `FusedOrder` has to re-sort).
-    fn strided_parts(c_in: usize, c_out: usize, transposed: bool) -> Parts {
-        let mut fine = scene(9);
+    /// A submanifold 3x3x3 layer on a one-chunk scene.
+    pub(crate) fn workload_parts(c_in: usize, c_out: usize) -> Parts {
+        submanifold_parts(&scene(9), c_in, c_out)
+    }
+
+    /// A 2x2x2 stride-2 downsampling layer over `fine`, or the transposed
+    /// layer that inverts it (whose mirrored map `FusedOrder` has to
+    /// re-sort).
+    fn strided_parts(mut fine: Vec<Coord>, c_in: usize, c_out: usize, transposed: bool) -> Parts {
         if transposed {
             // Coarse rows ascend while the fine rows they map to descend,
             // so the mirrored ranges are not output-sorted.
@@ -590,12 +605,19 @@ pub(crate) mod tests {
     fn executor_matches_scalar_reference_bitwise() {
         let layers = [
             ("submanifold", workload_parts(8, 16)),
-            ("strided", strided_parts(8, 20, false)),
-            ("transposed", strided_parts(6, 8, true)),
+            ("strided", strided_parts(scene(9), 8, 20, false)),
+            ("transposed", strided_parts(scene(9), 6, 8, true)),
+            // Several chunks: a serial pool runs these as one whole-layer
+            // block, offsets outermost, and wider pools as per-chunk tasks.
+            ("submanifold, several chunks", submanifold_parts(&sites(1), 8, 16)),
+            ("transposed, several chunks", strided_parts(sites(1), 6, 8, true)),
         ];
         for (name, parts) in &layers {
             let order = FusedOrder::build_on(&ThreadPool::new(1), &parts.map, parts.n_out);
-            assert_eq!(order.resorted_offsets() > 0, *name == "transposed", "{name}");
+            assert_eq!(order.resorted_offsets() > 0, name.starts_with("transposed"), "{name}");
+            if name.ends_with("several chunks") {
+                assert!(parts.n_out.div_ceil(MOVE_CHUNK) >= 3, "{name}: {} rows", parts.n_out);
+            }
             for precision in [Precision::Fp32, Precision::Fp16, Precision::Int8] {
                 for skip_center in [false, true] {
                     let mut cfg = OptimizationConfig::torchsparse();
@@ -615,6 +637,38 @@ pub(crate) mod tests {
                 }
             }
         }
+    }
+
+    /// The partition rule: a serial pool gets one call over every chunk and
+    /// the whole buffer; a parallel or recording pool one task per
+    /// `MOVE_CHUNK`-row chunk. Each block is the rows its range names.
+    #[test]
+    fn reduce_chunks_hands_a_serial_pool_the_whole_buffer_and_others_one_chunk_each() {
+        let (rows, cols) = (3 * MOVE_CHUNK + 5, 2);
+        let calls = |pool: &ThreadPool| {
+            let mut out = Matrix::zeros(rows, cols);
+            let seen = std::sync::Mutex::new(Vec::new());
+            reduce_chunks(pool, &mut out, |chunks, block| {
+                let first = chunks.start * MOVE_CHUNK * cols;
+                for (i, v) in block.iter_mut().enumerate() {
+                    *v = (first + i) as f32;
+                }
+                seen.lock().unwrap().push((chunks, block.len()));
+            });
+            let whole: Vec<f32> = (0..rows * cols).map(|i| i as f32).collect();
+            assert_eq!(out.as_slice(), &whole[..], "every element written once, at its row");
+            let mut seen = seen.into_inner().unwrap();
+            seen.sort_by_key(|(chunks, _)| chunks.start);
+            seen
+        };
+        assert_eq!(calls(&ThreadPool::new(1)), vec![(0..4, rows * cols)]);
+        let per_chunk: Vec<_> = [MOVE_CHUNK, MOVE_CHUNK, MOVE_CHUNK, 5]
+            .iter()
+            .enumerate()
+            .map(|(c, r)| (c..c + 1, r * cols))
+            .collect();
+        assert_eq!(calls(&ThreadPool::new(3)), per_chunk, "parallel pool");
+        assert_eq!(calls(&ThreadPool::new_recording()), per_chunk, "recording pool");
     }
 
     #[test]

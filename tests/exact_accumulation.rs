@@ -2,8 +2,9 @@
 //! it is measured against.
 //!
 //! Every output row is reduced in plain FP32 in one fixed order — offsets
-//! ascending, one add per producer — by whichever task owns the row's
-//! plan-time chunk. The engine's bits are therefore those of the scalar
+//! ascending, one add per producer — by whichever block owns the row (its
+//! plan-time chunk's task, or the whole layer on a serial pool). The
+//! engine's bits are therefore those of the scalar
 //! reference in `tests/support/` at every thread count and dataflow,
 //! non-finite and signed-zero addends included. What the order
 //! does *not* give is a correctly rounded sum: `core::dataflow`'s unit
