@@ -361,9 +361,7 @@ impl SparseConv3d {
         let run_dataflow = |config: &OptimizationConfig,
                             epilogue: &Epilogue<'_>,
                             out: &mut Matrix| match &plan.dataflow {
-            ConvDataflow::FetchOnDemand => {
-                Ok(fetch_on_demand_into(&workload, &pool, epilogue, out))
-            }
+            ConvDataflow::FetchOnDemand => fetch_on_demand_into(&workload, &pool, epilogue, out),
             ConvDataflow::Grouped(_) => {
                 gather_matmul_scatter_into(&workload, config, &pool, epilogue, out)
             }
@@ -380,9 +378,9 @@ impl SparseConv3d {
         let fused = precision != Precision::Int8 && !inject;
         let finite = if fused {
             let epilogue = Epilogue { round_f16: precision == Precision::Fp16, ..epilogue };
-            run_dataflow(config, &epilogue, out)?
+            run_dataflow(config, &epilogue, out)
         } else {
-            run_dataflow(config, &Epilogue::default(), out)?;
+            run_dataflow(config, &Epilogue::default(), out);
             *out = apply_storage_precision_owned(&pool, take(out), precision);
             if inject {
                 // Simulate a quantized activation saturating to infinity;
@@ -401,7 +399,7 @@ impl SparseConv3d {
             // The re-run output stays FP32: precision is a storage
             // optimization, and this layer just proved it loses too much.
             let fp32 = OptimizationConfig { precision: Precision::Fp32, ..config.clone() };
-            run_dataflow(&fp32, &Epilogue::default(), out)?;
+            run_dataflow(&fp32, &Epilogue::default(), out);
         }
         Ok(ConvRun { reran, fused: fused && !reran })
     }

@@ -29,14 +29,12 @@
 
 use crate::config::{OptimizationConfig, Precision};
 use crate::runtime::{Task, ThreadPool};
-use crate::CoreError;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use torchsparse_coords::kernel_map::MapEntry;
 use torchsparse_coords::KernelMap;
-use torchsparse_tensor::gemm::GemmOpts;
 use torchsparse_tensor::microkernel::{self, PackedB};
-use torchsparse_tensor::{gemm, quant, Matrix};
+use torchsparse_tensor::{quant, Matrix};
 
 /// Everything a dataflow needs to execute one convolution.
 #[derive(Debug)]
@@ -326,7 +324,7 @@ fn reduce_chunks(pool: &ThreadPool, out: &mut Matrix, f: impl Fn(Range<usize>, &
 }
 
 /// Whether a group is the bare center-identity offset that the §4.2.1
-/// shortcut computes as one dense GEMM, without data movement.
+/// shortcut multiplies in place, without data movement.
 pub(crate) fn is_center_shortcut(
     config: &OptimizationConfig,
     center_identity: Option<usize>,
@@ -342,13 +340,16 @@ pub(crate) fn is_center_shortcut(
 /// Per output element this is Algorithm 2's arithmetic — a zero-initialized
 /// k-ascending dot product per map entry, optional f16 rounding of that
 /// product (the 16-bit partial-sum store), then one FP32 add per entry with
-/// offsets ascending — whatever the kernel or thread count
-/// (`tests/support/conv_reference.rs` is the scalar transcription the
-/// suites hold it to). Each [`reduce_chunks`] block walks the offsets
-/// ascending, streaming its slice of each offset's output-sorted view: a
-/// parallel task owns one [`MOVE_CHUNK`]-row block, and a serial pool runs
-/// the whole output as one block, so each offset's weights stay hot
-/// across the layer instead of being re-read for every chunk. Which rows
+/// the `shortcut` offset first, unrounded, and the others ascending —
+/// whatever the kernel or thread count (`tests/support/conv_reference.rs` is
+/// the scalar transcription the suites hold it to). The shortcut's product
+/// lands in a `+0.0` row: a sum that starts from `+0.0` is never `-0.0`, so
+/// that add is exact, as if the product were stored. Each [`reduce_chunks`]
+/// block walks the offsets in that order, streaming its slice of each
+/// offset's output-sorted view: a parallel task owns one [`MOVE_CHUNK`]-row
+/// block, and a serial pool runs the whole output as one block, so each
+/// offset's weights stay hot across the layer instead of being re-read for
+/// every chunk. Which rows
 /// share a block never enters a row's own sum.
 ///
 /// Each finished block has its NaNs canonicalized and then runs
@@ -373,10 +374,11 @@ fn run_fused_numerics(
         let first_row = chunks.start * MOVE_CHUNK;
         let mut in_rows = [0u32; MOVE_CHUNK];
         let mut out_rel = [0u32; MOVE_CHUNK];
-        for n in 0..volume {
-            if Some(n) == shortcut {
-                continue;
-            }
+        // The §4.2.1 center offset first, its product kept in FP32, then
+        // the rest ascending.
+        let rest = (0..volume).filter(|&n| Some(n) != shortcut);
+        for n in shortcut.into_iter().chain(rest) {
+            let round_f16 = round_f16 && Some(n) != shortcut;
             let starts = w.fused.starts(n);
             let entries =
                 &w.fused.view(w.map, n)[starts[chunks.start] as usize..starts[chunks.end] as usize];
@@ -414,31 +416,23 @@ fn run_fused_numerics(
 /// block. Returns `false` when the epilogue found a non-finite rounded
 /// output.
 ///
-/// With `skip_center_movement`, a submanifold layer's center offset runs
-/// first as one dense GEMM over the identity-aligned rows (§4.2.1) — its
-/// product is never stored in 16 bits — and the executor streams the other
-/// offsets on top. Matmul grouping is not an input: pad rows are never
-/// computed on the host, so only the cost model reads the layer's
-/// [`GroupPlan`](crate::grouping::GroupPlan).
-///
-/// # Errors
-///
-/// Returns [`CoreError::Tensor`] if weight shapes are inconsistent with the
-/// input features.
+/// With `skip_center_movement`, a submanifold layer's center offset is the
+/// §4.2.1 shortcut: its map is the identity, so it needs no data movement,
+/// and its product is never stored in 16 bits. The executor streams it
+/// first in every output block, then the other offsets. Matmul grouping is
+/// not an input: pad rows are never computed on the host, so only the cost
+/// model reads the layer's [`GroupPlan`](crate::grouping::GroupPlan).
 pub(crate) fn gather_matmul_scatter_into(
     w: &ConvWorkload<'_>,
     config: &OptimizationConfig,
     pool: &ThreadPool,
     epilogue: &Epilogue<'_>,
     out: &mut Matrix,
-) -> Result<bool, CoreError> {
+) -> bool {
     out.reshape_zeroed(w.n_out, w.c_out());
     let shortcut = w.center_identity.filter(|_| config.skip_center_movement);
-    if let Some(n) = shortcut {
-        gemm::mm_into_packed_on(pool, w.in_feats, &w.packed[n], out, GemmOpts::default())?;
-    }
     let round_f16 = config.precision != Precision::Fp32;
-    Ok(run_fused_numerics(w, shortcut, round_f16, pool, epilogue, out))
+    run_fused_numerics(w, shortcut, round_f16, pool, epilogue, out)
 }
 
 /// Executes the fetch-on-demand dataflow (Lin et al. 2021; used by
@@ -477,6 +471,7 @@ pub(crate) mod tests {
     use torchsparse_coords::downsample::{fused_output_coords, Boundary};
     use torchsparse_coords::kernel_map::search_dilated_on;
     use torchsparse_coords::{Coord, CoordHashMap};
+    use torchsparse_tensor::gemm::{self, GemmOpts};
 
     /// Deterministic pseudo-random matrix without a rand dependency.
     fn pseudo_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
@@ -523,6 +518,29 @@ pub(crate) mod tests {
     /// A submanifold 3x3x3 layer on a one-chunk scene.
     pub(crate) fn workload_parts(c_in: usize, c_out: usize) -> Parts {
         submanifold_parts(&scene(9), c_in, c_out)
+    }
+
+    /// The center shortcut's edges: a submanifold layer on a 2x2x2 block
+    /// plus four isolated voxels, whose one map entry is the center. The
+    /// isolated rows are all negative against `+0.0` center weights, so
+    /// every term of their center product is `-0.0` and nothing else lands
+    /// on them; with `nan`, a block row's features also hold a NaN.
+    fn center_edge_parts(nan: bool) -> Parts {
+        let mut coords: Vec<Coord> =
+            (0..8).map(|i| Coord::new(0, i & 1, (i >> 1) & 1, i >> 2)).collect();
+        coords.extend((1..=4).map(|i| Coord::new(0, 10 * i, 0, 0)));
+        let mut parts = submanifold_parts(&coords, 5, 18);
+        parts.weights[13] = Matrix::zeros(5, 18);
+        parts.packed[13] = PackedB::pack(&parts.weights[13]);
+        for r in 8..12 {
+            for ch in 0..5 {
+                parts.feats[(r, ch)] = -1.5 - ch as f32;
+            }
+        }
+        if nan {
+            parts.feats[(2, 1)] = f32::NAN;
+        }
+        parts
     }
 
     /// A 2x2x2 stride-2 downsampling layer over `fine`, or the transposed
@@ -593,7 +611,7 @@ pub(crate) mod tests {
         pool: &ThreadPool,
     ) -> Matrix {
         let mut out = Matrix::default();
-        gather_matmul_scatter_into(w, cfg, pool, &Epilogue::default(), &mut out).unwrap();
+        gather_matmul_scatter_into(w, cfg, pool, &Epilogue::default(), &mut out);
         out
     }
 
@@ -611,6 +629,8 @@ pub(crate) mod tests {
             // block, offsets outermost, and wider pools as per-chunk tasks.
             ("submanifold, several chunks", submanifold_parts(&sites(1), 8, 16)),
             ("transposed, several chunks", strided_parts(sites(1), 6, 8, true)),
+            ("center -0.0 terms", center_edge_parts(false)),
+            ("center -0.0 terms and a NaN row", center_edge_parts(true)),
         ];
         for (name, parts) in &layers {
             let order = FusedOrder::build_on(&ThreadPool::new(1), &parts.map, parts.n_out);

@@ -75,6 +75,27 @@ pub fn grouped_matmul_latency(
     total
 }
 
+/// Algorithm 5's double loop: the adaptive `(epsilon, S)` of the grid with
+/// the lowest `cost`, the first found among equals, and that cost. `None`
+/// on an empty grid.
+fn cheapest_adaptive(
+    epsilons: &[f64],
+    thresholds: &[usize],
+    cost: impl Fn(GroupingStrategy) -> f64,
+) -> Option<(GroupingStrategy, f64)> {
+    let mut best: Option<(GroupingStrategy, f64)> = None;
+    for &epsilon in epsilons {
+        for &s_threshold in thresholds {
+            let strategy = GroupingStrategy::Adaptive { epsilon, s_threshold };
+            let c = cost(strategy);
+            if best.is_none_or(|(_, b)| c < b) {
+                best = Some((strategy, c));
+            }
+        }
+    }
+    best
+}
+
 /// Result of tuning one engine for one model on a calibration set.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TuningReport {
@@ -163,21 +184,14 @@ pub fn tune_engine<M: Module + ?Sized>(
     let precision = engine.context().config.precision;
     let mut selected = HashMap::new();
     for (layer, workloads) in &per_layer {
-        let mut best: Option<(f64, usize, f64)> = None;
-        for &epsilon in &epsilons {
-            for &s in &thresholds {
-                let strategy = GroupingStrategy::Adaptive { epsilon, s_threshold: s };
-                let cost: f64 = workloads
-                    .iter()
-                    .map(|w| grouped_matmul_latency(w, strategy, &gemm, precision).as_f64())
-                    .sum();
-                if best.is_none_or(|(_, _, c)| cost < c) {
-                    best = Some((epsilon, s, cost));
-                }
-            }
-        }
-        if let Some((epsilon, s, _)) = best {
-            selected.insert(layer.clone(), (epsilon, s));
+        let best = cheapest_adaptive(&epsilons, &thresholds, |strategy| {
+            workloads
+                .iter()
+                .map(|w| grouped_matmul_latency(w, strategy, &gemm, precision).as_f64())
+                .sum()
+        });
+        if let Some((GroupingStrategy::Adaptive { epsilon, s_threshold }, _)) = best {
+            selected.insert(layer.clone(), (epsilon, s_threshold));
         }
     }
 
@@ -219,22 +233,14 @@ fn prior_grouping(
             c_out,
             submanifold,
         };
-        let baseline =
-            grouped_matmul_latency(&w, default, &ctx.gemm, ctx.config.precision).as_f64();
+        let cost = |strategy| {
+            grouped_matmul_latency(&w, strategy, &ctx.gemm, ctx.config.precision).as_f64()
+        };
         let (epsilons, thresholds) = default_search_space();
-        let mut best: Option<(GroupingStrategy, f64)> = None;
-        for &epsilon in &epsilons {
-            for &s in &thresholds {
-                let strat = GroupingStrategy::Adaptive { epsilon, s_threshold: s };
-                let cost =
-                    grouped_matmul_latency(&w, strat, &ctx.gemm, ctx.config.precision).as_f64();
-                if cost < baseline && best.is_none_or(|(_, c)| cost < c) {
-                    best = Some((strat, cost));
-                }
+        if let Some((best, c)) = cheapest_adaptive(&epsilons, &thresholds, cost) {
+            if c < cost(default) {
+                return best;
             }
-        }
-        if let Some((s, _)) = best {
-            return s;
         }
     }
     default

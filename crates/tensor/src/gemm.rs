@@ -1,25 +1,25 @@
-//! Blocked matrix multiplication dispatched onto the shared runtime pool.
+//! Plain matrix multiplication on the shared runtime pool, through the one
+//! GEMM kernel.
 //!
 //! Sparse convolution lowers to many GEMMs of shape `|map| x Cin x Cout`
-//! (Algorithm 2 of the paper). This module provides one entry point,
-//! [`mm_into_packed_on`]: `C += A * B` on an explicit pool, with B a
-//! [`PackedB`]. Row panels run on a persistent [`ThreadPool`] — no
-//! per-call thread spawning.
+//! (Algorithm 2 of the paper), which the convolution executor streams
+//! through the fused gather–GEMM–scatter kernel
+//! ([`microkernel::gemm_gather_scatter`]). This module provides one entry
+//! point for a plain GEMM, [`mm_into_packed_on`]: `C += A * B` on an
+//! explicit pool, with B a [`PackedB`]. It drives that same kernel over
+//! identity rows — each [`PANEL`]-row panel of C gathers its own rows of A
+//! and scatters into itself — on a persistent [`ThreadPool`], with no
+//! per-call thread spawning. One kernel family serves every GEMM.
 //!
 //! The paper's batched `bmm` (§4.2) exists only in the simulated-GPU cost
 //! model: the host executor streams map rows and never pads a group.
 //!
-//! Results are bitwise identical to the naive triple loop (same
-//! accumulation order within each output element) for every thread
-//! count — the panel partition is fixed by [`PANEL`], never by the lane
-//! count, so scheduling cannot change the arithmetic. The tests and the
-//! root crate's parallel-determinism property tests verify this.
-//!
-//! Arithmetic within a panel is delegated to the
-//! [`microkernel`](crate::microkernel) module, which picks its kernel once
-//! per process from the CPU ([`microkernel::active`]); no caller chooses.
-//! B is always pre-packed into the microkernel's panel-major layout, so
-//! inference never streams row-major B.
+//! Results are bitwise identical for every thread count — the panel
+//! partition is fixed by [`PANEL`], never by the lane count, so scheduling
+//! cannot change the arithmetic — and, on a zeroed C, to the naive triple
+//! loop. The tests and the root crate's parallel-determinism property tests
+//! verify this. The kernel's instruction set is the process's, picked once
+//! from the CPU ([`microkernel::active`]); no caller chooses.
 
 use crate::microkernel::{self, Kernel, PackedB};
 use crate::{Matrix, TensorError};
@@ -37,49 +37,57 @@ const PANEL: usize = 64;
 /// measurement).
 const MIN_PARALLEL_FLOPS: f64 = 1.0e6;
 
-/// Options of [`mm_into_packed_on`]. It has no fields: the kernel is
-/// the process's ([`microkernel::active`]), never a caller's choice. The
-/// type stays so existing callers that pass `GemmOpts::default()` keep
-/// compiling.
+/// Options of [`mm_into_packed_on`]. It has no fields: there is one kernel,
+/// the fused one every convolution runs, on the process's instruction set
+/// ([`microkernel::active`]), never a caller's choice. The type stays so
+/// existing callers that pass `GemmOpts::default()` keep compiling.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GemmOpts {}
 
 /// The panel driver of [`mm_into_packed_on`] on `kernel`: partitions C
-/// into [`PANEL`]-row panels and runs the microkernel over each, inline or
-/// on the pool. The partition never depends on the pool width.
+/// into [`PANEL`]-row panels and runs the fused kernel over each panel's
+/// identity rows, inline or on the pool. The partition never depends on
+/// the pool width.
 fn mm_into_dispatch(pool: &ThreadPool, kernel: Kernel, a: &Matrix, b: &PackedB, c: &mut Matrix) {
     let (m, k, n) = (a.rows(), b.k(), b.n());
-    if m == 0 || n == 0 || k == 0 {
+    if m == 0 || n == 0 {
         return;
     }
     let a_data = a.as_slice();
-    let c_data = c.as_mut_slice();
+    // A panel's gather and scatter rows, counted from its first row.
+    let identity: [u32; PANEL] = std::array::from_fn(|i| i as u32);
+    let panel = |i: usize, c_panel: &mut [f32]| {
+        let rows = &identity[..c_panel.len() / n];
+        let a_panel = &a_data[i * PANEL * k..(i * PANEL + rows.len()) * k];
+        microkernel::gather_scatter_with(kernel, a_panel, k, rows, b, n, false, c_panel, rows);
+    };
+    let panels = c.as_mut_slice().chunks_mut(PANEL * n).enumerate();
 
     let flops = 2.0 * m as f64 * n as f64 * k as f64;
     if pool.threads() <= 1 && !pool.is_recording() || flops < MIN_PARALLEL_FLOPS || m <= PANEL {
-        for (i, panel) in c_data.chunks_mut(PANEL * n).enumerate() {
-            microkernel::gemm_panel(kernel, a_data, b, k, n, i * PANEL, panel);
+        for (i, c_panel) in panels {
+            panel(i, c_panel);
         }
         return;
     }
-    let tasks: Vec<Task<'_>> = c_data
-        .chunks_mut(PANEL * n)
-        .enumerate()
-        .map(|(i, panel)| {
-            Box::new(move || microkernel::gemm_panel(kernel, a_data, b, k, n, i * PANEL, panel))
-                as Task<'_>
-        })
-        .collect();
+    let panel = &panel;
+    let tasks: Vec<Task<'_>> =
+        panels.map(|(i, c_panel)| Box::new(move || panel(i, c_panel)) as Task<'_>).collect();
     pool.run(tasks);
 }
 
 /// `C += A * B` where B was pre-packed with [`PackedB::pack`].
 ///
-/// The one GEMM entry point: weights are constant across frames, so every
-/// layer packs its weights once, when it is constructed (a convolution's
-/// kernel-offset matrices, SPVCNN's point MLPs), and every GEMM streams the
-/// packed panels sequentially. Results are bitwise identical to the naive
-/// triple loop over row-major B.
+/// The one plain-GEMM entry point: weights are constant across frames, so
+/// every layer packs its weights once, when it is constructed, and every
+/// GEMM streams the packed panels sequentially.
+///
+/// Each element of C takes one add: the `k`-ascending dot product of its
+/// A row and B column, formed from `+0.0` with multiply-then-add and the
+/// `a == 0.0` terms skipped. On a zeroed C the result is therefore bitwise
+/// the naive triple loop's. On a non-zero C it is "C plus a dot product
+/// formed from zero", not term-by-term accumulation into C; a `-0.0` in C
+/// becomes `+0.0` where the row of A is all zeros.
 ///
 /// # Errors
 ///
@@ -218,6 +226,43 @@ mod tests {
         let mut c = Matrix::filled(2, 2, 10.0);
         mm_into_packed_on(ThreadPool::global(), &a, &b, &mut c, GemmOpts::default()).unwrap();
         assert_eq!(c.as_slice(), &[11.0, 11.0, 11.0, 11.0]);
+    }
+
+    /// The restated contract: C plus a product formed from zero, one add per
+    /// element — not term-by-term accumulation into C — so a `-0.0` in C
+    /// becomes `+0.0` where the row of A is all zeros. Two panels, both
+    /// kernels.
+    #[test]
+    fn adds_a_product_formed_from_zero_onto_existing_c() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let (m, k, n) = (PANEL + 6, 40, 20);
+        let mut a = random_matrix(&mut rng, m, k);
+        a.row_mut(3).fill(0.0);
+        a.row_mut(PANEL + 2).fill(-0.0);
+        let b = random_matrix(&mut rng, k, n);
+        let mut seed = Matrix::from_fn(m, n, |_, _| rng.random_range(-1e3f32..1e3));
+        seed.row_mut(3).fill(-0.0);
+        seed.row_mut(PANEL + 2).fill(-0.0);
+        let product = mm_reference(&a, &b).unwrap();
+        let expect = Matrix::from_fn(m, n, |i, j| seed[(i, j)] + product[(i, j)]);
+        let mut term_by_term = seed.clone();
+        for i in 0..m {
+            for kk in 0..k {
+                for j in 0..n {
+                    term_by_term[(i, j)] += a[(i, kk)] * b[(kk, j)];
+                }
+            }
+        }
+        assert_ne!(bits(&expect), bits(&term_by_term), "the two contracts differ here");
+        let packed = PackedB::pack(&b);
+        for kernel in every_kernel() {
+            let mut c = seed.clone();
+            mm_into_dispatch(&ThreadPool::new(1), kernel, &a, &packed, &mut c);
+            assert_eq!(bits(&c), bits(&expect), "{kernel:?}");
+            for r in [3, PANEL + 2] {
+                assert!(c.row(r).iter().all(|v| v.to_bits() == 0), "{kernel:?} row {r}: +0.0");
+            }
+        }
     }
 
     #[test]

@@ -9,15 +9,16 @@
 //!
 //! - [`Matrix`]: a row-major `f32` matrix with the shape/indexing conventions
 //!   of a feature buffer (`rows` = points, `cols` = channels).
-//! - [`gemm`]: blocked, multi-threaded single-precision GEMM against a
-//!   pre-packed B.
+//! - [`gemm`]: multi-threaded single-precision GEMM against a pre-packed
+//!   B, driven through the fused gather–GEMM–scatter kernel over identity
+//!   rows.
 //! - [`Half`]: software IEEE-754 binary16 with round-to-nearest-even, used to
 //!   reproduce the FP16 quantization study (§4.3.1, Table 3).
 //! - [`quant`]: FP16/INT8 feature quantization helpers.
-//! - [`microkernel`]: register-tiled SIMD compute kernels (AVX2 with a
-//!   portable fallback, picked once per process from the CPU) plus the
-//!   [`PackedB`] panel-major weight layout, the one B operand every GEMM
-//!   reads.
+//! - [`microkernel`]: the one GEMM kernel, fused gather–GEMM–scatter, and
+//!   the precision sweeps (AVX2 with a portable fallback, picked once per
+//!   process from the CPU) plus the [`PackedB`] panel-major weight layout,
+//!   the one B operand every GEMM reads.
 //! - [`dense`]: a dense volumetric 3D convolution used **only** as a
 //!   correctness oracle for the sparse engine's property tests.
 //!

@@ -14,10 +14,11 @@
 //!   the autovectorizer can chew on them — the kernel on every other CPU,
 //!   and the one `TORCHSPARSE_SIMD=off` forces.
 //!
-//! Every kernel reads B in one layout, [`PackedB`]. The original blocked
-//! scalar loop over row-major B is the unit tests' oracle, the semantic
-//! reference both kernels are held to; the portable kernel's path for
-//! skinny reductions (`PORTABLE_MIN_K`) is the same loop over packed B.
+//! There is one kernel family, the fused gather–GEMM–scatter
+//! ([`gemm_gather_scatter`]), and it reads B in one layout, [`PackedB`]. A
+//! plain GEMM (`gemm::mm_into_packed_on`) is the same kernel over identity
+//! rows. The original blocked scalar loop over row-major B is the unit
+//! tests' oracle, the semantic reference both kernels are held to.
 //!
 //! # Why one row against a wide strip
 //!
@@ -38,9 +39,7 @@
 //! rows walk the same strip side by side, each along its own mask, in
 //! lockstep for as long as all of them have nonzeros left. A mask word with
 //! no zero at all — the network's input layer, a dense probe — takes a
-//! plain counted loop over the same terms. The plain GEMM additionally
-//! blocks the reduction by the mask word, so 64 rows of a B strip (16 KiB
-//! at most) stay in L1 while all the A rows stream past.
+//! plain counted loop over the same terms.
 //!
 //! # Bitwise determinism
 //!
@@ -204,121 +203,6 @@ impl PackedB {
     }
 }
 
-/// Computes one row panel of `C += A * B` with `kernel`.
-///
-/// `c_panel` is the slice of C covering rows `row0 ..` (`rows * n`
-/// elements). Both kernels accumulate each output element over `kk` in
-/// ascending order with mul-then-add and skip `a == 0.0` terms exactly like
-/// the scalar loop, so they are bitwise interchangeable.
-pub(crate) fn gemm_panel(
-    kernel: Kernel,
-    a: &[f32],
-    b: &PackedB,
-    k: usize,
-    n: usize,
-    row0: usize,
-    c_panel: &mut [f32],
-) {
-    if n == 0 || c_panel.is_empty() {
-        return;
-    }
-    match kernel {
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2 => x86::panel(a, b, k, n, row0, c_panel),
-        // Below the skinny-shape threshold the portable kernel's per-panel
-        // accumulator copy-in/copy-out outweighs its vectorized inner loop,
-        // so the scalar loop takes over. Bitwise identical either way — the
-        // swap is purely a throughput heuristic.
-        _ if k < PORTABLE_MIN_K => panel_scalar_packed(a, b, k, n, row0, c_panel),
-        _ => panel_portable_packed(a, b, k, n, row0, c_panel, 0),
-    }
-}
-
-/// Reduction-depth threshold below which the portable kernel falls back to
-/// the scalar loop: with so few `k` terms per output element, the portable
-/// kernel's [`NR`]-lane accumulator traffic costs more than its vector math
-/// earns (measured crossover between `c_in = 4` and `c_in = 32`: 8.1
-/// GFLOP/s portable against 11.1 scalar at `c_in = 4`, in the retired GEMM
-/// bench whose results git history keeps; EXPERIMENTS.md's row-sparse strip
-/// microkernel section reports the same shapes).
-/// Only a dispatch choice — never a numerics change.
-const PORTABLE_MIN_K: usize = 8;
-
-/// Portable panel kernel over a [`PackedB`], starting at panel `p_start`
-/// (non-zero when the AVX2 path delegates its ragged last panel here).
-/// Padded lanes of the ragged panel multiply stored zeros and are discarded
-/// at the store, so the accumulation of every *real* element is unchanged.
-fn panel_portable_packed(
-    a: &[f32],
-    pb: &PackedB,
-    k: usize,
-    n: usize,
-    row0: usize,
-    c_panel: &mut [f32],
-    p_start: usize,
-) {
-    debug_assert_eq!(pb.k, k);
-    debug_assert_eq!(pb.n, n);
-    let rows_here = c_panel.len() / n;
-    for p in p_start..n.div_ceil(NR) {
-        let j0 = p * NR;
-        let w = NR.min(n - j0);
-        let panel = pb.panel(p);
-        for r in 0..rows_here {
-            let a_row = &a[(row0 + r) * k..(row0 + r) * k + k];
-            let c_row = &mut c_panel[r * n + j0..r * n + j0 + w];
-            let mut acc = [0.0f32; NR];
-            acc[..w].copy_from_slice(c_row);
-            for (kk, &aval) in a_row.iter().enumerate() {
-                if aval == 0.0 {
-                    continue;
-                }
-                let b_row = &panel[kk * NR..kk * NR + NR];
-                for (av, bv) in acc.iter_mut().zip(b_row) {
-                    *av += aval * bv;
-                }
-            }
-            c_row.copy_from_slice(&acc[..w]);
-        }
-    }
-}
-
-/// Scalar-style panel kernel over a [`PackedB`]: accumulates straight into
-/// the C rows without the portable kernel's accumulator-array staging —
-/// the profitable shape below [`PORTABLE_MIN_K`], where staging costs more
-/// than the handful of `k` terms it amortizes. Per-element order is `kk`
-/// ascending with the zero-skip, identical to every other kernel.
-fn panel_scalar_packed(
-    a: &[f32],
-    pb: &PackedB,
-    k: usize,
-    n: usize,
-    row0: usize,
-    c_panel: &mut [f32],
-) {
-    debug_assert_eq!(pb.k, k);
-    debug_assert_eq!(pb.n, n);
-    let rows_here = c_panel.len() / n;
-    for p in 0..n.div_ceil(NR) {
-        let j0 = p * NR;
-        let w = NR.min(n - j0);
-        let panel = pb.panel(p);
-        for r in 0..rows_here {
-            let a_row = &a[(row0 + r) * k..(row0 + r) * k + k];
-            let c_row = &mut c_panel[r * n + j0..r * n + j0 + w];
-            for (kk, &aval) in a_row.iter().enumerate() {
-                if aval == 0.0 {
-                    continue;
-                }
-                let b_row = &panel[kk * NR..kk * NR + w];
-                for (cv, bv) in c_row.iter_mut().zip(b_row) {
-                    *cv += aval * bv;
-                }
-            }
-        }
-    }
-}
-
 /// Fused gather–GEMM–scatter over one batch of kernel-map entries.
 ///
 /// For each entry `i`, computes the row product
@@ -359,7 +243,7 @@ pub fn gemm_gather_scatter(
 
 /// [`gemm_gather_scatter`] on `kernel`.
 #[allow(clippy::too_many_arguments)]
-fn gather_scatter_with(
+pub(crate) fn gather_scatter_with(
     kernel: Kernel,
     a: &[f32],
     k: usize,
@@ -513,7 +397,7 @@ mod x86 {
     /// broadcast.
     const STRIP: usize = 4;
 
-    /// `k` per nonzero bitmask, and per pass of the plain GEMM over its rows.
+    /// `k` per nonzero bitmask.
     const WORD: usize = 64;
 
     /// The accumulators of one A row against a strip of `P` panels.
@@ -556,64 +440,6 @@ mod x86 {
     /// load per call.
     fn assert_avx2() {
         assert!(torchsparse_runtime::cpu_features().avx2, "AVX2 kernel on a CPU without AVX2");
-    }
-
-    /// Entry point for the AVX2 GEMM panel.
-    pub(super) fn panel(
-        a: &[f32],
-        b: &PackedB,
-        k: usize,
-        n: usize,
-        row0: usize,
-        c_panel: &mut [f32],
-    ) {
-        assert_avx2();
-        // SAFETY: the CPU runs AVX2, checked just above.
-        unsafe { panel_avx2(a, b, k, n, row0, c_panel) }
-    }
-
-    /// Plain GEMM panel (`c_panel += a[row0..] * b`): the strip kernel over
-    /// every full [`NR`]-wide panel, widest strips first — the narrower the
-    /// strip, the more rows walk it together (`R * P = 4`, so eight
-    /// accumulators are in flight unless the strip is three panels wide).
-    /// The ragged last panel delegates to the portable loop, which
-    /// accumulates each element in the identical order.
-    #[target_feature(enable = "avx2")]
-    unsafe fn panel_avx2(
-        a: &[f32],
-        b: &PackedB,
-        k: usize,
-        n: usize,
-        row0: usize,
-        c_panel: &mut [f32],
-    ) {
-        let rows = c_panel.len() / n;
-        assert!((row0 + rows) * k <= a.len(), "A holds the panel's rows");
-        let panels = Panels::new(b, k, n);
-        let full = n / NR;
-        let mut p = 0;
-        while p < full {
-            let width = (full - p).min(STRIP);
-            // SAFETY: the assert above bounds the `rows` A rows from row0;
-            // `Panels::new` checked that B holds k rows of panels
-            // p..p + width <= n / NR; and columns (p + width) * NR <= n of
-            // each of the `rows` C rows exist because c_panel holds
-            // rows * n floats.
-            unsafe {
-                let a = a.as_ptr().add(row0 * k);
-                let c = c_panel.as_mut_ptr().add(p * NR);
-                match width {
-                    4 => panel_strip::<1, 4>(a, rows, k, panels, p, c, n),
-                    3 => panel_strip::<1, 3>(a, rows, k, panels, p, c, n),
-                    2 => panel_strip::<2, 2>(a, rows, k, panels, p, c, n),
-                    _ => panel_strip::<4, 1>(a, rows, k, panels, p, c, n),
-                }
-            }
-            p += width;
-        }
-        if full * NR < n {
-            super::panel_portable_packed(a, b, k, n, row0, c_panel, full);
-        }
     }
 
     /// Bit `i` is set iff `a[i] != 0.0`, for the `len <= WORD` floats at
@@ -792,93 +618,6 @@ mod x86 {
         }
     }
 
-    /// One pass of `C += A * B` over `len <= WORD` reduction terms, groups
-    /// of `R` contiguous A rows (`rows`, counted from `a` / `c`) and one
-    /// strip of `P` full panels: each group's C strips are loaded into the
-    /// accumulators, run through [`strip_word`], and stored back. Returns
-    /// the first row not covered by a whole group.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2. `a` must be readable for `len` floats at each of
-    /// `rows.end` rows `k` floats apart, `c` read- and writable for `P * NR`
-    /// floats at each of `rows.end` rows `n` floats apart, and `b` must
-    /// satisfy [`strip_word`]'s contract.
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    unsafe fn panel_groups<const R: usize, const P: usize>(
-        a: *const f32,
-        rows: std::ops::Range<usize>,
-        k: usize,
-        len: usize,
-        b: *const f32,
-        panels: Panels,
-        c: *mut f32,
-        n: usize,
-    ) -> usize {
-        let mut r = rows.start;
-        while r + R <= rows.end {
-            // SAFETY: rows r..r + R are inside `rows`, so their A rows and
-            // C strips are inside what the caller vouched for.
-            unsafe {
-                let mut a_rows = [a; R];
-                let mut acc = [[[_mm256_setzero_ps(); 2]; P]; R];
-                for (i, (a_row, lanes)) in a_rows.iter_mut().zip(&mut acc).enumerate() {
-                    *a_row = a.add((r + i) * k);
-                    for (p, pair) in lanes.iter_mut().enumerate() {
-                        pair[0] = _mm256_loadu_ps(c.add((r + i) * n + p * NR));
-                        pair[1] = _mm256_loadu_ps(c.add((r + i) * n + p * NR + LANES));
-                    }
-                }
-                let acc = strip_word::<R, P>(a_rows, len, b, panels, acc);
-                store_rows(&acc, c.add(r * n), n);
-            }
-            r += R;
-        }
-        r
-    }
-
-    /// `C += A * B` over `rows` contiguous A rows and one strip of `P` full
-    /// panels starting at panel `p0`. The reduction is blocked by [`WORD`]
-    /// outermost: 64 rows of the B strip (at most 16 KiB) stay in L1 while
-    /// all the A rows stream past them, and C — reloaded once per pass —
-    /// still receives its terms in ascending `k`. Within a pass the rows
-    /// run in groups of `R`, leftover rows one at a time.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2. `a` must be readable for `rows` rows of `k` floats,
-    /// `c` read- and writable for `P * NR` floats at each of `rows` rows `n`
-    /// floats apart, and panels `p0..p0 + P` must be inside `panels.count`
-    /// of a B with `k` rows.
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    unsafe fn panel_strip<const R: usize, const P: usize>(
-        a: *const f32,
-        rows: usize,
-        k: usize,
-        panels: Panels,
-        p0: usize,
-        c: *mut f32,
-        n: usize,
-    ) {
-        debug_assert!(p0 + P <= panels.count, "strip inside the full panels");
-        let mut k0 = 0;
-        while k0 < k {
-            let len = (k - k0).min(WORD);
-            // SAFETY: k0 + len <= k, so the A columns and the B rows of
-            // this pass are inside what the caller vouched for.
-            unsafe {
-                let (a, b) = (a.add(k0), panels.at(p0).add(k0 * NR));
-                let done = panel_groups::<R, P>(a, 0..rows, k, len, b, panels, c, n);
-                if R > 1 {
-                    panel_groups::<1, P>(a, done..rows, k, len, b, panels, c, n);
-                }
-            }
-            k0 += WORD;
-        }
-    }
-
     /// The map entries of one fused batch, and where their products go.
     struct Scatter<'a> {
         in_rows: &'a [u32],
@@ -971,10 +710,9 @@ mod x86 {
 
     /// Fused gather–GEMM–scatter: the strip kernel over every full
     /// [`NR`]-wide panel, widest strips first; within a strip the batch's
-    /// entries run in groups of `R` (`R * P = 4`, like the plain GEMM),
-    /// leftover entries one at a time. The ragged last panel delegates to
-    /// the portable loop, which accumulates each element in the identical
-    /// order.
+    /// entries run in groups of `R` (`R * P = 4`), leftover entries one at
+    /// a time. The ragged last panel delegates to the portable loop, which
+    /// accumulates each element in the identical order.
     #[target_feature(enable = "avx2")]
     unsafe fn fused_rows_avx2(a: &[f32], k: usize, b: &PackedB, s: &mut Scatter<'_>) {
         let n = s.n;
@@ -1162,9 +900,13 @@ mod tests {
         m.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
-    /// Runs one full-matrix GEMM (`C += A*B`) through `gemm_panel`.
+    /// Runs one full-matrix GEMM (`C += A*B`) through the fused kernel over
+    /// identity rows, as `gemm::mm_into_packed_on` does: each element of C
+    /// takes one add of its product formed from zero.
     fn run_panel(kernel: Kernel, a: &Matrix, b: &PackedB, c: &mut Matrix) {
-        gemm_panel(kernel, a.as_slice(), b, a.cols(), b.n(), 0, c.as_mut_slice());
+        let rows: Vec<u32> = (0..a.rows() as u32).collect();
+        let (k, n) = (a.cols(), b.n());
+        gather_scatter_with(kernel, a.as_slice(), k, &rows, b, n, false, c.as_mut_slice(), &rows);
     }
 
     /// Cache block size along the reduction dimension of the scalar oracle
@@ -1207,6 +949,14 @@ mod tests {
     /// blocked scalar loop.
     fn scalar_panel(a: &Matrix, b: &Matrix, c: &mut Matrix) {
         panel_scalar_dense(a.as_slice(), b.as_slice(), a.cols(), b.cols(), 0, c.as_mut_slice());
+    }
+
+    /// The plain GEMM's contract on the scalar oracle: `seed` plus the
+    /// product formed from zero, one add per element.
+    fn plain_reference(a: &Matrix, b: &Matrix, seed: &Matrix) -> Matrix {
+        let mut product = Matrix::zeros(a.rows(), b.cols());
+        scalar_panel(a, b, &mut product);
+        Matrix::from_fn(a.rows(), b.cols(), |i, j| seed[(i, j)] + product[(i, j)])
     }
 
     fn random_matrix(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix {
@@ -1281,8 +1031,7 @@ mod tests {
         let b = random_matrix(&mut rng, 9, 20);
         let packed = PackedB::pack(&b);
         let seed = random_matrix(&mut rng, 6, 20);
-        let mut reference = seed.clone();
-        scalar_panel(&a, &b, &mut reference);
+        let reference = plain_reference(&a, &b, &seed);
         for kernel in every_kernel() {
             let mut c = seed.clone();
             run_panel(kernel, &a, &packed, &mut c);
@@ -1450,8 +1199,7 @@ mod tests {
                     let entries: Vec<(u32, u32)> = (0..n_entries)
                         .map(|_| (rng.random_range(0..m as u32), rng.random_range(0..n_out as u32)))
                         .collect();
-                    let mut plain = seed.clone();
-                    scalar_panel(&a, &b, &mut plain);
+                    let plain = plain_reference(&a, &b, &seed);
                     let fused: Vec<Matrix> =
                         [false, true].map(|r| fused_reference(&a, &b, &entries, n_out, r)).into();
                     for kernel in every_kernel() {
@@ -1502,18 +1250,18 @@ mod tests {
                 b.row_mut(row).fill(v);
             }
             let packed = PackedB::pack(&b);
-            // C starts at -0.0: `-0.0 + (+0.0)` would flip it, a true skip
-            // leaves it alone.
+            // C starts at -0.0. A signed-zero row of A skips every term, so
+            // its product is the +0.0 it started from (a multiply-add would
+            // leak `0 * inf = NaN`), and that one add turns -0.0 into +0.0.
             let seed = Matrix::from_fn(6, n, |_, _| -0.0);
-            let mut reference = seed.clone();
-            scalar_panel(&a, &b, &mut reference);
+            let reference = plain_reference(&a, &b, &seed);
             let fused_want = fused_reference(&a, &b, &entries, 3, false);
             for kernel in every_kernel() {
                 let mut c = seed.clone();
                 run_panel(kernel, &a, &packed, &mut c);
                 let out = run_fused(kernel, &a, &packed, &entries, 3, false);
                 for r in [0, 3] {
-                    assert!(all(&c, r, |v| v.to_bits() == (-0.0f32).to_bits()), "-0.0 stays");
+                    assert!(all(&c, r, |v| v.to_bits() == 0), "-0.0 + (+0.0) product");
                     assert_eq!(bits(&c)[r * n..][..2 * n], bits(&reference)[r * n..][..2 * n]);
                     assert!(all(&c, r + 1, |v| v.is_finite()), "a skipped k never reads B");
                     assert!(all(&c, r + 2, |v| v.is_nan()), "NaN in A is not skipped");
