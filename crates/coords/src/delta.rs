@@ -418,10 +418,10 @@ pub struct StridedPatch {
 #[allow(clippy::too_many_arguments)]
 pub fn patch_strided_map(
     old: &KernelMap,
-    old_fine_coords: &[Coord],
+    old_fine: &[Coord],
     old_out_coords: &[Coord],
     fine_delta: &CoordDelta,
-    new_fine_coords: &[Coord],
+    new_fine: &[Coord],
     new_fine_index: &dyn CoordIndex,
     kernel_size: usize,
     stride: i32,
@@ -454,7 +454,7 @@ pub fn patch_strided_map(
 
     let mut inserted_cells: Vec<Coord> = Vec::new();
     for &j in &fine_delta.inserted {
-        for c in candidates(new_fine_coords[j as usize]) {
+        for c in candidates(new_fine[j as usize]) {
             stats.stream.reads += 1; // binary-search traffic over the old list
             if !old_has(c) {
                 inserted_cells.push(c);
@@ -467,7 +467,7 @@ pub fn patch_strided_map(
     let mut removal_candidates: Vec<Coord> = Vec::new();
     for (old_row, &mapped) in fine_delta.remap.iter().enumerate() {
         if mapped == REMOVED_ROW {
-            for c in candidates(old_fine_coords[old_row]) {
+            for c in candidates(old_fine[old_row]) {
                 if old_has(c) {
                     removal_candidates.push(c);
                 }
@@ -546,7 +546,7 @@ pub fn patch_strided_map(
             &out_is_inserted,
             &|k| new_fine_index.query(out_coords[k as usize].scaled(stride).offset(d)),
             &|j| {
-                let q = new_fine_coords[j as usize].offset_neg(d);
+                let q = new_fine[j as usize].offset_neg(d);
                 if !q.divisible_by(stride) {
                     return (None, 0);
                 }

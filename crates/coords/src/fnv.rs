@@ -1,10 +1,9 @@
-//! Shared FNV-1a hashing.
+//! FNV-1a hashing for spatial hashing (§2.1.2).
 //!
-//! Both the coordinate hashmap (spatial hashing, §2.1.2) and the engine's
-//! geometry fingerprinting (compiled-session plan keys) use 64-bit FNV-1a
-//! over little-endian integer bytes. This module is the single definition of
-//! the constants and the byte-folding loop so the two call sites cannot
-//! drift apart.
+//! [`Coord::fnv1a`](crate::Coord::fnv1a) folds a coordinate's four
+//! components, as 64-bit FNV-1a over their little-endian bytes, into the
+//! hash behind the coordinate hashmap's slots and the MPHF's levels. This
+//! module is the one definition of the constants and the byte-folding loop.
 
 /// The FNV-1a 64-bit offset basis.
 pub(crate) const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -13,25 +12,12 @@ pub(crate) const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// An incremental FNV-1a 64-bit hasher.
-///
-/// # Example
-///
-/// ```
-/// use torchsparse_coords::fnv::Fnv1a;
-///
-/// let mut h = Fnv1a::new();
-/// h.write_i32(42);
-/// let a = h.finish();
-/// let mut h2 = Fnv1a::new();
-/// h2.write_i32(42);
-/// assert_eq!(a, h2.finish());
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Fnv1a(u64);
+pub(crate) struct Fnv1a(u64);
 
 impl Fnv1a {
     /// Starts a hash at the offset basis.
-    pub fn new() -> Fnv1a {
+    pub(crate) fn new() -> Fnv1a {
         Fnv1a(FNV_OFFSET_BASIS)
     }
 
@@ -48,19 +34,13 @@ impl Fnv1a {
     }
 
     /// Folds a signed 32-bit word (little-endian bytes) into the state.
-    pub fn write_i32(&mut self, word: i32) {
+    pub(crate) fn write_i32(&mut self, word: i32) {
         self.write_bytes(&word.to_le_bytes());
     }
 
     /// The current hash value.
-    pub fn finish(&self) -> u64 {
+    pub(crate) fn finish(&self) -> u64 {
         self.0
-    }
-}
-
-impl Default for Fnv1a {
-    fn default() -> Fnv1a {
-        Fnv1a::new()
     }
 }
 

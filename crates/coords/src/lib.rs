@@ -18,8 +18,6 @@
 //! - [`MphfIndex`]: a minimal-perfect-hash index over a frozen coordinate
 //!   set (BBHash-style fingerprint cascade with rank/select bitmaps) —
 //!   the succinct index compiled sessions build at plan time.
-//! - [`fnv`]: the shared FNV-1a hasher behind spatial hashing and the
-//!   engine's geometry fingerprints.
 //! - [`downsample`]: output coordinate calculation for strided convolution
 //!   (Algorithm 3), in both the 5-stage *staged* form (DRAM-visible
 //!   intermediates, the baseline) and the *fused* single-kernel form
@@ -39,6 +37,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod coord;
+mod fnv;
 mod grid;
 mod hashmap;
 mod mphf;
@@ -46,7 +45,6 @@ mod table;
 
 pub mod delta;
 pub mod downsample;
-pub mod fnv;
 pub mod kernel_map;
 pub mod offsets;
 

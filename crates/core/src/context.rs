@@ -28,16 +28,17 @@ pub(crate) struct MapKey {
     pub dilation: i32,
 }
 
-/// A cached map together with the coordinate lists it connects.
+/// A cached map together with the coordinate lists it connects. A level's
+/// list is one allocation, shared by every map that touches the level.
 #[derive(Debug)]
 pub(crate) struct CachedMap {
     /// The kernel map from fine to coarse coordinates.
     pub map: KernelMap,
     /// Coordinates on the fine side (inputs of the downsample).
-    pub fine_coords: Vec<Coord>,
+    pub fine: Arc<[Coord]>,
     /// Coordinates on the coarse side (outputs of the downsample). For
-    /// stride-1 layers this equals `fine_coords`.
-    pub coarse_coords: Vec<Coord>,
+    /// stride-1 layers this is `fine`'s `Arc`.
+    pub coarse: Arc<[Coord]>,
     /// The coordinate index the map search probed, retained so frozen plans
     /// can report their resident footprint
     /// ([`crate::ExecutionPlan::memory_bytes`]) and incremental re-plans
@@ -48,12 +49,12 @@ pub(crate) struct CachedMap {
 }
 
 impl CachedMap {
-    /// Resident bytes of this cached mapping: the CSR kernel map, the
-    /// retained coordinate index, and both coordinate lists.
+    /// Resident bytes of this cached mapping: the CSR kernel map and the
+    /// retained coordinate index. Its coordinate lists belong to their
+    /// levels and are counted once per plan
+    /// ([`crate::ExecutionPlan::memory_bytes`]).
     pub(crate) fn memory_bytes(&self) -> u64 {
-        let coords =
-            (self.fine_coords.len() + self.coarse_coords.len()) * std::mem::size_of::<Coord>();
-        self.map.memory_bytes() + self.index.memory_bytes() + coords as u64
+        self.map.memory_bytes() + self.index.memory_bytes()
     }
 }
 
@@ -332,6 +333,7 @@ mod tests {
     }
 
     fn dummy_cached() -> CachedMap {
+        let coords: Arc<[Coord]> = Arc::from([Coord::new(0, 0, 0, 0)]);
         let per_offset = {
             let mut v = vec![Vec::new(); 27];
             v[13] = vec![MapEntry { input: 0, output: 0 }];
@@ -339,8 +341,8 @@ mod tests {
         };
         CachedMap {
             map: KernelMap::from_parts(3, 1, per_offset, Default::default()).unwrap(),
-            fine_coords: vec![Coord::new(0, 0, 0, 0)],
-            coarse_coords: vec![Coord::new(0, 0, 0, 0)],
+            fine: Arc::clone(&coords),
+            coarse: coords,
             index: Arc::new(torchsparse_coords::CoordHashMap::build(&[Coord::new(0, 0, 0, 0)]).0),
         }
     }

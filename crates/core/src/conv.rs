@@ -241,7 +241,7 @@ impl SparseConv3d {
     /// workload is recorded here.
     pub(crate) fn plan(
         &self,
-        coords: &[Coord],
+        coords: &Arc<[Coord]>,
         in_stride: i32,
         in_channels: usize,
         ctx: &mut Context,
@@ -263,12 +263,10 @@ impl SparseConv3d {
             acquire_map(key, coords, ctx)?
         };
         // For a transposed conv the map is flipped: entries run coarse -> fine.
-        let (flipped, use_fine, out_stride) = if self.transposed {
-            (Some(cached.map.transposed()), true, in_stride / self.stride)
-        } else if self.stride > 1 {
-            (None, false, in_stride * self.stride)
+        let (flipped, out_coords, out_stride) = if self.transposed {
+            (Some(cached.map.transposed()), Arc::clone(&cached.fine), in_stride / self.stride)
         } else {
-            (None, true, in_stride)
+            (None, Arc::clone(&cached.coarse), in_stride * self.stride)
         };
 
         let submanifold = self.is_submanifold();
@@ -302,13 +300,12 @@ impl SparseConv3d {
         // this plan streams cache-friendly panels without rebuilding any
         // index. The per-offset work runs on the worker pool — plan builds
         // are on the serial critical path of compiled sessions.
-        let n_out = if use_fine { cached.fine_coords.len() } else { cached.coarse_coords.len() };
-        let fused = Arc::new(FusedOrder::build_on(&ctx.runtime.pool(), map_ref, n_out));
+        let fused = Arc::new(FusedOrder::build_on(&ctx.runtime.pool(), map_ref, out_coords.len()));
 
         Ok(ConvPlan {
             cached,
             flipped,
-            use_fine,
+            out_coords,
             out_stride,
             center,
             submanifold,
@@ -353,7 +350,7 @@ impl SparseConv3d {
             in_feats: input,
             packed: &plan.packed,
             map: plan.map(),
-            n_out: plan.out_coords().len(),
+            n_out: plan.out_coords.len(),
             center_identity: plan.center,
             fused: &plan.fused,
         };
@@ -422,7 +419,7 @@ pub(crate) struct ConvRun {
 /// latency of the search when one ran.
 pub(crate) fn acquire_map(
     key: MapKey,
-    coords: &[Coord],
+    coords: &Arc<[Coord]>,
     ctx: &mut Context,
 ) -> Result<(Arc<CachedMap>, Option<Micros>), CoreError> {
     if let Some(hit) = ctx.planner.cached_map(key) {
@@ -645,9 +642,9 @@ mod tests {
             shared.execute_on(stream, &shifted(dx)).unwrap();
         }
         let [a, b] = &streams;
-        assert_ne!(a.plan().fingerprint, b.plan().fingerprint, "two private re-plans");
+        assert!(!Arc::ptr_eq(a.plan(), b.plan()), "two private re-plans");
         for stream in &streams {
-            assert_ne!(stream.plan().fingerprint, shared.base_plan().fingerprint);
+            assert!(!Arc::ptr_eq(stream.plan(), shared.base_plan()));
             let [StepPlan::Conv(plan)] = stream.plan().steps.as_slice() else {
                 panic!("a lone convolution plans one conv step");
             };

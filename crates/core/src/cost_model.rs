@@ -89,7 +89,7 @@ impl<'a> ConvGeometry<'a> {
         ConvGeometry {
             map: plan.map(),
             n_in,
-            n_out: plan.out_coords().len(),
+            n_out: plan.out_coords.len(),
             c_in: plan.c_in,
             c_out: plan.c_out,
             center_identity: plan.center,
@@ -297,7 +297,7 @@ fn plan_cost(
 ) {
     let walk_start = sim.timeline.total();
     // The (points, channels) of the tensor flowing through the network.
-    let mut cur = plan.input_shape;
+    let mut cur = (plan.input.len(), plan.channels);
     let mut stack: Vec<(usize, usize)> = Vec::new();
     for (i, (step, name)) in plan.steps.iter().zip(&plan.names).enumerate() {
         let start = (profiles.is_some() && name.is_some()).then(|| sim.timeline.clone());
@@ -309,10 +309,10 @@ fn plan_cost(
         match step {
             StepPlan::Conv(p) => {
                 charge_conv(&ConvGeometry::of(p, cur.0), &p.dataflow, reran, sim);
-                cur = (p.out_coords().len(), p.c_out);
+                cur = (p.out_coords.len(), p.c_out);
             }
             StepPlan::Pool(p) => {
-                let n_out = p.out_coords().len();
+                let n_out = p.out_coords.len();
                 charge_pool(&p.cached.map, cur.0, n_out, cur.1, sim);
                 cur.0 = n_out;
             }
@@ -721,6 +721,7 @@ mod tests {
     use crate::context::Context;
     use crate::dataflow::tests::workload_parts;
     use crate::grouping::plan_groups;
+    use torchsparse_coords::Coord;
 
     /// Simulated timeline of one 8 -> 8 channel layer under `cfg`, through
     /// its configured grouping or through fetch-on-demand.
@@ -792,8 +793,9 @@ mod tests {
         // One pointwise sweep, then a surcharge of half of it: the latency
         // logged before the plan is not part of the walk.
         let plan = |steps: Vec<StepPlan>| ExecutionPlan {
-            fingerprint: 0,
-            input_shape: (64, 8),
+            input: vec![Coord::new(0, 0, 0, 0); 64].into(),
+            stride: 1,
+            channels: 8,
             names: vec![None; steps.len()],
             buffers: vec![Default::default(); steps.len()],
             steps,

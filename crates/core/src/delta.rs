@@ -2,7 +2,7 @@
 //!
 //! LiDAR streams at 10-20 Hz rarely repeat a frame's voxel grid exactly —
 //! ego-motion and dynamic actors churn a few percent of the coordinates
-//! while the stable majority persists. A fingerprint mismatch therefore
+//! while the stable majority persists. A plan miss therefore
 //! usually means *almost* the same geometry, yet the re-plan path rebuilds
 //! every index, kernel map, and output coordinate list from scratch.
 //!
@@ -115,8 +115,7 @@ impl<'p> Patch<'p> {
         let mut stats = PatchStats::default();
         let delta = match old.steps.iter().find_map(StepPlan::cached) {
             Some(first) => {
-                let delta =
-                    diff_coords(first.index.as_ref(), first.fine_coords.len(), input).ok()?;
+                let delta = diff_coords(first.index.as_ref(), first.fine.len(), input).ok()?;
                 if delta.churn(input.len()) > DELTA_REPLAN_MAX_CHURN {
                     return None;
                 }
@@ -139,8 +138,10 @@ impl<'p> Patch<'p> {
 
     /// Step `step` is about to plan its map `key` from `level`, whose new
     /// coordinates are `coords`: patches the old plan's map of that step and
-    /// stores it in the planner's map cache for the layer to find. A key
-    /// patched before is already there. Returns the level of the step's
+    /// stores it in the planner's map cache for the layer to find. The
+    /// patched map shares `coords`, and a coarse level that came out
+    /// unchanged shares the old plan's list. A key patched before is
+    /// already there. Returns the level of the step's
     /// output — `level` for a stride-1 map, the coarse side of a strided one
     /// — or `None` where the old plan holds no consistent map to patch, in
     /// which case the layer searches as a cold build does.
@@ -148,7 +149,7 @@ impl<'p> Patch<'p> {
         &mut self,
         step: usize,
         key: MapKey,
-        coords: &[Coord],
+        coords: &Arc<[Coord]>,
         level: &mut Level,
         planner: &mut Planner,
     ) -> Option<Level> {
@@ -157,14 +158,14 @@ impl<'p> Patch<'p> {
             return if strided { sides.coarse.clone() } else { Some(level.clone()) };
         }
         let old = Arc::clone(self.old.steps[step].cached()?);
-        if level.delta.remap.len() != old.fine_coords.len() {
+        if level.delta.remap.len() != old.fine.len() {
             return None;
         }
         let delta = Arc::clone(&level.delta);
         let (cached, coarse) = if delta.is_identity() {
             // Unchanged level: the old map is already right. Share it.
             level.index.get_or_insert_with(|| Arc::clone(&old.index));
-            let identity = CoordDelta::identity(old.coarse_coords.len());
+            let identity = CoordDelta::identity(old.coarse.len());
             (old, strided.then(|| Level { delta: Arc::new(identity), index: None }))
         } else if !strided {
             let index = self.index(level, &old, coords)?;
@@ -181,17 +182,14 @@ impl<'p> Patch<'p> {
             )
             .ok()?;
             self.stats.merge(&stats);
-            let fine_coords = coords.to_vec();
-            (
-                Arc::new(CachedMap { map, coarse_coords: fine_coords.clone(), fine_coords, index }),
-                None,
-            )
+            let (fine, coarse) = (Arc::clone(coords), Arc::clone(coords));
+            (Arc::new(CachedMap { map, fine, coarse, index }), None)
         } else {
             let index = self.index(level, &old, coords)?;
             let patch = patch_strided_map(
                 &old.map,
-                &old.fine_coords,
-                &old.coarse_coords,
+                &old.fine,
+                &old.coarse,
                 &delta,
                 coords,
                 index.as_ref(),
@@ -200,14 +198,14 @@ impl<'p> Patch<'p> {
             )
             .ok()?;
             self.stats.merge(&patch.stats);
-            let coarse = Level { delta: Arc::new(patch.out_delta), index: None };
-            let cached = CachedMap {
-                map: patch.map,
-                fine_coords: coords.to_vec(),
-                coarse_coords: patch.out_coords,
-                index,
+            let coarse = if patch.out_delta.is_identity() {
+                Arc::clone(&old.coarse)
+            } else {
+                Arc::from(patch.out_coords)
             };
-            (Arc::new(cached), Some(coarse))
+            let level = Level { delta: Arc::new(patch.out_delta), index: None };
+            let cached = CachedMap { map: patch.map, fine: Arc::clone(coords), coarse, index };
+            (Arc::new(cached), Some(level))
         };
         planner.store_map(key, cached);
         self.maps.insert(key, Sides { fine: level.clone(), coarse: coarse.clone() });

@@ -112,17 +112,17 @@ fn run_steps_on(
                 if run.fused {
                     fused_ahead = p.epilogue.len();
                 }
-                (cur, coords, stride) = (Some(slot), p.out_coords(), p.out_stride);
+                (cur, coords, stride) = (Some(slot), &p.out_coords, p.out_stride);
             }
             (LayerOp::Pool(pool), StepPlan::Pool(p)) => {
                 let slot = out?;
                 acts.write(slot, |m, acts| pool.compute(acts.get(cur), p, m))?;
-                (cur, coords, stride) = (Some(slot), p.out_coords(), p.out_stride);
+                (cur, coords, stride) = (Some(slot), &p.out_coords, p.out_stride);
             }
             (LayerOp::GlobalPool(gp), StepPlan::GlobalPool { origins }) => {
                 let slot = out?;
                 acts.write(slot, |m, acts| gp.compute(coords, acts.get(cur), origins, m))?;
-                (cur, coords) = (Some(slot), origins.as_slice());
+                (cur, coords) = (Some(slot), origins);
             }
             (LayerOp::BatchNorm(bn), StepPlan::Pointwise) => {
                 let pool = rt.pool();

@@ -67,20 +67,19 @@ pub struct LayerMapping {
 
 impl LayerMapping {
     /// Wraps the mapping for the planner's map cache, keeping the index
-    /// the search probed.
+    /// the search probed. `fine` is the input level's list, which the map
+    /// shares; a stride-1 map ([`build_layer_mapping_on`] leaves its
+    /// `out_coords` empty) shares it on its coarse side too.
     ///
     /// The cache lives for one plan build: a dynamic run's entries are
     /// dropped by the next [`crate::Context::begin_run`], so its grid or
     /// hashmap is never re-read and is kept as it is. The indices plans
     /// keep and re-query are compiled ones, and a compiled session's search
     /// already ran on the MPHF ([`TableKind::Mphf`]).
-    pub(crate) fn into_cached(self, fine_coords: &[Coord]) -> CachedMap {
-        CachedMap {
-            map: self.map,
-            fine_coords: fine_coords.to_vec(),
-            coarse_coords: self.out_coords,
-            index: Arc::from(self.index),
-        }
+    pub(crate) fn into_cached(self, fine: &Arc<[Coord]>) -> CachedMap {
+        let coarse =
+            if self.out_coords.is_empty() { Arc::clone(fine) } else { Arc::from(self.out_coords) };
+        CachedMap { map: self.map, fine: Arc::clone(fine), coarse, index: Arc::from(self.index) }
     }
 }
 
@@ -142,7 +141,7 @@ pub fn build_layer_mapping(
     config: &OptimizationConfig,
     device: &DeviceProfile,
 ) -> Result<LayerMapping, CoreError> {
-    build_layer_mapping_on(
+    let mut mapping = build_layer_mapping_on(
         ThreadPool::global(),
         in_coords,
         kernel_size,
@@ -153,7 +152,11 @@ pub fn build_layer_mapping(
         &mut FaultInjector::disarmed(),
         &mut DegradationReport::new(),
         false,
-    )
+    )?;
+    if conv_stride == 1 {
+        mapping.out_coords = in_coords.to_vec();
+    }
+    Ok(mapping)
 }
 
 /// [`build_layer_mapping`] with a dilation factor (stride-1 layers only;
@@ -165,6 +168,9 @@ pub fn build_layer_mapping(
 /// search fans out across kernel offsets on `pool` (the engine passes its
 /// context pool so `config.threads` governs mapping too). Table
 /// construction stays serial — insertion order defines the stored indices.
+///
+/// A stride-1 layer's output list is its input list, which the planner
+/// already holds, so it is not copied: `out_coords` is left empty.
 ///
 /// `frozen` is the planner's frozen-index flag: a compiled
 /// session's coordinate sets never change after plan time, so its searches
@@ -202,7 +208,7 @@ pub(crate) fn build_layer_mapping_on(
 
     // 1. Output coordinates.
     let out_coords = if conv_stride == 1 {
-        in_coords.to_vec()
+        Vec::new()
     } else {
         let result = if config.fused_downsample {
             fused_output_coords(in_coords, kernel_size, conv_stride, Boundary::unbounded())?
@@ -237,7 +243,8 @@ pub(crate) fn build_layer_mapping_on(
             dilation,
         )?
     } else {
-        search_dilated_on(pool, &out_coords, index.as_ref(), kernel_size, conv_stride, dilation)?
+        let queries = if conv_stride == 1 { in_coords } else { &out_coords };
+        search_dilated_on(pool, queries, index.as_ref(), kernel_size, conv_stride, dilation)?
     };
     latency += stats_latency(
         &map.stats,
@@ -533,6 +540,7 @@ mod tests {
             .unwrap()
         };
         let coords = coords_blob(8);
+        let level: Arc<[Coord]> = Arc::from(coords.as_slice());
         for cfg in [OptimizationConfig::torchsparse(), OptimizationConfig::baseline_fp32()] {
             let dynamic = build(&coords, &cfg, false);
             assert_ne!(dynamic.table, TableKind::Mphf);
@@ -542,11 +550,12 @@ mod tests {
                 assert_eq!(frozen.map.entries(n), dynamic.map.entries(n), "offset {n}");
             }
             let bytes = frozen.index.memory_bytes();
-            assert_eq!(frozen.into_cached(&coords).index.memory_bytes(), bytes);
+            assert_eq!(frozen.into_cached(&level).index.memory_bytes(), bytes);
             // The dynamic search's own grid or hashmap is kept.
             let dynamic_bytes = dynamic.index.memory_bytes();
             assert!(dynamic_bytes > bytes, "{dynamic_bytes} vs the MPHF's {bytes}");
-            let cached = dynamic.into_cached(&coords);
+            let cached = dynamic.into_cached(&level);
+            assert!(Arc::ptr_eq(&cached.fine, &level) && Arc::ptr_eq(&cached.coarse, &level));
             assert_eq!(cached.index.memory_bytes(), dynamic_bytes);
             assert_eq!(cached.index.query(coords[3]), (Some(3), 1));
         }
@@ -555,7 +564,7 @@ mod tests {
         let frozen = build(&duplicated, &OptimizationConfig::torchsparse(), true);
         assert_eq!(frozen.table, TableKind::Hashmap);
         let bytes = frozen.index.memory_bytes();
-        assert_eq!(frozen.into_cached(&duplicated).index.memory_bytes(), bytes);
+        assert_eq!(frozen.into_cached(&Arc::from(duplicated)).index.memory_bytes(), bytes);
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!   skip topologies, expressed with a small value stack);
 //! - [`ConvPlan`] / [`PoolPlan`] (crate-internal): per-layer frozen state —
 //!   kernel maps, output coordinates, grouping plans, dataflow choice;
-//! - [`geometry_fingerprint`]: the hash of input geometry a plan is keyed
-//!   by, used to detect when a plan must be rebuilt;
+//! - [`ExecutionPlan`] (crate-internal): the frozen steps, keyed by the
+//!   input coordinates and stride they were planned for, compared exactly
+//!   on every frame;
 //! - [`PlanCacheStats`]: hit/miss/invalidation counters for plan reuse.
 
 use crate::context::CachedMap;
@@ -124,8 +125,9 @@ pub(crate) struct ConvPlan {
     pub(crate) cached: Arc<CachedMap>,
     /// The flipped (coarse-to-fine) map of a transposed convolution.
     pub(crate) flipped: Option<KernelMap>,
-    /// Whether output coordinates come from the fine side of the map.
-    pub(crate) use_fine: bool,
+    /// The output coordinates: one side of `cached` (the fine side of a
+    /// transposed convolution's map, the coarse side otherwise).
+    pub(crate) out_coords: Arc<[Coord]>,
     /// Output tensor stride.
     pub(crate) out_stride: i32,
     /// Center-offset index for submanifold identity handling.
@@ -192,23 +194,12 @@ impl ConvPlan {
         }
     }
 
-    /// Resident bytes of this convolution's frozen geometry state: the
-    /// shared cached mapping (CSR map + coordinate index + coordinate
-    /// lists), the flipped map of a transposed layer, and the locality
+    /// Resident bytes this convolution adds beside its shared cached
+    /// mapping: the flipped map of a transposed layer and the locality
     /// order's metadata. Packed weights are excluded — they belong to the
     /// layer, not the plan.
-    fn memory_bytes(&self) -> u64 {
-        let flipped = self.flipped.as_ref().map_or(0, KernelMap::memory_bytes);
-        self.cached.memory_bytes() + flipped + self.fused.memory_bytes()
-    }
-
-    /// The output coordinate list.
-    pub(crate) fn out_coords(&self) -> &[Coord] {
-        if self.use_fine {
-            &self.cached.fine_coords
-        } else {
-            &self.cached.coarse_coords
-        }
+    fn own_bytes(&self) -> u64 {
+        self.flipped.as_ref().map_or(0, KernelMap::memory_bytes) + self.fused.memory_bytes()
     }
 }
 
@@ -218,24 +209,13 @@ impl ConvPlan {
 pub(crate) struct PoolPlan {
     /// The cached kernel map and coordinate lists.
     pub(crate) cached: Arc<CachedMap>,
-    /// Whether output coordinates come from the fine side.
-    pub(crate) use_fine: bool,
+    /// The output coordinates: the coarse side of `cached`.
+    pub(crate) out_coords: Arc<[Coord]>,
     /// Output tensor stride.
     pub(crate) out_stride: i32,
     /// The `Mapping` latency of the map search this planning ran (`None`
     /// when the map came from the cache).
     pub(crate) mapping: Option<Micros>,
-}
-
-impl PoolPlan {
-    /// The output coordinate list.
-    pub(crate) fn out_coords(&self) -> &[Coord] {
-        if self.use_fine {
-            &self.cached.fine_coords
-        } else {
-            &self.cached.coarse_coords
-        }
-    }
 }
 
 /// The frozen state for one [`LayerOp`], index-aligned with the traced op
@@ -252,7 +232,7 @@ pub(crate) enum StepPlan {
     GlobalPool {
         /// The output's coordinates: one origin per distinct input batch,
         /// ascending.
-        origins: Vec<Coord>,
+        origins: Arc<[Coord]>,
     },
     /// Stack push.
     Push,
@@ -357,12 +337,12 @@ impl StepPlan {
 
 /// An immutable execution plan: every kernel map, output coordinate list,
 /// grouping plan, and dataflow decision for one model on one input
-/// geometry, keyed by that geometry's fingerprint.
+/// geometry, keyed by that geometry itself.
 ///
 /// Built once by [`CompiledSession::compile`](crate::CompiledSession) and
-/// replaced wholesale when the fingerprint changes — never mutated. A
+/// replaced wholesale when the geometry changes — never mutated. A
 /// dynamic [`Engine::run`](crate::Engine::run) builds an *ephemeral* plan
-/// (fingerprint 0) per traceable module, runs it once and hands it to the
+/// per traceable module, runs it once and hands it to the
 /// run's cost ledger; [`Engine::price`](crate::Engine::price) hands it over
 /// without running it.
 ///
@@ -373,10 +353,12 @@ impl StepPlan {
 /// frame's timeline ([`crate::cost_model`]) and never while frames execute.
 #[derive(Debug)]
 pub(crate) struct ExecutionPlan {
-    pub(crate) fingerprint: u64,
-    /// `(voxels, channels)` of the input the plan was built for. The voxel
-    /// count is the second witness beside the fingerprint on every hit.
-    pub(crate) input_shape: (usize, usize),
+    /// The input coordinates the plan was built for — the list its first
+    /// map holds, shared — and their stride: the plan's key.
+    pub(crate) input: Arc<[Coord]>,
+    pub(crate) stride: i32,
+    /// The input's channel count.
+    pub(crate) channels: usize,
     pub(crate) steps: Vec<StepPlan>,
     /// Index-aligned with `steps`: the layer name of every step that
     /// records a layer profile (convolutions, projections, batch norm,
@@ -391,12 +373,12 @@ pub(crate) struct ExecutionPlan {
 }
 
 impl ExecutionPlan {
-    /// Whether a frame with this fingerprint and voxel count may execute
-    /// against the plan. The 64-bit fingerprint alone would let a hash
-    /// collision run a frame through the wrong kernel maps; a collision
-    /// that also preserves the voxel count is the residual risk.
-    pub(crate) fn matches(&self, fingerprint: u64, voxels: usize) -> bool {
-        self.fingerprint == fingerprint && self.input_shape.0 == voxels
+    /// Whether a frame with these coordinates at this stride may execute
+    /// against the plan: exactly the geometry it was built for, voxel by
+    /// voxel and in order (feature rows pair up with coordinates by
+    /// position).
+    pub(crate) fn matches(&self, coords: &[Coord], stride: i32) -> bool {
+        self.stride == stride && *self.input == *coords
     }
 
     /// Resident bytes of the plan's frozen geometry state: every step's
@@ -404,27 +386,42 @@ impl ExecutionPlan {
     /// coordinate lists, and locality-order metadata.
     ///
     /// Steps sharing one [`CachedMap`] (convolution and pooling layers with
-    /// the same map key, or a UNet encoder/decoder pair) count it once.
+    /// the same map key, or a UNet encoder/decoder pair) count it once, and
+    /// a level's coordinate list counts once however many maps share it.
     pub(crate) fn memory_bytes(&self) -> u64 {
-        fn charge_shared(counted: &mut Vec<*const CachedMap>, cached: &Arc<CachedMap>) -> u64 {
-            let shared = Arc::as_ptr(cached);
-            if counted.contains(&shared) {
-                0
-            } else {
-                counted.push(shared);
-                cached.memory_bytes()
+        /// Whether `shared` is seen for the first time, by address.
+        fn first_sight<T: ?Sized>(counted: &mut Vec<*const ()>, shared: &Arc<T>) -> bool {
+            let ptr = Arc::as_ptr(shared).cast::<()>();
+            let first = !counted.contains(&ptr);
+            if first {
+                counted.push(ptr);
             }
+            first
         }
-        let mut counted: Vec<*const CachedMap> = Vec::new();
+        let mut counted = Vec::new();
+        let mut lists = vec![&self.input];
         let mut total = 0u64;
         for step in &self.steps {
             // Per-plan extras (flipped map, locality order) always count;
-            // the shared cached mapping only on first sight.
-            if let StepPlan::Conv(p) | StepPlan::Residual { projection: Some(p) } = step {
-                total += p.memory_bytes() - p.cached.memory_bytes();
+            // the shared cached mapping and coordinate lists only on first
+            // sight.
+            match step {
+                StepPlan::Conv(p) | StepPlan::Residual { projection: Some(p) } => {
+                    total += p.own_bytes();
+                }
+                StepPlan::GlobalPool { origins } => lists.push(origins),
+                _ => {}
             }
             if let Some(cached) = step.cached() {
-                total += charge_shared(&mut counted, cached);
+                lists.extend([&cached.fine, &cached.coarse]);
+                if first_sight(&mut counted, cached) {
+                    total += cached.memory_bytes();
+                }
+            }
+        }
+        for coords in lists {
+            if first_sight(&mut counted, coords) {
+                total += std::mem::size_of_val::<[Coord]>(coords) as u64;
             }
         }
         total
@@ -435,7 +432,8 @@ impl ExecutionPlan {
 ///
 /// `misses` counts plan builds (the initial compile and every re-plan);
 /// `hits` counts executes that reused the frozen plan; `invalidations`
-/// counts executes whose input fingerprint mismatched, forcing a re-plan;
+/// counts executes whose input geometry differed from the plan's, forcing a
+/// re-plan (or a re-attach to the shared compile-time plan);
 /// `plan_bytes` reports the resident footprint
 /// ([`ExecutionPlan::memory_bytes`]) of the plan currently in the slot.
 ///
@@ -447,7 +445,7 @@ pub struct PlanCacheStats {
     pub hits: u64,
     /// Plan builds (initial compile + re-plans).
     pub misses: u64,
-    /// Executes whose geometry fingerprint mismatched the plan.
+    /// Executes whose geometry differed from the plan's.
     pub invalidations: u64,
     /// Resident bytes of the plan currently in the slot (maps, coordinate
     /// indexes, coordinate lists, locality orders).
@@ -466,53 +464,12 @@ pub struct PlanCacheStats {
     pub delta_fallbacks: u64,
 }
 
-/// Fingerprints input geometry: a streaming FNV-1a hash over the tensor
-/// stride and every coordinate (batch, x, y, z).
-///
-/// Two inputs with equal fingerprints share kernel maps, output coordinate
-/// lists, and grouping plans, so a [`CompiledSession`](crate::CompiledSession)
-/// reuses its frozen plan; a mismatch triggers re-planning. Feature values
-/// never enter the hash — plans depend on geometry alone.
-pub(crate) fn geometry_fingerprint(coords: &[Coord], stride: i32) -> u64 {
-    let mut h = torchsparse_coords::fnv::Fnv1a::new();
-    h.write_i32(stride);
-    h.write_i32(coords.len() as i32);
-    for c in coords {
-        h.write_i32(c.batch);
-        h.write_i32(c.x);
-        h.write_i32(c.y);
-        h.write_i32(c.z);
-    }
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn coords() -> Vec<Coord> {
         (0..10).map(|i| Coord::new(0, i, i % 3, 1)).collect()
-    }
-
-    #[test]
-    fn fingerprint_is_deterministic() {
-        assert_eq!(geometry_fingerprint(&coords(), 1), geometry_fingerprint(&coords(), 1));
-    }
-
-    #[test]
-    fn fingerprint_depends_on_stride_and_coords() {
-        let base = geometry_fingerprint(&coords(), 1);
-        assert_ne!(base, geometry_fingerprint(&coords(), 2));
-        let mut moved = coords();
-        moved[3].x += 1;
-        assert_ne!(base, geometry_fingerprint(&moved, 1));
-        assert_ne!(base, geometry_fingerprint(&coords()[..9], 1));
-    }
-
-    #[test]
-    fn fingerprint_ignores_nothing_on_empty() {
-        // Empty inputs at different strides still disagree.
-        assert_ne!(geometry_fingerprint(&[], 1), geometry_fingerprint(&[], 2));
     }
 
     #[test]
@@ -530,23 +487,62 @@ mod tests {
         assert!(matches!(ops[2], LayerOp::Push));
     }
 
-    #[test]
-    fn plan_match_needs_fingerprint_and_voxel_count() {
-        let plan = |voxels| ExecutionPlan {
-            fingerprint: 0xfeed,
-            input_shape: (voxels, 4),
-            steps: Vec::new(),
-            names: Vec::new(),
-            buffers: Vec::new(),
+    fn plan(input: Arc<[Coord]>, stride: i32, steps: Vec<StepPlan>) -> ExecutionPlan {
+        ExecutionPlan {
+            input,
+            stride,
+            channels: 4,
+            names: vec![None; steps.len()],
+            buffers: vec![StepBuffers::default(); steps.len()],
+            steps,
             slot_lens: Vec::new(),
             cost: OnceLock::new(),
+        }
+    }
+
+    #[test]
+    fn a_plan_hits_only_its_exact_coordinates_and_stride() {
+        let planned = plan(Arc::from(coords()), 2, Vec::new());
+        // Equal coordinates in a fresh allocation hit.
+        assert!(planned.matches(&coords(), 2));
+        assert!(!planned.matches(&coords(), 1), "the same coordinates at another stride");
+        let mut moved = coords();
+        moved[3].x += 1;
+        assert!(!planned.matches(&moved, 2), "one voxel moved, same length");
+        let mut permuted = coords();
+        permuted.swap(0, 9);
+        assert!(!planned.matches(&permuted, 2), "a permutation");
+        assert!(!planned.matches(&coords()[..9], 2));
+        assert!(plan(Arc::from([]), 1, Vec::new()).matches(&[], 1));
+        assert!(!plan(Arc::from([]), 1, Vec::new()).matches(&[], 2));
+    }
+
+    #[test]
+    fn memory_bytes_counts_a_shared_list_once() {
+        use torchsparse_coords::{CoordHashMap, MappingStats};
+        let pool = |fine: &Arc<[Coord]>, coarse: &Arc<[Coord]>| {
+            let per_offset = vec![Vec::new(); 8];
+            let cached = Arc::new(CachedMap {
+                map: KernelMap::from_parts(2, 2, per_offset, MappingStats::default()).unwrap(),
+                fine: Arc::clone(fine),
+                coarse: Arc::clone(coarse),
+                index: Arc::new(CoordHashMap::build(fine).0),
+            });
+            let out_coords = Arc::clone(&cached.coarse);
+            StepPlan::Pool(PoolPlan { cached, out_coords, out_stride: 2, mapping: None })
         };
-        assert!(plan(10).matches(0xfeed, 10));
-        assert!(!plan(10).matches(0xbeef, 10), "fingerprint differs");
-        // An FNV-1a collision between two different geometries: equal
-        // fingerprints, different voxel counts — a miss, not a hit.
-        assert!(!plan(10).matches(0xfeed, 11));
-        assert!(!plan(11).matches(0xfeed, 10));
+        let level: Arc<[Coord]> = Arc::from(coords());
+        let coarse: Arc<[Coord]> = Arc::from(&coords()[..4]);
+        let (a, b) = (pool(&level, &level), pool(&level, &coarse));
+        let maps: u64 = [&a, &b].iter().map(|s| s.cached().unwrap().memory_bytes()).sum();
+        let list = |n: usize| (n * std::mem::size_of::<Coord>()) as u64;
+        // Two maps and the input key hold `level`; it counts once.
+        let shared = plan(Arc::clone(&level), 1, vec![a.clone(), b]);
+        assert_eq!(shared.memory_bytes(), maps + list(10) + list(4));
+        // A second copy of the level counts again.
+        let copy: Arc<[Coord]> = Arc::from(coords());
+        let copied = plan(Arc::clone(&level), 1, vec![a, pool(&copy, &coarse)]);
+        assert_eq!(copied.memory_bytes(), maps + list(10) * 2 + list(4));
     }
 
     #[test]

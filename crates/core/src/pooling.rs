@@ -11,6 +11,7 @@ use crate::conv::acquire_map;
 use crate::module::Module;
 use crate::plan::{LayerOp, PoolPlan, Tracer};
 use crate::CoreError;
+use std::sync::Arc;
 use torchsparse_coords::Coord;
 use torchsparse_tensor::Matrix;
 
@@ -91,7 +92,7 @@ impl SparseMaxPool3d {
     /// the `Mapping` latency of the search when one ran.
     pub(crate) fn plan(
         &self,
-        coords: &[Coord],
+        coords: &Arc<[Coord]>,
         in_stride: i32,
         ctx: &mut Context,
     ) -> Result<PoolPlan, CoreError> {
@@ -99,9 +100,8 @@ impl SparseMaxPool3d {
             return Err(CoreError::EmptyInput);
         }
         let (cached, mapping) = acquire_map(self.map_key(in_stride), coords, ctx)?;
-        let use_fine = self.stride == 1;
-        let out_stride = if use_fine { in_stride } else { in_stride * self.stride };
-        Ok(PoolPlan { cached, use_fine, out_stride, mapping })
+        let out_coords = Arc::clone(&cached.coarse);
+        Ok(PoolPlan { cached, out_coords, out_stride: in_stride * self.stride, mapping })
     }
 
     /// The execute half: per-channel reduction of `input` over the frozen
@@ -117,7 +117,7 @@ impl SparseMaxPool3d {
             return Err(CoreError::EmptyInput);
         }
         let cached = &plan.cached;
-        let n_out = plan.out_coords().len();
+        let n_out = plan.out_coords.len();
         out.reshape_zeroed(n_out, input.cols());
         if self.reduction == PoolReduction::Max {
             out.as_mut_slice().fill(f32::NEG_INFINITY);

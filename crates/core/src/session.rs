@@ -8,9 +8,10 @@
 //! [`Engine::compile`](crate::Engine::compile) traces the model into a flat
 //! [`LayerOp`] sequence and runs every geometric derivation once, freezing
 //! the results into an immutable [`ExecutionPlan`] keyed by the input's
-//! [`geometry_fingerprint`]; [`CompiledSession::execute`] then runs only the
-//! feature path. A frame with a different fingerprint transparently
-//! re-plans (counted in [`PlanCacheStats`]).
+//! coordinates and stride; [`CompiledSession::execute`] then runs only the
+//! feature path. A frame whose stride or coordinates differ from the
+//! plan's in any voxel transparently re-plans (counted in
+//! [`PlanCacheStats`]).
 //!
 //! Neither half runs the simulated-GPU cost model: a frame logs its
 //! re-plan's `Mapping` latencies plus one charge naming the plan it
@@ -34,15 +35,14 @@
 //! dereferences to its stream, and [`CompiledSession::into_parts`] opens it
 //! up.
 
-use crate::context::{CachedMap, Context, MapKey, Planner};
+use crate::context::{Context, MapKey, Planner};
 use crate::cost_model::Charge;
 use crate::delta::{Level, Patch};
 use crate::exec::run_steps;
 use crate::faults::DegradationReport;
 use crate::module::Module;
 use crate::plan::{
-    geometry_fingerprint, EpilogueSteps, ExecutionPlan, LayerOp, Lifetimes, PlanCacheStats,
-    StepBuffers, StepPlan, Tracer,
+    EpilogueSteps, ExecutionPlan, LayerOp, Lifetimes, PlanCacheStats, StepBuffers, StepPlan, Tracer,
 };
 use crate::{CoreError, GlobalPool, OptimizationConfig, SparseTensor};
 use std::ops::{Deref, DerefMut};
@@ -52,11 +52,12 @@ use torchsparse_gpusim::{DeviceProfile, Stage, Timeline};
 
 /// The geometry cursor threaded through planning: what the tensor flowing
 /// through the network looks like after each op, without any features.
-/// Coordinates are borrowed — from the input, or from the cached map of
-/// the step that produced them — never copied.
+/// Its coordinates are the one list of their level: the input's, copied
+/// once per plan build, or a side of the cached map of the step that
+/// produced them — shared, never copied.
 #[derive(Clone)]
-struct Geometry<'a> {
-    coords: Coords<'a>,
+struct Geometry {
+    coords: Arc<[Coord]>,
     stride: i32,
     channels: usize,
     /// The planned activation holding the features (`None`: the input's).
@@ -64,30 +65,6 @@ struct Geometry<'a> {
     /// The coordinates' delta against the old plan when a re-plan patches
     /// maps (`None`: not tracked).
     level: Option<Level>,
-}
-
-/// Where a [`Geometry`]'s coordinates live.
-#[derive(Debug, Clone)]
-enum Coords<'a> {
-    Input(&'a [Coord]),
-    /// One side of a planned step's map (`fine` or coarse).
-    Map {
-        cached: Arc<CachedMap>,
-        fine: bool,
-    },
-    /// Global pooling's output: one origin per batch.
-    Batches(Vec<Coord>),
-}
-
-impl Coords<'_> {
-    fn get(&self) -> &[Coord] {
-        match self {
-            Coords::Input(coords) => coords,
-            Coords::Map { cached, fine: true } => &cached.fine_coords,
-            Coords::Map { cached, fine: false } => &cached.coarse_coords,
-            Coords::Batches(coords) => coords,
-        }
-    }
 }
 
 /// A model compiled against one input geometry: the shared
@@ -133,7 +110,7 @@ pub struct CompiledSession<'m> {
 /// `CompiledModel` is `Sync` — it holds no interior mutability beyond the
 /// shared plan's once-resolved cost cell — so N serving streams execute against
 /// one instance concurrently, each bringing its own [`StreamState`]. A
-/// stream whose frame geometry matches the compile-time fingerprint
+/// stream whose frame geometry equals the compile-time plan's
 /// re-attaches to the shared plan without rebuilding; a stream with
 /// different geometry re-plans into its *own* slot, never touching the
 /// shared base plan or any other stream.
@@ -195,9 +172,9 @@ impl<'m> CompiledModel<'m> {
     }
 
     /// Runs one frame of `stream` through this model: only feature-path
-    /// work executes when the frame's geometry fingerprint matches the
-    /// stream's plan slot. On a mismatch the stream first re-attaches to
-    /// the shared compile-time plan (if the fingerprint matches it) or
+    /// work executes when the frame's coordinates and stride equal those of
+    /// the stream's plan slot. On a mismatch the stream first re-attaches to
+    /// the shared compile-time plan (if the frame's geometry equals its) or
     /// re-plans into its own slot — other streams' slots and the shared
     /// plan are never written.
     ///
@@ -213,8 +190,7 @@ impl<'m> CompiledModel<'m> {
     ) -> Result<SparseTensor, CoreError> {
         let ctx = &mut stream.ctx;
         let tensor = &*ctx.begin_frame(input)?;
-        let fingerprint = geometry_fingerprint(tensor.coords(), tensor.stride());
-        let matches = |p: &ExecutionPlan| p.matches(fingerprint, tensor.len());
+        let matches = |p: &ExecutionPlan| p.matches(tensor.coords(), tensor.stride());
         // A hit keeps the slot's plan, so its footprint is already counted.
         if matches(&stream.plan) {
             stream.stats.hits += 1;
@@ -232,14 +208,8 @@ impl<'m> CompiledModel<'m> {
                 // delta path applies, from scratch otherwise. The re-plan's
                 // `Mapping` latencies land on this frame's ledger, exactly
                 // like a dynamic run's.
-                let plan = replan_into_slot(
-                    &self.ops,
-                    tensor,
-                    fingerprint,
-                    &stream.plan,
-                    &mut stream.stats,
-                    ctx,
-                )?;
+                let plan =
+                    replan_into_slot(&self.ops, tensor, &stream.plan, &mut stream.stats, ctx)?;
                 stream.planning = ctx.timeline().clone();
                 stream.planning_degradation = ctx.runtime.degradation.clone();
                 stream.plan = Arc::new(plan);
@@ -283,7 +253,7 @@ impl std::fmt::Debug for CompiledModel<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompiledModel")
             .field("ops", &self.ops.len())
-            .field("fingerprint", &self.base_plan.fingerprint)
+            .field("voxels", &self.base_plan.input.len())
             .finish()
     }
 }
@@ -309,7 +279,7 @@ impl StreamState {
     /// The plan in this stream's slot: the shared compile-time plan until
     /// the stream's geometry leaves it.
     #[cfg(test)]
-    pub(crate) fn plan(&self) -> &ExecutionPlan {
+    pub(crate) fn plan(&self) -> &Arc<ExecutionPlan> {
         &self.plan
     }
 
@@ -344,7 +314,7 @@ impl StreamState {
 impl std::fmt::Debug for StreamState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StreamState")
-            .field("fingerprint", &self.plan.fingerprint)
+            .field("voxels", &self.plan.input.len())
             .field("stats", &self.stats)
             .finish()
     }
@@ -370,8 +340,7 @@ impl<'m> CompiledSession<'m> {
         // the succinct MPHF index, as every `new_stream` will.
         ctx.planner.frozen_index = true;
         let tensor = &*ctx.begin_frame(input)?;
-        let fingerprint = geometry_fingerprint(tensor.coords(), tensor.stride());
-        let mut plan = build_plan(&ops, tensor, fingerprint, None, &mut ctx)?;
+        let mut plan = build_plan(&ops, tensor, None, &mut ctx)?;
         defer_mapping(&plan, &mut ctx);
         // Grouping is chosen against the frozen plan by the simulated
         // prior, re-grouping its convolutions in place.
@@ -407,8 +376,8 @@ impl<'m> CompiledSession<'m> {
     /// Runs one frame through the frozen plan: only feature-path work
     /// (gather/matmul/scatter, reductions, pointwise sweeps) executes.
     ///
-    /// If the frame's geometry fingerprint mismatches the plan, the session
-    /// transparently re-plans against the new geometry first — that frame
+    /// If the frame's coordinates or stride differ from the plan's, the
+    /// session transparently re-plans against the new geometry first — that frame
     /// pays the mapping cost again and the miss is counted in
     /// [`StreamState::stats`].
     ///
@@ -455,21 +424,14 @@ impl std::fmt::Debug for CompiledSession<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompiledSession")
             .field("ops", &self.shared.ops.len())
-            .field("fingerprint", &self.stream.plan.fingerprint)
+            .field("voxels", &self.stream.plan.input.len())
             .field("stats", &self.stream.stats)
             .finish()
     }
 }
 
-/// Rebuilds a stream's plan for a frame whose geometry fingerprint
-/// mismatched its slot.
-///
-/// The fingerprint is computed exactly once per frame — in
-/// [`CompiledModel::execute_on`] (or [`CompiledSession::compile`]) — and
-/// threaded through to here and into the frozen [`ExecutionPlan`];
-/// re-hashing the coordinate list on this path would double the fingerprint
-/// cost of every invalidated frame, so callers must pass the value they
-/// already computed for the slot comparison.
+/// Rebuilds a stream's plan for a frame whose geometry differs from its
+/// slot's.
 ///
 /// When delta re-planning is enabled, [`Patch::new`] decides up front
 /// whether the stream's previous plan can be patched for the new geometry,
@@ -483,7 +445,6 @@ impl std::fmt::Debug for CompiledSession<'_> {
 fn replan_into_slot(
     ops: &[LayerOp<'_>],
     input: &SparseTensor,
-    fingerprint: u64,
     old: &ExecutionPlan,
     stats: &mut PlanCacheStats,
     ctx: &mut Context,
@@ -501,7 +462,7 @@ fn replan_into_slot(
     } else {
         stats.full_replans += 1;
     }
-    let plan = build_plan(ops, input, fingerprint, patch.as_mut(), ctx)?;
+    let plan = build_plan(ops, input, patch.as_mut(), ctx)?;
     if let Some(patch) = &patch {
         patch.defer_cost(ctx);
     }
@@ -527,7 +488,7 @@ pub(crate) fn run_ephemeral<M: Module + ?Sized>(
     ctx: &mut Context,
 ) -> Result<SparseTensor, CoreError> {
     let ops = trace(model)?;
-    let plan = build_plan(&ops, input, 0, None, ctx)?;
+    let plan = build_plan(&ops, input, None, ctx)?;
     let (out, reruns) = run_steps(&ops, &plan, input, &ctx.config, &mut ctx.runtime)?;
     ctx.defer(Charge::ephemeral_plan(plan, reruns, ctx.profile_layers));
     Ok(out)
@@ -541,7 +502,7 @@ pub(crate) fn price_ephemeral<M: Module + ?Sized>(
     input: &SparseTensor,
     ctx: &mut Context,
 ) -> Result<(), CoreError> {
-    let plan = build_plan(&trace(model)?, input, 0, None, ctx)?;
+    let plan = build_plan(&trace(model)?, input, None, ctx)?;
     ctx.defer(Charge::ephemeral_plan(plan, Vec::new(), ctx.profile_layers));
     Ok(())
 }
@@ -560,21 +521,24 @@ fn defer_mapping(plan: &ExecutionPlan, ctx: &mut Context) {
 /// never read and nothing is charged — each step records the `Mapping`
 /// latency of its own map search. With a `patch` source, each map a step
 /// plans with is the old plan's, patched ([`patch_map`]).
+///
+/// The input's coordinates are copied once, into the list that keys the
+/// plan and that every map at the input level shares.
 fn build_plan(
     ops: &[LayerOp<'_>],
     input: &SparseTensor,
-    fingerprint: u64,
     mut patch: Option<&mut Patch<'_>>,
     ctx: &mut Context,
 ) -> Result<ExecutionPlan, CoreError> {
     let mut cur = Geometry {
-        coords: Coords::Input(input.coords()),
+        coords: Arc::from(input.coords()),
         stride: input.stride(),
         channels: input.channels(),
         value: None,
         level: patch.as_ref().map(|p| p.root.clone()),
     };
-    let mut stack: Vec<Geometry<'_>> = Vec::new();
+    let key = Arc::clone(&cur.coords);
+    let mut stack: Vec<Geometry> = Vec::new();
     let mut steps = Vec::with_capacity(ops.len());
     // The layer name of every step that records a layer profile.
     let mut names = Vec::with_capacity(ops.len());
@@ -600,8 +564,8 @@ fn build_plan(
                 let key = conv.map_key(cur.stride);
                 let level =
                     patch_map(&mut patch, i, key, conv.transposed(), &mut cur, &mut ctx.planner);
-                let p = conv.plan(cur.coords.get(), cur.stride, cur.channels, ctx)?;
-                let coords = Coords::Map { cached: Arc::clone(&p.cached), fine: p.use_fine };
+                let p = conv.plan(&cur.coords, cur.stride, cur.channels, ctx)?;
+                let coords = Arc::clone(&p.out_coords);
                 written.out = Some(cur.advance(coords, p.out_stride, conv.c_out(), &mut life, i));
                 cur.level = level;
                 StepPlan::Conv(p)
@@ -609,8 +573,8 @@ fn build_plan(
             LayerOp::Pool(pool) => {
                 let key = pool.map_key(cur.stride);
                 let level = patch_map(&mut patch, i, key, false, &mut cur, &mut ctx.planner);
-                let p = pool.plan(cur.coords.get(), cur.stride, ctx)?;
-                let coords = Coords::Map { cached: Arc::clone(&p.cached), fine: p.use_fine };
+                let p = pool.plan(&cur.coords, cur.stride, ctx)?;
+                let coords = Arc::clone(&p.out_coords);
                 written.out = Some(cur.advance(coords, p.out_stride, cur.channels, &mut life, i));
                 cur.level = level;
                 StepPlan::Pool(p)
@@ -630,11 +594,11 @@ fn build_plan(
                 StepPlan::Pointwise
             }
             LayerOp::GlobalPool(_) => {
-                if cur.coords.get().is_empty() {
+                if cur.coords.is_empty() {
                     return Err(CoreError::EmptyInput);
                 }
-                let origins = GlobalPool::origins(cur.coords.get());
-                let coords = Coords::Batches(origins.clone());
+                let origins: Arc<[Coord]> = GlobalPool::origins(&cur.coords).into();
+                let coords = Arc::clone(&origins);
                 written.out = Some(cur.advance(coords, cur.stride, cur.channels, &mut life, i));
                 cur.level = None;
                 StepPlan::GlobalPool { origins }
@@ -647,7 +611,7 @@ fn build_plan(
                 let saved = stack
                     .pop()
                     .ok_or(CoreError::PlanMismatch { reason: "concat pops an empty stack" })?;
-                same_coords(cur.coords.get(), saved.coords.get())?;
+                same_coords(&cur.coords, &saved.coords)?;
                 life.touch(saved.value, i);
                 let (coords, channels) = (cur.coords.clone(), cur.channels + saved.channels);
                 written.out = Some(cur.advance(coords, cur.stride, channels, &mut life, i));
@@ -671,13 +635,13 @@ fn build_plan(
                             &mut saved,
                             &mut ctx.planner,
                         );
-                        let p = conv.plan(saved.coords.get(), saved.stride, saved.channels, ctx)?;
-                        same_coords(cur.coords.get(), p.out_coords())?;
-                        written.out = Some(life.create(p.out_coords().len() * conv.c_out(), i));
+                        let p = conv.plan(&saved.coords, saved.stride, saved.channels, ctx)?;
+                        same_coords(&cur.coords, &p.out_coords)?;
+                        written.out = Some(life.create(p.out_coords.len() * conv.c_out(), i));
                         (Some(p), conv.c_out(), written.out)
                     }
                     None => {
-                        same_coords(cur.coords.get(), saved.coords.get())?;
+                        same_coords(&cur.coords, &saved.coords)?;
                         (None, saved.channels, saved.value)
                     }
                 };
@@ -713,8 +677,9 @@ fn build_plan(
         b.copy = b.copy.map(|v| slot[v]);
     }
     Ok(ExecutionPlan {
-        fingerprint,
-        input_shape: (input.len(), input.channels()),
+        input: key,
+        stride: input.stride(),
+        channels: input.channels(),
         steps,
         names,
         buffers,
@@ -723,19 +688,19 @@ fn build_plan(
     })
 }
 
-impl<'a> Geometry<'a> {
+impl Geometry {
     /// Moves the cursor to the new matrix step `i` writes from the current
     /// one; returns the new value.
     fn advance(
         &mut self,
-        coords: Coords<'a>,
+        coords: Arc<[Coord]>,
         stride: i32,
         channels: usize,
         life: &mut Lifetimes,
         i: usize,
     ) -> usize {
         life.touch(self.value, i);
-        let value = life.create(coords.get().len() * channels, i);
+        let value = life.create(coords.len() * channels, i);
         (self.coords, self.stride, self.channels, self.value) =
             (coords, stride, channels, Some(value));
         value
@@ -747,7 +712,7 @@ impl<'a> Geometry<'a> {
     /// it is the shortcut itself.
     fn rewritten(
         &mut self,
-        stack: &[Geometry<'_>],
+        stack: &[Geometry],
         shortcut: Option<usize>,
         life: &mut Lifetimes,
         i: usize,
@@ -759,7 +724,7 @@ impl<'a> Geometry<'a> {
         if !shared {
             return None;
         }
-        self.value = Some(life.create(self.coords.get().len() * self.channels, i));
+        self.value = Some(life.create(self.coords.len() * self.channels, i));
         self.value
     }
 }
@@ -773,22 +738,22 @@ fn patch_map(
     i: usize,
     key: MapKey,
     transposed: bool,
-    from: &mut Geometry<'_>,
+    from: &mut Geometry,
     planner: &mut Planner,
 ) -> Option<Level> {
     let (patch, level) = (patch.as_deref_mut()?, from.level.as_mut()?);
     if transposed {
         patch.fine_level(key)
     } else {
-        patch.map(i, key, from.coords.get(), level, planner)
+        patch.map(i, key, &from.coords, level, planner)
     }
 }
 
 /// Checks that a join's two sides are one point set: feature rows pair up
 /// by position, so concatenation and residual addition need the same
-/// coordinate list.
-fn same_coords(cur: &[Coord], saved: &[Coord]) -> Result<(), CoreError> {
-    if cur == saved {
+/// coordinate list — in a plan, usually the very same `Arc`.
+fn same_coords(cur: &Arc<[Coord]>, saved: &Arc<[Coord]>) -> Result<(), CoreError> {
+    if Arc::ptr_eq(cur, saved) || cur == saved {
         Ok(())
     } else {
         Err(CoreError::LengthMismatch { coords: cur.len(), feats: saved.len() })
@@ -879,6 +844,32 @@ mod tests {
     }
 
     #[test]
+    fn a_frame_hits_only_the_planned_coordinates_and_stride() {
+        let m = model();
+        let x = scene(0);
+        let counts = |s: &CompiledSession<'_>| {
+            let s = s.stats();
+            (s.hits, s.misses, s.invalidations)
+        };
+        let mut session = engine().compile(&m, &x).unwrap();
+        // Equal coordinates in a fresh allocation hit.
+        session.execute(&x.clone()).unwrap();
+        assert_eq!(counts(&session), (1, 1, 0));
+        // One voxel moved, same length: a miss.
+        let mut coords = x.coords().to_vec();
+        coords[4].z += 7;
+        session.execute(&SparseTensor::new(coords, x.feats().clone()).unwrap()).unwrap();
+        assert_eq!(counts(&session), (1, 2, 1));
+        // Back to the compile-time geometry: re-attached, a hit.
+        session.execute(&x).unwrap();
+        assert_eq!(counts(&session), (2, 2, 2));
+        // The same coordinates at another stride: a miss.
+        let strided = SparseTensor::with_stride(x.coords().to_vec(), x.feats().clone(), 2).unwrap();
+        session.execute(&strided).unwrap();
+        assert_eq!(counts(&session), (2, 3, 3));
+    }
+
+    #[test]
     fn untraceable_module_fails_to_compile() {
         struct Opaque;
         impl Module for Opaque {
@@ -946,13 +937,15 @@ mod tests {
         let mut s2 = shared.new_stream().unwrap();
 
         // Stream 2 re-plans for its own geometry...
-        let base_fp = shared.base_plan().fingerprint;
+        let base = Arc::clone(shared.base_plan());
         shared.execute_on(&mut s2, &b).unwrap();
-        assert_ne!(s2.plan().fingerprint, base_fp, "stream 2 must have re-planned");
+        assert!(!Arc::ptr_eq(s2.plan(), &base), "stream 2 must have re-planned");
+        assert!(s2.plan().matches(b.coords(), b.stride()));
 
         // ...without touching stream 1's slot or the shared base plan.
-        assert_eq!(s1.plan().fingerprint, base_fp);
-        assert_eq!(shared.base_plan().fingerprint, base_fp);
+        assert!(Arc::ptr_eq(s1.plan(), &base));
+        assert!(Arc::ptr_eq(shared.base_plan(), &base));
+        assert!(base.matches(a.coords(), a.stride()));
         shared.execute_on(&mut s1, &a).unwrap();
         // misses:1 is the compile-time build this stream inherited.
         let s = s1.stats();
@@ -969,7 +962,78 @@ mod tests {
         shared.execute_on(&mut s2, &a).unwrap();
         let s = s2.stats();
         assert_eq!((s.hits, s.misses, s.invalidations), (2, 1, 2));
-        assert_eq!(s2.plan().fingerprint, base_fp);
+        assert!(Arc::ptr_eq(s2.plan(), &base));
+    }
+
+    /// A UNet in miniature: a submanifold stem, a residual block whose
+    /// shortcut projects 1x1x1, a stride-2 down, a submanifold inner layer
+    /// and the transposed up whose output is concatenated with the skip.
+    struct Unet {
+        stem: SparseConv3d,
+        body: SparseConv3d,
+        proj: SparseConv3d,
+        down: SparseConv3d,
+        inner: SparseConv3d,
+        up: SparseConv3d,
+    }
+
+    impl Unet {
+        fn new() -> Unet {
+            let conv = SparseConv3d::with_random_weights;
+            Unet {
+                stem: conv("stem", 4, 8, 3, 1, 1),
+                body: conv("body", 8, 16, 3, 1, 2),
+                proj: conv("proj", 8, 16, 1, 1, 3),
+                down: conv("down", 16, 16, 2, 2, 4),
+                inner: conv("inner", 16, 16, 3, 1, 5),
+                up: conv("up", 16, 16, 2, 2, 6).into_transposed(),
+            }
+        }
+    }
+
+    impl Module for Unet {
+        fn trace<'m>(&'m self, tracer: &mut Tracer<'m>) -> Result<(), CoreError> {
+            tracer.push(LayerOp::Conv(&self.stem));
+            tracer.push(LayerOp::Push);
+            tracer.push(LayerOp::Conv(&self.body));
+            tracer.push(LayerOp::ResidualAdd { projection: Some(&self.proj) });
+            tracer.push(LayerOp::Push);
+            for conv in [&self.down, &self.inner, &self.up] {
+                tracer.push(LayerOp::Conv(conv));
+            }
+            tracer.push(LayerOp::PopConcat);
+            Ok(())
+        }
+
+        fn name(&self) -> &str {
+            "unet"
+        }
+    }
+
+    #[test]
+    fn a_plan_holds_one_coordinate_list_per_level() {
+        let (m, x) = (Unet::new(), scene(0));
+        let expected = engine().run(&m, &x).unwrap();
+        let mut session = engine().compile(&m, &x).unwrap();
+        let got = session.execute(&x).unwrap();
+        assert_eq!(expected, got, "the compiled UNet runs as the dynamic one");
+        let plan = Arc::clone(session.plan());
+        let conv = |i: usize| match &plan.steps[i] {
+            StepPlan::Conv(p) | StepPlan::Residual { projection: Some(p) } => p,
+            other => panic!("step {i} is {other:?}"),
+        };
+        let (stem, proj, down, inner, up) = (conv(0), conv(3), conv(5), conv(6), conv(7));
+        let level0 = &stem.cached.fine;
+        assert!(Arc::ptr_eq(&plan.input, level0), "the plan's key is the input level");
+        for p in [stem, conv(2), proj, inner] {
+            assert!(Arc::ptr_eq(&p.cached.fine, &p.cached.coarse), "a stride-1 map");
+            assert!(Arc::ptr_eq(&p.out_coords, &p.cached.fine));
+        }
+        assert!(Arc::ptr_eq(&proj.cached.fine, level0), "the projection's level");
+        assert!(Arc::ptr_eq(&down.cached.fine, level0), "the down map's fine level");
+        assert!(Arc::ptr_eq(&inner.cached.fine, &down.cached.coarse), "the coarse level");
+        assert!(Arc::ptr_eq(&up.out_coords, level0), "the up conv returns to the encoder");
+        assert!(!Arc::ptr_eq(&down.cached.coarse, level0));
     }
 
     #[test]

@@ -688,7 +688,7 @@ mod tests {
 
     #[test]
     fn streams_do_not_thrash_each_others_plan_slots() {
-        // Two streams with *different* geometry fingerprints serve
+        // Two streams with *different* geometries serve
         // interleaved frames; each re-plans once and then hits its own
         // slot every frame — concurrent serving must not thrash slots.
         let m = model();
