@@ -39,7 +39,7 @@ use std::sync::Arc;
 pub const REMOVED_ROW: u32 = u32::MAX;
 
 /// The classified difference between an old coordinate set and a new one.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CoordDelta {
     /// Old row -> new row; [`REMOVED_ROW`] for rows dropped by the delta.
     pub remap: Vec<u32>,
@@ -49,13 +49,17 @@ pub struct CoordDelta {
     pub removed: usize,
     /// Memory probes spent classifying (old-index queries).
     pub probes: u64,
+    /// The inserted rows' coordinates hashed to their `inserted` slot, when
+    /// the classifying pass built that table ([`diff_coords`] does, to find
+    /// duplicates): a [`DeltaIndex`] adopts it as its side-table.
+    pub side: Option<CoordHashMap>,
 }
 
 impl CoordDelta {
     /// The identity delta over `len` rows: nothing inserted, nothing
     /// removed, every row keeps its position.
     pub fn identity(len: usize) -> CoordDelta {
-        CoordDelta { remap: (0..len as u32).collect(), inserted: Vec::new(), removed: 0, probes: 0 }
+        CoordDelta { remap: (0..len as u32).collect(), ..CoordDelta::default() }
     }
 
     /// Whether the delta keeps every row in place (new set == old set,
@@ -90,7 +94,7 @@ pub fn diff_coords(
     let mut remap = vec![REMOVED_ROW; old_len];
     let mut inserted = Vec::new();
     let mut probes = 0u64;
-    let mut seen_inserted = CoordHashMap::with_capacity(16);
+    let mut side = CoordHashMap::with_capacity(16);
     for (new_row, &c) in new_coords.iter().enumerate() {
         let (hit, p) = old_index.query(c);
         probes += p;
@@ -103,11 +107,11 @@ pub fn diff_coords(
                 *slot = new_row as u32;
             }
             None => {
-                // Track inserted coordinates in a scratch table purely to
-                // detect duplicates among them (kept rows are guarded by
-                // the remap-slot check above).
-                probes += seen_inserted.insert(c, inserted.len() as u32);
-                if seen_inserted.len() != inserted.len() + 1 {
+                // Hash inserted coordinates to detect duplicates among
+                // them (kept rows are guarded by the remap-slot check
+                // above); the table is the delta's side-table.
+                probes += side.insert(c, inserted.len() as u32);
+                if side.len() != inserted.len() + 1 {
                     return Err(CoordsError::DuplicateCoordinate(c));
                 }
                 inserted.push(new_row as u32);
@@ -115,7 +119,7 @@ pub fn diff_coords(
         }
     }
     let removed = remap.iter().filter(|&&r| r == REMOVED_ROW).count();
-    Ok(CoordDelta { remap, inserted, removed, probes })
+    Ok(CoordDelta { remap, inserted, removed, probes, side: Some(side) })
 }
 
 /// A layered index over a patched coordinate set: the frozen old index
@@ -123,8 +127,8 @@ pub fn diff_coords(
 /// small hashmap side-table resolves the inserted voxels, and the delta's
 /// remapping translates old rows to new ones.
 ///
-/// Queries are honest about probes: a hit in the side-table costs its
-/// hashmap probes; a miss there falls through to the full base-index query.
+/// Queries are honest about probes: a query costs the full base-index
+/// query, plus the side-table's hashmap probes when the base misses.
 /// Each stacked layer adds one to [`CoordIndex::delta_depth`]; callers
 /// compact chains past a depth or side-fraction threshold by rebuilding a
 /// fresh index over the full new set.
@@ -140,7 +144,8 @@ pub struct DeltaIndex {
 
 impl DeltaIndex {
     /// Builds the layered index for a classified delta. Returns the index
-    /// and the probes spent building the side-table.
+    /// and the probes spent building the side-table: none when the delta
+    /// carries the table its classification built ([`CoordDelta::side`]).
     ///
     /// # Errors
     ///
@@ -154,17 +159,16 @@ impl DeltaIndex {
         if delta.remap.len() != base.len() {
             return Err(CoordsError::EmptyCoordinates);
         }
-        let mut side = CoordHashMap::with_capacity(delta.inserted.len());
-        let mut side_rows = Vec::with_capacity(delta.inserted.len());
         let mut probes = 0u64;
-        for (slot, &row) in delta.inserted.iter().enumerate() {
-            probes += side.insert(new_coords[row as usize], slot as u32);
-            side_rows.push(row);
-        }
-        Ok((
-            DeltaIndex { base, remap: delta.remap.clone(), side, side_rows, len: new_coords.len() },
-            probes,
-        ))
+        let side = delta.side.clone().unwrap_or_else(|| {
+            let mut side = CoordHashMap::with_capacity(delta.inserted.len());
+            for (slot, &row) in delta.inserted.iter().enumerate() {
+                probes += side.insert(new_coords[row as usize], slot as u32);
+            }
+            side
+        });
+        let (remap, side_rows) = (delta.remap.clone(), delta.inserted.clone());
+        Ok((DeltaIndex { base, remap, side, side_rows, len: new_coords.len() }, probes))
     }
 
     /// Fraction of this layer's rows answered by the side-table.
@@ -176,19 +180,16 @@ impl DeltaIndex {
 
 impl CoordIndex for DeltaIndex {
     fn query(&self, coord: Coord) -> (Option<u32>, u64) {
-        let (side_hit, mut probes) = self.side.query(coord);
-        if let Some(slot) = side_hit {
-            return (Some(self.side_rows[slot as usize]), probes);
+        // Kept rows are the majority, so the base answers first. An
+        // inserted coordinate is absent from the base by definition, so the
+        // side-table is probed only on a base miss.
+        let (base_hit, probes) = self.base.query(coord);
+        if let Some(old_row) = base_hit {
+            let new_row = self.remap[old_row as usize];
+            return ((new_row != REMOVED_ROW).then_some(new_row), probes);
         }
-        let (base_hit, base_probes) = self.base.query(coord);
-        probes += base_probes;
-        match base_hit {
-            Some(old_row) => match self.remap[old_row as usize] {
-                REMOVED_ROW => (None, probes),
-                new_row => (Some(new_row), probes),
-            },
-            None => (None, probes),
-        }
+        let (side_hit, side_probes) = self.side.query(coord);
+        (side_hit.map(|slot| self.side_rows[slot as usize]), probes + side_probes)
     }
 
     fn len(&self) -> usize {
@@ -527,6 +528,7 @@ pub fn patch_strided_map(
         inserted: out_inserted_rows,
         removed: out_removed,
         probes: 0,
+        side: None,
     };
 
     // --- Per-offset entry patch ------------------------------------------
@@ -670,13 +672,23 @@ mod tests {
         let new = churned(&old);
         let base: Arc<dyn CoordIndex> = Arc::new(hash_index(&old));
         let d = diff_coords(base.as_ref(), old.len(), &new).unwrap();
-        let (delta_idx, _) = DeltaIndex::build(base, &d, &new).unwrap();
+        // The diff's own table becomes the side-table: no insert is spent
+        // twice. Without it the build hashes the same rows.
+        let (delta_idx, adopted) = DeltaIndex::build(Arc::clone(&base), &d, &new).unwrap();
+        let unhashed = CoordDelta { side: None, ..d.clone() };
+        let (hashed_idx, hashed) = DeltaIndex::build(Arc::clone(&base), &unhashed, &new).unwrap();
+        assert_eq!((adopted, hashed > 0), (0, true));
         let fresh = hash_index(&new);
         assert_eq!(delta_idx.len(), new.len());
         assert_eq!(delta_idx.delta_depth(), 1);
         for &c in new.iter().chain(old.iter()) {
             assert_eq!(delta_idx.query(c).0, fresh.query(c).0, "coord {c}");
+            assert_eq!(hashed_idx.query(c).0, fresh.query(c).0, "coord {c}");
         }
+        // A kept coordinate costs the base's probes alone: the base answers
+        // first.
+        let kept = old[d.remap.iter().position(|&r| r != REMOVED_ROW).unwrap()];
+        assert_eq!(delta_idx.query(kept).1, base.query(kept).1);
         assert_eq!(delta_idx.query(Coord::new(3, -100, 0, 0)).0, None);
         assert!(delta_idx.side_fraction() > 0.0);
         assert!(delta_idx.memory_bytes() > 0);

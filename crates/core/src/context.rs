@@ -5,7 +5,7 @@ use crate::{CoreError, SparseTensor};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
-use torchsparse_coords::{Coord, KernelMap};
+use torchsparse_coords::{Coord, CoordIndex, KernelMap};
 use torchsparse_gpusim::{DeviceProfile, GemmModel, Timeline};
 
 /// Key identifying a cached kernel map within one inference run.
@@ -39,23 +39,13 @@ pub(crate) struct CachedMap {
     /// Coordinates on the coarse side (outputs of the downsample). For
     /// stride-1 layers this is `fine`'s `Arc`.
     pub coarse: Arc<[Coord]>,
-    /// The coordinate index the map search probed, retained so frozen plans
-    /// can report their resident footprint
-    /// ([`crate::ExecutionPlan::memory_bytes`]) and incremental re-plans
-    /// can re-query — and layer a [`torchsparse_coords::DeltaIndex`] on
-    /// top — without rebuilding the index. Shared (`Arc`) because a delta
-    /// patch keeps the old plan's index alive as the base of the new one.
-    pub index: Arc<dyn torchsparse_coords::CoordIndex>,
-}
-
-impl CachedMap {
-    /// Resident bytes of this cached mapping: the CSR kernel map and the
-    /// retained coordinate index. Its coordinate lists belong to their
-    /// levels and are counted once per plan
-    /// ([`crate::ExecutionPlan::memory_bytes`]).
-    pub(crate) fn memory_bytes(&self) -> u64 {
-        self.map.memory_bytes() + self.index.memory_bytes()
-    }
+    /// The index over `fine` that the map search probed, retained so
+    /// incremental re-plans can re-query it — and layer a
+    /// [`torchsparse_coords::DeltaIndex`] on top — without rebuilding it.
+    /// In a frozen plan it is the level's one index, shared by every map
+    /// over `fine` ([`Planner::level_index`]); a delta patch also keeps the
+    /// old plan's index alive as the base of the new one.
+    pub index: Arc<dyn CoordIndex>,
 }
 
 /// Per-layer workload record captured during a profiling run, consumed by
@@ -144,6 +134,14 @@ impl Planner {
     /// Looks up a cached map.
     pub(crate) fn cached_map(&self, key: MapKey) -> Option<Arc<CachedMap>> {
         self.map_cache.get(&key).cloned()
+    }
+
+    /// The index of the level whose list is `fine`: the index of any cached
+    /// map over it. The first frozen search over a level builds it and every
+    /// later search or patch over the level probes it, so a level never
+    /// holds two and any map over it answers the same.
+    pub(crate) fn level_index(&self, fine: &Arc<[Coord]>) -> Option<Arc<dyn CoordIndex>> {
+        self.map_cache.values().find(|m| Arc::ptr_eq(&m.fine, fine)).map(|m| Arc::clone(&m.index))
     }
 
     /// Stores a map in the cache (a fresh one, or one already shared).

@@ -415,7 +415,8 @@ pub(crate) struct ConvRun {
 
 /// Acquires the kernel map `key` over `coords` for a convolution or pooling
 /// layer: from the planner's map cache when present, else searched on the
-/// runtime's pool through its fault injector and stored. Returns the `Mapping`
+/// runtime's pool through its fault injector and stored. A frozen search
+/// probes the level's index when the level has one. Returns the `Mapping`
 /// latency of the search when one ran.
 pub(crate) fn acquire_map(
     key: MapKey,
@@ -435,6 +436,7 @@ pub(crate) fn acquire_map(
             .record(FaultSite::KernelMapCache, "injected cache invalidation; map rebuilt");
     }
     let Context { config, device, planner, runtime, .. } = ctx;
+    let level = if planner.frozen_index { planner.level_index(coords) } else { None };
     let mapping = build_layer_mapping_on(
         &runtime.pool(),
         coords,
@@ -446,6 +448,7 @@ pub(crate) fn acquire_map(
         &mut runtime.faults,
         &mut runtime.degradation,
         planner.frozen_index,
+        level,
     )?;
     let latency = mapping.latency;
     Ok((planner.store_map(key, mapping.into_cached(coords)), Some(latency)))

@@ -44,28 +44,25 @@ use torchsparse_gpusim::{
 /// The simulator state a charge runs against: the device models (read-only)
 /// plus the L2 trace simulator and the timeline the latencies land in. Only
 /// a ledger replay assembles one, so holding a `Sim` *is* being inside the
-/// resolver; custom charges ([`Charge::custom`]) receive it to drive the
-/// simulator by hand.
-pub struct Sim<'a> {
+/// resolver.
+struct Sim<'a> {
     /// The configuration the frame ran under.
-    pub config: &'a OptimizationConfig,
+    config: &'a OptimizationConfig,
     /// The simulated device.
-    pub device: &'a DeviceProfile,
+    device: &'a DeviceProfile,
     /// GEMM latency model.
-    pub gemm: &'a GemmModel,
+    gemm: &'a GemmModel,
     /// L2 transaction/cache simulator, fresh per replay and shared by every
     /// charge of the frame (cache state carries from layer to layer).
-    pub mem: &'a mut MemorySim,
+    mem: &'a mut MemorySim,
     /// The timeline being resolved.
-    pub timeline: &'a mut Timeline,
+    timeline: &'a mut Timeline,
 }
 
-impl Sim<'_> {
-    /// Charges the fixed host-side framework overhead of one layer op
-    /// ([`HOST_OP_OVERHEAD_US`]) to the `Other` stage.
-    pub fn charge_host_op(&mut self) {
-        self.timeline.add(Stage::Other, Micros(HOST_OP_OVERHEAD_US));
-    }
+/// Charges the fixed host-side framework overhead of one layer op
+/// ([`HOST_OP_OVERHEAD_US`]) to the `Other` stage.
+fn host_op(timeline: &mut Timeline) {
+    timeline.add(Stage::Other, Micros(HOST_OP_OVERHEAD_US));
 }
 
 /// The geometry of one convolution — everything its simulated cost depends
@@ -138,7 +135,9 @@ enum Kind {
         reruns: Vec<usize>,
         profile: bool,
     },
-    Custom(Box<dyn Fn(&mut Sim<'_>) + Send + Sync>),
+    /// `(reads, writes, channels)` of a point<->voxel transfer.
+    PointTransfer(usize, usize, usize),
+    PointLinear(GemmShape),
 }
 
 impl Charge {
@@ -148,11 +147,18 @@ impl Charge {
         Charge(Kind::Latency(stage, latency))
     }
 
-    /// A charge that drives the simulator by hand when the ledger resolves.
-    /// `f` must hold everything it reads and must be a pure function of it:
-    /// it may run on another thread, later, or never.
-    pub fn custom(f: impl Fn(&mut Sim<'_>) + Send + Sync + 'static) -> Charge {
-        Charge(Kind::Custom(Box::new(f)))
+    /// A point<->voxel transfer: a host op, then `reads` random row reads
+    /// and `writes` row writes of `channels` FP32 features, traced on the
+    /// run's L2 simulator, plus one launch, on `Other`.
+    pub fn point_transfer(reads: usize, writes: usize, channels: usize) -> Charge {
+        Charge(Kind::PointTransfer(reads, writes, channels))
+    }
+
+    /// A per-point linear layer, `rows x c_in` by `c_in x c_out`: a host
+    /// op, then the GEMM's FP16 latency (point MLPs always run it) on
+    /// `MatMul`.
+    pub fn point_linear(rows: usize, c_in: usize, c_out: usize) -> Charge {
+        Charge(Kind::PointLinear(GemmShape::mm(rows, c_in, c_out)))
     }
 
     /// A compiled frame's execute path. `reruns` lists the steps whose
@@ -258,9 +264,14 @@ fn replay(
                 let mut sim = Sim { config, device, gemm, mem, timeline };
                 plan_cost(plan, reruns, true, &mut sim, profile.then_some(profiles));
             }
-            Kind::Custom(f) => {
+            &Kind::PointTransfer(reads, writes, channels) => {
                 let mem = mem.get_or_insert_with(|| begin_evaluation(device));
-                f(&mut Sim { config, device, gemm, mem, timeline });
+                let mut sim = Sim { config, device, gemm, mem, timeline };
+                charge_point_transfer(reads, writes, channels, &mut sim);
+            }
+            &Kind::PointLinear(shape) => {
+                host_op(timeline);
+                timeline.add(Stage::MatMul, gemm.latency(shape, GemmPrecision::Fp16));
             }
         }
     }
@@ -376,7 +387,7 @@ fn modes(precision: Precision, vectorized: bool) -> Modes {
 /// (batch norm, ReLU, global pooling), plus the host-side overhead of
 /// dispatching the op.
 fn charge_pointwise(n: usize, c: usize, sim: &mut Sim<'_>) {
-    sim.charge_host_op();
+    host_op(sim.timeline);
     let mode = modes(sim.config.precision, sim.config.vectorized).feat;
     let bytes = (n * c) as u64 * mode.elem.bytes();
     let base = sim.mem.alloc(bytes);
@@ -386,10 +397,27 @@ fn charge_pointwise(n: usize, c: usize, sim: &mut Sim<'_>) {
     sim.timeline.add(Stage::Other, latency);
 }
 
+/// Charges a point<->voxel transfer ([`Charge::point_transfer`]).
+fn charge_point_transfer(reads: usize, writes: usize, channels: usize, sim: &mut Sim<'_>) {
+    host_op(sim.timeline);
+    let mode = AccessMode::scalar_f32();
+    let row = (channels * 4) as u64;
+    let src = sim.mem.alloc(reads as u64 * row);
+    let dst = sim.mem.alloc(writes as u64 * row);
+    for i in 0..reads {
+        sim.mem.read(src, i as u64 * row, row, mode);
+    }
+    for i in 0..writes {
+        sim.mem.write(dst, i as u64 * row, row, mode);
+    }
+    let latency = sim.mem.take_report().latency(sim.device) + Micros(sim.device.launch_overhead_us);
+    sim.timeline.add(Stage::Other, latency);
+}
+
 /// Charges a sparse pooling layer: one read per map entry, one write per
 /// output row, plus the host-side dispatch overhead.
 fn charge_pool(map: &KernelMap, n_in: usize, n_out: usize, c: usize, sim: &mut Sim<'_>) {
-    sim.charge_host_op();
+    host_op(sim.timeline);
     let elem = match sim.config.precision {
         Precision::Fp32 => ElemWidth::F32,
         _ => ElemWidth::F16,
@@ -416,7 +444,7 @@ fn charge_pool(map: &KernelMap, n_in: usize, n_out: usize, c: usize, sim: &mut S
 /// output overflowed, so the same kernels ran — and are charged — a second
 /// time in FP32.
 fn charge_conv(geo: &ConvGeometry<'_>, dataflow: &ConvDataflow, reran: bool, sim: &mut Sim<'_>) {
-    sim.charge_host_op();
+    host_op(sim.timeline);
     let configured = sim.config.precision;
     let mut charge = |precision| match dataflow {
         ConvDataflow::FetchOnDemand => fetch_on_demand(geo, precision, sim),
@@ -760,9 +788,23 @@ mod tests {
         Context::new(OptimizationConfig::torchsparse(), DeviceProfile::rtx_2080ti())
     }
 
+    /// A plan over `n` input points of `c` channels.
+    fn plan(n: usize, c: usize, steps: Vec<StepPlan>) -> ExecutionPlan {
+        ExecutionPlan {
+            input: vec![Coord::new(0, 0, 0, 0); n].into(),
+            stride: 1,
+            channels: c,
+            names: vec![None; steps.len()],
+            buffers: vec![Default::default(); steps.len()],
+            steps,
+            slot_lens: Vec::new(),
+            cost: OnceLock::new(),
+        }
+    }
+
     /// One pointwise sweep over an `n x c` buffer, as a logged charge.
     fn sweep(n: usize, c: usize) -> Charge {
-        Charge::custom(move |sim| charge_pointwise(n, c, sim))
+        Charge::ephemeral_plan(plan(n, c, vec![StepPlan::Pointwise]), Vec::new(), false)
     }
 
     #[test]
@@ -792,20 +834,10 @@ mod tests {
     fn a_surcharge_step_charges_its_share_of_the_walk() {
         // One pointwise sweep, then a surcharge of half of it: the latency
         // logged before the plan is not part of the walk.
-        let plan = |steps: Vec<StepPlan>| ExecutionPlan {
-            input: vec![Coord::new(0, 0, 0, 0); 64].into(),
-            stride: 1,
-            channels: 8,
-            names: vec![None; steps.len()],
-            buffers: vec![Default::default(); steps.len()],
-            steps,
-            slot_lens: Vec::new(),
-            cost: OnceLock::new(),
-        };
         let walk = |steps| {
             let mut c = ctx();
             c.defer(Charge::latency(Stage::Mapping, Micros(10.0)));
-            c.defer(Charge::ephemeral_plan(plan(steps), Vec::new(), true));
+            c.defer(Charge::ephemeral_plan(plan(64, 8, steps), Vec::new(), true));
             assert!(c.layer_profiles().is_empty());
             c.timeline().clone()
         };
@@ -833,17 +865,26 @@ mod tests {
     }
 
     #[test]
-    fn custom_charges_share_the_runs_simulator() {
-        let mut c = ctx();
-        c.defer(Charge::custom(|sim| {
-            sim.charge_host_op();
-            let base = sim.mem.alloc(4096);
-            sim.mem.read(base, 0, 4096, AccessMode::scalar_f32());
-            let latency = sim.mem.take_report().latency(sim.device);
-            sim.timeline.add(Stage::Gather, latency);
-        }));
-        assert_eq!(c.timeline().stage(Stage::Other), Micros(HOST_OP_OVERHEAD_US));
-        assert!(c.timeline().stage(Stage::Gather) > Micros::ZERO);
+    fn point_charges_dispatch_a_host_op_then_their_kernel() {
+        let resolve = |charge: Charge| {
+            let mut c = ctx();
+            c.defer(charge);
+            c.timeline().clone()
+        };
+        let device = DeviceProfile::rtx_2080ti();
+        let host = Micros(HOST_OP_OVERHEAD_US);
+        let linear = resolve(Charge::point_linear(64, 8, 16));
+        let gemm =
+            GemmModel::new(device.clone()).latency(GemmShape::mm(64, 8, 16), GemmPrecision::Fp16);
+        assert_eq!(linear.stage(Stage::Other), host);
+        assert_eq!(linear.stage(Stage::MatMul), gemm);
+        assert_eq!(linear.total(), host + gemm);
+        // A transfer's traced traffic and its launch land on `Other`.
+        let transfer = resolve(Charge::point_transfer(8 * 64, 64, 16));
+        let other = transfer.stage(Stage::Other);
+        assert!(other > host + Micros(device.launch_overhead_us), "{other:?}");
+        assert_eq!(transfer.total(), other);
+        assert!(resolve(Charge::point_transfer(16 * 64, 64, 16)).stage(Stage::Other) > other);
     }
 
     #[test]

@@ -57,19 +57,14 @@ const MAX_SIDE_FRACTION: f64 = 0.25;
 
 /// One level of the plan walk's geometry, tracked against the old plan:
 /// the classification of the old plan's rows at this level against the new
-/// coordinates, and an index over the new coordinates once a patch needed
-/// one. It is copied wherever the walk copies its geometry cursor (onto the
-/// value stack, into a residual's shortcut), and an index built on one copy
-/// stays on that copy.
-#[derive(Clone)]
-pub(crate) struct Level {
-    delta: Arc<CoordDelta>,
-    index: Option<Arc<dyn CoordIndex>>,
-}
+/// coordinates. It is copied wherever the walk copies its geometry cursor
+/// (onto the value stack, into a residual's shortcut). The level's index is
+/// found as a cold build finds it, on the maps over the level's list
+/// ([`Planner::level_index`]), so every copy of a level probes one index.
+pub(crate) type Level = Arc<CoordDelta>;
 
-/// Both sides of a patched map: the fine level as it stood after the patch
-/// (a transposed convolution re-enters it) and, for a strided map, the
-/// coarse level it leads to.
+/// Both sides of a patched map: the fine level (a transposed convolution
+/// re-enters it) and, for a strided map, the coarse level it leads to.
 struct Sides {
     fine: Level,
     coarse: Option<Level>,
@@ -126,7 +121,7 @@ impl<'p> Patch<'p> {
             // No map to patch.
             None => CoordDelta::identity(input.len()),
         };
-        let root = Level { delta: Arc::new(delta), index: None };
+        let root = Arc::new(delta);
         Some(Patch { old, symmetric_search, root, maps: HashMap::new(), stats })
     }
 
@@ -139,9 +134,9 @@ impl<'p> Patch<'p> {
     /// Step `step` is about to plan its map `key` from `level`, whose new
     /// coordinates are `coords`: patches the old plan's map of that step and
     /// stores it in the planner's map cache for the layer to find. The
-    /// patched map shares `coords`, and a coarse level that came out
-    /// unchanged shares the old plan's list. A key patched before is
-    /// already there. Returns the level of the step's
+    /// patched map shares `coords` and the level's index, and a coarse
+    /// level that came out unchanged shares the old plan's list. A key
+    /// patched before is already there. Returns the level of the step's
     /// output — `level` for a stride-1 map, the coarse side of a strided one
     /// — or `None` where the old plan holds no consistent map to patch, in
     /// which case the layer searches as a cold build does.
@@ -150,30 +145,29 @@ impl<'p> Patch<'p> {
         step: usize,
         key: MapKey,
         coords: &Arc<[Coord]>,
-        level: &mut Level,
+        level: &Level,
         planner: &mut Planner,
     ) -> Option<Level> {
         let strided = key.conv_stride > 1;
         if let Some(sides) = self.maps.get(&key) {
-            return if strided { sides.coarse.clone() } else { Some(level.clone()) };
+            return if strided { sides.coarse.clone() } else { Some(Arc::clone(level)) };
         }
         let old = Arc::clone(self.old.steps[step].cached()?);
-        if level.delta.remap.len() != old.fine.len() {
+        if level.remap.len() != old.fine.len() {
             return None;
         }
-        let delta = Arc::clone(&level.delta);
-        let (cached, coarse) = if delta.is_identity() {
-            // Unchanged level: the old map is already right. Share it.
-            level.index.get_or_insert_with(|| Arc::clone(&old.index));
+        let (cached, coarse) = if level.is_identity() {
+            // Unchanged level: the old map, and the index it holds, are
+            // already right. Share them.
             let identity = CoordDelta::identity(old.coarse.len());
-            (old, strided.then(|| Level { delta: Arc::new(identity), index: None }))
+            (old, strided.then(|| Arc::new(identity)))
         } else if !strided {
-            let index = self.index(level, &old, coords)?;
+            let index = self.index(level, &old, coords, planner)?;
             let symmetric =
                 self.symmetric_search && key.kernel_size % 2 == 1 && key.kernel_size > 1;
             let (map, stats) = patch_submanifold_map(
                 &old.map,
-                &delta,
+                level,
                 coords,
                 index.as_ref(),
                 key.kernel_size,
@@ -185,12 +179,12 @@ impl<'p> Patch<'p> {
             let (fine, coarse) = (Arc::clone(coords), Arc::clone(coords));
             (Arc::new(CachedMap { map, fine, coarse, index }), None)
         } else {
-            let index = self.index(level, &old, coords)?;
+            let index = self.index(level, &old, coords, planner)?;
             let patch = patch_strided_map(
                 &old.map,
                 &old.fine,
                 &old.coarse,
-                &delta,
+                level,
                 coords,
                 index.as_ref(),
                 key.kernel_size,
@@ -203,37 +197,38 @@ impl<'p> Patch<'p> {
             } else {
                 Arc::from(patch.out_coords)
             };
-            let level = Level { delta: Arc::new(patch.out_delta), index: None };
             let cached = CachedMap { map: patch.map, fine: Arc::clone(coords), coarse, index };
-            (Arc::new(cached), Some(level))
+            (Arc::new(cached), Some(Arc::new(patch.out_delta)))
         };
         planner.store_map(key, cached);
-        self.maps.insert(key, Sides { fine: level.clone(), coarse: coarse.clone() });
+        self.maps.insert(key, Sides { fine: Arc::clone(level), coarse: coarse.clone() });
         if strided {
             coarse
         } else {
-            Some(level.clone())
+            Some(Arc::clone(level))
         }
     }
 
-    /// The index over `level`'s new coordinates, built on first use: a
-    /// [`DeltaIndex`] layer over `old`'s index, or a fresh flat index when
-    /// the chain would grow too deep or the side-table too large.
+    /// The index over `level`'s new coordinates `coords`: the level's, when
+    /// a map over it already holds one, else built here — a [`DeltaIndex`]
+    /// layer over `old`'s index, or a fresh flat index when the chain would
+    /// grow too deep or the side-table too large.
     fn index(
         &mut self,
-        level: &mut Level,
+        level: &Level,
         old: &CachedMap,
-        coords: &[Coord],
+        coords: &Arc<[Coord]>,
+        planner: &Planner,
     ) -> Option<Arc<dyn CoordIndex>> {
-        if let Some(index) = &level.index {
-            return Some(Arc::clone(index));
+        if let Some(index) = planner.level_index(coords) {
+            return Some(index);
         }
         let random = &mut self.stats.random;
-        random.kernel_launches += 1;
-        let side_fraction = level.delta.inserted.len() as f64 / coords.len().max(1) as f64;
+        let side_fraction = level.inserted.len() as f64 / coords.len().max(1) as f64;
         let index: Arc<dyn CoordIndex> = if old.index.delta_depth() + 1 > MAX_DELTA_DEPTH
             || side_fraction >= MAX_SIDE_FRACTION
         {
+            random.kernel_launches += 1;
             // The MPHF every frozen plan stores, or the hashmap when
             // duplicate coordinates leave no perfect hash.
             match MphfIndex::build(coords) {
@@ -248,12 +243,13 @@ impl<'p> Patch<'p> {
                 }
             }
         } else {
+            // A diffed level's side-table came with its diff, charged there.
             let (layered, probes) =
-                DeltaIndex::build(Arc::clone(&old.index), &level.delta, coords).ok()?;
+                DeltaIndex::build(Arc::clone(&old.index), level, coords).ok()?;
+            random.kernel_launches += u64::from(level.side.is_none());
             random.writes += probes;
             Arc::new(layered)
         };
-        level.index = Some(Arc::clone(&index));
         Some(index)
     }
 

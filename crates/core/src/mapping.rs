@@ -59,10 +59,13 @@ pub struct LayerMapping {
     pub out_coords: Vec<Coord>,
     /// Simulated mapping latency.
     pub latency: Micros,
-    /// Table used for the search.
+    /// Table used for the search. A frozen search that reused its level's
+    /// index reports [`TableKind::Mphf`], the index frozen plans keep (the
+    /// hashmap or a delta layer that may stand in for it probes alike).
     pub table: TableKind,
-    /// The coordinate index the search probed.
-    pub index: Box<dyn CoordIndex>,
+    /// The coordinate index the search probed: built by this search, or
+    /// the level's, shared with every map over the same coordinates.
+    pub index: Arc<dyn CoordIndex>,
 }
 
 impl LayerMapping {
@@ -74,12 +77,12 @@ impl LayerMapping {
     /// The cache lives for one plan build: a dynamic run's entries are
     /// dropped by the next [`crate::Context::begin_run`], so its grid or
     /// hashmap is never re-read and is kept as it is. The indices plans
-    /// keep and re-query are compiled ones, and a compiled session's search
-    /// already ran on the MPHF ([`TableKind::Mphf`]).
+    /// keep and re-query are compiled ones, one per level, and a compiled
+    /// session's search already ran on the MPHF ([`TableKind::Mphf`]).
     pub(crate) fn into_cached(self, fine: &Arc<[Coord]>) -> CachedMap {
         let coarse =
             if self.out_coords.is_empty() { Arc::clone(fine) } else { Arc::from(self.out_coords) };
-        CachedMap { map: self.map, fine: Arc::clone(fine), coarse, index: Arc::from(self.index) }
+        CachedMap { map: self.map, fine: Arc::clone(fine), coarse, index: self.index }
     }
 }
 
@@ -152,6 +155,7 @@ pub fn build_layer_mapping(
         &mut FaultInjector::disarmed(),
         &mut DegradationReport::new(),
         false,
+        None,
     )?;
     if conv_stride == 1 {
         mapping.out_coords = in_coords.to_vec();
@@ -172,10 +176,12 @@ pub fn build_layer_mapping(
 /// A stride-1 layer's output list is its input list, which the planner
 /// already holds, so it is not copied: `out_coords` is left empty.
 ///
-/// `frozen` is the planner's frozen-index flag: a compiled
-/// session's coordinate sets never change after plan time, so its searches
-/// build — and are charged for — the minimal-perfect-hash index the plan
-/// keeps, where a dynamic run follows `config.map_search`.
+/// `frozen` is the planner's frozen-index flag: a compiled session's
+/// coordinate sets never change after plan time, so its searches build —
+/// and are charged for — the minimal-perfect-hash index the plan keeps,
+/// where a dynamic run follows `config.map_search`. `level` is the level's
+/// index once an earlier frozen search over the same list built it: the
+/// search probes it as it is and is charged no build.
 ///
 /// # Errors
 ///
@@ -194,6 +200,7 @@ pub(crate) fn build_layer_mapping_on(
     faults: &mut FaultInjector,
     degradation: &mut DegradationReport,
     frozen: bool,
+    level: Option<Arc<dyn CoordIndex>>,
 ) -> Result<LayerMapping, CoreError> {
     if in_coords.is_empty() {
         return Err(CoreError::EmptyInput);
@@ -220,16 +227,17 @@ pub(crate) fn build_layer_mapping_on(
         result.coords
     };
 
-    // 2. Index construction over the input coordinates.
-    let (index, build_stats, kind): (Box<dyn CoordIndex>, MappingStats, TableKind) =
-        build_table(in_coords, config, faults, degradation, frozen)?;
-    latency += stats_latency(
-        &build_stats,
-        device,
-        true,
-        kind.serialization(),
-        true, // construction is a simple streaming-insert kernel in all systems
-    );
+    // 2. Index construction over the input coordinates, unless the level
+    // already has one.
+    let (index, kind) = match level {
+        Some(index) => (index, TableKind::Mphf),
+        None => {
+            let (index, stats, kind) = build_table(in_coords, config, faults, degradation, frozen)?;
+            // Construction is a simple streaming-insert kernel in all systems.
+            latency += stats_latency(&stats, device, true, kind.serialization(), true);
+            (index, kind)
+        }
+    };
 
     // 3. Map search.
     let symmetric =
@@ -263,23 +271,16 @@ fn build_table(
     faults: &mut FaultInjector,
     degradation: &mut DegradationReport,
     frozen: bool,
-) -> Result<(Box<dyn CoordIndex>, MappingStats, TableKind), CoreError> {
+) -> Result<(Arc<dyn CoordIndex>, MappingStats, TableKind), CoreError> {
+    // One construction kernel writing `writes` slots.
+    let built = |writes| MappingStats { reads: 0, writes, kernel_launches: 1, candidate_ops: 0 };
     let hash = |coords: &[Coord]| {
         let (t, probes) = CoordHashMap::build(coords);
-        let stats = MappingStats { reads: 0, writes: probes, kernel_launches: 1, candidate_ops: 0 };
-        (Box::new(t) as Box<dyn CoordIndex>, stats, TableKind::Hashmap)
+        (Arc::new(t) as Arc<dyn CoordIndex>, built(probes), TableKind::Hashmap)
     };
     if frozen {
         return match MphfIndex::build(coords) {
-            Ok((t, accesses)) => {
-                let stats = MappingStats {
-                    reads: 0,
-                    writes: accesses,
-                    kernel_launches: 1,
-                    candidate_ops: 0,
-                };
-                Ok((Box::new(t) as Box<dyn CoordIndex>, stats, TableKind::Mphf))
-            }
+            Ok((t, accesses)) => Ok((Arc::new(t) as _, built(accesses), TableKind::Mphf)),
             // Duplicate coordinates have no perfect hash; keep the
             // hashmap's keep-first semantics so lookups are unchanged.
             Err(CoordsError::DuplicateCoordinate(_)) => Ok(hash(coords)),
@@ -296,11 +297,8 @@ fn build_table(
     let attempt = if forced {
         Err(CoordsError::GridTooLarge { cells: u64::MAX, limit: config.grid_cell_limit })
     } else {
-        GridTable::build(coords, config.grid_cell_limit).map(|(t, accesses)| {
-            let stats =
-                MappingStats { reads: 0, writes: accesses, kernel_launches: 1, candidate_ops: 0 };
-            (Box::new(t) as Box<dyn CoordIndex>, stats, TableKind::Grid)
-        })
+        GridTable::build(coords, config.grid_cell_limit)
+            .map(|(t, accesses)| (Arc::new(t) as _, built(accesses), TableKind::Grid))
     };
     match attempt {
         Ok(t) => Ok(t),
@@ -474,6 +472,7 @@ mod tests {
             &mut faults,
             &mut report,
             false,
+            None,
         )
         .unwrap();
         assert_eq!(m.table, TableKind::Hashmap);
@@ -502,6 +501,7 @@ mod tests {
             &mut faults,
             &mut report,
             false,
+            None,
         )
         .unwrap();
         assert_eq!(degraded.table, TableKind::Hashmap);
@@ -536,6 +536,7 @@ mod tests {
                 &mut FaultInjector::disarmed(),
                 &mut DegradationReport::new(),
                 frozen,
+                None,
             )
             .unwrap()
         };
@@ -568,6 +569,43 @@ mod tests {
     }
 
     #[test]
+    fn a_frozen_search_probes_the_levels_index_and_pays_no_build() {
+        // Every frozen map over one level probes the index the level's first
+        // search built: the same maps, the same `Arc`, no build charged.
+        let coords = coords_blob(8);
+        let cfg = OptimizationConfig::torchsparse();
+        let search = |kernel_size: usize, stride: i32, level: Option<Arc<dyn CoordIndex>>| {
+            build_layer_mapping_on(
+                ThreadPool::global(),
+                &coords,
+                kernel_size,
+                stride,
+                1,
+                &cfg,
+                &device(),
+                &mut FaultInjector::disarmed(),
+                &mut DegradationReport::new(),
+                true,
+                level,
+            )
+            .unwrap()
+        };
+        let first = search(3, 1, None);
+        for (kernel_size, stride) in [(3, 1), (1, 1), (2, 2)] {
+            let built = search(kernel_size, stride, None);
+            let reused = search(kernel_size, stride, Some(Arc::clone(&first.index)));
+            assert!(Arc::ptr_eq(&reused.index, &first.index));
+            assert!(!Arc::ptr_eq(&built.index, &first.index));
+            assert_eq!(reused.table, TableKind::Mphf);
+            assert_eq!(reused.out_coords, built.out_coords);
+            for n in 0..built.map.num_offsets() {
+                assert_eq!(reused.map.entries(n), built.map.entries(n), "offset {n}");
+            }
+            assert!(reused.latency < built.latency, "k{kernel_size} s{stride}: no build charged");
+        }
+    }
+
+    #[test]
     fn invalid_dilation_is_a_dilation_error() {
         let coords = coords_blob(4);
         let cfg = OptimizationConfig::torchsparse();
@@ -583,6 +621,7 @@ mod tests {
                 &mut FaultInjector::disarmed(),
                 &mut DegradationReport::new(),
                 false,
+                None,
             )
             .unwrap_err()
         };
@@ -613,6 +652,7 @@ mod tests {
             &mut faults,
             &mut report,
             false,
+            None,
         )
         .unwrap();
         assert!(faults.is_armed(), "no grid build happens under Hashmap strategy");

@@ -387,7 +387,8 @@ impl ExecutionPlan {
     ///
     /// Steps sharing one [`CachedMap`] (convolution and pooling layers with
     /// the same map key, or a UNet encoder/decoder pair) count it once, and
-    /// a level's coordinate list counts once however many maps share it.
+    /// a level's coordinate list and index count once however many maps
+    /// share them.
     pub(crate) fn memory_bytes(&self) -> u64 {
         /// Whether `shared` is seen for the first time, by address.
         fn first_sight<T: ?Sized>(counted: &mut Vec<*const ()>, shared: &Arc<T>) -> bool {
@@ -415,7 +416,10 @@ impl ExecutionPlan {
             if let Some(cached) = step.cached() {
                 lists.extend([&cached.fine, &cached.coarse]);
                 if first_sight(&mut counted, cached) {
-                    total += cached.memory_bytes();
+                    total += cached.map.memory_bytes();
+                }
+                if first_sight(&mut counted, &cached.index) {
+                    total += cached.index.memory_bytes();
                 }
             }
         }
@@ -519,30 +523,39 @@ mod tests {
 
     #[test]
     fn memory_bytes_counts_a_shared_list_once() {
-        use torchsparse_coords::{CoordHashMap, MappingStats};
-        let pool = |fine: &Arc<[Coord]>, coarse: &Arc<[Coord]>| {
+        use torchsparse_coords::{CoordHashMap, CoordIndex, MappingStats};
+        let index =
+            |fine: &[Coord]| -> Arc<dyn CoordIndex> { Arc::new(CoordHashMap::build(fine).0) };
+        let pool = |fine: &Arc<[Coord]>, coarse: &Arc<[Coord]>, index: &Arc<dyn CoordIndex>| {
             let per_offset = vec![Vec::new(); 8];
             let cached = Arc::new(CachedMap {
                 map: KernelMap::from_parts(2, 2, per_offset, MappingStats::default()).unwrap(),
                 fine: Arc::clone(fine),
                 coarse: Arc::clone(coarse),
-                index: Arc::new(CoordHashMap::build(fine).0),
+                index: Arc::clone(index),
             });
             let out_coords = Arc::clone(&cached.coarse);
             StepPlan::Pool(PoolPlan { cached, out_coords, out_stride: 2, mapping: None })
         };
         let level: Arc<[Coord]> = Arc::from(coords());
         let coarse: Arc<[Coord]> = Arc::from(&coords()[..4]);
-        let (a, b) = (pool(&level, &level), pool(&level, &coarse));
-        let maps: u64 = [&a, &b].iter().map(|s| s.cached().unwrap().memory_bytes()).sum();
+        let level_index = index(&level);
+        let (a, b) = (pool(&level, &level, &level_index), pool(&level, &coarse, &level_index));
+        let maps: u64 = [&a, &b].iter().map(|s| s.cached().unwrap().map.memory_bytes()).sum();
         let list = |n: usize| (n * std::mem::size_of::<Coord>()) as u64;
-        // Two maps and the input key hold `level`; it counts once.
+        let indexed = level_index.memory_bytes();
+        // Two maps and the input key hold `level`, and both maps its index;
+        // each counts once.
         let shared = plan(Arc::clone(&level), 1, vec![a.clone(), b]);
-        assert_eq!(shared.memory_bytes(), maps + list(10) + list(4));
-        // A second copy of the level counts again.
+        assert_eq!(shared.memory_bytes(), maps + indexed + list(10) + list(4));
+        // A second index over the level counts again.
+        let reindexed = pool(&level, &coarse, &index(&level));
+        let twice = plan(Arc::clone(&level), 1, vec![a.clone(), reindexed]);
+        assert_eq!(twice.memory_bytes(), maps + indexed * 2 + list(10) + list(4));
+        // So does a second copy of the level.
         let copy: Arc<[Coord]> = Arc::from(coords());
-        let copied = plan(Arc::clone(&level), 1, vec![a, pool(&copy, &coarse)]);
-        assert_eq!(copied.memory_bytes(), maps + list(10) * 2 + list(4));
+        let copied = plan(Arc::clone(&level), 1, vec![a, pool(&copy, &coarse, &index(&copy))]);
+        assert_eq!(copied.memory_bytes(), maps + indexed * 2 + list(10) * 2 + list(4));
     }
 
     #[test]

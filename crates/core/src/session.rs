@@ -563,7 +563,7 @@ fn build_plan(
             LayerOp::Conv(conv) => {
                 let key = conv.map_key(cur.stride);
                 let level =
-                    patch_map(&mut patch, i, key, conv.transposed(), &mut cur, &mut ctx.planner);
+                    patch_map(&mut patch, i, key, conv.transposed(), &cur, &mut ctx.planner);
                 let p = conv.plan(&cur.coords, cur.stride, cur.channels, ctx)?;
                 let coords = Arc::clone(&p.out_coords);
                 written.out = Some(cur.advance(coords, p.out_stride, conv.c_out(), &mut life, i));
@@ -572,7 +572,7 @@ fn build_plan(
             }
             LayerOp::Pool(pool) => {
                 let key = pool.map_key(cur.stride);
-                let level = patch_map(&mut patch, i, key, false, &mut cur, &mut ctx.planner);
+                let level = patch_map(&mut patch, i, key, false, &cur, &mut ctx.planner);
                 let p = pool.plan(&cur.coords, cur.stride, ctx)?;
                 let coords = Arc::clone(&p.out_coords);
                 written.out = Some(cur.advance(coords, p.out_stride, cur.channels, &mut life, i));
@@ -618,7 +618,7 @@ fn build_plan(
                 StepPlan::PopConcat
             }
             LayerOp::ResidualAdd { projection } => {
-                let mut saved = stack
+                let saved = stack
                     .pop()
                     .ok_or(CoreError::PlanMismatch { reason: "residual pops an empty stack" })?;
                 life.touch(saved.value, i);
@@ -627,14 +627,7 @@ fn build_plan(
                         // The shortcut's geometry is the saved one; the
                         // residual output keeps the current one.
                         let key = conv.map_key(saved.stride);
-                        patch_map(
-                            &mut patch,
-                            i,
-                            key,
-                            conv.transposed(),
-                            &mut saved,
-                            &mut ctx.planner,
-                        );
+                        patch_map(&mut patch, i, key, conv.transposed(), &saved, &mut ctx.planner);
                         let p = conv.plan(&saved.coords, saved.stride, saved.channels, ctx)?;
                         same_coords(&cur.coords, &p.out_coords)?;
                         written.out = Some(life.create(p.out_coords.len() * conv.c_out(), i));
@@ -738,10 +731,10 @@ fn patch_map(
     i: usize,
     key: MapKey,
     transposed: bool,
-    from: &mut Geometry,
+    from: &Geometry,
     planner: &mut Planner,
 ) -> Option<Level> {
-    let (patch, level) = (patch.as_deref_mut()?, from.level.as_mut()?);
+    let (patch, level) = (patch.as_deref_mut()?, from.level.as_ref()?);
     if transposed {
         patch.fine_level(key)
     } else {
@@ -966,14 +959,16 @@ mod tests {
     }
 
     /// A UNet in miniature: a submanifold stem, a residual block whose
-    /// shortcut projects 1x1x1, a stride-2 down, a submanifold inner layer
-    /// and the transposed up whose output is concatenated with the skip.
+    /// shortcut projects 1x1x1, a stride-2 down, a residual inner layer
+    /// whose shortcut projects the coarse level, and the transposed up
+    /// whose output is concatenated with the skip.
     struct Unet {
         stem: SparseConv3d,
         body: SparseConv3d,
         proj: SparseConv3d,
         down: SparseConv3d,
         inner: SparseConv3d,
+        shortcut: SparseConv3d,
         up: SparseConv3d,
     }
 
@@ -986,6 +981,7 @@ mod tests {
                 proj: conv("proj", 8, 16, 1, 1, 3),
                 down: conv("down", 16, 16, 2, 2, 4),
                 inner: conv("inner", 16, 16, 3, 1, 5),
+                shortcut: conv("shortcut", 16, 16, 1, 1, 7),
                 up: conv("up", 16, 16, 2, 2, 6).into_transposed(),
             }
         }
@@ -998,9 +994,11 @@ mod tests {
             tracer.push(LayerOp::Conv(&self.body));
             tracer.push(LayerOp::ResidualAdd { projection: Some(&self.proj) });
             tracer.push(LayerOp::Push);
-            for conv in [&self.down, &self.inner, &self.up] {
-                tracer.push(LayerOp::Conv(conv));
-            }
+            tracer.push(LayerOp::Conv(&self.down));
+            tracer.push(LayerOp::Push);
+            tracer.push(LayerOp::Conv(&self.inner));
+            tracer.push(LayerOp::ResidualAdd { projection: Some(&self.shortcut) });
+            tracer.push(LayerOp::Conv(&self.up));
             tracer.push(LayerOp::PopConcat);
             Ok(())
         }
@@ -1010,6 +1008,39 @@ mod tests {
         }
     }
 
+    /// Checks that `plan`, the [`Unet`]'s, holds one coordinate list and one
+    /// index per level, shared by every map over the level.
+    fn assert_one_list_and_index_per_level(plan: &ExecutionPlan) {
+        let conv = |i: usize| match &plan.steps[i] {
+            StepPlan::Conv(p) | StepPlan::Residual { projection: Some(p) } => p,
+            other => panic!("step {i} is {other:?}"),
+        };
+        let (stem, proj, down) = (conv(0), conv(3), conv(5));
+        let (inner, shortcut, up) = (conv(7), conv(8), conv(9));
+        let level0 = &stem.cached.fine;
+        assert!(Arc::ptr_eq(&plan.input, level0), "the plan's key is the input level");
+        for p in [stem, conv(2), proj, inner, shortcut] {
+            assert!(Arc::ptr_eq(&p.cached.fine, &p.cached.coarse), "a stride-1 map");
+            assert!(Arc::ptr_eq(&p.out_coords, &p.cached.fine));
+        }
+        assert!(Arc::ptr_eq(&proj.cached.fine, level0), "the projection's level");
+        assert!(Arc::ptr_eq(&down.cached.fine, level0), "the down map's fine level");
+        assert!(Arc::ptr_eq(&inner.cached.fine, &down.cached.coarse), "the coarse level");
+        assert!(Arc::ptr_eq(&shortcut.cached.fine, &down.cached.coarse));
+        assert!(Arc::ptr_eq(&up.out_coords, level0), "the up conv returns to the encoder");
+        assert!(!Arc::ptr_eq(&down.cached.coarse, level0));
+        // Three maps over the input level, two over the coarse one: one
+        // index each.
+        let index0 = &stem.cached.index;
+        for p in [proj, down] {
+            assert!(Arc::ptr_eq(&p.cached.index, index0), "one index over the input level");
+        }
+        let index1 = &inner.cached.index;
+        assert!(Arc::ptr_eq(&shortcut.cached.index, index1), "one index over the coarse level");
+        assert!(!Arc::ptr_eq(index0, index1));
+        assert_eq!(index1.len(), down.cached.coarse.len());
+    }
+
     #[test]
     fn a_plan_holds_one_coordinate_list_per_level() {
         let (m, x) = (Unet::new(), scene(0));
@@ -1017,23 +1048,15 @@ mod tests {
         let mut session = engine().compile(&m, &x).unwrap();
         let got = session.execute(&x).unwrap();
         assert_eq!(expected, got, "the compiled UNet runs as the dynamic one");
-        let plan = Arc::clone(session.plan());
-        let conv = |i: usize| match &plan.steps[i] {
-            StepPlan::Conv(p) | StepPlan::Residual { projection: Some(p) } => p,
-            other => panic!("step {i} is {other:?}"),
-        };
-        let (stem, proj, down, inner, up) = (conv(0), conv(3), conv(5), conv(6), conv(7));
-        let level0 = &stem.cached.fine;
-        assert!(Arc::ptr_eq(&plan.input, level0), "the plan's key is the input level");
-        for p in [stem, conv(2), proj, inner] {
-            assert!(Arc::ptr_eq(&p.cached.fine, &p.cached.coarse), "a stride-1 map");
-            assert!(Arc::ptr_eq(&p.out_coords, &p.cached.fine));
-        }
-        assert!(Arc::ptr_eq(&proj.cached.fine, level0), "the projection's level");
-        assert!(Arc::ptr_eq(&down.cached.fine, level0), "the down map's fine level");
-        assert!(Arc::ptr_eq(&inner.cached.fine, &down.cached.coarse), "the coarse level");
-        assert!(Arc::ptr_eq(&up.out_coords, level0), "the up conv returns to the encoder");
-        assert!(!Arc::ptr_eq(&down.cached.coarse, level0));
+        assert_one_list_and_index_per_level(session.plan());
+        // A patched plan shares its levels' lists and indexes the same way.
+        let mut coords = x.coords().to_vec();
+        coords[4].z += 7;
+        let moved = SparseTensor::new(coords, x.feats().clone()).unwrap();
+        let got = session.execute(&moved).unwrap();
+        assert_eq!(session.stats().delta_patches, 1);
+        assert_eq!(engine().run(&m, &moved).unwrap(), got, "the patched UNet runs as dynamic");
+        assert_one_list_and_index_per_level(session.plan());
     }
 
     #[test]

@@ -103,7 +103,9 @@ pub struct TuningReport {
     pub selected: HashMap<String, (f64, usize)>,
     /// Number of calibration scenes profiled.
     pub samples: usize,
-    /// Number of `(epsilon, S)` configurations evaluated per layer.
+    /// Number of `(epsilon, S)` configurations evaluated per layer: the
+    /// searched grid's size, 0 when a compile found every layer's grouping
+    /// pinned.
     pub configs_searched: usize,
     /// Whether tuning failed and the engine was degraded to fixed grouping
     /// instead of installing per-layer parameters.
@@ -284,11 +286,14 @@ pub(crate) fn autotune_plan(
     }
 
     ctx.planner.groupings.extend(policies.clone());
+    // `prior_grouping` searched the grid for every layer it left adaptive,
+    // and nothing for a pinned one.
+    let (epsilons, thresholds) = default_search_space();
+    let configs_searched = if selected.is_empty() { 0 } else { epsilons.len() * thresholds.len() };
     TuningReport {
         selected,
         samples: 1,
-        // One prior evaluation per layer.
-        configs_searched: policies.len(),
+        configs_searched,
         degraded: false,
         policies,
         candidates_measured: 0,
@@ -446,6 +451,25 @@ mod tests {
         session.execute(&scene(2)).unwrap();
         assert_eq!(session.stats().misses, 2);
         runs_reported(session.plan());
+    }
+
+    #[test]
+    fn a_compile_reports_the_grid_its_prior_searched() {
+        // Per layer, the prior evaluates the whole (epsilon, S) grid, as
+        // calibration tuning does; a pinned grouping searches nothing.
+        let x = scene(0);
+        let compile = |grouping| {
+            let mut cfg = EnginePreset::TorchSparse.config();
+            cfg.grouping = grouping;
+            let e = Engine::with_config(cfg, DeviceProfile::rtx_2080ti());
+            e.compile(&model(), &x).unwrap().tuning_report().unwrap().clone()
+        };
+        let adaptive = compile(GroupingStrategy::default_adaptive());
+        assert_eq!(adaptive.policies.len(), 2);
+        assert_eq!(adaptive.configs_searched, 80);
+        let pinned = compile(GroupingStrategy::Separate);
+        assert_eq!(pinned.policies.len(), 2);
+        assert_eq!(pinned.configs_searched, 0);
     }
 
     #[test]

@@ -20,8 +20,6 @@ use std::collections::HashMap;
 use torchsparse_coords::Coord;
 use torchsparse_core::cost_model::Charge;
 use torchsparse_core::{Context, CoreError, Module, SparseTensor, ThreadPool};
-use torchsparse_gpusim::Precision as GemmPrecision;
-use torchsparse_gpusim::{AccessMode, GemmShape, Micros, Stage};
 use torchsparse_tensor::gemm::{mm_into_packed_on, GemmOpts};
 use torchsparse_tensor::{Matrix, PackedB};
 
@@ -139,7 +137,7 @@ pub fn voxelize_features(
     }
 
     // Cost: stream the point features in, scatter-accumulate into voxels.
-    charge_pv_transfer(scene.len(), order.len(), c, ctx);
+    ctx.defer(Charge::point_transfer(scene.len(), order.len(), c));
     Ok((SparseTensor::new(order, sums)?, point_to_voxel))
 }
 
@@ -208,30 +206,8 @@ pub fn devoxelize_trilinear(
     }
 
     // Cost: each point gathers up to 8 voxel rows (random) + writes one row.
-    charge_pv_transfer(8 * scene.len(), scene.len(), c, ctx);
+    ctx.defer(Charge::point_transfer(8 * scene.len(), scene.len(), c));
     Ok(out)
-}
-
-/// Logs the memory traffic of a point<->voxel transfer: `reads` random
-/// row reads and `writes` row writes of `channels`-wide features, traced
-/// through the L2 simulator when the run's timeline is read.
-fn charge_pv_transfer(reads: usize, writes: usize, channels: usize, ctx: &mut Context) {
-    ctx.defer(Charge::custom(move |sim| {
-        sim.charge_host_op();
-        let mode = AccessMode::scalar_f32();
-        let row = (channels * 4) as u64;
-        let src = sim.mem.alloc(reads as u64 * row);
-        let dst = sim.mem.alloc(writes as u64 * row);
-        for i in 0..reads {
-            sim.mem.read(src, i as u64 * row, row, mode);
-        }
-        for i in 0..writes {
-            sim.mem.write(dst, i as u64 * row, row, mode);
-        }
-        let report = sim.mem.take_report();
-        let latency = report.latency(sim.device) + Micros(sim.device.launch_overhead_us);
-        sim.timeline.add(Stage::Other, latency);
-    }));
 }
 
 /// A per-point MLP layer (linear + ReLU), the point branch's building block.
@@ -264,11 +240,7 @@ impl PointMlp {
         let mut y = Matrix::zeros(x.rows(), self.weight.n());
         mm_into_packed_on(ThreadPool::global(), x, &self.weight, &mut y, GemmOpts::default())?;
         y.map_inplace(|v| v.max(0.0));
-        let shape = GemmShape::mm(x.rows(), x.cols(), self.weight.n());
-        ctx.defer(Charge::custom(move |sim| {
-            sim.charge_host_op();
-            sim.timeline.add(Stage::MatMul, sim.gemm.latency(shape, GemmPrecision::Fp16));
-        }));
+        ctx.defer(Charge::point_linear(x.rows(), x.cols(), self.weight.n()));
         Ok(y)
     }
 }

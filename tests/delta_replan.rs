@@ -247,9 +247,9 @@ fn patched_replans_cost_a_third_of_full_replans_at_five_percent_churn() {
     assert!(full >= 3.0 * patched, "full {full:.1} us vs patched {patched:.1} us: under 3x");
 }
 
-/// Scene scale of the churn-cost floor above (2,176 voxels, a 3.28x
+/// Scene scale of the churn-cost floor above (2,176 voxels, a 3.01x
 /// ratio). Below it the fixed per-kernel launch cost that both arms pay
-/// compresses the ratio: 2.69x at half this scale.
+/// compresses the ratio: 2.39x at half this scale.
 const SCALE: f64 = 0.1;
 
 /// Global pooling collapses every batch to one point, so a map op after it

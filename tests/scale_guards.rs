@@ -112,27 +112,26 @@ fn measure(model: &dyn Module, scan: &SparseTensor) -> PerVoxel {
 /// `(floor, ceiling)` of each per-voxel value's ratio, from the smallest
 /// scale to each larger one, in [`PerVoxel::NAMES`] order.
 ///
-/// Source: measured on the commit that added this test, as MinkUNet /
-/// CenterPoint ratios from the smallest to the largest scale — plan bytes
-/// 0.80 / 0.50, map entries 1.33 / 0.55, pricing allocations 0.88 / 0.51,
-/// compile allocations 0.26 / 0.32 (the compile-time grouping search
-/// allocates about 4.7 MB whatever the scan). Most values fall with scale
-/// because the coarse levels of a sparse scan merge more voxels as it
-/// densifies.
+/// Source: measured MinkUNet / CenterPoint ratios from the smallest to the
+/// largest scale — plan bytes 0.83 / 0.50, map entries 1.33 / 0.55,
+/// pricing allocations 0.88 / 0.51, compile allocations 0.22 / 0.31 (the
+/// compile-time grouping search allocates about 4.7 MB whatever the scan).
+/// Most values fall with scale because the coarse levels of a sparse scan
+/// merge more voxels as it densifies.
 ///
 /// - The ceiling, 2.0, is 1.5x the largest measured ratio (1.33). It fails
 ///   anything superlinear in the points.
-/// - The floor, 0.2, sits under the lowest measured ratio (0.26). It fails
+/// - The floor, 0.2, sits under the lowest measured ratio (0.22). It fails
 ///   a fixed cost that does not follow the points: a grid table holding one
 ///   `u32` per bounding-box cell, tried in a scratch copy, reads 0.020 /
 ///   0.044 on pricing allocations.
 const RATIO_BOUNDS: [(f64, f64); 4] = [(0.2, 2.0); 4];
 
 /// MinkUNet's plan bytes per voxel at the top scale (19,454 voxels) may not
-/// exceed 481. Source: 437.3 measured on the commit that added this test,
-/// plus 10%. The plan read 640.6 when every map held its own copy of each
-/// coordinate list it touches, so one such copy coming back fails here.
-const MINKUNET_PLAN_BYTES_PER_VOXEL: f64 = 481.0;
+/// exceed 359. Source: 326.8 measured, plus 10%. Every map holding its own
+/// coordinate index reads 437.3, and every map also holding its own copy
+/// of each coordinate list it touches reads 640.6, so either fails here.
+const MINKUNET_PLAN_BYTES_PER_VOXEL: f64 = 359.0;
 
 /// Checks every per-voxel value of each larger scale against the smallest
 /// one's, within [`RATIO_BOUNDS`].

@@ -2,12 +2,18 @@
 //! charge and the first read replays the log — so nothing but these pinned
 //! bit patterns says the replay issues the same `Timeline::add`s, in the
 //! same order, against the same L2 state as the in-line simulation it
-//! replaced. Every constant below was captured on the parent commit
-//! (`5210e96`, eager evaluation) before any engine edit: per-stage
-//! `to_bits()` of the dynamic timeline for MinkUNet, CenterPoint (dense-head
-//! surcharge) and SPVCNN (point ops traced by hand), of compiled hit /
-//! delta-patch / fallback / full-re-plan / overflow-re-run frames, and an
-//! FNV-1a digest of the `profile_layers` output, at FP32 / FP16 / INT8.
+//! replaced. Every word below but the nine named last was captured on
+//! `5210e96` (eager evaluation): per-stage `to_bits()` of the dynamic timeline for
+//! MinkUNet, CenterPoint (dense-head surcharge) and SPVCNN (point ops
+//! traced by hand), of compiled hit / delta-patch / fallback /
+//! full-re-plan / overflow-re-run frames, and an FNV-1a digest of the
+//! `profile_layers` output, at FP32 / FP16 / INT8.
+//!
+//! The nine are the `Mapping` words of the full-re-plan, fallback and
+//! delta-patch frames at each precision, captured where a level owns one coordinate index: a
+//! cold build charges one MPHF build per level, and a patch layers one
+//! `DeltaIndex` per level, whose side-table for the input level is the one
+//! `diff_coords` hashed and whose queries ask the base index first.
 
 #[path = "support/cost_fixtures.rs"]
 mod fixtures;
@@ -226,21 +232,21 @@ fn golden() -> Snapshot {
         ],
         delta_patch: [
             [
-                0x403008fab24c608a,
+                0x402a070b01898e74,
                 0x40491a67c2698857,
                 0x406193c51af7f045,
                 0x40491a67c2698857,
                 0x4087bbd0e49e9462,
             ],
             [
-                0x403008fab24c608a,
+                0x402a070b01898e74,
                 0x40491a67c2698857,
                 0x405d8e7655df399c,
                 0x40491a67c2698857,
                 0x4087ba5ea83e4c0a,
             ],
             [
-                0x403008fab24c608a,
+                0x402a070b01898e74,
                 0x40491a67c2698857,
                 0x405d8e7655df399c,
                 0x40491a67c2698857,
@@ -249,21 +255,21 @@ fn golden() -> Snapshot {
         ],
         fallback: [
             [
-                0x4040314b2b698b38,
+                0x403a03e3ce87617b,
                 0x4046d7a09a9e9bf3,
                 0x406019a95a9ce9c1,
                 0x4046d7a09a9e9bf3,
                 0x4087bbe715cb0a27,
             ],
             [
-                0x4040314b2b698b38,
+                0x403a03e3ce87617b,
                 0x4046d7a09a9e9bf3,
                 0x405af4b056782a8b,
                 0x4046d7a09a9e9bf3,
                 0x4087ba6b7cac001f,
             ],
             [
-                0x4040314b2b698b38,
+                0x403a03e3ce87617b,
                 0x4046d7a09a9e9bf3,
                 0x405af4b056782a8b,
                 0x4046d7a09a9e9bf3,
@@ -272,21 +278,21 @@ fn golden() -> Snapshot {
         ],
         full_replan: [
             [
-                0x4040243452897cc0,
+                0x4039eaf4c5448274,
                 0x40491a67c2698857,
                 0x406193c51af7f045,
                 0x40491a67c2698857,
                 0x4087bbd0e49e9462,
             ],
             [
-                0x4040243452897cc0,
+                0x4039eaf4c5448274,
                 0x40491a67c2698857,
                 0x405d8e7655df399c,
                 0x40491a67c2698857,
                 0x4087ba5ea83e4c0a,
             ],
             [
-                0x4040243452897cc0,
+                0x4039eaf4c5448274,
                 0x40491a67c2698857,
                 0x405d8e7655df399c,
                 0x40491a67c2698857,
