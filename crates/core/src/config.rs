@@ -12,7 +12,11 @@ pub enum Precision {
     Fp16,
     /// 8-bit features; scatter still runs at 16 bits because the multi-way
     /// reduction needs more than 8 bits and CUDA requires aligned access —
-    /// the paper's reason INT8 gives diminishing returns.
+    /// the paper's reason INT8 gives diminishing returns. Priced only:
+    /// [`Engine::price`](crate::Engine::price) accepts it, while executing
+    /// it ([`Engine::run`](crate::Engine::run),
+    /// [`Engine::compile`](crate::Engine::compile) and every frame after)
+    /// returns [`CoreError::InvalidConfig`](crate::CoreError::InvalidConfig).
     Int8,
 }
 

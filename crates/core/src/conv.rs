@@ -1,8 +1,7 @@
 use crate::config::{OptimizationConfig, Precision};
 use crate::context::{CachedMap, Context, LayerWorkload, MapKey};
 use crate::dataflow::{
-    apply_storage_precision_owned, fetch_on_demand_into, gather_matmul_scatter_into, ConvWorkload,
-    Epilogue, FusedOrder,
+    fetch_on_demand_into, gather_matmul_scatter_into, ConvWorkload, Epilogue, FusedOrder,
 };
 use crate::faults::FaultSite;
 use crate::grouping::plan_groups;
@@ -11,7 +10,6 @@ use crate::module::Module;
 use crate::plan::{ConvDataflow, ConvPlan, EpilogueSteps, LayerOp, Tracer};
 use crate::runtime::Runtime;
 use crate::CoreError;
-use std::mem::take;
 use std::sync::Arc;
 use torchsparse_coords::{offsets, Coord, CoordsError};
 use torchsparse_gpusim::Micros;
@@ -320,17 +318,16 @@ impl SparseConv3d {
     }
 
     /// The execute half: the feature-path numerics (gather/matmul/scatter
-    /// or fetch-on-demand, plus quantization and overflow fallback) of
-    /// `input` against a frozen [`ConvPlan`], written into `out` (reshaped
-    /// here; its buffer is reused). Never builds maps, plans groups or
-    /// touches the cost model.
+    /// or fetch-on-demand, plus the storage rounds and overflow fallback)
+    /// of `input` against a frozen [`ConvPlan`], written into `out`
+    /// (reshaped here; its buffer is reused). Never builds maps, plans
+    /// groups or touches the cost model.
     ///
     /// `epilogue` names the pointwise work of the steps the plan folded
-    /// into this layer. It runs inside the executor's output blocks, with
-    /// the storage round and finiteness check, unless the output needs a
-    /// whole-matrix pass first: INT8 calibrates its scale over the whole
-    /// output, and an injected or organic FP16 overflow re-runs the layer
-    /// in FP32. Those keep the separate sweeps, and so do the folded steps.
+    /// into this layer. It always runs inside the executor's output
+    /// blocks, after the storage round and finiteness check. A layer whose
+    /// FP16 output overflows, organically or by an injected fault, re-runs
+    /// in FP32 with the same epilogue. Returns whether it re-ran.
     pub(crate) fn compute(
         &self,
         input: &Matrix,
@@ -339,7 +336,7 @@ impl SparseConv3d {
         out: &mut Matrix,
         config: &OptimizationConfig,
         rt: &mut Runtime,
-    ) -> Result<ConvRun, CoreError> {
+    ) -> Result<bool, CoreError> {
         if input.cols() != self.c_in {
             return Err(CoreError::ChannelMismatch { expected: self.c_in, actual: input.cols() });
         }
@@ -364,53 +361,28 @@ impl SparseConv3d {
             }
         };
 
-        let precision = config.precision;
-        let quantized = precision != Precision::Fp32;
-        // The overflow probe precedes the executor, so an armed fault is
-        // known before the epilogue could run; no other site is probed in
-        // between, so the injector's draws keep their order.
+        let quantized = config.precision != Precision::Fp32;
+        // The overflow probe precedes the executor, so no other site is
+        // probed in between and the injector's draws keep their order. An
+        // injected overflow skips the quantized run it dooms.
         let inject = quantized
             && workload.n_out * self.c_out > 0
             && rt.faults.should_fail(FaultSite::Fp16Overflow);
-        let fused = precision != Precision::Int8 && !inject;
-        let finite = if fused {
-            let epilogue = Epilogue { round_f16: precision == Precision::Fp16, ..epilogue };
-            run_dataflow(config, &epilogue, out)
-        } else {
-            run_dataflow(config, &Epilogue::default(), out);
-            *out = apply_storage_precision_owned(&pool, take(out), precision);
-            if inject {
-                // Simulate a quantized activation saturating to infinity;
-                // detection below then takes the same path as an organic
-                // overflow.
-                out.as_mut_slice()[0] = f32::INFINITY;
-            }
-            !quantized || out.par_is_finite(&pool)
-        };
-        let reran = !finite;
+        let epilogue = Epilogue { round_conv: quantized, round_batch_norm: quantized, ..epilogue };
+        let reran = inject || !run_dataflow(config, &epilogue, out);
         if reran {
             rt.degradation.record(
                 FaultSite::Fp16Overflow,
                 "non-finite quantized output; layer re-run in FP32",
             );
-            // The re-run output stays FP32: precision is a storage
-            // optimization, and this layer just proved it loses too much.
+            // The re-run's own output stays FP32 (a batch norm after it
+            // still stores binary16): precision is a storage optimization,
+            // and this layer just proved it loses too much.
             let fp32 = OptimizationConfig { precision: Precision::Fp32, ..config.clone() };
-            run_dataflow(&fp32, &Epilogue::default(), out);
+            run_dataflow(&fp32, &Epilogue { round_conv: false, ..epilogue }, out);
         }
-        Ok(ConvRun { reran, fused: fused && !reran })
+        Ok(reran)
     }
-}
-
-/// What [`SparseConv3d::compute`] reports beside its output.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ConvRun {
-    /// The quantized output overflowed and the layer ran a second time in
-    /// FP32 — the one feature-dependent input of its simulated cost.
-    pub(crate) reran: bool,
-    /// The epilogue ran inside the executor: the steps it covers have
-    /// nothing left to do.
-    pub(crate) fused: bool,
 }
 
 /// Acquires the kernel map `key` over `coords` for a convolution or pooling

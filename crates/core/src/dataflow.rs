@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use torchsparse_coords::kernel_map::MapEntry;
 use torchsparse_coords::KernelMap;
 use torchsparse_tensor::microkernel::{self, PackedB};
-use torchsparse_tensor::{quant, Matrix};
+use torchsparse_tensor::Matrix;
 
 /// Everything a dataflow needs to execute one convolution.
 #[derive(Debug)]
@@ -63,32 +63,6 @@ impl ConvWorkload<'_> {
     fn c_out(&self) -> usize {
         self.packed.first().map_or(0, PackedB::n)
     }
-}
-
-/// Rounds a matrix to its storage precision, consuming it: FP32 is a true
-/// identity (no copy at all) and the quantized precisions round in place.
-///
-/// Applied at layer boundaries so that numerical results reflect genuine
-/// quantized storage while GEMMs accumulate in FP32 (tensor-core
-/// semantics). Layers call this on the matrix they just computed, so the
-/// FP32 path of a forward pass allocates nothing here. The rounding sweep
-/// runs on the worker pool; per-element rounding is independent, so results
-/// are bitwise identical at any thread count (and the SIMD sweeps are
-/// bit-exact against the scalar per-element conversions for every input).
-pub(crate) fn apply_storage_precision_owned(
-    pool: &ThreadPool,
-    mut m: Matrix,
-    precision: Precision,
-) -> Matrix {
-    match precision {
-        Precision::Fp32 => {}
-        Precision::Fp16 => quant::round_trip_f16_in_place(pool, &mut m),
-        Precision::Int8 => {
-            let q = quant::Int8Quantizer::calibrate(m.as_slice());
-            q.round_trip_in_place(pool, &mut m);
-        }
-    }
-    m
 }
 
 /// Output rows per executor task on a parallel pool, and map entries per
@@ -240,18 +214,23 @@ fn canonicalize_nans(block: &mut [f32]) {
 /// The pointwise steps that follow a convolution, run on each finished
 /// output block while it is still in cache instead of as whole-matrix
 /// sweeps of their own. The plan marks which steps a convolution absorbs
-/// ([`crate::plan::EpilogueSteps`]); the layer fills in the storage round.
+/// ([`crate::plan::EpilogueSteps`]); the layer fills in the storage rounds.
 ///
-/// Per element, in this order: round to binary16 storage; then, in a block
-/// whose rounded values are all finite, batch norm `v * scale + shift` and
-/// its binary16 round, the identity-shortcut add `v + shortcut`, and ReLU
-/// `v.max(0.0)`. These are the f32 operations of the separate sweeps in
-/// their order, so the output bits are the same.
+/// Per element, in this order: round the convolution's output to binary16
+/// storage; then, in a block whose rounded values are all finite, batch
+/// norm `v * scale + shift` and its binary16 round, the identity-shortcut
+/// add `v + shortcut`, and ReLU `v.max(0.0)`. These are the f32 operations
+/// of the separate sweeps in their order, so the output bits are the same.
+/// A layer re-run in FP32 after an overflow keeps its own output in FP32
+/// but still stores the batch norm's in binary16, as the separate
+/// `BatchNorm::apply` sweep does.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Epilogue<'a> {
-    /// Binary16 storage: round the convolution's output (and the batch
-    /// norm's), and report a non-finite rounded output.
-    pub(crate) round_f16: bool,
+    /// Binary16 storage of the convolution's output: round it, and report
+    /// a non-finite rounded output.
+    pub(crate) round_conv: bool,
+    /// Binary16 storage of the batch norm's output.
+    pub(crate) round_batch_norm: bool,
     /// Batch norm's per-channel `(scale, shift)`.
     pub(crate) batch_norm: Option<(&'a [f32], &'a [f32])>,
     /// The identity shortcut added after batch norm (same shape as the
@@ -265,9 +244,9 @@ impl Epilogue<'_> {
     /// Finishes output rows `first_row ..` held in `block` (`cols` wide).
     /// Returns `false`, leaving the later operations undone, when the
     /// rounded convolution output holds a non-finite value: the layer then
-    /// re-runs in FP32 and its pointwise steps run on their own.
+    /// re-runs in FP32, epilogue and all.
     fn finish(&self, first_row: usize, cols: usize, block: &mut [f32]) -> bool {
-        if self.round_f16 {
+        if self.round_conv {
             microkernel::f16_round_trip_slice(block);
             if !block.iter().all(|v| v.is_finite()) {
                 return false;
@@ -279,7 +258,7 @@ impl Epilogue<'_> {
                     *v = *v * s + sh;
                 }
             }
-            if self.round_f16 {
+            if self.round_batch_norm {
                 microkernel::f16_round_trip_slice(block);
             }
         }
@@ -472,6 +451,7 @@ pub(crate) mod tests {
     use torchsparse_coords::kernel_map::search_dilated_on;
     use torchsparse_coords::{Coord, CoordHashMap};
     use torchsparse_tensor::gemm::{self, GemmOpts};
+    use torchsparse_tensor::quant::round_trip_f16_in_place;
 
     /// Deterministic pseudo-random matrix without a rand dependency.
     fn pseudo_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
@@ -638,7 +618,7 @@ pub(crate) mod tests {
             if name.ends_with("several chunks") {
                 assert!(parts.n_out.div_ceil(MOVE_CHUNK) >= 3, "{name}: {} rows", parts.n_out);
             }
-            for precision in [Precision::Fp32, Precision::Fp16, Precision::Int8] {
+            for precision in [Precision::Fp32, Precision::Fp16] {
                 for skip_center in [false, true] {
                     let mut cfg = OptimizationConfig::torchsparse();
                     cfg.precision = precision;
@@ -711,18 +691,6 @@ pub(crate) mod tests {
         let out = parts.run_gms(&OptimizationConfig::torchsparse());
         let rel = out.max_abs_diff(&expect).unwrap() / expect.frobenius_norm().max(1e-6);
         assert!(rel < 0.01, "fp16 relative error {rel} too large");
-    }
-
-    #[test]
-    fn int8_runs_and_roughly_matches() {
-        let parts = workload_parts(4, 4);
-        let mut cfg = OptimizationConfig::torchsparse();
-        cfg.precision = Precision::Int8;
-        // INT8 storage was not applied to in_feats here (the conv layer does
-        // that); this exercises the 16-bit partial-sum path only.
-        let out = parts.run_gms(&cfg);
-        let expect = parts.reference(&OptimizationConfig::baseline_fp32());
-        assert!(out.max_abs_diff(&expect).unwrap() < 1.0);
     }
 
     /// An 8 x 8 x 6 block with a quarter of its voxels knocked out: dense
@@ -799,7 +767,7 @@ pub(crate) mod tests {
                 )
                 .expect("shapes agree");
                 if precision != Precision::Fp32 {
-                    quant::round_trip_f16_in_place(ThreadPool::global(), &mut products);
+                    round_trip_f16_in_place(ThreadPool::global(), &mut products);
                 }
                 for (i, e) in entries.iter().enumerate() {
                     for co in 0..c_out {

@@ -77,6 +77,8 @@ impl Engine {
     ///
     /// # Errors
     ///
+    /// [`CoreError::InvalidConfig`] at [`Precision::Int8`](crate::Precision),
+    /// which is priced ([`Engine::price`]), never run;
     /// [`CoreError::Untraceable`] when the model has no
     /// [`trace`](Module::trace) implementation, plus any planning error
     /// (validation, mapping, channel mismatches).
@@ -118,8 +120,10 @@ impl Engine {
     /// Validation failures under the `Reject` policy
     /// ([`CoreError::NonFiniteFeatures`], [`CoreError::ExtentOverflow`],
     /// [`CoreError::BudgetExceeded`], duplicate coordinates),
-    /// [`CoreError::DeadlineExceeded`], plus any [`CoreError`] raised by
-    /// the model's layers.
+    /// [`CoreError::DeadlineExceeded`], [`CoreError::InvalidConfig`] at
+    /// [`Precision::Int8`](crate::Precision), which is priced
+    /// ([`Engine::price`]), never run, plus any [`CoreError`] raised by the
+    /// model's layers.
     pub fn run<M: Module + ?Sized>(
         &mut self,
         model: &M,
@@ -307,5 +311,48 @@ mod tests {
             ts.last_latency(),
             base.last_latency()
         );
+    }
+
+    /// INT8 is priced, never run. `run`, `compile` and a compiled stream
+    /// switched to INT8 fail with `InvalidConfig` before any step: no
+    /// convolution draws the armed overflow, nothing is recorded, and the
+    /// stream keeps the activation buffers its last frame left. `price`
+    /// still returns the INT8 timeline.
+    #[test]
+    fn int8_is_priced_not_run() {
+        use crate::{FaultSite, Precision};
+        let (model, x) = (tiny_model(), scene());
+        let rejected = |e: CoreError| match e {
+            CoreError::InvalidConfig { reason } => reason.contains("Engine::price"),
+            _ => false,
+        };
+        let mut cfg = EnginePreset::TorchSparse.config();
+        cfg.precision = Precision::Int8;
+        let mut e = Engine::with_config(cfg.clone(), DeviceProfile::rtx_2080ti());
+        e.context_mut().runtime.faults.arm(FaultSite::Fp16Overflow);
+        assert!(rejected(e.run(&model, &x).unwrap_err()));
+        let runtime = &e.context().runtime;
+        assert!(runtime.activations.is_empty() && runtime.degradation.is_empty());
+        assert!(runtime.faults.injected().is_empty() && runtime.faults.is_armed());
+        assert!(e.price(&model, &x).unwrap().total() > Micros::ZERO);
+        assert!(rejected(e.compile(&model, &x).unwrap_err()));
+
+        cfg.precision = Precision::Fp16;
+        let mut session =
+            Engine::with_config(cfg, DeviceProfile::rtx_2080ti()).compile(&model, &x).unwrap();
+        session.execute(&x).unwrap();
+        let slots = |ctx: &Context| -> Vec<_> {
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let slots = ctx.runtime.activations.iter();
+            slots.map(|m| (m.as_slice().as_ptr(), m.capacity(), bits(m))).collect()
+        };
+        let before = slots(session.context());
+        assert!(!before.is_empty());
+        session.context_mut().config.precision = Precision::Int8;
+        session.context_mut().runtime.faults.arm(FaultSite::Fp16Overflow);
+        assert!(rejected(session.execute(&x).unwrap_err()));
+        assert_eq!(slots(session.context()), before);
+        assert!(session.degradation_report().is_empty());
+        assert!(session.context().runtime.faults.injected().is_empty());
     }
 }

@@ -6,7 +6,7 @@
 //! of planning or the cost model: no map cache, no grouping table, no
 //! ledger. The caller logs the frame's charge once the steps have run.
 
-use crate::config::OptimizationConfig;
+use crate::config::{OptimizationConfig, Precision};
 use crate::dataflow::Epilogue;
 use crate::plan::{ExecutionPlan, LayerOp, StepPlan};
 use crate::runtime::Runtime;
@@ -25,7 +25,8 @@ use torchsparse_tensor::Matrix;
 /// step writes lives in the buffer slot the plan assigned it, among the
 /// runtime's activation buffers, so a frame on a geometry seen before
 /// allocates no feature buffer but its output's. `Push` shares the current
-/// matrix with the value stack.
+/// matrix with the value stack. An INT8 configuration fails with
+/// [`CoreError::InvalidConfig`] before the first step ([`check_runnable`]).
 pub(crate) fn run_steps(
     ops: &[LayerOp<'_>],
     plan: &ExecutionPlan,
@@ -33,6 +34,7 @@ pub(crate) fn run_steps(
     config: &OptimizationConfig,
     rt: &mut Runtime,
 ) -> Result<(SparseTensor, Vec<usize>), CoreError> {
+    check_runnable(config)?;
     if ops.len() != plan.steps.len() || ops.len() != plan.buffers.len() {
         return Err(CoreError::PlanMismatch { reason: "op/step count differs" });
     }
@@ -49,6 +51,21 @@ pub(crate) fn run_steps(
     let out = run_steps_on(ops, plan, input, &mut acts, config, rt);
     rt.activations = acts.slots;
     out
+}
+
+/// Fails for a configuration the host does not execute: INT8 features are
+/// priced by `Engine::price`, never run (§4.3.1 rejects them on cost
+/// alone). Checked before a compile plans and before a frame's first step,
+/// so no convolution of a rejected frame runs: it draws no `Fp16Overflow`
+/// and leaves the runtime's activation buffers as they were. (A dynamic
+/// run has built its plan by then, with that walk's own fault probes.)
+pub(crate) fn check_runnable(config: &OptimizationConfig) -> Result<(), CoreError> {
+    if config.precision == Precision::Int8 {
+        return Err(CoreError::InvalidConfig {
+            reason: "INT8 features are priced, not run: use Engine::price".to_owned(),
+        });
+    }
+    Ok(())
 }
 
 /// [`run_steps`] with the activation buffers taken out of the runtime.
@@ -97,7 +114,7 @@ fn run_steps_on(
                     _ => None,
                 };
                 let shortcut = stack.last().filter(|_| p.epilogue.residual);
-                let run = acts.write(slot, |m, acts| {
+                let reran = acts.write(slot, |m, acts| {
                     let epilogue = Epilogue {
                         batch_norm,
                         shortcut: shortcut.map(|&v| acts.get(v)),
@@ -106,12 +123,10 @@ fn run_steps_on(
                     };
                     conv.compute(acts.get(cur), p, epilogue, m, config, rt)
                 })?;
-                if run.reran {
+                if reran {
                     reruns.push(i);
                 }
-                if run.fused {
-                    fused_ahead = p.epilogue.len();
-                }
+                fused_ahead = p.epilogue.len();
                 (cur, coords, stride) = (Some(slot), &p.out_coords, p.out_stride);
             }
             (LayerOp::Pool(pool), StepPlan::Pool(p)) => {
@@ -149,10 +164,10 @@ fn run_steps_on(
                 let shortcut = match (projection, proj) {
                     (Some(conv), Some(p)) => {
                         let slot = out?;
-                        let run = acts.write(slot, |m, acts| {
+                        let reran = acts.write(slot, |m, acts| {
                             conv.compute(acts.get(saved), p, Epilogue::default(), m, config, rt)
                         })?;
-                        if run.reran {
+                        if reran {
                             reruns.push(i);
                         }
                         Some(slot)

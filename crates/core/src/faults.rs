@@ -29,8 +29,9 @@ pub enum FaultSite {
     /// Fallback: rebuild the coordinate table as a hashmap (§4.4's
     /// "conventional" strategy) and continue.
     GridTableBuild,
-    /// A quantized (FP16/INT8) layer produces Inf/NaN output.
-    /// Fallback: transparently re-run that layer's dataflow in FP32.
+    /// An FP16 layer produces Inf/NaN output.
+    /// Fallback: transparently re-run that layer's dataflow in FP32. An
+    /// injected fault skips the FP16 run and goes straight to the re-run.
     Fp16Overflow,
     /// A kernel-map cache entry is invalidated at lookup time.
     /// Fallback: rebuild the map from coordinates (the cache is an

@@ -158,9 +158,10 @@ pub(crate) struct ConvPlan {
 /// Which of the steps right after a convolution fold into its executor:
 /// the longest match of `[BatchNorm] [ResidualAdd { projection: None }]
 /// [ReLU]`, in that order, is marked at plan time. No step is removed —
-/// the plan walk, profiles and delta re-planning see every step — and the
-/// executor skips a marked step's own sweep only when the convolution
-/// reports that its epilogue ran (see [`crate::dataflow`]'s `Epilogue`).
+/// the plan walk, profiles and delta re-planning see every step — but the
+/// convolution's epilogue always runs a marked step's work, its FP32
+/// re-run included, so the executor skips the step's own sweep (see
+/// [`crate::dataflow`]'s `Epilogue`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct EpilogueSteps {
     pub(crate) batch_norm: bool,

@@ -6,18 +6,17 @@
 //! in the paper's Figure 4 breakdown. Each layer only traces itself, and
 //! the sweep is part of the plan's cost. On the host, a batch norm or ReLU
 //! right after a convolution runs inside that convolution's output blocks
-//! (the plan's fused epilogue); anywhere else — and after an INT8 or
-//! overflowing convolution — the plan executor runs the crate-internal
+//! (the plan's fused epilogue), its FP32 re-run after an overflow
+//! included; anywhere else the plan executor runs the crate-internal
 //! numerics half, `apply`, in place on the feature matrix it owns.
 
 use crate::config::Precision;
-use crate::dataflow::apply_storage_precision_owned;
 use crate::module::Module;
 use crate::plan::{LayerOp, Tracer};
 use crate::runtime::ThreadPool;
 use crate::CoreError;
 use torchsparse_coords::Coord;
-use torchsparse_tensor::Matrix;
+use torchsparse_tensor::{quant, Matrix};
 
 /// Inference-mode batch normalization, folded to per-channel scale + shift.
 ///
@@ -63,8 +62,9 @@ impl BatchNorm {
         (&self.scale, &self.shift)
     }
 
-    /// The feature-path numerics, in place: no allocation, no simulated
-    /// cost, no per-layer profile (both come from the plan).
+    /// The feature-path numerics, in place: `v * scale + shift`, stored in
+    /// binary16 at FP16. No allocation, no simulated cost, no per-layer
+    /// profile (both come from the plan).
     pub(crate) fn apply(
         &self,
         feats: &mut Matrix,
@@ -82,7 +82,9 @@ impl BatchNorm {
                 *v = *v * s + sh;
             }
         });
-        *feats = apply_storage_precision_owned(pool, std::mem::take(feats), precision);
+        if precision == Precision::Fp16 {
+            quant::round_trip_f16_in_place(pool, feats);
+        }
         Ok(())
     }
 }

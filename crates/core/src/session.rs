@@ -38,7 +38,7 @@
 use crate::context::{Context, MapKey, Planner};
 use crate::cost_model::Charge;
 use crate::delta::{Level, Patch};
-use crate::exec::run_steps;
+use crate::exec::{check_runnable, run_steps};
 use crate::faults::DegradationReport;
 use crate::module::Module;
 use crate::plan::{
@@ -327,13 +327,15 @@ impl<'m> CompiledSession<'m> {
     ///
     /// # Errors
     ///
-    /// [`CoreError::Untraceable`] for models without a `trace`
+    /// [`CoreError::InvalidConfig`] at INT8 precision, which is priced,
+    /// never run; [`CoreError::Untraceable`] for models without a `trace`
     /// implementation, plus validation and mapping errors from planning.
     pub(crate) fn compile<M: Module + ?Sized>(
         mut ctx: Context,
         model: &'m M,
         input: &SparseTensor,
     ) -> Result<CompiledSession<'m>, CoreError> {
+        check_runnable(&ctx.config)?;
         let ops = trace(model)?;
         // Coordinate sets are frozen at plan time from here on: this
         // stream's map searches (the compile below, private re-plans) build

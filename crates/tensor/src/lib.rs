@@ -14,7 +14,8 @@
 //!   rows.
 //! - [`Half`]: software IEEE-754 binary16 with round-to-nearest-even, used to
 //!   reproduce the FP16 quantization study (§4.3.1, Table 3).
-//! - [`quant`]: FP16/INT8 feature quantization helpers.
+//! - [`quant`]: the FP16 feature-storage round trip (INT8 is priced by the
+//!   cost model only, never run).
 //! - [`microkernel`]: the one GEMM kernel, fused gather–GEMM–scatter, and
 //!   the precision sweeps (AVX2 with a portable fallback, picked once per
 //!   process from the CPU) plus the [`PackedB`] panel-major weight layout,

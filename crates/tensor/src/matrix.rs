@@ -300,7 +300,7 @@ impl Matrix {
     ///
     /// This is the vectorization-friendly sibling of
     /// [`Matrix::par_map_inplace`]: `f` receives whole chunks, so SIMD
-    /// sweeps (FP16/INT8 precision conversion) amortize their dispatch over
+    /// sweeps (the FP16 storage round trip) amortize their dispatch over
     /// thousands of elements instead of paying a closure call per element.
     /// `f` must transform each element independently of its neighbours —
     /// then the fixed chunk partition keeps results bitwise identical to a
@@ -356,33 +356,10 @@ impl Matrix {
         pool.run(tasks);
     }
 
-    /// Whether every element is finite (no NaN or infinity). The engine's
-    /// quantized-precision fallback scans layer outputs with this to decide
-    /// whether an FP32 re-run is needed; an empty matrix is finite.
+    /// Whether every element is finite (no NaN or infinity); an empty
+    /// matrix is finite.
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())
-    }
-
-    /// [`Matrix::is_finite`] with the scan fanned out over a worker pool.
-    /// Each chunk reports into its own slot, so the combined answer does
-    /// not depend on task completion order.
-    pub fn par_is_finite(&self, pool: &ThreadPool) -> bool {
-        if (pool.threads() <= 1 && !pool.is_recording()) || self.data.len() <= ELEMWISE_CHUNK {
-            return self.is_finite();
-        }
-        let chunks: Vec<&[f32]> = self.data.chunks(ELEMWISE_CHUNK).collect();
-        let mut flags = vec![true; chunks.len()];
-        let tasks: Vec<Task<'_>> = chunks
-            .into_iter()
-            .zip(flags.iter_mut())
-            .map(|(chunk, flag)| {
-                Box::new(move || {
-                    *flag = chunk.iter().all(|v| v.is_finite());
-                }) as Task<'_>
-            })
-            .collect();
-        pool.run(tasks);
-        flags.into_iter().all(|b| b)
     }
 
     /// Number of NaN or infinite elements.

@@ -346,37 +346,12 @@ fn f16_round_trip_with(kernel: Kernel, data: &mut [f32]) {
     }
 }
 
-/// Symmetric INT8 quantize-dequantize round trip over a slice on `kernel`:
-/// `clamp(round(v / scale), -127, 127) * scale` per element, exactly as the
-/// scalar [`Int8Quantizer`](crate::quant::Int8Quantizer) computes it
-/// (including round-half-away-from-zero, saturation of infinities, and
-/// NaN -> 0). The AVX2 path reconstructs `f32::round` from truncate +
-/// half-bump, which is exact for every representable input, so results are
-/// bitwise identical to the scalar loop.
-pub(crate) fn int8_round_trip_with(kernel: Kernel, scale: f32, data: &mut [f32]) {
-    debug_assert!(scale.is_finite() && scale > 0.0);
-    #[cfg(target_arch = "x86_64")]
-    if kernel == Kernel::Avx2 {
-        x86::int8_round_trip(scale, data);
-        return;
-    }
-    let _ = kernel;
-    for v in data {
-        *v = int8_round_trip_scalar(scale, *v);
-    }
-}
-
-/// One element of the INT8 round trip — the semantic reference shared by
-/// the scalar sweep and the vector path's tail loop.
-fn int8_round_trip_scalar(scale: f32, v: f32) -> f32 {
-    let q = (v / scale).round().clamp(-127.0, 127.0) as i8;
-    q as f32 * scale
-}
-
 /// The `std::arch` implementations. This is the only module in the crate
-/// allowed to use `unsafe`: every function is either `#[target_feature]`
-/// (entered only through a safe wrapper after a check of the CPU feature;
-/// [`active`] picks [`Kernel::Avx2`] only after the same check) or plain
+/// allowed to use `unsafe`. Three `#[target_feature]` functions are its
+/// entry points — the AVX2 fused rows and row accumulate, and the F16C
+/// storage round trip — each entered only through a safe wrapper after a
+/// check of the CPU feature ([`active`] picks [`Kernel::Avx2`] only after
+/// the same check). The other unsafe functions are their helpers: plain
 /// pointer arithmetic over lengths the safe wrappers validated.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
@@ -384,12 +359,10 @@ mod x86 {
     use super::{Kernel, PackedB, LANES, NR};
     use crate::Half;
     use std::arch::x86_64::{
-        __m256, _mm256_add_ps, _mm256_and_ps, _mm256_andnot_ps, _mm256_broadcast_ss, _mm256_cmp_ps,
-        _mm256_cmpgt_epi32, _mm256_cvtph_ps, _mm256_cvtps_ph, _mm256_div_ps, _mm256_loadu_ps,
-        _mm256_maskload_ps, _mm256_max_ps, _mm256_min_ps, _mm256_movemask_ps, _mm256_mul_ps,
-        _mm256_or_ps, _mm256_round_ps, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32,
-        _mm256_setzero_ps, _mm256_storeu_ps, _mm256_sub_ps, _CMP_GE_OQ, _CMP_NEQ_UQ, _CMP_UNORD_Q,
-        _MM_FROUND_NO_EXC, _MM_FROUND_TO_NEAREST_INT, _MM_FROUND_TO_ZERO,
+        __m256, _mm256_add_ps, _mm256_broadcast_ss, _mm256_cmp_ps, _mm256_cmpgt_epi32,
+        _mm256_cvtph_ps, _mm256_cvtps_ph, _mm256_loadu_ps, _mm256_maskload_ps, _mm256_movemask_ps,
+        _mm256_mul_ps, _mm256_set1_epi32, _mm256_setr_epi32, _mm256_setzero_ps, _mm256_storeu_ps,
+        _CMP_NEQ_UQ, _CMP_UNORD_Q, _MM_FROUND_TO_NEAREST_INT,
     };
 
     /// Panels per strip: two accumulators per panel, so a full strip holds
@@ -823,65 +796,11 @@ mod x86 {
             *v = Half::from_f32(*v).to_f32();
         }
     }
-
-    pub(super) fn int8_round_trip(scale: f32, data: &mut [f32]) {
-        assert_avx2();
-        // SAFETY: the CPU runs AVX2, checked just above.
-        unsafe { int8_round_trip_avx2(scale, data) }
-    }
-
-    /// Vector INT8 round trip, bit-exact against the scalar reference:
-    ///
-    /// - `round()` (half away from zero) is rebuilt as truncate + bump when
-    ///   `|frac| >= 0.5`. `q - trunc(q)` is exact for every f32 (both are
-    ///   multiples of `ulp(q)`), and integers below 2^23 step by 1 exactly,
-    ///   so the rebuilt rounding never deviates.
-    /// - `clamp` maps +-inf to +-127 like `f32::clamp`.
-    /// - NaN lanes are zeroed afterwards, matching the scalar `as i8` cast.
-    /// - adding `+0.0` post-clamp turns `-0.0` into `+0.0`, matching the
-    ///   scalar path's pass through the integer 0.
-    #[target_feature(enable = "avx2")]
-    unsafe fn int8_round_trip_avx2(scale: f32, data: &mut [f32]) {
-        let len = data.len();
-        let scale_v = _mm256_set1_ps(scale);
-        let half = _mm256_set1_ps(0.5);
-        let one = _mm256_set1_ps(1.0);
-        let pos_zero = _mm256_set1_ps(0.0);
-        let sign_mask = _mm256_set1_ps(-0.0);
-        let lo = _mm256_set1_ps(-127.0);
-        let hi = _mm256_set1_ps(127.0);
-        let mut i = 0;
-        // SAFETY: i + LANES <= len bounds every load/store.
-        unsafe {
-            let p = data.as_mut_ptr();
-            while i + LANES <= len {
-                let v = _mm256_loadu_ps(p.add(i));
-                let q = _mm256_div_ps(v, scale_v);
-                let t = _mm256_round_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(q);
-                let frac = _mm256_sub_ps(q, t);
-                let frac_abs = _mm256_andnot_ps(sign_mask, frac);
-                let bump_mask = _mm256_cmp_ps::<_CMP_GE_OQ>(frac_abs, half);
-                let signed_one = _mm256_or_ps(one, _mm256_and_ps(q, sign_mask));
-                let rounded = _mm256_add_ps(t, _mm256_and_ps(bump_mask, signed_one));
-                let clamped = _mm256_max_ps(_mm256_min_ps(rounded, hi), lo);
-                // -0.0 -> +0.0 (x + 0.0 is the identity for every other x).
-                let normalized = _mm256_add_ps(clamped, pos_zero);
-                let nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(v, v);
-                let code = _mm256_andnot_ps(nan, normalized);
-                _mm256_storeu_ps(p.add(i), _mm256_mul_ps(code, scale_v));
-                i += LANES;
-            }
-        }
-        for v in &mut data[i..] {
-            *v = super::int8_round_trip_scalar(scale, *v);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quant::Int8Quantizer;
     use crate::Matrix;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -1333,43 +1252,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn int8_round_trip_matches_scalar_on_hard_cases() {
-        let scale = 0.05f32;
-        let q = Int8Quantizer::with_scale(scale);
-        let mut cases: Vec<f32> = vec![
-            0.0,
-            -0.0,
-            0.024_999,
-            0.025, // exact half step -> away from zero
-            -0.025,
-            1e9,
-            -1e9,
-            f32::INFINITY,
-            f32::NEG_INFINITY,
-            f32::NAN,
-            6.35,
-            -6.35,
-            scale * 126.5, // tie at the clamp edge
-        ];
-        let mut rng = StdRng::seed_from_u64(29);
-        cases.extend((0..8192).map(|_| f32::from_bits(rng.random_range(0u32..=u32::MAX))));
-        let expect: Vec<f32> = cases.iter().map(|&v| q.dequantize(q.quantize(v))).collect();
-        for kernel in every_kernel() {
-            let mut data = cases.clone();
-            int8_round_trip_with(kernel, scale, &mut data);
-            for (i, (d, e)) in data.iter().zip(&expect).enumerate() {
-                assert_eq!(
-                    d.to_bits(),
-                    e.to_bits(),
-                    "{} case {i}: {:?} -> {d:?} want {e:?}",
-                    kernel.name(),
-                    cases[i]
-                );
-            }
-        }
-    }
-
     proptest! {
         /// Arbitrary shapes — including ragged column tails
         /// (`n % NR != 0`) and degenerate `k` — are bitwise identical
@@ -1391,26 +1273,6 @@ mod tests {
                     bits(&c) == bits(&reference),
                     "{} ({},{},{})", kernel.name(), m, k, n
                 );
-            }
-        }
-
-        /// The INT8 vector sweep is bit-exact for arbitrary f32 bit
-        /// patterns, NaN and infinities included.
-        #[test]
-        fn prop_int8_round_trip_bit_exact(
-            raw in proptest::collection::vec(0u32..u32::MAX, 1..64),
-            scale_mil in 1u32..100_000,
-        ) {
-            let scale = scale_mil as f32 * 1e-4;
-            let q = Int8Quantizer::with_scale(scale);
-            let vals: Vec<f32> = raw.iter().map(|&b| f32::from_bits(b)).collect();
-            let expect: Vec<u32> =
-                vals.iter().map(|&v| q.dequantize(q.quantize(v)).to_bits()).collect();
-            for kernel in every_kernel() {
-                let mut data = vals.clone();
-                int8_round_trip_with(kernel, scale, &mut data);
-                let got: Vec<u32> = data.iter().map(|v| v.to_bits()).collect();
-                prop_assert!(got == expect, "{}", kernel.name());
             }
         }
 

@@ -73,7 +73,7 @@ fn chained_plans_match_one_plan() {
     }
     let one = OnePlan(blocks());
     let x = scene(4);
-    for precision in [Precision::Fp32, Precision::Fp16, Precision::Int8] {
+    for precision in [Precision::Fp32, Precision::Fp16] {
         let run = |m: &dyn Module| {
             let mut e = engine(&untuned(precision));
             e.context_mut().profile_layers = true;

@@ -104,7 +104,7 @@ fn output_bits(
     y.feats().as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
-/// 3 dataflows x 3 precisions x 1/2/8 threads all produce the scalar
+/// 3 dataflows x 2 precisions x 1/2/8 threads all produce the scalar
 /// reference's bits — on ordinary submanifold and strided
 /// layers, and on a layer whose products contain `-0.0`, `±inf` and NaN
 /// addends.
@@ -131,10 +131,7 @@ fn canonical_order_bitwise_identical_across_threads_dataflows_precisions_routes_
     ];
     for (case, conv, x) in &cases {
         for (dataflow, cfg) in dataflow_configs() {
-            for precision in [Precision::Fp32, Precision::Fp16, Precision::Int8] {
-                if *case == "special" && precision == Precision::Int8 {
-                    continue; // INT8 calibration rejects non-finite tensors outright
-                }
+            for precision in [Precision::Fp32, Precision::Fp16] {
                 let mut cfg = cfg.clone();
                 cfg.precision = precision;
                 let reference = layer_reference(conv, x, &cfg);

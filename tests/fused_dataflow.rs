@@ -74,7 +74,7 @@ fn assert_layer_matches_reference(
     }
 }
 
-/// 3 dataflows x 3 precisions x 1/2/8 threads, on a
+/// 3 dataflows x 2 precisions x 1/2/8 threads, on a
 /// submanifold, a strided, and a channel-narrowing layer: the engine equals
 /// the scalar reference bit for bit.
 #[test]
@@ -87,7 +87,7 @@ fn fused_bitwise_identical_across_dataflows_precisions_kernels_threads() {
         (SparseConv3d::with_random_weights("conv2", 8, 4, 3, 1, 43), tensor_from(&sites, 8, 43)),
     ];
     for (dataflow, cfg) in dataflow_configs() {
-        for precision in [Precision::Fp32, Precision::Fp16, Precision::Int8] {
+        for precision in [Precision::Fp32, Precision::Fp16] {
             let mut cfg = cfg.clone();
             cfg.precision = precision;
             for (conv, x) in &layers {

@@ -4,7 +4,7 @@
 //! same harness code, on scenes small enough for a debug build, and asserts
 //! the shape each figure reports — the shapes that hold at both scales.
 
-use torchsparse::core::{DeviceProfile, Engine, EnginePreset};
+use torchsparse::core::{DeviceProfile, Engine, EnginePreset, Precision};
 use torchsparse::gpusim::{GemmModel, Stage};
 use torchsparse::models::BenchmarkModel;
 use torchsparse_bench::{
@@ -126,6 +126,46 @@ const TABLE3_SCALE: f64 = 0.1;
 /// Relative tolerance on Table 3's FP16 and vectorized speedups against the
 /// paper's.
 const TABLE3_TOLERANCE: f64 = 0.15;
+
+/// §4.3.1 (`ablation_int8`): INT8 features speed gather up beyond FP16,
+/// but scatter still reduces at 16 bits, so the end-to-end gain over FP16
+/// is marginal — under [`INT8_MARGINAL_GAIN`]. INT8 is priced, never run,
+/// so this is its whole contract.
+///
+/// Scatter moves the same 16-bit rows at both precisions, yet its time is
+/// not FP16's bit for bit: the simulated L2 carries state from each
+/// layer's gather into its scatter, and INT8's smaller gather leaves more
+/// of the output rows resident (here 772.2 µs against 773.5 µs). It stays
+/// within [`INT8_SCATTER_TOLERANCE`] of FP16's.
+#[test]
+fn ablation_int8_gain_over_fp16_is_marginal() {
+    let bm = BenchmarkModel::MinkUNetFullSemanticKitti;
+    let inputs = scenes(&dataset_for(bm, INT8_SCALE), 1, SEED).expect("scene");
+    let model = build_model(bm, SEED);
+    let [fp16, int8] = [Precision::Fp16, Precision::Int8].map(|precision| {
+        let mut cfg = EnginePreset::TorchSparse.config();
+        cfg.precision = precision;
+        let mut engine = Engine::with_config(cfg, DeviceProfile::rtx_2080ti());
+        measure(&mut engine, model.as_ref(), &inputs).expect("price")
+    });
+    let ratio = |s: Stage| int8.stage(s).as_f64() / fp16.stage(s).as_f64();
+    let scatter = ratio(Stage::Scatter);
+    assert!((scatter - 1.0).abs() <= INT8_SCATTER_TOLERANCE, "INT8 / FP16 scatter: {scatter}");
+    assert!(ratio(Stage::Gather) < 1.0, "INT8 / FP16 gather: {}", ratio(Stage::Gather));
+    let gain = fp16.total().as_f64() / int8.total().as_f64();
+    assert!((1.0..INT8_MARGINAL_GAIN).contains(&gain), "INT8 over FP16: {gain:.3}x");
+}
+
+/// The §4.3.1 scene scale (the binary's is 0.6).
+const INT8_SCALE: f64 = 0.1;
+/// The largest end-to-end speedup of INT8 over FP16 that still reads as
+/// marginal. `results/ablation_int8.txt` reads 1.80x against FP16's 1.68x
+/// over FP32, a 1.07x gain (1.03x on this scene); the bound allows twice
+/// that and no more.
+const INT8_MARGINAL_GAIN: f64 = 1.15;
+/// How far INT8's Scatter stage may stray from FP16's (0.17% on this
+/// scene).
+const INT8_SCATTER_TOLERANCE: f64 = 0.01;
 
 /// Figure 13: each mapping optimization's step speedup lies within 15% of
 /// the paper's (grid 1.6x, fused downsample 1.5x, simplified control logic

@@ -1,33 +1,13 @@
-//! Integration tests for quantized inference paths and pooling layers.
+//! Integration tests for pooling layers and point-voxel transfer. INT8
+//! features are priced, not run: their §4.3.1 verdict is asserted in
+//! `tests/paper_results.rs`.
 
 use proptest::prelude::*;
 use torchsparse::coords::Coord;
-use torchsparse::core::{Engine, EnginePreset, Precision, SparseMaxPool3d, SparseTensor};
-use torchsparse::data::SyntheticDataset;
+use torchsparse::core::{Engine, EnginePreset, SparseMaxPool3d, SparseTensor};
 use torchsparse::gpusim::DeviceProfile;
-use torchsparse::models::{devoxelize_trilinear, voxelize_features, MinkUNet, PointScene};
+use torchsparse::models::{devoxelize_trilinear, voxelize_features, PointScene};
 use torchsparse::tensor::Matrix;
-
-#[test]
-fn int8_engine_runs_with_bounded_error() {
-    let input = SyntheticDataset::nuscenes(0.02, 4, 1).scene(1).expect("scene");
-    let model = MinkUNet::with_width(0.25, 4, 6, 8);
-
-    let mut fp32 = Engine::new(EnginePreset::BaselineFp32, DeviceProfile::rtx_3090());
-    let a = fp32.run(&model, &input).expect("fp32");
-
-    let mut cfg = EnginePreset::TorchSparse.config();
-    cfg.precision = Precision::Int8;
-    let mut int8 = Engine::with_config(cfg, DeviceProfile::rtx_3090());
-    let b = int8.run(&model, &input).expect("int8");
-
-    // INT8 is lossy but the network must stay in the same regime.
-    let rel =
-        a.feats().max_abs_diff(b.feats()).expect("shape") / a.feats().frobenius_norm().max(1e-9);
-    assert!(rel < 0.25, "int8 relative deviation {rel} too large");
-    // And it must be cheaper to run than FP32.
-    assert!(int8.last_latency() < fp32.last_latency());
-}
 
 #[test]
 fn strided_max_pool_equals_bruteforce() {

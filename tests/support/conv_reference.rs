@@ -24,7 +24,7 @@ use torchsparse_tensor::{Half, Matrix};
 /// `shortcut` names the center offset when the §4.2.1 shortcut applies: the
 /// engine then computes that offset first, as a dense GEMM whose product
 /// never takes the 16-bit store, and adds the other offsets on top.
-/// `round_f16` rounds every other product through binary16 (FP16/INT8
+/// `round_f16` rounds every other product through binary16 (FP16
 /// gather-matmul-scatter; never fetch-on-demand).
 pub fn conv_reference(
     feats: &Matrix,

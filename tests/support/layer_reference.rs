@@ -15,7 +15,7 @@ use torchsparse::coords::kernel_map::search_dilated_on;
 use torchsparse::coords::offsets::center_index;
 use torchsparse::coords::CoordHashMap;
 use torchsparse::core::{OptimizationConfig, Precision, SparseConv3d, SparseTensor, ThreadPool};
-use torchsparse::tensor::quant::{round_trip_f16_in_place, Int8Quantizer};
+use torchsparse::tensor::quant::round_trip_f16_in_place;
 use torchsparse::tensor::Matrix;
 
 /// The output features of `conv` (stride-1 or strided, not transposed) on
@@ -89,10 +89,9 @@ pub fn epilogue_reference(
 /// Rounds `out` to its storage precision in place, as the engine does at a
 /// layer boundary.
 fn round_to_storage(out: &mut Matrix, precision: Precision) {
-    let pool = ThreadPool::global();
     match precision {
         Precision::Fp32 => {}
-        Precision::Fp16 => round_trip_f16_in_place(pool, out),
-        Precision::Int8 => Int8Quantizer::calibrate(out.as_slice()).round_trip_in_place(pool, out),
+        Precision::Fp16 => round_trip_f16_in_place(ThreadPool::global(), out),
+        Precision::Int8 => unreachable!("INT8 is priced, never run"),
     }
 }

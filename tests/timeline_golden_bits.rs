@@ -2,14 +2,17 @@
 //! charge and the first read replays the log — so nothing but these pinned
 //! bit patterns says the replay issues the same `Timeline::add`s, in the
 //! same order, against the same L2 state as the in-line simulation it
-//! replaced. Every word below but the nine named last was captured on
+//! replaced. Every word below but the six named last was captured on
 //! `5210e96` (eager evaluation): per-stage `to_bits()` of the dynamic timeline for
 //! MinkUNet, CenterPoint (dense-head surcharge) and SPVCNN (point ops
 //! traced by hand), of compiled hit / delta-patch / fallback /
 //! full-re-plan / overflow-re-run frames, and an FNV-1a digest of the
-//! `profile_layers` output, at FP32 / FP16 / INT8.
+//! `profile_layers` output, at FP32 / FP16, and for MinkUNet and
+//! CenterPoint at INT8 too. INT8 is priced, never run: its words, captured
+//! from dynamic runs, are read through `Engine::price`, which logs the plan
+//! a run logs, with no re-runs.
 //!
-//! The nine are the `Mapping` words of the full-re-plan, fallback and
+//! The six are the `Mapping` words of the full-re-plan, fallback and
 //! delta-patch frames at each precision, captured where a level owns one coordinate index: a
 //! cold build charges one MPHF build per level, and a patch layers one
 //! `DeltaIndex` per level, whose side-table for the input level is the one
@@ -19,13 +22,16 @@
 mod fixtures;
 
 use fixtures::{engine, model as all_ops_model, scene, stage_bits as bits, untuned};
-use torchsparse::core::{Context, FaultSite, LayerProfile, Precision, SparseTensor};
+use torchsparse::core::{Context, FaultSite, LayerProfile, Module, Precision, SparseTensor};
 use torchsparse::data::temporal_churn_stream;
 use torchsparse::gpusim::DeviceProfile;
 use torchsparse::models::{CenterPoint, MinkUNet, PointScene, Spvcnn};
 use torchsparse::tensor::Matrix;
 
-const PRECISIONS: [Precision; 3] = [Precision::Fp32, Precision::Fp16, Precision::Int8];
+/// The precisions a frame executes at.
+const EXECUTED: [Precision; 2] = [Precision::Fp32, Precision::Fp16];
+/// ... and the ones a dynamic timeline is pinned at: INT8 is priced.
+const PRICED: [Precision; 3] = [Precision::Fp32, Precision::Fp16, Precision::Int8];
 
 /// Per-stage bit patterns in `Stage::ALL` order (mapping first).
 type Bits = [u64; 5];
@@ -63,22 +69,24 @@ fn point_scene() -> PointScene {
 /// Everything this suite pins, recomputed.
 #[derive(Debug, PartialEq)]
 struct Snapshot {
-    /// `[precision] -> bits` of a dynamic `Engine::run`.
+    /// `[precision] -> bits` of a dynamic `Engine::run` (`Engine::price`
+    /// at INT8), over [`PRICED`].
     minkunet: [Bits; 3],
     centerpoint: [Bits; 3],
-    /// SPVCNN runs on a bare `Context`.
-    spvcnn: [Bits; 3],
-    /// `[precision] -> (entries, digest)` of a profiled dynamic MinkUNet run.
+    /// `[precision] -> (entries, digest)` of a profiled dynamic MinkUNet
+    /// run (priced at INT8).
     dynamic_profiles: [(usize, u64); 3],
+    /// Over [`EXECUTED`] from here on. SPVCNN runs on a bare `Context`.
+    spvcnn: [Bits; 2],
     /// ... and of a profiled compiled hit frame.
-    hit_profiles: [(usize, u64); 3],
+    hit_profiles: [(usize, u64); 2],
     /// Compiled frames of the all-ops model, `[precision] -> bits`.
-    hit: [Bits; 3],
-    delta_patch: [Bits; 3],
-    fallback: [Bits; 3],
-    full_replan: [Bits; 3],
-    /// FP16 and INT8 only: FP32 storage cannot overflow.
-    overflow_rerun: [Bits; 2],
+    hit: [Bits; 2],
+    delta_patch: [Bits; 2],
+    fallback: [Bits; 2],
+    full_replan: [Bits; 2],
+    /// FP16 only: FP32 storage cannot overflow.
+    overflow_rerun: Bits,
 }
 
 fn snapshot() -> Snapshot {
@@ -88,10 +96,19 @@ fn snapshot() -> Snapshot {
     let ops = all_ops_model(25);
     let base = scene(4);
 
-    let dynamic = |model: &dyn torchsparse::core::Module, x: &SparseTensor, p: Precision| {
+    // A dynamic frame: run at the executed precisions, priced at INT8.
+    let dynamic_engine = |model: &dyn Module, x: &SparseTensor, p: Precision, profile: bool| {
         let mut e = engine(&untuned(p));
-        e.run(model, x).expect("dynamic run");
-        bits(e.last_timeline())
+        e.context_mut().profile_layers = profile;
+        if p == Precision::Int8 {
+            e.price(model, x).expect("price");
+        } else {
+            e.run(model, x).expect("dynamic run");
+        }
+        e
+    };
+    let dynamic = |model: &dyn Module, x: &SparseTensor, p: Precision| {
+        bits(dynamic_engine(model, x, p, false).last_timeline())
     };
     // One miss frame of the all-ops session at `churn`, after a hit.
     let miss = |p: Precision, churn: f64, delta_replan: bool| {
@@ -105,41 +122,39 @@ fn snapshot() -> Snapshot {
     };
 
     Snapshot {
-        minkunet: PRECISIONS.map(|p| dynamic(&unet, &base, p)),
-        centerpoint: PRECISIONS.map(|p| dynamic(&detector, &scene(5), p)),
-        spvcnn: PRECISIONS.map(|p| {
+        minkunet: PRICED.map(|p| dynamic(&unet, &base, p)),
+        centerpoint: PRICED.map(|p| dynamic(&detector, &scene(5), p)),
+        dynamic_profiles: PRICED.map(|p| {
+            profile_digest(dynamic_engine(&unet, &base, p, true).context().layer_profiles())
+        }),
+        spvcnn: EXECUTED.map(|p| {
             let mut ctx = Context::new(untuned(p), DeviceProfile::rtx_2080ti());
             fusion.forward(&point_scene(), &mut ctx).expect("spvcnn forward");
             bits(ctx.timeline())
         }),
-        dynamic_profiles: PRECISIONS.map(|p| {
-            let mut e = engine(&untuned(p));
-            e.context_mut().profile_layers = true;
-            e.run(&unet, &base).expect("profiled run");
-            profile_digest(e.context().layer_profiles())
-        }),
-        hit_profiles: PRECISIONS.map(|p| {
+        hit_profiles: EXECUTED.map(|p| {
             let mut session = engine(&untuned(p)).compile(&unet, &base).expect("compile");
             session.context_mut().profile_layers = true;
             session.execute(&base).expect("profiled hit");
             profile_digest(session.context().layer_profiles())
         }),
-        hit: PRECISIONS.map(|p| {
+        hit: EXECUTED.map(|p| {
             let mut session = engine(&untuned(p)).compile(&ops, &base).expect("compile");
             session.execute(&base).expect("hit");
             bits(session.last_timeline())
         }),
-        delta_patch: PRECISIONS.map(|p| miss(p, 0.08, true)),
-        fallback: PRECISIONS.map(|p| miss(p, 0.5, true)),
-        full_replan: PRECISIONS.map(|p| miss(p, 0.08, false)),
-        overflow_rerun: [Precision::Fp16, Precision::Int8].map(|p| {
-            let mut session = engine(&untuned(p)).compile(&ops, &base).expect("compile");
+        delta_patch: EXECUTED.map(|p| miss(p, 0.08, true)),
+        fallback: EXECUTED.map(|p| miss(p, 0.5, true)),
+        full_replan: EXECUTED.map(|p| miss(p, 0.08, false)),
+        overflow_rerun: {
+            let mut session =
+                engine(&untuned(Precision::Fp16)).compile(&ops, &base).expect("compile");
             session.execute(&base).expect("clean hit");
             session.context_mut().runtime.faults.arm(FaultSite::Fp16Overflow);
             session.execute(&base).expect("hit with overflow");
             assert_eq!(session.degradation_report().count(FaultSite::Fp16Overflow), 1);
             bits(session.last_timeline())
-        }),
+        },
     }
 }
 
@@ -192,6 +207,11 @@ fn golden() -> Snapshot {
                 0x40ab54210efd216c,
             ],
         ],
+        dynamic_profiles: [
+            (0x83, 0xc241a3a73e7940e6),
+            (0x83, 0x8250415a0369712b),
+            (0x83, 0x1483f81fe2ba4fd),
+        ],
         spvcnn: [
             [
                 0x4049cc27aeee5dad,
@@ -207,28 +227,11 @@ fn golden() -> Snapshot {
                 0x406a055c7722fc47,
                 0x40bb11d2f9fc6c98,
             ],
-            [
-                0x4049cc27aeee5dad,
-                0x406a055c7722fc48,
-                0x4087f13f87d7b117,
-                0x406a055c7722fc47,
-                0x40bb118c608cf04f,
-            ],
         ],
-        dynamic_profiles: [
-            (0x83, 0xc241a3a73e7940e6),
-            (0x83, 0x8250415a0369712b),
-            (0x83, 0x1483f81fe2ba4fd),
-        ],
-        hit_profiles: [
-            (0x83, 0xa952aaed3508117e),
-            (0x83, 0xd7bddec731a6c6af),
-            (0x83, 0x39729791678d674d),
-        ],
+        hit_profiles: [(0x83, 0xa952aaed3508117e), (0x83, 0xd7bddec731a6c6af)],
         hit: [
             [0x0, 0x40455ec268458c1a, 0x405f387b766b430e, 0x40455ec268458c1a, 0x4087bbd0e49e9462],
             [0x0, 0x40455ec268458c1a, 0x4059b7055a6503ec, 0x40455ec268458c1a, 0x4087ba5ea83e4c0a],
-            [0x0, 0x40455ec268458c1a, 0x4059b7055a6503ec, 0x40455ec268458c1a, 0x4087b9a58a0e27de],
         ],
         delta_patch: [
             [
@@ -244,13 +247,6 @@ fn golden() -> Snapshot {
                 0x405d8e7655df399c,
                 0x40491a67c2698857,
                 0x4087ba5ea83e4c0a,
-            ],
-            [
-                0x402a070b01898e74,
-                0x40491a67c2698857,
-                0x405d8e7655df399c,
-                0x40491a67c2698857,
-                0x4087b9a58a0e27de,
             ],
         ],
         fallback: [
@@ -268,13 +264,6 @@ fn golden() -> Snapshot {
                 0x4046d7a09a9e9bf3,
                 0x4087ba6b7cac001f,
             ],
-            [
-                0x403a03e3ce87617b,
-                0x4046d7a09a9e9bf3,
-                0x405af4b056782a8b,
-                0x4046d7a09a9e9bf3,
-                0x4087b9ae1d0de100,
-            ],
         ],
         full_replan: [
             [
@@ -291,17 +280,13 @@ fn golden() -> Snapshot {
                 0x40491a67c2698857,
                 0x4087ba5ea83e4c0a,
             ],
-            [
-                0x4039eaf4c5448274,
-                0x40491a67c2698857,
-                0x405d8e7655df399c,
-                0x40491a67c2698857,
-                0x4087b9a58a0e27de,
-            ],
         ],
         overflow_rerun: [
-            [0x0, 0x40468be17b60a1de, 0x405afccab7184049, 0x40468be17b60a1de, 0x4087ba5ea83e4c0a],
-            [0x0, 0x40468be17b60a1de, 0x405afccab7184049, 0x40468be17b60a1de, 0x4087b9a58a0e27de],
+            0x0,
+            0x40468be17b60a1de,
+            0x405afccab7184049,
+            0x40468be17b60a1de,
+            0x4087ba5ea83e4c0a,
         ],
     }
 }
