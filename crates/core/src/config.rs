@@ -114,10 +114,10 @@ pub struct OptimizationConfig {
     /// reproduces the exact serial engine (results are bitwise identical
     /// at every thread count regardless).
     pub threads: Option<usize>,
-    /// Pick each traced convolution's grouping at
-    /// [`Engine::compile`](crate::Engine::compile) time with Algorithm 5's
-    /// cost function on the simulated device (ε/S grid against the
-    /// configured grouping, on the layer's actual kernel map). Grouping
+    /// Price each convolution of a compiled plan at the grouping Algorithm
+    /// 5's cost function picks on the simulated device (ε/S grid against
+    /// the layer's stored grouping, on the plan's own kernel map) when the
+    /// cost model first walks the plan; a compile runs no search. Grouping
     /// only changes the simulated GEMM launches, so this never changes
     /// output bits and times nothing. Defaults on in every preset.
     pub autotune_policies: bool,
@@ -212,7 +212,7 @@ impl OptimizationConfig {
             skip_center_movement: false,
             validation: ValidationConfig::default(),
             threads: None,
-            // Compile-time grouping is bitwise-neutral (only the simulated
+            // Per-layer grouping is bitwise-neutral (only the simulated
             // GEMM launches see it), so it stays on even in the baseline.
             autotune_policies: true,
             // Delta re-planning is bitwise-neutral too (it bails to a full

@@ -108,16 +108,15 @@ pub struct Context {
 /// Plan-time state: what a plan build reads and writes besides the geometry.
 ///
 /// A compiled model keeps the planner its compile ended with, and every
-/// stream it creates starts from a copy, so a stream's re-plans make the
-/// grouping choices its compile made.
+/// stream it creates starts from a copy, so a stream's re-plans store the
+/// groupings its compile stored.
 #[derive(Clone, Default)]
 pub(crate) struct Planner {
     /// Maps built or patched by the current plan build (cleared by
     /// [`Context::begin_run`]).
     map_cache: HashMap<MapKey, Arc<CachedMap>>,
     /// Per-layer groupings: Algorithm 5's calibrated `(epsilon, S)`
-    /// ([`crate::tuning::tune_engine`]) or a compiled session's compile-time
-    /// choice ([`crate::tuning::autotune_plan`]). Read through
+    /// ([`crate::tuning::tune_engine`]). Read through
     /// [`Context::grouping_for`].
     pub(crate) groupings: HashMap<String, GroupingStrategy>,
     /// Set when adaptive-grouping tuning failed: layers configured for
@@ -260,18 +259,18 @@ impl Context {
         &self.ledger.cost(&self.device, &self.gemm).profiles
     }
 
-    /// The grouping a layer plans with: a non-adaptive per-layer choice
-    /// stands; after a tuning failure adaptive layers degrade to fixed
-    /// groups; a tuned `(epsilon, S)` refines an adaptive configuration;
-    /// anything else runs the configured grouping.
+    /// The grouping a layer plans with: an adaptive configuration is
+    /// refined by the layer's calibrated `(epsilon, S)`, or degrades to
+    /// fixed groups after a tuning failure; any other runs as configured.
     pub(crate) fn grouping_for(&self, layer: &str) -> GroupingStrategy {
-        let adaptive = |g: GroupingStrategy| matches!(g, GroupingStrategy::Adaptive { .. });
-        let configured = self.config.grouping;
-        match self.planner.groupings.get(layer).copied() {
-            Some(g) if !adaptive(g) => g,
-            _ if self.planner.grouping_fallback && adaptive(configured) => GroupingStrategy::Fixed,
-            Some(g) if adaptive(configured) => g,
-            _ => configured,
+        match self.config.grouping {
+            GroupingStrategy::Adaptive { .. } if self.planner.grouping_fallback => {
+                GroupingStrategy::Fixed
+            }
+            adaptive @ GroupingStrategy::Adaptive { .. } => {
+                self.planner.groupings.get(layer).copied().unwrap_or(adaptive)
+            }
+            configured => configured,
         }
     }
 
@@ -381,20 +380,20 @@ mod tests {
         let mut c = ctx();
         let tuned = GroupingStrategy::Adaptive { epsilon: 0.25, s_threshold: 100_000 };
         c.planner.groupings.insert("tuned".to_owned(), tuned);
-        c.planner.groupings.insert("fixed".to_owned(), GroupingStrategy::Fixed);
-        c.planner.groupings.insert("separate".to_owned(), GroupingStrategy::Separate);
         // A tuned (epsilon, S) refines an adaptive configuration only.
         c.config.grouping = GroupingStrategy::Symmetric;
         assert_eq!(c.grouping_for("tuned"), GroupingStrategy::Symmetric);
-        assert_eq!(c.grouping_for("separate"), GroupingStrategy::Separate);
-        // After a tuning failure adaptive layers run fixed groups, and a
-        // non-adaptive choice stands.
         c.config.grouping = GroupingStrategy::default_adaptive();
+        assert_eq!(c.grouping_for("tuned"), tuned);
+        assert_eq!(c.grouping_for("untuned"), c.config.grouping);
+        // After a tuning failure adaptive layers run fixed groups, and a
+        // non-adaptive configuration stands.
         c.planner.grouping_fallback = true;
-        for layer in ["tuned", "fixed", "untuned"] {
+        for layer in ["tuned", "untuned"] {
             assert_eq!(c.grouping_for(layer), GroupingStrategy::Fixed, "{layer}");
         }
-        assert_eq!(c.grouping_for("separate"), GroupingStrategy::Separate);
+        c.config.grouping = GroupingStrategy::Separate;
+        assert_eq!(c.grouping_for("tuned"), GroupingStrategy::Separate);
     }
 
     #[test]

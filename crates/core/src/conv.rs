@@ -4,7 +4,6 @@ use crate::dataflow::{
     fetch_on_demand_into, gather_matmul_scatter_into, ConvWorkload, Epilogue, FusedOrder,
 };
 use crate::faults::FaultSite;
-use crate::grouping::plan_groups;
 use crate::mapping::build_layer_mapping_on;
 use crate::module::Module;
 use crate::plan::{ConvDataflow, ConvPlan, EpilogueSteps, LayerOp, Tracer};
@@ -233,17 +232,18 @@ impl SparseConv3d {
 
     /// The plan half: derives everything this layer needs from input
     /// *geometry* alone — kernel map (built or cached), output coordinates
-    /// and stride, and the frozen dataflow/grouping decision. Charges
-    /// nothing: the plan records the `Mapping` latency of its map search for
-    /// the caller to log, and under [`Context::record_workloads`] the layer's
-    /// workload is recorded here.
+    /// and stride, and the frozen dataflow decision with the layer's
+    /// grouping strategy. Charges nothing: it returns the `Mapping` latency
+    /// of its map search (`None` when the map came from the cache) beside
+    /// the plan for the caller to log, and under
+    /// [`Context::record_workloads`] the layer's workload is recorded here.
     pub(crate) fn plan(
         &self,
         coords: &Arc<[Coord]>,
         in_stride: i32,
         in_channels: usize,
         ctx: &mut Context,
-    ) -> Result<ConvPlan, CoreError> {
+    ) -> Result<(ConvPlan, Option<Micros>), CoreError> {
         if in_channels != self.c_in {
             return Err(CoreError::ChannelMismatch { expected: self.c_in, actual: in_channels });
         }
@@ -289,8 +289,7 @@ impl SparseConv3d {
         let dataflow = if use_fod {
             ConvDataflow::FetchOnDemand
         } else {
-            let strategy = ctx.grouping_for(&self.name);
-            ConvDataflow::Grouped(plan_groups(&map_ref.sizes(), submanifold, strategy))
+            ConvDataflow::Grouped(ctx.grouping_for(&self.name))
         };
 
         // Plan-time locality reordering: sort each offset's entries by
@@ -300,21 +299,20 @@ impl SparseConv3d {
         // are on the serial critical path of compiled sessions.
         let fused = Arc::new(FusedOrder::build_on(&ctx.runtime.pool(), map_ref, out_coords.len()));
 
-        Ok(ConvPlan {
+        let plan = ConvPlan {
             cached,
             flipped,
             out_coords,
             out_stride,
             center,
-            submanifold,
             c_in: self.c_in,
             c_out: self.c_out,
             dataflow,
             packed: Arc::clone(&self.packed),
             fused,
             epilogue: EpilogueSteps::default(),
-            mapping,
-        })
+        };
+        Ok((plan, mapping))
     }
 
     /// The execute half: the feature-path numerics (gather/matmul/scatter
@@ -354,7 +352,7 @@ impl SparseConv3d {
         let pool = rt.pool();
         let run_dataflow = |config: &OptimizationConfig,
                             epilogue: &Epilogue<'_>,
-                            out: &mut Matrix| match &plan.dataflow {
+                            out: &mut Matrix| match plan.dataflow {
             ConvDataflow::FetchOnDemand => fetch_on_demand_into(&workload, &pool, epilogue, out),
             ConvDataflow::Grouped(_) => {
                 gather_matmul_scatter_into(&workload, config, &pool, epilogue, out)

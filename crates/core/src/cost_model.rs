@@ -25,13 +25,15 @@
 //! and then the [`ExecutionPlan`] as one charge whose execute-path value is
 //! walked on a fresh simulator and cached on the shared plan (at most one
 //! walk per plan, by whichever stream first asks), so a hit frame's ledger
-//! is that cell alone. [`evaluations`] counts the fresh simulators.
+//! is that cell alone; it picks each convolution's grouping too
+//! ([`crate::tuning`]). [`evaluations`] counts the fresh simulators.
 
-use crate::config::{OptimizationConfig, Precision};
+use crate::config::{GroupingStrategy, OptimizationConfig, Precision};
 use crate::context::{LayerProfile, HOST_OP_OVERHEAD_US};
 use crate::dataflow::is_center_shortcut;
-use crate::grouping::ExecGroup;
-use crate::plan::{ConvDataflow, ConvPlan, ExecutionPlan, StepPlan};
+use crate::grouping::{plan_groups, ExecGroup};
+use crate::plan::{ConvPlan, ExecutionPlan, StepPlan};
+use crate::tuning::priced_grouping;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use torchsparse_coords::kernel_map::MapEntry;
@@ -66,7 +68,7 @@ fn host_op(timeline: &mut Timeline) {
 }
 
 /// The geometry of one convolution — everything its simulated cost depends
-/// on besides the configuration and the grouping plan.
+/// on besides the configuration and the grouping.
 struct ConvGeometry<'a> {
     /// The kernel map the layer executes with.
     map: &'a KernelMap,
@@ -76,7 +78,8 @@ struct ConvGeometry<'a> {
     /// Input / output channels.
     c_in: usize,
     c_out: usize,
-    /// The center offset of a submanifold layer (§4.2.1 shortcut).
+    /// The center offset of a submanifold layer (§4.2.1 shortcut), `None`
+    /// for any other layer.
     center_identity: Option<usize>,
 }
 
@@ -132,6 +135,7 @@ enum Kind {
     /// A dynamic run's plan: walked in line, map searches included.
     Ephemeral {
         plan: Box<ExecutionPlan>,
+        mapping: Vec<Option<Micros>>,
         reruns: Vec<usize>,
         profile: bool,
     },
@@ -168,11 +172,16 @@ impl Charge {
         Charge(Kind::Plan { plan, reruns, profile })
     }
 
-    /// A dynamic run's ephemeral plan, executed once: its map searches and
-    /// execute path, charged at this point of the log (`reruns` and
-    /// `profile` as in [`Charge::plan`]).
-    pub(crate) fn ephemeral_plan(plan: ExecutionPlan, reruns: Vec<usize>, profile: bool) -> Charge {
-        Charge(Kind::Ephemeral { plan: Box::new(plan), reruns, profile })
+    /// A dynamic run's ephemeral plan, executed once: its map searches (as
+    /// its build returned them) and execute path, charged at this point of
+    /// the log (`reruns` and `profile` as in [`Charge::plan`]).
+    pub(crate) fn ephemeral_plan(
+        plan: ExecutionPlan,
+        mapping: Vec<Option<Micros>>,
+        reruns: Vec<usize>,
+        profile: bool,
+    ) -> Charge {
+        Charge(Kind::Ephemeral { plan: Box::new(plan), mapping, reruns, profile })
     }
 }
 
@@ -244,7 +253,7 @@ fn replay(
                     let mut cost = Cost::default();
                     let Cost { timeline, profiles } = &mut cost;
                     let mut sim = Sim { config, device, gemm, mem: &mut mem, timeline };
-                    plan_cost(plan, reruns, false, &mut sim, Some(profiles));
+                    plan_cost(plan, reruns, None, &mut sim, Some(profiles));
                     cost
                 };
                 let walked;
@@ -259,10 +268,10 @@ fn replay(
                     profiles.extend_from_slice(&planned.profiles);
                 }
             }
-            Kind::Ephemeral { plan, reruns, profile } => {
+            Kind::Ephemeral { plan, mapping, reruns, profile } => {
                 let mem = mem.get_or_insert_with(|| begin_evaluation(device));
                 let mut sim = Sim { config, device, gemm, mem, timeline };
-                plan_cost(plan, reruns, true, &mut sim, profile.then_some(profiles));
+                plan_cost(plan, reruns, Some(mapping), &mut sim, profile.then_some(profiles));
             }
             &Kind::PointTransfer(reads, writes, channels) => {
                 let mem = mem.get_or_insert_with(|| begin_evaluation(device));
@@ -287,9 +296,9 @@ fn replay(
 /// Two callers. A compiled plan is walked without `mapping` on a fresh
 /// simulator, and the result is cached on the plan: its map searches were
 /// logged by the frame that built it, and a hit pays none. An ephemeral
-/// plan is walked with `mapping` on the run's shared simulator, straight
-/// into the run's timeline: each step's map search lands at that step,
-/// inside its layer's profile.
+/// plan is walked with its `mapping` on the run's shared simulator,
+/// straight into the run's timeline: each step's map search lands at that
+/// step, inside its layer's profile. Groupings are [`priced_grouping`]'s.
 ///
 /// `reruns` lists the step indices whose convolution overflowed its
 /// quantized storage and ran a second time in FP32 — empty for the value
@@ -302,24 +311,27 @@ fn replay(
 fn plan_cost(
     plan: &ExecutionPlan,
     reruns: &[usize],
-    mapping: bool,
+    mapping: Option<&[Option<Micros>]>,
     sim: &mut Sim<'_>,
     mut profiles: Option<&mut Vec<LayerProfile>>,
 ) {
+    let search = mapping.is_none() && sim.config.autotune_policies;
+    let (gemm, precision) = (sim.gemm, sim.config.precision);
+    let grouping = |p: &ConvPlan| priced_grouping(p, search, gemm, precision);
     let walk_start = sim.timeline.total();
     // The (points, channels) of the tensor flowing through the network.
     let mut cur = (plan.input.len(), plan.channels);
     let mut stack: Vec<(usize, usize)> = Vec::new();
     for (i, (step, name)) in plan.steps.iter().zip(&plan.names).enumerate() {
         let start = (profiles.is_some() && name.is_some()).then(|| sim.timeline.clone());
-        if let Some(latency) = step.mapping().filter(|_| mapping) {
+        if let Some(latency) = mapping.and_then(|prices| prices[i]) {
             sim.timeline.add(Stage::Mapping, latency);
         }
         let reran = reruns.contains(&i);
         let mut points = cur.0;
         match step {
             StepPlan::Conv(p) => {
-                charge_conv(&ConvGeometry::of(p, cur.0), &p.dataflow, reran, sim);
+                charge_conv(&ConvGeometry::of(p, cur.0), grouping(p), reran, sim);
                 cur = (p.out_coords.len(), p.c_out);
             }
             StepPlan::Pool(p) => {
@@ -337,7 +349,7 @@ fn plan_cost(
             StepPlan::Residual { projection } => {
                 points = stack.pop().unwrap_or(cur).0;
                 if let Some(p) = projection {
-                    charge_conv(&ConvGeometry::of(p, points), &p.dataflow, reran, sim);
+                    charge_conv(&ConvGeometry::of(p, points), grouping(p), reran, sim);
                 }
             }
             StepPlan::CostSurcharge { stage, fraction } => {
@@ -438,17 +450,23 @@ fn charge_pool(map: &KernelMap, n_in: usize, n_out: usize, c: usize, sim: &mut S
     sim.timeline.add(Stage::Other, latency);
 }
 
-/// Charges one convolution: the host-side dispatch overhead plus the
-/// kernels of its frozen dataflow at the configured storage precision.
-/// `reran` is the one input that is not geometry: the layer's quantized
-/// output overflowed, so the same kernels ran — and are charged — a second
-/// time in FP32.
-fn charge_conv(geo: &ConvGeometry<'_>, dataflow: &ConvDataflow, reran: bool, sim: &mut Sim<'_>) {
+/// Charges one convolution: the host-side dispatch overhead plus, at the
+/// configured storage precision, gather-matmul-scatter with its GEMMs
+/// grouped by `g`, or fetch-on-demand without one. `reran`: the layer's
+/// quantized output overflowed, so its kernels are charged again in FP32.
+fn charge_conv(
+    geo: &ConvGeometry<'_>,
+    g: Option<GroupingStrategy>,
+    reran: bool,
+    sim: &mut Sim<'_>,
+) {
     host_op(sim.timeline);
     let configured = sim.config.precision;
-    let mut charge = |precision| match dataflow {
-        ConvDataflow::FetchOnDemand => fetch_on_demand(geo, precision, sim),
-        ConvDataflow::Grouped(plan) => gather_matmul_scatter(geo, &plan.groups, precision, sim),
+    let submanifold = geo.center_identity.is_some();
+    let groups = g.map(|g| plan_groups(&geo.map.sizes(), submanifold, g).groups);
+    let mut charge = |precision| match &groups {
+        None => fetch_on_demand(geo, precision, sim),
+        Some(groups) => gather_matmul_scatter(geo, groups, precision, sim),
     };
     charge(configured);
     if reran {
@@ -748,7 +766,6 @@ mod tests {
     use crate::config::GroupingStrategy;
     use crate::context::Context;
     use crate::dataflow::tests::workload_parts;
-    use crate::grouping::plan_groups;
     use torchsparse_coords::Coord;
 
     /// Simulated timeline of one 8 -> 8 channel layer under `cfg`, through
@@ -756,11 +773,6 @@ mod tests {
     fn simulate(cfg: OptimizationConfig, fetch_on_demand: bool) -> Timeline {
         let parts = workload_parts(8, 8);
         let n = parts.n_out;
-        let dataflow = if fetch_on_demand {
-            ConvDataflow::FetchOnDemand
-        } else {
-            ConvDataflow::Grouped(plan_groups(&parts.map.sizes(), true, cfg.grouping))
-        };
         let geo = ConvGeometry {
             map: &parts.map,
             n_in: n,
@@ -780,7 +792,7 @@ mod tests {
             mem: &mut mem,
             timeline: &mut timeline,
         };
-        charge_conv(&geo, &dataflow, false, &mut sim);
+        charge_conv(&geo, (!fetch_on_demand).then_some(cfg.grouping), false, &mut sim);
         timeline
     }
 
@@ -804,7 +816,7 @@ mod tests {
 
     /// One pointwise sweep over an `n x c` buffer, as a logged charge.
     fn sweep(n: usize, c: usize) -> Charge {
-        Charge::ephemeral_plan(plan(n, c, vec![StepPlan::Pointwise]), Vec::new(), false)
+        Charge::ephemeral_plan(plan(n, c, vec![StepPlan::Pointwise]), vec![None], Vec::new(), false)
     }
 
     #[test]
@@ -834,10 +846,11 @@ mod tests {
     fn a_surcharge_step_charges_its_share_of_the_walk() {
         // One pointwise sweep, then a surcharge of half of it: the latency
         // logged before the plan is not part of the walk.
-        let walk = |steps| {
+        let walk = |steps: Vec<StepPlan>| {
             let mut c = ctx();
             c.defer(Charge::latency(Stage::Mapping, Micros(10.0)));
-            c.defer(Charge::ephemeral_plan(plan(64, 8, steps), Vec::new(), true));
+            let mapping = vec![None; steps.len()];
+            c.defer(Charge::ephemeral_plan(plan(64, 8, steps), mapping, Vec::new(), true));
             assert!(c.layer_profiles().is_empty());
             c.timeline().clone()
         };

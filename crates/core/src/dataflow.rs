@@ -21,7 +21,7 @@
 //! norm, identity-shortcut add and ReLU the plan folded into the layer
 //! (`Epilogue`), with the separate sweeps' f32 operations in their order.
 //! They execute the *real* computation on the CPU and nothing else: outputs
-//! are bit-identical across grouping plans, kernels and thread counts, and
+//! are bit-identical across groupings, kernels and thread counts, and
 //! they see only a worker pool and the configuration. What the
 //! same kernels would cost on the simulated GPU — including the movement
 //! pipeline `fused_gather_scatter` selects — is a function of geometry alone
@@ -400,7 +400,7 @@ fn run_fused_numerics(
 /// and its product is never stored in 16 bits. The executor streams it
 /// first in every output block, then the other offsets. Matmul grouping is
 /// not an input: pad rows are never computed on the host, so only the cost
-/// model reads the layer's [`GroupPlan`](crate::grouping::GroupPlan).
+/// model builds a [`GroupPlan`](crate::grouping::GroupPlan).
 pub(crate) fn gather_matmul_scatter_into(
     w: &ConvWorkload<'_>,
     config: &OptimizationConfig,

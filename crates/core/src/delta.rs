@@ -18,7 +18,7 @@
 //! just before a map-building step plans, the walk patches the old plan's
 //! map of that step and stores it in the planner's map cache, where the
 //! layer finds it as it finds any cached map — skipping the search and
-//! making identical grouping / fusion / buffer-slot decisions — so a
+//! making identical dataflow / fusion / buffer-slot decisions — so a
 //! patched plan is *bitwise identical* to a from-scratch plan at every
 //! thread count. Each [`Level`] of the walk's geometry carries its delta
 //! against the old plan along with the coordinates.

@@ -72,7 +72,7 @@ impl Engine {
 
     /// Compiles `model` against `input`'s geometry into a
     /// [`CompiledSession`](crate::CompiledSession): planning (tracing,
-    /// kernel maps, output coordinates, grouping) runs once here, and the
+    /// kernel maps, output coordinates, buffers) runs once here, and the
     /// session's `execute` then runs only feature-path work per frame.
     ///
     /// # Errors

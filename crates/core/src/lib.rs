@@ -41,7 +41,7 @@
 //! For streaming inference the engine separates *planning* from
 //! *execution*: [`Engine::compile`] traces a model into a flat [`LayerOp`]
 //! IR and freezes every geometric derivation (kernel maps, output
-//! coordinates, grouping plans) into an execution plan keyed by the
+//! coordinates, activation buffers) into an execution plan keyed by the
 //! input's coordinates and stride; the resulting [`CompiledSession`] then runs
 //! only feature-path work per frame, re-planning automatically when the
 //! input geometry changes.

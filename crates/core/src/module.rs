@@ -11,9 +11,8 @@ use crate::{CoreError, SparseTensor};
 /// [`CompiledSession`](crate::CompiledSession), and can be priced without
 /// running ([`Engine::price`](crate::Engine::price)). Work outside the
 /// sparse network that only costs time traces as a
-/// [`LayerOp::CostSurcharge`](crate::LayerOp::CostSurcharge). Override
-/// `forward` only for a container of untraceable children
-/// ([`Sequential`]).
+/// [`LayerOp::CostSurcharge`](crate::LayerOp::CostSurcharge). Containers
+/// ([`Sequential`]) trace their children, so a container runs as one plan.
 pub trait Module {
     /// Runs the module on an input tensor.
     ///
@@ -90,32 +89,9 @@ impl Sequential {
     pub fn push_boxed(&mut self, module: Box<dyn Module>) {
         self.modules.push(module);
     }
-
-    /// Whether the container is empty.
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.modules.is_empty()
-    }
 }
 
 impl Module for Sequential {
-    /// Chains the children's `forward`s: the one container that may hold a
-    /// module with no `trace`. Each traceable child runs as its own
-    /// ephemeral plan, on the run's shared map cache and cost ledger.
-    fn forward(&self, input: &SparseTensor, ctx: &mut Context) -> Result<SparseTensor, CoreError> {
-        // Only an empty container needs to clone (identity); otherwise the
-        // first layer reads the input directly.
-        let (first, rest) = match self.modules.split_first() {
-            Some(parts) => parts,
-            None => return Ok(input.clone()),
-        };
-        let mut x = first.forward(input, ctx)?;
-        for m in rest {
-            x = m.forward(&x, ctx)?;
-        }
-        Ok(x)
-    }
-
     fn trace<'m>(&'m self, tracer: &mut Tracer<'m>) -> Result<(), CoreError> {
         for m in &self.modules {
             m.trace(tracer)?;
@@ -140,45 +116,39 @@ mod tests {
     use torchsparse_gpusim::DeviceProfile;
     use torchsparse_tensor::Matrix;
 
-    struct AddOne(String);
-
-    impl Module for AddOne {
-        fn forward(
-            &self,
-            input: &SparseTensor,
-            _ctx: &mut Context,
-        ) -> Result<SparseTensor, CoreError> {
-            let mut feats = input.feats().clone();
-            feats.map_inplace(|v| v + 1.0);
-            input.with_feats(feats)
-        }
-
-        fn name(&self) -> &str {
-            &self.0
-        }
-
-        fn param_count(&self) -> usize {
-            1
-        }
-    }
-
-    #[test]
-    fn sequential_chains_in_order() {
-        let seq = Sequential::new("s").push(AddOne("a".into())).push(AddOne("b".into()));
-        let x = SparseTensor::new(vec![Coord::new(0, 0, 0, 0)], Matrix::zeros(1, 2)).unwrap();
-        let mut ctx = Context::new(OptimizationConfig::torchsparse(), DeviceProfile::rtx_2080ti());
-        let y = seq.forward(&x, &mut ctx).unwrap();
-        assert_eq!(y.feats().as_slice(), &[2.0, 2.0]);
-        assert_eq!(seq.param_count(), 2);
-    }
-
     #[test]
     fn empty_sequential_is_identity() {
         let seq = Sequential::new("empty");
-        assert!(seq.is_empty());
+        assert!(seq.modules.is_empty());
         let x = SparseTensor::new(vec![Coord::new(0, 0, 0, 0)], Matrix::filled(1, 1, 3.0)).unwrap();
         let mut ctx = Context::new(OptimizationConfig::torchsparse(), DeviceProfile::rtx_2080ti());
         let y = seq.forward(&x, &mut ctx).unwrap();
         assert_eq!(y, x);
+    }
+
+    #[test]
+    fn sequential_runs_only_traceable_children() {
+        struct Opaque;
+        impl Module for Opaque {
+            fn forward(
+                &self,
+                input: &SparseTensor,
+                _: &mut Context,
+            ) -> Result<SparseTensor, CoreError> {
+                Ok(input.clone())
+            }
+            fn name(&self) -> &str {
+                "opaque"
+            }
+            fn param_count(&self) -> usize {
+                1
+            }
+        }
+        let seq = Sequential::new("s").push(crate::ReLU::new("act")).push(Opaque);
+        assert_eq!(seq.param_count(), 1);
+        let x = SparseTensor::new(vec![Coord::new(0, 0, 0, 0)], Matrix::filled(1, 1, 3.0)).unwrap();
+        let mut ctx = Context::new(OptimizationConfig::torchsparse(), DeviceProfile::rtx_2080ti());
+        let err = seq.forward(&x, &mut ctx).unwrap_err();
+        assert!(matches!(&err, CoreError::Untraceable { module } if module == "opaque"), "{err:?}");
     }
 }

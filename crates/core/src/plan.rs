@@ -2,31 +2,30 @@
 //!
 //! Dynamic execution re-derives everything per frame: each
 //! [`Engine::run`](crate::Engine::run) re-traces the module tree into an
-//! ephemeral plan, rebuilding every kernel map and re-planning matmul
-//! grouping. For streaming inference
+//! ephemeral plan, rebuilding every kernel map. For streaming inference
 //! over frames with identical geometry that work is pure overhead — mapping
-//! and tuning are amortizable preprocessing (§4.4 tunes once per workload
-//! group and reuses the decision). This module provides the pieces a
+//! is amortizable preprocessing. This module provides the pieces a
 //! [`CompiledSession`](crate::CompiledSession) freezes at plan time:
 //!
 //! - [`LayerOp`]: one typed op of the flattened IR a [`Tracer`] collects
 //!   from any [`Module`](crate::Module) tree (including residual and UNet
 //!   skip topologies, expressed with a small value stack);
 //! - [`ConvPlan`] / [`PoolPlan`] (crate-internal): per-layer frozen state —
-//!   kernel maps, output coordinates, grouping plans, dataflow choice;
+//!   kernel maps, output coordinates, dataflow choice — and no simulated
+//!   prices ([`crate::cost_model`] groups and prices a plan as it walks it);
 //! - [`ExecutionPlan`] (crate-internal): the frozen steps, keyed by the
 //!   input coordinates and stride they were planned for, compared exactly
 //!   on every frame;
 //! - [`PlanCacheStats`]: hit/miss/invalidation counters for plan reuse.
 
+use crate::config::GroupingStrategy;
 use crate::context::CachedMap;
 use crate::cost_model::Cost;
 use crate::dataflow::FusedOrder;
-use crate::grouping::GroupPlan;
 use crate::{BatchNorm, GlobalPool, ReLU, SparseConv3d, SparseMaxPool3d};
 use std::sync::{Arc, OnceLock};
 use torchsparse_coords::{Coord, KernelMap};
-use torchsparse_gpusim::{Micros, Stage};
+use torchsparse_gpusim::Stage;
 use torchsparse_tensor::PackedB;
 
 /// One typed operation in the flattened layer IR.
@@ -106,14 +105,14 @@ impl<'m> Tracer<'m> {
 
 /// The dataflow frozen for one convolution at plan time: either
 /// fetch-on-demand (small workloads under MinkowskiEngine-style configs) or
-/// gather-matmul-scatter with a fixed grouping plan.
-#[derive(Debug, Clone)]
+/// gather-matmul-scatter.
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum ConvDataflow {
     /// Fetch-on-demand: no explicit gather/scatter buffers.
     FetchOnDemand,
-    /// Gather-matmul-scatter with the grouping plan resolved at plan time
-    /// (including per-layer tuned `(epsilon, S)` when present).
-    Grouped(GroupPlan),
+    /// Gather-matmul-scatter, with the layer's grouping strategy
+    /// (`Context::grouping_for`), which only the cost model reads.
+    Grouped(GroupingStrategy),
 }
 
 /// Everything a [`SparseConv3d`] derives from input *geometry* alone,
@@ -130,10 +129,9 @@ pub(crate) struct ConvPlan {
     pub(crate) out_coords: Arc<[Coord]>,
     /// Output tensor stride.
     pub(crate) out_stride: i32,
-    /// Center-offset index for submanifold identity handling.
+    /// Center-offset index for submanifold identity handling: `Some`
+    /// exactly for a submanifold layer.
     pub(crate) center: Option<usize>,
-    /// Whether the layer is submanifold (enables symmetric grouping).
-    pub(crate) submanifold: bool,
     /// The layer's input / output channels (the cost model reads them).
     pub(crate) c_in: usize,
     pub(crate) c_out: usize,
@@ -150,9 +148,6 @@ pub(crate) struct ConvPlan {
     /// The pointwise steps right after this convolution that its executor
     /// runs inside each output block ([`EpilogueSteps`]).
     pub(crate) epilogue: EpilogueSteps,
-    /// The `Mapping` latency of the map search this planning ran (`None`
-    /// when the map came from the cache).
-    pub(crate) mapping: Option<Micros>,
 }
 
 /// Which of the steps right after a convolution fold into its executor:
@@ -214,9 +209,6 @@ pub(crate) struct PoolPlan {
     pub(crate) out_coords: Arc<[Coord]>,
     /// Output tensor stride.
     pub(crate) out_stride: i32,
-    /// The `Mapping` latency of the map search this planning ran (`None`
-    /// when the map came from the cache).
-    pub(crate) mapping: Option<Micros>,
 }
 
 /// The frozen state for one [`LayerOp`], index-aligned with the traced op
@@ -317,15 +309,6 @@ impl Lifetimes {
 }
 
 impl StepPlan {
-    /// The `Mapping` latency of the map search planning this step ran.
-    pub(crate) fn mapping(&self) -> Option<Micros> {
-        match self {
-            StepPlan::Conv(p) | StepPlan::Residual { projection: Some(p) } => p.mapping,
-            StepPlan::Pool(p) => p.mapping,
-            _ => None,
-        }
-    }
-
     /// The kernel map the step planned with, if it has one.
     pub(crate) fn cached(&self) -> Option<&Arc<CachedMap>> {
         match self {
@@ -337,8 +320,9 @@ impl StepPlan {
 }
 
 /// An immutable execution plan: every kernel map, output coordinate list,
-/// grouping plan, and dataflow decision for one model on one input
-/// geometry, keyed by that geometry itself.
+/// dataflow decision and activation buffer for one model on one input
+/// geometry, keyed by that geometry itself. Its map searches' `Mapping`
+/// latencies are returned beside it, for the caller to log.
 ///
 /// Built once by [`CompiledSession::compile`](crate::CompiledSession) and
 /// replaced wholesale when the geometry changes — never mutated. A
@@ -464,8 +448,9 @@ pub struct PlanCacheStats {
     /// structures were patched.
     pub delta_patches: u64,
     /// Plan builds where the delta path was attempted but bailed (churn
-    /// above `delta_replan_max_churn`, unsupported op pattern, duplicate
-    /// coordinates, ...) and a full rebuild ran instead.
+    /// above [`DELTA_REPLAN_MAX_CHURN`](crate::DELTA_REPLAN_MAX_CHURN),
+    /// unsupported op pattern, duplicate coordinates, ...) and a full
+    /// rebuild ran instead.
     pub delta_fallbacks: u64,
 }
 
@@ -536,7 +521,7 @@ mod tests {
                 index: Arc::clone(index),
             });
             let out_coords = Arc::clone(&cached.coarse);
-            StepPlan::Pool(PoolPlan { cached, out_coords, out_stride: 2, mapping: None })
+            StepPlan::Pool(PoolPlan { cached, out_coords, out_stride: 2 })
         };
         let level: Arc<[Coord]> = Arc::from(coords());
         let coarse: Arc<[Coord]> = Arc::from(&coords()[..4]);

@@ -13,6 +13,7 @@ use crate::plan::{LayerOp, PoolPlan, Tracer};
 use crate::CoreError;
 use std::sync::Arc;
 use torchsparse_coords::Coord;
+use torchsparse_gpusim::Micros;
 use torchsparse_tensor::Matrix;
 
 /// Reduction applied over a pooling window.
@@ -88,20 +89,20 @@ impl SparseMaxPool3d {
 
     /// The plan half: acquires the kernel map exactly as a convolution does
     /// (pooling and convolution with the same (stride, kernel) share one
-    /// map, as in real engines) and freezes the output geometry, recording
-    /// the `Mapping` latency of the search when one ran.
+    /// map, as in real engines) and freezes the output geometry. Returns
+    /// the `Mapping` latency of the search, when one ran, beside the plan.
     pub(crate) fn plan(
         &self,
         coords: &Arc<[Coord]>,
         in_stride: i32,
         ctx: &mut Context,
-    ) -> Result<PoolPlan, CoreError> {
+    ) -> Result<(PoolPlan, Option<Micros>), CoreError> {
         if coords.is_empty() {
             return Err(CoreError::EmptyInput);
         }
         let (cached, mapping) = acquire_map(self.map_key(in_stride), coords, ctx)?;
         let out_coords = Arc::clone(&cached.coarse);
-        Ok(PoolPlan { cached, out_coords, out_stride: in_stride * self.stride, mapping })
+        Ok((PoolPlan { cached, out_coords, out_stride: in_stride * self.stride }, mapping))
     }
 
     /// The execute half: per-channel reduction of `input` over the frozen

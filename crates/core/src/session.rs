@@ -3,8 +3,8 @@
 //! Streaming workloads (LiDAR at 10-20 Hz) feed the network frames whose
 //! *geometry* is often identical — multi-frame fused inputs reuse the same
 //! voxel grid, and benchmark replay repeats one scene exactly. Dynamic
-//! execution still rebuilds every kernel map and re-plans matmul grouping
-//! per frame. A [`CompiledSession`] splits that work:
+//! execution still rebuilds every kernel map per frame. A
+//! [`CompiledSession`] splits that work:
 //! [`Engine::compile`](crate::Engine::compile) traces the model into a flat
 //! [`LayerOp`] sequence and runs every geometric derivation once, freezing
 //! the results into an immutable [`ExecutionPlan`] keyed by the input's
@@ -44,11 +44,12 @@ use crate::module::Module;
 use crate::plan::{
     EpilogueSteps, ExecutionPlan, LayerOp, Lifetimes, PlanCacheStats, StepBuffers, StepPlan, Tracer,
 };
+use crate::tuning::{compiled_report, TuningReport};
 use crate::{CoreError, GlobalPool, OptimizationConfig, SparseTensor};
 use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, OnceLock};
 use torchsparse_coords::Coord;
-use torchsparse_gpusim::{DeviceProfile, Stage, Timeline};
+use torchsparse_gpusim::{DeviceProfile, GemmModel, Micros, Stage, Timeline};
 
 /// The geometry cursor threaded through planning: what the tensor flowing
 /// through the network looks like after each op, without any features.
@@ -107,25 +108,25 @@ pub struct CompiledSession<'m> {
 /// The shared, immutable half of a compiled model: the traced op sequence
 /// plus the plan frozen at compile time, behind [`Arc`].
 ///
-/// `CompiledModel` is `Sync` — it holds no interior mutability beyond the
-/// shared plan's once-resolved cost cell — so N serving streams execute against
-/// one instance concurrently, each bringing its own [`StreamState`]. A
-/// stream whose frame geometry equals the compile-time plan's
-/// re-attaches to the shared plan without rebuilding; a stream with
-/// different geometry re-plans into its *own* slot, never touching the
-/// shared base plan or any other stream.
+/// `CompiledModel` is `Sync` — it holds no interior mutability beyond two
+/// once-resolved cells, the shared plan's cost and the tuning report — so
+/// N serving streams execute against one instance concurrently, each
+/// bringing its own [`StreamState`]. A stream whose frame geometry equals
+/// the compile-time plan's re-attaches to the shared plan without
+/// rebuilding; a stream with different geometry re-plans into its *own*
+/// slot, never touching the shared base plan or any other stream.
 pub struct CompiledModel<'m> {
     ops: Vec<LayerOp<'m>>,
     base_plan: Arc<ExecutionPlan>,
     config: OptimizationConfig,
     device: DeviceProfile,
-    /// The plan-time state the compile ended with — calibrated and
-    /// compile-time groupings, a tuning failure's fixed-grouping fallback,
-    /// the frozen index. Every stream starts from a copy (whose map cache
-    /// its first frame clears), so its re-plans group like the compile.
+    /// The plan-time state the compile ended with — calibrated groupings, a
+    /// tuning failure's fixed-grouping fallback, the frozen index. Every
+    /// stream starts from a copy (whose map cache its first frame clears),
+    /// so its re-plans store the groupings the compile stored.
     planner: Planner,
-    /// Outcome of the compile-time grouping choice, when autotuning ran.
-    tuning: Option<crate::tuning::TuningReport>,
+    /// The base plan's tuning report, built on first read.
+    tuning: OnceLock<TuningReport>,
 }
 
 /// One stream's private state: its [`Context`] (the runtime with the fault
@@ -242,10 +243,16 @@ impl<'m> CompiledModel<'m> {
         &self.config
     }
 
-    /// The compile-time tuning report: the per-layer groupings. `None` when
-    /// autotuning was disabled at compile time.
-    pub fn tuning_report(&self) -> Option<&crate::tuning::TuningReport> {
-        self.tuning.as_ref()
+    /// The compile-time plan's tuning report (the grouping the cost model
+    /// prices each convolution at), built on first read; `None` when
+    /// autotuning is off.
+    pub fn tuning_report(&self) -> Option<&TuningReport> {
+        self.config.autotune_policies.then(|| {
+            self.tuning.get_or_init(|| {
+                let gemm = GemmModel::new(self.device.clone());
+                compiled_report(&self.base_plan, &gemm, self.config.precision)
+            })
+        })
     }
 }
 
@@ -342,15 +349,8 @@ impl<'m> CompiledSession<'m> {
         // the succinct MPHF index, as every `new_stream` will.
         ctx.planner.frozen_index = true;
         let tensor = &*ctx.begin_frame(input)?;
-        let mut plan = build_plan(&ops, tensor, None, &mut ctx)?;
-        defer_mapping(&plan, &mut ctx);
-        // Grouping is chosen against the frozen plan by the simulated
-        // prior, re-grouping its convolutions in place.
-        let tuning = if ctx.config.autotune_policies {
-            Some(crate::tuning::autotune_plan(&ops, &mut plan, &mut ctx))
-        } else {
-            None
-        };
+        let (plan, prices) = build_plan(&ops, tensor, None, &mut ctx)?;
+        defer_mapping(&prices, &mut ctx);
         let base_plan = Arc::new(plan);
         let shared = CompiledModel {
             ops,
@@ -358,7 +358,7 @@ impl<'m> CompiledSession<'m> {
             config: ctx.config.clone(),
             device: ctx.device.clone(),
             planner: ctx.planner.clone(),
-            tuning,
+            tuning: OnceLock::new(),
         };
         let stream = StreamState {
             stats: PlanCacheStats {
@@ -402,8 +402,8 @@ impl<'m> CompiledSession<'m> {
         &self.shared
     }
 
-    /// The compile-time tuning report, when autotuning ran.
-    pub fn tuning_report(&self) -> Option<&crate::tuning::TuningReport> {
+    /// The compile-time plan's tuning report, when autotuning is on.
+    pub fn tuning_report(&self) -> Option<&TuningReport> {
         self.shared.tuning_report()
     }
 }
@@ -464,11 +464,11 @@ fn replan_into_slot(
     } else {
         stats.full_replans += 1;
     }
-    let plan = build_plan(ops, input, patch.as_mut(), ctx)?;
+    let (plan, prices) = build_plan(ops, input, patch.as_mut(), ctx)?;
     if let Some(patch) = &patch {
         patch.defer_cost(ctx);
     }
-    defer_mapping(&plan, ctx);
+    defer_mapping(&prices, ctx);
     Ok(plan)
 }
 
@@ -490,9 +490,9 @@ pub(crate) fn run_ephemeral<M: Module + ?Sized>(
     ctx: &mut Context,
 ) -> Result<SparseTensor, CoreError> {
     let ops = trace(model)?;
-    let plan = build_plan(&ops, input, None, ctx)?;
+    let (plan, prices) = build_plan(&ops, input, None, ctx)?;
     let (out, reruns) = run_steps(&ops, &plan, input, &ctx.config, &mut ctx.runtime)?;
-    ctx.defer(Charge::ephemeral_plan(plan, reruns, ctx.profile_layers));
+    ctx.defer(Charge::ephemeral_plan(plan, prices, reruns, ctx.profile_layers));
     Ok(out)
 }
 
@@ -504,25 +504,26 @@ pub(crate) fn price_ephemeral<M: Module + ?Sized>(
     input: &SparseTensor,
     ctx: &mut Context,
 ) -> Result<(), CoreError> {
-    let plan = build_plan(&trace(model)?, input, None, ctx)?;
-    ctx.defer(Charge::ephemeral_plan(plan, Vec::new(), ctx.profile_layers));
+    let (plan, prices) = build_plan(&trace(model)?, input, None, ctx)?;
+    ctx.defer(Charge::ephemeral_plan(plan, prices, Vec::new(), ctx.profile_layers));
     Ok(())
 }
 
-/// Logs a compiled plan's map searches on the frame that built it, in step
-/// order. Its cached cost holds only the execute path every hit replays.
-fn defer_mapping(plan: &ExecutionPlan, ctx: &mut Context) {
-    for latency in plan.steps.iter().filter_map(StepPlan::mapping) {
+/// Logs a compiled plan's map searches (as [`build_plan`] returned them) on
+/// the frame that built it. Its cached cost is the execute path alone.
+fn defer_mapping(prices: &[Option<Micros>], ctx: &mut Context) {
+    for &latency in prices.iter().flatten() {
         ctx.defer(Charge::latency(Stage::Mapping, latency));
     }
 }
 
 /// Plans every op against the geometry cursor, producing the index-aligned
 /// [`StepPlan`] list. Only geometric work happens here (map building,
-/// output coordinate computation, grouping, buffer slots); features are
-/// never read and nothing is charged — each step records the `Mapping`
-/// latency of its own map search. With a `patch` source, each map a step
-/// plans with is the old plan's, patched ([`patch_map`]).
+/// output coordinate computation, buffer slots); features are never read
+/// and nothing is charged — beside the plan it returns, index-aligned with
+/// its steps, the `Mapping` latency of each step's own map search. With a
+/// `patch` source, each map a step plans with is the old plan's, patched
+/// ([`patch_map`]).
 ///
 /// The input's coordinates are copied once, into the list that keys the
 /// plan and that every map at the input level shares.
@@ -531,7 +532,7 @@ fn build_plan(
     input: &SparseTensor,
     mut patch: Option<&mut Patch<'_>>,
     ctx: &mut Context,
-) -> Result<ExecutionPlan, CoreError> {
+) -> Result<(ExecutionPlan, Vec<Option<Micros>>), CoreError> {
     let mut cur = Geometry {
         coords: Arc::from(input.coords()),
         stride: input.stride(),
@@ -547,6 +548,8 @@ fn build_plan(
     // Per step, the values it writes (slots once the walk has ended).
     let mut buffers = Vec::with_capacity(ops.len());
     let mut life = Lifetimes::default();
+    // Per step, the `Mapping` latency of the map search it ran.
+    let mut prices = vec![None; ops.len()];
     for (i, op) in ops.iter().enumerate() {
         // A cost-only step has no work, so no stage boundary either.
         if !matches!(op, LayerOp::CostSurcharge { .. }) {
@@ -566,7 +569,8 @@ fn build_plan(
                 let key = conv.map_key(cur.stride);
                 let level =
                     patch_map(&mut patch, i, key, conv.transposed(), &cur, &mut ctx.planner);
-                let p = conv.plan(&cur.coords, cur.stride, cur.channels, ctx)?;
+                let (p, price) = conv.plan(&cur.coords, cur.stride, cur.channels, ctx)?;
+                prices[i] = price;
                 let coords = Arc::clone(&p.out_coords);
                 written.out = Some(cur.advance(coords, p.out_stride, conv.c_out(), &mut life, i));
                 cur.level = level;
@@ -575,7 +579,8 @@ fn build_plan(
             LayerOp::Pool(pool) => {
                 let key = pool.map_key(cur.stride);
                 let level = patch_map(&mut patch, i, key, false, &cur, &mut ctx.planner);
-                let p = pool.plan(&cur.coords, cur.stride, ctx)?;
+                let (p, price) = pool.plan(&cur.coords, cur.stride, ctx)?;
+                prices[i] = price;
                 let coords = Arc::clone(&p.out_coords);
                 written.out = Some(cur.advance(coords, p.out_stride, cur.channels, &mut life, i));
                 cur.level = level;
@@ -630,7 +635,9 @@ fn build_plan(
                         // residual output keeps the current one.
                         let key = conv.map_key(saved.stride);
                         patch_map(&mut patch, i, key, conv.transposed(), &saved, &mut ctx.planner);
-                        let p = conv.plan(&saved.coords, saved.stride, saved.channels, ctx)?;
+                        let (p, price) =
+                            conv.plan(&saved.coords, saved.stride, saved.channels, ctx)?;
+                        prices[i] = price;
                         same_coords(&cur.coords, &p.out_coords)?;
                         written.out = Some(life.create(p.out_coords.len() * conv.c_out(), i));
                         (Some(p), conv.c_out(), written.out)
@@ -671,7 +678,7 @@ fn build_plan(
         b.out = b.out.map(|v| slot[v]);
         b.copy = b.copy.map(|v| slot[v]);
     }
-    Ok(ExecutionPlan {
+    let plan = ExecutionPlan {
         input: key,
         stride: input.stride(),
         channels: input.channels(),
@@ -680,7 +687,8 @@ fn build_plan(
         buffers,
         slot_lens,
         cost: OnceLock::new(),
-    })
+    };
+    Ok((plan, prices))
 }
 
 impl Geometry {
@@ -1099,15 +1107,17 @@ mod tests {
 
     #[test]
     fn new_streams_plan_with_the_compile_time_planner() {
+        use crate::config::GroupingStrategy;
         use crate::faults::FaultSite;
         use crate::plan::ConvDataflow;
         let m = model();
         let (a, b) = (scene(0), scene(3));
-        // Compile-time grouping off: the calibrated table, or the fallback
-        // a failed tuning installs, is all a re-plan has to go by.
+        // Autotuning off: a re-plan stores the calibrated grouping, or the
+        // fallback a failed tuning installs.
         let mut cfg = EnginePreset::TorchSparse.config();
         cfg.autotune_policies = false;
-        for fault in [false, true] {
+        let calibrated = GroupingStrategy::Adaptive { epsilon: 1.0, s_threshold: 0 };
+        for (fault, stored) in [(false, calibrated), (true, GroupingStrategy::Fixed)] {
             let mut e = Engine::with_config(cfg.clone(), DeviceProfile::rtx_2080ti());
             if fault {
                 e.context_mut().runtime.faults.arm(FaultSite::GroupTuning);
@@ -1116,20 +1126,20 @@ mod tests {
             crate::tuning::tune_engine(&mut e, &m, std::slice::from_ref(&a), calibrated).unwrap();
             let (shared, mut first) = e.compile(&m, &a).unwrap().into_parts();
             let mut fresh = shared.new_stream().unwrap();
-            let replanned_groups = |stream: &mut StreamState| {
+            let replanned_groupings = |stream: &mut StreamState| {
                 shared.execute_on(stream, &b).unwrap();
-                let groups = stream.plan().steps.iter().filter_map(|step| match step {
-                    StepPlan::Conv(p) => match &p.dataflow {
-                        ConvDataflow::Grouped(g) => Some(g.clone()),
+                let groupings = stream.plan().steps.iter().filter_map(|step| match step {
+                    StepPlan::Conv(p) => match p.dataflow {
+                        ConvDataflow::Grouped(g) => Some(g),
                         ConvDataflow::FetchOnDemand => None,
                     },
                     _ => None,
                 });
-                groups.collect::<Vec<_>>()
+                groupings.collect::<Vec<_>>()
             };
-            let compiled = replanned_groups(&mut first);
-            assert_eq!(compiled.len(), 2);
-            assert_eq!(replanned_groups(&mut fresh), compiled, "tuning fault: {fault}");
+            let compiled = replanned_groupings(&mut first);
+            assert_eq!(compiled, [stored; 2], "tuning fault: {fault}");
+            assert_eq!(replanned_groupings(&mut fresh), compiled, "tuning fault: {fault}");
         }
     }
 }

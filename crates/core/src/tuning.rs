@@ -13,20 +13,20 @@
 //! grouping algorithm itself is input-adaptive, the same `(epsilon, S)`
 //! yields different partitions for different scenes (§4.2.3).
 //!
-//! A compiled session runs the same grid per layer on the geometry it was
-//! compiled against ([`autotune_plan`]), scored by the same cost function:
-//! the simulated prior alone picks each convolution's grouping. The host
-//! executor never computes pad rows, so only the simulated timeline reads
-//! the grouping plan and every choice is bitwise-neutral. Nothing is timed
-//! and nothing is persisted: the host executor's task widths are constants
-//! (64-row output chunks and GEMM panels).
+//! A compile runs no search. When the cost model first walks a compiled
+//! plan under `autotune_policies`, it runs the same grid per layer on that
+//! plan's own maps ([`prior_grouping`]), so a re-plan is priced like a cold
+//! compile of its geometry; `tuning_report` reports the compile-time plan's
+//! choices by the same rule. The host executor never computes pad rows, so
+//! every choice is bitwise-neutral. Nothing is timed and nothing is
+//! persisted: executor task widths are constants (64-row chunks and panels).
 
 use crate::config::{GroupingStrategy, Precision};
-use crate::context::{Context, LayerWorkload};
+use crate::context::LayerWorkload;
 use crate::engine::Engine;
 use crate::grouping::plan_groups;
 use crate::module::Module;
-use crate::plan::{ConvDataflow, ExecutionPlan, LayerOp, StepPlan};
+use crate::plan::{ConvDataflow, ConvPlan, ExecutionPlan, StepPlan};
 use crate::{CoreError, SparseTensor};
 use std::collections::HashMap;
 use torchsparse_gpusim::Precision as GemmPrecision;
@@ -110,8 +110,9 @@ pub struct TuningReport {
     /// Whether tuning failed and the engine was degraded to fixed grouping
     /// instead of installing per-layer parameters.
     pub degraded: bool,
-    /// Layer name -> the grouping a compiled session chose at compile time
-    /// (empty for calibration tuning with [`tune_engine`]).
+    /// Layer name -> the grouping the cost model prices a compiled
+    /// session's compile-time plan at (empty for calibration tuning with
+    /// [`tune_engine`]).
     pub policies: HashMap<String, GroupingStrategy>,
     /// Wall-clock candidate measurements tuning performed: always zero,
     /// since every choice is priced on the simulated device.
@@ -172,12 +173,10 @@ pub fn tune_engine<M: Module + ?Sized>(
             &format!("tuning failed ({cause}); fixed grouping installed"),
         );
         return Ok(TuningReport {
-            selected: HashMap::new(),
             samples: samples.len(),
             configs_searched,
             degraded: true,
-            policies: HashMap::new(),
-            candidates_measured: 0,
+            ..Default::default()
         });
     }
 
@@ -201,43 +200,29 @@ pub fn tune_engine<M: Module + ?Sized>(
         (layer.clone(), GroupingStrategy::Adaptive { epsilon, s_threshold })
     });
     engine.context_mut().planner.groupings.extend(tuned);
-    Ok(TuningReport {
-        selected,
-        samples: samples.len(),
-        configs_searched,
-        degraded: false,
-        policies: HashMap::new(),
-        candidates_measured: 0,
-    })
+    Ok(TuningReport { selected, samples: samples.len(), configs_searched, ..Default::default() })
 }
 
-/// The grouping strategy the simulated prior selects for one layer: when
-/// the layer's current grouping ([`Context::grouping_for`]: a calibrated
-/// `(epsilon, S)`, else the configured grouping) is adaptive, the
-/// simulated-cost winner of the Algorithm 5 grid if it strictly beats that
-/// grouping's simulated cost, else that grouping. Never exceeding its cost
-/// keeps a compiled session's simulated latency no worse than the dynamic
-/// engine's, which serving latency accounting relies on.
-fn prior_grouping(
-    layer: &str,
+/// The grouping the simulated prior selects for one layer whose plan
+/// stores `default` (a calibrated `(epsilon, S)`, else the configured
+/// grouping): when `default` is adaptive, the simulated-cost winner of the
+/// Algorithm 5 grid over `map_sizes` if it strictly beats `default`, else
+/// `default`, so a compiled session never looks slower to the simulator
+/// than the dynamic engine. The cost model's walk and [`compiled_report`]
+/// both call it through [`priced_grouping`], so they cannot disagree.
+pub(crate) fn prior_grouping(
+    default: GroupingStrategy,
     map_sizes: &[usize],
     submanifold: bool,
     c_in: usize,
     c_out: usize,
-    ctx: &Context,
+    gemm: &GemmModel,
+    precision: Precision,
 ) -> GroupingStrategy {
-    let default = ctx.grouping_for(layer);
     if let GroupingStrategy::Adaptive { .. } = default {
-        let w = LayerWorkload {
-            name: String::new(),
-            map_sizes: map_sizes.to_vec(),
-            c_in,
-            c_out,
-            submanifold,
-        };
-        let cost = |strategy| {
-            grouped_matmul_latency(&w, strategy, &ctx.gemm, ctx.config.precision).as_f64()
-        };
+        let map_sizes = map_sizes.to_vec();
+        let w = LayerWorkload { name: String::new(), map_sizes, c_in, c_out, submanifold };
+        let cost = |strategy| grouped_matmul_latency(&w, strategy, gemm, precision).as_f64();
         let (epsilons, thresholds) = default_search_space();
         if let Some((best, c)) = cheapest_adaptive(&epsilons, &thresholds, cost) {
             if c < cost(default) {
@@ -248,56 +233,50 @@ fn prior_grouping(
     default
 }
 
-/// Picks every convolution's grouping in a freshly built
-/// [`ExecutionPlan`] with [`prior_grouping`], re-grouping the frozen plan in
-/// place where the choice differs from the grouping it was planned with,
-/// and installs the choices in the context so re-plans and new streams
-/// reuse them.
-pub(crate) fn autotune_plan(
-    ops: &[LayerOp<'_>],
-    plan: &mut ExecutionPlan,
-    ctx: &mut Context,
+/// The grouping the cost model prices convolution `p` at: none for
+/// fetch-on-demand, else its stored strategy or, with `search`,
+/// [`prior_grouping`]'s choice against it on the plan's own map.
+pub(crate) fn priced_grouping(
+    p: &ConvPlan,
+    search: bool,
+    gemm: &GemmModel,
+    precision: Precision,
+) -> Option<GroupingStrategy> {
+    let ConvDataflow::Grouped(stored) = p.dataflow else { return None };
+    if !search {
+        return Some(stored);
+    }
+    let (sizes, submanifold) = (p.map().sizes(), p.center.is_some());
+    Some(prior_grouping(stored, &sizes, submanifold, p.c_in, p.c_out, gemm, precision))
+}
+
+/// The tuning report of a compiled plan: for every grouped convolution,
+/// the grouping its walk prices it at under `autotune_policies`.
+pub(crate) fn compiled_report(
+    plan: &ExecutionPlan,
+    gemm: &GemmModel,
+    precision: Precision,
 ) -> TuningReport {
     let mut policies: HashMap<String, GroupingStrategy> = HashMap::new();
     let mut selected: HashMap<String, (f64, usize)> = HashMap::new();
-    for (op, step) in ops.iter().zip(plan.steps.iter_mut()) {
-        let (conv, p) = match (op, step) {
-            (LayerOp::Conv(c), StepPlan::Conv(p)) => (*c, p),
-            (
-                LayerOp::ResidualAdd { projection: Some(c) },
-                StepPlan::Residual { projection: Some(p) },
-            ) => (*c, p),
-            _ => continue,
-        };
-        if matches!(p.dataflow, ConvDataflow::FetchOnDemand) {
-            // Fetch-on-demand layers have no grouping to tune.
+    for (step, name) in plan.steps.iter().zip(&plan.names) {
+        let (StepPlan::Conv(p) | StepPlan::Residual { projection: Some(p) }, Some(name)) =
+            (step, name)
+        else {
             continue;
-        }
-        let (name, map_sizes) = (conv.layer_name(), p.map().sizes());
-        let grouping =
-            prior_grouping(name, &map_sizes, p.submanifold, conv.c_in(), conv.c_out(), ctx);
-        if grouping != ctx.grouping_for(name) {
-            p.dataflow = ConvDataflow::Grouped(plan_groups(&map_sizes, p.submanifold, grouping));
-        }
+        };
+        // Fetch-on-demand layers have no grouping to tune.
+        let Some(grouping) = priced_grouping(p, true, gemm, precision) else { continue };
         if let GroupingStrategy::Adaptive { epsilon, s_threshold } = grouping {
-            selected.insert(name.to_owned(), (epsilon, s_threshold));
+            selected.insert(name.clone(), (epsilon, s_threshold));
         }
-        policies.insert(name.to_owned(), grouping);
+        policies.insert(name.clone(), grouping);
     }
-
-    ctx.planner.groupings.extend(policies.clone());
     // `prior_grouping` searched the grid for every layer it left adaptive,
     // and nothing for a pinned one.
     let (epsilons, thresholds) = default_search_space();
     let configs_searched = if selected.is_empty() { 0 } else { epsilons.len() * thresholds.len() };
-    TuningReport {
-        selected,
-        samples: 1,
-        configs_searched,
-        degraded: false,
-        policies,
-        candidates_measured: 0,
-    }
+    TuningReport { selected, samples: 1, configs_searched, policies, ..Default::default() }
 }
 
 #[cfg(test)]
@@ -416,7 +395,7 @@ mod tests {
     }
 
     #[test]
-    fn compile_after_tune_engine_runs_the_groupings_it_reports() {
+    fn compile_after_tune_engine_prices_the_groupings_it_reports() {
         // On this scene no grid point strictly beats the configured
         // grouping for `c1`, and the calibrated one groups differently.
         let coords: Vec<Coord> = (0..60)
@@ -427,30 +406,47 @@ mod tests {
         let n = coords.len();
         let x =
             SparseTensor::new(coords, Matrix::from_fn(n, 4, |r, c| ((r + c) % 3) as f32)).unwrap();
-        let mut e = Engine::new(EnginePreset::TorchSparse, DeviceProfile::rtx_2080ti());
-        let calibrated = Some((vec![1.0], vec![0]));
-        tune_engine(&mut e, &model(), std::slice::from_ref(&x), calibrated).unwrap();
+        let calibrated = GroupingStrategy::Adaptive { epsilon: 1.0, s_threshold: 0 };
+        let tuned = |autotune: bool| {
+            let mut cfg = EnginePreset::TorchSparse.config();
+            cfg.autotune_policies = autotune;
+            let mut e = Engine::with_config(cfg, DeviceProfile::rtx_2080ti());
+            tune_engine(&mut e, &model(), std::slice::from_ref(&x), Some((vec![1.0], vec![0])))
+                .unwrap();
+            e
+        };
         let m = model();
-        let mut session = e.compile(&m, &x).unwrap();
+        let mut session = tuned(true).compile(&m, &x).unwrap();
         let report = session.tuning_report().unwrap().clone();
-        let runs_reported = |plan: &ExecutionPlan| {
-            for (step, name) in plan.steps.iter().zip(&plan.names) {
-                if let (StepPlan::Conv(p), Some(name)) = (step, name) {
-                    let reported =
-                        plan_groups(&p.map().sizes(), p.submanifold, report.policies[name]);
-                    assert!(
-                        matches!(&p.dataflow, ConvDataflow::Grouped(g) if *g == reported),
-                        "{name} runs a grouping other than {:?}",
-                        report.policies[name]
-                    );
+        assert_eq!(report.policies.len(), 2);
+        // The plan stores the calibrated strategy, the default the search
+        // must beat, and a hit is priced at the reported groupings: the
+        // same timeline as an untuned compile pinned to them.
+        let stores_calibrated = |plan: &ExecutionPlan| {
+            for step in &plan.steps {
+                if let StepPlan::Conv(p) = step {
+                    assert!(matches!(p.dataflow, ConvDataflow::Grouped(g) if g == calibrated));
                 }
             }
         };
-        runs_reported(session.plan());
-        // A re-plan for new geometry keeps the reported groupings.
-        session.execute(&scene(2)).unwrap();
+        stores_calibrated(session.plan());
+        session.execute(&x).unwrap();
+        let mut pinned = tuned(false);
+        pinned.context_mut().planner.groupings = report.policies.clone();
+        let mut reported = pinned.compile(&m, &x).unwrap();
+        reported.execute(&x).unwrap();
+        assert_eq!(session.last_timeline(), reported.last_timeline());
+
+        // A re-plan for new geometry stores the calibrated strategy too,
+        // and is priced exactly like a cold compile of that geometry.
+        let y = scene(2);
+        session.execute(&y).unwrap();
         assert_eq!(session.stats().misses, 2);
-        runs_reported(session.plan());
+        stores_calibrated(session.plan());
+        session.execute(&y).unwrap();
+        let mut cold = tuned(true).compile(&m, &y).unwrap();
+        cold.execute(&y).unwrap();
+        assert_eq!(session.last_timeline(), cold.last_timeline());
     }
 
     #[test]
@@ -475,12 +471,13 @@ mod tests {
     #[test]
     fn prior_grouping_never_costs_more_than_the_default() {
         // Whatever grouping the prior selects, its sim-cost is <= the
-        // config default's: compiled sessions must never look slower than
+        // default's: compiled sessions must never look slower than
         // dynamic execution to the simulator.
         let e = Engine::new(EnginePreset::TorchSparse, DeviceProfile::rtx_2080ti());
         let ctx = e.context();
+        let (gemm, precision, default) = (&ctx.gemm, ctx.config.precision, ctx.config.grouping);
         let map_sizes: Vec<usize> = (0..27).map(|i| 2000 + i * 300).collect();
-        let picked = prior_grouping("c", &map_sizes, true, 32, 64, ctx);
+        let picked = prior_grouping(default, &map_sizes, true, 32, 64, gemm, precision);
         let w = LayerWorkload {
             name: String::new(),
             map_sizes: map_sizes.clone(),
@@ -488,15 +485,10 @@ mod tests {
             c_out: 64,
             submanifold: true,
         };
-        let cost = |g| grouped_matmul_latency(&w, g, &ctx.gemm, ctx.config.precision).as_f64();
-        assert!(cost(picked) <= cost(ctx.config.grouping), "{picked:?}");
+        let cost = |g| grouped_matmul_latency(&w, g, gemm, precision).as_f64();
+        assert!(cost(picked) <= cost(default), "{picked:?}");
         // A pinned (non-adaptive) grouping is never searched.
-        let mut separate = EnginePreset::TorchSparse.config();
-        separate.grouping = GroupingStrategy::Separate;
-        let e = Engine::with_config(separate, DeviceProfile::rtx_2080ti());
-        assert_eq!(
-            prior_grouping("c", &map_sizes, true, 32, 64, e.context()),
-            GroupingStrategy::Separate
-        );
+        let separate = GroupingStrategy::Separate;
+        assert_eq!(prior_grouping(separate, &map_sizes, true, 32, 64, gemm, precision), separate);
     }
 }

@@ -98,8 +98,8 @@ pub struct HealthReport {
     /// Abandoned delta attempts that fell back to full re-plans across
     /// every stream (sum of [`StreamHealth::delta_fallbacks`]).
     pub delta_fallbacks: u64,
-    /// Layers whose grouping was chosen by the compile-time autotuner
-    /// (zero when autotuning was disabled at compile time).
+    /// Layers of the compile-time plan whose grouping the autotuner prices
+    /// (zero when autotuning is disabled).
     pub tuned_layers: usize,
     /// Per-stream health, indexed by stream.
     pub streams: Vec<StreamHealth>,

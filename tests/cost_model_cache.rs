@@ -128,43 +128,48 @@ fn tuned_sessions_agree_bitwise() {
 
 /// (a) Every re-plan path re-derives the cached cost: the miss frame and
 /// the hit after it report what a cold compile on the new geometry does,
-/// and only the miss pays `Mapping`.
+/// and only the miss pays `Mapping` — untuned, and under the product
+/// config, whose walk prices each convolution at the grouping the search
+/// picks for the plan's own map.
 #[test]
 fn replanned_frames_match_a_cold_compile_bitwise() {
     let _serial = serial();
     let m = model(25);
     let base = scene(4);
-    for (path, churn, delta_replan) in
-        [("delta-patch", 0.08, true), ("delta-fallback", 0.5, true), ("full-replan", 0.08, false)]
-    {
-        let mut cfg = untuned(Precision::Fp16);
-        cfg.delta_replan = delta_replan;
-        let frames = temporal_churn_stream(&base, 2, churn, 13).expect("stream");
-        let mut session = compile(&cfg, &m, &frames[0]);
-        session.execute(&frames[0]).expect("hit on the compile geometry");
+    let paths = [
+        ("delta-patch", 0.08, true, (1, 0, 1)),
+        ("delta-fallback", 0.5, true, (0, 1, 1)),
+        ("full-replan", 0.08, false, (0, 0, 2)),
+    ];
+    // Autotuning on is the product config.
+    for autotune in [false, true] {
+        for (path, churn, delta_replan, expected) in paths {
+            let path = format!("{path}, autotune {autotune}");
+            let mut cfg = untuned(Precision::Fp16);
+            cfg.autotune_policies = autotune;
+            cfg.delta_replan = delta_replan;
+            let frames = temporal_churn_stream(&base, 2, churn, 13).expect("stream");
+            let mut session = compile(&cfg, &m, &frames[0]);
+            session.execute(&frames[0]).expect("hit on the compile geometry");
 
-        let mut cold = compile(&cfg, &m, &frames[1]);
-        cold.execute(&frames[1]).expect("cold hit");
-        let want = exec_bits(cold.last_timeline());
+            let mut cold = compile(&cfg, &m, &frames[1]);
+            cold.execute(&frames[1]).expect("cold hit");
+            let want = exec_bits(cold.last_timeline());
 
-        session.execute(&frames[1]).expect("miss");
-        assert_eq!(exec_bits(session.last_timeline()), want, "{path}: miss frame");
-        assert!(
-            session.last_timeline().stage(Stage::Mapping) > Micros::ZERO,
-            "{path}: the miss frame pays mapping"
-        );
-        session.execute(&frames[1]).expect("hit");
-        assert_eq!(exec_bits(session.last_timeline()), want, "{path}: following hit");
-        assert_eq!(session.last_timeline().stage(Stage::Mapping), Micros::ZERO, "{path}");
+            session.execute(&frames[1]).expect("miss");
+            assert_eq!(exec_bits(session.last_timeline()), want, "{path}: miss frame");
+            assert!(
+                session.last_timeline().stage(Stage::Mapping) > Micros::ZERO,
+                "{path}: the miss frame pays mapping"
+            );
+            session.execute(&frames[1]).expect("hit");
+            assert_eq!(exec_bits(session.last_timeline()), want, "{path}: following hit");
+            assert_eq!(session.last_timeline().stage(Stage::Mapping), Micros::ZERO, "{path}");
 
-        let s = session.stats();
-        let taken = (s.delta_patches, s.delta_fallbacks, s.full_replans);
-        let expected = match path {
-            "delta-patch" => (1, 0, 1),
-            "delta-fallback" => (0, 1, 1),
-            _ => (0, 0, 2),
-        };
-        assert_eq!(taken, expected, "{path}: {s:?}");
+            let s = session.stats();
+            let taken = (s.delta_patches, s.delta_fallbacks, s.full_replans);
+            assert_eq!(taken, expected, "{path}: {s:?}");
+        }
     }
 }
 

@@ -2,11 +2,10 @@
 //! compiled frame runs: each traceable module is traced, planned against
 //! the input geometry, executed by `run_steps` and logged as one plan
 //! charge. This suite pins what that buys beyond the bit-for-bit timelines
-//! of `timeline_golden_bits.rs`: a run split into several plans (a
-//! `Sequential` around an untraceable module) equals one plan of the same
-//! layers, dynamic runs honour deadlines at the compiled frame's stage
-//! boundaries, and `Engine::price` — the plan without its execution — reports
-//! what the run reports.
+//! of `timeline_golden_bits.rs`: a `Sequential` of blocks runs as one plan
+//! of the same layers, dynamic runs honour deadlines at the compiled
+//! frame's stage boundaries, and `Engine::price` — the plan without its
+//! execution — reports what the run reports.
 
 #[path = "support/cost_fixtures.rs"]
 mod fixtures;
@@ -14,24 +13,11 @@ mod fixtures;
 use fixtures::{engine, model, scene, stage_bits, untuned};
 use std::time::Duration;
 use torchsparse::core::{
-    Context, CoreError, Deadline, Engine, EnginePreset, FaultSite, Module, Precision, Sequential,
+    CoreError, Deadline, Engine, EnginePreset, FaultSite, Module, Precision, Sequential,
     SparseTensor, Tracer,
 };
 use torchsparse::gpusim::DeviceProfile;
 use torchsparse::models::{CenterPoint, ConvBnReLU, MinkUNet, ResidualBlock};
-
-/// An untraceable module: it overrides `forward` and cannot be planned.
-struct Identity;
-
-impl Module for Identity {
-    fn forward(&self, input: &SparseTensor, _ctx: &mut Context) -> Result<SparseTensor, CoreError> {
-        Ok(input.clone())
-    }
-
-    fn name(&self) -> &str {
-        "identity"
-    }
-}
 
 /// A container that only traces its blocks: one plan for all of them.
 struct OnePlan(Vec<Box<dyn Module>>);
@@ -47,7 +33,7 @@ impl Module for OnePlan {
 }
 
 /// Every block kind, ending in a transposed convolution whose map was
-/// built by an earlier block — in a chained run, by an earlier plan.
+/// built by an earlier block.
 fn blocks() -> Vec<Box<dyn Module>> {
     vec![
         Box::new(ConvBnReLU::new("stem", 4, 8, 3, 1, 1)),
@@ -61,15 +47,14 @@ fn feature_bits(t: &SparseTensor) -> Vec<u32> {
     t.feats().as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
-/// Several ephemeral plans on one run (shared map cache, one L2 simulator,
-/// profiles appended plan after plan) report exactly what one plan of the
-/// same layers reports: output bits, timeline bits and layer profiles.
+/// A `Sequential` of blocks traces them into one ephemeral plan: it reports
+/// exactly what a container that only traces the same blocks reports —
+/// output bits, timeline bits and layer profiles.
 #[test]
-fn chained_plans_match_one_plan() {
-    let mut chained = Sequential::new("chained");
+fn a_sequential_runs_as_one_plan() {
+    let mut seq = Sequential::new("seq");
     for block in blocks() {
-        chained.push_boxed(block);
-        chained.push_boxed(Box::new(Identity));
+        seq.push_boxed(block);
     }
     let one = OnePlan(blocks());
     let x = scene(4);
@@ -80,7 +65,7 @@ fn chained_plans_match_one_plan() {
             let y = e.run(m, &x).expect("dynamic run");
             (feature_bits(&y), stage_bits(e.last_timeline()), e.context().layer_profiles().to_vec())
         };
-        let (a, b) = (run(&chained), run(&one));
+        let (a, b) = (run(&seq), run(&one));
         assert_eq!(a.0, b.0, "{precision:?}: output bits");
         assert_eq!(a.1, b.1, "{precision:?}: timeline bits");
         assert_eq!(a.2, b.2, "{precision:?}: layer profiles");
