@@ -28,10 +28,8 @@ pub struct MapEntry {
 /// and allocator slack of the former ragged `Vec<Vec<MapEntry>>` and makes
 /// the frozen-plan memory accounting exact.
 ///
-/// Forward searches append entries in output-index-ascending order within
-/// each offset, so for forward maps every CSR range is already sorted by
-/// output row — the property `core`'s fused-execution ordering exploits to
-/// chunk ranges as slice views instead of re-sorting.
+/// A search emits each offset's entries by output row, so every CSR range is
+/// output-ascending: `core`'s fused executor splits the ranges in place.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelMap {
     kernel_size: usize,
@@ -131,43 +129,6 @@ impl KernelMap {
     pub fn memory_bytes(&self) -> u64 {
         (self.entries.len() * std::mem::size_of::<MapEntry>()
             + self.bounds.len() * std::mem::size_of::<u32>()) as u64
-    }
-
-    /// Returns the transposed map (inputs and outputs swapped, offsets
-    /// mirrored), used by inverse/transposed convolution in UNet decoders.
-    ///
-    /// For odd kernels the mirrored offset of `n` is `K^3 - 1 - n`; for even
-    /// kernels there is no mirror, so entries stay at their offset (the
-    /// decoder consumes them with swapped roles only).
-    pub fn transposed(&self) -> KernelMap {
-        let volume = self.num_offsets();
-        let mut per_offset = vec![Vec::new(); volume];
-        for n in 0..volume {
-            let target = if offsets::has_mirror_property(self.kernel_size) {
-                offsets::mirror_index(self.kernel_size, n)
-            } else {
-                n
-            };
-            per_offset[target] = self
-                .entries(n)
-                .iter()
-                .map(|e| MapEntry { input: e.output, output: e.input })
-                .collect();
-        }
-        let mut entries = Vec::with_capacity(self.entries.len());
-        let mut bounds = Vec::with_capacity(volume + 1);
-        bounds.push(0);
-        for list in &per_offset {
-            entries.extend_from_slice(list);
-            bounds.push(entries.len() as u32);
-        }
-        KernelMap {
-            kernel_size: self.kernel_size,
-            stride: self.stride,
-            entries,
-            bounds,
-            stats: MappingStats::default(),
-        }
     }
 }
 
@@ -445,24 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn transposed_swaps_roles() {
-        let coords = scene();
-        let (table, _) = CoordHashMap::build(&coords);
-        let map = search_dilated_on(ThreadPool::global(), &coords, &table, 3, 1, 1).unwrap();
-        let t = map.transposed();
-        assert_eq!(t.total_entries(), map.total_entries());
-        // An entry (j -> k) at offset n becomes (k -> j) at the mirror offset,
-        // which for submanifold maps reproduces the original map exactly.
-        for n in 0..27 {
-            let mut orig: Vec<_> = map.entries(n).to_vec();
-            let mut tr: Vec<_> = t.entries(n).to_vec();
-            orig.sort_by_key(|e| (e.output, e.input));
-            tr.sort_by_key(|e| (e.output, e.input));
-            assert_eq!(orig, tr);
-        }
-    }
-
-    #[test]
     fn from_parts_validates() {
         assert!(KernelMap::from_parts(0, 1, vec![], MappingStats::default()).is_err());
         assert!(KernelMap::from_parts(3, 0, vec![Vec::new(); 27], MappingStats::default()).is_err());
@@ -534,7 +477,7 @@ mod tests {
 
     // CSR↔legacy equivalence on random ragged per-offset lists: the
     // flattened layout must reproduce every legacy list, size, and total
-    // exactly, and survive a transpose round-trip.
+    // exactly.
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
 
@@ -567,12 +510,6 @@ mod tests {
                 proptest::prop_assert_eq!(map.entries(n), legacy.as_slice());
                 proptest::prop_assert_eq!(map.entry_range(n).len(), legacy.len());
                 proptest::prop_assert_eq!(map.sizes()[n], legacy.len());
-            }
-            // Transposing twice restores the original map exactly
-            // (mirror of mirror is the identity offset permutation).
-            let double = map.transposed().transposed();
-            for n in 0..27 {
-                proptest::prop_assert_eq!(double.entries(n), map.entries(n));
             }
         }
     }

@@ -75,13 +75,6 @@ pub(crate) fn has_mirror_property(k: usize) -> bool {
     k % 2 == 1
 }
 
-/// The index paired with `i` under the mirror property.
-///
-/// Only meaningful for odd kernel sizes; the center index maps to itself.
-pub(crate) fn mirror_index(k: usize, i: usize) -> usize {
-    kernel_volume(k) - 1 - i
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,7 +104,7 @@ mod tests {
     fn k3_mirror_property() {
         let offs = kernel_offsets(3).unwrap();
         for (i, off) in offs.iter().enumerate() {
-            let m = offs[mirror_index(3, i)];
+            let m = offs[26 - i];
             assert_eq!([-off[0], -off[1], -off[2]], m, "mirror at index {i}");
         }
         assert_eq!(offs[center_index(3).unwrap()], [0, 0, 0]);
@@ -123,7 +116,7 @@ mod tests {
         assert_eq!(offs.len(), 125);
         assert_eq!(offs[center_index(5).unwrap()], [0, 0, 0]);
         for (i, off) in offs.iter().enumerate() {
-            let m = offs[mirror_index(5, i)];
+            let m = offs[124 - i];
             assert_eq!([-off[0], -off[1], -off[2]], m);
         }
     }

@@ -1,7 +1,7 @@
 use crate::config::{OptimizationConfig, Precision};
 use crate::context::{CachedMap, Context, LayerWorkload, MapKey};
 use crate::dataflow::{
-    fetch_on_demand_into, gather_matmul_scatter_into, ConvWorkload, Epilogue, FusedOrder,
+    fetch_on_demand_into, gather_matmul_scatter_into, ConvWorkload, Epilogue, FusedOrder, MapView,
 };
 use crate::faults::FaultSite;
 use crate::mapping::build_layer_mapping_on;
@@ -195,7 +195,7 @@ impl SparseConv3d {
     }
 
     /// Whether this is a transposed (inverse) convolution.
-    pub(crate) fn transposed(&self) -> bool {
+    pub(crate) fn is_transposed(&self) -> bool {
         self.transposed
     }
 
@@ -260,31 +260,28 @@ impl SparseConv3d {
         } else {
             acquire_map(key, coords, ctx)?
         };
-        // For a transposed conv the map is flipped: entries run coarse -> fine.
-        let (flipped, out_coords, out_stride) = if self.transposed {
-            (Some(cached.map.transposed()), Arc::clone(&cached.fine), in_stride / self.stride)
+        // A transposed conv reads the cached map coarse -> fine.
+        let (out_coords, out_stride) = if self.transposed {
+            (Arc::clone(&cached.fine), in_stride / self.stride)
         } else {
-            (None, Arc::clone(&cached.coarse), in_stride * self.stride)
+            (Arc::clone(&cached.coarse), in_stride * self.stride)
         };
+        let map = MapView::new(&cached.map, self.transposed);
 
         let submanifold = self.is_submanifold();
         let center = if submanifold { offsets::center_index(self.kernel_size) } else { None };
 
-        let map_ref = match &flipped {
-            Some(m) => m,
-            None => &cached.map,
-        };
         if ctx.record_workloads {
             ctx.workloads.push(LayerWorkload {
                 name: self.name.clone(),
-                map_sizes: map_ref.sizes(),
+                map_sizes: map.sizes(),
                 c_in: self.c_in,
                 c_out: self.c_out,
                 submanifold,
             });
         }
         // Fetch-on-demand when configured and the workload is small.
-        let avg_map = map_ref.total_entries() / map_ref.num_offsets().max(1);
+        let avg_map = cached.map.total_entries() / map.num_offsets().max(1);
         let use_fod = ctx.config.fetch_on_demand_below.is_some_and(|t| avg_map < t);
         let dataflow = if use_fod {
             ConvDataflow::FetchOnDemand
@@ -292,16 +289,13 @@ impl SparseConv3d {
             ConvDataflow::Grouped(ctx.grouping_for(&self.name))
         };
 
-        // Plan-time locality reordering: sort each offset's entries by
-        // output row once per geometry, so every frame executed against
-        // this plan streams cache-friendly panels without rebuilding any
-        // index. The per-offset work runs on the worker pool — plan builds
-        // are on the serial critical path of compiled sessions.
-        let fused = Arc::new(FusedOrder::build_on(&ctx.runtime.pool(), map_ref, out_coords.len()));
+        // Plan-time locality split, once per geometry, on the worker pool:
+        // plan builds are on the serial critical path of compiled sessions.
+        let fused = Arc::new(FusedOrder::build_on(&ctx.runtime.pool(), map, out_coords.len()));
 
         let plan = ConvPlan {
             cached,
-            flipped,
+            transposed: self.transposed,
             out_coords,
             out_stride,
             center,
@@ -519,7 +513,7 @@ mod tests {
     }
 
     #[test]
-    fn transposed_restores_coords() {
+    fn a_transposed_conv_restores_coords() {
         let down = SparseConv3d::with_random_weights("d", 4, 8, 2, 2, 3);
         let up = SparseConv3d::with_random_weights("u", 8, 4, 2, 2, 4).into_transposed();
         let mut c = ctx();
@@ -532,7 +526,7 @@ mod tests {
     }
 
     #[test]
-    fn transposed_without_cache_fails() {
+    fn a_transposed_conv_without_its_encoder_map_fails() {
         let up = SparseConv3d::with_random_weights("u", 4, 4, 2, 2, 5).into_transposed();
         let mut c = ctx();
         let x = SparseTensor::with_stride(input(4).coords().to_vec(), input(4).feats().clone(), 2)

@@ -30,7 +30,7 @@
 
 use crate::config::{GroupingStrategy, OptimizationConfig, Precision};
 use crate::context::{LayerProfile, HOST_OP_OVERHEAD_US};
-use crate::dataflow::is_center_shortcut;
+use crate::dataflow::{is_center_shortcut, MapView};
 use crate::grouping::{plan_groups, ExecGroup};
 use crate::plan::{ConvPlan, ExecutionPlan, StepPlan};
 use crate::tuning::priced_grouping;
@@ -70,8 +70,8 @@ fn host_op(timeline: &mut Timeline) {
 /// The geometry of one convolution — everything its simulated cost depends
 /// on besides the configuration and the grouping.
 struct ConvGeometry<'a> {
-    /// The kernel map the layer executes with.
-    map: &'a KernelMap,
+    /// The kernel map as the layer executes it.
+    map: MapView<'a>,
     /// Input / output point counts.
     n_in: usize,
     n_out: usize,
@@ -502,12 +502,12 @@ fn layout(geo: &ConvGeometry<'_>, groups: &[ExecGroup], m: Modes, mem: &mut Memo
     for g in groups {
         for &n in &g.offsets {
             seg_start[n] = rows;
-            rows += if g.use_bmm { g.padded_rows } else { geo.map.entries(n).len() } as u64;
+            rows += if g.use_bmm { g.padded_rows } else { geo.map.entries(n, ..).len() } as u64;
         }
     }
     let feat_row_bytes = (geo.c_in as u64) * m.feat.elem.bytes();
     let psum_row_bytes = (geo.c_out as u64) * m.psum.elem.bytes();
-    let map_bytes = geo.map.total_entries() as u64 * MAP_ENTRY_BYTES;
+    let map_bytes = geo.map.sizes().iter().sum::<usize>() as u64 * MAP_ENTRY_BYTES;
     Buffers {
         in_base: mem.alloc(geo.n_in as u64 * feat_row_bytes),
         gather_base: mem.alloc(rows * feat_row_bytes),
@@ -567,12 +567,12 @@ fn moved_offsets(geo: &ConvGeometry<'_>, groups: &[ExecGroup], sim: &Sim<'_>) ->
 /// Charges the streaming read of the map metadata slices that drive a
 /// movement kernel over the given offsets (identical for every ordering, so
 /// it moderates relative speedups exactly as the real index traffic does).
-fn charge_map_read(map: &KernelMap, offsets: &[usize], bufs: &Buffers, mem: &mut MemorySim) {
+fn charge_map_read(map: MapView<'_>, offsets: &[usize], bufs: &Buffers, mem: &mut MemorySim) {
     for &n in offsets {
         mem.read(
             bufs.map_base,
             bufs.seg_start[n] * MAP_ENTRY_BYTES,
-            map.entries(n).len() as u64 * MAP_ENTRY_BYTES,
+            map.entries(n, ..).len() as u64 * MAP_ENTRY_BYTES,
             AccessMode::scalar_f32(),
         );
     }
@@ -595,13 +595,13 @@ fn finish_movement(stage: Stage, groups: &[ExecGroup], sim: &mut Sim<'_>) {
 fn bucket_by(
     rows: usize,
     offsets: &[usize],
-    map: &KernelMap,
+    map: MapView<'_>,
     key: impl Fn(&MapEntry) -> u32,
 ) -> (Vec<u32>, Vec<(u32, u32)>) {
     let mut starts = vec![0u32; rows + 1];
     for &n in offsets {
-        for e in map.entries(n) {
-            starts[key(e) as usize + 1] += 1;
+        for e in map.entries(n, ..) {
+            starts[key(&e) as usize + 1] += 1;
         }
     }
     for r in 0..rows {
@@ -610,8 +610,8 @@ fn bucket_by(
     let mut fill: Vec<u32> = starts[..rows].to_vec();
     let mut slots = vec![(0u32, 0u32); starts[rows] as usize];
     for &n in offsets {
-        for (i, e) in map.entries(n).iter().enumerate() {
-            let f = &mut fill[key(e) as usize];
+        for (i, e) in map.entries(n, ..).enumerate() {
+            let f = &mut fill[key(&e) as usize];
             slots[*f as usize] = (n as u32, i as u32);
             *f += 1;
         }
@@ -645,7 +645,7 @@ fn gather(geo: &ConvGeometry<'_>, groups: &[ExecGroup], bufs: &Buffers, sim: &mu
         // Weight-stationary order (Figure 9a): per offset, every input
         // index is unique, so there is no within-offset reuse.
         for &n in &offsets {
-            for (i, e) in geo.map.entries(n).iter().enumerate() {
+            for (i, e) in geo.map.entries(n, ..).enumerate() {
                 sim.mem.read(bufs.in_base, e.input as u64 * row, row, m.feat);
                 sim.mem.write(bufs.gather_base, (bufs.seg_start[n] + i as u64) * row, row, m.feat);
             }
@@ -668,7 +668,7 @@ fn matmuls(geo: &ConvGeometry<'_>, groups: &[ExecGroup], bufs: &Buffers, sim: &m
             let mut total = Micros::ZERO;
             let mut rows = 0u64;
             for &n in &g.offsets {
-                let size = geo.map.entries(n).len();
+                let size = geo.map.entries(n, ..).len();
                 if size == 0 {
                     continue;
                 }
@@ -711,7 +711,7 @@ fn scatter(geo: &ConvGeometry<'_>, groups: &[ExecGroup], bufs: &Buffers, sim: &m
         // Weight-stationary scatter: sequential partial sums, random
         // read-modify-write of the output rows.
         for &n in &offsets {
-            for (i, e) in geo.map.entries(n).iter().enumerate() {
+            for (i, e) in geo.map.entries(n, ..).enumerate() {
                 sim.mem.read(bufs.psum_base, (bufs.seg_start[n] + i as u64) * row, row, m.psum);
                 sim.mem.read(bufs.out_base, e.output as u64 * row, row, m.psum);
                 sim.mem.write(bufs.out_base, e.output as u64 * row, row, m.psum);
@@ -740,11 +740,11 @@ fn fetch_on_demand(geo: &ConvGeometry<'_>, precision: Precision, sim: &mut Sim<'
     let out_base = sim.mem.alloc(geo.n_out as u64 * out_row_bytes);
     let mut compute = Micros::ZERO;
     for n in 0..geo.map.num_offsets() {
-        let entries = geo.map.entries(n);
-        if entries.is_empty() {
+        let entries = geo.map.entries(n, ..);
+        if entries.len() == 0 {
             continue;
         }
-        for e in entries {
+        for e in entries.clone() {
             sim.mem.read(in_base, e.input as u64 * feat_row_bytes, feat_row_bytes, m.feat);
             sim.mem.read(out_base, e.output as u64 * out_row_bytes, out_row_bytes, m.psum);
             sim.mem.write(out_base, e.output as u64 * out_row_bytes, out_row_bytes, m.psum);
@@ -774,7 +774,7 @@ mod tests {
         let parts = workload_parts(8, 8);
         let n = parts.n_out;
         let geo = ConvGeometry {
-            map: &parts.map,
+            map: MapView::new(&parts.map, false),
             n_in: n,
             n_out: n,
             c_in: 8,
@@ -804,6 +804,7 @@ mod tests {
     fn plan(n: usize, c: usize, steps: Vec<StepPlan>) -> ExecutionPlan {
         ExecutionPlan {
             input: vec![Coord::new(0, 0, 0, 0); n].into(),
+            rank: None,
             stride: 1,
             channels: c,
             names: vec![None; steps.len()],

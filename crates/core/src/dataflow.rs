@@ -30,6 +30,7 @@
 use crate::config::{OptimizationConfig, Precision};
 use crate::runtime::{Task, ThreadPool};
 use std::ops::Range;
+use std::slice::SliceIndex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use torchsparse_coords::kernel_map::MapEntry;
 use torchsparse_coords::KernelMap;
@@ -44,8 +45,8 @@ pub(crate) struct ConvWorkload<'a> {
     /// Per-offset weights (`c_in x c_out` each) in the microkernel's
     /// panel-major layout: the layer's one copy, packed at construction.
     pub packed: &'a [PackedB],
-    /// The kernel map.
-    pub map: &'a KernelMap,
+    /// The kernel map, as this layer reads it.
+    pub map: MapView<'a>,
     /// Number of output points.
     pub n_out: usize,
     /// The center offset index if this is a submanifold layer whose center
@@ -65,107 +66,115 @@ impl ConvWorkload<'_> {
     }
 }
 
+/// A convolution's kernel map as its executor, the cost model and the tuner
+/// read it, borrowed: a searched map as it is, or — for a transposed
+/// convolution — its encoder's map the other way round. Offset `n` then
+/// reads the encoder's mirror offset `K^3 - 1 - n` (`n` for an even kernel,
+/// which has no mirror) with input and output swapped, in the encoder's
+/// order; on a plan's sorted levels that is output-ascending too, as the
+/// fine row `s * coarse + o` of one offset rises with its coarse row.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MapView<'a> {
+    map: &'a KernelMap,
+    transposed: bool,
+}
+
+impl<'a> MapView<'a> {
+    /// `map` as searched, or read the other way round when `transposed`.
+    pub(crate) fn new(map: &'a KernelMap, transposed: bool) -> MapView<'a> {
+        MapView { map, transposed }
+    }
+
+    /// Number of kernel offsets.
+    pub(crate) fn num_offsets(self) -> usize {
+        self.map.num_offsets()
+    }
+
+    /// Entries `range` of offset `n` (`..` for all of them), in order.
+    pub(crate) fn entries(
+        self,
+        n: usize,
+        range: impl SliceIndex<[MapEntry], Output = [MapEntry]>,
+    ) -> impl ExactSizeIterator<Item = MapEntry> + Clone + 'a {
+        let (volume, swap) = (self.map.num_offsets(), self.transposed);
+        let source = if swap && volume % 2 == 1 { volume - 1 - n } else { n };
+        let read = move |&MapEntry { input, output }: &MapEntry| match swap {
+            true => MapEntry { input: output, output: input },
+            false => MapEntry { input, output },
+        };
+        self.map.entries(source)[range].iter().map(read)
+    }
+
+    /// Entries per offset.
+    pub(crate) fn sizes(self) -> Vec<usize> {
+        (0..self.num_offsets()).map(|n| self.entries(n, ..).len()).collect()
+    }
+}
+
 /// Output rows per executor task on a parallel pool, and map entries per
 /// staging batch. Fixed (never derived from the thread count) so the
 /// partition is identical at any pool width; a serial pool runs all of a
 /// layer's chunks as one block (see [`reduce_chunks`]).
 const MOVE_CHUNK: usize = 64;
 
-/// Plan-time locality reordering for the fused dataflow: the paper's
-/// §4.3.2 locality-aware access orders, applied to the real CPU executor.
+/// Plan-time locality split for the fused dataflow: the paper's §4.3.2
+/// locality-aware access orders, applied to the real CPU executor.
 ///
-/// For every kernel offset the map entries are viewed in *output-row*
-/// order and split at [`MOVE_CHUNK`]-row output boundaries. An executor
-/// block that owns the output rows of chunks `c0..c1` — one chunk per task
-/// on a parallel pool, every chunk on a serial one — then streams exactly
-/// `view(map, n)[starts[n][c0]..starts[n][c1]]` for each offset `n`,
-/// contiguous and without scanning the rest of the map. Because the
-/// per-offset in/out maps are partial bijections, each output row appears
-/// at most once per offset, and the per-element accumulation order
-/// (offsets ascending, one FP32 add per entry) is exactly that of a plain
-/// offset-major loop over the whole map.
-///
-/// Forward searches emit CSR ranges already sorted by output row, so for
-/// them the order stores *only* the chunk split points and the view is the
-/// map's own CSR slice — no entry copy. Only transposed decoder maps (whose
-/// mirrored ranges are input-sorted) pay a materialized stable re-sort.
-///
-/// Built once per [`ConvPlan`](crate::plan::ConvPlan), so compiled
-/// sessions pay the (mostly metadata-only) build once per geometry and
-/// reuse it every frame.
+/// Every offset of a [`MapView`] is output-ascending, so the order is just
+/// each offset's split points at [`MOVE_CHUNK`]-row output boundaries: an
+/// executor block that owns the output rows of chunks `c0..c1` — one chunk
+/// per task on a parallel pool, every chunk on a serial one — streams
+/// exactly entries `starts[n][c0]..starts[n][c1]` of each offset `n`, with
+/// no entry copied and nothing else scanned. Each output row appears at most
+/// once per offset, so the per-element accumulation order (offsets
+/// ascending, one FP32 add per entry) is that of a plain offset-major loop
+/// over the whole map. Built once per [`ConvPlan`](crate::plan::ConvPlan),
+/// so compiled sessions pay it once per geometry.
 #[derive(Debug, Clone)]
 pub(crate) struct FusedOrder {
-    /// Per-offset chunk split points (`chunks + 1` values each):
-    /// `starts[n][c]..starts[n][c + 1]` indexes the output-sorted view of
-    /// offset `n` restricted to output-row chunk `c`.
+    /// Per-offset chunk split points (`chunks + 1` values each).
     starts: Vec<Vec<u32>>,
-    /// Per-offset materialized re-sort (the entries stably sorted by output
-    /// row), present only when the map's CSR range is not already
-    /// output-ascending. `None` = the CSR slice itself is the view.
-    resort: Vec<Option<Vec<MapEntry>>>,
 }
 
-/// One offset's share of a [`FusedOrder`]: the chunk split points, plus the
-/// materialized re-sort when the CSR range is not already output-sorted.
-type OffsetOrder = (Vec<u32>, Option<Vec<MapEntry>>);
-
-/// Builds one offset's [`OffsetOrder`].
-fn order_one_offset(src: &[MapEntry], chunks: usize) -> OffsetOrder {
-    // Forward maps are already output-ascending; only transposed maps
-    // actually pay the sort (stable, so entry order among equal outputs is
-    // preserved) and the materialized copy.
-    let resort = if src.windows(2).all(|w| w[0].output <= w[1].output) {
-        None
-    } else {
-        let mut sorted = src.to_vec();
-        sorted.sort_by_key(|e| e.output);
-        Some(sorted)
-    };
-    let entries = resort.as_deref().unwrap_or(src);
+/// One offset's chunk split points.
+fn chunk_starts(entries: impl Iterator<Item = MapEntry> + Clone, chunks: usize) -> Vec<u32> {
+    debug_assert!(entries.clone().is_sorted_by_key(|e| e.output), "entries not output-sorted");
+    let mut outputs = entries.map(|e| e.output).peekable();
     let mut s = Vec::with_capacity(chunks + 1);
-    let mut i = 0usize;
+    let mut i = 0u32;
     for c in 0..chunks {
-        s.push(i as u32);
+        s.push(i);
         let hi = ((c + 1) * MOVE_CHUNK) as u32;
-        while i < entries.len() && entries[i].output < hi {
+        while outputs.next_if(|&o| o < hi).is_some() {
             i += 1;
         }
     }
-    s.push(i as u32);
-    debug_assert_eq!(i, entries.len(), "map output out of range");
-    (s, resort)
+    s.push(i);
+    debug_assert!(outputs.next().is_none(), "map output out of range");
+    s
 }
 
 impl FusedOrder {
-    /// Splits `map`'s entries (and re-sorts any non-output-sorted offsets)
-    /// for a convolution producing `n_out` output rows, at [`MOVE_CHUNK`]
-    /// output-row boundaries, with the per-offset sort/split work running
-    /// as tasks on the worker pool. Plan builds sit on the serial critical
-    /// path of compiled sessions (and of every re-plan), so spreading the K³
-    /// independent offsets across lanes directly raises the engine's
-    /// parallel fraction. Offsets are fully independent, so the constructed
-    /// order is bitwise the same at any pool width.
+    /// Splits `map`'s entries for a convolution producing `n_out` output
+    /// rows at [`MOVE_CHUNK`]-row output boundaries, with the per-offset
+    /// work running as tasks on the worker pool. Plan builds sit on the
+    /// serial critical path of compiled sessions (and of every re-plan), so
+    /// spreading the K³ independent offsets across lanes directly raises
+    /// the engine's parallel fraction. Offsets are fully independent, so the
+    /// constructed order is bitwise the same at any pool width.
     #[must_use]
-    pub(crate) fn build_on(pool: &ThreadPool, map: &KernelMap, n_out: usize) -> FusedOrder {
+    pub(crate) fn build_on(pool: &ThreadPool, map: MapView<'_>, n_out: usize) -> FusedOrder {
         let chunks = n_out.div_ceil(MOVE_CHUNK);
-        let volume = map.num_offsets();
-        let mut slots: Vec<Option<OffsetOrder>> = vec![None; volume];
-        let tasks: Vec<Task<'_>> = slots
+        let mut starts = vec![Vec::new(); map.num_offsets()];
+        let tasks: Vec<Task<'_>> = starts
             .iter_mut()
             .enumerate()
             .map(|(n, slot)| {
-                Box::new(move || *slot = Some(order_one_offset(map.entries(n), chunks))) as Task<'_>
+                Box::new(move || *slot = chunk_starts(map.entries(n, ..), chunks)) as Task<'_>
             })
             .collect();
         pool.run(tasks);
-        let mut starts = Vec::with_capacity(volume);
-        let mut resort = Vec::with_capacity(volume);
-        for slot in slots.into_iter().flatten() {
-            starts.push(slot.0);
-            resort.push(slot.1);
-        }
-        debug_assert_eq!(starts.len(), volume, "every offset task must have run");
-        FusedOrder { starts, resort }
+        FusedOrder { starts }
     }
 
     /// The chunk split points of offset `n`.
@@ -174,28 +183,10 @@ impl FusedOrder {
         &self.starts[n]
     }
 
-    /// The output-sorted entry view of offset `n`. `map` must be the map
-    /// this order was built from.
-    #[inline]
-    pub(crate) fn view<'a>(&'a self, map: &'a KernelMap, n: usize) -> &'a [MapEntry] {
-        self.resort[n].as_deref().unwrap_or_else(|| map.entries(n))
-    }
-
-    /// How many offsets carry a materialized re-sort (zero for forward
-    /// maps — the slice-view property the plan-memory accounting relies
-    /// on).
-    #[cfg(test)]
-    pub(crate) fn resorted_offsets(&self) -> usize {
-        self.resort.iter().filter(|r| r.is_some()).count()
-    }
-
-    /// Bytes this order occupies beyond the kernel map it views (for the
+    /// Bytes this order occupies beyond the kernel map it splits (for the
     /// frozen-plan memory accounting).
     pub(crate) fn memory_bytes(&self) -> u64 {
-        let starts: usize = self.starts.iter().map(|s| s.len() * 4).sum();
-        let resort: usize =
-            self.resort.iter().flatten().map(|e| e.len() * std::mem::size_of::<MapEntry>()).sum();
-        (starts + resort) as u64
+        self.starts.iter().map(|s| s.len() as u64 * 4).sum()
     }
 }
 
@@ -325,7 +316,7 @@ pub(crate) fn is_center_shortcut(
 /// lands in a `+0.0` row: a sum that starts from `+0.0` is never `-0.0`, so
 /// that add is exact, as if the product were stored. Each [`reduce_chunks`]
 /// block walks the offsets in that order, streaming its slice of each
-/// offset's output-sorted view: a parallel task owns one [`MOVE_CHUNK`]-row
+/// offset's output-sorted entries: a parallel task owns one [`MOVE_CHUNK`]-row
 /// block, and a serial pool runs the whole output as one block, so each
 /// offset's weights stay hot across the layer instead of being re-read for
 /// every chunk. Which rows
@@ -359,26 +350,27 @@ fn run_fused_numerics(
         for n in shortcut.into_iter().chain(rest) {
             let round_f16 = round_f16 && Some(n) != shortcut;
             let starts = w.fused.starts(n);
-            let entries =
-                &w.fused.view(w.map, n)[starts[chunks.start] as usize..starts[chunks.end] as usize];
+            let (lo, hi) = (starts[chunks.start] as usize, starts[chunks.end] as usize);
+            let mut entries = w.map.entries(n, lo..hi);
             // The block's entries of offset `n`, output-ascending, stream
             // through the MOVE_CHUNK-row staging tiles with this offset's
             // weights hot; each output row still takes its adds offset by
             // offset, in ascending order.
-            for batch in entries.chunks(MOVE_CHUNK) {
-                for (j, e) in batch.iter().enumerate() {
+            for batch in (lo..hi).step_by(MOVE_CHUNK) {
+                let len = MOVE_CHUNK.min(hi - batch);
+                for (j, e) in entries.by_ref().take(len).enumerate() {
                     in_rows[j] = e.input;
                     out_rel[j] = e.output - first_row as u32;
                 }
                 microkernel::gemm_gather_scatter(
                     a,
                     c_in,
-                    &in_rows[..batch.len()],
+                    &in_rows[..len],
                     &w.packed[n],
                     c_out,
                     round_f16,
                     block,
-                    &out_rel[..batch.len()],
+                    &out_rel[..len],
                 );
             }
         }
@@ -484,6 +476,8 @@ pub(crate) mod tests {
         /// `weights` packed, as the layer holds them.
         packed: Vec<PackedB>,
         pub(crate) map: KernelMap,
+        /// Whether the layer reads `map` coarse to fine (transposed).
+        transposed: bool,
         pub(crate) n_out: usize,
         center: Option<usize>,
     }
@@ -523,23 +517,16 @@ pub(crate) mod tests {
         parts
     }
 
-    /// A 2x2x2 stride-2 downsampling layer over `fine`, or the transposed
-    /// layer that inverts it (whose mirrored map `FusedOrder` has to
-    /// re-sort).
-    fn strided_parts(mut fine: Vec<Coord>, c_in: usize, c_out: usize, transposed: bool) -> Parts {
-        if transposed {
-            // Coarse rows ascend while the fine rows they map to descend,
-            // so the mirrored ranges are not output-sorted.
-            fine.reverse();
-        }
+    /// A 2x2x2 stride-2 downsampling layer over the sorted level `fine`,
+    /// or the transposed layer that inverts it: the same map, read coarse
+    /// to fine through a transposed [`MapView`].
+    fn strided_parts(fine: Vec<Coord>, c_in: usize, c_out: usize, transposed: bool) -> Parts {
         let coarse = fused_output_coords(&fine, 2, 2, Boundary::unbounded()).unwrap().coords;
         let (table, _) = CoordHashMap::build(&fine);
         let map = search_dilated_on(ThreadPool::global(), &coarse, &table, 2, 2, 1).unwrap();
-        if transposed {
-            parts(map.transposed(), coarse.len(), fine.len(), c_in, c_out, None)
-        } else {
-            parts(map, fine.len(), coarse.len(), c_in, c_out, None)
-        }
+        let (n_in, n_out) =
+            if transposed { (coarse.len(), fine.len()) } else { (fine.len(), coarse.len()) };
+        Parts { transposed, ..parts(map, n_in, n_out, c_in, c_out, None) }
     }
 
     fn parts(
@@ -554,15 +541,19 @@ pub(crate) mod tests {
         let weights: Vec<Matrix> =
             (0..map.num_offsets()).map(|n| pseudo_matrix(c_in, c_out, 100 + n as u64)).collect();
         let packed = weights.iter().map(PackedB::pack).collect();
-        Parts { feats, weights, packed, map, n_out, center }
+        Parts { feats, weights, packed, map, transposed: false, n_out, center }
     }
 
     impl Parts {
+        fn view(&self) -> MapView<'_> {
+            MapView::new(&self.map, self.transposed)
+        }
+
         fn workload<'a>(&'a self, fused: &'a FusedOrder) -> ConvWorkload<'a> {
             ConvWorkload {
                 in_feats: &self.feats,
                 packed: &self.packed,
-                map: &self.map,
+                map: self.view(),
                 n_out: self.n_out,
                 center_identity: self.center,
                 fused,
@@ -571,16 +562,28 @@ pub(crate) mod tests {
 
         /// Gather-matmul-scatter on the default-width order.
         fn run_gms(&self, cfg: &OptimizationConfig) -> Matrix {
-            let order = FusedOrder::build_on(&ThreadPool::new(1), &self.map, self.n_out);
+            let order = FusedOrder::build_on(&ThreadPool::new(1), self.view(), self.n_out);
             let w = self.workload(&order);
             gather_matmul_scatter(&w, cfg, &ThreadPool::new(1))
         }
 
-        /// The scalar oracle for gather-matmul-scatter under `cfg`.
+        /// The scalar oracle for gather-matmul-scatter under `cfg`. A
+        /// transposed layer's oracle map is written out here: every entry
+        /// swapped, at its own offset (the strided layers' 2x2x2 kernel has
+        /// no mirror).
         fn reference(&self, cfg: &OptimizationConfig) -> Matrix {
             let shortcut = self.center.filter(|_| cfg.skip_center_movement);
             let round_f16 = cfg.precision != Precision::Fp32;
-            conv_reference(&self.feats, &self.weights, &self.map, self.n_out, shortcut, round_f16)
+            let swapped = |n| {
+                let swap = |e: &MapEntry| MapEntry { input: e.output, output: e.input };
+                self.map.entries(n).iter().map(swap).collect()
+            };
+            let lists = || (0..self.map.num_offsets()).map(swapped).collect();
+            let map = match self.transposed {
+                true => &KernelMap::from_parts(2, 2, lists(), Default::default()).unwrap(),
+                false => &self.map,
+            };
+            conv_reference(&self.feats, &self.weights, map, self.n_out, shortcut, round_f16)
         }
     }
 
@@ -613,8 +616,8 @@ pub(crate) mod tests {
             ("center -0.0 terms and a NaN row", center_edge_parts(true)),
         ];
         for (name, parts) in &layers {
-            let order = FusedOrder::build_on(&ThreadPool::new(1), &parts.map, parts.n_out);
-            assert_eq!(order.resorted_offsets() > 0, name.starts_with("transposed"), "{name}");
+            assert_eq!(parts.transposed, name.starts_with("transposed"), "{name}");
+            let order = FusedOrder::build_on(&ThreadPool::new(1), parts.view(), parts.n_out);
             if name.ends_with("several chunks") {
                 assert!(parts.n_out.div_ceil(MOVE_CHUNK) >= 3, "{name}: {} rows", parts.n_out);
             }
@@ -636,6 +639,46 @@ pub(crate) mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// A transposed view reads offset `n` from the encoder's mirror offset
+    /// (an odd kernel) or from `n` (an even one) with input and output
+    /// swapped, every entry once; on a sorted level each of its offsets is
+    /// output-ascending, all `FusedOrder` asks of a map. A submanifold map
+    /// read the other way round holds its own entries.
+    #[test]
+    fn a_transposed_view_reads_the_encoder_map_coarse_to_fine() {
+        let fine = sites(1);
+        for kernel in [2, 3] {
+            let coarse = fused_output_coords(&fine, kernel, 2, Boundary::unbounded()).unwrap();
+            let coarse = coarse.coords;
+            let (table, _) = CoordHashMap::build(&fine);
+            let map = search_dilated_on(ThreadPool::global(), &coarse, &table, kernel, 2, 1);
+            let map = map.unwrap();
+            let view = MapView::new(&map, true);
+            let offs = torchsparse_coords::offsets::kernel_offsets(kernel).unwrap();
+            let mut total = 0;
+            for (n, d) in offs.iter().enumerate() {
+                let sign = if kernel % 2 == 1 { -1 } else { 1 };
+                let entries: Vec<MapEntry> = view.entries(n, ..).collect();
+                for e in &entries {
+                    let q = coarse[e.input as usize];
+                    let up = Coord::new(q.batch, 2 * q.x, 2 * q.y, 2 * q.z);
+                    let want = up.offset([sign * d[0], sign * d[1], sign * d[2]]);
+                    assert_eq!(fine[e.output as usize], want, "kernel {kernel} offset {n}");
+                }
+                assert!(entries.windows(2).all(|w| w[0].output < w[1].output), "offset {n}");
+                total += entries.len();
+            }
+            assert_eq!(total, map.total_entries(), "kernel {kernel}");
+        }
+        let map = submanifold_parts(&fine, 1, 1).map;
+        let view = MapView::new(&map, true);
+        for n in 0..27 {
+            let mut read: Vec<MapEntry> = view.entries(n, ..).collect();
+            read.sort_by_key(|e| (e.output, e.input));
+            assert_eq!(read, map.entries(n), "offset {n}");
         }
     }
 
@@ -675,7 +718,7 @@ pub(crate) mod tests {
     fn fetch_on_demand_matches_scalar_reference_bitwise() {
         // FP32 products and no center shortcut, whatever the precision.
         let parts = workload_parts(6, 10);
-        let order = FusedOrder::build_on(&ThreadPool::new(1), &parts.map, parts.n_out);
+        let order = FusedOrder::build_on(&ThreadPool::new(1), parts.view(), parts.n_out);
         let expect =
             conv_reference(&parts.feats, &parts.weights, &parts.map, parts.n_out, None, false);
         let w = parts.workload(&order);
@@ -740,7 +783,7 @@ pub(crate) mod tests {
         let map =
             search_dilated_on(ThreadPool::global(), &coords, &table, 3, 1, 1).expect("map search");
         let n_out = coords.len();
-        let order = FusedOrder::build_on(ThreadPool::global(), &map, n_out);
+        let order = FusedOrder::build_on(ThreadPool::global(), MapView::new(&map, false), n_out);
 
         for precision in [Precision::Fp32, Precision::Fp16] {
             let mut cfg = crate::EnginePreset::TorchSparse.config();
@@ -782,7 +825,7 @@ pub(crate) mod tests {
             let workload = ConvWorkload {
                 in_feats: &feats,
                 packed: &packed,
-                map: &map,
+                map: MapView::new(&map, false),
                 n_out,
                 center_identity: Some(13),
                 fused: &order,

@@ -85,7 +85,8 @@ pub(crate) struct Patch<'p> {
 
 impl<'p> Patch<'p> {
     /// Decides, before anything is planned, whether `old` can be patched
-    /// for the new `input` coordinates of `ops`. `None` — a fallback: the
+    /// for the new input level `input` of `ops` (the sorted list the plan
+    /// will key on, as `old.input` is). `None` — a fallback: the
     /// caller plans from scratch — when a map op follows global pooling
     /// (which collapses the geometry to one point per batch, rows no old map
     /// describes), or when the input's diff against the old plan's first map

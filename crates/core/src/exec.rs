@@ -20,8 +20,12 @@ use torchsparse_tensor::Matrix;
 /// overflowed its quantized storage and ran a second time in FP32 (the only
 /// way a frame's simulated cost can differ from the plan's).
 ///
-/// Only feature matrices flow: coordinates are the input's or the plan's,
-/// borrowed step by step and copied once, into the output. Every matrix a
+/// Only feature matrices flow: coordinates are the plan's, borrowed step by
+/// step and copied once, into the output. A plan built for rows that were
+/// not ascending runs on its sorted input level: the input's features are
+/// scattered into that order first, and an output on the input level is
+/// gathered back into the caller's order, with the caller's coordinates.
+/// Every matrix a
 /// step writes lives in the buffer slot the plan assigned it, among the
 /// runtime's activation buffers, so a frame on a geometry seen before
 /// allocates no feature buffer but its output's. `Push` shares the current
@@ -47,7 +51,8 @@ pub(crate) fn run_steps(
             *m = Matrix::zeros(len, 1);
         }
     }
-    let mut acts = Activations { input: input.feats(), slots };
+    let sorted = plan.rank.as_ref().map(|rank| reorder(input.feats(), rank, true));
+    let mut acts = Activations { input: sorted.as_ref().unwrap_or(input.feats()), slots };
     let out = run_steps_on(ops, plan, input, &mut acts, config, rt);
     rt.activations = acts.slots;
     out
@@ -77,7 +82,7 @@ fn run_steps_on(
     config: &OptimizationConfig,
     rt: &mut Runtime,
 ) -> Result<(SparseTensor, Vec<usize>), CoreError> {
-    let (mut coords, mut stride) = (input.coords(), input.stride());
+    let (mut coords, mut stride) = (&plan.input[..], input.stride());
     // The slot of the flowing matrix; `None` while it is the input's.
     let mut cur: Option<usize> = None;
     let mut stack: Vec<Option<usize>> = Vec::new();
@@ -189,8 +194,22 @@ fn run_steps_on(
     }
     // The output is copied out, so its slot keeps its buffer for the next
     // frame.
-    let feats = acts.get(cur).clone();
-    Ok((SparseTensor::with_stride(coords.to_vec(), feats, stride)?, reruns))
+    let feats = acts.get(cur);
+    let out = match plan.rank.as_ref().filter(|_| *coords == *plan.input) {
+        Some(rank) => (input.coords().to_vec(), reorder(feats, rank, false)),
+        None => (coords.to_vec(), feats.clone()),
+    };
+    Ok((SparseTensor::with_stride(out.0, out.1, stride)?, reruns))
+}
+
+/// `m`'s rows moved to their `rank` positions (`scatter`), or gathered from them.
+fn reorder(m: &Matrix, rank: &[u32], scatter: bool) -> Matrix {
+    let mut out = Matrix::zeros(m.rows(), m.cols());
+    for (i, &r) in rank.iter().enumerate() {
+        let (to, from) = if scatter { (r as usize, i) } else { (i, r as usize) };
+        out.row_mut(to).copy_from_slice(m.row(from));
+    }
+    out
 }
 
 /// Pops the executor's value stack.

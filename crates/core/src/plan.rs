@@ -21,10 +21,10 @@
 use crate::config::GroupingStrategy;
 use crate::context::CachedMap;
 use crate::cost_model::Cost;
-use crate::dataflow::FusedOrder;
+use crate::dataflow::{FusedOrder, MapView};
 use crate::{BatchNorm, GlobalPool, ReLU, SparseConv3d, SparseMaxPool3d};
 use std::sync::{Arc, OnceLock};
-use torchsparse_coords::{Coord, KernelMap};
+use torchsparse_coords::Coord;
 use torchsparse_gpusim::Stage;
 use torchsparse_tensor::PackedB;
 
@@ -122,8 +122,9 @@ pub(crate) struct ConvPlan {
     /// The cached kernel map and both coordinate lists (kept alive by the
     /// plan even after the context's per-run map cache is cleared).
     pub(crate) cached: Arc<CachedMap>,
-    /// The flipped (coarse-to-fine) map of a transposed convolution.
-    pub(crate) flipped: Option<KernelMap>,
+    /// Whether the layer reads `cached` coarse to fine: a transposed
+    /// convolution shares its encoder's map and keeps none of its own.
+    pub(crate) transposed: bool,
     /// The output coordinates: one side of `cached` (the fine side of a
     /// transposed convolution's map, the coarse side otherwise).
     pub(crate) out_coords: Arc<[Coord]>,
@@ -140,10 +141,9 @@ pub(crate) struct ConvPlan {
     /// Panel-major packed per-offset weights: the layer's one copy, packed
     /// at construction and shared by every plan of every stream.
     pub(crate) packed: Arc<Vec<PackedB>>,
-    /// Plan-time locality ordering (map entries split at output-chunk
-    /// boundaries, re-sorted by output row where the map is not already)
-    /// that the executor streams — built once per geometry, on the worker
-    /// pool.
+    /// Plan-time locality ordering (each offset's output-sorted entries
+    /// split at output-chunk boundaries) that the executor streams — built
+    /// once per geometry, on the worker pool.
     pub(crate) fused: Arc<FusedOrder>,
     /// The pointwise steps right after this convolution that its executor
     /// runs inside each output block ([`EpilogueSteps`]).
@@ -182,20 +182,10 @@ impl EpilogueSteps {
 }
 
 impl ConvPlan {
-    /// The map to execute with (flipped for transposed convolutions).
-    pub(crate) fn map(&self) -> &KernelMap {
-        match &self.flipped {
-            Some(m) => m,
-            None => &self.cached.map,
-        }
-    }
-
-    /// Resident bytes this convolution adds beside its shared cached
-    /// mapping: the flipped map of a transposed layer and the locality
-    /// order's metadata. Packed weights are excluded — they belong to the
-    /// layer, not the plan.
-    fn own_bytes(&self) -> u64 {
-        self.flipped.as_ref().map_or(0, KernelMap::memory_bytes) + self.fused.memory_bytes()
+    /// The map as this layer reads it: the cached map, coarse to fine for a
+    /// transposed convolution.
+    pub(crate) fn map(&self) -> MapView<'_> {
+        MapView::new(&self.cached.map, self.transposed)
     }
 }
 
@@ -338,9 +328,13 @@ impl StepPlan {
 /// frame's timeline ([`crate::cost_model`]) and never while frames execute.
 #[derive(Debug)]
 pub(crate) struct ExecutionPlan {
-    /// The input coordinates the plan was built for — the list its first
-    /// map holds, shared — and their stride: the plan's key.
+    /// The plan's input level: the input coordinates it was built for in
+    /// ascending order — the list its first map holds, shared — and their
+    /// stride. With `rank`, the plan's key.
     pub(crate) input: Arc<[Coord]>,
+    /// Each caller row's position in `input`, when the caller's rows were
+    /// not ascending (`None`: `input` is the caller's list).
+    pub(crate) rank: Option<Box<[u32]>>,
     pub(crate) stride: i32,
     /// The input's channel count.
     pub(crate) channels: usize,
@@ -357,18 +351,40 @@ pub(crate) struct ExecutionPlan {
     pub(crate) cost: OnceLock<Cost>,
 }
 
+/// A plan's input level for a frame with coordinates `coords`: the list
+/// itself when it is strictly ascending (one pass checks), else the sorted
+/// list with each caller row's position in it. Sorting is stable, so
+/// duplicate coordinates keep their caller order.
+pub(crate) fn input_level(coords: &[Coord]) -> (Arc<[Coord]>, Option<Box<[u32]>>) {
+    if coords.windows(2).all(|w| w[0] < w[1]) {
+        return (Arc::from(coords), None);
+    }
+    let mut order: Vec<(Coord, u32)> = coords.iter().copied().zip(0..).collect();
+    order.sort_unstable();
+    let mut rank = vec![0; coords.len()].into_boxed_slice();
+    for (j, &(_, i)) in order.iter().enumerate() {
+        rank[i as usize] = j as u32;
+    }
+    (order.into_iter().map(|(c, _)| c).collect(), Some(rank))
+}
+
 impl ExecutionPlan {
     /// Whether a frame with these coordinates at this stride may execute
     /// against the plan: exactly the geometry it was built for, voxel by
-    /// voxel and in order (feature rows pair up with coordinates by
-    /// position).
+    /// voxel and in the caller's order (feature rows pair up with
+    /// coordinates by position), each caller row looked up through `rank`.
     pub(crate) fn matches(&self, coords: &[Coord], stride: i32) -> bool {
-        self.stride == stride && *self.input == *coords
+        let ranked = |rank: &[u32]| {
+            rank.len() == coords.len()
+                && coords.iter().zip(rank).all(|(c, &r)| self.input[r as usize] == *c)
+        };
+        self.stride == stride && self.rank.as_deref().map_or_else(|| *self.input == *coords, ranked)
     }
 
     /// Resident bytes of the plan's frozen geometry state: every step's
     /// kernel maps (CSR entries + bounds), retained coordinate indexes,
-    /// coordinate lists, and locality-order metadata.
+    /// coordinate lists, the input's rank array, and locality-order
+    /// metadata.
     ///
     /// Steps sharing one [`CachedMap`] (convolution and pooling layers with
     /// the same map key, or a UNet encoder/decoder pair) count it once, and
@@ -386,14 +402,13 @@ impl ExecutionPlan {
         }
         let mut counted = Vec::new();
         let mut lists = vec![&self.input];
-        let mut total = 0u64;
+        let mut total = self.rank.as_ref().map_or(0, |r| r.len() as u64 * 4);
         for step in &self.steps {
-            // Per-plan extras (flipped map, locality order) always count;
-            // the shared cached mapping and coordinate lists only on first
-            // sight.
+            // Locality orders always count; the shared cached mapping and
+            // coordinate lists only on first sight.
             match step {
                 StepPlan::Conv(p) | StepPlan::Residual { projection: Some(p) } => {
-                    total += p.own_bytes();
+                    total += p.fused.memory_bytes();
                 }
                 StepPlan::GlobalPool { origins } => lists.push(origins),
                 _ => {}
@@ -437,7 +452,8 @@ pub struct PlanCacheStats {
     /// Executes whose geometry differed from the plan's.
     pub invalidations: u64,
     /// Resident bytes of the plan currently in the slot (maps, coordinate
-    /// indexes, coordinate lists, locality orders).
+    /// indexes, coordinate lists, the input's rank array, locality
+    /// orders).
     pub plan_bytes: u64,
     /// Plan builds that ran the full mapping pipeline from scratch (the
     /// initial compile, re-plans with delta re-planning disabled, and
@@ -480,6 +496,7 @@ mod tests {
     fn plan(input: Arc<[Coord]>, stride: i32, steps: Vec<StepPlan>) -> ExecutionPlan {
         ExecutionPlan {
             input,
+            rank: None,
             stride,
             channels: 4,
             names: vec![None; steps.len()],
@@ -509,7 +526,7 @@ mod tests {
 
     #[test]
     fn memory_bytes_counts_a_shared_list_once() {
-        use torchsparse_coords::{CoordHashMap, CoordIndex, MappingStats};
+        use torchsparse_coords::{CoordHashMap, CoordIndex, KernelMap, MappingStats};
         let index =
             |fine: &[Coord]| -> Arc<dyn CoordIndex> { Arc::new(CoordHashMap::build(fine).0) };
         let pool = |fine: &Arc<[Coord]>, coarse: &Arc<[Coord]>, index: &Arc<dyn CoordIndex>| {

@@ -134,7 +134,9 @@ impl Module for ReLU {
 }
 
 /// Global average pooling over each batch (scene): produces one point per
-/// batch at the origin, holding the mean feature vector.
+/// batch at the origin, holding the mean feature vector. Rows are summed in
+/// the plan's order, which on the input level is ascending by coordinate,
+/// not the caller's row order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GlobalPool {
     name: String,
@@ -147,16 +149,15 @@ impl GlobalPool {
     }
 
     /// The output coordinates the plan freezes: one origin per distinct
-    /// batch of `coords`, ascending.
+    /// batch of the ascending level `coords`, ascending.
     pub(crate) fn origins(coords: &[Coord]) -> Vec<Coord> {
         let mut batches: Vec<i32> = coords.iter().map(|c| c.batch).collect();
-        batches.sort_unstable();
         batches.dedup();
         batches.into_iter().map(|b| Coord::new(b, 0, 0, 0)).collect()
     }
 
     /// The feature-path numerics: the mean of the rows of `feats` (at
-    /// `coords`) in each batch of `origins`, written into `out`.
+    /// `coords`, summed in row order) in each batch of `origins`, into `out`.
     pub(crate) fn compute(
         &self,
         coords: &[Coord],

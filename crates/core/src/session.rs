@@ -42,7 +42,8 @@ use crate::exec::{check_runnable, run_steps};
 use crate::faults::DegradationReport;
 use crate::module::Module;
 use crate::plan::{
-    EpilogueSteps, ExecutionPlan, LayerOp, Lifetimes, PlanCacheStats, StepBuffers, StepPlan, Tracer,
+    input_level, EpilogueSteps, ExecutionPlan, LayerOp, Lifetimes, PlanCacheStats, StepBuffers,
+    StepPlan, Tracer,
 };
 use crate::tuning::{compiled_report, TuningReport};
 use crate::{CoreError, GlobalPool, OptimizationConfig, SparseTensor};
@@ -54,8 +55,9 @@ use torchsparse_gpusim::{DeviceProfile, GemmModel, Micros, Stage, Timeline};
 /// The geometry cursor threaded through planning: what the tensor flowing
 /// through the network looks like after each op, without any features.
 /// Its coordinates are the one list of their level: the input's, copied
-/// once per plan build, or a side of the cached map of the step that
-/// produced them — shared, never copied.
+/// (and sorted, when the caller's rows were not ascending) once per plan
+/// build, or a side of the cached map of the step that produced them —
+/// shared, never copied. Every level is therefore ascending.
 #[derive(Clone)]
 struct Geometry {
     coords: Arc<[Coord]>,
@@ -349,7 +351,8 @@ impl<'m> CompiledSession<'m> {
         // the succinct MPHF index, as every `new_stream` will.
         ctx.planner.frozen_index = true;
         let tensor = &*ctx.begin_frame(input)?;
-        let (plan, prices) = build_plan(&ops, tensor, None, &mut ctx)?;
+        let (plan, prices) =
+            build_plan(&ops, tensor, input_level(tensor.coords()), None, &mut ctx)?;
         defer_mapping(&prices, &mut ctx);
         let base_plan = Arc::new(plan);
         let shared = CompiledModel {
@@ -452,11 +455,16 @@ fn replan_into_slot(
     ctx: &mut Context,
 ) -> Result<ExecutionPlan, CoreError> {
     stats.misses += 1;
+    let mut level = input_level(input.coords());
+    if level.0 == old.input {
+        // The old plan's rows in another order: its input level is this one.
+        level.0 = Arc::clone(&old.input);
+    }
     let mut patch = None;
     if ctx.config.delta_replan {
         ctx.runtime.check_deadline("mapping")?;
         let symmetric = ctx.config.symmetric_map_search;
-        patch = Patch::new(ops, old, input.coords(), symmetric);
+        patch = Patch::new(ops, old, &level.0, symmetric);
         match patch {
             Some(_) => stats.delta_patches += 1,
             None => stats.delta_fallbacks += 1,
@@ -464,7 +472,7 @@ fn replan_into_slot(
     } else {
         stats.full_replans += 1;
     }
-    let (plan, prices) = build_plan(ops, input, patch.as_mut(), ctx)?;
+    let (plan, prices) = build_plan(ops, input, level, patch.as_mut(), ctx)?;
     if let Some(patch) = &patch {
         patch.defer_cost(ctx);
     }
@@ -490,7 +498,7 @@ pub(crate) fn run_ephemeral<M: Module + ?Sized>(
     ctx: &mut Context,
 ) -> Result<SparseTensor, CoreError> {
     let ops = trace(model)?;
-    let (plan, prices) = build_plan(&ops, input, None, ctx)?;
+    let (plan, prices) = build_plan(&ops, input, input_level(input.coords()), None, ctx)?;
     let (out, reruns) = run_steps(&ops, &plan, input, &ctx.config, &mut ctx.runtime)?;
     ctx.defer(Charge::ephemeral_plan(plan, prices, reruns, ctx.profile_layers));
     Ok(out)
@@ -504,7 +512,8 @@ pub(crate) fn price_ephemeral<M: Module + ?Sized>(
     input: &SparseTensor,
     ctx: &mut Context,
 ) -> Result<(), CoreError> {
-    let (plan, prices) = build_plan(&trace(model)?, input, None, ctx)?;
+    let level = input_level(input.coords());
+    let (plan, prices) = build_plan(&trace(model)?, input, level, None, ctx)?;
     ctx.defer(Charge::ephemeral_plan(plan, prices, Vec::new(), ctx.profile_layers));
     Ok(())
 }
@@ -525,16 +534,18 @@ fn defer_mapping(prices: &[Option<Micros>], ctx: &mut Context) {
 /// `patch` source, each map a step plans with is the old plan's, patched
 /// ([`patch_map`]).
 ///
-/// The input's coordinates are copied once, into the list that keys the
-/// plan and that every map at the input level shares.
+/// `level` is the input's [`input_level`]: the ascending list that keys the
+/// plan and that every map at the input level shares, with the caller rows'
+/// ranks in it when they were not ascending.
 fn build_plan(
     ops: &[LayerOp<'_>],
     input: &SparseTensor,
+    (coords, rank): (Arc<[Coord]>, Option<Box<[u32]>>),
     mut patch: Option<&mut Patch<'_>>,
     ctx: &mut Context,
 ) -> Result<(ExecutionPlan, Vec<Option<Micros>>), CoreError> {
     let mut cur = Geometry {
-        coords: Arc::from(input.coords()),
+        coords,
         stride: input.stride(),
         channels: input.channels(),
         value: None,
@@ -568,7 +579,7 @@ fn build_plan(
             LayerOp::Conv(conv) => {
                 let key = conv.map_key(cur.stride);
                 let level =
-                    patch_map(&mut patch, i, key, conv.transposed(), &cur, &mut ctx.planner);
+                    patch_map(&mut patch, i, key, conv.is_transposed(), &cur, &mut ctx.planner);
                 let (p, price) = conv.plan(&cur.coords, cur.stride, cur.channels, ctx)?;
                 prices[i] = price;
                 let coords = Arc::clone(&p.out_coords);
@@ -634,7 +645,14 @@ fn build_plan(
                         // The shortcut's geometry is the saved one; the
                         // residual output keeps the current one.
                         let key = conv.map_key(saved.stride);
-                        patch_map(&mut patch, i, key, conv.transposed(), &saved, &mut ctx.planner);
+                        patch_map(
+                            &mut patch,
+                            i,
+                            key,
+                            conv.is_transposed(),
+                            &saved,
+                            &mut ctx.planner,
+                        );
                         let (p, price) =
                             conv.plan(&saved.coords, saved.stride, saved.channels, ctx)?;
                         prices[i] = price;
@@ -680,6 +698,7 @@ fn build_plan(
     }
     let plan = ExecutionPlan {
         input: key,
+        rank,
         stride: input.stride(),
         channels: input.channels(),
         steps,

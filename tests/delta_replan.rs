@@ -252,6 +252,86 @@ fn patched_replans_cost_a_third_of_full_replans_at_five_percent_churn() {
 /// compresses the ratio: 2.39x at half this scale.
 const SCALE: f64 = 0.1;
 
+/// Row order is the caller's business: MinkUNet 0.5x at FP16, fed a
+/// row-permuted copy of each frame of a small SemanticKITTI stream —
+/// reversed, and a seeded shuffle — returns in output row `i` the
+/// unpermuted run's row for the same coordinate, bit for bit, through a
+/// dynamic run, a compiled hit, full re-plans and delta patches over three
+/// churned frames, at 1 and 3 threads.
+#[test]
+fn permuted_frames_return_the_unpermuted_rows_on_every_route() {
+    let base = SyntheticDataset::semantic_kitti(0.002, 4).scene(3).expect("scan");
+    let frames = temporal_churn_stream(&base, 4, 0.05, 5).expect("stream");
+    let model = MinkUNet::with_width(0.5, 4, 19, 7);
+    let reversed = |n: usize| (0..n).rev().collect::<Vec<usize>>();
+    let shuffled = |n: usize| {
+        let mut order: Vec<usize> = (0..n).collect();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ n as u64;
+        for i in (1..n).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            order.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        order
+    };
+    let config = |threads: usize, delta_replan: bool| {
+        let mut cfg = EnginePreset::TorchSparse.config();
+        cfg.precision = Precision::Fp16;
+        (cfg.threads, cfg.delta_replan) = (Some(threads), delta_replan);
+        Engine::with_config(cfg, DeviceProfile::rtx_2080ti())
+    };
+    // Bits do not depend on the thread count, so one serial run per frame
+    // is every route's reference.
+    let want: Vec<SparseTensor> =
+        frames.iter().map(|f| config(1, false).run(&model, f).expect("run")).collect();
+    for threads in [1, 3] {
+        let engine = |delta_replan: bool| config(threads, delta_replan);
+        for (kind, order_of) in
+            [("reversed", &reversed as &dyn Fn(usize) -> Vec<usize>), ("shuffled", &shuffled)]
+        {
+            let orders: Vec<Vec<usize>> = frames.iter().map(|f| order_of(f.len())).collect();
+            let permuted: Vec<SparseTensor> = frames
+                .iter()
+                .zip(&orders)
+                .map(|(f, order)| {
+                    let coords = order.iter().map(|&r| f.coords()[r]).collect();
+                    let feats =
+                        Matrix::from_fn(order.len(), f.channels(), |i, c| f.feats()[(order[i], c)]);
+                    SparseTensor::with_stride(coords, feats, f.stride()).expect("permuted frame")
+                })
+                .collect();
+            let check = |route: &str, f: usize, got: &SparseTensor| {
+                let label = format!("{kind} {route} frame {f} threads={threads}");
+                let want = &want[f];
+                assert_eq!(got.len(), want.len(), "{label}");
+                for (i, &r) in orders[f].iter().enumerate() {
+                    assert_eq!(got.coords()[i], want.coords()[r], "{label}: row {i}");
+                    let bits = |t: &SparseTensor, row: usize| -> Vec<u32> {
+                        t.feats().row(row).iter().map(|v| v.to_bits()).collect()
+                    };
+                    assert_eq!(bits(got, i), bits(want, r), "{label}: row {i}");
+                }
+            };
+            check("run", 0, &engine(true).run(&model, &permuted[0]).expect("run"));
+            let mut hit = engine(true).compile(&model, &permuted[0]).expect("compile");
+            check("hit", 0, &hit.execute(&permuted[0]).expect("hit"));
+            assert_eq!(hit.stats().hits, 1, "{kind} threads={threads}");
+            for delta_replan in [false, true] {
+                let mut session =
+                    engine(delta_replan).compile(&model, &permuted[0]).expect("compile");
+                let route = if delta_replan { "patch" } else { "full re-plan" };
+                for (f, frame) in permuted.iter().enumerate().skip(1) {
+                    check(route, f, &session.execute(frame).expect("re-plan"));
+                }
+                let s = session.stats();
+                let (replans, patches) = if delta_replan { (1, 3) } else { (4, 0) };
+                assert_eq!((s.full_replans, s.delta_patches), (replans, patches), "{kind} {route}");
+            }
+        }
+    }
+}
+
 /// Global pooling collapses every batch to one point, so a map op after it
 /// searches geometry the old plan's rows do not describe: each re-plan of
 /// such a model falls back, and still equals a cold compile. The same

@@ -17,15 +17,19 @@
 //! Each per-voxel value may move by at most a stated factor between the
 //! smallest and the largest scale, in either direction: growth means
 //! superlinear work, and shrinkage means a fixed cost that does not follow
-//! the points (a table sized by the scene box). Nothing here executes a
-//! GEMM, so the guard stays cheap in a debug build.
+//! the points (a table sized by the scene box). Row order must not cost
+//! memory either: at each MinkUNet scale a frame churned by
+//! `temporal_churn_stream`, whose inserted voxels come last, compiles to the
+//! plan bytes per voxel of the same frame sorted, within 2%. Nothing here
+//! executes a GEMM, so the guard stays cheap in a debug build.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use torchsparse::core::{Engine, EnginePreset, Module, SparseTensor};
-use torchsparse::data::SyntheticDataset;
+use torchsparse::data::{temporal_churn_stream, SyntheticDataset};
 use torchsparse::gpusim::DeviceProfile;
 use torchsparse::models::{CenterPoint, MinkUNet};
+use torchsparse::tensor::Matrix;
 
 /// Bytes requested from the allocator since the binary started: every
 /// allocation's size, and every growing reallocation's growth.
@@ -89,8 +93,11 @@ fn allocated<R>(f: impl FnOnce() -> R) -> (R, u64) {
     (result, ALLOCATED.load(Ordering::Relaxed) - before)
 }
 
+fn engine() -> Engine {
+    Engine::new(EnginePreset::TorchSparse, DeviceProfile::rtx_2080ti())
+}
+
 fn measure(model: &dyn Module, scan: &SparseTensor) -> PerVoxel {
-    let engine = || Engine::new(EnginePreset::TorchSparse, DeviceProfile::rtx_2080ti());
     let mut pricing = engine();
     pricing.context_mut().record_workloads = true;
     let (priced, price_alloc) = allocated(|| pricing.price(model, scan).map(|_| ()));
@@ -107,6 +114,42 @@ fn measure(model: &dyn Module, scan: &SparseTensor) -> PerVoxel {
         price_alloc: price_alloc as f64 / n,
         compile_alloc: compile_alloc as f64 / n,
     }
+}
+
+/// The compiled plan's bytes per voxel of `frame`.
+fn plan_bytes_per_voxel(model: &dyn Module, frame: &SparseTensor) -> f64 {
+    let session = engine().compile(model, frame).expect("compile");
+    session.stats().plan_bytes as f64 / frame.len() as f64
+}
+
+/// `frame` with its rows in ascending coordinate order.
+fn sorted(frame: &SparseTensor) -> SparseTensor {
+    let mut order: Vec<usize> = (0..frame.len()).collect();
+    order.sort_by_key(|&r| frame.coords()[r]);
+    let coords = order.iter().map(|&r| frame.coords()[r]).collect();
+    let feats = Matrix::from_fn(order.len(), frame.channels(), |r, c| frame.feats()[(order[r], c)]);
+    SparseTensor::with_stride(coords, feats, frame.stride()).expect("sorted twin")
+}
+
+/// How far a churned frame's plan bytes per voxel may sit above its sorted
+/// twin's: 2%. A plan sorts an unsorted frame once and keeps one `u32` rank
+/// per voxel, 4 B/voxel or 1.3% of MinkUNet's plan at the top scale. Plans
+/// that kept re-sorted copies of every output-unsorted map offset read 29%
+/// over at SemanticKITTI scale 1.0 (398.7 against 308.2 B/voxel).
+const CHURNED_PLAN_BYTES_RATIO: f64 = 1.02;
+
+/// Checks a frame churned 10% from `scan` against its sorted twin.
+fn assert_churn_plans_like_sorted(model: &dyn Module, scan: &SparseTensor) {
+    let churned = temporal_churn_stream(scan, 2, 0.10, 5).expect("churn").remove(1);
+    let twin = sorted(&churned);
+    assert_ne!(churned.coords(), twin.coords(), "the churned frame must be unsorted");
+    let (got, sorted) = (plan_bytes_per_voxel(model, &churned), plan_bytes_per_voxel(model, &twin));
+    let ratio = got / sorted;
+    assert!(
+        (1.0..=CHURNED_PLAN_BYTES_RATIO).contains(&ratio),
+        "churned plan {got:.1} B/voxel vs sorted twin {sorted:.1} ({ratio:.4}x) at {} voxels",
+        churned.len()
+    );
 }
 
 /// `(floor, ceiling)` of each per-voxel value's ratio, from the smallest
@@ -133,10 +176,12 @@ fn measure(model: &dyn Module, scan: &SparseTensor) -> PerVoxel {
 const RATIO_BOUNDS: [(f64, f64); 4] = [(0.45, 2.0); 4];
 
 /// MinkUNet's plan bytes per voxel at the top scale (19,454 voxels) may not
-/// exceed 359. Source: 326.8 measured, plus 10%. Every map holding its own
-/// coordinate index reads 437.3, and every map also holding its own copy
-/// of each coordinate list it touches reads 640.6, so either fails here.
-const MINKUNET_PLAN_BYTES_PER_VOXEL: f64 = 359.0;
+/// exceed 337. Source: 326.8 measured with a transposed copy of each
+/// decoder map, plus 10%, is 359; those copies held 21.5 B/voxel, and
+/// without them the plan reads 305.4. Every map holding its own coordinate
+/// index read 437.3 with the copies, and every map also holding its own
+/// copy of each coordinate list it touches 640.6, so either fails here.
+const MINKUNET_PLAN_BYTES_PER_VOXEL: f64 = 337.0;
 
 /// Checks every per-voxel value of each larger scale against the smallest
 /// one's, within [`RATIO_BOUNDS`].
@@ -163,10 +208,9 @@ fn assert_follows_points(model: &str, scales: &[PerVoxel; 3]) {
 #[test]
 fn planning_cost_per_voxel_follows_the_points() {
     let minkunet = MinkUNet::with_width(0.5, 4, 19, 7);
-    let kitti = [0.0125, 0.05, 0.2].map(|scale| {
-        let scan = SyntheticDataset::semantic_kitti(scale, 4).scene(0).expect("kitti scan");
-        measure(&minkunet, &scan)
-    });
+    let kitti_scans = [0.0125, 0.05, 0.2]
+        .map(|scale| SyntheticDataset::semantic_kitti(scale, 4).scene(0).expect("kitti scan"));
+    let kitti = kitti_scans.each_ref().map(|scan| measure(&minkunet, scan));
     let centerpoint = CenterPoint::new(5, 7);
     let waymo = [0.008, 0.04, 0.18].map(|scale| {
         let scan = SyntheticDataset::waymo(scale, 5, 1).scene(0).expect("waymo scan");
@@ -174,6 +218,9 @@ fn planning_cost_per_voxel_follows_the_points() {
     });
     assert_follows_points("MinkUNet", &kitti);
     assert_follows_points("CenterPoint", &waymo);
+    for scan in &kitti_scans {
+        assert_churn_plans_like_sorted(&minkunet, scan);
+    }
     let top = kitti[2].plan_bytes;
     assert!(
         top <= MINKUNET_PLAN_BYTES_PER_VOXEL,
