@@ -34,11 +34,6 @@ impl Coord {
         Coord { batch, x, y, z }
     }
 
-    /// The spatial components as an array.
-    pub fn xyz(&self) -> [i32; 3] {
-        [self.x, self.y, self.z]
-    }
-
     /// Adds a spatial offset, leaving the batch index unchanged.
     pub fn offset(&self, d: [i32; 3]) -> Coord {
         Coord { batch: self.batch, x: self.x + d[0], y: self.y + d[1], z: self.z + d[2] }

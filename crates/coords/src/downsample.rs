@@ -10,9 +10,11 @@
 //! memory-bound; TorchSparse fuses stages 1–4 into one kernel that keeps
 //! intermediates in registers.
 //!
-//! Both variants here compute identical outputs; they differ only in the
-//! [`MappingStats`] they report, which is what the mapping-latency model
-//! consumes (Figure 13's "fused kernel" bar).
+//! Only the fused kernel runs here: the staged pipeline computes the same
+//! coordinates and differs only in its DRAM traffic, a closed form of the
+//! input size, the kernel volume and the output size. A configuration that
+//! turns `fused_downsample` off is *charged* that traffic by the mapping
+//! latency model (`torchsparse_core::mapping`); it still runs this kernel.
 
 use crate::offsets::kernel_offsets;
 use crate::table::MappingStats;
@@ -61,71 +63,13 @@ pub struct DownsampleOutput {
     pub stats: MappingStats,
 }
 
-/// The naive **staged** implementation: five kernels, all intermediates
-/// round-trip through DRAM (the baseline of Figure 10a).
-///
-/// # Errors
-///
-/// Returns [`CoordsError::ZeroKernelSize`] / [`CoordsError::ZeroStride`] on
-/// degenerate parameters.
-pub fn staged_output_coords(
-    in_coords: &[Coord],
-    kernel_size: usize,
-    stride: i32,
-    boundary: Boundary,
-) -> Result<DownsampleOutput, CoordsError> {
-    if stride <= 0 {
-        return Err(CoordsError::ZeroStride);
-    }
-    let offs = kernel_offsets(kernel_size)?;
-    let n = in_coords.len() as u64;
-    let v = offs.len() as u64;
-    let mut stats = MappingStats { kernel_launches: 5, ..MappingStats::default() };
-
-    // Stage 1: broadcast_add — write all N*V candidates to DRAM.
-    let mut candidates: Vec<Coord> = Vec::with_capacity((n * v) as usize);
-    for p in in_coords {
-        for &d in &offs {
-            candidates.push(p.offset_neg(d));
-        }
-    }
-    stats.reads += n; // read each input coordinate once
-    stats.writes += n * v; // materialize candidates
-
-    // Stage 2: modular check — read candidates, write mask.
-    let modular: Vec<bool> = candidates.iter().map(|c| c.divisible_by(stride)).collect();
-    stats.reads += n * v;
-    stats.writes += n * v;
-
-    // Stage 3: boundary check — read candidates + mask, write mask.
-    let kept: Vec<bool> = candidates
-        .iter()
-        .zip(&modular)
-        .map(|(c, &m)| m && boundary.contains(c.divided_or_self(stride)))
-        .collect();
-    stats.reads += 2 * n * v;
-    stats.writes += n * v;
-
-    // Stage 4: flatten surviving candidates to 1D keys (here: divided coords).
-    let mut survivors: Vec<Coord> =
-        candidates.iter().zip(&kept).filter(|(_, &k)| k).map(|(c, _)| c.divided(stride)).collect();
-    stats.reads += 2 * n * v;
-    stats.writes += n * v; // the flattened key buffer is N*V wide (masked)
-
-    // Stage 5: unique — sort + dedup.
-    stats.reads += n * v;
-    survivors.sort_unstable();
-    survivors.dedup();
-    stats.writes += survivors.len() as u64;
-
-    Ok(DownsampleOutput { coords: survivors, stats })
-}
-
 /// The **fused** implementation (§4.4): stages 1–4 execute in a single
 /// kernel with register-resident intermediates; only survivors are written
 /// to DRAM, followed by the unique kernel.
 ///
-/// Computes exactly the same coordinates as [`staged_output_coords`].
+/// The output set is query-side: `q` is an output iff `s * q + δ` is an
+/// input for some kernel offset `δ` (and `q` passes `boundary`), sorted and
+/// deduplicated.
 ///
 /// # Errors
 ///
@@ -176,19 +120,6 @@ pub fn fused_output_coords(
     Ok(DownsampleOutput { coords: survivors, stats })
 }
 
-impl Coord {
-    /// `divided(stride)` when divisible, otherwise `self` — a helper for the
-    /// staged pipeline, where the boundary stage runs on *all* candidates
-    /// (the mask keeps non-divisible ones from surviving anyway).
-    fn divided_or_self(&self, s: i32) -> Coord {
-        if self.divisible_by(s) {
-            self.divided(s)
-        } else {
-            *self
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,35 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn staged_and_fused_agree() {
-        let coords: Vec<Coord> = (0..40)
-            .map(|i| Coord::new(i % 2, (i * 7) % 13 - 6, (i * 3) % 11 - 5, (i * 5) % 9 - 4))
-            .collect();
-        for k in [2usize, 3] {
-            for s in [2i32, 3] {
-                let a = staged_output_coords(&coords, k, s, Boundary::unbounded()).unwrap();
-                let b = fused_output_coords(&coords, k, s, Boundary::unbounded()).unwrap();
-                assert_eq!(a.coords, b.coords, "k={k} s={s}");
-            }
-        }
-    }
-
-    #[test]
-    fn fused_moves_far_less_memory() {
-        let coords: Vec<Coord> = (0..500).map(|i| Coord::new(0, i, i % 17, i % 5)).collect();
-        let staged = staged_output_coords(&coords, 3, 2, Boundary::unbounded()).unwrap();
-        let fused = fused_output_coords(&coords, 3, 2, Boundary::unbounded()).unwrap();
-        assert!(
-            staged.stats.total_accesses() > 4 * fused.stats.total_accesses(),
-            "staged {} vs fused {}",
-            staged.stats.total_accesses(),
-            fused.stats.total_accesses()
-        );
-        assert_eq!(staged.stats.kernel_launches, 5);
-        assert_eq!(fused.stats.kernel_launches, 2);
-    }
-
-    #[test]
     fn boundary_clips_outputs() {
         let coords = line_scene();
         let boundary = Boundary { min: Some([0, 0, 0]), max: Some([2, 1, 1]) };
@@ -290,7 +192,6 @@ mod tests {
     #[test]
     fn zero_stride_rejected() {
         assert!(fused_output_coords(&line_scene(), 3, 0, Boundary::unbounded()).is_err());
-        assert!(staged_output_coords(&line_scene(), 3, 0, Boundary::unbounded()).is_err());
     }
 
     #[test]
@@ -304,16 +205,42 @@ mod tests {
 
     proptest! {
         #[test]
-        fn prop_staged_fused_equal(
-            seed_coords in proptest::collection::vec((0i32..2, -8i32..8, -8i32..8, -8i32..8), 1..60),
+        fn prop_fused_matches_the_query_side_definition(
+            seed_coords in proptest::collection::vec((0i32..2, -6i32..6, -6i32..6, -6i32..6), 1..60),
             k in 1usize..4,
             s in 1i32..4,
+            bounded in 0u8..2,
         ) {
             let coords: Vec<Coord> =
                 seed_coords.iter().map(|&(b, x, y, z)| Coord::new(b, x, y, z)).collect();
-            let a = staged_output_coords(&coords, k, s, Boundary::unbounded()).unwrap();
-            let b = fused_output_coords(&coords, k, s, Boundary::unbounded()).unwrap();
-            prop_assert_eq!(a.coords, b.coords);
+            let boundary = if bounded == 1 {
+                Boundary { min: Some([-2, -3, -1]), max: Some([3, 2, 4]) }
+            } else {
+                Boundary::unbounded()
+            };
+            let out = fused_output_coords(&coords, k, s, boundary).unwrap();
+            // q is an output iff s*q + δ is an input for some offset δ: scan
+            // every q whose window can reach the inputs' box, with no division.
+            let inputs: std::collections::HashSet<Coord> = coords.iter().copied().collect();
+            let offs = kernel_offsets(k).unwrap();
+            let (lo, hi) = (-6 - k as i32, 6 + k as i32);
+            let mut expect = Vec::new();
+            for b in 0..2 {
+                for x in lo..hi {
+                    for y in lo..hi {
+                        for z in lo..hi {
+                            let q = Coord::new(b, x, y, z);
+                            let base = q.scaled(s);
+                            let hit = offs.iter().any(|&d| inputs.contains(&base.offset(d)));
+                            if hit && boundary.contains(q) {
+                                expect.push(q);
+                            }
+                        }
+                    }
+                }
+            }
+            expect.sort_unstable();
+            prop_assert_eq!(out.coords, expect);
         }
 
         #[test]

@@ -19,9 +19,9 @@
 //!   set (BBHash-style fingerprint cascade with rank/select bitmaps) —
 //!   the succinct index compiled sessions build at plan time.
 //! - [`downsample`]: output coordinate calculation for strided convolution
-//!   (Algorithm 3), in both the 5-stage *staged* form (DRAM-visible
-//!   intermediates, the baseline) and the *fused* single-kernel form
-//!   (§4.4, Figure 10).
+//!   (Algorithm 3) in the *fused* single-kernel form (§4.4, Figure 10b);
+//!   the 5-stage *staged* baseline computes the same coordinates and is
+//!   only priced, by the core crate's mapping model.
 //! - [`kernel_map`]: map search (Algorithm 1) over any coordinate table,
 //!   including the symmetry-exploiting fast path for odd-kernel stride-1
 //!   layers.

@@ -82,17 +82,21 @@ pub struct OptimizationConfig {
     pub grouping: GroupingStrategy,
     /// Map search table (§4.4).
     pub map_search: MapSearchStrategy,
-    /// Fuse the four output-coordinate kernels of downsampling (§4.4,
-    /// Figure 10).
+    /// Price downsampling's output coordinates as one fused kernel (§4.4,
+    /// Figure 10b); `false` prices the naive five-kernel staged pipeline
+    /// instead. A priced choice: both compute the same coordinates, so the
+    /// host runs the fused kernel either way.
     pub fused_downsample: bool,
     /// Simplified control logic + full loop unrolling in mapping kernels
     /// (§4.4).
     pub simplified_mapping_kernels: bool,
     /// Exploit the symmetry of submanifold maps during search (§4.4).
     pub symmetric_map_search: bool,
-    /// Use the fetch-on-demand dataflow when the layer's average map size is
-    /// below this bound (MinkowskiEngine's small-workload path, §5.2);
-    /// `None` always uses gather-matmul-scatter.
+    /// Price a convolution as the fetch-on-demand dataflow when its map
+    /// holds fewer entries per offset than this bound (MinkowskiEngine's
+    /// small-workload path, §5.2); `None` always prices
+    /// gather-matmul-scatter. A priced choice: the host runs
+    /// gather-matmul-scatter numerics for every layer.
     pub fetch_on_demand_below: Option<usize>,
     /// Maximum grid-table cells before falling back to the hashmap.
     pub grid_cell_limit: u64,

@@ -1,12 +1,10 @@
 use crate::config::{OptimizationConfig, Precision};
 use crate::context::{CachedMap, Context, LayerWorkload, MapKey};
-use crate::dataflow::{
-    fetch_on_demand_into, gather_matmul_scatter_into, ConvWorkload, Epilogue, FusedOrder, MapView,
-};
+use crate::dataflow::{gather_matmul_scatter_into, ConvWorkload, Epilogue, FusedOrder, MapView};
 use crate::faults::FaultSite;
 use crate::mapping::build_layer_mapping_on;
 use crate::module::Module;
-use crate::plan::{ConvDataflow, ConvPlan, EpilogueSteps, LayerOp, Tracer};
+use crate::plan::{ConvPlan, EpilogueSteps, LayerOp, Tracer};
 use crate::runtime::Runtime;
 use crate::CoreError;
 use std::sync::Arc;
@@ -232,10 +230,9 @@ impl SparseConv3d {
 
     /// The plan half: derives everything this layer needs from input
     /// *geometry* alone — kernel map (built or cached), output coordinates
-    /// and stride, and the frozen dataflow decision with the layer's
-    /// grouping strategy. Charges nothing: it returns the `Mapping` latency
-    /// of its map search (`None` when the map came from the cache) beside
-    /// the plan for the caller to log, and under
+    /// and stride, and the layer's grouping strategy. Charges nothing: it
+    /// returns the `Mapping` latency of its map search (`None` when the map
+    /// came from the cache) beside the plan for the caller to log, and under
     /// [`Context::record_workloads`] the layer's workload is recorded here.
     pub(crate) fn plan(
         &self,
@@ -280,15 +277,6 @@ impl SparseConv3d {
                 submanifold,
             });
         }
-        // Fetch-on-demand when configured and the workload is small.
-        let avg_map = cached.map.total_entries() / map.num_offsets().max(1);
-        let use_fod = ctx.config.fetch_on_demand_below.is_some_and(|t| avg_map < t);
-        let dataflow = if use_fod {
-            ConvDataflow::FetchOnDemand
-        } else {
-            ConvDataflow::Grouped(ctx.grouping_for(&self.name))
-        };
-
         // Plan-time locality split, once per geometry, on the worker pool:
         // plan builds are on the serial critical path of compiled sessions.
         let fused = Arc::new(FusedOrder::build_on(&ctx.runtime.pool(), map, out_coords.len()));
@@ -301,7 +289,7 @@ impl SparseConv3d {
             center,
             c_in: self.c_in,
             c_out: self.c_out,
-            dataflow,
+            grouping: ctx.grouping_for(&self.name),
             packed: Arc::clone(&self.packed),
             fused,
             epilogue: EpilogueSteps::default(),
@@ -309,11 +297,10 @@ impl SparseConv3d {
         Ok((plan, mapping))
     }
 
-    /// The execute half: the feature-path numerics (gather/matmul/scatter
-    /// or fetch-on-demand, plus the storage rounds and overflow fallback)
-    /// of `input` against a frozen [`ConvPlan`], written into `out`
-    /// (reshaped here; its buffer is reused). Never builds maps, plans
-    /// groups or touches the cost model.
+    /// The execute half: the feature-path numerics (gather/matmul/scatter,
+    /// plus the storage rounds and overflow fallback) of `input` against a
+    /// frozen [`ConvPlan`], written into `out` (reshaped here; its buffer is
+    /// reused). Never builds maps, plans groups or touches the cost model.
     ///
     /// `epilogue` names the pointwise work of the steps the plan folded
     /// into this layer. It always runs inside the executor's output
@@ -344,15 +331,6 @@ impl SparseConv3d {
             fused: &plan.fused,
         };
         let pool = rt.pool();
-        let run_dataflow = |config: &OptimizationConfig,
-                            epilogue: &Epilogue<'_>,
-                            out: &mut Matrix| match plan.dataflow {
-            ConvDataflow::FetchOnDemand => fetch_on_demand_into(&workload, &pool, epilogue, out),
-            ConvDataflow::Grouped(_) => {
-                gather_matmul_scatter_into(&workload, config, &pool, epilogue, out)
-            }
-        };
-
         let quantized = config.precision != Precision::Fp32;
         // The overflow probe precedes the executor, so no other site is
         // probed in between and the injector's draws keep their order. An
@@ -361,7 +339,7 @@ impl SparseConv3d {
             && workload.n_out * self.c_out > 0
             && rt.faults.should_fail(FaultSite::Fp16Overflow);
         let epilogue = Epilogue { round_conv: quantized, round_batch_norm: quantized, ..epilogue };
-        let reran = inject || !run_dataflow(config, &epilogue, out);
+        let reran = inject || !gather_matmul_scatter_into(&workload, config, &pool, &epilogue, out);
         if reran {
             rt.degradation.record(
                 FaultSite::Fp16Overflow,
@@ -371,7 +349,8 @@ impl SparseConv3d {
             // still stores binary16): precision is a storage optimization,
             // and this layer just proved it loses too much.
             let fp32 = OptimizationConfig { precision: Precision::Fp32, ..config.clone() };
-            run_dataflow(&fp32, &Epilogue { round_conv: false, ..epilogue }, out);
+            let epilogue = Epilogue { round_conv: false, ..epilogue };
+            gather_matmul_scatter_into(&workload, &fp32, &pool, &epilogue, out);
         }
         Ok(reran)
     }

@@ -26,7 +26,9 @@
 //! walked on a fresh simulator and cached on the shared plan (at most one
 //! walk per plan, by whichever stream first asks), so a hit frame's ledger
 //! is that cell alone; it picks each convolution's grouping too
-//! ([`crate::tuning`]). [`evaluations`] counts the fresh simulators.
+//! ([`crate::tuning`]), and prices a layer under `fetch_on_demand_below`
+//! as fetch-on-demand, a dataflow the host never runs. [`evaluations`]
+//! counts the fresh simulators.
 
 use crate::config::{GroupingStrategy, OptimizationConfig, Precision};
 use crate::context::{LayerProfile, HOST_OP_OVERHEAD_US};
@@ -316,8 +318,8 @@ fn plan_cost(
     mut profiles: Option<&mut Vec<LayerProfile>>,
 ) {
     let search = mapping.is_none() && sim.config.autotune_policies;
-    let (gemm, precision) = (sim.gemm, sim.config.precision);
-    let grouping = |p: &ConvPlan| priced_grouping(p, search, gemm, precision);
+    let (gemm, config) = (sim.gemm, sim.config);
+    let grouping = |p: &ConvPlan| priced_grouping(p, search, gemm, config);
     let walk_start = sim.timeline.total();
     // The (points, channels) of the tensor flowing through the network.
     let mut cur = (plan.input.len(), plan.channels);
@@ -452,8 +454,11 @@ fn charge_pool(map: &KernelMap, n_in: usize, n_out: usize, c: usize, sim: &mut S
 
 /// Charges one convolution: the host-side dispatch overhead plus, at the
 /// configured storage precision, gather-matmul-scatter with its GEMMs
-/// grouped by `g`, or fetch-on-demand without one. `reran`: the layer's
-/// quantized output overflowed, so its kernels are charged again in FP32.
+/// grouped by `g`, or fetch-on-demand without one ([`priced_grouping`]
+/// applies `fetch_on_demand_below`). The host runs gather-matmul-scatter
+/// numerics either way: this choice is a price, not a route. `reran`: the
+/// layer's quantized output overflowed, so its kernels are charged again
+/// in FP32.
 fn charge_conv(
     geo: &ConvGeometry<'_>,
     g: Option<GroupingStrategy>,

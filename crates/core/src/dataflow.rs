@@ -1,16 +1,15 @@
 //! Sparse convolution dataflows (§2.2, §4.3 of the paper): the numerics.
 //!
-//! Two dataflows are implemented, matching the systems the paper discusses:
+//! One dataflow runs on the host: [`gather_matmul_scatter_into`], Algorithm
+//! 2 — per kernel offset, gather the mapped input rows, multiply by the
+//! offset's weights, round the products to the 16-bit partial-sum store
+//! when features are quantized, and scatter-accumulate them — with the
+//! §4.2.1 center-offset shortcut. MinkowskiEngine's fetch-on-demand
+//! dataflow (§5.2) is a *priced* choice, not a route: under
+//! `fetch_on_demand_below` the cost model charges a small layer as
+//! fetch-on-demand, and the layer runs these numerics like any other.
 //!
-//! - [`gather_matmul_scatter_into`]: Algorithm 2 — per kernel offset, gather
-//!   the mapped input rows, multiply by the offset's weights, round the
-//!   products to the 16-bit partial-sum store when features are quantized,
-//!   and scatter-accumulate them — with the §4.2.1 center-offset shortcut.
-//! - [`fetch_on_demand_into`]: MinkowskiEngine's alternative that computes
-//!   partial sums directly from the input features (§5.2): FP32 products,
-//!   no center shortcut.
-//!
-//! Both are thin callers of one executor ([`run_fused_numerics`]): kernel-map
+//! It is a thin caller of one executor ([`run_fused_numerics`]): kernel-map
 //! rows stream from the input features through the strip microkernel's
 //! register accumulators straight into the output, in the plan-time
 //! [`FusedOrder`], so no gathered or partial-sum buffer exists on the host.
@@ -20,9 +19,9 @@
 //! layer's epilogue — the storage round and finiteness check, and the batch
 //! norm, identity-shortcut add and ReLU the plan folded into the layer
 //! (`Epilogue`), with the separate sweeps' f32 operations in their order.
-//! They execute the *real* computation on the CPU and nothing else: outputs
-//! are bit-identical across groupings, kernels and thread counts, and
-//! they see only a worker pool and the configuration. What the
+//! It executes the *real* computation on the CPU and nothing else: outputs
+//! are bit-identical across groupings, kernels and thread counts, and it
+//! sees only a worker pool and the configuration. What the
 //! same kernels would cost on the simulated GPU — including the movement
 //! pipeline `fused_gather_scatter` selects — is a function of geometry alone
 //! and lives in [`crate::cost_model`].
@@ -406,21 +405,6 @@ pub(crate) fn gather_matmul_scatter_into(
     run_fused_numerics(w, shortcut, round_f16, pool, epilogue, out)
 }
 
-/// Executes the fetch-on-demand dataflow (Lin et al. 2021; used by
-/// MinkowskiEngine for small workloads, §5.2) into `out`, with `epilogue`,
-/// like [`gather_matmul_scatter_into`]: the same streaming executor with
-/// partial sums kept in FP32 (no 16-bit psum store) and the center shortcut
-/// never used.
-pub(crate) fn fetch_on_demand_into(
-    w: &ConvWorkload<'_>,
-    pool: &ThreadPool,
-    epilogue: &Epilogue<'_>,
-    out: &mut Matrix,
-) -> bool {
-    out.reshape_zeroed(w.n_out, w.c_out());
-    run_fused_numerics(w, None, false, pool, epilogue, out)
-}
-
 /// The scalar oracle the unit tests below (and the root suites) hold the
 /// executor to.
 #[cfg(test)]
@@ -712,19 +696,6 @@ pub(crate) mod tests {
             .collect();
         assert_eq!(calls(&ThreadPool::new(3)), per_chunk, "parallel pool");
         assert_eq!(calls(&ThreadPool::new_recording()), per_chunk, "recording pool");
-    }
-
-    #[test]
-    fn fetch_on_demand_matches_scalar_reference_bitwise() {
-        // FP32 products and no center shortcut, whatever the precision.
-        let parts = workload_parts(6, 10);
-        let order = FusedOrder::build_on(&ThreadPool::new(1), parts.view(), parts.n_out);
-        let expect =
-            conv_reference(&parts.feats, &parts.weights, &parts.map, parts.n_out, None, false);
-        let w = parts.workload(&order);
-        let mut got = Matrix::default();
-        fetch_on_demand_into(&w, &ThreadPool::new(2), &Epilogue::default(), &mut got);
-        assert_eq!(bits_of(&got), bits_of(&expect));
     }
 
     #[test]

@@ -9,12 +9,14 @@
 //! - [`SparseConv3d`] / [`BatchNorm`] / [`ReLU`] / [`GlobalPool`]: layers.
 //! - [`Module`] / [`Sequential`]: the PyTorch-like composition API (§4.1).
 //! - [`mapping`]: map search with the `[grid, hashmap]` strategy space,
-//!   fused downsampling kernels, symmetric map reuse (§4.4).
+//!   one fused output-coordinate kernel (`fused_downsample: false` prices
+//!   the staged pipeline instead), symmetric map reuse (§4.4).
 //! - [`grouping`]: separate / symmetric / fixed / adaptive matmul grouping
 //!   (§4.2, Algorithms 4 & 5).
-//! - `dataflow` (crate-private): the numerics of gather–matmul–scatter and of the
-//!   fetch-on-demand dataflow MinkowskiEngine uses for small workloads,
-//!   both on one fused row-streaming executor.
+//! - `dataflow` (crate-private): the numerics of gather–matmul–scatter on
+//!   one fused row-streaming executor, the one convolution route at every
+//!   precision (the fetch-on-demand dataflow MinkowskiEngine uses for
+//!   small workloads is priced by `fetch_on_demand_below`, not run).
 //! - [`cost_model`]: what those kernels cost on the simulated GPU under
 //!   quantized, vectorized, fused, locality-aware data movement (§4.3) —
 //!   pure functions of geometry that no frame runs: frames log what to

@@ -6,12 +6,15 @@
 //!
 //! 1. **grid-based map search** (collision-free, 1 access/entry) instead of
 //!    a conventional hashmap — chosen per layer from `[grid, hashmap]`;
-//! 2. **kernel fusion** of the four output-coordinate stages (Figure 10);
+//! 2. **kernel fusion** of the four output-coordinate stages (Figure 10):
+//!    one output-coordinate kernel runs under every configuration, and
+//!    `fused_downsample: false` prices it as the five-kernel staged
+//!    pipeline (`staged_downsample_stats`);
 //! 3. **simplified control logic + loop unrolling** in the search kernels;
 //! 4. **symmetric map reuse** for submanifold layers.
 //!
-//! All four are implemented functionally (they produce identical maps) and
-//! differ in their [`MappingStats`], which [`mapping_latency`] converts to
+//! Each configuration produces the identical map; the four differ in the
+//! [`MappingStats`] charged for it, which `stats_latency` converts to
 //! microseconds with a small set of calibrated constants.
 
 use crate::config::{MapSearchStrategy, OptimizationConfig};
@@ -20,7 +23,7 @@ use crate::faults::{DegradationReport, FaultInjector, FaultSite};
 use crate::runtime::ThreadPool;
 use crate::CoreError;
 use std::sync::Arc;
-use torchsparse_coords::downsample::{fused_output_coords, staged_output_coords, Boundary};
+use torchsparse_coords::downsample::{fused_output_coords, Boundary};
 use torchsparse_coords::kernel_map::{search_dilated_on, search_submanifold_symmetric_dilated_on};
 use torchsparse_coords::{
     Coord, CoordHashMap, CoordIndex, CoordsError, GridTable, KernelMap, MappingStats, MphfIndex,
@@ -129,6 +132,30 @@ pub(crate) fn stats_latency(
     Micros(us) + Micros(stats.kernel_launches as f64 * device.launch_overhead_us)
 }
 
+/// DRAM traffic of the naive staged output-coordinate pipeline (the
+/// baseline of Figure 10a) over `n` inputs with a `kernel_size`-wide window
+/// and `out` outputs: five kernels, every intermediate round-tripping
+/// through DRAM at the full candidate width `nv` (`v = K^3` offsets).
+///
+/// | stage | reads | writes |
+/// |---|---|---|
+/// | broadcast_add | `n` inputs | `nv` candidates |
+/// | modular check | `nv` candidates | `nv` mask |
+/// | boundary check | `2nv` candidates + mask | `nv` mask |
+/// | flatten to 1D | `2nv` candidates + mask | `nv` keys |
+/// | unique | `nv` keys | `out` outputs |
+///
+/// Its outputs are the fused kernel's, so only this price is kept.
+pub(crate) fn staged_downsample_stats(n: usize, kernel_size: usize, out: usize) -> MappingStats {
+    let (n, v) = (n as u64, kernel_size.pow(3) as u64);
+    MappingStats {
+        reads: n + 6 * n * v,
+        writes: 4 * n * v + out as u64,
+        kernel_launches: 5,
+        candidate_ops: 0,
+    }
+}
+
 /// Builds the complete mapping for one convolution layer: output
 /// coordinates (for strided layers), table construction, and map search,
 /// on the global pool with no fault injection.
@@ -217,13 +244,14 @@ pub(crate) fn build_layer_mapping_on(
     let out_coords = if conv_stride == 1 {
         Vec::new()
     } else {
-        let result = if config.fused_downsample {
-            fused_output_coords(in_coords, kernel_size, conv_stride, Boundary::unbounded())?
+        let result =
+            fused_output_coords(in_coords, kernel_size, conv_stride, Boundary::unbounded())?;
+        let stats = if config.fused_downsample {
+            result.stats
         } else {
-            staged_output_coords(in_coords, kernel_size, conv_stride, Boundary::unbounded())?
+            staged_downsample_stats(in_coords.len(), kernel_size, result.coords.len())
         };
-        latency +=
-            stats_latency(&result.stats, device, false, 1.0, config.simplified_mapping_kernels);
+        latency += stats_latency(&stats, device, false, 1.0, config.simplified_mapping_kernels);
         result.coords
     };
 
@@ -418,6 +446,46 @@ mod tests {
         let f = build_layer_mapping(&coords, 2, 2, &fused, &device()).unwrap();
         let s = build_layer_mapping(&coords, 2, 2, &staged, &device()).unwrap();
         assert!(s.latency > f.latency);
+    }
+
+    #[test]
+    fn staged_price_repeats_the_staged_pipelines_counts() {
+        // `(reads, writes, outputs)` the five-kernel pipeline counted on
+        // each case when it still ran (launches 5, candidate ops 0 on all).
+        let paper = vec![Coord::new(0, 3, 5, 0)];
+        let blob: Vec<Coord> = (0..40)
+            .map(|i| Coord::new(i % 2, (i * 7) % 13 - 6, (i * 3) % 11 - 5, (i * 5) % 9 - 4))
+            .collect();
+        let negative: Vec<Coord> = (-4..4).map(|i| Coord::new(0, i, -i, 2 * i)).collect();
+        let line: Vec<Coord> = (0..8).map(|i| Coord::new(0, i, 0, 0)).collect();
+        let unbounded = Boundary::unbounded();
+        let clip = Boundary { min: Some([0, 0, 0]), max: Some([2, 1, 1]) };
+        let box_ = Boundary { min: Some([-1, -2, -1]), max: Some([2, 2, 1]) };
+        let cases = [
+            (&paper, 3, 2, unbounded, (163, 112, 4)),
+            (&blob, 2, 2, unbounded, (1960, 1320, 40)),
+            (&blob, 3, 2, unbounded, (6520, 4441, 121)),
+            (&blob, 2, 3, unbounded, (1960, 1292, 12)),
+            (&blob, 3, 3, unbounded, (6520, 4359, 39)),
+            (&negative, 3, 2, unbounded, (1304, 884, 20)),
+            (&negative, 2, 3, unbounded, (392, 259, 3)),
+            (&line, 2, 2, clip, (392, 258, 2)),
+            (&blob, 3, 2, box_, (6520, 4332, 12)),
+        ];
+        for (coords, k, s, boundary, (reads, writes, outputs)) in cases {
+            let fused = fused_output_coords(coords, k, s, boundary).unwrap();
+            assert_eq!(fused.coords.len(), outputs, "k{k} s{s} {boundary:?}");
+            let staged = staged_downsample_stats(coords.len(), k, outputs);
+            let want = MappingStats { reads, writes, kernel_launches: 5, candidate_ops: 0 };
+            assert_eq!(staged, want, "k{k} s{s} {boundary:?}");
+        }
+        // The fused kernel writes only survivors: far less traffic.
+        let coords: Vec<Coord> = (0..500).map(|i| Coord::new(0, i, i % 17, i % 5)).collect();
+        let fused = fused_output_coords(&coords, 3, 2, unbounded).unwrap();
+        let staged = staged_downsample_stats(coords.len(), 3, fused.coords.len());
+        let accesses = |s: MappingStats| s.reads + s.writes;
+        assert!(accesses(staged) > 4 * accesses(fused.stats));
+        assert_eq!(fused.stats.kernel_launches, 2);
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!   from any [`Module`](crate::Module) tree (including residual and UNet
 //!   skip topologies, expressed with a small value stack);
 //! - [`ConvPlan`] / [`PoolPlan`] (crate-internal): per-layer frozen state —
-//!   kernel maps, output coordinates, dataflow choice — and no simulated
-//!   prices ([`crate::cost_model`] groups and prices a plan as it walks it);
+//!   kernel maps, output coordinates, the layer's grouping strategy — and
+//!   no simulated prices ([`crate::cost_model`] groups and prices a plan,
+//!   and picks each convolution's priced dataflow, as it walks it);
 //! - [`ExecutionPlan`] (crate-internal): the frozen steps, keyed by the
 //!   input coordinates and stride they were planned for, compared exactly
 //!   on every frame;
@@ -103,18 +104,6 @@ impl<'m> Tracer<'m> {
     }
 }
 
-/// The dataflow frozen for one convolution at plan time: either
-/// fetch-on-demand (small workloads under MinkowskiEngine-style configs) or
-/// gather-matmul-scatter.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum ConvDataflow {
-    /// Fetch-on-demand: no explicit gather/scatter buffers.
-    FetchOnDemand,
-    /// Gather-matmul-scatter, with the layer's grouping strategy
-    /// (`Context::grouping_for`), which only the cost model reads.
-    Grouped(GroupingStrategy),
-}
-
 /// Everything a [`SparseConv3d`] derives from input *geometry* alone,
 /// frozen at plan time so `execute` touches only the feature path.
 #[derive(Debug, Clone)]
@@ -136,8 +125,10 @@ pub(crate) struct ConvPlan {
     /// The layer's input / output channels (the cost model reads them).
     pub(crate) c_in: usize,
     pub(crate) c_out: usize,
-    /// The frozen dataflow decision.
-    pub(crate) dataflow: ConvDataflow,
+    /// The layer's grouping strategy (`Context::grouping_for`), which only
+    /// the cost model reads: it prices the convolution at this grouping, or
+    /// as fetch-on-demand where the configuration's threshold says so.
+    pub(crate) grouping: GroupingStrategy,
     /// Panel-major packed per-offset weights: the layer's one copy, packed
     /// at construction and shared by every plan of every stream.
     pub(crate) packed: Arc<Vec<PackedB>>,

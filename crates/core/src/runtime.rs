@@ -103,8 +103,9 @@ impl Runtime {
     }
 
     /// A clonable handle to the pool (an `Arc`, so holding it does not
-    /// borrow the runtime).
-    pub(crate) fn pool(&self) -> Arc<ThreadPool> {
+    /// borrow the runtime): what every host kernel of the stream runs on,
+    /// the models crate's point MLPs included.
+    pub fn pool(&self) -> Arc<ThreadPool> {
         self.pool.clone()
     }
 

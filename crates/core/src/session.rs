@@ -252,7 +252,7 @@ impl<'m> CompiledModel<'m> {
         self.config.autotune_policies.then(|| {
             self.tuning.get_or_init(|| {
                 let gemm = GemmModel::new(self.device.clone());
-                compiled_report(&self.base_plan, &gemm, self.config.precision)
+                compiled_report(&self.base_plan, &gemm, &self.config)
             })
         })
     }
@@ -1128,7 +1128,6 @@ mod tests {
     fn new_streams_plan_with_the_compile_time_planner() {
         use crate::config::GroupingStrategy;
         use crate::faults::FaultSite;
-        use crate::plan::ConvDataflow;
         let m = model();
         let (a, b) = (scene(0), scene(3));
         // Autotuning off: a re-plan stores the calibrated grouping, or the
@@ -1148,10 +1147,7 @@ mod tests {
             let replanned_groupings = |stream: &mut StreamState| {
                 shared.execute_on(stream, &b).unwrap();
                 let groupings = stream.plan().steps.iter().filter_map(|step| match step {
-                    StepPlan::Conv(p) => match p.dataflow {
-                        ConvDataflow::Grouped(g) => Some(g),
-                        ConvDataflow::FetchOnDemand => None,
-                    },
+                    StepPlan::Conv(p) => Some(p.grouping),
                     _ => None,
                 });
                 groupings.collect::<Vec<_>>()

@@ -21,12 +21,12 @@
 //! every choice is bitwise-neutral. Nothing is timed and nothing is
 //! persisted: executor task widths are constants (64-row chunks and panels).
 
-use crate::config::{GroupingStrategy, Precision};
+use crate::config::{GroupingStrategy, OptimizationConfig, Precision};
 use crate::context::LayerWorkload;
 use crate::engine::Engine;
 use crate::grouping::plan_groups;
 use crate::module::Module;
-use crate::plan::{ConvDataflow, ConvPlan, ExecutionPlan, StepPlan};
+use crate::plan::{ConvPlan, ExecutionPlan, StepPlan};
 use crate::{CoreError, SparseTensor};
 use std::collections::HashMap;
 use torchsparse_gpusim::Precision as GemmPrecision;
@@ -233,29 +233,36 @@ pub(crate) fn prior_grouping(
     default
 }
 
-/// The grouping the cost model prices convolution `p` at: none for
-/// fetch-on-demand, else its stored strategy or, with `search`,
-/// [`prior_grouping`]'s choice against it on the plan's own map.
+/// The grouping the cost model prices convolution `p` at under `config`:
+/// none where `fetch_on_demand_below` prices the layer as fetch-on-demand
+/// (its map holds fewer entries per offset than the threshold), else its
+/// stored strategy or, with `search`, [`prior_grouping`]'s choice against
+/// it on the plan's own map.
 pub(crate) fn priced_grouping(
     p: &ConvPlan,
     search: bool,
     gemm: &GemmModel,
-    precision: Precision,
+    config: &OptimizationConfig,
 ) -> Option<GroupingStrategy> {
-    let ConvDataflow::Grouped(stored) = p.dataflow else { return None };
+    let map = &p.cached.map;
+    let per_offset = map.total_entries() / map.num_offsets().max(1);
+    if config.fetch_on_demand_below.is_some_and(|t| per_offset < t) {
+        return None;
+    }
     if !search {
-        return Some(stored);
+        return Some(p.grouping);
     }
     let (sizes, submanifold) = (p.map().sizes(), p.center.is_some());
-    Some(prior_grouping(stored, &sizes, submanifold, p.c_in, p.c_out, gemm, precision))
+    let (c_in, c_out, precision) = (p.c_in, p.c_out, config.precision);
+    Some(prior_grouping(p.grouping, &sizes, submanifold, c_in, c_out, gemm, precision))
 }
 
-/// The tuning report of a compiled plan: for every grouped convolution,
-/// the grouping its walk prices it at under `autotune_policies`.
+/// The tuning report of a compiled plan: for every convolution priced with
+/// a grouping, the one its walk prices it at under `autotune_policies`.
 pub(crate) fn compiled_report(
     plan: &ExecutionPlan,
     gemm: &GemmModel,
-    precision: Precision,
+    config: &OptimizationConfig,
 ) -> TuningReport {
     let mut policies: HashMap<String, GroupingStrategy> = HashMap::new();
     let mut selected: HashMap<String, (f64, usize)> = HashMap::new();
@@ -265,8 +272,8 @@ pub(crate) fn compiled_report(
         else {
             continue;
         };
-        // Fetch-on-demand layers have no grouping to tune.
-        let Some(grouping) = priced_grouping(p, true, gemm, precision) else { continue };
+        // Layers priced as fetch-on-demand have no grouping to tune.
+        let Some(grouping) = priced_grouping(p, true, gemm, config) else { continue };
         if let GroupingStrategy::Adaptive { epsilon, s_threshold } = grouping {
             selected.insert(name.clone(), (epsilon, s_threshold));
         }
@@ -425,7 +432,7 @@ mod tests {
         let stores_calibrated = |plan: &ExecutionPlan| {
             for step in &plan.steps {
                 if let StepPlan::Conv(p) = step {
-                    assert!(matches!(p.dataflow, ConvDataflow::Grouped(g) if g == calibrated));
+                    assert_eq!(p.grouping, calibrated);
                 }
             }
         };

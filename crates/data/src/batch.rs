@@ -99,7 +99,8 @@ mod tests {
         // Batched coordinates preserve scene order.
         for (i, c) in ybatch.coords().iter().enumerate() {
             let (reference, idx) = if i < a.len() { (&ya, i) } else { (&yb, i - a.len()) };
-            assert_eq!(c.xyz(), reference.coords()[idx].xyz());
+            let r = reference.coords()[idx];
+            assert_eq!((c.x, c.y, c.z), (r.x, r.y, r.z));
             for ch in 0..6 {
                 let diff = (ybatch.feats()[(i, ch)] - reference.feats()[(idx, ch)]).abs();
                 assert!(diff < 1e-4, "batch isolation violated at point {i} channel {ch}");

@@ -19,7 +19,7 @@ use crate::minkunet::MinkUNet;
 use std::collections::HashMap;
 use torchsparse_coords::Coord;
 use torchsparse_core::cost_model::Charge;
-use torchsparse_core::{Context, CoreError, Module, SparseTensor, ThreadPool};
+use torchsparse_core::{Context, CoreError, Module, SparseTensor};
 use torchsparse_tensor::gemm::{mm_into_packed_on, GemmOpts};
 use torchsparse_tensor::{Matrix, PackedB};
 
@@ -231,14 +231,16 @@ impl PointMlp {
         PointMlp { weight: PackedB::pack(&weight) }
     }
 
-    /// Applies `relu(x . W)` with simulated GEMM cost.
+    /// Applies `relu(x . W)` on the context's pool, with simulated GEMM
+    /// cost.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Tensor`] on a channel mismatch.
     pub(crate) fn forward(&self, x: &Matrix, ctx: &mut Context) -> Result<Matrix, CoreError> {
         let mut y = Matrix::zeros(x.rows(), self.weight.n());
-        mm_into_packed_on(ThreadPool::global(), x, &self.weight, &mut y, GemmOpts::default())?;
+        let pool = ctx.runtime.pool();
+        mm_into_packed_on(&pool, x, &self.weight, &mut y, GemmOpts::default())?;
         y.map_inplace(|v| v.max(0.0));
         ctx.defer(Charge::point_linear(x.rows(), x.cols(), self.weight.n()));
         Ok(y)
@@ -329,7 +331,8 @@ impl Spvcnn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use torchsparse_core::{EnginePreset, OptimizationConfig};
+    use std::sync::Arc;
+    use torchsparse_core::{EnginePreset, OptimizationConfig, ThreadPool};
     use torchsparse_gpusim::DeviceProfile;
 
     fn ctx() -> Context {
@@ -448,6 +451,25 @@ mod tests {
             let out = net.forward(&s, &mut c).unwrap();
             assert_eq!(digest(&out), want, "{precision:?}");
         }
+    }
+
+    #[test]
+    fn point_mlp_runs_on_the_contexts_pool() {
+        // 200 rows x 64 -> 64 channels: past the GEMM's parallel floor, so
+        // a recording pool sees one wave of one task per 64-row panel.
+        let mlp = PointMlp::new(64, 64, 9);
+        let x = Matrix::from_fn(200, 64, |r, c| ((r * 3 + c) % 13) as f32 * 0.1 - 0.5);
+        let recording = Arc::new(ThreadPool::new_recording());
+        let mut c = ctx();
+        c.runtime.set_pool(Arc::clone(&recording));
+        let y = mlp.forward(&x, &mut c).unwrap();
+        let trace = recording.take_trace();
+        assert_eq!(trace.iter().map(Vec::len).collect::<Vec<_>>(), [4], "{trace:?}");
+        let mut serial = Context::new(
+            OptimizationConfig { threads: Some(1), ..EnginePreset::TorchSparse.config() },
+            DeviceProfile::rtx_2080ti(),
+        );
+        assert_eq!(mlp.forward(&x, &mut serial).unwrap(), y);
     }
 
     #[test]

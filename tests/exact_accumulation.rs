@@ -82,7 +82,8 @@ fn special_features(rows: usize, c: usize) -> Matrix {
 
 /// The three dataflow configurations of the engine: grouped
 /// gather-matmul-scatter (TorchSparse), ungrouped per-offset baseline, and
-/// fetch-on-demand (forced by an infinite threshold).
+/// fetch-on-demand (forced by an infinite threshold), which is priced only
+/// and runs the ungrouped baseline's numerics.
 fn dataflow_configs() -> Vec<(&'static str, OptimizationConfig)> {
     let grouped = EnginePreset::TorchSparse.config();
     let separate = EnginePreset::BaselineFp32.config();

@@ -16,7 +16,7 @@ use torchsparse::coords::Coord;
 use torchsparse::core::{
     Engine, EnginePreset, OptimizationConfig, Precision, SparseConv3d, SparseTensor,
 };
-use torchsparse::gpusim::DeviceProfile;
+use torchsparse::gpusim::{DeviceProfile, Micros, Stage};
 use torchsparse::tensor::dense::{submanifold_conv3d_reference, ConvWeights, DenseVolume};
 use torchsparse::tensor::Matrix;
 
@@ -38,7 +38,8 @@ fn tensor_from(sites: &[(i32, i32, i32)], c: usize, seed: u64) -> SparseTensor {
 
 /// The three dataflow configurations of the engine: grouped
 /// gather-matmul-scatter (TorchSparse), ungrouped per-offset baseline, and
-/// fetch-on-demand (forced by an infinite threshold).
+/// fetch-on-demand (forced by an infinite threshold), which is priced only
+/// and runs the ungrouped baseline's numerics.
 fn dataflow_configs() -> Vec<(&'static str, OptimizationConfig)> {
     let grouped = EnginePreset::TorchSparse.config();
     let separate = EnginePreset::BaselineFp32.config();
@@ -163,6 +164,43 @@ fn half_zero_activations_bitwise_identical_across_routes_kernels_threads() {
         let d = expect.at([c.x as usize, c.y as usize, c.z as usize]);
         for (ch, &v) in y.feats().row(i).iter().enumerate() {
             assert!((v - d[ch]).abs() < 1e-3, "{c} channel {ch}: sparse {v} dense {}", d[ch]);
+        }
+    }
+}
+
+/// Fetch-on-demand is a price, not a route: forcing it onto the grouped
+/// and the separate configuration leaves their output bits as they are,
+/// at both executed precisions and on 1 and 3 threads, while the timeline
+/// still charges the dataflow — gather and matmul, no scatter.
+#[test]
+fn forced_fetch_on_demand_runs_the_grouped_route_and_prices_fetch_on_demand() {
+    let sites: Vec<(i32, i32, i32)> =
+        (0..300).map(|i| ((i * 7) % 21 - 10, (i * 13) % 17 - 8, (i * 5) % 15 - 7)).collect();
+    let conv = SparseConv3d::with_random_weights("conv1", 8, 16, 3, 1, 47);
+    let x = tensor_from(&sites, 8, 47);
+    for preset in [EnginePreset::TorchSparse, EnginePreset::BaselineFp32] {
+        for precision in [Precision::Fp32, Precision::Fp16] {
+            for threads in [1, 3] {
+                let run = |fetch_on_demand_below: Option<usize>| {
+                    let cfg = OptimizationConfig {
+                        precision,
+                        threads: Some(threads),
+                        fetch_on_demand_below,
+                        ..preset.config()
+                    };
+                    let mut engine = Engine::with_config(cfg, DeviceProfile::rtx_2080ti());
+                    let y = engine.run(&conv, &x).expect("run succeeds");
+                    (bits(y.feats()), engine.last_timeline().clone())
+                };
+                let what = format!("{preset:?} @ {precision:?}, {threads} threads");
+                let (grouped, priced_grouped) = run(None);
+                let (forced, priced_forced) = run(Some(usize::MAX));
+                assert_eq!(forced, grouped, "{what}: forcing fetch-on-demand moved the bits");
+                assert!(priced_grouped.stage(Stage::Scatter) > Micros::ZERO, "{what}");
+                assert!(priced_forced.stage(Stage::Gather) > Micros::ZERO, "{what}");
+                assert!(priced_forced.stage(Stage::MatMul) > Micros::ZERO, "{what}");
+                assert_eq!(priced_forced.stage(Stage::Scatter), Micros::ZERO, "{what}");
+            }
         }
     }
 }

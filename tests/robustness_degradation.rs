@@ -115,8 +115,10 @@ fn model() -> Sequential {
         .push(SparseConv3d::with_random_weights("conv2", 8, CHANNELS, 3, 1, 12))
 }
 
-/// The three dataflows of the engine, all forced to FP32 and Sanitize so
-/// outputs are comparable and malformed inputs are repaired, not trusted.
+/// The three dataflow configurations of the engine (fetch-on-demand is
+/// priced only and runs the unfused numerics), all forced to FP32 and
+/// Sanitize so outputs are comparable and malformed inputs are repaired,
+/// not trusted.
 fn dataflow_configs() -> Vec<(&'static str, OptimizationConfig)> {
     let mut fused = EnginePreset::TorchSparse.config();
     fused.precision = Precision::Fp32;

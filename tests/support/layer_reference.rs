@@ -1,7 +1,6 @@
 //! What `Engine::run` must return for a single-convolution model, derived
 //! from the scalar oracle in `conv_reference.rs` plus the layer rules the
-//! engine documents: which dataflow a configuration selects, when the
-//! center shortcut applies, how outputs are rounded to storage precision,
+//! engine documents: when the center shortcut applies, how outputs are rounded to storage precision,
 //! and the FP32 re-run when a quantized output overflows. The kernel map
 //! comes from the public search over a plain hashmap, so nothing here
 //! touches the engine's mapping pipeline, plans or executor.
@@ -31,20 +30,16 @@ pub fn layer_reference(conv: &SparseConv3d, x: &SparseTensor, cfg: &Optimization
     let map =
         search_dilated_on(ThreadPool::global(), &out_coords, &table, k, s, 1).expect("map search");
 
-    let avg_map = map.total_entries() / map.num_offsets().max(1);
-    let fetch_on_demand = cfg.fetch_on_demand_below.is_some_and(|t| avg_map < t);
-    let shortcut = if !fetch_on_demand && cfg.skip_center_movement && conv.is_submanifold() {
-        center_index(k)
-    } else {
-        None
-    };
+    // `fetch_on_demand_below` only prices a layer: it never changes its bits.
+    let shortcut =
+        if cfg.skip_center_movement && conv.is_submanifold() { center_index(k) } else { None };
     let quantized = cfg.precision != Precision::Fp32;
     let weights = conv.weights();
     let run = |round_f16: bool| {
         conv_reference(x.feats(), &weights, &map, out_coords.len(), shortcut, round_f16)
     };
 
-    let mut out = run(quantized && !fetch_on_demand);
+    let mut out = run(quantized);
     round_to_storage(&mut out, cfg.precision);
     if quantized && out.as_slice().iter().any(|v| !v.is_finite()) {
         // Non-finite quantized output: the layer runs again in FP32 and its
